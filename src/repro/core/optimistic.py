@@ -47,8 +47,10 @@ __all__ = ["TimeWarpKernel", "run_optimistic"]
 _tuple_new = tuple.__new__
 
 
-def _compile_send(kernel: "TimeWarpKernel", lp, use_heap: bool):
-    """Build the fused per-LP send fast path.
+def _compile_send(
+    kernel: "TimeWarpKernel", use_heap: bool, pending_by_lp, processed_by_lp
+):
+    """Build the fused send fast path; returns ``bind(lp) -> send``.
 
     This is ``LogicalProcess._kernel_send`` + ``EventPool.acquire`` +
     ``TimeWarpKernel._emit`` collapsed into one closure: one frame per
@@ -60,15 +62,20 @@ def _compile_send(kernel: "TimeWarpKernel", lp, use_heap: bool):
     lazy-reuse check at all (``_lazy_pool`` can never be set), the lazy
     variant batches divergent anti-messages (see ``_flush_antimsgs``).
 
+    Two scopes keep set-up linear in the LP population: everything
+    run-constant — including the per-LP dispatch tables
+    ``pending_by_lp`` / ``processed_by_lp`` that ``_install_fast_paths``
+    builds once per kernel — is captured here, once, and shared by every
+    send; ``bind`` adds only what is truly per source LP (``lp``,
+    ``lp_id``, ``src_pe``, ``src_stats``).
+
     Correctness contract: the operation sequence is *identical* to the
     generic path — same validation, same RNG/sequence usage, same stats,
     same straggler handling — so fused and generic runs are bit-identical
     (the determinism suite compares them).
     """
-    lp_id = lp.id
     pe_of_lp = kernel.pe_of_lp
-    src_pe = pe_of_lp[lp_id]
-    src_stats = kernel._stats_by_pe[src_pe]
+    stats_by_pe = kernel._stats_by_pe
     cost_local = kernel._cost_local
     cost_remote = kernel._cost_remote
     pool = kernel.pool
@@ -78,15 +85,77 @@ def _compile_send(kernel: "TimeWarpKernel", lp, use_heap: bool):
     on_receive = gvt.on_receive if kernel._gvt_recv_hook else None
     kp_of_lp = kernel._kp_of_lp
     pe_by_lp = kernel._pe_by_lp
-    pending_by_lp = [pe.pending for pe in pe_by_lp]
-    processed_by_lp = [kp.processed for kp in kp_of_lp]
     serial = _next_serial
     straggler = kernel._straggler
     batch_append = kernel._antimsg_batch.append
 
-    if not kernel.lazy:
+    def bind(lp):
+        lp_id = lp.id
+        src_pe = pe_of_lp[lp_id]
+        src_stats = stats_by_pe[src_pe]
 
-        def fast_send(ts, dst, kind, data=None):
+        if not kernel.lazy:
+
+            def fast_send(ts, dst, kind, data=None):
+                if ts <= lp._now:
+                    raise SchedulingError(
+                        f"LP {lp_id} tried to send {kind!r} at ts={ts} while "
+                        f"processing ts={lp._now}; sends must move strictly forward"
+                    )
+                seq = lp.send_seq
+                lp.send_seq = seq + 1
+                key = _tuple_new(EventKey, (ts, lp_id, seq))
+                # Inlined EventPool.acquire.
+                if pool_free:
+                    pool.hits += 1
+                    ev = pool_free.pop()
+                    ev.key = key
+                    ev.dst = dst
+                    ev.kind = kind
+                    ev.data = data if data is not None else {}
+                    ev.rng_draws = 0
+                    ev.prev_send_seq = 0
+                    ev.processed = False
+                    ev.color = 0
+                    entry = ev.entry = (ts, lp_id, seq, serial(), ev)
+                else:
+                    if pool is not None:
+                        pool.allocs += 1
+                    ev = Event(key, dst, kind, data)
+                    entry = ev.entry
+                # Inlined TimeWarpKernel._emit.
+                current = kernel._current_event
+                dst_pe = pe_of_lp[dst]
+                if current is not None:
+                    current.sent.append(ev)
+                if src_pe == dst_pe:
+                    src_stats.local_sends += 1
+                    units = cost_local
+                else:
+                    src_stats.remote_sends += 1
+                    units = cost_remote
+                src_stats.busy += units
+                src_stats.round_busy += units
+                if on_send is not None:
+                    on_send(src_pe, ev)
+                if on_receive is not None:
+                    on_receive(dst_pe, ev)
+                q = pending_by_lp[dst]
+                if use_heap:
+                    # Inlined PendingQueue.push.
+                    heappush(q._heap, entry)
+                    ev.in_pending = True
+                    q._live += 1
+                else:
+                    q.push(ev)
+                processed = processed_by_lp[dst]
+                if processed and processed[-1].key > key:
+                    straggler(pe_by_lp[dst], kp_of_lp[dst], ev)
+                return ev
+
+            return fast_send
+
+        def fast_send_lazy(ts, dst, kind, data=None):
             if ts <= lp._now:
                 raise SchedulingError(
                     f"LP {lp_id} tried to send {kind!r} at ts={ts} while "
@@ -115,6 +184,23 @@ def _compile_send(kernel: "TimeWarpKernel", lp, use_heap: bool):
                 entry = ev.entry
             # Inlined TimeWarpKernel._emit.
             current = kernel._current_event
+            lazy = kernel._lazy_pool
+            if lazy is not None:
+                old = lazy.pop(key, None)
+                if old is not None:
+                    if (
+                        not old.cancelled
+                        and old.dst == dst
+                        and old.kind == kind
+                        and old.data == ev.data
+                    ):
+                        current.sent.append(old)
+                        kernel.lazy_reused += 1
+                        return ev
+                    # Genuinely divergent send: batch the anti-message; the
+                    # flush runs after this forward completes, before any
+                    # other event can execute.
+                    batch_append(old)
             dst_pe = pe_of_lp[dst]
             if current is not None:
                 current.sent.append(ev)
@@ -143,86 +229,12 @@ def _compile_send(kernel: "TimeWarpKernel", lp, use_heap: bool):
                 straggler(pe_by_lp[dst], kp_of_lp[dst], ev)
             return ev
 
-        return fast_send
+        return fast_send_lazy
 
-    def fast_send_lazy(ts, dst, kind, data=None):
-        if ts <= lp._now:
-            raise SchedulingError(
-                f"LP {lp_id} tried to send {kind!r} at ts={ts} while "
-                f"processing ts={lp._now}; sends must move strictly forward"
-            )
-        seq = lp.send_seq
-        lp.send_seq = seq + 1
-        key = _tuple_new(EventKey, (ts, lp_id, seq))
-        # Inlined EventPool.acquire.
-        if pool_free:
-            pool.hits += 1
-            ev = pool_free.pop()
-            ev.key = key
-            ev.dst = dst
-            ev.kind = kind
-            ev.data = data if data is not None else {}
-            ev.rng_draws = 0
-            ev.prev_send_seq = 0
-            ev.processed = False
-            ev.color = 0
-            entry = ev.entry = (ts, lp_id, seq, serial(), ev)
-        else:
-            if pool is not None:
-                pool.allocs += 1
-            ev = Event(key, dst, kind, data)
-            entry = ev.entry
-        # Inlined TimeWarpKernel._emit.
-        current = kernel._current_event
-        lazy = kernel._lazy_pool
-        if lazy is not None:
-            old = lazy.pop(key, None)
-            if old is not None:
-                if (
-                    not old.cancelled
-                    and old.dst == dst
-                    and old.kind == kind
-                    and old.data == ev.data
-                ):
-                    current.sent.append(old)
-                    kernel.lazy_reused += 1
-                    return ev
-                # Genuinely divergent send: batch the anti-message; the
-                # flush runs after this forward completes, before any
-                # other event can execute.
-                batch_append(old)
-        dst_pe = pe_of_lp[dst]
-        if current is not None:
-            current.sent.append(ev)
-        if src_pe == dst_pe:
-            src_stats.local_sends += 1
-            units = cost_local
-        else:
-            src_stats.remote_sends += 1
-            units = cost_remote
-        src_stats.busy += units
-        src_stats.round_busy += units
-        if on_send is not None:
-            on_send(src_pe, ev)
-        if on_receive is not None:
-            on_receive(dst_pe, ev)
-        q = pending_by_lp[dst]
-        if use_heap:
-            # Inlined PendingQueue.push.
-            heappush(q._heap, entry)
-            ev.in_pending = True
-            q._live += 1
-        else:
-            q.push(ev)
-        processed = processed_by_lp[dst]
-        if processed and processed[-1].key > key:
-            straggler(pe_by_lp[dst], kp_of_lp[dst], ev)
-        return ev
-
-    return fast_send_lazy
+    return bind
 
 
-def _compile_execute(kernel: "TimeWarpKernel"):
+def _compile_execute(kernel: "TimeWarpKernel", processed_append_by_lp):
     """Build the fused event-execution fast path.
 
     ``TimeWarpKernel.execute`` with run-constant state captured in cells;
@@ -235,7 +247,6 @@ def _compile_execute(kernel: "TimeWarpKernel"):
     """
     lps = kernel.lps
     snapshot_before = kernel._snapshot_before
-    processed_append_by_lp = [kp.processed.append for kp in kernel._kp_of_lp]
 
     if not kernel.lazy:
 
@@ -309,7 +320,9 @@ def _compile_execute(kernel: "TimeWarpKernel"):
     return fast_execute_lazy
 
 
-def _compile_batch(kernel: "TimeWarpKernel", pe, use_heap: bool):
+def _compile_batch(
+    kernel: "TimeWarpKernel", pe, use_heap: bool, processed_append_by_lp
+):
     """Build the fused per-PE batch loop.
 
     ``ProcessingElement.process_batch`` + ``PendingQueue.pop_below`` +
@@ -327,7 +340,6 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, use_heap: bool):
     """
     lps = kernel.lps
     snapshot_before = kernel._snapshot_before
-    processed_append_by_lp = [kp.processed.append for kp in kernel._kp_of_lp]
     pending = pe.pending
     heap = pending._heap if use_heap else None
     pop_below = pending.pop_below
@@ -537,13 +549,19 @@ class TimeWarpKernel(Executor):
         for kp in self.kps:
             self.pes[kp.pe_id].kp_ids.append(kp.id)
         self.pe_of_lp: list[int] = []
+        #: Per-LP destination caches: one flat index replaces the
+        #: lps[i].kp / pes[pe_of_lp[i]] double lookups on the send path.
+        self._kp_of_lp: list[KernelProcess] = []
+        self._pe_by_lp: list[ProcessingElement] = []
         for lp in self.lps:
             kp = self.kps[self.mapping.lp_to_kp[lp.id]]
             lp.kp = kp
             kp.lp_ids.append(lp.id)
-            pe_id = kp.pe_id
-            self.pe_of_lp.append(pe_id)
-            self.pes[pe_id].lp_count += 1
+            pe = self.pes[kp.pe_id]
+            pe.lp_count += 1
+            self.pe_of_lp.append(pe.id)
+            self._kp_of_lp.append(kp)
+            self._pe_by_lp.append(pe)
 
         # --- Strategy / transport / GVT -------------------------------------
         self.strategy = make_strategy(config.rollback)
@@ -590,10 +608,6 @@ class TimeWarpKernel(Executor):
         self._snapshot_before = (
             self.strategy.before if self.strategy.name == "copy" else None
         )
-        #: Per-LP destination caches: one flat index replaces the
-        #: lps[i].kp / pes[pe_of_lp[i]] double lookups on the send path.
-        self._kp_of_lp = [self.kps[self.mapping.lp_to_kp[lp.id]] for lp in self.lps]
-        self._pe_by_lp = [self.pes[p] for p in self.pe_of_lp]
         self._stats_by_pe = [pe.stats for pe in self.pes]
         self._cost_local = self.cost.local_send
         self._cost_remote = self.cost.remote_send
@@ -1080,8 +1094,18 @@ class TimeWarpKernel(Executor):
                 )
             return
         use_heap = self.cfg.queue == "heap"
+        # Run-constant per-LP dispatch tables, built here once (after any
+        # checkpoint restore) and shared by every compiled closure, so
+        # set-up stays linear in the LP population.  They alias the live
+        # ``pe.pending`` / ``kp.processed`` objects, which are mutated in
+        # place and never rebound (rollback pops, fossil collection
+        # ``del``s a prefix, a restore assigns ``processed[:]``).
+        pending_by_lp = [pe.pending for pe in self._pe_by_lp]
+        processed_by_lp = [kp.processed for kp in self._kp_of_lp]
+        processed_append_by_lp = [processed.append for processed in processed_by_lp]
+        bind_send = _compile_send(self, use_heap, pending_by_lp, processed_by_lp)
         for lp in self.lps:
-            lp.send = _compile_send(self, lp, use_heap)
+            lp.send = bind_send(lp)
         if self.tracer is not None and self.vec_plan is not None:
             if not self.soa_decline:
                 self.soa_decline = (
@@ -1089,7 +1113,7 @@ class TimeWarpKernel(Executor):
                     "per-event trace hook)"
                 )
         if self.tracer is None:
-            self.execute = _compile_execute(self)
+            self.execute = _compile_execute(self, processed_append_by_lp)
             plan = self.vec_plan
             if (
                 plan is not None
@@ -1102,8 +1126,13 @@ class TimeWarpKernel(Executor):
                 # scalar batch (the SoA LPs still run fine through it);
                 # the plan's compiled batch is bit-identical to the scalar
                 # one by construction (the conformance suite checks).
+                # Its sends go through the fused closures installed above.
+                send_by_lp = [lp.send for lp in self.lps]
                 self._batch_by_pe = [
-                    plan.compile_batch(self, pe, use_heap) for pe in self.pes
+                    plan.compile_batch(
+                        self, pe, use_heap, processed_append_by_lp, send_by_lp
+                    )
+                    for pe in self.pes
                 ]
             else:
                 if plan is not None and not self.soa_decline:
@@ -1113,7 +1142,8 @@ class TimeWarpKernel(Executor):
                         "with aggressive cancellation)"
                     )
                 self._batch_by_pe = [
-                    _compile_batch(self, pe, use_heap) for pe in self.pes
+                    _compile_batch(self, pe, use_heap, processed_append_by_lp)
+                    for pe in self.pes
                 ]
 
     def run(self) -> RunResult:

@@ -587,30 +587,37 @@ class HotPotatoVectorPlan:
         self.neighbors: list = []
         for lp in lps:
             self.neighbors.extend(lp.neighbors)
+        #: Per-LP fault view (or None) and link-existence tuple, fixed at
+        #: build time; every PE's compiled batch shares these two lists.
+        self.faults_by_lp = [lp.faults for lp in lps]
+        self.exists_by_lp = [lp.exists for lp in lps]
 
     # ------------------------------------------------------------------
-    def compile_batch(self, kernel, pe, use_heap: bool):
+    def compile_batch(
+        self, kernel, pe, use_heap: bool, processed_append_by_lp, send_by_lp
+    ):
         """Build the fused per-PE batch loop (vectorized band stepping).
 
-        Same signature and contract as the kernel's scalar
-        ``_compile_batch``: ``batch(max_events, limit_ts) -> done``.  The
-        loop pops the whole run of pending events below the current band
-        edge, then steps the run through per-kind fused handlers with the
-        shared arrays and every run-constant hoisted into cell variables.
+        Same contract as the kernel's scalar ``_compile_batch``:
+        ``batch(max_events, limit_ts) -> done``.  The loop pops the whole
+        run of pending events below the current band edge, then steps the
+        run through per-kind fused handlers with the shared arrays and
+        every run-constant hoisted into cell variables.
         Operation-for-operation identical to the scalar batch.
+
+        ``processed_append_by_lp`` and ``send_by_lp`` (the kernel's fused
+        per-LP send closures) are per-LP tables the kernel builds once
+        and shares across every PE's batch, like this plan's own
+        ``faults_by_lp`` / ``exists_by_lp``.
         """
         lps = kernel.lps
-        processed_append_by_lp = [kp.processed.append for kp in kernel._kp_of_lp]
         pending = pe.pending
         heap = pending._heap if use_heap else None
         pop_below = pending.pop_below
         stats_pe = pe.stats
         event_cost = pe.event_cost
-        # Sends go through the kernel's fused per-LP send closures; the
-        # plan is compiled after those are installed.
-        send_by_lp = [lp.send for lp in lps]
-        faults_by_lp = [lp.faults for lp in lps]
-        exists_by_lp = [lp.exists for lp in lps]
+        faults_by_lp = self.faults_by_lp
+        exists_by_lp = self.exists_by_lp
         links = self.links
         head_gen = self.head_gen
         nbrs = self.neighbors

@@ -1,11 +1,16 @@
 """Tests for the Time Warp kernel: rollback mechanics and determinism."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import run_sequential
 from repro.core.optimistic import TimeWarpKernel, run_optimistic
 from repro.errors import ConfigurationError
+from repro.hotpotato.config import HotPotatoConfig
+from repro.hotpotato.model import HotPotatoModel
 from repro.models.phold import PholdConfig, PholdModel
 from tests.kernel_models import ChattyModel
 
@@ -157,3 +162,30 @@ def test_result_metadata():
     assert len(result.run.per_pe_busy_seconds) == 2
     assert result.run.event_rate > 0
     assert len(result.lps) == PHOLD.n_lps
+
+
+# ----------------------------------------------------------------------
+# Set-up scaling: fused-path installation is linear in the LP population.
+# ----------------------------------------------------------------------
+def _retained_setup_bytes(n: int, executor: str) -> int:
+    """Bytes a kernel on the n x n torus retains once its fast paths are in."""
+    model = HotPotatoModel(HotPotatoConfig(n=n, duration=1.0, injector_fraction=1.0))
+    cfg = EngineConfig(end_time=1.0, n_pes=4, n_kps=64, executor=executor)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kernel = TimeWarpKernel(model, cfg)
+        kernel._install_fast_paths()
+        assert kernel._batch_by_pe is not None and not kernel.soa_decline
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("executor", ["scalar", "vectorized"])
+def test_fast_path_setup_memory_linear_in_lps(executor):
+    # 4x the LPs may retain at most 5x the bytes.  One LP-length table per
+    # compiled closure (instead of one per kernel) makes this ratio ~11.
+    small = _retained_setup_bytes(16, executor)
+    large = _retained_setup_bytes(32, executor)
+    assert large <= 5 * small, f"{large / small:.1f}x bytes for 4x the LPs"

@@ -6,13 +6,17 @@ committed results must always equal the sequential oracle's — on both the
 PHOLD and the hot-potato workloads.
 """
 
+import shutil
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.ckpt import Checkpointer, list_snapshots
 from repro.core.config import EngineConfig
 from repro.core.engine import run_sequential
-from repro.core.optimistic import run_optimistic
+from repro.core.optimistic import TimeWarpKernel, run_optimistic
+from repro.core.trace import Tracer
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.models.phold import PholdConfig, PholdModel
@@ -76,3 +80,77 @@ def test_phold_matches_oracle_under_any_configuration(cfg, phold_oracle):
 def test_hotpotato_matches_oracle_under_any_configuration(cfg, hp_oracle):
     result = run_optimistic(HotPotatoModel(HP_CFG), cfg)
     assert result.model_stats == hp_oracle
+
+
+# ----------------------------------------------------------------------
+# The fused closures share one set of per-LP dispatch tables per kernel
+# (docs/KERNEL.md): those tables must be the live ``pe.pending`` /
+# ``kp.processed`` objects through rollbacks, fossil collection and a
+# checkpoint restore.  An 8x8 torus with a large batch rolls back for real.
+# ----------------------------------------------------------------------
+SHARED_END = 10.0
+SHARED_CFG = HotPotatoConfig(
+    n=8, duration=SHARED_END, injector_fraction=1.0, delivery_log=True
+)
+
+
+def _shared_tables_engine(queue="heap", cancellation="aggressive", executor="scalar"):
+    model = HotPotatoModel(SHARED_CFG)
+    cfg = EngineConfig(
+        end_time=SHARED_END, n_pes=4, n_kps=16, batch_size=512, seed=0x5EED,
+        queue=queue, cancellation=cancellation, executor=executor,
+    )
+    return model, TimeWarpKernel(model, cfg)
+
+
+@pytest.fixture(scope="module")
+def shared_oracle():
+    model = HotPotatoModel(SHARED_CFG)
+    tracer = Tracer()
+    stats = run_sequential(model, SHARED_END, tracer=tracer).model_stats
+    return stats, sorted(model.delivery_log), tracer.committed_sequence()
+
+
+@pytest.mark.parametrize("executor", ["scalar", "vectorized"])
+@pytest.mark.parametrize("cancellation", ["aggressive", "lazy"])
+@pytest.mark.parametrize("queue", ["heap", "ladder"])
+def test_shared_dispatch_tables_commit_the_oracle_sequence(
+    shared_oracle, queue, cancellation, executor
+):
+    stats, deliveries, sequence = shared_oracle
+    # Untraced: every fused closure (send, execute, batch / band batch) runs.
+    model, kernel = _shared_tables_engine(queue, cancellation, executor)
+    result = kernel.run()
+    assert kernel._batch_by_pe is not None
+    # The band batch installs under aggressive cancellation only.
+    assert (kernel.soa_batches > 0) == (
+        executor == "vectorized" and cancellation == "aggressive"
+    )
+    assert result.run.events_rolled_back > 0
+    assert result.model_stats == stats
+    assert sorted(model.delivery_log) == deliveries
+    assert result.run.committed == len(sequence)
+    # Traced: fused sends under the generic execute, event by event.
+    tracer = Tracer()
+    _, kernel = _shared_tables_engine(queue, cancellation, executor)
+    kernel.attach_tracer(tracer).run()
+    assert tracer.committed_sequence() == sequence
+
+
+def test_shared_dispatch_tables_survive_kill_and_resume(shared_oracle, tmp_path):
+    stats, deliveries, sequence = shared_oracle
+    _, kernel = _shared_tables_engine()
+    kernel.attach_checkpointer(Checkpointer(tmp_path / "snaps", every=1)).run()
+    snaps = list_snapshots(tmp_path / "snaps")
+    assert len(snaps) > 3
+    # "Kill" mid-run: keep only a snapshot from the middle, resume from it.
+    resume_dir = tmp_path / "resume"
+    resume_dir.mkdir()
+    shutil.copy(snaps[len(snaps) // 2], resume_dir)
+    ckpt = Checkpointer(resume_dir, every=1 << 30)
+    ckpt.load_latest()
+    model, kernel = _shared_tables_engine()
+    result = kernel.attach_checkpointer(ckpt).run()
+    assert result.model_stats == stats
+    assert sorted(model.delivery_log) == deliveries
+    assert result.run.committed == len(sequence)
