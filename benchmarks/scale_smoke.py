@@ -1,22 +1,27 @@
-"""Scale smoke: Time Warp set-up stays linear in the LP population.
+"""Scale smoke: memory stays linear in the LP population, flat in duration.
 
 Runs ``python -m repro.hotpotato --n N --duration 1 --processors 4
 --batch 64`` as a child, then the same torus with ``--processors 1``, and
 fails unless (a) the optimistic child's peak RSS is under the budget and
-(b) the eight model lines of the two runs are byte-identical::
+(b) the eight model lines of the two runs are byte-identical.  Then runs
+the 64×64 torus sequentially for 2 and for 8 steps and fails unless (c)
+the two peak RSS values are within ``--flat-rss-mb`` of each other::
 
     PYTHONPATH=src python benchmarks/scale_smoke.py                 # CI: n=128, 400 MB
     PYTHONPATH=src python benchmarks/scale_smoke.py --n 256 --max-rss-mb 1024
 
 With one LP-length dispatch table per compiled closure (the state before
 docs/KERNEL.md's "per-kernel vs per-LP" split) the n=128 run needs more
-than 4 GB, so the budget catches any quadratic term coming back.
+than 4 GB, so budget (a) catches any quadratic term coming back.  At full
+load the packet population is constant, so anything that makes (c) fail is
+state kept per simulated step — the per-(src, dst) routing cache that
+``repro.net`` once had cost 17 MB over these six steps.
 """
 
 from __future__ import annotations
 
 import argparse
-import resource
+import os
 import subprocess
 import sys
 import time
@@ -29,32 +34,48 @@ MODEL_LINES = (
 )
 
 
-def run(n: int, *flags: str) -> tuple[list[str], float]:
-    """Run one child to completion; returns its model lines and wall seconds."""
-    cmd = [sys.executable, "-m", "repro.hotpotato", "--n", str(n), "--duration", "1"]
-    cmd += flags
+#: Torus side of the duration-leak check: growth per simulated step shows
+#: at any size, and 64×64 keeps the two extra children to a few seconds.
+FLAT_N = 64
+
+
+def run(n: int, duration: int, *flags: str) -> tuple[list[str], float, float]:
+    """Run one child to completion: (model lines, wall seconds, peak RSS in MB)."""
+    cmd = [sys.executable, "-m", "repro.hotpotato", "--n", str(n)]
+    cmd += ["--duration", str(duration), *flags]
     t0 = time.perf_counter()
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+    with proc.stdout:
+        out = proc.stdout.read()
+    # wait4 reports this child's rusage; RUSAGE_CHILDREN only the largest
+    # of all children so far.
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
     wall = time.perf_counter() - t0
+    if proc.returncode:
+        raise SystemExit(f"{' '.join(cmd)}: exit status {proc.returncode}")
     lines = [
         line for line in out.splitlines()
         if line.split(":")[0].strip() in MODEL_LINES
     ]
     if len(lines) != len(MODEL_LINES):
         raise SystemExit(f"{' '.join(cmd)}: not {len(MODEL_LINES)} model lines:\n{out}")
-    return lines, wall
+    return lines, wall, usage.ru_maxrss / 1024
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=128, help="torus side (LPs = n*n)")
     ap.add_argument("--max-rss-mb", type=float, default=400.0)
+    ap.add_argument(
+        "--flat-rss-mb", type=float, default=8.0,
+        help=f"most the n={FLAT_N} sequential peak RSS may differ between "
+             "--duration 2 and --duration 8",
+    )
     args = ap.parse_args()
 
-    opt_lines, opt_wall = run(args.n, "--processors", "4", "--batch", "64")
-    # Only one child has been waited for so far, so this is its own peak.
-    rss_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    seq_lines, seq_wall = run(args.n, "--processors", "1")
+    opt_lines, opt_wall, rss_mb = run(args.n, 1, "--processors", "4", "--batch", "64")
+    seq_lines, seq_wall, _ = run(args.n, 1, "--processors", "1")
 
     print(
         f"n={args.n} ({args.n * args.n:,} LPs): optimistic 4-PE {opt_wall:.2f} s, "
@@ -66,6 +87,15 @@ def main() -> None:
         raise SystemExit("model lines differ:\n" + "\n".join(both))
     if rss_mb >= args.max_rss_mb:
         raise SystemExit(f"peak RSS {rss_mb:.0f} MB is over the budget")
+
+    _, _, short_mb = run(FLAT_N, 2, "--processors", "1")
+    _, _, long_mb = run(FLAT_N, 8, "--processors", "1")
+    print(
+        f"n={FLAT_N} sequential peak RSS: {short_mb:.1f} MB after 2 steps, "
+        f"{long_mb:.1f} MB after 8 (may differ by {args.flat_rss_mb:.0f})"
+    )
+    if abs(long_mb - short_mb) > args.flat_rss_mb:
+        raise SystemExit("peak RSS grows with simulated duration")
     print("scale smoke ok")
 
 

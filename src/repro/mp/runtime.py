@@ -411,10 +411,9 @@ def run_multiprocess(
         for shm in segments:
             destroy_segment(shm)
 
-    for i in range(procs):
-        part = results.get(i)
-        if part is None:
-            raise ConfigurationError(f"worker {i} produced no result")
+    # A worker's own report comes first: the siblings that were taken
+    # down because of it have no result, and that is not the cause.
+    for i, part in sorted(results.items()):
         if "error" in part:
             raise ConfigurationError(
                 f"worker {i} failed:\n{part['error']}"
@@ -425,6 +424,9 @@ def run_multiprocess(
         exc = HealthIntervention.__new__(HealthIntervention)
         Exception.__init__(exc, aborts[0])
         raise exc
+    for i in range(procs):
+        if i not in results:
+            raise ConfigurationError(f"worker {i} produced no result")
 
     parts = [results[i] for i in range(procs)]
     if tracer is not None:

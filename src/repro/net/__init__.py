@@ -4,7 +4,9 @@ The :class:`~repro.net.torus.TorusTopology` and
 :class:`~repro.net.mesh.MeshTopology` classes share a duck-typed protocol
 (:class:`GridTopology`) consumed by the routing models: id/coordinate
 arithmetic, neighbor lookup, distance, good links, home-run paths and the
-turn predicate.
+turn predicate.  Both answer ``route_info`` — the four routing values of a
+pair at once — from the displacement table of
+:class:`~repro.net.geometry.DisplacementRouting`.
 """
 
 from __future__ import annotations
@@ -70,4 +72,9 @@ class GridTopology(Protocol):
     def route_info(
         self, src: int, dst: int
     ) -> tuple[tuple[Direction, ...], Direction | None, bool, int]:
-        """Cached ``(good_dirs, homerun_dir, is_turning, distance)``."""
+        """``(good_dirs, homerun_dir, is_turning, distance)`` in one lookup.
+
+        Equal to the four methods above called separately.  Implementations
+        keep no per-pair state: the answer is a function of the
+        displacement ``dst − src`` and of the failed links at ``src``.
+        """

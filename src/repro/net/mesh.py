@@ -5,19 +5,21 @@ mesh "because it makes the problem more tractable" (§1.1); the simulation
 uses the torus.  We provide both so the theoretical configuration can be
 simulated too.  The API mirrors :class:`repro.net.torus.TorusTopology`
 except that :meth:`neighbor` returns ``None`` off the edge and good/home-run
-directions never point off the grid.
+directions never point off the grid.  ``route_info`` is the same
+displacement-table lookup (:class:`~repro.net.geometry.DisplacementRouting`).
 """
 
 from __future__ import annotations
 
 from repro.errors import TopologyError
 from repro.net.directions import DIRECTIONS, Direction
+from repro.net.geometry import DisplacementRouting
 from repro.net.torus import _normalize_failed
 
 __all__ = ["MeshTopology"]
 
 
-class MeshTopology:
+class MeshTopology(DisplacementRouting):
     """A rows × cols mesh of routers; edge nodes have fewer usable links.
 
     ``failed_links`` marks boot-time-known permanent link failures, with
@@ -44,10 +46,10 @@ class MeshTopology:
         self.rows = rows
         self.cols = cols
         self.num_nodes = rows * cols
-        self._route_cache: dict[int, tuple] = {}
         self._failed: frozenset[tuple[int, int]] = frozenset()
         if failed_links:
             self._failed = _normalize_failed(self, failed_links)
+        self._build_route_table()
 
     @property
     def failed_links(self) -> frozenset[tuple[int, int]]:
@@ -150,25 +152,6 @@ class MeshTopology:
         sr, sc = self.coords(src)
         dr, dc = self.coords(dst)
         return sc == dc and sr != dr
-
-    def route_info(
-        self, src: int, dst: int
-    ) -> tuple[tuple[Direction, ...], Direction | None, bool, int]:
-        """Cached ``(good_dirs, homerun_dir, is_turning, distance)``
-
-        (see :meth:`repro.net.torus.TorusTopology.route_info`).
-        """
-        key = src * self.num_nodes + dst
-        info = self._route_cache.get(key)
-        if info is None:
-            info = (
-                self.good_dirs(src, dst),
-                self.homerun_dir(src, dst),
-                self.is_turning(src, dst),
-                self.distance(src, dst),
-            )
-            self._route_cache[key] = info
-        return info
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -11,17 +11,23 @@ that arithmetic plus the routing geometry the algorithm needs:
   Running packets, and
 * the *turn* predicate — Running packets can only be deflected while turning
   from the row phase to the column phase.
+
+The per-pair methods below are the definition; the routers' hot path asks
+for all four values at once through ``route_info``, which
+:class:`~repro.net.geometry.DisplacementRouting` answers from one table
+indexed by the displacement between the two nodes.
 """
 
 from __future__ import annotations
 
 from repro.errors import TopologyError
 from repro.net.directions import DIRECTIONS, Direction
+from repro.net.geometry import DisplacementRouting
 
 __all__ = ["TorusTopology"]
 
 
-class TorusTopology:
+class TorusTopology(DisplacementRouting):
     """A rows × cols torus of routers with four bidirectional links each.
 
     Parameters
@@ -69,10 +75,10 @@ class TorusTopology:
         self.rows = rows
         self.cols = cols
         self.num_nodes = rows * cols
-        self._route_cache: dict[int, tuple] = {}
         self._failed: frozenset[tuple[int, int]] = frozenset()
         if failed_links:
             self._failed = _normalize_failed(self, failed_links)
+        self._build_route_table()
 
     @property
     def failed_links(self) -> frozenset[tuple[int, int]]:
@@ -205,55 +211,6 @@ class TorusTopology:
         sr, sc = self.coords(src)
         dr, dc = self.coords(dst)
         return _ring_delta(sc, dc, self.cols) == 0 and sr != dr
-
-    def route_info(
-        self, src: int, dst: int
-    ) -> tuple[tuple[Direction, ...], Direction | None, bool, int]:
-        """Cached ``(good_dirs, homerun_dir, is_turning, distance)``.
-
-        The routing geometry for a (src, dst) pair never changes, so one
-        dict hit replaces four coordinate computations on the router's hot
-        path.  The cache fills lazily; at most ``num_nodes**2`` entries.
-        The miss path recomputes all four values from a single coordinate
-        decomposition (the individual methods each redo it); results are
-        identical to calling them separately, which the tests assert.
-        """
-        key = src * self.num_nodes + dst
-        info = self._route_cache.get(key)
-        if info is None:
-            rows, cols = self.rows, self.cols
-            sr, sc = divmod(src, cols)
-            dr, dc = divmod(dst, cols)
-            cd = _ring_delta(sc, dc, cols)
-            rd = _ring_delta(sr, dr, rows)
-            good: list[Direction] = []
-            if cd > 0:
-                good.append(Direction.EAST)
-                if 2 * cd == cols:
-                    good.append(Direction.WEST)
-            elif cd < 0:
-                good.append(Direction.WEST)
-            if rd > 0:
-                good.append(Direction.SOUTH)
-                if 2 * rd == rows:
-                    good.append(Direction.NORTH)
-            elif rd < 0:
-                good.append(Direction.NORTH)
-            if self._failed:
-                good = [d for d in good if (src, d) not in self._failed]
-            if cd > 0:
-                homerun: Direction | None = Direction.EAST
-            elif cd < 0:
-                homerun = Direction.WEST
-            elif rd > 0:
-                homerun = Direction.SOUTH
-            elif rd < 0:
-                homerun = Direction.NORTH
-            else:
-                homerun = None
-            info = (tuple(good), homerun, cd == 0 and sr != dr, abs(cd) + abs(rd))
-            self._route_cache[key] = info
-        return info
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,6 +1,8 @@
 """Tests for the plan → per-node fault views compilation and the
 static/dynamic link-failure split, including topology-level masking."""
 
+import random
+
 import pytest
 
 from repro.faults import (
@@ -102,16 +104,55 @@ def test_mesh_static_failed_links_reduce_degree():
     assert topo.degree(0) == 1
 
 
-def test_torus_route_info_avoids_static_failed_link():
+@pytest.mark.parametrize("topo_cls", [TorusTopology, MeshTopology])
+def test_route_info_avoids_static_failed_link(topo_cls):
     plan = FaultPlan(events=(FaultEvent(0, LINK_DOWN, 0, E),))
-    topo = TorusTopology(4, failed_links=static_failed_links(plan))
+    topo = topo_cls(4, failed_links=static_failed_links(plan))
     # 0 → 5 wants EAST and SOUTH; with 0's EAST link dead only SOUTH
     # remains good, and 0 → 1 (EAST the sole good direction) goes empty.
-    good, _homerun, _turning, dist = topo.route_info(0, 5)
+    good, homerun, _turning, dist = topo.route_info(0, 5)
     assert good == (Direction.SOUTH,)
     assert topo.route_info(0, 1)[0] == ()
-    # Distance stays geometric: the metric ignores failures by design.
-    assert dist == TorusTopology(4).route_info(0, 5)[3]
+    # The far endpoint is masked too; every other source is untouched.
+    assert topo.route_info(1, 0)[0] == ()
+    assert topo.route_info(4, 5) == topo_cls(4).route_info(4, 5)
+    # Home-run hop and distance stay geometric: they ignore failures by
+    # design.
+    _, healthy_homerun, _, healthy_dist = topo_cls(4).route_info(0, 5)
+    assert (homerun, dist) == (healthy_homerun, healthy_dist)
+
+
+@pytest.mark.parametrize("topo_cls", [TorusTopology, MeshTopology])
+def test_route_info_source_with_two_failed_links(topo_cls):
+    plan = FaultPlan(
+        events=(FaultEvent(0, LINK_DOWN, 0, E), FaultEvent(0, LINK_DOWN, 0, S))
+    )
+    topo = topo_cls(4, failed_links=static_failed_links(plan))
+    assert topo.route_info(0, 5)[0] == ()
+    assert topo.route_info(0, 4)[0] == ()
+    assert topo.route_info(0, 5)[1:] == topo_cls(4).route_info(0, 5)[1:]
+    # Each peer lost only the one link it shares with node 0.
+    assert topo.route_info(4, 0)[0] == ()
+    assert topo.route_info(4, 5)[0] == (Direction.EAST,)
+
+
+@pytest.mark.parametrize("topo_cls", [TorusTopology, MeshTopology])
+def test_faulted_topology_keeps_no_per_pair_state(topo_cls):
+    topo = topo_cls(8, failed_links=[(0, E), (0, S), (27, W), (63, N)])
+
+    def sizes():
+        return {
+            name: len(value)
+            for name, value in vars(topo).items()
+            if hasattr(value, "__len__")
+        }
+
+    before = sizes()
+    rnd = random.Random(5)
+    for _ in range(10_000):
+        topo.route_info(rnd.randrange(64), rnd.randrange(64))
+    # Every container the topology owns was sized at construction.
+    assert sizes() == before
 
 
 def test_interval_queries_match_brute_force():

@@ -1,5 +1,8 @@
 """Tests for the HotPotatoSimulation facade and engine equivalence."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.config import EngineConfig
@@ -77,3 +80,31 @@ def test_heartbeat_parallel_matches_sequential():
     par = sim.run_parallel(n_pes=2, n_kps=4, mapping="striped")
     assert seq.model_stats == par.model_stats
     assert seq.model_stats["link_utilization"] > 0
+
+
+def _held_after_run(duration: float, parallel: bool) -> int:
+    """Bytes still allocated once a full-load 16×16 run has finished, with
+    its result (which keeps the model and topology alive) in hand."""
+    cfg = HotPotatoConfig(n=16, duration=duration, injector_fraction=1.0)
+    sim = HotPotatoSimulation(cfg, seed=11)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = sim.run_parallel(n_pes=4, n_kps=16) if parallel else sim.run()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.model_stats["delivered"] > 0
+    return held
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "optimistic"])
+def test_memory_held_does_not_grow_with_duration(parallel):
+    # At full load the packet population is constant, so a run four times
+    # as long must end holding the same memory.  Per-pair routing state
+    # would not: the pairs met keep growing (7 k after 10 steps, 25 k after
+    # 40, about 3 MB more); what legitimately differs is ~0.1 MB.
+    short = _held_after_run(10.0, parallel)
+    long = _held_after_run(40.0, parallel)
+    assert long - short < 512 * 1024

@@ -5,6 +5,11 @@ import pytest
 from repro.errors import TopologyError
 from repro.net.directions import DIRECTIONS, Direction
 from repro.net.mesh import MeshTopology
+from tests.net_checks import (
+    SHAPES,
+    assert_route_info_matches_methods_everywhere,
+    some_failed_links,
+)
 
 
 def test_no_wrap_at_edges():
@@ -87,3 +92,11 @@ def test_is_turning():
 
 def test_wraps_flag():
     assert MeshTopology(3).wraps is False
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+@pytest.mark.parametrize("rows,cols", SHAPES)
+def test_route_info_equals_the_four_methods_for_every_pair(rows, cols, faulted):
+    failed = some_failed_links(rows, cols) if faulted else ()
+    m = MeshTopology(rows, cols, failed_links=failed)
+    assert_route_info_matches_methods_everywhere(m)

@@ -5,6 +5,11 @@ import pytest
 from repro.errors import TopologyError
 from repro.net.directions import DIRECTIONS, Direction
 from repro.net.torus import TorusTopology, _ring_delta
+from tests.net_checks import (
+    SHAPES,
+    assert_route_info_matches_methods_everywhere,
+    some_failed_links,
+)
 
 
 def test_dimensions_and_node_count():
@@ -199,3 +204,19 @@ def test_is_turning_only_in_destination_column():
     assert t.is_turning(t.node_id(1, 3), dst)  # right column, wrong row
     assert not t.is_turning(t.node_id(1, 2), dst)  # wrong column
     assert not t.is_turning(dst, dst)  # already there
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+@pytest.mark.parametrize("rows,cols", SHAPES)
+def test_route_info_equals_the_four_methods_for_every_pair(rows, cols, faulted):
+    failed = some_failed_links(rows, cols) if faulted else ()
+    t = TorusTopology(rows, cols, failed_links=failed)
+    assert_route_info_matches_methods_everywhere(t)
+
+
+def test_route_info_shares_entries_between_equal_ring_moves():
+    # Raw displacements d and d ± size are the same move on the ring, so
+    # the table holds one entry per (row move, column move): N² of them.
+    t = TorusTopology(5, 7)
+    assert len(t._route_table) == (2 * 5 - 1) * (2 * 7 - 1)
+    assert len({id(info) for info in t._route_table}) == 5 * 7

@@ -1,10 +1,12 @@
 """Property-based tests for torus geometry (DESIGN.md invariant 6)."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.directions import DIRECTIONS
+from repro.net.mesh import MeshTopology
 from repro.net.torus import TorusTopology
+from tests.net_checks import assert_route_info_matches_methods
 
 dims = st.integers(min_value=2, max_value=16)
 
@@ -89,3 +91,34 @@ def test_homerun_terminates_within_diameter(tab):
         hops += 1
         assert hops <= t.diameter() + 1
     assert hops == t.distance(a, b)
+
+
+@st.composite
+def large_grid_and_pairs(draw):
+    """A torus or mesh of up to 256×256 and a few node pairs; in half the
+    draws some of the sampled sources have a failed link."""
+    rows = draw(st.integers(min_value=2, max_value=256))
+    cols = draw(st.integers(min_value=2, max_value=256))
+    cls = draw(st.sampled_from([TorusTopology, MeshTopology]))
+    node = st.integers(min_value=0, max_value=rows * cols - 1)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=8))
+    failed = []
+    if draw(st.booleans()):
+        for src, _ in pairs[:3]:
+            d = draw(st.sampled_from(DIRECTIONS))
+            r, c = divmod(src, cols)
+            if cls.wraps or (
+                0 <= r + d.delta[0] < rows and 0 <= c + d.delta[1] < cols
+            ):
+                failed.append((src, d))
+    return cls(rows, cols, failed_links=failed), pairs
+
+
+@settings(deadline=None, max_examples=30)
+@given(large_grid_and_pairs())
+def test_route_info_matches_methods_at_paper_scale(grid_and_pairs):
+    topo, pairs = grid_and_pairs
+    for src, dst in pairs:
+        assert_route_info_matches_methods(topo, src, dst)
+        # The reverse pair reads the slot on the other side of the table.
+        assert_route_info_matches_methods(topo, dst, src)
