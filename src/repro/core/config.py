@@ -64,9 +64,9 @@ class EngineConfig:
         down when the measured rollback fraction spikes and restores when
         it subsides.  Deterministic, like everything else.
     queue:
-        Pending-event structure per PE: ``"heap"`` (binary heap),
-        ``"ladder"`` (ladder queue) or ``"splay"`` (ROSS's splay tree).
-        Identical ordering and results; a pure performance choice.
+        Pending-event structure per PE: ``"heap"`` (binary heap) or
+        ``"ladder"`` (ladder queue).  Identical ordering and results; a
+        pure performance choice.
     executor:
         ``"scalar"`` — one event at a time through ``LogicalProcess.forward``
         (the oracle path).  ``"vectorized"`` — ask the model for its
@@ -74,7 +74,9 @@ class EngineConfig:
         and, where the engine supports it, step same-timestamp-band event
         runs through fused per-kind loops.  Models without an SoA build
         fall back to scalar silently; results are bit-identical either
-        way (the executor-ABI conformance suite asserts this).
+        way (the executor-ABI conformance suite asserts this).  Refused
+        with ``parallelism="process"``: SoA tuple payloads have no ring
+        schema.
     pool:
         Recycle fossil-collected events through a per-kernel free list
         (:class:`~repro.core.event.EventPool`) instead of re-allocating.
@@ -145,9 +147,9 @@ class EngineConfig:
             raise ConfigurationError(
                 f"gvt_interval must be >= 1, got {self.gvt_interval}"
             )
-        if self.queue not in ("heap", "ladder", "splay"):
+        if self.queue not in ("heap", "ladder"):
             raise ConfigurationError(
-                f"queue must be 'heap', 'ladder' or 'splay', got {self.queue!r}"
+                f"queue must be 'heap' or 'ladder', got {self.queue!r}"
             )
         if self.executor not in ("scalar", "vectorized"):
             raise ConfigurationError(
@@ -177,6 +179,14 @@ class EngineConfig:
                     "process mode computes GVT with its own cross-process "
                     "token waves; the in-worker gvt manager must be "
                     f"'synchronous', got {self.gvt!r}"
+                )
+            if self.executor == "vectorized":
+                raise ConfigurationError(
+                    "executor='vectorized' cannot run with "
+                    "parallelism='process': the SoA executor sends tuple "
+                    "payloads, which the shared-memory ring codec has no "
+                    "schema for; use executor='scalar' in process mode, or "
+                    "run the vectorized executor inline"
                 )
             if self.paranoid and self.procs > 1:
                 raise ConfigurationError(

@@ -100,9 +100,9 @@ class ConservativeConfig:
             raise ConfigurationError(
                 f"sync must be 'yawns' or 'null', got {self.sync!r}"
             )
-        if self.queue not in ("heap", "ladder", "splay"):
+        if self.queue not in ("heap", "ladder"):
             raise ConfigurationError(
-                f"queue must be 'heap', 'ladder' or 'splay', got {self.queue!r}"
+                f"queue must be 'heap' or 'ladder', got {self.queue!r}"
             )
         if self.executor not in ("scalar", "vectorized"):
             raise ConfigurationError(

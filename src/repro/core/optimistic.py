@@ -1392,8 +1392,8 @@ def run_optimistic(
     """Convenience wrapper: build a kernel, attach telemetry, run it."""
     if config.parallelism == "process":
         # True multicore: every caller of the optimistic engine — the CLI,
-        # experiments, the bench harness, scenarios — reaches process mode
-        # through this one chokepoint.
+        # experiments, scenarios — reaches process mode through this one
+        # chokepoint.
         from repro.mp.runtime import run_multiprocess
 
         return run_multiprocess(

@@ -374,19 +374,13 @@ def make_pending_queue(name: str):
     """Instantiate a pending-queue structure by config name.
 
     ``"heap"`` is the binary-heap default; ``"ladder"`` is the
-    O(1)-amortised ladder queue (:class:`LadderQueue`); ``"splay"`` is the
-    ROSS-style splay tree (:class:`repro.core.splay.SplayPendingQueue`).
-    All order by the same flat entry tuples, so results never depend on
-    the choice.
+    O(1)-amortised ladder queue (:class:`LadderQueue`).  Both order by
+    the same flat entry tuples, so results never depend on the choice.
     """
     if name == "heap":
         return PendingQueue()
     if name == "ladder":
         return LadderQueue()
-    if name == "splay":
-        from repro.core.splay import SplayPendingQueue
-
-        return SplayPendingQueue()
     raise ValueError(
-        f"unknown queue structure {name!r}; choose 'heap', 'ladder' or 'splay'"
+        f"unknown queue structure {name!r}; choose 'heap' or 'ladder'"
     )

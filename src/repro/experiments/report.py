@@ -26,9 +26,9 @@ def _fmt(value: Any) -> str:
 class Table:
     """A titled grid of results, printable as text or CSV.
 
-    Every experiment returns one of these; the benchmark harness prints
-    them so the regenerated rows sit next to the paper's figure in the
-    output (see EXPERIMENTS.md for the side-by-side record).
+    Every experiment returns one of these; the CLI prints them so the
+    regenerated rows sit next to the paper's figure in the output (see
+    EXPERIMENTS.md for the side-by-side record).
     """
 
     title: str

@@ -72,7 +72,7 @@ class HealthConfig:
     """Thresholds and deadlines for the watchdog's detectors.
 
     The defaults are deliberately lenient: a healthy run — including the
-    bench smoke workloads and the golden-seed determinism fixtures —
+    overhead-gate workload and the golden-seed determinism fixtures —
     must produce **zero** health events at default thresholds (a test
     pins this).  Tighten them per run when hunting a specific sickness.
     """

@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.config import EngineConfig
+from repro.errors import ConfigurationError
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.simulation import HotPotatoSimulation
 from repro.obs.capture import RunCapture
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--queue",
-        choices=("heap", "ladder", "splay"),
+        choices=("heap", "ladder"),
         default="heap",
         help="pending-queue implementation for the optimistic engine "
         "(ignored with --processors 1; results are identical either way)",
@@ -116,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="scalar",
         help="LP stepping mode: 'vectorized' batches same-timestamp-band "
         "events into struct-of-arrays steps (committed results are "
-        "identical either way; see docs/KERNEL.md)",
+        "identical either way; refused with --procs; see docs/KERNEL.md)",
     )
     parser.add_argument(
         "--cancellation",
@@ -285,18 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir")
         return 2
-    if args.procs is not None:
-        if args.procs < 1:
-            print("--procs must be >= 1")
-            return 2
-        if args.processors < args.procs or args.processors % args.procs:
-            print(f"--procs must divide --processors "
-                  f"(processors={args.processors}, procs={args.procs})")
-            return 2
-        if args.paranoid and args.procs > 1:
-            print("--paranoid checks are per-worker and cannot see "
-                  "cross-worker packet conservation; drop one of the flags")
-            return 2
     policy = None
     injection_plan = None
     scenario_meta: dict = {}
@@ -331,12 +321,38 @@ def main(argv: list[str] | None = None) -> int:
         except Exception as exc:  # bad plan file / invalid plan
             print(f"fault plan error: {exc}", file=sys.stderr)
             return 2
+    use_parallel = args.processors > 1 or args.procs is not None
+    engine = "optimistic" if use_parallel else "sequential"
+    engine_config = None
+    if use_parallel:
+        # Built before any file, checkpoint directory or worker process
+        # exists, so every combination EngineConfig refuses (--procs not
+        # dividing --processors, --paranoid or --executor vectorized
+        # across workers, ...) exits 2 with its message and no side effect.
+        mp_overrides = {}
+        if args.procs is not None:
+            mp_overrides = {"parallelism": "process", "procs": args.procs}
+        try:
+            engine_config = EngineConfig(
+                end_time=cfg.duration,
+                n_pes=args.processors,
+                n_kps=args.kps,
+                batch_size=args.batch,
+                gvt_interval=args.gvt_interval,
+                seed=seed,
+                paranoid=args.paranoid,
+                queue=args.queue,
+                cancellation=args.cancellation,
+                executor=args.executor,
+                **mp_overrides,
+            )
+        except ConfigurationError as exc:
+            print(f"configuration refused: {exc}")
+            return 2
     sim = HotPotatoSimulation(
         cfg, policy, seed=seed, fault_plan=fault_plan,
         injection_plan=injection_plan,
     )
-    use_parallel = args.processors > 1 or args.procs is not None
-    engine = "optimistic" if use_parallel else "sequential"
 
     ckpt = None
     if args.checkpoint_dir:
@@ -417,27 +433,13 @@ def main(argv: list[str] | None = None) -> int:
                     executor=args.executor,
                 )
             else:
-                mp_overrides = {}
-                if args.procs is not None:
-                    mp_overrides = {
-                        "parallelism": "process",
-                        "procs": args.procs,
-                    }
                 result = sim.run_parallel(
-                    n_pes=args.processors,
-                    n_kps=args.kps,
-                    batch_size=args.batch,
-                    gvt_interval=args.gvt_interval,
+                    engine_config=engine_config,
                     tracer=capture.tracer,
                     metrics=capture.metrics,
                     spans=capture.spans,
                     checkpointer=ckpt,
                     health=watchdog,
-                    paranoid=args.paranoid,
-                    queue=args.queue,
-                    cancellation=args.cancellation,
-                    executor=args.executor,
-                    **mp_overrides,
                 )
     except KeyboardInterrupt:
         capture.finalize(None)

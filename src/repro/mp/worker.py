@@ -4,9 +4,8 @@
 the worker's kernel (a full :class:`~repro.mp.kernel.MPWorkerKernel`, or
 a plain inline kernel when ``procs == 1`` — the single-worker case needs
 no rings, so its only overhead over in-process execution is the fork and
-the result marshaling, which is what the ``--procs 1`` bench overhead
-gate measures), attaches worker-local telemetry, runs, and ships one
-result dict back over the spec's pipe.
+the result marshaling), attaches worker-local telemetry, runs, and ships
+one result dict back over the spec's pipe.
 
 The result pipe is the *only* pickled channel, and it carries end-of-run
 aggregates exactly once — events never travel it.  Per-LP model state

@@ -1,6 +1,6 @@
 """Capture plumbing: attach telemetry to a run and finalise the files.
 
-The CLIs (``repro.hotpotato``, ``repro.bench``, ``repro.experiments``,
+The CLIs (``repro.hotpotato``, ``repro.experiments``,
 ``benchmarks/profile_kernel.py``) all need the same four steps — open
 sink(s), build a :class:`~repro.obs.metrics.MetricsRecorder` and/or
 :class:`~repro.obs.recorder.StreamingTracer`, attach them to an engine,

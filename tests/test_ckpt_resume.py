@@ -94,9 +94,9 @@ def test_conservative_resume_every_snapshot(tmp_path, sync):
         {"rollback": "copy"},
         {"cancellation": "lazy"},
         {"gvt": "mattern", "transport": "mailbox"},
-        {"adaptive": True, "queue": "splay"},
+        {"adaptive": True},
     ],
-    ids=["reverse", "copy", "lazy", "mattern-mailbox", "adaptive-splay"],
+    ids=["reverse", "copy", "lazy", "mattern-mailbox", "adaptive"],
 )
 def test_optimistic_resume_every_snapshot(tmp_path, overrides):
     ecfg = EngineConfig(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.event import Event
-from repro.core.queue import PendingQueue
+from repro.core.queue import LadderQueue, PendingQueue, make_pending_queue
 from repro.vt.time import EventKey
 
 
@@ -105,3 +105,10 @@ def test_many_interleaved_operations_keep_order():
         popped.append(q.pop())
     assert len(popped) == len([e for e in pushed if not e.cancelled])
     assert popped == sorted(popped, key=lambda e: e.key)
+
+
+def test_factory():
+    assert isinstance(make_pending_queue("heap"), PendingQueue)
+    assert isinstance(make_pending_queue("ladder"), LadderQueue)
+    with pytest.raises(ValueError):
+        make_pending_queue("splay")

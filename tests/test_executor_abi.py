@@ -115,10 +115,9 @@ def test_committed_fingerprint_identical_untraced(engine, seed, faulted):
 
 @pytest.mark.parametrize("overrides", [
     {"queue": "ladder"},
-    {"queue": "splay"},
     {"cancellation": "lazy"},
     {"rollback": "copy"},
-], ids=["ladder", "splay", "lazy", "copy"])
+], ids=["ladder", "lazy", "copy"])
 def test_vectorized_across_scheduler_structures(overrides):
     """The SoA population commits identically under every scheduler
     structure — including the lazy/copy configurations where the kernel

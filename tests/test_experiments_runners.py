@@ -1,12 +1,12 @@
-"""Integration tests: every experiment regenerates at tiny scale, with the
-
-shape assertions the report's narrative makes.
+"""Integration tests: every experiment regenerates at tiny scale, and the
+figure and ablation tables support the claims the report makes of them.
 """
 
 import pathlib
 
 import pytest
 
+from repro.analysis.linfit import fit_linear
 from repro.experiments.common import SweepParams, kp_count_for
 from repro.experiments.figures import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.runner import build_parser, main
@@ -65,48 +65,232 @@ def test_unknown_experiment_raises():
 
 
 # ----------------------------------------------------------------------
-# Shape assertions per figure.
+# The report's claims: who wins, what grows, what shrinks.
+#
+# One row per experiment: (exp_id, sweep, claim).  The sweeps are
+# laptop-scale; ``python -m repro.experiments --sizes 8,16,...,256`` runs
+# the paper-scale ones.  TREND has a third size for claims about growth
+# with N (a straight line through two points proves nothing).
 # ----------------------------------------------------------------------
-def test_fig3_delivery_grows_with_n():
-    table = run_experiment("fig3", TINY)
-    for load in TINY.loads:
-        col = table.column(f"{int(load*100)}% injectors")
-        assert col == sorted(col)
+LAPTOP = SweepParams(
+    sizes=(4, 8),
+    duration=40.0,
+    loads=(0.25, 0.50, 0.75, 1.00),
+    pe_counts=(1, 2, 4),
+    kp_counts=(4, 8, 16),
+    window=2.0,
+)
+TREND = SweepParams(
+    sizes=(4, 8, 12),
+    duration=40.0,
+    loads=(0.25, 1.00),
+    pe_counts=(1, 2, 4),
+    kp_counts=(4, 16),
+    window=2.0,
+)
 
 
-def test_fig4_wait_grows_with_load():
-    table = run_experiment("fig4", TINY)
-    lo = table.column(f"{int(TINY.loads[0]*100)}% injectors")
-    hi = table.column(f"{int(TINY.loads[-1]*100)}% injectors")
-    assert hi[-1] > lo[-1]
+def _by(table, *keys):
+    """Rows as dicts, indexed by the values of the ``keys`` columns."""
+    records = [dict(zip(table.columns, row)) for row in table.rows]
+    return {tuple(r[k] for k in keys): r for r in records}
 
 
-def test_fig5_parallel_beats_sequential():
-    table = run_experiment("fig5", TINY)
-    one = table.column("1 PE")
+def _load_columns(table, params):
+    """The lightest- and heaviest-load series of a per-load figure."""
+    lo, hi = params.loads[0], params.loads[-1]
+    return (
+        table.column(f"{int(lo * 100)}% injectors"),
+        table.column(f"{int(hi * 100)}% injectors"),
+    )
+
+
+def _kp_pairs(table):
+    """(fewest-KPs value, most-KPs value) per size, skipping unusable cells."""
+    kp_cols = [c for c in table.columns if c.endswith("KPs")]
+    pairs = zip(table.column(kp_cols[0]), table.column(kp_cols[-1]))
+    return [(few, many) for few, many in pairs if "-" not in (few, many)]
+
+
+def _fig3(table, params):
+    # §4.1: delivery time grows linearly with N; load has a limited effect.
+    sizes = table.column("N")
+    for load in params.loads:
+        series = table.column(f"{int(load * 100)}% injectors")
+        assert series == sorted(series)
+        assert fit_linear(sizes, series).r_squared > 0.95, (
+            f"delivery vs N not linear at load {load}"
+        )
+    lo, hi = _load_columns(table, params)
+    assert hi[-1] < 2.5 * lo[-1]
+
+
+def _fig4(table, params):
+    # §4.1: the injection rate has a *significant* effect on the wait.
+    lo, hi = _load_columns(table, params)
+    assert all(heavy > light for light, heavy in zip(lo, hi))
+    assert hi == sorted(hi)
+    assert hi[-1] > 1.5 * lo[-1]
+
+
+def _fig5(table, params):
+    # §4.2.2: 4 PEs run a few times faster than 1; the sequential rate
+    # does not improve as networks grow.
+    one, two, four = (table.column(f"{p} PE") for p in (1, 2, 4))
+    for o, t, f in zip(one, two, four):
+        assert o < t < f
+        assert 1.2 < f / o < 4.5, "4-PE speed-up outside the paper's 2-4x band"
+    assert one[-1] <= one[0] * 1.01
+
+
+def _fig6(table, params):
+    # §4.2.2: efficiency is below linear and has stopped improving by the
+    # largest size.
+    for col in ("2 PE", "4 PE"):
+        assert all(0.3 < value <= 1.1 for value in table.column(col))
     four = table.column("4 PE")
-    assert all(f > o for f, o in zip(four, one))
+    assert four[-1] <= max(four) + 1e-9
+    assert four[-1] < 1.0
 
 
-def test_fig6_efficiency_below_linear():
-    table = run_experiment("fig6", TINY)
-    for col_name in ("2 PE", "4 PE"):
-        for value in table.column(col_name):
-            assert 0.0 < value <= 1.2  # super-linear is rare but possible
+def _fig7(table, params):
+    # §4.2.3: more KPs, fewer events rolled back; volume grows with N.
+    pairs = _kp_pairs(table)
+    assert all(many <= few for few, many in pairs)
+    assert pairs[-1][0] > pairs[0][0]
 
 
-def test_fig7_more_kps_fewer_rollbacks():
-    table = run_experiment("fig7", TINY)
-    cols = [c for c in table.columns if c.endswith("KPs")]
-    first, last = cols[0], cols[-1]
-    for row_first, row_last in zip(table.column(first), table.column(last)):
-        if row_first != "-" and row_last != "-":
-            assert row_last <= row_first
+def _fig8(table, params):
+    # §4.2.3: more KPs help (or at worst are neutral) on small networks.
+    assert any(many >= few * 0.98 for few, many in _kp_pairs(table))
 
 
-def test_determinism_table_all_identical():
-    table = run_experiment("determinism", TINY)
-    assert all(table.column("identical"))
+def _determinism(table, params):
+    # Attachment 3 / §4.2.1: parallel == sequential — and at least one
+    # configuration really rolled back before arriving at the same answer.
+    assert all(table.column("identical")), "a configuration diverged"
+    assert any(v > 0 for v in table.column("rolled back"))
+
+
+def _abl_rc(table, params):
+    # ROSS: reverse computation out-runs state saving on identical work.
+    rows = _by(table, "N", "workload", "strategy")
+    for n in params.sizes:
+        for workload in ("hotpotato", "phold"):
+            reverse, copy = rows[n, workload, "reverse"], rows[n, workload, "copy"]
+            assert reverse["committed"] == copy["committed"]
+            assert reverse["event rate"] > copy["event rate"]
+
+
+def _abl_map(table, params):
+    # §3.2.3: a random mapping makes almost every hop cross a PE boundary.
+    rows = _by(table, "N", "mapping")
+    for n in params.sizes:
+        assert (
+            rows[n, "random"]["remote sends"]
+            > 1.5 * rows[n, "block"]["remote sends"]
+        )
+
+
+def _abl_base(table, params):
+    # §1.2.3: hot-potato routing uses links far better than flow control.
+    rows = _by(table, "N", "algorithm")
+    assert {algo for _, algo in rows} == {
+        "busch", "greedy", "dimension-order", "random-deflection",
+        "buffered-flow-control",
+    }
+    assert all(r["delivered"] > 0 for r in rows.values())
+    for n in params.sizes:
+        assert (
+            rows[n, "busch"]["link util"]
+            > 1.5 * rows[n, "buffered-flow-control"]["link util"]
+        )
+
+
+def _abl_lazy(table, params):
+    # Lazy cancellation reuses messages, commits the same work and does
+    # not blow up the rollback volume.
+    rows = _by(table, "N", "cancellation")
+    for n in params.sizes:
+        agg, lazy = rows[n, "aggressive"], rows[n, "lazy"]
+        assert agg["committed"] == lazy["committed"]
+        assert agg["messages reused"] == 0 < lazy["messages reused"]
+        assert lazy["rolled back"] <= agg["rolled back"] * 1.5
+
+
+def _abl_adapt(table, params):
+    # The throttle engages and cuts wasted work where there is any.
+    rows = _by(table, "N", "optimism")
+    for n in params.sizes:
+        fixed, adaptive = rows[n, "fixed"], rows[n, "adaptive"]
+        assert fixed["committed"] == adaptive["committed"]
+        if fixed["rolled back"] > 1000:
+            assert adaptive["rolled back"] < fixed["rolled back"]
+            assert adaptive["final factor"] < 1.0
+
+
+def _abl_sync(table, params):
+    # All protocols commit the same work; only the null-message flavour
+    # sends nulls; Time Warp wins where lookahead windows starve (small N).
+    rows = _by(table, "N", "protocol")
+    for n in params.sizes:
+        tw, yawns, null = (
+            rows[n, p]
+            for p in ("time-warp", "conservative/yawns", "conservative/null")
+        )
+        assert tw["committed"] == yawns["committed"] == null["committed"]
+        assert null["null msgs"] > 0 == yawns["null msgs"]
+    n0 = params.sizes[0]
+    assert (
+        rows[n0, "time-warp"]["event rate"]
+        > rows[n0, "conservative/yawns"]["event rate"]
+    )
+
+
+def _static(table, params):
+    # Das et al.: a full network with no injection drains completely, and
+    # the drain's average delivery time grows with N.
+    rows = _by(table, "N", "algorithm")
+    for r in rows.values():
+        assert r["drained"] is True
+        assert r["delivered"] == r["seeded"]
+    busch = [rows[n, "busch"]["avg delivery"] for n in params.sizes]
+    assert busch == sorted(busch)
+
+
+def _topo(table, params):
+    # §1.1: the mesh's doubled diameter costs delivery time at every size.
+    rows = _by(table, "N", "topology")
+    for n in params.sizes:
+        mesh, torus = rows[n, "mesh"], rows[n, "torus"]
+        assert mesh["diameter"] > torus["diameter"]
+        assert mesh["avg delivery"] > torus["avg delivery"]
+
+
+CLAIMS = [
+    ("fig3", TREND, _fig3),
+    ("fig4", TREND, _fig4),
+    ("fig5", TREND, _fig5),
+    ("fig6", TREND, _fig6),
+    ("fig7", TREND, _fig7),
+    ("fig8", TREND, _fig8),
+    ("determinism", LAPTOP, _determinism),
+    ("abl-rc", LAPTOP, _abl_rc),
+    ("abl-map", LAPTOP, _abl_map),
+    ("abl-base", LAPTOP, _abl_base),
+    ("abl-lazy", LAPTOP, _abl_lazy),
+    ("abl-adapt", LAPTOP, _abl_adapt),
+    ("abl-sync", LAPTOP, _abl_sync),
+    ("static", TREND, _static),
+    ("topo", TREND, _topo),
+]
+
+
+@pytest.mark.parametrize(
+    "exp_id, params, claim", CLAIMS, ids=[exp_id for exp_id, _, _ in CLAIMS]
+)
+def test_experiment_supports_report_claim(exp_id, params, claim):
+    claim(run_experiment(exp_id, params), params)
 
 
 # ----------------------------------------------------------------------

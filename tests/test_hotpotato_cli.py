@@ -47,3 +47,39 @@ def test_mesh_and_proof_mode(capsys):
 
 def test_bad_probability(capsys):
     assert main(["--probability-i", "150"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, names",
+    [
+        (["--procs", "2", "--executor", "vectorized"],
+         ("executor='vectorized'", "parallelism='process'")),
+        (["--procs", "2", "--paranoid"], ("paranoid",)),
+        (["--procs", "3"], ("procs must divide n_pes",)),
+    ],
+    ids=["vectorized-procs", "paranoid-procs", "procs-not-dividing"],
+)
+def test_refused_engine_config_exits_2_before_any_fork(
+    capsys, monkeypatch, tmp_path, flags, names
+):
+    """What EngineConfig refuses, the CLI refuses by name up front: exit
+    2, no worker forked, no shared-memory segment, no output file."""
+    import os
+
+    def no_fork():
+        raise AssertionError("forked a worker for a refused configuration")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    shm = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+    out_file = tmp_path / "run.jsonl"
+    rc = main(
+        ["--n", "8", "--processors", "4", "--metrics-out", str(out_file),
+         "--checkpoint-dir", str(tmp_path / "ckpt"), *flags]
+    )
+    assert rc == 2
+    out = capsys.readouterr().out
+    for name in names:
+        assert name in out
+    assert not out_file.exists() and not (tmp_path / "ckpt").exists()
+    if os.path.isdir("/dev/shm"):
+        assert set(os.listdir("/dev/shm")) == shm

@@ -12,8 +12,7 @@ and by the event pool recycling a cancelled event's key.
 import pytest
 
 from repro.core.event import Event, EventPool
-from repro.core.queue import PendingQueue
-from repro.core.splay import SplayPendingQueue
+from repro.core.queue import LadderQueue, PendingQueue
 from repro.vt.time import EventKey
 
 
@@ -21,7 +20,7 @@ def ev(ts, origin=0, seq=0):
     return Event(EventKey(ts, origin, seq), 0, "k")
 
 
-QUEUES = [PendingQueue, SplayPendingQueue]
+QUEUES = [PendingQueue, LadderQueue]
 
 
 @pytest.mark.parametrize("queue_cls", QUEUES)
