@@ -66,7 +66,8 @@ def main() -> None:
         "--executor",
         default="scalar",
         choices=("scalar", "vectorized"),
-        help="LP stepping mode (vectorized = struct-of-arrays band runs)",
+        help="LP stepping mode (vectorized = struct-of-arrays band runs; "
+        "ignored by the sequential engine)",
     )
     parser.add_argument(
         "--dump",
@@ -106,7 +107,7 @@ def main() -> None:
     profiler.enable()
     if args.engine == "sequential":
         result = run_sequential(
-            model, cfg.duration, seed=args.seed, executor=args.executor,
+            model, cfg.duration, seed=args.seed,
             metrics=capture.metrics, spans=capture.spans,
         )
     elif args.engine == "conservative":

@@ -45,7 +45,6 @@ class SequentialEngine(Executor):
         cost: CostModel | None = None,
         pool: bool = True,
         paranoid: bool = False,
-        executor: str = "scalar",
     ) -> None:
         if end_time <= 0:
             raise ConfigurationError(f"end_time must be positive, got {end_time}")
@@ -53,12 +52,12 @@ class SequentialEngine(Executor):
         self.seed = seed
         self.paranoid = paranoid
         self.cost = cost if cost is not None else CostModel()
-        # The population (scalar or SoA — the sequential engine runs both
-        # through the same strict-key-order loop, so an SoA build changes
-        # nothing observable here).
-        self._init_population(model, executor)
+        self._init_population(model)
         self.pending = PendingQueue()
         self.sends = 0
+        #: Why the last :meth:`run` did not use the model's band program
+        #: ("" when it did, or the model has none to offer).
+        self.band_decline = ""
         #: Optional event tracer (see repro.core.trace); in a sequential
         #: run every executed event commits immediately.
         self.tracer = None
@@ -85,14 +84,16 @@ class SequentialEngine(Executor):
         #: so it goes straight back to the free list.
         self._bind_lps(seed, self._init_pool(pool))
 
-    def _sample_metrics(self, recorder, now: float, processed: int) -> None:
+    def _sample_metrics(
+        self, recorder, now: float, processed: int, pending: int | None = None
+    ) -> None:
         """Feed the recorder one sample (sequential: commit == execute)."""
         recorder.sample(
             gvt=now,
             committed=processed,
             processed=processed,
             fossil_collected=processed,
-            pending=len(self.pending),
+            pending=len(self.pending) if pending is None else pending,
             pool_hit_rate=self._pool_hit_rate(),
         )
 
@@ -104,8 +105,48 @@ class SequentialEngine(Executor):
         """Executor ABI: bare enqueue into the single pending heap."""
         self.pending.push(ev)
 
+    def _band_program(self, resumed: bool):
+        """The model's band program if this run may use it, else None.
+
+        A band program (:meth:`~repro.core.lp.Model.band_program`) steps
+        whole bands of events without building them, so it is declined
+        whenever something attached must see, or stop between, single
+        events.  The choice is made from what the engine can observe —
+        there is no option for it — and every decline leaves its reason
+        in ``band_decline`` for :class:`~repro.core.stats.RunStats`.
+        """
+        offer = self.model.band_program()
+        if offer is None:
+            why = self.model.band_decline_reason
+        elif self.tracer is not None:
+            why = "tracer attached (it records every event)"
+        elif self.ckpt is not None:
+            why = "checkpointer attached (it snapshots between events)"
+        elif self.health is not None:
+            why = "watchdog attached (it inspects the pending events)"
+        elif self.paranoid:
+            why = "paranoid invariant checks on (they inspect the pending events)"
+        elif resumed:
+            why = "resumed snapshot (it may restart inside a band)"
+        else:
+            why = ""
+        self.band_decline = why
+        return None if why else offer
+
     def run(self) -> RunResult:
-        """Execute to the end barrier and collect statistics."""
+        """Execute to the end barrier and collect statistics.
+
+        Two ways to get there.  The per-event loop below — pop the
+        minimum key, ``forward``, ``commit`` — is the reference every
+        other engine is compared against; it has a bare copy and a
+        general one that also paces metrics, spans, checkpoints, the
+        watchdog and the paranoid checks.  A model may also offer a
+        *band program*; when nothing attached needs single events (see
+        :meth:`_band_program`) the loop stops at the program's start time
+        and the program runs the rest, reporting after each band so
+        metric samples and ``exec`` spans keep their event-count pacing
+        at band granularity.
+        """
         resume = self._resume
         if resume is None:
             for lp in self.lps:
@@ -115,6 +156,9 @@ class SequentialEngine(Executor):
         lps = self.lps
         pop_below = self.pending.pop_below
         end = self.end_time
+        band_start, program = self._band_program(resume is not None) or (end, None)
+        # Where the per-event loop stops: the barrier, or the hand-over.
+        limit = min(end, band_start)
         tracer = self.tracer
         release = self.pool.release if self.pool is not None else None
         metrics = self.metrics
@@ -133,7 +177,7 @@ class SequentialEngine(Executor):
             and not self.paranoid
         ):
             while True:
-                ev = pop_below(end)
+                ev = pop_below(limit)
                 if ev is None:
                     break
                 lp = lps[ev.dst]
@@ -146,35 +190,15 @@ class SequentialEngine(Executor):
                     tracer.on_commit(ev)
                 if release is not None:
                     release(ev)
-        elif spans is None and ckpt is None and health is None and not self.paranoid:
-            # Identical event-by-event behaviour, plus a metric sample
-            # every ``metrics.interval`` events and one at the barrier.
-            interval = metrics.interval
-            next_sample = (processed // interval + 1) * interval
-            while True:
-                ev = pop_below(end)
-                if ev is None:
-                    break
-                lp = lps[ev.dst]
-                now = ev.key.ts
-                lp._now = now
-                lp.forward(ev)
-                lp.commit(ev)
-                processed += 1
-                if tracer is not None:
-                    tracer.on_exec(ev)
-                    tracer.on_commit(ev)
-                if release is not None:
-                    release(ev)
-                if processed >= next_sample:
-                    next_sample += interval
-                    self._sample_metrics(metrics, now, processed)
-            self._sample_metrics(metrics, end, processed)
+            if limit < end:
+                for _, processed, _ in program(self, processed):
+                    pass
         else:
-            # Spans, checkpointing and/or paranoid checks: the metric
-            # loop plus an ``exec`` span every ``spans.interval`` events
-            # and a boundary every ``seq_events`` commits.  Pacing is
-            # anchored to absolute commit counts so a resumed run hits
+            # Metrics, spans, checkpointing and/or paranoid checks: a
+            # metric sample every ``metrics.interval`` events and one at
+            # the barrier, an ``exec`` span every ``spans.interval``
+            # events and a boundary every ``seq_events`` commits.  Pacing
+            # is anchored to absolute commit counts so a resumed run hits
             # the same boundaries as the uninterrupted one.
             from repro.core.invariants import check_sequential
 
@@ -196,7 +220,7 @@ class SequentialEngine(Executor):
             next_boundary = (processed // bstep + 1) * bstep
             paranoid = self.paranoid
             while True:
-                ev = pop_below(end)
+                ev = pop_below(limit)
                 if ev is None:
                     break
                 lp = lps[ev.dst]
@@ -233,6 +257,21 @@ class SequentialEngine(Executor):
                         ckpt.boundary(self, {"processed": processed})
                         if spans is not None and ckpt.written > written_before:
                             spans.record("snapshot", t0, spans.clock())
+            if limit < end:
+                # The band program: at most one sample and one ``exec``
+                # span per band, on the same event-count pacing.
+                for now, processed, in_flight in program(self, processed):
+                    if metrics is not None and processed >= next_sample:
+                        next_sample = (processed // interval + 1) * interval
+                        self._sample_metrics(metrics, now, processed, in_flight)
+                    if spans is not None and processed >= next_span:
+                        next_span = (processed // sinterval + 1) * sinterval
+                        t1 = spans.clock()
+                        spans.record(
+                            "exec", span_t0, t1, pe=0, n=processed - span_base
+                        )
+                        span_t0 = t1
+                        span_base = processed
             if metrics is not None:
                 self._sample_metrics(metrics, end, processed)
             if spans is not None and processed > span_base:
@@ -245,7 +284,7 @@ class SequentialEngine(Executor):
                 )
 
         stats = RunStats(engine="sequential", n_pes=1, n_kps=1)
-        stats.soa_decline_reason = self.soa_decline
+        stats.band_decline_reason = self.band_decline
         stats.processed = processed
         stats.committed = processed
         stats.local_sends = self.sends
@@ -274,7 +313,6 @@ def run_sequential(
     cost: CostModel | None = None,
     pool: bool = True,
     paranoid: bool = False,
-    executor: str = "scalar",
     tracer=None,
     metrics=None,
     spans=None,
@@ -289,7 +327,6 @@ def run_sequential(
         cost=cost,
         pool=pool,
         paranoid=paranoid,
-        executor=executor,
     )
     if tracer is not None:
         engine.attach_tracer(tracer)

@@ -238,6 +238,29 @@ class Model:
         """
         return None
 
+    #: Why :meth:`band_program` offered nothing although the model has a
+    #: program ("" otherwise); models set it as they refuse.
+    band_decline_reason = ""
+
+    def band_program(self):
+        """Optional step-synchronous program for the sequential engine.
+
+        A model whose events fall into virtual-time bands that only send
+        into later bands may return ``(start_ts, program)``: the
+        sequential engine runs its per-event loop up to ``start_ts`` and
+        then exhausts ``program(engine, processed)``, a generator that
+        executes the rest of the run a band at a time without building
+        events, yields ``(now, processed, pending)`` after each band, and
+        leaves the engine (LP state, ``engine.pending``, ``engine.sends``)
+        as the per-event loop would have (see
+        :func:`repro.hotpotato.band.run_bands`).  Return ``None`` — the
+        default — to offer nothing; a model that has a program but cannot
+        offer it for this configuration says why in
+        :attr:`band_decline_reason`, which lands in
+        :class:`~repro.core.stats.RunStats`.
+        """
+        return None
+
     def collect_stats(self, lps: list[LogicalProcess]) -> dict[str, Any]:
         """Aggregate model statistics over the final LP states."""
         raise NotImplementedError

@@ -84,6 +84,13 @@ class RunStats:
     #: Why a requested vectorized executor fell back to scalar stepping
     #: ("" when vectorization was not requested, or ran).
     soa_decline_reason: str = ""
+    #: Why a sequential run stepped event by event although the model has
+    #: a band program: the model could not offer it (policy, topology,
+    #: fault plan, adversary) or the engine declined it (tracer,
+    #: checkpointer, watchdog, paranoid, resumed snapshot).  "" when the
+    #: band program ran, the model has none, or the engine is not the
+    #: sequential one.
+    band_decline_reason: str = ""
     #: Optimism-throttle activity (0 when the throttle is off or idle).
     throttle_adjustments: int = 0
     #: Final optimism factor (1.0 = full batch/window).
@@ -157,6 +164,7 @@ class RunStats:
             "soa_batches": self.soa_batches,
             "soa_lps_stepped": self.soa_lps_stepped,
             "soa_decline_reason": self.soa_decline_reason,
+            "band_decline_reason": self.band_decline_reason,
             "throttle_adjustments": self.throttle_adjustments,
             "throttle_final_factor": self.throttle_final_factor,
             "local_sends": self.local_sends,

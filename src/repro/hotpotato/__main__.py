@@ -117,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("scalar", "vectorized"),
         default="scalar",
         help="LP stepping mode: 'vectorized' batches same-timestamp-band "
-        "events into struct-of-arrays steps (committed results are "
-        "identical either way; refused with --procs; see docs/KERNEL.md)",
+        "events into struct-of-arrays steps (ignored with --processors 1; "
+        "committed results are identical either way; refused with --procs; "
+        "see docs/KERNEL.md)",
     )
     parser.add_argument(
         "--cancellation",
@@ -430,7 +431,6 @@ def main(argv: list[str] | None = None) -> int:
                     checkpointer=ckpt,
                     health=watchdog,
                     paranoid=args.paranoid,
-                    executor=args.executor,
                 )
             else:
                 result = sim.run_parallel(

@@ -1,0 +1,392 @@
+"""The sequential band program: the router handlers stepped a band at a time.
+
+Hot-potato routing is synchronous — every packet moves every step — and
+inside step ``s`` the model's virtual-time layout (see
+:mod:`repro.hotpotato.router`) puts every event into one of four bands
+that only ever send into a *later* one:
+
+=========  ==========================  ================================
+band       timestamps                  sends
+=========  ==========================  ================================
+ARRIVE     ``(s, s + 0.5]``            ROUTE of step ``s``
+ROUTE      ``[s + 0.6, s + 0.77]``     ARRIVE of step ``s + 1``
+INJECT     ``s + 0.9``                 INJECT and ARRIVE of ``s + 1``
+HEARTBEAT  ``s + 0.95``                HEARTBEAT of step ``s + 1``
+=========  ==========================  ================================
+
+So when a band starts, every event it will ever hold already exists, and
+the order the sequential engine's heap would pop them in is the order of
+their ``(ts, origin, seq)`` keys: one ``list.sort()`` of flat tuples that
+start with that key.  INJECT and HEARTBEAT are self-sends that all carry
+the same timestamp, so their key order is LP-id order and they need no
+list at all.  :func:`run_bands` keeps each packet as one tuple
+
+``(ts, origin, seq, dst, step, dest, priority, inject_step, jitter,
+distance, src)``
+
+and runs the four handlers of :class:`~repro.hotpotato.router.RouterLP`
+inlined over flat per-router lists — same float expressions, same LCG
+steps in the same order, ``send_seq`` advanced on every send — so every
+key, every tie-break, every statistic and every RNG state is the
+per-event loop's.  No ``Event`` is built, no heap is pushed or popped and
+no ``forward`` is dispatched per packet; events exist only where the
+program is entered and left, through ``engine.pending``.
+
+:meth:`HotPotatoModel.band_program` offers the program only for the
+configuration the inlined rules are written for (Busch policy, torus, no
+model faults, no adversary script); the sequential engine declines it
+when something must see individual events (see
+:meth:`repro.core.engine.SequentialEngine.run`).
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+
+from repro.core.event import Event
+from repro.errors import ModelError
+from repro.hotpotato.router import (
+    ARRIVE,
+    FIXED_JITTER,
+    HEARTBEAT,
+    HEARTBEAT_OFFSET,
+    INJECT,
+    INJECT_OFFSET,
+    ROUTE,
+    ROUTE_BASE,
+    ROUTE_JITTER_SCALE,
+    ROUTE_PRIO_STRIDE,
+)
+from repro.rng.lcg import INCREMENT, MASK64, MULTIPLIER, _INV_2_53
+from repro.vt.time import EventKey
+
+__all__ = ["BAND_START", "run_bands"]
+
+#: Where the program takes over from the per-event loop: the first
+#: integer step boundary.  Everything below it (INIT at 0.1, the step-0
+#: INJECT and HEARTBEAT) has run as ordinary events, so the initial fill
+#: and its Bernoulli draws have exactly one rendering.
+BAND_START = 1.0
+
+#: The packet fields after ``(ts, origin, seq, dst)``, in tuple order —
+#: the keys of the ``data`` dict an ARRIVE or ROUTE event carries.
+_PACKET_FIELDS = (
+    "step", "dest", "priority", "inject_step", "jitter", "distance", "src"
+)
+
+
+def run_bands(engine, processed: int):
+    """Run ``engine`` from :data:`BAND_START` to its end barrier.
+
+    A generator: after each band it yields ``(now, processed, pending)``
+    — the virtual time reached, the cumulative event count and the number
+    of events in flight — so the engine can pace its metric samples and
+    ``exec`` spans; the engine must exhaust it.  On entry ``engine.pending``
+    holds exactly what the per-event loop leaves at ``BAND_START``: the
+    ARRIVEs of step 1 and one INJECT / HEARTBEAT per router that has one.
+    On exit — at any ``end_time``, inside a band or between two — the
+    routers' ``links`` / ``head_gen_step`` / ``send_seq`` / RNG state and
+    count are written back, ``engine.sends`` is advanced, and the events
+    not yet due are pushed back into ``engine.pending``, so the engine is
+    in the state the per-event loop would have left (``lp._now`` apart,
+    which only has meaning inside a handler).
+    """
+    lps = engine.lps
+    model = engine.model
+    cfg = model.cfg
+    topo = model.topo
+    end = engine.end_time
+    pending = engine.pending
+    n_lps = len(lps)
+
+    # --- enter: events -> flat tuples, LP state -> flat lists -----------
+    step = int(BAND_START)
+    arrivals: list[tuple] = []
+    inj_seq = [0] * n_lps  # seq of each router's pending INJECT self-send
+    hb_seq = [0] * n_lps  # ... and of its pending HEARTBEAT
+    while pending:
+        ev = pending.pop()
+        key = ev.key
+        kind = ev.kind
+        data = ev.data
+        if kind not in (ARRIVE, INJECT, HEARTBEAT) or data["step"] != step:
+            raise ModelError(
+                f"band program entered at step {step} with a pending {ev!r}"
+            )
+        if kind == ARRIVE:
+            arrivals.append(
+                (key[0], key[1], key[2], ev.dst)
+                + tuple([data[f] for f in _PACKET_FIELDS])
+            )
+        elif kind == INJECT:
+            inj_seq[ev.dst] = key[2]
+        else:
+            hb_seq[ev.dst] = key[2]
+        # An event and its heap entry refer to each other; cut that so the
+        # event is freed now, not at some later collection (at N = 256
+        # this is 330k events, most of the run's peak memory).
+        ev.entry = None
+    injectors = [lp.id for lp in lps if lp.is_injector]
+    heartbeat = cfg.heartbeat
+    links: list[int] = []
+    nbrs: list[int] = []
+    for lp in lps:
+        links.extend(lp.links)
+        nbrs.extend(lp.neighbors)
+    head_gen = [lp.head_gen_step for lp in lps]
+    send_seq = [lp.send_seq for lp in lps]
+    rng_state, rng_count = map(list, zip(*[lp.rng.checkpoint() for lp in lps]))
+    stats = [lp.stats for lp in lps]
+    log = model.delivery_log if cfg.delivery_log else None
+    # route_info of a healthy grid is one read of the displacement table.
+    table, lin = topo.displacement_table
+    absorb_sleeping = cfg.absorb_sleeping
+    sleeping_p = cfg.sleeping_upgrade_p
+    active_p = cfg.active_upgrade_p
+    jitter_on = cfg.arrival_jitter
+    slots = cfg.jitter_slots
+    two_slots = 2 * slots
+    n_others = topo.num_nodes - 1
+    # ROUTE offset per priority: ROUTE_PRIO_STRIDE * Priority.route_rank.
+    stride = [ROUTE_PRIO_STRIDE * (3 - p) for p in range(4)]
+    sends = 0
+    routes: list[tuple] = []
+    inj_step = hb_step = step  # step of the pending INJECTs / HEARTBEATs
+    n_ticks = len(injectors) + (n_lps if heartbeat else 0)
+
+    def due(band: list[tuple], edge: float):
+        """Sort ``band`` (all its events lie below ``edge``) and split it at
+        the barrier: ``(events to run now, the rest, barrier inside?)``."""
+        band.sort()
+        if end < edge:
+            cut = bisect_left(band, (end,))
+            return band[:cut], band[cut:], True
+        return band, [], False
+
+    # --- one step per iteration; every event of `step` has ts > step ----
+    while end > step:
+        step1 = step + 1
+
+        # ARRIVE band: absorb at the destination, else queue a ROUTE.
+        route_base = step + ROUTE_BASE
+        run, arrivals, last = due(arrivals, route_base)
+        routes_append = routes.append
+        for t in run:
+            _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = t
+            if dest == dst and (priority != 0 or absorb_sleeping):
+                st = stats[dst]
+                dt = step - inject_step
+                st.delivered += 1
+                st.total_delivery_time += dt
+                st.total_distance += distance
+                st.delivered_by_priority[priority] += 1
+                if dt > st.max_delivery_time:
+                    st.max_delivery_time = dt
+                if log is not None:
+                    log.append((step, dt))
+            else:
+                seq = send_seq[dst]
+                send_seq[dst] = seq + 1
+                routes_append((
+                    route_base + stride[priority] + ROUTE_JITTER_SCALE * jitter,
+                    dst, seq, dst,
+                    step, dest, priority, inject_step, jitter, distance, src,
+                ))
+        processed += len(run)
+        sends += len(routes)
+        yield (
+            min(route_base, end),
+            processed,
+            len(arrivals) + len(routes) + n_ticks,
+        )
+        if last:
+            break
+
+        # ROUTE band: the Busch rule (BuschHotPotatoPolicy.route inlined,
+        # upgrade draws as in ReversibleStream.bernoulli), claim the
+        # link, forward the packet to arrive next step.
+        run, routes, last = due(routes, step + INJECT_OFFSET)
+        arrivals_append = arrivals.append
+        for t in run:
+            _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = t
+            base = dst * 4
+            info = table[lin[dest] - lin[dst]]
+            st = stats[dst]
+            newp = priority
+            # A link is free iff it was not claimed this step.
+            if priority >= 2 and links[base + info[1]] != step:
+                # Excited / Running stay on (Excited: get on) the home run.
+                slot = base + info[1]
+                newp = 3
+                if priority == 2:
+                    st.promotions_running += 1
+            else:
+                for g in info[0]:
+                    if links[base + g] != step:
+                        slot = base + g
+                        deflected = False
+                        break
+                else:
+                    # No good link is free: the first free one in compass
+                    # order (one exists: a router gets at most four
+                    # packets a step).
+                    deflected = True
+                    st.deflections += 1
+                    slot = (
+                        base if links[base] != step
+                        else base + 1 if links[base + 1] != step
+                        else base + 2 if links[base + 2] != step
+                        else base + 3
+                    )
+                if priority >= 2:
+                    # Knocked off the home-run path: back to Active.
+                    newp = 1
+                    st.demotions += 1
+                    if priority == 3 and not info[2]:
+                        st.running_deflections_off_turn += 1
+                elif priority == 0 or deflected:
+                    # Upgrade chance: Sleeping on every route, Active
+                    # only when deflected.
+                    rng_state[dst] = state = (
+                        MULTIPLIER * rng_state[dst] + INCREMENT
+                    ) & MASK64
+                    rng_count[dst] += 1
+                    if priority == 0:
+                        if (state >> 11) * _INV_2_53 < sleeping_p:
+                            newp = 1
+                            st.upgrades_sleeping += 1
+                    elif (state >> 11) * _INV_2_53 < active_p:
+                        newp = 2
+                        st.upgrades_active += 1
+            links[slot] = step
+            st.routes += 1
+            seq = send_seq[dst]
+            send_seq[dst] = seq + 1
+            arrivals_append((
+                step1 + jitter, dst, seq, nbrs[slot],
+                step1, dest, newp, inject_step, jitter, distance, src,
+            ))
+        processed += len(run)
+        sends += len(run)
+        yield (
+            min(step + INJECT_OFFSET, end),
+            processed,
+            len(arrivals) + len(routes) + n_ticks,
+        )
+        if last:
+            break
+
+        # INJECT then HEARTBEAT: self-sends at one timestamp each, so key
+        # order is LP-id order.
+        if not step + INJECT_OFFSET < end:
+            break
+        for i in injectors:
+            # The next INJECT is sent first, whatever happens after.
+            seq = inj_seq[i] = send_seq[i]
+            send_seq[i] = seq + 1
+            head = head_gen[i]
+            if step1 - head <= 0:
+                continue
+            base = i * 4
+            if (
+                links[base] == step
+                and links[base + 1] == step
+                and links[base + 2] == step
+                and links[base + 3] == step
+            ):
+                stats[i].inject_blocked += 1
+                continue
+            # RouterLP._draw_dest_jitter inlined (same LCG steps).
+            s1 = (MULTIPLIER * rng_state[i] + INCREMENT) & MASK64
+            dest = int((s1 >> 11) * _INV_2_53 * n_others)
+            if dest >= i:
+                dest += 1
+            if jitter_on:
+                s1 = (MULTIPLIER * s1 + INCREMENT) & MASK64
+                rng_count[i] += 2
+                jitter = (1 + int((s1 >> 11) * _INV_2_53 * slots)) / two_slots
+            else:
+                rng_count[i] += 1
+                jitter = FIXED_JITTER
+            rng_state[i] = s1
+            info = table[lin[dest] - lin[i]]
+            for g in info[0]:
+                if links[base + g] != step:
+                    slot = base + g
+                    break
+            else:
+                slot = (
+                    base if links[base] != step
+                    else base + 1 if links[base + 1] != step
+                    else base + 2 if links[base + 2] != step
+                    else base + 3
+                )
+            st = stats[i]
+            wait = step - head
+            links[slot] = step
+            head_gen[i] = head + 1
+            st.injected += 1
+            st.total_inject_wait += wait
+            if wait > st.max_inject_wait:
+                st.max_inject_wait = wait
+            send_seq[i] = seq + 2
+            sends += 1
+            arrivals_append((
+                step1 + jitter, i, seq + 1, nbrs[slot],
+                step1, dest, 0, step, jitter, info[3], i,
+            ))
+        inj_step = step1
+        processed += len(injectors)
+        sends += len(injectors)
+        last = heartbeat and not step + HEARTBEAT_OFFSET < end
+        if heartbeat and not last:
+            for i in range(n_lps):
+                base = i * 4
+                st = stats[i]
+                st.util_claimed += (
+                    (links[base] == step)
+                    + (links[base + 1] == step)
+                    + (links[base + 2] == step)
+                    + (links[base + 3] == step)
+                )
+                st.util_samples += 4
+                seq = hb_seq[i] = send_seq[i]
+                send_seq[i] = seq + 1
+            hb_step = step1
+            processed += n_lps
+            sends += n_lps
+        yield (
+            min(float(step1), end),
+            processed,
+            len(arrivals) + len(routes) + n_ticks,
+        )
+        if last:
+            break
+        step = step1
+
+    # --- leave: flat lists -> LP state, left-over tuples -> events ------
+    engine.sends += sends
+    for i, lp in enumerate(lps):
+        lp.links[:] = links[4 * i : 4 * i + 4]
+        lp.head_gen_step = head_gen[i]
+        lp.send_seq = send_seq[i]
+        lp.rng.restore((rng_state[i], rng_count[i]))
+    push = pending.push
+    for kind, left in ((ARRIVE, arrivals), (ROUTE, routes)):
+        while left:  # popped, so each tuple is freed as its event is built
+            t = left.pop()
+            push(Event(
+                EventKey(t[0], t[1], t[2]), t[3], kind,
+                dict(zip(_PACKET_FIELDS, t[4:])),
+            ))
+    for i in injectors:
+        push(Event(
+            EventKey(inj_step + INJECT_OFFSET, i, inj_seq[i]), i, INJECT,
+            {"step": inj_step},
+        ))
+    if heartbeat:
+        for i in range(n_lps):
+            push(Event(
+                EventKey(hb_step + HEARTBEAT_OFFSET, i, hb_seq[i]), i, HEARTBEAT,
+                {"step": hb_step},
+            ))

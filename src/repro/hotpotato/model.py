@@ -122,39 +122,66 @@ class HotPotatoModel(Model):
                     lps[i].adversary = script
         return lps
 
+    def _inlined_rules_decline(self) -> str:
+        """Why the fused steppers' inlined rules do not cover this model.
+
+        Both the SoA vector plan and the sequential band program inline
+        ``BuschHotPotatoPolicy.route`` (a subclass override would silently
+        be ignored), the torus band layout, and the uniform destination
+        draw of the stock injection application.  "" when they apply.
+        """
+        if type(self.policy) is not BuschHotPotatoPolicy:
+            return (
+                f"policy {self.policy.name!r} is not the Busch policy the "
+                "fused stepper inlines"
+            )
+        if not isinstance(self.topo, TorusTopology):
+            return (
+                f"topology {self.cfg.topology!r} is not the torus the "
+                "band-stepping plan was built for"
+            )
+        if self.injection_plan is not None:
+            return (
+                "adversarial injection plan attached (the fused INJECT "
+                "step inlines the uniform destination draw)"
+            )
+        return ""
+
     def build_vectorized(self):
         """SoA population + band-stepping plan (``executor="vectorized"``).
 
         Declines (returns None → engines fall back to :meth:`build`) when
-        the routing policy is not exactly the Busch policy — the fused
-        stepper inlines its ``route`` logic, so a subclass override would
-        silently be ignored — when the topology is not the torus the
-        band-edge proof was written against, or when an adversarial
-        injection plan is attached (the fused INJECT step inlines the
-        uniform destination draw).  Each refusal records its reason in
+        :meth:`_inlined_rules_decline` names a reason, recorded in
         ``soa_decline_reason`` so RunStats can surface it.
         """
-        if type(self.policy) is not BuschHotPotatoPolicy:
-            self.soa_decline_reason = (
-                f"policy {self.policy.name!r} is not the Busch policy the "
-                "fused stepper inlines"
-            )
-            return None
-        if not isinstance(self.topo, TorusTopology):
-            self.soa_decline_reason = (
-                f"topology {self.cfg.topology!r} is not the torus the "
-                "band-stepping plan was built for"
-            )
-            return None
-        if self.injection_plan is not None:
-            self.soa_decline_reason = (
-                "adversarial injection plan attached (the fused INJECT "
-                "step inlines the uniform destination draw)"
-            )
+        self.soa_decline_reason = self._inlined_rules_decline()
+        if self.soa_decline_reason:
             return None
         from repro.hotpotato.soa import build_soa
 
         return build_soa(self)
+
+    def band_program(self):
+        """The sequential band program (:mod:`repro.hotpotato.band`).
+
+        Offered for the configuration its inlined handlers are written
+        for: everything :meth:`build_vectorized` asks, and no model
+        faults (the handlers' fault branches are not inlined).  Each
+        refusal is recorded in ``band_decline_reason``.
+        """
+        reason = self._inlined_rules_decline()
+        plan = self.fault_plan
+        if not reason and plan is not None and plan.has_model_faults:
+            reason = (
+                "fault plan with model faults attached (the band program "
+                "does not inline the routers' fault branches)"
+            )
+        self.band_decline_reason = reason
+        if reason:
+            return None
+        from repro.hotpotato.band import BAND_START, run_bands
+
+        return BAND_START, run_bands
 
     def checkpoint_state(self) -> Any:
         """Model-level mutable state: the commit-time delivery log."""

@@ -75,7 +75,6 @@ class HotPotatoSimulation:
         checkpointer=None,
         health=None,
         paranoid=False,
-        executor: str = "scalar",
     ) -> RunResult:
         """Run on the sequential oracle engine (optionally instrumented)."""
         return run_sequential(
@@ -83,7 +82,6 @@ class HotPotatoSimulation:
             self.cfg.duration,
             seed=self.seed,
             paranoid=paranoid,
-            executor=executor,
             tracer=tracer,
             metrics=metrics,
             spans=spans,

@@ -69,6 +69,15 @@ class DisplacementRouting:
         for node, direction in self._failed:
             self._blocked_at.setdefault(node, set()).add(direction)
 
+    @property
+    def displacement_table(self) -> tuple[list, list]:
+        """``(table, lin)`` with ``table[lin[dst] - lin[src]]`` equal to
+        ``route_info(src, dst)`` for every source without a failed link —
+        for a loop that inlines the read (the sequential band program,
+        which a fault plan switches off).  Both lists are read-only.
+        """
+        return self._route_table, self._lin
+
     def route_info(
         self, src: int, dst: int
     ) -> tuple[tuple[Direction, ...], Direction | None, bool, int]:

@@ -196,6 +196,9 @@ def cmd_summary(rec: RunRecording) -> int:
     reason = rec.stats.get("soa_decline_reason")
     if reason:
         print(f"  vectorized executor fell back to scalar: {reason}")
+    reason = rec.stats.get("band_decline_reason")
+    if reason:
+        print(f"  sequential band program not used: {reason}")
     procs = rec.stats.get("procs", 1)
     if procs and procs > 1:
         # Process-mode run: attribute the cross-process overhead.  These

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--executor", choices=("scalar", "vectorized"), default=None,
-        help="override the LP stepping mode",
+        help="override the LP stepping mode (ignored with --engine seq)",
     )
     p_run.add_argument(
         "--validate", action="store_true",

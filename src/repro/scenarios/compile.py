@@ -121,7 +121,6 @@ class CompiledScenario:
                 model,
                 self.duration,
                 seed=seed,
-                executor=executor,
                 tracer=tracer,
                 metrics=metrics,
                 spans=spans,

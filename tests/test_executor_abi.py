@@ -1,9 +1,10 @@
 """Executor-ABI conformance: vectorized stepping is bit-identical to scalar.
 
 The contract (docs/KERNEL.md, "Executor ABI & vectorized stepping"): for
-every engine, golden seed, fault plan and checkpoint kill/resume
-combination, ``executor="vectorized"`` must commit exactly the event
-sequence the scalar executor commits.  Two observation levels:
+every engine that has executor modes (conservative and Time Warp; the
+sequential oracle has none), golden seed, fault plan and checkpoint
+kill/resume combination, ``executor="vectorized"`` must commit exactly
+the event sequence the scalar executor commits.  Two observation levels:
 
 * **Committed sequence** — with a :class:`~repro.core.trace.Tracer`
   attached the Time Warp kernel keeps its generic execute path, so this
@@ -22,7 +23,6 @@ import pytest
 from repro.ckpt import Checkpointer, list_snapshots
 from repro.core.config import EngineConfig
 from repro.core.conservative import ConservativeConfig, ConservativeKernel
-from repro.core.engine import SequentialEngine
 from repro.core.optimistic import TimeWarpKernel
 from repro.core.trace import Tracer
 from repro.faults import generate_plan
@@ -57,8 +57,6 @@ def _model(faulted: bool) -> HotPotatoModel:
 
 def _engine(engine: str, executor: str, seed: int, faulted: bool):
     model = _model(faulted)
-    if engine == "seq":
-        return SequentialEngine(model, DURATION, seed=seed, executor=executor)
     if engine == "cons":
         ccfg = ConservativeConfig(
             end_time=DURATION, n_pes=4, sync="yawns", seed=seed,
@@ -74,7 +72,7 @@ def _engine(engine: str, executor: str, seed: int, faulted: bool):
 
 @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faultplan"])
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-@pytest.mark.parametrize("engine", ["seq", "cons", "opt"])
+@pytest.mark.parametrize("engine", ["cons", "opt"])
 def test_committed_sequence_identical(engine, seed, faulted):
     """Traced runs: the full committed event sequence matches scalar."""
     sequences = {}
@@ -90,7 +88,7 @@ def test_committed_sequence_identical(engine, seed, faulted):
 
 @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faultplan"])
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-@pytest.mark.parametrize("engine", ["seq", "cons", "opt"])
+@pytest.mark.parametrize("engine", ["cons", "opt"])
 def test_committed_fingerprint_identical_untraced(engine, seed, faulted):
     """Untraced runs (the fused fast path on opt) match scalar exactly."""
     results = {
@@ -135,7 +133,7 @@ def test_vectorized_across_scheduler_structures(overrides):
     assert (vectorized.run.soa_batches > 0) == fused_expected
 
 
-@pytest.mark.parametrize("engine", ["seq", "opt"])
+@pytest.mark.parametrize("engine", ["opt"])
 def test_vectorized_checkpoint_kill_resume(tmp_path, engine):
     """Kill at every snapshot boundary, resume, and land on the scalar
     oracle's exact committed statistics (SoA state round-trips through
