@@ -7,11 +7,19 @@ functions by cumulative time::
     python benchmarks/profile_kernel.py [--engine optimistic] [--seed 1]
                                         [--sort tottime] [--lines 25]
                                         [--dump before.pstats]
+                                        [--procs 2 --gvt-interval 16]
 
 ``--dump`` writes the raw profile to a ``pstats`` file so before/after
 profiles of an optimisation PR can be diffed offline
 (``pstats.Stats('before.pstats').sort_stats('tottime')``); ``--seed``
 pins the run so the two profiles execute identical event sequences.
+
+``--procs N`` (N >= 2) profiles the *workers* of a process-mode run: it
+wraps ``MPWorkerKernel.run`` in ``cProfile`` before the fork, so every
+worker inherits the wrapper and dumps ``<--dump>.worker<i>.prof`` as its
+run returns; worker 0's top rows are printed.  The perfbench
+``mp-p2-n32`` command is ``--n 32 --duration 30 --procs 2
+--gvt-interval 16``.
 
 Historical findings captured as comments where they drove code decisions:
 
@@ -37,8 +45,26 @@ from repro.hotpotato.model import HotPotatoModel
 from repro.obs.capture import RunCapture
 
 
+def profile_workers(prefix: str) -> None:
+    """Make every forked worker profile its run into ``prefix.worker<i>.prof``."""
+    from repro.mp.kernel import MPWorkerKernel
+
+    run = MPWorkerKernel.run
+
+    def profiled_run(kernel):
+        profiler = cProfile.Profile()
+        try:
+            return profiler.runcall(run, kernel)
+        finally:
+            profiler.dump_stats(f"{prefix}.worker{kernel.worker_index}.prof")
+
+    MPWorkerKernel.run = profiled_run
+
+
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument(
         "--engine",
         default="optimistic",
@@ -63,16 +89,25 @@ def main() -> None:
         help="anti-message cancellation mode (optimistic engine only)",
     )
     parser.add_argument(
-        "--executor",
-        default="scalar",
-        choices=("scalar", "vectorized"),
-        help="LP stepping mode (vectorized = struct-of-arrays band runs; "
-        "ignored by the sequential engine)",
+        "--procs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="run the optimistic engine on N >= 2 worker processes and "
+        "profile the workers instead of this process (needs --dump)",
+    )
+    parser.add_argument(
+        "--gvt-interval",
+        type=int,
+        default=1,
+        metavar="R",
+        help="scheduling rounds between GVT computations (optimistic engine)",
     )
     parser.add_argument(
         "--dump",
         metavar="FILE",
-        help="also write the raw profile to FILE for offline diffing",
+        help="also write the raw profile to FILE for offline diffing "
+        "(with --procs: FILE.worker<i>.prof, one per worker)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -88,6 +123,14 @@ def main() -> None:
         "show which engine phase spent it",
     )
     args = parser.parse_args()
+    if args.procs is not None and (
+        args.procs < 2 or args.engine != "optimistic" or not args.dump
+    ):
+        parser.error(
+            "--procs profiles the workers of an optimistic run on >= 2 "
+            "processes (a single worker runs the in-process kernel) and "
+            "needs --dump for the per-worker files"
+        )
 
     cfg = HotPotatoConfig(n=args.n, duration=args.duration, injector_fraction=1.0)
     model = HotPotatoModel(cfg)
@@ -103,6 +146,11 @@ def main() -> None:
         },
     )
 
+    mp_overrides = {}
+    if args.procs is not None:
+        mp_overrides = {"parallelism": "process", "procs": args.procs}
+        profile_workers(args.dump)
+
     profiler = cProfile.Profile()
     profiler.enable()
     if args.engine == "sequential":
@@ -113,7 +161,6 @@ def main() -> None:
     elif args.engine == "conservative":
         ccfg = ConservativeConfig(
             end_time=cfg.duration, n_pes=4, sync="yawns", seed=args.seed,
-            executor=args.executor,
         )
         result = run_conservative(
             model, ccfg, metrics=capture.metrics, spans=capture.spans,
@@ -122,7 +169,7 @@ def main() -> None:
         ecfg = EngineConfig(
             end_time=cfg.duration, n_pes=4, n_kps=16, batch_size=64, seed=args.seed,
             queue=args.queue, cancellation=args.cancellation,
-            executor=args.executor,
+            gvt_interval=args.gvt_interval, **mp_overrides,
         )
         result = run_optimistic(
             model, ecfg, metrics=capture.metrics, spans=capture.spans,
@@ -136,6 +183,13 @@ def main() -> None:
         f"{args.engine}: {result.run.processed:,} events processed "
         f"({result.run.events_rolled_back:,} rolled back)\n"
     )
+    if args.procs is not None:
+        print("worker 0:")
+        pstats.Stats(f"{args.dump}.worker0.prof").sort_stats(
+            args.sort
+        ).print_stats(args.lines)
+        print(f"profiles written to {args.dump}.worker<i>.prof")
+        return
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.lines)
     if args.dump:

@@ -67,16 +67,6 @@ class EngineConfig:
         Pending-event structure per PE: ``"heap"`` (binary heap) or
         ``"ladder"`` (ladder queue).  Identical ordering and results; a
         pure performance choice.
-    executor:
-        ``"scalar"`` — one event at a time through ``LogicalProcess.forward``
-        (the oracle path).  ``"vectorized"`` — ask the model for its
-        struct-of-arrays LP build (:meth:`~repro.core.lp.Model.build_vectorized`)
-        and, where the engine supports it, step same-timestamp-band event
-        runs through fused per-kind loops.  Models without an SoA build
-        fall back to scalar silently; results are bit-identical either
-        way (the executor-ABI conformance suite asserts this).  Refused
-        with ``parallelism="process"``: SoA tuple payloads have no ring
-        schema.
     pool:
         Recycle fossil-collected events through a per-kernel free list
         (:class:`~repro.core.event.EventPool`) instead of re-allocating.
@@ -117,7 +107,6 @@ class EngineConfig:
     cancellation: str = "aggressive"
     adaptive: bool = False
     queue: str = "heap"
-    executor: str = "scalar"
     pool: bool = True
     parallelism: str = "inline"
     procs: int = 1
@@ -151,11 +140,6 @@ class EngineConfig:
             raise ConfigurationError(
                 f"queue must be 'heap' or 'ladder', got {self.queue!r}"
             )
-        if self.executor not in ("scalar", "vectorized"):
-            raise ConfigurationError(
-                f"executor must be 'scalar' or 'vectorized', "
-                f"got {self.executor!r}"
-            )
         if self.parallelism not in ("inline", "process"):
             raise ConfigurationError(
                 f"parallelism must be 'inline' or 'process', "
@@ -179,14 +163,6 @@ class EngineConfig:
                     "process mode computes GVT with its own cross-process "
                     "token waves; the in-worker gvt manager must be "
                     f"'synchronous', got {self.gvt!r}"
-                )
-            if self.executor == "vectorized":
-                raise ConfigurationError(
-                    "executor='vectorized' cannot run with "
-                    "parallelism='process': the SoA executor sends tuple "
-                    "payloads, which the shared-memory ring codec has no "
-                    "schema for; use executor='scalar' in process mode, or "
-                    "run the vectorized executor inline"
                 )
             if self.paranoid and self.procs > 1:
                 raise ConfigurationError(

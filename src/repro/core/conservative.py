@@ -80,7 +80,6 @@ class ConservativeConfig:
     sync: str = "yawns"
     mapping: str = "block"
     queue: str = "heap"
-    executor: str = "scalar"
     pool: bool = True
     seed: int = 0x5EED
     null_ratio_limit: float = 100.0
@@ -103,11 +102,6 @@ class ConservativeConfig:
         if self.queue not in ("heap", "ladder"):
             raise ConfigurationError(
                 f"queue must be 'heap' or 'ladder', got {self.queue!r}"
-            )
-        if self.executor not in ("scalar", "vectorized"):
-            raise ConfigurationError(
-                f"executor must be 'scalar' or 'vectorized', "
-                f"got {self.executor!r}"
             )
 
 
@@ -160,10 +154,7 @@ class ConservativeKernel(Executor):
             )
         self.lookahead = float(lookahead)
 
-        # The population (SoA LPs execute through the same conservative
-        # loop as scalar ones — there are no fused batches here, so the
-        # executor choice can't change what this engine observes).
-        self._init_population(model, config.executor)
+        self._init_population(model)
         n_lps = len(self.lps)
         mapping = build_mapping(
             n_lps,
@@ -458,7 +449,6 @@ class ConservativeKernel(Executor):
     # ------------------------------------------------------------------
     def _build_result(self) -> RunResult:
         stats = RunStats(engine="conservative")
-        stats.soa_decline_reason = self.soa_decline
         stats.n_pes = self.cfg.n_pes
         stats.n_kps = self.cfg.n_pes
         stats.processed = sum(pe.processed for pe in self.pes)

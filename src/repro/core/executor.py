@@ -24,16 +24,17 @@ a small uniform interface every engine implements:
     Execute to the end barrier and return a
     :class:`~repro.core.result.RunResult`.
 
-The base class also owns the **executor mode** resolution: with
-``executor="vectorized"`` the population is built through the model's
-:meth:`~repro.core.lp.Model.build_vectorized` hook, which returns the LPs
-plus a *vector plan* — an object describing how same-timestamp-band event
-runs may be stepped through fused struct-of-arrays loops (see
-:mod:`repro.hotpotato.soa` for the hot-potato plan).  Models without an
-SoA build fall back to the scalar :meth:`~repro.core.lp.Model.build`
-silently; either way the populations are observably identical, so the
-executor choice can never change results (the conformance suite in
-``tests/test_executor_abi.py`` asserts this).
+The base class also owns the **population build**.  An engine that can
+consume a *vector plan* (the Time Warp kernel) asks the model for its
+band-stepping build first — :meth:`~repro.core.lp.Model.build_vectorized`
+returns the LPs plus a plan describing how same-timestamp-band event runs
+may be stepped through fused struct-of-arrays loops (see
+:mod:`repro.hotpotato.soa` for the hot-potato plan) — and falls back to
+the scalar :meth:`~repro.core.lp.Model.build` when the model declines.
+There is no option for it: the two populations are observably identical
+(the conformance suite in ``tests/test_executor_abi.py`` asserts this),
+so the choice is made from what the model and the engine can observe, and
+every decline leaves its reason in ``soa_decline``.
 """
 
 from __future__ import annotations
@@ -45,20 +46,7 @@ from repro.core.lp import LogicalProcess, Model
 from repro.errors import ConfigurationError
 from repro.rng.streams import ReversibleStream, derive_seed
 
-__all__ = ["Executor", "resolve_build"]
-
-
-def resolve_build(model: Model, executor: str):
-    """Build the LP population for the requested executor mode.
-
-    Returns ``(lps, plan)``; ``plan`` is ``None`` for the scalar build or
-    when the model declines to vectorize.
-    """
-    if executor == "vectorized":
-        built = model.build_vectorized()
-        if built is not None:
-            return built
-    return model.build(), None
+__all__ = ["Executor"]
 
 
 class Executor:
@@ -87,10 +75,16 @@ class Executor:
     # ------------------------------------------------------------------
     # Shared construction helpers.
     # ------------------------------------------------------------------
-    def _init_population(self, model: Model, executor: str = "scalar") -> list:
-        """Build and validate the LP population for ``executor`` mode."""
+    def _init_population(self, model: Model, *, plan_consumer: bool = False) -> list:
+        """Build and validate the LP population.
+
+        An engine that steps vector plans passes ``plan_consumer=True``
+        and gets the model's band-stepping build when the model offers
+        one; every other engine builds with :meth:`Model.build`.
+        """
         self.model = model
-        lps, plan = resolve_build(model, executor)
+        built = model.build_vectorized() if plan_consumer else None
+        lps, plan = built if built is not None else (model.build(), None)
         if not lps:
             raise ConfigurationError("model.build() returned no LPs")
         for i, lp in enumerate(lps):
@@ -101,24 +95,20 @@ class Executor:
                 )
         self.lps = lps
         self.vec_plan = plan
-        #: The *effective* executor mode: "vectorized" only when the model
+        #: The *effective* population: "vectorized" only when the model
         #: actually supplied an SoA population (snapshots record this —
         #: the two populations' event payloads are not interchangeable,
-        #: so a checkpoint can only be resumed under the same mode).
+        #: so a checkpoint can only be resumed into the same one).
         self.executor = "vectorized" if plan is not None else "scalar"
-        #: Why a requested vectorized build fell back to scalar ("" when
-        #: it succeeded or was never requested).  Models set
-        #: ``soa_decline_reason`` as they refuse; engines copy this into
-        #: RunStats so ``repro.obs summary`` can explain a silent
-        #: fallback.  Engines with further preconditions (the Time Warp
-        #: fused fast paths) may append their own reason later.
-        if executor == "vectorized" and plan is None:
-            self.soa_decline = (
-                getattr(model, "soa_decline_reason", "")
-                or "model has no vectorized build"
-            )
-        else:
-            self.soa_decline = ""
+        #: Why a plan consumer is not band-stepping ("" when it is, or
+        #: the model has no such build).  Models set
+        #: ``soa_decline_reason`` as they refuse; the Time Warp kernel
+        #: adds its own preconditions in ``_install_fast_paths``; engines
+        #: copy this into RunStats so ``repro.obs summary`` can explain
+        #: the choice.
+        self.soa_decline = (
+            model.soa_decline_reason if plan_consumer and plan is None else ""
+        )
         return lps
 
     def _init_pool(self, pool_on: bool):

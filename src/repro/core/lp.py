@@ -225,16 +225,24 @@ class Model:
         """Create and return the LP population (ids must be 0..n-1)."""
         raise NotImplementedError
 
+    #: Why :meth:`build_vectorized` returned ``None`` although the model
+    #: has such a build ("" otherwise); models set it as they refuse.
+    soa_decline_reason = ""
+
     def build_vectorized(self):
-        """Optional struct-of-arrays build for ``executor="vectorized"``.
+        """Optional struct-of-arrays build for band-stepping engines.
 
         Return ``(lps, plan)`` — an LP population whose state lives in
         shared flat arrays plus a *vector plan* describing how an engine
         may batch same-timestamp-band events (see
-        :class:`repro.core.executor.Executor`) — or ``None`` to decline,
-        in which case the engine silently falls back to :meth:`build`.
-        The SoA population must be observably identical to the scalar
-        one: same RNG draw sequences, same sends, same statistics.
+        :class:`repro.core.executor.Executor`) — or ``None``, the default,
+        in which case the engine builds with :meth:`build`.  The Time
+        Warp kernel asks every model first; a model that has such a
+        build but cannot offer it for this configuration says why in
+        :attr:`soa_decline_reason`, which lands in
+        :class:`~repro.core.stats.RunStats`.  The SoA population must be
+        observably identical to the scalar one: same RNG draw sequences,
+        same sends, same statistics.
         """
         return None
 

@@ -23,6 +23,7 @@ than ``e``'s and neither ``e`` nor its parent can be affected mid-flight.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappop, heappush
 
 from repro.core.config import EngineConfig
@@ -48,7 +49,11 @@ _tuple_new = tuple.__new__
 
 
 def _compile_send(
-    kernel: "TimeWarpKernel", use_heap: bool, pending_by_lp, processed_by_lp
+    kernel: "TimeWarpKernel",
+    use_heap: bool,
+    pending_by_lp,
+    processed_by_lp,
+    far_by_lp,
 ):
     """Build the fused send fast path; returns ``bind(lp) -> send``.
 
@@ -57,10 +62,15 @@ def _compile_send(
     send instead of three, with every piece of kernel state that is
     constant for the run (and for this source LP) captured as a cell
     variable instead of re-read through attribute chains.  Only compiled
-    for the immediate transport, where delivery can be inlined too.
-    Specialised per cancellation mode: the aggressive variant carries no
-    lazy-reuse check at all (``_lazy_pool`` can never be set), the lazy
-    variant batches divergent anti-messages (see ``_flush_antimsgs``).
+    where delivery can be inlined too: the immediate transport, and a
+    process-mode worker's ring transport, whose ``far_by_lp`` table (LP id
+    -> "stepped by another worker"; ``None`` in-process) sends a far
+    destination to ``transport.deliver`` — ring encode, uid stamp — after
+    the journal entry, the charge and the GVT send hook, exactly where
+    ``_emit`` hands over.  Specialised per cancellation mode: the
+    aggressive variant carries no lazy-reuse check at all (``_lazy_pool``
+    can never be set), the lazy variant batches divergent anti-messages
+    (see ``_flush_antimsgs``).
 
     Two scopes keep set-up linear in the LP population: everything
     run-constant — including the per-LP dispatch tables
@@ -88,6 +98,7 @@ def _compile_send(
     serial = _next_serial
     straggler = kernel._straggler
     batch_append = kernel._antimsg_batch.append
+    deliver_far = kernel.transport.deliver
 
     def bind(lp):
         lp_id = lp.id
@@ -138,6 +149,9 @@ def _compile_send(
                 src_stats.round_busy += units
                 if on_send is not None:
                     on_send(src_pe, ev)
+                if far_by_lp is not None and far_by_lp[dst]:
+                    deliver_far(ev, src_pe, dst_pe)
+                    return ev
                 if on_receive is not None:
                     on_receive(dst_pe, ev)
                 q = pending_by_lp[dst]
@@ -214,6 +228,9 @@ def _compile_send(
             src_stats.round_busy += units
             if on_send is not None:
                 on_send(src_pe, ev)
+            if far_by_lp is not None and far_by_lp[dst]:
+                deliver_far(ev, src_pe, dst_pe)
+                return ev
             if on_receive is not None:
                 on_receive(dst_pe, ev)
             q = pending_by_lp[dst]
@@ -523,11 +540,12 @@ class TimeWarpKernel(Executor):
         self.cost = config.cost
 
         # --- LP population -------------------------------------------------
-        # With ``executor="vectorized"`` this may be a struct-of-arrays
-        # population plus a vector plan (``self.vec_plan``); the plan is
-        # consulted by ``_install_fast_paths``, everything else treats the
-        # SoA LPs exactly like scalar ones.
-        self._init_population(model, config.executor)
+        # The model's band-stepping build when it offers one: a
+        # struct-of-arrays population plus a vector plan
+        # (``self.vec_plan``); the plan is consulted by
+        # ``_install_fast_paths``, everything else treats the SoA LPs
+        # exactly like scalar ones.
+        self._init_population(model, plan_consumer=True)
         n_lps = len(self.lps)
 
         # --- Mapping, KPs, PEs --------------------------------------------
@@ -548,6 +566,9 @@ class TimeWarpKernel(Executor):
         ]
         for kp in self.kps:
             self.pes[kp.pe_id].kp_ids.append(kp.id)
+        #: The PEs this kernel steps: all of them, except in a process-mode
+        #: worker, which narrows this to its slice.
+        self.owned_pes = self.pes
         self.pe_of_lp: list[int] = []
         #: Per-LP destination caches: one flat index replaces the
         #: lps[i].kp / pes[pe_of_lp[i]] double lookups on the send path.
@@ -603,6 +624,10 @@ class TimeWarpKernel(Executor):
         #: The immediate transport is a plain function indirection; _emit
         #: inlines its delivery when this is set.
         self._direct = getattr(self.transport, "name", "") == "immediate"
+        #: LP id -> "stepped by another worker process"; ``None`` when
+        #: this kernel steps every LP (see :class:`repro.mp.kernel.
+        #: MPWorkerKernel`, the one kernel that sets it).
+        self._far_by_lp: list[bool] | None = None
         #: ``strategy.before`` is a no-op under reverse computation; only
         #: the copy strategy keeps its per-event call.
         self._snapshot_before = (
@@ -658,9 +683,9 @@ class TimeWarpKernel(Executor):
         self._antimsg_batch: list[Event] = []
         #: Non-empty anti-message batch flushes (see ``_flush_antimsgs``).
         self.antimsg_batches = 0
-        #: Vectorized-executor activity: band runs dispatched through the
+        #: Band-stepping activity: band runs dispatched through the
         #: plan's fused steppers, and events advanced by them (both stay 0
-        #: under the scalar executor or when no plan applies).
+        #: when the model offers no plan or the kernel declines it).
         self.soa_batches = 0
         self.soa_lps_stepped = 0
         #: Per-PE fused batch loops (see ``_compile_batch``); ``None``
@@ -1078,16 +1103,26 @@ class TimeWarpKernel(Executor):
     # The executive.
     # ------------------------------------------------------------------
     def _install_fast_paths(self) -> None:
-        """Swap in the compiled hot-path closures where the config allows.
+        """Swap in the compiled hot-path closures the run admits.
 
         Called once at the top of :meth:`run`, after any tracer has been
-        attached.  The fused send requires the immediate transport (other
-        transports route through :meth:`_emit`/:meth:`_receive` unchanged);
-        the fused execute additionally requires no tracer.  Both are pure
-        specialisations — observable behaviour is identical either way.
+        attached.  The fused send needs a delivery it can inline: the
+        immediate transport, or a process-mode worker's ring transport
+        behind the ``_far_by_lp`` branch (the mailbox and a fault-wrapped
+        transport route through :meth:`_emit`/:meth:`_receive` unchanged).
+        The fused execute and batch additionally require no tracer, and
+        the model's band batch aggressive cancellation with reverse
+        computation; otherwise the scalar batch steps the same population.
+        All are pure specialisations — observable behaviour is identical
+        either way — so the choice is made here, from what the kernel
+        observes, and whatever keeps a model's plan from stepping leaves
+        its reason in ``soa_decline``.  Closures are compiled only for the
+        LPs and PEs this kernel steps.
         """
-        if not self._direct:
-            if self.vec_plan is not None and not self.soa_decline:
+        plan = self.vec_plan
+        far = self._far_by_lp
+        if not self._direct and far is None:
+            if plan is not None:
                 self.soa_decline = (
                     f"transport {self.cfg.transport!r} routes through "
                     "_emit/_receive, which the fused band batch bypasses"
@@ -1103,56 +1138,128 @@ class TimeWarpKernel(Executor):
         pending_by_lp = [pe.pending for pe in self._pe_by_lp]
         processed_by_lp = [kp.processed for kp in self._kp_of_lp]
         processed_append_by_lp = [processed.append for processed in processed_by_lp]
-        bind_send = _compile_send(self, use_heap, pending_by_lp, processed_by_lp)
+        bind_send = _compile_send(
+            self, use_heap, pending_by_lp, processed_by_lp, far
+        )
         for lp in self.lps:
-            lp.send = bind_send(lp)
-        if self.tracer is not None and self.vec_plan is not None:
-            if not self.soa_decline:
+            if far is None or not far[lp.id]:
+                lp.send = bind_send(lp)
+        if self.tracer is not None:
+            if plan is not None:
                 self.soa_decline = (
                     "a Tracer is attached (fused execute skips the "
                     "per-event trace hook)"
                 )
-        if self.tracer is None:
-            self.execute = _compile_execute(self, processed_append_by_lp)
-            plan = self.vec_plan
-            if (
-                plan is not None
-                and not self.lazy
-                and self.strategy.name == "reverse"
-            ):
-                # Vectorized fast path: the model's plan fuses whole
-                # same-timestamp-band runs into struct-of-arrays steps.
-                # Lazy cancellation and copy rollback fall back to the
-                # scalar batch (the SoA LPs still run fine through it);
-                # the plan's compiled batch is bit-identical to the scalar
-                # one by construction (the conformance suite checks).
-                # Its sends go through the fused closures installed above.
-                send_by_lp = [lp.send for lp in self.lps]
-                self._batch_by_pe = [
-                    plan.compile_batch(
-                        self, pe, use_heap, processed_append_by_lp, send_by_lp
-                    )
-                    for pe in self.pes
-                ]
-            else:
-                if plan is not None and not self.soa_decline:
-                    self.soa_decline = (
-                        "lazy cancellation or copy rollback configured "
-                        "(the fused band batch assumes reverse computation "
-                        "with aggressive cancellation)"
-                    )
-                self._batch_by_pe = [
-                    _compile_batch(self, pe, use_heap, processed_append_by_lp)
-                    for pe in self.pes
-                ]
+            return
+        self.execute = _compile_execute(self, processed_append_by_lp)
+        if plan is not None and (self.lazy or self.strategy.name != "reverse"):
+            # The SoA LPs still run fine through the scalar batch.
+            self.soa_decline = (
+                "lazy cancellation or copy rollback configured "
+                "(the fused band batch assumes reverse computation "
+                "with aggressive cancellation)"
+            )
+            plan = None
+        if plan is not None:
+            # The model's plan fuses whole same-timestamp-band runs into
+            # struct-of-arrays steps; its compiled batch is bit-identical
+            # to the scalar one by construction (the conformance suite
+            # checks).  Its sends go through the fused closures above.
+            send_by_lp = [lp.send for lp in self.lps]
+
+            def compile_batch(pe):
+                return plan.compile_batch(
+                    self, pe, use_heap, processed_append_by_lp, send_by_lp
+                )
+
+        else:
+
+            def compile_batch(pe):
+                return _compile_batch(self, pe, use_heap, processed_append_by_lp)
+
+        owned = self.owned_pes
+        self._batch_by_pe = [
+            compile_batch(pe) if pe in owned else None for pe in self.pes
+        ]
+
+    def _loop_state(self) -> dict:
+        """The run loop's state that outlives a round, in checkpoint form.
+
+        Fresh from the configuration, or as a checkpoint restore grafted
+        it (``_resume``, consumed here).  :meth:`_gvt_boundary` updates
+        the throttle entries in place; ``rounds`` is kept current by the
+        loop that owns it.
+        """
+        state = self._resume
+        self._resume = None
+        if state is None:
+            state = {
+                "rounds": 0,
+                "eff_batch": self.cfg.batch_size,
+                "eff_window": self.cfg.window,
+                "last_processed": 0,
+                "last_rolled": 0,
+            }
+        return state
+
+    def _gvt_boundary(self, loop: dict, gvt_overhead: float) -> None:
+        """What every GVT boundary does once ``self.gvt`` is known.
+
+        Fossil-collect, charge the boundary to the makespan, update the
+        optimism throttle (``loop``'s effective batch and window), sample
+        metrics, consult the watchdog — over the PEs this kernel steps.
+        The in-process executive calls it after its estimate, a
+        process-mode worker after its token wave.
+        """
+        cfg = self.cfg
+        gvt = self.gvt
+        pes = self.owned_pes
+        self.gvt_rounds += 1
+        spans = self.spans
+        if spans is None:
+            collected = self.fossil_collect(gvt)
+        else:
+            t0 = spans.clock()
+            collected = self.fossil_collect(gvt)
+            if collected:
+                spans.record("fossil", t0, spans.clock(), n=collected)
+        self.makespan_units += gvt_overhead + (
+            self.cost.fossil_per_event * collected / len(pes)
+        )
+        throttle = self.throttle
+        if throttle is not None:
+            processed_now = sum(pe.stats.processed for pe in pes)
+            rolled_now = sum(kp.stats.events_rolled_back for kp in self.kps)
+            throttle.update(
+                processed_now - loop["last_processed"],
+                rolled_now - loop["last_rolled"],
+            )
+            loop["last_processed"] = processed_now
+            loop["last_rolled"] = rolled_now
+            loop["eff_batch"] = throttle.scaled(cfg.batch_size, 1)
+            if cfg.window is not None:
+                loop["eff_window"] = throttle.scaled(
+                    cfg.window, cfg.window / 64.0
+                )
+        if self.metrics is not None:
+            # GVT estimates jump to the time horizon once the queues
+            # drain; clamp so the time series stays on the run's
+            # virtual-time axis.
+            self._sample_metrics(self.metrics, min(gvt, cfg.end_time))
+        if self.health is not None:
+            # The watchdog may tighten the throttle in place; the next
+            # boundary's throttle.update() folds that into the effective
+            # batch / window.  Escalations raise out of run() here — a
+            # quiescent point, right after fossil collection, so recovery
+            # sees committed state only.
+            self.health.boundary_optimistic(self)
 
     def run(self) -> RunResult:
         """Execute the model to ``cfg.end_time`` and collect statistics."""
         self._install_fast_paths()
         cfg = self.cfg
         end = cfg.end_time
-        resume = self._resume
-        if resume is None:
+        if self._resume is None:
             # Bootstrap: LPs schedule their initial events "at startup".
             self._current_event = None
             for lp in self.lps:
@@ -1160,33 +1267,27 @@ class TimeWarpKernel(Executor):
                 lp.on_init()
 
         pes = self.pes
-        batches = self._batch_by_pe
+        # The compiled batch loops, or the generic per-event path where
+        # _install_fast_paths declined them.
+        step_pe = self._batch_by_pe or [
+            partial(pe.process_batch, self) for pe in pes
+        ]
         stats_by_pe = self._stats_by_pe
         sched_per_round = self.cost.sched_per_round
-        rounds = 0
         note_exec = self._gvt_note_exec
         gvt_overhead = max(
             self.cost.gvt_overhead(pe.lp_count, len(pe.kp_ids)) for pe in pes
         )
-        throttle = self.throttle
         metrics = self.metrics
         faults = self.faults
         spans = self.spans
         clock = spans.clock if spans is not None else None
         ckpt = self.ckpt
-        health = self.health
         paranoid = cfg.paranoid
-        eff_batch = cfg.batch_size
-        eff_window = cfg.window
-        last_processed = 0
-        last_rolled = 0
-        if resume is not None:
-            rounds = resume["rounds"]
-            eff_batch = resume["eff_batch"]
-            eff_window = resume["eff_window"]
-            last_processed = resume["last_processed"]
-            last_rolled = resume["last_rolled"]
-            self._resume = None
+        loop = self._loop_state()
+        rounds = loop["rounds"]
+        eff_batch = loop["eff_batch"]
+        eff_window = loop["eff_window"]
         prev_gvt = self.gvt
         while True:
             # Optimism limit: the end barrier, tightened to GVT + window in
@@ -1207,21 +1308,13 @@ class TimeWarpKernel(Executor):
                     # the run still terminates.
                     continue
                 if spans is None:
-                    done = (
-                        batches[pe.id](eff_batch, limit)
-                        if batches is not None
-                        else pe.process_batch(self, eff_batch, limit)
-                    )
+                    done = step_pe[pe.id](eff_batch, limit)
                 else:
                     # One span per optimism batch: includes any rollbacks
                     # the batch's own sends triggered mid-loop (those also
                     # record their own nested "rollback" spans).
                     t0 = clock()
-                    done = (
-                        batches[pe.id](eff_batch, limit)
-                        if batches is not None
-                        else pe.process_batch(self, eff_batch, limit)
-                    )
+                    done = step_pe[pe.id](eff_batch, limit)
                     if done:
                         spans.record("exec", t0, clock(), pe=pe.id, n=done)
                 if done:
@@ -1243,49 +1336,16 @@ class TimeWarpKernel(Executor):
                 # really has to account for in-flight messages.
                 if spans is None:
                     self.gvt = self.gvt_manager.estimate(self)
-                    self.gvt_rounds += 1
-                    collected = self.fossil_collect(self.gvt)
                 else:
                     t0 = clock()
                     self.gvt = self.gvt_manager.estimate(self)
                     spans.record("gvt", t0, clock())
-                    self.gvt_rounds += 1
-                    t0 = clock()
-                    collected = self.fossil_collect(self.gvt)
-                    if collected:
-                        spans.record("fossil", t0, clock(), n=collected)
-                self.makespan_units += gvt_overhead + (
-                    self.cost.fossil_per_event * collected / len(pes)
-                )
-                if throttle is not None:
-                    processed_now = sum(pe.stats.processed for pe in pes)
-                    rolled_now = sum(
-                        kp.stats.events_rolled_back for kp in self.kps
-                    )
-                    throttle.update(
-                        processed_now - last_processed, rolled_now - last_rolled
-                    )
-                    last_processed, last_rolled = processed_now, rolled_now
-                    eff_batch = throttle.scaled(cfg.batch_size, 1)
-                    if cfg.window is not None:
-                        eff_window = throttle.scaled(
-                            cfg.window, cfg.window / 64.0
-                        )
-                if metrics is not None:
-                    # GVT estimates jump to the time horizon once the
-                    # queues drain; clamp so the time series stays on the
-                    # run's virtual-time axis.
-                    self._sample_metrics(metrics, min(self.gvt, end))
+                self._gvt_boundary(loop, gvt_overhead)
+                eff_batch = loop["eff_batch"]
+                eff_window = loop["eff_window"]
                 if paranoid:
                     check_optimistic(self, prev_gvt)
                     prev_gvt = self.gvt
-                if health is not None:
-                    # The watchdog may tighten the throttle in place; the
-                    # next boundary's throttle.update() folds that into
-                    # eff_batch / eff_window.  Escalations raise out of
-                    # run() here — a quiescent point, right after fossil
-                    # collection, so recovery sees committed state only.
-                    health.boundary_optimistic(self)
                 if self.gvt >= end:
                     break
             if spans is None or self._direct:
@@ -1302,16 +1362,7 @@ class TimeWarpKernel(Executor):
                 # wrapper's held events remain, and those are captured).
                 written_before = ckpt.written
                 t0 = clock() if spans is not None else 0.0
-                ckpt.boundary(
-                    self,
-                    lambda: {
-                        "rounds": rounds,
-                        "eff_batch": eff_batch,
-                        "eff_window": eff_window,
-                        "last_processed": last_processed,
-                        "last_rolled": last_rolled,
-                    },
-                )
+                ckpt.boundary(self, lambda: {**loop, "rounds": rounds})
                 if spans is not None and ckpt.written > written_before:
                     spans.record("snapshot", t0, clock())
 

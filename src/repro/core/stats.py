@@ -75,14 +75,18 @@ class RunStats:
     #: GVT estimates served by the incremental manager (0 under the
     #: synchronous or Mattern algorithms).
     gvt_incremental_rounds: int = 0
-    #: Vectorized-executor activity: same-timestamp-band runs dispatched
+    #: Band-stepping activity: same-timestamp-band runs dispatched
     #: through the fused struct-of-arrays steppers, and the events those
-    #: runs advanced (both 0 under the scalar executor or when the model
-    #: has no SoA build).
+    #: runs advanced (both 0 when the model has no SoA build or the run
+    #: declined it).
     soa_batches: int = 0
     soa_lps_stepped: int = 0
-    #: Why a requested vectorized executor fell back to scalar stepping
-    #: ("" when vectorization was not requested, or ran).
+    #: Why a Time Warp run stepped event by event although the model has
+    #: a band-stepping build: the model could not offer it (policy,
+    #: topology, adversary) or the kernel declined it (tracer, lazy
+    #: cancellation, copy rollback, mailbox or fault-wrapped transport).
+    #: "" when band stepping ran, the model has no such build, or the
+    #: engine is not the optimistic one.
     soa_decline_reason: str = ""
     #: Why a sequential run stepped event by event although the model has
     #: a band program: the model could not offer it (policy, topology,

@@ -113,15 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(ignored with --processors 1; results are identical either way)",
     )
     parser.add_argument(
-        "--executor",
-        choices=("scalar", "vectorized"),
-        default="scalar",
-        help="LP stepping mode: 'vectorized' batches same-timestamp-band "
-        "events into struct-of-arrays steps (ignored with --processors 1; "
-        "committed results are identical either way; refused with --procs; "
-        "see docs/KERNEL.md)",
-    )
-    parser.add_argument(
         "--cancellation",
         choices=("aggressive", "lazy"),
         default="aggressive",
@@ -268,7 +259,6 @@ def _config_marker(args, seed: int, scenario_meta: dict) -> dict:
         "procs": args.procs,
         "queue": args.queue,
         "cancellation": args.cancellation,
-        "executor": args.executor,
         "seed": seed,
         "paranoid": args.paranoid,
         "fault_plan": args.fault_plan,
@@ -328,8 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     if use_parallel:
         # Built before any file, checkpoint directory or worker process
         # exists, so every combination EngineConfig refuses (--procs not
-        # dividing --processors, --paranoid or --executor vectorized
-        # across workers, ...) exits 2 with its message and no side effect.
+        # dividing --processors, --paranoid across workers, ...) exits 2
+        # with its message and no side effect.
         mp_overrides = {}
         if args.procs is not None:
             mp_overrides = {"parallelism": "process", "procs": args.procs}
@@ -344,7 +334,6 @@ def main(argv: list[str] | None = None) -> int:
                 paranoid=args.paranoid,
                 queue=args.queue,
                 cancellation=args.cancellation,
-                executor=args.executor,
                 **mp_overrides,
             )
         except ConfigurationError as exc:
@@ -483,8 +472,6 @@ def main(argv: list[str] | None = None) -> int:
           f"{cfg.duration:.0f} steps, engine={run.engine} "
           f"({run.n_pes} PE{procs_label}){label}")
     print(f"  events committed   : {run.committed:,}")
-    if run.soa_decline_reason:
-        print(f"  executor fallback  : {run.soa_decline_reason}")
     if injection_plan is not None:
         print(f"  adversary          : {injection_plan.strategy} "
               f"({len(injection_plan.entries):,} scripted injections)")
@@ -516,7 +503,6 @@ def main(argv: list[str] | None = None) -> int:
             sim.run_parallel(
                 n_pes=4, n_kps=args.kps, batch_size=args.batch,
                 queue=args.queue, cancellation=args.cancellation,
-                executor=args.executor,
             )
             if args.processors <= 1
             else sim.run()

@@ -55,9 +55,6 @@ class HotPotatoModel(Model):
     ) -> None:
         self.cfg = cfg if cfg is not None else HotPotatoConfig()
         self.policy = policy if policy is not None else BuschHotPotatoPolicy()
-        #: Why build_vectorized() declined, for RunStats.soa_decline_reason
-        #: ("" until a vectorized build is attempted and refused).
-        self.soa_decline_reason = ""
         #: Optional repro.faults.FaultPlan; its *model* faults (link and
         #: router schedules) are compiled here so every engine — including
         #: the sequential oracle — sees the identical fault timeline.
@@ -148,10 +145,10 @@ class HotPotatoModel(Model):
         return ""
 
     def build_vectorized(self):
-        """SoA population + band-stepping plan (``executor="vectorized"``).
+        """SoA population + band-stepping plan (:mod:`repro.hotpotato.soa`).
 
-        Declines (returns None → engines fall back to :meth:`build`) when
-        :meth:`_inlined_rules_decline` names a reason, recorded in
+        Declines (returns None → the kernel builds with :meth:`build`)
+        when :meth:`_inlined_rules_decline` names a reason, recorded in
         ``soa_decline_reason`` so RunStats can surface it.
         """
         self.soa_decline_reason = self._inlined_rules_decline()

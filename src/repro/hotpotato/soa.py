@@ -1,7 +1,9 @@
 """Struct-of-arrays hot-potato routers and the vectorized band stepper.
 
-This is the hot-potato model's ``executor="vectorized"`` build (see
-:meth:`repro.core.lp.Model.build_vectorized`).  Two pieces:
+This is the hot-potato model's band-stepping build (see
+:meth:`repro.core.lp.Model.build_vectorized`), which the Time Warp kernel
+— in-process and in every process-mode worker — takes whenever the model
+offers it.  Two pieces:
 
 :class:`SlottedRouterLP`
     A drop-in :class:`~repro.hotpotato.router.RouterLP` replacement whose
@@ -12,8 +14,10 @@ This is the hot-potato model's ``executor="vectorized"`` build (see
     instead of dicts.  Every handler performs the exact operation
     sequence of the scalar router — same RNG draws, same send
     timestamps, same statistics arithmetic — so the SoA population is
-    bit-identical to the scalar one under *any* engine and executor
-    (``tests/test_executor_abi.py`` asserts this).
+    bit-identical to the scalar one (``tests/test_executor_abi.py``
+    asserts this).  Tuple payloads cross a process boundary as positional
+    ring frames: the ``P_*`` order below is the field order of
+    ``HotPotatoModel.mp_event_schema()``.
 
 :class:`HotPotatoVectorPlan`
     The vector plan consumed by the Time Warp kernel's fast-path
@@ -45,10 +49,10 @@ This is the hot-potato model's ``executor="vectorized"`` build (see
     less interpreter dispatch per event.
 
 The plan is only installed under the conditions the Time Warp kernel
-checks (immediate transport, no tracer, aggressive cancellation, reverse
-computation); in every other configuration — and under the sequential
-and conservative engines — the SoA LPs run through the ordinary scalar
-loops unchanged.
+checks (immediate or ring transport, no tracer, aggressive cancellation,
+reverse computation); in every other configuration the SoA LPs run
+through the kernel's scalar batch unchanged.  The sequential and
+conservative engines build ``RouterLP``.
 """
 
 from __future__ import annotations

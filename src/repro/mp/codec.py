@@ -1,18 +1,24 @@
 """Pickle-free event encoding for the shared-memory rings.
 
 Every frame that crosses a data ring is fixed-width ``struct`` packing —
-no pickle on the hot path, ever.  Two frame types:
+no pickle on the hot path, ever.  Three frame types:
 
 * **positive** (``P``): a real event in flight to a remote worker's LP.
   Header ``<B Q d I I I B`` = (type, uid, ts, origin, seq, dst, kind_id)
-  followed by the kind's payload struct.
+  followed by the kind's payload struct, packed from the event's ``data``
+  dict by field name.
+* **positional positive** (``T``): the same header and the same payload
+  struct, packed from a ``data`` *tuple* whose element order is the
+  schema's field order (the struct-of-arrays population's payloads, see
+  :mod:`repro.hotpotato.soa`) and decoded back to a tuple.  Each frame
+  says which layout it carries, so no mode is shared between workers.
 * **anti** (``A``): a Time Warp anti-message for a previously sent
   positive, identified by the sender-assigned ``uid`` (the full event
   key rides along for error reporting only).
 
 The payload layout is declared by the *model* through
 ``Model.mp_event_schema()``: a mapping of event kind to an ordered
-``((field, struct_char), ...)`` tuple over the event's ``data`` dict.
+``((field, struct_char), ...)`` tuple over the event's ``data``.
 Workers on both sides build identical codecs from the same model, so a
 kind id is just the kind's index in sorted order.  A model without a
 schema (or an event whose kind is missing from it) cannot cross a
@@ -33,10 +39,11 @@ import struct
 
 from repro.errors import ConfigurationError
 
-__all__ = ["EventCodec", "POSITIVE", "ANTI"]
+__all__ = ["EventCodec", "POSITIVE", "POSITIONAL", "ANTI"]
 
-POSITIVE = 0x50  # "P"
-ANTI = 0x41      # "A"
+POSITIVE = 0x50    # "P"
+POSITIONAL = 0x54  # "T"
+ANTI = 0x41        # "A"
 
 _POS_HEAD = struct.Struct("<BQdIIIB")
 _ANTI = struct.Struct("<BQdIII")
@@ -76,13 +83,17 @@ class EventCodec:
                 "schema; it cannot cross a process boundary"
             )
         key = ev.key
+        data = ev.data
+        positional = type(data) is tuple
         head = _POS_HEAD.pack(
-            POSITIVE, uid, key.ts, key.origin, key.seq, ev.dst, kind_id
+            POSITIONAL if positional else POSITIVE,
+            uid, key.ts, key.origin, key.seq, ev.dst, kind_id,
         )
+        if positional:
+            return head + self._structs[kind_id].pack(*data)
         fields = self._fields[kind_id]
         if not fields:
             return head
-        data = ev.data
         return head + self._structs[kind_id].pack(
             *(data[name] for name in fields)
         )
@@ -91,20 +102,15 @@ class EventCodec:
         """Decode one frame.
 
         Returns ``("pos", uid, ts, origin, seq, dst, kind, data)`` for a
-        positive or ``("anti", uid, ts, origin, seq, dst)`` for an
-        anti-message.
+        positive — ``data`` a dict, or a tuple for a positional frame —
+        or ``("anti", uid, ts, origin, seq, dst)`` for an anti-message.
         """
         ftype = frame[0]
-        if ftype == POSITIVE:
+        if ftype == POSITIVE or ftype == POSITIONAL:
             _, uid, ts, origin, seq, dst, kind_id = _POS_HEAD.unpack_from(frame)
-            fields = self._fields[kind_id]
-            if fields:
-                values = self._structs[kind_id].unpack_from(
-                    frame, _POS_HEAD.size
-                )
-                data = dict(zip(fields, values))
-            else:
-                data = {}
+            data = self._structs[kind_id].unpack_from(frame, _POS_HEAD.size)
+            if ftype == POSITIVE:
+                data = dict(zip(self._fields[kind_id], data))
             return ("pos", uid, ts, origin, seq, dst, self.kinds[kind_id], data)
         if ftype == ANTI:
             _, uid, ts, origin, seq, dst = _ANTI.unpack(frame)

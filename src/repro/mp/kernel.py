@@ -2,11 +2,14 @@
 
 One :class:`MPWorkerKernel` runs in each forked worker process.  It *is*
 a full :class:`~repro.core.optimistic.TimeWarpKernel` — same rollback
-machinery, same queues, same fossil collection — specialised three ways:
+machinery, same queues, same fossil collection, and the same compiled
+send / batch / band-stepping closures on the per-event path, chosen by
+the same ``_install_fast_paths`` — parameterised three ways:
 
-* its transport is a :class:`~repro.mp.transport.RingTransport`, so
-  sends whose destination PE belongs to another worker are struct-encoded
-  onto a shared-memory ring instead of delivered in-process;
+* its transport is a :class:`~repro.mp.transport.RingTransport`, and its
+  ``_far_by_lp`` table tells the fused send which destinations another
+  worker steps: those are struct-encoded onto a shared-memory ring, every
+  other send keeps the inlined in-process delivery;
 * rollback of a send whose positive already crossed a ring transmits an
   anti *frame* down the same ring (FIFO guarantees it cannot overtake
   its positive) instead of cancelling a shared object;
@@ -14,12 +17,13 @@ machinery, same queues, same fossil collection — specialised three ways:
   the control rings, not from inspecting other workers' queues.
 
 The scheduling loop mirrors the base kernel's round structure but only
-steps this worker's *owned* PE slice, drains the inbound rings every
-round, and turns every GVT boundary into a stop-and-drain wave: worker 0
-(the leader) initiates, everyone else joins when the token reaches them.
-All the boundary machinery — fossil collection, throttle, metrics,
-health watchdog, checkpoint shards — runs at wave boundaries exactly
-like the inline kernel runs it at GVT boundaries.
+steps this worker's *owned* PE slice (closures are compiled for that
+slice alone), drains the inbound rings every round, and turns every GVT
+boundary into a stop-and-drain wave: worker 0 (the leader) initiates,
+everyone else joins when the token reaches them.  The boundary machinery
+— fossil collection, throttle, metrics, health watchdog — is the base
+kernel's ``_gvt_boundary``, called at wave boundaries; checkpoint shards
+follow it.
 
 Interrupts never raise inside a worker: the SIGINT handler only sets
 ``self.intr``, the flag rides the next token, and the RESULT broadcast
@@ -31,6 +35,7 @@ would deadlock its peers mid-wave.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 from repro.core.optimistic import TimeWarpKernel
 from repro.errors import SchedulingError
@@ -71,13 +76,15 @@ class MPWorkerKernel(TimeWarpKernel):
         self.pe_lo = worker_index * ppw
         self.pe_hi = self.pe_lo + ppw
         self.owned_pes = self.pes[self.pe_lo : self.pe_hi]
-        #: lp id -> does this worker own the LP's PE (hot in the anti path).
-        self._lp_owned = [
-            self.pe_lo <= p < self.pe_hi for p in self.pe_of_lp
+        # lp id -> another worker owns the LP's PE (the fused send's far
+        # branch; hot in the anti path too).
+        self._far_by_lp = [
+            not self.pe_lo <= p < self.pe_hi for p in self.pe_of_lp
         ]
-        # Swap in the ring transport.  ``_direct`` off keeps every send on
-        # the generic _emit path (where the transport sees it) and makes
-        # _install_fast_paths record the vectorization decline for us.
+        # Swap in the ring transport.  ``_direct`` stays off — a send
+        # that reaches the generic _emit must go through the transport —
+        # while the far table lets _install_fast_paths compile the fused
+        # send around it.
         transport.bind(self)
         self.transport = transport
         self.ring_transport = transport
@@ -108,7 +115,7 @@ class MPWorkerKernel(TimeWarpKernel):
         ``ev.cancelled`` keeps a twice-rolled-back send from emitting a
         second anti for the same uid.
         """
-        if ev.color and not ev.cancelled and not self._lp_owned[ev.dst]:
+        if ev.color and not ev.cancelled and self._far_by_lp[ev.dst]:
             self.ring_transport.send_anti(ev)
         super()._flag_cancelled(ev)
 
@@ -263,57 +270,46 @@ class MPWorkerKernel(TimeWarpKernel):
         cfg = self.cfg
         end = cfg.end_time
         transport = self.ring_transport
-        resume = self._resume
-        if resume is None:
+        resumed = self._resume is not None
+        loop = self._loop_state()
+        if resumed:
+            transport._next_uid = loop.pop("mp_uid")
+            self._rebuild_remote_live()
+        else:
             self._current_event = None
             # Bootstrap *owned* LPs only: every worker holds the full
             # population (fork inherits it), so seeding all of them would
             # duplicate each initial event once per worker.
-            owned = self._lp_owned
+            far = self._far_by_lp
             for lp in self.lps:
-                if owned[lp.id]:
+                if not far[lp.id]:
                     lp._now = -1.0
                     lp.on_init()
             transport.flush_out()
 
         pes = self.owned_pes
+        # Indexed by PE id like the base kernel's; a tracer keeps the
+        # generic per-event execute.
+        step_pe = self._batch_by_pe or {
+            pe.id: partial(pe.process_batch, self) for pe in pes
+        }
         stats_by_pe = [pe.stats for pe in pes]
         sched_per_round = self.cost.sched_per_round
-        rounds = 0
         gvt_overhead = max(
             self.cost.gvt_overhead(pe.lp_count, len(pe.kp_ids)) for pe in pes
         )
-        throttle = self.throttle
         metrics = self.metrics
         spans = self.spans
         clock = spans.clock if spans is not None else None
         ckpt = self.ckpt
-        health = self.health
-        eff_batch = cfg.batch_size
-        eff_window = cfg.window
-        last_processed = 0
-        last_rolled = 0
-        if resume is not None:
-            rounds = resume["rounds"]
-            eff_batch = resume["eff_batch"]
-            eff_window = resume["eff_window"]
-            last_processed = resume["last_processed"]
-            last_rolled = resume["last_rolled"]
-            transport._next_uid = resume["mp_uid"]
-            self._rebuild_remote_live()
-            self._resume = None
+        rounds = loop["rounds"]
+        eff_batch = loop["eff_batch"]
+        eff_window = loop["eff_window"]
         leader = self.worker_index == 0
         interval = cfg.gvt_interval
 
         def loop_state():
-            state = {
-                "rounds": rounds,
-                "eff_batch": eff_batch,
-                "eff_window": eff_window,
-                "last_processed": last_processed,
-                "last_rolled": last_rolled,
-                "mp_uid": transport._next_uid,
-            }
+            state = {**loop, "rounds": rounds, "mp_uid": transport._next_uid}
             if self.loop_extra is not None:
                 state.update(self.loop_extra())
             return state
@@ -328,10 +324,10 @@ class MPWorkerKernel(TimeWarpKernel):
                 st.round_busy = 0.0
             for pe in pes:
                 if spans is None:
-                    done = pe.process_batch(self, eff_batch, limit)
+                    done = step_pe[pe.id](eff_batch, limit)
                 else:
                     t0 = clock()
-                    done = pe.process_batch(self, eff_batch, limit)
+                    done = step_pe[pe.id](eff_batch, limit)
                     if done:
                         spans.record("exec", t0, clock(), pe=pe.id, n=done)
                 if done:
@@ -368,35 +364,11 @@ class MPWorkerKernel(TimeWarpKernel):
             # --- wave boundary (the inline kernel's GVT boundary) -----
             gvt, stop, intr = result
             self.gvt = gvt
-            self.gvt_rounds += 1
             # Prune the uid table before collection recycles the objects.
             transport.prune_below(gvt)
-            if spans is None:
-                collected = self.fossil_collect(gvt)
-            else:
-                t0 = clock()
-                collected = self.fossil_collect(gvt)
-                if collected:
-                    spans.record("fossil", t0, clock(), n=collected)
-            self.makespan_units += gvt_overhead + (
-                self.cost.fossil_per_event * collected / len(pes)
-            )
-            if throttle is not None:
-                processed_now = sum(pe.stats.processed for pe in pes)
-                rolled_now = sum(
-                    kp.stats.events_rolled_back for kp in self.kps
-                )
-                throttle.update(
-                    processed_now - last_processed, rolled_now - last_rolled
-                )
-                last_processed, last_rolled = processed_now, rolled_now
-                eff_batch = throttle.scaled(cfg.batch_size, 1)
-                if cfg.window is not None:
-                    eff_window = throttle.scaled(cfg.window, cfg.window / 64.0)
-            if metrics is not None:
-                self._sample_metrics(metrics, min(gvt, end))
-            if health is not None:
-                health.boundary_optimistic(self)
+            self._gvt_boundary(loop, gvt_overhead)
+            eff_batch = loop["eff_batch"]
+            eff_window = loop["eff_window"]
             if intr:
                 # Every worker writes its final shard at this same wave,
                 # keeping the shard set resumable as a unit.

@@ -1,13 +1,16 @@
 """The ring transport: cross-process event delivery for one worker.
 
 Each worker kernel owns one :class:`RingTransport`.  It plugs into the
-Time Warp kernel exactly where the mailbox transport would (``name`` is
-not ``"immediate"``, so every send routes through ``_emit`` →
-``deliver``), but the far side of a remote send is another OS process:
+Time Warp kernel where the mailbox transport would (``name`` is not
+``"immediate"``), but the far side of a remote send is another OS
+process:
 
 * **Within-worker** sends (destination PE owned by this worker) are
   handed to ``kernel._receive`` immediately — identical semantics to the
-  immediate transport the inline kernel uses.
+  immediate transport the inline kernel uses.  (The worker's compiled
+  send inlines that arrival and calls :meth:`RingTransport.deliver` for
+  cross-worker destinations only; the generic ``_emit`` path sends
+  everything through here.)
 * **Cross-worker** sends are struct-encoded (:mod:`repro.mp.codec`) and
   appended to the one :class:`~repro.mp.ring.SpscRing` this worker
   writes toward the destination worker.  The sender's journal copy of

@@ -241,11 +241,11 @@ def _run_worker(spec) -> dict:
         "ckpt_written": 0 if ckpt is None else ckpt.written,
     }
     if not interrupted:
-        owned = kernel._lp_owned if is_mp else None
+        far = kernel._far_by_lp  # None: the single worker owns every LP
         payload["lp_blobs"] = {
             lp.id: model.mp_export_lp(lp)
             for lp in kernel.lps
-            if owned is None or owned[lp.id]
+            if far is None or not far[lp.id]
         }
         payload["model_shard"] = model.mp_export_shard()
     return payload

@@ -195,7 +195,7 @@ def cmd_summary(rec: RunRecording) -> int:
         return 0
     reason = rec.stats.get("soa_decline_reason")
     if reason:
-        print(f"  vectorized executor fell back to scalar: {reason}")
+        print(f"  Time Warp band stepping not used: {reason}")
     reason = rec.stats.get("band_decline_reason")
     if reason:
         print(f"  sequential band program not used: {reason}")

@@ -79,8 +79,8 @@ class MetricSample:
     #: GVT estimates served by the incremental manager during the
     #: interval (0 under synchronous/Mattern).  Delta counter.
     gvt_incremental_rounds: int = 0
-    #: Same-timestamp-band runs dispatched by the vectorized executor
-    #: during the interval (0 under the scalar executor).  Delta counter.
+    #: Same-timestamp-band runs dispatched by the band-stepping batch
+    #: during the interval (0 where the run declined it).  Delta counter.
     soa_batches: int = 0
     #: Events advanced by those runs during the interval.  Delta counter.
     soa_lps_stepped: int = 0

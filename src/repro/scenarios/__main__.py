@@ -70,10 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the optimism batch size",
     )
     p_run.add_argument(
-        "--executor", choices=("scalar", "vectorized"), default=None,
-        help="override the LP stepping mode (ignored with --engine seq)",
-    )
-    p_run.add_argument(
         "--validate", action="store_true",
         help="also run the sequential oracle and check the results match",
     )
@@ -149,7 +145,7 @@ def cmd_show(path: str) -> int:
     print(
         f"engine   : duration {compiled.duration:g}, seed {compiled.seed}, "
         f"defaults n_pes={compiled.n_pes} n_kps={compiled.n_kps} "
-        f"batch={compiled.batch_size} executor={compiled.executor}"
+        f"batch={compiled.batch_size}"
     )
     overrides = scenario.engine.get("overrides", {})
     if overrides:
@@ -195,7 +191,6 @@ def cmd_run(args) -> int:
         n_pes=args.processors,
         n_kps=args.kps,
         batch_size=args.batch,
-        executor=args.executor,
         tracer=capture.tracer,
         metrics=capture.metrics,
         spans=capture.spans,
@@ -213,8 +208,6 @@ def cmd_run(args) -> int:
         f"{compiled.duration:g} steps, engine={run.engine} ({run.n_pes} PE)"
     )
     print(f"  events committed   : {run.committed:,}")
-    if run.soa_decline_reason:
-        print(f"  executor fallback  : {run.soa_decline_reason}")
     if "adversary" in ms:
         print(
             f"  adversary          : {ms['adversary']} "
@@ -242,7 +235,7 @@ def cmd_run(args) -> int:
     elif args.validate:
         twin = compiled.run(
             "optimistic", seed=args.seed, n_pes=args.processors,
-            n_kps=args.kps, batch_size=args.batch, executor=args.executor,
+            n_kps=args.kps, batch_size=args.batch,
         )
         identical = twin.model_stats == ms
         print(f"  cross-engine check : {'IDENTICAL' if identical else 'MISMATCH'}")

@@ -50,7 +50,6 @@ class CompiledScenario:
     n_kps: int
     batch_size: int
     window: float | None
-    executor: str
 
     @property
     def name(self) -> str:
@@ -93,7 +92,6 @@ class CompiledScenario:
         n_kps: int | None = None,
         batch_size: int | None = None,
         window: float | None = None,
-        executor: str | None = None,
         tracer=None,
         metrics=None,
         spans=None,
@@ -113,7 +111,6 @@ class CompiledScenario:
         if model is None:
             model = self.build_model(delivery_log=delivery_log)
         seed = self.seed if seed is None else seed
-        executor = self.executor if executor is None else executor
         if engine == "sequential":
             from repro.core.engine import run_sequential
 
@@ -137,7 +134,6 @@ class CompiledScenario:
                 n_pes=self.n_pes if n_pes is None else n_pes,
                 lookahead=model.lookahead,
                 seed=seed,
-                executor=executor,
             )
             return run_conservative(
                 model, ccfg, tracer=tracer, metrics=metrics, spans=spans,
@@ -154,7 +150,6 @@ class CompiledScenario:
             batch_size=self.batch_size if batch_size is None else batch_size,
             window=self.window if window is None else window,
             seed=seed,
-            executor=executor,
         )
         return run_optimistic(
             model, ecfg, tracer=tracer, metrics=metrics, spans=spans,
@@ -305,5 +300,4 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         or _default_kp_count(n, 4 * n_pes, n_pes),
         batch_size=int(eng.get("batch_size", 16)),
         window=eng.get("window"),
-        executor=str(eng.get("executor", "scalar")),
     )

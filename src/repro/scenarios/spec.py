@@ -39,7 +39,7 @@ Sections
     ``overrides`` object of :class:`~repro.hotpotato.config.
     HotPotatoConfig` fields (``arrival_jitter``, ``initial_fill``,
     ``heartbeat``, ...) and optional parallel-engine defaults
-    ``n_pes``/``n_kps``/``batch_size``/``window``/``executor``.
+    ``n_pes``/``n_kps``/``batch_size``/``window``.
 ``faults``
     ``null``, a path to a :mod:`repro.faults` plan file (relative paths
     resolve against the scenario file), an inline plan object, or
@@ -101,7 +101,6 @@ ENGINE_KEYS = (
     "n_kps",
     "batch_size",
     "window",
-    "executor",
 )
 
 

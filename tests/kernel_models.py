@@ -9,6 +9,18 @@ TICK = "TICK"
 POKE = "POKE"
 
 
+def scalar_population(model):
+    """Test foil: ``model`` declines its band-stepping build.
+
+    The Time Warp kernel takes ``Model.build_vectorized()`` whenever the
+    model offers it and no product option says otherwise; a comparison
+    against the scalar population (``RouterLP``) on a torus therefore
+    patches this one instance.  Forked workers inherit the patch.
+    """
+    model.build_vectorized = lambda: None
+    return model
+
+
 class ChattyLP(LogicalProcess):
     """Ticks once per unit time; optionally pokes a peer with a small delay.
 

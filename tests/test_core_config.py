@@ -38,18 +38,6 @@ def test_deleted_splay_queue_rejected():
         EngineConfig(end_time=10.0, queue="splay")
 
 
-@pytest.mark.parametrize("procs", [1, 2])
-def test_vectorized_process_mode_refused_by_name(procs):
-    with pytest.raises(ConfigurationError) as exc:
-        EngineConfig(
-            end_time=10.0, n_pes=2, n_kps=2, executor="vectorized",
-            parallelism="process", procs=procs,
-        )
-    assert "executor='vectorized'" in str(exc.value)
-    assert "parallelism='process'" in str(exc.value)
-    assert "ring" in str(exc.value)  # says why, not only what
-
-
 def test_frozen():
     cfg = EngineConfig(end_time=1.0)
     with pytest.raises(AttributeError):

@@ -1,10 +1,15 @@
-"""Executor-ABI conformance: vectorized stepping is bit-identical to scalar.
+"""Executor-ABI conformance: band stepping is bit-identical to scalar.
 
-The contract (docs/KERNEL.md, "Executor ABI & vectorized stepping"): for
-every engine that has executor modes (conservative and Time Warp; the
-sequential oracle has none), golden seed, fault plan and checkpoint
-kill/resume combination, ``executor="vectorized"`` must commit exactly
-the event sequence the scalar executor commits.  Two observation levels:
+The contract (docs/KERNEL.md, "Executor ABI & vectorized stepping"): the
+Time Warp kernel steps the model's struct-of-arrays population whenever
+the model offers one, and for every golden seed, fault plan and
+checkpoint kill/resume combination that must commit exactly the event
+sequence the scalar ``RouterLP`` population commits — under Time Warp
+itself and under the conservative engine, which always builds scalar.
+There is no product option that selects the scalar population on a
+torus, so the tests use a foil: a model whose ``build_vectorized``
+declines (``tests.kernel_models.scalar_population``).  Two observation
+levels:
 
 * **Committed sequence** — with a :class:`~repro.core.trace.Tracer`
   attached the Time Warp kernel keeps its generic execute path, so this
@@ -29,6 +34,7 @@ from repro.faults import generate_plan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.net import TorusTopology
+from tests.kernel_models import scalar_population as _scalar
 
 N = 4
 DURATION = 12.0
@@ -51,23 +57,34 @@ def _fault_plan():
     )
 
 
-def _model(faulted: bool) -> HotPotatoModel:
-    return HotPotatoModel(_cfg(), fault_plan=_fault_plan() if faulted else None)
+def _model(faulted: bool, population: str = "vectorized") -> HotPotatoModel:
+    model = HotPotatoModel(_cfg(), fault_plan=_fault_plan() if faulted else None)
+    return _scalar(model) if population == "scalar" else model
 
 
-def _engine(engine: str, executor: str, seed: int, faulted: bool):
-    model = _model(faulted)
+def _engine(engine: str, population: str, seed: int, faulted: bool):
+    """``engine`` over the scalar or the band-stepping population (the
+    conservative engine has no plan consumer: scalar only)."""
+    model = _model(faulted, population)
     if engine == "cons":
+        assert population == "scalar"
         ccfg = ConservativeConfig(
             end_time=DURATION, n_pes=4, sync="yawns", seed=seed,
-            lookahead=model.lookahead, executor=executor,
+            lookahead=model.lookahead,
         )
         return ConservativeKernel(model, ccfg)
     ecfg = EngineConfig(
         end_time=DURATION, n_pes=4, n_kps=16, batch_size=16, seed=seed,
-        executor=executor,
     )
     return TimeWarpKernel(model, ecfg)
+
+
+def _pair(engine: str, seed: int, faulted: bool) -> dict:
+    """The scalar reference on ``engine`` and Time Warp's band population."""
+    return {
+        "scalar": _engine(engine, "scalar", seed, faulted),
+        "vectorized": _engine("opt", "vectorized", seed, faulted),
+    }
 
 
 @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faultplan"])
@@ -77,10 +94,9 @@ def test_committed_sequence_identical(engine, seed, faulted):
     """Traced runs: the full committed event sequence matches scalar."""
     sequences = {}
     stats = {}
-    for executor in ("scalar", "vectorized"):
+    for executor, eng in _pair(engine, seed, faulted).items():
         tracer = Tracer()
-        eng = _engine(engine, executor, seed, faulted).attach_tracer(tracer)
-        stats[executor] = eng.run().model_stats
+        stats[executor] = eng.attach_tracer(tracer).run().model_stats
         sequences[executor] = tracer.committed_sequence()
     assert sequences["vectorized"] == sequences["scalar"]
     assert stats["vectorized"] == stats["scalar"]
@@ -92,23 +108,23 @@ def test_committed_sequence_identical(engine, seed, faulted):
 def test_committed_fingerprint_identical_untraced(engine, seed, faulted):
     """Untraced runs (the fused fast path on opt) match scalar exactly."""
     results = {
-        executor: _engine(engine, executor, seed, faulted).run()
-        for executor in ("scalar", "vectorized")
+        executor: eng.run()
+        for executor, eng in _pair(engine, seed, faulted).items()
     }
     assert (
         results["vectorized"].model_stats == results["scalar"].model_stats
     )
     assert results["vectorized"].run.committed == results["scalar"].run.committed
-    if engine == "opt":
-        # The vectorized kernel actually took the fused band path...
-        assert results["vectorized"].run.soa_batches > 0
-        assert (
-            results["vectorized"].run.soa_lps_stepped
-            == results["vectorized"].run.processed
-        )
-        # ...and the scalar kernel did not.
-        assert results["scalar"].run.soa_batches == 0
-        assert results["scalar"].run.soa_lps_stepped == 0
+    # The band population actually took the fused band path...
+    assert results["vectorized"].run.soa_batches > 0
+    assert (
+        results["vectorized"].run.soa_lps_stepped
+        == results["vectorized"].run.processed
+    )
+    assert results["vectorized"].run.soa_decline_reason == ""
+    # ...and the scalar reference did not.
+    assert results["scalar"].run.soa_batches == 0
+    assert results["scalar"].run.soa_lps_stepped == 0
 
 
 @pytest.mark.parametrize("overrides", [
@@ -120,17 +136,19 @@ def test_vectorized_across_scheduler_structures(overrides):
     """The SoA population commits identically under every scheduler
     structure — including the lazy/copy configurations where the kernel
     falls back from the fused band batch to the scalar batch."""
-    def run(executor):
+    def run(population):
         ecfg = EngineConfig(
             end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
-            seed=GOLDEN_SEEDS[0], executor=executor, **overrides,
+            seed=GOLDEN_SEEDS[0], **overrides,
         )
-        return TimeWarpKernel(_model(True), ecfg).run()
+        return TimeWarpKernel(_model(True, population), ecfg).run()
 
     scalar, vectorized = run("scalar"), run("vectorized")
     assert vectorized.model_stats == scalar.model_stats
     fused_expected = "cancellation" not in overrides and "rollback" not in overrides
     assert (vectorized.run.soa_batches > 0) == fused_expected
+    # A declined plan names its reason; a stepped one leaves none.
+    assert ("cancellation" in vectorized.run.soa_decline_reason) != fused_expected
 
 
 @pytest.mark.parametrize("engine", ["opt"])
@@ -170,7 +188,7 @@ def test_vectorized_checkpoint_kill_resume(tmp_path, engine):
 
 
 def test_cross_executor_resume_refused(tmp_path):
-    """A snapshot only restores into the executor mode that wrote it:
+    """A snapshot only restores into the population that wrote it:
     the scalar and SoA populations carry different event-payload layouts,
     so a cross-mode restore is refused up front rather than failing
     somewhere inside a handler."""
@@ -193,39 +211,33 @@ def test_cross_executor_resume_refused(tmp_path):
 
 
 def test_vectorized_declines_without_plan():
-    """Models without a vectorized build fall back to scalar silently."""
+    """A model without a band-stepping build runs the scalar batch and
+    records no decline: nothing was on offer."""
     from repro.core.optimistic import run_optimistic
     from repro.models.phold import PholdConfig, PholdModel
 
-    ecfg = EngineConfig(
-        end_time=10.0, n_pes=2, n_kps=4, seed=7, executor="vectorized"
-    )
-    scalar = run_optimistic(
+    run = run_optimistic(
         PholdModel(PholdConfig(n_lps=16, jobs_per_lp=2)),
         EngineConfig(end_time=10.0, n_pes=2, n_kps=4, seed=7),
-    )
-    vectorized = run_optimistic(
-        PholdModel(PholdConfig(n_lps=16, jobs_per_lp=2)), ecfg
-    )
-    assert vectorized.model_stats == scalar.model_stats
-    assert vectorized.run.soa_batches == 0
+    ).run
+    assert run.committed > 0
+    assert run.soa_batches == 0
+    assert run.soa_decline_reason == ""
 
 
 def test_vectorized_declines_on_mesh():
     """The hot-potato plan only covers the torus band layout; a mesh
-    model runs the vectorized executor as scalar SoA-free fallback."""
+    model declines, by name, and the kernel steps the scalar population
+    — the same run the foil produces."""
     cfg = HotPotatoConfig(n=N, duration=DURATION, torus=False)
     assert HotPotatoModel(cfg).build_vectorized() is None
-    ecfg = EngineConfig(
-        end_time=DURATION, n_pes=4, n_kps=16, seed=7, executor="vectorized"
-    )
-    vectorized = TimeWarpKernel(HotPotatoModel(cfg), ecfg).run()
-    scalar = TimeWarpKernel(
-        HotPotatoModel(cfg),
-        EngineConfig(end_time=DURATION, n_pes=4, n_kps=16, seed=7),
-    ).run()
-    assert vectorized.model_stats == scalar.model_stats
-    assert vectorized.run.soa_batches == 0
+    ecfg = EngineConfig(end_time=DURATION, n_pes=4, n_kps=16, seed=7)
+    declined = TimeWarpKernel(HotPotatoModel(cfg), ecfg).run()
+    scalar = TimeWarpKernel(_scalar(HotPotatoModel(cfg)), ecfg).run()
+    assert declined.model_stats == scalar.model_stats
+    assert declined.run.soa_batches == 0
+    assert "topology" in declined.run.soa_decline_reason
+    assert scalar.run.soa_decline_reason == ""
 
 
 def test_delivery_log_identical():
@@ -237,9 +249,11 @@ def test_delivery_log_identical():
     logs = {}
     for executor in ("scalar", "vectorized"):
         model = HotPotatoModel(cfg)
+        if executor == "scalar":
+            _scalar(model)
         ecfg = EngineConfig(
             end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
-            seed=GOLDEN_SEEDS[0], executor=executor,
+            seed=GOLDEN_SEEDS[0],
         )
         TimeWarpKernel(model, ecfg).run()
         logs[executor] = sorted(model.delivery_log)

@@ -2,14 +2,15 @@
 
 Three models small enough that the whole matrix runs in seconds, each
 pinned to the committed-event count of the pre-checkpointing tree.  The
-sequential engine (which has no executor modes: the hot-potato cell is
-its band program), the conservative engine, in-process Time Warp (at
-two optimism levels on the hot-potato network) and process-mode Time
-Warp on 1, 2 and 4 workers must all commit exactly that count under
-every queue x cancellation x executor combination — if any cell commits
-anything else, event order (and therefore the science) changed, not
-just speed.  Combinations ``EngineConfig`` refuses (vectorized x
-process) must be refused by name, never skipped.
+sequential engine (the hot-potato cell is its band program), the
+conservative engine, in-process Time Warp (at two optimism levels on the
+hot-potato network) and process-mode Time Warp on 1, 2 and 4 workers
+must all commit exactly that count under every queue x cancellation x
+population combination — if any cell commits anything else, event order
+(and therefore the science) changed, not just speed.  The population is
+not an option: Time Warp steps the model's band-stepping build whenever
+the model offers one (the ``vectorized`` ids, process mode included);
+the ``scalar`` ids use a test-side foil, a model that declines it.
 """
 
 import itertools
@@ -20,10 +21,10 @@ from repro.core.config import EngineConfig
 from repro.core.conservative import ConservativeConfig, run_conservative
 from repro.core.engine import run_sequential
 from repro.core.optimistic import run_optimistic
-from repro.errors import ConfigurationError
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.models.phold import PholdConfig, PholdModel
+from tests.kernel_models import scalar_population
 
 SEED = 0xB5EED
 END = 10.0
@@ -75,11 +76,14 @@ TIME_WARP = [
 ]
 
 
-def _time_warp(name, overrides, **modes):
+def _time_warp(name, overrides, executor="vectorized", **modes):
     ecfg = EngineConfig(
         end_time=END, n_pes=4, n_kps=16, seed=SEED, **overrides, **modes
     )
-    return run_optimistic(MODELS[name][0](), ecfg).run
+    model = MODELS[name][0]()
+    if executor == "scalar":
+        scalar_population(model)
+    return run_optimistic(model, ecfg).run
 
 
 @pytest.mark.parametrize(
@@ -92,26 +96,27 @@ def test_committed_counts_are_golden(queue, cancellation, executor):
     committed = {}
     for name, (model, _) in MODELS.items():
         if executor == "scalar":
-            # The sequential engine has no executor modes: one cell.
+            # The sequential and conservative engines build one
+            # population: one cell each per queue.
             committed[name, "seq"] = run_sequential(
                 model(), END, seed=SEED
             ).run.committed
-        committed[name, "cons"] = run_conservative(
-            model(),
-            ConservativeConfig(
-                end_time=END, n_pes=4, sync="yawns", seed=SEED,
-                queue=queue, executor=executor,
-            ),
-        ).run.committed
+            committed[name, "cons"] = run_conservative(
+                model(),
+                ConservativeConfig(
+                    end_time=END, n_pes=4, sync="yawns", seed=SEED, queue=queue,
+                ),
+            ).run.committed
     modes = {"queue": queue, "cancellation": cancellation, "executor": executor}
     for name, label, overrides in TIME_WARP:
-        if executor == "vectorized" and "procs" in overrides:
-            with pytest.raises(ConfigurationError, match="executor='vectorized'"):
-                _time_warp(name, overrides, **modes)
-            continue
         run = _time_warp(name, overrides, **modes)
         assert run.procs == overrides.get("procs", 1)
         committed[name, label] = run.committed
+        if name == "hotpotato":
+            # Band-stepped exactly where the kernel admits it.
+            assert (run.soa_batches > 0) == (
+                executor == "vectorized" and cancellation == "aggressive"
+            )
     assert committed == {cell: MODELS[cell[0]][1] for cell in committed}
 
 

@@ -52,12 +52,10 @@ def test_bad_probability(capsys):
 @pytest.mark.parametrize(
     "flags, names",
     [
-        (["--procs", "2", "--executor", "vectorized"],
-         ("executor='vectorized'", "parallelism='process'")),
         (["--procs", "2", "--paranoid"], ("paranoid",)),
         (["--procs", "3"], ("procs must divide n_pes",)),
     ],
-    ids=["vectorized-procs", "paranoid-procs", "procs-not-dividing"],
+    ids=["paranoid-procs", "procs-not-dividing"],
 )
 def test_refused_engine_config_exits_2_before_any_fork(
     capsys, monkeypatch, tmp_path, flags, names

@@ -172,3 +172,180 @@ def test_resume_refuses_marker_mismatch(tmp_path):
             HotPotatoModel(_cfg()), _ecfg(procs, seed, gvt_interval=4),
             checkpointer=resume_ckpt,
         )
+
+
+# ----------------------------------------------------------------------
+# Untraced process mode: the path ``--procs`` users run.  A Tracer
+# (correctly) declines the compiled execute/batch, so the tests above
+# exercise the workers' generic per-event path; these run the workers'
+# compiled send (near/far branch), batch and band-stepping closures with
+# positional ring frames, and compare with the sequential oracle through
+# everything an untraced run reports.
+# ----------------------------------------------------------------------
+BIG_N = 8
+BIG_END = 10.0
+BIG_SEED = 0x5EED
+
+
+def _big_cfg(**overrides) -> HotPotatoConfig:
+    return HotPotatoConfig(
+        n=BIG_N, duration=BIG_END, injector_fraction=1.0, **overrides
+    )
+
+
+def _big_ecfg(procs: int, **overrides) -> EngineConfig:
+    kwargs = dict(
+        end_time=BIG_END, n_pes=4, n_kps=16, batch_size=64, seed=BIG_SEED,
+        parallelism="process", procs=procs, gvt_interval=8,
+    )
+    kwargs.update(overrides)
+    return EngineConfig(**kwargs)
+
+
+def _assert_equals_oracle(mp, oracle):
+    assert mp.model_stats == oracle.model_stats
+    assert mp.run.committed == oracle.run.committed
+    assert mp.run.processed - mp.run.events_rolled_back == mp.run.committed
+    assert mp.run.ring_messages > 0
+
+
+@pytest.fixture(scope="module")
+def big_oracle():
+    return run_sequential(HotPotatoModel(_big_cfg()), BIG_END, seed=BIG_SEED)
+
+
+@pytest.mark.parametrize("queue", ["heap", "ladder"])
+@pytest.mark.parametrize("cancellation", ["aggressive", "lazy"])
+@pytest.mark.parametrize("procs", [2, 4])
+def test_untraced_procs_equal_the_oracle(big_oracle, procs, cancellation, queue):
+    mp = run_optimistic(
+        HotPotatoModel(_big_cfg()),
+        _big_ecfg(procs, cancellation=cancellation, queue=queue),
+    )
+    _assert_equals_oracle(mp, big_oracle)
+    assert mp.run.procs == procs
+    if cancellation == "aggressive":
+        # Every worker band-stepped every event it executed.
+        assert mp.run.soa_batches > 0
+        assert mp.run.soa_lps_stepped == mp.run.processed
+        assert mp.run.soa_decline_reason == ""
+    else:
+        assert mp.run.soa_batches == 0
+        assert "cancellation" in mp.run.soa_decline_reason
+
+
+def test_untraced_procs_heavy_cross_ring_rollback(big_oracle):
+    """A 512-event batch lets each worker run far ahead of the other:
+    band-stepped sends are rolled back after they crossed a ring, so anti
+    frames chase positional positives."""
+    mp = run_optimistic(HotPotatoModel(_big_cfg()), _big_ecfg(2, batch_size=512))
+    _assert_equals_oracle(mp, big_oracle)
+    assert mp.run.soa_batches > 0 and mp.run.soa_decline_reason == ""
+    assert mp.run.events_rolled_back > mp.run.committed // 4
+    assert mp.run.cancelled_direct + mp.run.cancelled_via_rollback > 0
+
+
+def test_untraced_procs_under_model_fault_plan():
+    plan = generate_plan(
+        TorusTopology(BIG_N),
+        duration=BIG_END,
+        link_fail_rate=0.05,
+        heal_after=4,
+        router_crash_rate=0.03,
+        recover_after=3,
+        seed=0xD00D,
+    )
+    oracle = run_sequential(
+        HotPotatoModel(_big_cfg(), fault_plan=plan), BIG_END, seed=BIG_SEED
+    )
+    ms = oracle.model_stats
+    assert ms["fault_dropped"] > 0 or ms["fault_deflections"] > 0
+    mp = run_optimistic(
+        HotPotatoModel(_big_cfg(), fault_plan=plan), _big_ecfg(2)
+    )
+    _assert_equals_oracle(mp, oracle)
+    # The vector plan inlines the routers' fault branches: still stepped.
+    assert mp.run.soa_batches > 0 and mp.run.soa_decline_reason == ""
+
+
+def test_untraced_procs_mesh_runs_the_scalar_population():
+    """The model declines its band build off the torus: RouterLP under
+    the workers' compiled scalar batch, dict frames on the ring."""
+    cfg = _big_cfg(topology="mesh")
+    oracle = run_sequential(HotPotatoModel(cfg), BIG_END, seed=BIG_SEED)
+    mp = run_optimistic(HotPotatoModel(cfg), _big_ecfg(2))
+    _assert_equals_oracle(mp, oracle)
+    assert mp.run.soa_batches == 0
+    assert "topology" in mp.run.soa_decline_reason
+
+
+def test_traced_procs_name_the_tracer_as_the_decline():
+    mp = run_optimistic(
+        HotPotatoModel(_big_cfg()), _big_ecfg(2), tracer=Tracer()
+    )
+    assert mp.run.soa_batches == 0
+    assert "Tracer" in mp.run.soa_decline_reason
+
+
+def test_untraced_kill_at_checkpoint_resume(big_oracle, tmp_path):
+    """Band-stepping workers resumed from truncated shard directories
+    (tuple payloads through the snapshot, uid table rebuilt) finish on
+    the oracle."""
+    procs = 2
+    snap_dir = tmp_path / "snaps"
+    marker = {"case": "mp-band-resume"}
+    ecfg = _big_ecfg(procs, gvt_interval=2)
+    recorded = run_optimistic(
+        HotPotatoModel(_big_cfg()), ecfg,
+        checkpointer=Checkpointer(snap_dir, every=1, marker=marker),
+    )
+    _assert_equals_oracle(recorded, big_oracle)
+    shard_dirs = [snap_dir / f"shard_{i}" for i in range(procs)]
+    snaps = [sorted(list_snapshots(d)) for d in shard_dirs]
+    assert all(len(s) >= 4 for s in snaps)
+    for shard in snaps:
+        for snap in shard[len(shard) // 2:]:
+            snap.unlink()
+    resume_ckpt = Checkpointer(snap_dir, every=1 << 30, marker=marker)
+    resume_ckpt.mp_resume = True
+    resumed = run_optimistic(
+        HotPotatoModel(_big_cfg()), ecfg, checkpointer=resume_ckpt
+    )
+    assert resumed.model_stats == big_oracle.model_stats
+    assert resumed.run.committed == big_oracle.run.committed
+    assert resumed.run.soa_batches > 0 and resumed.run.soa_decline_reason == ""
+
+
+def test_send_into_the_past_is_the_same_error_under_procs():
+    """The workers' compiled send keeps the SchedulingError check and its
+    text: the parent reports the failing worker's traceback, which ends
+    in the message an in-process run raises."""
+    from repro.errors import ConfigurationError, SchedulingError
+    from tests.kernel_models import POKE, TICK, ChattyLP, ChattyModel
+
+    class BackwardLP(ChattyLP):
+        def forward(self, event):
+            if event.kind == TICK and self.now >= 3.0:
+                self.send(self.now, self.peer, POKE)
+            super().forward(event)
+
+    class BackwardModel(ChattyModel):
+        def build(self):
+            return [BackwardLP(i, (i + 1) % self.n_lps) for i in range(self.n_lps)]
+
+        def mp_event_schema(self):
+            return {TICK: (), POKE: ()}
+
+    ecfg = dict(end_time=6.0, n_pes=2, n_kps=2, seed=7)
+    with pytest.raises(SchedulingError) as inline:
+        run_optimistic(BackwardModel(4), EngineConfig(**ecfg))
+    message = str(inline.value)
+    assert "sends must move strictly forward" in message
+    with pytest.raises(ConfigurationError) as mp:
+        run_optimistic(
+            BackwardModel(4),
+            EngineConfig(parallelism="process", procs=2, **ecfg),
+        )
+    assert "SchedulingError" in str(mp.value)
+    # Which LP trips first depends on the worker; the rest is the same text.
+    assert message.split(" ", 2)[2] in str(mp.value)

@@ -11,10 +11,12 @@ covered by ``tests/test_mp_determinism.py``.
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.event import Event
 from repro.errors import ConfigurationError
-from repro.mp.codec import ANTI, POSITIVE, EventCodec
+from repro.mp.codec import ANTI, POSITIONAL, POSITIVE, EventCodec
 from repro.mp.gvt import TOKEN, WaveCodec
 from repro.mp.ring import _DATA_OFF, _TAIL_OFF, SpscRing
 from repro.vt.time import EventKey, TIME_HORIZON
@@ -212,6 +214,97 @@ def test_codec_matches_hotpotato_model_schema():
     decoded = codec.decode(codec.encode_event(ev, uid=5))
     assert decoded[6] == kind
     assert decoded[7] == data
+
+
+_RANGES = {
+    "i": st.integers(-(2**31), 2**31 - 1),
+    "I": st.integers(0, 2**32 - 1),
+    "B": st.integers(0, 255),
+    "Q": st.integers(0, 2**64 - 1),
+    "d": st.floats(allow_nan=False),
+}
+
+
+def _hotpotato_schema():
+    from repro.hotpotato.config import HotPotatoConfig
+    from repro.hotpotato.model import HotPotatoModel
+
+    return HotPotatoModel(HotPotatoConfig(n=4)).mp_event_schema()
+
+
+@st.composite
+def _frames(draw):
+    """A header, a kind of the hot-potato schema and a payload drawn over
+    the declared struct ranges."""
+    schema = _hotpotato_schema()
+    kind = draw(st.sampled_from(sorted(schema)))
+    head = tuple(draw(_RANGES[ch]) for ch in "QdIII")  # uid, ts, origin, seq, dst
+    values = tuple(draw(_RANGES[ch]) for _, ch in schema[kind])
+    return schema, kind, head, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frames())
+def test_codec_roundtrip_both_layouts_and_anti(case):
+    """``decode(encode(ev))`` is the key, dst, kind and a payload of the
+    same type and value — dict in, dict out; tuple in, tuple out — and
+    the frame names its layout in its type byte."""
+    schema, kind, (uid, ts, origin, seq, dst), values = case
+    codec = EventCodec(schema)
+    as_dict = {name: v for (name, _), v in zip(schema[kind], values)}
+    for data, ftype in ((as_dict, POSITIVE), (values, POSITIONAL)):
+        if data == ():
+            continue  # no payload: Event() makes it the empty dict
+        ev = Event(EventKey(ts, origin, seq), dst, kind, data)
+        frame = codec.encode_event(ev, uid)
+        assert frame[0] == ftype
+        decoded = codec.decode(frame)
+        assert decoded[:7] == ("pos", uid, ts, origin, seq, dst, kind)
+        payload = decoded[7]
+        assert type(payload) is type(data) and payload == data
+        fields = payload.values() if ftype == POSITIVE else payload
+        assert [type(v) for v in fields] == [type(v) for v in values]
+        with pytest.raises(ConfigurationError, match="corrupt ring frame"):
+            codec.decode(b"\x00" + frame[1:])
+    # Same struct either way: the layouts cost the same bytes on the ring.
+    if values:
+        ev_d = Event(EventKey(ts, origin, seq), dst, kind, as_dict)
+        ev_t = Event(EventKey(ts, origin, seq), dst, kind, values)
+        assert len(codec.encode_event(ev_d, uid)) == len(codec.encode_event(ev_t, uid))
+    anti = codec.encode_anti(Event(EventKey(ts, origin, seq), dst, kind, None), uid)
+    assert codec.decode(anti) == ("anti", uid, ts, origin, seq, dst)
+
+
+def test_codec_probe_event_is_pinned():
+    """perfbench/probes.py times this event through ``EventCodec(schema)``
+    and reads ``decode(frame)[7]``: dict in, equal dict out."""
+    from repro.hotpotato.router import ARRIVE
+
+    codec = EventCodec(_hotpotato_schema())
+    data = {"step": 12, "dest": 5, "priority": 1, "inject_step": 3,
+            "jitter": 0.25, "distance": 4, "src": 7}
+    ev = Event(EventKey(12.25, 7, 3), 8, ARRIVE, data)
+    frame = codec.encode_event(ev, 99)
+    assert frame[0] == POSITIVE
+    decoded = codec.decode(frame)
+    assert decoded == ("pos", 99, 12.25, 7, 3, 8, ARRIVE, data)
+    assert type(decoded[7]) is dict
+
+
+def test_positional_layout_is_the_soa_payload_order():
+    """A positional frame packs ``*data``: the schema's field order must
+    be soa.py's ``P_*`` tuple order for both packet kinds."""
+    from repro.hotpotato import soa
+    from repro.hotpotato.router import ARRIVE, ROUTE
+
+    schema = _hotpotato_schema()
+    for kind in (ARRIVE, ROUTE):
+        order = {name: i for i, (name, _) in enumerate(schema[kind])}
+        assert order == {
+            "step": soa.P_STEP, "dest": soa.P_DEST, "priority": soa.P_PRIORITY,
+            "inject_step": soa.P_INJECT_STEP, "jitter": soa.P_JITTER,
+            "distance": soa.P_DISTANCE, "src": soa.P_SRC,
+        }
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Observability parity under the vectorized executor.
+"""Observability parity under band stepping.
 
-The vectorized (struct-of-arrays) executor must be observationally
-identical to the scalar one: same committed sequence, same summary and
-timeline behaviour, a clean ``repro.obs diff`` verdict — while its own
-activity (``soa_batches`` / ``soa_lps_stepped``) shows up in the metric
-stream so the summary can report it.
+The band-stepping (struct-of-arrays) population the Time Warp kernel
+takes whenever the model offers it must be observationally identical to
+the scalar one: same committed sequence, same summary and timeline
+behaviour, a clean ``repro.obs diff`` verdict — while its own activity
+(``soa_batches`` / ``soa_lps_stepped``) shows up in the metric stream so
+the summary can report it.  The scalar side is a test foil: a model that
+declines its band-stepping build.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.hotpotato.model import HotPotatoModel
 from repro.obs.__main__ import main as obs_main
 from repro.obs.capture import RunCapture
 from repro.obs.recorder import load_recording
+from tests.kernel_models import scalar_population
 
 SEED = 0xB5EED
 CFG = HotPotatoConfig(n=4, duration=10.0, injector_fraction=1.0)
@@ -28,10 +31,13 @@ def _record(tmp_path, executor):
         meta={"engine": "optimistic", "workload": "hotpotato",
               "executor": executor},
     )
+    model = HotPotatoModel(CFG)
+    if executor == "scalar":
+        scalar_population(model)
     result = run_optimistic(
-        HotPotatoModel(CFG),
+        model,
         EngineConfig(end_time=CFG.duration, n_pes=4, n_kps=16, batch_size=64,
-                     seed=SEED, executor=executor),
+                     seed=SEED),
         tracer=capture.tracer,
         metrics=capture.metrics,
         spans=capture.spans,
@@ -67,7 +73,7 @@ def soa_recording(tmp_path_factory):
     result = run_optimistic(
         HotPotatoModel(CFG),
         EngineConfig(end_time=CFG.duration, n_pes=4, n_kps=16, batch_size=64,
-                     seed=SEED, executor="vectorized"),
+                     seed=SEED),
         metrics=capture.metrics,
         spans=capture.spans,
     )

@@ -20,6 +20,7 @@ from repro.core.trace import Tracer
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.models.phold import PholdConfig, PholdModel
+from tests.kernel_models import scalar_population
 
 END = 20.0
 PHOLD_CFG = PholdConfig(n_lps=24, jobs_per_lp=2, remote_fraction=0.6)
@@ -96,9 +97,11 @@ SHARED_CFG = HotPotatoConfig(
 
 def _shared_tables_engine(queue="heap", cancellation="aggressive", executor="scalar"):
     model = HotPotatoModel(SHARED_CFG)
+    if executor == "scalar":
+        scalar_population(model)
     cfg = EngineConfig(
         end_time=SHARED_END, n_pes=4, n_kps=16, batch_size=512, seed=0x5EED,
-        queue=queue, cancellation=cancellation, executor=executor,
+        queue=queue, cancellation=cancellation,
     )
     return model, TimeWarpKernel(model, cfg)
 

@@ -92,6 +92,16 @@ def test_rejects_missing_duration():
         scenario.validate()
 
 
+def test_rejects_the_deleted_executor_key():
+    """``engine.executor`` is gone (the kernel picks the stepping path):
+    a file still carrying it is refused by name, not ignored."""
+    scenario = Scenario.from_dict(
+        _doc(engine={"duration": 8.0, "executor": "vectorized"})
+    )
+    with pytest.raises(ScenarioError, match=r"unknown engine keys \['executor'\]"):
+        scenario.validate()
+
+
 def test_rejects_unknown_override():
     scenario = Scenario.from_dict(
         _doc(engine={"duration": 8.0, "overrides": {"warp_factor": 9}})
