@@ -40,8 +40,10 @@ __all__ = ["capture_state", "restore_state"]
 
 #: Payload-format sanity marker, distinct from the file-level version in
 #: snapshot.py: bumping this invalidates snapshots whose payload layout
-#: no longer matches this module.
-PAYLOAD_FORMAT = 1
+#: no longer matches this module.  2: hot-potato events carry packet
+#: tuples on every engine (format-1 snapshots of a sequential or
+#: conservative run hold dict payloads no router can execute).
+PAYLOAD_FORMAT = 2
 
 
 # ----------------------------------------------------------------------
@@ -459,12 +461,7 @@ def capture_state(engine, loop=None) -> dict:
     ``loop`` carries the engine run loop's local variables (round
     counters, effective batch/window) so :meth:`run` can resume them.
     """
-    payload = _CAPTURE[_engine_kind(engine)](engine, loop)
-    # Executor mode travels with the payload: the scalar and vectorized
-    # populations carry different event-payload layouts (dicts vs SoA
-    # tuples), so a snapshot only restores into the mode that wrote it.
-    payload["executor"] = getattr(engine, "executor", "scalar")
-    return payload
+    return _CAPTURE[_engine_kind(engine)](engine, loop)
 
 
 def restore_state(engine, payload) -> None:
@@ -478,20 +475,13 @@ def restore_state(engine, payload) -> None:
     kind = _engine_kind(engine)
     if payload.get("format") != PAYLOAD_FORMAT:
         raise SnapshotError(
-            f"snapshot payload format {payload.get('format')!r} != "
-            f"{PAYLOAD_FORMAT}"
+            f"snapshot payload format {payload.get('format')!r} is not "
+            f"this version's format {PAYLOAD_FORMAT}; it was written by "
+            "an incompatible version and cannot be resumed"
         )
     if payload["kind"] != kind:
         raise SnapshotError(
             f"snapshot was taken from a {payload['kind']} engine, cannot "
             f"restore into a {kind} engine"
-        )
-    snap_executor = payload.get("executor", "scalar")
-    engine_executor = getattr(engine, "executor", "scalar")
-    if snap_executor != engine_executor:
-        raise SnapshotError(
-            f"snapshot was taken under the {snap_executor!r} executor, "
-            f"cannot restore into a {engine_executor!r} population (the "
-            "event-payload layouts differ)"
         )
     _RESTORE[kind](engine, payload)

@@ -13,7 +13,10 @@ rollback (if processed).
 An event carries:
 
 * its total-order key ``(recv_ts, origin_lp, origin_seq)``,
-* model payload (``kind`` tag + ``data`` mapping — the ROSS message struct),
+* model payload (``kind`` tag + ``data`` — the ROSS message struct: whatever
+  the model puts there, treated as read-only; an empty dict when none is
+  given, a mapping in most models, a flat tuple or a bare int in the
+  hot-potato model),
 * a ``saved`` mapping where the forward handler stashes whatever its reverse
   handler needs (ROSS models write ``M->Saved_*`` fields the same way), and
 * kernel journaling used by rollback: the events it sent, the RNG draws it
@@ -79,12 +82,12 @@ class Event:
         key: EventKey,
         dst: int,
         kind: str,
-        data: dict[str, Any] | None = None,
+        data: Any = None,
     ) -> None:
         self.key = key
         self.dst = dst
         self.kind = kind
-        self.data: dict[str, Any] = data if data is not None else {}
+        self.data: Any = data if data is not None else {}
         #: Forward handlers stash reverse-computation state here.
         self.saved: dict[str, Any] = {}
         #: Events created while processing this one (for cancellation).
@@ -130,7 +133,7 @@ class Event:
         key: EventKey,
         dst: int,
         kind: str,
-        data: dict[str, Any] | None,
+        data: Any,
     ) -> "Event":
         """Reinitialise a recycled event — equivalent to ``__init__``.
 
@@ -233,7 +236,7 @@ class EventPool:
         key: EventKey,
         dst: int,
         kind: str,
-        data: dict[str, Any] | None = None,
+        data: Any = None,
     ) -> Event:
         """Return a ready-to-use event (recycled when possible).
 

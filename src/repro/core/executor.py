@@ -24,22 +24,16 @@ a small uniform interface every engine implements:
     Execute to the end barrier and return a
     :class:`~repro.core.result.RunResult`.
 
-The base class also owns the **population build**.  An engine that can
-consume a *vector plan* (the Time Warp kernel) asks the model for its
-band-stepping build first — :meth:`~repro.core.lp.Model.build_vectorized`
-returns the LPs plus a plan describing how same-timestamp-band event runs
-may be stepped through fused struct-of-arrays loops (see
-:mod:`repro.hotpotato.soa` for the hot-potato plan) — and falls back to
-the scalar :meth:`~repro.core.lp.Model.build` when the model declines.
-There is no option for it: the two populations are observably identical
-(the conformance suite in ``tests/test_executor_abi.py`` asserts this),
-so the choice is made from what the model and the engine can observe, and
-every decline leaves its reason in ``soa_decline``.
+The base class also owns the **population build**: every engine builds
+with :meth:`~repro.core.lp.Model.build`, so there is one population per
+model whatever runs it.  How its events are *dispatched* is each engine's
+business — the Time Warp kernel asks the model for a vector plan over the
+built LPs (:meth:`~repro.core.lp.Model.vector_plan`), the sequential
+engine for a band program — and every decline leaves its reason in
+``RunStats``.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.core.event import Event, EventPool
 from repro.core.lp import LogicalProcess, Model
@@ -68,23 +62,14 @@ class Executor:
     model: Model
     lps: list[LogicalProcess]
     pool: EventPool | None
-    #: Vector plan from ``model.build_vectorized()`` (None on the scalar
-    #: path); engines that support fused stepping consult it.
-    vec_plan: Any
 
     # ------------------------------------------------------------------
     # Shared construction helpers.
     # ------------------------------------------------------------------
-    def _init_population(self, model: Model, *, plan_consumer: bool = False) -> list:
-        """Build and validate the LP population.
-
-        An engine that steps vector plans passes ``plan_consumer=True``
-        and gets the model's band-stepping build when the model offers
-        one; every other engine builds with :meth:`Model.build`.
-        """
+    def _init_population(self, model: Model) -> list:
+        """Build and validate the LP population."""
         self.model = model
-        built = model.build_vectorized() if plan_consumer else None
-        lps, plan = built if built is not None else (model.build(), None)
+        lps = model.build()
         if not lps:
             raise ConfigurationError("model.build() returned no LPs")
         for i, lp in enumerate(lps):
@@ -94,21 +79,6 @@ class Executor:
                     f"position {i} has id {lp.id}"
                 )
         self.lps = lps
-        self.vec_plan = plan
-        #: The *effective* population: "vectorized" only when the model
-        #: actually supplied an SoA population (snapshots record this —
-        #: the two populations' event payloads are not interchangeable,
-        #: so a checkpoint can only be resumed into the same one).
-        self.executor = "vectorized" if plan is not None else "scalar"
-        #: Why a plan consumer is not band-stepping ("" when it is, or
-        #: the model has no such build).  Models set
-        #: ``soa_decline_reason`` as they refuse; the Time Warp kernel
-        #: adds its own preconditions in ``_install_fast_paths``; engines
-        #: copy this into RunStats so ``repro.obs summary`` can explain
-        #: the choice.
-        self.soa_decline = (
-            model.soa_decline_reason if plan_consumer and plan is None else ""
-        )
         return lps
 
     def _init_pool(self, pool_on: bool):

@@ -119,7 +119,7 @@ class LogicalProcess:
         ts: float,
         dst: int,
         kind: str,
-        data: dict[str, Any] | None = None,
+        data: Any = None,
     ) -> Event:
         """Schedule an event for LP ``dst`` at virtual time ``ts``.
 
@@ -225,24 +225,25 @@ class Model:
         """Create and return the LP population (ids must be 0..n-1)."""
         raise NotImplementedError
 
-    #: Why :meth:`build_vectorized` returned ``None`` although the model
-    #: has such a build ("" otherwise); models set it as they refuse.
+    #: Why :meth:`vector_plan` returned ``None`` although the model has
+    #: such a plan ("" otherwise); models set it as they refuse.
     soa_decline_reason = ""
 
-    def build_vectorized(self):
-        """Optional struct-of-arrays build for band-stepping engines.
+    def vector_plan(self, lps: list[LogicalProcess]):
+        """Optional band-stepping plan over the population ``lps``.
 
-        Return ``(lps, plan)`` — an LP population whose state lives in
-        shared flat arrays plus a *vector plan* describing how an engine
-        may batch same-timestamp-band events (see
-        :class:`repro.core.executor.Executor`) — or ``None``, the default,
-        in which case the engine builds with :meth:`build`.  The Time
-        Warp kernel asks every model first; a model that has such a
-        build but cannot offer it for this configuration says why in
+        ``lps`` is what :meth:`build` returned to the asking engine.  A
+        model whose LPs keep their state in shared flat arrays may return
+        a *vector plan* — an object whose ``compile_batch`` gives the
+        Time Warp kernel a fused per-PE batch loop over same-timestamp-band
+        event runs (see :mod:`repro.hotpotato.soa`) — or ``None``, the
+        default, in which case the kernel's per-event batch steps the
+        same LPs.  The Time Warp kernel asks every model; a model that
+        has a plan but cannot offer it for this configuration says why in
         :attr:`soa_decline_reason`, which lands in
-        :class:`~repro.core.stats.RunStats`.  The SoA population must be
-        observably identical to the scalar one: same RNG draw sequences,
-        same sends, same statistics.
+        :class:`~repro.core.stats.RunStats`.  A plan changes how events
+        are dispatched, never what they do: same RNG draw sequences, same
+        sends, same statistics.
         """
         return None
 
@@ -304,8 +305,10 @@ class Model:
         """Declare the wire layout of every event kind, or ``None``.
 
         A mapping ``{kind: ((field, struct_char), ...)}`` over the
-        event's ``data`` dict, used by :class:`repro.mp.codec.EventCodec`
-        to struct-encode events crossing a process boundary.  ``None``
+        event's ``data`` — a dict read by field name, or a tuple in
+        exactly this field order — used by
+        :class:`repro.mp.codec.EventCodec` to struct-encode events
+        crossing a process boundary.  ``None``
         (the default) means the model cannot run in process mode — the
         runtime refuses up front rather than silently pickling.
         """

@@ -540,13 +540,13 @@ class TimeWarpKernel(Executor):
         self.cost = config.cost
 
         # --- LP population -------------------------------------------------
-        # The model's band-stepping build when it offers one: a
-        # struct-of-arrays population plus a vector plan
-        # (``self.vec_plan``); the plan is consulted by
-        # ``_install_fast_paths``, everything else treats the SoA LPs
-        # exactly like scalar ones.
-        self._init_population(model, plan_consumer=True)
+        self._init_population(model)
         n_lps = len(self.lps)
+        #: Why the model's vector plan is not stepping this run ("" when
+        #: it is, or the model has none): the model's own refusal or one
+        #: of the preconditions ``_install_fast_paths`` checks.  Copied
+        #: into RunStats so ``repro.obs summary`` can explain the choice.
+        self.soa_decline = ""
 
         # --- Mapping, KPs, PEs --------------------------------------------
         grid = getattr(model, "grid", None)
@@ -1111,15 +1111,17 @@ class TimeWarpKernel(Executor):
         behind the ``_far_by_lp`` branch (the mailbox and a fault-wrapped
         transport route through :meth:`_emit`/:meth:`_receive` unchanged).
         The fused execute and batch additionally require no tracer, and
-        the model's band batch aggressive cancellation with reverse
-        computation; otherwise the scalar batch steps the same population.
+        the model's band batch (:meth:`Model.vector_plan` over the built
+        LPs) aggressive cancellation with reverse computation; otherwise
+        the per-event batch steps the same population.
         All are pure specialisations — observable behaviour is identical
         either way — so the choice is made here, from what the kernel
         observes, and whatever keeps a model's plan from stepping leaves
         its reason in ``soa_decline``.  Closures are compiled only for the
         LPs and PEs this kernel steps.
         """
-        plan = self.vec_plan
+        plan = self.model.vector_plan(self.lps)
+        self.soa_decline = "" if plan is not None else self.model.soa_decline_reason
         far = self._far_by_lp
         if not self._direct and far is None:
             if plan is not None:
@@ -1153,7 +1155,6 @@ class TimeWarpKernel(Executor):
             return
         self.execute = _compile_execute(self, processed_append_by_lp)
         if plan is not None and (self.lazy or self.strategy.name != "reverse"):
-            # The SoA LPs still run fine through the scalar batch.
             self.soa_decline = (
                 "lazy cancellation or copy rollback configured "
                 "(the fused band batch assumes reverse computation "
@@ -1162,9 +1163,10 @@ class TimeWarpKernel(Executor):
             plan = None
         if plan is not None:
             # The model's plan fuses whole same-timestamp-band runs into
-            # struct-of-arrays steps; its compiled batch is bit-identical
-            # to the scalar one by construction (the conformance suite
-            # checks).  Its sends go through the fused closures above.
+            # steps over the LPs' shared arrays; its compiled batch is
+            # bit-identical to the per-event one by construction (the
+            # conformance suite checks).  Its sends go through the fused
+            # closures above.
             send_by_lp = [lp.send for lp in self.lps]
 
             def compile_batch(pe):

@@ -54,6 +54,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, HealthIntervention
+from repro.hotpotato.router import P_INJECT_STEP, PACKET_FIELDS
 
 __all__ = ["HealthConfig", "HealthEvent", "Watchdog", "DEFAULT_LADDER"]
 
@@ -368,11 +369,10 @@ class Watchdog:
         worst = -1.0
         for ev in events():
             data = ev.data
-            if type(data) is dict:
-                inject = data.get("inject_step")
-            elif type(data) is tuple and len(data) >= 7:
-                # SoA payload: (step, dest, priority, inject_step, ...).
-                inject = data[3]
+            if type(data) is tuple and len(data) == len(PACKET_FIELDS):
+                inject = data[P_INJECT_STEP]  # a hot-potato packet
+            elif type(data) is dict:
+                inject = data.get("inject_step")  # e.g. the buffered baseline
             else:
                 continue
             if inject is None:

@@ -9,7 +9,7 @@ API.
 
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel, choose_injectors
-from repro.hotpotato.packet import Packet, Priority
+from repro.hotpotato.packet import Priority
 from repro.hotpotato.policy import (
     BuschHotPotatoPolicy,
     RouteOutcome,
@@ -37,7 +37,6 @@ __all__ = [
     "HotPotatoSimulation",
     "INIT",
     "INJECT",
-    "Packet",
     "Priority",
     "ROUTE",
     "RouteOutcome",

@@ -19,18 +19,21 @@ the order the sequential engine's heap would pop them in is the order of
 their ``(ts, origin, seq)`` keys: one ``list.sort()`` of flat tuples that
 start with that key.  INJECT and HEARTBEAT are self-sends that all carry
 the same timestamp, so their key order is LP-id order and they need no
-list at all.  :func:`run_bands` keeps each packet as one tuple
+list at all.  :func:`run_bands` keeps each packet as one tuple — the
+event's key and destination, then its payload as it stands
+(:data:`~repro.hotpotato.router.PACKET_FIELDS`) —
 
 ``(ts, origin, seq, dst, step, dest, priority, inject_step, jitter,
 distance, src)``
 
 and runs the four handlers of :class:`~repro.hotpotato.router.RouterLP`
-inlined over flat per-router lists — same float expressions, same LCG
-steps in the same order, ``send_seq`` advanced on every send — so every
-key, every tie-break, every statistic and every RNG state is the
-per-event loop's.  No ``Event`` is built, no heap is pushed or popped and
-no ``forward`` is dispatched per packet; events exist only where the
-program is entered and left, through ``engine.pending``.
+inlined over the routers' own shared ``links`` / ``head_gen`` lists —
+same float expressions, same LCG steps in the same order, ``send_seq``
+advanced on every send — so every key, every tie-break, every statistic
+and every RNG state is the per-event loop's.  No ``Event`` is built, no
+heap is pushed or popped and no ``forward`` is dispatched per packet;
+events exist only where the program is entered and left, through
+``engine.pending``.
 
 :meth:`HotPotatoModel.band_program` offers the program only for the
 configuration the inlined rules are written for (Busch policy, torus, no
@@ -52,6 +55,7 @@ from repro.hotpotato.router import (
     HEARTBEAT_OFFSET,
     INJECT,
     INJECT_OFFSET,
+    P_STEP,
     ROUTE,
     ROUTE_BASE,
     ROUTE_JITTER_SCALE,
@@ -68,11 +72,9 @@ __all__ = ["BAND_START", "run_bands"]
 #: and its Bernoulli draws have exactly one rendering.
 BAND_START = 1.0
 
-#: The packet fields after ``(ts, origin, seq, dst)``, in tuple order —
-#: the keys of the ``data`` dict an ARRIVE or ROUTE event carries.
-_PACKET_FIELDS = (
-    "step", "dest", "priority", "inject_step", "jitter", "distance", "src"
-)
+#: How many fields of a band tuple — ``(ts, origin, seq, dst)`` — come
+#: before the event's packet tuple.
+_KEY_FIELDS = 4
 
 
 def run_bands(engine, processed: int):
@@ -84,12 +86,13 @@ def run_bands(engine, processed: int):
     ``exec`` spans; the engine must exhaust it.  On entry ``engine.pending``
     holds exactly what the per-event loop leaves at ``BAND_START``: the
     ARRIVEs of step 1 and one INJECT / HEARTBEAT per router that has one.
-    On exit — at any ``end_time``, inside a band or between two — the
-    routers' ``links`` / ``head_gen_step`` / ``send_seq`` / RNG state and
-    count are written back, ``engine.sends`` is advanced, and the events
-    not yet due are pushed back into ``engine.pending``, so the engine is
-    in the state the per-event loop would have left (``lp._now`` apart,
-    which only has meaning inside a handler).
+    ``links`` and ``head_gen`` are the population's own lists, updated in
+    place.  On exit — at any ``end_time``, inside a band or between two —
+    the routers' ``send_seq`` / RNG state and count are written back,
+    ``engine.sends`` is advanced, and the events not yet due are pushed
+    back into ``engine.pending``, so the engine is in the state the
+    per-event loop would have left (``lp._now`` apart, which only has
+    meaning inside a handler).
     """
     lps = engine.lps
     model = engine.model
@@ -109,31 +112,28 @@ def run_bands(engine, processed: int):
         key = ev.key
         kind = ev.kind
         data = ev.data
-        if kind not in (ARRIVE, INJECT, HEARTBEAT) or data["step"] != step:
+        if kind == ARRIVE and data[P_STEP] == step:
+            arrivals.append((key[0], key[1], key[2], ev.dst) + data)
+        elif kind == INJECT and data == step:
+            inj_seq[ev.dst] = key[2]
+        elif kind == HEARTBEAT and data == step:
+            hb_seq[ev.dst] = key[2]
+        else:
             raise ModelError(
                 f"band program entered at step {step} with a pending {ev!r}"
             )
-        if kind == ARRIVE:
-            arrivals.append(
-                (key[0], key[1], key[2], ev.dst)
-                + tuple([data[f] for f in _PACKET_FIELDS])
-            )
-        elif kind == INJECT:
-            inj_seq[ev.dst] = key[2]
-        else:
-            hb_seq[ev.dst] = key[2]
         # An event and its heap entry refer to each other; cut that so the
         # event is freed now, not at some later collection (at N = 256
         # this is 330k events, most of the run's peak memory).
         ev.entry = None
     injectors = [lp.id for lp in lps if lp.is_injector]
     heartbeat = cfg.heartbeat
-    links: list[int] = []
+    # The population's own state lists (every router shares them).
+    links = lps[0].links
+    head_gen = lps[0].head_gen
     nbrs: list[int] = []
     for lp in lps:
-        links.extend(lp.links)
         nbrs.extend(lp.neighbors)
-    head_gen = [lp.head_gen_step for lp in lps]
     send_seq = [lp.send_seq for lp in lps]
     rng_state, rng_count = map(list, zip(*[lp.rng.checkpoint() for lp in lps]))
     stats = [lp.stats for lp in lps]
@@ -367,26 +367,20 @@ def run_bands(engine, processed: int):
     # --- leave: flat lists -> LP state, left-over tuples -> events ------
     engine.sends += sends
     for i, lp in enumerate(lps):
-        lp.links[:] = links[4 * i : 4 * i + 4]
-        lp.head_gen_step = head_gen[i]
         lp.send_seq = send_seq[i]
         lp.rng.restore((rng_state[i], rng_count[i]))
     push = pending.push
     for kind, left in ((ARRIVE, arrivals), (ROUTE, routes)):
         while left:  # popped, so each tuple is freed as its event is built
             t = left.pop()
-            push(Event(
-                EventKey(t[0], t[1], t[2]), t[3], kind,
-                dict(zip(_PACKET_FIELDS, t[4:])),
-            ))
+            push(Event(EventKey(t[0], t[1], t[2]), t[3], kind, t[_KEY_FIELDS:]))
     for i in injectors:
         push(Event(
-            EventKey(inj_step + INJECT_OFFSET, i, inj_seq[i]), i, INJECT,
-            {"step": inj_step},
+            EventKey(inj_step + INJECT_OFFSET, i, inj_seq[i]), i, INJECT, inj_step
         ))
     if heartbeat:
         for i in range(n_lps):
             push(Event(
                 EventKey(hb_step + HEARTBEAT_OFFSET, i, hb_seq[i]), i, HEARTBEAT,
-                {"step": hb_step},
+                hb_step,
             ))

@@ -7,7 +7,18 @@ from typing import Any
 from repro.core.lp import LogicalProcess, Model
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.policy import BuschHotPotatoPolicy, RoutingPolicy
-from repro.hotpotato.router import MODEL_LOOKAHEAD, RouterLP
+from repro.hotpotato.router import (
+    ARRIVE,
+    HEARTBEAT,
+    INIT,
+    INJECT,
+    MODEL_LOOKAHEAD,
+    PACKET_FIELDS,
+    PACKET_WIRE,
+    ROUTE,
+    RouterLP,
+    RouterLPWithLog,
+)
 from repro.hotpotato.stats import aggregate_router_stats, stats_from_signature
 from repro.net import TOPOLOGIES, GridTopology, TorusTopology
 from repro.rng.streams import ReversibleStream, derive_seed
@@ -103,10 +114,21 @@ class HotPotatoModel(Model):
         self.delivery_log: list[tuple[int, int]] = []
 
     def build(self) -> list[LogicalProcess]:
-        log = self.delivery_log if self.cfg.delivery_log else None
+        """The router population, the same for every engine.
+
+        The routers share one flat ``links`` list (four slots each) and
+        one ``head_gen`` list, so a band stepper can run them over the
+        state they already hold (see :mod:`repro.hotpotato.router`).
+        """
+        cfg = self.cfg
+        n = cfg.num_routers
+        links = [-1] * (4 * n)
+        head_gen = [0] * n
+        log = self.delivery_log if cfg.delivery_log else None
+        cls = RouterLPWithLog if log is not None else RouterLP
         lps = [
-            RouterLP(i, self.cfg, self.topo, self.policy, self.injectors[i], log)
-            for i in range(self.cfg.num_routers)
+            cls(i, cfg, self.topo, self.policy, self.injectors[i], links, head_gen, log)
+            for i in range(n)
         ]
         views = self._fault_views
         if views:
@@ -122,7 +144,7 @@ class HotPotatoModel(Model):
     def _inlined_rules_decline(self) -> str:
         """Why the fused steppers' inlined rules do not cover this model.
 
-        Both the SoA vector plan and the sequential band program inline
+        Both the Time Warp vector plan and the sequential band program inline
         ``BuschHotPotatoPolicy.route`` (a subclass override would silently
         be ignored), the torus band layout, and the uniform destination
         draw of the stock injection application.  "" when they apply.
@@ -144,25 +166,25 @@ class HotPotatoModel(Model):
             )
         return ""
 
-    def build_vectorized(self):
-        """SoA population + band-stepping plan (:mod:`repro.hotpotato.soa`).
+    def vector_plan(self, lps: list[LogicalProcess]):
+        """Band-stepping plan over ``lps`` (:mod:`repro.hotpotato.soa`).
 
-        Declines (returns None → the kernel builds with :meth:`build`)
-        when :meth:`_inlined_rules_decline` names a reason, recorded in
-        ``soa_decline_reason`` so RunStats can surface it.
+        Declines (returns None → the kernel's per-event batch steps the
+        same ``lps``) when :meth:`_inlined_rules_decline` names a reason,
+        recorded in ``soa_decline_reason`` so RunStats can surface it.
         """
         self.soa_decline_reason = self._inlined_rules_decline()
         if self.soa_decline_reason:
             return None
-        from repro.hotpotato.soa import build_soa
+        from repro.hotpotato.soa import HotPotatoVectorPlan
 
-        return build_soa(self)
+        return HotPotatoVectorPlan(lps)
 
     def band_program(self):
         """The sequential band program (:mod:`repro.hotpotato.band`).
 
         Offered for the configuration its inlined handlers are written
-        for: everything :meth:`build_vectorized` asks, and no model
+        for: everything :meth:`vector_plan` asks, and no model
         faults (the handlers' fault branches are not inlined).  Each
         refusal is recorded in ``band_decline_reason``.
         """
@@ -204,17 +226,7 @@ class HotPotatoModel(Model):
         total over the model's kinds, so a future mapping change cannot
         silently hit the "kind not in schema" refusal mid-run.
         """
-        from repro.hotpotato.router import ARRIVE, HEARTBEAT, INIT, INJECT, ROUTE
-
-        packet = (
-            ("step", "i"),
-            ("dest", "i"),
-            ("priority", "B"),
-            ("inject_step", "i"),
-            ("jitter", "d"),
-            ("distance", "i"),
-            ("src", "i"),
-        )
+        packet = tuple(zip(PACKET_FIELDS, PACKET_WIRE))
         tick = (("step", "i"),)
         return {
             INIT: (),

@@ -1,22 +1,15 @@
-"""Packets and their priority states.
+"""Packet priority states.
 
-"In the hot-potato model, the packet label contains only the destination
-and priority" (§1.1.2).  Our packet also carries the bookkeeping the
-report's statistics need (injection step, original distance) and the
-per-packet arrival jitter that serialises same-step routing decisions
-(§3.2.2).
-
-Packets are *immutable in place*: every hop creates the next ARRIVE event
-with a fresh field dict (via :meth:`Packet.hop`), so reverse computation
-never has to undo packet mutations — only router state.
+A packet itself is a plain tuple in
+:data:`repro.hotpotato.router.PACKET_FIELDS` order; its ``priority`` field
+holds the int value of one of these states.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Any, Mapping
 
-__all__ = ["Priority", "Packet"]
+__all__ = ["Priority"]
 
 
 class Priority(IntEnum):
@@ -35,69 +28,3 @@ class Priority(IntEnum):
         (§3.1.4); rank 0 routes first.
         """
         return 3 - int(self)
-
-
-class Packet:
-    """An in-flight packet: label fields plus measurement bookkeeping."""
-
-    __slots__ = ("dest", "priority", "inject_step", "jitter", "distance", "src")
-
-    def __init__(
-        self,
-        dest: int,
-        priority: Priority,
-        inject_step: int,
-        jitter: float,
-        distance: int,
-        src: int,
-    ) -> None:
-        self.dest = dest
-        self.priority = priority
-        #: Time step at which the packet entered the network.
-        self.inject_step = inject_step
-        #: Per-packet arrival jitter in (0, 0.5], carried for its lifetime.
-        self.jitter = jitter
-        #: Distance from source to destination at injection ("how far they
-        #: came", §3.1.5).
-        self.distance = distance
-        self.src = src
-
-    # ------------------------------------------------------------------
-    # Event payload (de)serialisation.  Events carry plain dicts so the
-    # kernel never needs to deep-copy packets.
-    # ------------------------------------------------------------------
-    def fields(self, step: int) -> dict[str, Any]:
-        """Payload dict for an ARRIVE/ROUTE event at the given step."""
-        return {
-            "step": step,
-            "dest": self.dest,
-            "priority": int(self.priority),
-            "inject_step": self.inject_step,
-            "jitter": self.jitter,
-            "distance": self.distance,
-            "src": self.src,
-        }
-
-    @classmethod
-    def from_fields(cls, data: Mapping[str, Any]) -> "Packet":
-        """Rebuild a packet from an event payload."""
-        return cls(
-            dest=data["dest"],
-            priority=Priority(data["priority"]),
-            inject_step=data["inject_step"],
-            jitter=data["jitter"],
-            distance=data["distance"],
-            src=data["src"],
-        )
-
-    def hop(self, step: int, priority: Priority) -> dict[str, Any]:
-        """Payload for the next hop with a (possibly) new priority."""
-        d = self.fields(step)
-        d["priority"] = int(priority)
-        return d
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Packet(dest={self.dest}, {Priority(self.priority).name}, "
-            f"injected@{self.inject_step})"
-        )

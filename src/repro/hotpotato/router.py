@@ -24,6 +24,18 @@ step ``s`` completes before injection, which completes before the
 utilisation sample; packets forwarded at step ``s`` arrive at step
 ``s + 1``.  Every handler records what it changed in ``event.saved`` and
 has an exact reverse, so the model runs unmodified on the Time Warp kernel.
+
+:class:`RouterLP` is the only router class: every engine — sequential,
+conservative, Time Warp in-process and in process-mode workers — runs the
+population :meth:`HotPotatoModel.build` returns.  Its mutable state lives
+in two lists *shared across the population* (one flat ``links`` list, four
+slots per router, and one ``head_gen`` list), which is what lets the band
+steppers (:mod:`repro.hotpotato.soa`, :mod:`repro.hotpotato.band`) run
+the same routers over the same state without copying it in or out.  An
+ARRIVE or ROUTE event carries its packet as one tuple in
+:data:`PACKET_FIELDS` order — a new tuple per hop, so reverse computation
+never has to undo packet mutations, only router state; INJECT and
+HEARTBEAT carry the bare step; INIT carries nothing.
 """
 
 from __future__ import annotations
@@ -34,13 +46,14 @@ from repro.core.event import Event
 from repro.core.lp import LogicalProcess
 from repro.errors import ModelError
 from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.packet import Priority
 from repro.hotpotato.policy import RoutingPolicy, first_free, first_free_good
 from repro.hotpotato.stats import RouterStats
 from repro.net import DIRECTIONS, GridTopology
 
 __all__ = [
     "RouterLP",
+    "RouterLPWithLog",
+    "PACKET_FIELDS",
     "INIT",
     "ARRIVE",
     "ROUTE",
@@ -55,6 +68,24 @@ ROUTE = "ROUTE"
 HEARTBEAT = "HEARTBEAT"
 INJECT = "PACKET_INJECTION_APPLICATION"
 
+#: The packet an ARRIVE or ROUTE event carries, in tuple order.  "The
+#: packet label contains only the destination and priority" (§1.1.2);
+#: the rest is the bookkeeping the report's statistics need (the step the
+#: packet entered the network, how far it had to come) and the arrival
+#: jitter in (0, 0.5] it keeps for life.  This is the only statement of
+#: the layout: the ``P_*`` indices, the wire schema
+#: (:meth:`HotPotatoModel.mp_event_schema`, whose positional ring frames
+#: pack the tuple as it stands) and the band program's tuples
+#: (``(ts, origin, seq, dst)`` followed by these) all derive from it.
+PACKET_FIELDS = (
+    "step", "dest", "priority", "inject_step", "jitter", "distance", "src"
+)
+#: ``struct`` character of each field on the wire.
+PACKET_WIRE = "iiBidii"
+P_STEP, P_DEST, P_PRIORITY, P_INJECT_STEP, P_JITTER, P_DISTANCE, P_SRC = range(
+    len(PACKET_FIELDS)
+)
+
 # Virtual-time layout within a step (see module docstring).
 INIT_TS = 0.1
 ROUTE_BASE = 0.6
@@ -65,9 +96,6 @@ HEARTBEAT_OFFSET = 0.95
 #: Arrival offset used when the randomised jitter is disabled.
 FIXED_JITTER = 0.25
 
-#: Enum member hoisted out of the per-route hot path.
-_RUNNING = Priority.RUNNING
-
 #: Minimum virtual-time gap between any event and anything it schedules,
 #: over all handler/offset combinations (the binding case is INJECT at
 #: s+0.9 sending an ARRIVE at s+1+jitter with jitter >= 1/(2*jitter_slots)).
@@ -76,7 +104,16 @@ MODEL_LOOKAHEAD = 0.1
 
 
 class RouterLP(LogicalProcess):
-    """One bufferless router (plus optional injection application)."""
+    """One bufferless router (plus optional injection application).
+
+    ``links[base + d]`` (``base = 4 * id``) is the last step output link
+    ``d`` was claimed (-1 = never): a link is free at step ``s`` iff its
+    entry differs from ``s``.  ``head_gen[id]`` is the number of packets
+    injected so far — which, since the stock application generates one
+    packet per step from step 0, is also the generation step of the
+    oldest packet still waiting.  Priorities travel as raw ints
+    (:class:`~repro.hotpotato.packet.Priority` values).
+    """
 
     __slots__ = (
         "cfg",
@@ -86,7 +123,8 @@ class RouterLP(LogicalProcess):
         "neighbors",
         "exists",
         "links",
-        "head_gen_step",
+        "head_gen",
+        "base",
         "stats",
         "delivery_log",
         "faults",
@@ -100,6 +138,8 @@ class RouterLP(LogicalProcess):
         topo: GridTopology,
         policy: RoutingPolicy,
         is_injector: bool,
+        links: list[int],
+        head_gen: list[int],
         delivery_log: list | None = None,
     ) -> None:
         super().__init__(lp_id)
@@ -113,13 +153,11 @@ class RouterLP(LogicalProcess):
         self.neighbors = tuple(topo.neighbor(lp_id, d) for d in DIRECTIONS)
         #: Which output links physically exist (all four on a torus).
         self.exists = tuple(nb is not None for nb in self.neighbors)
-        #: Last step each output link was claimed (-1 = never).  A link is
-        #: free at step s iff its entry differs from s.
-        self.links = [-1, -1, -1, -1]
-        #: Generation step of the oldest not-yet-injected packet; equals
-        #: the number of packets injected so far, since one packet is
-        #: generated per step from step 0.
-        self.head_gen_step = 0
+        #: Shared flat claim array; this router owns ``[base, base + 4)``.
+        self.links = links
+        self.base = lp_id * 4
+        #: Shared injection-head array; this router owns slot ``id``.
+        self.head_gen = head_gen
         self.stats = RouterStats()
         #: Compiled fault view (repro.faults.views.NodeFaults) or None.
         #: The model attaches one only to routers its fault plan touches,
@@ -131,11 +169,9 @@ class RouterLP(LogicalProcess):
         self.faults = None
         #: Compiled adversary script — a tuple of ``(gen_step, dest)``
         #: pairs in increasing step order — or None for the stock
-        #: Bernoulli injection application.  Like ``faults``, the model
-        #: attaches one only to routers the plan names, so scripted
-        #: injection costs nothing when no adversary is configured, and
-        #: the decisions are pure data: identical on every engine and
-        #: across Time Warp re-executions.
+        #: injection application.  Like ``faults``, the model attaches
+        #: one only to routers the plan names, and the decisions are pure
+        #: data: identical on every engine and across re-executions.
         self.adversary = None
 
     # ------------------------------------------------------------------
@@ -177,22 +213,6 @@ class RouterLP(LogicalProcess):
         else:  # pragma: no cover - defensive
             raise ModelError(f"router {self.id}: unknown event kind {kind!r}")
 
-    def commit(self, event: Event) -> None:
-        """Commit hook: record final deliveries in the shared log.
-
-        Commit fires exactly once per event, after it can never be rolled
-        back, so appending here needs no reverse handler.
-        """
-        if (
-            self.delivery_log is not None
-            and event.kind == ARRIVE
-            and "absorb" in event.saved
-        ):
-            data = event.data
-            self.delivery_log.append(
-                (data["step"], data["step"] - data["inject_step"])
-            )
-
     # ------------------------------------------------------------------
     # Shared helpers.
     # ------------------------------------------------------------------
@@ -203,42 +223,51 @@ class RouterLP(LogicalProcess):
             return self.rng.integer(1, cfg.jitter_slots) / (2 * cfg.jitter_slots)
         return FIXED_JITTER
 
-    def _draw_destination(self) -> int:
-        """Uniform destination among the other routers (one draw)."""
-        d = self.rng.integer(0, self.topo.num_nodes - 2)
-        return d + 1 if d >= self.id else d
-
     def _draw_dest_jitter(self) -> tuple[int, float]:
-        """Destination then jitter — the injection pair, batched.
+        """Uniform destination among the other routers, then the jitter.
 
-        Draw order and counts are identical to ``_draw_destination()``
-        followed by ``_draw_jitter()``; with jitter enabled the two RNG
-        steps collapse into one :meth:`ReversibleStream.integer2` call.
+        With jitter enabled the two RNG steps are one
+        :meth:`ReversibleStream.integer2` call.
         """
         cfg = self.cfg
         if cfg.arrival_jitter:
             slots = cfg.jitter_slots
             dest, j = self.rng.integer2(0, self.topo.num_nodes - 2, 1, slots)
-            if dest >= self.id:
-                dest += 1
-            return dest, j / (2 * slots)
-        return self._draw_destination(), FIXED_JITTER
+            jitter = j / (2 * slots)
+        else:
+            dest = self.rng.integer(0, self.topo.num_nodes - 2)
+            jitter = FIXED_JITTER
+        return (dest + 1 if dest >= self.id else dest), jitter
 
     def _free_mask(self, step: int) -> tuple[bool, bool, bool, bool]:
         links = self.links
+        base = self.base
         ex = self.exists
         return (
-            ex[0] and links[0] != step,
-            ex[1] and links[1] != step,
-            ex[2] and links[2] != step,
-            ex[3] and links[3] != step,
+            ex[0] and links[base] != step,
+            ex[1] and links[base + 1] != step,
+            ex[2] and links[base + 2] != step,
+            ex[3] and links[base + 3] != step,
         )
 
-    def _send_arrive(self, direction: int, step: int, fields: dict[str, Any]) -> None:
-        """Forward a packet over ``direction``, arriving next step."""
-        nb = self.neighbors[direction]
-        assert nb is not None, "routed onto a non-existent link"
-        self.send(step + 1 + fields["jitter"], nb, ARRIVE, fields)
+    def _send_new_packet(
+        self, d: int, step: int, dest: int, jitter: float
+    ) -> None:
+        """Put a Sleeping packet born at ``step`` on output link ``d``."""
+        self.send(
+            step + 1 + jitter,
+            self.neighbors[d],
+            ARRIVE,
+            (
+                step + 1,
+                dest,
+                0,  # Priority.SLEEPING
+                step,
+                jitter,
+                self.topo.route_info(self.id, dest)[3],
+                self.id,
+            ),
+        )
 
     # ------------------------------------------------------------------
     # INIT: seed the network "to full (four packets per router)" (§3.3.1).
@@ -249,6 +278,8 @@ class RouterLP(LogicalProcess):
         flt = self.faults
         alive = flt is None or not flt.crashed(0)
         if cfg.initial_fill > 0.0 and alive:
+            links = self.links
+            base = self.base
             for d in DIRECTIONS:
                 if not self.exists[d]:
                     continue
@@ -257,32 +288,22 @@ class RouterLP(LogicalProcess):
                 if cfg.initial_fill < 1.0 and not self.rng.bernoulli(cfg.initial_fill):
                     continue
                 dest, jitter = self._draw_dest_jitter()
-                self.links[d] = 0
+                links[base + d] = 0
                 seeded.append(d)
-                self._send_arrive(
-                    d,
-                    0,
-                    {
-                        "step": 1,
-                        "dest": dest,
-                        "priority": int(Priority.SLEEPING),
-                        "inject_step": 0,
-                        "jitter": jitter,
-                        "distance": self.topo.route_info(self.id, dest)[3],
-                        "src": self.id,
-                    },
-                )
+                self._send_new_packet(d, 0, dest, jitter)
         event.saved["seeded"] = seeded
         self.stats.initial_packets += len(seeded)
         if self.is_injector:
-            self.send(INJECT_OFFSET, self.id, INJECT, {"step": 0})
+            self.send(INJECT_OFFSET, self.id, INJECT, 0)
         if cfg.heartbeat:
-            self.send(HEARTBEAT_OFFSET, self.id, HEARTBEAT, {"step": 0})
+            self.send(HEARTBEAT_OFFSET, self.id, HEARTBEAT, 0)
 
     def _rc_init_fill(self, event: Event) -> None:
         seeded = event.saved["seeded"]
+        links = self.links
+        base = self.base
         for d in seeded:
-            self.links[d] = -1
+            links[base + d] = -1
         self.stats.initial_packets -= len(seeded)
 
     # ------------------------------------------------------------------
@@ -290,7 +311,7 @@ class RouterLP(LogicalProcess):
     # ------------------------------------------------------------------
     def _arrive(self, event: Event) -> None:
         data = event.data
-        step: int = data["step"]
+        step, dest, priority, inject_step, jitter, distance, _ = data
         flt = self.faults
         if flt is not None and flt.crashed(step):
             # The router is dead this step: the packet is lost (even at
@@ -300,17 +321,14 @@ class RouterLP(LogicalProcess):
             self.stats.fault_dropped_crash += 1
             event.saved["fdrop"] = True
             return
-        priority = data["priority"]
-        if data["dest"] == self.id and (
-            priority != Priority.SLEEPING or self.cfg.absorb_sleeping
-        ):
+        if dest == self.id and (priority != 0 or self.cfg.absorb_sleeping):
             # Absorption: record delivery statistics; the output link the
             # packet would have used stays free for injection (§4.1).
             st = self.stats
-            dt = step - data["inject_step"]
+            dt = step - inject_step
             st.delivered += 1
             st.total_delivery_time += dt
-            st.total_distance += data["distance"]
+            st.total_distance += distance
             st.delivered_by_priority[priority] += 1
             prev_max = st.max_delivery_time
             if dt > prev_max:
@@ -318,14 +336,8 @@ class RouterLP(LogicalProcess):
             event.saved["absorb"] = prev_max
             return
         rank = 3 - priority  # Priority.route_rank without the enum call
-        ts = (
-            step
-            + ROUTE_BASE
-            + ROUTE_PRIO_STRIDE * rank
-            + ROUTE_JITTER_SCALE * data["jitter"]
-        )
-        # The ROUTE event reuses the same payload dict: handlers treat
-        # payloads as read-only, so sharing is safe and avoids a copy.
+        ts = step + ROUTE_BASE + ROUTE_PRIO_STRIDE * rank + ROUTE_JITTER_SCALE * jitter
+        # The ROUTE event reuses the same payload tuple (no copy).
         self.send(ts, self.id, ROUTE, data)
         event.saved.pop("absorb", None)
 
@@ -336,32 +348,25 @@ class RouterLP(LogicalProcess):
         prev_max = event.saved.pop("absorb", None)
         if prev_max is None:
             return  # only sent a ROUTE event; the kernel cancels it
-        data = event.data
+        step, _, priority, inject_step, _, distance, _ = event.data
         st = self.stats
-        dt = data["step"] - data["inject_step"]
         st.delivered -= 1
-        st.total_delivery_time -= dt
-        st.total_distance -= data["distance"]
-        st.delivered_by_priority[data["priority"]] -= 1
+        st.total_delivery_time -= step - inject_step
+        st.total_distance -= distance
+        st.delivered_by_priority[priority] -= 1
         st.max_delivery_time = prev_max
 
     # ------------------------------------------------------------------
     # ROUTE: claim an output link per the policy; forward the packet.
     # ------------------------------------------------------------------
     def _route(self, event: Event) -> None:
-        data = event.data
-        step: int = data["step"]
-        # ``self._free_mask(step)`` inlined: one per routed packet.
+        step, dest, priority, inject_step, jitter, distance, src = event.data
         links = self.links
-        ex = self.exists
-        free = (
-            ex[0] and links[0] != step,
-            ex[1] and links[1] != step,
-            ex[2] and links[2] != step,
-            ex[3] and links[3] != step,
-        )
+        base = self.base
+        free = basemask = self._free_mask(step)
+        saved = event.saved
+        st = self.stats
         flt = self.faults
-        base = free
         if flt is not None:
             free = flt.mask(free, step)
             if not any(free):
@@ -372,11 +377,10 @@ class RouterLP(LogicalProcess):
                 # "arrivals <= free links"; transient contention-only
                 # versions of this state (lazy cancellation) take the
                 # same branch and are always rolled back.
-                st = self.stats
                 st.fault_dropped_no_link += 1
-                event.saved["fdrop"] = True
+                saved["fdrop"] = True
                 return
-            event.saved.pop("fdrop", None)
+            saved.pop("fdrop", None)
         if not any(free):
             # More packets than output links.  In a committed timeline this
             # is impossible (the bufferless invariant); it CAN be observed
@@ -386,44 +390,42 @@ class RouterLP(LogicalProcess):
             # back, so route "impossibly" on the first physical link and
             # count it; committed statistics must show zero overflows
             # (asserted across the test suite).
-            st = self.stats
-            d = next(dd for dd in DIRECTIONS if self.exists[dd])
-            event.saved["route"] = (int(d), self.links[d], False, False, False, False, data["priority"])
-            event.saved["overflow"] = True
-            self.links[d] = step
+            d = self.exists.index(True)
+            saved["route"] = (d, links[base + d], False, False, False, False, priority)
+            saved["overflow"] = True
+            links[base + d] = step
             st.routes += 1
             st.overflow_routes += 1
-            fields = dict(data)
-            fields["step"] = step + 1
-            self._send_arrive(d, step, fields)
+            self.send(
+                step + 1 + jitter,
+                self.neighbors[d],
+                ARRIVE,
+                (step + 1, dest, priority, inject_step, jitter, distance, src),
+            )
             return
-        event.saved.pop("overflow", None)
-        # Priorities travel as raw ints; IntEnum comparisons below work on
-        # them directly, sparing the Priority() construction per route.
-        priority = data["priority"]
+        saved.pop("overflow", None)
         out = self.policy.route(
-            self.topo, self.id, data["dest"], priority, free, self.rng, self.cfg
+            self.topo, self.id, dest, priority, free, self.rng, self.cfg
         )
-        d = out.direction
-        st = self.stats
-        off_turn = priority == _RUNNING and out.demoted and not out.turning
-        event.saved["route"] = (
-            int(d),
-            self.links[d],
+        d = int(out.direction)
+        off_turn = priority == 3 and out.demoted and not out.turning
+        saved["route"] = (
+            d,
+            links[base + d],
             out.deflected,
             out.upgraded,
             out.demoted,
             off_turn,
             priority,
         )
-        self.links[d] = step
+        links[base + d] = step
         st.routes += 1
         if out.deflected:
             st.deflections += 1
         if out.upgraded:
-            if priority == Priority.SLEEPING:
+            if priority == 0:
                 st.upgrades_sleeping += 1
-            elif priority == Priority.ACTIVE:
+            elif priority == 1:
                 st.upgrades_active += 1
             else:
                 st.promotions_running += 1
@@ -434,16 +436,24 @@ class RouterLP(LogicalProcess):
         if flt is not None and out.deflected:
             # Attribute the deflection to the faults when some good
             # direction was contention-free but fault-masked.
-            good = self.topo.route_info(self.id, data["dest"])[0]
-            if any(base[g] and not free[g] for g in good):
+            good = self.topo.route_info(self.id, dest)[0]
+            if any(basemask[g] and not free[g] for g in good):
                 st.fault_deflections += 1
-                event.saved["fdefl"] = True
-        fields = dict(data)
-        fields["step"] = step + 1
-        fields["priority"] = int(out.new_priority)
-        # _send_arrive inlined (hottest send site; the free mask already
-        # guaranteed the link exists).
-        self.send(step + 1 + fields["jitter"], self.neighbors[d], ARRIVE, fields)
+                saved["fdefl"] = True
+        self.send(
+            step + 1 + jitter,
+            self.neighbors[d],
+            ARRIVE,
+            (
+                step + 1,
+                dest,
+                int(out.new_priority),
+                inject_step,
+                jitter,
+                distance,
+                src,
+            ),
+        )
 
     def _rc_route(self, event: Event) -> None:
         st = self.stats
@@ -456,7 +466,7 @@ class RouterLP(LogicalProcess):
         d, prev_claim, deflected, upgraded, demoted, off_turn, priority = event.saved[
             "route"
         ]
-        self.links[d] = prev_claim
+        self.links[self.base + d] = prev_claim
         st.routes -= 1
         if event.saved.pop("overflow", None):
             st.overflow_routes -= 1
@@ -464,9 +474,9 @@ class RouterLP(LogicalProcess):
         if deflected:
             st.deflections -= 1
         if upgraded:
-            if priority == Priority.SLEEPING:
+            if priority == 0:
                 st.upgrades_sleeping -= 1
-            elif priority == Priority.ACTIVE:
+            elif priority == 1:
                 st.upgrades_active -= 1
             else:
                 st.promotions_running -= 1
@@ -479,140 +489,67 @@ class RouterLP(LogicalProcess):
     # INJECT: one injection attempt per step (§3.1.4).
     # ------------------------------------------------------------------
     def _inject(self, event: Event) -> None:
-        if self.adversary is not None:
-            self._inject_adversary(event)
-            return
-        data = event.data
-        step: int = data["step"]
-        # The application generates one packet per step from step 0; the
-        # queue head's generation step doubles as the injected count.
-        self.send(step + 1 + INJECT_OFFSET, self.id, INJECT, {"step": step + 1})
+        """Inject the oldest waiting packet if one is due and a link is free.
+
+        Who generated it is the only difference between the stock
+        application and an adversary: the application generates one
+        packet per step from step 0 and its destination is drawn here;
+        an adversary script fixed ``(gen_step, dest)`` when the plan was
+        expanded, ``head_gen`` is its cursor, and the arrival jitter is
+        the only runtime draw.  Admission is the same bufferless rule for
+        both (the adversary controls generation, not admission, §4.1),
+        and so is what :meth:`_rc_inject` has to undo.
+        """
+        step: int = event.data
+        self.send(step + 1 + INJECT_OFFSET, self.id, INJECT, step + 1)
+        saved = event.saved
+        saved["inject"] = None
         flt = self.faults
         if flt is not None and flt.crashed(step):
             # A crashed router injects nothing; generation continues (the
             # application is still producing), so the backlog drains
             # through the normal wait-time machinery after recovery.
-            event.saved["inject"] = None
             return
-        pending = (step + 1) - self.head_gen_step
-        if pending <= 0:
-            event.saved["inject"] = None
-            return
-        # ``self._free_mask(step)`` inlined: one per injection attempt.
-        links = self.links
-        ex = self.exists
-        free = (
-            ex[0] and links[0] != step,
-            ex[1] and links[1] != step,
-            ex[2] and links[2] != step,
-            ex[3] and links[3] != step,
-        )
+        head = self.head_gen[self.id]
+        script = self.adversary
+        if script is None:
+            gen_step = head
+        elif head < len(script):
+            gen_step, dest = script[head]
+        else:
+            return  # script exhausted
+        if gen_step > step:
+            return  # nothing generated yet is still waiting
+        free = self._free_mask(step)
         if flt is not None:
             free = flt.mask(free, step)
         if not any(free):
             # "a packet can only be injected when there is a free link at
             # that router" (§4.1) — blocked this step.
             self.stats.inject_blocked += 1
-            event.saved["inject"] = ()
+            saved["inject"] = ()
             return
-        dest, jitter = self._draw_dest_jitter()
+        if script is None:
+            dest, jitter = self._draw_dest_jitter()
+        else:
+            jitter = self._draw_jitter()
         d = first_free_good(self.topo, self.id, dest, free)
         if d is None:
             d = first_free(free)
             assert d is not None
-        st = self.stats
-        wait = step - self.head_gen_step
-        prev_max = st.max_inject_wait
-        event.saved["inject"] = (int(d), self.links[d], wait, prev_max)
-        self.links[d] = step
-        self.head_gen_step += 1
-        st.injected += 1
-        st.total_inject_wait += wait
-        if wait > prev_max:
-            st.max_inject_wait = wait
-        self._send_arrive(
-            d,
-            step,
-            {
-                "step": step + 1,
-                "dest": dest,
-                "priority": int(Priority.SLEEPING),
-                "inject_step": step,
-                "jitter": jitter,
-                "distance": self.topo.route_info(self.id, dest)[3],
-                "src": self.id,
-            },
-        )
-
-    def _inject_adversary(self, event: Event) -> None:
-        """Scripted injection: drain the adversary's ``(gen_step, dest)``
-        queue instead of generating Bernoulli traffic.
-
-        ``head_gen_step`` is repurposed as the script cursor (and still
-        equals the injected count); the saved tuple has exactly the
-        Bernoulli shape, so :meth:`_rc_inject` reverses both kinds
-        unchanged.  The only runtime draw is the arrival jitter — the
-        adversary's who/when/where decisions were fixed when the plan was
-        expanded, which is what keeps the workload identical across
-        engines and rollbacks.
-        """
-        step: int = event.data["step"]
-        self.send(step + 1 + INJECT_OFFSET, self.id, INJECT, {"step": step + 1})
-        flt = self.faults
-        if flt is not None and flt.crashed(step):
-            event.saved["inject"] = None
-            return
-        script = self.adversary
-        idx = self.head_gen_step
-        if idx >= len(script) or script[idx][0] > step:
-            # Script exhausted, or the next generation lies in the future.
-            event.saved["inject"] = None
-            return
-        links = self.links
-        ex = self.exists
-        free = (
-            ex[0] and links[0] != step,
-            ex[1] and links[1] != step,
-            ex[2] and links[2] != step,
-            ex[3] and links[3] != step,
-        )
-        if flt is not None:
-            free = flt.mask(free, step)
-        if not any(free):
-            # Same bufferless admission rule as Bernoulli injection: the
-            # adversary controls generation, not admission (§4.1).
-            self.stats.inject_blocked += 1
-            event.saved["inject"] = ()
-            return
-        gen_step, dest = script[idx]
-        jitter = self._draw_jitter()
-        d = first_free_good(self.topo, self.id, dest, free)
-        if d is None:
-            d = first_free(free)
-            assert d is not None
+        d = int(d)
         st = self.stats
         wait = step - gen_step
         prev_max = st.max_inject_wait
-        event.saved["inject"] = (int(d), self.links[d], wait, prev_max)
-        self.links[d] = step
-        self.head_gen_step += 1
+        slot = self.base + d
+        saved["inject"] = (d, self.links[slot], wait, prev_max)
+        self.links[slot] = step
+        self.head_gen[self.id] = head + 1
         st.injected += 1
         st.total_inject_wait += wait
         if wait > prev_max:
             st.max_inject_wait = wait
-        self._send_arrive(
-            d,
-            step,
-            {
-                "step": step + 1,
-                "dest": dest,
-                "priority": int(Priority.SLEEPING),
-                "inject_step": step,
-                "jitter": jitter,
-                "distance": self.topo.route_info(self.id, dest)[3],
-                "src": self.id,
-            },
-        )
+        self._send_new_packet(d, step, dest, jitter)
 
     def _rc_inject(self, event: Event) -> None:
         saved = event.saved["inject"]
@@ -623,8 +560,8 @@ class RouterLP(LogicalProcess):
             return
         d, prev_claim, wait, prev_max = saved
         st = self.stats
-        self.links[d] = prev_claim
-        self.head_gen_step -= 1
+        self.links[self.base + d] = prev_claim
+        self.head_gen[self.id] -= 1
         st.injected -= 1
         st.total_inject_wait -= wait
         st.max_inject_wait = prev_max
@@ -633,16 +570,14 @@ class RouterLP(LogicalProcess):
     # HEARTBEAT: sample output-link utilisation (optional, §3.1.4).
     # ------------------------------------------------------------------
     def _heartbeat(self, event: Event) -> None:
-        step: int = event.data["step"]
-        links = self.links
-        claimed = sum(
-            1 for d in DIRECTIONS if self.exists[d] and links[d] == step
-        )
+        step: int = event.data
+        degree = sum(self.exists)
+        claimed = degree - sum(self._free_mask(step))
         st = self.stats
         st.util_claimed += claimed
-        st.util_samples += sum(self.exists)
+        st.util_samples += degree
         event.saved["hb"] = claimed
-        self.send(step + 1 + HEARTBEAT_OFFSET, self.id, HEARTBEAT, {"step": step + 1})
+        self.send(step + 1 + HEARTBEAT_OFFSET, self.id, HEARTBEAT, step + 1)
 
     def _rc_heartbeat(self, event: Event) -> None:
         st = self.stats
@@ -650,13 +585,43 @@ class RouterLP(LogicalProcess):
         st.util_samples -= sum(self.exists)
 
     # ------------------------------------------------------------------
-    # State-saving snapshots (cheaper than the default deepcopy).
+    # State-saving snapshots: this router's stripes of the shared arrays.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Any:
-        return (list(self.links), self.head_gen_step, self.stats.copy())
+        base = self.base
+        return (
+            self.links[base : base + 4],
+            self.head_gen[self.id],
+            self.stats.copy(),
+        )
 
     def restore_state(self, snapshot: Any) -> None:
         links, head, stats = snapshot
-        self.links = list(links)
-        self.head_gen_step = head
-        self.stats = stats.copy()
+        base = self.base
+        self.links[base : base + 4] = links
+        self.head_gen[self.id] = head
+        # In place: a compiled band stepper holds a reference to this
+        # exact RouterStats object.
+        st = self.stats
+        for name in RouterStats.__slots__:
+            v = getattr(stats, name)
+            setattr(st, name, list(v) if isinstance(v, list) else v)
+
+
+class RouterLPWithLog(RouterLP):
+    """Router with the commit-time delivery log enabled.
+
+    A subclass (rather than a branch in ``commit``) so that log-off runs
+    keep the base class's inherited no-op ``commit`` — the Time Warp
+    kernel's fossil collector detects that and skips the per-event commit
+    dispatch entirely.  Commit fires exactly once per event, after it can
+    never be rolled back, so appending here needs no reverse handler.
+    """
+
+    __slots__ = ()
+
+    def commit(self, event: Event) -> None:
+        if event.kind == ARRIVE and "absorb" in event.saved:
+            data = event.data
+            step = data[P_STEP]
+            self.delivery_log.append((step, step - data[P_INJECT_STEP]))

@@ -9,9 +9,10 @@ no pickle on the hot path, ever.  Three frame types:
   dict by field name.
 * **positional positive** (``T``): the same header and the same payload
   struct, packed from a ``data`` *tuple* whose element order is the
-  schema's field order (the struct-of-arrays population's payloads, see
-  :mod:`repro.hotpotato.soa`) and decoded back to a tuple.  Each frame
-  says which layout it carries, so no mode is shared between workers.
+  schema's field order (the hot-potato routers' packets, see
+  :data:`repro.hotpotato.router.PACKET_FIELDS`) and decoded back to a
+  tuple.  Each frame says which layout it carries, so no mode is shared
+  between workers.
 * **anti** (``A``): a Time Warp anti-message for a previously sent
   positive, identified by the sender-assigned ``uid`` (the full event
   key rides along for error reporting only).

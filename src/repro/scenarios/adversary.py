@@ -169,7 +169,7 @@ class InjectionPlan:
         """Per-node scripts: ``scripts[i]`` is a tuple of ``(step, dest)``
         pairs in increasing step order (empty for non-injecting routers).
 
-        The router consumes its script with ``head_gen_step`` as a
+        The router consumes its script with its ``head_gen`` slot as a
         cursor, so injection is O(1) per step and exactly reversible.
         """
         per_node: list[list] = [[] for _ in range(num_nodes)]

@@ -9,15 +9,16 @@ TICK = "TICK"
 POKE = "POKE"
 
 
-def scalar_population(model):
-    """Test foil: ``model`` declines its band-stepping build.
+def plan_declined(model):
+    """Test foil: ``model`` declines to offer its vector plan.
 
-    The Time Warp kernel takes ``Model.build_vectorized()`` whenever the
-    model offers it and no product option says otherwise; a comparison
-    against the scalar population (``RouterLP``) on a torus therefore
-    patches this one instance.  Forked workers inherit the patch.
+    The Time Warp kernel asks ``Model.vector_plan(lps)`` on every run and
+    no product option says otherwise; to compare a band-stepped torus run
+    with the same population stepped one event at a time (the kernel's
+    per-event batch) a test therefore patches this one instance.  Forked
+    workers inherit the patch.
     """
-    model.build_vectorized = lambda: None
+    model.vector_plan = lambda lps: None
     return model
 
 

@@ -44,7 +44,7 @@ def _observe(cfg: HotPotatoConfig, seed: int, *, traced: bool, **model_kw):
         "makespan": run.makespan_seconds,
         "delivery_log": list(model.delivery_log),
         "lps": [
-            (list(lp.links), lp.head_gen_step, lp.send_seq, lp.rng.count,
+            (lp.snapshot_state()[:2], lp.send_seq, lp.rng.count,
              lp.rng.checkpoint())
             for lp in engine.lps
         ],

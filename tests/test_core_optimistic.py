@@ -12,7 +12,7 @@ from repro.errors import ConfigurationError
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.models.phold import PholdConfig, PholdModel
-from tests.kernel_models import ChattyModel, scalar_population
+from tests.kernel_models import ChattyModel, plan_declined
 
 END = 30.0
 
@@ -171,7 +171,7 @@ def _retained_setup_bytes(n: int, executor: str) -> int:
     """Bytes a kernel on the n x n torus retains once its fast paths are in."""
     model = HotPotatoModel(HotPotatoConfig(n=n, duration=1.0, injector_fraction=1.0))
     if executor == "scalar":
-        scalar_population(model)
+        plan_declined(model)
     cfg = EngineConfig(end_time=1.0, n_pes=4, n_kps=64)
     gc.collect()
     tracemalloc.start()

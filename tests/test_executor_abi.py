@@ -1,24 +1,27 @@
-"""Executor-ABI conformance: band stepping is bit-identical to scalar.
+"""Executor-ABI conformance: band stepping is bit-identical to per-event.
 
-The contract (docs/KERNEL.md, "Executor ABI & vectorized stepping"): the
-Time Warp kernel steps the model's struct-of-arrays population whenever
-the model offers one, and for every golden seed, fault plan and
-checkpoint kill/resume combination that must commit exactly the event
-sequence the scalar ``RouterLP`` population commits — under Time Warp
-itself and under the conservative engine, which always builds scalar.
-There is no product option that selects the scalar population on a
-torus, so the tests use a foil: a model whose ``build_vectorized``
-declines (``tests.kernel_models.scalar_population``).  Two observation
-levels:
+The contract (docs/KERNEL.md, "Executor ABI & vectorized stepping"):
+every engine runs the one population ``Model.build()`` returns, and the
+Time Warp kernel steps it through the model's vector plan whenever the
+model offers one.  For every golden seed, fault plan and checkpoint
+kill/resume combination that must commit exactly the event sequence the
+routers' own handlers commit one event at a time — under Time Warp's
+per-event batch and under the conservative engine.  There is no product
+option that keeps the plan from stepping a torus, so the tests use a
+foil: a model whose ``vector_plan`` declines
+(``tests.kernel_models.plan_declined``).  Two observation levels:
 
 * **Committed sequence** — with a :class:`~repro.core.trace.Tracer`
   attached the Time Warp kernel keeps its generic execute path, so this
-  level exercises the SoA LPs' scalar handlers event by event and
+  level runs the routers' handlers event by event on both sides and
   compares the full committed ``(ts, lp, seq, kind)`` sequence.
 * **Committed fingerprint** — without a tracer the kernel installs the
-  fused band-stepping batch (the true vectorized fast path); the
+  plan's fused band-stepping batch (the true vectorized fast path); the
   model statistics include per-router event fingerprints, so any
   divergence in committed event content or order shows up.
+
+The ``scalar`` / ``vectorized`` labels in ids and dict keys mean "plan
+declined" / "plan offered".
 """
 
 import shutil
@@ -34,7 +37,7 @@ from repro.faults import generate_plan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.net import TorusTopology
-from tests.kernel_models import scalar_population as _scalar
+from tests.kernel_models import plan_declined as _scalar
 
 N = 4
 DURATION = 12.0
@@ -63,8 +66,8 @@ def _model(faulted: bool, population: str = "vectorized") -> HotPotatoModel:
 
 
 def _engine(engine: str, population: str, seed: int, faulted: bool):
-    """``engine`` over the scalar or the band-stepping population (the
-    conservative engine has no plan consumer: scalar only)."""
+    """``engine`` with the model's plan declined or offered (the
+    conservative engine never asks for one: declined only)."""
     model = _model(faulted, population)
     if engine == "cons":
         assert population == "scalar"
@@ -80,7 +83,7 @@ def _engine(engine: str, population: str, seed: int, faulted: bool):
 
 
 def _pair(engine: str, seed: int, faulted: bool) -> dict:
-    """The scalar reference on ``engine`` and Time Warp's band population."""
+    """The per-event reference on ``engine`` and band-stepped Time Warp."""
     return {
         "scalar": _engine(engine, "scalar", seed, faulted),
         "vectorized": _engine("opt", "vectorized", seed, faulted),
@@ -91,7 +94,7 @@ def _pair(engine: str, seed: int, faulted: bool) -> dict:
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
 @pytest.mark.parametrize("engine", ["cons", "opt"])
 def test_committed_sequence_identical(engine, seed, faulted):
-    """Traced runs: the full committed event sequence matches scalar."""
+    """Traced runs: the full committed event sequence is the same."""
     sequences = {}
     stats = {}
     for executor, eng in _pair(engine, seed, faulted).items():
@@ -106,7 +109,7 @@ def test_committed_sequence_identical(engine, seed, faulted):
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
 @pytest.mark.parametrize("engine", ["cons", "opt"])
 def test_committed_fingerprint_identical_untraced(engine, seed, faulted):
-    """Untraced runs (the fused fast path on opt) match scalar exactly."""
+    """Untraced runs (the fused fast path on opt) match per-event exactly."""
     results = {
         executor: eng.run()
         for executor, eng in _pair(engine, seed, faulted).items()
@@ -115,14 +118,14 @@ def test_committed_fingerprint_identical_untraced(engine, seed, faulted):
         results["vectorized"].model_stats == results["scalar"].model_stats
     )
     assert results["vectorized"].run.committed == results["scalar"].run.committed
-    # The band population actually took the fused band path...
+    # The offered plan actually stepped the run...
     assert results["vectorized"].run.soa_batches > 0
     assert (
         results["vectorized"].run.soa_lps_stepped
         == results["vectorized"].run.processed
     )
     assert results["vectorized"].run.soa_decline_reason == ""
-    # ...and the scalar reference did not.
+    # ...and the reference ran one event at a time.
     assert results["scalar"].run.soa_batches == 0
     assert results["scalar"].run.soa_lps_stepped == 0
 
@@ -133,9 +136,9 @@ def test_committed_fingerprint_identical_untraced(engine, seed, faulted):
     {"rollback": "copy"},
 ], ids=["ladder", "lazy", "copy"])
 def test_vectorized_across_scheduler_structures(overrides):
-    """The SoA population commits identically under every scheduler
+    """The population commits identically under every scheduler
     structure — including the lazy/copy configurations where the kernel
-    falls back from the fused band batch to the scalar batch."""
+    itself declines the fused band batch for the per-event one."""
     def run(population):
         ecfg = EngineConfig(
             end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
@@ -153,9 +156,9 @@ def test_vectorized_across_scheduler_structures(overrides):
 
 @pytest.mark.parametrize("engine", ["opt"])
 def test_vectorized_checkpoint_kill_resume(tmp_path, engine):
-    """Kill at every snapshot boundary, resume, and land on the scalar
-    oracle's exact committed statistics (SoA state round-trips through
-    the snapshot format)."""
+    """Kill at every snapshot boundary, resume, and land on the per-event
+    oracle's exact committed statistics (the shared state lists
+    round-trip through the snapshot format)."""
     seed = GOLDEN_SEEDS[0]
     oracle = _engine(engine, "scalar", seed, False).run()
     marker = {"case": f"vec-{engine}"}
@@ -183,35 +186,64 @@ def test_vectorized_checkpoint_kill_resume(tmp_path, engine):
             .run()
         )
         assert resumed.model_stats == oracle.model_stats, (
-            f"resume from {snap.name} diverged from the scalar oracle"
+            f"resume from {snap.name} diverged from the per-event oracle"
         )
 
 
-def test_cross_executor_resume_refused(tmp_path):
-    """A snapshot only restores into the population that wrote it:
-    the scalar and SoA populations carry different event-payload layouts,
-    so a cross-mode restore is refused up front rather than failing
-    somewhere inside a handler."""
-    from repro.errors import SnapshotError
-
+def test_band_stepped_snapshot_resumes_per_event(tmp_path):
+    """How a run is stepped is not part of a snapshot: checkpoint while
+    the plan's band batch is stepping, resume under a Tracer (which makes
+    the kernel decline the batch), and the resumed run commits exactly
+    the rest of the oracle's sequence."""
     seed = GOLDEN_SEEDS[0]
+    oracle_tracer = Tracer()
+    oracle = _engine("opt", "scalar", seed, False).attach_tracer(oracle_tracer).run()
+    sequence = oracle_tracer.committed_sequence()
+
     marker = {"case": "cross"}
     snap_dir = tmp_path / "snaps"
     ckpt = Checkpointer(snap_dir, every=1, marker=marker, seq_events=64)
-    _engine("opt", "vectorized", seed, False).attach_checkpointer(ckpt).run()
+    recorded = _engine("opt", "vectorized", seed, False).attach_checkpointer(ckpt).run()
+    assert recorded.run.soa_batches > 0
     snaps = list_snapshots(snap_dir)
     mid = snaps[len(snaps) // 2]
-    d = tmp_path / "resume_scalar"
+    d = tmp_path / "resume_traced"
     d.mkdir()
     shutil.copy(mid, d / mid.name)
     ck = Checkpointer(d, every=1 << 30, marker=marker, seq_events=64)
     ck.load_latest()
-    with pytest.raises(SnapshotError, match="executor"):
-        _engine("opt", "scalar", seed, False).attach_checkpointer(ck)
+    tracer = Tracer()
+    resumed = (
+        _engine("opt", "vectorized", seed, False)
+        .attach_tracer(tracer)
+        .attach_checkpointer(ck)
+        .run()
+    )
+    # The counter is restored from the snapshot and then stands still.
+    assert resumed.run.soa_batches < recorded.run.soa_batches
+    assert "Tracer" in resumed.run.soa_decline_reason
+    assert resumed.model_stats == oracle.model_stats
+    rest = tracer.committed_sequence()
+    assert 0 < len(rest) < len(sequence)
+    assert rest == sequence[-len(rest):]
+
+
+def test_snapshot_with_old_payload_format_refused():
+    """Format-1 snapshots of a sequential or conservative run hold dict
+    payloads the routers cannot execute: refused by name, up front."""
+    from repro.ckpt.state import PAYLOAD_FORMAT
+    from repro.errors import SnapshotError
+
+    engine = _engine("opt", "vectorized", GOLDEN_SEEDS[0], False)
+    payload = engine.snapshot()
+    assert payload["format"] == PAYLOAD_FORMAT == 2
+    fresh = _engine("opt", "vectorized", GOLDEN_SEEDS[0], False)
+    with pytest.raises(SnapshotError, match="payload format 1"):
+        fresh.restore({**payload, "format": 1})
 
 
 def test_vectorized_declines_without_plan():
-    """A model without a band-stepping build runs the scalar batch and
+    """A model without a vector plan runs the per-event batch and
     records no decline: nothing was on offer."""
     from repro.core.optimistic import run_optimistic
     from repro.models.phold import PholdConfig, PholdModel
@@ -227,10 +259,11 @@ def test_vectorized_declines_without_plan():
 
 def test_vectorized_declines_on_mesh():
     """The hot-potato plan only covers the torus band layout; a mesh
-    model declines, by name, and the kernel steps the scalar population
-    — the same run the foil produces."""
+    model declines, by name, and the kernel's per-event batch steps the
+    population — the same run the foil produces."""
     cfg = HotPotatoConfig(n=N, duration=DURATION, torus=False)
-    assert HotPotatoModel(cfg).build_vectorized() is None
+    model = HotPotatoModel(cfg)
+    assert model.vector_plan(model.build()) is None
     ecfg = EngineConfig(end_time=DURATION, n_pes=4, n_kps=16, seed=7)
     declined = TimeWarpKernel(HotPotatoModel(cfg), ecfg).run()
     scalar = TimeWarpKernel(_scalar(HotPotatoModel(cfg)), ecfg).run()

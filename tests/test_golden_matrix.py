@@ -6,11 +6,12 @@ sequential engine (the hot-potato cell is its band program), the
 conservative engine, in-process Time Warp (at two optimism levels on the
 hot-potato network) and process-mode Time Warp on 1, 2 and 4 workers
 must all commit exactly that count under every queue x cancellation x
-population combination — if any cell commits anything else, event order
-(and therefore the science) changed, not just speed.  The population is
-not an option: Time Warp steps the model's band-stepping build whenever
-the model offers one (the ``vectorized`` ids, process mode included);
-the ``scalar`` ids use a test-side foil, a model that declines it.
+dispatch combination — if any cell commits anything else, event order
+(and therefore the science) changed, not just speed.  Dispatch is not an
+option: there is one population, and Time Warp steps it through the
+model's vector plan whenever the model offers one (the ``vectorized``
+ids, process mode included); the ``scalar`` ids use a test-side foil, a
+model that declines the plan, so the per-event batch steps it.
 """
 
 import itertools
@@ -24,7 +25,7 @@ from repro.core.optimistic import run_optimistic
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.models.phold import PholdConfig, PholdModel
-from tests.kernel_models import scalar_population
+from tests.kernel_models import plan_declined
 
 SEED = 0xB5EED
 END = 10.0
@@ -82,7 +83,7 @@ def _time_warp(name, overrides, executor="vectorized", **modes):
     )
     model = MODELS[name][0]()
     if executor == "scalar":
-        scalar_population(model)
+        plan_declined(model)
     return run_optimistic(model, ecfg).run
 
 

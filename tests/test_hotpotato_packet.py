@@ -1,6 +1,6 @@
-"""Unit tests for packets and priority states."""
+"""Unit tests for the packet priority states."""
 
-from repro.hotpotato.packet import Packet, Priority
+from repro.hotpotato.packet import Priority
 
 
 def test_priority_ordering():
@@ -18,45 +18,3 @@ def test_route_rank_inverts_priority():
     assert Priority.EXCITED.route_rank == 1
     assert Priority.ACTIVE.route_rank == 2
     assert Priority.SLEEPING.route_rank == 3
-
-
-def make():
-    return Packet(
-        dest=42,
-        priority=Priority.ACTIVE,
-        inject_step=3,
-        jitter=0.125,
-        distance=7,
-        src=1,
-    )
-
-
-def test_fields_roundtrip():
-    p = make()
-    data = p.fields(step=9)
-    assert data["step"] == 9
-    q = Packet.from_fields(data)
-    assert (q.dest, q.priority, q.inject_step, q.jitter, q.distance, q.src) == (
-        42,
-        Priority.ACTIVE,
-        3,
-        0.125,
-        7,
-        1,
-    )
-
-
-def test_fields_priority_is_plain_int():
-    # Event payloads carry ints so dict equality across engines is trivial.
-    data = make().fields(step=0)
-    assert type(data["priority"]) is int
-
-
-def test_hop_changes_priority_only():
-    p = make()
-    d = p.hop(step=10, priority=Priority.RUNNING)
-    assert d["priority"] == int(Priority.RUNNING)
-    assert d["step"] == 10
-    assert d["dest"] == 42
-    # Original packet object untouched.
-    assert p.priority == Priority.ACTIVE

@@ -2,71 +2,38 @@
 
 import pytest
 
-from repro.core.event import Event
+from repro.faults import CRASH, FaultEvent, FaultPlan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.packet import Priority
-from repro.hotpotato.policy import BuschHotPotatoPolicy
 from repro.hotpotato.router import (
     ARRIVE,
     HEARTBEAT,
     INIT,
     INJECT,
+    P_DEST,
+    P_INJECT_STEP,
+    P_PRIORITY,
+    P_STEP,
     ROUTE,
-    RouterLP,
 )
-from repro.net import Direction, TorusTopology
-from repro.rng.streams import ReversibleStream
-from repro.vt.time import EventKey
+from repro.net import Direction
+from repro.scenarios.adversary import InjectionEvent, InjectionPlan
+from tests.router_harness import (
+    claim,
+    execute,
+    make_router,
+    own_links,
+    state_of,
+    undo,
+)
+from tests.router_harness import packet as packet_data
 
 
 @pytest.fixture
 def setup():
     cfg = HotPotatoConfig(n=4, duration=50.0)
-    topo = TorusTopology(4)
-    sends = []
-    lp = RouterLP(5, cfg, topo, BuschHotPotatoPolicy(), is_injector=True)
-    lp.bind(ReversibleStream(11, 5), lambda src, ev: sends.append(ev))
+    lp, sends, topo = make_router(5, cfg)
     return lp, sends, topo, cfg
-
-
-def state_of(lp):
-    return (
-        tuple(lp.links),
-        lp.head_gen_step,
-        lp.stats.signature(),
-        lp.rng.checkpoint(),
-        lp.send_seq,
-    )
-
-
-def execute(lp, kind, data, ts=1.0):
-    """Kernel-style forward execution with RNG journaling."""
-    ev = Event(EventKey(ts, lp.id, 999), lp.id, kind, data)
-    ev.prev_send_seq = lp.send_seq
-    before = lp.rng.count
-    lp._now = ts
-    lp.forward(ev)
-    ev.rng_draws = lp.rng.count - before
-    return ev
-
-
-def undo(lp, ev):
-    """Kernel-style undo (reverse computation)."""
-    lp.reverse(ev)
-    lp.rng.reverse(ev.rng_draws)
-    lp.send_seq = ev.prev_send_seq
-
-
-def packet_data(step, dest, priority=Priority.SLEEPING, inject_step=0, jitter=0.25, distance=1, src=0):
-    return {
-        "step": step,
-        "dest": dest,
-        "priority": int(priority),
-        "inject_step": inject_step,
-        "jitter": jitter,
-        "distance": distance,
-        "src": src,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -130,11 +97,11 @@ def test_route_claims_link_and_forwards(setup):
     lp, sends, topo, cfg = setup
     dest = topo.neighbor(topo.neighbor(lp.id, Direction.EAST), Direction.EAST)
     ev = execute(lp, ROUTE, packet_data(step=4, dest=dest), ts=4.75)
-    assert lp.links[Direction.EAST] == 4
+    assert own_links(lp)[Direction.EAST] == 4
     (arrive,) = sends
     assert arrive.kind == ARRIVE
     assert arrive.dst == topo.neighbor(lp.id, Direction.EAST)
-    assert arrive.data["step"] == 5
+    assert arrive.data[P_STEP] == 5
     assert arrive.ts == pytest.approx(5.25)
     assert lp.stats.routes == 1
 
@@ -142,7 +109,7 @@ def test_route_claims_link_and_forwards(setup):
 def test_route_respects_claimed_links(setup):
     lp, sends, topo, cfg = setup
     dest = topo.neighbor(lp.id, Direction.EAST)
-    lp.links[Direction.EAST] = 4  # claimed this step
+    lp.links[lp.base + Direction.EAST] = 4  # claimed this step
     ev = execute(lp, ROUTE, packet_data(step=4, dest=dest, priority=Priority.ACTIVE), ts=4.7)
     (arrive,) = sends
     assert arrive.dst != dest  # deflected somewhere else
@@ -155,7 +122,7 @@ def test_route_with_no_free_link_overflows_reversibly(setup):
     # and the whole thing reverses exactly.
     lp, sends, topo, cfg = setup
     before_links = [9, 9, 9, 9]
-    lp.links = list(before_links)
+    claim(lp, before_links)
     before = state_of(lp)
     ev = execute(lp, ROUTE, packet_data(step=9, dest=0), ts=9.7)
     assert lp.stats.overflow_routes == 1
@@ -163,7 +130,7 @@ def test_route_with_no_free_link_overflows_reversibly(setup):
     assert len(sends) == 1  # the packet still goes somewhere
     undo(lp, ev)
     assert state_of(lp) == before
-    assert lp.links == before_links
+    assert own_links(lp) == before_links
 
 
 def test_route_reverse_restores_exactly(setup):
@@ -192,22 +159,22 @@ def test_route_reverse_after_upgrade_restores_stats(setup):
 # ----------------------------------------------------------------------
 def test_inject_sends_packet_and_chains(setup):
     lp, sends, topo, cfg = setup
-    ev = execute(lp, INJECT, {"step": 0}, ts=0.9)
+    ev = execute(lp, INJECT, 0, ts=0.9)
     kinds = sorted(e.kind for e in sends)
     assert kinds == sorted([INJECT, ARRIVE])
     assert lp.stats.injected == 1
-    assert lp.head_gen_step == 1
+    assert lp.head_gen[lp.id] == 1
     assert lp.stats.total_inject_wait == 0  # injected the step it was born
     arrive = next(e for e in sends if e.kind == ARRIVE)
-    assert arrive.data["priority"] == int(Priority.SLEEPING)
-    assert arrive.data["inject_step"] == 0
-    assert arrive.data["dest"] != lp.id
+    assert arrive.data[P_PRIORITY] == int(Priority.SLEEPING)
+    assert arrive.data[P_INJECT_STEP] == 0
+    assert arrive.data[P_DEST] != lp.id
 
 
 def test_inject_blocked_when_all_links_claimed(setup):
     lp, sends, topo, cfg = setup
-    lp.links = [3, 3, 3, 3]
-    execute(lp, INJECT, {"step": 3}, ts=3.9)
+    claim(lp, [3, 3, 3, 3])
+    execute(lp, INJECT, 3, ts=3.9)
     assert lp.stats.injected == 0
     assert lp.stats.inject_blocked == 1
     assert [e.kind for e in sends] == [INJECT]  # only the chain continues
@@ -215,10 +182,10 @@ def test_inject_blocked_when_all_links_claimed(setup):
 
 def test_inject_wait_measured_from_generation(setup):
     lp, sends, topo, cfg = setup
-    lp.links = [5, 5, 5, 5]
-    execute(lp, INJECT, {"step": 5}, ts=5.9)  # blocked
-    lp.links = [5, 5, 5, 5]  # still claimed for step 5, free at 6
-    execute(lp, INJECT, {"step": 6}, ts=6.9)
+    claim(lp, [5, 5, 5, 5])
+    execute(lp, INJECT, 5, ts=5.9)  # blocked
+    assert own_links(lp) == [5, 5, 5, 5]  # still claimed for step 5, free at 6
+    execute(lp, INJECT, 6, ts=6.9)
     assert lp.stats.injected == 1
     assert lp.stats.total_inject_wait == 6  # head generated at step 0
     assert lp.stats.max_inject_wait == 6
@@ -226,8 +193,8 @@ def test_inject_wait_measured_from_generation(setup):
 
 def test_inject_nothing_pending(setup):
     lp, sends, topo, cfg = setup
-    lp.head_gen_step = 1  # already injected the step-0 packet
-    execute(lp, INJECT, {"step": 0}, ts=0.9)
+    lp.head_gen[lp.id] = 1  # already injected the step-0 packet
+    execute(lp, INJECT, 0, ts=0.9)
     assert lp.stats.injected == 0
     assert [e.kind for e in sends] == [INJECT]
 
@@ -236,9 +203,61 @@ def test_inject_nothing_pending(setup):
 def test_inject_reverse_restores_exactly(setup, blocked):
     lp, sends, topo, cfg = setup
     if blocked:
-        lp.links = [2, 2, 2, 2]
+        claim(lp, [2, 2, 2, 2])
     before = state_of(lp)
-    ev = execute(lp, INJECT, {"step": 2}, ts=2.9)
+    ev = execute(lp, INJECT, 2, ts=2.9)
+    undo(lp, ev)
+    assert state_of(lp) == before
+
+
+# ----------------------------------------------------------------------
+# INJECT with an adversary script: the same handler, generation scripted.
+# ----------------------------------------------------------------------
+SCRIPT_DEST = 7
+
+
+def scripted_router(torus, *, crashed=False):
+    """Router 0 (a degree-2 corner on the mesh) whose adversary generates
+    one packet for ``SCRIPT_DEST`` at step 2 and one at step 6."""
+    plan = InjectionPlan(entries=(
+        InjectionEvent(step=2, node=0, dest=SCRIPT_DEST),
+        InjectionEvent(step=6, node=0, dest=SCRIPT_DEST),
+    ))
+    faults = FaultPlan(events=(FaultEvent(1, CRASH, 0),)) if crashed else None
+    cfg = HotPotatoConfig(n=3, duration=50.0, torus=torus)
+    lp, sends, _ = make_router(0, cfg, injection_plan=plan, fault_plan=faults)
+    assert lp.adversary == ((2, SCRIPT_DEST), (6, SCRIPT_DEST))
+    assert (lp.faults is not None) == crashed
+    return lp, sends
+
+
+@pytest.mark.parametrize("torus", [True, False], ids=["torus", "mesh-corner"])
+@pytest.mark.parametrize(
+    "case", ["injected", "blocked", "not-due", "exhausted", "crashed"]
+)
+def test_scripted_inject_reverse_restores_exactly(torus, case):
+    lp, sends = scripted_router(torus, crashed=case == "crashed")
+    if case == "blocked":
+        claim(lp, [3, 3, 3, 3])
+    elif case == "not-due":
+        lp.head_gen[lp.id] = 1  # next generation is step 6
+    elif case == "exhausted":
+        lp.head_gen[lp.id] = 2
+    before = state_of(lp)
+    ev = execute(lp, INJECT, 3, ts=3.9)
+    st = lp.stats
+    if case == "injected":
+        arrive = next(e for e in sends if e.kind == ARRIVE)
+        assert arrive.data[P_DEST] == SCRIPT_DEST  # scripted, not drawn
+        assert arrive.data[P_INJECT_STEP] == 3
+        assert ev.rng_draws == 1  # the arrival jitter only
+        assert (st.injected, st.total_inject_wait) == (1, 1)  # generated at 2
+        assert lp.head_gen[lp.id] == 1
+    else:
+        assert [e.kind for e in sends] == [INJECT]  # only the chain continues
+        assert ev.rng_draws == 0
+        assert st.injected == 0
+        assert st.inject_blocked == (case == "blocked")
     undo(lp, ev)
     assert state_of(lp) == before
 
@@ -249,7 +268,7 @@ def test_inject_reverse_restores_exactly(setup, blocked):
 def test_init_fills_all_links_and_chains_inject(setup):
     lp, sends, topo, cfg = setup
     ev = execute(lp, INIT, {}, ts=0.1)
-    assert lp.links == [0, 0, 0, 0]
+    assert own_links(lp) == [0, 0, 0, 0]
     arrives = [e for e in sends if e.kind == ARRIVE]
     assert len(arrives) == 4
     assert {e.dst for e in arrives} == set(topo.neighbors(lp.id))
@@ -261,7 +280,7 @@ def test_init_zero_fill(setup):
     lp, sends, topo, cfg = setup
     lp.cfg = HotPotatoConfig(n=4, duration=50.0, initial_fill=0.0)
     execute(lp, INIT, {}, ts=0.1)
-    assert lp.links == [-1, -1, -1, -1]
+    assert own_links(lp) == [-1, -1, -1, -1]
     assert lp.stats.initial_packets == 0
 
 
@@ -275,8 +294,8 @@ def test_init_reverse_restores_exactly(setup):
 
 def test_heartbeat_samples_utilization(setup):
     lp, sends, topo, cfg = setup
-    lp.links = [6, 6, -1, 2]  # two links claimed at step 6
-    ev = execute(lp, HEARTBEAT, {"step": 6}, ts=6.95)
+    claim(lp, [6, 6, -1, 2])  # two links claimed at step 6
+    ev = execute(lp, HEARTBEAT, 6, ts=6.95)
     assert lp.stats.util_claimed == 2
     assert lp.stats.util_samples == 4
     assert [e.kind for e in sends] == [HEARTBEAT]
@@ -292,9 +311,9 @@ def test_snapshot_restore_roundtrip(setup):
     lp, sends, topo, cfg = setup
     execute(lp, INIT, {}, ts=0.1)
     snap = lp.snapshot_state()
-    execute(lp, INJECT, {"step": 1}, ts=1.9)
+    execute(lp, INJECT, 1, ts=1.9)
     lp.restore_state(snap)
-    assert lp.links == [0, 0, 0, 0]
-    assert lp.head_gen_step == 0
+    assert own_links(lp) == [0, 0, 0, 0]
+    assert lp.head_gen[lp.id] == 0
     assert lp.stats.injected == 0
     assert lp.stats.initial_packets == 4

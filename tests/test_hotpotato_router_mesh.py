@@ -6,15 +6,19 @@ every handler must treat a missing direction as permanently claimed —
 never seed it, never route onto it, never count it in utilisation.
 """
 
-import pytest
-
-from repro.core.event import Event
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.packet import Priority
-from repro.hotpotato.policy import BuschHotPotatoPolicy
-from repro.hotpotato.router import ARRIVE, HEARTBEAT, INIT, INJECT, ROUTE, RouterLP
-from repro.net import Direction, MeshTopology
-from repro.rng.streams import ReversibleStream
+from repro.hotpotato.router import ARRIVE, HEARTBEAT, INIT, INJECT, ROUTE
+from repro.hotpotato.stats import RouterStats
+from repro.net import Direction
+from tests.router_harness import (
+    claim,
+    execute,
+    make_router,
+    state_of,
+    undo,
+)
+from tests.router_harness import packet
 
 N_, E_, S_, W_ = (
     int(Direction.NORTH),
@@ -25,52 +29,11 @@ N_, E_, S_, W_ = (
 
 
 def make_lp(node, n=3, **cfg_kwargs):
-    cfg = HotPotatoConfig(n=n, torus=False, **cfg_kwargs)
-    topo = MeshTopology(n)
-    sends = []
-    lp = RouterLP(node, cfg, topo, BuschHotPotatoPolicy(), is_injector=True)
-    lp.bind(ReversibleStream(11, node), lambda src, ev: sends.append(ev))
-    return lp, sends, topo
+    return make_router(node, HotPotatoConfig(n=n, torus=False, **cfg_kwargs))
 
 
-def state_of(lp):
-    return (
-        tuple(lp.links),
-        lp.head_gen_step,
-        lp.stats.signature(),
-        lp.rng.checkpoint(),
-        lp.send_seq,
-    )
-
-
-def execute(lp, kind, data, ts=1.0):
-    from repro.vt.time import EventKey
-
-    ev = Event(EventKey(ts, lp.id, 999), lp.id, kind, data)
-    ev.prev_send_seq = lp.send_seq
-    before = lp.rng.count
-    lp._now = ts
-    lp.forward(ev)
-    ev.rng_draws = lp.rng.count - before
-    return ev
-
-
-def undo(lp, ev):
-    lp.reverse(ev)
-    lp.rng.reverse(ev.rng_draws)
-    lp.send_seq = ev.prev_send_seq
-
-
-def packet_data(step, dest, priority=Priority.ACTIVE, inject_step=0, jitter=0.25, distance=1, src=0):
-    return {
-        "step": step,
-        "dest": dest,
-        "priority": int(priority),
-        "inject_step": inject_step,
-        "jitter": jitter,
-        "distance": distance,
-        "src": src,
-    }
+def packet_data(step, dest, priority=Priority.ACTIVE, **fields):
+    return packet(step, dest, priority, **fields)
 
 
 def test_corner_exists_mask_matches_degree():
@@ -85,7 +48,7 @@ def test_corner_free_mask_never_reports_missing_links():
     lp, _, _ = make_lp(0)
     free = lp._free_mask(step=0)
     assert free == (False, True, True, False)
-    lp.links[E_] = 0  # claimed this step
+    lp.links[lp.base + E_] = 0  # claimed this step
     assert lp._free_mask(0) == (False, False, True, False)
 
 
@@ -108,16 +71,14 @@ def test_corner_route_only_good_dir_busy_deflects_onto_real_link():
     # only legal output is SOUTH, never a missing N/W link.
     lp, sends, topo = make_lp(0)
     assert topo.route_info(0, 2)[0] == (Direction.EAST,)
-    lp.links[E_] = 4  # claimed at this step
+    lp.links[lp.base + E_] = 4  # claimed at this step
     ev = execute(lp, ROUTE, packet_data(step=4, dest=2), ts=4.6)
     (arrive,) = sends
     assert arrive.dst == topo.neighbor(0, Direction.SOUTH)
     assert lp.stats.deflections == 1
     assert lp.stats.overflow_routes == 0
     undo(lp, ev)
-    assert lp.stats.signature() == RouterLP(
-        0, lp.cfg, topo, BuschHotPotatoPolicy(), is_injector=True
-    ).stats.signature()
+    assert lp.stats.signature() == RouterStats().signature()
 
 
 def test_corner_route_reverse_restores_exactly():
@@ -132,10 +93,10 @@ def test_corner_route_reverse_restores_exactly():
 
 def test_corner_inject_blocked_when_both_links_claimed():
     lp, sends, _ = make_lp(0)
-    lp.links[E_] = 3
-    lp.links[S_] = 3
+    lp.links[lp.base + E_] = 3
+    lp.links[lp.base + S_] = 3
     before = state_of(lp)
-    ev = execute(lp, INJECT, {"step": 3}, ts=3.9)
+    ev = execute(lp, INJECT, 3, ts=3.9)
     assert lp.stats.inject_blocked == 1
     assert lp.stats.injected == 0
     # Only the self-rescheduled INJECT went out, no ARRIVE.
@@ -146,7 +107,7 @@ def test_corner_inject_blocked_when_both_links_claimed():
 
 def test_corner_inject_uses_existing_link():
     lp, sends, topo = make_lp(0)
-    ev = execute(lp, INJECT, {"step": 3}, ts=3.9)
+    ev = execute(lp, INJECT, 3, ts=3.9)
     assert lp.stats.injected == 1
     arrives = [e for e in sends if e.kind == ARRIVE]
     assert len(arrives) == 1
@@ -160,8 +121,8 @@ def test_corner_inject_uses_existing_link():
 
 def test_heartbeat_samples_degree_not_four():
     lp, _, _ = make_lp(0, heartbeat=True)
-    lp.links[E_] = 6
-    ev = execute(lp, HEARTBEAT, {"step": 6}, ts=6.95)
+    lp.links[lp.base + E_] = 6
+    ev = execute(lp, HEARTBEAT, 6, ts=6.95)
     assert lp.stats.util_samples == 2  # degree-2 corner, not 4
     assert lp.stats.util_claimed == 1
     undo(lp, ev)
@@ -171,14 +132,12 @@ def test_heartbeat_samples_degree_not_four():
 def test_edge_node_routes_never_use_missing_north():
     # Top-edge node 1 (degree 3, missing NORTH): hammer ROUTE with many
     # destinations and claimed-link patterns; no ARRIVE may target a
-    # NORTH neighbor (there is none — send would hit the assert).
+    # NORTH neighbor (there is none).
     lp, sends, topo = make_lp(1)
     for dest in (0, 2, 3, 5, 6, 7, 8):
         for claimed in ((), (E_,), (W_,), (E_, W_), (S_,)):
             sends.clear()
-            lp.links = [-1, -1, -1, -1]
-            for d in claimed:
-                lp.links[d] = 9
+            claim(lp, [9 if d in claimed else -1 for d in range(4)])
             execute(lp, ROUTE, packet_data(step=9, dest=dest), ts=9.6)
             (arrive,) = sends
             legal = {

@@ -269,8 +269,9 @@ def test_untraced_procs_under_model_fault_plan():
 
 
 def test_untraced_procs_mesh_runs_the_scalar_population():
-    """The model declines its band build off the torus: RouterLP under
-    the workers' compiled scalar batch, dict frames on the ring."""
+    """The model declines its vector plan off the torus: the routers
+    under the workers' compiled per-event batch, the same positional
+    frames on the ring."""
     cfg = _big_cfg(topology="mesh")
     oracle = run_sequential(HotPotatoModel(cfg), BIG_END, seed=BIG_SEED)
     mp = run_optimistic(HotPotatoModel(cfg), _big_ecfg(2))

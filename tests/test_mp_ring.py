@@ -293,18 +293,25 @@ def test_codec_probe_event_is_pinned():
 
 def test_positional_layout_is_the_soa_payload_order():
     """A positional frame packs ``*data``: the schema's field order must
-    be soa.py's ``P_*`` tuple order for both packet kinds."""
-    from repro.hotpotato import soa
-    from repro.hotpotato.router import ARRIVE, ROUTE
+    be the routers' packet-tuple order, ``router.PACKET_FIELDS``, for
+    both packet kinds — and the tuples the handlers build must put each
+    value under its name."""
+    from repro.hotpotato import router
+    from repro.hotpotato.config import HotPotatoConfig
+    from repro.hotpotato.router import ARRIVE, INJECT, ROUTE
+    from tests.router_harness import execute, make_router
 
     schema = _hotpotato_schema()
     for kind in (ARRIVE, ROUTE):
-        order = {name: i for i, (name, _) in enumerate(schema[kind])}
-        assert order == {
-            "step": soa.P_STEP, "dest": soa.P_DEST, "priority": soa.P_PRIORITY,
-            "inject_step": soa.P_INJECT_STEP, "jitter": soa.P_JITTER,
-            "distance": soa.P_DISTANCE, "src": soa.P_SRC,
-        }
+        assert tuple(name for name, _ in schema[kind]) == router.PACKET_FIELDS
+    for index, name in enumerate(router.PACKET_FIELDS):
+        assert getattr(router, "P_" + name.upper()) == index
+    lp, sends, topo = make_router(5, HotPotatoConfig(n=4))
+    execute(lp, INJECT, 3, ts=3.9)
+    packet = dict(zip(router.PACKET_FIELDS, sends[-1].data))
+    assert (packet["step"], packet["inject_step"], packet["src"]) == (4, 3, 5)
+    assert packet["priority"] == 0 and 0.0 < packet["jitter"] <= 0.5
+    assert packet["distance"] == topo.route_info(5, packet["dest"])[3]
 
 
 # ----------------------------------------------------------------------

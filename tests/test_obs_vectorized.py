@@ -1,12 +1,13 @@
 """Observability parity under band stepping.
 
-The band-stepping (struct-of-arrays) population the Time Warp kernel
-takes whenever the model offers it must be observationally identical to
-the scalar one: same committed sequence, same summary and timeline
-behaviour, a clean ``repro.obs diff`` verdict — while its own activity
-(``soa_batches`` / ``soa_lps_stepped``) shows up in the metric stream so
-the summary can report it.  The scalar side is a test foil: a model that
-declines its band-stepping build.
+A run the Time Warp kernel steps through the model's vector plan (which
+it does whenever the model offers one) must be observationally identical
+to the same population stepped one event at a time: same committed
+sequence, same summary and timeline behaviour, a clean ``repro.obs diff``
+verdict — while the plan's own activity (``soa_batches`` /
+``soa_lps_stepped``) shows up in the metric stream so the summary can
+report it.  The ``scalar`` side is a test foil: a model that declines
+its plan.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from repro.hotpotato.model import HotPotatoModel
 from repro.obs.__main__ import main as obs_main
 from repro.obs.capture import RunCapture
 from repro.obs.recorder import load_recording
-from tests.kernel_models import scalar_population
+from tests.kernel_models import plan_declined
 
 SEED = 0xB5EED
 CFG = HotPotatoConfig(n=4, duration=10.0, injector_fraction=1.0)
@@ -33,7 +34,7 @@ def _record(tmp_path, executor):
     )
     model = HotPotatoModel(CFG)
     if executor == "scalar":
-        scalar_population(model)
+        plan_declined(model)
     result = run_optimistic(
         model,
         EngineConfig(end_time=CFG.duration, n_pes=4, n_kps=16, batch_size=64,

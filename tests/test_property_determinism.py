@@ -20,7 +20,7 @@ from repro.core.trace import Tracer
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.models.phold import PholdConfig, PholdModel
-from tests.kernel_models import scalar_population
+from tests.kernel_models import plan_declined
 
 END = 20.0
 PHOLD_CFG = PholdConfig(n_lps=24, jobs_per_lp=2, remote_fraction=0.6)
@@ -98,7 +98,7 @@ SHARED_CFG = HotPotatoConfig(
 def _shared_tables_engine(queue="heap", cancellation="aggressive", executor="scalar"):
     model = HotPotatoModel(SHARED_CFG)
     if executor == "scalar":
-        scalar_population(model)
+        plan_declined(model)
     cfg = EngineConfig(
         end_time=SHARED_END, n_pes=4, n_kps=16, batch_size=512, seed=0x5EED,
         queue=queue, cancellation=cancellation,
