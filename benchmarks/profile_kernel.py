@@ -26,7 +26,8 @@ Historical findings captured as comments where they drove code decisions:
 * event execution dominates (as it should — the kernel adds ~2-3 Python
   function calls per event on top of the model handler);
 * `heapq` beat a pure-Python splay tree on CPython by a constant factor
-  (1.3x of heap's wall end to end, so the splay queue was deleted);
+  (1.3x of heap's wall end to end, so the splay queue was deleted), and
+  a Tang & Goh ladder queue by 1.06-1.18x (deleted too; DESIGN.md S17);
 * `dict` payloads beat dataclass payloads for the ROUTE/ARRIVE hop loop.
 """
 
@@ -76,12 +77,6 @@ def main() -> None:
     parser.add_argument("--lines", type=int, default=25, help="rows to print")
     parser.add_argument("--n", type=int, default=8, help="network dimension")
     parser.add_argument("--duration", type=float, default=60.0)
-    parser.add_argument(
-        "--queue",
-        default="heap",
-        choices=("heap", "ladder"),
-        help="pending-queue implementation (optimistic engine only)",
-    )
     parser.add_argument(
         "--cancellation",
         default="aggressive",
@@ -168,7 +163,7 @@ def main() -> None:
     else:
         ecfg = EngineConfig(
             end_time=cfg.duration, n_pes=4, n_kps=16, batch_size=64, seed=args.seed,
-            queue=args.queue, cancellation=args.cancellation,
+            cancellation=args.cancellation,
             gvt_interval=args.gvt_interval, **mp_overrides,
         )
         result = run_optimistic(

@@ -6,9 +6,9 @@ Each engine snapshots at a *quiescent boundary*:
   commits): one heap of never-processed events, no journaling.
 * **optimistic** — a GVT round, after fossil collection *and* after the
   transport flush: everything below GVT is committed and gone, the
-  cancellation worklist is drained, mailboxes are empty (only a
-  FaultyTransport's deliberately-held messages remain in flight, and
-  those are captured explicitly).
+  cancellation worklist is drained, nothing is in flight (only a
+  FaultyTransport's deliberately-held messages, and those are captured
+  explicitly).
 * **conservative** — a scheduler round: events commit as they execute,
   so only the pending queues, channel clocks and counters are live.
 
@@ -34,7 +34,7 @@ from dataclasses import fields as dataclass_fields
 
 from repro.core.event import Event, _next_serial
 from repro.errors import SnapshotError
-from repro.vt.time import TIME_HORIZON, EventKey
+from repro.vt.time import EventKey
 
 __all__ = ["capture_state", "restore_state"]
 
@@ -133,47 +133,19 @@ def _restore_pool(pool, snap) -> None:
 
 
 def _capture_gvt(manager):
-    if manager.name == "synchronous":
-        return ("synchronous", manager.last)
-    if manager.name == "incremental":
-        # Per-PE floors are NOT captured: the restore marks every PE
-        # dirty, so the first post-resume estimate re-peeks each queue
-        # exactly (the queues themselves are rebuilt from the snapshot).
-        return ("incremental", manager.last, manager.incremental_rounds,
-                manager.repeeks)
-    return (
-        "mattern",
-        manager.epoch,
-        dict(manager._sent),
-        dict(manager._recv),
-        dict(manager._min_sent_ts),
-        manager.last,
-    )
+    return (manager.name, manager.last)
 
 
 def _restore_gvt(manager, snap) -> None:
+    # Snapshots written when the in-process kernel still had a "mattern"
+    # or "incremental" manager name it here; their epoch counters and
+    # floors have nothing to be restored into.
     if snap[0] != manager.name:
         raise SnapshotError(
             f"snapshot used GVT algorithm {snap[0]!r}, engine uses "
             f"{manager.name!r}"
         )
-    if snap[0] == "synchronous":
-        manager.last = snap[1]
-        return
-    if snap[0] == "incremental":
-        _, manager.last, manager.incremental_rounds, manager.repeeks = snap
-        manager._floor[:] = [TIME_HORIZON] * manager.n_pes
-        manager._dirty[:] = [True] * manager.n_pes
-        return
-    _, epoch, sent, recv, min_ts, last = snap
-    manager.epoch = epoch
-    manager._sent.clear()
-    manager._sent.update(sent)
-    manager._recv.clear()
-    manager._recv.update(recv)
-    manager._min_sent_ts.clear()
-    manager._min_sent_ts.update(min_ts)
-    manager.last = last
+    manager.last = snap[1]
 
 
 def _capture_throttle(throttle):

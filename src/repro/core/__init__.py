@@ -22,7 +22,7 @@ from repro.core.conservative import (
 from repro.core.costmodel import CostModel
 from repro.core.engine import SequentialEngine, run_sequential
 from repro.core.event import Event
-from repro.core.gvt import MatternGVT, SynchronousGVT
+from repro.core.gvt import SynchronousGVT
 from repro.core.kp import KernelProcess
 from repro.core.lp import LogicalProcess, Model
 from repro.core.mapping import Mapping, build_mapping
@@ -34,7 +34,7 @@ from repro.core.rollback import ReverseComputation, StateSaving, make_strategy
 from repro.core.stats import KPStats, PEStats, RunStats
 from repro.core.throttle import Throttle, ThrottleConfig
 from repro.core.trace import TraceRecord, Tracer
-from repro.core.transport import ImmediateTransport, MailboxTransport
+from repro.core.transport import ImmediateTransport
 
 __all__ = [
     "ConservativeConfig",
@@ -46,9 +46,7 @@ __all__ = [
     "KPStats",
     "KernelProcess",
     "LogicalProcess",
-    "MailboxTransport",
     "Mapping",
-    "MatternGVT",
     "Model",
     "PEStats",
     "PendingQueue",

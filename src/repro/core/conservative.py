@@ -37,8 +37,8 @@ from repro.core.event import Event
 from repro.core.executor import Executor
 from repro.core.invariants import check_conservative
 from repro.core.lp import LogicalProcess, Model
-from repro.core.mapping import build_mapping
-from repro.core.queue import make_pending_queue
+from repro.core.mapping import build_mapping, check_mapping_strategy
+from repro.core.queue import PendingQueue
 from repro.core.result import RunResult
 from repro.core.stats import RunStats
 from repro.errors import ConfigurationError, SchedulingError
@@ -79,7 +79,6 @@ class ConservativeConfig:
     lookahead: float | None = None
     sync: str = "yawns"
     mapping: str = "block"
-    queue: str = "heap"
     pool: bool = True
     seed: int = 0x5EED
     null_ratio_limit: float = 100.0
@@ -99,10 +98,7 @@ class ConservativeConfig:
             raise ConfigurationError(
                 f"sync must be 'yawns' or 'null', got {self.sync!r}"
             )
-        if self.queue not in ("heap", "ladder"):
-            raise ConfigurationError(
-                f"queue must be 'heap' or 'ladder', got {self.queue!r}"
-            )
+        check_mapping_strategy(self.mapping)
 
 
 class _ConsPE:
@@ -110,9 +106,9 @@ class _ConsPE:
 
     __slots__ = ("id", "pending", "in_clock", "out_clock", "processed", "lp_count", "busy")
 
-    def __init__(self, pe_id: int, n_pes: int, queue: str) -> None:
+    def __init__(self, pe_id: int, n_pes: int) -> None:
         self.id = pe_id
-        self.pending = make_pending_queue(queue)
+        self.pending = PendingQueue()
         #: Guarantee received from each peer: no message below this ts.
         self.in_clock = [0.0] * n_pes
         #: Guarantee last sent to each peer (to avoid redundant nulls).
@@ -164,9 +160,7 @@ class ConservativeKernel(Executor):
             grid=getattr(model, "grid", None),
             seed=config.seed,
         )
-        self.pes = [
-            _ConsPE(p, config.n_pes, config.queue) for p in range(config.n_pes)
-        ]
+        self.pes = [_ConsPE(p, config.n_pes) for p in range(config.n_pes)]
         self.pe_of_lp = [mapping.lp_to_pe(lp.id) for lp in self.lps]
         for lp in self.lps:
             self.pes[self.pe_of_lp[lp.id]].lp_count += 1

@@ -106,7 +106,9 @@ class Event:
         #: True while the event sits in a PE's pending queue; lets the
         #: kernel keep the queue's live count exact on cancellation.
         self.in_pending: bool = False
-        #: GVT epoch stamp (Mattern-style coloring; see repro.core.gvt).
+        #: Ring-frame uid of a send that crossed to another worker process
+        #: (0 otherwise), so a later anti frame names exactly that copy;
+        #: see repro.mp.transport.
         self.color: int = 0
         #: Flat pending-queue entry (see module docstring).
         self.entry = (key[0], key[1], key[2], _next_serial(), self)

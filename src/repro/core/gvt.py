@@ -5,63 +5,43 @@ back, so storage below it can be fossil-collected and statistics committed.
 ROSS "uses Fujimoto's Global Virtual Time (GVT) algorithm for process
 synchronization ... rather than a less efficient distributed GVT algorithm
 such as Mattern's" (§3.1.2), which it can do because shared-memory delivery
-is instantaneous.  We implement both:
+is instantaneous.  The in-process kernel does the same:
+:class:`SynchronousGVT` is the minimum, taken at a round barrier, over all
+PEs' earliest unprocessed event and anything the transport still holds
+(only a fault-wrapped transport ever holds anything).  Exact, but requires
+the barrier.
 
-* :class:`SynchronousGVT` — Fujimoto-style: at a round barrier, GVT is the
-  minimum over all PEs' earliest unprocessed event and anything the
-  transport still holds.  Exact, but requires the barrier.
-* :class:`MatternGVT` — a Mattern-style epoch/coloring algorithm that never
-  needs a barrier: sends are stamped with the current epoch, per-PE
-  send/receive counts per epoch detect in-flight messages, and unbalanced
-  epochs contribute the (conservative) minimum timestamp they ever sent.
-  Produces a valid *lower bound* that converges to the exact GVT once
-  mailboxes drain.  Meaningful with the mailbox transport, where messages
-  really are in flight when the estimate is taken.
-* :class:`IncrementalGVT` — the synchronous algorithm's *result* at
-  amortised bookkeeping cost: per-PE pending-queue minima are maintained
-  incrementally (lowered at message delivery and rollback-requeue time,
-  invalidated when the PE executes or cancels), so each estimate re-peeks
-  only the queues whose cached floor may have risen instead of scanning
-  every queue every Fujimoto round.
+Where messages genuinely are in flight when the estimate is taken — the
+shared-memory rings between ``--procs`` workers — the barrier is not
+available and a Mattern-style counting token ring computes GVT instead;
+that algorithm lives with the rings, in :mod:`repro.mp.gvt`.
 
-All satisfy the safety property tested in the suite: the returned value
-never exceeds the true minimum unprocessed timestamp.
+The safety property tested in the suite: the returned value never exceeds
+the true minimum unprocessed timestamp.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.event import Event
-from repro.vt.time import TIME_HORIZON
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.optimistic import TimeWarpKernel
 
-__all__ = ["SynchronousGVT", "MatternGVT", "IncrementalGVT", "make_gvt_manager"]
+__all__ = ["SynchronousGVT"]
 
 
 class SynchronousGVT:
     """Barrier GVT: exact minimum over pending queues and the transport."""
 
+    #: Recorded in snapshots; a restore refuses a payload that names
+    #: another algorithm (written before the in-process kernel had one).
     name = "synchronous"
-    #: This manager's send/receive hooks are no-ops; the kernel skips the
-    #: two per-event calls entirely when this is False.
-    tracks_messages = False
 
-    def __init__(self, n_pes: int) -> None:
+    def __init__(self) -> None:
         self.last = 0.0
 
-    def on_send(self, src_pe: int, event: Event) -> None:
-        """Message hook (unused by the synchronous algorithm)."""
-        return None
-
-    def on_receive(self, dst_pe: int, event: Event) -> None:
-        """Message hook (unused by the synchronous algorithm)."""
-        return None
-
     def estimate(self, kernel: "TimeWarpKernel") -> float:
-        """Exact GVT; call only at a round barrier (post-flush)."""
+        """Exact GVT; call only at a round barrier."""
         m = kernel.transport.min_in_flight_ts()
         for pe in kernel.pes:
             key = pe.pending.peek_key()
@@ -69,190 +49,3 @@ class SynchronousGVT:
                 m = key.ts
         self.last = m
         return m
-
-
-class MatternGVT:
-    """Epoch-coloring GVT estimator (Mattern-style, barrier-free bound).
-
-    Every send is stamped with the sender's current epoch; the estimator
-    closes the epoch and checks, per closed epoch, whether every sent
-    message has been received.  Unbalanced epochs may still have messages
-    in flight, so they contribute the minimum timestamp sent during that
-    epoch — a conservative but safe bound.
-    """
-
-    name = "mattern"
-    tracks_messages = True
-
-    def __init__(self, n_pes: int) -> None:
-        self.n_pes = n_pes
-        self.epoch = 0
-        # Aggregate counters per epoch (a real distributed implementation
-        # keeps these per PE and sums them on the token; the sum is all the
-        # algorithm ever uses, so we fold eagerly).
-        self._sent: dict[int, int] = {}
-        self._recv: dict[int, int] = {}
-        self._min_sent_ts: dict[int, float] = {}
-        self.last = 0.0
-
-    def on_send(self, src_pe: int, event: Event) -> None:
-        """Stamp the message with the current epoch and count it."""
-        e = self.epoch
-        event.color = e
-        self._sent[e] = self._sent.get(e, 0) + 1
-        prev = self._min_sent_ts.get(e, TIME_HORIZON)
-        if event.key.ts < prev:
-            self._min_sent_ts[e] = event.key.ts
-
-    def on_receive(self, dst_pe: int, event: Event) -> None:
-        """Balance the message's epoch counter on arrival."""
-        e = event.color
-        self._recv[e] = self._recv.get(e, 0) + 1
-
-    def estimate(self, kernel: "TimeWarpKernel") -> float:
-        """One token pass: close the epoch and return a GVT lower bound."""
-        closed = self.epoch
-        self.epoch = closed + 1
-        m = TIME_HORIZON
-        for pe in kernel.pes:
-            key = pe.pending.peek_key()
-            if key is not None and key.ts < m:
-                m = key.ts
-        # Unbalanced closed epochs may still have messages in flight.
-        for e in list(self._sent):
-            if e > closed:
-                continue
-            if self._sent.get(e, 0) == self._recv.get(e, 0):
-                # Fully delivered: this epoch can never lower GVT again.
-                self._sent.pop(e, None)
-                self._recv.pop(e, None)
-                self._min_sent_ts.pop(e, None)
-            else:
-                ts = self._min_sent_ts.get(e, TIME_HORIZON)
-                if ts < m:
-                    m = ts
-        # GVT is monotone; a lagging estimate never goes backwards.
-        if m < self.last:
-            m = self.last
-        self.last = m
-        return m
-
-
-class IncrementalGVT:
-    """Per-PE minimum trackers maintained at send/commit time.
-
-    The synchronous estimator recomputes every PE's pending minimum at
-    every Fujimoto round — O(PEs) queue peeks whether or not anything
-    changed.  This manager keeps a cached *floor* per PE — a value
-    guaranteed not to exceed that PE's true pending minimum — and only
-    re-peeks queues whose floor may have risen since the last round:
-
-    * **deliveries lower the floor in O(1)** (``on_receive`` on the send
-      path, ``on_requeue`` when a rollback returns events to pending), so
-      a PE that only *received* work since the last round is never
-      scanned;
-    * **executions and cancellations raise the true minimum**, so they
-      mark the PE dirty (``note_executed`` once per active PE per round,
-      ``note_cancelled`` from the cancellation path) and the next
-      estimate re-peeks exactly those queues.
-
-    Safety: a clean PE's floor only ever moved *down* since it was last
-    exact, so it is always ≤ the true pending minimum; dirty PEs are
-    re-peeked exactly; in-flight mailbox messages are accounted via
-    ``min_in_flight_ts`` like the synchronous algorithm; and the estimate
-    is clamped monotone (true GVT never moves backwards, so the clamp
-    cannot overshoot it).  The paranoid invariant suite checks all of
-    this against a full scan.
-    """
-
-    name = "incremental"
-    #: The kernel must call on_receive per delivery (to lower floors) …
-    tracks_messages = True
-    #: … but on_send is a no-op, and the fused send path skips it.
-    needs_send_hook = False
-    #: Rollback requeues must call :meth:`on_requeue` (they bypass the
-    #: delivery path, yet can push below a re-peeked floor).
-    needs_requeue_hook = True
-
-    def __init__(self, n_pes: int) -> None:
-        self.n_pes = n_pes
-        #: Per-PE cached lower bound on the pending minimum.
-        self._floor = [TIME_HORIZON] * n_pes
-        #: Per-PE "floor may have risen" flag; set by executions and
-        #: cancellations, cleared by an exact re-peek.
-        self._dirty = [True] * n_pes
-        self.last = 0.0
-        #: Estimates this manager served (rides RunStats/metrics as
-        #: ``gvt_incremental_rounds``).
-        self.incremental_rounds = 0
-        #: Per-PE exact re-peeks performed, across all estimates; the
-        #: saved work versus the synchronous scan is
-        #: ``incremental_rounds * n_pes - repeeks``.
-        self.repeeks = 0
-
-    def on_send(self, src_pe: int, event: Event) -> None:
-        """Message hook (unused; deliveries do the accounting)."""
-        return None
-
-    def on_receive(self, dst_pe: int, event: Event) -> None:
-        """Delivery lowers the destination PE's floor in O(1)."""
-        ts = event.entry[0]
-        if ts < self._floor[dst_pe]:
-            self._floor[dst_pe] = ts
-
-    def on_requeue(self, dst_pe: int, ts: float) -> None:
-        """A rollback returned an event to pending: lower the floor."""
-        if ts < self._floor[dst_pe]:
-            self._floor[dst_pe] = ts
-
-    def note_executed(self, pe_id: int) -> None:
-        """The PE popped events this round: its floor may have risen."""
-        self._dirty[pe_id] = True
-
-    def note_cancelled(self, pe_id: int) -> None:
-        """A pending event died: the floor may have risen (and, if the PE
-        then goes idle forever, a stale-low floor would stall GVT — the
-        dirty mark guarantees one exact re-peek)."""
-        self._dirty[pe_id] = True
-
-    def estimate(self, kernel: "TimeWarpKernel") -> float:
-        """Re-peek dirty PEs only; clean floors stand in for the rest."""
-        self.incremental_rounds += 1
-        floor = self._floor
-        dirty = self._dirty
-        repeeks = 0
-        m = kernel.transport.min_in_flight_ts()
-        for pe in kernel.pes:
-            i = pe.id
-            if dirty[i]:
-                key = pe.pending.peek_key()
-                floor[i] = key.ts if key is not None else TIME_HORIZON
-                dirty[i] = False
-                repeeks += 1
-            f = floor[i]
-            if f < m:
-                m = f
-        self.repeeks += repeeks
-        # GVT is monotone; a floor lowered by a since-cancelled event (and
-        # not yet re-peeked) must not drag the estimate backwards.
-        if m < self.last:
-            m = self.last
-        self.last = m
-        return m
-
-
-_MANAGERS = {
-    SynchronousGVT.name: SynchronousGVT,
-    MatternGVT.name: MatternGVT,
-    IncrementalGVT.name: IncrementalGVT,
-}
-
-
-def make_gvt_manager(name: str, n_pes: int):
-    """Instantiate a GVT manager by config name."""
-    try:
-        return _MANAGERS[name](n_pes)
-    except KeyError:
-        raise ValueError(
-            f"unknown GVT algorithm {name!r}; choose from {sorted(_MANAGERS)}"
-        ) from None

@@ -24,7 +24,22 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.rng.lcg import splitmix64
 
-__all__ = ["Mapping", "build_mapping", "balanced_tile_counts"]
+__all__ = [
+    "Mapping",
+    "build_mapping",
+    "balanced_tile_counts",
+    "check_mapping_strategy",
+]
+
+
+def check_mapping_strategy(strategy: str) -> None:
+    """Refuse an unknown strategy name (the engine configs call this, so
+    a typo is a configuration error up front, not a failure at build)."""
+    if strategy not in ("block", "striped", "random"):
+        raise ConfigurationError(
+            f"unknown mapping strategy {strategy!r}; "
+            "choose 'block', 'striped' or 'random'"
+        )
 
 
 @dataclass(frozen=True)
@@ -143,6 +158,7 @@ def build_mapping(
     seed:
         Seed for the random strategy.
     """
+    check_mapping_strategy(strategy)
     if n_lps <= 0:
         raise ConfigurationError("model has no LPs")
     if n_kps <= 0 or n_pes <= 0:
@@ -172,12 +188,7 @@ def build_mapping(
             mapping = _block_mapping(rows, cols, n_kps, n_pes)
     elif strategy == "striped":
         mapping = _striped_mapping(n_lps, n_kps, n_pes)
-    elif strategy == "random":
-        mapping = _random_mapping(n_lps, n_kps, n_pes, seed)
     else:
-        raise ConfigurationError(
-            f"unknown mapping strategy {strategy!r}; "
-            "choose 'block', 'striped' or 'random'"
-        )
+        mapping = _random_mapping(n_lps, n_kps, n_pes, seed)
     mapping.validate()
     return mapping

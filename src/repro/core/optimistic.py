@@ -29,7 +29,7 @@ from heapq import heappop, heappush
 from repro.core.config import EngineConfig
 from repro.core.event import Event, _next_serial
 from repro.core.executor import Executor
-from repro.core.gvt import make_gvt_manager
+from repro.core.gvt import SynchronousGVT
 from repro.core.invariants import check_optimistic
 from repro.core.kp import KernelProcess
 from repro.core.lp import LogicalProcess, Model
@@ -39,7 +39,7 @@ from repro.core.result import RunResult
 from repro.core.rollback import make_strategy
 from repro.core.stats import RunStats
 from repro.core.throttle import Throttle
-from repro.core.transport import make_transport
+from repro.core.transport import ImmediateTransport
 from repro.errors import ConfigurationError, SchedulingError
 from repro.vt.time import TIME_HORIZON, EventKey
 
@@ -50,7 +50,6 @@ _tuple_new = tuple.__new__
 
 def _compile_send(
     kernel: "TimeWarpKernel",
-    use_heap: bool,
     pending_by_lp,
     processed_by_lp,
     far_by_lp,
@@ -66,11 +65,10 @@ def _compile_send(
     process-mode worker's ring transport, whose ``far_by_lp`` table (LP id
     -> "stepped by another worker"; ``None`` in-process) sends a far
     destination to ``transport.deliver`` — ring encode, uid stamp — after
-    the journal entry, the charge and the GVT send hook, exactly where
-    ``_emit`` hands over.  Specialised per cancellation mode: the
-    aggressive variant carries no lazy-reuse check at all (``_lazy_pool``
-    can never be set), the lazy variant batches divergent anti-messages
-    (see ``_flush_antimsgs``).
+    the journal entry and the charge, exactly where ``_emit`` hands over.
+    Specialised per cancellation mode: the aggressive variant carries no
+    lazy-reuse check at all (``_lazy_pool`` can never be set), the lazy
+    variant batches divergent anti-messages (see ``_flush_antimsgs``).
 
     Two scopes keep set-up linear in the LP population: everything
     run-constant — including the per-LP dispatch tables
@@ -90,9 +88,6 @@ def _compile_send(
     cost_remote = kernel._cost_remote
     pool = kernel.pool
     pool_free = pool._free if pool is not None else ()
-    gvt = kernel.gvt_manager
-    on_send = gvt.on_send if kernel._gvt_send_hook else None
-    on_receive = gvt.on_receive if kernel._gvt_recv_hook else None
     kp_of_lp = kernel._kp_of_lp
     pe_by_lp = kernel._pe_by_lp
     serial = _next_serial
@@ -147,21 +142,14 @@ def _compile_send(
                     units = cost_remote
                 src_stats.busy += units
                 src_stats.round_busy += units
-                if on_send is not None:
-                    on_send(src_pe, ev)
                 if far_by_lp is not None and far_by_lp[dst]:
                     deliver_far(ev, src_pe, dst_pe)
                     return ev
-                if on_receive is not None:
-                    on_receive(dst_pe, ev)
+                # Inlined PendingQueue.push.
                 q = pending_by_lp[dst]
-                if use_heap:
-                    # Inlined PendingQueue.push.
-                    heappush(q._heap, entry)
-                    ev.in_pending = True
-                    q._live += 1
-                else:
-                    q.push(ev)
+                heappush(q._heap, entry)
+                ev.in_pending = True
+                q._live += 1
                 processed = processed_by_lp[dst]
                 if processed and processed[-1].key > key:
                     straggler(pe_by_lp[dst], kp_of_lp[dst], ev)
@@ -226,21 +214,14 @@ def _compile_send(
                 units = cost_remote
             src_stats.busy += units
             src_stats.round_busy += units
-            if on_send is not None:
-                on_send(src_pe, ev)
             if far_by_lp is not None and far_by_lp[dst]:
                 deliver_far(ev, src_pe, dst_pe)
                 return ev
-            if on_receive is not None:
-                on_receive(dst_pe, ev)
+            # Inlined PendingQueue.push.
             q = pending_by_lp[dst]
-            if use_heap:
-                # Inlined PendingQueue.push.
-                heappush(q._heap, entry)
-                ev.in_pending = True
-                q._live += 1
-            else:
-                q.push(ev)
+            heappush(q._heap, entry)
+            ev.in_pending = True
+            q._live += 1
             processed = processed_by_lp[dst]
             if processed and processed[-1].key > key:
                 straggler(pe_by_lp[dst], kp_of_lp[dst], ev)
@@ -251,105 +232,22 @@ def _compile_send(
     return bind
 
 
-def _compile_execute(kernel: "TimeWarpKernel", processed_append_by_lp):
-    """Build the fused event-execution fast path.
-
-    ``TimeWarpKernel.execute`` with run-constant state captured in cells;
-    only installed when no tracer is attached (the generic method keeps
-    the tracer hook).  Same operation sequence as the method.  Compiled
-    per cancellation mode: under aggressive cancellation ``lazy_sent`` is
-    never set and ``_lazy_pool`` is never read, so the variant carries
-    neither; the lazy variant flushes the anti-message batch after each
-    forward execution.
-    """
-    lps = kernel.lps
-    snapshot_before = kernel._snapshot_before
-
-    if not kernel.lazy:
-
-        def fast_execute(pe, ev):
-            dst = ev.dst
-            lp = lps[dst]
-            ev.sent.clear()
-            ev.snapshot = None
-            ev.prev_send_seq = lp.send_seq
-            if snapshot_before is not None:
-                snapshot_before(lp, ev)
-            rng = lp.rng
-            rng_before = rng._count
-            lp._now = ev.entry[0]
-            kernel._current_event = ev
-            try:
-                lp.forward(ev)
-            finally:
-                kernel._current_event = None
-            ev.rng_draws = rng._count - rng_before
-            ev.processed = True
-            processed_append_by_lp[dst](ev)
-            stats = pe.stats
-            stats.processed += 1
-            units = pe.event_cost
-            stats.busy += units
-            stats.round_busy += units
-
-        return fast_execute
-
-    batch = kernel._antimsg_batch
-    flush = kernel._flush_antimsgs
-
-    def fast_execute_lazy(pe, ev):
-        dst = ev.dst
-        lp = lps[dst]
-        pool = None
-        lz = ev.lazy_sent
-        if lz:
-            pool = {c.key: c for c in lz}
-            ev.lazy_sent = None
-        ev.sent.clear()
-        ev.snapshot = None
-        ev.prev_send_seq = lp.send_seq
-        if snapshot_before is not None:
-            snapshot_before(lp, ev)
-        rng = lp.rng
-        rng_before = rng._count
-        lp._now = ev.entry[0]
-        kernel._current_event = ev
-        kernel._lazy_pool = pool
-        try:
-            lp.forward(ev)
-        finally:
-            kernel._current_event = None
-            kernel._lazy_pool = None
-        if pool:
-            # Messages the re-execution did not regenerate are orphans.
-            batch.extend(pool.values())
-        if batch:
-            flush()
-        ev.rng_draws = rng._count - rng_before
-        ev.processed = True
-        processed_append_by_lp[dst](ev)
-        stats = pe.stats
-        stats.processed += 1
-        units = pe.event_cost
-        stats.busy += units
-        stats.round_busy += units
-
-    return fast_execute_lazy
-
-
-def _compile_batch(
-    kernel: "TimeWarpKernel", pe, use_heap: bool, processed_append_by_lp
-):
+def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp):
     """Build the fused per-PE batch loop.
 
     ``ProcessingElement.process_batch`` + ``PendingQueue.pop_below`` +
-    the fused execute body collapsed into one closure: the scheduler's
+    ``TimeWarpKernel.execute`` collapsed into one closure: the scheduler's
     innermost loop runs without a single Python-level call beyond
-    ``lp.forward`` and the send path.  Installed under exactly the same
-    conditions as the fused execute (immediate transport, no tracer) and
-    with the identical operation sequence, so fused and generic runs stay
-    bit-identical — including the per-event order of the floating-point
-    busy charges, which rollback charges interleave with.
+    ``lp.forward`` and the send path.  Installed only when no tracer is
+    attached and the transport is one the fused send compiles around
+    (the generic ``execute`` keeps the tracer hook), with the identical
+    operation sequence, so fused and generic runs stay bit-identical —
+    including the per-event order of the floating-point busy charges,
+    which rollback charges interleave with.  Compiled per cancellation
+    mode: under aggressive cancellation ``lazy_sent`` is never set and
+    ``_lazy_pool`` is never read, so the variant carries neither; the
+    lazy variant flushes the anti-message batch after each forward
+    execution.
 
     Rollbacks triggered mid-loop mutate the same heap list and stats
     objects captured here (they are never rebound), so the hoisted locals
@@ -358,108 +256,72 @@ def _compile_batch(
     lps = kernel.lps
     snapshot_before = kernel._snapshot_before
     pending = pe.pending
-    heap = pending._heap if use_heap else None
-    pop_below = pending.pop_below
+    heap = pending._heap
     stats = pe.stats
     event_cost = pe.event_cost
     batch = kernel._antimsg_batch
     flush = kernel._flush_antimsgs
 
     if not kernel.lazy:
-        if use_heap:
-
-            def fast_batch(max_events, limit_ts):
-                # ``_live`` and ``stats.processed`` are settled once per
-                # batch in the ``finally`` below: both are plain counters
-                # that nothing reads mid-batch (the run loop, GVT, fossil
-                # collection and telemetry all run between batches), and
-                # re-entrant sends/rollbacks only ever ``+=``/``-=`` them,
-                # which commutes with the deferred decrement.  The float
-                # busy charges stay per-event: rollback charges interleave
-                # with them and the accumulation order is part of the
-                # fused-vs-generic bit-identity contract.
-                done = 0
-                try:
-                    while done < max_events:
-                        # --- inlined PendingQueue.pop_below -----------
-                        while True:
-                            if not heap:
-                                return done
-                            entry = heap[0]
-                            ev = entry[4]
-                            if ev.cancelled:
-                                heappop(heap)
-                                ev.in_pending = False
-                                continue
-                            if entry[0] >= limit_ts:
-                                return done
-                            heappop(heap)
-                            ev.in_pending = False
-                            break
-                        # --- inlined fused execute body ---------------
-                        dst = ev.dst
-                        lp = lps[dst]
-                        ev.sent.clear()
-                        ev.prev_send_seq = lp.send_seq
-                        if snapshot_before is not None:
-                            ev.snapshot = None
-                            snapshot_before(lp, ev)
-                        # (Under reverse computation ``ev.snapshot`` is
-                        # already None — nothing on that strategy's path
-                        # ever sets it — so the per-event clear is
-                        # elided.)
-                        rng = lp.rng
-                        rng_before = rng._count
-                        lp._now = ev.entry[0]
-                        kernel._current_event = ev
-                        try:
-                            lp.forward(ev)
-                        finally:
-                            kernel._current_event = None
-                        ev.rng_draws = rng._count - rng_before
-                        ev.processed = True
-                        processed_append_by_lp[dst](ev)
-                        stats.busy += event_cost
-                        stats.round_busy += event_cost
-                        done += 1
-                    return done
-                finally:
-                    if done:
-                        pending._live -= done
-                        stats.processed += done
-
-            return fast_batch
 
         def fast_batch(max_events, limit_ts):
+            # ``_live`` and ``stats.processed`` are settled once per
+            # batch in the ``finally`` below: both are plain counters
+            # that nothing reads mid-batch (the run loop, GVT, fossil
+            # collection and telemetry all run between batches), and
+            # re-entrant sends/rollbacks only ever ``+=``/``-=`` them,
+            # which commutes with the deferred decrement.  The float
+            # busy charges stay per-event: rollback charges interleave
+            # with them and the accumulation order is part of the
+            # fused-vs-generic bit-identity contract.
             done = 0
-            while done < max_events:
-                ev = pop_below(limit_ts)
-                if ev is None:
-                    return done
-                # --- inlined fused execute body -----------------------
-                dst = ev.dst
-                lp = lps[dst]
-                ev.sent.clear()
-                ev.prev_send_seq = lp.send_seq
-                if snapshot_before is not None:
-                    ev.snapshot = None
-                    snapshot_before(lp, ev)
-                rng = lp.rng
-                rng_before = rng._count
-                lp._now = ev.entry[0]
-                kernel._current_event = ev
-                try:
-                    lp.forward(ev)
-                finally:
-                    kernel._current_event = None
-                ev.rng_draws = rng._count - rng_before
-                ev.processed = True
-                processed_append_by_lp[dst](ev)
-                stats.processed += 1
-                stats.busy += event_cost
-                stats.round_busy += event_cost
-                done += 1
-            return done
+            try:
+                while done < max_events:
+                    # --- inlined PendingQueue.pop_below ---------------
+                    while True:
+                        if not heap:
+                            return done
+                        entry = heap[0]
+                        ev = entry[4]
+                        if ev.cancelled:
+                            heappop(heap)
+                            ev.in_pending = False
+                            continue
+                        if entry[0] >= limit_ts:
+                            return done
+                        heappop(heap)
+                        ev.in_pending = False
+                        break
+                    # --- inlined execute body -------------------------
+                    dst = ev.dst
+                    lp = lps[dst]
+                    ev.sent.clear()
+                    ev.prev_send_seq = lp.send_seq
+                    if snapshot_before is not None:
+                        ev.snapshot = None
+                        snapshot_before(lp, ev)
+                    # (Under reverse computation ``ev.snapshot`` is
+                    # already None — nothing on that strategy's path
+                    # ever sets it — so the per-event clear is elided.)
+                    rng = lp.rng
+                    rng_before = rng._count
+                    lp._now = ev.entry[0]
+                    kernel._current_event = ev
+                    try:
+                        lp.forward(ev)
+                    finally:
+                        kernel._current_event = None
+                    ev.rng_draws = rng._count - rng_before
+                    ev.processed = True
+                    processed_append_by_lp[dst](ev)
+                    stats.busy += event_cost
+                    stats.round_busy += event_cost
+                    done += 1
+                return done
+            finally:
+                if done:
+                    pending._live -= done
+                    stats.processed += done
 
         return fast_batch
 
@@ -467,27 +329,22 @@ def _compile_batch(
         done = 0
         while done < max_events:
             # --- inlined PendingQueue.pop_below -----------------------
-            if use_heap:
-                while True:
-                    if not heap:
-                        return done
-                    entry = heap[0]
-                    ev = entry[4]
-                    if ev.cancelled:
-                        heappop(heap)
-                        ev.in_pending = False
-                        continue
-                    if entry[0] >= limit_ts:
-                        return done
+            while True:
+                if not heap:
+                    return done
+                entry = heap[0]
+                ev = entry[4]
+                if ev.cancelled:
                     heappop(heap)
                     ev.in_pending = False
-                    pending._live -= 1
-                    break
-            else:
-                ev = pop_below(limit_ts)
-                if ev is None:
+                    continue
+                if entry[0] >= limit_ts:
                     return done
-            # --- inlined fused execute body ---------------------------
+                heappop(heap)
+                ev.in_pending = False
+                pending._live -= 1
+                break
+            # --- inlined execute body ---------------------------------
             dst = ev.dst
             lp = lps[dst]
             pool = None
@@ -511,6 +368,7 @@ def _compile_batch(
                 kernel._current_event = None
                 kernel._lazy_pool = None
             if pool:
+                # Messages the re-execution did not regenerate are orphans.
                 batch.extend(pool.values())
             if batch:
                 flush()
@@ -561,9 +419,7 @@ class TimeWarpKernel(Executor):
         self.kps = [
             KernelProcess(k, self.mapping.kp_to_pe[k]) for k in range(config.n_kps)
         ]
-        self.pes = [
-            ProcessingElement(p, config.queue) for p in range(config.n_pes)
-        ]
+        self.pes = [ProcessingElement(p) for p in range(config.n_pes)]
         for kp in self.kps:
             self.pes[kp.pe_id].kp_ids.append(kp.id)
         #: The PEs this kernel steps: all of them, except in a process-mode
@@ -586,44 +442,18 @@ class TimeWarpKernel(Executor):
 
         # --- Strategy / transport / GVT -------------------------------------
         self.strategy = make_strategy(config.rollback)
-        self.transport = make_transport(config.transport, self._receive, config.n_pes)
-        self.gvt_manager = make_gvt_manager(config.gvt, config.n_pes)
-        incremental_gvt = getattr(self.gvt_manager, "needs_requeue_hook", False)
-        if not incremental_gvt:
-            # Messages annihilated in transit still count as "arrived" for
-            # GVT message accounting (Mattern epoch balance).  The
-            # incremental manager must NOT see them: floors may only be
-            # lowered by live work, or a dead event could pin GVT forever.
-            self.transport.on_drop = lambda ev: self.gvt_manager.on_receive(
-                self.pe_of_lp[ev.dst], ev
-            )
+        #: Immediate (shared-memory) delivery.  A fault plan wraps it and
+        #: a process-mode worker swaps in its ring transport; both clear
+        #: ``_direct``.
+        self.transport = ImmediateTransport(self._receive)
+        self.gvt_manager = SynchronousGVT()
 
         # --- Hot-path capability flags & event pool --------------------------
         #: Event recycling free list (None when cfg.pool is off).
         self._alloc = self._init_pool(config.pool)
-        #: Managers whose send/receive hooks are no-ops (the synchronous
-        #: barrier algorithm) skip the two per-message calls entirely.
-        self._gvt_hooks = getattr(self.gvt_manager, "tracks_messages", True)
-        #: Finer-grained hook flags: the incremental manager needs the
-        #: receive hook (floors drop at delivery) but not the send hook.
-        self._gvt_send_hook = self._gvt_hooks and getattr(
-            self.gvt_manager, "needs_send_hook", True
-        )
-        self._gvt_recv_hook = self._gvt_hooks
-        #: Incremental-GVT bookkeeping callbacks (None for the others, so
-        #: the rollback/cancel/round paths stay hook-free by default).
-        self._gvt_requeue = (
-            self.gvt_manager.on_requeue if incremental_gvt else None
-        )
-        self._gvt_note_cancel = (
-            self.gvt_manager.note_cancelled if incremental_gvt else None
-        )
-        self._gvt_note_exec = (
-            self.gvt_manager.note_executed if incremental_gvt else None
-        )
         #: The immediate transport is a plain function indirection; _emit
-        #: inlines its delivery when this is set.
-        self._direct = getattr(self.transport, "name", "") == "immediate"
+        #: inlines its delivery while this is set.
+        self._direct = True
         #: LP id -> "stepped by another worker process"; ``None`` when
         #: this kernel steps every LP (see :class:`repro.mp.kernel.
         #: MPWorkerKernel`, the one kernel that sets it).
@@ -717,7 +547,7 @@ class TimeWarpKernel(Executor):
         self.peak_processed = 0
         #: Optional checkpointer (see repro.ckpt); consulted only at GVT
         #: boundaries, after fossil collection and the transport flush,
-        #: when mailboxes are empty and below-GVT state is committed.
+        #: when below-GVT state is committed.
         self.ckpt = None
         #: Optional liveness watchdog (see repro.health); consulted only
         #: at GVT boundaries, like metrics — fast paths stay installed.
@@ -772,16 +602,12 @@ class TimeWarpKernel(Executor):
             units = self._cost_remote
         stats.busy += units
         stats.round_busy += units
-        if self._gvt_send_hook:
-            self.gvt_manager.on_send(src_pe, ev)
         if not self._direct:
             self.transport.deliver(ev, src_pe, dst_pe)
             return
         # Immediate transport: the inlined body of _receive.
         kp = self._kp_of_lp[dst]
         pe = self._pe_by_lp[dst]
-        if self._gvt_recv_hook:
-            self.gvt_manager.on_receive(pe.id, ev)
         pe.pending.push(ev)
         processed = kp.processed
         if processed and processed[-1].key > ev.key:
@@ -798,7 +624,6 @@ class TimeWarpKernel(Executor):
         """
         kp = self.lps[ev.dst].kp
         pe = self.pes[kp.pe_id]
-        self.gvt_manager.on_receive(pe.id, ev)
         pe.pending.push(ev)
         if kp.needs_rollback(ev.key):
             pe.stats.stragglers += 1
@@ -876,14 +701,7 @@ class TimeWarpKernel(Executor):
             ev.sent.clear()
         self.strategy.undo(lp, ev)
         ev.processed = False
-        pe_id = self.pe_of_lp[ev.dst]
-        self.pes[pe_id].pending.push(ev)
-        requeue = self._gvt_requeue
-        if requeue is not None:
-            # The incremental GVT manager must see the requeue: it can
-            # land below a floor that was re-peeked after this event was
-            # first popped.
-            requeue(pe_id, ev.entry[0])
+        self._pe_by_lp[ev.dst].pending.push(ev)
         if self.tracer is not None:
             self.tracer.on_undo(ev)
 
@@ -902,13 +720,7 @@ class TimeWarpKernel(Executor):
         """Mark an unprocessed event dead and reap its parked children."""
         ev.cancelled = True
         if ev.in_pending:
-            pe_id = self.pe_of_lp[ev.dst]
-            self.pes[pe_id].pending.note_cancelled()
-            note_cancel = self._gvt_note_cancel
-            if note_cancel is not None:
-                # The dead event may be the one holding the incremental
-                # floor down; force an exact re-peek of this PE.
-                note_cancel(pe_id)
+            self._pe_by_lp[ev.dst].pending.note_cancelled()
         if ev.lazy_sent:
             # The event will never re-execute, so its kept messages from
             # the undone execution can no longer be claimed: cancel them.
@@ -996,12 +808,6 @@ class TimeWarpKernel(Executor):
             else:
                 self.cancelled_direct += 1
         self._drain_cancels()
-        if not self._direct:
-            # Batched in-transit annihilation: reap newly dead messages
-            # still sitting in mailboxes in one sweep.
-            annihilate = getattr(self.transport, "annihilate", None)
-            if annihilate is not None:
-                annihilate()
         if spans is not None:
             spans.record("antimsg", span_t0, spans.clock(), n=len(work))
 
@@ -1072,9 +878,6 @@ class TimeWarpKernel(Executor):
             pool_hit_rate=hit_rate,
             lazy_hits=self.lazy_reused,
             antimsg_batches=self.antimsg_batches,
-            gvt_incremental_rounds=getattr(
-                self.gvt_manager, "incremental_rounds", 0
-            ),
             soa_batches=self.soa_batches,
             soa_lps_stepped=self.soa_lps_stepped,
             kp_rolled_back=[kp.stats.events_rolled_back for kp in kps],
@@ -1082,8 +885,8 @@ class TimeWarpKernel(Executor):
 
     def fossil_collect(self, gvt_ts: float) -> int:
         """Commit and free everything below ``gvt_ts`` across all KPs."""
-        # ``_live`` is PendingQueue/LadderQueue.__len__ without the
-        # dispatch; this runs every GVT boundary (default: every round).
+        # ``_live`` is PendingQueue.__len__ without the dispatch; this
+        # runs every GVT boundary (default: every round).
         pending_now = 0
         for pe in self.pes:
             pending_now += pe.pending._live
@@ -1108,13 +911,13 @@ class TimeWarpKernel(Executor):
         Called once at the top of :meth:`run`, after any tracer has been
         attached.  The fused send needs a delivery it can inline: the
         immediate transport, or a process-mode worker's ring transport
-        behind the ``_far_by_lp`` branch (the mailbox and a fault-wrapped
-        transport route through :meth:`_emit`/:meth:`_receive` unchanged).
-        The fused execute and batch additionally require no tracer, and
-        the model's band batch (:meth:`Model.vector_plan` over the built
-        LPs) aggressive cancellation with reverse computation; otherwise
-        the per-event batch steps the same population.
-        All are pure specialisations — observable behaviour is identical
+        behind the ``_far_by_lp`` branch (a fault-wrapped transport routes
+        through :meth:`_emit`/:meth:`_receive` unchanged).  The fused
+        batch additionally requires no tracer (the generic :meth:`execute`
+        keeps the per-event trace hook), and the model's band batch
+        (:meth:`Model.vector_plan` over the built LPs) aggressive
+        cancellation with reverse computation; otherwise the per-event
+        batch steps the same population.  All are pure specialisations — observable behaviour is identical
         either way — so the choice is made here, from what the kernel
         observes, and whatever keeps a model's plan from stepping leaves
         its reason in ``soa_decline``.  Closures are compiled only for the
@@ -1126,11 +929,10 @@ class TimeWarpKernel(Executor):
         if not self._direct and far is None:
             if plan is not None:
                 self.soa_decline = (
-                    f"transport {self.cfg.transport!r} routes through "
+                    f"transport {self.transport.name!r} routes through "
                     "_emit/_receive, which the fused band batch bypasses"
                 )
             return
-        use_heap = self.cfg.queue == "heap"
         # Run-constant per-LP dispatch tables, built here once (after any
         # checkpoint restore) and shared by every compiled closure, so
         # set-up stays linear in the LP population.  They alias the live
@@ -1140,20 +942,17 @@ class TimeWarpKernel(Executor):
         pending_by_lp = [pe.pending for pe in self._pe_by_lp]
         processed_by_lp = [kp.processed for kp in self._kp_of_lp]
         processed_append_by_lp = [processed.append for processed in processed_by_lp]
-        bind_send = _compile_send(
-            self, use_heap, pending_by_lp, processed_by_lp, far
-        )
+        bind_send = _compile_send(self, pending_by_lp, processed_by_lp, far)
         for lp in self.lps:
             if far is None or not far[lp.id]:
                 lp.send = bind_send(lp)
         if self.tracer is not None:
             if plan is not None:
                 self.soa_decline = (
-                    "a Tracer is attached (fused execute skips the "
+                    "a Tracer is attached (the fused batch skips the "
                     "per-event trace hook)"
                 )
             return
-        self.execute = _compile_execute(self, processed_append_by_lp)
         if plan is not None and (self.lazy or self.strategy.name != "reverse"):
             self.soa_decline = (
                 "lazy cancellation or copy rollback configured "
@@ -1171,13 +970,13 @@ class TimeWarpKernel(Executor):
 
             def compile_batch(pe):
                 return plan.compile_batch(
-                    self, pe, use_heap, processed_append_by_lp, send_by_lp
+                    self, pe, processed_append_by_lp, send_by_lp
                 )
 
         else:
 
             def compile_batch(pe):
-                return _compile_batch(self, pe, use_heap, processed_append_by_lp)
+                return _compile_batch(self, pe, processed_append_by_lp)
 
         owned = self.owned_pes
         self._batch_by_pe = [
@@ -1276,7 +1075,6 @@ class TimeWarpKernel(Executor):
         ]
         stats_by_pe = self._stats_by_pe
         sched_per_round = self.cost.sched_per_round
-        note_exec = self._gvt_note_exec
         gvt_overhead = max(
             self.cost.gvt_overhead(pe.lp_count, len(pe.kp_ids)) for pe in pes
         )
@@ -1321,11 +1119,6 @@ class TimeWarpKernel(Executor):
                         spans.record("exec", t0, clock(), pe=pe.id, n=done)
                 if done:
                     any_work = True
-                    if note_exec is not None:
-                        # Incremental GVT: this PE popped events, so its
-                        # cached floor may have risen — re-peek it at the
-                        # next estimate.
-                        note_exec(pe.id)
             rounds += 1
             round_max = 0.0
             for st in stats_by_pe:
@@ -1334,8 +1127,9 @@ class TimeWarpKernel(Executor):
             self.makespan_units += round_max + sched_per_round
             gvt_boundary = rounds % cfg.gvt_interval == 0 or not any_work
             if gvt_boundary:
-                # Estimate is taken *before* the flush so the GVT manager
-                # really has to account for in-flight messages.
+                # Taken *before* the flush, so a fault wrapper's held
+                # messages really are in flight and the estimate has to
+                # account for them (``transport.min_in_flight_ts``).
                 if spans is None:
                     self.gvt = self.gvt_manager.estimate(self)
                 else:
@@ -1360,8 +1154,8 @@ class TimeWarpKernel(Executor):
                 if delivered:
                     spans.record("transport", t0, clock(), n=delivered)
             if ckpt is not None and gvt_boundary:
-                # After the flush, so mailboxes are empty (only a fault
-                # wrapper's held events remain, and those are captured).
+                # After the flush, so nothing is in flight but a fault
+                # wrapper's still-held events, and those are captured.
                 written_before = ckpt.written
                 t0 = clock() if spans is not None else 0.0
                 ckpt.boundary(self, lambda: {**loop, "rounds": rounds})
@@ -1392,9 +1186,6 @@ class TimeWarpKernel(Executor):
         stats.cancelled_via_rollback = self.cancelled_via_rollback
         stats.lazy_reused = self.lazy_reused
         stats.antimsg_batches = self.antimsg_batches
-        stats.gvt_incremental_rounds = getattr(
-            self.gvt_manager, "incremental_rounds", 0
-        )
         stats.soa_batches = self.soa_batches
         stats.soa_lps_stepped = self.soa_lps_stepped
         if self.throttle is not None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.queue import make_pending_queue
+from repro.core.queue import PendingQueue
 from repro.core.stats import PEStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -30,11 +30,11 @@ class ProcessingElement:
 
     __slots__ = ("id", "kp_ids", "lp_count", "pending", "stats", "event_cost")
 
-    def __init__(self, pe_id: int, queue: str = "heap") -> None:
+    def __init__(self, pe_id: int) -> None:
         self.id = pe_id
         self.kp_ids: list[int] = []
         self.lp_count = 0
-        self.pending = make_pending_queue(queue)
+        self.pending = PendingQueue()
         self.stats = PEStats()
         #: Per-event forward cost including this PE's cache factor;
         #: finalised by the kernel once the LP population is mapped.

@@ -19,13 +19,12 @@ did, without the per-push tuple.
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heappop, heappush
 
 from repro.core.event import Event
 from repro.vt.time import EventKey
 
-__all__ = ["PendingQueue", "LadderQueue"]
+__all__ = ["PendingQueue", "make_pending_queue"]
 
 
 class PendingQueue:
@@ -114,273 +113,13 @@ class PendingQueue:
         return (e[4] for e in self._heap if not e[4].cancelled)
 
 
-class LadderQueue:
-    """Ladder queue (Tang & Goh): O(1)-amortised pending-event structure.
+def make_pending_queue(name: str = "heap") -> PendingQueue:
+    """The pending queue, for ``perfbench/probes.py``'s hold-model probe.
 
-    Three tiers, finest first:
-
-    * ``bottom`` — a sorted list served through a cursor (``_pos``); its
-      live suffix holds the smallest entries in the queue.
-    * ``rungs`` — a stack of bucket arrays.  Each rung partitions a
-      timestamp range into equal-width buckets; consuming a rung's next
-      bucket either *sorts it directly* into ``bottom`` (small bucket) or
-      *spawns a finer rung* from it (large bucket).  Spawning distributes
-      N entries over N buckets, which is where the O(1) amortised bound
-      comes from.
-    * ``top`` — an unsorted pile of far-future entries.  Everything with
-      ``ts`` strictly above ``_top_floor`` (the maximum timestamp ever
-      moved down into the ladder) is appended here in O(1).
-
-    Ordering is *exactly* the heap's: entries are the same prebuilt
-    ``Event.entry`` tuples ``(ts, origin, seq, serial, event)``, buckets
-    are split on ``ts`` alone (ties always land in the same bucket) and
-    each bucket/pile is sorted by the full tuple before it is served, so
-    the pop sequence — and therefore every committed sequence — is
-    bit-identical to :class:`PendingQueue`'s.  Cancelled entries die
-    lazily, also exactly like the heap: flagged via ``note_cancelled`` and
-    dropped when a transfer or the bottom cursor reaches them.
-
-    Invariant used by ``push`` routing: live timestamps are contiguous per
-    tier — everything in ``bottom``'s live suffix < everything in any
-    rung bucket at or past its cursor < everything in ``top`` — so an
-    insert below an already-consumed region falls through to a sorted
-    insert into ``bottom`` (rollback requeues and stragglers take this
-    path; forward-progress sends land in ``top``).
+    The benchmark harness (which a PR may not edit) builds its queue as
+    ``make_pending_queue(EngineConfig(...).queue)``; nothing in ``src/``
+    calls this.  There is one structure, so there is nothing to choose.
     """
-
-    __slots__ = (
-        "_top",
-        "_top_min",
-        "_top_max",
-        "_top_floor",
-        "_rungs",
-        "_bottom",
-        "_pos",
-        "_live",
-    )
-
-    #: Buckets/piles at or below this size are sorted directly instead of
-    #: spawning a finer rung (the classic ladder-queue threshold).
-    THRESH = 50
-    #: Rung-stack depth cap: beyond this, buckets sort directly regardless
-    #: of size (guards against pathological timestamp clustering).
-    MAX_RUNGS = 8
-
-    def __init__(self) -> None:
-        self._top: list[tuple] = []
-        self._top_min = 0.0
-        self._top_max = 0.0
-        #: Timestamps strictly above this route to ``top``; -inf until the
-        #: first transfer out of ``top`` fixes the boundary.
-        self._top_floor = float("-inf")
-        #: Stack of rungs, coarsest first.  Each rung is a mutable list
-        #: ``[start_ts, bucket_width, cur_index, buckets]``.
-        self._rungs: list[list] = []
-        self._bottom: list[tuple] = []
-        self._pos = 0
-        self._live = 0
-
-    # -- insertion -----------------------------------------------------
-    def push(self, event: Event) -> None:
-        """Insert an event (must not already be queued)."""
-        entry = event.entry
-        event.in_pending = True
-        self._live += 1
-        ts = entry[0]
-        top = self._top
-        if ts > self._top_floor:
-            if not top:
-                self._top_min = self._top_max = ts
-            elif ts < self._top_min:
-                self._top_min = ts
-            elif ts > self._top_max:
-                self._top_max = ts
-            top.append(entry)
-            return
-        for rung in self._rungs:
-            start, width, cur, buckets = rung
-            k = int((ts - start) / width)
-            if k >= len(buckets):
-                k = len(buckets) - 1
-            if k >= cur:
-                buckets[k].append(entry)
-                return
-        # Below every active region: keep the bottom's live suffix sorted.
-        insort(self._bottom, entry, self._pos)
-
-    def note_cancelled(self) -> None:
-        """Record that a queued event was flagged cancelled externally."""
-        self._live -= 1
-
-    # -- transfer machinery --------------------------------------------
-    def _spawn_rung(self, entries: list[tuple], lo: float, hi: float) -> None:
-        """Partition ``entries`` (timestamps in [lo, hi]) into a new rung."""
-        n = len(entries)
-        width = (hi - lo) / n
-        buckets: list[list[tuple]] = [[] for _ in range(n)]
-        last = n - 1
-        for entry in entries:
-            k = int((entry[0] - lo) / width)
-            buckets[k if k < last else last].append(entry)
-        self._rungs.append([lo, width, 0, buckets])
-
-    def _fill_bottom(self) -> bool:
-        """Refill the exhausted ``bottom`` from the rungs or ``top``.
-
-        Returns False when the whole queue is empty of entries.  Dead
-        (cancelled) entries are dropped during the transfer, so ``bottom``
-        only ever holds entries that were live at fill time (they may
-        still be cancelled afterwards; the cursor skips those).
-        """
-        self._bottom = []
-        self._pos = 0
-        rungs = self._rungs
-        while True:
-            while rungs:
-                rung = rungs[-1]
-                start, width, cur, buckets = rung
-                n = len(buckets)
-                while cur < n and not buckets[cur]:
-                    cur += 1
-                rung[2] = cur
-                if cur >= n:
-                    rungs.pop()
-                    continue
-                batch = buckets[cur]
-                buckets[cur] = []
-                rung[2] = cur + 1
-                live = []
-                for entry in batch:
-                    ev = entry[4]
-                    if ev.cancelled:
-                        ev.in_pending = False
-                    else:
-                        live.append(entry)
-                if not live:
-                    continue
-                if len(live) > self.THRESH and len(rungs) < self.MAX_RUNGS:
-                    lo = min(e[0] for e in live)
-                    hi = max(e[0] for e in live)
-                    if hi > lo:
-                        self._spawn_rung(live, lo, hi)
-                        continue
-                live.sort()
-                self._bottom = live
-                return True
-            top = self._top
-            if not top:
-                return False
-            live = []
-            for entry in top:
-                ev = entry[4]
-                if ev.cancelled:
-                    ev.in_pending = False
-                else:
-                    live.append(entry)
-            del top[:]
-            # The boundary moves up even if every entry was dead: anything
-            # that was *in* top is at most _top_max, and future pushes at
-            # or below it must route into the ladder to stay ordered.
-            self._top_floor = self._top_max
-            if not live:
-                return False
-            if len(live) > self.THRESH:
-                lo = min(e[0] for e in live)
-                hi = max(e[0] for e in live)
-                if hi > lo:
-                    self._spawn_rung(live, lo, hi)
-                    continue
-            live.sort()
-            self._bottom = live
-            return True
-
-    def _advance(self) -> tuple | None:
-        """Cursor of the first live entry in ``bottom``, filling as needed."""
-        bottom = self._bottom
-        pos = self._pos
-        while True:
-            n = len(bottom)
-            while pos < n:
-                entry = bottom[pos]
-                if entry[4].cancelled:
-                    entry[4].in_pending = False
-                    pos += 1
-                    continue
-                self._pos = pos
-                return entry
-            if not self._fill_bottom():
-                self._pos = len(self._bottom)
-                return None
-            bottom = self._bottom
-            pos = self._pos
-
-    # -- the PendingQueue interface ------------------------------------
-    def peek(self) -> Event | None:
-        """The minimum live event, or ``None`` when empty."""
-        entry = self._advance()
-        return entry[4] if entry is not None else None
-
-    def peek_key(self) -> EventKey | None:
-        """Key of the minimum live event, or ``None`` when empty."""
-        ev = self.peek()
-        return ev.key if ev is not None else None
-
-    def pop(self) -> Event:
-        """Remove and return the minimum live event."""
-        entry = self._advance()
-        if entry is None:
-            raise IndexError("pop from empty LadderQueue")
-        self._pos += 1
-        self._live -= 1
-        ev = entry[4]
-        ev.in_pending = False
-        return ev
-
-    def pop_below(self, limit_ts: float) -> Event | None:
-        """Pop the minimum live event iff its ts is below ``limit_ts``."""
-        entry = self._advance()
-        if entry is None or entry[0] >= limit_ts:
-            return None
-        self._pos += 1
-        self._live -= 1
-        ev = entry[4]
-        ev.in_pending = False
-        return ev
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def __iter__(self):
-        """Yield live events in arbitrary order — for inspection and
-        invariant checks, not for scheduling.
-        """
-        for entry in self._bottom[self._pos:]:
-            if not entry[4].cancelled:
-                yield entry[4]
-        for rung in self._rungs:
-            for bucket in rung[3][rung[2]:]:
-                for entry in bucket:
-                    if not entry[4].cancelled:
-                        yield entry[4]
-        for entry in self._top:
-            if not entry[4].cancelled:
-                yield entry[4]
-
-
-def make_pending_queue(name: str):
-    """Instantiate a pending-queue structure by config name.
-
-    ``"heap"`` is the binary-heap default; ``"ladder"`` is the
-    O(1)-amortised ladder queue (:class:`LadderQueue`).  Both order by
-    the same flat entry tuples, so results never depend on the choice.
-    """
-    if name == "heap":
-        return PendingQueue()
-    if name == "ladder":
-        return LadderQueue()
-    raise ValueError(
-        f"unknown queue structure {name!r}; choose 'heap' or 'ladder'"
-    )
+    if name != "heap":
+        raise ValueError(f"the pending queue is the heap; got {name!r}")
+    return PendingQueue()

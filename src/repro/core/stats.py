@@ -72,9 +72,6 @@ class RunStats:
     #: orphaned message (each flush does one secondary rollback per
     #: affected KP instead of one cascade per message).
     antimsg_batches: int = 0
-    #: GVT estimates served by the incremental manager (0 under the
-    #: synchronous or Mattern algorithms).
-    gvt_incremental_rounds: int = 0
     #: Band-stepping activity: same-timestamp-band runs dispatched
     #: through the fused struct-of-arrays steppers, and the events those
     #: runs advanced (both 0 when the model has no SoA build or the run
@@ -84,7 +81,7 @@ class RunStats:
     #: Why a Time Warp run stepped event by event although the model has
     #: a band-stepping build: the model could not offer it (policy,
     #: topology, adversary) or the kernel declined it (tracer, lazy
-    #: cancellation, copy rollback, mailbox or fault-wrapped transport).
+    #: cancellation, copy rollback, fault-wrapped transport).
     #: "" when band stepping ran, the model has no such build, or the
     #: engine is not the optimistic one.
     soa_decline_reason: str = ""
@@ -164,7 +161,6 @@ class RunStats:
             "cancelled_via_rollback": self.cancelled_via_rollback,
             "lazy_reused": self.lazy_reused,
             "antimsg_batches": self.antimsg_batches,
-            "gvt_incremental_rounds": self.gvt_incremental_rounds,
             "soa_batches": self.soa_batches,
             "soa_lps_stepped": self.soa_lps_stepped,
             "soa_decline_reason": self.soa_decline_reason,

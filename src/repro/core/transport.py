@@ -1,17 +1,16 @@
-"""Message transports between PEs.
+"""The in-process message transport between PEs.
 
 On ROSS's shared-memory target, a send "merely involves assigning ownership
 of the message's memory location from the source LP to the destination LP"
 (§3.1.2) — i.e. delivery is immediate.  :class:`ImmediateTransport` models
-that.  :class:`MailboxTransport` instead buffers cross-PE messages until
-the end of the scheduling round, modelling a machine where inter-processor
-delivery has latency; it exists so the Mattern-style asynchronous GVT
-algorithm (which must account for messages in flight) has something real to
-synchronise over, and as an ablation of delivery latency on rollback
-behaviour.
+that, and it is what every in-process Time Warp kernel is built with.
 
-Both transports deliver *locally* (same PE) immediately: an LP's self-sends
-and neighbor sends within a PE never sit in a mailbox.
+Two things may take its place, both behind the same four-method surface
+(``deliver`` / ``flush`` / ``min_in_flight_ts`` / ``in_flight_count``): a
+:class:`~repro.faults.transport.FaultyTransport` wrapped around it when a
+fault plan perturbs cross-PE delivery, and a ``--procs`` worker's
+:class:`~repro.mp.transport.RingTransport`, where cross-worker messages
+really are in flight.  Either one clears the kernel's ``_direct`` flag.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Callable
 from repro.core.event import Event
 from repro.vt.time import TIME_HORIZON
 
-__all__ = ["ImmediateTransport", "MailboxTransport", "make_transport"]
+__all__ = ["ImmediateTransport"]
 
 
 class ImmediateTransport:
@@ -29,11 +28,8 @@ class ImmediateTransport:
 
     name = "immediate"
 
-    def __init__(self, receive: Callable[[Event], None], n_pes: int) -> None:
+    def __init__(self, receive: Callable[[Event], None]) -> None:
         self._receive = receive
-        #: Called for messages annihilated while still in transit; the
-        #: immediate transport never holds messages, so never calls it.
-        self.on_drop: Callable[[Event], None] | None = None
 
     def deliver(self, event: Event, src_pe: int, dst_pe: int) -> None:
         """Hand the event to the destination PE right away."""
@@ -50,126 +46,3 @@ class ImmediateTransport:
     def in_flight_count(self) -> int:
         """Messages currently in transit (always 0 here)."""
         return 0
-
-
-class MailboxTransport:
-    """Buffer cross-PE messages until the next round-boundary flush.
-
-    Ordering contract (multi-producer): each destination PE has one
-    mailbox that every source PE appends to, so a flush delivers a
-    destination's messages in global *arrival* order — the order the
-    ``deliver`` calls interleaved, which in particular preserves each
-    (source, destination) pair's FIFO order.  No order is promised
-    *across* destinations (flush walks the boxes in PE order, not in
-    arrival order), and none is needed: Time Warp's correctness comes
-    from timestamp order enforced downstream by the PEs' pending queues,
-    while the per-pair FIFO is what the cancellation path leans on (an
-    anti-message enqueued after its positive can never be flushed ahead
-    of it).  ``tests/test_property_transport.py`` pins both properties.
-    """
-
-    name = "mailbox"
-
-    def __init__(self, receive: Callable[[Event], None], n_pes: int) -> None:
-        self._receive = receive
-        self._boxes: list[list[Event]] = [[] for _ in range(n_pes)]
-        self._count = 0
-        #: Called for messages annihilated in the mailbox, so GVT message
-        #: accounting still sees them "arrive" (otherwise a Mattern-style
-        #: estimator would wait forever for the epoch to balance).
-        self.on_drop: Callable[[Event], None] | None = None
-        #: Messages annihilated while buffered (both by :meth:`flush`'s
-        #: lazy drop and by :meth:`annihilate`'s batched sweep).
-        self.annihilated = 0
-
-    def deliver(self, event: Event, src_pe: int, dst_pe: int) -> None:
-        """Queue cross-PE messages; local messages skip the mailbox."""
-        if src_pe == dst_pe:
-            self._receive(event)
-        else:
-            self._boxes[dst_pe].append(event)
-            self._count += 1
-
-    def flush(self) -> int:
-        """Deliver all buffered messages (called at round boundaries).
-
-        Per destination, delivery follows arrival order (see the class
-        docstring's ordering contract); destinations are visited in PE
-        order.  Messages cancelled while in the mailbox (direct
-        cancellation caught the event before it was ever seen) are
-        silently dropped — the cheapest possible annihilation.
-        """
-        delivered = 0
-        for box in self._boxes:
-            if not box:
-                continue
-            batch, box[:] = box[:], []
-            for ev in batch:
-                self._count -= 1
-                if not ev.cancelled:
-                    self._receive(ev)
-                    delivered += 1
-                else:
-                    self.annihilated += 1
-                    if self.on_drop is not None:
-                        self.on_drop(ev)
-        return delivered
-
-    def annihilate(self) -> int:
-        """Batched in-transit annihilation: drop every cancelled message.
-
-        Called by the optimistic kernel after an anti-message batch flush,
-        when a group of messages has just been flagged dead — one sweep
-        reclaims them all instead of waiting for the next round's
-        :meth:`flush` to skip them one by one.  Observationally identical
-        to the lazy drop (cancelled messages are never delivered either
-        way); this only tightens the mailbox's memory footprint and
-        ``in_flight_count`` between rounds.
-        """
-        dropped = 0
-        for box in self._boxes:
-            if not box:
-                continue
-            kept = [ev for ev in box if not ev.cancelled]
-            if len(kept) == len(box):
-                continue
-            for ev in box:
-                if ev.cancelled:
-                    dropped += 1
-                    if self.on_drop is not None:
-                        self.on_drop(ev)
-            box[:] = kept
-        if dropped:
-            self._count -= dropped
-            self.annihilated += dropped
-        return dropped
-
-    def min_in_flight_ts(self) -> float:
-        """Minimum timestamp still sitting in a mailbox (for GVT)."""
-        best = TIME_HORIZON
-        for box in self._boxes:
-            for ev in box:
-                if not ev.cancelled and ev.key.ts < best:
-                    best = ev.key.ts
-        return best
-
-    def in_flight_count(self) -> int:
-        """Messages currently buffered in mailboxes."""
-        return self._count
-
-
-_TRANSPORTS = {
-    ImmediateTransport.name: ImmediateTransport,
-    MailboxTransport.name: MailboxTransport,
-}
-
-
-def make_transport(name: str, receive: Callable[[Event], None], n_pes: int):
-    """Instantiate a transport by config name."""
-    try:
-        cls = _TRANSPORTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown transport {name!r}; choose from {sorted(_TRANSPORTS)}"
-        ) from None
-    return cls(receive, n_pes)

@@ -1,8 +1,7 @@
 """Transport-layer fault injection for the optimistic engine.
 
-:class:`FaultyTransport` wraps a real transport
-(:class:`~repro.core.transport.ImmediateTransport` or
-:class:`~repro.core.transport.MailboxTransport`) and perturbs **cross-PE**
+:class:`FaultyTransport` wraps the kernel's
+:class:`~repro.core.transport.ImmediateTransport` and perturbs **cross-PE**
 message delivery according to the plan's rates:
 
 * **drop** — the message is "lost" and retransmitted after a timeout
@@ -30,16 +29,16 @@ traffic RNG is untouched; deliveries happen in deterministic kernel
 order, so the same plan + seed always injects the same faults.
 
 GVT safety: held messages and ghosts are reported through
-``min_in_flight_ts`` (and ghosts are Mattern-paired with an ``on_send``
-at creation), so no GVT estimate can pass an event that is still going
-to arrive — the no-straggler-below-GVT invariant holds under injection.
+``min_in_flight_ts``, which the kernel's barrier GVT consults, so no
+estimate can pass an event that is still going to arrive — the
+no-straggler-below-GVT invariant holds under injection.
 
-The wrapper's ``name`` is ``"faulty"``, which is *not* ``"immediate"``:
-the kernel therefore keeps its generic ``_emit``/``_receive`` paths and
-never compiles the fused fast paths around the wrapper.  That is the
-whole fast-path story — with no plan attached nothing is wrapped, the
-name stays ``"immediate"``, and the fused paths compile exactly as
-today.
+Installing the wrapper clears the kernel's ``_direct`` flag
+(:meth:`repro.faults.injector.EngineFaults.install`): the kernel
+therefore keeps its generic ``_emit``/``_receive`` paths and never
+compiles the fused fast paths around the wrapper.  That is the whole
+fast-path story — with no plan attached nothing is wrapped, the flag
+stays set, and the fused paths compile exactly as without this module.
 """
 
 from __future__ import annotations
@@ -68,9 +67,6 @@ class FaultyTransport:
         self._drop_hold = 2 * plan.delay_rounds  # retransmit timeout
         #: Held entries: ``[event, rounds_until_release, is_ghost]``.
         self._held: list[list] = []
-        #: Forwarded to the inner transport (the kernel installs its GVT
-        #: drop hook before the wrapper exists; keep the contract).
-        self.on_drop = getattr(inner, "on_drop", None)
         self.dropped = 0
         self.duplicated = 0
         self.delayed = 0
@@ -91,10 +87,6 @@ class FaultyTransport:
             self.inner.deliver(event, src_pe, dst_pe)
             ghost = Event(event.key, event.dst, event.kind, event.data)
             ghost.cancelled = True
-            # Mattern pairing: the ghost "was sent" now and will "arrive"
-            # at release, keeping the epoch unbalanced (hence GVT-safe)
-            # while it is in flight.  SynchronousGVT's hooks are no-ops.
-            self._kernel.gvt_manager.on_send(src_pe, ghost)
             self._held.append([ghost, self._delay_hold, True])
         elif u < self._delay_edge:
             self.delayed += 1
@@ -116,16 +108,14 @@ class FaultyTransport:
         kernel = self._kernel
         for ev, _, is_ghost in due:
             if is_ghost:
-                # Full arrival path (GVT accounting + possible rollback);
-                # the push counted the pre-cancelled ghost as live, so
-                # balance the queue's lazy-deletion accounting by hand.
+                # Full arrival path (possible rollback); the push counted
+                # the pre-cancelled ghost as live, so balance the queue's
+                # lazy-deletion accounting by hand.
                 kernel._receive(ev)
                 kernel.pes[kernel.pe_of_lp[ev.dst]].pending.note_cancelled()
             elif ev.cancelled:
-                # Annihilated while held — same bookkeeping as a mailbox
-                # drop: GVT message accounting still sees it arrive.
+                # Annihilated while held: never delivered.
                 self.annihilated_held += 1
-                kernel.gvt_manager.on_receive(kernel.pe_of_lp[ev.dst], ev)
             else:
                 kernel._receive(ev)
                 delivered += 1

@@ -106,13 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="global seed (default 0x5EED, or the scenario's seed)",
     )
     parser.add_argument(
-        "--queue",
-        choices=("heap", "ladder"),
-        default="heap",
-        help="pending-queue implementation for the optimistic engine "
-        "(ignored with --processors 1; results are identical either way)",
-    )
-    parser.add_argument(
         "--cancellation",
         choices=("aggressive", "lazy"),
         default="aggressive",
@@ -257,7 +250,10 @@ def _config_marker(args, seed: int, scenario_meta: dict) -> dict:
         "batch": args.batch,
         "gvt_interval": args.gvt_interval,
         "procs": args.procs,
-        "queue": args.queue,
+        # A constant since ``--queue`` was deleted: snapshots written
+        # before (which recorded the flag) still match at its default,
+        # and one written under ``--queue ladder`` is refused by name.
+        "queue": "heap",
         "cancellation": args.cancellation,
         "seed": seed,
         "paranoid": args.paranoid,
@@ -332,7 +328,6 @@ def main(argv: list[str] | None = None) -> int:
                 gvt_interval=args.gvt_interval,
                 seed=seed,
                 paranoid=args.paranoid,
-                queue=args.queue,
                 cancellation=args.cancellation,
                 **mp_overrides,
             )
@@ -502,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         other = (
             sim.run_parallel(
                 n_pes=4, n_kps=args.kps, batch_size=args.batch,
-                queue=args.queue, cancellation=args.cancellation,
+                cancellation=args.cancellation,
             )
             if args.processors <= 1
             else sim.run()

@@ -87,7 +87,7 @@ class HotPotatoVectorPlan:
 
     # ------------------------------------------------------------------
     def compile_batch(
-        self, kernel, pe, use_heap: bool, processed_append_by_lp, send_by_lp
+        self, kernel, pe, processed_append_by_lp, send_by_lp
     ):
         """Build the fused per-PE batch loop (vectorized band stepping).
 
@@ -105,8 +105,7 @@ class HotPotatoVectorPlan:
         """
         lps = kernel.lps
         pending = pe.pending
-        heap = pending._heap if use_heap else None
-        pop_below = pending.pop_below
+        heap = pending._heap
         stats_pe = pe.stats
         event_cost = pe.event_cost
         faults_by_lp = self.faults_by_lp
@@ -444,27 +443,21 @@ class HotPotatoVectorPlan:
             try:
                 while done < max_events:
                     # Pop the first live event below limit_ts.
-                    if use_heap:
-                        while True:
-                            if not heap:
-                                return done
-                            entry = heap[0]
-                            ev = entry[4]
-                            if ev.cancelled:
-                                heappop(heap)
-                                ev.in_pending = False
-                                continue
-                            if entry[0] >= limit_ts:
-                                return done
+                    while True:
+                        if not heap:
+                            return done
+                        entry = heap[0]
+                        ev = entry[4]
+                        if ev.cancelled:
                             heappop(heap)
                             ev.in_pending = False
-                            break
-                        ts0 = entry[0]
-                    else:
-                        ev = pop_below(limit_ts)
-                        if ev is None:
+                            continue
+                        if entry[0] >= limit_ts:
                             return done
-                        ts0 = ev.entry[0]
+                        heappop(heap)
+                        ev.in_pending = False
+                        break
+                    ts0 = entry[0]
                     # Band edge for ts0 (see module docstring): nothing
                     # executed below the edge can schedule below it.
                     s = float(int(ts0))
@@ -480,29 +473,19 @@ class HotPotatoVectorPlan:
                     # edge, capped by the optimism batch.
                     run = [ev]
                     room = max_events - done - 1
-                    if use_heap:
-                        while room > 0:
-                            if not heap:
-                                break
-                            entry = heap[0]
-                            nxt = entry[4]
-                            if nxt.cancelled:
-                                heappop(heap)
-                                nxt.in_pending = False
-                                continue
-                            if entry[0] >= edge:
-                                break
+                    while room > 0 and heap:
+                        entry = heap[0]
+                        nxt = entry[4]
+                        if nxt.cancelled:
                             heappop(heap)
                             nxt.in_pending = False
-                            run.append(nxt)
-                            room -= 1
-                    else:
-                        while room > 0:
-                            nxt = pop_below(edge)
-                            if nxt is None:
-                                break
-                            run.append(nxt)
-                            room -= 1
+                            continue
+                        if entry[0] >= edge:
+                            break
+                        heappop(heap)
+                        nxt.in_pending = False
+                        run.append(nxt)
+                        room -= 1
                     # Step the run in maximal same-kind spans.
                     n = len(run)
                     i = 0
@@ -519,8 +502,7 @@ class HotPotatoVectorPlan:
             finally:
                 kernel._current_event = None
                 if done:
-                    if use_heap:
-                        pending._live -= done
+                    pending._live -= done
                     stats_pe.processed += done
                     kernel.soa_batches += batches
                     kernel.soa_lps_stepped += done

@@ -165,8 +165,7 @@ def _replay_commits(tracer, parts) -> None:
 _SAMPLE_SUM_FIELDS = (
     "committed", "processed", "rolled_back", "rollbacks", "stragglers",
     "fossil_collected", "pending", "processed_depth", "lazy_hits",
-    "antimsg_batches", "gvt_incremental_rounds", "soa_batches",
-    "soa_lps_stepped",
+    "antimsg_batches", "soa_batches", "soa_lps_stepped",
 )
 
 

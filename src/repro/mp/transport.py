@@ -1,9 +1,10 @@
 """The ring transport: cross-process event delivery for one worker.
 
-Each worker kernel owns one :class:`RingTransport`.  It plugs into the
-Time Warp kernel where the mailbox transport would (``name`` is not
-``"immediate"``), but the far side of a remote send is another OS
-process:
+Each worker kernel owns one :class:`RingTransport`.  It takes the place
+of the Time Warp kernel's immediate transport (the worker clears
+``_direct``), and the far side of a remote send is another OS process —
+this is where messages are genuinely in flight between a send and its
+arrival:
 
 * **Within-worker** sends (destination PE owned by this worker) are
   handed to ``kernel._receive`` immediately — identical semantics to the
@@ -226,10 +227,6 @@ class RingTransport:
         must interleave with wave participation), not by this hook.
         """
         self.flush_out()
-        return 0
-
-    def annihilate(self) -> int:
-        """In-transit annihilation is per-uid via anti frames; no sweep."""
         return 0
 
     def min_in_flight_ts(self) -> float:

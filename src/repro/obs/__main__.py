@@ -124,8 +124,7 @@ def _print_kv_table(pairs: list[tuple[str, object]], indent: str = "  ") -> None
 
 #: Delta counters summed over the metric stream for the summary view —
 #: the subsystem activity (lazy cancellation, anti-message batching,
-#: incremental GVT, vectorized stepping) that RunStats alone understates
-#: or omits.
+#: vectorized stepping) that RunStats alone understates or omits.
 _STREAM_COUNTERS = (
     "committed",
     "processed",
@@ -135,7 +134,6 @@ _STREAM_COUNTERS = (
     "fossil_collected",
     "lazy_hits",
     "antimsg_batches",
-    "gvt_incremental_rounds",
     "soa_batches",
     "soa_lps_stepped",
 )

@@ -34,8 +34,8 @@ class RunCapture:
         only at GVT boundaries).
     trace_out:
         Path for the full event-lifecycle trace, or ``None`` to skip
-        tracing (tracing disables the optimistic kernel's fused execute
-        path for the run, as any tracer does).
+        tracing (tracing disables the optimistic kernel's fused batch
+        loops for the run, as any tracer does).
     spans_out:
         Path for wall-clock phase spans, or ``None`` to skip span
         tracing (spans record at phase boundaries only, so — unlike a

@@ -76,9 +76,6 @@ class MetricSample:
     #: Anti-message batch flushes during the interval (0 under aggressive
     #: cancellation).  Delta counter.
     antimsg_batches: int = 0
-    #: GVT estimates served by the incremental manager during the
-    #: interval (0 under synchronous/Mattern).  Delta counter.
-    gvt_incremental_rounds: int = 0
     #: Same-timestamp-band runs dispatched by the band-stepping batch
     #: during the interval (0 where the run declined it).  Delta counter.
     soa_batches: int = 0
@@ -105,7 +102,6 @@ class MetricSample:
             "pool_hit_rate": self.pool_hit_rate,
             "lazy_hits": self.lazy_hits,
             "antimsg_batches": self.antimsg_batches,
-            "gvt_incremental_rounds": self.gvt_incremental_rounds,
             "soa_batches": self.soa_batches,
             "soa_lps_stepped": self.soa_lps_stepped,
         }
@@ -129,11 +125,12 @@ class MetricSample:
             processed_depth=int(d["processed_depth"]),
             throttle=float(d["throttle"]),
             pool_hit_rate=float(d["pool_hit_rate"]),
-            # Pre-lazy-cancellation recordings lack these three counters;
+            # Pre-lazy-cancellation recordings lack these two counters;
             # default them to zero so old JSONL files stay loadable.
+            # (Keys are read by name, so a recording that still carries a
+            # since-deleted counter loads too.)
             lazy_hits=int(d.get("lazy_hits", 0)),
             antimsg_batches=int(d.get("antimsg_batches", 0)),
-            gvt_incremental_rounds=int(d.get("gvt_incremental_rounds", 0)),
             # Pre-vectorized-executor recordings lack the SoA pair; same
             # zero-default convention.
             soa_batches=int(d.get("soa_batches", 0)),
@@ -178,7 +175,6 @@ class MetricsRecorder:
             "fossil_collected": 0,
             "lazy_hits": 0,
             "antimsg_batches": 0,
-            "gvt_incremental_rounds": 0,
             "soa_batches": 0,
             "soa_lps_stepped": 0,
         }
@@ -200,7 +196,6 @@ class MetricsRecorder:
         pool_hit_rate: float = 0.0,
         lazy_hits: int = 0,
         antimsg_batches: int = 0,
-        gvt_incremental_rounds: int = 0,
         soa_batches: int = 0,
         soa_lps_stepped: int = 0,
         kp_rolled_back: list[int] | None = None,
@@ -236,9 +231,6 @@ class MetricsRecorder:
             pool_hit_rate=pool_hit_rate,
             lazy_hits=lazy_hits - prev["lazy_hits"],
             antimsg_batches=antimsg_batches - prev["antimsg_batches"],
-            gvt_incremental_rounds=(
-                gvt_incremental_rounds - prev["gvt_incremental_rounds"]
-            ),
             soa_batches=soa_batches - prev["soa_batches"],
             soa_lps_stepped=soa_lps_stepped - prev["soa_lps_stepped"],
             kp_rolled_back=kp_delta,
@@ -251,7 +243,6 @@ class MetricsRecorder:
         prev["fossil_collected"] = fossil_collected
         prev["lazy_hits"] = lazy_hits
         prev["antimsg_batches"] = antimsg_batches
-        prev["gvt_incremental_rounds"] = gvt_incremental_rounds
         prev["soa_batches"] = soa_batches
         prev["soa_lps_stepped"] = soa_lps_stepped
         self.n_samples += 1

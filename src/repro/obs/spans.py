@@ -51,7 +51,8 @@ __all__ = ["PHASES", "Span", "SpanTracer"]
 #: * ``gvt``       — one GVT estimate.
 #: * ``fossil``    — one fossil-collection sweep.
 #: * ``snapshot``  — one checkpoint snapshot actually written.
-#: * ``transport`` — one mailbox-transport flush that delivered messages.
+#: * ``transport`` — one fault-wrapped transport flush that released held
+#:   messages.
 PHASES = (
     "exec",
     "rollback",

@@ -22,6 +22,23 @@ def plan_declined(model):
     return model
 
 
+def transport_faults(drop=0.05, dup=0.05, delay=0.1, seed=11):
+    """Test foil: an ``EngineFaults`` whose plan carries transport faults only.
+
+    Attached to a Time Warp kernel it wraps the transport, which is the
+    one remaining configuration that keeps the generic ``_kernel_send`` →
+    ``_emit`` → ``transport.deliver`` → ``_receive`` path with no tracer
+    attached, and that holds messages in flight across rounds.  Committed
+    results are unchanged by construction (every held message arrives).
+    """
+    from repro.faults.injector import EngineFaults
+    from repro.faults.plan import FaultPlan
+
+    return EngineFaults(
+        FaultPlan(drop_rate=drop, dup_rate=dup, delay_rate=delay, seed=seed)
+    )
+
+
 class ChattyLP(LogicalProcess):
     """Ticks once per unit time; optionally pokes a peer with a small delay.
 

@@ -22,6 +22,7 @@ from repro.core.optimistic import TimeWarpKernel
 from repro.faults import FaultPlan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
+from tests.kernel_models import transport_faults
 
 N = 4
 DURATION = 12.0
@@ -90,25 +91,56 @@ def test_conservative_resume_every_snapshot(tmp_path, sync):
 @pytest.mark.parametrize(
     "overrides",
     [
-        {},  # reverse rollback, immediate transport, synchronous GVT
+        {},  # reverse rollback, aggressive cancellation
         {"rollback": "copy"},
         {"cancellation": "lazy"},
-        {"gvt": "mattern", "transport": "mailbox"},
+        # Transport faults only: snapshots taken with messages held in
+        # flight, on the generic _emit/_receive path.
+        {"held": True},
         {"adaptive": True},
     ],
-    ids=["reverse", "copy", "lazy", "mattern-mailbox", "adaptive"],
+    ids=["reverse", "copy", "lazy", "held-messages", "adaptive"],
 )
 def test_optimistic_resume_every_snapshot(tmp_path, overrides):
+    overrides = dict(overrides)
+    held = overrides.pop("held", False)
     ecfg = EngineConfig(
         end_time=DURATION, n_pes=4, n_kps=16, batch_size=16, seed=SEED,
         **overrides,
     )
+
+    def make_engine():
+        kernel = TimeWarpKernel(HotPotatoModel(_cfg()), ecfg)
+        return kernel.attach_faults(transport_faults()) if held else kernel
+
     n = _check_resume_from_every_snapshot(
         tmp_path,
-        lambda: TimeWarpKernel(HotPotatoModel(_cfg()), ecfg),
-        {"case": "opt", **{k: str(v) for k, v in overrides.items()}},
+        make_engine,
+        {"case": "opt", "held": held, **{k: str(v) for k, v in overrides.items()}},
     )
     assert n > 3
+
+
+@pytest.mark.parametrize(
+    "gvt_snap",
+    [
+        ("mattern", 3, {2: 5}, {2: 4}, {2: 1.5}, 1.0),
+        ("incremental", 1.0, 7, 12),
+    ],
+    ids=["mattern", "incremental"],
+)
+def test_snapshot_naming_a_deleted_gvt_algorithm_refused(gvt_snap):
+    """A snapshot written when the in-process kernel still had a Mattern
+    or an incremental GVT manager carries state there is nothing to
+    restore into: refused by name, before the first event."""
+    from repro.errors import SnapshotError
+
+    ecfg = EngineConfig(end_time=DURATION, n_pes=4, n_kps=16, seed=SEED)
+    payload = TimeWarpKernel(HotPotatoModel(_cfg()), ecfg).snapshot()
+    assert payload["gvt_manager"] == ("synchronous", 0.0)
+    fresh = TimeWarpKernel(HotPotatoModel(_cfg()), ecfg)
+    with pytest.raises(SnapshotError, match=f"GVT algorithm {gvt_snap[0]!r}"):
+        fresh.restore({**payload, "gvt_manager": gvt_snap})
 
 
 def test_optimistic_resume_with_fault_plan(tmp_path):

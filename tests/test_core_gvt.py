@@ -1,94 +1,57 @@
-"""Tests for GVT managers: safety (never overshoots) and progress."""
-
-import pytest
+"""Tests for the barrier GVT: safety (never overshoots) and progress."""
 
 from repro.core.config import EngineConfig
-from repro.core.gvt import MatternGVT, SynchronousGVT, make_gvt_manager
 from repro.core.optimistic import TimeWarpKernel
 from repro.models.phold import PholdConfig, PholdModel
+from repro.vt.time import TIME_HORIZON
+from tests.kernel_models import transport_faults
 
 
-def kernel_with(gvt_name, transport="mailbox"):
+def phold_kernel(faults=None):
     cfg = EngineConfig(
-        end_time=10.0,
-        n_pes=2,
-        n_kps=4,
-        batch_size=8,
-        mapping="striped",
-        transport=transport,
-        gvt=gvt_name,
+        end_time=10.0, n_pes=2, n_kps=4, batch_size=8, mapping="striped"
     )
-    return TimeWarpKernel(PholdModel(PholdConfig(n_lps=16, jobs_per_lp=2)), cfg)
-
-
-def true_min_unprocessed(kernel):
-    m = kernel.transport.min_in_flight_ts()
-    for pe in kernel.pes:
-        key = pe.pending.peek_key()
-        if key is not None and key.ts < m:
-            m = key.ts
-    return m
-
-
-@pytest.mark.parametrize("name", ["synchronous", "mattern"])
-def test_estimate_is_safe_lower_bound_throughout_run(name):
-    kernel = kernel_with(name)
+    kernel = TimeWarpKernel(PholdModel(PholdConfig(n_lps=16, jobs_per_lp=2)), cfg)
+    if faults is not None:
+        kernel.attach_faults(faults)
     for lp in kernel.lps:
         lp._now = -1.0
         lp.on_init()
+    return kernel
+
+
+def true_min_unprocessed(kernel):
+    """Full scan of everything that can still execute or arrive."""
+    live = [ev.key.ts for pe in kernel.pes for ev in pe.pending]
+    for ev, _, is_ghost in getattr(kernel.transport, "_held", ()):
+        if is_ghost or not ev.cancelled:
+            live.append(ev.key.ts)
+    return min(live, default=TIME_HORIZON)
+
+
+def test_estimate_is_safe_lower_bound_throughout_run():
+    # A fault-wrapped transport holds cross-PE messages over several
+    # rounds, so estimates are taken with messages genuinely in flight.
+    kernel = phold_kernel(transport_faults(drop=0.1, dup=0.1, delay=0.3))
     estimates = []
+    held_seen = 0
     for _ in range(60):
         for pe in kernel.pes:
             pe.stats.round_busy = 0.0
             pe.process_batch(kernel, 8, 10.0)
+        held_seen += kernel.transport.in_flight_count()
         est = kernel.gvt_manager.estimate(kernel)
-        assert est <= true_min_unprocessed(kernel) + 1e-12
+        assert est <= true_min_unprocessed(kernel)
         estimates.append(est)
         kernel.transport.flush()
+    assert held_seen > 0
     # Monotone non-decreasing and eventually progressing.
     assert estimates == sorted(estimates)
     assert estimates[-1] > 0.0
 
 
 def test_synchronous_is_exact_post_flush():
-    kernel = kernel_with("synchronous", transport="immediate")
-    for lp in kernel.lps:
-        lp._now = -1.0
-        lp.on_init()
+    kernel = phold_kernel()
     for pe in kernel.pes:
         pe.process_batch(kernel, 20, 10.0)
     assert kernel.gvt_manager.estimate(kernel) == true_min_unprocessed(kernel)
-
-
-def test_mattern_accounts_for_in_flight_messages():
-    kernel = kernel_with("mattern", transport="mailbox")
-    for lp in kernel.lps:
-        lp._now = -1.0
-        lp.on_init()
-    # Process one PE far ahead so its sends sit in the other's mailbox.
-    kernel.pes[0].process_batch(kernel, 50, 10.0)
-    if kernel.transport.in_flight_count() > 0:
-        est = kernel.gvt_manager.estimate(kernel)
-        assert est <= kernel.transport.min_in_flight_ts()
-
-
-def test_mattern_prunes_balanced_epochs():
-    gvt = MatternGVT(2)
-    kernel = kernel_with("synchronous", transport="immediate")
-    kernel.gvt_manager = gvt
-    for lp in kernel.lps:
-        lp._now = -1.0
-        lp.on_init()
-    for _ in range(5):
-        for pe in kernel.pes:
-            pe.process_batch(kernel, 10, 10.0)
-        gvt.estimate(kernel)
-    # With the immediate transport every epoch balances at once.
-    assert len(gvt._sent) <= 1
-
-
-def test_make_gvt_manager():
-    assert isinstance(make_gvt_manager("synchronous", 2), SynchronousGVT)
-    assert isinstance(make_gvt_manager("mattern", 2), MatternGVT)
-    with pytest.raises(ValueError):
-        make_gvt_manager("oracle", 2)

@@ -9,19 +9,21 @@ from repro.errors import ConfigurationError
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.models.phold import PholdConfig, PholdModel
-from tests.kernel_models import ChattyModel
+from tests.kernel_models import ChattyModel, transport_faults
 
 END = 30.0
 PHOLD = PholdConfig(n_lps=48, jobs_per_lp=3, remote_fraction=0.8)
 
 
-def opt(model, cancellation, **kw):
+def opt(model, cancellation, faults=None, **kw):
     kw.setdefault("n_pes", 4)
     kw.setdefault("n_kps", 8)
     kw.setdefault("batch_size", 64)
     kw.setdefault("mapping", "striped")
     return run_optimistic(
-        model, EngineConfig(end_time=END, cancellation=cancellation, **kw)
+        model,
+        EngineConfig(end_time=END, cancellation=cancellation, **kw),
+        faults=faults,
     )
 
 
@@ -91,13 +93,16 @@ def test_lazy_with_window_and_copy_strategy():
     assert result.model_stats == oracle
 
 
-def test_lazy_with_mailbox_transport():
+def test_lazy_with_messages_held_in_flight():
+    # A fault-wrapped transport: the generic send path, untraced, with
+    # positives (and the ghosts of duplicates) arriving rounds late.
     oracle = run_sequential(PholdModel(PHOLD), END).model_stats
-    result = opt(PholdModel(PHOLD), "lazy", transport="mailbox")
+    result = opt(PholdModel(PHOLD), "lazy", faults=transport_faults())
     assert result.model_stats == oracle
+    assert result.run.transport_delayed > 0 and result.run.lazy_reused > 0
 
 
-def test_lazy_mailbox_random_mapping_hotpotato_regression():
+def test_lazy_held_random_mapping_hotpotato_regression():
     # Regression: lazy cancellation exposes downstream LPs to parked
     # (zombie) messages until their sender re-executes, so a router can
     # transiently see more packets than it has links.  The model must ride
@@ -113,9 +118,9 @@ def test_lazy_mailbox_random_mapping_hotpotato_regression():
             n_kps=3,
             batch_size=64,
             mapping="random",
-            transport="mailbox",
             cancellation="lazy",
         ),
+        faults=transport_faults(),
     )
     assert result.model_stats == oracle
     assert result.model_stats["overflow_routes"] == 0

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.event import Event
-from repro.core.queue import LadderQueue, PendingQueue, make_pending_queue
+from repro.core.config import EngineConfig
+from repro.core.queue import PendingQueue, make_pending_queue
 from repro.vt.time import EventKey
 
 
@@ -108,7 +109,10 @@ def test_many_interleaved_operations_keep_order():
 
 
 def test_factory():
-    assert isinstance(make_pending_queue("heap"), PendingQueue)
-    assert isinstance(make_pending_queue("ladder"), LadderQueue)
+    # The one caller left is perfbench/probes.py's hold-model probe, which
+    # a PR may not edit; this is the expression it evaluates.
+    assert isinstance(
+        make_pending_queue(EngineConfig(end_time=1.0).queue), PendingQueue
+    )
     with pytest.raises(ValueError):
-        make_pending_queue("splay")
+        make_pending_queue("ladder")

@@ -1,93 +1,16 @@
-"""Unit tests for the message transports."""
-
-import pytest
+"""Unit tests for the in-process message transport."""
 
 from repro.core.event import Event
-from repro.core.transport import ImmediateTransport, MailboxTransport, make_transport
+from repro.core.transport import ImmediateTransport
 from repro.vt.time import EventKey, TIME_HORIZON
-
-
-def ev(ts, seq=0, dst=0):
-    return Event(EventKey(ts, 0, seq), dst, "k")
 
 
 def test_immediate_delivers_synchronously():
     got = []
-    tr = ImmediateTransport(got.append, 2)
-    e = ev(1.0)
+    tr = ImmediateTransport(got.append)
+    e = Event(EventKey(1.0, 0, 0), 0, "k")
     tr.deliver(e, 0, 1)
     assert got == [e]
     assert tr.in_flight_count() == 0
     assert tr.min_in_flight_ts() == TIME_HORIZON
     assert tr.flush() == 0
-
-
-def test_mailbox_defers_cross_pe():
-    got = []
-    tr = MailboxTransport(got.append, 2)
-    e = ev(1.0)
-    tr.deliver(e, 0, 1)
-    assert got == []
-    assert tr.in_flight_count() == 1
-    assert tr.min_in_flight_ts() == 1.0
-    assert tr.flush() == 1
-    assert got == [e]
-    assert tr.in_flight_count() == 0
-
-
-def test_mailbox_local_messages_skip_the_box():
-    got = []
-    tr = MailboxTransport(got.append, 2)
-    e = ev(1.0)
-    tr.deliver(e, 1, 1)
-    assert got == [e]
-    assert tr.in_flight_count() == 0
-
-
-def test_mailbox_drops_cancelled_and_notifies():
-    got, dropped = [], []
-    tr = MailboxTransport(got.append, 2)
-    tr.on_drop = dropped.append
-    e = ev(1.0)
-    tr.deliver(e, 0, 1)
-    e.cancelled = True
-    assert tr.flush() == 0
-    assert got == []
-    assert dropped == [e]
-    assert tr.in_flight_count() == 0
-
-
-def test_mailbox_min_ignores_cancelled():
-    tr = MailboxTransport(lambda e: None, 2)
-    a, b = ev(1.0), ev(2.0, seq=1)
-    tr.deliver(a, 0, 1)
-    tr.deliver(b, 0, 1)
-    a.cancelled = True
-    assert tr.min_in_flight_ts() == 2.0
-
-
-def test_mailbox_flush_preserves_per_box_fifo():
-    got = []
-    tr = MailboxTransport(got.append, 2)
-    es = [ev(3.0, seq=0), ev(1.0, seq=1), ev(2.0, seq=2)]
-    for e in es:
-        tr.deliver(e, 0, 1)
-    tr.flush()
-    assert got == es  # order of delivery, not timestamp order
-
-
-def test_make_transport():
-    assert isinstance(make_transport("immediate", lambda e: None, 1), ImmediateTransport)
-    assert isinstance(make_transport("mailbox", lambda e: None, 1), MailboxTransport)
-    with pytest.raises(ValueError):
-        make_transport("carrier-pigeon", lambda e: None, 1)
-
-
-def test_make_transport_error_names_choices():
-    # The error must be actionable: name the bad value and every valid one.
-    with pytest.raises(ValueError) as excinfo:
-        make_transport("carrier-pigeon", lambda e: None, 1)
-    message = str(excinfo.value)
-    assert "carrier-pigeon" in message
-    assert "immediate" in message
-    assert "mailbox" in message

@@ -12,6 +12,23 @@ def test_defaults():
     assert args.probability_i == 100.0
 
 
+def test_option_strings_are_pinned():
+    # A new flag must show up as a diff of this list (ROADMAP aim 2).
+    options = [
+        s for action in build_parser()._actions for s in action.option_strings
+        if s.startswith("--") and s != "--help"
+    ]
+    assert options == [
+        "--n", "--processors", "--duration", "--probability-i",
+        "--no-absorb-sleeping", "--topology", "--mesh", "--scenario",
+        "--procs", "--kps", "--batch", "--gvt-interval", "--seed",
+        "--cancellation", "--validate", "--metrics-out", "--trace-out",
+        "--spans-out", "--fault-plan", "--fault-rate", "--fault-seed",
+        "--paranoid", "--checkpoint-dir", "--checkpoint-every", "--resume",
+        "--deadline-seconds", "--watchdog", "--health-out",
+    ]
+
+
 def test_sequential_run(capsys):
     rc = main(["--n", "4", "--duration", "20", "--probability-i", "50"])
     assert rc == 0

@@ -214,13 +214,19 @@ def big_oracle():
     return run_sequential(HotPotatoModel(_big_cfg()), BIG_END, seed=BIG_SEED)
 
 
-@pytest.mark.parametrize("queue", ["heap", "ladder"])
-@pytest.mark.parametrize("cancellation", ["aggressive", "lazy"])
-@pytest.mark.parametrize("procs", [2, 4])
-def test_untraced_procs_equal_the_oracle(big_oracle, procs, cancellation, queue):
+UNTRACED_CELLS = [(p, c) for p in (2, 4) for c in ("aggressive", "lazy")]
+
+
+@pytest.mark.parametrize(
+    "procs, cancellation",
+    UNTRACED_CELLS,
+    # The ids name the pending queue ("heap", the only one), as the suite
+    # has always printed them.
+    ids=[f"{procs}-{cancellation}-heap" for procs, cancellation in UNTRACED_CELLS],
+)
+def test_untraced_procs_equal_the_oracle(big_oracle, procs, cancellation):
     mp = run_optimistic(
-        HotPotatoModel(_big_cfg()),
-        _big_ecfg(procs, cancellation=cancellation, queue=queue),
+        HotPotatoModel(_big_cfg()), _big_ecfg(procs, cancellation=cancellation)
     )
     _assert_equals_oracle(mp, big_oracle)
     assert mp.run.procs == procs

@@ -74,9 +74,9 @@ def test_optimistic_fast_paths_stay_installed_with_metrics():
     )
     kernel.attach_metrics(MetricsRecorder())
     kernel.run()
-    # The fused execute closure replaces the bound method unless a tracer
-    # is attached; a metrics recorder must not disable it.
-    assert kernel.execute.__name__ == "fast_execute"
+    # The fused batch loops are compiled unless a tracer is attached; a
+    # metrics recorder must not disable them.
+    assert kernel._batch_by_pe is not None
 
 
 def test_metrics_do_not_perturb_results():

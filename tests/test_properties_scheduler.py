@@ -1,167 +1,32 @@
-"""Property tests for the scheduler structures and cancellation modes.
+"""Property tests for the cancellation modes.
 
-Two families of randomized/parametrized contracts:
+Lazy cancellation is a pure performance choice: committed event
+sequences must be bit-identical to the aggressive baseline on the golden
+seeds, including with messages held in flight by a fault-wrapped
+transport, under a :class:`~repro.faults.FaultPlan` with model faults,
+and across a checkpoint resume.  Comparison uses
+:meth:`~repro.core.trace.Tracer.committed_sequence` (key-sorted;
+cross-KP commit *firing* order is not contractual).
 
-1. **Queue equivalence** — the ladder queue must be
-   observationally identical to the binary heap under arbitrary
-   interleavings of push / pop / pop_below / cancellation, *including*
-   timestamp ties and full-key ties (two events with the same
-   ``(ts, origin, seq)``, ordered by creation serial).  A seeded twin
-   harness drives both structures with identical event populations and
-   asserts every observable (pop order, ``peek_key``, ``len``) matches
-   step for step.
-
-2. **Cancellation-mode bit-identity** — lazy cancellation, the ladder
-   queue and incremental GVT are pure performance choices: committed
-   event sequences must be bit-identical to the heap/aggressive/
-   synchronous baseline on the golden seeds, including under a
-   :class:`~repro.faults.FaultPlan` and across a checkpoint resume.
-   Comparison uses :meth:`~repro.core.trace.Tracer.committed_sequence`
-   (key-sorted; cross-KP commit *firing* order is not contractual).
+(The pending queue has one implementation, pinned by
+``test_core_queue.py`` and ``test_queue_lazy_accounting.py``; the twin
+harness that compared a second structure with it went with that
+structure.)
 """
 
-import random
 import shutil
 
 import pytest
 
 from repro.ckpt import Checkpointer, list_snapshots
 from repro.core.config import EngineConfig
-from repro.core.event import Event
 from repro.core.optimistic import TimeWarpKernel, run_optimistic
-from repro.core.queue import make_pending_queue
 from repro.core.trace import Tracer
 from repro.faults import EngineFaults, FaultPlan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.models.phold import PholdConfig, PholdModel
-from repro.vt.time import EventKey
-
-# ----------------------------------------------------------------------
-# 1. Randomized queue-equivalence twin harness.
-# ----------------------------------------------------------------------
-
-
-def _twin_pair(ts, origin, seq):
-    """Two events with the same key, created back to back so the global
-    creation serial (the final tie-break) orders them consistently
-    within each population."""
-    return (
-        Event(EventKey(ts, origin, seq), 0, "k"),
-        Event(EventKey(ts, origin, seq), 0, "k"),
-    )
-
-
-class _TwinHarness:
-    """Drives a reference heap and a candidate queue with twin event
-    populations and checks every observable after each operation."""
-
-    def __init__(self, candidate: str, rng: random.Random):
-        self.rng = rng
-        self.heap = make_pending_queue("heap")
-        self.cand = make_pending_queue(candidate)
-        self.pair_id = {}  # id(event) -> pair index, either population
-        self.live = {}  # pair index -> (heap_ev, cand_ev)
-        self.n_pairs = 0
-        self.popped = []  # sequence of popped pair indices
-
-    # Coarse grids force plenty of timestamp ties and full-key ties.
-    def _key(self):
-        r = self.rng
-        return r.randrange(64) / 8.0, r.randrange(4), r.randrange(4)
-
-    def push(self):
-        a, b = _twin_pair(*self._key())
-        i = self.n_pairs
-        self.n_pairs += 1
-        self.pair_id[id(a)] = self.pair_id[id(b)] = i
-        self.live[i] = (a, b)
-        self.heap.push(a)
-        self.cand.push(b)
-
-    def pop(self):
-        if not self.live:
-            return
-        a = self.heap.pop()
-        b = self.cand.pop()
-        i = self.pair_id[id(a)]
-        assert self.pair_id[id(b)] == i, "pop order diverged"
-        assert b.entry[:3] == a.entry[:3]
-        del self.live[i]
-        self.popped.append(i)
-
-    def pop_below(self):
-        limit = self.rng.randrange(64) / 8.0
-        a = self.heap.pop_below(limit)
-        b = self.cand.pop_below(limit)
-        if a is None:
-            assert b is None, f"pop_below({limit}) found an event only in candidate"
-            return
-        assert b is not None, f"pop_below({limit}) found an event only in heap"
-        i = self.pair_id[id(a)]
-        assert self.pair_id[id(b)] == i, "pop_below order diverged"
-        del self.live[i]
-        self.popped.append(i)
-
-    def cancel(self):
-        if not self.live:
-            return
-        i = self.rng.choice(sorted(self.live))
-        a, b = self.live.pop(i)
-        a.cancelled = b.cancelled = True
-        self.heap.note_cancelled()
-        self.cand.note_cancelled()
-
-    def check_observables(self):
-        assert len(self.heap) == len(self.cand) == len(self.live)
-        assert bool(self.heap) == bool(self.cand)
-        assert self.heap.peek_key() == self.cand.peek_key()
-        hk, ck = self.heap.peek(), self.cand.peek()
-        if hk is None:
-            assert ck is None
-        else:
-            assert self.pair_id[id(hk)] == self.pair_id[id(ck)]
-
-
-@pytest.mark.parametrize("candidate", ["ladder"])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_queue_matches_heap_under_random_interleavings(candidate, seed):
-    rng = random.Random(seed)
-    h = _TwinHarness(candidate, rng)
-    ops = (
-        [h.push] * 5  # keep the structure populated
-        + [h.pop] * 2
-        + [h.pop_below] * 2
-        + [h.cancel] * 2
-    )
-    for _ in range(400):
-        rng.choice(ops)()
-        h.check_observables()
-    # Drain completely: the tail order must match too.
-    while h.live:
-        h.pop()
-        h.check_observables()
-    assert len(h.popped) == len(set(h.popped)), "an event popped twice"
-    assert h.n_pairs > 100, "harness barely exercised the structures"
-
-
-@pytest.mark.parametrize("candidate", ["ladder"])
-def test_queue_full_key_ties_break_by_creation_order(candidate):
-    """Many events sharing one exact key drain in creation order from
-    both structures (the entry-tuple serial is the only discriminator)."""
-    heap, cand = make_pending_queue("heap"), make_pending_queue(candidate)
-    pairs = [_twin_pair(1.0, 0, 0) for _ in range(32)]
-    for a, b in pairs:
-        heap.push(a)
-        cand.push(b)
-    for a, b in pairs:
-        assert heap.pop() is a
-        assert cand.pop() is b
-
-
-# ----------------------------------------------------------------------
-# 2. Cancellation-mode / queue / GVT bit-identity on the golden seeds.
-# ----------------------------------------------------------------------
+from tests.kernel_models import transport_faults
 
 GOLDEN_SEEDS = (0x5EED, 7)
 
@@ -172,13 +37,13 @@ _HP_CFG = HotPotatoConfig(n=8, duration=15.0, injector_fraction=1.0)
 _HP_SEED = 0x5EED
 
 
-def _phold_run(seed, **overrides):
+def _phold_run(seed, faults=None, **overrides):
     ecfg = EngineConfig(
         end_time=_PHOLD_END, n_pes=4, n_kps=16, batch_size=16, seed=seed,
         **overrides,
     )
     tracer = Tracer()
-    result = run_optimistic(PholdModel(_PHOLD), ecfg, tracer=tracer)
+    result = run_optimistic(PholdModel(_PHOLD), ecfg, tracer=tracer, faults=faults)
     return tracer.committed_sequence(), dict(result.model_stats)
 
 
@@ -192,21 +57,15 @@ def _phold_baseline(seed):
 
 
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {"queue": "ladder"},
-        {"cancellation": "lazy"},
-        {"queue": "ladder", "cancellation": "lazy"},
-        {"queue": "ladder", "cancellation": "lazy", "gvt": "incremental"},
-        {"cancellation": "lazy", "gvt": "mattern", "transport": "mailbox"},
-    ],
-    ids=["ladder", "lazy", "ladder-lazy", "ladder-lazy-incgvt", "lazy-mattern"],
-)
-def test_phold_committed_sequence_matches_baseline(seed, overrides):
+@pytest.mark.parametrize("held", [False, True], ids=["lazy", "lazy-held"])
+def test_phold_committed_sequence_matches_baseline(seed, held):
+    # ``lazy-held``: a fault-wrapped transport holds cross-PE messages
+    # over rounds, so anti-messages chase positives still in flight.
     base_seq, base_stats = _phold_baseline(seed)
     assert base_seq, "baseline committed nothing — scenario is vacuous"
-    seq, stats = _phold_run(seed, **overrides)
+    seq, stats = _phold_run(
+        seed, faults=transport_faults() if held else None, cancellation="lazy"
+    )
     assert seq == base_seq
     assert stats == base_stats
 
@@ -223,9 +82,9 @@ def _hotpotato_run(plan=None, engine_plan=None, **overrides):
     return tracer.committed_sequence(), dict(result.model_stats), result
 
 
-def test_fault_plan_identity_lazy_ladder():
-    """Model faults + transport chaos: the lazy/ladder engine commits the
-    exact sequence the heap/aggressive engine does."""
+def test_fault_plan_identity_lazy():
+    """Model faults + transport chaos: the lazy engine commits the exact
+    sequence the aggressive engine does."""
     from repro.faults import generate_plan
     from repro.net import TorusTopology
 
@@ -241,8 +100,7 @@ def test_fault_plan_identity_lazy_ladder():
     )
     base_seq, base_stats, _ = _hotpotato_run(plan=model_plan, engine_plan=transport_plan)
     seq, stats, result = _hotpotato_run(
-        plan=model_plan, engine_plan=transport_plan,
-        queue="ladder", cancellation="lazy",
+        plan=model_plan, engine_plan=transport_plan, cancellation="lazy",
     )
     assert seq == base_seq
     assert stats == base_stats
@@ -252,10 +110,10 @@ def test_fault_plan_identity_lazy_ladder():
     assert run.transport_dropped + run.transport_duplicated + run.transport_delayed > 0
 
 
-def test_checkpoint_resume_identity_lazy_ladder(tmp_path):
-    """Interrupt a lazy/ladder/incremental-GVT run at a mid-run snapshot
-    and resume: the completed run matches the heap/aggressive oracle that
-    never checkpointed — under a non-empty FaultPlan."""
+def test_checkpoint_resume_identity_lazy(tmp_path):
+    """Interrupt a lazy-cancellation run at a mid-run snapshot and
+    resume: the completed run matches the aggressive oracle that never
+    checkpointed — under a non-empty FaultPlan."""
     plan_kwargs = dict(
         drop_rate=0.05, dup_rate=0.05, delay_rate=0.08, delay_rounds=2, seed=99
     )
@@ -271,9 +129,9 @@ def test_checkpoint_resume_identity_lazy_ladder(tmp_path):
         kernel.attach_faults(EngineFaults(FaultPlan(**plan_kwargs)))
         return kernel
 
-    oracle = make().run()  # heap / aggressive / synchronous, no checkpointer
+    oracle = make().run()  # aggressive, no checkpointer
 
-    fast = dict(queue="ladder", cancellation="lazy", gvt="incremental")
+    fast = dict(cancellation="lazy")
     snap_dir = tmp_path / "snaps"
     marker = {"case": "prop-resume"}
     ckpt = Checkpointer(snap_dir, every=2, marker=marker)
@@ -290,5 +148,5 @@ def test_checkpoint_resume_identity_lazy_ladder(tmp_path):
         ck.load_latest()
         resumed = make(**fast).attach_checkpointer(ck).run()
         assert resumed.model_stats == oracle.model_stats, (
-            f"resume from {snap.name} diverged from the heap/aggressive oracle"
+            f"resume from {snap.name} diverged from the aggressive oracle"
         )

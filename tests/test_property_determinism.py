@@ -1,8 +1,9 @@
 """Property-based engine-equivalence: the crown invariant (DESIGN.md 2).
 
 Hypothesis drives the optimistic engine through random configurations
-(PEs, KPs, batch sizes, windows, mappings, strategies, transports) and the
-committed results must always equal the sequential oracle's — on both the
+(PEs, KPs, batch sizes, windows, mappings, strategies, with and without
+a fault-wrapped transport holding messages in flight) and the committed
+results must always equal the sequential oracle's — on both the
 PHOLD and the hot-potato workloads.
 """
 
@@ -20,7 +21,7 @@ from repro.core.trace import Tracer
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.models.phold import PholdConfig, PholdModel
-from tests.kernel_models import plan_declined
+from tests.kernel_models import plan_declined, transport_faults
 
 END = 20.0
 PHOLD_CFG = PholdConfig(n_lps=24, jobs_per_lp=2, remote_fraction=0.6)
@@ -44,7 +45,10 @@ def engine_configs(draw):
     kp_mult = draw(st.integers(min_value=1, max_value=max(1, 16 // n_pes)))
     n_kps = n_pes * kp_mult
     use_window = draw(st.booleans())
-    return EngineConfig(
+    # Transport faults only: the generic _emit/_receive path, untraced,
+    # with cross-PE messages arriving rounds late.
+    held = draw(st.booleans())
+    return held, EngineConfig(
         end_time=END,
         n_pes=n_pes,
         n_kps=n_kps,
@@ -53,8 +57,6 @@ def engine_configs(draw):
         gvt_interval=draw(st.integers(min_value=1, max_value=5)),
         mapping=draw(st.sampled_from(["striped", "random"])),
         rollback=draw(st.sampled_from(["reverse", "copy"])),
-        transport=draw(st.sampled_from(["immediate", "mailbox"])),
-        gvt=draw(st.sampled_from(["synchronous", "mattern"])),
         cancellation=draw(st.sampled_from(["aggressive", "lazy"])),
         seed=0x5EED,
     )
@@ -67,7 +69,10 @@ def engine_configs(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_phold_matches_oracle_under_any_configuration(cfg, phold_oracle):
-    result = run_optimistic(PholdModel(PHOLD_CFG), cfg)
+    held, cfg = cfg
+    result = run_optimistic(
+        PholdModel(PHOLD_CFG), cfg, faults=transport_faults() if held else None
+    )
     assert result.model_stats == phold_oracle
     assert result.run.committed == result.run.processed - result.run.events_rolled_back
 
@@ -79,7 +84,10 @@ def test_phold_matches_oracle_under_any_configuration(cfg, phold_oracle):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_hotpotato_matches_oracle_under_any_configuration(cfg, hp_oracle):
-    result = run_optimistic(HotPotatoModel(HP_CFG), cfg)
+    held, cfg = cfg
+    result = run_optimistic(
+        HotPotatoModel(HP_CFG), cfg, faults=transport_faults() if held else None
+    )
     assert result.model_stats == hp_oracle
 
 
@@ -95,13 +103,13 @@ SHARED_CFG = HotPotatoConfig(
 )
 
 
-def _shared_tables_engine(queue="heap", cancellation="aggressive", executor="scalar"):
+def _shared_tables_engine(cancellation="aggressive", executor="scalar"):
     model = HotPotatoModel(SHARED_CFG)
     if executor == "scalar":
         plan_declined(model)
     cfg = EngineConfig(
         end_time=SHARED_END, n_pes=4, n_kps=16, batch_size=512, seed=0x5EED,
-        queue=queue, cancellation=cancellation,
+        cancellation=cancellation,
     )
     return model, TimeWarpKernel(model, cfg)
 
@@ -114,15 +122,24 @@ def shared_oracle():
     return stats, sorted(model.delivery_log), tracer.committed_sequence()
 
 
-@pytest.mark.parametrize("executor", ["scalar", "vectorized"])
-@pytest.mark.parametrize("cancellation", ["aggressive", "lazy"])
-@pytest.mark.parametrize("queue", ["heap", "ladder"])
+SHARED_CELLS = [
+    (c, e) for c in ("aggressive", "lazy") for e in ("scalar", "vectorized")
+]
+
+
+@pytest.mark.parametrize(
+    "cancellation, executor",
+    SHARED_CELLS,
+    # The ids name the pending queue ("heap", the only one), as the suite
+    # has always printed them.
+    ids=[f"heap-{cancellation}-{executor}" for cancellation, executor in SHARED_CELLS],
+)
 def test_shared_dispatch_tables_commit_the_oracle_sequence(
-    shared_oracle, queue, cancellation, executor
+    shared_oracle, cancellation, executor
 ):
     stats, deliveries, sequence = shared_oracle
-    # Untraced: every fused closure (send, execute, batch / band batch) runs.
-    model, kernel = _shared_tables_engine(queue, cancellation, executor)
+    # Untraced: every fused closure (send, batch / band batch) runs.
+    model, kernel = _shared_tables_engine(cancellation, executor)
     result = kernel.run()
     assert kernel._batch_by_pe is not None
     # The band batch installs under aggressive cancellation only.
@@ -135,7 +152,7 @@ def test_shared_dispatch_tables_commit_the_oracle_sequence(
     assert result.run.committed == len(sequence)
     # Traced: fused sends under the generic execute, event by event.
     tracer = Tracer()
-    _, kernel = _shared_tables_engine(queue, cancellation, executor)
+    _, kernel = _shared_tables_engine(cancellation, executor)
     kernel.attach_tracer(tracer).run()
     assert tracer.committed_sequence() == sequence
 

@@ -12,7 +12,7 @@ and by the event pool recycling a cancelled event's key.
 import pytest
 
 from repro.core.event import Event, EventPool
-from repro.core.queue import LadderQueue, PendingQueue
+from repro.core.queue import PendingQueue
 from repro.vt.time import EventKey
 
 
@@ -20,7 +20,8 @@ def ev(ts, origin=0, seq=0):
     return Event(EventKey(ts, origin, seq), 0, "k")
 
 
-QUEUES = [PendingQueue, LadderQueue]
+#: The pending-queue structures under test (one); the ids name it.
+QUEUES = [PendingQueue]
 
 
 @pytest.mark.parametrize("queue_cls", QUEUES)
