@@ -9,6 +9,15 @@ functions by cumulative time::
                                         [--dump before.pstats]
                                         [--procs 2 --gvt-interval 16]
 
+Beside the table it prints the run's ``gc.get_stats()`` delta
+(collections and objects collected per generation): the cyclic
+collector's passes are C code entered from the allocator, charged to
+whatever Python function happened to allocate, so the profile cannot show
+them.  An engine pauses the collector while it runs
+(``Executor._collector_paused``), so anything beyond the one collection on
+the way in means something outside ``run`` — or a model building per-event
+cycles — is feeding it.
+
 ``--dump`` writes the raw profile to a ``pstats`` file so before/after
 profiles of an optimisation PR can be diffed offline
 (``pstats.Stats('before.pstats').sort_stats('tottime')``); ``--seed``
@@ -35,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 
 from repro.core.config import EngineConfig
@@ -60,6 +70,15 @@ def profile_workers(prefix: str) -> None:
             profiler.dump_stats(f"{prefix}.worker{kernel.worker_index}.prof")
 
     MPWorkerKernel.run = profiled_run
+
+
+def collector_delta(before: list[dict]) -> str:
+    """What the cyclic collector did since ``before`` (a ``gc.get_stats()``)."""
+    return "collector: " + ", ".join(
+        f"gen{i} {now['collections'] - then['collections']:,} collections "
+        f"({now['collected'] - then['collected']:,} collected)"
+        for i, (then, now) in enumerate(zip(before, gc.get_stats()))
+    )
 
 
 def main() -> None:
@@ -146,6 +165,7 @@ def main() -> None:
         mp_overrides = {"parallelism": "process", "procs": args.procs}
         profile_workers(args.dump)
 
+    gc_before = gc.get_stats()
     profiler = cProfile.Profile()
     profiler.enable()
     if args.engine == "sequential":
@@ -170,14 +190,18 @@ def main() -> None:
             model, ecfg, metrics=capture.metrics, spans=capture.spans,
         )
     profiler.disable()
+    gc_line = collector_delta(gc_before)
     capture.finalize(result)
     if args.metrics_out or args.spans_out:
         print(f"telemetry written to {args.metrics_out or args.spans_out}")
 
     print(
         f"{args.engine}: {result.run.processed:,} events processed "
-        f"({result.run.events_rolled_back:,} rolled back)\n"
+        f"({result.run.events_rolled_back:,} rolled back)"
     )
+    if args.procs is not None:
+        gc_line += " — this process; the workers ran the events"
+    print(gc_line + "\n")
     if args.procs is not None:
         print("worker 0:")
         pstats.Stats(f"{args.dump}.worker0.prof").sort_stats(

@@ -9,7 +9,13 @@ not one: the sequential engine hands over to its band program at step 1
 INJECT; three more steps set the Time Warp kernel's per-event RouterLP
 handlers against the band program at this size.  Then runs the 64×64
 torus sequentially for 2 and for 8 steps and fails unless (c) the two
-peak RSS values are within ``--flat-rss-mb`` of each other::
+peak RSS values are within ``--flat-rss-mb`` of each other.  All of that
+runs at ``--batch 64`` and so never rolls back; two more checks cover the
+regime where events die outside the pool: (d) the 16×16 torus at ``--batch
+2048`` for 200 steps (about half of what it executes is undone) stays
+under ``--rollback-rss-mb``, and (e) one process that runs that
+configuration twice and one that runs it ten times peak within
+``--flat-rss-mb`` of each other::
 
     PYTHONPATH=src python benchmarks/scale_smoke.py                 # CI: n=128, 400 MB
     PYTHONPATH=src python benchmarks/scale_smoke.py --n 256 --max-rss-mb 1024
@@ -19,7 +25,13 @@ docs/KERNEL.md's "per-kernel vs per-LP" split) the n=128 run needs more
 than 4 GB, so budget (a) catches any quadratic term coming back.  At full
 load the packet population is constant, so anything that makes (c) fail is
 state kept per simulated step — the per-(src, dst) routing cache that
-``repro.net`` once had cost 17 MB over these six steps.
+``repro.net`` once had cost 17 MB over these six steps.  (d) and (e) are
+about who frees what (docs/KERNEL.md, "Who frees an Event"): an engine
+pauses the cyclic collector while it runs, so an ``Event`` that only a
+collection could free stays for the whole run — when every event and its
+heap entry referred to each other (before PR 24) and the collector ran,
+(d) peaked at 39 MB, not 29 — and a finished engine, which *is* cyclic,
+has to be collected before the next one runs or (e) grows by 5 MB a run.
 """
 
 from __future__ import annotations
@@ -46,10 +58,20 @@ STEPS = 4
 FLAT_N = 64
 
 
-def run(n: int, duration: int, *flags: str) -> tuple[list[str], float, float]:
-    """Run one child to completion: (model lines, wall seconds, peak RSS in MB)."""
-    cmd = [sys.executable, "-m", "repro.hotpotato", "--n", str(n)]
-    cmd += ["--duration", str(duration), *flags]
+#: Check (e)'s child: ``argv[1]`` rollback-heavy Time Warp runs in one
+#: process, each engine dropped before the next is built.
+LOOP = """
+import sys
+from repro.hotpotato.config import HotPotatoConfig
+from repro.hotpotato.simulation import HotPotatoSimulation
+sim = HotPotatoSimulation(HotPotatoConfig(n=16, duration=20.0, injector_fraction=1.0))
+for _ in range(int(sys.argv[1])):
+    sim.run_parallel(n_pes=4, n_kps=16, batch_size=2048)
+"""
+
+
+def child(cmd: list[str]) -> tuple[str, float, float]:
+    """Run one child to completion: (stdout, wall seconds, peak RSS in MB)."""
     t0 = time.perf_counter()
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
     with proc.stdout:
@@ -61,13 +83,21 @@ def run(n: int, duration: int, *flags: str) -> tuple[list[str], float, float]:
     wall = time.perf_counter() - t0
     if proc.returncode:
         raise SystemExit(f"{' '.join(cmd)}: exit status {proc.returncode}")
+    return out, wall, usage.ru_maxrss / 1024
+
+
+def run(n: int, duration: int, *flags: str) -> tuple[list[str], float, float]:
+    """``python -m repro.hotpotato``: (model lines, wall seconds, peak RSS in MB)."""
+    cmd = [sys.executable, "-m", "repro.hotpotato", "--n", str(n)]
+    cmd += ["--duration", str(duration), *flags]
+    out, wall, rss_mb = child(cmd)
     lines = [
         line for line in out.splitlines()
         if line.split(":")[0].strip() in MODEL_LINES
     ]
     if len(lines) != len(MODEL_LINES):
         raise SystemExit(f"{' '.join(cmd)}: not {len(MODEL_LINES)} model lines:\n{out}")
-    return lines, wall, usage.ru_maxrss / 1024
+    return lines, wall, rss_mb
 
 
 def main() -> None:
@@ -77,7 +107,13 @@ def main() -> None:
     ap.add_argument(
         "--flat-rss-mb", type=float, default=8.0,
         help=f"most the n={FLAT_N} sequential peak RSS may differ between "
-             "--duration 2 and --duration 8",
+             "--duration 2 and --duration 8, and the in-process loop's "
+             "between 2 and 10 runs",
+    )
+    ap.add_argument(
+        "--rollback-rss-mb", type=float, default=33.0,
+        help="peak RSS budget of --n 16 --duration 200 --processors 4 "
+             "--batch 2048 (28.7 MB measured + 15 %%; 39.1 MB before PR 24)",
     )
     args = ap.parse_args()
 
@@ -106,6 +142,23 @@ def main() -> None:
     )
     if abs(long_mb - short_mb) > args.flat_rss_mb:
         raise SystemExit("peak RSS grows with simulated duration")
+
+    _, wall, rss_mb = run(16, 200, "--processors", "4", "--batch", "2048")
+    print(
+        f"n=16 --batch 2048, 200 steps: {wall:.2f} s, peak RSS {rss_mb:.1f} MB "
+        f"(budget {args.rollback_rss_mb:.0f})"
+    )
+    if rss_mb >= args.rollback_rss_mb:
+        raise SystemExit("rollback-heavy peak RSS is over the budget")
+
+    _, _, two_mb = child([sys.executable, "-c", LOOP, "2"])
+    _, _, ten_mb = child([sys.executable, "-c", LOOP, "10"])
+    print(
+        f"n=16 --batch 2048 in one process: peak RSS {two_mb:.1f} MB after 2 "
+        f"runs, {ten_mb:.1f} MB after 10 (may differ by {args.flat_rss_mb:.0f})"
+    )
+    if ten_mb - two_mb > args.flat_rss_mb:
+        raise SystemExit("finished engines pile up across runs")
     print("scale smoke ok")
 
 

@@ -20,7 +20,7 @@ paths compile at ``run()`` start and capture object identities
 (``pe.pending``, ``kp.processed``, ``pool._free``, the GVT manager), so
 replacing any of those objects would silently disconnect them.
 
-Event serials: heap-entry serials are process-local and only their
+Event serials: ``Event.serial`` stamps are process-local and only their
 relative order matters.  On restore every event reachable from the
 captured queues (transitively through ``sent``/``lazy_sent`` journals
 and held fault-transport messages) is re-stamped with a fresh serial, in
@@ -76,7 +76,7 @@ def _queue_events(queue) -> list[Event]:
     and nothing else can resurrect them — omitting them is exactly what
     the queue's own sweep would eventually do.
     """
-    return sorted(iter(queue), key=lambda ev: ev.entry[:4])
+    return sorted(iter(queue), key=lambda ev: (ev.key, ev.serial))
 
 
 def _restore_queue(queue, events) -> None:
@@ -97,10 +97,8 @@ def _restamp_events(roots) -> None:
             stack.extend(ev.sent)
         if ev.lazy_sent:
             stack.extend(ev.lazy_sent)
-    events = sorted(seen.values(), key=lambda ev: ev.entry[3])
-    for ev in events:
-        key = ev.key
-        ev.entry = (key[0], key[1], key[2], _next_serial(), ev)
+    for ev in sorted(seen.values(), key=lambda ev: ev.serial):
+        ev.serial = _next_serial()
         ev.in_pending = False
 
 

@@ -305,15 +305,16 @@ class ConservativeKernel(Executor):
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Execute the model to the end barrier and collect statistics."""
-        if self._resume is None:
-            self._bootstrap()
-        else:
-            self._resume = None
-        if self.cfg.sync == "yawns":
-            self._run_yawns()
-        else:
-            self._run_null_messages()
-        return self._build_result()
+        with self._collector_paused():
+            if self._resume is None:
+                self._bootstrap()
+            else:
+                self._resume = None
+            if self.cfg.sync == "yawns":
+                self._run_yawns()
+            else:
+                self._run_null_messages()
+            return self._build_result()
 
     def _run_yawns(self) -> None:
         end = self.cfg.end_time

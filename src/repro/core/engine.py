@@ -147,6 +147,11 @@ class SequentialEngine(Executor):
         metric samples and ``exec`` spans keep their event-count pacing
         at band granularity.
         """
+        with self._collector_paused():
+            return self._run()
+
+    def _run(self) -> RunResult:
+        """The body of :meth:`run`."""
         resume = self._resume
         if resume is None:
             for lp in self.lps:

@@ -22,19 +22,23 @@ An event carries:
 * kernel journaling used by rollback: the events it sent, the RNG draws it
   made, and the sender sequence number to restore.
 
-Hot-path layout: every event owns one prebuilt *heap entry*
-``(ts, origin, seq, serial, event)`` used verbatim by the pending queues,
-so pushing an event allocates nothing.  ``serial`` is a process-wide
-monotone stamp that breaks ties between distinct events sharing a key (a
-cancelled original and its rollback re-send) without ever comparing Event
-objects; re-pushing the *same* event reuses the same entry.
+Hot-path layout: the pending queues hold *heap entries*
+``(ts, origin, seq, serial, event)``, built where an event is pushed; the
+event itself carries only ``serial``, a process-wide monotone stamp that
+breaks ties between distinct events sharing a key (a cancelled original
+and its rollback re-send) without ever comparing Event objects, and that
+a re-push of the *same* event reuses.  An event never references an entry
+that references it, so no event is part of a reference cycle: whatever
+drops the last reference to one — a heap pop, a cleared ``sent`` list —
+frees it on the spot, which is what lets the engines pause the cyclic
+collector while they run (see ``Executor._collector_paused``).
 
 Events are recycled: :class:`EventPool` keeps a free list refilled by
 fossil collection (see ``TimeWarpKernel.fossil_collect``), so steady-state
 execution constructs no new Event objects at all.  ``Event.__slots__``
 makes the reset cheap; pooling is observationally invisible because
-:meth:`Event.renew` restores every field to its freshly-constructed state
-(the determinism suite asserts this).
+:meth:`EventPool.acquire` restores every field to its freshly-constructed
+state (the determinism suite asserts this).
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ class Event:
         "cancelled",
         "in_pending",
         "color",
-        "entry",
+        "serial",
     )
 
     def __init__(
@@ -110,8 +114,8 @@ class Event:
         #: (0 otherwise), so a later anti frame names exactly that copy;
         #: see repro.mp.transport.
         self.color: int = 0
-        #: Flat pending-queue entry (see module docstring).
-        self.entry = (key[0], key[1], key[2], _next_serial(), self)
+        #: Heap-entry tie-break (see module docstring).
+        self.serial = _next_serial()
 
     # Convenience accessors -------------------------------------------------
     @property
@@ -130,78 +134,22 @@ class Event:
         self.rng_draws = 0
         self.snapshot = None
 
-    def renew(
-        self,
-        key: EventKey,
-        dst: int,
-        kind: str,
-        data: Any,
-    ) -> "Event":
-        """Reinitialise a recycled event — equivalent to ``__init__``.
-
-        Only called via :meth:`EventPool.acquire`, whose ``release``
-        already cleared ``saved``/``sent``/``lazy_sent``/``snapshot`` and
-        only ever pools non-cancelled, non-pending events — so those six
-        fields are known to be at construction state and are not touched
-        here.  Everything else is reset, including a fresh entry serial,
-        so a pooled event is indistinguishable from a new one.
-        """
-        self.key = key
-        self.dst = dst
-        self.kind = kind
-        self.data = data if data is not None else {}
-        self.rng_draws = 0
-        self.prev_send_seq = 0
-        self.processed = False
-        self.color = 0
-        self.entry = (key[0], key[1], key[2], _next_serial(), self)
-        return self
-
     # Checkpoint support ----------------------------------------------------
-    # Explicit pickle protocol: the heap entry holds a reference cycle
-    # (entry[4] is the event itself) and its serial is only meaningful
-    # relative to other events in the same snapshot, so we persist the
-    # serial number alone and rebuild the entry on load.  repro.ckpt
-    # re-stamps restored events with fresh process-local serials in old
-    # serial order, preserving every tie-break (see ckpt/state.py).
+    # The pickled state is every slot but ``in_pending`` (a restored event
+    # is in no queue yet), as a flat tuple in slot order.  The serial is
+    # only meaningful relative to other events in the same snapshot;
+    # repro.ckpt re-stamps restored events with fresh process-local
+    # serials in old serial order, preserving every tie-break (see
+    # ckpt/state.py).
+    _STATE = tuple(name for name in __slots__ if name != "in_pending")
+
     def __getstate__(self):
-        return (
-            self.key,
-            self.dst,
-            self.kind,
-            self.data,
-            self.saved,
-            self.sent,
-            self.lazy_sent,
-            self.rng_draws,
-            self.prev_send_seq,
-            self.snapshot,
-            self.processed,
-            self.cancelled,
-            self.color,
-            self.entry[3],
-        )
+        return tuple([getattr(self, name) for name in self._STATE])
 
     def __setstate__(self, state) -> None:
-        (
-            self.key,
-            self.dst,
-            self.kind,
-            self.data,
-            self.saved,
-            self.sent,
-            self.lazy_sent,
-            self.rng_draws,
-            self.prev_send_seq,
-            self.snapshot,
-            self.processed,
-            self.cancelled,
-            self.color,
-            serial,
-        ) = state
+        for name, value in zip(self._STATE, state):
+            setattr(self, name, value)
         self.in_pending = False
-        key = self.key
-        self.entry = (key[0], key[1], key[2], serial, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "P" if self.processed else "-"
@@ -242,8 +190,12 @@ class EventPool:
     ) -> Event:
         """Return a ready-to-use event (recycled when possible).
 
-        The recycle branch is :meth:`Event.renew` inlined — this runs once
-        per send in steady state, and the extra call frame is measurable.
+        ``release`` already cleared ``saved``/``sent``/``lazy_sent``/
+        ``snapshot`` and only ever pools non-cancelled, non-pending
+        events, so those six fields are at construction state; everything
+        else is reset here, including a fresh serial, so a pooled event
+        is indistinguishable from a new one.  (The Time Warp kernel's
+        fused send inlines this branch.)
         """
         free = self._free
         if free:
@@ -257,7 +209,7 @@ class EventPool:
             ev.prev_send_seq = 0
             ev.processed = False
             ev.color = 0
-            ev.entry = (key[0], key[1], key[2], _next_serial(), ev)
+            ev.serial = _next_serial()
             return ev
         self.allocs += 1
         return Event(key, dst, kind, data)
@@ -269,7 +221,7 @@ class EventPool:
         is neither cancelled nor sitting in a pending queue (commit-time
         recycling satisfies both).  Payload, journal and snapshot
         references are dropped eagerly so parked events never keep model
-        data alive; :meth:`Event.renew` relies on exactly this reset.
+        data alive; :meth:`acquire` relies on exactly this reset.
         """
         if len(self._free) < self.max_free:
             event.data = None  # type: ignore[assignment]

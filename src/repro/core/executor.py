@@ -22,7 +22,8 @@ a small uniform interface every engine implements:
     the engines).
 ``run()``
     Execute to the end barrier and return a
-    :class:`~repro.core.result.RunResult`.
+    :class:`~repro.core.result.RunResult`.  Every engine's ``run`` holds
+    :meth:`Executor._collector_paused` around its event loop.
 
 The base class also owns the **population build**: every engine builds
 with :meth:`~repro.core.lp.Model.build`, so there is one population per
@@ -34,6 +35,9 @@ engine for a band program — and every decline leaves its reason in
 """
 
 from __future__ import annotations
+
+import gc
+from contextlib import contextmanager
 
 from repro.core.event import Event, EventPool
 from repro.core.lp import LogicalProcess, Model
@@ -95,15 +99,36 @@ class Executor:
 
     def _pool_hit_rate(self) -> float:
         """Cumulative event-pool hit rate (0.0 when pooling is off)."""
-        pool = self.pool
-        if pool is None:
-            return 0.0
-        total = pool.hits + pool.allocs
-        return pool.hits / total if total else 0.0
+        return self.pool.hit_rate if self.pool is not None else 0.0
 
     def _emit(self, src_lp: LogicalProcess, ev: Event) -> None:
         """Kernel side of ``LogicalProcess.send`` (engine-specific)."""
         raise NotImplementedError
+
+    @staticmethod
+    @contextmanager
+    def _collector_paused():
+        """Hold CPython's cyclic collector off while an engine runs.
+
+        No :class:`~repro.core.event.Event` is ever part of a reference
+        cycle, so the pool and the reference counter free every one and
+        the generation scans a running engine triggers find nothing.
+        Entered by each ``run`` once the fast paths are compiled.  One
+        collection on the way in frees the engines of earlier runs (an
+        engine *is* cyclic: its closures hold it), which would otherwise
+        pile up in a process that only allocates while paused.  The
+        collector is re-enabled on every way out; one the caller had
+        disabled is left alone.  (docs/KERNEL.md, "Who frees an Event".)
+        """
+        if not gc.isenabled():
+            yield
+            return
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
 
     # ------------------------------------------------------------------
     # Telemetry attachment surface (identical across engines).

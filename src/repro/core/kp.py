@@ -42,15 +42,6 @@ class KernelProcess:
         self.processed: list[Event] = []
         self.stats = KPStats()
 
-    @property
-    def last_key(self) -> EventKey | None:
-        """Key of the most recent processed event, or None if pristine."""
-        return self.processed[-1].key if self.processed else None
-
-    def append_processed(self, event: Event) -> None:
-        """Record a forward execution (called by the PE)."""
-        self.processed.append(event)
-
     def needs_rollback(self, key: EventKey) -> bool:
         """True when an arriving event with ``key`` is a straggler here."""
         return bool(self.processed) and self.processed[-1].key > key

@@ -123,12 +123,11 @@ def _compile_send(
                     ev.prev_send_seq = 0
                     ev.processed = False
                     ev.color = 0
-                    entry = ev.entry = (ts, lp_id, seq, serial(), ev)
+                    ev.serial = serial()
                 else:
                     if pool is not None:
                         pool.allocs += 1
                     ev = Event(key, dst, kind, data)
-                    entry = ev.entry
                 # Inlined TimeWarpKernel._emit.
                 current = kernel._current_event
                 dst_pe = pe_of_lp[dst]
@@ -147,7 +146,7 @@ def _compile_send(
                     return ev
                 # Inlined PendingQueue.push.
                 q = pending_by_lp[dst]
-                heappush(q._heap, entry)
+                heappush(q._heap, (ts, lp_id, seq, ev.serial, ev))
                 ev.in_pending = True
                 q._live += 1
                 processed = processed_by_lp[dst]
@@ -166,6 +165,28 @@ def _compile_send(
             seq = lp.send_seq
             lp.send_seq = seq + 1
             key = _tuple_new(EventKey, (ts, lp_id, seq))
+            if data is None:
+                data = {}
+            current = kernel._current_event
+            lazy = kernel._lazy_pool
+            if lazy is not None:
+                # Looked up before anything is acquired: a reused send
+                # builds no event, and the caller gets the one in flight.
+                old = lazy.pop(key, None)
+                if old is not None:
+                    if (
+                        not old.cancelled
+                        and old.dst == dst
+                        and old.kind == kind
+                        and old.data == data
+                    ):
+                        current.sent.append(old)
+                        kernel.lazy_reused += 1
+                        return old
+                    # Genuinely divergent send: batch the anti-message; the
+                    # flush runs after this forward completes, before any
+                    # other event can execute.
+                    batch_append(old)
             # Inlined EventPool.acquire.
             if pool_free:
                 pool.hits += 1
@@ -173,36 +194,17 @@ def _compile_send(
                 ev.key = key
                 ev.dst = dst
                 ev.kind = kind
-                ev.data = data if data is not None else {}
+                ev.data = data
                 ev.rng_draws = 0
                 ev.prev_send_seq = 0
                 ev.processed = False
                 ev.color = 0
-                entry = ev.entry = (ts, lp_id, seq, serial(), ev)
+                ev.serial = serial()
             else:
                 if pool is not None:
                     pool.allocs += 1
                 ev = Event(key, dst, kind, data)
-                entry = ev.entry
             # Inlined TimeWarpKernel._emit.
-            current = kernel._current_event
-            lazy = kernel._lazy_pool
-            if lazy is not None:
-                old = lazy.pop(key, None)
-                if old is not None:
-                    if (
-                        not old.cancelled
-                        and old.dst == dst
-                        and old.kind == kind
-                        and old.data == ev.data
-                    ):
-                        current.sent.append(old)
-                        kernel.lazy_reused += 1
-                        return ev
-                    # Genuinely divergent send: batch the anti-message; the
-                    # flush runs after this forward completes, before any
-                    # other event can execute.
-                    batch_append(old)
             dst_pe = pe_of_lp[dst]
             if current is not None:
                 current.sent.append(ev)
@@ -219,7 +221,7 @@ def _compile_send(
                 return ev
             # Inlined PendingQueue.push.
             q = pending_by_lp[dst]
-            heappush(q._heap, entry)
+            heappush(q._heap, (ts, lp_id, seq, ev.serial, ev))
             ev.in_pending = True
             q._live += 1
             processed = processed_by_lp[dst]
@@ -305,7 +307,7 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp):
                     # ever sets it — so the per-event clear is elided.)
                     rng = lp.rng
                     rng_before = rng._count
-                    lp._now = ev.entry[0]
+                    lp._now = ev.key[0]
                     kernel._current_event = ev
                     try:
                         lp.forward(ev)
@@ -359,7 +361,7 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp):
                 snapshot_before(lp, ev)
             rng = lp.rng
             rng_before = rng._count
-            lp._now = ev.entry[0]
+            lp._now = ev.key[0]
             kernel._current_event = ev
             kernel._lazy_pool = pool
             try:
@@ -557,32 +559,48 @@ class TimeWarpKernel(Executor):
         self._resume = None
 
         # --- Bind LPs ---------------------------------------------------------
-        self._bind_lps(config.seed, self._alloc)
+        self._bind_lps(
+            config.seed, self._alloc_lazy if self.lazy else self._alloc
+        )
 
     # ------------------------------------------------------------------
     # Message path.
     # ------------------------------------------------------------------
+    def _alloc_lazy(self, key, dst: int, kind: str, data=None) -> Event:
+        """The LPs' event allocator under lazy cancellation.
+
+        A re-execution that regenerates a message of the rolled-back one
+        (same key: the send sequence was restored on undo) gets that
+        original back — it is the event in flight, its receiver never
+        learns anything happened — and nothing is acquired;
+        :meth:`_emit` recognises it by identity.
+        """
+        pool = self._lazy_pool
+        if pool is not None:
+            old = pool.get(key)
+            if (
+                old is not None
+                and not old.cancelled
+                and old.dst == dst
+                and old.kind == kind
+                and old.data == (data if data is not None else {})
+            ):
+                return old
+        return self._alloc(key, dst, kind, data)
+
     def _emit(self, src_lp: LogicalProcess, ev: Event) -> None:
         """Kernel side of ``LogicalProcess.send``: journal, charge, route."""
         current = self._current_event
         pool = self._lazy_pool
         if pool is not None:
-            # Lazy cancellation: if this re-execution regenerated a message
-            # identical to one from the rolled-back execution, keep the
-            # original in place — its receiver never learns anything
-            # happened.  The send-sequence counter was restored on undo,
-            # so identical behaviour produces identical keys.
             old = pool.pop(ev.key, None)
+            if old is ev:
+                # The allocator handed back the rolled-back execution's
+                # own message (see _alloc_lazy): it stays where it is.
+                current.sent.append(ev)
+                self.lazy_reused += 1
+                return
             if old is not None:
-                if (
-                    not old.cancelled
-                    and old.dst == ev.dst
-                    and old.kind == ev.kind
-                    and old.data == ev.data
-                ):
-                    current.sent.append(old)
-                    self.lazy_reused += 1
-                    return
                 # Same key, different content: the old message is wrong.
                 # Batch the anti-message; the flush runs when this forward
                 # execution completes (see _flush_antimsgs).
@@ -1058,6 +1076,11 @@ class TimeWarpKernel(Executor):
     def run(self) -> RunResult:
         """Execute the model to ``cfg.end_time`` and collect statistics."""
         self._install_fast_paths()
+        with self._collector_paused():
+            return self._run()
+
+    def _run(self) -> RunResult:
+        """The executive proper: rounds of PE batches between GVT boundaries."""
         cfg = self.cfg
         end = cfg.end_time
         if self._resume is None:

@@ -7,14 +7,15 @@ This is O(1) per cancellation at the cost of dead entries in the heap —
 the classic lazy-deletion trade, appropriate here because cancelled events
 are a small fraction of traffic.
 
-Allocation-free layout: the heap stores each event's prebuilt
-``Event.entry`` tuple ``(ts, origin, seq, serial, event)`` directly, so a
-push allocates nothing and entry comparisons stay entirely in C (the
-unique ``serial`` stamp means two entries always differ before the Event
+Layout: the heap stores flat ``(ts, origin, seq, serial, event)`` tuples
+built at push time, so entry comparisons stay entirely in C (the unique
+``Event.serial`` stamp means two entries always differ before the Event
 slot is reached).  The serial breaks ties between a dead (cancelled)
 entry and a live event that legitimately reuses the same key after a
-rollback re-send — exactly the job the old per-push insertion counter
-did, without the per-push tuple.
+rollback re-send, and travels with the event, so a re-push (rollback
+requeue) sorts exactly where the first push did.  The entry is the
+heap's alone — the event holds no reference back to it — so popping an
+entry leaves nothing for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -33,14 +34,15 @@ class PendingQueue:
     __slots__ = ("_heap", "_live")
 
     def __init__(self) -> None:
-        # Entries are Event.entry tuples; see module docstring.
+        # Entries are (ts, origin, seq, serial, event); see module docstring.
         self._heap: list[tuple] = []
         # Count of non-cancelled entries, so __len__ is O(1) and exact.
         self._live = 0
 
     def push(self, event: Event) -> None:
         """Insert an event (must not already be queued)."""
-        heappush(self._heap, event.entry)
+        key = event.key
+        heappush(self._heap, (key[0], key[1], key[2], event.serial, event))
         event.in_pending = True
         self._live += 1
 

@@ -463,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     run = result.run
     label = f", scenario={scenario_meta['scenario']}" if scenario_meta else ""
     procs_label = f" x {run.procs} procs" if run.procs > 1 else ""
-    print(f"{cfg.n}x{cfg.n} {cfg.topology}, {sum(sim._model().injectors)} injectors, "
+    print(f"{cfg.n}x{cfg.n} {cfg.topology}, {ms['injectors']} injectors, "
           f"{cfg.duration:.0f} steps, engine={run.engine} "
           f"({run.n_pes} PE{procs_label}){label}")
     print(f"  events committed   : {run.committed:,}")

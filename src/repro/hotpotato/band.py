@@ -122,10 +122,6 @@ def run_bands(engine, processed: int):
             raise ModelError(
                 f"band program entered at step {step} with a pending {ev!r}"
             )
-        # An event and its heap entry refer to each other; cut that so the
-        # event is freed now, not at some later collection (at N = 256
-        # this is 330k events, most of the run's peak memory).
-        ev.entry = None
     injectors = [lp.id for lp in lps if lp.is_injector]
     heartbeat = cfg.heartbeat
     # The population's own state lists (every router shares them).

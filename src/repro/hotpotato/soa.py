@@ -134,7 +134,7 @@ class HotPotatoVectorPlan:
                 ev.prev_send_seq = lp.send_seq
                 rng = lp.rng
                 c0 = rng._count
-                lp._now = ev.entry[0]
+                lp._now = ev.key[0]
                 kernel._current_event = ev
                 data = ev.data
                 step = data[0]
@@ -181,7 +181,7 @@ class HotPotatoVectorPlan:
                 ev.prev_send_seq = lp.send_seq
                 rng = lp.rng
                 c0 = rng._count
-                lp._now = ev.entry[0]
+                lp._now = ev.key[0]
                 kernel._current_event = ev
                 data = ev.data
                 step = data[0]
@@ -332,7 +332,7 @@ class HotPotatoVectorPlan:
                 ev.prev_send_seq = lp.send_seq
                 rng = lp.rng
                 c0 = rng._count
-                lp._now = ev.entry[0]
+                lp._now = ev.key[0]
                 kernel._current_event = ev
                 step = ev.data
                 send = send_by_lp[dst]
@@ -424,7 +424,7 @@ class HotPotatoVectorPlan:
                 ev.prev_send_seq = lp.send_seq
                 rng = lp.rng
                 c0 = rng._count
-                lp._now = ev.entry[0]
+                lp._now = ev.key[0]
                 kernel._current_event = ev
                 lp.forward(ev)
                 ev.rng_draws = rng._count - c0

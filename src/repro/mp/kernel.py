@@ -259,14 +259,14 @@ class MPWorkerKernel(TimeWarpKernel):
     # ------------------------------------------------------------------
     # The worker executive.
     # ------------------------------------------------------------------
-    def run(self):
+    def _run(self):
         """Run this worker's PE slice to ``end_time`` (or interruption).
 
+        The worker's executive under the base kernel's :meth:`run`.
         Returns the merged-ready RunResult, or ``None`` when a wave
         carried the interrupt flag (the final shard is already written;
         the parent turns this into KeyboardInterrupt).
         """
-        self._install_fast_paths()
         cfg = self.cfg
         end = cfg.end_time
         transport = self.ring_transport

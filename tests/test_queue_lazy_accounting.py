@@ -1,9 +1,9 @@
 """Regression tests for pending-queue lazy-deletion accounting.
 
-The allocation-free layout stores each event's prebuilt ``Event.entry``
-tuple directly in the structure, with a process-wide serial breaking ties
-between a dead entry and a live event that legitimately reuses the same
-key.  These tests pin down the bookkeeping that layout must keep exact:
+The heap stores ``(ts, origin, seq, serial, event)`` tuples built at push
+time, with the process-wide ``Event.serial`` breaking ties between a dead
+entry and a live event that legitimately reuses the same key.  These
+tests pin down the bookkeeping that layout must keep exact:
 ``_live`` (the queue's O(1) length), the ``in_pending`` flag, and the
 cancel-then-repush-with-reused-key scenario produced by rollback re-sends
 and by the event pool recycling a cancelled event's key.
@@ -46,7 +46,7 @@ def test_cancel_then_repush_reused_key_pops_fresh_event(queue_cls):
 
 @pytest.mark.parametrize("queue_cls", QUEUES)
 def test_pooled_recycle_of_cancelled_key_stays_distinct(queue_cls):
-    # The event pool renews a recycled event with a fresh entry serial, so
+    # The event pool renews a recycled event with a fresh serial, so
     # even an event object whose key matches a dead entry's is ordered
     # after it and never compared to it as an Event.
     pool = EventPool()
