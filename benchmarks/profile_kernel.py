@@ -97,12 +97,6 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=8, help="network dimension")
     parser.add_argument("--duration", type=float, default=60.0)
     parser.add_argument(
-        "--cancellation",
-        default="aggressive",
-        choices=("aggressive", "lazy"),
-        help="anti-message cancellation mode (optimistic engine only)",
-    )
-    parser.add_argument(
         "--procs",
         type=int,
         default=None,
@@ -183,7 +177,6 @@ def main() -> None:
     else:
         ecfg = EngineConfig(
             end_time=cfg.duration, n_pes=4, n_kps=16, batch_size=64, seed=args.seed,
-            cancellation=args.cancellation,
             gvt_interval=args.gvt_interval, **mp_overrides,
         )
         result = run_optimistic(

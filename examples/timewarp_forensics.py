@@ -1,14 +1,12 @@
-"""Forensics toolkit tour: tracing, lazy cancellation, adaptive optimism.
+"""Forensics toolkit tour: tracing and adaptive optimism.
 
-Three things a simulator developer reaches for when an optimistic run
+Two things a simulator developer reaches for when an optimistic run
 misbehaves, demonstrated on one workload:
 
 1. the event **tracer** — who executed, who rolled back, who thrashed,
    and the event-level proof that the optimistic run committed exactly
    the sequential sequence;
-2. **lazy cancellation** — how much rollback traffic disappears when
-   identical re-sends are reused in place;
-3. the **adaptive throttle** — what happens to wasted work when the
+2. the **adaptive throttle** — what happens to wasted work when the
    engine regulates its own optimism on a hostile (random) LP mapping.
 
 Run with::
@@ -17,7 +15,6 @@ Run with::
 """
 
 from repro.core import EngineConfig, SequentialEngine, TimeWarpKernel, Tracer
-from repro.experiments.report import Table
 from repro.hotpotato import HotPotatoConfig, HotPotatoModel
 
 CFG = HotPotatoConfig(n=6, duration=60.0, injector_fraction=1.0)
@@ -61,26 +58,7 @@ def main() -> None:
     for line in opt_tracer.format(last=3).splitlines():
         print(f"     {line}")
 
-    print("\n2. Cancellation policy")
-    table = Table(
-        title="",
-        columns=["cancellation", "rolled back", "cancelled", "reused"],
-    )
-    for mode in ("aggressive", "lazy"):
-        _, result = traced_optimistic(
-            n_pes=4, n_kps=12, batch_size=64, cancellation=mode
-        )
-        rs = result.run
-        table.add_row(
-            mode,
-            rs.events_rolled_back,
-            rs.cancelled_direct + rs.cancelled_via_rollback,
-            rs.lazy_reused,
-        )
-        assert result.model_stats == seq.model_stats
-    print(table.to_text())
-
-    print("\n3. Adaptive optimism on a hostile mapping")
+    print("\n2. Adaptive optimism on a hostile mapping")
     for adaptive in (False, True):
         _, result = traced_optimistic(
             n_pes=4,

@@ -22,8 +22,8 @@ replacing any of those objects would silently disconnect them.
 
 Event serials: ``Event.serial`` stamps are process-local and only their
 relative order matters.  On restore every event reachable from the
-captured queues (transitively through ``sent``/``lazy_sent`` journals
-and held fault-transport messages) is re-stamped with a fresh serial, in
+captured queues (transitively through ``sent`` journals and held
+fault-transport messages) is re-stamped with a fresh serial, in
 old-serial order — every tie-break between restored events is preserved
 and no restored entry can ever collide with a new one.
 """
@@ -42,8 +42,11 @@ __all__ = ["capture_state", "restore_state"]
 #: snapshot.py: bumping this invalidates snapshots whose payload layout
 #: no longer matches this module.  2: hot-potato events carry packet
 #: tuples on every engine (format-1 snapshots of a sequential or
-#: conservative run hold dict payloads no router can execute).
-PAYLOAD_FORMAT = 2
+#: conservative run hold dict payloads no router can execute).  3: an
+#: event pickles one slot fewer and the optimistic counters two keys
+#: fewer (cancellation is aggressive only; a format-2 event's state
+#: would misalign).
+PAYLOAD_FORMAT = 3
 
 
 # ----------------------------------------------------------------------
@@ -95,8 +98,6 @@ def _restamp_events(roots) -> None:
         seen[id(ev)] = ev
         if ev.sent:
             stack.extend(ev.sent)
-        if ev.lazy_sent:
-            stack.extend(ev.lazy_sent)
     for ev in sorted(seen.values(), key=lambda ev: ev.serial):
         ev.serial = _next_serial()
         ev.in_pending = False
@@ -108,16 +109,10 @@ def _copy_dataclass(src, dst) -> None:
 
 
 def _capture_pool(pool):
-    if pool is None:
-        return None
     return {"free": len(pool._free), "hits": pool.hits, "allocs": pool.allocs}
 
 
 def _restore_pool(pool, snap) -> None:
-    if (pool is None) != (snap is None):
-        raise SnapshotError("event-pool configuration differs from snapshot")
-    if pool is None:
-        return
     free = pool._free
     free.clear()
     blank_key = EventKey(0.0, 0, 0)
@@ -245,8 +240,6 @@ def _restore_sequential(engine, payload) -> None:
 def _capture_optimistic(kernel, loop) -> dict:
     if kernel._cancel_worklist:
         raise SnapshotError("cancel worklist not drained at checkpoint boundary")
-    if kernel._antimsg_batch:
-        raise SnapshotError("anti-message batch not flushed at checkpoint boundary")
     if kernel._current_event is not None:
         raise SnapshotError("cannot snapshot mid-event")
     faults = kernel.faults
@@ -269,8 +262,6 @@ def _capture_optimistic(kernel, loop) -> dict:
             "gvt_rounds": kernel.gvt_rounds,
             "cancelled_direct": kernel.cancelled_direct,
             "cancelled_via_rollback": kernel.cancelled_via_rollback,
-            "lazy_reused": kernel.lazy_reused,
-            "antimsg_batches": kernel.antimsg_batches,
             "soa_batches": kernel.soa_batches,
             "soa_lps_stepped": kernel.soa_lps_stepped,
             "peak_pending": kernel.peak_pending,

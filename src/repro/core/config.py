@@ -52,25 +52,13 @@ class EngineConfig:
         :mod:`repro.core.mapping`).
     rollback:
         ``"reverse"`` (reverse computation) or ``"copy"`` (state saving).
-    cancellation:
-        ``"aggressive"`` — a rollback immediately cancels every message the
-        undone events sent (classic Time Warp).  ``"lazy"`` — undone events
-        keep their messages; when the event re-executes, regenerated
-        messages identical to the originals are *reused* in place, sparing
-        the receivers any cancellation or secondary rollback.  Results are
-        identical either way (reuse only happens on exact matches); lazy
-        wins when rollbacks rarely change what events send.
+        Either way a rollback cancels every message the undone events sent
+        at once (aggressive cancellation, as ROSS does).
     adaptive:
         Enable the optimism throttle (:mod:`repro.core.throttle`):
         ``batch_size``/``window`` become ceilings that the executive scales
         down when the measured rollback fraction spikes and restores when
         it subsides.  Deterministic, like everything else.
-    pool:
-        Recycle fossil-collected events through a per-kernel free list
-        (:class:`~repro.core.event.EventPool`) instead of re-allocating.
-        Observationally invisible — results are bit-identical with it on
-        or off (the determinism suite asserts this); a pure performance
-        choice, on by default.
     parallelism:
         ``"inline"`` — the whole kernel runs in this process (PEs are
         simulated concurrency, the default).  ``"process"`` — the run is
@@ -100,9 +88,7 @@ class EngineConfig:
     gvt_interval: int = 1
     mapping: str = "block"
     rollback: str = "reverse"
-    cancellation: str = "aggressive"
     adaptive: bool = False
-    pool: bool = True
     parallelism: str = "inline"
     procs: int = 1
     seed: int = 0x5EED
@@ -131,11 +117,6 @@ class EngineConfig:
         if self.rollback not in ("reverse", "copy"):
             raise ConfigurationError(
                 f"rollback must be 'reverse' or 'copy', got {self.rollback!r}"
-            )
-        if self.cancellation not in ("aggressive", "lazy"):
-            raise ConfigurationError(
-                f"cancellation must be 'aggressive' or 'lazy', "
-                f"got {self.cancellation!r}"
             )
         if self.gvt_interval < 1:
             raise ConfigurationError(

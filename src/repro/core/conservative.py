@@ -79,7 +79,6 @@ class ConservativeConfig:
     lookahead: float | None = None
     sync: str = "yawns"
     mapping: str = "block"
-    pool: bool = True
     seed: int = 0x5EED
     null_ratio_limit: float = 100.0
     paranoid: bool = False
@@ -166,7 +165,7 @@ class ConservativeKernel(Executor):
             self.pes[self.pe_of_lp[lp.id]].lp_count += 1
         #: Conservative execution commits every event as it runs, so the
         #: same commit-time recycling as the sequential engine applies.
-        self._bind_lps(config.seed, self._init_pool(config.pool))
+        self._bind_lps(config.seed, self._init_pool())
         # Counters.
         self.null_messages = 0
         self.real_messages = 0
@@ -259,14 +258,13 @@ class ConservativeKernel(Executor):
         pes = self.pes
         processed = sum(pe.processed for pe in pes)
         horizon = min(min(pe.next_ts() for pe in pes), self.cfg.end_time)
-        hit_rate = self._pool_hit_rate()
         recorder.sample(
             gvt=horizon,
             committed=processed,
             processed=processed,
             fossil_collected=processed,
             pending=sum(len(pe.pending) for pe in pes),
-            pool_hit_rate=hit_rate,
+            pool_hit_rate=self.pool.hit_rate,
         )
 
     # ------------------------------------------------------------------
@@ -282,7 +280,7 @@ class ConservativeKernel(Executor):
         cost = self._event_costs[pe.id]
         pop_below = pe.pending.pop_below
         lps = self.lps
-        release = self.pool.release if self.pool is not None else None
+        release = self.pool.release
         tracer = self.tracer
         while True:
             ev = pop_below(horizon)
@@ -296,8 +294,7 @@ class ConservativeKernel(Executor):
             if tracer is not None:
                 tracer.on_exec(ev)
                 tracer.on_commit(ev)
-            if release is not None:
-                release(ev)
+            release(ev)
         pe.busy += done * cost
         pe.processed += done
         return done
@@ -451,9 +448,8 @@ class ConservativeKernel(Executor):
         stats.local_sends = self.local_sends
         stats.remote_sends = self.real_messages + self.null_messages
         stats.gvt_rounds = self.rounds
-        if self.pool is not None:
-            stats.pool_hits = self.pool.hits
-            stats.pool_allocs = self.pool.allocs
+        stats.pool_hits = self.pool.hits
+        stats.pool_allocs = self.pool.allocs
         stats.makespan_seconds = self.cost.seconds(self.makespan_units)
         stats.total_busy_seconds = self.cost.seconds(
             sum(pe.busy for pe in self.pes)

@@ -43,7 +43,6 @@ class SequentialEngine(Executor):
         *,
         seed: int = 0x5EED,
         cost: CostModel | None = None,
-        pool: bool = True,
         paranoid: bool = False,
     ) -> None:
         if end_time <= 0:
@@ -82,7 +81,7 @@ class SequentialEngine(Executor):
         #: Event recycling: a committed event is dead the moment its
         #: ``commit`` hook returns (sequential execution never rolls back),
         #: so it goes straight back to the free list.
-        self._bind_lps(seed, self._init_pool(pool))
+        self._bind_lps(seed, self._init_pool())
 
     def _sample_metrics(
         self, recorder, now: float, processed: int, pending: int | None = None
@@ -94,7 +93,7 @@ class SequentialEngine(Executor):
             processed=processed,
             fossil_collected=processed,
             pending=len(self.pending) if pending is None else pending,
-            pool_hit_rate=self._pool_hit_rate(),
+            pool_hit_rate=self.pool.hit_rate,
         )
 
     def _emit(self, src_lp: LogicalProcess, ev: Event) -> None:
@@ -165,7 +164,7 @@ class SequentialEngine(Executor):
         # Where the per-event loop stops: the barrier, or the hand-over.
         limit = min(end, band_start)
         tracer = self.tracer
-        release = self.pool.release if self.pool is not None else None
+        release = self.pool.release
         metrics = self.metrics
         spans = self.spans
         ckpt = self.ckpt
@@ -193,8 +192,7 @@ class SequentialEngine(Executor):
                 if tracer is not None:
                     tracer.on_exec(ev)
                     tracer.on_commit(ev)
-                if release is not None:
-                    release(ev)
+                release(ev)
             if limit < end:
                 for _, processed, _ in program(self, processed):
                     pass
@@ -237,8 +235,7 @@ class SequentialEngine(Executor):
                 if tracer is not None:
                     tracer.on_exec(ev)
                     tracer.on_commit(ev)
-                if release is not None:
-                    release(ev)
+                release(ev)
                 if metrics is not None and processed >= next_sample:
                     next_sample += interval
                     self._sample_metrics(metrics, now, processed)
@@ -293,9 +290,8 @@ class SequentialEngine(Executor):
         stats.processed = processed
         stats.committed = processed
         stats.local_sends = self.sends
-        if self.pool is not None:
-            stats.pool_hits = self.pool.hits
-            stats.pool_allocs = self.pool.allocs
+        stats.pool_hits = self.pool.hits
+        stats.pool_allocs = self.pool.allocs
         n_lps = len(lps)
         busy_units = processed * self.cost.event_cost(n_lps) + (
             self.sends * self.cost.local_send
@@ -316,7 +312,6 @@ def run_sequential(
     *,
     seed: int = 0x5EED,
     cost: CostModel | None = None,
-    pool: bool = True,
     paranoid: bool = False,
     tracer=None,
     metrics=None,
@@ -330,7 +325,6 @@ def run_sequential(
         end_time,
         seed=seed,
         cost=cost,
-        pool=pool,
         paranoid=paranoid,
     )
     if tracer is not None:

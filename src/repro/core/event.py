@@ -70,7 +70,6 @@ class Event:
         "data",
         "saved",
         "sent",
-        "lazy_sent",
         "rng_draws",
         "prev_send_seq",
         "snapshot",
@@ -96,9 +95,6 @@ class Event:
         self.saved: dict[str, Any] = {}
         #: Events created while processing this one (for cancellation).
         self.sent: list[Event] = []
-        #: Under lazy cancellation: children from a rolled-back execution,
-        #: kept alive for potential reuse when this event re-executes.
-        self.lazy_sent: list[Event] | None = None
         #: RNG draws the destination LP made while processing this event.
         self.rng_draws: int = 0
         #: Destination LP's send-sequence counter before processing.
@@ -190,9 +186,9 @@ class EventPool:
     ) -> Event:
         """Return a ready-to-use event (recycled when possible).
 
-        ``release`` already cleared ``saved``/``sent``/``lazy_sent``/
-        ``snapshot`` and only ever pools non-cancelled, non-pending
-        events, so those six fields are at construction state; everything
+        ``release`` already cleared ``saved``/``sent``/``snapshot`` and
+        only ever pools non-cancelled, non-pending events, so those five
+        fields are at construction state; everything
         else is reset here, including a fresh serial, so a pooled event
         is indistinguishable from a new one.  (The Time Warp kernel's
         fused send inlines this branch.)
@@ -226,7 +222,6 @@ class EventPool:
         if len(self._free) < self.max_free:
             event.data = None  # type: ignore[assignment]
             event.snapshot = None
-            event.lazy_sent = None
             event.saved.clear()
             event.sent.clear()
             self._free.append(event)

@@ -65,7 +65,7 @@ class Executor:
 
     model: Model
     lps: list[LogicalProcess]
-    pool: EventPool | None
+    pool: EventPool
 
     # ------------------------------------------------------------------
     # Shared construction helpers.
@@ -85,10 +85,10 @@ class Executor:
         self.lps = lps
         return lps
 
-    def _init_pool(self, pool_on: bool):
-        """Create the event pool (or not) and return the allocator."""
-        self.pool = EventPool() if pool_on else None
-        return self.pool.acquire if self.pool is not None else Event
+    def _init_pool(self):
+        """Create the event pool and return its allocator."""
+        self.pool = EventPool()
+        return self.pool.acquire
 
     def _bind_lps(self, seed: int, alloc) -> None:
         """Give every LP its derived RNG stream, emit callback and allocator."""
@@ -96,10 +96,6 @@ class Executor:
         for lp in self.lps:
             lp.bind(ReversibleStream(derive_seed(seed, lp.id), lp.id), emit)
             lp._alloc = alloc
-
-    def _pool_hit_rate(self) -> float:
-        """Cumulative event-pool hit rate (0.0 when pooling is off)."""
-        return self.pool.hit_rate if self.pool is not None else 0.0
 
     def _emit(self, src_lp: LogicalProcess, ev: Event) -> None:
         """Kernel side of ``LogicalProcess.send`` (engine-specific)."""

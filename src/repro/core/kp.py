@@ -104,20 +104,15 @@ class KernelProcess:
         # commit (and None outright when no LP overrides it), so the
         # common case (e.g. PHOLD) skips the call entirely.
         commits = kernel._commit_of_lp
-        if pool is None or tracer is not None:
-            release = pool.release if pool is not None else None
+        if tracer is not None:
+            release = pool.release
             for ev in processed[:lo]:
                 if commits is not None:
                     cb = commits[ev.dst]
                     if cb is not None:
                         cb(ev)
-                if tracer is not None:
-                    tracer.on_commit(ev)
-                if release is not None:
-                    release(ev)
-                else:
-                    ev.sent.clear()
-                    ev.snapshot = None
+                tracer.on_commit(ev)
+                release(ev)
         else:
             # Recycle committed events.  Safe because a child's timestamp
             # strictly exceeds its parent's: any parent whose ``sent`` list
@@ -141,7 +136,6 @@ class KernelProcess:
                         room -= 1
                         ev.data = None
                         ev.snapshot = None
-                        ev.lazy_sent = None
                         ev.saved.clear()
                         ev.sent.clear()
                         append(ev)
@@ -153,7 +147,6 @@ class KernelProcess:
                     if len(free) < max_free:
                         ev.data = None
                         ev.snapshot = None
-                        ev.lazy_sent = None
                         ev.saved.clear()
                         ev.sent.clear()
                         free.append(ev)

@@ -66,9 +66,6 @@ def _compile_send(
     -> "stepped by another worker"; ``None`` in-process) sends a far
     destination to ``transport.deliver`` — ring encode, uid stamp — after
     the journal entry and the charge, exactly where ``_emit`` hands over.
-    Specialised per cancellation mode: the aggressive variant carries no
-    lazy-reuse check at all (``_lazy_pool`` can never be set), the lazy
-    variant batches divergent anti-messages (see ``_flush_antimsgs``).
 
     Two scopes keep set-up linear in the LP population: everything
     run-constant — including the per-LP dispatch tables
@@ -87,12 +84,11 @@ def _compile_send(
     cost_local = kernel._cost_local
     cost_remote = kernel._cost_remote
     pool = kernel.pool
-    pool_free = pool._free if pool is not None else ()
+    pool_free = pool._free
     kp_of_lp = kernel._kp_of_lp
     pe_by_lp = kernel._pe_by_lp
     serial = _next_serial
     straggler = kernel._straggler
-    batch_append = kernel._antimsg_batch.append
     deliver_far = kernel.transport.deliver
 
     def bind(lp):
@@ -100,63 +96,7 @@ def _compile_send(
         src_pe = pe_of_lp[lp_id]
         src_stats = stats_by_pe[src_pe]
 
-        if not kernel.lazy:
-
-            def fast_send(ts, dst, kind, data=None):
-                if ts <= lp._now:
-                    raise SchedulingError(
-                        f"LP {lp_id} tried to send {kind!r} at ts={ts} while "
-                        f"processing ts={lp._now}; sends must move strictly forward"
-                    )
-                seq = lp.send_seq
-                lp.send_seq = seq + 1
-                key = _tuple_new(EventKey, (ts, lp_id, seq))
-                # Inlined EventPool.acquire.
-                if pool_free:
-                    pool.hits += 1
-                    ev = pool_free.pop()
-                    ev.key = key
-                    ev.dst = dst
-                    ev.kind = kind
-                    ev.data = data if data is not None else {}
-                    ev.rng_draws = 0
-                    ev.prev_send_seq = 0
-                    ev.processed = False
-                    ev.color = 0
-                    ev.serial = serial()
-                else:
-                    if pool is not None:
-                        pool.allocs += 1
-                    ev = Event(key, dst, kind, data)
-                # Inlined TimeWarpKernel._emit.
-                current = kernel._current_event
-                dst_pe = pe_of_lp[dst]
-                if current is not None:
-                    current.sent.append(ev)
-                if src_pe == dst_pe:
-                    src_stats.local_sends += 1
-                    units = cost_local
-                else:
-                    src_stats.remote_sends += 1
-                    units = cost_remote
-                src_stats.busy += units
-                src_stats.round_busy += units
-                if far_by_lp is not None and far_by_lp[dst]:
-                    deliver_far(ev, src_pe, dst_pe)
-                    return ev
-                # Inlined PendingQueue.push.
-                q = pending_by_lp[dst]
-                heappush(q._heap, (ts, lp_id, seq, ev.serial, ev))
-                ev.in_pending = True
-                q._live += 1
-                processed = processed_by_lp[dst]
-                if processed and processed[-1].key > key:
-                    straggler(pe_by_lp[dst], kp_of_lp[dst], ev)
-                return ev
-
-            return fast_send
-
-        def fast_send_lazy(ts, dst, kind, data=None):
+        def fast_send(ts, dst, kind, data=None):
             if ts <= lp._now:
                 raise SchedulingError(
                     f"LP {lp_id} tried to send {kind!r} at ts={ts} while "
@@ -165,28 +105,6 @@ def _compile_send(
             seq = lp.send_seq
             lp.send_seq = seq + 1
             key = _tuple_new(EventKey, (ts, lp_id, seq))
-            if data is None:
-                data = {}
-            current = kernel._current_event
-            lazy = kernel._lazy_pool
-            if lazy is not None:
-                # Looked up before anything is acquired: a reused send
-                # builds no event, and the caller gets the one in flight.
-                old = lazy.pop(key, None)
-                if old is not None:
-                    if (
-                        not old.cancelled
-                        and old.dst == dst
-                        and old.kind == kind
-                        and old.data == data
-                    ):
-                        current.sent.append(old)
-                        kernel.lazy_reused += 1
-                        return old
-                    # Genuinely divergent send: batch the anti-message; the
-                    # flush runs after this forward completes, before any
-                    # other event can execute.
-                    batch_append(old)
             # Inlined EventPool.acquire.
             if pool_free:
                 pool.hits += 1
@@ -194,17 +112,17 @@ def _compile_send(
                 ev.key = key
                 ev.dst = dst
                 ev.kind = kind
-                ev.data = data
+                ev.data = data if data is not None else {}
                 ev.rng_draws = 0
                 ev.prev_send_seq = 0
                 ev.processed = False
                 ev.color = 0
                 ev.serial = serial()
             else:
-                if pool is not None:
-                    pool.allocs += 1
+                pool.allocs += 1
                 ev = Event(key, dst, kind, data)
             # Inlined TimeWarpKernel._emit.
+            current = kernel._current_event
             dst_pe = pe_of_lp[dst]
             if current is not None:
                 current.sent.append(ev)
@@ -229,7 +147,7 @@ def _compile_send(
                 straggler(pe_by_lp[dst], kp_of_lp[dst], ev)
             return ev
 
-        return fast_send_lazy
+        return fast_send
 
     return bind
 
@@ -245,11 +163,7 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp):
     (the generic ``execute`` keeps the tracer hook), with the identical
     operation sequence, so fused and generic runs stay bit-identical —
     including the per-event order of the floating-point busy charges,
-    which rollback charges interleave with.  Compiled per cancellation
-    mode: under aggressive cancellation ``lazy_sent`` is never set and
-    ``_lazy_pool`` is never read, so the variant carries neither; the
-    lazy variant flushes the anti-message batch after each forward
-    execution.
+    which rollback charges interleave with.
 
     Rollbacks triggered mid-loop mutate the same heap list and stats
     objects captured here (they are never rebound), so the hoisted locals
@@ -261,129 +175,67 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp):
     heap = pending._heap
     stats = pe.stats
     event_cost = pe.event_cost
-    batch = kernel._antimsg_batch
-    flush = kernel._flush_antimsgs
 
-    if not kernel.lazy:
-
-        def fast_batch(max_events, limit_ts):
-            # ``_live`` and ``stats.processed`` are settled once per
-            # batch in the ``finally`` below: both are plain counters
-            # that nothing reads mid-batch (the run loop, GVT, fossil
-            # collection and telemetry all run between batches), and
-            # re-entrant sends/rollbacks only ever ``+=``/``-=`` them,
-            # which commutes with the deferred decrement.  The float
-            # busy charges stay per-event: rollback charges interleave
-            # with them and the accumulation order is part of the
-            # fused-vs-generic bit-identity contract.
-            done = 0
-            try:
-                while done < max_events:
-                    # --- inlined PendingQueue.pop_below ---------------
-                    while True:
-                        if not heap:
-                            return done
-                        entry = heap[0]
-                        ev = entry[4]
-                        if ev.cancelled:
-                            heappop(heap)
-                            ev.in_pending = False
-                            continue
-                        if entry[0] >= limit_ts:
-                            return done
+    def fast_batch(max_events, limit_ts):
+        # ``_live`` and ``stats.processed`` are settled once per batch in
+        # the ``finally`` below: both are plain counters that nothing
+        # reads mid-batch (the run loop, GVT, fossil collection and
+        # telemetry all run between batches), and re-entrant
+        # sends/rollbacks only ever ``+=``/``-=`` them, which commutes
+        # with the deferred decrement.  The float busy charges stay
+        # per-event: rollback charges interleave with them and the
+        # accumulation order is part of the fused-vs-generic bit-identity
+        # contract.
+        done = 0
+        try:
+            while done < max_events:
+                # --- inlined PendingQueue.pop_below -------------------
+                while True:
+                    if not heap:
+                        return done
+                    entry = heap[0]
+                    ev = entry[4]
+                    if ev.cancelled:
                         heappop(heap)
                         ev.in_pending = False
-                        break
-                    # --- inlined execute body -------------------------
-                    dst = ev.dst
-                    lp = lps[dst]
-                    ev.sent.clear()
-                    ev.prev_send_seq = lp.send_seq
-                    if snapshot_before is not None:
-                        ev.snapshot = None
-                        snapshot_before(lp, ev)
-                    # (Under reverse computation ``ev.snapshot`` is
-                    # already None — nothing on that strategy's path
-                    # ever sets it — so the per-event clear is elided.)
-                    rng = lp.rng
-                    rng_before = rng._count
-                    lp._now = ev.key[0]
-                    kernel._current_event = ev
-                    try:
-                        lp.forward(ev)
-                    finally:
-                        kernel._current_event = None
-                    ev.rng_draws = rng._count - rng_before
-                    ev.processed = True
-                    processed_append_by_lp[dst](ev)
-                    stats.busy += event_cost
-                    stats.round_busy += event_cost
-                    done += 1
-                return done
-            finally:
-                if done:
-                    pending._live -= done
-                    stats.processed += done
-
-        return fast_batch
-
-    def fast_batch_lazy(max_events, limit_ts):
-        done = 0
-        while done < max_events:
-            # --- inlined PendingQueue.pop_below -----------------------
-            while True:
-                if not heap:
-                    return done
-                entry = heap[0]
-                ev = entry[4]
-                if ev.cancelled:
+                        continue
+                    if entry[0] >= limit_ts:
+                        return done
                     heappop(heap)
                     ev.in_pending = False
-                    continue
-                if entry[0] >= limit_ts:
-                    return done
-                heappop(heap)
-                ev.in_pending = False
-                pending._live -= 1
-                break
-            # --- inlined execute body ---------------------------------
-            dst = ev.dst
-            lp = lps[dst]
-            pool = None
-            lz = ev.lazy_sent
-            if lz:
-                pool = {c.key: c for c in lz}
-                ev.lazy_sent = None
-            ev.sent.clear()
-            ev.prev_send_seq = lp.send_seq
-            if snapshot_before is not None:
-                ev.snapshot = None
-                snapshot_before(lp, ev)
-            rng = lp.rng
-            rng_before = rng._count
-            lp._now = ev.key[0]
-            kernel._current_event = ev
-            kernel._lazy_pool = pool
-            try:
-                lp.forward(ev)
-            finally:
-                kernel._current_event = None
-                kernel._lazy_pool = None
-            if pool:
-                # Messages the re-execution did not regenerate are orphans.
-                batch.extend(pool.values())
-            if batch:
-                flush()
-            ev.rng_draws = rng._count - rng_before
-            ev.processed = True
-            processed_append_by_lp[dst](ev)
-            stats.processed += 1
-            stats.busy += event_cost
-            stats.round_busy += event_cost
-            done += 1
-        return done
+                    break
+                # --- inlined execute body -----------------------------
+                dst = ev.dst
+                lp = lps[dst]
+                ev.sent.clear()
+                ev.prev_send_seq = lp.send_seq
+                if snapshot_before is not None:
+                    ev.snapshot = None
+                    snapshot_before(lp, ev)
+                # (Under reverse computation ``ev.snapshot`` is already
+                # None — nothing on that strategy's path ever sets it —
+                # so the per-event clear is elided.)
+                rng = lp.rng
+                rng_before = rng._count
+                lp._now = ev.key[0]
+                kernel._current_event = ev
+                try:
+                    lp.forward(ev)
+                finally:
+                    kernel._current_event = None
+                ev.rng_draws = rng._count - rng_before
+                ev.processed = True
+                processed_append_by_lp[dst](ev)
+                stats.busy += event_cost
+                stats.round_busy += event_cost
+                done += 1
+            return done
+        finally:
+            if done:
+                pending._live -= done
+                stats.processed += done
 
-    return fast_batch_lazy
+    return fast_batch
 
 
 class TimeWarpKernel(Executor):
@@ -451,8 +303,8 @@ class TimeWarpKernel(Executor):
         self.gvt_manager = SynchronousGVT()
 
         # --- Hot-path capability flags & event pool --------------------------
-        #: Event recycling free list (None when cfg.pool is off).
-        self._alloc = self._init_pool(config.pool)
+        #: Event recycling free list.
+        self._alloc = self._init_pool()
         #: The immediate transport is a plain function indirection; _emit
         #: inlines its delivery while this is set.
         self._direct = True
@@ -503,18 +355,6 @@ class TimeWarpKernel(Executor):
         self.cancelled_via_rollback = 0
         self._cancel_worklist: list[Event] = []
         self._current_event: Event | None = None
-        self._lazy_pool: dict | None = None
-        #: Lazy cancellation mode (see EngineConfig.cancellation).
-        self.lazy = config.cancellation == "lazy"
-        self.lazy_reused = 0
-        #: Anti-messages found divergent during one forward execution,
-        #: deferred so the whole group is resolved in one flush (one
-        #: secondary rollback per affected KP).  The list object is
-        #: captured by the fused closures — it is drained in place, never
-        #: rebound.  Always empty between events.
-        self._antimsg_batch: list[Event] = []
-        #: Non-empty anti-message batch flushes (see ``_flush_antimsgs``).
-        self.antimsg_batches = 0
         #: Band-stepping activity: band runs dispatched through the
         #: plan's fused steppers, and events advanced by them (both stay 0
         #: when the model offers no plan or the kernel declines it).
@@ -559,52 +399,14 @@ class TimeWarpKernel(Executor):
         self._resume = None
 
         # --- Bind LPs ---------------------------------------------------------
-        self._bind_lps(
-            config.seed, self._alloc_lazy if self.lazy else self._alloc
-        )
+        self._bind_lps(config.seed, self._alloc)
 
     # ------------------------------------------------------------------
     # Message path.
     # ------------------------------------------------------------------
-    def _alloc_lazy(self, key, dst: int, kind: str, data=None) -> Event:
-        """The LPs' event allocator under lazy cancellation.
-
-        A re-execution that regenerates a message of the rolled-back one
-        (same key: the send sequence was restored on undo) gets that
-        original back — it is the event in flight, its receiver never
-        learns anything happened — and nothing is acquired;
-        :meth:`_emit` recognises it by identity.
-        """
-        pool = self._lazy_pool
-        if pool is not None:
-            old = pool.get(key)
-            if (
-                old is not None
-                and not old.cancelled
-                and old.dst == dst
-                and old.kind == kind
-                and old.data == (data if data is not None else {})
-            ):
-                return old
-        return self._alloc(key, dst, kind, data)
-
     def _emit(self, src_lp: LogicalProcess, ev: Event) -> None:
         """Kernel side of ``LogicalProcess.send``: journal, charge, route."""
         current = self._current_event
-        pool = self._lazy_pool
-        if pool is not None:
-            old = pool.pop(ev.key, None)
-            if old is ev:
-                # The allocator handed back the rolled-back execution's
-                # own message (see _alloc_lazy): it stays where it is.
-                current.sent.append(ev)
-                self.lazy_reused += 1
-                return
-            if old is not None:
-                # Same key, different content: the old message is wrong.
-                # Batch the anti-message; the flush runs when this forward
-                # execution completes (see _flush_antimsgs).
-                self._antimsg_batch.append(old)
         pe_of_lp = self.pe_of_lp
         src_pe = pe_of_lp[src_lp.id]
         dst = ev.dst
@@ -656,12 +458,6 @@ class TimeWarpKernel(Executor):
     def execute(self, pe: ProcessingElement, ev: Event) -> None:
         """Forward-execute one event on its LP (called by the PE)."""
         lp = self.lps[ev.dst]
-        # Under lazy cancellation, offer the previous execution's messages
-        # for reuse, keyed by their (identically regenerated) event keys.
-        pool: dict | None = None
-        if ev.lazy_sent:
-            pool = {c.key: c for c in ev.lazy_sent}
-            ev.lazy_sent = None
         # Inlined reset_journal (rng_draws is overwritten below anyway).
         ev.sent.clear()
         ev.snapshot = None
@@ -676,17 +472,10 @@ class TimeWarpKernel(Executor):
         # through undo_event, not execute), so the outer context is always
         # the executive's None/None — restore that directly.
         self._current_event = ev
-        self._lazy_pool = pool
         try:
             lp.forward(ev)
         finally:
             self._current_event = None
-            self._lazy_pool = None
-        if pool:
-            # Messages the re-execution did not regenerate are now orphans.
-            self._antimsg_batch.extend(pool.values())
-        if self._antimsg_batch:
-            self._flush_antimsgs()
         ev.rng_draws = rng._count - rng_before
         ev.processed = True
         lp.kp.processed.append(ev)
@@ -701,22 +490,15 @@ class TimeWarpKernel(Executor):
     def undo_event(self, ev: Event) -> None:
         """Undo one processed event (called by KP rollback, tail-first).
 
-        Under aggressive cancellation the messages it sent are cancelled
-        now (processed ones are deferred to the cancel worklist to avoid
-        unbounded recursion through cascades).  Under lazy cancellation
-        they are parked on the event for possible reuse at re-execution.
-        Either way the rollback strategy restores LP state and the event
-        is requeued.
+        The messages it sent are cancelled now — aggressive cancellation;
+        processed ones are deferred to the cancel worklist to avoid
+        unbounded recursion through cascades.  The rollback strategy then
+        restores LP state and the event is requeued.
         """
         lp = self.lps[ev.dst]
-        if self.lazy:
-            if ev.sent:
-                ev.lazy_sent = ev.sent[:]
-                ev.sent.clear()
-        else:
-            for child in reversed(ev.sent):
-                self._cancel(child)
-            ev.sent.clear()
+        for child in reversed(ev.sent):
+            self._cancel(child)
+        ev.sent.clear()
         self.strategy.undo(lp, ev)
         ev.processed = False
         self._pe_by_lp[ev.dst].pending.push(ev)
@@ -735,16 +517,10 @@ class TimeWarpKernel(Executor):
             self.cancelled_direct += 1
 
     def _flag_cancelled(self, ev: Event) -> None:
-        """Mark an unprocessed event dead and reap its parked children."""
+        """Mark an unprocessed event dead."""
         ev.cancelled = True
         if ev.in_pending:
             self._pe_by_lp[ev.dst].pending.note_cancelled()
-        if ev.lazy_sent:
-            # The event will never re-execute, so its kept messages from
-            # the undone execution can no longer be claimed: cancel them.
-            for child in ev.lazy_sent:
-                self._cancel(child)
-            ev.lazy_sent = None
 
     def _drain_cancels(self) -> None:
         """Resolve deferred cancellations of already-processed events.
@@ -777,57 +553,6 @@ class TimeWarpKernel(Executor):
                 self.cancelled_via_rollback += 1
         if spans is not None:
             spans.record("antimsg", t0, spans.clock(), n=drained)
-
-    def _flush_antimsgs(self) -> None:
-        """Resolve one forward execution's batched anti-messages.
-
-        Lazy cancellation discovers divergent and orphaned messages one at
-        a time while an event re-executes; cancelling each immediately
-        would trigger one secondary-rollback cascade per message.  The
-        discoveries are instead collected in ``_antimsg_batch`` and
-        resolved here, after the forward handler returns and before any
-        other event can execute (the PEs are multiplexed on one thread, so
-        nothing observes the window in between): one secondary rollback
-        per affected KP, to the minimum annihilated key.  Tail-first undo
-        makes that the exact undo sequence the per-message cascades would
-        have produced, so committed sequences are bit-identical — only the
-        rollback-episode count (and its fixed cost) shrinks.
-        """
-        spans = self.spans
-        span_t0 = spans.clock() if spans is not None else 0.0
-        batch = self._antimsg_batch
-        work = batch[:]
-        batch.clear()
-        self.antimsg_batches += 1
-        # Processed-at-flush-time snapshot (the group rollbacks below flip
-        # these flags) — it decides direct-vs-via-rollback accounting.
-        was_processed = [old.processed and not old.cancelled for old in work]
-        groups: dict[int, list] = {}
-        for old, was in zip(work, was_processed):
-            if was:
-                kp = self.lps[old.dst].kp
-                g = groups.get(kp.id)
-                if g is None:
-                    groups[kp.id] = [kp, old.key, old.dst]
-                elif old.key < g[1]:
-                    g[1] = old.key
-                    g[2] = old.dst
-        for kp, bound, trigger in groups.values():
-            pe = self.pes[kp.pe_id]
-            self._charge(pe, self.cost.rollback_fixed)
-            undone = kp.rollback_until(bound, self, trigger)
-            self._charge(pe, undone * self.undo_cost)
-        for old, was in zip(work, was_processed):
-            if old.cancelled:
-                continue
-            self._flag_cancelled(old)
-            if was:
-                self.cancelled_via_rollback += 1
-            else:
-                self.cancelled_direct += 1
-        self._drain_cancels()
-        if spans is not None:
-            spans.record("antimsg", span_t0, spans.clock(), n=len(work))
 
     def _charge(self, pe: ProcessingElement, units: float) -> None:
         pe.stats.busy += units
@@ -881,7 +606,6 @@ class TimeWarpKernel(Executor):
     def _sample_metrics(self, recorder, gvt: float) -> None:
         """Feed the recorder the current cumulative counters (O(PEs+KPs))."""
         pes, kps = self.pes, self.kps
-        hit_rate = self._pool_hit_rate()
         recorder.sample(
             gvt=gvt,
             committed=self.fossil_collected,
@@ -893,9 +617,7 @@ class TimeWarpKernel(Executor):
             pending=sum(len(pe.pending) for pe in pes),
             processed_depth=sum(len(kp.processed) for kp in kps),
             throttle=self.throttle.factor if self.throttle is not None else 1.0,
-            pool_hit_rate=hit_rate,
-            lazy_hits=self.lazy_reused,
-            antimsg_batches=self.antimsg_batches,
+            pool_hit_rate=self.pool.hit_rate,
             soa_batches=self.soa_batches,
             soa_lps_stepped=self.soa_lps_stepped,
             kp_rolled_back=[kp.stats.events_rolled_back for kp in kps],
@@ -933,13 +655,13 @@ class TimeWarpKernel(Executor):
         through :meth:`_emit`/:meth:`_receive` unchanged).  The fused
         batch additionally requires no tracer (the generic :meth:`execute`
         keeps the per-event trace hook), and the model's band batch
-        (:meth:`Model.vector_plan` over the built LPs) aggressive
-        cancellation with reverse computation; otherwise the per-event
-        batch steps the same population.  All are pure specialisations — observable behaviour is identical
-        either way — so the choice is made here, from what the kernel
-        observes, and whatever keeps a model's plan from stepping leaves
-        its reason in ``soa_decline``.  Closures are compiled only for the
-        LPs and PEs this kernel steps.
+        (:meth:`Model.vector_plan` over the built LPs) reverse
+        computation; otherwise the per-event batch steps the same
+        population.  All are pure specialisations — observable behaviour
+        is identical either way — so the choice is made here, from what
+        the kernel observes, and whatever keeps a model's plan from
+        stepping leaves its reason in ``soa_decline``.  Closures are
+        compiled only for the LPs and PEs this kernel steps.
         """
         plan = self.model.vector_plan(self.lps)
         self.soa_decline = "" if plan is not None else self.model.soa_decline_reason
@@ -971,11 +693,10 @@ class TimeWarpKernel(Executor):
                     "per-event trace hook)"
                 )
             return
-        if plan is not None and (self.lazy or self.strategy.name != "reverse"):
+        if plan is not None and self.strategy.name != "reverse":
             self.soa_decline = (
-                "lazy cancellation or copy rollback configured "
-                "(the fused band batch assumes reverse computation "
-                "with aggressive cancellation)"
+                "copy rollback configured "
+                "(the fused band batch assumes reverse computation)"
             )
             plan = None
         if plan is not None:
@@ -1207,8 +928,6 @@ class TimeWarpKernel(Executor):
         stats.stragglers = sum(pe.stats.stragglers for pe in self.pes)
         stats.cancelled_direct = self.cancelled_direct
         stats.cancelled_via_rollback = self.cancelled_via_rollback
-        stats.lazy_reused = self.lazy_reused
-        stats.antimsg_batches = self.antimsg_batches
         stats.soa_batches = self.soa_batches
         stats.soa_lps_stepped = self.soa_lps_stepped
         if self.throttle is not None:
@@ -1220,9 +939,8 @@ class TimeWarpKernel(Executor):
         stats.fossil_collected = self.fossil_collected
         stats.peak_pending = self.peak_pending
         stats.peak_processed = self.peak_processed
-        if self.pool is not None:
-            stats.pool_hits = self.pool.hits
-            stats.pool_allocs = self.pool.allocs
+        stats.pool_hits = self.pool.hits
+        stats.pool_allocs = self.pool.allocs
         stats.committed = self.fossil_collected
         stats.makespan_seconds = self.cost.seconds(self.makespan_units)
         stats.total_busy_seconds = self.cost.seconds(

@@ -1,4 +1,4 @@
-"""Pending-event priority queue with lazy cancellation.
+"""Pending-event priority queue with lazy deletion of cancelled entries.
 
 Each processing element owns one :class:`PendingQueue`.  Cancellation (the
 shared-memory analog of anti-message annihilation) marks the event's

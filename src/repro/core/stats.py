@@ -65,13 +65,6 @@ class RunStats:
     stragglers: int = 0
     cancelled_direct: int = 0
     cancelled_via_rollback: int = 0
-    #: Messages reused in place by lazy cancellation (never cancelled).
-    lazy_reused: int = 0
-    #: Batched anti-message flushes under lazy cancellation: one per
-    #: forward execution that discovered at least one divergent or
-    #: orphaned message (each flush does one secondary rollback per
-    #: affected KP instead of one cascade per message).
-    antimsg_batches: int = 0
     #: Band-stepping activity: same-timestamp-band runs dispatched
     #: through the fused struct-of-arrays steppers, and the events those
     #: runs advanced (both 0 when the model has no SoA build or the run
@@ -80,8 +73,8 @@ class RunStats:
     soa_lps_stepped: int = 0
     #: Why a Time Warp run stepped event by event although the model has
     #: a band-stepping build: the model could not offer it (policy,
-    #: topology, adversary) or the kernel declined it (tracer, lazy
-    #: cancellation, copy rollback, fault-wrapped transport).
+    #: topology, adversary) or the kernel declined it (tracer, copy
+    #: rollback, fault-wrapped transport).
     #: "" when band stepping ran, the model has no such build, or the
     #: engine is not the optimistic one.
     soa_decline_reason: str = ""
@@ -101,7 +94,7 @@ class RunStats:
     gvt_rounds: int = 0
     fossil_collected: int = 0
     #: Event-pool accounting: acquires served from the free list vs fresh
-    #: Event constructions (both zero when pooling is disabled).
+    #: Event constructions.
     pool_hits: int = 0
     pool_allocs: int = 0
     #: Peak live events in pending queues / processed lists, sampled at
@@ -141,7 +134,7 @@ class RunStats:
 
     @property
     def pool_hit_rate(self) -> float:
-        """Fraction of event allocations served by recycling (0 when off)."""
+        """Fraction of event allocations served by recycling."""
         total = self.pool_hits + self.pool_allocs
         return self.pool_hits / total if total else 0.0
 
@@ -159,8 +152,7 @@ class RunStats:
             "stragglers": self.stragglers,
             "cancelled_direct": self.cancelled_direct,
             "cancelled_via_rollback": self.cancelled_via_rollback,
-            "lazy_reused": self.lazy_reused,
-            "antimsg_batches": self.antimsg_batches,
+            "lazy_reused": 0,  # no message is ever reused; perfbench/layers.py reads it
             "soa_batches": self.soa_batches,
             "soa_lps_stepped": self.soa_lps_stepped,
             "soa_decline_reason": self.soa_decline_reason,

@@ -26,18 +26,16 @@ from repro.hotpotato.model import HotPotatoModel
 
 __all__ = ["run", "CONFIG_MATRIX"]
 
-#: (n_pes, kp_request, batch, mapping, rollback, procs, cancellation).
-CONFIG_MATRIX: tuple[tuple[int, int, int, str, str, int, str], ...] = (
-    (1, 1, 16, "block", "reverse", 1, "aggressive"),
-    (2, 8, 16, "block", "reverse", 1, "aggressive"),
-    (4, 16, 8, "block", "reverse", 1, "aggressive"),
-    (4, 64, 64, "block", "reverse", 1, "aggressive"),
-    (4, 16, 16, "striped", "reverse", 1, "aggressive"),
-    (4, 16, 16, "random", "reverse", 1, "aggressive"),
-    (4, 16, 16, "block", "copy", 1, "aggressive"),
-    (4, 16, 16, "block", "reverse", 2, "aggressive"),
-    (4, 16, 16, "block", "reverse", 1, "lazy"),
-    (4, 16, 64, "random", "copy", 2, "lazy"),
+#: (n_pes, kp_request, batch, mapping, rollback, procs).
+CONFIG_MATRIX: tuple[tuple[int, int, int, str, str, int], ...] = (
+    (1, 1, 16, "block", "reverse", 1),
+    (2, 8, 16, "block", "reverse", 1),
+    (4, 16, 8, "block", "reverse", 1),
+    (4, 64, 64, "block", "reverse", 1),
+    (4, 16, 16, "striped", "reverse", 1),
+    (4, 16, 16, "random", "reverse", 1),
+    (4, 16, 16, "block", "copy", 1),
+    (4, 16, 16, "block", "reverse", 2),
 )
 
 
@@ -55,13 +53,12 @@ def run(params: SweepParams) -> Table:
             "mapping",
             "rollback",
             "procs",
-            "cancel",
             "rolled back",
             "identical",
         ],
     )
     all_match = True
-    for n_pes, kp_req, batch, mapping, rollback, procs, cancel in CONFIG_MATRIX:
+    for n_pes, kp_req, batch, mapping, rollback, procs in CONFIG_MATRIX:
         n_kps = kp_count_for(n, kp_req, n_pes) if mapping == "block" else kp_req
         ecfg = EngineConfig(
             end_time=cfg.duration,
@@ -70,7 +67,6 @@ def run(params: SweepParams) -> Table:
             batch_size=batch,
             mapping=mapping,
             rollback=rollback,
-            cancellation=cancel,
             parallelism="process" if procs > 1 else "inline",
             procs=procs,
             seed=params.seed,
@@ -85,7 +81,6 @@ def run(params: SweepParams) -> Table:
             mapping,
             rollback,
             procs,
-            cancel,
             result.run.events_rolled_back,
             match,
         )

@@ -6,7 +6,6 @@ from typing import Callable
 
 from repro.experiments import (
     ablation_adaptive,
-    ablation_lazy,
     ablation_mapping,
     ablation_rollback,
     ablation_sync,
@@ -70,10 +69,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[SweepParams], Table]]] = {
     "abl-base": (
         "Baselines: hot-potato vs greedy/DOR/random and flow control",
         baselines_compare.run,
-    ),
-    "abl-lazy": (
-        "Ablation: aggressive vs lazy cancellation",
-        ablation_lazy.run,
     ),
     "abl-adapt": (
         "Ablation: fixed vs adaptive optimism (throttle)",

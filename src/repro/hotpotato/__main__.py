@@ -106,13 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="global seed (default 0x5EED, or the scenario's seed)",
     )
     parser.add_argument(
-        "--cancellation",
-        choices=("aggressive", "lazy"),
-        default="aggressive",
-        help="anti-message cancellation mode for the optimistic engine "
-        "(ignored with --processors 1; results are identical either way)",
-    )
-    parser.add_argument(
         "--validate",
         action="store_true",
         help="also run the other engine and check the results are identical",
@@ -250,11 +243,6 @@ def _config_marker(args, seed: int, scenario_meta: dict) -> dict:
         "batch": args.batch,
         "gvt_interval": args.gvt_interval,
         "procs": args.procs,
-        # A constant since ``--queue`` was deleted: snapshots written
-        # before (which recorded the flag) still match at its default,
-        # and one written under ``--queue ladder`` is refused by name.
-        "queue": "heap",
-        "cancellation": args.cancellation,
         "seed": seed,
         "paranoid": args.paranoid,
         "fault_plan": args.fault_plan,
@@ -328,7 +316,6 @@ def main(argv: list[str] | None = None) -> int:
                 gvt_interval=args.gvt_interval,
                 seed=seed,
                 paranoid=args.paranoid,
-                cancellation=args.cancellation,
                 **mp_overrides,
             )
         except ConfigurationError as exc:
@@ -495,10 +482,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.validate:
         other = (
-            sim.run_parallel(
-                n_pes=4, n_kps=args.kps, batch_size=args.batch,
-                cancellation=args.cancellation,
-            )
+            sim.run_parallel(n_pes=4, n_kps=args.kps, batch_size=args.batch)
             if args.processors <= 1
             else sim.run()
         )

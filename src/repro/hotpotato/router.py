@@ -375,21 +375,23 @@ class RouterLP(LogicalProcess):
                 # lost.  In a committed timeline this occurs exactly when
                 # faults locally exceed the healthy-grid invariant of
                 # "arrivals <= free links"; transient contention-only
-                # versions of this state (lazy cancellation) take the
-                # same branch and are always rolled back.
+                # versions of this state (see the overflow branch below)
+                # take the same branch and are always rolled back.
                 st.fault_dropped_no_link += 1
                 saved["fdrop"] = True
                 return
             saved.pop("fdrop", None)
         if not any(free):
             # More packets than output links.  In a committed timeline this
-            # is impossible (the bufferless invariant); it CAN be observed
-            # transiently under lazy cancellation, where a rolled-back
-            # neighbor's parked message stays visible until its sender
-            # re-executes and disowns it.  Such states are always rolled
-            # back, so route "impossibly" on the first physical link and
-            # count it; committed statistics must show zero overflows
-            # (asserted across the test suite).
+            # is impossible (the bufferless invariant).  Speculatively it
+            # needs an arrival whose sender has already been rolled back
+            # while the anti-message is still on its way (held by a ring
+            # or a fault-wrapped transport); no run has been seen to reach
+            # it, but nothing proves it unreachable, so the guard stays.
+            # Such states are always rolled back, so route "impossibly"
+            # on the first physical link and count it; committed
+            # statistics must show zero overflows (asserted across the
+            # test suite).
             d = self.exists.index(True)
             saved["route"] = (d, links[base + d], False, False, False, False, priority)
             saved["overflow"] = True

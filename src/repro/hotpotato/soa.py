@@ -34,8 +34,8 @@ the same routers with less interpreter dispatch per event
 (``tests/test_executor_abi.py`` compares the two).
 
 The plan is only installed under the conditions the Time Warp kernel
-checks (immediate or ring transport, no tracer, aggressive cancellation,
-reverse computation), and only offered for the configuration its inlined
+checks (immediate or ring transport, no tracer, reverse computation),
+and only offered for the configuration its inlined
 rules are written for (:meth:`HotPotatoModel.vector_plan`); everywhere
 else the kernel's per-event batch steps the same population.
 """

@@ -26,12 +26,15 @@ schema (or an event whose kind is missing from it) cannot cross a
 process boundary, and the runtime refuses the run up front rather than
 silently pickling.
 
-The ``uid`` exists because lazy cancellation can put a *new, different*
-positive for the same event key on the wire before the anti-message for
-the old one (the divergent-resend window): keying the receiver's
-live-remote table by event key would let the late anti kill the wrong
-message.  Sender-unique uids (``worker_index + procs * counter``) make
-every positive individually addressable.
+The ``uid`` names one positive exactly.  A rolled-back event's re-execution
+reuses the event keys of the sends it cancelled (the send sequence is
+restored on undo), so a key alone names a *send slot*, not a message.
+An anti leaves at rollback time, before the re-execution can put
+the same key back on the wire, and each ring is FIFO, so the two would
+still pair up by key; the uid makes that pairing independent of the
+ordering argument and doubles as the sender's "crossed a ring" mark in
+``Event.color``.  Sender-unique uids (``worker_index + procs *
+counter``) make every positive individually addressable.
 """
 
 from __future__ import annotations

@@ -123,8 +123,8 @@ def _print_kv_table(pairs: list[tuple[str, object]], indent: str = "  ") -> None
 
 
 #: Delta counters summed over the metric stream for the summary view —
-#: the subsystem activity (lazy cancellation, anti-message batching,
-#: vectorized stepping) that RunStats alone understates or omits.
+#: the subsystem activity (band stepping) that RunStats alone
+#: understates or omits.
 _STREAM_COUNTERS = (
     "committed",
     "processed",
@@ -132,8 +132,6 @@ _STREAM_COUNTERS = (
     "rollbacks",
     "stragglers",
     "fossil_collected",
-    "lazy_hits",
-    "antimsg_batches",
     "soa_batches",
     "soa_lps_stepped",
 )
@@ -238,10 +236,6 @@ TIMELINE_METRICS = {
     ],
     "depth": [("pending", "pending"), ("processed_depth", "processed_depth")],
     "throttle": [("throttle factor", "throttle")],
-    "cancellation": [
-        ("lazy_hits/interval", "lazy_hits"),
-        ("antimsg_batches/interval", "antimsg_batches"),
-    ],
     "vectorized": [
         ("soa_batches/interval", "soa_batches"),
         ("soa_lps_stepped/interval", "soa_lps_stepped"),

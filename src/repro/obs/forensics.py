@@ -207,7 +207,6 @@ ENGINE_DEPENDENT_FIELDS = frozenset(
         "stragglers",
         "cancelled_direct",
         "cancelled_via_rollback",
-        "lazy_reused",
         "throttle_adjustments",
         "throttle_final_factor",
         "local_sends",

@@ -67,15 +67,8 @@ class MetricSample:
     processed_depth: int
     #: Optimism-throttle factor at the sample point (1.0 when off).
     throttle: float
-    #: Cumulative event-pool hit rate at the sample point (0.0 when
-    #: pooling is off).
+    #: Cumulative event-pool hit rate at the sample point.
     pool_hit_rate: float
-    #: Messages reused in place by lazy cancellation during the interval
-    #: (0 under aggressive cancellation).  Delta counter.
-    lazy_hits: int = 0
-    #: Anti-message batch flushes during the interval (0 under aggressive
-    #: cancellation).  Delta counter.
-    antimsg_batches: int = 0
     #: Same-timestamp-band runs dispatched by the band-stepping batch
     #: during the interval (0 where the run declined it).  Delta counter.
     soa_batches: int = 0
@@ -100,8 +93,6 @@ class MetricSample:
             "processed_depth": self.processed_depth,
             "throttle": self.throttle,
             "pool_hit_rate": self.pool_hit_rate,
-            "lazy_hits": self.lazy_hits,
-            "antimsg_batches": self.antimsg_batches,
             "soa_batches": self.soa_batches,
             "soa_lps_stepped": self.soa_lps_stepped,
         }
@@ -125,14 +116,10 @@ class MetricSample:
             processed_depth=int(d["processed_depth"]),
             throttle=float(d["throttle"]),
             pool_hit_rate=float(d["pool_hit_rate"]),
-            # Pre-lazy-cancellation recordings lack these two counters;
-            # default them to zero so old JSONL files stay loadable.
-            # (Keys are read by name, so a recording that still carries a
-            # since-deleted counter loads too.)
-            lazy_hits=int(d.get("lazy_hits", 0)),
-            antimsg_batches=int(d.get("antimsg_batches", 0)),
-            # Pre-vectorized-executor recordings lack the SoA pair; same
-            # zero-default convention.
+            # Keys are read by name, so a recording that still carries a
+            # since-deleted counter loads too.  Pre-vectorized-executor
+            # recordings lack the SoA pair; it defaults to zero so old
+            # JSONL files stay loadable.
             soa_batches=int(d.get("soa_batches", 0)),
             soa_lps_stepped=int(d.get("soa_lps_stepped", 0)),
             kp_rolled_back={
@@ -173,8 +160,6 @@ class MetricsRecorder:
             "rollbacks": 0,
             "stragglers": 0,
             "fossil_collected": 0,
-            "lazy_hits": 0,
-            "antimsg_batches": 0,
             "soa_batches": 0,
             "soa_lps_stepped": 0,
         }
@@ -194,8 +179,6 @@ class MetricsRecorder:
         processed_depth: int = 0,
         throttle: float = 1.0,
         pool_hit_rate: float = 0.0,
-        lazy_hits: int = 0,
-        antimsg_batches: int = 0,
         soa_batches: int = 0,
         soa_lps_stepped: int = 0,
         kp_rolled_back: list[int] | None = None,
@@ -229,8 +212,6 @@ class MetricsRecorder:
             processed_depth=processed_depth,
             throttle=throttle,
             pool_hit_rate=pool_hit_rate,
-            lazy_hits=lazy_hits - prev["lazy_hits"],
-            antimsg_batches=antimsg_batches - prev["antimsg_batches"],
             soa_batches=soa_batches - prev["soa_batches"],
             soa_lps_stepped=soa_lps_stepped - prev["soa_lps_stepped"],
             kp_rolled_back=kp_delta,
@@ -241,8 +222,6 @@ class MetricsRecorder:
         prev["rollbacks"] = rollbacks
         prev["stragglers"] = stragglers
         prev["fossil_collected"] = fossil_collected
-        prev["lazy_hits"] = lazy_hits
-        prev["antimsg_batches"] = antimsg_batches
         prev["soa_batches"] = soa_batches
         prev["soa_lps_stepped"] = soa_lps_stepped
         self.n_samples += 1

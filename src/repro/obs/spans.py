@@ -26,8 +26,8 @@ Design rules (the same contract as :mod:`repro.obs.metrics`):
   recording.  Determinism tooling (``repro.obs diff``, committed
   sequences, critpath) never reads spans; dashboards and profiles do.
 
-Spans may nest: a rollback episode triggered inside an anti-message
-flush records both the inner ``rollback`` span and the enclosing
+Spans may nest: a secondary rollback triggered while the cancel worklist
+drains records both the inner ``rollback`` span and the enclosing
 ``antimsg`` span, so phase durations are not disjoint and do not sum to
 wall time.  ``exec`` spans cover the batch loop, which *includes* any
 rollbacks its sends trigger mid-batch.
@@ -46,8 +46,8 @@ __all__ = ["PHASES", "Span", "SpanTracer"]
 #:   execution (conservative), or one sampling interval (sequential).
 #: * ``rollback``  — one KP rollback episode (straggler, anti-message or
 #:   secondary cancellation).
-#: * ``antimsg``   — one anti-message resolution pass: a lazy-mode batch
-#:   flush or an aggressive-mode cancel-worklist drain.
+#: * ``antimsg``   — one anti-message resolution pass: a drain of the
+#:   cancel worklist.
 #: * ``gvt``       — one GVT estimate.
 #: * ``fossil``    — one fossil-collection sweep.
 #: * ``snapshot``  — one checkpoint snapshot actually written.

@@ -53,15 +53,16 @@ def test_unknown_choice_refused_up_front_naming_the_choices(kwargs, names):
             ConservativeConfig(end_time=5.0, **kwargs)
 
 
-@pytest.mark.parametrize("name", ["queue", "transport", "gvt"])
+@pytest.mark.parametrize("name", ["queue", "transport", "gvt", "cancellation", "pool"])
 def test_queue_transport_gvt_are_not_fields(name):
-    # The kernel has one pending queue, one in-process transport and one
-    # in-process GVT estimator; none of them is a knob.
+    # The kernel has one pending queue, one in-process transport, one
+    # in-process GVT estimator, one cancellation mode (aggressive) and
+    # always pools events; none of them is a knob.
     with pytest.raises(TypeError, match=name):
         EngineConfig(end_time=10.0, **{name: "anything"})
-    if name == "queue":
+    if name in ("queue", "pool"):
         with pytest.raises(TypeError, match=name):
-            ConservativeConfig(end_time=10.0, queue="heap")
+            ConservativeConfig(end_time=10.0, **{name: "anything"})
 
 
 def test_field_names_are_pinned():
@@ -69,8 +70,8 @@ def test_field_names_are_pinned():
     # every knob is justified by a measurement or a paper claim).
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
         "end_time", "n_pes", "n_kps", "batch_size", "window", "gvt_interval",
-        "mapping", "rollback", "cancellation", "adaptive", "pool",
-        "parallelism", "procs", "seed", "paranoid", "cost",
+        "mapping", "rollback", "adaptive", "parallelism", "procs", "seed",
+        "paranoid", "cost",
     ]
 
 

@@ -94,6 +94,32 @@ def test_cancellations_happen_when_rolled_back_events_sent():
     assert result.model_stats == oracle.model_stats
 
 
+def test_two_pokers_at_batch_1000_match_oracle():
+    # Two pokers on two PEs, one KP per LP: both PEs run far ahead, so
+    # stragglers arrive in both directions.
+    oracle = run_sequential(ChattyModel(4, pokers={2: 0, 3: 1}), END).model_stats
+    result = opt(
+        ChattyModel(4, pokers={2: 0, 3: 1}), n_pes=2, n_kps=4, batch_size=1000
+    )
+    assert result.model_stats == oracle
+
+
+def test_window_with_copy_rollback_matches_oracle_hotpotato():
+    # Virtual-time window, no batch cap, state saving: the per-event batch
+    # on the 4x4 torus (copy rollback declines band stepping).
+    cfg = HotPotatoConfig(n=4, duration=END, injector_fraction=1.0)
+    oracle = run_sequential(HotPotatoModel(cfg), END).model_stats
+    result = opt(
+        HotPotatoModel(cfg),
+        n_pes=4,
+        n_kps=8,
+        window=1.0,
+        batch_size=1 << 20,
+        rollback="copy",
+    )
+    assert result.model_stats == oracle
+
+
 # ----------------------------------------------------------------------
 # Determinism matrix on PHOLD (DESIGN.md invariant 2).
 # ----------------------------------------------------------------------

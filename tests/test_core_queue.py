@@ -1,4 +1,4 @@
-"""Unit tests for the pending-event queue with lazy cancellation."""
+"""Unit tests for the pending-event queue with lazy deletion of cancelled entries."""
 
 import pytest
 

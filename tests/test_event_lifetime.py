@@ -88,15 +88,13 @@ def _events_left_to_the_collector(engine):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "overrides",
-    [{}, {"cancellation": "lazy"}, {"rollback": "copy"}],
-    ids=["aggressive", "lazy", "copy"],
+    [{}, {"rollback": "copy"}],
+    ids=["aggressive", "copy"],
 )
 @pytest.mark.parametrize("name", list(MODELS))
 def test_time_warp_leaves_no_cyclic_event(name, overrides):
     left, result = _events_left_to_the_collector(_time_warp(name, **overrides))
     assert result.run.events_rolled_back > 0
-    if "cancellation" in overrides:
-        assert result.run.lazy_reused > 0
     assert left == 0
 
 

@@ -131,13 +131,11 @@ def test_committed_fingerprint_identical_untraced(engine, seed, faulted):
 
 
 @pytest.mark.parametrize("overrides", [
-    {"cancellation": "lazy"},
     {"rollback": "copy"},
-], ids=["lazy", "copy"])
+], ids=["copy"])
 def test_vectorized_across_scheduler_structures(overrides):
-    """The population commits identically under the lazy/copy
-    configurations, where the kernel itself declines the fused band
-    batch for the per-event one."""
+    """The population commits identically under copy rollback, where the
+    kernel itself declines the fused band batch for the per-event one."""
     def run(population):
         ecfg = EngineConfig(
             end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
@@ -149,7 +147,7 @@ def test_vectorized_across_scheduler_structures(overrides):
     assert vectorized.model_stats == scalar.model_stats
     # The declined plan names its reason.
     assert vectorized.run.soa_batches == 0
-    assert "cancellation" in vectorized.run.soa_decline_reason
+    assert "copy" in vectorized.run.soa_decline_reason
 
 
 @pytest.mark.parametrize("engine", ["opt"])
@@ -234,10 +232,47 @@ def test_snapshot_with_old_payload_format_refused():
 
     engine = _engine("opt", "vectorized", GOLDEN_SEEDS[0], False)
     payload = engine.snapshot()
-    assert payload["format"] == PAYLOAD_FORMAT == 2
+    assert payload["format"] == PAYLOAD_FORMAT == 3
     fresh = _engine("opt", "vectorized", GOLDEN_SEEDS[0], False)
     with pytest.raises(SnapshotError, match="payload format 1"):
         fresh.restore({**payload, "format": 1})
+
+
+def test_format_2_snapshot_refused_before_the_first_event(tmp_path, monkeypatch):
+    """A format-2 file pickles every event with one more slot (the lazy
+    cancellation journal): it still loads, and the restore refuses it by
+    number before anything runs."""
+    from repro.ckpt.snapshot import read_snapshot, write_snapshot
+    from repro.core.event import Event
+    from repro.errors import SnapshotError
+
+    seed = GOLDEN_SEEDS[0]
+    snap_dir = tmp_path / "snaps"
+    ckpt = Checkpointer(snap_dir, every=1, marker={"case": "fmt"})
+    _engine("opt", "vectorized", seed, False).attach_checkpointer(ckpt).run()
+    snaps = list_snapshots(snap_dir)
+    mid = snaps[len(snaps) // 2]
+    payload = read_snapshot(mid)
+    assert any(payload["pending"]), "the snapshot holds no event"
+    payload["format"] = 2
+
+    def format_2_state(ev):
+        state = [getattr(ev, name) for name in Event._STATE]
+        state.insert(Event._STATE.index("sent") + 1, None)
+        return tuple(state)
+
+    old_dir = tmp_path / "old"
+    old_dir.mkdir()
+    with monkeypatch.context() as patch:
+        patch.setattr(Event, "__getstate__", format_2_state)
+        write_snapshot(old_dir / mid.name, payload)
+
+    ck = Checkpointer(old_dir, every=1 << 30, marker={"case": "fmt"})
+    ck.load_latest()
+    fresh = _engine("opt", "vectorized", seed, False)
+    with pytest.raises(SnapshotError, match="payload format 2"):
+        fresh.attach_checkpointer(ck)
+    assert sum(pe.stats.processed for pe in fresh.pes) == 0
 
 
 def test_vectorized_declines_without_plan():

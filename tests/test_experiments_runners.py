@@ -207,17 +207,6 @@ def _abl_base(table, params):
         )
 
 
-def _abl_lazy(table, params):
-    # Lazy cancellation reuses messages, commits the same work and does
-    # not blow up the rollback volume.
-    rows = _by(table, "N", "cancellation")
-    for n in params.sizes:
-        agg, lazy = rows[n, "aggressive"], rows[n, "lazy"]
-        assert agg["committed"] == lazy["committed"]
-        assert agg["messages reused"] == 0 < lazy["messages reused"]
-        assert lazy["rolled back"] <= agg["rolled back"] * 1.5
-
-
 def _abl_adapt(table, params):
     # The throttle engages and cuts wasted work where there is any.
     rows = _by(table, "N", "optimism")
@@ -278,7 +267,6 @@ CLAIMS = [
     ("abl-rc", LAPTOP, _abl_rc),
     ("abl-map", LAPTOP, _abl_map),
     ("abl-base", LAPTOP, _abl_base),
-    ("abl-lazy", LAPTOP, _abl_lazy),
     ("abl-adapt", LAPTOP, _abl_adapt),
     ("abl-sync", LAPTOP, _abl_sync),
     ("static", TREND, _static),

@@ -226,6 +226,43 @@ def test_everything_at_once_stays_deterministic():
     assert _committed(seq_tr) == _committed(opt_tr)
 
 
+def test_model_faults_and_transport_chaos_match_the_oracle_sequence():
+    # Link faults in the model and a transport that drops, duplicates and
+    # holds messages two rounds: the traced Time Warp run commits the
+    # oracle's exact sequence, and both fault classes fired.
+    cfg = HotPotatoConfig(n=8, duration=15.0, injector_fraction=1.0)
+    model_plan = generate_plan(
+        TorusTopology(cfg.n),
+        duration=cfg.duration,
+        link_fail_rate=0.1,
+        heal_after=8,
+        seed=0xD00D,
+    )
+    transport_plan = FaultPlan(
+        drop_rate=0.05, dup_rate=0.05, delay_rate=0.08, delay_rounds=2, seed=99
+    )
+    seq_tr = Tracer()
+    seq = run_sequential(
+        HotPotatoModel(cfg, fault_plan=model_plan), cfg.duration, seed=SEED,
+        tracer=seq_tr,
+    )
+    opt_tr = Tracer()
+    ecfg = EngineConfig(
+        end_time=cfg.duration, n_pes=4, n_kps=16, batch_size=16, seed=SEED
+    )
+    opt = run_optimistic(
+        HotPotatoModel(cfg, fault_plan=model_plan),
+        ecfg,
+        tracer=opt_tr,
+        faults=EngineFaults(transport_plan),
+    )
+    assert _committed(opt_tr) == _committed(seq_tr)
+    assert opt.model_stats == seq.model_stats
+    assert opt.model_stats["fault_events"] > 0
+    run = opt.run
+    assert run.transport_dropped + run.transport_duplicated + run.transport_delayed > 0
+
+
 def test_empty_plan_attach_is_identity():
     ecfg = EngineConfig(
         end_time=CFG.duration, n_pes=4, n_kps=16, batch_size=16, seed=SEED

@@ -5,16 +5,14 @@ pinned to the committed-event count of the pre-checkpointing tree.  The
 sequential engine (the hot-potato cell is its band program), the
 conservative engine, in-process Time Warp (at two optimism levels on the
 hot-potato network) and process-mode Time Warp on 1, 2 and 4 workers
-must all commit exactly that count under every cancellation x dispatch
-combination — if any cell commits anything else, event order
-(and therefore the science) changed, not just speed.  Dispatch is not an
+must all commit exactly that count under either dispatch — if any cell
+commits anything else, event order (and therefore the science) changed,
+not just speed.  Dispatch is not an
 option: there is one population, and Time Warp steps it through the
 model's vector plan whenever the model offers one (the ``vectorized``
 ids, process mode included); the ``scalar`` ids use a test-side foil, a
 model that declines the plan, so the per-event batch steps it.
 """
-
-import itertools
 
 import pytest
 
@@ -77,27 +75,25 @@ TIME_WARP = [
 ]
 
 
-def _time_warp(name, overrides, executor="vectorized", **modes):
-    ecfg = EngineConfig(
-        end_time=END, n_pes=4, n_kps=16, seed=SEED, **overrides, **modes
-    )
+def _time_warp(name, overrides, executor="vectorized"):
+    ecfg = EngineConfig(end_time=END, n_pes=4, n_kps=16, seed=SEED, **overrides)
     model = MODELS[name][0]()
     if executor == "scalar":
         plan_declined(model)
     return run_optimistic(model, ecfg).run
 
 
-CELLS = list(itertools.product(("aggressive", "lazy"), ("scalar", "vectorized")))
+EXECUTORS = ("scalar", "vectorized")
 
 
 @pytest.mark.parametrize(
-    "cancellation, executor",
-    CELLS,
-    # The ids name the pending queue ("heap", the only one), as the suite
-    # has always printed them.
-    ids=[f"heap-{cancellation}-{executor}" for cancellation, executor in CELLS],
+    "executor",
+    EXECUTORS,
+    # The ids name the pending queue ("heap") and the cancellation mode
+    # ("aggressive"), the only ones, as the suite has always printed them.
+    ids=[f"heap-aggressive-{executor}" for executor in EXECUTORS],
 )
-def test_committed_counts_are_golden(cancellation, executor):
+def test_committed_counts_are_golden(executor):
     committed = {}
     for name, (model, _) in MODELS.items():
         if executor == "scalar":
@@ -110,16 +106,13 @@ def test_committed_counts_are_golden(cancellation, executor):
                 model(),
                 ConservativeConfig(end_time=END, n_pes=4, sync="yawns", seed=SEED),
             ).run.committed
-    modes = {"cancellation": cancellation, "executor": executor}
     for name, label, overrides in TIME_WARP:
-        run = _time_warp(name, overrides, **modes)
+        run = _time_warp(name, overrides, executor)
         assert run.procs == overrides.get("procs", 1)
         committed[name, label] = run.committed
         if name == "hotpotato":
             # Band-stepped exactly where the kernel admits it.
-            assert (run.soa_batches > 0) == (
-                executor == "vectorized" and cancellation == "aggressive"
-            )
+            assert (run.soa_batches > 0) == (executor == "vectorized")
     assert committed == {cell: MODELS[cell[0]][1] for cell in committed}
 
 

@@ -22,11 +22,19 @@ def test_option_strings_are_pinned():
         "--n", "--processors", "--duration", "--probability-i",
         "--no-absorb-sleeping", "--topology", "--mesh", "--scenario",
         "--procs", "--kps", "--batch", "--gvt-interval", "--seed",
-        "--cancellation", "--validate", "--metrics-out", "--trace-out",
+        "--validate", "--metrics-out", "--trace-out",
         "--spans-out", "--fault-plan", "--fault-rate", "--fault-seed",
         "--paranoid", "--checkpoint-dir", "--checkpoint-every", "--resume",
         "--deadline-seconds", "--watchdog", "--health-out",
     ]
+
+
+def test_deleted_cancellation_flag_exits_2(capsys):
+    # Cancellation is aggressive only; the flag is gone, not ignored.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--n", "4", "--duration", "20", "--cancellation", "lazy"])
+    assert excinfo.value.code == 2
+    assert "--cancellation" in capsys.readouterr().err
 
 
 def test_sequential_run(capsys):

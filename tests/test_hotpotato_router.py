@@ -117,9 +117,9 @@ def test_route_respects_claimed_links(setup):
 
 
 def test_route_with_no_free_link_overflows_reversibly(setup):
-    # A transiently-impossible state (only reachable mid-speculation under
-    # lazy cancellation): the router routes anyway, counts the overflow,
-    # and the whole thing reverses exactly.
+    # A transiently-impossible state (at most reachable mid-speculation,
+    # see RouterLP._route): the router routes anyway, counts the
+    # overflow, and the whole thing reverses exactly.
     lp, sends, topo, cfg = setup
     before_links = [9, 9, 9, 9]
     claim(lp, before_links)

@@ -214,30 +214,35 @@ def big_oracle():
     return run_sequential(HotPotatoModel(_big_cfg()), BIG_END, seed=BIG_SEED)
 
 
-UNTRACED_CELLS = [(p, c) for p in (2, 4) for c in ("aggressive", "lazy")]
+UNTRACED_CELLS = [(p, r) for p in (2, 4) for r in ("reverse", "copy")]
 
 
 @pytest.mark.parametrize(
-    "procs, cancellation",
+    "procs, rollback",
     UNTRACED_CELLS,
-    # The ids name the pending queue ("heap", the only one), as the suite
-    # has always printed them.
-    ids=[f"{procs}-{cancellation}-heap" for procs, cancellation in UNTRACED_CELLS],
+    # The ids name the pending queue ("heap", the only one) as the suite
+    # has always printed them; reverse-computation cells keep the
+    # "aggressive" label they had when cancellation was a choice.
+    ids=[
+        f"{procs}-{'aggressive' if rollback == 'reverse' else rollback}-heap"
+        for procs, rollback in UNTRACED_CELLS
+    ],
 )
-def test_untraced_procs_equal_the_oracle(big_oracle, procs, cancellation):
+def test_untraced_procs_equal_the_oracle(big_oracle, procs, rollback):
     mp = run_optimistic(
-        HotPotatoModel(_big_cfg()), _big_ecfg(procs, cancellation=cancellation)
+        HotPotatoModel(_big_cfg()), _big_ecfg(procs, rollback=rollback)
     )
     _assert_equals_oracle(mp, big_oracle)
     assert mp.run.procs == procs
-    if cancellation == "aggressive":
+    if rollback == "reverse":
         # Every worker band-stepped every event it executed.
         assert mp.run.soa_batches > 0
         assert mp.run.soa_lps_stepped == mp.run.processed
         assert mp.run.soa_decline_reason == ""
     else:
+        # Copy rollback: the per-event compiled batch inside the workers.
         assert mp.run.soa_batches == 0
-        assert "cancellation" in mp.run.soa_decline_reason
+        assert "copy" in mp.run.soa_decline_reason
 
 
 def test_untraced_procs_heavy_cross_ring_rollback(big_oracle):

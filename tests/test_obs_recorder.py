@@ -229,42 +229,20 @@ def test_metrics_recorder_streams_bounded(tmp_path):
     assert len(loaded.metrics) == len(rec)
 
 
-# ----------------------------------------------------------------------
-# Scheduler-structure counters (lazy cancellation).
-# ----------------------------------------------------------------------
-def test_lazy_counters_recorded():
-    from repro.obs.metrics import MetricSample
-
-    rec = MetricsRecorder()
-    ecfg = EngineConfig(
-        end_time=END, n_pes=4, n_kps=8, batch_size=64, seed=7,
-        cancellation="lazy",
-    )
-    stressy = PholdConfig(n_lps=16, jobs_per_lp=2, lookahead=0.01,
-                          remote_fraction=0.9)
-    result = run_optimistic(PholdModel(stressy), ecfg, metrics=rec)
-    assert sum(s.lazy_hits for s in rec.samples) == result.run.lazy_reused
-    assert (
-        sum(s.antimsg_batches for s in rec.samples)
-        == result.run.antimsg_batches
-    )
-    assert result.run.lazy_reused > 0  # the workload actually exercised lazy
-    # Round trip through the JSON form.
-    sample = max(rec.samples, key=lambda s: s.lazy_hits)
-    assert MetricSample.from_dict(sample.as_dict()) == sample
-
-
 def test_metric_sample_loader_defaults_old_recordings():
     from repro.obs.metrics import MetricSample
 
     rec = MetricsRecorder()
     run_sequential(PholdModel(PHOLD), END, metrics=rec)
     d = rec.samples[0].as_dict()
-    for key in ("lazy_hits", "antimsg_batches"):
+    for key in ("soa_batches", "soa_lps_stepped"):
         d.pop(key)  # simulate a pre-schema recording
-    # ... and one that carries a counter deleted since: read by name, so
-    # the extra key is ignored.
-    d["a_counter_deleted_since"] = 3
+    # ... and one that carries counters deleted since (the lazy
+    # cancellation pair, and a made-up one): read by name, so the extra
+    # keys are ignored.
+    d.update(lazy_hits=5, antimsg_batches=2, a_counter_deleted_since=3)
     sample = MetricSample.from_dict(d)
-    assert sample.lazy_hits == 0
-    assert sample.antimsg_batches == 0
+    assert sample.soa_batches == 0
+    assert sample.soa_lps_stepped == 0
+    assert not hasattr(sample, "lazy_hits")
+    assert sample == rec.samples[0]

@@ -57,7 +57,6 @@ def engine_configs(draw):
         gvt_interval=draw(st.integers(min_value=1, max_value=5)),
         mapping=draw(st.sampled_from(["striped", "random"])),
         rollback=draw(st.sampled_from(["reverse", "copy"])),
-        cancellation=draw(st.sampled_from(["aggressive", "lazy"])),
         seed=0x5EED,
     )
 
@@ -103,13 +102,12 @@ SHARED_CFG = HotPotatoConfig(
 )
 
 
-def _shared_tables_engine(cancellation="aggressive", executor="scalar"):
+def _shared_tables_engine(executor="scalar"):
     model = HotPotatoModel(SHARED_CFG)
     if executor == "scalar":
         plan_declined(model)
     cfg = EngineConfig(
-        end_time=SHARED_END, n_pes=4, n_kps=16, batch_size=512, seed=0x5EED,
-        cancellation=cancellation,
+        end_time=SHARED_END, n_pes=4, n_kps=16, batch_size=512, seed=0x5EED
     )
     return model, TimeWarpKernel(model, cfg)
 
@@ -122,37 +120,30 @@ def shared_oracle():
     return stats, sorted(model.delivery_log), tracer.committed_sequence()
 
 
-SHARED_CELLS = [
-    (c, e) for c in ("aggressive", "lazy") for e in ("scalar", "vectorized")
-]
+SHARED_EXECUTORS = ("scalar", "vectorized")
 
 
 @pytest.mark.parametrize(
-    "cancellation, executor",
-    SHARED_CELLS,
-    # The ids name the pending queue ("heap", the only one), as the suite
-    # has always printed them.
-    ids=[f"heap-{cancellation}-{executor}" for cancellation, executor in SHARED_CELLS],
+    "executor",
+    SHARED_EXECUTORS,
+    # The ids name the pending queue ("heap") and the cancellation mode
+    # ("aggressive"), the only ones, as the suite has always printed them.
+    ids=[f"heap-aggressive-{executor}" for executor in SHARED_EXECUTORS],
 )
-def test_shared_dispatch_tables_commit_the_oracle_sequence(
-    shared_oracle, cancellation, executor
-):
+def test_shared_dispatch_tables_commit_the_oracle_sequence(shared_oracle, executor):
     stats, deliveries, sequence = shared_oracle
     # Untraced: every fused closure (send, batch / band batch) runs.
-    model, kernel = _shared_tables_engine(cancellation, executor)
+    model, kernel = _shared_tables_engine(executor)
     result = kernel.run()
     assert kernel._batch_by_pe is not None
-    # The band batch installs under aggressive cancellation only.
-    assert (kernel.soa_batches > 0) == (
-        executor == "vectorized" and cancellation == "aggressive"
-    )
+    assert (kernel.soa_batches > 0) == (executor == "vectorized")
     assert result.run.events_rolled_back > 0
     assert result.model_stats == stats
     assert sorted(model.delivery_log) == deliveries
     assert result.run.committed == len(sequence)
     # Traced: fused sends under the generic execute, event by event.
     tracer = Tracer()
-    _, kernel = _shared_tables_engine(cancellation, executor)
+    _, kernel = _shared_tables_engine(executor)
     kernel.attach_tracer(tracer).run()
     assert tracer.committed_sequence() == sequence
 
