@@ -136,7 +136,7 @@ def main() -> None:
     ):
         parser.error(
             "--procs profiles the workers of an optimistic run on >= 2 "
-            "processes (a single worker runs the in-process kernel) and "
+            "processes (--procs 1 is the in-process kernel) and "
             "needs --dump for the per-worker files"
         )
 
@@ -156,7 +156,7 @@ def main() -> None:
 
     mp_overrides = {}
     if args.procs is not None:
-        mp_overrides = {"parallelism": "process", "procs": args.procs}
+        mp_overrides = {"procs": args.procs}
         profile_workers(args.dump)
 
     gc_before = gc.get_stats()

@@ -22,8 +22,8 @@ class EngineConfig:
     What the report does not vary is not a knob: the pending queue is a
     binary heap (:class:`~repro.core.queue.PendingQueue`), in-process
     delivery is immediate (:class:`~repro.core.transport.ImmediateTransport`
-    — a fault plan wraps it, ``parallelism="process"`` puts real rings
-    between workers) and in-process GVT is Fujimoto's barrier reduction
+    — a fault plan wraps it, ``procs >= 2`` puts real rings between
+    workers) and in-process GVT is Fujimoto's barrier reduction
     (:class:`~repro.core.gvt.SynchronousGVT`).
 
     Attributes
@@ -59,16 +59,14 @@ class EngineConfig:
         ``batch_size``/``window`` become ceilings that the executive scales
         down when the measured rollback fraction spikes and restores when
         it subsides.  Deterministic, like everything else.
-    parallelism:
-        ``"inline"`` — the whole kernel runs in this process (PEs are
-        simulated concurrency, the default).  ``"process"`` — the run is
-        split across ``procs`` OS processes, each owning an equal slice
-        of the PEs and exchanging events over pickle-free shared-memory
-        rings (see :mod:`repro.mp` and docs/KERNEL.md "Multicore
-        execution").  Committed results are bit-identical either way.
     procs:
-        Worker process count for ``parallelism="process"``.  Must divide
-        ``n_pes``; ignored (and forced to 1) in inline mode.
+        Worker processes.  ``1`` (the default) runs the whole kernel in
+        this process, its PEs simulated concurrency.  ``2`` or more
+        splits the run across that many OS processes, each owning an
+        equal slice of the PEs (so ``procs`` must divide ``n_pes``) and
+        exchanging events over pickle-free shared-memory rings (see
+        :mod:`repro.mp` and docs/KERNEL.md "Multicore execution").
+        Committed results are bit-identical either way.
     seed:
         Global seed from which every LP RNG stream is derived.
     paranoid:
@@ -89,7 +87,6 @@ class EngineConfig:
     mapping: str = "block"
     rollback: str = "reverse"
     adaptive: bool = False
-    parallelism: str = "inline"
     procs: int = 1
     seed: int = 0x5EED
     paranoid: bool = False
@@ -122,22 +119,16 @@ class EngineConfig:
             raise ConfigurationError(
                 f"gvt_interval must be >= 1, got {self.gvt_interval}"
             )
-        if self.parallelism not in ("inline", "process"):
-            raise ConfigurationError(
-                f"parallelism must be 'inline' or 'process', "
-                f"got {self.parallelism!r}"
-            )
         if self.procs < 1:
             raise ConfigurationError(f"procs must be >= 1, got {self.procs}")
-        if self.parallelism == "process":
-            if self.n_pes % self.procs:
-                raise ConfigurationError(
-                    f"procs must divide n_pes in process mode "
-                    f"(n_pes={self.n_pes}, procs={self.procs})"
-                )
-            if self.paranoid and self.procs > 1:
-                raise ConfigurationError(
-                    "paranoid invariant checks are per-worker and would "
-                    "false-alarm on cross-worker packet conservation; run "
-                    "paranoid inline (or with procs=1) instead"
-                )
+        if self.n_pes % self.procs:
+            raise ConfigurationError(
+                f"procs must divide n_pes in process mode "
+                f"(n_pes={self.n_pes}, procs={self.procs})"
+            )
+        if self.paranoid and self.procs > 1:
+            raise ConfigurationError(
+                "paranoid invariant checks are per-worker and would "
+                "false-alarm on cross-worker packet conservation; run "
+                "paranoid in-process (procs=1) instead"
+            )

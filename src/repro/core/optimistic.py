@@ -40,7 +40,7 @@ from repro.core.rollback import make_strategy
 from repro.core.stats import RunStats
 from repro.core.throttle import Throttle
 from repro.core.transport import ImmediateTransport
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import SchedulingError
 from repro.vt.time import TIME_HORIZON, EventKey
 
 __all__ = ["TimeWarpKernel", "run_optimistic"]
@@ -748,8 +748,8 @@ class TimeWarpKernel(Executor):
         Fossil-collect, charge the boundary to the makespan, update the
         optimism throttle (``loop``'s effective batch and window), sample
         metrics, consult the watchdog — over the PEs this kernel steps.
-        The in-process executive calls it after its estimate, a
-        process-mode worker after its token wave.
+        The executive calls it after every :meth:`_gvt_point` that set a
+        new GVT.
         """
         cfg = self.cfg
         gvt = self.gvt
@@ -794,6 +794,32 @@ class TimeWarpKernel(Executor):
             # sees committed state only.
             self.health.boundary_optimistic(self)
 
+    def _gvt_point(self, rounds: int, any_work: bool):
+        """The round's GVT decision: ``None``, or ``(gvt, stop, intr)``.
+
+        In-process, GVT is estimated every ``gvt_interval`` rounds and
+        after any round that did no work.  The estimate is taken *before*
+        the round's transport flush, so a fault wrapper's held messages
+        really are in flight and it has to account for them
+        (``transport.min_in_flight_ts``).  ``intr`` is always false here;
+        a process-mode worker's wave carries it (see
+        :class:`repro.mp.kernel.MPWorkerKernel`, which overrides this).
+        """
+        if any_work and rounds % self.cfg.gvt_interval:
+            return None
+        spans = self.spans
+        if spans is None:
+            gvt = self.gvt_manager.estimate(self)
+        else:
+            t0 = spans.clock()
+            gvt = self.gvt_manager.estimate(self)
+            spans.record("gvt", t0, spans.clock())
+        return gvt, gvt >= self.cfg.end_time, False
+
+    def _checkpoint_loop(self, loop: dict, rounds: int) -> dict:
+        """The run-loop state a snapshot carries."""
+        return {**loop, "rounds": rounds}
+
     def run(self) -> RunResult:
         """Execute the model to ``cfg.end_time`` and collect statistics."""
         self._install_fast_paths()
@@ -801,23 +827,33 @@ class TimeWarpKernel(Executor):
             return self._run()
 
     def _run(self) -> RunResult:
-        """The executive proper: rounds of PE batches between GVT boundaries."""
+        """The executive proper: rounds of PE batches between GVT boundaries.
+
+        The one Time Warp round loop, in-process and in every process-mode
+        worker alike; a worker steps only its ``owned_pes`` and overrides
+        :meth:`_loop_state`, :meth:`_gvt_point` and :meth:`_checkpoint_loop`.
+        """
         cfg = self.cfg
         end = cfg.end_time
         if self._resume is None:
             # Bootstrap: LPs schedule their initial events "at startup".
+            # Only the LPs this kernel steps: a worker holds the whole
+            # population (fork inherits it), so seeding every LP would
+            # duplicate each initial event once per worker.
             self._current_event = None
+            far = self._far_by_lp
             for lp in self.lps:
-                lp._now = -1.0
-                lp.on_init()
+                if far is None or not far[lp.id]:
+                    lp._now = -1.0
+                    lp.on_init()
 
-        pes = self.pes
+        pes = self.owned_pes
         # The compiled batch loops, or the generic per-event path where
         # _install_fast_paths declined them.
         step_pe = self._batch_by_pe or [
-            partial(pe.process_batch, self) for pe in pes
+            partial(pe.process_batch, self) for pe in self.pes
         ]
-        stats_by_pe = self._stats_by_pe
+        stats_by_pe = [pe.stats for pe in pes]
         sched_per_round = self.cost.sched_per_round
         gvt_overhead = max(
             self.cost.gvt_overhead(pe.lp_count, len(pe.kp_ids)) for pe in pes
@@ -869,24 +905,23 @@ class TimeWarpKernel(Executor):
                 if st.round_busy > round_max:
                     round_max = st.round_busy
             self.makespan_units += round_max + sched_per_round
-            gvt_boundary = rounds % cfg.gvt_interval == 0 or not any_work
-            if gvt_boundary:
-                # Taken *before* the flush, so a fault wrapper's held
-                # messages really are in flight and the estimate has to
-                # account for them (``transport.min_in_flight_ts``).
-                if spans is None:
-                    self.gvt = self.gvt_manager.estimate(self)
-                else:
-                    t0 = clock()
-                    self.gvt = self.gvt_manager.estimate(self)
-                    spans.record("gvt", t0, clock())
+            point = self._gvt_point(rounds, any_work)
+            if point is not None:
+                self.gvt, stop, intr = point
                 self._gvt_boundary(loop, gvt_overhead)
                 eff_batch = loop["eff_batch"]
                 eff_window = loop["eff_window"]
                 if paranoid:
                     check_optimistic(self, prev_gvt)
                     prev_gvt = self.gvt
-                if self.gvt >= end:
+                if intr:
+                    # Every worker stops at this same wave, after the
+                    # checkpoint below writes its final shard: the shard
+                    # set stays resumable as a unit.
+                    if ckpt is None:
+                        raise KeyboardInterrupt
+                    ckpt.request_interrupt()
+                elif stop:
                     break
             if spans is None or self._direct:
                 # Immediate transport has nothing to flush; don't time the
@@ -897,12 +932,14 @@ class TimeWarpKernel(Executor):
                 delivered = self.transport.flush()
                 if delivered:
                     spans.record("transport", t0, clock(), n=delivered)
-            if ckpt is not None and gvt_boundary:
+            if ckpt is not None and point is not None:
                 # After the flush, so nothing is in flight but a fault
                 # wrapper's still-held events, and those are captured.
+                # An interrupted checkpointer writes and then raises
+                # KeyboardInterrupt.
                 written_before = ckpt.written
                 t0 = clock() if spans is not None else 0.0
-                ckpt.boundary(self, lambda: {**loop, "rounds": rounds})
+                ckpt.boundary(self, lambda: self._checkpoint_loop(loop, rounds))
                 if spans is not None and ckpt.written > written_before:
                     spans.record("snapshot", t0, clock())
 
@@ -975,7 +1012,7 @@ def run_optimistic(
     health=None,
 ) -> RunResult:
     """Convenience wrapper: build a kernel, attach telemetry, run it."""
-    if config.parallelism == "process":
+    if config.procs > 1:
         # True multicore: every caller of the optimistic engine — the CLI,
         # experiments, scenarios — reaches process mode through this one
         # chokepoint.

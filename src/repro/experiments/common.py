@@ -253,13 +253,12 @@ def run_hotpotato_parallel(
             "checkpoint_every": _SUPERVISOR.cfg.checkpoint_every,
         })
     cfg = HotPotatoConfig(n=n, duration=duration, injector_fraction=load)
-    if _PARALLELISM is not None and "parallelism" not in overrides:
+    if _PARALLELISM is not None and "procs" not in overrides:
         procs, gvt_interval = _PARALLELISM
         # A PE cannot be split across workers, so points whose PE count
         # doesn't tile over the processes stay in-process (results are
         # bit-identical either way).
         if n_pes % procs == 0:
-            overrides["parallelism"] = "process"
             overrides["procs"] = procs
             overrides.setdefault("gvt_interval", gvt_interval)
     ecfg = EngineConfig(

@@ -67,7 +67,6 @@ def run(params: SweepParams) -> Table:
             batch_size=batch,
             mapping=mapping,
             rollback=rollback,
-            parallelism="process" if procs > 1 else "inline",
             procs=procs,
             seed=params.seed,
         )

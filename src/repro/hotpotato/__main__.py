@@ -87,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the optimistic engine across P OS processes (true "
         "multicore Time Warp over shared-memory rings; committed results "
         "are bit-identical to any other engine).  P must divide "
-        "--processors.  --procs 1 forks a single worker — useful only "
-        "for measuring process-mode overhead.  Default: in-process.",
+        "--processors.  Default, and --procs 1: in-process.",
     )
     parser.add_argument("--kps", type=int, default=16, help="kernel processes (default 16)")
     parser.add_argument("--batch", type=int, default=16, help="optimism batch size")
@@ -304,9 +303,6 @@ def main(argv: list[str] | None = None) -> int:
         # exists, so every combination EngineConfig refuses (--procs not
         # dividing --processors, --paranoid across workers, ...) exits 2
         # with its message and no side effect.
-        mp_overrides = {}
-        if args.procs is not None:
-            mp_overrides = {"parallelism": "process", "procs": args.procs}
         try:
             engine_config = EngineConfig(
                 end_time=cfg.duration,
@@ -316,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
                 gvt_interval=args.gvt_interval,
                 seed=seed,
                 paranoid=args.paranoid,
-                **mp_overrides,
+                procs=1 if args.procs is None else args.procs,
             )
         except ConfigurationError as exc:
             print(f"configuration refused: {exc}")
@@ -339,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume:
         from repro.errors import SnapshotError
 
-        if args.procs is not None:
+        if engine_config is not None and engine_config.procs > 1:
             # Process-mode snapshots are per-worker shards under
             # <dir>/shard_<i>; the workers locate and load the newest
             # consistent shard set themselves (docs/CHECKPOINT.md).

@@ -1,10 +1,11 @@
 """True multicore Time Warp: multiprocess PEs over shared-memory rings.
 
-This package implements ``EngineConfig.parallelism = "process"``: the
-PE population is split across ``procs`` forked OS processes, events
-that cross workers travel pickle-free over single-producer
-single-consumer shared-memory byte rings, and GVT comes from
-Mattern-style counting token waves on a control ring.  Committed
+This package implements process mode, ``EngineConfig.procs >= 2``
+(``procs = 1`` is the in-process kernel): the PE population is split
+across ``procs`` forked OS processes, events that cross workers travel
+pickle-free over single-producer single-consumer shared-memory byte
+rings, and GVT comes from Mattern-style counting token waves on a
+control ring.  Committed
 sequences are bit-identical to the sequential oracle regardless of the
 process count — the schedule-invariance property every engine in this
 repository maintains.

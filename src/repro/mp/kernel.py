@@ -16,26 +16,27 @@ the same ``_install_fast_paths`` — parameterised three ways:
 * GVT comes from cross-process token waves (:mod:`repro.mp.gvt`) over
   the control rings, not from inspecting other workers' queues.
 
-The scheduling loop mirrors the base kernel's round structure but only
-steps this worker's *owned* PE slice (closures are compiled for that
-slice alone), drains the inbound rings every round, and turns every GVT
-boundary into a stop-and-drain wave: worker 0 (the leader) initiates,
-everyone else joins when the token reaches them.  The boundary machinery
-— fossil collection, throttle, metrics, health watchdog — is the base
-kernel's ``_gvt_boundary``, called at wave boundaries; checkpoint shards
-follow it.
+The round loop is the base kernel's ``_run``, stepping only this
+worker's *owned* PE slice (closures are compiled for that slice alone).
+Its bootstrap seeds only owned LPs (it reads ``_far_by_lp``), and the
+worker overrides what really differs: a resume also restores the uid
+counter and remote-live table (``_loop_state``); every round drains the inbound rings and every GVT
+point is a stop-and-drain wave — worker 0 (the leader) initiates,
+everyone else joins when the token reaches them (``_gvt_point``); and a
+checkpoint shard carries the uid counter (``_checkpoint_loop``).  The
+boundary machinery — fossil collection, throttle, metrics, health
+watchdog, checkpoint — is the base kernel's.
 
-Interrupts never raise inside a worker: the SIGINT handler only sets
-``self.intr``, the flag rides the next token, and the RESULT broadcast
-makes *every* worker write a final checkpoint shard at the same wave
-before exiting — a worker that unilaterally abandoned the token ring
-would deadlock its peers mid-wave.
+Interrupts never raise inside a worker mid-round: the SIGINT handler only
+sets ``self.intr``, the flag rides the next token, and the RESULT
+broadcast makes *every* worker write a final checkpoint shard at the same
+wave before exiting (the base loop's ``intr`` branch) — a worker that
+unilaterally abandoned the token ring would deadlock its peers mid-wave.
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
 
 from repro.core.optimistic import TimeWarpKernel
 from repro.errors import SchedulingError
@@ -81,10 +82,10 @@ class MPWorkerKernel(TimeWarpKernel):
         self._far_by_lp = [
             not self.pe_lo <= p < self.pe_hi for p in self.pe_of_lp
         ]
-        # Swap in the ring transport.  ``_direct`` stays off — a send
-        # that reaches the generic _emit must go through the transport —
-        # while the far table lets _install_fast_paths compile the fused
-        # send around it.
+        # Swap in the ring transport.  Every owned LP gets the fused send
+        # (the far table lets _install_fast_paths compile it around the
+        # rings), so nothing reaches the generic _emit; ``_direct`` stays
+        # off all the same, so one that did would not bypass the rings.
         transport.bind(self)
         self.transport = transport
         self.ring_transport = transport
@@ -97,8 +98,6 @@ class MPWorkerKernel(TimeWarpKernel):
         #: Set asynchronously by the worker's SIGINT handler; piggybacked
         #: on the next wave token, never acted on unilaterally.
         self.intr = False
-        #: True once a wave told us to exit early (parent re-raises).
-        self.interrupted = False
         #: Optional callable merged into the checkpoint loop dict (the
         #: worker harness persists its commit log through this).
         self.loop_extra = None
@@ -257,141 +256,57 @@ class MPWorkerKernel(TimeWarpKernel):
                     live[ev.color] = ev
 
     # ------------------------------------------------------------------
-    # The worker executive.
+    # The worker's side of the executive (TimeWarpKernel._run).
     # ------------------------------------------------------------------
-    def _run(self):
-        """Run this worker's PE slice to ``end_time`` (or interruption).
-
-        The worker's executive under the base kernel's :meth:`run`.
-        Returns the merged-ready RunResult, or ``None`` when a wave
-        carried the interrupt flag (the final shard is already written;
-        the parent turns this into KeyboardInterrupt).
-        """
-        cfg = self.cfg
-        end = cfg.end_time
-        transport = self.ring_transport
+    def _loop_state(self) -> dict:
+        """The base loop state; on resume also the uid counter and table."""
         resumed = self._resume is not None
-        loop = self._loop_state()
+        loop = super()._loop_state()
         if resumed:
-            transport._next_uid = loop.pop("mp_uid")
+            self.ring_transport._next_uid = loop.pop("mp_uid")
             self._rebuild_remote_live()
-        else:
-            self._current_event = None
-            # Bootstrap *owned* LPs only: every worker holds the full
-            # population (fork inherits it), so seeding all of them would
-            # duplicate each initial event once per worker.
-            far = self._far_by_lp
-            for lp in self.lps:
-                if not far[lp.id]:
-                    lp._now = -1.0
-                    lp.on_init()
-            transport.flush_out()
+        return loop
 
-        pes = self.owned_pes
-        # Indexed by PE id like the base kernel's; a tracer keeps the
-        # generic per-event execute.
-        step_pe = self._batch_by_pe or {
-            pe.id: partial(pe.process_batch, self) for pe in pes
-        }
-        stats_by_pe = [pe.stats for pe in pes]
-        sched_per_round = self.cost.sched_per_round
-        gvt_overhead = max(
-            self.cost.gvt_overhead(pe.lp_count, len(pe.kp_ids)) for pe in pes
-        )
-        metrics = self.metrics
+    def _gvt_point(self, rounds: int, any_work: bool):
+        """Exchange frames, then the wave if one is due.
+
+        Every round flushes spilled frames and drains the inbound rings
+        first.  Worker 0 leads a wave every ``gvt_interval`` rounds, after
+        a round without work, or once interrupted; the others join when
+        its token reaches them.  The uid table is pruned below the new GVT
+        before the boundary's fossil collection recycles the objects.
+        """
+        transport = self.ring_transport
+        transport.flush_out()
         spans = self.spans
-        clock = spans.clock if spans is not None else None
-        ckpt = self.ckpt
-        rounds = loop["rounds"]
-        eff_batch = loop["eff_batch"]
-        eff_window = loop["eff_window"]
-        leader = self.worker_index == 0
-        interval = cfg.gvt_interval
-
-        def loop_state():
-            state = {**loop, "rounds": rounds, "mp_uid": transport._next_uid}
-            if self.loop_extra is not None:
-                state.update(self.loop_extra())
-            return state
-
-        while True:
-            if eff_window is not None:
-                limit = min(end, self.gvt + eff_window)
-            else:
-                limit = end
-            any_work = False
-            for st in stats_by_pe:
-                st.round_busy = 0.0
-            for pe in pes:
-                if spans is None:
-                    done = step_pe[pe.id](eff_batch, limit)
-                else:
-                    t0 = clock()
-                    done = step_pe[pe.id](eff_batch, limit)
-                    if done:
-                        spans.record("exec", t0, clock(), pe=pe.id, n=done)
-                if done:
-                    any_work = True
-            rounds += 1
-            round_max = 0.0
-            for st in stats_by_pe:
-                if st.round_busy > round_max:
-                    round_max = st.round_busy
-            self.makespan_units += round_max + sched_per_round
-            transport.flush_out()
-            if spans is None:
-                transport.drain()
-            else:
-                t0 = clock()
-                n = transport.drain()
-                if n:
-                    spans.record("transport", t0, clock(), n=n)
-
-            # --- wave entry ------------------------------------------
-            result = None
-            if leader:
-                if rounds % interval == 0 or not any_work or self.intr:
-                    result = self._lead_wave()
-            else:
-                frame = self._ctl_in.try_read()
-                if frame is not None:
-                    result = self._participate_wave(frame)
-                elif not any_work:
-                    time.sleep(_SPIN_SLEEP)
-            if result is None:
-                continue
-
-            # --- wave boundary (the inline kernel's GVT boundary) -----
-            gvt, stop, intr = result
-            self.gvt = gvt
-            # Prune the uid table before collection recycles the objects.
-            transport.prune_below(gvt)
-            self._gvt_boundary(loop, gvt_overhead)
-            eff_batch = loop["eff_batch"]
-            eff_window = loop["eff_window"]
-            if intr:
-                # Every worker writes its final shard at this same wave,
-                # keeping the shard set resumable as a unit.
-                if ckpt is not None:
-                    if ckpt.heartbeat is not None:
-                        ckpt.heartbeat.touch()
-                    ckpt.boundaries += 1
-                    ckpt.write(self, loop_state)
-                self.interrupted = True
+        if spans is None:
+            transport.drain()
+        else:
+            t0 = spans.clock()
+            n = transport.drain()
+            if n:
+                spans.record("transport", t0, spans.clock(), n=n)
+        if self.worker_index == 0:
+            if any_work and rounds % self.cfg.gvt_interval and not self.intr:
                 return None
-            if stop:
-                break
-            if ckpt is not None:
-                # Worker checkpointers never carry ``interrupted`` (the
-                # interrupt travels the wave instead), so this cannot
-                # raise KeyboardInterrupt out of the token ring.
-                ckpt.boundary(self, loop_state)
+            point = self._lead_wave()
+        else:
+            frame = self._ctl_in.try_read()
+            if frame is None:
+                if not any_work:
+                    time.sleep(_SPIN_SLEEP)
+                return None
+            point = self._participate_wave(frame)
+        transport.prune_below(point[0])
+        return point
 
-        transport.prune_below(TIME_HORIZON)
-        self.fossil_collect(TIME_HORIZON)
-        if metrics is not None:
-            self._sample_metrics(metrics, end)
-        return self._build_result(rounds)
+    def _checkpoint_loop(self, loop: dict, rounds: int) -> dict:
+        """The base loop state plus the uid counter and ``loop_extra``."""
+        state = super()._checkpoint_loop(loop, rounds)
+        state["mp_uid"] = self.ring_transport._next_uid
+        if self.loop_extra is not None:
+            state.update(self.loop_extra())
+        return state
 
     # ------------------------------------------------------------------
     def _build_result(self, rounds: int):

@@ -3,7 +3,7 @@
 :func:`run_multiprocess` is the process-mode twin of
 :func:`repro.core.optimistic.run_optimistic` — same signature, same
 RunResult — reached through the same entry point whenever
-``EngineConfig.parallelism == "process"``.
+``EngineConfig.procs`` is 2 or more.
 
 Topology: the parent creates every shared-memory segment *before*
 forking — one data ring per ordered worker pair, one small control ring
@@ -256,25 +256,22 @@ def run_multiprocess(
             "process mode needs the 'fork' start method (workers inherit "
             "the shared-memory rings); this platform does not provide it"
         )
-    codec = None
-    if procs >= 2:
-        codec = EventCodec(model.mp_event_schema())
+    codec = EventCodec(model.mp_event_schema())
 
     ctx = get_context("fork")
     segments: list = []
     data_rings: dict[tuple[int, int], SpscRing] = {}
     ctl_rings: list[SpscRing] = []
-    if procs >= 2:
-        for src in range(procs):
-            for dst in range(procs):
-                if src != dst:
-                    ring = SpscRing(DEFAULT_RING_BYTES)
-                    data_rings[(src, dst)] = ring
-                    segments.append(ring.shm)
-        for i in range(procs):
-            ring = SpscRing(CTL_RING_BYTES)
-            ctl_rings.append(ring)
-            segments.append(ring.shm)
+    for src in range(procs):
+        for dst in range(procs):
+            if src != dst:
+                ring = SpscRing(DEFAULT_RING_BYTES)
+                data_rings[(src, dst)] = ring
+                segments.append(ring.shm)
+    for i in range(procs):
+        ring = SpscRing(CTL_RING_BYTES)
+        ctl_rings.append(ring)
+        segments.append(ring.shm)
 
     resume = bool(getattr(checkpointer, "mp_resume", False))
     if checkpointer is not None:
@@ -304,8 +301,8 @@ def run_multiprocess(
         ]
         # Token ring topology: worker i consumes ctl ring i and produces
         # into ctl ring (i+1) % procs.
-        spec.ctl_in = ctl_rings[i] if ctl_rings else None
-        spec.ctl_out = ctl_rings[(i + 1) % procs] if ctl_rings else None
+        spec.ctl_in = ctl_rings[i]
+        spec.ctl_out = ctl_rings[(i + 1) % procs]
         spec.want_trace = tracer is not None
         spec.want_metrics = metrics is not None
         spec.want_spans = spans is not None

@@ -6,12 +6,10 @@ of the Time Warp kernel's immediate transport (the worker clears
 this is where messages are genuinely in flight between a send and its
 arrival:
 
-* **Within-worker** sends (destination PE owned by this worker) are
-  handed to ``kernel._receive`` immediately — identical semantics to the
-  immediate transport the inline kernel uses.  (The worker's compiled
-  send inlines that arrival and calls :meth:`RingTransport.deliver` for
-  cross-worker destinations only; the generic ``_emit`` path sends
-  everything through here.)
+* **Within-worker** sends (destination PE owned by this worker) never
+  reach it: the worker's compiled send inlines their arrival, exactly as
+  the in-process kernel does, and calls :meth:`RingTransport.deliver`
+  for cross-worker destinations only.
 * **Cross-worker** sends are struct-encoded (:mod:`repro.mp.codec`) and
   appended to the one :class:`~repro.mp.ring.SpscRing` this worker
   writes toward the destination worker.  The sender's journal copy of
@@ -97,15 +95,11 @@ class RingTransport:
     # Producer side.
     # ------------------------------------------------------------------
     def deliver(self, ev, src_pe: int, dst_pe: int) -> None:
-        """Route one send: local arrival or encode-and-enqueue."""
-        dst_worker = dst_pe // self.pes_per_worker
-        if dst_worker == self.index:
-            self.kernel._receive(ev)
-            return
+        """Encode one cross-worker send and enqueue it toward ``dst_pe``."""
         uid = self._next_uid
         self._next_uid = uid + self.procs
         ev.color = uid
-        self._enqueue(dst_worker, self.codec.encode_event(ev, uid))
+        self._enqueue(dst_pe // self.pes_per_worker, self.codec.encode_event(ev, uid))
 
     def send_anti(self, ev) -> None:
         """Transmit the anti-message for a previously sent positive.
@@ -221,12 +215,13 @@ class RingTransport:
     # Kernel-facing transport surface (the parts the base kernel calls).
     # ------------------------------------------------------------------
     def flush(self) -> int:
-        """Round-boundary hook of the transport ABI: spill flush only.
+        """Round-boundary hook of the transport ABI: nothing to do.
 
-        Inbound draining is driven explicitly by the worker run loop (it
-        must interleave with wave participation), not by this hook.
+        The worker's GVT point flushes spilled frames and drains the
+        inbound rings every round, before its wave.  A drain here, after
+        the wave, would let frames a peer sent past the wave's cut into
+        this worker's checkpoint shard.
         """
-        self.flush_out()
         return 0
 
     def min_in_flight_ts(self) -> float:

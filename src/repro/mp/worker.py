@@ -1,11 +1,9 @@
 """Worker process harness: bootstrap, telemetry shims, result marshaling.
 
 ``worker_main`` is the target of every forked worker process.  It builds
-the worker's kernel (a full :class:`~repro.mp.kernel.MPWorkerKernel`, or
-a plain inline kernel when ``procs == 1`` — the single-worker case needs
-no rings, so its only overhead over in-process execution is the fork and
-the result marshaling), attaches worker-local telemetry, runs, and ships
-one result dict back over the spec's pipe.
+the worker's :class:`~repro.mp.kernel.MPWorkerKernel` (process mode
+always has two workers or more), attaches worker-local telemetry, runs,
+and ships one result dict back over the spec's pipe.
 
 The result pipe is the *only* pickled channel, and it carries end-of-run
 aggregates exactly once — events never travel it.  Per-LP model state
@@ -25,12 +23,10 @@ from __future__ import annotations
 
 import signal
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
 from repro.ckpt.checkpoint import Checkpointer
 from repro.ckpt.snapshot import SNAPSHOT_SUFFIX, list_snapshots, read_snapshot
-from repro.core.optimistic import TimeWarpKernel
 from repro.errors import HealthIntervention, SnapshotError
 from repro.health.watchdog import Watchdog
 from repro.mp.kernel import MPWorkerKernel
@@ -113,10 +109,6 @@ def _load_shard(ckpt: Checkpointer, seq: int) -> None:
 
 def _build_kernel(spec):
     cfg = spec.config
-    if spec.procs == 1:
-        # Single worker: no rings, no waves — the plain inline kernel in
-        # a forked child, with inline interrupt semantics.
-        return TimeWarpKernel(spec.model, replace(cfg, parallelism="inline"))
     transport = RingTransport(
         spec.index,
         spec.procs,
@@ -139,7 +131,6 @@ def _run_worker(spec) -> dict:
     model = spec.model
     cfg = spec.config
     kernel = _build_kernel(spec)
-    is_mp = spec.procs > 1
 
     tracer = _CommitLog() if spec.want_trace else None
     if tracer is not None:
@@ -197,21 +188,15 @@ def _run_worker(spec) -> dict:
             metrics.samples.clear()
             metrics.n_samples = 0
 
-    # Interrupts: never raise inside a multi-worker kernel (the flag
-    # rides the next GVT wave so all shards stay consistent); the
-    # single-worker child keeps the inline engine's semantics.
-    if is_mp:
-        def _on_sigint(signum, frame):
-            kernel.intr = True
-    else:
-        def _on_sigint(signum, frame):
-            if ckpt is not None:
-                ckpt.request_interrupt()
-            else:
-                raise KeyboardInterrupt
+    # Interrupts: never raise mid-round (the flag rides the next GVT wave,
+    # at which every worker writes its final shard and raises
+    # KeyboardInterrupt, so all shards stay consistent).
+    def _on_sigint(signum, frame):
+        kernel.intr = True
+
     signal.signal(signal.SIGINT, _on_sigint)
 
-    if is_mp and tracer is not None and ckpt is not None:
+    if tracer is not None and ckpt is not None:
         kernel.loop_extra = lambda: {"mp_commits": list(tracer.commits)}
 
     interrupted = False
@@ -219,8 +204,6 @@ def _run_worker(spec) -> dict:
     try:
         result = kernel.run()
     except KeyboardInterrupt:
-        interrupted = True
-    if result is None:
         interrupted = True
 
     payload = {
@@ -241,11 +224,9 @@ def _run_worker(spec) -> dict:
         "ckpt_written": 0 if ckpt is None else ckpt.written,
     }
     if not interrupted:
-        far = kernel._far_by_lp  # None: the single worker owns every LP
+        far = kernel._far_by_lp
         payload["lp_blobs"] = {
-            lp.id: model.mp_export_lp(lp)
-            for lp in kernel.lps
-            if far is None or not far[lp.id]
+            lp.id: model.mp_export_lp(lp) for lp in kernel.lps if not far[lp.id]
         }
         payload["model_shard"] = model.mp_export_shard()
     return payload

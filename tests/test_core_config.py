@@ -53,11 +53,14 @@ def test_unknown_choice_refused_up_front_naming_the_choices(kwargs, names):
             ConservativeConfig(end_time=5.0, **kwargs)
 
 
-@pytest.mark.parametrize("name", ["queue", "transport", "gvt", "cancellation", "pool"])
+@pytest.mark.parametrize(
+    "name", ["queue", "transport", "gvt", "cancellation", "pool", "parallelism"]
+)
 def test_queue_transport_gvt_are_not_fields(name):
     # The kernel has one pending queue, one in-process transport, one
     # in-process GVT estimator, one cancellation mode (aggressive) and
-    # always pools events; none of them is a knob.
+    # always pools events, and ``procs >= 2`` alone selects process
+    # mode; none of them is a knob.
     with pytest.raises(TypeError, match=name):
         EngineConfig(end_time=10.0, **{name: "anything"})
     if name in ("queue", "pool"):
@@ -70,8 +73,7 @@ def test_field_names_are_pinned():
     # every knob is justified by a measurement or a paper claim).
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
         "end_time", "n_pes", "n_kps", "batch_size", "window", "gvt_interval",
-        "mapping", "rollback", "adaptive", "parallelism", "procs", "seed",
-        "paranoid", "cost",
+        "mapping", "rollback", "adaptive", "procs", "seed", "paranoid", "cost",
     ]
 
 

@@ -268,8 +268,7 @@ def test_worker_kernel_pauses_and_restores_around_an_interrupted_wave(
     kernel = MPWorkerKernel(
         _hotpotato(),
         EngineConfig(
-            end_time=20.0, n_pes=4, n_kps=16, seed=SEED,
-            parallelism="process", procs=2,
+            end_time=20.0, n_pes=4, n_kps=16, seed=SEED, procs=2,
         ),
         worker_index=0,
         transport=_NoRings(),

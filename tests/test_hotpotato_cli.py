@@ -56,6 +56,32 @@ def test_parallel_run(capsys):
     assert "events rolled back" in out
 
 
+def test_procs_1_is_the_in_process_run(capsys, tmp_path):
+    """``--procs 1`` is not a mode of its own: the same stdout byte for
+    byte as the run without it, and checkpoints in the in-process layout
+    (no ``shard_*`` directories) that ``--resume`` picks up."""
+    from repro.ckpt import list_snapshots
+
+    flags = ["--n", "8", "--duration", "20", "--processors", "4"]
+    assert main(flags) == 0
+    plain = capsys.readouterr().out
+    assert main([*flags, "--procs", "1"]) == 0
+    assert capsys.readouterr().out == plain
+
+    ckpt_dir = tmp_path / "ckpt"
+    ckpt_flags = [*flags, "--procs", "1", "--checkpoint-dir", str(ckpt_dir),
+                  "--checkpoint-every", "8"]
+    assert main(ckpt_flags) == 0
+    capsys.readouterr()
+    snaps = sorted(list_snapshots(ckpt_dir))
+    assert len(snaps) >= 2 and not list(ckpt_dir.glob("shard_*"))
+    for snap in snaps[len(snaps) // 2:]:
+        snap.unlink()
+    assert main([*ckpt_flags, "--resume"]) == 0
+    resumed = capsys.readouterr().out.splitlines()
+    assert set(plain.splitlines()) <= set(resumed)
+
+
 def test_validate_cross_engine(capsys):
     rc = main(["--n", "4", "--duration", "20", "--kps", "8", "--validate"])
     assert rc == 0

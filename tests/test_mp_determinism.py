@@ -1,6 +1,6 @@
 """Cross-process determinism: the multicore acceptance invariant.
 
-The committed sequence of a ``parallelism="process"`` run must be
+The committed sequence of a process-mode (``procs >= 2``) run must be
 byte-identical to the sequential oracle's on golden seeds — at every
 process count, under a model fault plan, and across a kill-at-checkpoint
 resume from per-worker shards.  These are the tests CI's multicore smoke
@@ -26,6 +26,7 @@ from repro.faults import generate_plan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.net.torus import TorusTopology
+from repro.obs.spans import SpanTracer
 
 N = 4
 DURATION = 12.0
@@ -43,7 +44,6 @@ def _ecfg(procs: int, seed: int, **overrides) -> EngineConfig:
         n_kps=16,
         batch_size=16,
         seed=seed,
-        parallelism="process",
         procs=procs,
         gvt_interval=8,
     )
@@ -149,6 +149,25 @@ def test_kill_at_checkpoint_resume_identical(tmp_path):
     assert resumed.run.committed == oracle.run.committed
 
 
+def test_worker_checkpoints_are_timed_as_snapshot_spans(tmp_path):
+    """A worker's shard write is a ``snapshot`` span, exactly like an
+    in-process checkpoint, so the merged breakdown says what it cost."""
+    procs = 2
+    snap_dir = tmp_path / "snaps"
+    spans = SpanTracer()
+    run_optimistic(
+        HotPotatoModel(_cfg()), _ecfg(procs, GOLDEN_SEEDS[0], gvt_interval=4),
+        spans=spans,
+        checkpointer=Checkpointer(snap_dir, every=1, marker={"case": "spans"}),
+    )
+    written = sum(
+        len(list_snapshots(snap_dir / f"shard_{i}")) for i in range(procs)
+    )
+    count, seconds, _ = spans.phase_breakdown().get("snapshot", (0, 0.0, 0.0))
+    assert written > 0
+    assert count == written and seconds > 0
+
+
 def test_resume_refuses_marker_mismatch(tmp_path):
     """A shard written by a differently-configured run must not resume
     silently into this one.  The worker's SnapshotError surfaces through
@@ -196,7 +215,7 @@ def _big_cfg(**overrides) -> HotPotatoConfig:
 def _big_ecfg(procs: int, **overrides) -> EngineConfig:
     kwargs = dict(
         end_time=BIG_END, n_pes=4, n_kps=16, batch_size=64, seed=BIG_SEED,
-        parallelism="process", procs=procs, gvt_interval=8,
+        procs=procs, gvt_interval=8,
     )
     kwargs.update(overrides)
     return EngineConfig(**kwargs)
@@ -356,7 +375,7 @@ def test_send_into_the_past_is_the_same_error_under_procs():
     with pytest.raises(ConfigurationError) as mp:
         run_optimistic(
             BackwardModel(4),
-            EngineConfig(parallelism="process", procs=2, **ecfg),
+            EngineConfig(procs=2, **ecfg),
         )
     assert "SchedulingError" in str(mp.value)
     # Which LP trips first depends on the worker; the rest is the same text.
