@@ -47,12 +47,8 @@ import cProfile
 import gc
 import pstats
 
-from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, run_conservative
-from repro.core.engine import run_sequential
-from repro.core.optimistic import run_optimistic
 from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
+from repro.hotpotato.simulation import HotPotatoSimulation
 from repro.obs.capture import RunCapture
 
 
@@ -140,8 +136,11 @@ def main() -> None:
             "needs --dump for the per-worker files"
         )
 
-    cfg = HotPotatoConfig(n=args.n, duration=args.duration, injector_fraction=1.0)
-    model = HotPotatoModel(cfg)
+    sim = HotPotatoSimulation(
+        HotPotatoConfig(n=args.n, duration=args.duration, injector_fraction=1.0),
+        seed=args.seed,
+    )
+    model = sim.model()  # before the profiler starts; the engine is built inside
     capture = RunCapture(
         metrics_out=args.metrics_out,
         spans_out=args.spans_out,
@@ -154,34 +153,24 @@ def main() -> None:
         },
     )
 
-    mp_overrides = {}
+    settings = {
+        "sequential": {},
+        "conservative": {"n_pes": 4},
+        "optimistic": {
+            "n_pes": 4, "n_kps": 16, "batch_size": 64,
+            "gvt_interval": args.gvt_interval, "procs": args.procs or 1,
+        },
+    }[args.engine]
     if args.procs is not None:
-        mp_overrides = {"procs": args.procs}
         profile_workers(args.dump)
 
     gc_before = gc.get_stats()
     profiler = cProfile.Profile()
     profiler.enable()
-    if args.engine == "sequential":
-        result = run_sequential(
-            model, cfg.duration, seed=args.seed,
-            metrics=capture.metrics, spans=capture.spans,
-        )
-    elif args.engine == "conservative":
-        ccfg = ConservativeConfig(
-            end_time=cfg.duration, n_pes=4, sync="yawns", seed=args.seed,
-        )
-        result = run_conservative(
-            model, ccfg, metrics=capture.metrics, spans=capture.spans,
-        )
-    else:
-        ecfg = EngineConfig(
-            end_time=cfg.duration, n_pes=4, n_kps=16, batch_size=64, seed=args.seed,
-            gvt_interval=args.gvt_interval, **mp_overrides,
-        )
-        result = run_optimistic(
-            model, ecfg, metrics=capture.metrics, spans=capture.spans,
-        )
+    result = sim.run(
+        args.engine, model=model, metrics=capture.metrics, spans=capture.spans,
+        **settings,
+    )
     profiler.disable()
     gc_line = collector_delta(gc_before)
     capture.finalize(result)

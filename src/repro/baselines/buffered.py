@@ -30,7 +30,7 @@ from typing import Any
 from repro.core.event import Event
 from repro.core.lp import LogicalProcess, Model
 from repro.errors import ConfigurationError
-from repro.net import DIRECTIONS, GridTopology, MeshTopology, TorusTopology
+from repro.net import DIRECTIONS, TOPOLOGIES, GridTopology
 
 __all__ = ["BufferedConfig", "BufferedRouterLP", "BufferedModel"]
 
@@ -59,7 +59,8 @@ class BufferedConfig:
     injector_fraction: float = 1.0
     #: End-to-end window: max packets a source may have outstanding.
     window: int = 4
-    torus: bool = True
+    #: A name from :data:`repro.net.TOPOLOGIES`.
+    topology: str = "torus"
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -70,6 +71,8 @@ class BufferedConfig:
             raise ConfigurationError("injector_fraction must be in [0, 1]")
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
+        if self.topology not in TOPOLOGIES:
+            raise ConfigurationError(f"unknown topology {self.topology!r}")
 
     @property
     def num_routers(self) -> int:
@@ -342,9 +345,7 @@ class BufferedModel(Model):
 
     def __init__(self, cfg: BufferedConfig | None = None) -> None:
         self.cfg = cfg if cfg is not None else BufferedConfig()
-        self.topo: GridTopology = (
-            TorusTopology(self.cfg.n) if self.cfg.torus else MeshTopology(self.cfg.n)
-        )
+        self.topo: GridTopology = TOPOLOGIES[self.cfg.topology](self.cfg.n)
         self.grid = (self.cfg.n, self.cfg.n)
         num = self.cfg.num_routers
         frac = self.cfg.injector_fraction

@@ -2,7 +2,10 @@
 
 One *episode* is a randomly generated workload (size, load, duration,
 optional :mod:`repro.faults` plan, optional :mod:`repro.scenarios`
-adversary) plus one *disturbance*:
+adversary) plus one *disturbance*.  The workload compiles to a scenario
+like any other run, and its
+:class:`~repro.hotpotato.simulation.HotPotatoSimulation` builds every
+engine the episode runs.  The disturbances:
 
 * ``none`` — no disturbance; the episode still checks seq == opt.
 * ``kill_resume`` — the optimistic run is interrupted at a seeded
@@ -171,80 +174,43 @@ def derive_recipe(campaign_seed: int, episode: int) -> EpisodeRecipe:
 
 
 # ----------------------------------------------------------------------
-# Engine construction.
+# The episode's workload, as a scenario.
 # ----------------------------------------------------------------------
-def _make_model(recipe: EpisodeRecipe, *, delivery_log: bool = False):
-    from repro.faults import generate_plan
-    from repro.hotpotato.config import HotPotatoConfig
-    from repro.hotpotato.model import HotPotatoModel
-    from repro.net import TorusTopology
+#: Engine settings per kind (HotPotatoSimulation.engine's keywords).
+_ENGINE_SETTINGS = {
+    "sequential": {},
+    "conservative": {"n_pes": 2},
+    "optimistic": {"n_pes": 2, "n_kps": 8, "batch_size": 16},
+}
 
-    topo = TorusTopology(recipe.n)
-    plan = None
-    if recipe.fault is not None:
-        plan = generate_plan(
-            topo,
-            duration=recipe.duration,
-            link_fail_rate=recipe.fault["link_rate"],
-            seed=recipe.fault["seed"],
-        )
-    injection = None
+
+def _simulation(recipe: EpisodeRecipe):
+    """The recipe's workload compiled like any other scenario."""
+    from repro.scenarios import compile_scenario, report_scenario
+
+    traffic = None
     if recipe.adversary is not None:
-        from repro.scenarios import generate_injection_plan
-
-        injection = generate_injection_plan(
-            topo,
-            strategy=recipe.adversary["strategy"],
-            duration=recipe.duration,
-            rate=recipe.adversary["rate"],
-            seed=recipe.adversary["seed"],
-        )
-    cfg = HotPotatoConfig(
-        n=recipe.n,
-        duration=recipe.duration,
+        traffic = {"model": "adversarial", **recipe.adversary}
+    faults = None
+    if recipe.fault is not None:
+        faults = {"generate": {
+            "link_fail_rate": recipe.fault["link_rate"],
+            "seed": recipe.fault["seed"],
+        }}
+    return compile_scenario(report_scenario(
+        recipe.n,
+        recipe.duration,
         injector_fraction=recipe.load,
-    )
-    return HotPotatoModel(
-        cfg,
-        fault_plan=plan,
-        injection_plan=injection,
-    )
+        seed=recipe.seed,
+        faults=faults,
+        traffic=traffic,
+        name=f"chaos-episode-{recipe.episode}",
+    )).sim
 
 
-def _build_engine(kind: str, recipe: EpisodeRecipe):
-    """A fresh, fully configured engine of ``kind`` over the recipe."""
-    model = _make_model(recipe)
-    if kind == "sequential":
-        from repro.core.engine import SequentialEngine
-
-        return SequentialEngine(model, recipe.duration, seed=recipe.seed)
-    if kind == "conservative":
-        from repro.core.conservative import ConservativeConfig, ConservativeKernel
-
-        return ConservativeKernel(
-            model,
-            ConservativeConfig(
-                end_time=recipe.duration,
-                n_pes=2,
-                seed=recipe.seed,
-                lookahead=model.lookahead,
-            ),
-        )
-    if kind == "optimistic":
-        from repro.core.config import EngineConfig
-        from repro.core.optimistic import TimeWarpKernel
-
-        return TimeWarpKernel(
-            model,
-            EngineConfig(
-                end_time=recipe.duration,
-                n_pes=2,
-                n_kps=8,
-                batch_size=16,
-                seed=recipe.seed,
-            ),
-        )
-    raise ValueError(f"unknown engine kind {kind!r}")
+def _engine(sim, kind: str):
+    """A fresh, fully configured engine of ``kind`` over the workload."""
+    return sim.engine(kind, **_ENGINE_SETTINGS[kind])
 
 
 def _conservation(engine) -> str | None:
@@ -300,7 +266,8 @@ def _commit_lines(path: Path) -> list[tuple]:
 
 
 def _episode_kill_resume(
-    recipe: EpisodeRecipe, work_dir: Path, baseline_sequence, result: EpisodeResult
+    recipe: EpisodeRecipe, sim, work_dir: Path, baseline_sequence,
+    result: EpisodeResult,
 ) -> None:
     """Interrupt an optimistic run at a seeded boundary, resume, compare."""
     from repro.ckpt import Checkpointer, list_snapshots
@@ -313,7 +280,7 @@ def _episode_kill_resume(
     ckpt = Checkpointer(ckpt_dir, every=4, marker=marker)
     _KillSwitch(ckpt, recipe.strike_boundary).arm()
     capture = RunCapture(trace_out=trace_path, meta={"engine": "opt"})
-    engine = _build_engine("optimistic", recipe)
+    engine = _engine(sim, "optimistic")
     capture.attach(engine)
     engine.attach_checkpointer(ckpt)
     ckpt.capture = capture
@@ -342,7 +309,7 @@ def _episode_kill_resume(
     resume = Checkpointer(ckpt_dir, every=4, marker=marker)
     payload = resume.load_latest()
     cap2 = RunCapture.resume(payload.get("obs"))
-    engine2 = _build_engine("optimistic", recipe)
+    engine2 = _engine(sim, "optimistic")
     cap2.attach(engine2)
     engine2.attach_checkpointer(resume)
     resume.capture = cap2
@@ -362,6 +329,7 @@ def _episode_kill_resume(
 
 def _episode_watchdog(
     recipe: EpisodeRecipe,
+    sim,
     work_dir: Path,
     baseline_sequence,
     baseline_stats,
@@ -394,7 +362,7 @@ def _episode_watchdog(
     tracers: dict[int, Tracer] = {}
 
     def build(kind):
-        engine = _build_engine(kind, recipe)
+        engine = _engine(sim, kind)
         tracer = Tracer()
         engine.attach_tracer(tracer)
         tracers[id(engine)] = tracer
@@ -447,10 +415,11 @@ def run_episode(recipe: EpisodeRecipe, work_dir: str | Path) -> EpisodeResult:
     start = time.perf_counter()
 
     # Invariant 1: the sequential oracle and the optimistic kernel agree.
+    sim = _simulation(recipe)
     seq_tracer, opt_tracer = Tracer(), Tracer()
-    seq_engine = _build_engine("sequential", recipe).attach_tracer(seq_tracer)
+    seq_engine = _engine(sim, "sequential").attach_tracer(seq_tracer)
     seq_res = seq_engine.run()
-    opt_engine = _build_engine("optimistic", recipe).attach_tracer(opt_tracer)
+    opt_engine = _engine(sim, "optimistic").attach_tracer(opt_tracer)
     opt_res = opt_engine.run()
     baseline_sequence = opt_tracer.committed_sequence()
     result.committed = opt_res.run.committed
@@ -469,10 +438,10 @@ def run_episode(recipe: EpisodeRecipe, work_dir: str | Path) -> EpisodeResult:
 
     # Invariants 3/4: the episode's disturbance must be survivable.
     if recipe.disturbance == "kill_resume":
-        _episode_kill_resume(recipe, work_dir, baseline_sequence, result)
+        _episode_kill_resume(recipe, sim, work_dir, baseline_sequence, result)
     elif recipe.disturbance in ("watchdog_restore", "watchdog_fallback"):
         _episode_watchdog(
-            recipe, work_dir, baseline_sequence, opt_res.model_stats, result
+            recipe, sim, work_dir, baseline_sequence, opt_res.model_stats, result
         )
 
     result.elapsed = time.perf_counter() - start

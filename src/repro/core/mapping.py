@@ -29,6 +29,7 @@ __all__ = [
     "build_mapping",
     "balanced_tile_counts",
     "check_mapping_strategy",
+    "kp_count_for",
 ]
 
 
@@ -88,6 +89,33 @@ def balanced_tile_counts(n: int) -> tuple[int, int]:
     while n % r:
         r -= 1
     return r, n // r
+
+
+def kp_count_for(n: int, requested: int, n_pes: int) -> int:
+    """Largest KP count <= ``requested`` whose block mapping tiles an n×n grid.
+
+    Block mapping needs the balanced factorisation of the KP count to tile
+    the grid and the PE count to tile the KPs.  Powers of four (1, 4, 16,
+    64) tile any even grid; an odd or prime side (a 6×6 mesh, say) rounds
+    down to a count that fits, so no caller has to pick a divisor by hand.
+    """
+
+    def fits(k: int) -> bool:
+        if k < n_pes or k % n_pes or k > n * n:
+            return False
+        kr, kc = balanced_tile_counts(k)
+        if n % kr or n % kc:
+            return False
+        pr, pc = balanced_tile_counts(n_pes)
+        return kr % pr == 0 and kc % pc == 0
+
+    for k in range(requested, n_pes - 1, -1):
+        if fits(k):
+            return k
+    raise ConfigurationError(
+        f"no usable KP count <= {requested} for the {n}x{n} grid on "
+        f"{n_pes} PE(s); name the KP (and possibly PE) count explicitly"
+    )
 
 
 def _block_mapping(rows: int, cols: int, n_kps: int, n_pes: int) -> Mapping:

@@ -1,16 +1,19 @@
-"""Shared plumbing for the figure-reproduction experiments."""
+"""Shared plumbing for the figure-reproduction experiments.
+
+A run of the workhorses below is a sweep point: a scenario document
+(:func:`repro.scenarios.report_scenario`, or a scenario file named by
+path and identity) plus engine settings.  The same point spec runs
+in-process through :func:`repro.experiments.pointworker.run_spec` or, under
+a supervisor, in a checkpointed child process running that function.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.config import EngineConfig
-from repro.core.engine import run_sequential
-from repro.core.optimistic import run_optimistic
+from repro.core.mapping import kp_count_for
 from repro.core.result import RunResult
-from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
 
 __all__ = [
     "SweepParams",
@@ -40,15 +43,6 @@ def set_telemetry_dir(directory: Path | str | None) -> None:
     _TELEMETRY_DIR = None if directory is None else Path(directory)
     if _TELEMETRY_DIR is not None:
         _TELEMETRY_DIR.mkdir(parents=True, exist_ok=True)
-
-
-def _capture(tag: str, meta: dict):
-    """Build a RunCapture for one tagged run, or None when disabled."""
-    if _TELEMETRY_DIR is None:
-        return None
-    from repro.obs.capture import RunCapture
-
-    return RunCapture(metrics_out=_TELEMETRY_DIR / f"{tag}.jsonl", meta=meta)
 
 
 #: When set (see :func:`set_supervisor`), the workhorses below do not
@@ -94,19 +88,29 @@ def _telemetry_path(tag: str) -> str | None:
     return str(_TELEMETRY_DIR / f"{tag}.jsonl")
 
 
-def _supervised(spec: dict) -> RunResult:
+def _run_point(spec: dict, tag: str) -> RunResult:
+    """Run one point spec in-process, or hand it to the supervisor."""
+    spec["telemetry"] = _telemetry_path(tag)
+    if _SUPERVISOR is None:
+        # Imported here: ``python -m repro.experiments.pointworker`` must
+        # not find the module already loaded by this package's import.
+        from repro.experiments.pointworker import run_spec
+
+        return run_spec(spec)
+    spec["checkpoint_every"] = _SUPERVISOR.cfg.checkpoint_every
     doc = _SUPERVISOR.run_point(spec)
     # The child strips the LPs (their fused handlers don't pickle);
     # every experiment consumes only the statistics.
     return RunResult(model_stats=doc["model_stats"], run=doc["run"], lps=[])
 
 
-def _materialize_fault(fault, n: int, duration: float):
-    if not fault:
-        return None
-    from repro.experiments.pointworker import _materialize_fault_plan
+def _report_doc(n: int, load: float, duration: float, seed: int, fault) -> dict:
+    from repro.scenarios import report_scenario
 
-    return _materialize_fault_plan(fault, n, duration)
+    return report_scenario(
+        n, duration, injector_fraction=load, seed=seed, faults=fault
+    ).to_dict()
+
 
 #: Injection loads used by Figs 3 and 4 ("% Injecting Routers").
 DEFAULT_LOADS: tuple[float, ...] = (0.25, 0.50, 0.75, 1.00)
@@ -160,64 +164,17 @@ class SweepParams:
         return tuple(self.seed + i for i in range(self.replications))
 
 
-def kp_count_for(n: int, requested: int, n_pes: int) -> int:
-    """Largest usable KP count <= ``requested`` for an n×n grid.
-
-    Block mapping needs the balanced factorisation of the KP count to tile
-    the grid and the PE count to tile the KPs; powers of four (1, 4, 16,
-    64) tile any even grid, so we round down within that family when the
-    requested count does not fit.
-    """
-    from repro.core.mapping import balanced_tile_counts
-
-    def fits(k: int) -> bool:
-        if k < n_pes or k % n_pes or k > n * n:
-            return False
-        kr, kc = balanced_tile_counts(k)
-        if n % kr or n % kc:
-            return False
-        pr, pc = balanced_tile_counts(n_pes)
-        return kr % pr == 0 and kc % pc == 0
-
-    k = requested
-    while k >= n_pes:
-        if fits(k):
-            return k
-        k -= 1
-    raise ValueError(f"no usable KP count <= {requested} for n={n}, pes={n_pes}")
-
-
 def run_hotpotato_sequential(
     n: int, load: float, duration: float, seed: int, *, fault=None
 ) -> RunResult:
     """One sequential hot-potato run (the Fig 3/4 workhorse).
 
-    ``fault`` is an optional JSON-shaped fault spec (``{"plan": path}``
-    or ``{"link_rate": r, "seed": s}``) so the run stays describable as
-    a supervisor sweep point; inline runs materialize it to a FaultPlan.
+    ``fault`` is the scenario's ``faults`` section — a plan path or
+    ``{"generate": {"link_fail_rate": r, "seed": s}}`` — so the run stays
+    one JSON point spec, supervised or not.
     """
-    tag = f"seq_n{n}_load{load:g}_d{duration:g}_s{seed}"
-    if _SUPERVISOR is not None:
-        return _supervised({
-            "kind": "seq", "n": n, "load": load, "duration": duration,
-            "seed": seed, "fault": fault, "telemetry": _telemetry_path(tag),
-            "checkpoint_every": _SUPERVISOR.cfg.checkpoint_every,
-        })
-    cfg = HotPotatoConfig(n=n, duration=duration, injector_fraction=load)
-    capture = _capture(
-        tag,
-        {"engine": "sequential", "n": n, "load": load, "duration": duration,
-         "seed": seed},
-    )
-    result = run_sequential(
-        HotPotatoModel(cfg, fault_plan=_materialize_fault(fault, n, duration)),
-        duration,
-        seed=seed,
-        metrics=capture.metrics if capture is not None else None,
-    )
-    if capture is not None:
-        capture.finalize(result)
-    return result
+    spec = {"kind": "seq", "scenario": _report_doc(n, load, duration, seed, fault)}
+    return _run_point(spec, f"seq_n{n}_load{load:g}_d{duration:g}_s{seed}")
 
 
 def run_hotpotato_parallel(
@@ -237,23 +194,12 @@ def run_hotpotato_parallel(
 
     When ``window`` is given, the batch size becomes a generous cap and
     the virtual-time window drives per-round optimism (ROSS-like).
-    ``fault`` takes a JSON-shaped fault spec as in
-    :func:`run_hotpotato_sequential`.
+    ``fault`` is as in :func:`run_hotpotato_sequential`; ``overrides``
+    are further :class:`~repro.core.config.EngineConfig` fields.
     """
     if window is not None:
         batch_size = max(batch_size, 1 << 20)
-    tag = f"opt_n{n}_load{load:g}_d{duration:g}_pe{n_pes}_kp{n_kps}_s{seed}"
-    if _SUPERVISOR is not None:
-        return _supervised({
-            "kind": "opt", "n": n, "load": load, "duration": duration,
-            "seed": seed, "n_pes": n_pes, "n_kps": n_kps,
-            "batch_size": batch_size, "window": window,
-            "overrides": overrides or None, "fault": fault,
-            "telemetry": _telemetry_path(tag),
-            "checkpoint_every": _SUPERVISOR.cfg.checkpoint_every,
-        })
-    cfg = HotPotatoConfig(n=n, duration=duration, injector_fraction=load)
-    if _PARALLELISM is not None and "procs" not in overrides:
+    if _SUPERVISOR is None and _PARALLELISM is not None and "procs" not in overrides:
         procs, gvt_interval = _PARALLELISM
         # A PE cannot be split across workers, so points whose PE count
         # doesn't tile over the processes stay in-process (results are
@@ -261,95 +207,34 @@ def run_hotpotato_parallel(
         if n_pes % procs == 0:
             overrides["procs"] = procs
             overrides.setdefault("gvt_interval", gvt_interval)
-    ecfg = EngineConfig(
-        end_time=duration,
-        n_pes=n_pes,
-        n_kps=n_kps,
-        batch_size=batch_size,
-        window=window,
-        seed=seed,
-        **overrides,
+    spec = {
+        "kind": "opt", "scenario": _report_doc(n, load, duration, seed, fault),
+        "n_pes": n_pes, "n_kps": n_kps, "batch_size": batch_size,
+        "window": window, "overrides": overrides or None,
+    }
+    return _run_point(
+        spec, f"opt_n{n}_load{load:g}_d{duration:g}_pe{n_pes}_kp{n_kps}_s{seed}"
     )
-    plan = _materialize_fault(fault, n, duration)
-    faults = None
-    if plan is not None and plan.has_engine_faults:
-        from repro.faults.injector import EngineFaults
-
-        faults = EngineFaults(plan)
-    capture = _capture(
-        tag,
-        {"engine": "optimistic", "n": n, "load": load, "duration": duration,
-         "n_pes": n_pes, "n_kps": n_kps, "seed": seed},
-    )
-    result = run_optimistic(
-        HotPotatoModel(cfg, fault_plan=plan),
-        ecfg,
-        metrics=capture.metrics if capture is not None else None,
-        faults=faults,
-    )
-    if capture is not None:
-        capture.finalize(result)
-    return result
 
 
-def run_scenario_point(
-    path: str, *, kind: str = "seq", seed: int | None = None
-) -> RunResult:
+def run_scenario_point(path: str, *, kind: str = "seq") -> RunResult:
     """One declared-scenario run (the scenario-compare workhorse).
 
-    ``kind`` is a supervisor point kind (``seq`` / ``opt`` / ``cons``);
-    everything else — topology, traffic, policy, duration, faults and the
-    parallel-engine defaults — comes from the scenario file itself, so the
-    sweep point is fully described by ``(kind, scenario, seed)``.  Under a
-    supervisor the spec carries the scenario's name, path *and* content
-    hash; the pointworker re-hashes the file and refuses to run if it
-    changed since the sweep was launched, so ``--resume`` is exact.
-
-    Sequential runs keep a delivery log and add nearest-rank latency
-    percentiles (``latency_p50`` / ``latency_p95`` / ``latency_p99``) to
-    ``model_stats``.
+    ``kind`` is a point kind (``seq`` / ``opt`` / ``cons``); everything
+    else — topology, traffic, policy, duration, seed, faults and the
+    parallel-engine defaults — comes from the scenario file itself.  The
+    spec names the file by path *and* compiled identity; the point worker
+    re-compiles it and refuses to run if it changed since the sweep was
+    launched, so ``--resume`` is exact.  Sequential runs add latency
+    percentiles to ``model_stats`` (see :func:`run_spec`).
     """
+    from repro.experiments.pointworker import POINT_KINDS
     from repro.scenarios import compile_scenario, load_scenario
 
     compiled = compile_scenario(load_scenario(path))
-    if seed is None:
-        seed = compiled.seed
-    tag = f"scen_{compiled.name}_{kind}_s{seed}"
-    scen_key = {
-        "path": str(path),
-        "name": compiled.name,
-        "hash": compiled.scenario_hash(),
+    spec = {
+        "kind": kind,
+        "scenario": {"path": str(path), "hash": compiled.scenario_hash()},
+        **compiled.engine_settings(POINT_KINDS[kind]),
     }
-    if _SUPERVISOR is not None:
-        spec = {
-            "kind": kind, "scenario": scen_key, "seed": seed,
-            "telemetry": _telemetry_path(tag),
-            "checkpoint_every": _SUPERVISOR.cfg.checkpoint_every,
-        }
-        if kind != "seq":
-            spec.update({
-                "n_pes": compiled.n_pes, "n_kps": compiled.n_kps,
-                "batch_size": compiled.batch_size, "window": compiled.window,
-            })
-        return _supervised(spec)
-    capture = _capture(
-        tag,
-        {"engine": kind, "scenario": compiled.name,
-         "scenario_hash": scen_key["hash"], "seed": seed},
-    )
-    engine = {"seq": "sequential", "cons": "conservative",
-              "opt": "optimistic"}[kind]
-    model = compiled.build_model(delivery_log=(kind == "seq"))
-    result = compiled.run(
-        engine,
-        seed=seed,
-        model=model,
-        metrics=capture.metrics if capture is not None else None,
-    )
-    if kind == "seq":
-        from repro.experiments.pointworker import _delivery_percentiles
-
-        result.model_stats.update(_delivery_percentiles(model.delivery_log))
-    if capture is not None:
-        capture.finalize(result)
-    return result
+    return _run_point(spec, f"scen_{compiled.name}_{kind}_s{compiled.sim.seed}")

@@ -6,7 +6,7 @@ cannot take the whole sweep down.  The protocol is four paths on argv::
 
     python -m repro.experiments.pointworker SPEC.json RESULT.pkl HEARTBEAT CKPT_DIR
 
-* ``SPEC.json`` — the point specification (see :func:`run_spec`).
+* ``SPEC.json`` — the point specification (see below).
 * ``RESULT.pkl`` — where the pickled ``{"model_stats", "run"}`` dict
   goes on success (written atomically; its existence plus exit code 0
   is the success signal).
@@ -17,21 +17,19 @@ cannot take the whole sweep down.  The protocol is four paths on argv::
   (a previous attempt died mid-run), the worker restores the latest one
   and continues instead of starting over.
 
-Spec keys: ``kind`` (``seq`` / ``opt`` / ``cons``), ``n``, ``load``,
-``duration``, ``seed``; ``n_pes`` / ``n_kps`` / ``batch_size`` /
-``window`` / ``overrides`` for the parallel engines; ``fault`` (``None``,
-``{"plan": path}`` or ``{"link_rate": r, "seed": s}``); ``telemetry``
-(metrics JSONL path or ``None``); ``checkpoint_every``; ``sabotage``
-(test hook: ``"stall"`` hangs without heartbeats, ``{"flaky": k}``
-exits 1 on the first *k* attempts).
+A point is a scenario plus engine settings.  Spec keys: ``kind``
+(``seq`` / ``opt`` / ``cons``); ``scenario`` — an inline RPSCEN01
+document, or ``{"path": ..., "hash": ...}`` naming a scenario file by
+its compiled identity (the worker refuses to run if the file no longer
+hashes to it); ``n_pes`` / ``n_kps`` / ``batch_size`` / ``window`` /
+``overrides`` for the parallel engines; ``telemetry`` (metrics JSONL path
+or ``None``); ``checkpoint_every``; ``sabotage`` (test hook: ``"stall"``
+hangs without heartbeats, ``{"flaky": k}`` exits 1 on the first *k*
+attempts).  A spec in the older format (``n`` / ``load`` / ``duration`` /
+``fault`` / ``seed`` keys) is refused by name before any work.
 
-A spec may instead carry ``scenario``
-(``{"path": ..., "name": ..., "hash": ...}``): the point then rebuilds
-its entire configuration from that scenario file (topology, traffic,
-policy, duration, faults — ``n`` / ``load`` / ``duration`` / ``fault``
-are absent from the spec) and the worker refuses to run if the file no
-longer hashes to the recorded value, so resuming a sweep can never
-silently compute a different experiment.
+:func:`run_spec` is also how the sweep workhorses run a point in-process
+(no checkpoint directory), so a point means the same thing either way.
 """
 
 from __future__ import annotations
@@ -44,26 +42,18 @@ import sys
 import time
 from pathlib import Path
 
-__all__ = ["run_spec", "main"]
+from repro.errors import ConfigurationError
 
+__all__ = ["POINT_KINDS", "check_point_spec", "point_scenario", "run_spec", "main"]
 
-def _materialize_fault_plan(fault, n: int, duration: float):
-    """Expand a JSON fault spec into a FaultPlan (or None)."""
-    if not fault:
-        return None
-    from repro.faults import DEFAULT_FAULT_SEED, generate_plan, load_plan
+#: Spec ``kind`` -> the engine it runs on.
+POINT_KINDS = {"seq": "sequential", "opt": "optimistic", "cons": "conservative"}
 
-    if "plan" in fault:
-        return load_plan(fault["plan"])
-    from repro.net import TorusTopology
+#: Keys of the point-spec format before points were scenarios.
+_OLD_KEYS = ("n", "load", "duration", "fault", "seed")
 
-    seed = fault.get("seed")
-    return generate_plan(
-        TorusTopology(n),
-        duration=duration,
-        link_fail_rate=fault["link_rate"],
-        seed=seed if seed is not None else DEFAULT_FAULT_SEED,
-    )
+#: Spec keys that are engine settings of the parallel kinds.
+_SETTINGS = ("n_pes", "n_kps", "batch_size", "window")
 
 
 def _delivery_percentiles(log) -> dict:
@@ -82,25 +72,30 @@ def _delivery_percentiles(log) -> dict:
     }
 
 
-def _materialize_scenario(scen: dict, want_delivery_log: bool):
-    """Rebuild a scenario point's model parts, verifying the file hash."""
-    from repro.scenarios import compile_scenario, load_scenario
-
-    compiled = compile_scenario(load_scenario(scen["path"]))
-    digest = compiled.scenario_hash()
-    want = scen.get("hash")
-    if want and digest != want:
-        raise ValueError(
-            f"scenario {scen['path']!r} hashes to {digest}, but the sweep "
-            f"manifest recorded {want}; the file changed since the sweep "
-            "was launched — refusing to compute a different experiment"
+def check_point_spec(spec: dict) -> None:
+    """Refuse, by name, a spec that is not a scenario point."""
+    if (
+        any(k in spec for k in _OLD_KEYS)
+        or spec.get("kind") not in POINT_KINDS
+        or not isinstance(spec.get("scenario"), dict)
+    ):
+        raise ConfigurationError(
+            f"point spec with keys {sorted(spec)} is not a scenario point "
+            "(kind, scenario, engine settings); it was written in an older "
+            "format — start the sweep afresh"
         )
-    return compiled, compiled.build_model(delivery_log=want_delivery_log)
 
 
-def _spec_marker(spec: dict) -> dict:
-    """The snapshot configuration fingerprint: the spec minus test hooks."""
-    return {k: v for k, v in spec.items() if k not in ("sabotage", "telemetry")}
+def point_scenario(spec: dict):
+    """The compiled scenario a point spec declares (an older spec format
+    is refused by name)."""
+    from repro.scenarios import Scenario, compile_scenario, load_scenario
+
+    check_point_spec(spec)
+    scen = spec["scenario"]
+    if "path" in scen:
+        return compile_scenario(load_scenario(scen["path"]))
+    return compile_scenario(Scenario.from_dict(scen))
 
 
 def _sabotage(spec: dict, ckpt_dir: Path) -> None:
@@ -122,44 +117,42 @@ def _sabotage(spec: dict, ckpt_dir: Path) -> None:
             sys.exit(1)
 
 
-def run_spec(spec: dict, heartbeat: Path, ckpt_dir: Path):
-    """Build the spec's engine, resume from CKPT_DIR if possible, run."""
+def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = None):
+    """Run one point; returns its RunResult.
+
+    With ``ckpt_dir`` the run snapshots there (touching ``heartbeat`` at
+    every boundary) and resumes from its newest snapshot, whose marker
+    pins the spec and the compiled scenario identity.  A sequential
+    point of a scenario *file* keeps a delivery log and adds
+    nearest-rank latency percentiles (``latency_p50`` / ``_p95`` /
+    ``_p99``) to ``model_stats``.
+    """
     from repro.ckpt import Checkpointer, deferred_interrupts, latest_snapshot
-    from repro.hotpotato.config import HotPotatoConfig
-    from repro.hotpotato.model import HotPotatoModel
     from repro.obs.capture import RunCapture
 
-    _sabotage(spec, ckpt_dir)
-
-    kind = spec["kind"]
-    seed = spec["seed"]
-    scen = spec.get("scenario")
-    if scen is not None:
-        compiled, model = _materialize_scenario(scen, kind == "seq")
-        duration = compiled.duration
-        plan = compiled.fault_plan
-        meta = {"engine": kind, "scenario": compiled.name,
-                "scenario_hash": compiled.scenario_hash(),
-                "duration": duration, "seed": seed}
-    else:
-        compiled = None
-        n = spec["n"]
-        duration = spec["duration"]
-        plan = _materialize_fault_plan(spec.get("fault"), n, duration)
-        cfg = HotPotatoConfig(
-            n=n, duration=duration, injector_fraction=spec["load"]
+    compiled = point_scenario(spec)
+    scen = spec["scenario"]
+    if "path" in scen and compiled.scenario_hash() != scen.get("hash"):
+        raise ValueError(
+            f"scenario {scen['path']!r} hashes to {compiled.scenario_hash()}, "
+            f"but the sweep manifest recorded {scen.get('hash')}; the file "
+            "changed since the sweep was launched — refusing to compute a "
+            "different experiment"
         )
-        model = HotPotatoModel(cfg, fault_plan=plan)
-        meta = {"engine": kind, "n": n, "load": spec["load"],
-                "duration": duration, "seed": seed}
-
-    ckpt = Checkpointer(
-        ckpt_dir,
-        every=spec.get("checkpoint_every", 4),
-        marker=_spec_marker(spec),
-        heartbeat=heartbeat,
-    )
-    payload = ckpt.load_latest() if latest_snapshot(ckpt_dir) is not None else None
+    sim = compiled.sim
+    kind = POINT_KINDS[spec["kind"]]
+    ckpt = payload = None
+    if ckpt_dir is not None:
+        _sabotage(spec, ckpt_dir)
+        marker = {k: v for k, v in spec.items() if k not in ("sabotage", "telemetry")}
+        ckpt = Checkpointer(
+            ckpt_dir,
+            every=spec.get("checkpoint_every", 4),
+            marker={**marker, "scenario_hash": compiled.scenario_hash()},
+            heartbeat=heartbeat,
+        )
+        if latest_snapshot(ckpt_dir) is not None:
+            payload = ckpt.load_latest()
 
     telemetry = spec.get("telemetry")
     if payload is not None and payload.get("obs") is not None:
@@ -167,66 +160,34 @@ def run_spec(spec: dict, heartbeat: Path, ckpt_dir: Path):
     elif telemetry:
         capture = RunCapture(
             metrics_out=telemetry,
-            meta=meta,
-            fault_plan=plan,
-            injection_plan=(
-                compiled.injection_plan if compiled is not None else None
-            ),
+            meta={"engine": kind, "scenario": compiled.name,
+                  "scenario_hash": compiled.scenario_hash(), "n": sim.cfg.n,
+                  "load": sim.cfg.injector_fraction,
+                  "duration": sim.cfg.duration, "seed": sim.seed},
+            fault_plan=sim.fault_plan,
+            injection_plan=sim.injection_plan,
         )
     else:
         capture = None
-
-    faults = None
-    if plan is not None and plan.has_engine_faults:
-        from repro.faults.injector import EngineFaults
-
-        faults = EngineFaults(plan)
-
-    if kind == "seq":
-        from repro.core.engine import SequentialEngine
-
-        engine = SequentialEngine(model, duration, seed=seed)
-    elif kind == "opt":
-        from repro.core.config import EngineConfig
-        from repro.core.optimistic import TimeWarpKernel
-
-        ecfg = EngineConfig(
-            end_time=duration,
-            n_pes=spec["n_pes"],
-            n_kps=spec["n_kps"],
-            batch_size=spec.get("batch_size", 16),
-            window=spec.get("window"),
-            seed=seed,
-            **(spec.get("overrides") or {}),
-        )
-        engine = TimeWarpKernel(model, ecfg)
-    elif kind == "cons":
-        from repro.core.conservative import ConservativeConfig, ConservativeKernel
-
-        ccfg = ConservativeConfig(
-            end_time=duration, n_pes=spec["n_pes"], seed=seed
-        )
-        engine = ConservativeKernel(model, ccfg)
-    else:
-        raise ValueError(f"unknown point kind {kind!r}")
-
-    if capture is not None:
-        capture.attach(engine)
-    if faults is not None:
-        engine.attach_faults(faults)
-    engine.attach_checkpointer(ckpt)
-    ckpt.capture = capture
-
+    hooks = {} if capture is None else {
+        "tracer": capture.tracer, "metrics": capture.metrics, "spans": capture.spans,
+    }
+    if ckpt is not None:
+        ckpt.capture = capture
+    settings = {k: spec[k] for k in _SETTINGS if k in spec}
+    settings.update(spec.get("overrides") or {})
+    percentiles = kind == "sequential" and "path" in scen
+    model = sim.model(delivery_log=percentiles or None)
     try:
         with deferred_interrupts(ckpt):
-            result = engine.run()
+            result = sim.run(kind, model=model, checkpointer=ckpt, **hooks, **settings)
     except KeyboardInterrupt:
         if capture is not None:
             capture.finalize(None)
-        sys.exit(130)
+        raise
     if capture is not None:
         capture.finalize(result)
-    if compiled is not None and kind == "seq":
+    if percentiles:
         result.model_stats.update(_delivery_percentiles(model.delivery_log))
     return result
 
@@ -243,7 +204,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     spec_path, result_path, heartbeat, ckpt_dir = map(Path, argv)
     spec = json.loads(spec_path.read_text())
-    result = run_spec(spec, heartbeat, ckpt_dir)
+    try:
+        result = run_spec(spec, heartbeat, ckpt_dir)
+    except ConfigurationError as exc:
+        print(f"point refused: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        return 130
     # LPs hold fused closures (unpicklable by design); the supervisor
     # only needs the statistics.
     doc = {"model_stats": result.model_stats, "run": result.run}

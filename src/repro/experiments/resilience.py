@@ -28,29 +28,33 @@ from repro.experiments.report import Table
 __all__ = ["run"]
 
 
-def _fault_spec(params: SweepParams, rate: float) -> dict | None:
-    """The JSON fault spec one sweep row runs under (None for rate 0).
+def _fault_spec(params: SweepParams, rate: float):
+    """The scenario ``faults`` section one sweep row runs under (None
+    for rate 0).
 
-    Rate-generated specs describe permanent link failures (no
+    Rate-generated plans describe permanent link failures (no
     heal_after): the hardest case — lost capacity never comes back, so
-    degradation is monotone in the rate.  The spec (rather than a
+    degradation is monotone in the rate.  The section (rather than a
     materialized FaultPlan) is what travels to a supervised child
-    process; the workhorses expand it identically either way.
+    process; the scenario compiler expands it identically either way.
     """
     if params.fault_plan is not None:
-        return {"plan": params.fault_plan}
+        return params.fault_plan
     if rate <= 0.0:
         return None
-    return {"link_rate": rate, "seed": params.fault_seed}
+    generate = {"link_fail_rate": rate}
+    if params.fault_seed is not None:
+        generate["seed"] = params.fault_seed
+    return {"generate": generate}
 
 
 def _links_down(params: SweepParams, n: int, rate: float) -> int:
     """Count the scheduled link_down events for the row's label column."""
-    from repro.experiments.pointworker import _materialize_fault_plan
+    from repro.scenarios import compile_scenario, report_scenario
 
-    plan = _materialize_fault_plan(
-        _fault_spec(params, rate), n, params.duration
-    )
+    plan = compile_scenario(
+        report_scenario(n, params.duration, faults=_fault_spec(params, rate))
+    ).sim.fault_plan
     if plan is None:
         return 0
     return sum(1 for ev in plan.events if ev.kind == "link_down")

@@ -67,8 +67,8 @@ def run(params: SweepParams) -> Table:
         }
         table.add_row(
             compiled.name,
-            compiled.cfg.n,
-            compiled.policy.name,
+            compiled.sim.cfg.n,
+            compiled.sim.policy.name,
             _traffic_label(compiled.scenario),
             ms["injected"],
             ms["delivered"],

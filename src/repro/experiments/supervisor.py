@@ -24,12 +24,16 @@ process and journaling its lifecycle:
   ``python -m repro.experiments ... --resume DIR`` replays it: points
   journaled ``done`` are served from their pickled results without
   re-running; in-flight points restore from their latest checkpoint.
-* **Resume integrity** — ``started`` records journal the content hash
-  of any fault-plan file the spec references (scenario specs carry
-  their own hash).  :meth:`Supervisor.verify_resume_integrity` re-hashes
-  every such file for *every* journaled point — including points whose
-  results would be served from disk — and refuses the resume, naming
-  the changed file, rather than silently mixing two experiments.
+* **Resume integrity** — every point is a scenario (see
+  :mod:`repro.experiments.pointworker`).  A spec naming a scenario file
+  carries its compiled identity; a ``started`` record of an inline
+  scenario naming a fault plan by path journals the identity beside it
+  (the identity covers the plan's content).
+  :meth:`Supervisor.verify_resume_integrity` re-compiles every such
+  scenario for *every* journaled point — including points whose results
+  would be served from disk — and refuses the resume, naming the changed
+  file, rather than silently mixing two experiments.  A manifest written
+  in the older point-spec format is refused by name.
 
 Retry/backoff/fallback decisions are delegated to
 :class:`repro.health.RecoveryPolicy`, the same policy object the
@@ -56,7 +60,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ResumeIntegrityError
+from repro.errors import ConfigurationError, ResumeIntegrityError
+from repro.experiments.pointworker import check_point_spec, point_scenario
 from repro.health import RecoveryPolicy
 
 __all__ = ["Supervisor", "SupervisorConfig", "PointFailure", "point_id"]
@@ -64,6 +69,15 @@ __all__ = ["Supervisor", "SupervisorConfig", "PointFailure", "point_id"]
 #: Spec ``kind`` values <-> the engine names RecoveryPolicy's chain uses.
 _CHAIN_KIND = {"seq": "sequential", "opt": "optimistic", "cons": "conservative"}
 _SPEC_KIND = {v: k for k, v in _CHAIN_KIND.items()}
+
+
+def _files_read(scen: dict) -> str | None:
+    """Which file a point's scenario reads, for messages; None if none."""
+    if "path" in scen:
+        return f"scenario {scen['path']!r}"
+    if isinstance(scen.get("faults"), str):
+        return f"fault plan {scen['faults']!r}"
+    return None
 
 
 class PointFailure(RuntimeError):
@@ -124,18 +138,22 @@ class Supervisor:
     # manifest journal
     # ------------------------------------------------------------------
     def _replay_manifest(self) -> None:
+        for doc in self._records():
+            pid = doc.get("point")
+            if pid:
+                self._status[pid] = doc.get("status", "")
+
+    def _records(self):
+        """The manifest's JSON records, skipping a torn tail."""
         with self.manifest_path.open("r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    doc = json.loads(line)
+                    yield json.loads(line)
                 except ValueError:
                     continue  # torn tail from a crash mid-append
-                pid = doc.get("point")
-                if pid:
-                    self._status[pid] = doc.get("status", "")
 
     def _journal(self, **doc: Any) -> None:
         self._manifest.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -153,17 +171,9 @@ class Supervisor:
         if not self.manifest_path.exists():
             return None
         found = None
-        with self.manifest_path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    continue
-                if doc.get("status") == "meta":
-                    found = doc
+        for doc in self._records():
+            if doc.get("status") == "meta":
+                found = doc
         return found
 
     def close(self) -> None:
@@ -173,80 +183,55 @@ class Supervisor:
     # ------------------------------------------------------------------
     # resume integrity
     # ------------------------------------------------------------------
-    @staticmethod
-    def _spec_plan_hash(spec: dict) -> str | None:
-        """SHA-256 of the fault-plan file a spec references, if any."""
-        fault = spec.get("fault")
-        if not isinstance(fault, dict) or "plan" not in fault:
-            return None
-        try:
-            return hashlib.sha256(Path(fault["plan"]).read_bytes()).hexdigest()
-        except OSError:
-            return None  # the child will fail loudly when it loads the plan
-
     def verify_resume_integrity(self) -> int:
-        """Re-hash every input file the manifest references; refuse drift.
+        """Re-compile every journaled scenario that reads a file; refuse drift.
 
         Walks *every* journaled record carrying a spec — including
         points already ``done``, whose results would otherwise be served
-        from disk without ever touching their inputs again — and
-        recomputes each referenced scenario's content hash and each
-        fault-plan file's SHA-256 against the values journaled at launch
-        time.  Raises :class:`~repro.errors.ResumeIntegrityError` naming
-        the first file that changed (or vanished); returns the number of
-        distinct files verified.
+        from disk without ever touching their inputs again.  A spec in
+        an older format is refused by name.  Each scenario that reads a
+        file (a scenario file, or a fault plan named by path) is
+        re-compiled and its identity
+        (:meth:`~repro.scenarios.compile.CompiledScenario.scenario_hash`,
+        which covers the plan's content) compared with the one journaled
+        at launch.  Raises :class:`~repro.errors.ResumeIntegrityError`
+        naming the first file that changed (or vanished); returns the
+        number of distinct scenarios verified.
         """
         if not self.manifest_path.exists():
             return 0
-        #: (label, path) -> hash journaled at launch; latest record wins.
-        expected: dict[tuple[str, str], str] = {}
-        with self.manifest_path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    continue  # torn tail from a crash mid-append
-                spec = doc.get("spec")
-                if not isinstance(spec, dict):
-                    continue
-                scen = spec.get("scenario")
-                if isinstance(scen, dict) and scen.get("path") and scen.get("hash"):
-                    expected[("scenario", scen["path"])] = scen["hash"]
-                fault = spec.get("fault")
-                want = doc.get("plan_hash")
-                if isinstance(fault, dict) and fault.get("plan") and want:
-                    expected[("fault plan", fault["plan"])] = want
-        for (label, path), want in sorted(expected.items()):
-            if label == "scenario":
-                from repro.scenarios import compile_scenario, load_scenario
-
-                try:
-                    got = compile_scenario(load_scenario(path)).scenario_hash()
-                except ResumeIntegrityError:
-                    raise
-                except Exception as exc:
-                    raise ResumeIntegrityError(
-                        f"scenario {path!r} is journaled in the sweep "
-                        f"manifest but can no longer be loaded ({exc}); "
-                        "refusing to resume"
-                    ) from exc
-            else:
-                try:
-                    got = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-                except OSError as exc:
-                    raise ResumeIntegrityError(
-                        f"fault plan {path!r} is journaled in the sweep "
-                        f"manifest but can no longer be read ({exc}); "
-                        "refusing to resume"
-                    ) from exc
+        #: canonical scenario -> (label, spec, identity journaled at
+        #: launch); latest record wins.
+        expected: dict[str, tuple[str, dict, str]] = {}
+        for doc in self._records():
+            spec = doc.get("spec")
+            if not isinstance(spec, dict):
+                continue
+            try:
+                check_point_spec(spec)
+            except ConfigurationError as exc:
+                raise ResumeIntegrityError(
+                    f"sweep manifest {self.manifest_path}: {exc}"
+                ) from None
+            scen = spec["scenario"]
+            label = _files_read(scen)
+            want = scen.get("hash") or doc.get("scenario_hash")
+            if label is not None and want:
+                key = json.dumps(scen, sort_keys=True)
+                expected[key] = (label, spec, want)
+        for _, (label, spec, want) in sorted(expected.items()):
+            try:
+                got = point_scenario(spec).scenario_hash()
+            except Exception as exc:
+                raise ResumeIntegrityError(
+                    f"{label} is journaled in the sweep manifest but can no "
+                    f"longer be loaded ({exc}); refusing to resume"
+                ) from exc
             if got != want:
                 raise ResumeIntegrityError(
-                    f"{label} {path!r} hashes to {got}, but the sweep "
-                    f"manifest recorded {want}; the file changed since the "
-                    "sweep was launched — refusing to resume a different "
+                    f"{label} changed since the sweep was launched: its "
+                    f"scenario hashes to {got}, but the sweep manifest "
+                    f"recorded {want} — refusing to resume a different "
                     "experiment"
                 )
         return len(expected)
@@ -306,8 +291,7 @@ class Supervisor:
     @staticmethod
     def _conservative_twin(spec: dict) -> dict:
         """The conservative-engine spec computing the same point."""
-        keep = ("n", "load", "duration", "seed", "n_pes", "fault",
-                "scenario", "telemetry", "checkpoint_every")
+        keep = ("scenario", "n_pes", "telemetry", "checkpoint_every")
         twin = {k: spec[k] for k in keep if k in spec}
         twin["kind"] = "cons"
         return twin
@@ -326,9 +310,10 @@ class Supervisor:
         heartbeat = pdir / "heartbeat"
 
         extras = {}
-        plan_hash = self._spec_plan_hash(spec)
-        if plan_hash is not None:
-            extras["plan_hash"] = plan_hash
+        if "path" not in spec["scenario"] and _files_read(spec["scenario"]):
+            # An inline scenario naming a fault plan by path: journal the
+            # identity that covers the plan's content.
+            extras["scenario_hash"] = point_scenario(spec).scenario_hash()
         self._journal(point=pid, status="started", engine=engine, spec=spec,
                       **extras)
         for attempt in range(1, cfg.max_retries + 1):

@@ -38,16 +38,15 @@ def run(params: SweepParams) -> Table:
     )
     avg_by_topo: dict[tuple[int, str], float] = {}
     for n in params.sizes:
-        for torus in (True, False):
+        for name in ("torus", "mesh"):
             cfg = HotPotatoConfig(
                 n=n,
                 duration=params.duration,
                 injector_fraction=1.0,
-                torus=torus,
+                topology=name,
             )
             model = HotPotatoModel(cfg)
             ms = run_sequential(model, cfg.duration, seed=params.seed).model_stats
-            name = "torus" if torus else "mesh"
             avg_by_topo[(n, name)] = ms["avg_delivery_time"]
             table.add_row(
                 n,

@@ -3,7 +3,10 @@
 Mirrors the report's program parameters (§3.3.1): network size N, number
 of processors, simulation duration, ``probability_i`` (the injector
 fraction) and ``absorb_sleeping_packet`` — plus this implementation's
-engine knobs.
+engine knobs.  The workload flags compile to a scenario document
+(:func:`flags_scenario`, docs/SCENARIOS.md) through the same
+``compile_scenario`` call as ``--scenario FILE``, and
+:class:`~repro.hotpotato.simulation.HotPotatoSimulation` runs it.
 
 Examples::
 
@@ -21,13 +24,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.config import EngineConfig
 from repro.errors import ConfigurationError
-from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.simulation import HotPotatoSimulation
+from repro.hotpotato.stats import model_lines
 from repro.obs.capture import RunCapture
+from repro.scenarios import (
+    Scenario,
+    ScenarioError,
+    compile_scenario,
+    load_scenario,
+    report_scenario,
+)
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "flags_scenario"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,13 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--topology",
         choices=("torus", "mesh"),
-        default=None,
+        default="torus",
         help="grid topology by name (default torus)",
-    )
-    parser.add_argument(
-        "--mesh",
-        action="store_true",
-        help="mesh instead of torus (legacy alias for --topology mesh)",
     )
     parser.add_argument(
         "--scenario",
@@ -200,53 +203,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_fault_plan(args, cfg: HotPotatoConfig):
-    """Build the FaultPlan the flags ask for, or None."""
-    if args.fault_plan:
-        from repro.faults import load_plan
+def flags_scenario(args) -> Scenario:
+    """The scenario document the workload flags declare (``--scenario``
+    replaces it); both compile through the same ``compile_scenario``."""
+    faults = args.fault_plan or None
+    if faults is None and args.fault_rate:
+        from repro.faults import DEFAULT_FAULT_SEED
 
-        return load_plan(args.fault_plan)
-    if args.fault_rate:
-        from repro.faults import DEFAULT_FAULT_SEED, generate_plan
-        from repro.net import MeshTopology, TorusTopology
+        seed = DEFAULT_FAULT_SEED if args.fault_seed is None else args.fault_seed
+        faults = {
+            "generate": {"link_fail_rate": args.fault_rate / 100.0, "seed": seed}
+        }
+    return report_scenario(
+        args.n,
+        args.duration,
+        injector_fraction=args.probability_i / 100.0,
+        absorb_sleeping=not args.no_absorb_sleeping,
+        topology=args.topology,
+        seed=0x5EED if args.seed is None else args.seed,
+        faults=faults,
+    )
 
-        topo_cls = TorusTopology if cfg.torus else MeshTopology
-        return generate_plan(
-            topo_cls(cfg.n),
-            duration=cfg.duration,
-            link_fail_rate=args.fault_rate / 100.0,
-            seed=args.fault_seed if args.fault_seed is not None else DEFAULT_FAULT_SEED,
-        )
-    return None
 
-
-def _config_marker(args, seed: int, scenario_meta: dict) -> dict:
+def _config_marker(args, compiled) -> dict:
     """The configuration fingerprint stored in (and checked against)
     every snapshot — resuming under different flags is refused.
 
-    For scenario runs the marker pins the scenario *content hash*, not
-    just the path: editing the file between interrupt and resume is a
-    different experiment and is refused like any other flag change.
+    One shape for flags and ``--scenario`` runs: the compiled scenario's
+    identity (which covers a fault plan file's content, not its path)
+    plus the engine flags.
     """
     return {
         "workload": "hotpotato",
-        "scenario": args.scenario,
-        "scenario_hash": scenario_meta.get("scenario_hash"),
-        "n": args.n,
-        "duration": args.duration,
-        "probability_i": args.probability_i,
-        "absorb_sleeping": not args.no_absorb_sleeping,
-        "topology": args.topology or ("mesh" if args.mesh else "torus"),
+        "scenario": compiled.name,
+        "scenario_hash": compiled.scenario_hash(),
+        "seed": compiled.sim.seed,
         "processors": args.processors,
         "kps": args.kps,
         "batch": args.batch,
         "gvt_interval": args.gvt_interval,
         "procs": args.procs,
-        "seed": seed,
         "paranoid": args.paranoid,
-        "fault_plan": args.fault_plan,
-        "fault_rate": args.fault_rate,
-        "fault_seed": args.fault_seed,
     }
 
 
@@ -261,66 +258,40 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir")
         return 2
-    policy = None
-    injection_plan = None
-    scenario_meta: dict = {}
-    if args.scenario:
-        from repro.scenarios import ScenarioError, compile_scenario, load_scenario
-
-        try:
-            compiled = compile_scenario(load_scenario(args.scenario))
-        except (ScenarioError, OSError) as exc:
-            print(f"scenario error: {exc}", file=sys.stderr)
-            return 2
-        cfg = compiled.cfg
-        policy = compiled.policy
-        fault_plan = compiled.fault_plan
-        injection_plan = compiled.injection_plan
-        seed = args.seed if args.seed is not None else compiled.seed
-        scenario_meta = {
-            "scenario": compiled.name,
-            "scenario_hash": compiled.scenario_hash(),
-        }
-    else:
-        cfg = HotPotatoConfig(
-            n=args.n,
-            duration=args.duration,
-            injector_fraction=args.probability_i / 100.0,
-            absorb_sleeping=not args.no_absorb_sleeping,
-            topology=args.topology or ("mesh" if args.mesh else "torus"),
+    try:
+        compiled = compile_scenario(
+            load_scenario(args.scenario) if args.scenario else flags_scenario(args)
         )
-        seed = args.seed if args.seed is not None else 0x5EED
-        try:
-            fault_plan = _resolve_fault_plan(args, cfg)
-        except Exception as exc:  # bad plan file / invalid plan
-            print(f"fault plan error: {exc}", file=sys.stderr)
-            return 2
+    except (ScenarioError, OSError) as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
+    sim = compiled.sim
+    if args.seed is not None:
+        sim.seed = args.seed
+    cfg = sim.cfg
     use_parallel = args.processors > 1 or args.procs is not None
     engine = "optimistic" if use_parallel else "sequential"
-    engine_config = None
-    if use_parallel:
-        # Built before any file, checkpoint directory or worker process
-        # exists, so every combination EngineConfig refuses (--procs not
-        # dividing --processors, --paranoid across workers, ...) exits 2
-        # with its message and no side effect.
-        try:
-            engine_config = EngineConfig(
-                end_time=cfg.duration,
-                n_pes=args.processors,
-                n_kps=args.kps,
-                batch_size=args.batch,
-                gvt_interval=args.gvt_interval,
-                seed=seed,
-                paranoid=args.paranoid,
+    # Built before any file, checkpoint directory or worker process
+    # exists, so every combination the configs refuse (--procs not
+    # dividing --processors, --paranoid across workers, a KP count that
+    # cannot tile the grid, ...) exits 2 with its message and no side
+    # effect.  --validate's 4-PE twin is checked here too.
+    try:
+        settings = (
+            {"engine_config": sim.engine_config(
+                args.processors, args.kps, batch_size=args.batch,
+                gvt_interval=args.gvt_interval, paranoid=args.paranoid,
                 procs=1 if args.procs is None else args.procs,
-            )
-        except ConfigurationError as exc:
-            print(f"configuration refused: {exc}")
-            return 2
-    sim = HotPotatoSimulation(
-        cfg, policy, seed=seed, fault_plan=fault_plan,
-        injection_plan=injection_plan,
-    )
+            )}
+            if use_parallel else {"paranoid": args.paranoid}
+        )
+        twin = (
+            sim.engine_config(4, args.kps, batch_size=args.batch)
+            if args.validate and args.processors <= 1 else None
+        )
+    except ConfigurationError as exc:
+        print(f"configuration refused: {exc}")
+        return 2
 
     ckpt = None
     if args.checkpoint_dir:
@@ -329,13 +300,13 @@ def main(argv: list[str] | None = None) -> int:
         ckpt = Checkpointer(
             args.checkpoint_dir,
             every=args.checkpoint_every,
-            marker=_config_marker(args, seed, scenario_meta),
+            marker=_config_marker(args, compiled),
         )
     resumed_payload = None
     if args.resume:
         from repro.errors import SnapshotError
 
-        if engine_config is not None and engine_config.procs > 1:
+        if use_parallel and settings["engine_config"].procs > 1:
             # Process-mode snapshots are per-worker shards under
             # <dir>/shard_<i>; the workers locate and load the newest
             # consistent shard set themselves (docs/CHECKPOINT.md).
@@ -361,12 +332,13 @@ def main(argv: list[str] | None = None) -> int:
                 "topology": cfg.topology,
                 "duration": cfg.duration,
                 "probability_i": 100.0 * cfg.injector_fraction,
-                "seed": seed,
+                "seed": sim.seed,
                 "processors": args.processors,
-                **scenario_meta,
+                "scenario": compiled.name,
+                "scenario_hash": compiled.scenario_hash(),
             },
-            fault_plan=fault_plan,
-            injection_plan=injection_plan,
+            fault_plan=sim.fault_plan,
+            injection_plan=sim.injection_plan,
         )
     if ckpt is not None:
         ckpt.capture = capture
@@ -390,24 +362,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with wall_deadline(args.deadline_seconds, ckpt) as deadline_expired, \
                 deferred_interrupts(ckpt):
-            if not use_parallel:
-                result = sim.run(
-                    tracer=capture.tracer,
-                    metrics=capture.metrics,
-                    spans=capture.spans,
-                    checkpointer=ckpt,
-                    health=watchdog,
-                    paranoid=args.paranoid,
-                )
-            else:
-                result = sim.run_parallel(
-                    engine_config=engine_config,
-                    tracer=capture.tracer,
-                    metrics=capture.metrics,
-                    spans=capture.spans,
-                    checkpointer=ckpt,
-                    health=watchdog,
-                )
+            result = sim.run(
+                engine,
+                tracer=capture.tracer,
+                metrics=capture.metrics,
+                spans=capture.spans,
+                checkpointer=ckpt,
+                health=watchdog,
+                **settings,
+            )
     except KeyboardInterrupt:
         capture.finalize(None)
         if deadline_expired():
@@ -444,25 +407,18 @@ def main(argv: list[str] | None = None) -> int:
 
     ms = result.model_stats
     run = result.run
-    label = f", scenario={scenario_meta['scenario']}" if scenario_meta else ""
+    label = f", scenario={compiled.name}" if args.scenario else ""
     procs_label = f" x {run.procs} procs" if run.procs > 1 else ""
     print(f"{cfg.n}x{cfg.n} {cfg.topology}, {ms['injectors']} injectors, "
           f"{cfg.duration:.0f} steps, engine={run.engine} "
           f"({run.n_pes} PE{procs_label}){label}")
-    print(f"  events committed   : {run.committed:,}")
-    if injection_plan is not None:
-        print(f"  adversary          : {injection_plan.strategy} "
-              f"({len(injection_plan.entries):,} scripted injections)")
-    if run.engine == "optimistic":
-        print(f"  events rolled back : {run.events_rolled_back:,}")
-        print(f"  event rate (model) : {run.event_rate:,.0f} ev/s")
-    print(f"  packets injected   : {ms['injected']:,} (+{ms['initial_packets']} initial)")
-    print(f"  packets delivered  : {ms['delivered']:,}")
-    print(f"  avg delivery time  : {ms['avg_delivery_time']:.3f} steps")
-    print(f"  max delivery time  : {ms['max_delivery_time']} steps")
-    print(f"  avg wait to inject : {ms['avg_inject_wait']:.3f} steps")
-    print(f"  max wait to inject : {ms['max_inject_wait']} steps")
-    print(f"  deflection rate    : {100 * ms['deflection_rate']:.2f}%")
+    engine_lines = (
+        (f"  events rolled back : {run.events_rolled_back:,}",
+         f"  event rate (model) : {run.event_rate:,.0f} ev/s")
+        if run.engine == "optimistic" else ()
+    )
+    print("\n".join(model_lines(result, engine_lines)))
+    fault_plan = sim.fault_plan
     if fault_plan is not None:
         print(f"  fault events       : {ms.get('fault_events', 0):,} "
               f"({ms.get('failed_links', 0)} links statically failed)")
@@ -478,8 +434,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.validate:
         other = (
-            sim.run_parallel(n_pes=4, n_kps=args.kps, batch_size=args.batch)
-            if args.processors <= 1
+            sim.run("optimistic", engine_config=twin) if twin is not None
             else sim.run()
         )
         identical = other.model_stats == ms

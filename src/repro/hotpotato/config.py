@@ -51,14 +51,8 @@ class HotPotatoConfig:
         Parameter 5 of §3.3.1 (see module docstring).
     topology:
         Named topology: ``"torus"`` (the simulated configuration) or
-        ``"mesh"`` (the theoretical analysis configuration).  ``None``
-        (the default) derives the name from the legacy ``torus`` flag, so
-        existing call sites keep working unchanged; when both are given
-        they must agree.  Scenario files and CLIs use this name.
-    torus:
-        Legacy boolean form of ``topology`` (True = torus, False = mesh).
-        Kept in sync with ``topology`` by ``__post_init__`` so old call
-        sites reading either field see a consistent configuration.
+        ``"mesh"`` (the theoretical analysis configuration); a name from
+        :data:`repro.net.TOPOLOGIES`.  Scenario files and CLIs use it.
     arrival_jitter:
         Randomise packet arrival offsets within the step (§3.2.2).  Our
         engines are deterministic either way; the jitter changes *which*
@@ -84,9 +78,7 @@ class HotPotatoConfig:
     injector_fraction: float = 1.0
     initial_fill: float = 1.0
     absorb_sleeping: bool = True
-    torus: bool = True
-    #: Named topology ("torus"/"mesh"); None derives it from ``torus``.
-    topology: str | None = None
+    topology: str = "torus"
     arrival_jitter: bool = True
     jitter_slots: int = 500
     sleeping_upgrade_scale: float = 24.0
@@ -104,23 +96,11 @@ class HotPotatoConfig:
     TOPOLOGY_NAMES = ("torus", "mesh")
 
     def __post_init__(self) -> None:
-        # Reconcile the named topology with the legacy boolean flag.  The
-        # dataclass is frozen, so the shim writes through the descriptor.
-        if self.topology is None:
-            object.__setattr__(
-                self, "topology", "torus" if self.torus else "mesh"
+        if self.topology not in self.TOPOLOGY_NAMES:
+            raise ConfigurationError(
+                f"unknown topology {self.topology!r}; choose from "
+                f"{list(self.TOPOLOGY_NAMES)}"
             )
-        else:
-            if self.topology not in self.TOPOLOGY_NAMES:
-                raise ConfigurationError(
-                    f"unknown topology {self.topology!r}; choose from "
-                    f"{list(self.TOPOLOGY_NAMES)}"
-                )
-            # The named field is authoritative; the legacy flag is synced
-            # (an explicit ``torus=`` passed alongside a disagreeing
-            # ``topology=`` is indistinguishable from the default, so
-            # callers migrating to the name should drop the flag).
-            object.__setattr__(self, "torus", self.topology == "torus")
         if self.n < 2:
             raise ConfigurationError(f"n must be >= 2, got {self.n}")
         if self.duration <= 0:

@@ -1,19 +1,32 @@
-"""High-level facade: configure, run, and compare engines in one call."""
+"""The one builder: a run declaration in, a model, an engine and a run out.
+
+Every entry point — ``repro.hotpotato``, ``repro.scenarios``, the sweep
+workhorses and point worker, the chaos episodes and the profiler —
+declares its run as a scenario (:mod:`repro.scenarios`) or a config, and
+:class:`HotPotatoSimulation` alone turns that into a fresh
+:class:`~repro.hotpotato.model.HotPotatoModel`, an engine with the fault
+plan's engine faults attached, and a run with the caller's hooks.
+"""
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any
 
 from repro.core.config import EngineConfig
-from repro.core.engine import run_sequential
-from repro.core.optimistic import run_optimistic
+from repro.core.conservative import ConservativeConfig, ConservativeKernel
+from repro.core.engine import SequentialEngine
+from repro.core.mapping import build_mapping, kp_count_for
+from repro.core.optimistic import TimeWarpKernel, run_optimistic
 from repro.core.result import RunResult
+from repro.errors import ConfigurationError
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.hotpotato.policy import RoutingPolicy
 
-__all__ = ["HotPotatoSimulation"]
+__all__ = ["ENGINES", "HotPotatoSimulation"]
+
+#: Engine kinds :meth:`HotPotatoSimulation.engine` builds.
+ENGINES = ("sequential", "conservative", "optimistic")
 
 
 class HotPotatoSimulation:
@@ -49,10 +62,14 @@ class HotPotatoSimulation:
         #: replacing the Bernoulli injection application on every run.
         self.injection_plan = injection_plan
 
-    def _model(self) -> HotPotatoModel:
-        # A fresh model per run: LP state is single-use.
+    def model(self, *, delivery_log: bool | None = None) -> HotPotatoModel:
+        """A fresh model (LP state is single-use); ``delivery_log``
+        overrides the config's choice of keeping a delivery log."""
+        cfg = self.cfg
+        if delivery_log is not None and delivery_log != cfg.delivery_log:
+            cfg = replace(cfg, delivery_log=delivery_log)
         return HotPotatoModel(
-            self.cfg,
+            cfg,
             self.policy,
             fault_plan=self.fault_plan,
             injection_plan=self.injection_plan,
@@ -66,71 +83,134 @@ class HotPotatoSimulation:
 
         return EngineFaults(plan)
 
+    def engine_config(
+        self, n_pes: int = 4, n_kps: int | None = None, **fields
+    ) -> EngineConfig:
+        """A Time Warp configuration for this run, refused up front.
+
+        ``n_kps=None`` takes :func:`~repro.core.mapping.kp_count_for`'s
+        default (four KPs per PE, rounded down to a count that tiles the
+        grid); ``fields`` are the other :class:`EngineConfig` fields.
+        Beyond what ``EngineConfig`` itself checks, the LP→KP→PE mapping
+        is built once here, so a KP count that cannot tile the grid is a
+        :class:`~repro.errors.ConfigurationError` before any engine,
+        sink or worker exists.
+        """
+        n = self.cfg.n
+        if n_kps is None:
+            n_kps = kp_count_for(n, 4 * n_pes, n_pes)
+        ecfg = EngineConfig(
+            end_time=self.cfg.duration,
+            n_pes=n_pes,
+            n_kps=n_kps,
+            seed=self.seed,
+            **fields,
+        )
+        build_mapping(
+            n * n, ecfg.n_kps, ecfg.n_pes, ecfg.mapping, grid=(n, n), seed=ecfg.seed
+        )
+        return ecfg
+
+    def _time_warp_config(self, settings: dict) -> EngineConfig:
+        ecfg = settings.pop("engine_config", None)
+        if ecfg is None:
+            return self.engine_config(**settings)
+        return replace(ecfg, end_time=self.cfg.duration)
+
+    def engine(self, kind: str = "sequential", *, model=None, **settings):
+        """An unrun in-process engine of ``kind`` (one of :data:`ENGINES`).
+
+        It runs a fresh model, or ``model`` when the caller keeps one
+        (to read its delivery log afterwards), and has the fault plan's
+        engine faults attached.  ``settings`` configure the kind's own
+        engine: ``paranoid`` for the sequential one,
+        :class:`~repro.core.conservative.ConservativeConfig` fields for
+        the conservative kernel, and for Time Warp either a full
+        ``engine_config`` (its ``end_time`` becomes this run's duration)
+        or :meth:`engine_config`'s arguments.
+        """
+        if model is None:
+            model = self.model()
+        duration = self.cfg.duration
+        if kind == "sequential":
+            return SequentialEngine(model, duration, seed=self.seed, **settings)
+        if kind == "conservative":
+            engine = ConservativeKernel(
+                model,
+                ConservativeConfig(end_time=duration, seed=self.seed, **settings),
+            )
+        elif kind == "optimistic":
+            engine = TimeWarpKernel(model, self._time_warp_config(settings))
+        else:
+            raise ConfigurationError(
+                f"unknown engine {kind!r}; choose from {list(ENGINES)}"
+            )
+        faults = self._engine_faults()
+        if faults is not None:
+            engine.attach_faults(faults)
+        return engine
+
     def run(
         self,
+        kind: str = "sequential",
         *,
+        model=None,
         tracer=None,
         metrics=None,
         spans=None,
         checkpointer=None,
         health=None,
-        paranoid=False,
+        **settings,
     ) -> RunResult:
-        """Run on the sequential oracle engine (optionally instrumented)."""
-        return run_sequential(
-            self._model(),
-            self.cfg.duration,
-            seed=self.seed,
-            paranoid=paranoid,
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
-            checkpointer=checkpointer,
-            health=health,
-        )
+        """Run on ``kind``'s engine (default: the sequential oracle).
+
+        ``settings`` are :meth:`engine`'s.  The hooks are attached in the
+        order the checkpointer needs (it last, so a restore grafts onto
+        the final object graph).  Time Warp with ``procs >= 2`` runs in
+        worker processes (:mod:`repro.mp`) instead of in-process.
+        """
+        if model is None:
+            model = self.model()
+        if kind == "optimistic":
+            ecfg = self._time_warp_config(settings)
+            if ecfg.procs > 1:
+                return run_optimistic(
+                    model, ecfg, tracer=tracer, metrics=metrics, spans=spans,
+                    faults=self._engine_faults(), checkpointer=checkpointer,
+                    health=health,
+                )
+            settings = {"engine_config": ecfg}
+        engine = self.engine(kind, model=model, **settings)
+        for attach, hook in (
+            (engine.attach_tracer, tracer),
+            (engine.attach_metrics, metrics),
+            (engine.attach_spans, spans),
+            (engine.attach_health, health),
+            (engine.attach_checkpointer, checkpointer),
+        ):
+            if hook is not None:
+                attach(hook)
+        return engine.run()
 
     def run_parallel(
         self,
         n_pes: int = 4,
-        n_kps: int = 64,
+        n_kps: int | None = None,
         *,
         batch_size: int = 16,
-        engine_config: EngineConfig | None = None,
-        tracer=None,
-        metrics=None,
-        spans=None,
-        checkpointer=None,
-        health=None,
-        **overrides: Any,
+        **kwargs,
     ) -> RunResult:
         """Run on the Time Warp engine.
 
-        Either pass a full :class:`EngineConfig` (its ``end_time`` is
-        overridden by the model duration) or let this method build one
-        from ``n_pes`` / ``n_kps`` / ``batch_size`` plus keyword overrides
-        (``mapping=...``, ``rollback=...``, ...).
+        Either pass a full ``engine_config=`` (its ``end_time`` is
+        overridden by the model duration) or let :meth:`engine_config`
+        build one from ``n_pes`` / ``n_kps`` / ``batch_size`` plus keyword
+        overrides (``mapping=...``, ``rollback=...``, ...).  The hooks
+        are :meth:`run`'s.
         """
-        if engine_config is not None:
-            ecfg = replace(engine_config, end_time=self.cfg.duration)
-        else:
-            ecfg = EngineConfig(
-                end_time=self.cfg.duration,
-                n_pes=n_pes,
-                n_kps=n_kps,
-                batch_size=batch_size,
-                seed=self.seed,
-                **overrides,
-            )
-        return run_optimistic(
-            self._model(),
-            ecfg,
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
-            faults=self._engine_faults(),
-            checkpointer=checkpointer,
-            health=health,
-        )
+        if "engine_config" not in kwargs:
+            kwargs.update(n_pes=n_pes, n_kps=n_kps, batch_size=batch_size)
+        return self.run("optimistic", **kwargs)
 
     def validate_determinism(self, n_pes: int = 4, n_kps: int = 16) -> bool:
         """The report's Attachment-3 check: parallel results == sequential."""

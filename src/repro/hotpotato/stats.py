@@ -8,14 +8,17 @@ that any packet had to wait to be injected." (§3.1.5)
 
 Every counter lives in router state and is updated *reversibly* by the
 event handlers, so rolled-back statistics unwind exactly.  Aggregation
-happens once at the end of the run, visitor-style.
+happens once at the end of the run, visitor-style; :func:`model_lines`
+is the block of them both CLIs print.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["RouterStats", "aggregate_router_stats", "stats_from_signature"]
+__all__ = [
+    "RouterStats", "aggregate_router_stats", "model_lines", "stats_from_signature",
+]
 
 
 class RouterStats:
@@ -198,3 +201,25 @@ def aggregate_router_stats(routers: list) -> dict[str, Any]:
         # the network makes this differ (the determinism tests rely on it).
         "per_router": tuple(per_router),
     }
+
+
+def model_lines(result, extra: tuple[str, ...] = ()) -> list[str]:
+    """The model block ``repro.hotpotato`` and ``repro.scenarios run``
+    print: events committed, the adversary line when one ran, ``extra``
+    (the caller's engine lines), then the seven packet lines."""
+    ms = result.model_stats
+    lines = [f"  events committed   : {result.run.committed:,}"]
+    if "adversary" in ms:
+        lines.append(
+            f"  adversary          : {ms['adversary']} "
+            f"({ms['adversary_generated']:,} scripted injections)"
+        )
+    return lines + list(extra) + [
+        f"  packets injected   : {ms['injected']:,} (+{ms['initial_packets']} initial)",
+        f"  packets delivered  : {ms['delivered']:,}",
+        f"  avg delivery time  : {ms['avg_delivery_time']:.3f} steps",
+        f"  max delivery time  : {ms['max_delivery_time']} steps",
+        f"  avg wait to inject : {ms['avg_inject_wait']:.3f} steps",
+        f"  max wait to inject : {ms['max_inject_wait']} steps",
+        f"  deflection rate    : {100 * ms['deflection_rate']:.2f}%",
+    ]

@@ -5,37 +5,52 @@ A *scenario* is a schema-versioned JSON document (``RPSCEN01``, see
 traffic model (Bernoulli or a rate-bounded adversary from
 :mod:`repro.scenarios.adversary`), routing policy, engine parameters and
 an optional fault plan.  :func:`compile_scenario` turns one into a
-ready-to-run :class:`CompiledScenario`; ``python -m repro.scenarios``
-validates, inspects and runs scenario files; ``--scenario`` on
-``repro.hotpotato`` and ``repro.experiments`` consumes them in place of
-flag soup.  Bundled examples live in ``examples/scenarios/``; the format
-reference is ``docs/SCENARIOS.md``.
+:class:`CompiledScenario` holding the
+:class:`~repro.hotpotato.simulation.HotPotatoSimulation` it declares.
+Every entry point compiles through it: ``python -m repro.scenarios``
+validates, inspects and runs scenario files; ``repro.hotpotato`` compiles
+``--scenario FILE`` or its workload flags (via :func:`report_scenario`);
+sweep points and chaos episodes are scenario documents.  Bundled examples
+live in ``examples/scenarios/``; the format reference is
+``docs/SCENARIOS.md``.
 """
 
-from repro.scenarios.adversary import (
-    DEFAULT_ADVERSARY_SEED,
-    STRATEGIES,
-    InjectionEvent,
-    InjectionPlan,
-    InjectionPlanError,
-    generate_injection_plan,
-    load_injection_plan,
-)
 from repro.scenarios.compile import CompiledScenario, compile_scenario
-from repro.scenarios.spec import SCHEMA_ID, Scenario, ScenarioError, load_scenario
+from repro.scenarios.spec import (
+    SCHEMA_ID,
+    Scenario,
+    ScenarioError,
+    load_scenario,
+    report_scenario,
+)
 
-__all__ = [
-    "CompiledScenario",
+#: Names served from :mod:`repro.scenarios.adversary` on first use, so a
+#: Bernoulli run never imports the adversary.
+_ADVERSARY = (
     "DEFAULT_ADVERSARY_SEED",
     "InjectionEvent",
     "InjectionPlan",
     "InjectionPlanError",
-    "SCHEMA_ID",
     "STRATEGIES",
+    "generate_injection_plan",
+    "load_injection_plan",
+)
+
+__all__ = [
+    "CompiledScenario",
+    "SCHEMA_ID",
     "Scenario",
     "ScenarioError",
     "compile_scenario",
-    "generate_injection_plan",
-    "load_injection_plan",
     "load_scenario",
+    "report_scenario",
+    *_ADVERSARY,
 ]
+
+
+def __getattr__(name: str):
+    if name in _ADVERSARY:
+        from repro.scenarios import adversary
+
+        return getattr(adversary, name)
+    raise AttributeError(f"module 'repro.scenarios' has no attribute {name!r}")

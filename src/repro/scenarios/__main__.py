@@ -11,8 +11,10 @@ Subcommands::
 catches errors referential validation cannot, like an out-of-range
 scripted destination).  ``show`` prints the resolved scenario — identity
 hash, topology, expanded adversary size, fault events.  ``run`` executes
-on one of the three engines with the usual telemetry flags; committed
-results are engine-independent, so any engine is equally authoritative.
+on one of the three engines with the usual telemetry flags, through the
+compiled scenario's :class:`~repro.hotpotato.simulation.HotPotatoSimulation`
+(flags override the scenario's engine defaults); committed results are
+engine-independent, so any engine is equally authoritative.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import argparse
 import sys
 
 from repro.errors import ConfigurationError
-from repro.scenarios.compile import ENGINES, compile_scenario
+from repro.hotpotato.simulation import ENGINES
+from repro.hotpotato.stats import model_lines
+from repro.scenarios.compile import compile_scenario
 from repro.scenarios.spec import load_scenario
 
 __all__ = ["main", "build_parser"]
@@ -99,14 +103,15 @@ def cmd_validate(files: list[str]) -> int:
             print(f"FAIL  {path}: {exc}")
             failures += 1
             continue
+        sim = compiled.sim
         extras = []
-        if compiled.injection_plan is not None:
+        if sim.injection_plan is not None:
             extras.append(
-                f"adversary={compiled.injection_plan.strategy}"
-                f"({len(compiled.injection_plan.entries)} injections)"
+                f"adversary={sim.injection_plan.strategy}"
+                f"({len(sim.injection_plan.entries)} injections)"
             )
-        if compiled.fault_plan is not None:
-            extras.append(f"faults={len(compiled.fault_plan.events)} events")
+        if sim.fault_plan is not None:
+            extras.append(f"faults={len(sim.fault_plan.events)} events")
         suffix = f" [{', '.join(extras)}]" if extras else ""
         print(
             f"ok    {path}: {compiled.name} "
@@ -122,14 +127,15 @@ def cmd_validate(files: list[str]) -> int:
 def cmd_show(path: str) -> int:
     scenario = load_scenario(path)
     compiled = compile_scenario(scenario)
-    cfg = compiled.cfg
+    sim = compiled.sim
+    cfg = sim.cfg
     print(f"scenario : {compiled.name}  [{compiled.scenario_hash()}]")
     if scenario.description:
         print(f"about    : {scenario.description}")
     print(f"topology : {cfg.n}x{cfg.n} {cfg.topology} ({cfg.num_routers} routers)")
     traffic = scenario.traffic
-    if compiled.injection_plan is not None:
-        plan = compiled.injection_plan
+    if sim.injection_plan is not None:
+        plan = sim.injection_plan
         steps = max((e.step for e in plan.entries), default=0) + 1
         print(
             f"traffic  : adversarial/{plan.strategy}, rate {plan.rate}, "
@@ -141,17 +147,17 @@ def cmd_show(path: str) -> int:
             "traffic  : bernoulli, injector_fraction "
             f"{traffic.get('injector_fraction', 1.0)}"
         )
-    print(f"routing  : {compiled.policy.name}")
+    print(f"routing  : {sim.policy.name}")
     print(
-        f"engine   : duration {compiled.duration:g}, seed {compiled.seed}, "
-        f"defaults n_pes={compiled.n_pes} n_kps={compiled.n_kps} "
+        f"engine   : duration {cfg.duration:g}, seed {sim.seed}, "
+        f"defaults n_pes={compiled.n_pes} n_kps={compiled.n_kps or 'auto'} "
         f"batch={compiled.batch_size}"
     )
     overrides = scenario.engine.get("overrides", {})
     if overrides:
         print(f"overrides: {overrides}")
-    if compiled.fault_plan is not None:
-        plan = compiled.fault_plan
+    if sim.fault_plan is not None:
+        plan = sim.fault_plan
         print(
             f"faults   : {len(plan.events)} scheduled events "
             f"(seed {plan.seed})"
@@ -164,9 +170,15 @@ def cmd_show(path: str) -> int:
 def cmd_run(args) -> int:
     from repro.obs.capture import RunCapture
 
-    scenario = load_scenario(args.file)
-    compiled = compile_scenario(scenario)
+    compiled = compile_scenario(load_scenario(args.file))
+    sim = compiled.sim
+    if args.seed is not None:
+        sim.seed = args.seed
+    cfg = sim.cfg
     engine = _ENGINE_ALIASES.get(args.engine, args.engine)
+    settings = compiled.engine_settings(
+        engine, n_pes=args.processors, n_kps=args.kps, batch_size=args.batch
+    )
     capture = RunCapture(
         metrics_out=args.metrics_out,
         trace_out=args.trace_out,
@@ -176,24 +188,21 @@ def cmd_run(args) -> int:
             "workload": "scenario",
             "scenario": compiled.name,
             "scenario_hash": compiled.scenario_hash(),
-            "n": compiled.cfg.n,
-            "topology": compiled.cfg.topology,
-            "policy": compiled.policy.name,
-            "duration": compiled.duration,
-            "seed": args.seed if args.seed is not None else compiled.seed,
+            "n": cfg.n,
+            "topology": cfg.topology,
+            "policy": sim.policy.name,
+            "duration": cfg.duration,
+            "seed": sim.seed,
         },
-        fault_plan=compiled.fault_plan,
-        injection_plan=compiled.injection_plan,
+        fault_plan=sim.fault_plan,
+        injection_plan=sim.injection_plan,
     )
-    result = compiled.run(
+    result = sim.run(
         engine,
-        seed=args.seed,
-        n_pes=args.processors,
-        n_kps=args.kps,
-        batch_size=args.batch,
         tracer=capture.tracer,
         metrics=capture.metrics,
         spans=capture.spans,
+        **settings,
     )
     capture.finalize(result)
     for out in sorted({str(s.path) for s in capture._sinks if s.path is not None}):
@@ -201,44 +210,28 @@ def cmd_run(args) -> int:
 
     ms = result.model_stats
     run = result.run
-    cfg = compiled.cfg
     print(
         f"{compiled.name} [{compiled.scenario_hash()}]: {cfg.n}x{cfg.n} "
-        f"{cfg.topology}, policy={compiled.policy.name}, "
-        f"{compiled.duration:g} steps, engine={run.engine} ({run.n_pes} PE)"
+        f"{cfg.topology}, policy={sim.policy.name}, "
+        f"{cfg.duration:g} steps, engine={run.engine} ({run.n_pes} PE)"
     )
-    print(f"  events committed   : {run.committed:,}")
-    if "adversary" in ms:
-        print(
-            f"  adversary          : {ms['adversary']} "
-            f"({ms['adversary_generated']:,} scripted injections)"
-        )
-    print(f"  packets injected   : {ms['injected']:,} (+{ms['initial_packets']} initial)")
-    print(f"  packets delivered  : {ms['delivered']:,}")
-    print(f"  avg delivery time  : {ms['avg_delivery_time']:.3f} steps")
-    print(f"  max delivery time  : {ms['max_delivery_time']} steps")
-    print(f"  avg wait to inject : {ms['avg_inject_wait']:.3f} steps")
-    print(f"  max wait to inject : {ms['max_inject_wait']} steps")
-    print(f"  deflection rate    : {100 * ms['deflection_rate']:.2f}%")
-    if compiled.fault_plan is not None:
+    print("\n".join(model_lines(result)))
+    if sim.fault_plan is not None:
         print(
             f"  fault events       : {ms.get('fault_events', 0):,} "
             f"({ms.get('failed_links', 0)} links statically failed)"
         )
 
-    if args.validate and engine != "sequential":
-        oracle = compiled.run("sequential", seed=args.seed)
-        identical = oracle.model_stats == ms
-        print(f"  oracle check       : {'IDENTICAL' if identical else 'MISMATCH'}")
-        if not identical:
-            return 1
-    elif args.validate:
-        twin = compiled.run(
-            "optimistic", seed=args.seed, n_pes=args.processors,
-            n_kps=args.kps, batch_size=args.batch,
-        )
-        identical = twin.model_stats == ms
-        print(f"  cross-engine check : {'IDENTICAL' if identical else 'MISMATCH'}")
+    if args.validate:
+        # The other side of the check: the sequential oracle for a
+        # parallel run, Time Warp for a sequential one.
+        twin = "optimistic" if engine == "sequential" else "sequential"
+        other = sim.run(twin, **compiled.engine_settings(
+            twin, n_pes=args.processors, n_kps=args.kps, batch_size=args.batch
+        ))
+        identical = other.model_stats == ms
+        check = "cross-engine check" if twin == "optimistic" else "oracle check"
+        print(f"  {check:<18} : {'IDENTICAL' if identical else 'MISMATCH'}")
         if not identical:
             return 1
     return 0

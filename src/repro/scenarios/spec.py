@@ -50,9 +50,16 @@ Identity
 --------
 :meth:`Scenario.scenario_hash` is the sha256 of the scenario's canonical
 JSON (sorted keys, ``source`` excluded), truncated to 16 hex digits —
-the same convention as the sweep supervisor's ``point_id``.  The
-supervisor records it in sweep manifests so a ``--resume`` of a scenario
-sweep can verify the file on disk still means what the manifest meant.
+the same convention as the sweep supervisor's ``point_id``.  What runs
+is pinned by the *compiled* identity,
+:meth:`~repro.scenarios.compile.CompiledScenario.scenario_hash`, which
+hashes a fault plan named by path by the plan's content.  The CLI's
+checkpoint marker, the sweep manifest and the point worker all pin that
+one, so a ``--resume`` refuses a scenario *or* plan file that changed.
+
+:func:`report_scenario` writes the document of the report's program
+parameters (§3.3.1); ``repro.hotpotato``'s flags and the sweep
+workhorses compile through it.
 """
 
 from __future__ import annotations
@@ -63,12 +70,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping
 
-from repro.baselines.policies import POLICIES
 from repro.errors import ConfigurationError
 from repro.net import TOPOLOGIES
-from repro.scenarios.adversary import STRATEGIES
 
-__all__ = ["SCHEMA_ID", "Scenario", "ScenarioError", "load_scenario"]
+__all__ = [
+    "SCHEMA_ID", "Scenario", "ScenarioError", "load_scenario", "report_scenario",
+]
 
 #: Schema identifier every scenario file must carry (versioned suffix).
 SCHEMA_ID = "RPSCEN01"
@@ -165,6 +172,8 @@ class Scenario:
                 f"choose from {list(TRAFFIC_MODELS)}"
             )
         if model == "adversarial":
+            from repro.scenarios.adversary import STRATEGIES
+
             strategy = self.traffic.get("strategy")
             if strategy == "script":
                 script = self.traffic.get("script")
@@ -179,11 +188,15 @@ class Scenario:
                     f"{strategy!r}; choose from {list(STRATEGIES) + ['script']}"
                 )
         policy = self.routing.get("policy", "busch")
-        if policy not in POLICIES:
-            raise ScenarioError(
-                f"scenario {self.name!r}: unknown routing policy "
-                f"{policy!r}; choose from {sorted(POLICIES)}"
-            )
+        if policy != "busch":
+            # The baselines load only for a run that routes with one.
+            from repro.baselines.policies import POLICIES
+
+            if policy not in POLICIES:
+                raise ScenarioError(
+                    f"scenario {self.name!r}: unknown routing policy "
+                    f"{policy!r}; choose from {sorted(POLICIES)}"
+                )
         if "duration" not in self.engine:
             raise ScenarioError(
                 f"scenario {self.name!r}: engine needs 'duration'"
@@ -285,3 +298,37 @@ def load_scenario(source: str | Path | IO[str]) -> Scenario:
     scenario = Scenario.from_dict(doc, source=path)
     scenario.validate()
     return scenario
+
+
+def report_scenario(
+    n: int,
+    duration: float,
+    *,
+    injector_fraction: float = 1.0,
+    absorb_sleeping: bool = True,
+    topology: str = "torus",
+    seed: int = 0x5EED,
+    faults=None,
+    traffic: dict | None = None,
+    name: str = "hotpotato",
+) -> Scenario:
+    """The scenario of the report's program parameters (§3.3.1).
+
+    N, the duration, ``probability_i`` (as ``injector_fraction``) and
+    ``absorb_sleeping`` plus the topology, seed and an optional
+    ``faults`` section in the scenario format; ``traffic`` replaces the
+    Bernoulli section (an adversary, say).  The PE count is the engine's.
+    """
+    engine: dict = {"duration": float(duration), "seed": int(seed)}
+    if not absorb_sleeping:
+        engine["overrides"] = {"absorb_sleeping": False}
+    return Scenario(
+        name=name,
+        topology={"kind": topology, "n": int(n)},
+        traffic=traffic or {
+            "model": "bernoulli", "injector_fraction": float(injector_fraction),
+        },
+        routing={"policy": "busch"},
+        engine=engine,
+        faults=faults,
+    )

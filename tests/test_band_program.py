@@ -247,7 +247,7 @@ def test_decline_reaches_the_recording_and_the_summary(tmp_path, capsys):
 
     rec = tmp_path / "mesh.jsonl"
     base = ["--n", "4", "--duration", "6", "--metrics-out", str(rec)]
-    assert hotpotato(base + ["--mesh"]) == 0
+    assert hotpotato(base + ["--topology", "mesh"]) == 0
     assert "band" not in capsys.readouterr().out
     reason = load_recording(rec).stats["band_decline_reason"]
     assert reason.startswith("topology 'mesh'")

@@ -11,23 +11,27 @@ from repro.experiments.supervisor import (
     SupervisorConfig,
     point_id,
 )
+from repro.scenarios import report_scenario
+
+
+def _scenario(duration: float = 15.0) -> dict:
+    return report_scenario(4, duration, seed=7).to_dict()
 
 
 def _opt_spec(**extra) -> dict:
     spec = {
-        "kind": "opt", "n": 4, "load": 1.0, "duration": 15.0, "seed": 7,
+        "kind": "opt", "scenario": _scenario(),
         "n_pes": 4, "n_kps": 16, "batch_size": 16, "window": None,
-        "overrides": None, "fault": None, "telemetry": None,
-        "checkpoint_every": 4,
+        "overrides": None, "telemetry": None, "checkpoint_every": 4,
     }
     spec.update(extra)
     return spec
 
 
-def _seq_spec(**extra) -> dict:
+def _seq_spec(duration: float = 15.0, **extra) -> dict:
     spec = {
-        "kind": "seq", "n": 4, "load": 1.0, "duration": 15.0, "seed": 7,
-        "fault": None, "telemetry": None, "checkpoint_every": 4,
+        "kind": "seq", "scenario": _scenario(duration), "telemetry": None,
+        "checkpoint_every": 4,
     }
     spec.update(extra)
     return spec
@@ -149,7 +153,7 @@ def test_resume_restores_in_flight_point_from_checkpoints(tmp_path):
     snapshot instead of starting over (snapshot seq numbers continue)."""
     # every=1 boundary cadence so the short run still writes several
     # snapshots (a sequential boundary is 1024 processed events).
-    spec = _seq_spec(duration=40.0, checkpoint_every=1)
+    spec = _seq_spec(40.0, checkpoint_every=1)
     sup = Supervisor(SupervisorConfig(out_dir=tmp_path))
     try:
         res = sup.run_point(spec)
@@ -199,3 +203,21 @@ def test_result_pickle_shape(tmp_path):
         doc = pickle.load(fh)
     assert set(doc) == {"model_stats", "run"}
     assert doc["run"].committed > 0
+
+
+def test_point_spec_in_the_old_format_is_refused_by_name(tmp_path, capsys):
+    """A spec written before points were scenarios is refused before any
+    work (no checkpoint directory, no result), not run into a KeyError."""
+    from repro.errors import ConfigurationError
+    from repro.experiments.pointworker import main, run_spec
+
+    old = {"kind": "seq", "n": 4, "load": 1.0, "duration": 15.0, "seed": 7,
+           "fault": None, "telemetry": None, "checkpoint_every": 4}
+    with pytest.raises(ConfigurationError, match="older format"):
+        run_spec(old, tmp_path / "hb", tmp_path / "ckpt")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(old))
+    argv = [spec_path, tmp_path / "result.pkl", tmp_path / "hb", tmp_path / "ckpt"]
+    assert main([str(a) for a in argv]) == 2
+    assert "older format" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt").exists() and not (tmp_path / "result.pkl").exists()

@@ -294,7 +294,7 @@ def test_vectorized_declines_on_mesh():
     """The hot-potato plan only covers the torus band layout; a mesh
     model declines, by name, and the kernel's per-event batch steps the
     population — the same run the foil produces."""
-    cfg = HotPotatoConfig(n=N, duration=DURATION, torus=False)
+    cfg = HotPotatoConfig(n=N, duration=DURATION, topology="mesh")
     model = HotPotatoModel(cfg)
     assert model.vector_plan(model.build()) is None
     ecfg = EngineConfig(end_time=DURATION, n_pes=4, n_kps=16, seed=7)

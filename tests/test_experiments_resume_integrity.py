@@ -1,13 +1,14 @@
-"""Resume integrity: a bare ``--resume`` re-hashes every journaled input.
+"""Resume integrity: a bare ``--resume`` re-compiles every journaled input.
 
-The manifest records each scenario's content hash and each fault-plan
-file's SHA-256 at launch time.  Before a resumed sweep serves *any*
-point — including ``done`` points whose results would otherwise come
-straight off disk — the supervisor re-verifies those hashes and refuses
-with an error naming the offending file if anything drifted.
+Every point is a scenario.  The manifest records the compiled identity of
+each scenario that reads a file — a scenario file, or a fault plan named
+by path, whose *content* the identity covers — at launch time.  Before a
+resumed sweep serves *any* point — including ``done`` points whose
+results would otherwise come straight off disk — the supervisor
+re-verifies those identities and refuses with an error naming the
+offending file if anything drifted.
 """
 
-import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -15,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ResumeIntegrityError
+from repro.experiments.pointworker import point_scenario
 from repro.experiments.supervisor import Supervisor, SupervisorConfig
 from repro.faults import generate_plan
-from repro.scenarios import compile_scenario, load_scenario
+from repro.scenarios import compile_scenario, load_scenario, report_scenario
 from repro.net import TorusTopology
 
 SCENARIO_SRC = Path(__file__).resolve().parent.parent / (
@@ -38,6 +40,12 @@ def _plan_file(tmp_path) -> Path:
     return path
 
 
+def _faulted_spec(plan_path) -> dict:
+    """An inline-scenario point naming its fault plan by path."""
+    doc = report_scenario(4, 8.0, seed=7, faults=str(plan_path)).to_dict()
+    return {"kind": "opt", "scenario": doc}
+
+
 def _scenario_file(tmp_path) -> tuple[Path, str]:
     path = tmp_path / "scenario.json"
     shutil.copy(SCENARIO_SRC, path)
@@ -55,18 +63,20 @@ def test_empty_manifest_verifies_nothing(tmp_path):
 
 def test_fault_plan_round_trip_and_tamper(tmp_path):
     plan_path = _plan_file(tmp_path)
-    spec = {"kind": "opt", "fault": {"plan": str(plan_path)}}
+    spec = _faulted_spec(plan_path)
 
     sup = _supervisor(tmp_path / "sweep")
     try:
-        # The hash the supervisor journals alongside `started` records.
-        want = Supervisor._spec_plan_hash(spec)
-        assert want == hashlib.sha256(plan_path.read_bytes()).hexdigest()
-        sup._journal(point="p1", status="started", spec=spec, plan_hash=want)
+        # The identity the supervisor journals alongside `started` records.
+        want = point_scenario(spec).scenario_hash()
+        sup._journal(point="p1", status="started", spec=spec, scenario_hash=want)
         assert sup.verify_resume_integrity() == 1
 
-        # Append one byte: the resume must refuse and name the file.
-        plan_path.write_text(plan_path.read_text() + "\n")
+        # Regenerate the plan: the resume must refuse and name the file.
+        plan = generate_plan(
+            TorusTopology(4), duration=8.0, link_fail_rate=0.2, seed=11
+        )
+        plan.dump(plan_path)
         with pytest.raises(ResumeIntegrityError) as exc_info:
             sup.verify_resume_integrity()
         msg = str(exc_info.value)
@@ -75,7 +85,7 @@ def test_fault_plan_round_trip_and_tamper(tmp_path):
 
         # A vanished file is refused too, with a distinct explanation.
         plan_path.unlink()
-        with pytest.raises(ResumeIntegrityError, match="no longer be read"):
+        with pytest.raises(ResumeIntegrityError, match="no longer be loaded"):
             sup.verify_resume_integrity()
     finally:
         sup.close()
@@ -83,13 +93,7 @@ def test_fault_plan_round_trip_and_tamper(tmp_path):
 
 def test_scenario_round_trip_and_tamper(tmp_path):
     scen_path, digest = _scenario_file(tmp_path)
-    spec = {
-        "kind": "opt",
-        "scenario": {
-            "path": str(scen_path), "name": "baseline-uniform",
-            "hash": digest,
-        },
-    }
+    spec = {"kind": "opt", "scenario": {"path": str(scen_path), "hash": digest}}
 
     sup = _supervisor(tmp_path / "sweep")
     try:
@@ -117,13 +121,13 @@ def test_scenario_round_trip_and_tamper(tmp_path):
 def test_latest_journal_record_wins(tmp_path):
     """Re-journaling a point (retry, fallback) updates the expected hash."""
     plan_path = _plan_file(tmp_path)
-    spec = {"kind": "opt", "fault": {"plan": str(plan_path)}}
+    spec = _faulted_spec(plan_path)
     sup = _supervisor(tmp_path / "sweep")
     try:
         sup._journal(point="p1", status="started", spec=spec,
-                     plan_hash="0" * 64)  # stale hash from a dead attempt
-        want = Supervisor._spec_plan_hash(spec)
-        sup._journal(point="p1", status="started", spec=spec, plan_hash=want)
+                     scenario_hash="0" * 16)  # stale hash from a dead attempt
+        want = point_scenario(spec).scenario_hash()
+        sup._journal(point="p1", status="started", spec=spec, scenario_hash=want)
         assert sup.verify_resume_integrity() == 1
     finally:
         sup.close()
@@ -155,15 +159,35 @@ def test_cli_bare_resume_refuses_tampered_input(tmp_path, capsys):
     from repro.experiments.runner import main
 
     plan_path = _plan_file(tmp_path)
-    spec = {"kind": "opt", "fault": {"plan": str(plan_path)}}
+    spec = _faulted_spec(plan_path)
     out = tmp_path / "sweep"
     sup = _supervisor(out)
-    want = Supervisor._spec_plan_hash(spec)
-    sup._journal(point="p1", status="started", spec=spec, plan_hash=want)
+    want = point_scenario(spec).scenario_hash()
+    sup._journal(point="p1", status="started", spec=spec, scenario_hash=want)
     sup.close()
 
-    plan_path.write_text(plan_path.read_text() + "\n")
+    generate_plan(
+        TorusTopology(4), duration=8.0, link_fail_rate=0.2, seed=11
+    ).dump(plan_path)
     assert main(["--resume", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
     assert str(plan_path) in err
+
+
+def test_manifest_in_the_old_spec_format_is_refused_by_name(tmp_path, capsys):
+    """A manifest journaled before points were scenarios is refused before
+    any point runs — not replayed into a KeyError."""
+    from repro.experiments.runner import main
+
+    out = tmp_path / "sweep"
+    sup = _supervisor(out)
+    old = {"kind": "seq", "n": 4, "load": 1.0, "duration": 15.0, "seed": 7,
+           "fault": None, "telemetry": None, "checkpoint_every": 4}
+    sup._journal(point="p1", status="started", spec=old)
+    sup.journal_meta(experiments=["fig3"], params={"sizes": [4]})
+    sup.close()
+    assert main(["--resume", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "older format" in err and "'load'" in err
+    assert not any((out / "points").iterdir())  # no point ran

@@ -7,7 +7,9 @@ import pathlib
 import pytest
 
 from repro.analysis.linfit import fit_linear
-from repro.experiments.common import SweepParams, kp_count_for
+from repro.core.mapping import kp_count_for
+from repro.errors import ConfigurationError
+from repro.experiments.common import SweepParams
 from repro.experiments.figures import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.runner import build_parser, main
 
@@ -41,10 +43,10 @@ def test_kp_count_rounds_down():
 
 
 def test_kp_count_unusable_raises():
-    with pytest.raises(ValueError):
-        kp_count_for(2, 1, 4)  # cannot give each of 4 PEs a KP on 2x2=4 LPs... 4 KPs fit
-        # (the above fits; force a real failure)
-    with pytest.raises(ValueError):
+    # A configuration error by name (the sweeps and Time Warp configs share it).
+    with pytest.raises(ConfigurationError, match="no usable KP count"):
+        kp_count_for(2, 1, 4)  # fewer KPs requested than PEs
+    with pytest.raises(ConfigurationError, match="no usable KP count"):
         kp_count_for(3, 2, 4)
 
 

@@ -11,7 +11,7 @@ def test_defaults():
     assert cfg.n == 8
     assert cfg.num_routers == 64
     assert cfg.absorb_sleeping
-    assert cfg.torus
+    assert cfg.topology == "torus"
     assert cfg.arrival_jitter
 
 
@@ -32,6 +32,7 @@ def test_upgrade_probabilities_match_paper():
         dict(jitter_slots=0),
         dict(sleeping_upgrade_scale=0.0),
         dict(active_upgrade_scale=-1.0),
+        dict(topology="hexagon"),
     ],
 )
 def test_invalid_configs(kwargs):

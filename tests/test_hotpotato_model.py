@@ -44,7 +44,7 @@ def test_model_builds_dense_router_population():
 
 
 def test_mesh_mode():
-    model = HotPotatoModel(HotPotatoConfig(n=4, torus=False))
+    model = HotPotatoModel(HotPotatoConfig(n=4, topology="mesh"))
     assert isinstance(model.topo, MeshTopology)
     result = run_sequential(model, 20.0)
     assert result.model_stats["delivered"] > 0

@@ -216,7 +216,7 @@ def test_inject_reverse_restores_exactly(setup, blocked):
 SCRIPT_DEST = 7
 
 
-def scripted_router(torus, *, crashed=False):
+def scripted_router(topology, *, crashed=False):
     """Router 0 (a degree-2 corner on the mesh) whose adversary generates
     one packet for ``SCRIPT_DEST`` at step 2 and one at step 6."""
     plan = InjectionPlan(entries=(
@@ -224,19 +224,19 @@ def scripted_router(torus, *, crashed=False):
         InjectionEvent(step=6, node=0, dest=SCRIPT_DEST),
     ))
     faults = FaultPlan(events=(FaultEvent(1, CRASH, 0),)) if crashed else None
-    cfg = HotPotatoConfig(n=3, duration=50.0, torus=torus)
+    cfg = HotPotatoConfig(n=3, duration=50.0, topology=topology)
     lp, sends, _ = make_router(0, cfg, injection_plan=plan, fault_plan=faults)
     assert lp.adversary == ((2, SCRIPT_DEST), (6, SCRIPT_DEST))
     assert (lp.faults is not None) == crashed
     return lp, sends
 
 
-@pytest.mark.parametrize("torus", [True, False], ids=["torus", "mesh-corner"])
+@pytest.mark.parametrize("topology", ["torus", "mesh"], ids=["torus", "mesh-corner"])
 @pytest.mark.parametrize(
     "case", ["injected", "blocked", "not-due", "exhausted", "crashed"]
 )
-def test_scripted_inject_reverse_restores_exactly(torus, case):
-    lp, sends = scripted_router(torus, crashed=case == "crashed")
+def test_scripted_inject_reverse_restores_exactly(topology, case):
+    lp, sends = scripted_router(topology, crashed=case == "crashed")
     if case == "blocked":
         claim(lp, [3, 3, 3, 3])
     elif case == "not-due":

@@ -29,7 +29,7 @@ N_, E_, S_, W_ = (
 
 
 def make_lp(node, n=3, **cfg_kwargs):
-    return make_router(node, HotPotatoConfig(n=n, torus=False, **cfg_kwargs))
+    return make_router(node, HotPotatoConfig(n=n, topology="mesh", **cfg_kwargs))
 
 
 def packet_data(step, dest, priority=Priority.ACTIVE, **fields):

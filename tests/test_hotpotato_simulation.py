@@ -56,7 +56,7 @@ def test_different_seeds_differ():
 
 
 def test_mesh_parallel_matches_sequential():
-    cfg = HotPotatoConfig(n=6, duration=30.0, injector_fraction=0.5, torus=False)
+    cfg = HotPotatoConfig(n=6, duration=30.0, injector_fraction=0.5, topology="mesh")
     sim = HotPotatoSimulation(cfg)
     assert sim.run().model_stats == sim.run_parallel(
         n_pes=2, n_kps=6, mapping="striped"

@@ -125,9 +125,8 @@ def test_pointworker_refuses_changed_scenario(tmp_path):
     from repro.experiments.pointworker import run_spec
 
     spec = {
-        "kind": "seq", "seed": 7,
-        "scenario": {"path": _tiny(tmp_path), "name": "tiny",
-                     "hash": "0000000000000000"},
+        "kind": "seq",
+        "scenario": {"path": _tiny(tmp_path), "hash": "0000000000000000"},
     }
     with pytest.raises(ValueError, match="refusing"):
         run_spec(spec, tmp_path / "hb", tmp_path / "ckpt")
@@ -162,3 +161,27 @@ def test_supervised_scenario_sweep_resumes(tmp_path):
         set_supervisor(None)
         sup.close()
     assert again.rows == first.rows
+
+
+def test_supervised_sweep_refuses_a_regenerated_fault_plan(tmp_path, capsys):
+    """A scenario naming its fault plan by path: regenerating the plan
+    after the sweep ran is a different experiment, and ``--resume``
+    refuses it by name instead of serving the stored results."""
+    from repro.experiments.runner import main
+    from repro.faults import generate_plan
+    from repro.net import TorusTopology
+
+    def write_plan(rate, seed):
+        generate_plan(
+            TorusTopology(4), duration=10.0, link_fail_rate=rate, seed=seed
+        ).dump(tmp_path / "plan.json")
+
+    write_plan(0.1, 3)
+    scenario = _tiny(tmp_path, faults="plan.json")
+    out_dir = tmp_path / "sweep"
+    assert main(["scenarios", "--scenario", scenario, "--out-dir", str(out_dir)]) == 0
+    write_plan(0.4, 11)
+    capsys.readouterr()
+    assert main(["--resume", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert scenario in err and "refusing to resume" in err

@@ -122,8 +122,8 @@ def test_compile_resolves_script_traffic():
         }
     )
     compiled = compile_scenario(Scenario.from_dict(doc))
-    assert compiled.injection_plan is not None
-    assert len(compiled.injection_plan.entries) == 2
+    assert compiled.sim.injection_plan is not None
+    assert len(compiled.sim.injection_plan.entries) == 2
 
 
 def test_compile_rejects_script_outside_topology():
@@ -140,10 +140,25 @@ def test_compile_rejects_script_outside_topology():
 
 
 def test_compile_default_kps_fit_odd_grids():
+    """The KP default is resolved when a Time Warp engine is built, to a
+    count whose block mapping tiles the grid."""
     doc = _doc(topology={"kind": "mesh", "n": 6})
     compiled = compile_scenario(Scenario.from_dict(doc))
-    assert compiled.n_kps >= compiled.n_pes
-    assert 6 * 6 % compiled.n_kps == 0 or compiled.n_kps <= 36
+    assert compiled.n_kps is None
+    ecfg = compiled.sim.engine_config(**compiled.engine_settings("optimistic"))
+    assert ecfg.n_kps >= ecfg.n_pes and 6 * 6 % ecfg.n_kps == 0
+
+
+def test_grid_no_kp_count_tiles_compiles_and_runs_sequentially():
+    """A 5x5 grid has no default KP count for 4 PEs; that refuses the
+    Time Warp engine by name, not the scenario."""
+    from repro.errors import ConfigurationError
+
+    doc = _doc(topology={"kind": "torus", "n": 5})
+    compiled = compile_scenario(Scenario.from_dict(doc))
+    assert compiled.sim.run().model_stats["delivered"] > 0
+    with pytest.raises(ConfigurationError, match="no usable KP count"):
+        compiled.sim.engine_config(**compiled.engine_settings("optimistic"))
 
 
 def test_compile_relative_fault_path(tmp_path):
@@ -159,8 +174,32 @@ def test_compile_relative_fault_path(tmp_path):
     doc = _doc(faults="plan.json")
     (tmp_path / "scenario.json").write_text(json.dumps(doc, sort_keys=True))
     compiled = compile_scenario(load_scenario(tmp_path / "scenario.json"))
-    assert compiled.fault_plan is not None
-    assert not compiled.fault_plan.is_empty
+    assert compiled.sim.fault_plan is not None
+    assert not compiled.sim.fault_plan.is_empty
+
+
+def test_identity_covers_a_fault_plan_named_by_path(tmp_path):
+    """Regenerating the plan file is a different experiment: the compiled
+    identity changes with the plan's content, not only its path."""
+    from repro.faults import generate_plan
+    from repro.net import TorusTopology
+
+    def write_plan(rate, seed):
+        plan = generate_plan(
+            TorusTopology(4), duration=8.0, link_fail_rate=rate, seed=seed
+        )
+        plan.dump(tmp_path / "plan.json")
+
+    (tmp_path / "scenario.json").write_text(json.dumps(_doc(faults="plan.json")))
+    write_plan(0.1, 3)
+    before = compile_scenario(load_scenario(tmp_path / "scenario.json"))
+    write_plan(0.4, 11)
+    after = compile_scenario(load_scenario(tmp_path / "scenario.json"))
+    assert before.scenario.scenario_hash() == after.scenario.scenario_hash()
+    assert before.scenario_hash() != after.scenario_hash()
+    # Inline and generated plans keep the document's own hash.
+    inline = compile_scenario(Scenario.from_dict(_doc()))
+    assert inline.scenario_hash() == inline.scenario.scenario_hash()
 
 
 def test_scenario_json_roundtrip(tmp_path):
