@@ -119,9 +119,11 @@ def deterministic_failures(gate: Gate, cfg: HotPotatoConfig, tmp: Path) -> list[
 
 
 def _timed_run(cfg: HotPotatoConfig, **hooks) -> float:
-    # Dead kernels are reclaimed only by the cycle collector (events sit
-    # in reference cycles through their queue entry); collect before and
-    # disable during, or one run pays the previous run's debt.
+    # A dead kernel is reclaimed only by the cycle collector (its closures
+    # hold it), and one whose run began with the collector on is frozen;
+    # unfreeze and collect before, disable during, or one run pays the
+    # previous run's debt.
+    gc.unfreeze()
     gc.collect()
     gc.disable()
     try:

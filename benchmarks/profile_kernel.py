@@ -10,13 +10,18 @@ functions by cumulative time::
                                         [--procs 2 --gvt-interval 16]
 
 Beside the table it prints the run's ``gc.get_stats()`` delta
-(collections and objects collected per generation): the cyclic
+(collections and objects collected per generation), the collector's
+pause time before, during and after the run (timed by a ``gc.callbacks``
+hook), and how many objects a later pass would walk
+(``len(gc.get_objects())`` once the run has returned): the cyclic
 collector's passes are C code entered from the allocator, charged to
 whatever Python function happened to allocate, so the profile cannot show
-them.  An engine pauses the collector while it runs
-(``Executor._collector_paused``), so anything beyond the one collection on
-the way in means something outside ``run`` — or a model building per-event
-cycles — is feeding it.
+them.  An engine pauses the collector while it runs and freezes what it
+leaves alive (``Executor._collector_paused``), so *during* should be the
+one collection on the way in, *after* should be nothing, and the count
+should be near zero — the interpreter's exit collection walks only those
+objects.  Anything more means something outside ``run``, or a model
+building per-event cycles, is feeding the collector.
 
 ``--dump`` writes the raw profile to a ``pstats`` file so before/after
 profiles of an optimisation PR can be diffed offline
@@ -46,6 +51,7 @@ import argparse
 import cProfile
 import gc
 import pstats
+import time
 
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.simulation import HotPotatoSimulation
@@ -75,6 +81,32 @@ def collector_delta(before: list[dict]) -> str:
         f"({now['collected'] - then['collected']:,} collected)"
         for i, (then, now) in enumerate(zip(before, gc.get_stats()))
     )
+
+
+class CollectorPauses:
+    """Seconds the cyclic collector held the program, per phase of a run.
+
+    Registered in ``gc.callbacks``; the caller moves :attr:`phase` from
+    ``before`` to ``during`` to ``after`` around the run.
+    """
+
+    def __init__(self) -> None:
+        self.phase = "before"
+        self.seconds = dict.fromkeys(("before", "during", "after"), 0.0)
+        self._start = 0.0
+        gc.callbacks.append(self)
+
+    def __call__(self, stage: str, info: dict) -> None:
+        if stage == "start":
+            self._start = time.perf_counter()
+        else:
+            self.seconds[self.phase] += time.perf_counter() - self._start
+
+    def line(self) -> str:
+        gc.callbacks.remove(self)
+        return "collector pauses: " + ", ".join(
+            f"{s * 1e3:.1f} ms {phase}" for phase, s in self.seconds.items()
+        ) + f" run; {len(gc.get_objects()):,} objects left for a later pass"
 
 
 def main() -> None:
@@ -127,6 +159,7 @@ def main() -> None:
         "show which engine phase spent it",
     )
     args = parser.parse_args()
+    pauses = CollectorPauses()
     if args.procs is not None and (
         args.procs < 2 or args.engine != "optimistic" or not args.dump
     ):
@@ -165,6 +198,7 @@ def main() -> None:
         profile_workers(args.dump)
 
     gc_before = gc.get_stats()
+    pauses.phase = "during"
     profiler = cProfile.Profile()
     profiler.enable()
     result = sim.run(
@@ -172,6 +206,7 @@ def main() -> None:
         **settings,
     )
     profiler.disable()
+    pauses.phase = "after"
     gc_line = collector_delta(gc_before)
     capture.finalize(result)
     if args.metrics_out or args.spans_out:
@@ -181,6 +216,7 @@ def main() -> None:
         f"{args.engine}: {result.run.processed:,} events processed "
         f"({result.run.events_rolled_back:,} rolled back)"
     )
+    gc_line += "\n" + pauses.line()
     if args.procs is not None:
         gc_line += " — this process; the workers ran the events"
     print(gc_line + "\n")

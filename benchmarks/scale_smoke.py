@@ -15,7 +15,10 @@ regime where events die outside the pool: (d) the 16×16 torus at ``--batch
 2048`` for 200 steps (about half of what it executes is undone) stays
 under ``--rollback-rss-mb``, and (e) one process that runs that
 configuration twice and one that runs it ten times peak within
-``--flat-rss-mb`` of each other::
+``--flat-rss-mb`` of each other.  Last, (f): the objects a collection
+would walk right after a sequential run, counted in a child
+(``len(gc.get_objects())``), at 64×64 and at 8×8 differ by at most
+``TRACKED_SLACK``::
 
     PYTHONPATH=src python benchmarks/scale_smoke.py                 # CI: n=128, 400 MB
     PYTHONPATH=src python benchmarks/scale_smoke.py --n 256 --max-rss-mb 1024
@@ -32,6 +35,10 @@ collection could free stays for the whole run — when every event and its
 heap entry referred to each other (before PR 24) and the collector ran,
 (d) peaked at 39 MB, not 29 — and a finished engine, which *is* cyclic,
 has to be collected before the next one runs or (e) grows by 5 MB a run.
+(f) is about who walks what: ``run`` freezes what it leaves alive, so no
+later generation pass, and not the interpreter's exit collection, scans a
+finished run; left unfrozen, that scan grows with the population (0.17 s
+after a 64×64 Time Warp run, 0.85 s at 128×128).
 """
 
 from __future__ import annotations
@@ -68,6 +75,22 @@ sim = HotPotatoSimulation(HotPotatoConfig(n=16, duration=20.0, injector_fraction
 for _ in range(int(sys.argv[1])):
     sim.run_parallel(n_pes=4, n_kps=16, batch_size=2048)
 """
+
+
+#: Check (f)'s child: the objects a collection would walk right after one
+#: ``argv[1]`` × ``argv[1]`` sequential run, its result still held.
+TRACKED = """
+import gc, sys
+from repro.hotpotato.config import HotPotatoConfig
+from repro.hotpotato.simulation import HotPotatoSimulation
+cfg = HotPotatoConfig(n=int(sys.argv[1]), duration=2.0, injector_fraction=1.0)
+result = HotPotatoSimulation(cfg).run()
+print(len(gc.get_objects()))
+"""
+
+#: Most check (f)'s two counts may differ: a frozen run leaves ~0 at any
+#: size, an unfrozen one 15,714 at 8×8 and 124,577 at 64×64.
+TRACKED_SLACK = 1000
 
 
 def child(cmd: list[str]) -> tuple[str, float, float]:
@@ -159,6 +182,16 @@ def main() -> None:
     )
     if ten_mb - two_mb > args.flat_rss_mb:
         raise SystemExit("finished engines pile up across runs")
+
+    small, large = (
+        int(child([sys.executable, "-c", TRACKED, str(n)])[0]) for n in (8, FLAT_N)
+    )
+    print(
+        f"objects a collection walks after a sequential run: {small:,} at 8×8, "
+        f"{large:,} at {FLAT_N}×{FLAT_N} (may differ by {TRACKED_SLACK:,})"
+    )
+    if abs(large - small) > TRACKED_SLACK:
+        raise SystemExit("a finished run is left to the cyclic collector")
     print("scale smoke ok")
 
 

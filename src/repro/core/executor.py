@@ -23,7 +23,8 @@ a small uniform interface every engine implements:
 ``run()``
     Execute to the end barrier and return a
     :class:`~repro.core.result.RunResult`.  Every engine's ``run`` holds
-    :meth:`Executor._collector_paused` around its event loop.
+    :meth:`Executor._collector_paused` around its event loop (process
+    mode around its fork, wait and merge).
 
 The base class also owns the **population build**: every engine builds
 with :meth:`~repro.core.lp.Model.build`, so there is one population per
@@ -104,26 +105,38 @@ class Executor:
     @staticmethod
     @contextmanager
     def _collector_paused():
-        """Hold CPython's cyclic collector off while an engine runs.
+        """Hold CPython's cyclic collector off while an engine runs, and
+        hide what the run leaves alive from every later pass.
 
         No :class:`~repro.core.event.Event` is ever part of a reference
         cycle, so the pool and the reference counter free every one and
         the generation scans a running engine triggers find nothing.
-        Entered by each ``run`` once the fast paths are compiled.  One
-        collection on the way in frees the engines of earlier runs (an
-        engine *is* cyclic: its closures hold it), which would otherwise
-        pile up in a process that only allocates while paused.  The
-        collector is re-enabled on every way out; one the caller had
-        disabled is left alone.  (docs/KERNEL.md, "Who frees an Event".)
+        Entered by each ``run`` once the fast paths are compiled, and by
+        process mode around its fork, wait and merge (workers inherit a
+        frozen heap and a disabled collector).  On the way in, the heap
+        is unfrozen and collected once — that frees the engines of earlier
+        runs (an engine *is* cyclic: its closures hold it), which would
+        otherwise pile up in a process that only allocates while paused —
+        and then frozen.  On every way out, everything alive is frozen
+        again before the collector is re-enabled, so neither a later
+        generation pass nor the interpreter's exit collection walks the
+        finished run.  The cost: what a run leaves alive is exempt from
+        cyclic collection until the next ``run`` starts or the caller
+        calls ``gc.unfreeze()``.  A collector the caller had disabled is
+        left alone, freeze and all.  (docs/KERNEL.md, "Who frees an
+        Event".)
         """
         if not gc.isenabled():
             yield
             return
+        gc.unfreeze()
         gc.collect()
+        gc.freeze()
         gc.disable()
         try:
             yield
         finally:
+            gc.freeze()
             gc.enable()
 
     # ------------------------------------------------------------------

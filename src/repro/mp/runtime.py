@@ -37,6 +37,7 @@ import time
 from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.connection import wait as conn_wait
 
+from repro.core.executor import Executor
 from repro.core.result import RunResult
 from repro.core.stats import RunStats
 from repro.core.trace import EXEC, UNDO
@@ -318,132 +319,136 @@ def run_multiprocess(
         spec.resume = resume
         specs.append(spec)
 
-    children = []
-    parent_conns = []
-    results: dict[int, dict] = {}
-    died: list[int] = []
-    try:
-        # Pipe creation, fork and parent-side send-end close interleave
-        # per worker: a pipe created before a sibling's fork would leave
-        # its send end open inside that sibling, and a killed worker's
-        # pipe would then never reach EOF while any sibling lived.
-        for spec in specs:
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            spec.conn = send_conn
-            proc = ctx.Process(
-                target=worker_main, args=(spec,), name=f"repro-mp-{spec.index}"
-            )
-            proc.start()
-            send_conn.close()
-            spec.conn = None
-            parent_conns.append(recv_conn)
-            children.append(proc)
+    # Fork, wait and merge with the collector paused and the heap frozen
+    # (CPython's fork recipe): the workers inherit a disabled collector,
+    # so none of them walks, or copies on write, the parent's objects.
+    with Executor._collector_paused():
+        children = []
+        parent_conns = []
+        results: dict[int, dict] = {}
+        died: list[int] = []
+        try:
+            # Pipe creation, fork and parent-side send-end close interleave
+            # per worker: a pipe created before a sibling's fork would leave
+            # its send end open inside that sibling, and a killed worker's
+            # pipe would then never reach EOF while any sibling lived.
+            for spec in specs:
+                recv_conn, send_conn = ctx.Pipe(duplex=False)
+                spec.conn = send_conn
+                proc = ctx.Process(
+                    target=worker_main, args=(spec,), name=f"repro-mp-{spec.index}"
+                )
+                proc.start()
+                send_conn.close()
+                spec.conn = None
+                parent_conns.append(recv_conn)
+                children.append(proc)
 
-        index_of = {conn: i for i, conn in enumerate(parent_conns)}
-        pending = set(parent_conns)
-        forwarded = False
-        while pending:
-            if (
-                checkpointer is not None
-                and checkpointer.interrupted
-                and not forwarded
-            ):
-                # The CLI's deferred-interrupt (or deadline) handler set
-                # the parent flag; relay it to the workers, who turn it
-                # into a coordinated final-shard wave.
-                checkpointer.interrupted = False
-                _forward_sigint(children)
-                forwarded = True
-            try:
-                ready = conn_wait(list(pending), timeout=0.2)
-            except KeyboardInterrupt:
-                _forward_sigint(children)
-                forwarded = True
-                continue
-            failed = False
-            for conn in ready:
+            index_of = {conn: i for i, conn in enumerate(parent_conns)}
+            pending = set(parent_conns)
+            forwarded = False
+            while pending:
+                if (
+                    checkpointer is not None
+                    and checkpointer.interrupted
+                    and not forwarded
+                ):
+                    # The CLI's deferred-interrupt (or deadline) handler set
+                    # the parent flag; relay it to the workers, who turn it
+                    # into a coordinated final-shard wave.
+                    checkpointer.interrupted = False
+                    _forward_sigint(children)
+                    forwarded = True
                 try:
-                    payload = conn.recv()
-                except (EOFError, OSError):
-                    died.append(index_of[conn])
-                    pending.discard(conn)
-                    continue
+                    ready = conn_wait(list(pending), timeout=0.2)
                 except KeyboardInterrupt:
                     _forward_sigint(children)
                     forwarded = True
+                    continue
+                failed = False
+                for conn in ready:
+                    try:
+                        payload = conn.recv()
+                    except (EOFError, OSError):
+                        died.append(index_of[conn])
+                        pending.discard(conn)
+                        continue
+                    except KeyboardInterrupt:
+                        _forward_sigint(children)
+                        forwarded = True
+                        break
+                    results[payload["index"]] = payload
+                    pending.discard(conn)
+                    if "error" in payload or "health_abort" in payload:
+                        # A worker that stopped participating in GVT waves
+                        # would deadlock its siblings; stop the run now and
+                        # report with whatever results already arrived.
+                        failed = True
+                if died or failed:
                     break
-                results[payload["index"]] = payload
-                pending.discard(conn)
-                if "error" in payload or "health_abort" in payload:
-                    # A worker that stopped participating in GVT waves
-                    # would deadlock its siblings; stop the run now and
-                    # report with whatever results already arrived.
-                    failed = True
-            if died or failed:
-                break
-        if died:
-            _kill_children(children)
-            raise ConfigurationError(
-                f"worker process(es) {sorted(died)} died without reporting "
-                "a result (killed or crashed hard); partial results from "
-                f"{sorted(results)} discarded"
-            )
-        if pending:
-            # A worker reported an error; its siblings may be stuck in a
-            # wave that can no longer complete — take them down.
-            _kill_children(children)
-        for proc in children:
-            proc.join()
-    finally:
-        for proc in children:
-            if proc.is_alive():
+            if died:
                 _kill_children(children)
-                break
-        for conn in parent_conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for shm in segments:
-            destroy_segment(shm)
+                raise ConfigurationError(
+                    f"worker process(es) {sorted(died)} died without reporting "
+                    "a result (killed or crashed hard); partial results from "
+                    f"{sorted(results)} discarded"
+                )
+            if pending:
+                # A worker reported an error; its siblings may be stuck in a
+                # wave that can no longer complete — take them down.
+                _kill_children(children)
+            for proc in children:
+                proc.join()
+        finally:
+            for proc in children:
+                if proc.is_alive():
+                    _kill_children(children)
+                    break
+            for conn in parent_conns:
+                try:
+                    conn.close()
+                except OSError:
+                    pass
+            for shm in segments:
+                destroy_segment(shm)
 
-    # A worker's own report comes first: the siblings that were taken
-    # down because of it have no result, and that is not the cause.
-    for i, part in sorted(results.items()):
-        if "error" in part:
-            raise ConfigurationError(
-                f"worker {i} failed:\n{part['error']}"
-            )
-    aborts = [p["health_abort"] for p in results.values() if "health_abort" in p]
-    if aborts:
-        # Same exception type and message as the worker's watchdog raised.
-        exc = HealthIntervention.__new__(HealthIntervention)
-        Exception.__init__(exc, aborts[0])
-        raise exc
-    for i in range(procs):
-        if i not in results:
-            raise ConfigurationError(f"worker {i} produced no result")
+        # A worker's own report comes first: the siblings that were taken
+        # down because of it have no result, and that is not the cause.
+        for i, part in sorted(results.items()):
+            if "error" in part:
+                raise ConfigurationError(
+                    f"worker {i} failed:\n{part['error']}"
+                )
+        aborts = [p["health_abort"] for p in results.values() if "health_abort" in p]
+        if aborts:
+            # Same exception type and message as the worker's watchdog raised.
+            exc = HealthIntervention.__new__(HealthIntervention)
+            Exception.__init__(exc, aborts[0])
+            raise exc
+        for i in range(procs):
+            if i not in results:
+                raise ConfigurationError(f"worker {i} produced no result")
 
-    parts = [results[i] for i in range(procs)]
-    if tracer is not None:
-        _replay_commits(tracer, parts)
-    if metrics is not None:
-        _merge_metrics(metrics, parts)
-    if spans is not None:
-        _merge_spans(spans, parts)
-    if health is not None and health.sink is not None:
+        parts = [results[i] for i in range(procs)]
+        if tracer is not None:
+            _replay_commits(tracer, parts)
+        if metrics is not None:
+            _merge_metrics(metrics, parts)
+        if spans is not None:
+            _merge_spans(spans, parts)
+        if health is not None and health.sink is not None:
+            for part in parts:
+                for row in part["health"] or ():
+                    health.sink.write_health(row)
+
+        if any(p["interrupted"] for p in parts):
+            raise KeyboardInterrupt
+
+        merged = _merge_run_stats([p["run"] for p in parts], config)
+        parent_lps = model.build()
         for part in parts:
-            for row in part["health"] or ():
-                health.sink.write_health(row)
-
-    if any(p["interrupted"] for p in parts):
-        raise KeyboardInterrupt
-
-    merged = _merge_run_stats([p["run"] for p in parts], config)
-    parent_lps = model.build()
-    for part in parts:
-        for lp_id, blob in part["lp_blobs"].items():
-            model.mp_import_lp(parent_lps[lp_id], blob)
-    model.mp_merge_shards([p["model_shard"] for p in parts])
-    model_stats = model.collect_stats(parent_lps)
-    return RunResult(model_stats=model_stats, run=merged, lps=parent_lps)
+            for lp_id, blob in part["lp_blobs"].items():
+                model.mp_import_lp(parent_lps[lp_id], blob)
+        model.mp_merge_shards([p["model_shard"] for p in parts])
+        model_stats = model.collect_stats(parent_lps)
+        return RunResult(model_stats=model_stats, run=merged, lps=parent_lps)

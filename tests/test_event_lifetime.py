@@ -1,15 +1,18 @@
 """Who frees an Event: the pool at commit, the reference counter elsewhere.
 
 No ``Event`` is part of a reference cycle (its heap entry is the heap's
-alone), so an engine holds the cyclic collector off while it runs.  Three
+alone), so an engine holds the cyclic collector off while it runs.  Four
 things are pinned here: a finished run leaves no ``Event`` for the
 collector to find, on any engine or rollback path; ``run`` hands the
-collector back in the state it found it, however it exits; and a snapshot
-of a rollback-heavy run pickles and resumes without a heap entry.
+collector back in the state it found it, however it exits; what a run
+leaves alive is frozen out of every later pass until the next run's way in
+frees the dead; and a snapshot of a rollback-heavy run pickles and resumes
+without a heap entry.
 """
 
 import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -20,7 +23,7 @@ from repro.core.conservative import ConservativeConfig, ConservativeKernel
 from repro.core.engine import SequentialEngine
 from repro.core.event import Event
 from repro.core.lp import LogicalProcess, Model
-from repro.core.optimistic import TimeWarpKernel
+from repro.core.optimistic import TimeWarpKernel, run_optimistic
 from repro.core.queue import PendingQueue
 from repro.errors import SchedulingError
 from repro.hotpotato.config import HotPotatoConfig
@@ -34,10 +37,10 @@ from tests.test_ckpt_resume import _check_resume_from_every_snapshot
 SEED = 7
 
 
-def _hotpotato(topology="torus", duration=20.0):
+def _hotpotato(topology="torus", duration=20.0, n=8):
     return HotPotatoModel(
         HotPotatoConfig(
-            n=8, duration=duration, injector_fraction=1.0, topology=topology
+            n=n, duration=duration, injector_fraction=1.0, topology=topology
         )
     )
 
@@ -70,12 +73,16 @@ def _events_left_to_the_collector(engine):
     """Run ``engine``; count the Events only a collection could free.
 
     The engine stays referenced, so what is found is what died during the
-    run, not the engine's own (cyclic, and rightly so) closures.
+    run, not the engine's own (cyclic, and rightly so) closures.  ``run``
+    freezes what is alive when it returns, earlier tests' engines and this
+    run's garbage included, so each collection here unfreezes first.
     """
+    gc.unfreeze()
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         result = engine.run()
+        gc.unfreeze()
         gc.collect()
         return sum(type(o) is Event for o in gc.garbage), result
     finally:
@@ -283,7 +290,59 @@ def test_worker_kernel_pauses_and_restores_around_an_interrupted_wave(
 
 
 # ----------------------------------------------------------------------
-# (c) Snapshots need no heap entry.
+# (c) A finished run is frozen; the next run's way in frees the dead.
+# ----------------------------------------------------------------------
+def _tracked_after_run(engine, n):
+    """Objects a collection would walk right after an n x n torus run."""
+    _engines(lambda: _hotpotato(n=n), 10.0)[engine]().run()
+    assert gc.isenabled()
+    return len(gc.get_objects())
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_finished_run_is_invisible_to_the_collector(engine, collector_enabled):
+    """Unfrozen, the population, closures and pending events a run
+    leaves alive grow with N (about 5,000 more tracked objects at 16x16
+    than at 8x8) and every later pass walks them."""
+    small = _tracked_after_run(engine, 8)
+    large = _tracked_after_run(engine, 16)
+    assert large - small < 100, (small, large)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_collector_the_caller_disabled_is_not_frozen(engine, collector_enabled):
+    gc.unfreeze()
+    gc.disable()
+    try:
+        _engines(_ProbeModel, 10.0)[engine]().run()
+        assert gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_dropped_engine_dies_when_the_next_run_starts(engine, collector_enabled):
+    engines = _engines(_ProbeModel, 10.0)
+    first = engines[engine]()
+    first.run()
+    dead = weakref.ref(first)
+    del first
+    gc.collect()
+    assert dead() is not None  # cyclic and frozen: the documented cost
+    engines[engine]().run()
+    assert dead() is None
+
+
+def test_process_mode_returns_with_the_collector_enabled(collector_enabled):
+    """The parent forks, waits and merges inside the paused scope."""
+    config = EngineConfig(end_time=10.0, n_pes=4, n_kps=16, seed=SEED, procs=2)
+    result = run_optimistic(_hotpotato(), config)
+    assert result.run.procs == 2
+    assert gc.isenabled()
+
+
+# ----------------------------------------------------------------------
+# (d) Snapshots need no heap entry.
 # ----------------------------------------------------------------------
 def test_event_pickles_without_its_heap_entry():
     """A cancelled child still buried in a heap, reached through its
