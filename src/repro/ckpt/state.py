@@ -262,8 +262,6 @@ def _capture_optimistic(kernel, loop) -> dict:
             "gvt_rounds": kernel.gvt_rounds,
             "cancelled_direct": kernel.cancelled_direct,
             "cancelled_via_rollback": kernel.cancelled_via_rollback,
-            "soa_batches": kernel.soa_batches,
-            "soa_lps_stepped": kernel.soa_lps_stepped,
             "peak_pending": kernel.peak_pending,
             "peak_processed": kernel.peak_processed,
         },

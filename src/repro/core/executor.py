@@ -29,10 +29,10 @@ a small uniform interface every engine implements:
 The base class also owns the **population build**: every engine builds
 with :meth:`~repro.core.lp.Model.build`, so there is one population per
 model whatever runs it.  How its events are *dispatched* is each engine's
-business — the Time Warp kernel asks the model for a vector plan over the
-built LPs (:meth:`~repro.core.lp.Model.vector_plan`), the sequential
-engine for a band program — and every decline leaves its reason in
-``RunStats``.
+business — the Time Warp kernel asks the model for a per-kind handler
+table over the built LPs (:meth:`~repro.core.lp.Model.vector_plan`), the
+sequential engine for a band program — and every decline leaves its
+reason in ``RunStats``.
 """
 
 from __future__ import annotations

@@ -226,22 +226,27 @@ class Model:
         raise NotImplementedError
 
     #: Why :meth:`vector_plan` returned ``None`` although the model has
-    #: such a plan ("" otherwise); models set it as they refuse.
+    #: such a table ("" otherwise); models set it as they refuse.
     soa_decline_reason = ""
 
-    def vector_plan(self, lps: list[LogicalProcess]):
-        """Optional band-stepping plan over the population ``lps``.
+    def vector_plan(self, lps: list[LogicalProcess], send_by_lp: list):
+        """Optional per-kind handler table over the population ``lps``.
 
-        ``lps`` is what :meth:`build` returned to the asking engine.  A
+        ``lps`` is what :meth:`build` returned to the asking engine and
+        ``send_by_lp[i]`` is ``lps[i].send`` as that engine bound it.  A
         model whose LPs keep their state in shared flat arrays may return
-        a *vector plan* — an object whose ``compile_batch`` gives the
-        Time Warp kernel a fused per-PE batch loop over same-timestamp-band
-        event runs (see :mod:`repro.hotpotato.soa`) — or ``None``, the
-        default, in which case the kernel's per-event batch steps the
-        same LPs.  The Time Warp kernel asks every model; a model that
-        has a plan but cannot offer it for this configuration says why in
-        :attr:`soa_decline_reason`, which lands in
-        :class:`~repro.core.stats.RunStats`.  A plan changes how events
+        ``{kind: handler(ev, dst, rng)}``: ``handler`` does exactly what
+        ``lps[dst].forward(ev)`` does for an event of that kind (``rng``
+        is ``lps[dst].rng``), sending through ``send_by_lp[dst]``, with
+        the run-constant state it reads hoisted into closure cells (see
+        :mod:`repro.hotpotato.soa`).  The Time Warp kernel asks every
+        model; its batch loop calls the handler for each kind listed and
+        ``lp.forward`` for every other kind, and does the per-event
+        bookkeeping (journal, RNG count, charges, tracer) itself.
+        ``None``, the default, leaves every kind to ``lp.forward``; a
+        model that has a table but cannot offer it for this configuration
+        says why in :attr:`soa_decline_reason`, which lands in
+        :class:`~repro.core.stats.RunStats`.  A table changes how events
         are dispatched, never what they do: same RNG draw sequences, same
         sends, same statistics.
         """

@@ -23,7 +23,6 @@ than ``e``'s and neither ``e`` nor its parent can be affected mid-flight.
 
 from __future__ import annotations
 
-from functools import partial
 from heapq import heappop, heappush
 
 from repro.core.config import EngineConfig
@@ -152,18 +151,19 @@ def _compile_send(
     return bind
 
 
-def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp):
-    """Build the fused per-PE batch loop.
+def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp, handlers):
+    """Build the per-PE batch loop: the one place Time Warp executes events.
 
-    ``ProcessingElement.process_batch`` + ``PendingQueue.pop_below`` +
-    ``TimeWarpKernel.execute`` collapsed into one closure: the scheduler's
-    innermost loop runs without a single Python-level call beyond
-    ``lp.forward`` and the send path.  Installed only when no tracer is
-    attached and the transport is one the fused send compiles around
-    (the generic ``execute`` keeps the tracer hook), with the identical
-    operation sequence, so fused and generic runs stay bit-identical —
-    including the per-event order of the floating-point busy charges,
-    which rollback charges interleave with.
+    Pop the next live pending event below the optimism limit, journal it
+    (send list, send sequence, the copy strategy's snapshot), note the
+    RNG count, run it, then record what it drew, append it to its KP's
+    processed list and charge the PE — in-process and in every
+    process-mode worker, traced or not, under either rollback strategy
+    and over any transport.  "Run it" is the model's handler for the
+    event's kind from ``handlers`` (:meth:`Model.vector_plan`), or
+    ``lp.forward`` for a kind it has none for; either way the handler
+    only does what the model does, and this loop does the bookkeeping
+    once.  An attached tracer sees the event last.
 
     Rollbacks triggered mid-loop mutate the same heap list and stats
     objects captured here (they are never rebound), so the hoisted locals
@@ -171,6 +171,9 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp):
     """
     lps = kernel.lps
     snapshot_before = kernel._snapshot_before
+    tracer = kernel.tracer
+    on_exec = tracer.on_exec if tracer is not None else None
+    handler_for = handlers.get
     pending = pe.pending
     heap = pending._heap
     stats = pe.stats
@@ -183,9 +186,11 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp):
         # telemetry all run between batches), and re-entrant
         # sends/rollbacks only ever ``+=``/``-=`` them, which commutes
         # with the deferred decrement.  The float busy charges stay
-        # per-event: rollback charges interleave with them and the
-        # accumulation order is part of the fused-vs-generic bit-identity
-        # contract.
+        # per-event: rollback charges interleave with them and their
+        # accumulation order is part of bit-identical reproducibility.
+        # ``kernel._current_event`` (the journal the sends append to) is
+        # likewise reset once, there: between two events of a batch
+        # nothing sends.
         done = 0
         try:
             while done < max_events:
@@ -204,7 +209,7 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp):
                     heappop(heap)
                     ev.in_pending = False
                     break
-                # --- inlined execute body -----------------------------
+                # --- execute --------------------------------------------
                 dst = ev.dst
                 lp = lps[dst]
                 ev.sent.clear()
@@ -217,20 +222,24 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp):
                 # so the per-event clear is elided.)
                 rng = lp.rng
                 rng_before = rng._count
-                lp._now = ev.key[0]
+                lp._now = entry[0]
                 kernel._current_event = ev
-                try:
+                handler = handler_for(ev.kind)
+                if handler is None:
                     lp.forward(ev)
-                finally:
-                    kernel._current_event = None
+                else:
+                    handler(ev, dst, rng)
                 ev.rng_draws = rng._count - rng_before
                 ev.processed = True
                 processed_append_by_lp[dst](ev)
                 stats.busy += event_cost
                 stats.round_busy += event_cost
+                if on_exec is not None:
+                    on_exec(ev)
                 done += 1
             return done
         finally:
+            kernel._current_event = None
             if done:
                 pending._live -= done
                 stats.processed += done
@@ -254,10 +263,9 @@ class TimeWarpKernel(Executor):
         # --- LP population -------------------------------------------------
         self._init_population(model)
         n_lps = len(self.lps)
-        #: Why the model's vector plan is not stepping this run ("" when
-        #: it is, or the model has none): the model's own refusal or one
-        #: of the preconditions ``_install_fast_paths`` checks.  Copied
-        #: into RunStats so ``repro.obs summary`` can explain the choice.
+        #: Why the model offered no handler table for this run ("" when it
+        #: did, or has none): the model's own refusal, copied into
+        #: RunStats so ``repro.obs summary`` can explain the choice.
         self.soa_decline = ""
 
         # --- Mapping, KPs, PEs --------------------------------------------
@@ -355,13 +363,8 @@ class TimeWarpKernel(Executor):
         self.cancelled_via_rollback = 0
         self._cancel_worklist: list[Event] = []
         self._current_event: Event | None = None
-        #: Band-stepping activity: band runs dispatched through the
-        #: plan's fused steppers, and events advanced by them (both stay 0
-        #: when the model offers no plan or the kernel declines it).
-        self.soa_batches = 0
-        self.soa_lps_stepped = 0
-        #: Per-PE fused batch loops (see ``_compile_batch``); ``None``
-        #: until ``_install_fast_paths`` decides they apply.
+        #: Per-PE batch loops (see ``_compile_batch``); ``None`` until
+        #: ``_install_fast_paths`` compiles them at the top of the run.
         self._batch_by_pe: list | None = None
         #: Optional optimism throttle (see EngineConfig.adaptive).
         self.throttle = Throttle() if config.adaptive else None
@@ -453,40 +456,8 @@ class TimeWarpKernel(Executor):
             self._drain_cancels()
 
     # ------------------------------------------------------------------
-    # Event execution and undo.
+    # Undo (execution is the compiled batch, ``_compile_batch``).
     # ------------------------------------------------------------------
-    def execute(self, pe: ProcessingElement, ev: Event) -> None:
-        """Forward-execute one event on its LP (called by the PE)."""
-        lp = self.lps[ev.dst]
-        # Inlined reset_journal (rng_draws is overwritten below anyway).
-        ev.sent.clear()
-        ev.snapshot = None
-        ev.prev_send_seq = lp.send_seq
-        snapshot_before = self._snapshot_before
-        if snapshot_before is not None:
-            snapshot_before(lp, ev)
-        rng = lp.rng
-        rng_before = rng._count  # .count property, sans descriptor call
-        lp._now = ev.key.ts
-        # execute is never re-entered (rollbacks triggered mid-forward go
-        # through undo_event, not execute), so the outer context is always
-        # the executive's None/None — restore that directly.
-        self._current_event = ev
-        try:
-            lp.forward(ev)
-        finally:
-            self._current_event = None
-        ev.rng_draws = rng._count - rng_before
-        ev.processed = True
-        lp.kp.processed.append(ev)
-        stats = pe.stats
-        stats.processed += 1
-        units = pe.event_cost
-        stats.busy += units
-        stats.round_busy += units
-        if self.tracer is not None:
-            self.tracer.on_exec(ev)
-
     def undo_event(self, ev: Event) -> None:
         """Undo one processed event (called by KP rollback, tail-first).
 
@@ -618,8 +589,6 @@ class TimeWarpKernel(Executor):
             processed_depth=sum(len(kp.processed) for kp in kps),
             throttle=self.throttle.factor if self.throttle is not None else 1.0,
             pool_hit_rate=self.pool.hit_rate,
-            soa_batches=self.soa_batches,
-            soa_lps_stepped=self.soa_lps_stepped,
             kp_rolled_back=[kp.stats.events_rolled_back for kp in kps],
         )
 
@@ -646,80 +615,44 @@ class TimeWarpKernel(Executor):
     # The executive.
     # ------------------------------------------------------------------
     def _install_fast_paths(self) -> None:
-        """Swap in the compiled hot-path closures the run admits.
+        """Compile the run's send and batch closures.
 
         Called once at the top of :meth:`run`, after any tracer has been
         attached.  The fused send needs a delivery it can inline: the
         immediate transport, or a process-mode worker's ring transport
-        behind the ``_far_by_lp`` branch (a fault-wrapped transport routes
-        through :meth:`_emit`/:meth:`_receive` unchanged).  The fused
-        batch additionally requires no tracer (the generic :meth:`execute`
-        keeps the per-event trace hook), and the model's band batch
-        (:meth:`Model.vector_plan` over the built LPs) reverse
-        computation; otherwise the per-event batch steps the same
-        population.  All are pure specialisations — observable behaviour
-        is identical either way — so the choice is made here, from what
-        the kernel observes, and whatever keeps a model's plan from
-        stepping leaves its reason in ``soa_decline``.  Closures are
+        behind the ``_far_by_lp`` branch; a fault-wrapped transport keeps
+        ``LogicalProcess._kernel_send`` → :meth:`_emit` →
+        ``transport.deliver``.  The batch (:func:`_compile_batch`) is
+        compiled either way, around the model's handler table
+        (:meth:`Model.vector_plan` over the built LPs and whichever sends
+        they got) or, where the model offers none, ``lp.forward`` alone;
+        the model's refusal lands in ``soa_decline``.  Closures are
         compiled only for the LPs and PEs this kernel steps.
         """
-        plan = self.model.vector_plan(self.lps)
-        self.soa_decline = "" if plan is not None else self.model.soa_decline_reason
         far = self._far_by_lp
-        if not self._direct and far is None:
-            if plan is not None:
-                self.soa_decline = (
-                    f"transport {self.transport.name!r} routes through "
-                    "_emit/_receive, which the fused band batch bypasses"
-                )
-            return
         # Run-constant per-LP dispatch tables, built here once (after any
         # checkpoint restore) and shared by every compiled closure, so
         # set-up stays linear in the LP population.  They alias the live
         # ``pe.pending`` / ``kp.processed`` objects, which are mutated in
         # place and never rebound (rollback pops, fossil collection
         # ``del``s a prefix, a restore assigns ``processed[:]``).
-        pending_by_lp = [pe.pending for pe in self._pe_by_lp]
         processed_by_lp = [kp.processed for kp in self._kp_of_lp]
         processed_append_by_lp = [processed.append for processed in processed_by_lp]
-        bind_send = _compile_send(self, pending_by_lp, processed_by_lp, far)
-        for lp in self.lps:
-            if far is None or not far[lp.id]:
-                lp.send = bind_send(lp)
-        if self.tracer is not None:
-            if plan is not None:
-                self.soa_decline = (
-                    "a Tracer is attached (the fused batch skips the "
-                    "per-event trace hook)"
-                )
-            return
-        if plan is not None and self.strategy.name != "reverse":
-            self.soa_decline = (
-                "copy rollback configured "
-                "(the fused band batch assumes reverse computation)"
-            )
-            plan = None
-        if plan is not None:
-            # The model's plan fuses whole same-timestamp-band runs into
-            # steps over the LPs' shared arrays; its compiled batch is
-            # bit-identical to the per-event one by construction (the
-            # conformance suite checks).  Its sends go through the fused
-            # closures above.
-            send_by_lp = [lp.send for lp in self.lps]
-
-            def compile_batch(pe):
-                return plan.compile_batch(
-                    self, pe, processed_append_by_lp, send_by_lp
-                )
-
-        else:
-
-            def compile_batch(pe):
-                return _compile_batch(self, pe, processed_append_by_lp)
-
+        if self._direct or far is not None:
+            pending_by_lp = [pe.pending for pe in self._pe_by_lp]
+            bind_send = _compile_send(self, pending_by_lp, processed_by_lp, far)
+            for lp in self.lps:
+                if far is None or not far[lp.id]:
+                    lp.send = bind_send(lp)
+        handlers = self.model.vector_plan(self.lps, [lp.send for lp in self.lps])
+        self.soa_decline = "" if handlers is not None else self.model.soa_decline_reason
+        handlers = handlers or {}
         owned = self.owned_pes
         self._batch_by_pe = [
-            compile_batch(pe) if pe in owned else None for pe in self.pes
+            _compile_batch(self, pe, processed_append_by_lp, handlers)
+            if pe in owned
+            else None
+            for pe in self.pes
         ]
 
     def _loop_state(self) -> dict:
@@ -848,11 +781,7 @@ class TimeWarpKernel(Executor):
                     lp.on_init()
 
         pes = self.owned_pes
-        # The compiled batch loops, or the generic per-event path where
-        # _install_fast_paths declined them.
-        step_pe = self._batch_by_pe or [
-            partial(pe.process_batch, self) for pe in self.pes
-        ]
+        step_pe = self._batch_by_pe
         stats_by_pe = [pe.stats for pe in pes]
         sched_per_round = self.cost.sched_per_round
         gvt_overhead = max(
@@ -965,8 +894,6 @@ class TimeWarpKernel(Executor):
         stats.stragglers = sum(pe.stats.stragglers for pe in self.pes)
         stats.cancelled_direct = self.cancelled_direct
         stats.cancelled_via_rollback = self.cancelled_via_rollback
-        stats.soa_batches = self.soa_batches
-        stats.soa_lps_stepped = self.soa_lps_stepped
         if self.throttle is not None:
             stats.throttle_adjustments = self.throttle.adjustments
             stats.throttle_final_factor = self.throttle.factor

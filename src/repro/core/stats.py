@@ -65,17 +65,10 @@ class RunStats:
     stragglers: int = 0
     cancelled_direct: int = 0
     cancelled_via_rollback: int = 0
-    #: Band-stepping activity: same-timestamp-band runs dispatched
-    #: through the fused struct-of-arrays steppers, and the events those
-    #: runs advanced (both 0 when the model has no SoA build or the run
-    #: declined it).
-    soa_batches: int = 0
-    soa_lps_stepped: int = 0
-    #: Why a Time Warp run stepped event by event although the model has
-    #: a band-stepping build: the model could not offer it (policy,
-    #: topology, adversary) or the kernel declined it (tracer, copy
-    #: rollback, fault-wrapped transport).
-    #: "" when band stepping ran, the model has no such build, or the
+    #: Why a Time Warp run executed every event through ``lp.forward``
+    #: although the model has a handler table (``Model.vector_plan``):
+    #: the model could not offer it for this configuration (policy,
+    #: adversary).  "" when the table ran, the model has none, or the
     #: engine is not the optimistic one.
     soa_decline_reason: str = ""
     #: Why a sequential run stepped event by event although the model has
@@ -153,8 +146,6 @@ class RunStats:
             "cancelled_direct": self.cancelled_direct,
             "cancelled_via_rollback": self.cancelled_via_rollback,
             "lazy_reused": 0,  # no message is ever reused; perfbench/layers.py reads it
-            "soa_batches": self.soa_batches,
-            "soa_lps_stepped": self.soa_lps_stepped,
             "soa_decline_reason": self.soa_decline_reason,
             "band_decline_reason": self.band_decline_reason,
             "throttle_adjustments": self.throttle_adjustments,

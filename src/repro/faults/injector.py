@@ -60,7 +60,7 @@ class EngineFaults:
             wrapper = FaultyTransport(kernel.transport, plan, kernel)
             kernel.transport = wrapper
             # The wrapper must see every delivery: force the generic
-            # _emit path (the fused fast paths check this before run()).
+            # _emit path (the fused send checks this before run()).
             kernel._direct = False
             self.transport = wrapper
         if plan.has_stalls:

@@ -117,8 +117,9 @@ class HotPotatoModel(Model):
         """The router population, the same for every engine.
 
         The routers share one flat ``links`` list (four slots each) and
-        one ``head_gen`` list, so a band stepper can run them over the
-        state they already hold (see :mod:`repro.hotpotato.router`).
+        one ``head_gen`` list, so the inlined handlers and the band
+        program can run them over the state they already hold (see
+        :mod:`repro.hotpotato.router`).
         """
         cfg = self.cfg
         n = cfg.num_routers
@@ -142,54 +143,56 @@ class HotPotatoModel(Model):
         return lps
 
     def _inlined_rules_decline(self) -> str:
-        """Why the fused steppers' inlined rules do not cover this model.
+        """Why the inlined handlers' rules do not cover this model.
 
-        Both the Time Warp vector plan and the sequential band program inline
-        ``BuschHotPotatoPolicy.route`` (a subclass override would silently
-        be ignored), the torus band layout, and the uniform destination
-        draw of the stock injection application.  "" when they apply.
+        Both the Time Warp handler table and the sequential band program
+        inline ``BuschHotPotatoPolicy.route`` (a subclass override would
+        silently be ignored) and the uniform destination draw of the
+        stock injection application.  "" when they apply.
         """
         if type(self.policy) is not BuschHotPotatoPolicy:
             return (
                 f"policy {self.policy.name!r} is not the Busch policy the "
-                "fused stepper inlines"
-            )
-        if not isinstance(self.topo, TorusTopology):
-            return (
-                f"topology {self.cfg.topology!r} is not the torus the "
-                "band-stepping plan was built for"
+                "inlined handlers implement"
             )
         if self.injection_plan is not None:
             return (
-                "adversarial injection plan attached (the fused INJECT "
-                "step inlines the uniform destination draw)"
+                "adversarial injection plan attached (the inlined INJECT "
+                "handler draws a uniform destination)"
             )
         return ""
 
-    def vector_plan(self, lps: list[LogicalProcess]):
-        """Band-stepping plan over ``lps`` (:mod:`repro.hotpotato.soa`).
+    def vector_plan(self, lps: list[LogicalProcess], send_by_lp: list):
+        """Per-kind handler table over ``lps`` (:mod:`repro.hotpotato.soa`).
 
-        Declines (returns None → the kernel's per-event batch steps the
-        same ``lps``) when :meth:`_inlined_rules_decline` names a reason,
-        recorded in ``soa_decline_reason`` so RunStats can surface it.
+        Declines (returns None → ``RouterLP.forward`` runs every event)
+        when :meth:`_inlined_rules_decline` names a reason, recorded in
+        ``soa_decline_reason`` so RunStats can surface it.  The handlers
+        honour link existence and fault masks, so a mesh and a fault plan
+        are covered.
         """
         self.soa_decline_reason = self._inlined_rules_decline()
         if self.soa_decline_reason:
             return None
-        from repro.hotpotato.soa import HotPotatoVectorPlan
+        from repro.hotpotato.soa import handlers
 
-        return HotPotatoVectorPlan(lps)
+        return handlers(lps, send_by_lp)
 
     def band_program(self):
         """The sequential band program (:mod:`repro.hotpotato.band`).
 
         Offered for the configuration its inlined handlers are written
-        for: everything :meth:`vector_plan` asks, and no model
-        faults (the handlers' fault branches are not inlined).  Each
-        refusal is recorded in ``band_decline_reason``.
+        for: everything :meth:`vector_plan` asks, the torus band layout,
+        and no model faults (the handlers' fault branches are not
+        inlined).  Each refusal is recorded in ``band_decline_reason``.
         """
         reason = self._inlined_rules_decline()
         plan = self.fault_plan
+        if not reason and not isinstance(self.topo, TorusTopology):
+            reason = (
+                f"topology {self.cfg.topology!r} is not the torus the "
+                "band program was built for"
+            )
         if not reason and plan is not None and plan.has_model_faults:
             reason = (
                 "fault plan with model faults attached (the band program "

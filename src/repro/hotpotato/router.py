@@ -29,9 +29,10 @@ has an exact reverse, so the model runs unmodified on the Time Warp kernel.
 conservative, Time Warp in-process and in process-mode workers — runs the
 population :meth:`HotPotatoModel.build` returns.  Its mutable state lives
 in two lists *shared across the population* (one flat ``links`` list, four
-slots per router, and one ``head_gen`` list), which is what lets the band
-steppers (:mod:`repro.hotpotato.soa`, :mod:`repro.hotpotato.band`) run
-the same routers over the same state without copying it in or out.  An
+slots per router, and one ``head_gen`` list), which is what lets the
+inlined handler table (:mod:`repro.hotpotato.soa`) and the sequential
+band program (:mod:`repro.hotpotato.band`) run the same routers over the
+same state without copying it in or out.  An
 ARRIVE or ROUTE event carries its packet as one tuple in
 :data:`PACKET_FIELDS` order — a new tuple per hop, so reverse computation
 never has to undo packet mutations, only router state; INJECT and
@@ -602,7 +603,7 @@ class RouterLP(LogicalProcess):
         base = self.base
         self.links[base : base + 4] = links
         self.head_gen[self.id] = head
-        # In place: a compiled band stepper holds a reference to this
+        # In place: the compiled handler table holds a reference to this
         # exact RouterStats object.
         st = self.stats
         for name in RouterStats.__slots__:

@@ -3,8 +3,8 @@
 One :class:`MPWorkerKernel` runs in each forked worker process.  It *is*
 a full :class:`~repro.core.optimistic.TimeWarpKernel` — same rollback
 machinery, same queues, same fossil collection, and the same compiled
-send / batch / band-stepping closures on the per-event path, chosen by
-the same ``_install_fast_paths`` — parameterised three ways:
+send and batch closures (the batch running the model's handler table),
+built by the same ``_install_fast_paths`` — parameterised three ways:
 
 * its transport is a :class:`~repro.mp.transport.RingTransport`, and its
   ``_far_by_lp`` table tells the fused send which destinations another

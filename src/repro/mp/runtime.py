@@ -111,8 +111,7 @@ def _merge_run_stats(parts: list[RunStats], config) -> RunStats:
     for field in (
         "committed", "processed", "events_rolled_back", "rollbacks",
         "false_rollback_events", "stragglers", "cancelled_direct",
-        "cancelled_via_rollback", "soa_batches", "soa_lps_stepped",
-        "throttle_adjustments",
+        "cancelled_via_rollback", "throttle_adjustments",
         "local_sends", "remote_sends", "fossil_collected",
         "pool_hits", "pool_allocs", "peak_pending", "peak_processed",
         "total_busy_seconds", "ring_messages", "ring_bytes",
@@ -165,8 +164,7 @@ def _replay_commits(tracer, parts) -> None:
 
 _SAMPLE_SUM_FIELDS = (
     "committed", "processed", "rolled_back", "rollbacks", "stragglers",
-    "fossil_collected", "pending", "processed_depth", "soa_batches",
-    "soa_lps_stepped",
+    "fossil_collected", "pending", "processed_depth",
 )
 
 

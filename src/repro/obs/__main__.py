@@ -122,9 +122,7 @@ def _print_kv_table(pairs: list[tuple[str, object]], indent: str = "  ") -> None
         print(f"{indent}{key:<{width}} : {text}")
 
 
-#: Delta counters summed over the metric stream for the summary view —
-#: the subsystem activity (band stepping) that RunStats alone
-#: understates or omits.
+#: Delta counters summed over the metric stream for the summary view.
 _STREAM_COUNTERS = (
     "committed",
     "processed",
@@ -132,8 +130,6 @@ _STREAM_COUNTERS = (
     "rollbacks",
     "stragglers",
     "fossil_collected",
-    "soa_batches",
-    "soa_lps_stepped",
 )
 
 
@@ -191,7 +187,7 @@ def cmd_summary(rec: RunRecording) -> int:
         return 0
     reason = rec.stats.get("soa_decline_reason")
     if reason:
-        print(f"  Time Warp band stepping not used: {reason}")
+        print(f"  Time Warp handler table not used: {reason}")
     reason = rec.stats.get("band_decline_reason")
     if reason:
         print(f"  sequential band program not used: {reason}")
@@ -236,10 +232,6 @@ TIMELINE_METRICS = {
     ],
     "depth": [("pending", "pending"), ("processed_depth", "processed_depth")],
     "throttle": [("throttle factor", "throttle")],
-    "vectorized": [
-        ("soa_batches/interval", "soa_batches"),
-        ("soa_lps_stepped/interval", "soa_lps_stepped"),
-    ],
 }
 
 

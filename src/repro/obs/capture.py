@@ -34,12 +34,12 @@ class RunCapture:
         only at GVT boundaries).
     trace_out:
         Path for the full event-lifecycle trace, or ``None`` to skip
-        tracing (tracing disables the optimistic kernel's fused batch
-        loops for the run, as any tracer does).
+        tracing (the optimistic kernel's batch then calls the tracer
+        once per executed event, as it does for any tracer).
     spans_out:
         Path for wall-clock phase spans, or ``None`` to skip span
-        tracing (spans record at phase boundaries only, so — unlike a
-        trace — they keep the fused fast paths installed).
+        tracing (spans record at phase boundaries only, never per
+        event).
     health_out:
         Path for liveness-watchdog ``health`` lines, or ``None``.  The
         capture only owns the sink (exposed as :attr:`health_sink` and

@@ -12,10 +12,9 @@ it converts them to per-interval deltas.
 Design constraints, in order:
 
 * **Zero overhead when detached.**  The kernels consult the recorder
-  only at GVT boundaries, never per event, and the optimistic kernel's
-  fused send/execute fast paths stay installed with a recorder attached
-  (unlike a :class:`~repro.core.trace.Tracer`, which needs the generic
-  per-event execute path).
+  only at GVT boundaries, never per event (a
+  :class:`~repro.core.trace.Tracer` is the one hook the optimistic
+  kernel's batch calls per event).
 * **Bounded memory when streaming.**  With a ``sink``, samples are
   written through as produced; ``keep=False`` then drops them from
   memory entirely, so an arbitrarily long run records in O(1) space.
@@ -69,11 +68,6 @@ class MetricSample:
     throttle: float
     #: Cumulative event-pool hit rate at the sample point.
     pool_hit_rate: float
-    #: Same-timestamp-band runs dispatched by the band-stepping batch
-    #: during the interval (0 where the run declined it).  Delta counter.
-    soa_batches: int = 0
-    #: Events advanced by those runs during the interval.  Delta counter.
-    soa_lps_stepped: int = 0
     #: Per-KP events rolled back during the interval; only KPs with a
     #: nonzero delta appear (empty for non-optimistic engines).
     kp_rolled_back: dict[int, int] = field(default_factory=dict)
@@ -93,8 +87,6 @@ class MetricSample:
             "processed_depth": self.processed_depth,
             "throttle": self.throttle,
             "pool_hit_rate": self.pool_hit_rate,
-            "soa_batches": self.soa_batches,
-            "soa_lps_stepped": self.soa_lps_stepped,
         }
         if self.kp_rolled_back:
             d["kp_rolled_back"] = {str(k): v for k, v in self.kp_rolled_back.items()}
@@ -117,11 +109,8 @@ class MetricSample:
             throttle=float(d["throttle"]),
             pool_hit_rate=float(d["pool_hit_rate"]),
             # Keys are read by name, so a recording that still carries a
-            # since-deleted counter loads too.  Pre-vectorized-executor
-            # recordings lack the SoA pair; it defaults to zero so old
-            # JSONL files stay loadable.
-            soa_batches=int(d.get("soa_batches", 0)),
-            soa_lps_stepped=int(d.get("soa_lps_stepped", 0)),
+            # since-deleted counter (the band-stepping pair, the lazy
+            # cancellation pair) loads too.
             kp_rolled_back={
                 int(k): int(v) for k, v in d.get("kp_rolled_back", {}).items()
             },
@@ -160,8 +149,6 @@ class MetricsRecorder:
             "rollbacks": 0,
             "stragglers": 0,
             "fossil_collected": 0,
-            "soa_batches": 0,
-            "soa_lps_stepped": 0,
         }
         self._prev_kp: list[int] | None = None
 
@@ -179,8 +166,6 @@ class MetricsRecorder:
         processed_depth: int = 0,
         throttle: float = 1.0,
         pool_hit_rate: float = 0.0,
-        soa_batches: int = 0,
-        soa_lps_stepped: int = 0,
         kp_rolled_back: list[int] | None = None,
     ) -> MetricSample:
         """Feed *cumulative* counters; records and returns the delta sample.
@@ -212,8 +197,6 @@ class MetricsRecorder:
             processed_depth=processed_depth,
             throttle=throttle,
             pool_hit_rate=pool_hit_rate,
-            soa_batches=soa_batches - prev["soa_batches"],
-            soa_lps_stepped=soa_lps_stepped - prev["soa_lps_stepped"],
             kp_rolled_back=kp_delta,
         )
         prev["committed"] = committed
@@ -222,8 +205,6 @@ class MetricsRecorder:
         prev["rollbacks"] = rollbacks
         prev["stragglers"] = stragglers
         prev["fossil_collected"] = fossil_collected
-        prev["soa_batches"] = soa_batches
-        prev["soa_lps_stepped"] = soa_lps_stepped
         self.n_samples += 1
         if self.sink is not None:
             self.sink.write_metric(s)

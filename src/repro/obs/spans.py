@@ -14,7 +14,7 @@ Design rules (the same contract as :mod:`repro.obs.metrics`):
 * **Zero overhead when detached.**  Engines consult the tracer via
   ``if spans is not None`` at *phase* boundaries only — per PE batch,
   per rollback episode, per GVT round — never per event, and the
-  optimistic kernel's fused send/execute/batch fast paths stay installed
+  optimistic kernel's fused send and batch closures stay installed
   with a span tracer attached (asserted in ``tests/test_obs_spans.py``).
 * **Bounded memory.**  Recent spans live in a fixed-capacity ring
   buffer; exact per-phase totals (count and duration) survive ring

@@ -10,32 +10,81 @@ POKE = "POKE"
 
 
 def plan_declined(model):
-    """Test foil: ``model`` declines to offer its vector plan.
+    """Test foil: ``model`` declines to offer its handler table.
 
-    The Time Warp kernel asks ``Model.vector_plan(lps)`` on every run and
-    no product option says otherwise; to compare a band-stepped torus run
-    with the same population stepped one event at a time (the kernel's
-    per-event batch) a test therefore patches this one instance.  Forked
-    workers inherit the patch.
+    The Time Warp kernel asks ``Model.vector_plan(lps, send_by_lp)`` on
+    every run and no product option says otherwise; to compare a run
+    stepped through the table with the same population stepped through
+    ``lp.forward`` alone, a test therefore patches this one instance.
+    Forked workers inherit the patch.
     """
-    model.vector_plan = lambda lps: None
+    model.vector_plan = lambda lps, send_by_lp: None
     return model
 
 
-def transport_faults(drop=0.05, dup=0.05, delay=0.1, seed=11):
+def plan_spy(model, kinds):
+    """Test probe: count the calls ``model``'s handler table serves.
+
+    Wraps every handler the table offers for one of ``kinds`` and returns
+    the counts, one slot per kind in ``kinds`` order, in shared memory:
+    forked process-mode workers add to the same slots (unlocked; the
+    counts are for "was it called", not exact totals across workers).
+    """
+    from multiprocessing.sharedctypes import RawArray
+
+    counts = RawArray("q", len(kinds))
+    offer = model.vector_plan
+
+    def counted(slot, handler):
+        def call(ev, dst, rng):
+            counts[slot] += 1
+            handler(ev, dst, rng)
+
+        return call
+
+    def vector_plan(lps, send_by_lp):
+        table = offer(lps, send_by_lp)
+        if table is None:
+            return None
+        return {
+            kind: counted(kinds.index(kind), h) if kind in kinds else h
+            for kind, h in table.items()
+        }
+
+    model.vector_plan = vector_plan
+    return counts
+
+
+def run_batch(kernel, pe, max_events, limit_ts):
+    """Step ``pe`` through one optimism batch of ``kernel``'s compiled loop.
+
+    The loop ``TimeWarpKernel._run`` runs, for unit tests that drive the
+    PEs by hand; the kernel's closures are compiled on first use.
+    Returns the number of events executed.
+    """
+    if kernel._batch_by_pe is None:
+        kernel._install_fast_paths()
+    return kernel._batch_by_pe[pe.id](max_events, limit_ts)
+
+
+def transport_faults(drop=0.05, dup=0.05, delay=0.1, seed=11, stalls=()):
     """Test foil: an ``EngineFaults`` whose plan carries transport faults only.
 
     Attached to a Time Warp kernel it wraps the transport, which is the
     one remaining configuration that keeps the generic ``_kernel_send`` →
-    ``_emit`` → ``transport.deliver`` → ``_receive`` path with no tracer
-    attached, and that holds messages in flight across rounds.  Committed
-    results are unchanged by construction (every held message arrives).
+    ``_emit`` → ``transport.deliver`` → ``_receive`` send path with no
+    tracer attached, and that holds messages in flight across rounds.
+    Committed results are unchanged by construction (every held message
+    arrives), and so are they by any ``stalls`` (``PEStall`` windows).
     """
     from repro.faults.injector import EngineFaults
     from repro.faults.plan import FaultPlan
 
     return EngineFaults(
-        FaultPlan(drop_rate=drop, dup_rate=dup, delay_rate=delay, seed=seed)
+        FaultPlan(
+            drop_rate=drop, dup_rate=dup, delay_rate=delay, stalls=stalls,
+            seed=seed,
+        )
     )
 
 

@@ -4,7 +4,7 @@ from repro.core.config import EngineConfig
 from repro.core.optimistic import TimeWarpKernel
 from repro.models.phold import PholdConfig, PholdModel
 from repro.vt.time import TIME_HORIZON
-from tests.kernel_models import transport_faults
+from tests.kernel_models import run_batch, transport_faults
 
 
 def phold_kernel(faults=None):
@@ -38,7 +38,7 @@ def test_estimate_is_safe_lower_bound_throughout_run():
     for _ in range(60):
         for pe in kernel.pes:
             pe.stats.round_busy = 0.0
-            pe.process_batch(kernel, 8, 10.0)
+            run_batch(kernel, pe, 8, 10.0)
         held_seen += kernel.transport.in_flight_count()
         est = kernel.gvt_manager.estimate(kernel)
         assert est <= true_min_unprocessed(kernel)
@@ -53,5 +53,5 @@ def test_estimate_is_safe_lower_bound_throughout_run():
 def test_synchronous_is_exact_post_flush():
     kernel = phold_kernel()
     for pe in kernel.pes:
-        pe.process_batch(kernel, 20, 10.0)
+        run_batch(kernel, pe, 20, 10.0)
     assert kernel.gvt_manager.estimate(kernel) == true_min_unprocessed(kernel)

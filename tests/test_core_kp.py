@@ -8,6 +8,7 @@ from repro.core.config import EngineConfig
 from repro.core.optimistic import TimeWarpKernel
 from repro.models.phold import PholdConfig, PholdModel
 from repro.vt.time import EventKey
+from tests.kernel_models import run_batch
 
 
 def make_kernel(n_pes=2, n_kps=4):
@@ -26,7 +27,7 @@ def test_processed_list_stays_key_sorted_through_rollbacks():
     for _ in range(40):
         for pe in kernel.pes:
             pe.stats.round_busy = 0.0
-            pe.process_batch(kernel, 8, 50.0)
+            run_batch(kernel, pe, 8, 50.0)
         for kp in kernel.kps:
             keys = [ev.key for ev in kp.processed]
             assert keys == sorted(keys)
@@ -37,7 +38,7 @@ def test_needs_rollback_logic():
     kp = kernel.kps[0]
     assert not kp.needs_rollback(EventKey(0.0, 0, 0))  # pristine KP
     for pe in kernel.pes:
-        pe.process_batch(kernel, 20, 50.0)
+        run_batch(kernel, pe, 20, 50.0)
     if kp.processed:
         last = kp.processed[-1].key
         assert kp.needs_rollback(EventKey(last.ts - 0.01, 0, 0))
@@ -47,7 +48,7 @@ def test_needs_rollback_logic():
 def test_rollback_until_removes_exact_suffix():
     kernel = make_kernel(n_pes=1, n_kps=1)
     pe = kernel.pes[0]
-    pe.process_batch(kernel, 30, 50.0)
+    run_batch(kernel, pe, 30, 50.0)
     kp = kernel.kps[0]
     assert len(kp.processed) == 30
     bound = kp.processed[10].key
@@ -63,7 +64,7 @@ def test_rollback_until_removes_exact_suffix():
 
 def test_rollback_until_noop_below_everything():
     kernel = make_kernel(n_pes=1, n_kps=1)
-    kernel.pes[0].process_batch(kernel, 10, 50.0)
+    run_batch(kernel, kernel.pes[0], 10, 50.0)
     kp = kernel.kps[0]
     high = EventKey(999.0, 0, 0)
     assert kp.rollback_until(high, kernel, trigger_lp=-1) == 0
@@ -72,7 +73,7 @@ def test_rollback_until_noop_below_everything():
 
 def test_fossil_collect_prefix_only():
     kernel = make_kernel(n_pes=1, n_kps=1)
-    kernel.pes[0].process_batch(kernel, 30, 50.0)
+    run_batch(kernel, kernel.pes[0], 30, 50.0)
     kp = kernel.kps[0]
     mid_ts = kp.processed[15].key.ts
     removed = kp.fossil_collect(mid_ts, kernel)
@@ -85,7 +86,7 @@ def test_fossil_collect_prefix_only():
 def test_fossil_never_frees_at_or_above_gvt():
     # DESIGN.md invariant 7.
     kernel = make_kernel(n_pes=1, n_kps=1)
-    kernel.pes[0].process_batch(kernel, 30, 50.0)
+    run_batch(kernel, kernel.pes[0], 30, 50.0)
     kp = kernel.kps[0]
     gvt = kp.processed[5].key.ts
     kp.fossil_collect(gvt, kernel)

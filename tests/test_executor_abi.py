@@ -1,27 +1,27 @@
-"""Executor-ABI conformance: band stepping is bit-identical to per-event.
+"""Executor-ABI conformance: the handler table is bit-identical to forward.
 
 The contract (docs/KERNEL.md, "Executor ABI & vectorized stepping"):
 every engine runs the one population ``Model.build()`` returns, and the
-Time Warp kernel steps it through the model's vector plan whenever the
-model offers one.  For every golden seed, fault plan and checkpoint
-kill/resume combination that must commit exactly the event sequence the
-routers' own handlers commit one event at a time — under Time Warp's
-per-event batch and under the conservative engine.  There is no product
-option that keeps the plan from stepping a torus, so the tests use a
+Time Warp kernel's batch runs the model's handler table whenever the
+model offers one — traced or not, under either rollback strategy, over
+any transport, in-process and in process-mode workers.  For every
+golden seed, fault plan and checkpoint kill/resume combination that must
+commit exactly the event sequence the routers' own ``forward`` commits
+— under Time Warp and under the conservative engine.  There is no
+product option that keeps the table from running, so the tests use a
 foil: a model whose ``vector_plan`` declines
 (``tests.kernel_models.plan_declined``).  Two observation levels:
 
 * **Committed sequence** — with a :class:`~repro.core.trace.Tracer`
-  attached the Time Warp kernel keeps its generic execute path, so this
-  level runs the routers' handlers event by event on both sides and
-  compares the full committed ``(ts, lp, seq, kind)`` sequence.
-* **Committed fingerprint** — without a tracer the kernel installs the
-  plan's fused band-stepping batch (the true vectorized fast path); the
-  model statistics include per-router event fingerprints, so any
-  divergence in committed event content or order shows up.
+  attached both sides report the full committed ``(ts, lp, seq, kind)``
+  sequence.
+* **Committed fingerprint** — untraced; the model statistics include
+  per-router event fingerprints, so any divergence in committed event
+  content or order shows up.
 
-The ``scalar`` / ``vectorized`` labels in ids and dict keys mean "plan
-declined" / "plan offered".
+The ``scalar`` / ``vectorized`` labels in ids and dict keys mean "table
+declined" / "table offered"; ``tests.kernel_models.plan_spy`` counts the
+calls the offered table serves.
 """
 
 import shutil
@@ -33,15 +33,22 @@ from repro.core.config import EngineConfig
 from repro.core.conservative import ConservativeConfig, ConservativeKernel
 from repro.core.optimistic import TimeWarpKernel
 from repro.core.trace import Tracer
+from repro.core.optimistic import run_optimistic
 from repro.faults import generate_plan
+from repro.faults.plan import PEStall
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
+from repro.hotpotato.router import ARRIVE, INJECT, ROUTE
 from repro.net import TorusTopology
 from tests.kernel_models import plan_declined as _scalar
+from tests.kernel_models import plan_spy, transport_faults
 
 N = 4
 DURATION = 12.0
 GOLDEN_SEEDS = (7, 0x5EED)
+#: The kinds the hot-potato table inlines (INIT and HEARTBEAT go to
+#: ``RouterLP.forward``).
+TABLE_KINDS = (ARRIVE, ROUTE, INJECT)
 
 
 def _cfg() -> HotPotatoConfig:
@@ -110,44 +117,43 @@ def test_committed_sequence_identical(engine, seed, faulted):
 @pytest.mark.parametrize("engine", ["cons", "opt"])
 def test_committed_fingerprint_identical_untraced(engine, seed, faulted):
     """Untraced runs (the fused fast path on opt) match per-event exactly."""
-    results = {
-        executor: eng.run()
-        for executor, eng in _pair(engine, seed, faulted).items()
+    engines = _pair(engine, seed, faulted)
+    calls = {
+        executor: plan_spy(eng.model, TABLE_KINDS)
+        for executor, eng in engines.items()
     }
+    results = {executor: eng.run() for executor, eng in engines.items()}
     assert (
         results["vectorized"].model_stats == results["scalar"].model_stats
     )
     assert results["vectorized"].run.committed == results["scalar"].run.committed
-    # The offered plan actually stepped the run...
-    assert results["vectorized"].run.soa_batches > 0
-    assert (
-        results["vectorized"].run.soa_lps_stepped
-        == results["vectorized"].run.processed
-    )
+    # The offered table actually ran the run...
+    assert all(calls["vectorized"])
     assert results["vectorized"].run.soa_decline_reason == ""
-    # ...and the reference ran one event at a time.
-    assert results["scalar"].run.soa_batches == 0
-    assert results["scalar"].run.soa_lps_stepped == 0
+    # ...and the reference ran ``forward`` alone.
+    assert not any(calls["scalar"])
 
 
 @pytest.mark.parametrize("overrides", [
     {"rollback": "copy"},
 ], ids=["copy"])
 def test_vectorized_across_scheduler_structures(overrides):
-    """The population commits identically under copy rollback, where the
-    kernel itself declines the fused band batch for the per-event one."""
+    """The population commits identically under copy rollback, and the
+    table runs there too: the copy strategy's snapshot is the batch's."""
     def run(population):
         ecfg = EngineConfig(
             end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
             seed=GOLDEN_SEEDS[0], **overrides,
         )
-        return TimeWarpKernel(_model(True, population), ecfg).run()
+        model = _model(True, population)
+        calls = plan_spy(model, TABLE_KINDS)
+        return TimeWarpKernel(model, ecfg).run(), calls
 
-    scalar, vectorized = run("scalar"), run("vectorized")
+    (scalar, _), (vectorized, calls) = run("scalar"), run("vectorized")
     assert vectorized.model_stats == scalar.model_stats
-    # The declined plan names its reason.
-    assert vectorized.run.soa_batches == 0
-    assert "copy" in vectorized.run.soa_decline_reason
+    assert vectorized.run.events_rolled_back > 0
+    assert all(calls)
+    assert vectorized.run.soa_decline_reason == ""
 
 
 @pytest.mark.parametrize("engine", ["opt"])
@@ -188,9 +194,9 @@ def test_vectorized_checkpoint_kill_resume(tmp_path, engine):
 
 def test_band_stepped_snapshot_resumes_per_event(tmp_path):
     """How a run is stepped is not part of a snapshot: checkpoint while
-    the plan's band batch is stepping, resume under a Tracer (which makes
-    the kernel decline the batch), and the resumed run commits exactly
-    the rest of the oracle's sequence."""
+    the handler table is running, resume under the foil (``forward``
+    alone), and the resumed run commits exactly the rest of the oracle's
+    sequence."""
     seed = GOLDEN_SEEDS[0]
     oracle_tracer = Tracer()
     oracle = _engine("opt", "scalar", seed, False).attach_tracer(oracle_tracer).run()
@@ -199,8 +205,10 @@ def test_band_stepped_snapshot_resumes_per_event(tmp_path):
     marker = {"case": "cross"}
     snap_dir = tmp_path / "snaps"
     ckpt = Checkpointer(snap_dir, every=1, marker=marker, seq_events=64)
-    recorded = _engine("opt", "vectorized", seed, False).attach_checkpointer(ckpt).run()
-    assert recorded.run.soa_batches > 0
+    recording = _engine("opt", "vectorized", seed, False)
+    calls = plan_spy(recording.model, TABLE_KINDS)
+    recording.attach_checkpointer(ckpt).run()
+    assert all(calls)
     snaps = list_snapshots(snap_dir)
     mid = snaps[len(snaps) // 2]
     d = tmp_path / "resume_traced"
@@ -210,14 +218,11 @@ def test_band_stepped_snapshot_resumes_per_event(tmp_path):
     ck.load_latest()
     tracer = Tracer()
     resumed = (
-        _engine("opt", "vectorized", seed, False)
+        _engine("opt", "scalar", seed, False)
         .attach_tracer(tracer)
         .attach_checkpointer(ck)
         .run()
     )
-    # The counter is restored from the snapshot and then stands still.
-    assert resumed.run.soa_batches < recorded.run.soa_batches
-    assert "Tracer" in resumed.run.soa_decline_reason
     assert resumed.model_stats == oracle.model_stats
     rest = tracer.committed_sequence()
     assert 0 < len(rest) < len(sequence)
@@ -276,8 +281,8 @@ def test_format_2_snapshot_refused_before_the_first_event(tmp_path, monkeypatch)
 
 
 def test_vectorized_declines_without_plan():
-    """A model without a vector plan runs the per-event batch and
-    records no decline: nothing was on offer."""
+    """A model without a handler table runs ``forward`` for every event
+    and records no decline: nothing was on offer."""
     from repro.core.optimistic import run_optimistic
     from repro.models.phold import PholdConfig, PholdModel
 
@@ -286,24 +291,25 @@ def test_vectorized_declines_without_plan():
         EngineConfig(end_time=10.0, n_pes=2, n_kps=4, seed=7),
     ).run
     assert run.committed > 0
-    assert run.soa_batches == 0
     assert run.soa_decline_reason == ""
 
 
 def test_vectorized_declines_on_mesh():
-    """The hot-potato plan only covers the torus band layout; a mesh
-    model declines, by name, and the kernel's per-event batch steps the
-    population — the same run the foil produces."""
+    """The handlers honour link existence: a mesh model offers its table
+    (only the sequential band program declines the mesh), and the run
+    commits what the foil's ``forward`` commits.  (The id is kept from
+    when the Time Warp side declined the mesh too.)"""
     cfg = HotPotatoConfig(n=N, duration=DURATION, topology="mesh")
     model = HotPotatoModel(cfg)
-    assert model.vector_plan(model.build()) is None
+    calls = plan_spy(model, TABLE_KINDS)
     ecfg = EngineConfig(end_time=DURATION, n_pes=4, n_kps=16, seed=7)
-    declined = TimeWarpKernel(HotPotatoModel(cfg), ecfg).run()
+    offered = TimeWarpKernel(model, ecfg).run()
     scalar = TimeWarpKernel(_scalar(HotPotatoModel(cfg)), ecfg).run()
-    assert declined.model_stats == scalar.model_stats
-    assert declined.run.soa_batches == 0
-    assert "topology" in declined.run.soa_decline_reason
-    assert scalar.run.soa_decline_reason == ""
+    assert offered.model_stats == scalar.model_stats
+    assert all(calls)
+    assert offered.run.soa_decline_reason == ""
+    assert model.band_program() is None
+    assert "topology" in model.band_decline_reason
 
 
 def test_delivery_log_identical():
@@ -324,3 +330,61 @@ def test_delivery_log_identical():
         TimeWarpKernel(model, ecfg).run()
         logs[executor] = sorted(model.delivery_log)
     assert logs["vectorized"] == logs["scalar"]
+
+
+#: How a run may be observed or configured without leaving the table:
+#: mode -> (run_optimistic keyword arguments, EngineConfig overrides).
+#: Process mode refuses engine fault plans up front (the wrapper sits on
+#: one in-process transport), so the transport cell is in-process only.
+ANY_WAY = {
+    "traced": (lambda: {"tracer": Tracer()}, {}),
+    "copy": (lambda: {}, {"rollback": "copy"}),
+    "transport-faults": (
+        lambda: {
+            "faults": transport_faults(
+                drop=0.1, dup=0.1, delay=0.2, stalls=(PEStall(1, 3, 4),)
+            )
+        },
+        {},
+    ),
+}
+ANY_WAY_CELLS = [
+    (mode, procs)
+    for mode in ANY_WAY
+    for procs in (1, 2)
+    if not (mode == "transport-faults" and procs > 1)
+]
+
+
+@pytest.mark.parametrize(
+    "mode, procs", ANY_WAY_CELLS, ids=[f"{m}-procs{p}" for m, p in ANY_WAY_CELLS]
+)
+def test_table_runs_under_tracer_copy_and_faulty_transport(mode, procs):
+    """A Tracer, copy rollback or a fault-wrapped transport changes
+    nothing about how events execute: the batch still calls the table,
+    and the run commits exactly what the per-event foil commits."""
+    hooks, overrides = ANY_WAY[mode]
+
+    def run(population):
+        model = _model(False, population)
+        calls = plan_spy(model, TABLE_KINDS)
+        kwargs = hooks()
+        ecfg = EngineConfig(
+            end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
+            seed=GOLDEN_SEEDS[0], procs=procs, gvt_interval=4, **overrides,
+        )
+        result = run_optimistic(model, ecfg, **kwargs)
+        tracer = kwargs.get("tracer")
+        sequence = tracer.committed_sequence() if tracer is not None else None
+        return result, calls, sequence
+
+    scalar, scalar_calls, scalar_sequence = run("scalar")
+    offered, calls, sequence = run("vectorized")
+    assert offered.run.soa_decline_reason == ""
+    assert all(calls) and not any(scalar_calls)
+    assert offered.model_stats == scalar.model_stats
+    assert offered.run.committed == scalar.run.committed
+    assert sequence == scalar_sequence
+    if mode == "transport-faults":
+        assert offered.run.transport_delayed > 0
+        assert offered.run.pe_stall_rounds > 0

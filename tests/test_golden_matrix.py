@@ -8,10 +8,10 @@ hot-potato network) and process-mode Time Warp on 2 and 4 workers
 must all commit exactly that count under either dispatch — if any cell
 commits anything else, event order (and therefore the science) changed,
 not just speed.  Dispatch is not an
-option: there is one population, and Time Warp steps it through the
-model's vector plan whenever the model offers one (the ``vectorized``
-ids, process mode included); the ``scalar`` ids use a test-side foil, a
-model that declines the plan, so the per-event batch steps it.
+option: there is one population, and Time Warp's batch runs the model's
+handler table whenever the model offers one (the ``vectorized`` ids,
+process mode included); the ``scalar`` ids use a test-side foil, a model
+that declines the table, so ``lp.forward`` runs every event.
 """
 
 import pytest
@@ -22,8 +22,9 @@ from repro.core.engine import run_sequential
 from repro.core.optimistic import run_optimistic
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
+from repro.hotpotato.router import ARRIVE, INJECT, ROUTE
 from repro.models.phold import PholdConfig, PholdModel
-from tests.kernel_models import plan_declined
+from tests.kernel_models import plan_declined, plan_spy
 
 SEED = 0xB5EED
 END = 10.0
@@ -75,11 +76,13 @@ TIME_WARP = [
 
 
 def _time_warp(name, overrides, executor="vectorized"):
+    """The run's stats and the handler-table calls it made (all kinds)."""
     ecfg = EngineConfig(end_time=END, n_pes=4, n_kps=16, seed=SEED, **overrides)
     model = MODELS[name][0]()
     if executor == "scalar":
         plan_declined(model)
-    return run_optimistic(model, ecfg).run
+    calls = plan_spy(model, (ARRIVE, ROUTE, INJECT))
+    return run_optimistic(model, ecfg).run, sum(calls)
 
 
 EXECUTORS = ("scalar", "vectorized")
@@ -106,17 +109,17 @@ def test_committed_counts_are_golden(executor):
                 ConservativeConfig(end_time=END, n_pes=4, sync="yawns", seed=SEED),
             ).run.committed
     for name, label, overrides in TIME_WARP:
-        run = _time_warp(name, overrides, executor)
+        run, table_calls = _time_warp(name, overrides, executor)
         assert run.procs == overrides.get("procs", 1)
         committed[name, label] = run.committed
         if name == "hotpotato":
-            # Band-stepped exactly where the kernel admits it.
-            assert (run.soa_batches > 0) == (executor == "vectorized")
+            # The handler table ran exactly where the model offered it.
+            assert (table_calls > 0) == (executor == "vectorized")
     assert committed == {cell: MODELS[cell[0]][1] for cell in committed}
 
 
 def test_phold_stress_rolls_back_heavily():
     """The stress pin is only a determinism gate if rollback dominates."""
     name, _, overrides = PHOLD_STRESS_OPT
-    run = _time_warp(name, overrides)
+    run, _ = _time_warp(name, overrides)
     assert run.events_rolled_back > run.committed / 2

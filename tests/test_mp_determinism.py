@@ -25,8 +25,10 @@ from repro.core.trace import Tracer
 from repro.faults import generate_plan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
+from repro.hotpotato.router import ARRIVE, INJECT, ROUTE
 from repro.net.torus import TorusTopology
 from repro.obs.spans import SpanTracer
+from tests.kernel_models import plan_spy
 
 N = 4
 DURATION = 12.0
@@ -194,16 +196,16 @@ def test_resume_refuses_marker_mismatch(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Untraced process mode: the path ``--procs`` users run.  A Tracer
-# (correctly) declines the compiled execute/batch, so the tests above
-# exercise the workers' generic per-event path; these run the workers'
-# compiled send (near/far branch), batch and band-stepping closures with
-# positional ring frames, and compare with the sequential oracle through
+# Untraced process mode: the path ``--procs`` users run.  Traced or not,
+# the workers run the same compiled send (near/far branch) and batch
+# over the model's handler table with positional ring frames; these
+# larger untraced runs compare with the sequential oracle through
 # everything an untraced run reports.
 # ----------------------------------------------------------------------
 BIG_N = 8
 BIG_END = 10.0
 BIG_SEED = 0x5EED
+TABLE_KINDS = (ARRIVE, ROUTE, INJECT)
 
 
 def _big_cfg(**overrides) -> HotPotatoConfig:
@@ -248,29 +250,25 @@ UNTRACED_CELLS = [(p, r) for p in (2, 4) for r in ("reverse", "copy")]
     ],
 )
 def test_untraced_procs_equal_the_oracle(big_oracle, procs, rollback):
-    mp = run_optimistic(
-        HotPotatoModel(_big_cfg()), _big_ecfg(procs, rollback=rollback)
-    )
+    model = HotPotatoModel(_big_cfg())
+    calls = plan_spy(model, TABLE_KINDS)
+    mp = run_optimistic(model, _big_ecfg(procs, rollback=rollback))
     _assert_equals_oracle(mp, big_oracle)
     assert mp.run.procs == procs
-    if rollback == "reverse":
-        # Every worker band-stepped every event it executed.
-        assert mp.run.soa_batches > 0
-        assert mp.run.soa_lps_stepped == mp.run.processed
-        assert mp.run.soa_decline_reason == ""
-    else:
-        # Copy rollback: the per-event compiled batch inside the workers.
-        assert mp.run.soa_batches == 0
-        assert "copy" in mp.run.soa_decline_reason
+    # The workers ran the handler table under either rollback strategy.
+    assert all(calls)
+    assert mp.run.soa_decline_reason == ""
 
 
 def test_untraced_procs_heavy_cross_ring_rollback(big_oracle):
     """A 512-event batch lets each worker run far ahead of the other:
-    band-stepped sends are rolled back after they crossed a ring, so anti
+    the table's sends are rolled back after they crossed a ring, so anti
     frames chase positional positives."""
-    mp = run_optimistic(HotPotatoModel(_big_cfg()), _big_ecfg(2, batch_size=512))
+    model = HotPotatoModel(_big_cfg())
+    calls = plan_spy(model, TABLE_KINDS)
+    mp = run_optimistic(model, _big_ecfg(2, batch_size=512))
     _assert_equals_oracle(mp, big_oracle)
-    assert mp.run.soa_batches > 0 and mp.run.soa_decline_reason == ""
+    assert all(calls) and mp.run.soa_decline_reason == ""
     assert mp.run.events_rolled_back > mp.run.committed // 4
     assert mp.run.cancelled_direct + mp.run.cancelled_via_rollback > 0
 
@@ -290,38 +288,42 @@ def test_untraced_procs_under_model_fault_plan():
     )
     ms = oracle.model_stats
     assert ms["fault_dropped"] > 0 or ms["fault_deflections"] > 0
-    mp = run_optimistic(
-        HotPotatoModel(_big_cfg(), fault_plan=plan), _big_ecfg(2)
-    )
+    model = HotPotatoModel(_big_cfg(), fault_plan=plan)
+    calls = plan_spy(model, TABLE_KINDS)
+    mp = run_optimistic(model, _big_ecfg(2))
     _assert_equals_oracle(mp, oracle)
-    # The vector plan inlines the routers' fault branches: still stepped.
-    assert mp.run.soa_batches > 0 and mp.run.soa_decline_reason == ""
+    # The handlers inline the routers' fault branches: the table ran.
+    assert all(calls) and mp.run.soa_decline_reason == ""
 
 
 def test_untraced_procs_mesh_runs_the_scalar_population():
-    """The model declines its vector plan off the torus: the routers
-    under the workers' compiled per-event batch, the same positional
-    frames on the ring."""
+    """The handlers honour link existence, so the workers run the table
+    on a mesh too, with the same positional frames on the ring.  (The id
+    is kept from when the mesh ran ``forward`` alone.)"""
     cfg = _big_cfg(topology="mesh")
     oracle = run_sequential(HotPotatoModel(cfg), BIG_END, seed=BIG_SEED)
-    mp = run_optimistic(HotPotatoModel(cfg), _big_ecfg(2))
+    model = HotPotatoModel(cfg)
+    calls = plan_spy(model, TABLE_KINDS)
+    mp = run_optimistic(model, _big_ecfg(2))
     _assert_equals_oracle(mp, oracle)
-    assert mp.run.soa_batches == 0
-    assert "topology" in mp.run.soa_decline_reason
+    assert all(calls) and mp.run.soa_decline_reason == ""
 
 
 def test_traced_procs_name_the_tracer_as_the_decline():
-    mp = run_optimistic(
-        HotPotatoModel(_big_cfg()), _big_ecfg(2), tracer=Tracer()
-    )
-    assert mp.run.soa_batches == 0
-    assert "Tracer" in mp.run.soa_decline_reason
+    """A Tracer declines nothing: traced workers run the same batch and
+    handler table.  (The id is kept from when the Tracer was the
+    decline.)"""
+    model = HotPotatoModel(_big_cfg())
+    calls = plan_spy(model, TABLE_KINDS)
+    mp = run_optimistic(model, _big_ecfg(2), tracer=Tracer())
+    assert all(calls)
+    assert mp.run.soa_decline_reason == ""
 
 
 def test_untraced_kill_at_checkpoint_resume(big_oracle, tmp_path):
-    """Band-stepping workers resumed from truncated shard directories
-    (tuple payloads through the snapshot, uid table rebuilt) finish on
-    the oracle."""
+    """Workers running the table, resumed from truncated shard
+    directories (tuple payloads through the snapshot, uid table rebuilt),
+    finish on the oracle."""
     procs = 2
     snap_dir = tmp_path / "snaps"
     marker = {"case": "mp-band-resume"}
@@ -339,12 +341,12 @@ def test_untraced_kill_at_checkpoint_resume(big_oracle, tmp_path):
             snap.unlink()
     resume_ckpt = Checkpointer(snap_dir, every=1 << 30, marker=marker)
     resume_ckpt.mp_resume = True
-    resumed = run_optimistic(
-        HotPotatoModel(_big_cfg()), ecfg, checkpointer=resume_ckpt
-    )
+    model = HotPotatoModel(_big_cfg())
+    calls = plan_spy(model, TABLE_KINDS)
+    resumed = run_optimistic(model, ecfg, checkpointer=resume_ckpt)
     assert resumed.model_stats == big_oracle.model_stats
     assert resumed.run.committed == big_oracle.run.committed
-    assert resumed.run.soa_batches > 0 and resumed.run.soa_decline_reason == ""
+    assert all(calls) and resumed.run.soa_decline_reason == ""
 
 
 def test_send_into_the_past_is_the_same_error_under_procs():

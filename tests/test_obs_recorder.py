@@ -235,14 +235,14 @@ def test_metric_sample_loader_defaults_old_recordings():
     rec = MetricsRecorder()
     run_sequential(PholdModel(PHOLD), END, metrics=rec)
     d = rec.samples[0].as_dict()
-    for key in ("soa_batches", "soa_lps_stepped"):
-        d.pop(key)  # simulate a pre-schema recording
-    # ... and one that carries counters deleted since (the lazy
-    # cancellation pair, and a made-up one): read by name, so the extra
-    # keys are ignored.
-    d.update(lazy_hits=5, antimsg_batches=2, a_counter_deleted_since=3)
+    # A recording that still carries counters deleted since (the
+    # band-stepping pair, the lazy cancellation pair, and a made-up one)
+    # loads: keys are read by name, so the extra ones are ignored.
+    d.update(
+        soa_batches=4, soa_lps_stepped=9, lazy_hits=5, antimsg_batches=2,
+        a_counter_deleted_since=3,
+    )
     sample = MetricSample.from_dict(d)
-    assert sample.soa_batches == 0
-    assert sample.soa_lps_stepped == 0
+    assert not hasattr(sample, "soa_batches")
     assert not hasattr(sample, "lazy_hits")
     assert sample == rec.samples[0]

@@ -20,8 +20,9 @@ from repro.core.optimistic import TimeWarpKernel, run_optimistic
 from repro.core.trace import Tracer
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
+from repro.hotpotato.router import ARRIVE, INJECT, ROUTE
 from repro.models.phold import PholdConfig, PholdModel
-from tests.kernel_models import plan_declined, transport_faults
+from tests.kernel_models import plan_declined, plan_spy, transport_faults
 
 END = 20.0
 PHOLD_CFG = PholdConfig(n_lps=24, jobs_per_lp=2, remote_fraction=0.6)
@@ -132,16 +133,17 @@ SHARED_EXECUTORS = ("scalar", "vectorized")
 )
 def test_shared_dispatch_tables_commit_the_oracle_sequence(shared_oracle, executor):
     stats, deliveries, sequence = shared_oracle
-    # Untraced: every fused closure (send, batch / band batch) runs.
+    # Untraced: every fused closure (send, batch, handler table) runs.
     model, kernel = _shared_tables_engine(executor)
+    calls = plan_spy(model, (ARRIVE, ROUTE, INJECT))
     result = kernel.run()
     assert kernel._batch_by_pe is not None
-    assert (kernel.soa_batches > 0) == (executor == "vectorized")
+    assert (sum(calls) > 0) == (executor == "vectorized")
     assert result.run.events_rolled_back > 0
     assert result.model_stats == stats
     assert sorted(model.delivery_log) == deliveries
     assert result.run.committed == len(sequence)
-    # Traced: fused sends under the generic execute, event by event.
+    # Traced: the same closures, with the tracer's per-event hook.
     tracer = Tracer()
     _, kernel = _shared_tables_engine(executor)
     kernel.attach_tracer(tracer).run()
