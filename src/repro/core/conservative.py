@@ -282,13 +282,19 @@ class ConservativeKernel(Executor):
         lps = self.lps
         release = self.pool.release
         tracer = self.tracer
+        handler_for = self._handler_for
         while True:
             ev = pop_below(horizon)
             if ev is None:
                 break
-            lp = lps[ev.dst]
+            dst = ev.dst
+            lp = lps[dst]
             lp._now = ev.key.ts
-            lp.forward(ev)
+            handler = handler_for(ev.kind)
+            if handler is None:
+                lp.forward(ev)
+            else:
+                handler(ev, dst, lp.rng)
             lp.commit(ev)
             done += 1
             if tracer is not None:
@@ -302,6 +308,7 @@ class ConservativeKernel(Executor):
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Execute the model to the end barrier and collect statistics."""
+        self._handler_for = self._handler_table().get
         with self._collector_paused():
             if self._resume is None:
                 self._bootstrap()

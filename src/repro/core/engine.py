@@ -136,10 +136,11 @@ class SequentialEngine(Executor):
         """Execute to the end barrier and collect statistics.
 
         Two ways to get there.  The per-event loop below — pop the
-        minimum key, ``forward``, ``commit`` — is the reference every
-        other engine is compared against; it has a bare copy and a
-        general one that also paces metrics, spans, checkpoints, the
-        watchdog and the paranoid checks.  A model may also offer a
+        minimum key, run the model's handler for its kind (or
+        ``forward``), ``commit`` — is the reference every other engine
+        is compared against; it has a bare copy and a general one that
+        also paces metrics, spans, checkpoints, the watchdog and the
+        paranoid checks.  A model may also offer a
         *band program*; when nothing attached needs single events (see
         :meth:`_band_program`) the loop stops at the program's start time
         and the program runs the rest, reporting after each band so
@@ -158,6 +159,7 @@ class SequentialEngine(Executor):
                 lp.on_init()
 
         lps = self.lps
+        handler_for = self._handler_table().get
         pop_below = self.pending.pop_below
         end = self.end_time
         band_start, program = self._band_program(resume is not None) or (end, None)
@@ -184,9 +186,14 @@ class SequentialEngine(Executor):
                 ev = pop_below(limit)
                 if ev is None:
                     break
-                lp = lps[ev.dst]
+                dst = ev.dst
+                lp = lps[dst]
                 lp._now = ev.key.ts
-                lp.forward(ev)
+                handler = handler_for(ev.kind)
+                if handler is None:
+                    lp.forward(ev)
+                else:
+                    handler(ev, dst, lp.rng)
                 lp.commit(ev)
                 processed += 1
                 if tracer is not None:
@@ -226,10 +233,15 @@ class SequentialEngine(Executor):
                 ev = pop_below(limit)
                 if ev is None:
                     break
-                lp = lps[ev.dst]
+                dst = ev.dst
+                lp = lps[dst]
                 now = ev.key.ts
                 lp._now = now
-                lp.forward(ev)
+                handler = handler_for(ev.kind)
+                if handler is None:
+                    lp.forward(ev)
+                else:
+                    handler(ev, dst, lp.rng)
                 lp.commit(ev)
                 processed += 1
                 if tracer is not None:

@@ -28,11 +28,13 @@ a small uniform interface every engine implements:
 
 The base class also owns the **population build**: every engine builds
 with :meth:`~repro.core.lp.Model.build`, so there is one population per
-model whatever runs it.  How its events are *dispatched* is each engine's
-business — the Time Warp kernel asks the model for a per-kind handler
-table over the built LPs (:meth:`~repro.core.lp.Model.vector_plan`), the
-sequential engine for a band program — and every decline leaves its
-reason in ``RunStats``.
+model whatever runs it — and the **dispatch**: every engine asks the
+model once per run for its per-kind handler table over the built LPs
+(:meth:`Executor._handler_table`, :meth:`~repro.core.lp.Model.handlers`)
+and runs each event through its kind's handler, or ``lp.forward`` for a
+kind the table does not list.  The sequential engine may also run a
+model's band program, and leaves the reason in ``RunStats`` when it
+declines one.
 """
 
 from __future__ import annotations
@@ -101,6 +103,13 @@ class Executor:
     def _emit(self, src_lp: LogicalProcess, ev: Event) -> None:
         """Kernel side of ``LogicalProcess.send`` (engine-specific)."""
         raise NotImplementedError
+
+    def _handler_table(self) -> dict:
+        """The model's handler table over this engine's LPs and the sends
+        they hold now (:meth:`~repro.core.lp.Model.handlers`); ``{}`` when
+        it offers none.  Built at the top of ``run``, after a checkpoint
+        restore and after anything that rebinds a send."""
+        return self.model.handlers(self.lps, [lp.send for lp in self.lps]) or {}
 
     @staticmethod
     @contextmanager

@@ -14,7 +14,9 @@ A model subclasses :class:`LogicalProcess` and implements:
     The event handler — the analog of ``Router_EventHandler`` switching on
     the event kind.  It mutates ``self.state``, may call :meth:`send`, may
     draw from ``self.rng``, and stashes whatever its reverse needs in
-    ``event.saved``.
+    ``event.saved``.  A model may instead hand the engines a per-kind
+    handler table (:meth:`Model.handlers`); its LPs then need no
+    ``forward`` for the kinds the table lists.
 ``reverse(event)``
     The reverse-computation handler: restore ``self.state`` from
     ``event.saved``.  The kernel automatically un-sends the handler's
@@ -225,30 +227,21 @@ class Model:
         """Create and return the LP population (ids must be 0..n-1)."""
         raise NotImplementedError
 
-    #: Why :meth:`vector_plan` returned ``None`` although the model has
-    #: such a table ("" otherwise); models set it as they refuse.
-    soa_decline_reason = ""
-
-    def vector_plan(self, lps: list[LogicalProcess], send_by_lp: list):
+    def handlers(self, lps: list[LogicalProcess], send_by_lp: list):
         """Optional per-kind handler table over the population ``lps``.
 
         ``lps`` is what :meth:`build` returned to the asking engine and
         ``send_by_lp[i]`` is ``lps[i].send`` as that engine bound it.  A
-        model whose LPs keep their state in shared flat arrays may return
-        ``{kind: handler(ev, dst, rng)}``: ``handler`` does exactly what
-        ``lps[dst].forward(ev)`` does for an event of that kind (``rng``
-        is ``lps[dst].rng``), sending through ``send_by_lp[dst]``, with
-        the run-constant state it reads hoisted into closure cells (see
-        :mod:`repro.hotpotato.soa`).  The Time Warp kernel asks every
-        model; its batch loop calls the handler for each kind listed and
-        ``lp.forward`` for every other kind, and does the per-event
-        bookkeeping (journal, RNG count, charges, tracer) itself.
-        ``None``, the default, leaves every kind to ``lp.forward``; a
-        model that has a table but cannot offer it for this configuration
-        says why in :attr:`soa_decline_reason`, which lands in
-        :class:`~repro.core.stats.RunStats`.  A table changes how events
-        are dispatched, never what they do: same RNG draw sequences, same
-        sends, same statistics.
+        model may return ``{kind: handler(ev, dst, rng)}``: ``handler``
+        executes an event of that kind at LP ``dst`` (``rng`` is
+        ``lps[dst].rng``), sending through ``send_by_lp[dst]``, with the
+        run-constant state it reads hoisted into closure cells (see
+        :mod:`repro.hotpotato.handlers`).  Every engine asks once per
+        run and dispatches each event to its kind's handler, or to
+        ``lp.forward`` for a kind the table does not list; the per-event
+        bookkeeping (journal, RNG count, charges, tracer) is the
+        engine's.  ``None``, the default, leaves every kind to
+        ``lp.forward``.
         """
         return None
 

@@ -160,7 +160,7 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp, handler
     processed list and charge the PE — in-process and in every
     process-mode worker, traced or not, under either rollback strategy
     and over any transport.  "Run it" is the model's handler for the
-    event's kind from ``handlers`` (:meth:`Model.vector_plan`), or
+    event's kind from ``handlers`` (:meth:`Model.handlers`), or
     ``lp.forward`` for a kind it has none for; either way the handler
     only does what the model does, and this loop does the bookkeeping
     once.  An attached tracer sees the event last.
@@ -263,11 +263,6 @@ class TimeWarpKernel(Executor):
         # --- LP population -------------------------------------------------
         self._init_population(model)
         n_lps = len(self.lps)
-        #: Why the model offered no handler table for this run ("" when it
-        #: did, or has none): the model's own refusal, copied into
-        #: RunStats so ``repro.obs summary`` can explain the choice.
-        self.soa_decline = ""
-
         # --- Mapping, KPs, PEs --------------------------------------------
         grid = getattr(model, "grid", None)
         self.mapping = build_mapping(
@@ -624,10 +619,9 @@ class TimeWarpKernel(Executor):
         ``LogicalProcess._kernel_send`` → :meth:`_emit` →
         ``transport.deliver``.  The batch (:func:`_compile_batch`) is
         compiled either way, around the model's handler table
-        (:meth:`Model.vector_plan` over the built LPs and whichever sends
-        they got) or, where the model offers none, ``lp.forward`` alone;
-        the model's refusal lands in ``soa_decline``.  Closures are
-        compiled only for the LPs and PEs this kernel steps.
+        (:meth:`Executor._handler_table`, over whichever sends the LPs
+        got).  Closures are compiled only for the LPs and PEs this kernel
+        steps.
         """
         far = self._far_by_lp
         # Run-constant per-LP dispatch tables, built here once (after any
@@ -644,9 +638,7 @@ class TimeWarpKernel(Executor):
             for lp in self.lps:
                 if far is None or not far[lp.id]:
                     lp.send = bind_send(lp)
-        handlers = self.model.vector_plan(self.lps, [lp.send for lp in self.lps])
-        self.soa_decline = "" if handlers is not None else self.model.soa_decline_reason
-        handlers = handlers or {}
+        handlers = self._handler_table()
         owned = self.owned_pes
         self._batch_by_pe = [
             _compile_batch(self, pe, processed_append_by_lp, handlers)
@@ -881,7 +873,6 @@ class TimeWarpKernel(Executor):
     # ------------------------------------------------------------------
     def _build_result(self, rounds: int) -> RunResult:
         stats = RunStats(engine="optimistic")
-        stats.soa_decline_reason = self.soa_decline
         cfg = self.cfg
         stats.n_pes = cfg.n_pes
         stats.n_kps = cfg.n_kps

@@ -65,12 +65,6 @@ class RunStats:
     stragglers: int = 0
     cancelled_direct: int = 0
     cancelled_via_rollback: int = 0
-    #: Why a Time Warp run executed every event through ``lp.forward``
-    #: although the model has a handler table (``Model.vector_plan``):
-    #: the model could not offer it for this configuration (policy,
-    #: adversary).  "" when the table ran, the model has none, or the
-    #: engine is not the optimistic one.
-    soa_decline_reason: str = ""
     #: Why a sequential run stepped event by event although the model has
     #: a band program: the model could not offer it (policy, topology,
     #: fault plan, adversary) or the engine declined it (tracer,
@@ -146,7 +140,6 @@ class RunStats:
             "cancelled_direct": self.cancelled_direct,
             "cancelled_via_rollback": self.cancelled_via_rollback,
             "lazy_reused": 0,  # no message is ever reused; perfbench/layers.py reads it
-            "soa_decline_reason": self.soa_decline_reason,
             "band_decline_reason": self.band_decline_reason,
             "throttle_adjustments": self.throttle_adjustments,
             "throttle_final_factor": self.throttle_final_factor,

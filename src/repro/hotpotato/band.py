@@ -26,14 +26,17 @@ event's key and destination, then its payload as it stands
 ``(ts, origin, seq, dst, step, dest, priority, inject_step, jitter,
 distance, src)``
 
-and runs the four handlers of :class:`~repro.hotpotato.router.RouterLP`
-inlined over the routers' own shared ``links`` / ``head_gen`` lists —
-same float expressions, same LCG steps in the same order, ``send_seq``
-advanced on every send — so every key, every tie-break, every statistic
-and every RNG state is the per-event loop's.  No ``Event`` is built, no
-heap is pushed or popped and no ``forward`` is dispatched per packet;
-events exist only where the program is entered and left, through
-``engine.pending``.
+and runs the rules of the model's handler table
+(:mod:`repro.hotpotato.handlers`, which the per-event loop dispatches
+through) inlined over the routers' own shared ``links`` / ``head_gen``
+lists — same float expressions, same LCG steps in the same order,
+``send_seq`` advanced on every send — so every key, every tie-break,
+every statistic and every RNG state is the per-event loop's.  It shares
+no code with the table: this is the second statement of the Busch rule,
+kept for speed, and ``tests/test_band_program.py`` compares the two.  No
+``Event`` is built, no heap is pushed or popped and no handler is
+dispatched per packet; events exist only where the program is entered
+and left, through ``engine.pending``.
 
 :meth:`HotPotatoModel.band_program` offers the program only for the
 configuration the inlined rules are written for (Busch policy, torus, no
@@ -292,7 +295,7 @@ def run_bands(engine, processed: int):
             ):
                 stats[i].inject_blocked += 1
                 continue
-            # RouterLP._draw_dest_jitter inlined (same LCG steps).
+            # The stock destination draw (same LCG steps as the table's).
             s1 = (MULTIPLIER * rng_state[i] + INCREMENT) & MASK64
             dest = int((s1 >> 11) * _INV_2_53 * n_others)
             if dest >= i:

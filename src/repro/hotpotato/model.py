@@ -117,8 +117,8 @@ class HotPotatoModel(Model):
         """The router population, the same for every engine.
 
         The routers share one flat ``links`` list (four slots each) and
-        one ``head_gen`` list, so the inlined handlers and the band
-        program can run them over the state they already hold (see
+        one ``head_gen`` list, so the handler table and the band program
+        can run them over the state they already hold (see
         :mod:`repro.hotpotato.router`).
         """
         cfg = self.cfg
@@ -142,62 +142,46 @@ class HotPotatoModel(Model):
                     lps[i].adversary = script
         return lps
 
-    def _inlined_rules_decline(self) -> str:
-        """Why the inlined handlers' rules do not cover this model.
-
-        Both the Time Warp handler table and the sequential band program
-        inline ``BuschHotPotatoPolicy.route`` (a subclass override would
-        silently be ignored) and the uniform destination draw of the
-        stock injection application.  "" when they apply.
-        """
-        if type(self.policy) is not BuschHotPotatoPolicy:
-            return (
-                f"policy {self.policy.name!r} is not the Busch policy the "
-                "inlined handlers implement"
-            )
-        if self.injection_plan is not None:
-            return (
-                "adversarial injection plan attached (the inlined INJECT "
-                "handler draws a uniform destination)"
-            )
-        return ""
-
-    def vector_plan(self, lps: list[LogicalProcess], send_by_lp: list):
-        """Per-kind handler table over ``lps`` (:mod:`repro.hotpotato.soa`).
-
-        Declines (returns None → ``RouterLP.forward`` runs every event)
-        when :meth:`_inlined_rules_decline` names a reason, recorded in
-        ``soa_decline_reason`` so RunStats can surface it.  The handlers
-        honour link existence and fault masks, so a mesh and a fault plan
-        are covered.
-        """
-        self.soa_decline_reason = self._inlined_rules_decline()
-        if self.soa_decline_reason:
-            return None
-        from repro.hotpotato.soa import handlers
+    def handlers(self, lps: list[LogicalProcess], send_by_lp: list) -> dict:
+        """The routers' handler table over ``lps``
+        (:mod:`repro.hotpotato.handlers`), offered for every
+        configuration: any policy, topology, fault plan or adversary."""
+        from repro.hotpotato.handlers import handlers
 
         return handlers(lps, send_by_lp)
 
     def band_program(self):
         """The sequential band program (:mod:`repro.hotpotato.band`).
 
-        Offered for the configuration its inlined handlers are written
-        for: everything :meth:`vector_plan` asks, the torus band layout,
-        and no model faults (the handlers' fault branches are not
-        inlined).  Each refusal is recorded in ``band_decline_reason``.
+        Offered for the configuration its inlined rules are written for:
+        ``BuschHotPotatoPolicy`` itself (a subclass override would
+        silently be ignored), the stock injection application, the torus
+        band layout and no model faults.  Each refusal is recorded in
+        ``band_decline_reason``.
         """
-        reason = self._inlined_rules_decline()
         plan = self.fault_plan
-        if not reason and not isinstance(self.topo, TorusTopology):
+        if type(self.policy) is not BuschHotPotatoPolicy:
+            reason = (
+                f"policy {self.policy.name!r} is not the Busch policy the "
+                "band program inlines"
+            )
+        elif self.injection_plan is not None:
+            reason = (
+                "adversarial injection plan attached (the band program "
+                "draws a uniform destination)"
+            )
+        elif not isinstance(self.topo, TorusTopology):
             reason = (
                 f"topology {self.cfg.topology!r} is not the torus the "
                 "band program was built for"
             )
-        if not reason and plan is not None and plan.has_model_faults:
+        elif plan is not None and plan.has_model_faults:
             reason = (
                 "fault plan with model faults attached (the band program "
                 "does not inline the routers' fault branches)"
             )
+        else:
+            reason = ""
         self.band_decline_reason = reason
         if reason:
             return None

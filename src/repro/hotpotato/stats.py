@@ -73,8 +73,9 @@ class RouterStats:
         self.routes = 0
         #: Routes taken in a transiently-impossible state (more packets
         #: than links) — observable, if at all, only mid-speculation, while
-        #: a withdrawn arrival's anti-message is in flight (see
-        #: ``RouterLP._route``); must be 0 in every committed timeline.
+        #: a withdrawn arrival's anti-message is in flight (see the ROUTE
+        #: handler in :mod:`repro.hotpotato.handlers`); must be 0 in every
+        #: committed timeline.
         self.overflow_routes = 0
         #: Routes that did not advance the packet toward its destination.
         self.deflections = 0

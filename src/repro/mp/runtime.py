@@ -122,10 +122,6 @@ def _merge_run_stats(parts: list[RunStats], config) -> RunStats:
     out.gvt_token_rounds = max(p.gvt_token_rounds for p in parts)
     out.makespan_seconds = max(p.makespan_seconds for p in parts)
     out.throttle_final_factor = min(p.throttle_final_factor for p in parts)
-    for p in parts:
-        if p.soa_decline_reason:
-            out.soa_decline_reason = p.soa_decline_reason
-            break
     busy = [0.0] * config.n_pes
     for p in parts:
         for i, seconds in enumerate(p.per_pe_busy_seconds):

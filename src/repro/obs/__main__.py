@@ -185,9 +185,6 @@ def cmd_summary(rec: RunRecording) -> int:
     if rec.stats is None:
         print("  no stats line (run did not finalize)")
         return 0
-    reason = rec.stats.get("soa_decline_reason")
-    if reason:
-        print(f"  Time Warp handler table not used: {reason}")
     reason = rec.stats.get("band_decline_reason")
     if reason:
         print(f"  sequential band program not used: {reason}")

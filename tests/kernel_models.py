@@ -9,19 +9,6 @@ TICK = "TICK"
 POKE = "POKE"
 
 
-def plan_declined(model):
-    """Test foil: ``model`` declines to offer its handler table.
-
-    The Time Warp kernel asks ``Model.vector_plan(lps, send_by_lp)`` on
-    every run and no product option says otherwise; to compare a run
-    stepped through the table with the same population stepped through
-    ``lp.forward`` alone, a test therefore patches this one instance.
-    Forked workers inherit the patch.
-    """
-    model.vector_plan = lambda lps, send_by_lp: None
-    return model
-
-
 def plan_spy(model, kinds):
     """Test probe: count the calls ``model``'s handler table serves.
 
@@ -33,7 +20,7 @@ def plan_spy(model, kinds):
     from multiprocessing.sharedctypes import RawArray
 
     counts = RawArray("q", len(kinds))
-    offer = model.vector_plan
+    offer = model.handlers
 
     def counted(slot, handler):
         def call(ev, dst, rng):
@@ -42,7 +29,7 @@ def plan_spy(model, kinds):
 
         return call
 
-    def vector_plan(lps, send_by_lp):
+    def handlers(lps, send_by_lp):
         table = offer(lps, send_by_lp)
         if table is None:
             return None
@@ -51,7 +38,7 @@ def plan_spy(model, kinds):
             for kind, h in table.items()
         }
 
-    model.vector_plan = vector_plan
+    model.handlers = handlers
     return counts
 
 

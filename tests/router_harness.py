@@ -2,8 +2,10 @@
 
 Shared by the handler-level tests (``test_hotpotato_router*.py``): a
 router is taken from ``HotPotatoModel.build()`` — the only way the product
-makes one — bound to a send recorder, and executed / undone the way the
-Time Warp kernel does it (RNG journaling, ``send_seq`` restore).
+makes one — bound to a send recorder, executed through the model's
+handler table (``HotPotatoModel.handlers``, what every engine calls) and
+undone through ``RouterLP.reverse``, the way the Time Warp kernel does it
+(RNG journaling, ``send_seq`` restore).
 """
 
 from repro.core.event import Event
@@ -13,12 +15,18 @@ from repro.rng.streams import ReversibleStream
 from repro.vt.time import EventKey
 
 
+#: The handler table each router made here executes through.
+_TABLES: dict = {}
+
+
 def make_router(node, cfg, **model_kw):
     """``(lp, sends, topo)``: router ``node`` of ``HotPotatoModel(cfg)``."""
     model = HotPotatoModel(cfg, **model_kw)
-    lp = model.build()[node]
+    lps = model.build()
+    lp = lps[node]
     sends = []
     lp.bind(ReversibleStream(11, node), lambda src, ev: sends.append(ev))
+    _TABLES[lp] = model.handlers(lps, [p.send for p in lps])
     return lp, sends, model.topo
 
 
@@ -45,12 +53,12 @@ def state_of(lp):
 
 
 def execute(lp, kind, data, ts=1.0):
-    """Kernel-style forward execution with RNG journaling."""
+    """Kernel-style execution through the table, with RNG journaling."""
     ev = Event(EventKey(ts, lp.id, 999), lp.id, kind, data)
     ev.prev_send_seq = lp.send_seq
     before = lp.rng.count
     lp._now = ts
-    lp.forward(ev)
+    _TABLES[lp][kind](ev, lp.id, lp.rng)
     ev.rng_draws = lp.rng.count - before
     return ev
 

@@ -6,13 +6,13 @@ import tracemalloc
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.engine import run_sequential
+from repro.core.engine import SequentialEngine, run_sequential
 from repro.core.optimistic import TimeWarpKernel, run_optimistic
 from repro.errors import ConfigurationError
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.models.phold import PholdConfig, PholdModel
-from tests.kernel_models import ChattyModel, plan_declined, transport_faults
+from tests.kernel_models import ChattyModel, transport_faults
 
 END = 30.0
 
@@ -196,17 +196,22 @@ def test_result_metadata():
 # Set-up scaling: fused-path installation is linear in the LP population.
 # ----------------------------------------------------------------------
 def _retained_setup_bytes(n: int, executor: str) -> int:
-    """Bytes a kernel on the n x n torus retains once its fast paths are in."""
+    """Bytes an engine on the n x n torus retains once its dispatch is in:
+    the sequential oracle's handler table (``scalar``), or a Time Warp
+    kernel's fast paths around it (``vectorized``)."""
     model = HotPotatoModel(HotPotatoConfig(n=n, duration=1.0, injector_fraction=1.0))
-    if executor == "scalar":
-        plan_declined(model)
     cfg = EngineConfig(end_time=1.0, n_pes=4, n_kps=64)
     gc.collect()
     tracemalloc.start()
     try:
-        kernel = TimeWarpKernel(model, cfg)
-        kernel._install_fast_paths()
-        assert kernel._batch_by_pe is not None and not kernel.soa_decline
+        if executor == "scalar":
+            engine = SequentialEngine(model, 1.0)
+            table = engine._handler_table()
+            assert len(table) == 5
+        else:
+            kernel = TimeWarpKernel(model, cfg)
+            kernel._install_fast_paths()
+            assert kernel._batch_by_pe is not None
         return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -1,16 +1,15 @@
-"""Executor-ABI conformance: the handler table is bit-identical to forward.
+"""Executor-ABI conformance: every engine dispatches through the table.
 
-The contract (docs/KERNEL.md, "Executor ABI & vectorized stepping"):
-every engine runs the one population ``Model.build()`` returns, and the
-Time Warp kernel's batch runs the model's handler table whenever the
-model offers one — traced or not, under either rollback strategy, over
-any transport, in-process and in process-mode workers.  For every
-golden seed, fault plan and checkpoint kill/resume combination that must
-commit exactly the event sequence the routers' own ``forward`` commits
-— under Time Warp and under the conservative engine.  There is no
-product option that keeps the table from running, so the tests use a
-foil: a model whose ``vector_plan`` declines
-(``tests.kernel_models.plan_declined``).  Two observation levels:
+The contract (docs/KERNEL.md, "Executor ABI & the handler table"):
+every engine runs the one population ``Model.build()`` returns and
+executes its events through the model's per-kind handler table
+(``Model.handlers``) — the sequential oracle, the conservative kernel
+and Time Warp, traced or not, under either rollback strategy, over any
+transport, in-process and in process-mode workers.  ``RouterLP`` has no
+``forward`` of its own.  For every golden seed, fault plan and
+checkpoint kill/resume combination the parallel engines must commit
+exactly the event sequence the sequential oracle commits.  Two
+observation levels:
 
 * **Committed sequence** — with a :class:`~repro.core.trace.Tracer`
   attached both sides report the full committed ``(ts, lp, seq, kind)``
@@ -19,9 +18,9 @@ foil: a model whose ``vector_plan`` declines
   per-router event fingerprints, so any divergence in committed event
   content or order shows up.
 
-The ``scalar`` / ``vectorized`` labels in ids and dict keys mean "table
-declined" / "table offered"; ``tests.kernel_models.plan_spy`` counts the
-calls the offered table serves.
+The ``scalar`` / ``vectorized`` labels in ids and dict keys mean "the
+sequential oracle" / "the engine under test"; ``tests.kernel_models.
+plan_spy`` counts the calls the table serves.
 """
 
 import shutil
@@ -31,6 +30,7 @@ import pytest
 from repro.ckpt import Checkpointer, list_snapshots
 from repro.core.config import EngineConfig
 from repro.core.conservative import ConservativeConfig, ConservativeKernel
+from repro.core.engine import SequentialEngine
 from repro.core.optimistic import TimeWarpKernel
 from repro.core.trace import Tracer
 from repro.core.optimistic import run_optimistic
@@ -38,16 +38,15 @@ from repro.faults import generate_plan
 from repro.faults.plan import PEStall
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
-from repro.hotpotato.router import ARRIVE, INJECT, ROUTE
+from repro.hotpotato.router import ARRIVE, HEARTBEAT, INIT, INJECT, ROUTE, RouterLP
 from repro.net import TorusTopology
-from tests.kernel_models import plan_declined as _scalar
 from tests.kernel_models import plan_spy, transport_faults
 
 N = 4
 DURATION = 12.0
 GOLDEN_SEEDS = (7, 0x5EED)
-#: The kinds the hot-potato table inlines (INIT and HEARTBEAT go to
-#: ``RouterLP.forward``).
+#: The kinds every step of these runs exercises (INIT runs once per
+#: router, and HEARTBEAT is off).
 TABLE_KINDS = (ARRIVE, ROUTE, INJECT)
 
 
@@ -67,17 +66,16 @@ def _fault_plan():
     )
 
 
-def _model(faulted: bool, population: str = "vectorized") -> HotPotatoModel:
-    model = HotPotatoModel(_cfg(), fault_plan=_fault_plan() if faulted else None)
-    return _scalar(model) if population == "scalar" else model
+def _model(faulted: bool) -> HotPotatoModel:
+    return HotPotatoModel(_cfg(), fault_plan=_fault_plan() if faulted else None)
 
 
-def _engine(engine: str, population: str, seed: int, faulted: bool):
-    """``engine`` with the model's plan declined or offered (the
-    conservative engine never asks for one: declined only)."""
-    model = _model(faulted, population)
+def _engine(engine: str, seed: int, faulted: bool):
+    """A fresh ``engine`` ("seq", "cons" or "opt") over the model."""
+    model = _model(faulted)
+    if engine == "seq":
+        return SequentialEngine(model, DURATION, seed=seed)
     if engine == "cons":
-        assert population == "scalar"
         ccfg = ConservativeConfig(
             end_time=DURATION, n_pes=4, sync="yawns", seed=seed,
             lookahead=model.lookahead,
@@ -90,10 +88,10 @@ def _engine(engine: str, population: str, seed: int, faulted: bool):
 
 
 def _pair(engine: str, seed: int, faulted: bool) -> dict:
-    """The per-event reference on ``engine`` and band-stepped Time Warp."""
+    """The sequential oracle and ``engine`` on the same model and seed."""
     return {
-        "scalar": _engine(engine, "scalar", seed, faulted),
-        "vectorized": _engine("opt", "vectorized", seed, faulted),
+        "scalar": _engine("seq", seed, faulted),
+        "vectorized": _engine(engine, seed, faulted),
     }
 
 
@@ -116,22 +114,16 @@ def test_committed_sequence_identical(engine, seed, faulted):
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
 @pytest.mark.parametrize("engine", ["cons", "opt"])
 def test_committed_fingerprint_identical_untraced(engine, seed, faulted):
-    """Untraced runs (the fused fast path on opt) match per-event exactly."""
+    """Untraced runs (the fused fast path on opt) match the oracle."""
     engines = _pair(engine, seed, faulted)
-    calls = {
-        executor: plan_spy(eng.model, TABLE_KINDS)
-        for executor, eng in engines.items()
-    }
+    calls = plan_spy(engines["vectorized"].model, TABLE_KINDS)
     results = {executor: eng.run() for executor, eng in engines.items()}
     assert (
         results["vectorized"].model_stats == results["scalar"].model_stats
     )
     assert results["vectorized"].run.committed == results["scalar"].run.committed
-    # The offered table actually ran the run...
-    assert all(calls["vectorized"])
-    assert results["vectorized"].run.soa_decline_reason == ""
-    # ...and the reference ran ``forward`` alone.
-    assert not any(calls["scalar"])
+    # The table ran the run.
+    assert all(calls)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -140,20 +132,17 @@ def test_committed_fingerprint_identical_untraced(engine, seed, faulted):
 def test_vectorized_across_scheduler_structures(overrides):
     """The population commits identically under copy rollback, and the
     table runs there too: the copy strategy's snapshot is the batch's."""
-    def run(population):
-        ecfg = EngineConfig(
-            end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
-            seed=GOLDEN_SEEDS[0], **overrides,
-        )
-        model = _model(True, population)
-        calls = plan_spy(model, TABLE_KINDS)
-        return TimeWarpKernel(model, ecfg).run(), calls
-
-    (scalar, _), (vectorized, calls) = run("scalar"), run("vectorized")
+    ecfg = EngineConfig(
+        end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
+        seed=GOLDEN_SEEDS[0], **overrides,
+    )
+    model = _model(True)
+    calls = plan_spy(model, TABLE_KINDS)
+    vectorized = TimeWarpKernel(model, ecfg).run()
+    scalar = _engine("seq", GOLDEN_SEEDS[0], True).run()
     assert vectorized.model_stats == scalar.model_stats
     assert vectorized.run.events_rolled_back > 0
     assert all(calls)
-    assert vectorized.run.soa_decline_reason == ""
 
 
 @pytest.mark.parametrize("engine", ["opt"])
@@ -162,13 +151,13 @@ def test_vectorized_checkpoint_kill_resume(tmp_path, engine):
     oracle's exact committed statistics (the shared state lists
     round-trip through the snapshot format)."""
     seed = GOLDEN_SEEDS[0]
-    oracle = _engine(engine, "scalar", seed, False).run()
+    oracle = _engine("seq", seed, False).run()
     marker = {"case": f"vec-{engine}"}
 
     snap_dir = tmp_path / "snaps"
     ckpt = Checkpointer(snap_dir, every=1, marker=marker, seq_events=64)
     recorded = (
-        _engine(engine, "vectorized", seed, False)
+        _engine(engine, seed, False)
         .attach_checkpointer(ckpt)
         .run()
     )
@@ -183,29 +172,28 @@ def test_vectorized_checkpoint_kill_resume(tmp_path, engine):
         ck = Checkpointer(d, every=1 << 30, marker=marker, seq_events=64)
         ck.load_latest()
         resumed = (
-            _engine(engine, "vectorized", seed, False)
+            _engine(engine, seed, False)
             .attach_checkpointer(ck)
             .run()
         )
         assert resumed.model_stats == oracle.model_stats, (
-            f"resume from {snap.name} diverged from the per-event oracle"
+            f"resume from {snap.name} diverged from the sequential oracle"
         )
 
 
 def test_band_stepped_snapshot_resumes_per_event(tmp_path):
-    """How a run is stepped is not part of a snapshot: checkpoint while
-    the handler table is running, resume under the foil (``forward``
-    alone), and the resumed run commits exactly the rest of the oracle's
-    sequence."""
+    """How a run is observed is not part of a snapshot: checkpoint an
+    untraced Time Warp run, resume it traced, and the resumed run commits
+    exactly the rest of the sequential oracle's sequence."""
     seed = GOLDEN_SEEDS[0]
     oracle_tracer = Tracer()
-    oracle = _engine("opt", "scalar", seed, False).attach_tracer(oracle_tracer).run()
+    oracle = _engine("seq", seed, False).attach_tracer(oracle_tracer).run()
     sequence = oracle_tracer.committed_sequence()
 
     marker = {"case": "cross"}
     snap_dir = tmp_path / "snaps"
     ckpt = Checkpointer(snap_dir, every=1, marker=marker, seq_events=64)
-    recording = _engine("opt", "vectorized", seed, False)
+    recording = _engine("opt", seed, False)
     calls = plan_spy(recording.model, TABLE_KINDS)
     recording.attach_checkpointer(ckpt).run()
     assert all(calls)
@@ -218,7 +206,7 @@ def test_band_stepped_snapshot_resumes_per_event(tmp_path):
     ck.load_latest()
     tracer = Tracer()
     resumed = (
-        _engine("opt", "scalar", seed, False)
+        _engine("opt", seed, False)
         .attach_tracer(tracer)
         .attach_checkpointer(ck)
         .run()
@@ -235,10 +223,10 @@ def test_snapshot_with_old_payload_format_refused():
     from repro.ckpt.state import PAYLOAD_FORMAT
     from repro.errors import SnapshotError
 
-    engine = _engine("opt", "vectorized", GOLDEN_SEEDS[0], False)
+    engine = _engine("opt", GOLDEN_SEEDS[0], False)
     payload = engine.snapshot()
     assert payload["format"] == PAYLOAD_FORMAT == 3
-    fresh = _engine("opt", "vectorized", GOLDEN_SEEDS[0], False)
+    fresh = _engine("opt", GOLDEN_SEEDS[0], False)
     with pytest.raises(SnapshotError, match="payload format 1"):
         fresh.restore({**payload, "format": 1})
 
@@ -254,7 +242,7 @@ def test_format_2_snapshot_refused_before_the_first_event(tmp_path, monkeypatch)
     seed = GOLDEN_SEEDS[0]
     snap_dir = tmp_path / "snaps"
     ckpt = Checkpointer(snap_dir, every=1, marker={"case": "fmt"})
-    _engine("opt", "vectorized", seed, False).attach_checkpointer(ckpt).run()
+    _engine("opt", seed, False).attach_checkpointer(ckpt).run()
     snaps = list_snapshots(snap_dir)
     mid = snaps[len(snaps) // 2]
     payload = read_snapshot(mid)
@@ -274,47 +262,45 @@ def test_format_2_snapshot_refused_before_the_first_event(tmp_path, monkeypatch)
 
     ck = Checkpointer(old_dir, every=1 << 30, marker={"case": "fmt"})
     ck.load_latest()
-    fresh = _engine("opt", "vectorized", seed, False)
+    fresh = _engine("opt", seed, False)
     with pytest.raises(SnapshotError, match="payload format 2"):
         fresh.attach_checkpointer(ck)
     assert sum(pe.stats.processed for pe in fresh.pes) == 0
 
 
 def test_vectorized_declines_without_plan():
-    """A model without a handler table runs ``forward`` for every event
-    and records no decline: nothing was on offer."""
+    """A model without a handler table runs ``forward`` for every event."""
     from repro.core.optimistic import run_optimistic
     from repro.models.phold import PholdConfig, PholdModel
 
+    model = PholdModel(PholdConfig(n_lps=16, jobs_per_lp=2))
+    assert model.handlers(model.build(), []) is None
     run = run_optimistic(
-        PholdModel(PholdConfig(n_lps=16, jobs_per_lp=2)),
-        EngineConfig(end_time=10.0, n_pes=2, n_kps=4, seed=7),
+        model, EngineConfig(end_time=10.0, n_pes=2, n_kps=4, seed=7),
     ).run
     assert run.committed > 0
-    assert run.soa_decline_reason == ""
 
 
 def test_vectorized_declines_on_mesh():
-    """The handlers honour link existence: a mesh model offers its table
-    (only the sequential band program declines the mesh), and the run
-    commits what the foil's ``forward`` commits.  (The id is kept from
-    when the Time Warp side declined the mesh too.)"""
+    """The handlers honour link existence: Time Warp runs the table on a
+    mesh (only the sequential band program declines the mesh), and the
+    run commits what the oracle commits.  (The id is kept from when the
+    Time Warp side declined the mesh too.)"""
     cfg = HotPotatoConfig(n=N, duration=DURATION, topology="mesh")
     model = HotPotatoModel(cfg)
     calls = plan_spy(model, TABLE_KINDS)
     ecfg = EngineConfig(end_time=DURATION, n_pes=4, n_kps=16, seed=7)
     offered = TimeWarpKernel(model, ecfg).run()
-    scalar = TimeWarpKernel(_scalar(HotPotatoModel(cfg)), ecfg).run()
-    assert offered.model_stats == scalar.model_stats
+    oracle = SequentialEngine(HotPotatoModel(cfg), DURATION, seed=7).run()
+    assert offered.model_stats == oracle.model_stats
     assert all(calls)
-    assert offered.run.soa_decline_reason == ""
     assert model.band_program() is None
     assert "topology" in model.band_decline_reason
 
 
 def test_delivery_log_identical():
     """The commit-time delivery log (the one committed side effect beyond
-    statistics) matches between executors on the fused fast path."""
+    statistics) matches the oracle's on the fused fast path."""
     cfg = HotPotatoConfig(
         n=N, duration=DURATION, injector_fraction=1.0, delivery_log=True
     )
@@ -322,12 +308,13 @@ def test_delivery_log_identical():
     for executor in ("scalar", "vectorized"):
         model = HotPotatoModel(cfg)
         if executor == "scalar":
-            _scalar(model)
-        ecfg = EngineConfig(
-            end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
-            seed=GOLDEN_SEEDS[0],
-        )
-        TimeWarpKernel(model, ecfg).run()
+            SequentialEngine(model, DURATION, seed=GOLDEN_SEEDS[0]).run()
+        else:
+            ecfg = EngineConfig(
+                end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
+                seed=GOLDEN_SEEDS[0],
+            )
+            TimeWarpKernel(model, ecfg).run()
         logs[executor] = sorted(model.delivery_log)
     assert logs["vectorized"] == logs["scalar"]
 
@@ -362,29 +349,46 @@ ANY_WAY_CELLS = [
 def test_table_runs_under_tracer_copy_and_faulty_transport(mode, procs):
     """A Tracer, copy rollback or a fault-wrapped transport changes
     nothing about how events execute: the batch still calls the table,
-    and the run commits exactly what the per-event foil commits."""
+    and the run commits exactly what the sequential oracle commits."""
     hooks, overrides = ANY_WAY[mode]
-
-    def run(population):
-        model = _model(False, population)
-        calls = plan_spy(model, TABLE_KINDS)
-        kwargs = hooks()
-        ecfg = EngineConfig(
-            end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
-            seed=GOLDEN_SEEDS[0], procs=procs, gvt_interval=4, **overrides,
-        )
-        result = run_optimistic(model, ecfg, **kwargs)
-        tracer = kwargs.get("tracer")
-        sequence = tracer.committed_sequence() if tracer is not None else None
-        return result, calls, sequence
-
-    scalar, scalar_calls, scalar_sequence = run("scalar")
-    offered, calls, sequence = run("vectorized")
-    assert offered.run.soa_decline_reason == ""
-    assert all(calls) and not any(scalar_calls)
+    model = _model(False)
+    calls = plan_spy(model, TABLE_KINDS)
+    kwargs = hooks()
+    ecfg = EngineConfig(
+        end_time=DURATION, n_pes=4, n_kps=16, batch_size=16,
+        seed=GOLDEN_SEEDS[0], procs=procs, gvt_interval=4, **overrides,
+    )
+    offered = run_optimistic(model, ecfg, **kwargs)
+    oracle_tracer = Tracer()
+    scalar = _engine("seq", GOLDEN_SEEDS[0], False).attach_tracer(oracle_tracer).run()
+    assert all(calls)
     assert offered.model_stats == scalar.model_stats
     assert offered.run.committed == scalar.run.committed
-    assert sequence == scalar_sequence
+    if "tracer" in kwargs:
+        assert kwargs["tracer"].committed_sequence() == oracle_tracer.committed_sequence()
     if mode == "transport-faults":
         assert offered.run.transport_delayed > 0
         assert offered.run.pe_stall_rounds > 0
+
+
+@pytest.mark.parametrize("engine", ["seq", "cons"])
+def test_every_engine_serves_every_router_kind_from_the_table(engine):
+    """The oracle's per-event loop (a mesh declines the band program) and
+    the conservative kernel serve all five router kinds from the table:
+    the router class has no ``forward`` to fall back on."""
+    assert "forward" not in vars(RouterLP)
+    cfg = HotPotatoConfig(n=N, duration=DURATION, topology="mesh", heartbeat=True)
+    model = HotPotatoModel(cfg)
+    kinds = (INIT, ARRIVE, ROUTE, INJECT, HEARTBEAT)
+    calls = plan_spy(model, kinds)
+    if engine == "seq":
+        run = SequentialEngine(model, DURATION, seed=7).run()
+        assert "topology" in run.run.band_decline_reason
+    else:
+        ccfg = ConservativeConfig(
+            end_time=DURATION, n_pes=4, sync="yawns", seed=7,
+            lookahead=model.lookahead,
+        )
+        run = ConservativeKernel(model, ccfg).run()
+    assert run.run.committed > 0
+    assert all(count > 0 for count in calls), dict(zip(kinds, calls))

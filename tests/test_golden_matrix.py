@@ -5,13 +5,12 @@ pinned to the committed-event count of the pre-checkpointing tree.  The
 sequential engine (the hot-potato cell is its band program), the
 conservative engine, in-process Time Warp (at two optimism levels on the
 hot-potato network) and process-mode Time Warp on 2 and 4 workers
-must all commit exactly that count under either dispatch — if any cell
-commits anything else, event order (and therefore the science) changed,
-not just speed.  Dispatch is not an
-option: there is one population, and Time Warp's batch runs the model's
-handler table whenever the model offers one (the ``vectorized`` ids,
-process mode included); the ``scalar`` ids use a test-side foil, a model
-that declines the table, so ``lp.forward`` runs every event.
+must all commit exactly that count — if any cell commits anything else,
+event order (and therefore the science) changed, not just speed.  There
+is one population and one dispatch: every engine runs the model's
+handler table.  The ``scalar`` ids hold the oracle's cells (sequential
+and conservative), the ``vectorized`` ids the Time Warp cells, process
+mode included.
 """
 
 import pytest
@@ -22,9 +21,9 @@ from repro.core.engine import run_sequential
 from repro.core.optimistic import run_optimistic
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
-from repro.hotpotato.router import ARRIVE, INJECT, ROUTE
+from repro.hotpotato.router import ARRIVE, INIT, INJECT, ROUTE
 from repro.models.phold import PholdConfig, PholdModel
-from tests.kernel_models import plan_declined, plan_spy
+from tests.kernel_models import plan_spy
 
 SEED = 0xB5EED
 END = 10.0
@@ -75,13 +74,16 @@ TIME_WARP = [
 ]
 
 
-def _time_warp(name, overrides, executor="vectorized"):
+def _spied(name):
+    """A fresh ``name`` model and the calls its handler table serves."""
+    model = MODELS[name][0]()
+    return model, plan_spy(model, (INIT, ARRIVE, ROUTE, INJECT))
+
+
+def _time_warp(name, overrides):
     """The run's stats and the handler-table calls it made (all kinds)."""
     ecfg = EngineConfig(end_time=END, n_pes=4, n_kps=16, seed=SEED, **overrides)
-    model = MODELS[name][0]()
-    if executor == "scalar":
-        plan_declined(model)
-    calls = plan_spy(model, (ARRIVE, ROUTE, INJECT))
+    model, calls = _spied(name)
     return run_optimistic(model, ecfg).run, sum(calls)
 
 
@@ -97,25 +99,30 @@ EXECUTORS = ("scalar", "vectorized")
 )
 def test_committed_counts_are_golden(executor):
     committed = {}
-    for name, (model, _) in MODELS.items():
-        if executor == "scalar":
-            # The sequential and conservative engines build one
-            # population: one cell each.
+    table_calls = {}
+    if executor == "scalar":
+        for name in MODELS:
+            model, calls = _spied(name)
             committed[name, "seq"] = run_sequential(
-                model(), END, seed=SEED
+                model, END, seed=SEED
             ).run.committed
+            table_calls[name, "seq"] = sum(calls)
+            model, calls = _spied(name)
             committed[name, "cons"] = run_conservative(
-                model(),
+                model,
                 ConservativeConfig(end_time=END, n_pes=4, sync="yawns", seed=SEED),
             ).run.committed
-    for name, label, overrides in TIME_WARP:
-        run, table_calls = _time_warp(name, overrides, executor)
-        assert run.procs == overrides.get("procs", 1)
-        committed[name, label] = run.committed
-        if name == "hotpotato":
-            # The handler table ran exactly where the model offered it.
-            assert (table_calls > 0) == (executor == "vectorized")
+            table_calls[name, "cons"] = sum(calls)
+    else:
+        for name, label, overrides in TIME_WARP:
+            run, table_calls[name, label] = _time_warp(name, overrides)
+            assert run.procs == overrides.get("procs", 1)
+            committed[name, label] = run.committed
     assert committed == {cell: MODELS[cell[0]][1] for cell in committed}
+    # Every engine ran the hot-potato cells through the handler table
+    # (the oracle's band program takes over after step 0's events).
+    for (name, label), calls in table_calls.items():
+        assert (calls > 0) == (name == "hotpotato"), (name, label)
 
 
 def test_phold_stress_rolls_back_heavily():

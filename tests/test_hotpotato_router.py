@@ -1,4 +1,4 @@
-"""Handler-level tests for the router LP: forward effects and exact reverses."""
+"""Handler-level tests for the router: the table's effects and exact reverses."""
 
 import pytest
 
@@ -65,18 +65,18 @@ def test_arrive_elsewhere_schedules_route_with_priority_stagger(setup):
         assert 7.6 <= route.ts < 7.9
 
 
-def test_sleeping_packet_not_absorbed_in_proof_mode(setup):
-    lp, sends, topo, _ = setup
-    lp.cfg = HotPotatoConfig(n=4, duration=50.0, absorb_sleeping=False)
+def test_sleeping_packet_not_absorbed_in_proof_mode():
+    cfg = HotPotatoConfig(n=4, duration=50.0, absorb_sleeping=False)
+    lp, sends, _ = make_router(5, cfg)
     data = packet_data(step=3, dest=lp.id, priority=Priority.SLEEPING)
     execute(lp, ARRIVE, data, ts=3.25)
     assert lp.stats.delivered == 0
     assert len(sends) == 1 and sends[0].kind == ROUTE
 
 
-def test_active_packet_absorbed_even_in_proof_mode(setup):
-    lp, sends, topo, _ = setup
-    lp.cfg = HotPotatoConfig(n=4, duration=50.0, absorb_sleeping=False)
+def test_active_packet_absorbed_even_in_proof_mode():
+    cfg = HotPotatoConfig(n=4, duration=50.0, absorb_sleeping=False)
+    lp, sends, _ = make_router(5, cfg)
     data = packet_data(step=3, dest=lp.id, priority=Priority.ACTIVE)
     execute(lp, ARRIVE, data, ts=3.25)
     assert lp.stats.delivered == 1
@@ -118,8 +118,9 @@ def test_route_respects_claimed_links(setup):
 
 def test_route_with_no_free_link_overflows_reversibly(setup):
     # A transiently-impossible state (at most reachable mid-speculation,
-    # see RouterLP._route): the router routes anyway, counts the
-    # overflow, and the whole thing reverses exactly.
+    # see the ROUTE handler's guard in repro.hotpotato.handlers): the
+    # router routes anyway, counts the overflow, and the whole thing
+    # reverses exactly.
     lp, sends, topo, cfg = setup
     before_links = [9, 9, 9, 9]
     claim(lp, before_links)
@@ -143,9 +144,9 @@ def test_route_reverse_restores_exactly(setup):
     assert state_of(lp) == before
 
 
-def test_route_reverse_after_upgrade_restores_stats(setup):
-    lp, sends, topo, cfg = setup
-    lp.cfg = HotPotatoConfig(n=4, duration=50.0, sleeping_upgrade_scale=1e-9)
+def test_route_reverse_after_upgrade_restores_stats():
+    cfg = HotPotatoConfig(n=4, duration=50.0, sleeping_upgrade_scale=1e-9)
+    lp, sends, topo = make_router(5, cfg)
     dest = topo.node_id(2, 2)
     before = state_of(lp)
     ev = execute(lp, ROUTE, packet_data(step=4, dest=dest), ts=4.75)
@@ -276,9 +277,9 @@ def test_init_fills_all_links_and_chains_inject(setup):
     assert any(e.kind == INJECT for e in sends)
 
 
-def test_init_zero_fill(setup):
-    lp, sends, topo, cfg = setup
-    lp.cfg = HotPotatoConfig(n=4, duration=50.0, initial_fill=0.0)
+def test_init_zero_fill():
+    cfg = HotPotatoConfig(n=4, duration=50.0, initial_fill=0.0)
+    lp, sends, topo = make_router(5, cfg)
     execute(lp, INIT, {}, ts=0.1)
     assert own_links(lp) == [-1, -1, -1, -1]
     assert lp.stats.initial_packets == 0

@@ -1,4 +1,4 @@
-"""RouterLP on mesh boundaries: degree-2 corners and degree-3 edges.
+"""The router handlers on mesh boundaries: degree-2 corners and degree-3 edges.
 
 The torus harness in ``test_hotpotato_router.py`` only ever exercises
 degree-4 routers; on a mesh the boundary nodes have missing links, and
@@ -45,11 +45,19 @@ def test_corner_exists_mask_matches_degree():
 
 
 def test_corner_free_mask_never_reports_missing_links():
-    lp, _, _ = make_lp(0)
-    free = lp._free_mask(step=0)
-    assert free == (False, True, True, False)
+    # A degree-2 corner's free links are E and S only: with E claimed the
+    # injection leaves over S, and with S claimed too it is blocked —
+    # the missing N and W links never count as free.
+    lp, sends, topo = make_lp(0)
     lp.links[lp.base + E_] = 0  # claimed this step
-    assert lp._free_mask(0) == (False, False, True, False)
+    execute(lp, INJECT, 0, ts=0.9)
+    (arrive,) = [e for e in sends if e.kind == ARRIVE]
+    assert arrive.dst == topo.neighbor(0, Direction.SOUTH)
+    sends.clear()
+    claim(lp, [-1, 1, 1, -1])
+    execute(lp, INJECT, 1, ts=1.9)
+    assert [e.kind for e in sends] == [INJECT]
+    assert lp.stats.inject_blocked == 1
 
 
 def test_init_seeds_only_existing_links():
