@@ -21,78 +21,35 @@ Quickstart::
     cfg = HotPotatoConfig(n=8, duration=100.0, injector_fraction=0.5)
     result = run_sequential(HotPotatoModel(cfg), cfg.duration)
     print(result.model_stats["avg_delivery_time"])
+
+The package is a lazy index (:mod:`repro._lazy`): each exported name
+imports its module on first use, so ``import repro`` loads nothing else.
 """
 
-from repro.core import (
-    ConservativeConfig,
-    ConservativeKernel,
-    CostModel,
-    EngineConfig,
-    Event,
-    LogicalProcess,
-    Model,
-    RunResult,
-    RunStats,
-    SequentialEngine,
-    TimeWarpKernel,
-    Tracer,
-    run_conservative,
-    run_optimistic,
-    run_sequential,
-)
-from repro.errors import (
-    ConfigurationError,
-    ModelError,
-    ReproError,
-    RollbackError,
-    SchedulingError,
-    TopologyError,
-)
-from repro.net import Direction, MeshTopology, TorusTopology
-from repro.rng import ReversibleStream, derive_seed
-from repro.version import __version__
-from repro.vt import EventKey
+from repro._lazy import lazy_index
 
-__all__ = [
-    "ConfigurationError",
-    "ConservativeConfig",
-    "ConservativeKernel",
-    "CostModel",
-    "Direction",
-    "EngineConfig",
-    "Event",
-    "EventKey",
-    "HotPotatoConfig",
-    "HotPotatoModel",
-    "LogicalProcess",
-    "MeshTopology",
-    "Model",
-    "ModelError",
-    "ReproError",
-    "ReversibleStream",
-    "RollbackError",
-    "RunResult",
-    "RunStats",
-    "SchedulingError",
-    "SequentialEngine",
-    "TimeWarpKernel",
-    "TopologyError",
-    "TorusTopology",
-    "Tracer",
-    "__version__",
-    "derive_seed",
-    "run_conservative",
-    "run_optimistic",
-    "run_sequential",
-]
-
-
-def __getattr__(name: str):
-    # Lazy: the hot-potato model pulls in the whole model stack; keep
-    # `import repro` light for kernel-only users while still exposing the
-    # headline classes at top level.
-    if name in ("HotPotatoConfig", "HotPotatoModel", "HotPotatoSimulation"):
-        import repro.hotpotato as _hp
-
-        return getattr(_hp, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_index(globals(), {
+    "repro.core.config": ("EngineConfig",),
+    "repro.core.conservative": (
+        "ConservativeConfig", "ConservativeKernel", "run_conservative",
+    ),
+    "repro.core.costmodel": ("CostModel",),
+    "repro.core.engine": ("SequentialEngine", "run_sequential"),
+    "repro.core.event": ("Event",),
+    "repro.core.lp": ("LogicalProcess", "Model"),
+    "repro.core.optimistic": ("TimeWarpKernel", "run_optimistic"),
+    "repro.core.result": ("RunResult",),
+    "repro.core.stats": ("RunStats",),
+    "repro.core.trace": ("Tracer",),
+    "repro.errors": (
+        "ConfigurationError", "ModelError", "ReproError", "RollbackError",
+        "SchedulingError", "TopologyError",
+    ),
+    "repro.hotpotato": (
+        "HotPotatoConfig", "HotPotatoModel", "HotPotatoSimulation",
+    ),
+    "repro.net": ("Direction", "MeshTopology", "TorusTopology"),
+    "repro.rng": ("ReversibleStream", "derive_seed"),
+    "repro.version": ("__version__",),
+    "repro.vt": ("EventKey",),
+})

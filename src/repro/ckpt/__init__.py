@@ -4,30 +4,21 @@ See :mod:`repro.ckpt.snapshot` for the on-disk format,
 :mod:`repro.ckpt.state` for what is captured per engine, and
 :mod:`repro.ckpt.checkpoint` for the run-side driver.  ``python -m
 repro.ckpt`` offers ``info`` (inspect snapshots) and ``smoke`` (the
-kill/resume determinism check used by CI).
+kill/resume determinism check used by CI).  The package is a lazy index
+(:mod:`repro._lazy`): every CLI run imports the interrupt helpers, and
+only a run with a checkpointer imports the snapshot code.
 """
 
-from repro.ckpt.checkpoint import Checkpointer, deferred_interrupts, wall_deadline
-from repro.ckpt.snapshot import (
-    SNAPSHOT_SUFFIX,
-    latest_snapshot,
-    list_snapshots,
-    read_snapshot,
-    write_snapshot,
-)
-from repro.ckpt.state import capture_state, restore_state
-from repro.errors import SnapshotError
+from repro._lazy import lazy_index
 
-__all__ = [
-    "Checkpointer",
-    "deferred_interrupts",
-    "wall_deadline",
-    "SnapshotError",
-    "SNAPSHOT_SUFFIX",
-    "capture_state",
-    "restore_state",
-    "read_snapshot",
-    "write_snapshot",
-    "list_snapshots",
-    "latest_snapshot",
-]
+__all__, __getattr__, __dir__ = lazy_index(globals(), {
+    "repro.ckpt.checkpoint": (
+        "Checkpointer", "deferred_interrupts", "wall_deadline",
+    ),
+    "repro.errors": ("SnapshotError",),
+    "repro.ckpt.snapshot": (
+        "SNAPSHOT_SUFFIX", "read_snapshot", "write_snapshot",
+        "list_snapshots", "latest_snapshot",
+    ),
+    "repro.ckpt.state": ("capture_state", "restore_state"),
+})

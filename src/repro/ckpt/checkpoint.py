@@ -26,6 +26,11 @@ consistent state and *then* raises :class:`KeyboardInterrupt`, which the
 CLI turns into sink finalization and exit code 130.  A second Ctrl-C
 before the next boundary is coalesced, not escalated — boundaries are
 frequent (every GVT round), so the window is short.
+
+Every CLI run enters :func:`deferred_interrupts` and :func:`wall_deadline`,
+so this module imports the snapshot format and the engine-state capture
+only inside the methods that read or write a snapshot: a run without a
+checkpointer never loads them.
 """
 
 from __future__ import annotations
@@ -35,13 +40,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.ckpt.snapshot import (
-    SNAPSHOT_SUFFIX,
-    latest_snapshot,
-    read_snapshot,
-    write_snapshot,
-)
-from repro.ckpt.state import capture_state, restore_state
 from repro.errors import SnapshotError
 
 __all__ = ["Checkpointer", "deferred_interrupts", "wall_deadline"]
@@ -119,6 +117,8 @@ class Checkpointer:
         (the CLI reads ``payload.get("obs")`` to resume telemetry
         sinks).
         """
+        from repro.ckpt.snapshot import latest_snapshot, read_snapshot
+
         path = latest_snapshot(self.dir)
         if path is None:
             raise SnapshotError(f"no snapshots to resume from in {self.dir}")
@@ -145,6 +145,8 @@ class Checkpointer:
         """Called by ``attach_checkpointer``: graft pending restore state."""
         payload = self._restore_payload
         if payload is not None:
+            from repro.ckpt.state import restore_state
+
             self._restore_payload = None
             restore_state(engine, payload)
 
@@ -169,6 +171,9 @@ class Checkpointer:
 
     def write(self, engine, loop=None) -> Path:
         """Write one snapshot of ``engine`` right now."""
+        from repro.ckpt.snapshot import SNAPSHOT_SUFFIX, write_snapshot
+        from repro.ckpt.state import capture_state
+
         if callable(loop):
             loop = loop()
         payload = capture_state(engine, loop)

@@ -389,17 +389,14 @@ def _restore_conservative(kernel, payload) -> None:
 # Dispatch.
 # ----------------------------------------------------------------------
 def _engine_kind(engine) -> str:
-    from repro.core.conservative import ConservativeKernel
-    from repro.core.engine import SequentialEngine
-    from repro.core.optimistic import TimeWarpKernel
-
-    if isinstance(engine, SequentialEngine):
-        return "sequential"
-    if isinstance(engine, TimeWarpKernel):
-        return "optimistic"
-    if isinstance(engine, ConservativeKernel):
-        return "conservative"
-    raise SnapshotError(f"cannot checkpoint engine of type {type(engine).__name__}")
+    # The engine's own ``Executor.kind`` tag, so a snapshot never imports
+    # the kernels the run does not use (nor, in a worker, after fork).
+    kind = getattr(engine, "kind", None)
+    if kind not in _CAPTURE:
+        raise SnapshotError(
+            f"cannot checkpoint engine of type {type(engine).__name__}"
+        )
+    return kind
 
 
 _CAPTURE = {

@@ -11,60 +11,35 @@ Two engines share one model API:
 Models are written once against :class:`~repro.core.lp.LogicalProcess` /
 :class:`~repro.core.lp.Model` and run unchanged on either engine; the
 determinism tests assert the results are identical.
+
+The package is a lazy index (:mod:`repro._lazy`): each name imports its
+module on first use, so a sequential run never loads the parallel
+kernels.
 """
 
-from repro.core.config import EngineConfig
-from repro.core.conservative import (
-    ConservativeConfig,
-    ConservativeKernel,
-    run_conservative,
-)
-from repro.core.costmodel import CostModel
-from repro.core.engine import SequentialEngine, run_sequential
-from repro.core.event import Event
-from repro.core.gvt import SynchronousGVT
-from repro.core.kp import KernelProcess
-from repro.core.lp import LogicalProcess, Model
-from repro.core.mapping import Mapping, build_mapping
-from repro.core.optimistic import TimeWarpKernel, run_optimistic
-from repro.core.pe import ProcessingElement
-from repro.core.queue import PendingQueue
-from repro.core.result import RunResult
-from repro.core.rollback import ReverseComputation, StateSaving, make_strategy
-from repro.core.stats import KPStats, PEStats, RunStats
-from repro.core.throttle import Throttle, ThrottleConfig
-from repro.core.trace import TraceRecord, Tracer
-from repro.core.transport import ImmediateTransport
+from repro._lazy import lazy_index
 
-__all__ = [
-    "ConservativeConfig",
-    "ConservativeKernel",
-    "CostModel",
-    "EngineConfig",
-    "Event",
-    "ImmediateTransport",
-    "KPStats",
-    "KernelProcess",
-    "LogicalProcess",
-    "Mapping",
-    "Model",
-    "PEStats",
-    "PendingQueue",
-    "ProcessingElement",
-    "ReverseComputation",
-    "RunResult",
-    "RunStats",
-    "SequentialEngine",
-    "StateSaving",
-    "SynchronousGVT",
-    "Throttle",
-    "ThrottleConfig",
-    "TimeWarpKernel",
-    "TraceRecord",
-    "Tracer",
-    "build_mapping",
-    "make_strategy",
-    "run_conservative",
-    "run_optimistic",
-    "run_sequential",
-]
+__all__, __getattr__, __dir__ = lazy_index(globals(), {
+    "repro.core.config": ("EngineConfig",),
+    "repro.core.conservative": (
+        "ConservativeConfig", "ConservativeKernel", "run_conservative",
+    ),
+    "repro.core.costmodel": ("CostModel",),
+    "repro.core.engine": ("SequentialEngine", "run_sequential"),
+    "repro.core.event": ("Event",),
+    "repro.core.gvt": ("SynchronousGVT",),
+    "repro.core.kp": ("KernelProcess",),
+    "repro.core.lp": ("LogicalProcess", "Model"),
+    "repro.core.mapping": ("Mapping", "build_mapping"),
+    "repro.core.optimistic": ("TimeWarpKernel", "run_optimistic"),
+    "repro.core.pe": ("ProcessingElement",),
+    "repro.core.queue": ("PendingQueue",),
+    "repro.core.result": ("RunResult",),
+    "repro.core.rollback": (
+        "ReverseComputation", "StateSaving", "make_strategy",
+    ),
+    "repro.core.stats": ("KPStats", "PEStats", "RunStats"),
+    "repro.core.throttle": ("Throttle", "ThrottleConfig"),
+    "repro.core.trace": ("TraceRecord", "Tracer"),
+    "repro.core.transport": ("ImmediateTransport",),
+})

@@ -6,6 +6,7 @@ from typing import Any
 
 from repro.core.lp import LogicalProcess, Model
 from repro.hotpotato.config import HotPotatoConfig
+from repro.hotpotato.handlers import handlers as handler_table
 from repro.hotpotato.policy import BuschHotPotatoPolicy, RoutingPolicy
 from repro.hotpotato.router import (
     ARRIVE,
@@ -145,10 +146,11 @@ class HotPotatoModel(Model):
     def handlers(self, lps: list[LogicalProcess], send_by_lp: list) -> dict:
         """The routers' handler table over ``lps``
         (:mod:`repro.hotpotato.handlers`), offered for every
-        configuration: any policy, topology, fault plan or adversary."""
-        from repro.hotpotato.handlers import handlers
+        configuration: any policy, topology, fault plan or adversary.
 
-        return handlers(lps, send_by_lp)
+        Every engine builds this table, process-mode workers after fork,
+        so its module is imported with the model, never in a child."""
+        return handler_table(lps, send_by_lp)
 
     def band_program(self):
         """The sequential band program (:mod:`repro.hotpotato.band`).

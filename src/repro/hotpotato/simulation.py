@@ -6,22 +6,25 @@ declares its run as a scenario (:mod:`repro.scenarios`) or a config, and
 :class:`HotPotatoSimulation` alone turns that into a fresh
 :class:`~repro.hotpotato.model.HotPotatoModel`, an engine with the fault
 plan's engine faults attached, and a run with the caller's hooks.
+
+It imports only the kernel it builds: a sequential run never loads the
+conservative or the Time Warp kernel, nor process mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, ConservativeKernel
-from repro.core.engine import SequentialEngine
 from repro.core.mapping import build_mapping, kp_count_for
-from repro.core.optimistic import TimeWarpKernel, run_optimistic
-from repro.core.result import RunResult
 from repro.errors import ConfigurationError
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.hotpotato.policy import RoutingPolicy
+
+if TYPE_CHECKING:
+    from repro.core.result import RunResult
 
 __all__ = ["ENGINES", "HotPotatoSimulation"]
 
@@ -133,13 +136,22 @@ class HotPotatoSimulation:
             model = self.model()
         duration = self.cfg.duration
         if kind == "sequential":
+            from repro.core.engine import SequentialEngine
+
             return SequentialEngine(model, duration, seed=self.seed, **settings)
         if kind == "conservative":
+            from repro.core.conservative import (
+                ConservativeConfig,
+                ConservativeKernel,
+            )
+
             engine = ConservativeKernel(
                 model,
                 ConservativeConfig(end_time=duration, seed=self.seed, **settings),
             )
         elif kind == "optimistic":
+            from repro.core.optimistic import TimeWarpKernel
+
             engine = TimeWarpKernel(model, self._time_warp_config(settings))
         else:
             raise ConfigurationError(
@@ -174,6 +186,8 @@ class HotPotatoSimulation:
         if kind == "optimistic":
             ecfg = self._time_warp_config(settings)
             if ecfg.procs > 1:
+                from repro.core.optimistic import run_optimistic
+
                 return run_optimistic(
                     model, ecfg, tracer=tracer, metrics=metrics, spans=spans,
                     faults=self._engine_faults(), checkpointer=checkpointer,

@@ -14,6 +14,7 @@ is the block of them both CLIs print.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any
 
 __all__ = [
@@ -109,11 +110,16 @@ class RouterStats:
         return c
 
     def signature(self) -> tuple:
-        """Deterministic tuple of every counter (for equality checks)."""
-        return tuple(
-            tuple(v) if isinstance(v, list) else v
-            for v in (getattr(self, name) for name in RouterStats.__slots__)
-        )
+        """Deterministic tuple of every counter (for equality checks),
+        in slot order, the one list counter as a tuple."""
+        v = _counters(self)
+        return v[:_BY_PRIORITY] + (tuple(v[_BY_PRIORITY]),) + v[_BY_PRIORITY + 1:]
+
+
+# Every counter in one C call: each run takes one signature per router on
+# exit, and process mode ships every router's back as one.
+_counters = attrgetter(*RouterStats.__slots__)
+_BY_PRIORITY = RouterStats.__slots__.index("delivered_by_priority")
 
 
 def stats_from_signature(sig: tuple) -> RouterStats:

@@ -2,8 +2,12 @@
 
 One :class:`SpscRing` is one direction of one worker pair: exactly one
 process writes frames, exactly one process reads them, and the two never
-share a cursor.  The layout inside the ``multiprocessing.shared_memory``
-segment is::
+share a cursor.  The ring is an anonymous shared mapping,
+``mmap.mmap(-1, size)``, created by the parent before it forks and
+inherited by the workers: it has no POSIX name, so there is no
+``/dev/shm`` entry, no tracker process watching it and nothing to
+unlink — the pages go away when the last process holding the mapping
+exits or closes it.  The layout inside the mapping is::
 
     offset 0    head  (u64, little-endian) — written by the CONSUMER only
     offset 64   tail  (u64, little-endian) — written by the PRODUCER only
@@ -48,12 +52,12 @@ may itself be blocked writing back (the classic transport deadlock).
 
 from __future__ import annotations
 
+import mmap
 import struct
-from multiprocessing import shared_memory
 
 from repro.errors import ConfigurationError
 
-__all__ = ["SpscRing", "DEFAULT_RING_BYTES", "destroy_segment"]
+__all__ = ["SpscRing", "DEFAULT_RING_BYTES"]
 
 #: Default data-region size per ring.  Event frames are ~60 bytes, so a
 #: mebibyte buffers ~17k in-flight events per directed worker pair —
@@ -70,9 +74,9 @@ _DATA_OFF = 128
 class SpscRing:
     """One direction of one worker pair (see the module docstring).
 
-    The parent process creates every ring pre-fork with ``create=True``;
-    workers inherit the same object through ``fork`` and use it as-is —
-    no name lookup, no pickling, no re-attachment.
+    The parent process creates every ring pre-fork; workers inherit the
+    same object, and the same shared pages, through ``fork`` and use it
+    as-is — no name lookup, no pickling, no re-attachment.
     """
 
     __slots__ = (
@@ -84,10 +88,11 @@ class SpscRing:
     def __init__(self, size: int = DEFAULT_RING_BYTES) -> None:
         if size < _DATA_OFF + 64:
             raise ConfigurationError(f"ring size {size} too small")
-        self.shm = shared_memory.SharedMemory(create=True, size=size)
-        self.capacity = self.shm.size - _DATA_OFF
-        self._buf = self.shm.buf
-        self._buf[:_DATA_OFF] = bytes(_DATA_OFF)
+        # An anonymous mapping starts zero-filled: both cursors read 0
+        # without the parent touching (and paying RSS for) a page.
+        self.shm = mmap.mmap(-1, size)
+        self.capacity = size - _DATA_OFF
+        self._buf = memoryview(self.shm)
         # Authoritative own-side cursors.  The producer trusts only
         # ``self.tail`` and the consumer only ``self.head``; the shared
         # copies exist solely for the *other* side to read.  Rings are
@@ -211,24 +216,19 @@ class SpscRing:
         return max(0, self._tail() - self._head())
 
     def close(self) -> None:
-        """Drop this process's mapping (the segment itself survives)."""
-        self._buf = None
+        """Drop this process's mapping (other processes keep theirs)."""
+        if self._buf is not None:
+            self._buf.release()
+            self._buf = None
         self.shm.close()
 
 
-def destroy_segment(shm: shared_memory.SharedMemory) -> None:
-    """Close and unlink one segment (parent-side teardown).
+def destroy_segment(mapping: mmap.mmap) -> None:
+    """Close one ring's mapping; a no-op after :meth:`SpscRing.close`.
 
-    ``unlink`` both removes the POSIX name and unregisters it from the
-    ``resource_tracker`` (CPython 3.9+), so this must only ever run in
-    the creating process, exactly once per segment — a second unregister
-    would make the tracker log a spurious ``KeyError``.
+    Rings used to be named segments that the creating process had to
+    unlink.  An anonymous mapping has no name, so there is nothing left
+    to destroy; this stays for callers written against the old
+    teardown (``perfbench/probes.py``).
     """
-    try:
-        shm.close()
-    except Exception:
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
+    mapping.close()

@@ -5,13 +5,19 @@
 RunResult — reached through the same entry point whenever
 ``EngineConfig.procs`` is 2 or more.
 
-Topology: the parent creates every shared-memory segment *before*
-forking — one data ring per ordered worker pair, one small control ring
-per edge of the GVT token ring, one result pipe per worker — then forks
-``procs`` workers with plain ``fork`` (children inherit the mappings;
-no pickling, no name lookups).  Each worker runs its PE slice of the
-model; the parent only monitors liveness, forwards interrupts, and
-merges results.
+Topology: the parent creates every ring *before* forking — one data
+ring per ordered worker pair, one small control ring per edge of the GVT
+token ring, each an anonymous shared mapping, plus one result pipe per
+worker — then forks ``procs`` workers with plain ``fork`` (children
+inherit the mappings; no pickling, no names, nothing to unlink
+afterwards).  Each worker runs its PE slice of the model; the parent
+only monitors liveness, forwards interrupts, and merges results.
+
+Nothing is compiled after fork: the workers' code is imported before
+the first fork — the model imports its handler table, this module the
+worker harness, and the hooks the run asks for are already loaded
+because the parent holds them (a checkpointed run also loads the
+snapshot code here) — so no child pays the compile cost again.
 
 The parent holds the *pristine* model: workers fork from it before any
 LP is built, so every worker's copy-on-write population starts
@@ -43,10 +49,8 @@ from repro.core.stats import RunStats
 from repro.core.trace import EXEC, UNDO
 from repro.errors import ConfigurationError, HealthIntervention
 from repro.mp.codec import EventCodec
-from repro.mp.ring import DEFAULT_RING_BYTES, SpscRing, destroy_segment
+from repro.mp.ring import DEFAULT_RING_BYTES, SpscRing
 from repro.mp.worker import shard_dir, worker_main
-from repro.obs.metrics import MetricSample
-from repro.obs.spans import Span
 from repro.vt.time import EventKey
 
 __all__ = ["run_multiprocess"]
@@ -173,6 +177,8 @@ def _merge_metrics(recorder, parts) -> None:
     cleanly.  An interrupted worker may be one sample short; the merged
     series stops at the shortest log.
     """
+    from repro.obs.metrics import MetricSample
+
     lists = [p["metrics"] for p in parts if p["metrics"] is not None]
     if not lists:
         return
@@ -204,6 +210,8 @@ def _merge_spans(tracer, parts) -> None:
     :meth:`SpanTracer.ingest`); phase totals stay exact even when a
     worker's ring buffer wrapped, via the shipped totals.
     """
+    from repro.obs.spans import Span
+
     for part in parts:
         if part["spans"] is None:
             continue
@@ -254,22 +262,21 @@ def run_multiprocess(
     codec = EventCodec(model.mp_event_schema())
 
     ctx = get_context("fork")
-    segments: list = []
-    data_rings: dict[tuple[int, int], SpscRing] = {}
-    ctl_rings: list[SpscRing] = []
-    for src in range(procs):
-        for dst in range(procs):
-            if src != dst:
-                ring = SpscRing(DEFAULT_RING_BYTES)
-                data_rings[(src, dst)] = ring
-                segments.append(ring.shm)
-    for i in range(procs):
-        ring = SpscRing(CTL_RING_BYTES)
-        ctl_rings.append(ring)
-        segments.append(ring.shm)
+    data_rings = {
+        (src, dst): SpscRing(DEFAULT_RING_BYTES)
+        for src in range(procs)
+        for dst in range(procs)
+        if src != dst
+    }
+    ctl_rings = [SpscRing(CTL_RING_BYTES) for _ in range(procs)]
 
     resume = bool(getattr(checkpointer, "mp_resume", False))
     if checkpointer is not None:
+        # The workers write (and on resume read) the shards: load that
+        # code once, here, rather than compile it in every child.
+        import repro.ckpt.snapshot  # noqa: F401
+        import repro.ckpt.state  # noqa: F401
+
         manifest = {
             "format": "mp-manifest",
             "procs": procs,
@@ -403,8 +410,8 @@ def run_multiprocess(
                     conn.close()
                 except OSError:
                     pass
-            for shm in segments:
-                destroy_segment(shm)
+            for ring in (*data_rings.values(), *ctl_rings):
+                ring.close()
 
         # A worker's own report comes first: the siblings that were taken
         # down because of it have no result, and that is not the cause.

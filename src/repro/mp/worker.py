@@ -17,6 +17,10 @@ makes every worker hit checkpoint boundaries at the same wave numbers,
 so shard sequence numbers advance in lockstep; a kill can leave at most
 a one-snapshot skew, which resume absorbs by loading the highest
 sequence number present in *every* shard directory.
+
+Telemetry, the watchdog and the checkpoint code are imported only when
+the spec asks for them; the parent has loaded each of those before fork
+(:mod:`repro.mp.runtime`), so the imports here find them in place.
 """
 
 from __future__ import annotations
@@ -25,14 +29,9 @@ import signal
 import traceback
 from pathlib import Path
 
-from repro.ckpt.checkpoint import Checkpointer
-from repro.ckpt.snapshot import SNAPSHOT_SUFFIX, list_snapshots, read_snapshot
 from repro.errors import HealthIntervention, SnapshotError
-from repro.health.watchdog import Watchdog
 from repro.mp.kernel import MPWorkerKernel
 from repro.mp.transport import RingTransport
-from repro.obs.metrics import MetricsRecorder
-from repro.obs.spans import SpanTracer
 
 __all__ = ["worker_main", "shard_dir", "common_resume_seq"]
 
@@ -75,6 +74,8 @@ def common_resume_seq(shard_dirs) -> int | None:
     by one sequence number; resuming from the common prefix keeps the
     restored cut consistent (all shards captured at the same wave).
     """
+    from repro.ckpt.snapshot import SNAPSHOT_SUFFIX, list_snapshots
+
     common: set[int] | None = None
     for directory in shard_dirs:
         seqs = set()
@@ -90,8 +91,10 @@ def common_resume_seq(shard_dirs) -> int | None:
     return max(common)
 
 
-def _load_shard(ckpt: Checkpointer, seq: int) -> None:
+def _load_shard(ckpt, seq: int) -> None:
     """Arm ``ckpt`` to restore one specific shard snapshot on bind."""
+    from repro.ckpt.snapshot import SNAPSHOT_SUFFIX, read_snapshot
+
     path = ckpt.dir / f"ckpt_{seq:06d}{SNAPSHOT_SUFFIX}"
     payload = read_snapshot(path)
     marker = payload.get("marker", {})
@@ -132,23 +135,29 @@ def _run_worker(spec) -> dict:
     cfg = spec.config
     kernel = _build_kernel(spec)
 
-    tracer = _CommitLog() if spec.want_trace else None
-    if tracer is not None:
+    tracer = metrics = spans = health = ckpt = None
+    if spec.want_trace:
+        tracer = _CommitLog()
         kernel.attach_tracer(tracer)
-    metrics = MetricsRecorder() if spec.want_metrics else None
-    if metrics is not None:
+    if spec.want_metrics:
+        from repro.obs.metrics import MetricsRecorder
+
+        metrics = MetricsRecorder()
         kernel.attach_metrics(metrics)
-    spans = SpanTracer() if spec.want_spans else None
-    if spans is not None:
+    if spec.want_spans:
+        from repro.obs.spans import SpanTracer
+
+        spans = SpanTracer()
         kernel.attach_spans(spans)
-    health = (
-        Watchdog(spec.health_config) if spec.health_config is not None else None
-    )
-    if health is not None:
+    if spec.health_config is not None:
+        from repro.health.watchdog import Watchdog
+
+        health = Watchdog(spec.health_config)
         kernel.attach_health(health)
 
-    ckpt = None
     if spec.ckpt_dir is not None:
+        from repro.ckpt.checkpoint import Checkpointer
+
         marker = dict(spec.ckpt_marker)
         marker["shard"] = spec.index
         marker["procs"] = spec.procs

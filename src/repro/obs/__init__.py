@@ -27,44 +27,23 @@ rate, rollbacks, KP containment — but end-of-run aggregates cannot show
   ``timeline``, ``thrash``, ``critpath``, ``watch``, ``diff``).
 
 See ``docs/OBSERVABILITY.md`` for metric definitions and the file
-schema.
+schema.  The package is a lazy index (:mod:`repro._lazy`): a run that
+records nothing imports none of these modules.
 """
 
-from repro.obs.capture import RunCapture
-from repro.obs.critpath import CritPathReport, critical_path
-from repro.obs.forensics import (
-    RollbackChain,
-    chain_summary,
-    diff_recordings,
-    rollback_attribution,
-    rollback_chains,
-)
-from repro.obs.metrics import MetricSample, MetricsRecorder
-from repro.obs.recorder import (
-    SCHEMA_VERSION,
-    JsonlSink,
-    RunRecording,
-    StreamingTracer,
-    load_recording,
-)
-from repro.obs.spans import Span, SpanTracer
+from repro._lazy import lazy_index
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "JsonlSink",
-    "StreamingTracer",
-    "RunRecording",
-    "load_recording",
-    "MetricSample",
-    "MetricsRecorder",
-    "RunCapture",
-    "Span",
-    "SpanTracer",
-    "CritPathReport",
-    "critical_path",
-    "RollbackChain",
-    "rollback_chains",
-    "chain_summary",
-    "rollback_attribution",
-    "diff_recordings",
-]
+__all__, __getattr__, __dir__ = lazy_index(globals(), {
+    "repro.obs.recorder": (
+        "SCHEMA_VERSION", "JsonlSink", "StreamingTracer", "RunRecording",
+        "load_recording",
+    ),
+    "repro.obs.metrics": ("MetricSample", "MetricsRecorder"),
+    "repro.obs.capture": ("RunCapture",),
+    "repro.obs.spans": ("Span", "SpanTracer"),
+    "repro.obs.critpath": ("CritPathReport", "critical_path"),
+    "repro.obs.forensics": (
+        "RollbackChain", "rollback_chains", "chain_summary",
+        "rollback_attribution", "diff_recordings",
+    ),
+})

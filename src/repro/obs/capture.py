@@ -8,17 +8,19 @@ and write the final stats line when the run ends.  :class:`RunCapture`
 packages those steps; metrics and trace may go to separate files or
 share one (pass the same path twice — record types are tagged, so one
 file holds both streams).
+
+Every CLI run builds a capture, most of them with no output requested,
+so the sink, recorder, tracer and span modules are imported only by a
+capture that writes something.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from repro.core.result import RunResult
-from repro.obs.metrics import MetricsRecorder
-from repro.obs.recorder import JsonlSink, StreamingTracer
-from repro.obs.spans import SpanTracer
+if TYPE_CHECKING:
+    from repro.core.result import RunResult
 
 __all__ = ["RunCapture"]
 
@@ -90,7 +92,18 @@ class RunCapture:
             self.meta.setdefault(
                 "adversary_generated", len(injection_plan.entries)
             )
-        self._sinks: list[JsonlSink] = []
+        self._sinks: list = []
+        self.metrics = self.tracer = self.spans = None
+        #: Sink for watchdog ``health`` lines (None unless requested);
+        #: pass to ``Watchdog(cfg, sink=capture.health_sink)``.
+        self.health_sink = None
+        self._metrics_sink = self._trace_sink = self._spans_sink = None
+        if all(o is None for o in (metrics_out, trace_out, spans_out, health_out)):
+            return
+        from repro.obs.metrics import MetricsRecorder
+        from repro.obs.recorder import JsonlSink, StreamingTracer
+        from repro.obs.spans import SpanTracer
+
         metrics_sink = trace_sink = spans_sink = None
         if metrics_out is not None:
             metrics_sink = JsonlSink(metrics_out)
@@ -126,18 +139,15 @@ class RunCapture:
             if injection_plan is not None:
                 for iev in injection_plan.entries:
                     sink.write_adversary(iev.to_dict())
-        self.metrics = (
-            MetricsRecorder(metrics_sink, keep=False, interval=interval)
-            if metrics_sink is not None
-            else None
-        )
-        self.tracer = StreamingTracer(trace_sink) if trace_sink is not None else None
-        self.spans = SpanTracer(sink=spans_sink) if spans_sink is not None else None
+        if metrics_sink is not None:
+            self.metrics = MetricsRecorder(metrics_sink, keep=False, interval=interval)
+        if trace_sink is not None:
+            self.tracer = StreamingTracer(trace_sink)
+        if spans_sink is not None:
+            self.spans = SpanTracer(sink=spans_sink)
         self._metrics_sink = metrics_sink
         self._trace_sink = trace_sink
         self._spans_sink = spans_sink
-        #: Sink for watchdog ``health`` lines (None unless requested);
-        #: pass to ``Watchdog(cfg, sink=capture.health_sink)``.
         self.health_sink = health_sink
 
     @property
@@ -215,6 +225,10 @@ class RunCapture:
         restored, so the finished files are byte-identical to an
         uninterrupted run's.
         """
+        from repro.obs.metrics import MetricsRecorder
+        from repro.obs.recorder import JsonlSink, StreamingTracer
+        from repro.obs.spans import SpanTracer
+
         cap = cls.__new__(cls)
         cap.meta = dict(state["meta"])
         cap._sinks = [

@@ -4,31 +4,12 @@ See :mod:`repro.rng.streams` for the per-LP stream API and
 :mod:`repro.rng.lcg` for the underlying invertible generator.
 """
 
-from repro.rng.lcg import (
-    INCREMENT,
-    MASK64,
-    MULTIPLIER,
-    MULTIPLIER_INV,
-    affine_pow,
-    lcg_jump,
-    lcg_next,
-    lcg_output,
-    lcg_prev,
-    splitmix64,
-)
-from repro.rng.streams import ReversibleStream, derive_seed
+from repro._lazy import lazy_index
 
-__all__ = [
-    "INCREMENT",
-    "MASK64",
-    "MULTIPLIER",
-    "MULTIPLIER_INV",
-    "ReversibleStream",
-    "affine_pow",
-    "derive_seed",
-    "lcg_jump",
-    "lcg_next",
-    "lcg_output",
-    "lcg_prev",
-    "splitmix64",
-]
+__all__, __getattr__, __dir__ = lazy_index(globals(), {
+    "repro.rng.lcg": (
+        "INCREMENT", "MASK64", "MULTIPLIER", "MULTIPLIER_INV", "affine_pow",
+        "lcg_jump", "lcg_next", "lcg_output", "lcg_prev", "splitmix64",
+    ),
+    "repro.rng.streams": ("ReversibleStream", "derive_seed"),
+})

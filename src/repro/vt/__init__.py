@@ -15,12 +15,10 @@ implemented (and toggleable) in the hot-potato model, but repeatability no
 longer depends on it.
 """
 
-from repro.vt.time import (
-    EventKey,
-    KEY_EPOCH,
-    KEY_HORIZON,
-    TIME_EPOCH,
-    TIME_HORIZON,
-)
+from repro._lazy import lazy_index
 
-__all__ = ["EventKey", "KEY_EPOCH", "KEY_HORIZON", "TIME_EPOCH", "TIME_HORIZON"]
+__all__, __getattr__, __dir__ = lazy_index(globals(), {
+    "repro.vt.time": (
+        "EventKey", "KEY_EPOCH", "KEY_HORIZON", "TIME_EPOCH", "TIME_HORIZON",
+    ),
+})

@@ -1,6 +1,10 @@
 """Unit tests for RouterStats and the aggregation visitor."""
 
-from repro.hotpotato.stats import RouterStats, aggregate_router_stats
+from repro.hotpotato.stats import (
+    RouterStats,
+    aggregate_router_stats,
+    stats_from_signature,
+)
 
 
 class FakeLP:
@@ -37,6 +41,24 @@ def test_signature_equality_semantics():
     assert a.signature() == b.signature()
     a.max_inject_wait = 3
     assert a.signature() != b.signature()
+
+
+def test_populated_signature_round_trips():
+    s = RouterStats()
+    for i, name in enumerate(RouterStats.__slots__):
+        if name != "delivered_by_priority":
+            setattr(s, name, 100 + i)
+    s.delivered_by_priority = [3, 1, 4, 1]
+    sig = s.signature()
+    assert sig == tuple(
+        tuple(v) if isinstance(v, list) else v
+        for v in (getattr(s, name) for name in RouterStats.__slots__)
+    )
+    back = stats_from_signature(sig)
+    assert back.signature() == sig
+    assert back.delivered_by_priority == [3, 1, 4, 1]
+    back.delivered_by_priority[0] += 1
+    assert s.delivered_by_priority[0] == 3
 
 
 def test_aggregate_totals_and_averages():

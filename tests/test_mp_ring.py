@@ -4,8 +4,9 @@ The ring tests run single-process (both sides of the ring driven from
 the test), which exercises exactly the byte-level machinery — cursor
 arithmetic, wrap-around, full-stall refusal, and the lost-cursor-store
 resilience (see the ``repro.mp.ring`` module docstring) — without the
-scheduling nondeterminism of real workers.  Cross-process behaviour is
-covered by ``tests/test_mp_determinism.py``.
+scheduling nondeterminism of real workers; one case forks a child to
+show the anonymous mapping is shared across ``fork``.  Cross-process
+runs are covered by ``tests/test_mp_determinism.py``.
 """
 
 import struct
@@ -27,7 +28,6 @@ def ring():
     r = SpscRing(size=_DATA_OFF + 256)
     yield r
     r.close()
-    r.shm.unlink()
 
 
 def test_ring_fifo_roundtrip(ring):
@@ -149,6 +149,22 @@ def test_ring_corrupt_length_raises(ring):
 def test_ring_minimum_size_enforced():
     with pytest.raises(ConfigurationError):
         SpscRing(size=16)
+
+
+def test_ring_created_before_fork_carries_a_childs_frame(ring):
+    """The anonymous mapping is shared with a forked child: what the
+    child publishes, the parent reads, and nothing named is left over."""
+    import os
+
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child exits without returning
+        os._exit(0 if ring.try_write(b"from the child") else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert ring.try_read() == b"from the child"
+    assert ring.try_read() is None
+    ring.close()
+    assert ring.shm.closed
 
 
 # ----------------------------------------------------------------------
