@@ -3,9 +3,9 @@
 One :class:`Checkpointer` drives one run.  Engines accept it via
 ``attach_checkpointer`` (mirroring ``attach_tracer``/``attach_metrics``/
 ``attach_faults``) and call back from exactly one place — the GVT /
-scheduler-round / event-interval *boundary*, never the per-event hot
-path — so a detached checkpointer costs nothing and an attached one
-costs one heartbeat touch plus a modulo per boundary.
+scheduler-round / event-interval / step-end *boundary*, never the
+per-event hot path — so a detached checkpointer costs nothing and an
+attached one costs one heartbeat touch plus a modulo per boundary.
 
 Lifecycle::
 
@@ -54,8 +54,9 @@ class Checkpointer:
         Where snapshot files go (created if missing).
     every:
         Write a snapshot every N boundaries (GVT rounds / scheduler
-        rounds / sequential event intervals).  ``1`` snapshots every
-        boundary; a huge value keeps only interrupt-forced snapshots.
+        rounds / sequential event intervals or, on a band program, step
+        ends).  ``1`` snapshots every boundary; a huge value keeps only
+        interrupt-forced snapshots.
     marker:
         Free-form configuration fingerprint (engine kind, workload
         parameters, seed...).  Stored in every snapshot and compared on
@@ -66,8 +67,9 @@ class Checkpointer:
         (snapshot or not); the experiment supervisor's stall watchdog
         reads it as GVT-progress evidence.
     seq_events:
-        Boundary period, in committed events, for the sequential engine
-        (which has no rounds).
+        Boundary period, in committed events, for the sequential
+        engine's per-event loop (which has no rounds; a band program's
+        boundaries are its step ends).
     """
 
     def __init__(

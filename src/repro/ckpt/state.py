@@ -3,7 +3,9 @@
 Each engine snapshots at a *quiescent boundary*:
 
 * **sequential** — between events (every ``Checkpointer.seq_events``
-  commits): one heap of never-processed events, no journaling.
+  commits of the per-event loop, every step end of a band program): one
+  heap of never-processed events, no journaling; a band-program
+  snapshot's loop state records the step it resumes at.
 * **optimistic** — a GVT round, after fossil collection *and* after the
   transport flush: everything below GVT is committed and gone, the
   cancellation worklist is drained, nothing is in flight (only a
@@ -45,8 +47,10 @@ __all__ = ["capture_state", "restore_state"]
 #: conservative run hold dict payloads no router can execute).  3: an
 #: event pickles one slot fewer and the optimistic counters two keys
 #: fewer (cancellation is aggressive only; a format-2 event's state
-#: would misalign).
-PAYLOAD_FORMAT = 3
+#: would misalign).  4: a sequential hot-potato snapshot is taken at a
+#: step end and resumes on the band program (a format-3 one may hold a
+#: cut inside a band, which the program cannot enter).
+PAYLOAD_FORMAT = 4
 
 
 # ----------------------------------------------------------------------

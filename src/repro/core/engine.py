@@ -54,26 +54,23 @@ class SequentialEngine(Executor):
         self._init_population(model)
         self.pending = PendingQueue()
         self.sends = 0
-        #: Why the last :meth:`run` did not use the model's band program
-        #: ("" when it did, or the model has none to offer).
-        self.band_decline = ""
         #: Optional event tracer (see repro.core.trace); in a sequential
         #: run every executed event commits immediately.
         self.tracer = None
         #: Optional metrics recorder (see repro.obs.metrics).  A
         #: sequential run has no GVT rounds, so the recorder's
-        #: ``interval`` (in events) paces the samples; when detached the
-        #: run loop is the exact allocation-free loop from before.
+        #: ``interval`` (in events) paces the samples.
         self.metrics = None
         #: Optional span tracer (see repro.obs.spans).  No rounds here
         #: either, so one ``exec`` span covers every ``spans.interval``
-        #: events; detached, the run loop is the exact fast loop.
+        #: events.
         self.spans = None
-        #: Optional checkpointer (see repro.ckpt); consulted every
-        #: ``ckpt.seq_events`` commits, never per event.
+        #: Optional checkpointer (see repro.ckpt); consulted at boundaries
+        #: (every ``ckpt.seq_events`` commits of the per-event loop, every
+        #: step end of a band program), never per event.
         self.ckpt = None
         #: Optional liveness watchdog (see repro.health); consulted at
-        #: the same event-interval boundaries as the checkpointer.
+        #: the same boundaries as the checkpointer.
         self.health = None
         #: Run-loop state grafted by a checkpoint restore; consumed (and
         #: cleared) at the top of :meth:`run`.
@@ -104,48 +101,23 @@ class SequentialEngine(Executor):
         """Executor ABI: bare enqueue into the single pending heap."""
         self.pending.push(ev)
 
-    def _band_program(self, resumed: bool):
-        """The model's band program if this run may use it, else None.
-
-        A band program (:meth:`~repro.core.lp.Model.band_program`) steps
-        whole bands of events without building them, so it is declined
-        whenever something attached must see, or stop between, single
-        events.  The choice is made from what the engine can observe —
-        there is no option for it — and every decline leaves its reason
-        in ``band_decline`` for :class:`~repro.core.stats.RunStats`.
-        """
-        offer = self.model.band_program()
-        if offer is None:
-            why = self.model.band_decline_reason
-        elif self.tracer is not None:
-            why = "tracer attached (it records every event)"
-        elif self.ckpt is not None:
-            why = "checkpointer attached (it snapshots between events)"
-        elif self.health is not None:
-            why = "watchdog attached (it inspects the pending events)"
-        elif self.paranoid:
-            why = "paranoid invariant checks on (they inspect the pending events)"
-        elif resumed:
-            why = "resumed snapshot (it may restart inside a band)"
-        else:
-            why = ""
-        self.band_decline = why
-        return None if why else offer
-
     def run(self) -> RunResult:
         """Execute to the end barrier and collect statistics.
 
-        Two ways to get there.  The per-event loop below — pop the
-        minimum key, run the model's handler for its kind (or
-        ``forward``), ``commit`` — is the reference every other engine
-        is compared against; it has a bare copy and a general one that
-        also paces metrics, spans, checkpoints, the watchdog and the
-        paranoid checks.  A model may also offer a
-        *band program*; when nothing attached needs single events (see
-        :meth:`_band_program`) the loop stops at the program's start time
-        and the program runs the rest, reporting after each band so
-        metric samples and ``exec`` spans keep their event-count pacing
-        at band granularity.
+        The per-event loop — pop the minimum key, run the model's handler
+        for its kind (or ``forward``), ``commit`` — is the reference every
+        other engine is compared against.  A model may also offer a *band
+        program* (:meth:`~repro.core.lp.Model.band_program`): the loop
+        then stops at the program's start time and the program runs the
+        rest, reporting after each band so metric samples and ``exec``
+        spans keep their event-count pacing at band granularity.
+
+        The paranoid checks, the watchdog and the checkpointer are
+        consulted at boundaries only: every ``seq_events`` commits of the
+        per-event loop, and every step end of the band program, which
+        leaves there (LP state written back, what is in flight pushed as
+        ordinary events), so the hooks see the per-event loop's state,
+        and re-enters at the next step.
         """
         with self._collector_paused():
             return self._run()
@@ -153,7 +125,9 @@ class SequentialEngine(Executor):
     def _run(self) -> RunResult:
         """The body of :meth:`run`."""
         resume = self._resume
+        self._resume = None
         if resume is None:
+            resume = {}
             for lp in self.lps:
                 lp._now = -1.0
                 lp.on_init()
@@ -161,144 +135,116 @@ class SequentialEngine(Executor):
         lps = self.lps
         handler_for = self._handler_table().get
         pop_below = self.pending.pop_below
-        end = self.end_time
-        band_start, program = self._band_program(resume is not None) or (end, None)
-        # Where the per-event loop stops: the barrier, or the hand-over.
-        limit = min(end, band_start)
-        tracer = self.tracer
         release = self.pool.release
+        end = self.end_time
+        band_start, program = self.model.band_program() or (end, None)
+        tracer = self.tracer
         metrics = self.metrics
         spans = self.spans
         ckpt = self.ckpt
         health = self.health
-        processed = 0
-        if resume is not None:
-            processed = resume["processed"]
-            self._resume = None
-        if (
-            metrics is None
-            and spans is None
-            and ckpt is None
-            and health is None
-            and not self.paranoid
-        ):
-            while True:
-                ev = pop_below(limit)
-                if ev is None:
-                    break
-                dst = ev.dst
-                lp = lps[dst]
-                lp._now = ev.key.ts
-                handler = handler_for(ev.kind)
-                if handler is None:
-                    lp.forward(ev)
-                else:
-                    handler(ev, dst, lp.rng)
-                lp.commit(ev)
-                processed += 1
-                if tracer is not None:
-                    tracer.on_exec(ev)
-                    tracer.on_commit(ev)
-                release(ev)
-            if limit < end:
-                for _, processed, _ in program(self, processed):
-                    pass
-        else:
-            # Metrics, spans, checkpointing and/or paranoid checks: a
-            # metric sample every ``metrics.interval`` events and one at
-            # the barrier, an ``exec`` span every ``spans.interval``
-            # events and a boundary every ``seq_events`` commits.  Pacing
-            # is anchored to absolute commit counts so a resumed run hits
-            # the same boundaries as the uninterrupted one.
+        paranoid = self.paranoid
+        if paranoid:
             from repro.core.invariants import check_sequential
+        processed = resume.get("processed", 0)
+        # Pacing is anchored to absolute commit counts, so a resumed run
+        # samples and stops where the uninterrupted one does.
+        never = float("inf")
+        interval = metrics.interval if metrics is not None else 0
+        next_sample = (
+            (processed // interval + 1) * interval if metrics is not None else never
+        )
+        sinterval = spans.interval if spans is not None else 0
+        next_span = (
+            (processed // sinterval + 1) * sinterval if spans is not None else never
+        )
+        span_t0 = spans.clock() if spans is not None else 0.0
+        span_base = processed
+        hooked = paranoid or health is not None or ckpt is not None
+        bstep = ckpt.seq_events if ckpt is not None else 1024
+        next_boundary = (processed // bstep + 1) * bstep if hooked else never
 
-            interval = metrics.interval if metrics is not None else 0
-            next_sample = (
-                (processed // interval + 1) * interval
-                if metrics is not None
-                else -1
-            )
-            sinterval = spans.interval if spans is not None else 0
-            next_span = (
-                (processed // sinterval + 1) * sinterval
-                if spans is not None
-                else -1
-            )
-            span_t0 = spans.clock() if spans is not None else 0.0
-            span_base = processed
-            bstep = ckpt.seq_events if ckpt is not None else 1024
-            next_boundary = (processed // bstep + 1) * bstep
-            paranoid = self.paranoid
-            while True:
-                ev = pop_below(limit)
-                if ev is None:
-                    break
-                dst = ev.dst
-                lp = lps[dst]
-                now = ev.key.ts
-                lp._now = now
-                handler = handler_for(ev.kind)
-                if handler is None:
-                    lp.forward(ev)
-                else:
-                    handler(ev, dst, lp.rng)
-                lp.commit(ev)
-                processed += 1
-                if tracer is not None:
-                    tracer.on_exec(ev)
-                    tracer.on_commit(ev)
-                release(ev)
-                if metrics is not None and processed >= next_sample:
-                    next_sample += interval
-                    self._sample_metrics(metrics, now, processed)
-                if spans is not None and processed >= next_span:
-                    next_span += sinterval
-                    t1 = spans.clock()
-                    spans.record(
-                        "exec", span_t0, t1, pe=0, n=processed - span_base
-                    )
-                    span_t0 = t1
-                    span_base = processed
+        def pace(now, processed, pending=None):
+            """A metric sample and/or an ``exec`` span, if one is due;
+            returns the commit count at which the next one is."""
+            nonlocal next_sample, next_span, span_t0, span_base
+            if processed >= next_sample:
+                next_sample = (processed // interval + 1) * interval
+                self._sample_metrics(metrics, now, processed, pending)
+            if processed >= next_span:
+                next_span = (processed // sinterval + 1) * sinterval
+                t1 = spans.clock()
+                spans.record("exec", span_t0, t1, pe=0, n=processed - span_base)
+                span_t0 = t1
+                span_base = processed
+            return min(next_sample, next_span)
+
+        def boundary(now, loop):
+            """Consult the paranoid checks, the watchdog and the
+            checkpointer (which may snapshot ``loop`` and the engine)."""
+            if paranoid:
+                check_sequential(self, now)
+            if health is not None:
+                health.boundary_sequential(self, now)
+            if ckpt is not None:
+                written_before = ckpt.written
+                t0 = spans.clock() if spans is not None else 0.0
+                ckpt.boundary(self, loop)
+                if spans is not None and ckpt.written > written_before:
+                    spans.record("snapshot", t0, spans.clock())
+
+        next_pace = min(next_sample, next_span)
+        next_check = min(next_pace, next_boundary)  # one test per event
+        # Where the per-event loop stops: the barrier, or the hand-over.
+        limit = min(end, band_start)
+        while True:
+            ev = pop_below(limit)
+            if ev is None:
+                break
+            dst = ev.dst
+            lp = lps[dst]
+            now = lp._now = ev.key.ts
+            handler = handler_for(ev.kind)
+            if handler is None:
+                lp.forward(ev)
+            else:
+                handler(ev, dst, lp.rng)
+            lp.commit(ev)
+            processed += 1
+            if tracer is not None:
+                tracer.on_exec(ev)
+                tracer.on_commit(ev)
+            release(ev)
+            if processed >= next_check:
+                if processed >= next_pace:
+                    next_pace = pace(now, processed)
                 if processed >= next_boundary:
                     next_boundary += bstep
-                    if paranoid:
-                        check_sequential(self, now)
-                    if health is not None:
-                        health.boundary_sequential(self, now)
-                    if ckpt is not None:
-                        written_before = ckpt.written
-                        t0 = spans.clock() if spans is not None else 0.0
-                        ckpt.boundary(self, {"processed": processed})
-                        if spans is not None and ckpt.written > written_before:
-                            spans.record("snapshot", t0, spans.clock())
-            if limit < end:
-                # The band program: at most one sample and one ``exec``
-                # span per band, on the same event-count pacing.
-                for now, processed, in_flight in program(self, processed):
-                    if metrics is not None and processed >= next_sample:
-                        next_sample = (processed // interval + 1) * interval
-                        self._sample_metrics(metrics, now, processed, in_flight)
-                    if spans is not None and processed >= next_span:
-                        next_span = (processed // sinterval + 1) * sinterval
-                        t1 = spans.clock()
-                        spans.record(
-                            "exec", span_t0, t1, pe=0, n=processed - span_base
-                        )
-                        span_t0 = t1
-                        span_base = processed
-            if metrics is not None:
-                self._sample_metrics(metrics, end, processed)
-            if spans is not None and processed > span_base:
-                spans.record(
-                    "exec",
-                    span_t0,
-                    spans.clock(),
-                    pe=0,
-                    n=processed - span_base,
-                )
+                    boundary(now, {"processed": processed})
+                next_check = min(next_pace, next_boundary)
+
+        if limit < end:
+            # The band program, from the hand-over or the snapshot's step.
+            # With a hook attached it is run one step at a time.
+            step = resume.get("step", int(band_start))
+            while True:
+                stop = min(float(step + 1), end) if hooked else end
+                for now, processed, in_flight in program(self, processed, step, stop):
+                    if processed >= next_pace:
+                        next_pace = pace(now, processed, in_flight)
+                if stop == end:
+                    break
+                step += 1
+                boundary(stop, {"processed": processed, "step": step})
+        if metrics is not None:
+            self._sample_metrics(metrics, end, processed)
+        if spans is not None and processed > span_base:
+            spans.record(
+                "exec", span_t0, spans.clock(), pe=0, n=processed - span_base
+            )
 
         stats = RunStats(engine="sequential", n_pes=1, n_kps=1)
-        stats.band_decline_reason = self.band_decline
+        stats.band_decline_reason = self.model.band_decline_reason
         stats.processed = processed
         stats.committed = processed
         stats.local_sends = self.sends

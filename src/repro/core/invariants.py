@@ -66,7 +66,8 @@ def _check_conservation(model, lps, label: str) -> None:
 
 
 def check_sequential(engine, now: float) -> None:
-    """Sequential-engine epoch check (every ``seq_events`` commits)."""
+    """Sequential-engine epoch check (every ``seq_events`` commits of the
+    per-event loop, every step end of a band program)."""
     _check_queue("sequential pending queue", engine.pending)
     _check_conservation(engine.model, engine.lps, f"at t={now}")
 

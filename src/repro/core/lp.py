@@ -255,12 +255,15 @@ class Model:
         A model whose events fall into virtual-time bands that only send
         into later bands may return ``(start_ts, program)``: the
         sequential engine runs its per-event loop up to ``start_ts`` and
-        then exhausts ``program(engine, processed)``, a generator that
-        executes the rest of the run a band at a time without building
-        events, yields ``(now, processed, pending)`` after each band, and
-        leaves the engine (LP state, ``engine.pending``, ``engine.sends``)
-        as the per-event loop would have (see
-        :func:`repro.hotpotato.band.run_bands`).  Return ``None`` — the
+        then exhausts ``program(engine, processed, step, end)``, a
+        generator that executes the run from integer step ``step`` to
+        ``end`` a band at a time without building events, yields
+        ``(now, processed, pending)`` after each band, records executed
+        events on ``engine.tracer`` if one is attached, and leaves the
+        engine (LP state, ``engine.pending``, ``engine.sends``) as the
+        per-event loop would have (see
+        :func:`repro.hotpotato.band.run_bands`); a hooked run enters it
+        once per step.  Return ``None`` — the
         default — to offer nothing; a model that has a program but cannot
         offer it for this configuration says why in
         :attr:`band_decline_reason`, which lands in

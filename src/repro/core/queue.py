@@ -20,7 +20,7 @@ entry leaves nothing for the cyclic collector.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from repro.core.event import Event
 from repro.vt.time import EventKey
@@ -45,6 +45,29 @@ class PendingQueue:
         heappush(self._heap, (key[0], key[1], key[2], event.serial, event))
         event.in_pending = True
         self._live += 1
+
+    def extend(self, events) -> None:
+        """Insert many events (none already queued) with one ``heapify``."""
+        heap = self._heap
+        n = len(heap)
+        for event in events:
+            key = event.key
+            heap.append((key[0], key[1], key[2], event.serial, event))
+            event.in_pending = True
+        self._live += len(heap) - n
+        heapify(heap)
+
+    def drain(self) -> list[Event]:
+        """Remove and return every live event, in no particular order."""
+        events = []
+        for entry in self._heap:
+            event = entry[4]
+            event.in_pending = False
+            if not event.cancelled:
+                events.append(event)
+        self._heap.clear()
+        self._live = 0
+        return events
 
     def note_cancelled(self) -> None:
         """Record that a queued event was flagged cancelled externally.

@@ -312,7 +312,8 @@ class Watchdog:
         )
 
     def boundary_sequential(self, engine, now: float) -> None:
-        """One event-interval boundary of the sequential engine."""
+        """One boundary of the sequential engine (an event interval or a
+        band program's step end)."""
         self.boundaries += 1
         self._check_forced(now)
         self._check_stall(now)

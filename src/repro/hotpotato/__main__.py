@@ -161,16 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
-        help="write crash-safe snapshots to DIR at GVT boundaries "
-        "(see docs/CHECKPOINT.md); Ctrl-C then writes a final snapshot "
-        "and exits 130",
+        help="write crash-safe snapshots to DIR at boundaries (see "
+        "--checkpoint-every and docs/CHECKPOINT.md); Ctrl-C then writes "
+        "a final snapshot and exits 130",
     )
     parser.add_argument(
         "--checkpoint-every",
         type=int,
         default=4,
         metavar="N",
-        help="snapshot every N GVT/scheduler boundaries (default 4)",
+        help="snapshot every N boundaries: GVT rounds, scheduler rounds "
+        "or, sequential on the torus, step ends (default 4)",
     )
     parser.add_argument(
         "--resume",

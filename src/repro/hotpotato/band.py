@@ -36,13 +36,17 @@ no code with the table: this is the second statement of the Busch rule,
 kept for speed, and ``tests/test_band_program.py`` compares the two.  No
 ``Event`` is built, no heap is pushed or popped and no handler is
 dispatched per packet; events exist only where the program is entered
-and left, through ``engine.pending``.
+and left, through ``engine.pending``.  The program is entered at the start
+of any integer step and left at any barrier: a step end is a consistent
+cut (the next step's ARRIVEs and one INJECT / HEARTBEAT per router), so
+the sequential engine leaves there to consult its hooks and re-enters at
+the next step.  An attached tracer is given each executed event's EXEC
+and COMMIT records, built from the band's sorted tuples in a pass of
+their own.
 
 :meth:`HotPotatoModel.band_program` offers the program only for the
 configuration the inlined rules are written for (Busch policy, torus, no
-model faults, no adversary script); the sequential engine declines it
-when something must see individual events (see
-:meth:`repro.core.engine.SequentialEngine.run`).
+model faults, no adversary script).
 """
 
 from __future__ import annotations
@@ -69,49 +73,53 @@ from repro.vt.time import EventKey
 
 __all__ = ["BAND_START", "run_bands"]
 
-#: Where the program takes over from the per-event loop: the first
-#: integer step boundary.  Everything below it (INIT at 0.1, the step-0
-#: INJECT and HEARTBEAT) has run as ordinary events, so the initial fill
-#: and its Bernoulli draws have exactly one rendering.
+#: Where a fresh run hands over from the per-event loop: the first
+#: integer step boundary, the first of the program's entry points.
+#: Everything below it (INIT at 0.1, the step-0 INJECT and HEARTBEAT) has
+#: run as ordinary events, so the initial fill and its Bernoulli draws
+#: have exactly one rendering.
 BAND_START = 1.0
+
+#: ``EventKey(ts, origin, seq)`` without the named-tuple constructor.
+_tuple_new = tuple.__new__
 
 #: How many fields of a band tuple — ``(ts, origin, seq, dst)`` — come
 #: before the event's packet tuple.
 _KEY_FIELDS = 4
 
 
-def run_bands(engine, processed: int):
-    """Run ``engine`` from :data:`BAND_START` to its end barrier.
+def run_bands(engine, processed: int, step: int, end: float):
+    """Run ``engine`` from the start of integer step ``step`` to ``end``.
 
     A generator: after each band it yields ``(now, processed, pending)``
     — the virtual time reached, the cumulative event count and the number
     of events in flight — so the engine can pace its metric samples and
     ``exec`` spans; the engine must exhaust it.  On entry ``engine.pending``
-    holds exactly what the per-event loop leaves at ``BAND_START``: the
-    ARRIVEs of step 1 and one INJECT / HEARTBEAT per router that has one.
+    holds exactly what the per-event loop leaves at ``step``: the ARRIVEs
+    of that step and one INJECT / HEARTBEAT per router that has one.
     ``links`` and ``head_gen`` are the population's own lists, updated in
-    place.  On exit — at any ``end_time``, inside a band or between two —
-    the routers' ``send_seq`` / RNG state and count are written back,
-    ``engine.sends`` is advanced, and the events not yet due are pushed
-    back into ``engine.pending``, so the engine is in the state the
-    per-event loop would have left (``lp._now`` apart, which only has
-    meaning inside a handler).
+    place.  On exit at ``end`` (at most ``engine.end_time``) — inside a
+    band, between two or at a step end — the routers' ``send_seq`` / RNG
+    state and count are written back, ``engine.sends`` is advanced, and
+    the events not yet due are pushed back into ``engine.pending``, so the
+    engine is in the state the per-event loop would have left (``lp._now``
+    apart, which only has meaning inside a handler).  With
+    ``engine.tracer`` set, every executed event is recorded as the
+    per-event loop records it: EXEC then COMMIT, in key order.
     """
     lps = engine.lps
     model = engine.model
     cfg = model.cfg
     topo = model.topo
-    end = engine.end_time
     pending = engine.pending
+    tracer = engine.tracer
     n_lps = len(lps)
 
     # --- enter: events -> flat tuples, LP state -> flat lists -----------
-    step = int(BAND_START)
     arrivals: list[tuple] = []
     inj_seq = [0] * n_lps  # seq of each router's pending INJECT self-send
     hb_seq = [0] * n_lps  # ... and of its pending HEARTBEAT
-    while pending:
-        ev = pending.pop()
+    for ev in pending.drain():
         key = ev.key
         kind = ev.kind
         data = ev.data
@@ -169,6 +177,8 @@ def run_bands(engine, processed: int):
         # ARRIVE band: absorb at the destination, else queue a ROUTE.
         route_base = step + ROUTE_BASE
         run, arrivals, last = due(arrivals, route_base)
+        if tracer is not None:
+            _trace(tracer, _events(run, ARRIVE))
         routes_append = routes.append
         for t in run:
             _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = t
@@ -205,6 +215,8 @@ def run_bands(engine, processed: int):
         # upgrade draws as in ReversibleStream.bernoulli), claim the
         # link, forward the packet to arrive next step.
         run, routes, last = due(routes, step + INJECT_OFFSET)
+        if tracer is not None:
+            _trace(tracer, _events(run, ROUTE))
         arrivals_append = arrivals.append
         for t in run:
             _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = t
@@ -279,6 +291,11 @@ def run_bands(engine, processed: int):
         # order is LP-id order.
         if not step + INJECT_OFFSET < end:
             break
+        if tracer is not None:
+            _trace(tracer, (
+                Event(EventKey(step + INJECT_OFFSET, i, inj_seq[i]), i, INJECT, step)
+                for i in injectors
+            ))
         for i in injectors:
             # The next INJECT is sent first, whatever happens after.
             seq = inj_seq[i] = send_seq[i]
@@ -339,6 +356,14 @@ def run_bands(engine, processed: int):
         sends += len(injectors)
         last = heartbeat and not step + HEARTBEAT_OFFSET < end
         if heartbeat and not last:
+            if tracer is not None:
+                _trace(tracer, (
+                    Event(
+                        EventKey(step + HEARTBEAT_OFFSET, i, hb_seq[i]), i,
+                        HEARTBEAT, step,
+                    )
+                    for i in range(n_lps)
+                ))
             for i in range(n_lps):
                 base = i * 4
                 st = stats[i]
@@ -368,18 +393,37 @@ def run_bands(engine, processed: int):
     for i, lp in enumerate(lps):
         lp.send_seq = send_seq[i]
         lp.rng.restore((rng_state[i], rng_count[i]))
-    push = pending.push
-    for kind, left in ((ARRIVE, arrivals), (ROUTE, routes)):
-        while left:  # popped, so each tuple is freed as its event is built
-            t = left.pop()
-            push(Event(EventKey(t[0], t[1], t[2]), t[3], kind, t[_KEY_FIELDS:]))
+    left: list[Event] = []
+    push = left.append
+    for kind, band in ((ARRIVE, arrivals), (ROUTE, routes)):
+        while band:  # popped, so each tuple is freed as its event is built
+            t = band.pop()
+            push(Event(_tuple_new(EventKey, t[:3]), t[3], kind, t[_KEY_FIELDS:]))
+    ts = inj_step + INJECT_OFFSET
     for i in injectors:
-        push(Event(
-            EventKey(inj_step + INJECT_OFFSET, i, inj_seq[i]), i, INJECT, inj_step
-        ))
+        push(Event(_tuple_new(EventKey, (ts, i, inj_seq[i])), i, INJECT, inj_step))
     if heartbeat:
+        ts = hb_step + HEARTBEAT_OFFSET
         for i in range(n_lps):
             push(Event(
-                EventKey(hb_step + HEARTBEAT_OFFSET, i, hb_seq[i]), i, HEARTBEAT,
-                hb_step,
+                _tuple_new(EventKey, (ts, i, hb_seq[i])), i, HEARTBEAT, hb_step
             ))
+    pending.extend(left)
+
+
+def _events(band: list[tuple], kind: str):
+    """The events a band's tuples stand for, in the band's order."""
+    return (
+        Event(_tuple_new(EventKey, t[:3]), t[3], kind, t[_KEY_FIELDS:])
+        for t in band
+    )
+
+
+def _trace(tracer, events) -> None:
+    """Record each event as executed and committed, as the per-event
+    loop does (a sequential event commits as it executes)."""
+    on_exec = tracer.on_exec
+    on_commit = tracer.on_commit
+    for ev in events:
+        on_exec(ev)
+        on_commit(ev)

@@ -42,6 +42,38 @@ def plan_spy(model, kinds):
     return counts
 
 
+def per_event_reference(model):
+    """``model`` with its band program withheld, so the sequential engine
+    runs every event through the handler table: the reference the band
+    program is compared with, event for event, whatever is attached."""
+    model.band_program = lambda: None
+    return model
+
+
+def band_spy(model):
+    """Test probe: the steps at which ``model``'s band program is entered.
+
+    Returns a list that every entry appends its start step to (empty when
+    the run stayed on the per-event loop)."""
+    entries = []
+    offer = model.band_program
+
+    def band_program():
+        offered = offer()
+        if offered is None:
+            return None
+        start, program = offered
+
+        def entered(engine, processed, step, end):
+            entries.append(step)
+            return program(engine, processed, step, end)
+
+        return start, entered
+
+    model.band_program = band_program
+    return entries
+
+
 def run_batch(kernel, pe, max_events, limit_ts):
     """Step ``pe`` through one optimism batch of ``kernel``'s compiled loop.
 

@@ -1,13 +1,13 @@
 """The sequential band program equals the per-event loop it replaces.
 
-``SequentialEngine.run`` hands a hot-potato run to
-:func:`repro.hotpotato.band.run_bands` unless something attached needs
-single events; a :class:`~repro.core.trace.Tracer` is one such thing, so
-"the same model, once plain and once traced" is "band program versus
-per-event loop".  They must agree on everything the per-event loop
-leaves behind: statistics, counters, the delivery log in order, every
-router's state and RNG, and the events still pending at the barrier —
-wherever in a band the barrier falls.
+``SequentialEngine.run`` hands a hot-potato run on the Busch torus to
+:func:`repro.hotpotato.band.run_bands`, whatever is attached; the same
+model with its band program withheld (``per_event_reference``) runs every
+event through the handler table instead.  The two must agree on
+everything the per-event loop leaves behind: statistics, counters, the
+delivery log in order, every router's state and RNG, the events still
+pending at the barrier — wherever in a band the barrier falls — and,
+traced, every EXEC / COMMIT record in order.
 """
 
 import pytest
@@ -27,18 +27,28 @@ from repro.hotpotato.model import HotPotatoModel
 from repro.hotpotato.policy import BuschHotPotatoPolicy
 from repro.net import TorusTopology
 from repro.scenarios.adversary import InjectionEvent, InjectionPlan
+from tests.kernel_models import band_spy, per_event_reference
 
 
-def _observe(cfg: HotPotatoConfig, seed: int, *, traced: bool, **model_kw):
+def _observe(
+    cfg: HotPotatoConfig, seed: int, *, reference: bool = False,
+    traced: bool = False, **model_kw,
+):
     """Run ``cfg`` sequentially; everything the run leaves behind."""
     model = HotPotatoModel(cfg, **model_kw)
+    if reference:
+        per_event_reference(model)
+    entries = band_spy(model)
     engine = SequentialEngine(model, cfg.duration, seed=seed)
+    tracer = Tracer()
     if traced:
-        engine.attach_tracer(Tracer())
+        engine.attach_tracer(tracer)
     result = engine.run()
     run = result.run
     return {
         "decline": run.band_decline_reason,
+        "entries": entries,
+        "records": tracer.records,
         "model_stats": result.model_stats,
         "counters": (run.processed, run.committed, run.local_sends),
         "makespan": run.makespan_seconds,
@@ -55,12 +65,22 @@ def _observe(cfg: HotPotatoConfig, seed: int, *, traced: bool, **model_kw):
 
 
 def _assert_band_equals_per_event(cfg: HotPotatoConfig, seed: int) -> None:
-    band = _observe(cfg, seed, traced=False)
-    per_event = _observe(cfg, seed, traced=True)
-    assert band.pop("decline") == ""
-    assert per_event.pop("decline").startswith("tracer")
+    """Untraced band program against the traced reference, field by
+    field; then the traced band program's records against the
+    reference's, record for record."""
+    band = _observe(cfg, seed)
+    per_event = _observe(cfg, seed, reference=True, traced=True)
+    assert band.pop("decline") == per_event.pop("decline") == ""
+    assert band.pop("entries") == ([1] if cfg.duration > 1.0 else [])
+    assert per_event.pop("entries") == []
+    records = per_event.pop("records")
+    assert band.pop("records") == []
     for what in band:
         assert band[what] == per_event[what], what
+    traced = _observe(cfg, seed, traced=True)
+    assert traced["entries"] == ([1] if cfg.duration > 1.0 else [])
+    assert traced["records"] == records
+    assert len(records) == 2 * per_event["counters"][0]
 
 
 @st.composite
@@ -150,7 +170,8 @@ def test_band_equals_time_warp_under_rollback():
 
 
 # ----------------------------------------------------------------------
-# Every decline has a name, and declining changes nothing but the speed.
+# Hooks stay on the band program; every model refusal has a name, and
+# refusing changes nothing but the speed.
 # ----------------------------------------------------------------------
 CFG = HotPotatoConfig(n=4, duration=10.0, heartbeat=True)
 SEED = 11
@@ -170,29 +191,48 @@ def _snapshot_payload(tmp_path):
     return read_snapshot(snaps[len(snaps) // 2])
 
 
-ENGINE_DECLINES = {
-    "tracer": lambda e, tmp: e.attach_tracer(Tracer()),
-    "checkpointer": lambda e, tmp: e.attach_checkpointer(
-        Checkpointer(tmp / "unused", every=1 << 30)
+#: What the engine once declined the band program for, and the steps the
+#: program is then entered at: one entry per step for a boundary hook,
+#: from the snapshot's step for a resume.
+ENGINE_HOOKS = {
+    "tracer": (lambda e, tmp: e.attach_tracer(Tracer()), [1]),
+    "checkpointer": (
+        lambda e, tmp: e.attach_checkpointer(
+            Checkpointer(tmp / "unused", every=1 << 30)
+        ),
+        list(range(1, 10)),
     ),
-    "watchdog": lambda e, tmp: e.attach_health(Watchdog(HealthConfig())),
-    "paranoid": lambda e, tmp: setattr(e, "paranoid", True),
-    "resumed snapshot": lambda e, tmp: e.restore(_snapshot_payload(tmp)),
+    "watchdog": (
+        lambda e, tmp: e.attach_health(Watchdog(HealthConfig())),
+        list(range(1, 10)),
+    ),
+    "paranoid": (lambda e, tmp: setattr(e, "paranoid", True), list(range(1, 10))),
+    "resumed snapshot": (lambda e, tmp: e.restore(_snapshot_payload(tmp)), None),
 }
 
 
-@pytest.mark.parametrize("name", ENGINE_DECLINES)
+@pytest.mark.parametrize("name", ENGINE_HOOKS)
 def test_engine_declines_by_name(name, tmp_path):
+    """Nothing attached declines the band program: each hook runs it (a
+    boundary hook one step at a time) and changes nothing but the speed.
+    (The id is kept from when each of these was a named decline.)"""
     band = SequentialEngine(HotPotatoModel(CFG), CFG.duration, seed=SEED).run()
-    assert band.run.band_decline_reason == ""
-    engine = SequentialEngine(HotPotatoModel(CFG), CFG.duration, seed=SEED)
-    ENGINE_DECLINES[name](engine, tmp_path)
-    declined = engine.run()
-    assert declined.run.band_decline_reason.startswith(name)
-    assert declined.run.as_dict()["band_decline_reason"].startswith(name)
-    assert declined.model_stats == band.model_stats
-    assert declined.run.committed == band.run.committed
-    assert declined.run.makespan_seconds == band.run.makespan_seconds
+    model = HotPotatoModel(CFG)
+    entries = band_spy(model)
+    engine = SequentialEngine(model, CFG.duration, seed=SEED)
+    attach, expected = ENGINE_HOOKS[name]
+    attach(engine, tmp_path)
+    if expected is None:
+        step = engine._resume["step"]
+        assert step > 2
+        expected = [step]
+    hooked = engine.run()
+    assert entries == expected
+    assert hooked.run.band_decline_reason == ""
+    assert hooked.run.as_dict()["band_decline_reason"] == ""
+    assert hooked.model_stats == band.model_stats
+    assert hooked.run.committed == band.run.committed
+    assert hooked.run.makespan_seconds == band.run.makespan_seconds
 
 
 MODEL_DECLINES = {
@@ -218,7 +258,8 @@ def test_model_declines_by_name(name):
     assert model.band_decline_reason.startswith(name)
     declined = _observe(cfg, SEED, traced=False, **model_kw)
     assert declined["decline"].startswith(name)
-    # The model's reason comes first: a tracer does not hide it.
+    assert declined["entries"] == []
+    # A tracer neither hides the reason nor changes the run.
     traced = _observe(cfg, SEED, traced=True, **model_kw)
     assert traced["decline"] == declined["decline"]
     assert traced["model_stats"] == declined["model_stats"]
@@ -294,3 +335,66 @@ def test_metrics_and_spans_stay_on_the_band_program():
     prefix = sum(1 for s in samples if s.gvt < 1.0)
     assert len(samples) == prefix + 3 * steps + 1
     assert len(execs) == prefix + 3 * steps
+
+
+@pytest.fixture
+def cli_entries(monkeypatch):
+    """The steps at which CLI runs enter ``run_bands`` (a spy on the
+    function the model offers)."""
+    import repro.hotpotato.band as band
+
+    entries = []
+    program = band.run_bands
+
+    def run_bands(engine, processed, step, end):
+        entries.append(step)
+        return program(engine, processed, step, end)
+
+    monkeypatch.setattr(band, "run_bands", run_bands)
+    return entries
+
+
+def test_hooked_cli_runs_stay_on_the_band_program(tmp_path, capsys, cli_entries):
+    """``--trace-out``, ``--checkpoint-dir`` then ``--resume``,
+    ``--paranoid`` and ``--watchdog`` each run the band program and print
+    the plain run's model lines."""
+    from repro.hotpotato.__main__ import main as hotpotato
+
+    base = ["--n", "16", "--duration", "20"]
+    steps = list(range(1, 20))
+    assert hotpotato(base) == 0
+    plain = capsys.readouterr().out
+    assert cli_entries == [1]
+    ckpt = ["--checkpoint-dir", str(tmp_path / "ckpt")]
+    runs = {
+        "trace": (["--trace-out", str(tmp_path / "t.jsonl")], [1]),
+        "checkpoint": (ckpt, steps),
+        "paranoid": (["--paranoid"], steps),
+        "watchdog": (["--watchdog"], steps),
+    }
+    for name, (flags, expected) in runs.items():
+        cli_entries.clear()
+        assert hotpotato(base + flags) == 0, name
+        assert capsys.readouterr().out.endswith(plain), name
+        assert cli_entries == expected, name
+
+    snaps = list_snapshots(tmp_path / "ckpt")
+    assert len(snaps) > 2
+    for later in snaps[len(snaps) // 2:]:
+        later.unlink()  # resume from the middle of the run
+    step = read_snapshot(list_snapshots(tmp_path / "ckpt")[-1])["loop"]["step"]
+    cli_entries.clear()
+    assert hotpotato(base + ckpt + ["--resume"]) == 0
+    assert capsys.readouterr().out.endswith(plain)
+    assert cli_entries == steps[steps.index(step):] and step > 2
+
+
+def test_traced_band_run_records_equal_the_reference():
+    """A traced band run's recording is the per-event reference's, record
+    for record, on a run long enough to reach every priority."""
+    cfg = HotPotatoConfig(**PINNED["every-priority"])
+    band = _observe(cfg, 7, traced=True)
+    reference = _observe(cfg, 7, traced=True, reference=True)
+    assert band["entries"] == [1] and reference["entries"] == []
+    assert len(band["records"]) == 2 * band["counters"][0]
+    assert band["records"] == reference["records"]

@@ -22,7 +22,7 @@ from repro.core.optimistic import TimeWarpKernel
 from repro.faults import FaultPlan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
-from tests.kernel_models import transport_faults
+from tests.kernel_models import band_spy, per_event_reference, transport_faults
 
 N = 4
 DURATION = 12.0
@@ -69,12 +69,71 @@ def _check_resume_from_every_snapshot(tmp_path, make_engine, marker):
 
 
 def test_sequential_resume_every_snapshot(tmp_path):
+    """The per-event loop: snapshots every ``seq_events`` commits."""
     n = _check_resume_from_every_snapshot(
         tmp_path,
-        lambda: SequentialEngine(HotPotatoModel(_cfg()), DURATION, seed=SEED),
+        lambda: SequentialEngine(
+            per_event_reference(HotPotatoModel(_cfg())), DURATION, seed=SEED
+        ),
         {"case": "seq"},
     )
     assert n > 3  # the interval cadence actually produced mid-run snapshots
+
+
+def test_sequential_band_program_resume_every_snapshot(tmp_path):
+    """The band program: a snapshot at every step end and every
+    ``seq_events`` commits of the per-event prefix (8x8: 128 events before
+    step 1), each resumed on the program from the step it records, or,
+    from the prefix, at step 1 as a fresh run enters it."""
+    entries = []
+    cfg = HotPotatoConfig(n=8, duration=DURATION, injector_fraction=1.0)
+
+    def make_engine():
+        model = HotPotatoModel(cfg)
+        entries.append(band_spy(model))
+        return SequentialEngine(model, DURATION, seed=SEED)
+
+    n = _check_resume_from_every_snapshot(tmp_path, make_engine, {"case": "seq-band"})
+    oracle, recorded, *resumed = entries
+    steps = list(range(1, int(DURATION)))
+    assert oracle == [1]
+    assert recorded == steps  # left and re-entered at every step end
+    assert len(resumed) == n > len(steps)
+    for got in resumed:
+        assert got == steps[steps.index(got[0]):]
+    assert sorted({got[0] for got in resumed}) == steps
+    assert sum(got[0] == 1 for got in resumed) >= 2  # prefix snapshots
+
+
+def test_format_3_snapshot_refused_before_the_first_event(tmp_path):
+    """A format-3 sequential snapshot may cut a band in two, which the
+    band program cannot enter: the restore refuses it by number, before
+    anything runs."""
+    from repro.ckpt.snapshot import read_snapshot, write_snapshot
+    from repro.errors import SnapshotError
+
+    marker = {"case": "fmt3"}
+    snap_dir = tmp_path / "snaps"
+    ckpt = Checkpointer(snap_dir, every=1, marker=marker, seq_events=SEQ_EVENTS)
+    SequentialEngine(HotPotatoModel(_cfg()), DURATION, seed=SEED)\
+        .attach_checkpointer(ckpt).run()
+    snaps = list_snapshots(snap_dir)
+    mid = snaps[len(snaps) // 2]
+    payload = read_snapshot(mid)
+    assert payload["pending"] and payload["loop"]["step"] > 1
+    old_dir = tmp_path / "old"
+    old_dir.mkdir()
+    write_snapshot(old_dir / mid.name, {**payload, "format": 3})
+
+    ck = Checkpointer(old_dir, every=1 << 30, marker=marker, seq_events=SEQ_EVENTS)
+    ck.load_latest()
+    model = HotPotatoModel(_cfg())
+    entries = band_spy(model)
+    fresh = SequentialEngine(model, DURATION, seed=SEED)
+    with pytest.raises(SnapshotError, match="payload format 3"):
+        fresh.attach_checkpointer(ck)
+    assert fresh._resume is None and not fresh.pending
+    assert entries == []
 
 
 @pytest.mark.parametrize("sync", ["yawns", "null"])

@@ -105,8 +105,9 @@ def test_two_pokers_at_batch_1000_match_oracle():
 
 
 def test_window_with_copy_rollback_matches_oracle_hotpotato():
-    # Virtual-time window, no batch cap, state saving: the per-event batch
-    # on the 4x4 torus (copy rollback declines band stepping).
+    # Virtual-time window, no batch cap, state saving: Time Warp's one
+    # batch loop over the handler table on the 4x4 torus, with copy
+    # rollback restoring the routers' snapshots.
     cfg = HotPotatoConfig(n=4, duration=END, injector_fraction=1.0)
     oracle = run_sequential(HotPotatoModel(cfg), END).model_stats
     result = opt(

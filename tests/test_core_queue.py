@@ -68,6 +68,23 @@ def test_cancelled_events_are_skipped():
     assert not q
 
 
+def test_extend_then_drain_round_trip():
+    """``extend`` is many pushes with one heapify; ``drain`` empties the
+    queue, returning only the live events."""
+    q = PendingQueue()
+    q.push(ev(5.0))
+    events = [ev(float(ts), seq=ts) for ts in (3, 1, 4, 2)]
+    q.extend(events)
+    assert len(q) == 5 and all(e.in_pending for e in events)
+    events[0].cancelled = True
+    q.note_cancelled()
+    assert [q.pop().ts for _ in range(2)] == [1.0, 2.0]
+    drained = q.drain()
+    assert sorted(e.ts for e in drained) == [4.0, 5.0]
+    assert not q and len(q) == 0 and q.peek() is None
+    assert not any(e.in_pending for e in drained + events)
+
+
 def test_in_pending_flag_lifecycle():
     q = PendingQueue()
     e = ev(1.0)

@@ -32,6 +32,7 @@ from repro.models.mm1 import MM1Config, MM1Model
 from repro.models.phold import PholdConfig, PholdModel
 from repro.mp.kernel import MPWorkerKernel
 from repro.vt.time import EventKey
+from tests.kernel_models import band_spy, per_event_reference
 from tests.test_ckpt_resume import _check_resume_from_every_snapshot
 
 SEED = 7
@@ -106,19 +107,32 @@ def test_time_warp_leaves_no_cyclic_event(name, overrides):
 
 
 def test_sequential_per_event_loop_leaves_no_cyclic_event():
-    engine = SequentialEngine(_hotpotato("mesh"), 20.0, seed=SEED)
-    left, result = _events_left_to_the_collector(engine)
-    assert result.run.band_decline_reason  # the per-event loop ran
+    model = per_event_reference(_hotpotato())
+    entries = band_spy(model)
+    left, _ = _events_left_to_the_collector(
+        SequentialEngine(model, 20.0, seed=SEED)
+    )
+    assert entries == []  # the per-event loop ran
     assert left == 0
 
 
 def test_sequential_band_program_leaves_no_cyclic_event():
     """The band program drops every pending event on entry and builds
     new ones on exit; none of them waits for a collection."""
-    left, result = _events_left_to_the_collector(
-        SequentialEngine(_hotpotato(), 20.0, seed=SEED)
-    )
-    assert not result.run.band_decline_reason
+    model = _hotpotato()
+    entries = band_spy(model)
+    left, _ = _events_left_to_the_collector(SequentialEngine(model, 20.0, seed=SEED))
+    assert entries == [1]
+    assert left == 0
+
+
+def test_hooked_band_program_leaves_no_cyclic_event():
+    """A hooked run leaves and re-enters the program at every step end."""
+    model = _hotpotato()
+    entries = band_spy(model)
+    engine = SequentialEngine(model, 20.0, seed=SEED, paranoid=True)
+    left, _ = _events_left_to_the_collector(engine)
+    assert entries == list(range(1, 20))
     assert left == 0
 
 

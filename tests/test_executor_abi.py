@@ -40,7 +40,7 @@ from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.hotpotato.router import ARRIVE, HEARTBEAT, INIT, INJECT, ROUTE, RouterLP
 from repro.net import TorusTopology
-from tests.kernel_models import plan_spy, transport_faults
+from tests.kernel_models import per_event_reference, plan_spy, transport_faults
 
 N = 4
 DURATION = 12.0
@@ -147,7 +147,7 @@ def test_vectorized_across_scheduler_structures(overrides):
 
 @pytest.mark.parametrize("engine", ["opt"])
 def test_vectorized_checkpoint_kill_resume(tmp_path, engine):
-    """Kill at every snapshot boundary, resume, and land on the per-event
+    """Kill at every snapshot boundary, resume, and land on the sequential
     oracle's exact committed statistics (the shared state lists
     round-trip through the snapshot format)."""
     seed = GOLDEN_SEEDS[0]
@@ -225,7 +225,7 @@ def test_snapshot_with_old_payload_format_refused():
 
     engine = _engine("opt", GOLDEN_SEEDS[0], False)
     payload = engine.snapshot()
-    assert payload["format"] == PAYLOAD_FORMAT == 3
+    assert payload["format"] == PAYLOAD_FORMAT == 4
     fresh = _engine("opt", GOLDEN_SEEDS[0], False)
     with pytest.raises(SnapshotError, match="payload format 1"):
         fresh.restore({**payload, "format": 1})
@@ -373,17 +373,16 @@ def test_table_runs_under_tracer_copy_and_faulty_transport(mode, procs):
 
 @pytest.mark.parametrize("engine", ["seq", "cons"])
 def test_every_engine_serves_every_router_kind_from_the_table(engine):
-    """The oracle's per-event loop (a mesh declines the band program) and
-    the conservative kernel serve all five router kinds from the table:
-    the router class has no ``forward`` to fall back on."""
+    """The oracle's per-event loop (the model's band program withheld)
+    and the conservative kernel serve all five router kinds from the
+    table: the router class has no ``forward`` to fall back on."""
     assert "forward" not in vars(RouterLP)
     cfg = HotPotatoConfig(n=N, duration=DURATION, topology="mesh", heartbeat=True)
     model = HotPotatoModel(cfg)
     kinds = (INIT, ARRIVE, ROUTE, INJECT, HEARTBEAT)
     calls = plan_spy(model, kinds)
     if engine == "seq":
-        run = SequentialEngine(model, DURATION, seed=7).run()
-        assert "topology" in run.run.band_decline_reason
+        run = SequentialEngine(per_event_reference(model), DURATION, seed=7).run()
     else:
         ccfg = ConservativeConfig(
             end_time=DURATION, n_pes=4, sync="yawns", seed=7,
