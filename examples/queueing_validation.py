@@ -6,7 +6,7 @@ queue length L, and sojourn time W against their closed forms —
 ρ = λ/μ, L = ρ/(1-ρ), W = 1/(μ-λ) — plus Little's law L = λW.  It then
 re-runs the exact simulation on the Time Warp engine (with a
 pipeline-hostile LP placement to force thousands of rollbacks) and on the
-conservative null-message engine, confirming all three agree bit-exactly.
+conservative (YAWNS) engine, confirming all three agree bit-exactly.
 
 Run with::
 
@@ -71,7 +71,7 @@ def engine_agreement() -> None:
     )
     cons = run_conservative(
         MM1Model(cfg),
-        ConservativeConfig(end_time=end, n_pes=3, sync="null", mapping="striped", seed=1),
+        ConservativeConfig(end_time=end, n_pes=3, mapping="striped", seed=1),
     )
     print("Engine agreement (3-station tandem, 500 time units):")
     print(f"  sequential  : {seq.run.committed:,} events")

@@ -16,9 +16,6 @@ engine the episode runs.  The disturbances:
 * ``watchdog_restore`` — the liveness watchdog is forced to trip at a
   seeded boundary with a ``restore`` ladder; the recovery runner grafts
   the last good snapshot and re-runs.
-* ``watchdog_fallback`` — the watchdog is forced to trip with a
-  ``fallback`` ladder; the recovery runner degrades the engine
-  optimistic → conservative and re-runs from scratch.
 
 Every episode asserts the standing invariants:
 
@@ -65,7 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_CAMPAIGN_SEED = 0xC4A05
-DISTURBANCES = ("none", "kill_resume", "watchdog_restore", "watchdog_fallback")
+DISTURBANCES = ("none", "kill_resume", "watchdog_restore")
 
 _SIZES = (4, 8)
 _LOADS = (0.25, 0.5, 0.75, 1.0)
@@ -179,7 +176,6 @@ def derive_recipe(campaign_seed: int, episode: int) -> EpisodeRecipe:
 #: Engine settings per kind (HotPotatoSimulation.engine's keywords).
 _ENGINE_SETTINGS = {
     "sequential": {},
-    "conservative": {"n_pes": 2},
     "optimistic": {"n_pes": 2, "n_kps": 8, "batch_size": 16},
 }
 
@@ -331,12 +327,10 @@ def _episode_watchdog(
     recipe: EpisodeRecipe,
     sim,
     work_dir: Path,
-    baseline_sequence,
     baseline_stats,
     result: EpisodeResult,
 ) -> None:
-    """Force a watchdog trip; recovery must converge on baseline results."""
-    from repro.core.trace import Tracer
+    """Force a watchdog trip; the restore must converge on baseline results."""
     from repro.ckpt import Checkpointer
     from repro.health import (
         HealthAbort,
@@ -346,35 +340,22 @@ def _episode_watchdog(
         run_with_recovery,
     )
 
-    restore = recipe.disturbance == "watchdog_restore"
-    ladder = ("restore", "abort") if restore else ("fallback", "abort")
     wd = Watchdog(
-        HealthConfig(ladder=ladder, trip_at_boundary=recipe.strike_boundary)
-    )
-    ckpt = None
-    if restore:
-        ckpt = Checkpointer(
-            work_dir / "ckpt",
-            every=4,
-            marker={"episode": recipe.episode, "seed": recipe.seed},
+        HealthConfig(
+            ladder=("restore", "abort"),
+            trip_at_boundary=recipe.strike_boundary,
         )
-
-    tracers: dict[int, Tracer] = {}
-
-    def build(kind):
-        engine = _engine(sim, kind)
-        tracer = Tracer()
-        engine.attach_tracer(tracer)
-        tracers[id(engine)] = tracer
-        return engine
-
-    policy = RecoveryPolicy(max_restores=2, max_fallbacks=2, backoff_base=0.0)
+    )
+    ckpt = Checkpointer(
+        work_dir / "ckpt",
+        every=4,
+        marker={"episode": recipe.episode, "seed": recipe.seed},
+    )
     try:
         rec = run_with_recovery(
-            build,
+            lambda: _engine(sim, "optimistic"),
             wd,
-            kind="optimistic",
-            policy=policy,
+            policy=RecoveryPolicy(max_restores=2, backoff_base=0.0),
             ckpt=ckpt,
             sleep=lambda _s: None,
             on_action=result.actions.append,
@@ -388,18 +369,9 @@ def _episode_watchdog(
         result.violations.append(f"conservation after recovery: {diag}")
     if rec.result.model_stats != baseline_stats:
         result.violations.append(
-            f"recovered {rec.kind} run's model stats diverged from the "
-            "undisturbed optimistic run"
+            "restored run's model stats diverged from the undisturbed "
+            "optimistic run"
         )
-    if not restore:
-        # A fallback reruns from scratch, so its tracer saw the whole
-        # run: the committed sequence must equal the baseline's.
-        tracer = tracers[id(rec.engine)]
-        if tracer.committed_sequence() != baseline_sequence:
-            result.violations.append(
-                f"recovered {rec.kind} run committed a different event "
-                "sequence than the undisturbed optimistic run"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -439,10 +411,8 @@ def run_episode(recipe: EpisodeRecipe, work_dir: str | Path) -> EpisodeResult:
     # Invariants 3/4: the episode's disturbance must be survivable.
     if recipe.disturbance == "kill_resume":
         _episode_kill_resume(recipe, sim, work_dir, baseline_sequence, result)
-    elif recipe.disturbance in ("watchdog_restore", "watchdog_fallback"):
-        _episode_watchdog(
-            recipe, sim, work_dir, baseline_sequence, opt_res.model_stats, result
-        )
+    elif recipe.disturbance == "watchdog_restore":
+        _episode_watchdog(recipe, sim, work_dir, opt_res.model_stats, result)
 
     result.elapsed = time.perf_counter() - start
     return result

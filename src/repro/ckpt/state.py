@@ -49,8 +49,10 @@ __all__ = ["capture_state", "restore_state"]
 #: fewer (cancellation is aggressive only; a format-2 event's state
 #: would misalign).  4: a sequential hot-potato snapshot is taken at a
 #: step end and resumes on the band program (a format-3 one may hold a
-#: cut inside a band, which the program cannot enter).
-PAYLOAD_FORMAT = 4
+#: cut inside a band, which the program cannot enter).  5: a
+#: conservative snapshot holds no channel clocks and no null-message
+#: count (the engine runs YAWNS only).
+PAYLOAD_FORMAT = 5
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +331,6 @@ def _capture_conservative(kernel, loop) -> dict:
         "kind": "conservative",
         "loop": dict(loop or {}),
         "counters": {
-            "null_messages": kernel.null_messages,
             "real_messages": kernel.real_messages,
             "local_sends": kernel.local_sends,
             "rounds": kernel.rounds,
@@ -339,8 +340,6 @@ def _capture_conservative(kernel, loop) -> dict:
         "pes": [
             {
                 "pending": _queue_events(pe.pending),
-                "in_clock": list(pe.in_clock),
-                "out_clock": list(pe.out_clock),
                 "processed": pe.processed,
                 "busy": pe.busy,
             }
@@ -369,8 +368,6 @@ def _restore_conservative(kernel, payload) -> None:
     _restamp_events(roots)
     for pe, snap in zip(kernel.pes, payload["pes"]):
         _restore_queue(pe.pending, snap["pending"])
-        pe.in_clock[:] = snap["in_clock"]
-        pe.out_clock[:] = snap["out_clock"]
         pe.processed = snap["processed"]
         pe.busy = snap["busy"]
     for name, value in payload["counters"].items():

@@ -4,23 +4,15 @@ Time Warp lets PEs race ahead and repairs mistakes; *conservative*
 synchronization never makes them: a PE only executes an event once no
 earlier message can possibly arrive.  The price is **lookahead** — a model
 guarantee that an event at time ``t`` never schedules anything before
-``t + L`` — and synchronization traffic.  Both classic flavours are
-implemented, sharing the same model API as the other engines:
-
-* **YAWNS** (``sync="yawns"``): barrier rounds.  All PEs agree on the
-  lower bound on time stamp LBTS = min(next unprocessed event) + L and
-  execute everything below it.  This is what ROSS's conservative mode
-  does.
-* **Null messages** (``sync="null"``, Chandy–Misra–Bryant): no global
-  barrier.  Every directed PE pair is a FIFO channel carrying a clock
-  guarantee; a blocked PE unblocks its peers by sending *null messages*
-  promising "nothing from me before ``t``".  The famous overhead — null
-  message count and ratio — is measured and reported.
+``t + L`` — and synchronization rounds.  The protocol is **YAWNS**:
+barrier rounds in which all PEs agree on the lower bound on time stamp
+LBTS = min(next unprocessed event) + L and execute everything below it.
+This is what ROSS's conservative mode does.
 
 Because execution is conservative, nothing ever rolls back, so the model's
 ``reverse`` handlers are never called (models without reverse handlers can
 run conservatively).  Committed results are — of course — identical to the
-sequential oracle's; the test suite checks that against both flavours.
+sequential oracle's; the test suite checks that.
 
 Lookahead is declared by the model (``Model.lookahead``) or passed
 explicitly, and *enforced*: a send that violates it raises
@@ -60,15 +52,8 @@ class ConservativeConfig:
     lookahead:
         Minimum send offset the model guarantees; ``None`` reads
         ``model.lookahead``.
-    sync:
-        ``"yawns"`` (barrier LBTS windows) or ``"null"`` (CMB null
-        messages).
     mapping:
         LP→PE mapping strategy (``"block"``/``"striped"``/``"random"``).
-    null_ratio_limit:
-        Safety valve for the null-message flavour: abort if null messages
-        exceed this multiple of real events (a symptom of vanishing
-        lookahead).
     paranoid:
         Run the opt-in invariant checks (:mod:`repro.core.invariants`)
         each scheduler round; off by default.
@@ -77,10 +62,8 @@ class ConservativeConfig:
     end_time: float
     n_pes: int = 4
     lookahead: float | None = None
-    sync: str = "yawns"
     mapping: str = "block"
     seed: int = 0x5EED
-    null_ratio_limit: float = 100.0
     paranoid: bool = False
     cost: CostModel = field(default_factory=CostModel)
 
@@ -93,25 +76,17 @@ class ConservativeConfig:
             raise ConfigurationError(
                 f"lookahead must be positive, got {self.lookahead}"
             )
-        if self.sync not in ("yawns", "null"):
-            raise ConfigurationError(
-                f"sync must be 'yawns' or 'null', got {self.sync!r}"
-            )
         check_mapping_strategy(self.mapping)
 
 
 class _ConsPE:
-    """Conservative processing element: a pending queue plus channel clocks."""
+    """Conservative processing element: a pending queue plus counters."""
 
-    __slots__ = ("id", "pending", "in_clock", "out_clock", "processed", "lp_count", "busy")
+    __slots__ = ("id", "pending", "processed", "lp_count", "busy")
 
-    def __init__(self, pe_id: int, n_pes: int) -> None:
+    def __init__(self, pe_id: int) -> None:
         self.id = pe_id
         self.pending = PendingQueue()
-        #: Guarantee received from each peer: no message below this ts.
-        self.in_clock = [0.0] * n_pes
-        #: Guarantee last sent to each peer (to avoid redundant nulls).
-        self.out_clock = [0.0] * n_pes
         self.processed = 0
         self.lp_count = 0
         self.busy = 0.0
@@ -119,14 +94,6 @@ class _ConsPE:
     def next_ts(self) -> float:
         key = self.pending.peek_key()
         return key.ts if key is not None else TIME_HORIZON
-
-    def safe_horizon(self, n_pes: int) -> float:
-        """Earliest time an unseen message could still arrive (CMB)."""
-        if n_pes == 1:
-            return TIME_HORIZON
-        return min(
-            clock for pe, clock in enumerate(self.in_clock) if pe != self.id
-        )
 
 
 class ConservativeKernel(Executor):
@@ -159,7 +126,7 @@ class ConservativeKernel(Executor):
             grid=getattr(model, "grid", None),
             seed=config.seed,
         )
-        self.pes = [_ConsPE(p, config.n_pes) for p in range(config.n_pes)]
+        self.pes = [_ConsPE(p) for p in range(config.n_pes)]
         self.pe_of_lp = [mapping.lp_to_pe(lp.id) for lp in self.lps]
         for lp in self.lps:
             self.pes[self.pe_of_lp[lp.id]].lp_count += 1
@@ -167,7 +134,6 @@ class ConservativeKernel(Executor):
         #: same commit-time recycling as the sequential engine applies.
         self._bind_lps(config.seed, self._init_pool())
         # Counters.
-        self.null_messages = 0
         self.real_messages = 0
         self.local_sends = 0
         self.rounds = 0
@@ -202,9 +168,6 @@ class ConservativeKernel(Executor):
         #: cleared) at the top of :meth:`run`.
         self._resume = None
         self._bootstrapping = True
-        # Hard cap on scheduler rounds: clock creep advances at least one
-        # lookahead per full round, so this bound is generous.
-        self._round_cap = int(config.end_time / self.lookahead) * 4 + 1000
         self._event_costs = [
             self.cost.event_cost(n_lps)
             * self.cost.bus_factor(config.n_pes, n_lps)
@@ -233,13 +196,6 @@ class ConservativeKernel(Executor):
         else:
             self.real_messages += 1
             pe.busy += self.cost.remote_send
-            # Note: unlike textbook CMB (whose per-link channels carry
-            # monotone timestamps), a general model's successive sends on a
-            # PE-pair channel are NOT nondecreasing — an event at t1 may
-            # send t1+5 and a later event at t2>t1 may send t2+L < t1+5.
-            # So a real message's timestamp is *not* a guarantee and must
-            # not advance the receiver's channel clock; only explicit
-            # clock+lookahead guarantees (null messages) may.
         self.pes[dst_pe].pending.push(ev)
 
     def schedule(self, ev: Event) -> None:
@@ -314,10 +270,7 @@ class ConservativeKernel(Executor):
                 self._bootstrap()
             else:
                 self._resume = None
-            if self.cfg.sync == "yawns":
-                self._run_yawns()
-            else:
-                self._run_null_messages()
+            self._run_yawns()
             return self._build_result()
 
     def _run_yawns(self) -> None:
@@ -373,78 +326,6 @@ class ConservativeKernel(Executor):
         if ckpt.written > written_before:
             spans.record("snapshot", t0, spans.clock())
 
-    def _run_null_messages(self) -> None:
-        end = self.cfg.end_time
-        pes = self.pes
-        n_pes = self.cfg.n_pes
-        faults = self.faults
-        spans = self.spans
-        ckpt = self.ckpt
-        paranoid = self.cfg.paranoid
-        limit = self.cfg.null_ratio_limit
-        while True:
-            progressed = False
-            round_busy = 0.0
-            for pe in pes:
-                if faults is not None and faults.stalled(pe.id, self.rounds):
-                    # Stalled PEs neither execute nor promise: a paused
-                    # processor sends nothing, including null messages.
-                    # Peers block on its (frozen) channel clock and catch
-                    # up when the window ends; windows are finite so the
-                    # round-cap guard below is never at risk in practice.
-                    continue
-                pe.busy, before = 0.0, pe.busy
-                horizon = min(pe.safe_horizon(n_pes), end)
-                if spans is None:
-                    done = self._execute_below(pe, horizon)
-                else:
-                    t0 = spans.clock()
-                    done = self._execute_below(pe, horizon)
-                    if done:
-                        spans.record("exec", t0, spans.clock(), pe=pe.id, n=done)
-                if done:
-                    progressed = True
-                # Promise the future to every peer: nothing before
-                # (my next event or my safe horizon, whichever is sooner)
-                # plus lookahead.
-                guarantee = min(pe.next_ts(), pe.safe_horizon(n_pes)) + self.lookahead
-                for other in pes:
-                    if other.id == pe.id:
-                        continue
-                    if guarantee > pe.out_clock[other.id]:
-                        pe.out_clock[other.id] = guarantee
-                        if guarantee > other.in_clock[pe.id]:
-                            other.in_clock[pe.id] = guarantee
-                        self.null_messages += 1
-                        pe.busy += self.cost.remote_send
-                round_busy = max(round_busy, pe.busy)
-                pe.busy += before
-            # No global barrier in CMB, but blocked PEs wait on the slowest
-            # peer they depend on; with all-pairs channels that is the max.
-            self.makespan_units += round_busy + self.cost.sched_per_round
-            self.rounds += 1
-            if self.metrics is not None:
-                self._sample_metrics(self.metrics)
-            if paranoid:
-                check_conservative(self)
-            if self.health is not None:
-                self.health.boundary_conservative(self)
-            if ckpt is not None:
-                self._ckpt_boundary(ckpt, spans)
-            if all(pe.next_ts() >= end for pe in pes):
-                break
-            processed = sum(pe.processed for pe in pes)
-            if processed and self.null_messages > limit * processed:
-                raise ConfigurationError(
-                    "null-message explosion: lookahead too small for this "
-                    f"model (ratio limit {limit} exceeded)"
-                )
-            if not progressed and self.rounds > self._round_cap:
-                raise ConfigurationError(
-                    "conservative deadlock/creep guard tripped: no progress "
-                    f"after {self.rounds} rounds (lookahead {self.lookahead})"
-                )
-
     # ------------------------------------------------------------------
     def _build_result(self) -> RunResult:
         stats = RunStats(engine="conservative")
@@ -453,7 +334,7 @@ class ConservativeKernel(Executor):
         stats.processed = sum(pe.processed for pe in self.pes)
         stats.committed = stats.processed  # nothing ever rolls back
         stats.local_sends = self.local_sends
-        stats.remote_sends = self.real_messages + self.null_messages
+        stats.remote_sends = self.real_messages
         stats.gvt_rounds = self.rounds
         stats.pool_hits = self.pool.hits
         stats.pool_allocs = self.pool.allocs
@@ -471,20 +352,11 @@ class ConservativeKernel(Executor):
         )
         if self.faults is not None:
             stats.pe_stall_rounds = self.faults.stall_rounds
-        result = RunResult(
+        return RunResult(
             model_stats=self.model.collect_stats(self.lps),
             run=stats,
             lps=self.lps,
         )
-        # Conservative-specific extras travel in model-agnostic fields:
-        result.model_stats = dict(result.model_stats)
-        return result
-
-    @property
-    def null_ratio(self) -> float:
-        """Null messages per committed event (the CMB overhead metric)."""
-        processed = sum(pe.processed for pe in self.pes)
-        return self.null_messages / processed if processed else 0.0
 
 
 def run_conservative(

@@ -116,17 +116,4 @@ def check_conservative(kernel) -> None:
     """Conservative-engine per-round check."""
     for pe in kernel.pes:
         _check_queue(f"PE {pe.id}", pe.pending)
-    if kernel.cfg.sync == "null":
-        pes = kernel.pes
-        for pe in pes:
-            for other in pes:
-                if other.id == pe.id:
-                    continue
-                if other.in_clock[pe.id] > pe.out_clock[other.id]:
-                    raise InvariantViolation(
-                        f"PE {other.id} holds a channel guarantee "
-                        f"{other.in_clock[pe.id]} from PE {pe.id} that PE "
-                        f"{pe.id} never promised (out_clock "
-                        f"{pe.out_clock[other.id]})"
-                    )
     _check_conservation(kernel.model, kernel.lps, f"round {kernel.rounds}")

@@ -67,10 +67,10 @@ class HealthIntervention(ReproError):
 
     Raised out of ``engine.run()`` at a quiescent boundary when the
     degradation ladder reaches an action the engine cannot apply to
-    itself — restore from the last good snapshot, fall back to a more
-    conservative engine, or abort.  Carries the requested ``action``
-    and the triggering :class:`repro.health.HealthEvent`; the recovery
-    runner (:func:`repro.health.run_with_recovery`) catches it and acts.
+    itself — restore from the last good snapshot, or abort.  Carries
+    the requested ``action`` and the triggering
+    :class:`repro.health.HealthEvent`; the recovery runner
+    (:func:`repro.health.run_with_recovery`) catches it and acts.
     """
 
     def __init__(self, action: str, event) -> None:

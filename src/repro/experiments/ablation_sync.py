@@ -9,8 +9,8 @@ sized windows while Time Warp speculates across them and pays only for the
 mispredictions.
 
 Measured on identical workloads: committed events (identical by
-construction), synchronization overhead (rollbacks for Time Warp, rounds
-and null messages for the conservative flavours) and cost-model event rate.
+construction), synchronization overhead (rollbacks and GVT rounds for
+Time Warp, barrier rounds for YAWNS) and cost-model event rate.
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ def run(params: SweepParams) -> Table:
             "protocol",
             "committed",
             "rolled back",
-            "null msgs",
             "rounds",
             "event rate",
         ],
     )
-    rates: dict[int, dict[str, float]] = {}
     for n in params.sizes:
         hcfg = HotPotatoConfig(
             n=n, duration=params.duration, injector_fraction=1.0
@@ -65,44 +63,37 @@ def run(params: SweepParams) -> Table:
             "time-warp",
             tw.run.committed,
             tw.run.events_rolled_back,
-            0,
             tw.run.gvt_rounds,
             tw.run.event_rate,
         )
-        rates.setdefault(n, {})["time-warp"] = tw.run.event_rate
-        # Conservative flavours.
-        for sync in ("yawns", "null"):
-            kernel = ConservativeKernel(
-                HotPotatoModel(hcfg),
-                ConservativeConfig(
-                    end_time=params.duration,
-                    n_pes=N_PES,
-                    sync=sync,
-                    mapping="block",
-                    seed=params.seed,
-                ),
-            )
-            result = kernel.run()
-            table.add_row(
-                n,
-                f"conservative/{sync}",
-                result.run.committed,
-                0,
-                kernel.null_messages,
-                kernel.rounds,
-                result.run.event_rate,
-            )
-            rates[n][sync] = result.run.event_rate
-    for n, by_proto in rates.items():
-        best_cons = max(by_proto.get("yawns", 0.0), by_proto.get("null", 0.0))
-        if best_cons > 0:
+        # Conservative: YAWNS barrier windows.
+        kernel = ConservativeKernel(
+            HotPotatoModel(hcfg),
+            ConservativeConfig(
+                end_time=params.duration,
+                n_pes=N_PES,
+                mapping="block",
+                seed=params.seed,
+            ),
+        )
+        cons = kernel.run()
+        table.add_row(
+            n,
+            "conservative/yawns",
+            cons.run.committed,
+            0,
+            kernel.rounds,
+            cons.run.event_rate,
+        )
+        if cons.run.event_rate > 0:
             table.notes.append(
-                f"N={n}: Time Warp runs at {by_proto['time-warp'] / best_cons:.2f}x "
-                f"the best conservative rate (lookahead 0.1 steps)"
+                f"N={n}: Time Warp runs at "
+                f"{tw.run.event_rate / cons.run.event_rate:.2f}x the YAWNS "
+                "rate (lookahead 0.1 steps)"
             )
     table.notes.append(
         "the comparison is density-sensitive: small networks starve the "
         "conservative lookahead windows (Time Warp wins); dense ones keep "
-        "them full (null-message CMB becomes competitive)"
+        "them full (YAWNS becomes competitive)"
     )
     return table

@@ -48,8 +48,8 @@ def set_telemetry_dir(directory: Path | str | None) -> None:
 #: When set (see :func:`set_supervisor`), the workhorses below do not
 #: simulate in this process: each run becomes a sweep-point spec handed
 #: to the :class:`repro.experiments.supervisor.Supervisor`, which
-#: executes it in a watchdogged child process with checkpoint/resume,
-#: bounded retries and optimistic→conservative fallback.
+#: executes it in a watchdogged child process with checkpoint/resume
+#: and bounded retries, on the engine the spec names.
 _SUPERVISOR = None
 
 

@@ -75,7 +75,7 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[SweepParams], Table]]] = {
         ablation_adaptive.run,
     ),
     "abl-sync": (
-        "Ablation: Time Warp vs conservative (YAWNS / null-message)",
+        "Ablation: Time Warp vs conservative (YAWNS)",
         ablation_sync.run,
     ),
     "resilience": (

@@ -216,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="N",
-        help="attempts per point before giving up or falling back "
-        "(default: 3)",
+        help="attempts per point before giving up (default: 3)",
     )
     sup.add_argument(
         "--backoff-base",
@@ -233,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="snapshot cadence inside each child, in GVT/scheduler "
         "boundaries (default: 4)",
-    )
-    sup.add_argument(
-        "--no-fallback",
-        action="store_true",
-        help="fail a wedged optimistic point outright instead of "
-        "degrading it to the conservative engine",
     )
     return parser
 
@@ -287,7 +280,6 @@ def main(argv: list[str] | None = None) -> int:
                 heartbeat_timeout=args.heartbeat_timeout,
                 max_retries=args.max_retries,
                 backoff_base=args.backoff_base,
-                fallback=not args.no_fallback,
                 checkpoint_every=args.point_checkpoint_every,
                 resume=resuming,
             )

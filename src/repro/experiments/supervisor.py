@@ -14,13 +14,12 @@ process and journaling its lifecycle:
   retried up to ``max_retries`` times, sleeping
   ``backoff_base * 2**(attempt-1)`` seconds between attempts.  Each
   retry resumes from the point's latest snapshot, so work is not lost.
-* **Graceful degradation** — when an *optimistic* point exhausts its
-  retries the supervisor falls back to the conservative engine for that
-  point (committed results are engine-independent, so the sweep's
-  science is unchanged) and records the substitution in the manifest.
+* **No substitution** — a point that exhausts its retries raises
+  :class:`PointFailure`; it is never recomputed on another engine, so
+  every result a sweep serves was produced by the engine its spec names.
 * **Journaled manifest** — ``manifest.jsonl`` in the output directory
   is append-only, one JSON object per lifecycle transition
-  (``started`` / ``retry`` / ``fallback`` / ``done`` / ``failed``).
+  (``started`` / ``retry`` / ``done`` / ``failed``).
   ``python -m repro.experiments ... --resume DIR`` replays it: points
   journaled ``done`` are served from their pickled results without
   re-running; in-flight points restore from their latest checkpoint.
@@ -33,9 +32,11 @@ process and journaling its lifecycle:
   scenario for *every* journaled point — including points whose results
   would be served from disk — and refuses the resume, naming the changed
   file, rather than silently mixing two experiments.  A manifest written
-  in the older point-spec format is refused by name.
+  in the older point-spec format is refused by name, and so is one that
+  journals an engine ``fallback`` (a point recomputed on the conservative
+  engine by an earlier version), before anything is served.
 
-Retry/backoff/fallback decisions are delegated to
+Retry/backoff decisions are delegated to
 :class:`repro.health.RecoveryPolicy`, the same policy object the
 liveness watchdog's degradation ladder uses, so "how patient are we
 with a sick run" is configured once and means the same thing in-process
@@ -66,11 +67,6 @@ from repro.health import RecoveryPolicy
 
 __all__ = ["Supervisor", "SupervisorConfig", "PointFailure", "point_id"]
 
-#: Spec ``kind`` values <-> the engine names RecoveryPolicy's chain uses.
-_CHAIN_KIND = {"seq": "sequential", "opt": "optimistic", "cons": "conservative"}
-_SPEC_KIND = {v: k for k, v in _CHAIN_KIND.items()}
-
-
 def _files_read(scen: dict) -> str | None:
     """Which file a point's scenario reads, for messages; None if none."""
     if "path" in scen:
@@ -81,7 +77,7 @@ def _files_read(scen: dict) -> str | None:
 
 
 class PointFailure(RuntimeError):
-    """A sweep point failed permanently (retries and fallback exhausted)."""
+    """A sweep point failed permanently (retries exhausted)."""
 
 
 def point_id(spec: dict) -> str:
@@ -98,13 +94,10 @@ class SupervisorConfig:
     #: Seconds without a heartbeat touch before the child is presumed
     #: wedged and SIGKILLed.
     heartbeat_timeout: float = 60.0
-    #: Attempts per engine before giving up (or falling back).
+    #: Attempts per point before giving up.
     max_retries: int = 3
     #: First retry sleeps this long; each further retry doubles it.
     backoff_base: float = 0.5
-    #: Substitute the conservative engine when an optimistic point
-    #: exhausts its retries.
-    fallback: bool = True
     #: ``checkpoint_every`` handed to every child.
     checkpoint_every: int = 4
     #: Serve results journaled ``done`` from disk instead of re-running.
@@ -122,11 +115,10 @@ class Supervisor:
         self.points_dir = self.out_dir / "points"
         self.points_dir.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out_dir / "manifest.jsonl"
-        #: Shared retry/backoff/fallback policy (see repro.health).
+        #: Shared retry/backoff policy (see repro.health).
         self.policy = RecoveryPolicy(
             max_restores=cfg.max_retries,
             backoff_base=cfg.backoff_base,
-            fallback=cfg.fallback,
         )
         #: point id -> final status, replayed from the manifest.
         self._status: dict[str, str] = {}
@@ -189,7 +181,10 @@ class Supervisor:
         Walks *every* journaled record carrying a spec — including
         points already ``done``, whose results would otherwise be served
         from disk without ever touching their inputs again.  A spec in
-        an older format is refused by name.  Each scenario that reads a
+        an older format is refused by name, and so is a ``fallback``
+        record: an earlier version recomputed that point on the
+        conservative engine, and serving its result would put a YAWNS
+        run into a Time Warp table.  Each scenario that reads a
         file (a scenario file, or a fault plan named by path) is
         re-compiled and its identity
         (:meth:`~repro.scenarios.compile.CompiledScenario.scenario_hash`,
@@ -204,6 +199,14 @@ class Supervisor:
         #: launch); latest record wins.
         expected: dict[str, tuple[str, dict, str]] = {}
         for doc in self._records():
+            if doc.get("status") == "fallback":
+                raise ResumeIntegrityError(
+                    f"sweep manifest {self.manifest_path}: point "
+                    f"{doc.get('point')} was rerun on the "
+                    f"{doc.get('engine')!r} engine by the removed engine "
+                    "fallback; its result is not the spec's engine's — "
+                    "refusing to resume (rerun the sweep)"
+                )
             spec = doc.get("spec")
             if not isinstance(spec, dict):
                 continue
@@ -244,8 +247,8 @@ class Supervisor:
 
         Serves the cached result when resuming and the point is already
         ``done``; otherwise runs (or resumes) it under the watchdog.
-        Raises :class:`PointFailure` when every attempt — including the
-        conservative fallback, if eligible — has been exhausted.
+        Raises :class:`PointFailure` when every attempt has been
+        exhausted.
         """
         pid = point_id(spec)
         pdir = self.points_dir / pid
@@ -255,55 +258,19 @@ class Supervisor:
                 return pickle.load(fh)
         pdir.mkdir(parents=True, exist_ok=True)
 
-        result = self._attempts(spec, pid, pdir, engine=spec["kind"])
+        result = self._attempts(spec, pid, pdir)
         if result is not None:
             return result
-
-        # The fallback target comes from the shared degradation chain
-        # (optimistic -> conservative); sweeps stop there rather than
-        # degrading all the way to sequential, because a conservative
-        # run that *also* wedges points at the workload, not the engine.
-        fb_kind = (
-            self.policy.next_kind(_CHAIN_KIND.get(spec["kind"], ""))
-            if spec["kind"] == "opt"
-            else None
-        )
-        if fb_kind is not None:
-            fb_engine = _SPEC_KIND[fb_kind]
-            fb_spec = self._conservative_twin(spec)
-            self._journal(
-                point=pid,
-                status="fallback",
-                engine=fb_engine,
-                spec=fb_spec,
-                reason=f"optimistic attempts exhausted ({self.cfg.max_retries})",
-            )
-            result = self._attempts(fb_spec, pid, pdir, engine=fb_engine)
-            if result is not None:
-                return result
-
         self._journal(point=pid, status="failed", spec=spec)
         raise PointFailure(
             f"point {pid} failed after {self.cfg.max_retries} attempt(s)"
-            + (" plus conservative fallback" if fb_kind is not None else "")
         )
 
-    @staticmethod
-    def _conservative_twin(spec: dict) -> dict:
-        """The conservative-engine spec computing the same point."""
-        keep = ("scenario", "n_pes", "telemetry", "checkpoint_every")
-        twin = {k: spec[k] for k in keep if k in spec}
-        twin["kind"] = "cons"
-        return twin
-
-    def _attempts(
-        self, spec: dict, pid: str, pdir: Path, *, engine: str
-    ) -> dict | None:
+    def _attempts(self, spec: dict, pid: str, pdir: Path) -> dict | None:
         """Try ``spec`` up to ``max_retries`` times; None when exhausted."""
         cfg = self.cfg
+        engine = spec["kind"]
         result_path = pdir / "result.pkl"
-        # Snapshot markers embed the spec, so the optimistic attempts and
-        # a conservative fallback must not share a checkpoint directory.
         ckpt_dir = pdir / f"ckpt_{engine}"
         spec_path = pdir / f"spec_{engine}.json"
         spec_path.write_text(json.dumps(spec, sort_keys=True, indent=2) + "\n")

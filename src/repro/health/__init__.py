@@ -7,9 +7,9 @@ The package has three layers:
   detectors (GVT stall, livelock, rollback thrash, memory growth) run at
   quiescent boundaries only, so the fused fast paths stay installed.
 * :mod:`repro.health.recovery` — the out-of-run actor.
-  :func:`run_with_recovery` rebuilds/restores/falls back per a
+  :func:`run_with_recovery` rebuilds and restores per a
   :class:`RecoveryPolicy` when the watchdog escalates past the throttle
-  rung.
+  rung, and aborts when restores are exhausted.
 * :mod:`repro.health.forensics` — the post-mortem:
   :func:`write_forensics_bundle` gathers recording, snapshot, critpath
   and the watchdog log when the ladder aborts.
@@ -22,7 +22,6 @@ The chaos soak harness that exercises all of this end to end lives in
 from repro.errors import HealthAbort, HealthIntervention
 from repro.health.forensics import write_forensics_bundle
 from repro.health.recovery import (
-    FALLBACK_CHAIN,
     RecoveryPolicy,
     RecoveryResult,
     run_with_recovery,
@@ -36,7 +35,6 @@ from repro.health.watchdog import (
 
 __all__ = [
     "DEFAULT_LADDER",
-    "FALLBACK_CHAIN",
     "HealthAbort",
     "HealthConfig",
     "HealthEvent",

@@ -2,23 +2,16 @@
 
 The watchdog (:mod:`repro.health.watchdog`) can tighten the optimistic
 throttle from *inside* a run, but the heavier rungs of the degradation
-ladder — restore from the last good snapshot, fall back to a more
-conservative engine, abort — need a fresh engine, which only the caller
-can build.  :func:`run_with_recovery` is that caller: a loop that builds
-an engine, runs it, and catches :class:`~repro.errors.HealthIntervention`
-to walk the remaining rungs:
+ladder — restore from the last good snapshot, abort — need a fresh
+engine, which only the caller can build.  :func:`run_with_recovery` is
+that caller: a loop that builds an engine, runs it, and catches
+:class:`~repro.errors.HealthIntervention` to walk the remaining rungs:
 
-* ``restore`` — rebuild the *same* engine kind, graft the last good
-  snapshot through the checkpointer (``ckpt.load_latest()`` +
+* ``restore`` — rebuild the engine, graft the last good snapshot
+  through the checkpointer (``ckpt.load_latest()`` +
   ``attach_checkpointer``), and re-run, with bounded retries and
   exponential backoff (:class:`RecoveryPolicy`, generalizing the
   experiment supervisor's per-point retry policy).
-* ``fallback`` — rebuild on the next engine down the chain
-  (optimistic → conservative → sequential) and re-run from the start.
-  Snapshots are deliberately engine-bound (``restore_state`` refuses a
-  cross-kind graft), so a fallback re-runs the workload rather than
-  pretending foreign state is compatible; committed results are
-  engine-independent, so the committed sequence is unchanged.
 * ``abort`` — write a forensics bundle
   (:func:`repro.health.write_forensics_bundle`) and raise
   :class:`~repro.errors.HealthAbort`.
@@ -26,6 +19,10 @@ to walk the remaining rungs:
 Every action is journaled in ``RecoveryResult.actions`` (and through the
 watchdog's sink as ``health`` lines), so supervisors and the chaos
 harness can replay exactly what the ladder did.
+
+The runner never swaps the engine: a run that cannot be restored aborts
+rather than being recomputed on another engine, so whatever it returns
+was produced by the engine the caller asked for.
 """
 
 from __future__ import annotations
@@ -36,39 +33,30 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError, HealthAbort, HealthIntervention
 
-__all__ = ["RecoveryPolicy", "RecoveryResult", "run_with_recovery", "FALLBACK_CHAIN"]
-
-#: Fallback order: each engine falls back to the one after it.
-FALLBACK_CHAIN = ("optimistic", "conservative", "sequential")
+__all__ = ["RecoveryPolicy", "RecoveryResult", "run_with_recovery"]
 
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """Bounded-retry / backoff / fallback policy for sick runs.
+    """Bounded-retry / backoff policy for sick runs.
 
     This generalizes the knobs the experiment supervisor has always had
-    (``max_retries`` / ``backoff_base`` / ``fallback``) into a reusable
+    (``max_retries`` / ``backoff_base``) into a reusable
     object the watchdog ladder, the supervisor, and the chaos harness
     all consult.
     """
 
     #: Snapshot-restore attempts before the restore rung is exhausted.
     max_restores: int = 2
-    #: Fallback rebuilds before the fallback rung is exhausted (the
-    #: chain itself also bounds this: sequential has nowhere to go).
-    max_fallbacks: int = 2
     #: First restore waits this long; each further restore doubles it.
     backoff_base: float = 0.5
-    #: Allow engine-kind fallback at all (off = escalate straight to
-    #: abort once restores are exhausted).
-    fallback: bool = True
     #: Where the abort rung writes its forensics bundle (None = skip).
     forensics_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
-        if self.max_restores < 0 or self.max_fallbacks < 0:
+        if self.max_restores < 0:
             raise ConfigurationError(
-                "max_restores and max_fallbacks must be >= 0"
+                f"max_restores must be >= 0, got {self.max_restores}"
             )
         if self.backoff_base < 0:
             raise ConfigurationError(
@@ -79,16 +67,6 @@ class RecoveryPolicy:
         """Delay before restore ``attempt`` (1-based): exponential."""
         return self.backoff_base * 2 ** (attempt - 1)
 
-    def next_kind(self, kind: str) -> str | None:
-        """Engine kind to fall back to, or ``None`` at the chain's end."""
-        if not self.fallback:
-            return None
-        try:
-            i = FALLBACK_CHAIN.index(kind)
-        except ValueError:
-            return None
-        return FALLBACK_CHAIN[i + 1] if i + 1 < len(FALLBACK_CHAIN) else None
-
 
 @dataclass
 class RecoveryResult:
@@ -98,10 +76,8 @@ class RecoveryResult:
     result: object
     #: The engine that completed the run (inspect its tracer/stats).
     engine: object
-    #: Engine kind that finally completed.
-    kind: str
     #: Action journal: one dict per recovery action, in order
-    #: (``{"action", "kind", "detector", "boundary", ...}``).
+    #: (``{"action", "detector", "boundary", ...}``).
     actions: list[dict] = field(default_factory=list)
 
     @property
@@ -114,34 +90,30 @@ def run_with_recovery(
     build,
     watchdog,
     *,
-    kind: str = "optimistic",
     policy: RecoveryPolicy | None = None,
     ckpt=None,
     sleep=time.sleep,
     on_action=None,
 ):
-    """Run ``build(kind)`` under ``watchdog``, recovering per ``policy``.
+    """Run ``build()`` under ``watchdog``, recovering per ``policy``.
 
     Parameters
     ----------
     build:
-        ``build(kind) -> engine``: construct a fresh, fully configured
-        engine of the given kind ("optimistic" / "conservative" /
-        "sequential") over the same workload.  Called once per attempt;
-        the runner attaches the watchdog (and checkpointer, when one is
-        given) itself.
+        ``build() -> engine``: construct a fresh, fully configured engine
+        over the workload, of the same kind every call.  Called once per
+        attempt; the runner attaches the watchdog (and checkpointer, when
+        one is given) itself.
     watchdog:
         The :class:`~repro.health.Watchdog` to attach.  Its ladder rung
         and event log persist across attempts, so repeated sickness
         escalates instead of looping.
-    kind:
-        Engine kind to start with.
     policy:
         :class:`RecoveryPolicy`; ``None`` uses the defaults.
     ckpt:
         Optional :class:`~repro.ckpt.Checkpointer`.  Required for the
         restore rung to do anything (without one, restore escalates to
-        fallback immediately); also re-attached on every attempt so
+        abort immediately); also re-attached on every attempt so
         snapshots keep flowing after a recovery.
     sleep:
         Injectable backoff sleeper (tests pass a recorder).
@@ -163,13 +135,11 @@ def run_with_recovery(
         policy = RecoveryPolicy()
     actions: list[dict] = []
     restores = 0
-    fallbacks = 0
     restore_pending = False
 
     def _record(action: str, event, **extra) -> dict:
         rec = {
             "action": action,
-            "kind": kind,
             "detector": event.detector,
             "boundary": event.boundary,
             "position": event.position,
@@ -181,7 +151,7 @@ def run_with_recovery(
         return rec
 
     while True:
-        engine = build(kind)
+        engine = build()
         if ckpt is not None:
             if restore_pending:
                 ckpt.load_latest()
@@ -190,9 +160,7 @@ def run_with_recovery(
         engine.attach_health(watchdog)
         try:
             result = engine.run()
-            return RecoveryResult(
-                result=result, engine=engine, kind=kind, actions=actions
-            )
+            return RecoveryResult(result=result, engine=engine, actions=actions)
         except HealthIntervention as exc:
             action, event = exc.action, exc.event
             if action == "restore":
@@ -214,19 +182,7 @@ def run_with_recovery(
                 watchdog.rung = min(
                     watchdog.rung + 1, len(watchdog.cfg.ladder) - 1
                 )
-                action = "fallback"
-            if action == "fallback":
-                nxt = policy.next_kind(kind)
-                if nxt is not None and fallbacks < policy.max_fallbacks:
-                    fallbacks += 1
-                    _record("fallback", event, to=nxt, attempt=fallbacks)
-                    kind = nxt
-                    # A fallback rebuilds from scratch: snapshots are
-                    # engine-bound, so the new engine re-runs the whole
-                    # workload (committed results are engine-independent).
-                    continue
-                action = "abort"
-            # action == "abort" (or an unknown action: treat as abort).
+            # Abort: restores are exhausted, or the ladder said so.
             bundle = None
             if policy.forensics_dir is not None:
                 from repro.health.forensics import write_forensics_bundle
@@ -243,5 +199,5 @@ def run_with_recovery(
             where = f" (forensics: {bundle})" if bundle is not None else ""
             raise HealthAbort(
                 f"degradation ladder exhausted after "
-                f"{event.detector} on {kind} engine{where}"
+                f"{event.detector} on {event.engine} engine{where}"
             ) from exc

@@ -36,12 +36,13 @@ trip, with a cooldown between rungs so each remedy gets time to work:
    optimistic engine running with ``adaptive=True``; other engines skip
    this rung.  Committed results are invariant to optimism, so this is
    always safe.
-2. ``restore`` / ``fallback`` / ``abort`` — actions the engine cannot
-   apply to itself: the watchdog raises
-   :class:`~repro.errors.HealthIntervention` out of ``run()`` at the
-   boundary and :func:`repro.health.run_with_recovery` acts on it
-   (restore the last good snapshot with bounded retries, rebuild on the
-   next engine down, or abort with a forensics bundle).
+2. ``restore`` / ``abort`` — actions the engine cannot apply to
+   itself: the watchdog raises :class:`~repro.errors.HealthIntervention`
+   out of ``run()`` at the boundary and
+   :func:`repro.health.run_with_recovery` acts on it (restore the last
+   good snapshot with bounded retries, or abort with a forensics
+   bundle).  No rung swaps the engine: a sick run is repaired on its
+   own engine or stopped, never recomputed elsewhere.
 
 Every trip is appended to ``Watchdog.events`` and — when a sink is
 attached — written as a schema-additive ``health`` JSONL line, so
@@ -59,13 +60,13 @@ from repro.hotpotato.router import P_INJECT_STEP, PACKET_FIELDS
 __all__ = ["HealthConfig", "HealthEvent", "Watchdog", "DEFAULT_LADDER"]
 
 #: Default escalation order; see the module docstring.
-DEFAULT_LADDER = ("throttle", "restore", "fallback", "abort")
+DEFAULT_LADDER = ("throttle", "restore", "abort")
 
 #: Actions the watchdog can apply in-run (everything else is raised as a
 #: HealthIntervention for the recovery runner).
 _IN_RUN_ACTIONS = frozenset({"throttle"})
 
-_KNOWN_ACTIONS = frozenset({"throttle", "restore", "fallback", "abort"})
+_KNOWN_ACTIONS = frozenset(DEFAULT_LADDER)
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class HealthEvent:
     #: Which detector fired ("gvt_stall", "livelock", "rollback_thrash",
     #: "memory_growth", or "forced" for the test hook).
     detector: str
-    #: Ladder action taken ("throttle", "restore", "fallback", "abort").
+    #: Ladder action taken ("throttle", "restore", "abort").
     action: str
     #: Engine kind at the time ("sequential"/"conservative"/"optimistic").
     engine: str
@@ -226,11 +227,10 @@ class Watchdog:
     def bind(self, engine) -> None:
         """Called by ``attach_health``: resolve per-engine parameters.
 
-        Re-binding (a restore or fallback attempt) resets the per-run
-        progress baselines — a fresh engine starting from scratch or
-        from a snapshot must not inherit the sick run's position — but
-        keeps the ladder rung and event log, so repeated sickness
-        escalates instead of looping.
+        Re-binding (a restore attempt) resets the per-run progress
+        baselines — a fresh engine starting from a snapshot must not
+        inherit the sick run's position — but keeps the ladder rung and
+        event log, so repeated sickness escalates instead of looping.
         """
         self._engine_kind = engine.kind
         self._t0 = self.clock()

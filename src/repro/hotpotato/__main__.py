@@ -348,10 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.watchdog or args.health_out:
         from repro.health import HealthConfig, Watchdog
 
-        # A bare CLI run has no recovery loop to restore or fall back
-        # for it, so the ladder is throttle-then-abort; use
-        # repro.health.run_with_recovery (or the supervisor / chaos
-        # harness) for the full ladder.
+        # A bare CLI run has no recovery loop to restore it, so the
+        # ladder is throttle-then-abort; repro.health.run_with_recovery
+        # with a checkpointer adds the restore rung.
         watchdog = Watchdog(
             HealthConfig(ladder=("throttle", "abort")),
             sink=capture.health_sink,

@@ -51,7 +51,7 @@ def test_episode_upholds_invariants(disturbance, tmp_path):
     result = run_episode(_recipe(disturbance), tmp_path / "work")
     assert result.violations == []
     assert result.committed > 0
-    if disturbance in ("watchdog_restore", "watchdog_fallback"):
+    if disturbance == "watchdog_restore":
         assert result.actions, "forced watchdog episode recorded no recovery"
 
 

@@ -50,11 +50,9 @@ def test_optimistic_paranoid_run_clean():
     assert res.run.committed > 0
 
 
-@pytest.mark.parametrize("sync", ["yawns", "null"])
-def test_conservative_paranoid_run_clean(sync):
-    cfg = ConservativeConfig(
-        end_time=DURATION, n_pes=4, sync=sync, seed=SEED, paranoid=True
-    )
+@pytest.mark.parametrize("protocol", ["yawns"])  # the one conservative protocol
+def test_conservative_paranoid_run_clean(protocol):
+    cfg = ConservativeConfig(end_time=DURATION, n_pes=4, seed=SEED, paranoid=True)
     res = ConservativeKernel(_model(), cfg).run()
     assert res.run.committed > 0
 

@@ -105,14 +105,14 @@ def test_sequential_band_program_resume_every_snapshot(tmp_path):
     assert sum(got[0] == 1 for got in resumed) >= 2  # prefix snapshots
 
 
-def test_format_3_snapshot_refused_before_the_first_event(tmp_path):
-    """A format-3 sequential snapshot may cut a band in two, which the
-    band program cannot enter: the restore refuses it by number, before
-    anything runs."""
+def test_format_4_snapshot_refused_before_the_first_event(tmp_path):
+    """A snapshot of an older payload format (4: conservative snapshots
+    still carried channel clocks and a null-message count) is refused by
+    number, before anything runs."""
     from repro.ckpt.snapshot import read_snapshot, write_snapshot
     from repro.errors import SnapshotError
 
-    marker = {"case": "fmt3"}
+    marker = {"case": "fmt4"}
     snap_dir = tmp_path / "snaps"
     ckpt = Checkpointer(snap_dir, every=1, marker=marker, seq_events=SEQ_EVENTS)
     SequentialEngine(HotPotatoModel(_cfg()), DURATION, seed=SEED)\
@@ -123,26 +123,26 @@ def test_format_3_snapshot_refused_before_the_first_event(tmp_path):
     assert payload["pending"] and payload["loop"]["step"] > 1
     old_dir = tmp_path / "old"
     old_dir.mkdir()
-    write_snapshot(old_dir / mid.name, {**payload, "format": 3})
+    write_snapshot(old_dir / mid.name, {**payload, "format": 4})
 
     ck = Checkpointer(old_dir, every=1 << 30, marker=marker, seq_events=SEQ_EVENTS)
     ck.load_latest()
     model = HotPotatoModel(_cfg())
     entries = band_spy(model)
     fresh = SequentialEngine(model, DURATION, seed=SEED)
-    with pytest.raises(SnapshotError, match="payload format 3"):
+    with pytest.raises(SnapshotError, match="payload format 4"):
         fresh.attach_checkpointer(ck)
     assert fresh._resume is None and not fresh.pending
     assert entries == []
 
 
-@pytest.mark.parametrize("sync", ["yawns", "null"])
-def test_conservative_resume_every_snapshot(tmp_path, sync):
-    ccfg = ConservativeConfig(end_time=DURATION, n_pes=4, sync=sync, seed=SEED)
+@pytest.mark.parametrize("protocol", ["yawns"])  # the one conservative protocol
+def test_conservative_resume_every_snapshot(tmp_path, protocol):
+    ccfg = ConservativeConfig(end_time=DURATION, n_pes=4, seed=SEED)
     n = _check_resume_from_every_snapshot(
         tmp_path,
         lambda: ConservativeKernel(HotPotatoModel(_cfg()), ccfg),
-        {"case": f"cons-{sync}"},
+        {"case": f"cons-{protocol}"},
     )
     assert n > 3
 

@@ -1,4 +1,4 @@
-"""The run supervisor: watchdog kills, retries, fallback, resume."""
+"""The run supervisor: watchdog kills, retries, failure, resume."""
 
 import json
 import pickle
@@ -69,36 +69,11 @@ def test_happy_path_journals_done(tmp_path):
     assert statuses == ["started", "done"]
 
 
-def test_stalled_optimistic_point_falls_back_to_conservative(tmp_path):
-    """A child that never heartbeats is SIGKILLed by the watchdog; after
-    the retry budget, the supervisor substitutes the conservative engine
-    and journals the substitution."""
-    sup = Supervisor(
-        SupervisorConfig(
-            out_dir=tmp_path, heartbeat_timeout=1.0, max_retries=2,
-            backoff_base=0.05, poll_interval=0.05,
-        )
-    )
-    try:
-        res = sup.run_point(_opt_spec(sabotage="stall"))
-    finally:
-        sup.close()
-    assert res["run"].engine == "conservative"
-    assert res["model_stats"] == _oracle_stats()
-    docs = _manifest(sup)
-    retries = [d for d in docs if d["status"] == "retry"]
-    assert retries and all(d["outcome"] == "stall" for d in retries)
-    fallbacks = [d for d in docs if d["status"] == "fallback"]
-    assert len(fallbacks) == 1 and fallbacks[0]["engine"] == "cons"
-    # The conservative twin spec must not inherit the sabotage hook.
-    assert "sabotage" not in fallbacks[0]["spec"]
-
-
 def test_stall_without_fallback_raises_point_failure(tmp_path):
     sup = Supervisor(
         SupervisorConfig(
             out_dir=tmp_path, heartbeat_timeout=1.0, max_retries=1,
-            backoff_base=0.05, fallback=False, poll_interval=0.05,
+            backoff_base=0.05, poll_interval=0.05,
         )
     )
     try:

@@ -136,10 +136,10 @@ def test_hooked_band_program_leaves_no_cyclic_event():
     assert left == 0
 
 
-@pytest.mark.parametrize("sync", ["yawns", "null"])
-def test_conservative_leaves_no_cyclic_event(sync):
+@pytest.mark.parametrize("protocol", ["yawns"])  # the one conservative protocol
+def test_conservative_leaves_no_cyclic_event(protocol):
     kernel = ConservativeKernel(
-        _hotpotato(), ConservativeConfig(end_time=20.0, n_pes=4, sync=sync, seed=SEED)
+        _hotpotato(), ConservativeConfig(end_time=20.0, n_pes=4, seed=SEED)
     )
     left, _ = _events_left_to_the_collector(kernel)
     assert left == 0

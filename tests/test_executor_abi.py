@@ -77,7 +77,7 @@ def _engine(engine: str, seed: int, faulted: bool):
         return SequentialEngine(model, DURATION, seed=seed)
     if engine == "cons":
         ccfg = ConservativeConfig(
-            end_time=DURATION, n_pes=4, sync="yawns", seed=seed,
+            end_time=DURATION, n_pes=4, seed=seed,
             lookahead=model.lookahead,
         )
         return ConservativeKernel(model, ccfg)
@@ -225,7 +225,7 @@ def test_snapshot_with_old_payload_format_refused():
 
     engine = _engine("opt", GOLDEN_SEEDS[0], False)
     payload = engine.snapshot()
-    assert payload["format"] == PAYLOAD_FORMAT == 4
+    assert payload["format"] == PAYLOAD_FORMAT == 5
     fresh = _engine("opt", GOLDEN_SEEDS[0], False)
     with pytest.raises(SnapshotError, match="payload format 1"):
         fresh.restore({**payload, "format": 1})
@@ -385,7 +385,7 @@ def test_every_engine_serves_every_router_kind_from_the_table(engine):
         run = SequentialEngine(per_event_reference(model), DURATION, seed=7).run()
     else:
         ccfg = ConservativeConfig(
-            end_time=DURATION, n_pes=4, sync="yawns", seed=7,
+            end_time=DURATION, n_pes=4, seed=7,
             lookahead=model.lookahead,
         )
         run = ConservativeKernel(model, ccfg).run()

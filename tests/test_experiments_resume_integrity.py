@@ -119,7 +119,7 @@ def test_scenario_round_trip_and_tamper(tmp_path):
 
 
 def test_latest_journal_record_wins(tmp_path):
-    """Re-journaling a point (retry, fallback) updates the expected hash."""
+    """Re-journaling a point (a retry) updates the expected hash."""
     plan_path = _plan_file(tmp_path)
     spec = _faulted_spec(plan_path)
     sup = _supervisor(tmp_path / "sweep")
@@ -134,7 +134,7 @@ def test_latest_journal_record_wins(tmp_path):
 
 
 def test_supervisor_policy_is_a_recovery_policy(tmp_path):
-    """Retry/backoff/fallback ride the shared RecoveryPolicy."""
+    """Retry/backoff ride the shared RecoveryPolicy."""
     sup = Supervisor(SupervisorConfig(
         out_dir=tmp_path / "sweep", max_retries=5, backoff_base=0.25,
     ))
@@ -142,16 +142,45 @@ def test_supervisor_policy_is_a_recovery_policy(tmp_path):
         assert sup.policy.max_restores == 5
         assert sup.policy.backoff(1) == 0.25
         assert sup.policy.backoff(3) == 1.0
-        assert sup.policy.next_kind("optimistic") == "conservative"
     finally:
         sup.close()
-    no_fb = Supervisor(SupervisorConfig(
-        out_dir=tmp_path / "sweep2", fallback=False,
-    ))
+
+
+def test_manifest_with_an_engine_fallback_is_refused(tmp_path, capsys):
+    """A manifest from before the engine fallback was removed may journal
+    a Time Warp point rerun on the conservative engine; its pickled
+    result is a YAWNS run.  The resume refuses it, naming the point and
+    the fallback, before any point is served."""
+    from repro.experiments.runner import main
+
+    out = tmp_path / "sweep"
+    scen = report_scenario(4, 8.0, seed=7).to_dict()
+    spec = {"kind": "opt", "scenario": scen, "n_pes": 4, "n_kps": 16,
+            "batch_size": 16, "window": None, "overrides": None,
+            "telemetry": None, "checkpoint_every": 4}
+    twin = {"kind": "cons", "scenario": scen, "n_pes": 4,
+            "telemetry": None, "checkpoint_every": 4}
+    sup = _supervisor(out)
+    sup._journal(point="p1", status="started", engine="opt", spec=spec)
+    sup._journal(point="p1", status="fallback", engine="cons", spec=twin,
+                 reason="optimistic attempts exhausted (3)")
+    sup._journal(point="p1", status="started", engine="cons", spec=twin)
+    sup._journal(point="p1", status="done", engine="cons", attempts=1)
+    sup.journal_meta(experiments=["fig5"], params={"sizes": [4]})
+    sup.close()
+
+    resumed = _supervisor(out, resume=True)
     try:
-        assert no_fb.policy.next_kind("optimistic") is None
+        with pytest.raises(ResumeIntegrityError) as exc_info:
+            resumed.verify_resume_integrity()
     finally:
-        no_fb.close()
+        resumed.close()
+    msg = str(exc_info.value)
+    assert "p1" in msg and "fallback" in msg
+
+    assert main(["--resume", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "p1" in err and "fallback" in err
 
 
 def test_cli_bare_resume_refuses_tampered_input(tmp_path, capsys):

@@ -221,16 +221,13 @@ def _abl_adapt(table, params):
 
 
 def _abl_sync(table, params):
-    # All protocols commit the same work; only the null-message flavour
-    # sends nulls; Time Warp wins where lookahead windows starve (small N).
+    # Both protocols commit the same work; Time Warp wins where lookahead
+    # windows starve (small N).
     rows = _by(table, "N", "protocol")
+    assert {p for _, p in rows} == {"time-warp", "conservative/yawns"}
     for n in params.sizes:
-        tw, yawns, null = (
-            rows[n, p]
-            for p in ("time-warp", "conservative/yawns", "conservative/null")
-        )
-        assert tw["committed"] == yawns["committed"] == null["committed"]
-        assert null["null msgs"] > 0 == yawns["null msgs"]
+        tw, yawns = rows[n, "time-warp"], rows[n, "conservative/yawns"]
+        assert tw["committed"] == yawns["committed"]
     n0 = params.sizes[0]
     assert (
         rows[n0, "time-warp"]["event rate"]

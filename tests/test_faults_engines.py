@@ -130,10 +130,9 @@ def test_model_faults_identical_across_all_engines():
     assert _committed(seq_tr) == _committed(opt_tr)
     assert seq.model_stats == opt.model_stats
 
-    for sync in ("yawns", "null"):
-        ccfg = ConservativeConfig(end_time=CFG.duration, n_pes=4, sync=sync, seed=SEED)
-        cons = run_conservative(HotPotatoModel(CFG, fault_plan=plan), ccfg)
-        assert cons.model_stats == seq.model_stats, sync
+    ccfg = ConservativeConfig(end_time=CFG.duration, n_pes=4, seed=SEED)
+    cons = run_conservative(HotPotatoModel(CFG, fault_plan=plan), ccfg)
+    assert cons.model_stats == seq.model_stats
 
     # Faults actually bit: something was dropped or fault-deflected.
     ms = seq.model_stats
@@ -185,13 +184,10 @@ def test_pe_stalls_do_not_change_committed_results():
     assert opt.model_stats == seq.model_stats
     assert opt.run.pe_stall_rounds > 0
 
-    for sync in ("yawns", "null"):
-        ccfg = ConservativeConfig(end_time=CFG.duration, n_pes=4, sync=sync, seed=SEED)
-        cons = run_conservative(
-            HotPotatoModel(CFG), ccfg, faults=EngineFaults(plan)
-        )
-        assert cons.model_stats == seq.model_stats, sync
-        assert cons.run.pe_stall_rounds > 0, sync
+    ccfg = ConservativeConfig(end_time=CFG.duration, n_pes=4, seed=SEED)
+    cons = run_conservative(HotPotatoModel(CFG), ccfg, faults=EngineFaults(plan))
+    assert cons.model_stats == seq.model_stats
+    assert cons.run.pe_stall_rounds > 0
 
 
 def test_everything_at_once_stays_deterministic():

@@ -110,7 +110,7 @@ def test_committed_counts_are_golden(executor):
             model, calls = _spied(name)
             committed[name, "cons"] = run_conservative(
                 model,
-                ConservativeConfig(end_time=END, n_pes=4, sync="yawns", seed=SEED),
+                ConservativeConfig(end_time=END, n_pes=4, seed=SEED),
             ).run.committed
             table_calls[name, "cons"] = sum(calls)
     else:

@@ -1,10 +1,10 @@
-"""The degradation ladder's heavy rungs: restore, fallback, abort.
+"""The degradation ladder's heavy rungs: restore and abort.
 
-The convergence contract (docs/HEALTH.md): every watchdog-triggered
-recovery — restore from the last good snapshot, or fall back to a more
-conservative engine — must produce exactly the committed results the
-undisturbed run produces.  Committed results are engine-independent and
-snapshot grafts are bit-exact, so recovery never changes the science.
+The convergence contract (docs/HEALTH.md): a watchdog-triggered restore
+from the last good snapshot must produce exactly the committed results
+the undisturbed run produces (snapshot grafts are bit-exact, so recovery
+never changes the science), and a run that cannot be restored aborts on
+its own engine rather than being recomputed on another.
 """
 
 import json
@@ -13,13 +13,9 @@ import pytest
 
 from repro.ckpt import Checkpointer
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, ConservativeKernel
-from repro.core.engine import SequentialEngine
 from repro.core.optimistic import TimeWarpKernel
-from repro.core.trace import Tracer
 from repro.errors import HealthAbort
 from repro.health import (
-    FALLBACK_CHAIN,
     HealthConfig,
     RecoveryPolicy,
     Watchdog,
@@ -39,18 +35,9 @@ def _model() -> HotPotatoModel:
     )
 
 
-def _build(kind: str):
-    model = _model()
-    if kind == "sequential":
-        return SequentialEngine(model, DURATION, seed=SEED)
-    if kind == "conservative":
-        return ConservativeKernel(
-            model,
-            ConservativeConfig(end_time=DURATION, n_pes=2, seed=SEED,
-                               lookahead=model.lookahead),
-        )
+def _build():
     return TimeWarpKernel(
-        model,
+        _model(),
         EngineConfig(end_time=DURATION, n_pes=2, n_kps=8, batch_size=16,
                      seed=SEED),
     )
@@ -58,25 +45,13 @@ def _build(kind: str):
 
 @pytest.fixture(scope="module")
 def baseline():
-    """Undisturbed optimistic run: stats + committed sequence."""
-    tracer = Tracer()
-    result = _build("optimistic").attach_tracer(tracer).run()
-    return result.model_stats, tracer.committed_sequence()
+    """Undisturbed optimistic run's model statistics."""
+    return _build().run().model_stats
 
 
 # ----------------------------------------------------------------------
 # RecoveryPolicy mechanics.
 # ----------------------------------------------------------------------
-def test_policy_fallback_chain():
-    policy = RecoveryPolicy()
-    assert FALLBACK_CHAIN == ("optimistic", "conservative", "sequential")
-    assert policy.next_kind("optimistic") == "conservative"
-    assert policy.next_kind("conservative") == "sequential"
-    assert policy.next_kind("sequential") is None
-    assert policy.next_kind("bogus") is None
-    assert RecoveryPolicy(fallback=False).next_kind("optimistic") is None
-
-
 def test_policy_backoff_doubles():
     policy = RecoveryPolicy(backoff_base=0.5)
     assert [policy.backoff(a) for a in (1, 2, 3)] == [0.5, 1.0, 2.0]
@@ -85,80 +60,56 @@ def test_policy_backoff_doubles():
 # ----------------------------------------------------------------------
 # Recovery convergence.
 # ----------------------------------------------------------------------
-def test_forced_fallback_converges_on_baseline(baseline):
-    """opt raises mid-run; the conservative rebuild commits identically."""
-    base_stats, base_sequence = baseline
-    wd = Watchdog(
-        HealthConfig(trip_at_boundary=5, ladder=("fallback", "abort")),
-    )
-    tracers = {}
-
-    def build(kind):
-        engine = _build(kind)
-        tracers[id(engine)] = Tracer()
-        return engine.attach_tracer(tracers[id(engine)])
-
-    actions = []
-    rec = run_with_recovery(
-        build, wd, kind="optimistic",
-        policy=RecoveryPolicy(backoff_base=0.0),
-        sleep=lambda _s: None, on_action=actions.append,
-    )
-    assert rec.kind == "conservative"
-    assert rec.recovered
-    assert [a["action"] for a in rec.actions] == ["fallback"]
-    assert actions == rec.actions  # on_action saw the same journal
-    assert rec.actions[0]["to"] == "conservative"
-    assert rec.result.model_stats == base_stats
-    assert tracers[id(rec.engine)].committed_sequence() == base_sequence
-
-
 def test_forced_restore_converges_on_baseline(tmp_path, baseline):
     """opt raises after snapshots exist; the graft resumes and converges."""
-    base_stats, _ = baseline
     ckpt = Checkpointer(tmp_path / "ckpt", every=2)
     wd = Watchdog(
         HealthConfig(trip_at_boundary=40, ladder=("restore", "abort")),
     )
     slept = []
+    actions = []
     rec = run_with_recovery(
-        lambda kind: _build(kind), wd, kind="optimistic",
+        _build, wd,
         policy=RecoveryPolicy(max_restores=2, backoff_base=0.25),
-        ckpt=ckpt, sleep=slept.append,
+        ckpt=ckpt, sleep=slept.append, on_action=actions.append,
     )
-    assert rec.kind == "optimistic"
+    assert rec.recovered
+    assert rec.engine.kind == "optimistic"
     assert [a["action"] for a in rec.actions] == ["restore"]
+    assert actions == rec.actions  # on_action saw the same journal
     assert rec.actions[0]["snapshot"].endswith(".rpsnap")
     assert slept == [0.25]
-    assert rec.result.model_stats == base_stats
+    assert rec.result.model_stats == baseline
 
 
-def test_restore_without_checkpointer_escalates_to_fallback(baseline):
-    base_stats, _ = baseline
+def test_restore_without_checkpointer_escalates_to_abort():
+    """Nothing to restore from: the next rung is abort, on the same
+    engine — the run is never recomputed on another one."""
     wd = Watchdog(
-        HealthConfig(trip_at_boundary=5,
-                     ladder=("restore", "fallback", "abort")),
+        HealthConfig(trip_at_boundary=5, ladder=("restore", "abort")),
     )
-    rec = run_with_recovery(
-        lambda kind: _build(kind), wd, kind="optimistic",
-        policy=RecoveryPolicy(backoff_base=0.0), sleep=lambda _s: None,
-    )
-    assert rec.kind == "conservative"
-    assert [a["action"] for a in rec.actions] == ["fallback"]
-    assert rec.result.model_stats == base_stats
+    built = []
+
+    def build():
+        built.append(_build())
+        return built[-1]
+
+    actions = []
+    with pytest.raises(HealthAbort, match="on optimistic engine"):
+        run_with_recovery(
+            build, wd, policy=RecoveryPolicy(backoff_base=0.0),
+            sleep=lambda _s: None, on_action=actions.append,
+        )
+    assert len(built) == 1
+    assert [a["action"] for a in actions] == ["abort"]
 
 
 def test_exhausted_ladder_aborts_with_forensics_bundle(tmp_path):
-    """No fallback allowed: the ladder ends in abort + a forensics bundle."""
+    """The ladder ends in abort + a forensics bundle."""
     wd = Watchdog(HealthConfig(trip_at_boundary=5, ladder=("abort",)))
-    policy = RecoveryPolicy(
-        fallback=False, forensics_dir=tmp_path / "forensics"
-    )
+    policy = RecoveryPolicy(forensics_dir=tmp_path / "forensics")
     with pytest.raises(HealthAbort) as exc_info:
-        run_with_recovery(
-            lambda kind: _build(kind), wd, kind="optimistic",
-            policy=policy, sleep=lambda _s: None,
-        )
+        run_with_recovery(_build, wd, policy=policy, sleep=lambda _s: None)
     manifest = tmp_path / "forensics" / "forensics.json"
     assert str(manifest) in str(exc_info.value)
     doc = json.loads(manifest.read_text())
@@ -167,10 +118,7 @@ def test_exhausted_ladder_aborts_with_forensics_bundle(tmp_path):
 
 
 def test_unwatched_run_with_recovery_is_a_plain_run(baseline):
-    base_stats, _ = baseline
-    rec = run_with_recovery(
-        lambda kind: _build(kind), Watchdog(), kind="optimistic",
-    )
+    rec = run_with_recovery(_build, Watchdog())
     assert not rec.recovered
     assert rec.actions == []
-    assert rec.result.model_stats == base_stats
+    assert rec.result.model_stats == baseline

@@ -280,7 +280,7 @@ def test_throttle_action_tightens_optimistic_throttle_in_run():
 
 
 # ----------------------------------------------------------------------
-# Rebinding semantics (restore / fallback attempts).
+# Rebinding semantics (restore attempts).
 # ----------------------------------------------------------------------
 def test_rebind_resets_progress_but_keeps_rung_and_events():
     wd = Watchdog(
@@ -311,8 +311,17 @@ def test_rebind_resets_progress_but_keeps_rung_and_events():
 # Config and event plumbing.
 # ----------------------------------------------------------------------
 def test_default_ladder_order():
-    assert DEFAULT_LADDER == ("throttle", "restore", "fallback", "abort")
+    assert DEFAULT_LADDER == ("throttle", "restore", "abort")
     assert HealthConfig().ladder == DEFAULT_LADDER
+
+
+@pytest.mark.parametrize("action", ["fallback", "bogus"])
+def test_unknown_ladder_action_refused_by_name(action):
+    """The engine fallback left the ladder: naming it is refused up
+    front, like any other unknown action, and the message names it."""
+    ladder = ("fallback", "abort") if action == "fallback" else (action,)
+    with pytest.raises(ConfigurationError, match=repr(action)):
+        HealthConfig(ladder=ladder)
 
 
 @pytest.mark.parametrize(

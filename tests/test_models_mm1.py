@@ -91,12 +91,9 @@ def test_optimistic_matches_sequential():
 
 def test_conservative_matches_sequential():
     oracle = run_sequential(MM1Model(CFG), 500.0, seed=3).model_stats
-    for sync in ("yawns", "null"):
-        cfg = ConservativeConfig(
-            end_time=500.0, n_pes=3, sync=sync, mapping="striped", seed=3
-        )
-        result = run_conservative(MM1Model(CFG), cfg)
-        assert result.model_stats == oracle
+    cfg = ConservativeConfig(end_time=500.0, n_pes=3, mapping="striped", seed=3)
+    result = run_conservative(MM1Model(CFG), cfg)
+    assert result.model_stats == oracle
 
 
 def test_tandem_stations_all_process():

@@ -118,17 +118,14 @@ def test_sequential_detached_engine_has_no_recorder():
 
 
 def test_conservative_samples_per_round():
-    for sync in ("yawns", "null"):
-        rec = MetricsRecorder()
-        result = run_conservative(
-            PholdModel(PHOLD),
-            ConservativeConfig(end_time=END, n_pes=4, sync=sync),
-            metrics=rec,
-        )
-        run = result.run
-        assert rec.samples
-        assert sum(s.committed for s in rec.samples) == run.committed
-        assert all(s.gvt <= END for s in rec.samples)
+    rec = MetricsRecorder()
+    result = run_conservative(
+        PholdModel(PHOLD), ConservativeConfig(end_time=END, n_pes=4), metrics=rec
+    )
+    run = result.run
+    assert rec.samples
+    assert sum(s.committed for s in rec.samples) == run.committed
+    assert all(s.gvt <= END for s in rec.samples)
 
 
 def test_streaming_only_mode_keeps_nothing():

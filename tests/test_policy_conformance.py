@@ -70,7 +70,7 @@ def _run(engine, policy_name, seed, faulted, adversarial=False):
         kernel = ConservativeKernel(
             model,
             ConservativeConfig(
-                end_time=DURATION, n_pes=4, sync="yawns", seed=seed,
+                end_time=DURATION, n_pes=4, seed=seed,
                 lookahead=model.lookahead,
             ),
         )

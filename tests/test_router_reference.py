@@ -98,7 +98,7 @@ def _run(model, engine: str):
         result = run_sequential(model, DURATION, seed=SEED, tracer=tracer)
     elif engine == "cons":
         ccfg = ConservativeConfig(
-            end_time=DURATION, n_pes=4, sync="yawns", seed=SEED,
+            end_time=DURATION, n_pes=4, seed=SEED,
             lookahead=model.lookahead,
         )
         result = run_conservative(model, ccfg, tracer=tracer)
