@@ -9,12 +9,9 @@ two on the same workload and the same hostile mapping.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    SweepParams,
-    kp_count_for,
-    run_hotpotato_parallel,
-)
+from repro.experiments.common import SweepParams, kp_count_for, run_point
 from repro.experiments.report import Table
+from repro.scenarios import report_scenario
 
 __all__ = ["run"]
 
@@ -38,20 +35,18 @@ def run(params: SweepParams) -> Table:
     )
     rolled: dict[int, dict[bool, int]] = {}
     for n in params.sizes:
+        scenario = report_scenario(n, params.duration, seed=params.seed)
         n_kps = kp_count_for(n, 16, 4)
         for adaptive in (False, True):
-            result = run_hotpotato_parallel(
-                n,
-                1.0,
-                params.duration,
-                params.seed,
+            rs = run_point(
+                "opt",
+                scenario,
                 n_pes=4,
                 n_kps=n_kps,
                 batch_size=BATCH_CEILING,
                 mapping="random",
                 adaptive=adaptive,
-            )
-            rs = result.run
+            )["run"]
             table.add_row(
                 n,
                 "adaptive" if adaptive else "fixed",

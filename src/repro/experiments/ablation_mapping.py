@@ -12,12 +12,9 @@ and random mappings on an identical workload.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    SweepParams,
-    kp_count_for,
-    run_hotpotato_parallel,
-)
+from repro.experiments.common import SweepParams, kp_count_for, run_point
 from repro.experiments.report import Table
+from repro.scenarios import report_scenario
 
 __all__ = ["run"]
 
@@ -39,21 +36,18 @@ def run(params: SweepParams) -> Table:
         ],
     )
     for n in params.sizes:
+        scenario = report_scenario(n, params.duration, seed=params.seed)
         n_kps = kp_count_for(n, 16, 4)
         remote_by_mapping: dict[str, int] = {}
         for mapping in MAPPINGS:
-            result = run_hotpotato_parallel(
-                n,
-                1.0,
-                params.duration,
-                params.seed,
+            rs = run_point(
+                "opt",
+                scenario,
                 n_pes=4,
                 n_kps=n_kps,
-                batch_size=params.batch_size,
-                window=params.window,
                 mapping=mapping,
-            )
-            rs = result.run
+                **params.optimism(),
+            )["run"]
             sends = rs.local_sends + rs.remote_sends
             table.add_row(
                 n,

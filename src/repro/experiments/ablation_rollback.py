@@ -26,19 +26,20 @@ import time
 
 from repro.core.config import EngineConfig
 from repro.core.optimistic import run_optimistic
-from repro.experiments.common import (
-    SweepParams,
-    kp_count_for,
-    run_hotpotato_parallel,
-)
+from repro.experiments.common import SweepParams, kp_count_for, run_point
 from repro.experiments.report import Table
 from repro.models.phold import PholdConfig, PholdModel
+from repro.scenarios import report_scenario
 
 __all__ = ["run"]
 
 
 def _run_phold(n: int, params: SweepParams, n_kps: int, strategy: str):
-    """One PHOLD run on an n*n LP population at 4 PEs."""
+    """One PHOLD run on an n*n LP population at 4 PEs.
+
+    PHOLD is not a hot-potato model, so it has no scenario document and
+    runs on the engine directly, outside the sweep points.
+    """
     cfg = EngineConfig(
         end_time=params.duration,
         n_pes=4,
@@ -67,26 +68,23 @@ def run(params: SweepParams) -> Table:
     )
     pairs: dict[tuple[int, str], dict[str, float]] = {}
     for n in params.sizes:
+        scenario = report_scenario(n, params.duration, seed=params.seed)
         n_kps = kp_count_for(n, 16, 4)
         for workload in ("hotpotato", "phold"):
             for strategy in ("reverse", "copy"):
                 wall0 = time.perf_counter()
                 if workload == "hotpotato":
-                    result = run_hotpotato_parallel(
-                        n,
-                        1.0,
-                        params.duration,
-                        params.seed,
+                    run_stats = run_point(
+                        "opt",
+                        scenario,
                         n_pes=4,
                         n_kps=n_kps,
-                        batch_size=params.batch_size,
-                        window=params.window,
                         rollback=strategy,
-                    )
+                        **params.optimism(),
+                    )["run"]
                 else:
-                    result = _run_phold(n, params, n_kps, strategy)
+                    run_stats = _run_phold(n, params, n_kps, strategy).run
                 wall = time.perf_counter() - wall0
-                run_stats = result.run
                 table.add_row(
                     n,
                     workload,

@@ -15,15 +15,9 @@ Time Warp, barrier rounds for YAWNS) and cost-model event rate.
 
 from __future__ import annotations
 
-from repro.core.conservative import ConservativeConfig, ConservativeKernel
-from repro.experiments.common import (
-    SweepParams,
-    kp_count_for,
-    run_hotpotato_parallel,
-)
+from repro.experiments.common import SweepParams, kp_count_for, run_point
 from repro.experiments.report import Table
-from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
+from repro.scenarios import report_scenario
 
 __all__ = ["run"]
 
@@ -44,51 +38,36 @@ def run(params: SweepParams) -> Table:
         ],
     )
     for n in params.sizes:
-        hcfg = HotPotatoConfig(
-            n=n, duration=params.duration, injector_fraction=1.0
-        )
-        # Time Warp.
-        tw = run_hotpotato_parallel(
-            n,
-            1.0,
-            params.duration,
-            params.seed,
+        scenario = report_scenario(n, params.duration, seed=params.seed)
+        tw = run_point(
+            "opt",
+            scenario,
             n_pes=N_PES,
             n_kps=kp_count_for(n, 16, N_PES),
-            batch_size=params.batch_size,
-            window=params.window,
-        )
+            **params.optimism(),
+        )["run"]
         table.add_row(
             n,
             "time-warp",
-            tw.run.committed,
-            tw.run.events_rolled_back,
-            tw.run.gvt_rounds,
-            tw.run.event_rate,
+            tw.committed,
+            tw.events_rolled_back,
+            tw.gvt_rounds,
+            tw.event_rate,
         )
         # Conservative: YAWNS barrier windows.
-        kernel = ConservativeKernel(
-            HotPotatoModel(hcfg),
-            ConservativeConfig(
-                end_time=params.duration,
-                n_pes=N_PES,
-                mapping="block",
-                seed=params.seed,
-            ),
-        )
-        cons = kernel.run()
+        cons = run_point("cons", scenario, n_pes=N_PES)["run"]
         table.add_row(
             n,
             "conservative/yawns",
-            cons.run.committed,
+            cons.committed,
             0,
-            kernel.rounds,
-            cons.run.event_rate,
+            cons.gvt_rounds,
+            cons.event_rate,
         )
-        if cons.run.event_rate > 0:
+        if cons.event_rate > 0:
             table.notes.append(
                 f"N={n}: Time Warp runs at "
-                f"{tw.run.event_rate / cons.run.event_rate:.2f}x the YAWNS "
+                f"{tw.event_rate / cons.event_rate:.2f}x the YAWNS "
                 "rate (lookahead 0.1 steps)"
             )
     table.notes.append(

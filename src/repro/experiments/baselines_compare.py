@@ -12,21 +12,16 @@ Two comparisons in one table:
 
 from __future__ import annotations
 
-from repro.baselines import (
-    BufferedConfig,
-    BufferedModel,
-    DimensionOrderPolicy,
-    GreedyPolicy,
-    RandomDeflectionPolicy,
-)
+from repro.baselines import BufferedConfig, BufferedModel
 from repro.core.engine import run_sequential
-from repro.experiments.common import SweepParams
+from repro.experiments.common import SweepParams, run_point
 from repro.experiments.report import Table
-from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
-from repro.hotpotato.policy import BuschHotPotatoPolicy
+from repro.scenarios import report_scenario
 
 __all__ = ["run"]
+
+#: The deflection algorithms compared, by routing-policy name.
+POLICIES = ("busch", "greedy", "dimension-order", "random-deflection")
 
 
 def run(params: SweepParams) -> Table:
@@ -43,35 +38,29 @@ def run(params: SweepParams) -> Table:
             "link util",
         ],
     )
-    policies = (
-        BuschHotPotatoPolicy(),
-        GreedyPolicy(),
-        DimensionOrderPolicy(),
-        RandomDeflectionPolicy(),
-    )
     for n in params.sizes:
-        hcfg = HotPotatoConfig(
-            n=n,
-            duration=params.duration,
-            injector_fraction=1.0,
-            heartbeat=True,  # sample link utilisation
-        )
         util_by_algo: dict[str, float] = {}
-        for policy in policies:
-            result = run_sequential(
-                HotPotatoModel(hcfg, policy), hcfg.duration, seed=params.seed
-            )
-            ms = result.model_stats
+        for policy in POLICIES:
+            ms = run_point("seq", report_scenario(
+                n,
+                params.duration,
+                policy=policy,
+                overrides={"heartbeat": True},  # sample link utilisation
+                seed=params.seed,
+            ))["model_stats"]
             table.add_row(
                 n,
-                policy.name,
+                policy,
                 ms["delivered"],
                 ms["avg_delivery_time"],
                 ms["max_delivery_time"],
                 ms["avg_inject_wait"],
                 ms["link_utilization"],
             )
-            util_by_algo[policy.name] = ms["link_utilization"]
+            util_by_algo[policy] = ms["link_utilization"]
+        # The buffered network is not a hot-potato model, so it has no
+        # scenario document and runs on the engine directly, outside the
+        # sweep points.
         bcfg = BufferedConfig(n=n, duration=params.duration, window=4)
         result = run_sequential(BufferedModel(bcfg), bcfg.duration, seed=params.seed)
         ms = result.model_stats

@@ -1,10 +1,13 @@
 """Shared plumbing for the figure-reproduction experiments.
 
-A run of the workhorses below is a sweep point: a scenario document
-(:func:`repro.scenarios.report_scenario`, or a scenario file named by
-path and identity) plus engine settings.  The same point spec runs
-in-process through :func:`repro.experiments.pointworker.run_spec` or, under
-a supervisor, in a checkpointed child process running that function.
+Every hot-potato run an experiment makes is a sweep point, run by
+:func:`run_point`: a point kind (``seq`` / ``opt`` / ``cons``), a
+scenario — a :func:`repro.scenarios.report_scenario` document, or a
+scenario file named by path and identity — and engine settings.  The
+same point spec runs in-process through
+:func:`repro.experiments.pointworker.run_spec` or, under a supervisor,
+in a checkpointed child process running that function; either way the
+experiment gets the same result document back.
 """
 
 from __future__ import annotations
@@ -13,31 +16,30 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.mapping import kp_count_for
-from repro.core.result import RunResult
 
 __all__ = [
     "SweepParams",
-    "run_hotpotato_sequential",
-    "run_hotpotato_parallel",
-    "run_scenario_point",
+    "run_point",
     "kp_count_for",
     "set_telemetry_dir",
     "set_supervisor",
     "set_parallelism",
+    "take_in_process_points",
 ]
 
-#: When set (see :func:`set_telemetry_dir`), every hot-potato run the
-#: experiment workhorses execute records its GVT-interval metrics to one
-#: JSONL file in this directory, named from the run parameters.
+#: When set (see :func:`set_telemetry_dir`), every point :func:`run_point`
+#: executes records its GVT-interval metrics to one JSONL file in this
+#: directory, named by the point's id.
 _TELEMETRY_DIR: Path | None = None
 
 
 def set_telemetry_dir(directory: Path | str | None) -> None:
-    """Enable (or, with ``None``, disable) per-run telemetry capture.
+    """Enable (or, with ``None``, disable) per-point telemetry capture.
 
-    Used by the experiments CLI's ``--telemetry-dir``; repeated runs with
-    identical parameters overwrite each other's file (the runs are
-    deterministic, so nothing is lost).
+    Used by the experiments CLI's ``--telemetry-dir``.  Each point writes
+    ``<point id>.jsonl`` (:func:`repro.experiments.supervisor.point_id`
+    of its spec), so two points share a file only if they are the same
+    point — and points are deterministic, so nothing is lost.
     """
     global _TELEMETRY_DIR
     _TELEMETRY_DIR = None if directory is None else Path(directory)
@@ -45,36 +47,39 @@ def set_telemetry_dir(directory: Path | str | None) -> None:
         _TELEMETRY_DIR.mkdir(parents=True, exist_ok=True)
 
 
-#: When set (see :func:`set_supervisor`), the workhorses below do not
-#: simulate in this process: each run becomes a sweep-point spec handed
-#: to the :class:`repro.experiments.supervisor.Supervisor`, which
-#: executes it in a watchdogged child process with checkpoint/resume
-#: and bounded retries, on the engine the spec names.
+#: When set (see :func:`set_supervisor`), :func:`run_point` does not
+#: simulate in this process: each point spec is handed to the
+#: :class:`repro.experiments.supervisor.Supervisor`, which executes it in
+#: a watchdogged child process with checkpoint/resume and bounded
+#: retries, on the engine the spec names.
 _SUPERVISOR = None
 
 
 def set_supervisor(supervisor) -> None:
-    """Route every subsequent workhorse run through ``supervisor``
-    (``None`` restores in-process execution)."""
+    """Route every subsequent point through ``supervisor`` (``None``
+    restores in-process execution)."""
     global _SUPERVISOR
     _SUPERVISOR = supervisor
 
 
-#: When set (see :func:`set_parallelism`), every Time Warp run the
-#: workhorses execute goes through process mode: ``(procs, gvt_interval)``.
+#: When set (see :func:`set_parallelism`), every Time Warp point runs in
+#: process mode: ``(procs, gvt_interval)``.
 _PARALLELISM: tuple[int, int] | None = None
+#: ``(N, PEs)`` of the Time Warp points ``procs`` could not split since
+#: :func:`take_in_process_points` was last called.
+_IN_PROCESS: set[tuple[int, int]] = set()
 
 
 def set_parallelism(procs: int | None, gvt_interval: int = 8) -> None:
-    """Route subsequent :func:`run_hotpotato_parallel` calls through
-    ``procs`` OS worker processes (``None`` restores in-process runs).
+    """Run subsequent Time Warp points (``opt`` points that do not set
+    ``procs`` themselves) over ``procs`` OS worker processes (``None``
+    restores in-process runs); supervised points included.
 
     Committed results are bit-identical either way, so every figure's
-    numbers are unchanged — only the wall-clock profile moves.  Points
-    whose PE count is not a multiple of ``procs`` fall back to the
-    in-process engine (a PE cannot be split across workers), as do
-    supervised (``--out-dir``) sweeps, whose points already run in their
-    own checkpointed child processes.  ``gvt_interval`` replaces the
+    numbers are unchanged — only the wall-clock profile moves.  A point
+    whose PE count is not a multiple of ``procs`` runs in-process (a PE
+    cannot be split across workers) and is named by
+    :func:`take_in_process_points`.  ``gvt_interval`` replaces the
     engine default of 1 because in process mode every GVT is a
     cross-process stop-and-drain wave worth amortising.
     """
@@ -82,34 +87,14 @@ def set_parallelism(procs: int | None, gvt_interval: int = 8) -> None:
     _PARALLELISM = None if procs is None else (procs, gvt_interval)
 
 
-def _telemetry_path(tag: str) -> str | None:
-    if _TELEMETRY_DIR is None:
+def take_in_process_points() -> str | None:
+    """A table note naming the Time Warp points ``procs`` did not split
+    since the last call (``None`` when there were none)."""
+    if not _IN_PROCESS:
         return None
-    return str(_TELEMETRY_DIR / f"{tag}.jsonl")
-
-
-def _run_point(spec: dict, tag: str) -> RunResult:
-    """Run one point spec in-process, or hand it to the supervisor."""
-    spec["telemetry"] = _telemetry_path(tag)
-    if _SUPERVISOR is None:
-        # Imported here: ``python -m repro.experiments.pointworker`` must
-        # not find the module already loaded by this package's import.
-        from repro.experiments.pointworker import run_spec
-
-        return run_spec(spec)
-    spec["checkpoint_every"] = _SUPERVISOR.cfg.checkpoint_every
-    doc = _SUPERVISOR.run_point(spec)
-    # The child strips the LPs (their fused handlers don't pickle);
-    # every experiment consumes only the statistics.
-    return RunResult(model_stats=doc["model_stats"], run=doc["run"], lps=[])
-
-
-def _report_doc(n: int, load: float, duration: float, seed: int, fault) -> dict:
-    from repro.scenarios import report_scenario
-
-    return report_scenario(
-        n, duration, injector_fraction=load, seed=seed, faults=fault
-    ).to_dict()
+    names = ", ".join(f"N={n} on {pes} PEs" for n, pes in sorted(_IN_PROCESS))
+    _IN_PROCESS.clear()
+    return f"--procs does not divide the PE count of {names}: these points ran in-process"
 
 
 #: Injection loads used by Figs 3 and 4 ("% Injecting Routers").
@@ -163,78 +148,67 @@ class SweepParams:
         """The independent seeds used for replicated data points."""
         return tuple(self.seed + i for i in range(self.replications))
 
+    def optimism(self) -> dict:
+        """Time Warp settings of the windowed sweeps: the virtual-time
+        ``window`` drives per-round optimism (ROSS-like) and the batch
+        size becomes a generous cap."""
+        return {"batch_size": max(self.batch_size, 1 << 20), "window": self.window}
 
-def run_hotpotato_sequential(
-    n: int, load: float, duration: float, seed: int, *, fault=None
-) -> RunResult:
-    """One sequential hot-potato run (the Fig 3/4 workhorse).
 
-    ``fault`` is the scenario's ``faults`` section — a plan path or
-    ``{"generate": {"link_fail_rate": r, "seed": s}}`` — so the run stays
-    one JSON point spec, supervised or not.
+def run_point(kind: str, scenario, **settings) -> dict:
+    """Run one sweep point; returns its result document.
+
+    ``kind`` is a point kind (``seq`` / ``opt`` / ``cons``); ``scenario``
+    is a :class:`~repro.scenarios.Scenario` document (see
+    :func:`~repro.scenarios.report_scenario`) or the path of a scenario
+    file.  ``settings`` are the engine settings ``n_pes`` / ``n_kps`` /
+    ``batch_size`` / ``window`` — the scenario's ``engine`` section
+    supplies those not given — and any further
+    :class:`~repro.core.config.EngineConfig` fields (``mapping``,
+    ``rollback``, ``procs``, ...).  A file is named in the spec by path
+    *and* compiled identity; the point worker re-compiles it and refuses
+    to run if it changed since the sweep was launched, so ``--resume`` is
+    exact.
+
+    The document is :func:`~repro.experiments.pointworker.run_spec`'s:
+    ``model_stats`` and ``run``, plus ``delivery_log`` when the scenario
+    declares one; a sequential point of a scenario file adds latency
+    percentiles to ``model_stats``.
     """
-    spec = {"kind": "seq", "scenario": _report_doc(n, load, duration, seed, fault)}
-    return _run_point(spec, f"seq_n{n}_load{load:g}_d{duration:g}_s{seed}")
-
-
-def run_hotpotato_parallel(
-    n: int,
-    load: float,
-    duration: float,
-    seed: int,
-    *,
-    n_pes: int,
-    n_kps: int,
-    batch_size: int = 16,
-    window: float | None = None,
-    fault=None,
-    **overrides,
-) -> RunResult:
-    """One Time Warp hot-potato run (the Fig 5-8 workhorse).
-
-    When ``window`` is given, the batch size becomes a generous cap and
-    the virtual-time window drives per-round optimism (ROSS-like).
-    ``fault`` is as in :func:`run_hotpotato_sequential`; ``overrides``
-    are further :class:`~repro.core.config.EngineConfig` fields.
-    """
-    if window is not None:
-        batch_size = max(batch_size, 1 << 20)
-    if _SUPERVISOR is None and _PARALLELISM is not None and "procs" not in overrides:
-        procs, gvt_interval = _PARALLELISM
-        # A PE cannot be split across workers, so points whose PE count
-        # doesn't tile over the processes stay in-process (results are
-        # bit-identical either way).
-        if n_pes % procs == 0:
-            overrides["procs"] = procs
-            overrides.setdefault("gvt_interval", gvt_interval)
-    spec = {
-        "kind": "opt", "scenario": _report_doc(n, load, duration, seed, fault),
-        "n_pes": n_pes, "n_kps": n_kps, "batch_size": batch_size,
-        "window": window, "overrides": overrides or None,
-    }
-    return _run_point(
-        spec, f"opt_n{n}_load{load:g}_d{duration:g}_pe{n_pes}_kp{n_kps}_s{seed}"
-    )
-
-
-def run_scenario_point(path: str, *, kind: str = "seq") -> RunResult:
-    """One declared-scenario run (the scenario-compare workhorse).
-
-    ``kind`` is a point kind (``seq`` / ``opt`` / ``cons``); everything
-    else — topology, traffic, policy, duration, seed, faults and the
-    parallel-engine defaults — comes from the scenario file itself.  The
-    spec names the file by path *and* compiled identity; the point worker
-    re-compiles it and refuses to run if it changed since the sweep was
-    launched, so ``--resume`` is exact.  Sequential runs add latency
-    percentiles to ``model_stats`` (see :func:`run_spec`).
-    """
-    from repro.experiments.pointworker import POINT_KINDS
+    # Imported here: ``python -m repro.experiments.pointworker`` must not
+    # find the module already loaded by this package's import.
+    from repro.experiments.pointworker import POINT_KINDS, SETTINGS, run_spec
     from repro.scenarios import compile_scenario, load_scenario
 
-    compiled = compile_scenario(load_scenario(path))
+    overrides = {k: settings.pop(k) for k in list(settings) if k not in SETTINGS}
+    if isinstance(scenario, (str, Path)):
+        compiled = compile_scenario(load_scenario(scenario))
+        doc = {"path": str(scenario), "hash": compiled.scenario_hash()}
+    else:
+        compiled = compile_scenario(scenario)
+        doc = scenario.to_dict()
     spec = {
-        "kind": kind,
-        "scenario": {"path": str(path), "hash": compiled.scenario_hash()},
-        **compiled.engine_settings(POINT_KINDS[kind]),
+        "kind": kind, "scenario": doc,
+        **compiled.engine_settings(POINT_KINDS[kind]), **settings,
     }
-    return _run_point(spec, f"scen_{compiled.name}_{kind}_s{compiled.sim.seed}")
+    if kind == "opt" and _PARALLELISM is not None and "procs" not in overrides:
+        procs, gvt_interval = _PARALLELISM
+        if spec["n_pes"] % procs == 0:
+            overrides["procs"] = procs
+            overrides.setdefault("gvt_interval", gvt_interval)
+        else:
+            _IN_PROCESS.add((compiled.sim.cfg.n, spec["n_pes"]))
+    if overrides or (kind == "opt" and "path" not in doc):
+        # Inline Time Warp points have always carried the key; keeping
+        # it keeps their point ids and checkpoint markers.
+        spec["overrides"] = overrides or None
+    telemetry = None
+    if _TELEMETRY_DIR is not None:
+        from repro.experiments.supervisor import point_id
+
+        telemetry = str(_TELEMETRY_DIR / f"{point_id(spec)}.jsonl")
+    spec["telemetry"] = telemetry
+    if _SUPERVISOR is None:
+        return run_spec(spec)
+    spec["checkpoint_every"] = _SUPERVISOR.cfg.checkpoint_every
+    return _SUPERVISOR.run_point(spec)

@@ -16,13 +16,9 @@ when others execute.
 
 from __future__ import annotations
 
-from repro.core.config import EngineConfig
-from repro.core.engine import run_sequential
-from repro.core.optimistic import run_optimistic
-from repro.experiments.common import SweepParams, kp_count_for
+from repro.experiments.common import SweepParams, kp_count_for, run_point
 from repro.experiments.report import Table
-from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
+from repro.scenarios import report_scenario
 
 __all__ = ["run", "CONFIG_MATRIX"]
 
@@ -42,8 +38,8 @@ CONFIG_MATRIX: tuple[tuple[int, int, int, str, str, int], ...] = (
 def run(params: SweepParams) -> Table:
     """Validate repeatability on the smallest sweep size."""
     n = params.sizes[0]
-    cfg = HotPotatoConfig(n=n, duration=params.duration, injector_fraction=1.0)
-    oracle = run_sequential(HotPotatoModel(cfg), cfg.duration, seed=params.seed)
+    scenario = report_scenario(n, params.duration, seed=params.seed)
+    oracle = run_point("seq", scenario)
     table = Table(
         title=f"Attachment 3 — parallel vs sequential results (N={n})",
         columns=[
@@ -60,18 +56,17 @@ def run(params: SweepParams) -> Table:
     all_match = True
     for n_pes, kp_req, batch, mapping, rollback, procs in CONFIG_MATRIX:
         n_kps = kp_count_for(n, kp_req, n_pes) if mapping == "block" else kp_req
-        ecfg = EngineConfig(
-            end_time=cfg.duration,
+        result = run_point(
+            "opt",
+            scenario,
             n_pes=n_pes,
             n_kps=n_kps,
             batch_size=batch,
             mapping=mapping,
             rollback=rollback,
             procs=procs,
-            seed=params.seed,
         )
-        result = run_optimistic(HotPotatoModel(cfg), ecfg)
-        match = result.model_stats == oracle.model_stats
+        match = result["model_stats"] == oracle["model_stats"]
         all_match &= match
         table.add_row(
             n_pes,
@@ -80,7 +75,7 @@ def run(params: SweepParams) -> Table:
             mapping,
             rollback,
             procs,
-            result.run.events_rolled_back,
+            result["run"].events_rolled_back,
             match,
         )
     table.notes.append(

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from repro.analysis.linfit import fit_linear
 from repro.analysis.replication import summarize
-from repro.experiments.common import SweepParams, run_hotpotato_sequential
+from repro.experiments.common import SweepParams, run_point
 from repro.experiments.report import Table
+from repro.scenarios import report_scenario
 
 __all__ = ["run"]
 
@@ -35,8 +36,9 @@ def run(params: SweepParams) -> Table:
         for load in loads:
             samples = []
             for seed in params.seeds():
-                result = run_hotpotato_sequential(n, load, params.duration, seed)
-                ms = result.model_stats
+                ms = run_point("seq", report_scenario(
+                    n, params.duration, injector_fraction=load, seed=seed
+                ))["model_stats"]
                 samples.append(ms["avg_delivery_time"])
                 if load == loads[-1] and seed == params.seed:
                     by_prio = ms["delivered_by_priority"]

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from repro.analysis.linfit import fit_linear
 from repro.analysis.replication import summarize
-from repro.experiments.common import SweepParams, run_hotpotato_sequential
+from repro.experiments.common import SweepParams, run_point
 from repro.experiments.report import Table
+from repro.scenarios import report_scenario
 
 __all__ = ["run"]
 
@@ -29,9 +30,9 @@ def run(params: SweepParams) -> Table:
         for load in loads:
             est = summarize(
                 [
-                    run_hotpotato_sequential(
-                        n, load, params.duration, seed
-                    ).model_stats["avg_inject_wait"]
+                    run_point("seq", report_scenario(
+                        n, params.duration, injector_fraction=load, seed=seed
+                    ))["model_stats"]["avg_inject_wait"]
                     for seed in params.seeds()
                 ]
             )

@@ -13,13 +13,9 @@ tiles the grid).  Event rates come from the calibrated cost model over
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    SweepParams,
-    kp_count_for,
-    run_hotpotato_parallel,
-    run_hotpotato_sequential,
-)
+from repro.experiments.common import SweepParams, kp_count_for, run_point
 from repro.experiments.report import Table
+from repro.scenarios import report_scenario
 
 __all__ = ["run", "collect_rates"]
 
@@ -34,24 +30,21 @@ def collect_rates(params: SweepParams) -> dict[tuple[int, int], float]:
     """Event rate (events/s) per (N, n_pes); n_pes == 1 is sequential."""
     rates: dict[tuple[int, int], float] = {}
     for n in params.sizes:
+        scenario = report_scenario(
+            n, params.duration, injector_fraction=SPEEDUP_LOAD, seed=params.seed
+        )
         for n_pes in params.pe_counts:
             if n_pes == 1:
-                result = run_hotpotato_sequential(
-                    n, SPEEDUP_LOAD, params.duration, params.seed
-                )
+                point = run_point("seq", scenario)
             else:
-                n_kps = kp_count_for(n, DEFAULT_KPS, n_pes)
-                result = run_hotpotato_parallel(
-                    n,
-                    SPEEDUP_LOAD,
-                    params.duration,
-                    params.seed,
+                point = run_point(
+                    "opt",
+                    scenario,
                     n_pes=n_pes,
-                    n_kps=n_kps,
-                    batch_size=params.batch_size,
-                    window=params.window,
+                    n_kps=kp_count_for(n, DEFAULT_KPS, n_pes),
+                    **params.optimism(),
                 )
-            rates[(n, n_pes)] = result.run.event_rate
+            rates[(n, n_pes)] = point["run"].event_rate
     return rates
 
 

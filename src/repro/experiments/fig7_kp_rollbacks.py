@@ -13,12 +13,9 @@ the notes since false rollbacks are the quantity KPs exist to contain.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    SweepParams,
-    kp_count_for,
-    run_hotpotato_parallel,
-)
+from repro.experiments.common import SweepParams, kp_count_for, run_point
 from repro.experiments.report import Table
+from repro.scenarios import report_scenario
 
 __all__ = ["run", "collect_rollbacks", "FIG7_PES"]
 
@@ -30,21 +27,15 @@ def collect_rollbacks(params: SweepParams) -> dict[tuple[int, int], dict]:
     """(N, n_kps) → run stats dict, for the KP sweep."""
     out: dict[tuple[int, int], dict] = {}
     for n in params.sizes:
+        scenario = report_scenario(n, params.duration, seed=params.seed)
         for kps in params.kp_counts:
             usable = kp_count_for(n, kps, FIG7_PES)
             if (n, usable) in out:
                 continue  # several requested counts rounded to the same one
-            result = run_hotpotato_parallel(
-                n,
-                1.0,
-                params.duration,
-                params.seed,
-                n_pes=FIG7_PES,
-                n_kps=usable,
-                batch_size=params.batch_size,
-                window=params.window,
+            point = run_point(
+                "opt", scenario, n_pes=FIG7_PES, n_kps=usable, **params.optimism()
             )
-            out[(n, usable)] = result.run.as_dict()
+            out[(n, usable)] = point["run"].as_dict()
     return out
 
 

@@ -11,13 +11,10 @@ the trade-off the report attributes the diminishing returns to.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    SweepParams,
-    kp_count_for,
-    run_hotpotato_parallel,
-)
+from repro.experiments.common import SweepParams, kp_count_for, run_point
 from repro.experiments.fig7_kp_rollbacks import FIG7_PES
 from repro.experiments.report import Table
+from repro.scenarios import report_scenario
 
 __all__ = ["run"]
 
@@ -26,21 +23,15 @@ def run(params: SweepParams) -> Table:
     """Regenerate the Fig 8 series (event rate vs KP count)."""
     rates: dict[tuple[int, int], float] = {}
     for n in params.sizes:
+        scenario = report_scenario(n, params.duration, seed=params.seed)
         for kps in params.kp_counts:
             usable = kp_count_for(n, kps, FIG7_PES)
             if (n, usable) in rates:
                 continue
-            result = run_hotpotato_parallel(
-                n,
-                1.0,
-                params.duration,
-                params.seed,
-                n_pes=FIG7_PES,
-                n_kps=usable,
-                batch_size=params.batch_size,
-                window=params.window,
+            point = run_point(
+                "opt", scenario, n_pes=FIG7_PES, n_kps=usable, **params.optimism()
             )
-            rates[(n, usable)] = result.run.event_rate
+            rates[(n, usable)] = point["run"].event_rate
     kp_values = sorted({k for (_, k) in rates})
     table = Table(
         title=f"Figure 8 — event rate (events/s) vs number of KPs ({FIG7_PES} PEs)",

@@ -7,9 +7,9 @@ cannot take the whole sweep down.  The protocol is four paths on argv::
     python -m repro.experiments.pointworker SPEC.json RESULT.pkl HEARTBEAT CKPT_DIR
 
 * ``SPEC.json`` — the point specification (see below).
-* ``RESULT.pkl`` — where the pickled ``{"model_stats", "run"}`` dict
-  goes on success (written atomically; its existence plus exit code 0
-  is the success signal).
+* ``RESULT.pkl`` — where the pickled result document :func:`run_spec`
+  returns goes on success (written atomically; its existence plus exit
+  code 0 is the success signal).
 * ``HEARTBEAT`` — file the run's checkpointer touches at every GVT /
   scheduler boundary; the parent's watchdog reads its mtime as
   GVT-progress evidence and SIGKILLs the child when it goes stale.
@@ -22,14 +22,17 @@ A point is a scenario plus engine settings.  Spec keys: ``kind``
 document, or ``{"path": ..., "hash": ...}`` naming a scenario file by
 its compiled identity (the worker refuses to run if the file no longer
 hashes to it); ``n_pes`` / ``n_kps`` / ``batch_size`` / ``window`` /
-``overrides`` for the parallel engines; ``telemetry`` (metrics JSONL path
-or ``None``); ``checkpoint_every``; ``sabotage`` (test hook: ``"stall"``
-hangs without heartbeats, ``{"flaky": k}`` exits 1 on the first *k*
-attempts).  A spec in the older format (``n`` / ``load`` / ``duration`` /
+``overrides`` for the parallel engines (``overrides`` holds further
+:class:`~repro.core.config.EngineConfig` fields; ``procs`` >= 2 runs the
+point in process mode, its snapshots sharded per worker); ``telemetry``
+(metrics JSONL path or ``None``); ``checkpoint_every``; ``sabotage``
+(test hook: ``"stall"`` hangs without heartbeats, ``{"flaky": k}`` exits
+1 on the first *k* attempts).  A spec in the older format (``n`` / ``load`` / ``duration`` /
 ``fault`` / ``seed`` keys) is refused by name before any work.
 
-:func:`run_spec` is also how the sweep workhorses run a point in-process
-(no checkpoint directory), so a point means the same thing either way.
+:func:`run_spec` is also how :func:`repro.experiments.common.run_point`
+runs a point in-process (no checkpoint directory), so a point means the
+same thing, and returns the same document, either way.
 """
 
 from __future__ import annotations
@@ -44,7 +47,10 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 
-__all__ = ["POINT_KINDS", "check_point_spec", "point_scenario", "run_spec", "main"]
+__all__ = [
+    "POINT_KINDS", "SETTINGS", "check_point_spec", "point_scenario", "run_spec",
+    "main",
+]
 
 #: Spec ``kind`` -> the engine it runs on.
 POINT_KINDS = {"seq": "sequential", "opt": "optimistic", "cons": "conservative"}
@@ -53,7 +59,7 @@ POINT_KINDS = {"seq": "sequential", "opt": "optimistic", "cons": "conservative"}
 _OLD_KEYS = ("n", "load", "duration", "fault", "seed")
 
 #: Spec keys that are engine settings of the parallel kinds.
-_SETTINGS = ("n_pes", "n_kps", "batch_size", "window")
+SETTINGS = ("n_pes", "n_kps", "batch_size", "window")
 
 
 def _delivery_percentiles(log) -> dict:
@@ -118,14 +124,18 @@ def _sabotage(spec: dict, ckpt_dir: Path) -> None:
 
 
 def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = None):
-    """Run one point; returns its RunResult.
+    """Run one point; returns its result document.
 
-    With ``ckpt_dir`` the run snapshots there (touching ``heartbeat`` at
-    every boundary) and resumes from its newest snapshot, whose marker
-    pins the spec and the compiled scenario identity.  A sequential
-    point of a scenario *file* keeps a delivery log and adds
-    nearest-rank latency percentiles (``latency_p50`` / ``_p95`` /
-    ``_p99``) to ``model_stats``.
+    The document is ``{"model_stats", "run"}``, plus the committed
+    ``(step, latency)`` ``delivery_log`` when the scenario declares
+    one; the final LPs hold compiled closures and are not kept.  With
+    ``ckpt_dir`` the run snapshots there (touching ``heartbeat`` at
+    every boundary) and resumes from its newest snapshot — in process
+    mode from the newest one all worker shards hold — whose marker pins
+    the spec and the compiled scenario identity.  A sequential point of
+    a scenario *file* keeps a delivery log and adds nearest-rank latency
+    percentiles (``latency_p50`` / ``_p95`` / ``_p99``) to
+    ``model_stats``.
     """
     from repro.ckpt import Checkpointer, deferred_interrupts, latest_snapshot
     from repro.obs.capture import RunCapture
@@ -141,6 +151,8 @@ def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = 
         )
     sim = compiled.sim
     kind = POINT_KINDS[spec["kind"]]
+    settings = {k: spec[k] for k in SETTINGS if k in spec}
+    settings.update(spec.get("overrides") or {})
     ckpt = payload = None
     if ckpt_dir is not None:
         _sabotage(spec, ckpt_dir)
@@ -151,7 +163,14 @@ def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = 
             marker={**marker, "scenario_hash": compiled.scenario_hash()},
             heartbeat=heartbeat,
         )
-        if latest_snapshot(ckpt_dir) is not None:
+        procs = settings.get("procs", 1)
+        if procs > 1:
+            # The workers find and load the newest shard set themselves.
+            from repro.mp.worker import common_resume_seq, shard_dir
+
+            shards = [shard_dir(ckpt_dir, i) for i in range(procs)]
+            ckpt.mp_resume = common_resume_seq(shards) is not None
+        elif latest_snapshot(ckpt_dir) is not None:
             payload = ckpt.load_latest()
 
     telemetry = spec.get("telemetry")
@@ -174,8 +193,6 @@ def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = 
     }
     if ckpt is not None:
         ckpt.capture = capture
-    settings = {k: spec[k] for k in _SETTINGS if k in spec}
-    settings.update(spec.get("overrides") or {})
     percentiles = kind == "sequential" and "path" in scen
     model = sim.model(delivery_log=percentiles or None)
     try:
@@ -187,9 +204,12 @@ def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = 
         raise
     if capture is not None:
         capture.finalize(result)
+    doc = {"model_stats": result.model_stats, "run": result.run}
     if percentiles:
         result.model_stats.update(_delivery_percentiles(model.delivery_log))
-    return result
+    if sim.cfg.delivery_log:
+        doc["delivery_log"] = model.delivery_log
+    return doc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,15 +225,12 @@ def main(argv: list[str] | None = None) -> int:
     spec_path, result_path, heartbeat, ckpt_dir = map(Path, argv)
     spec = json.loads(spec_path.read_text())
     try:
-        result = run_spec(spec, heartbeat, ckpt_dir)
+        doc = run_spec(spec, heartbeat, ckpt_dir)
     except ConfigurationError as exc:
         print(f"point refused: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         return 130
-    # LPs hold fused closures (unpicklable by design); the supervisor
-    # only needs the statistics.
-    doc = {"model_stats": result.model_stats, "run": result.run}
     tmp = result_path.with_suffix(".tmp")
     with tmp.open("wb") as fh:
         pickle.dump(doc, fh, protocol=pickle.HIGHEST_PROTOCOL)

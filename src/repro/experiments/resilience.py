@@ -17,13 +17,9 @@ fault injection must not cost us the determinism contract.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    SweepParams,
-    kp_count_for,
-    run_hotpotato_parallel,
-    run_hotpotato_sequential,
-)
+from repro.experiments.common import SweepParams, kp_count_for, run_point
 from repro.experiments.report import Table
+from repro.scenarios import compile_scenario, report_scenario
 
 __all__ = ["run"]
 
@@ -48,13 +44,9 @@ def _fault_spec(params: SweepParams, rate: float):
     return {"generate": generate}
 
 
-def _links_down(params: SweepParams, n: int, rate: float) -> int:
+def _links_down(scenario) -> int:
     """Count the scheduled link_down events for the row's label column."""
-    from repro.scenarios import compile_scenario, report_scenario
-
-    plan = compile_scenario(
-        report_scenario(n, params.duration, faults=_fault_spec(params, rate))
-    ).sim.fault_plan
+    plan = compile_scenario(scenario).sim.fault_plan
     if plan is None:
         return 0
     return sum(1 for ev in plan.events if ev.kind == "link_down")
@@ -81,26 +73,22 @@ def run(params: SweepParams) -> Table:
     )
     links_total = 2 * n * n  # torus: every node owns its EAST and SOUTH link
     for rate in rates:
-        fspec = _fault_spec(params, rate)
-        seq = run_hotpotato_sequential(
-            n, 1.0, params.duration, params.seed, fault=fspec
+        scenario = report_scenario(
+            n, params.duration, seed=params.seed, faults=_fault_spec(params, rate)
         )
-        ms = seq.model_stats
+        ms = run_point("seq", scenario)["model_stats"]
         # One optimistic run per row keeps the determinism check honest
         # at every fault level, not just the unfaulted baseline.
         n_pes = min(4, max(params.pe_counts))
-        opt = run_hotpotato_parallel(
-            n,
-            1.0,
-            params.duration,
-            params.seed,
+        opt = run_point(
+            "opt",
+            scenario,
             n_pes=n_pes,
             n_kps=kp_count_for(n, 16, n_pes),
             batch_size=params.batch_size,
-            fault=fspec,
         )
         injected = ms["injected"] + ms["initial_packets"]
-        down = _links_down(params, n, rate)
+        down = _links_down(scenario)
         table.add_row(
             rate,
             down,
@@ -110,7 +98,7 @@ def run(params: SweepParams) -> Table:
             ms["avg_delivery_time"],
             100.0 * ms["deflection_rate"],
             ms.get("fault_dropped", 0),
-            opt.model_stats == ms,
+            opt["model_stats"] == ms,
         )
     table.notes.append(
         f"{links_total} physical links; rate-generated plans fail links "

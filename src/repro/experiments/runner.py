@@ -31,6 +31,7 @@ from repro.experiments.common import (
     set_parallelism,
     set_supervisor,
     set_telemetry_dir,
+    take_in_process_points,
 )
 from repro.experiments.figures import EXPERIMENTS, experiment_ids, run_experiment
 
@@ -102,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="P",
-        help="run each Time Warp point over P OS processes (committed "
-        "results are bit-identical to in-process runs; points whose PE "
-        "count P doesn't divide, and supervised --out-dir sweeps, stay "
-        "in-process)",
+        help="run each Time Warp point over P OS processes, supervised "
+        "--out-dir points included (committed results are bit-identical "
+        "to in-process runs; points whose PE count P doesn't divide stay "
+        "in-process, and their table names them)",
     )
     parser.add_argument(
         "--gvt-interval",
@@ -138,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=pathlib.Path,
         default=None,
         metavar="DIR",
-        help="record per-run GVT-interval metrics to DIR/<run>.jsonl "
-        "(inspect with python -m repro.obs)",
+        help="record each sweep point's GVT-interval metrics to "
+        "DIR/<point id>.jsonl (inspect with python -m repro.obs)",
     )
     parser.add_argument(
         "--fault-rates",
@@ -315,6 +316,10 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         ids = meta["experiments"]
         params = _params_from_meta(meta)
+        if args.procs is None:
+            # Process mode is part of every Time Warp point's spec.
+            args.procs = meta.get("procs")
+            args.gvt_interval = meta.get("gvt_interval", args.gvt_interval)
     elif not args.experiments:
         print("error: no experiments named (see --help)", file=sys.stderr)
         return 2
@@ -334,7 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     set_parallelism(args.procs, args.gvt_interval)
     if supervisor is not None:
         supervisor.journal_meta(
-            experiments=list(ids), params=dataclasses.asdict(params)
+            experiments=list(ids), params=dataclasses.asdict(params),
+            procs=args.procs, gvt_interval=args.gvt_interval,
         )
     set_supervisor(supervisor)
     from repro.ckpt import wall_deadline
@@ -345,6 +351,9 @@ def main(argv: list[str] | None = None) -> int:
                 start = time.perf_counter()
                 table = run_experiment(exp_id, params)
                 elapsed = time.perf_counter() - start
+                note = take_in_process_points()
+                if note is not None:
+                    table.notes.append(note)
                 print(table.to_text())
                 if args.plot:
                     chart = chart_from_table(table)

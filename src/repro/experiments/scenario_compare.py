@@ -15,7 +15,7 @@ offered load (initial placement plus everything injected).
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepParams, run_scenario_point
+from repro.experiments.common import SweepParams, run_point
 from repro.experiments.report import Table
 from repro.scenarios import Scenario, compile_scenario, load_scenario
 
@@ -56,9 +56,8 @@ def run(params: SweepParams) -> Table:
         return table
     for path in params.scenarios:
         compiled = compile_scenario(load_scenario(path))
-        seq = run_scenario_point(path, kind="seq")
-        par = run_scenario_point(path, kind="opt")
-        ms = seq.model_stats
+        ms = run_point("seq", path)["model_stats"]
+        par = run_point("opt", path)
         offered = ms["injected"] + ms["initial_packets"]
         # The sequential stats additionally carry the latency percentiles;
         # strip them before the engine-agreement comparison.
@@ -77,7 +76,7 @@ def run(params: SweepParams) -> Table:
             ms["latency_p95"],
             ms["latency_p99"],
             round(100.0 * ms["deflection_rate"], 2),
-            par.model_stats == committed,
+            par["model_stats"] == committed,
         )
         table.notes.append(
             f"{compiled.name}: hash {compiled.scenario_hash()} ({path})"

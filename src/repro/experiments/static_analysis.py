@@ -10,40 +10,14 @@ to Fig 3 — for both the Busch algorithm and the plain greedy baseline.
 
 from __future__ import annotations
 
-from repro.baselines.policies import GreedyPolicy
-from repro.core.engine import SequentialEngine
-from repro.experiments.common import SweepParams
+from repro.experiments.common import SweepParams, run_point
 from repro.experiments.report import Table
-from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
-from repro.hotpotato.policy import BuschHotPotatoPolicy
+from repro.scenarios import report_scenario
 
 __all__ = ["run"]
 
 #: Drain headroom: a full torus empties within a few diameters.
 DRAIN_FACTOR = 30.0
-
-
-def _drain(n: int, policy, seed: int) -> dict:
-    cfg = HotPotatoConfig(
-        n=n,
-        duration=max(DRAIN_FACTOR * n, 100.0),
-        injector_fraction=0.0,
-        initial_fill=1.0,
-    )
-    engine = SequentialEngine(HotPotatoModel(cfg, policy), cfg.duration, seed=seed)
-    result = engine.run()
-    ms = result.model_stats
-    in_flight = sum(
-        1 for ev in engine.pending if ev.kind in ("ARRIVE", "ROUTE")
-    )
-    return {
-        "seeded": ms["initial_packets"],
-        "delivered": ms["delivered"],
-        "drained": in_flight == 0,
-        "avg": ms["avg_delivery_time"],
-        "max": ms["max_delivery_time"],
-    }
 
 
 def run(params: SweepParams) -> Table:
@@ -53,16 +27,23 @@ def run(params: SweepParams) -> Table:
         columns=["N", "algorithm", "seeded", "delivered", "drained", "avg delivery", "max delivery"],
     )
     for n in params.sizes:
-        for policy in (BuschHotPotatoPolicy(), GreedyPolicy()):
-            row = _drain(n, policy, params.seed)
+        for policy in ("busch", "greedy"):
+            ms = run_point("seq", report_scenario(
+                n,
+                max(DRAIN_FACTOR * n, 100.0),
+                injector_fraction=0.0,
+                policy=policy,
+                overrides={"initial_fill": 1.0},
+                seed=params.seed,
+            ))["model_stats"]
             table.add_row(
                 n,
-                policy.name,
-                row["seeded"],
-                row["delivered"],
-                row["drained"],
-                row["avg"],
-                row["max"],
+                policy,
+                ms["initial_packets"],
+                ms["delivered"],
+                ms["initial_packets"] + ms["injected"] == ms["delivered"],
+                ms["avg_delivery_time"],
+                ms["max_delivery_time"],
             )
     table.notes.append(
         "static workload: every packet present at t=0 (4 per router), no "

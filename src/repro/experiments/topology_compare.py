@@ -13,11 +13,10 @@ about half) and deflect less at the mesh's starved corners.
 
 from __future__ import annotations
 
-from repro.core.engine import run_sequential
-from repro.experiments.common import SweepParams
+from repro.experiments.common import SweepParams, run_point
 from repro.experiments.report import Table
-from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
+from repro.net import TOPOLOGIES
+from repro.scenarios import report_scenario
 
 __all__ = ["run"]
 
@@ -39,19 +38,14 @@ def run(params: SweepParams) -> Table:
     avg_by_topo: dict[tuple[int, str], float] = {}
     for n in params.sizes:
         for name in ("torus", "mesh"):
-            cfg = HotPotatoConfig(
-                n=n,
-                duration=params.duration,
-                injector_fraction=1.0,
-                topology=name,
-            )
-            model = HotPotatoModel(cfg)
-            ms = run_sequential(model, cfg.duration, seed=params.seed).model_stats
+            ms = run_point("seq", report_scenario(
+                n, params.duration, topology=name, seed=params.seed
+            ))["model_stats"]
             avg_by_topo[(n, name)] = ms["avg_delivery_time"]
             table.add_row(
                 n,
                 name,
-                model.topo.diameter(),
+                TOPOLOGIES[name](n).diameter(),
                 ms["delivered"],
                 ms["avg_delivery_time"],
                 ms["avg_distance"],

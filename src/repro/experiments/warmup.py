@@ -12,11 +12,9 @@ headline Fig-3 numbers.
 from __future__ import annotations
 
 from repro.analysis.timeseries import build_series, warmup_end
-from repro.core.engine import run_sequential
-from repro.experiments.common import SweepParams
+from repro.experiments.common import SweepParams, run_point
 from repro.experiments.report import Table
-from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
+from repro.scenarios import report_scenario
 
 __all__ = ["run"]
 
@@ -34,22 +32,18 @@ def run(params: SweepParams) -> Table:
         ],
     )
     for n in params.sizes:
-        cfg = HotPotatoConfig(
-            n=n,
-            duration=params.duration,
-            injector_fraction=1.0,
-            delivery_log=True,
-        )
-        model = HotPotatoModel(cfg)
-        result = run_sequential(model, cfg.duration, seed=params.seed)
-        whole = result.model_stats["avg_delivery_time"]
-        series = build_series(model.delivery_log)
+        point = run_point("seq", report_scenario(
+            n, params.duration, overrides={"delivery_log": True}, seed=params.seed
+        ))
+        whole = point["model_stats"]["avg_delivery_time"]
+        log = point["delivery_log"]
+        series = build_series(log)
         w = warmup_end(series, window=5, tolerance=0.5)
         if w is None:
             table.add_row(n, "-", whole, "-", "-")
             continue
         steady = [
-            (step, dt) for step, dt in model.delivery_log if step >= w
+            (step, dt) for step, dt in log if step >= w
         ]
         steady_avg = (
             sum(dt for _, dt in steady) / len(steady) if steady else 0.0

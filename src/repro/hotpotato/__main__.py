@@ -219,7 +219,7 @@ def flags_scenario(args) -> Scenario:
         args.n,
         args.duration,
         injector_fraction=args.probability_i / 100.0,
-        absorb_sleeping=not args.no_absorb_sleeping,
+        overrides={"absorb_sleeping": False} if args.no_absorb_sleeping else None,
         topology=args.topology,
         seed=0x5EED if args.seed is None else args.seed,
         faults=faults,

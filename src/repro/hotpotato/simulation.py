@@ -1,7 +1,7 @@
 """The one builder: a run declaration in, a model, an engine and a run out.
 
 Every entry point — ``repro.hotpotato``, ``repro.scenarios``, the sweep
-workhorses and point worker, the chaos episodes and the profiler —
+points and point worker, the chaos episodes and the profiler —
 declares its run as a scenario (:mod:`repro.scenarios`) or a config, and
 :class:`HotPotatoSimulation` alone turns that into a fresh
 :class:`~repro.hotpotato.model.HotPotatoModel`, an engine with the fault

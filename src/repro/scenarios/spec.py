@@ -58,8 +58,8 @@ checkpoint marker, the sweep manifest and the point worker all pin that
 one, so a ``--resume`` refuses a scenario *or* plan file that changed.
 
 :func:`report_scenario` writes the document of the report's program
-parameters (§3.3.1); ``repro.hotpotato``'s flags and the sweep
-workhorses compile through it.
+parameters (§3.3.1); ``repro.hotpotato``'s flags and every experiment's
+sweep points compile through it.
 """
 
 from __future__ import annotations
@@ -305,8 +305,9 @@ def report_scenario(
     duration: float,
     *,
     injector_fraction: float = 1.0,
-    absorb_sleeping: bool = True,
     topology: str = "torus",
+    policy: str = "busch",
+    overrides: Mapping | None = None,
     seed: int = 0x5EED,
     faults=None,
     traffic: dict | None = None,
@@ -314,21 +315,23 @@ def report_scenario(
 ) -> Scenario:
     """The scenario of the report's program parameters (§3.3.1).
 
-    N, the duration, ``probability_i`` (as ``injector_fraction``) and
-    ``absorb_sleeping`` plus the topology, seed and an optional
-    ``faults`` section in the scenario format; ``traffic`` replaces the
-    Bernoulli section (an adversary, say).  The PE count is the engine's.
+    N, the duration and ``probability_i`` (as ``injector_fraction``)
+    plus the topology, routing policy, seed, ``engine.overrides`` (the
+    report's ``absorb_sleeping``, ``initial_fill``, ``heartbeat``, ...;
+    see :data:`CONFIG_OVERRIDES`) and an optional ``faults`` section in
+    the scenario format; ``traffic`` replaces the Bernoulli section (an
+    adversary, say).  The PE count is the engine's.
     """
     engine: dict = {"duration": float(duration), "seed": int(seed)}
-    if not absorb_sleeping:
-        engine["overrides"] = {"absorb_sleeping": False}
+    if overrides:
+        engine["overrides"] = dict(overrides)
     return Scenario(
         name=name,
         topology={"kind": topology, "n": int(n)},
         traffic=traffic or {
             "model": "bernoulli", "injector_fraction": float(injector_fraction),
         },
-        routing={"policy": "busch"},
+        routing={"policy": policy},
         engine=engine,
         faults=faults,
     )

@@ -46,9 +46,9 @@ def _manifest(sup) -> list[dict]:
 
 
 def _oracle_stats():
-    from repro.experiments.common import run_hotpotato_sequential
+    from repro.experiments.common import run_point
 
-    return run_hotpotato_sequential(4, 1.0, 15.0, 7).model_stats
+    return run_point("seq", report_scenario(4, 15.0, seed=7))["model_stats"]
 
 
 def test_point_id_is_canonical():
@@ -153,6 +153,45 @@ def test_resume_restores_in_flight_point_from_checkpoints(tmp_path):
     # Continued from the surviving snapshot: the re-written tail continues
     # its numbering rather than restarting at ckpt_000000.
     assert len(after) == len(snaps)
+
+
+def test_resume_restores_in_flight_process_mode_point_from_shards(tmp_path):
+    """A ``procs`` 2 point commits the oracle's statistics, and after a
+    mid-run death (result gone, shard directories truncated unevenly)
+    resumes from the newest snapshot every shard holds."""
+    from repro.experiments.common import run_point
+
+    spec = _opt_spec(
+        scenario=_scenario(40.0), overrides={"procs": 2, "gvt_interval": 2},
+        checkpoint_every=1,
+    )
+    oracle = run_point("seq", report_scenario(4, 40.0, seed=7))["model_stats"]
+    sup = Supervisor(SupervisorConfig(out_dir=tmp_path))
+    try:
+        assert sup.run_point(spec)["model_stats"] == oracle
+    finally:
+        sup.close()
+    pdir = tmp_path / "points" / point_id(spec)
+    shards = [pdir / "ckpt_opt" / f"shard_{i}" for i in range(2)]
+    snaps = [sorted(d.glob("*.rpsnap")) for d in shards]
+    assert all(len(s) >= 3 for s in snaps), "workers wrote too few snapshots"
+
+    kept = {p: p.stat().st_mtime_ns for p in snaps[1][:2]}
+    (pdir / "result.pkl").unlink()
+    for i, shard in enumerate(snaps):
+        # Shard 0 keeps one snapshot more: the common prefix is the cut.
+        for stale in shard[2 + (i == 0):]:
+            stale.unlink()
+
+    sup2 = Supervisor(SupervisorConfig(out_dir=tmp_path, resume=True))
+    try:
+        assert sup2.run_point(spec)["model_stats"] == oracle
+    finally:
+        sup2.close()
+    # Resumed after sequence 1: a fresh run would have rewritten
+    # ckpt_000000 and ckpt_000001; the resumed one continues after them.
+    assert {p: p.stat().st_mtime_ns for p in kept} == kept
+    assert len(list(shards[1].glob("*.rpsnap"))) > 2
 
 
 def test_meta_roundtrip(tmp_path):

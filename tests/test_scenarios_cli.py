@@ -100,11 +100,10 @@ def test_cli_rejects_garbage(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # experiments integration
 # ----------------------------------------------------------------------
-def test_run_scenario_point_reports_percentiles(tmp_path):
-    from repro.experiments.common import run_scenario_point
+def test_run_point_of_a_scenario_file_reports_percentiles(tmp_path):
+    from repro.experiments.common import run_point
 
-    result = run_scenario_point(_tiny(tmp_path), kind="seq")
-    ms = result.model_stats
+    ms = run_point("seq", _tiny(tmp_path))["model_stats"]
     assert ms["latency_p50"] <= ms["latency_p95"] <= ms["latency_p99"]
     assert ms["latency_p99"] > 0
 
