@@ -201,9 +201,9 @@ class Executor:
         checkpointer (GVT rounds / scheduler rounds / sequential event
         intervals), never per event, so a detached watchdog costs
         nothing and an attached one keeps the fused fast paths
-        installed.  Detectors that escalate past in-run remediation
-        raise :class:`~repro.errors.HealthIntervention` out of
-        :meth:`run` — see :func:`repro.health.run_with_recovery`.
+        installed.  A trip the engine's throttle cannot absorb raises
+        :class:`~repro.errors.HealthIntervention` (``abort``) out of
+        :meth:`run`.
         """
         self.health = monitor
         monitor.bind(self)

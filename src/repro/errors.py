@@ -63,28 +63,19 @@ class InvariantViolation(ReproError):
 
 
 class HealthIntervention(ReproError):
-    """The liveness watchdog escalated past in-run remediation.
+    """The liveness watchdog stopped the run.
 
-    Raised out of ``engine.run()`` at a quiescent boundary when the
-    degradation ladder reaches an action the engine cannot apply to
-    itself — restore from the last good snapshot, or abort.  Carries
-    the requested ``action`` and the triggering
-    :class:`repro.health.HealthEvent`; the recovery runner
-    (:func:`repro.health.run_with_recovery`) catches it and acts.
+    Raised out of ``engine.run()`` at a quiescent boundary when a
+    detector trips and the engine's optimism throttle cannot absorb it
+    (no adaptive throttle, or it is spent).  ``action`` is always
+    ``"abort"``; ``event`` is the triggering
+    :class:`repro.health.HealthEvent`.  The CLI reports it and exits 1.
     """
 
     def __init__(self, action: str, event) -> None:
         super().__init__(f"watchdog requested {action!r}: {event}")
         self.action = action
         self.event = event
-
-
-class HealthAbort(ReproError):
-    """The degradation ladder is exhausted: the run was aborted.
-
-    The message names the forensics bundle written for post-mortem
-    analysis (see :mod:`repro.health.forensics`).
-    """
 
 
 class ResumeIntegrityError(ReproError):

@@ -36,11 +36,9 @@ process and journaling its lifecycle:
   journals an engine ``fallback`` (a point recomputed on the conservative
   engine by an earlier version), before anything is served.
 
-Retry/backoff decisions are delegated to
-:class:`repro.health.RecoveryPolicy`, the same policy object the
-liveness watchdog's degradation ladder uses, so "how patient are we
-with a sick run" is configured once and means the same thing in-process
-and across child processes.
+This kill-and-resume is the one way a sick run is restarted: the
+in-process liveness watchdog (:mod:`repro.health`) only throttles a run
+or stops it.
 
 Points are identified by the SHA-256 of their canonical spec JSON, so
 the same (experiment, parameters) pair maps to the same on-disk state
@@ -63,7 +61,6 @@ from typing import Any
 
 from repro.errors import ConfigurationError, ResumeIntegrityError
 from repro.experiments.pointworker import check_point_spec, point_scenario
-from repro.health import RecoveryPolicy
 
 __all__ = ["Supervisor", "SupervisorConfig", "PointFailure", "point_id"]
 
@@ -115,11 +112,6 @@ class Supervisor:
         self.points_dir = self.out_dir / "points"
         self.points_dir.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out_dir / "manifest.jsonl"
-        #: Shared retry/backoff policy (see repro.health).
-        self.policy = RecoveryPolicy(
-            max_restores=cfg.max_retries,
-            backoff_base=cfg.backoff_base,
-        )
         #: point id -> final status, replayed from the manifest.
         self._status: dict[str, str] = {}
         if cfg.resume and self.manifest_path.exists():
@@ -291,7 +283,7 @@ class Supervisor:
                 with result_path.open("rb") as fh:
                     return pickle.load(fh)
             if attempt < cfg.max_retries:
-                delay = self.policy.backoff(attempt)
+                delay = cfg.backoff_base * 2 ** (attempt - 1)
                 self._journal(point=pid, status="retry", engine=engine,
                               attempt=attempt, outcome=outcome, backoff=delay)
                 time.sleep(delay)

@@ -6,8 +6,7 @@ an *absolute upper bound* on packet delivery time that a healthy run
 must respect.  This module is the runtime half of that argument: a
 :class:`Watchdog` attached through the Executor ABI
 (``engine.attach_health(wd)``) watches a run for the four ways a
-simulation goes sick and escalates through a degradation ladder when one
-trips.
+simulation goes sick and throttles or stops it when one trips.
 
 Detectors (all evaluated at GVT / scheduler-round / event-interval
 *boundaries*, never on the per-event path — a detached watchdog costs
@@ -28,21 +27,17 @@ nothing and an attached one keeps the fused fast paths installed):
 * **Memory growth** — live event counts (pending + processed-but-
   uncommitted) exceed a budget.
 
-The degradation ladder (``HealthConfig.ladder``) is walked one rung per
-trip, with a cooldown between rungs so each remedy gets time to work:
+A trip has one of two outcomes, with a cooldown after each so a
+remedy gets time to work:
 
-1. ``throttle`` — tighten the optimistic throttle (halve the optimism
-   factor; repeats until the factor hits its floor).  Applies only to an
-   optimistic engine running with ``adaptive=True``; other engines skip
-   this rung.  Committed results are invariant to optimism, so this is
-   always safe.
-2. ``restore`` / ``abort`` — actions the engine cannot apply to
-   itself: the watchdog raises :class:`~repro.errors.HealthIntervention`
-   out of ``run()`` at the boundary and
-   :func:`repro.health.run_with_recovery` acts on it (restore the last
-   good snapshot with bounded retries, or abort with a forensics
-   bundle).  No rung swaps the engine: a sick run is repaired on its
-   own engine or stopped, never recomputed elsewhere.
+* ``throttle`` — tighten the optimistic throttle (halve the optimism
+  factor), at most ``throttle_steps`` times and never below its floor.
+  Applies only to an optimistic engine running with ``adaptive=True``.
+  Committed results are invariant to optimism, so this is always safe.
+* ``abort`` — everything else: the watchdog raises
+  :class:`~repro.errors.HealthIntervention` out of ``run()`` at the
+  boundary.  No trip swaps the engine or restores a snapshot in-run: a
+  sick run is throttled on its own engine or stopped.
 
 Every trip is appended to ``Watchdog.events`` and — when a sink is
 attached — written as a schema-additive ``health`` JSONL line, so
@@ -57,16 +52,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError, HealthIntervention
 from repro.hotpotato.router import P_INJECT_STEP, PACKET_FIELDS
 
-__all__ = ["HealthConfig", "HealthEvent", "Watchdog", "DEFAULT_LADDER"]
-
-#: Default escalation order; see the module docstring.
-DEFAULT_LADDER = ("throttle", "restore", "abort")
-
-#: Actions the watchdog can apply in-run (everything else is raised as a
-#: HealthIntervention for the recovery runner).
-_IN_RUN_ACTIONS = frozenset({"throttle"})
-
-_KNOWN_ACTIONS = frozenset(DEFAULT_LADDER)
+__all__ = ["HealthConfig", "HealthEvent", "Watchdog"]
 
 
 @dataclass(frozen=True)
@@ -109,16 +95,13 @@ class HealthConfig:
     #: Boundaries to wait after taking an action before any detector may
     #: trip again (gives the remedy time to take effect).
     cooldown_boundaries: int = 8
-    #: Throttle-rung applications before escalating (the adaptive
+    #: Throttle applications before a trip aborts (the adaptive
     #: throttle may raise the factor back between trips, so "factor at
     #: floor" alone is not a termination guarantee).
     throttle_steps: int = 4
-    #: Escalation order; rungs an engine cannot apply are skipped.
-    ladder: tuple[str, ...] = DEFAULT_LADDER
-    #: Test/chaos hook: force a synthetic trip of detector ``forced`` at
-    #: this boundary count (None = never).  Lets the chaos harness drive
-    #: deterministic watchdog-triggered recoveries without manufacturing
-    #: a genuinely sick run.
+    #: Test hook: force a synthetic trip of detector ``forced`` at this
+    #: boundary count (None = never), once.  Lets a test drive exactly
+    #: one watchdog action without manufacturing a genuinely sick run.
     trip_at_boundary: int | None = None
 
     def __post_init__(self) -> None:
@@ -130,22 +113,16 @@ class HealthConfig:
             raise ConfigurationError(
                 f"thrash_fraction must be in (0, 1], got {self.thrash_fraction}"
             )
-        unknown = [a for a in self.ladder if a not in _KNOWN_ACTIONS]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown ladder action(s) {unknown}; choose from "
-                f"{sorted(_KNOWN_ACTIONS)}"
-            )
 
 
 @dataclass(frozen=True)
 class HealthEvent:
-    """One detector trip (and the ladder action taken for it)."""
+    """One detector trip (and the action taken for it)."""
 
     #: Which detector fired ("gvt_stall", "livelock", "rollback_thrash",
     #: "memory_growth", or "forced" for the test hook).
     detector: str
-    #: Ladder action taken ("throttle", "restore", "abort").
+    #: Action taken ("throttle" or "abort").
     action: str
     #: Engine kind at the time ("sequential"/"conservative"/"optimistic").
     engine: str
@@ -204,8 +181,6 @@ class Watchdog:
         self.events: list[HealthEvent] = []
         #: Boundaries observed (all engines share one counter).
         self.boundaries = 0
-        #: Current ladder rung index.
-        self.rung = 0
         self._engine_kind = "unattached"
         self._bound = None  # resolved livelock age bound, or None
         self._t0 = clock()
@@ -220,18 +195,16 @@ class Watchdog:
         self._quiet_until = 0
         self._forced_done = False
         self._throttle_steps = 0
+        #: Set once the throttle is spent (steps used up or factor at its
+        #: floor); every later trip aborts.
+        self._throttle_spent = False
 
     # ------------------------------------------------------------------
     # Attachment.
     # ------------------------------------------------------------------
     def bind(self, engine) -> None:
-        """Called by ``attach_health``: resolve per-engine parameters.
-
-        Re-binding (a restore attempt) resets the per-run progress
-        baselines — a fresh engine starting from a snapshot must not
-        inherit the sick run's position — but keeps the ladder rung and
-        event log, so repeated sickness escalates instead of looping.
-        """
+        """Called by ``attach_health``: resolve per-engine parameters and
+        start the progress baselines."""
         self._engine_kind = engine.kind
         self._t0 = self.clock()
         self._progress_wall = self._t0
@@ -389,13 +362,13 @@ class Watchdog:
             )
 
     # ------------------------------------------------------------------
-    # The degradation ladder.
+    # The two outcomes.
     # ------------------------------------------------------------------
     def _trip(self, detector: str, position: float, detail: dict,
               *, engine=None) -> None:
         if self.boundaries < self._quiet_until:
             return
-        action = self._next_action(engine)
+        action = self._action(engine)
         event = HealthEvent(
             detector=detector,
             action=action,
@@ -409,28 +382,22 @@ class Watchdog:
         if self.sink is not None:
             self.sink.write_health(event.to_dict())
         self._quiet_until = self.boundaries + self.cfg.cooldown_boundaries
-        if action == "throttle":
-            self._tighten_throttle(engine)
-            return
-        raise HealthIntervention(action, event)
+        if action == "abort":
+            raise HealthIntervention(action, event)
+        self._tighten_throttle(engine)
 
-    def _next_action(self, engine) -> str:
-        """Current ladder rung, skipping rungs this engine cannot apply."""
-        ladder = self.cfg.ladder
-        while self.rung < len(ladder) - 1:
-            action = ladder[self.rung]
-            if action == "throttle":
-                throttle = getattr(engine, "throttle", None)
-                if (throttle is None
-                        or throttle.factor <= throttle.cfg.floor
-                        or self._throttle_steps >= self.cfg.throttle_steps):
-                    self.rung += 1
-                    continue
-            return action
-        return ladder[-1] if ladder else "abort"
+    def _action(self, engine) -> str:
+        """``throttle`` while an adaptive kernel's throttle has room,
+        else ``abort``."""
+        throttle = getattr(engine, "throttle", None)
+        if (throttle is None or self._throttle_spent
+                or throttle.factor <= throttle.cfg.floor
+                or self._throttle_steps >= self.cfg.throttle_steps):
+            return "abort"
+        return "throttle"
 
     def _tighten_throttle(self, kernel) -> None:
-        """Rung 1: halve the optimism factor (respecting its floor)."""
+        """Halve the optimism factor (respecting its floor)."""
         throttle = kernel.throttle
         new = max(throttle.cfg.floor, throttle.factor / 2.0)
         if new != throttle.factor:
@@ -438,5 +405,4 @@ class Watchdog:
             throttle.adjustments += 1
         self._throttle_steps += 1
         if new <= throttle.cfg.floor or self._throttle_steps >= self.cfg.throttle_steps:
-            # Throttle exhausted; next trip escalates.
-            self.rung += 1
+            self._throttle_spent = True

@@ -346,15 +346,11 @@ def main(argv: list[str] | None = None) -> int:
 
     watchdog = None
     if args.watchdog or args.health_out:
-        from repro.health import HealthConfig, Watchdog
+        from repro.health import Watchdog
 
-        # A bare CLI run has no recovery loop to restore it, so the
-        # ladder is throttle-then-abort; repro.health.run_with_recovery
-        # with a checkpointer adds the restore rung.
-        watchdog = Watchdog(
-            HealthConfig(ladder=("throttle", "abort")),
-            sink=capture.health_sink,
-        )
+        # A trip throttles an adaptive Time Warp kernel or aborts the
+        # run (exit 1 below); a checkpointed run restarts with --resume.
+        watchdog = Watchdog(sink=capture.health_sink)
 
     from repro.ckpt import deferred_interrupts, wall_deadline
     from repro.errors import HealthIntervention

@@ -25,7 +25,7 @@ One recording file is a sequence of JSON lines, each tagged with a type:
   workload up against the trace.
 * ``{"t": "health", "detector": ..., "action": ..., "engine": ...,
   "boundary": ..., "position": ..., "wall": ...}`` — one liveness
-  watchdog trip and the degradation-ladder action taken for it
+  watchdog trip and the action (throttle or abort) taken for it
   (schema 5; see :mod:`repro.health`).  Like spans, health lines carry
   wall-clock fields and are never read by determinism checks.
 * ``{"t": "stats", ...}`` — the final

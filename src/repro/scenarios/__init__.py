@@ -10,7 +10,7 @@ an optional fault plan.  :func:`compile_scenario` turns one into a
 Every entry point compiles through it: ``python -m repro.scenarios``
 validates, inspects and runs scenario files; ``repro.hotpotato`` compiles
 ``--scenario FILE`` or its workload flags (via :func:`report_scenario`);
-sweep points and chaos episodes are scenario documents.  Bundled examples
+sweep points are scenario documents.  Bundled examples
 live in ``examples/scenarios/``; the format reference is
 ``docs/SCENARIOS.md``.
 """

@@ -133,19 +133,6 @@ def test_latest_journal_record_wins(tmp_path):
         sup.close()
 
 
-def test_supervisor_policy_is_a_recovery_policy(tmp_path):
-    """Retry/backoff ride the shared RecoveryPolicy."""
-    sup = Supervisor(SupervisorConfig(
-        out_dir=tmp_path / "sweep", max_retries=5, backoff_base=0.25,
-    ))
-    try:
-        assert sup.policy.max_restores == 5
-        assert sup.policy.backoff(1) == 0.25
-        assert sup.policy.backoff(3) == 1.0
-    finally:
-        sup.close()
-
-
 def test_manifest_with_an_engine_fallback_is_refused(tmp_path, capsys):
     """A manifest from before the engine fallback was removed may journal
     a Time Warp point rerun on the conservative engine; its pickled

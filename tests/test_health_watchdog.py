@@ -8,6 +8,8 @@ at the default thresholds; and attaching the watchdog must leave the
 committed sequence bit-identical.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.config import EngineConfig
@@ -16,7 +18,7 @@ from repro.core.engine import SequentialEngine
 from repro.core.optimistic import TimeWarpKernel
 from repro.core.trace import Tracer
 from repro.errors import ConfigurationError, HealthIntervention
-from repro.health import DEFAULT_LADDER, HealthConfig, HealthEvent, Watchdog
+from repro.health import HealthConfig, HealthEvent, Watchdog
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 
@@ -83,7 +85,6 @@ def test_healthy_run_zero_events_at_defaults(kind):
     engine.run()
     assert wd.boundaries > 0, "watchdog was never consulted"
     assert wd.events == []
-    assert wd.rung == 0
 
 
 @pytest.mark.parametrize("kind", ["seq", "cons", "opt"])
@@ -114,8 +115,7 @@ def test_livelock_bound_resolves_from_topology_diameter():
 def test_stall_trips_within_boundary_deadline():
     """A non-advancing position trips gvt_stall at exactly the deadline."""
     wd = Watchdog(
-        HealthConfig(stall_boundaries=16, stall_wall_seconds=0.0,
-                     ladder=("abort",)),
+        HealthConfig(stall_boundaries=16, stall_wall_seconds=0.0),
         clock=_FakeClock(),
     )
     engine = _FakeEngine()
@@ -135,8 +135,7 @@ def test_stall_trips_within_boundary_deadline():
 def test_stall_trips_on_wall_deadline():
     clock = _FakeClock()
     wd = Watchdog(
-        HealthConfig(stall_wall_seconds=5.0, stall_boundaries=0,
-                     ladder=("abort",)),
+        HealthConfig(stall_wall_seconds=5.0, stall_boundaries=0),
         clock=clock,
     )
     engine = _FakeEngine()
@@ -153,8 +152,7 @@ def test_stall_trips_on_wall_deadline():
 
 def test_progress_rearms_the_stall_deadline():
     wd = Watchdog(
-        HealthConfig(stall_boundaries=8, stall_wall_seconds=0.0,
-                     ladder=("abort",)),
+        HealthConfig(stall_boundaries=8, stall_wall_seconds=0.0),
         clock=_FakeClock(),
     )
     engine = _FakeEngine()
@@ -166,10 +164,7 @@ def test_progress_rearms_the_stall_deadline():
 
 def test_livelock_trips_on_overage_packet_population():
     """A pending packet older than the bound trips within one scan."""
-    wd = Watchdog(
-        HealthConfig(livelock_bound=10.0, livelock_check_every=1,
-                     ladder=("abort",)),
-    )
+    wd = Watchdog(HealthConfig(livelock_bound=10.0, livelock_check_every=1))
     old = _FakeEvent({"inject_step": 0})
     fresh = _FakeEvent({"inject_step": 19})
     engine = _FakeEngine(pending=[fresh, old])
@@ -183,10 +178,7 @@ def test_livelock_trips_on_overage_packet_population():
 
 
 def test_livelock_scan_is_paced():
-    wd = Watchdog(
-        HealthConfig(livelock_bound=10.0, livelock_check_every=8,
-                     ladder=("abort",)),
-    )
+    wd = Watchdog(HealthConfig(livelock_bound=10.0, livelock_check_every=8))
     engine = _FakeEngine(pending=[_FakeEvent({"inject_step": 0})])
     wd.bind(engine)
     for _ in range(7):  # boundaries 1..7: no scan yet
@@ -197,10 +189,7 @@ def test_livelock_scan_is_paced():
 
 
 def test_livelock_ignores_models_without_packet_payloads():
-    wd = Watchdog(
-        HealthConfig(livelock_bound=1.0, livelock_check_every=1,
-                     ladder=("abort",)),
-    )
+    wd = Watchdog(HealthConfig(livelock_bound=1.0, livelock_check_every=1))
     engine = _FakeEngine(pending=[_FakeEvent(None), _FakeEvent((1, 2))])
     wd.bind(engine)
     wd.boundary_sequential(engine, 1000.0)
@@ -210,14 +199,13 @@ def test_livelock_ignores_models_without_packet_payloads():
 def test_cooldown_suppresses_repeat_trips():
     wd = Watchdog(
         HealthConfig(stall_boundaries=4, stall_wall_seconds=0.0,
-                     cooldown_boundaries=32,
-                     ladder=("throttle", "abort")),
+                     cooldown_boundaries=32),
         clock=_FakeClock(),
     )
     engine = _FakeEngine()
     wd.bind(engine)
-    # No throttle on a sequential engine: the rung is skipped, but the
-    # cooldown still applies after the first (abort-rung) trip attempt.
+    # No throttle on a sequential engine, so the first trip aborts; the
+    # cooldown swallows the stall detector's re-arms after it.
     with pytest.raises(HealthIntervention):
         for _ in range(64):
             wd.boundary_sequential(engine, 0.0)
@@ -226,10 +214,8 @@ def test_cooldown_suppresses_repeat_trips():
 
 
 def test_throttle_rung_skipped_without_a_throttle():
-    """Engines without an (adaptive) throttle escalate straight past it."""
-    wd = Watchdog(
-        HealthConfig(trip_at_boundary=1, ladder=("throttle", "abort")),
-    )
+    """Engines without an (adaptive) throttle abort on the first trip."""
+    wd = Watchdog(HealthConfig(trip_at_boundary=1))
     engine = _FakeEngine()
     wd.bind(engine)
     with pytest.raises(HealthIntervention) as exc_info:
@@ -238,7 +224,7 @@ def test_throttle_rung_skipped_without_a_throttle():
 
 
 def test_forced_trip_fires_once_at_requested_boundary():
-    wd = Watchdog(HealthConfig(trip_at_boundary=3, ladder=("abort",)))
+    wd = Watchdog(HealthConfig(trip_at_boundary=3))
     engine = _FakeEngine()
     wd.bind(engine)
     wd.boundary_sequential(engine, 1.0)
@@ -247,6 +233,39 @@ def test_forced_trip_fires_once_at_requested_boundary():
         wd.boundary_sequential(engine, 3.0)
     assert exc_info.value.event.detector == "forced"
     assert wd.boundaries == 3
+
+
+@pytest.mark.parametrize("kind", ["seq", "cons", "opt"])
+def test_bare_run_trip_raises_abort(kind):
+    """On a bare ``run()`` with no throttle to tighten, a real detector
+    trip stops the run: the intervention and the logged event both say
+    ``abort`` (there is no in-run restore to ask for)."""
+    wd = Watchdog(HealthConfig(livelock_bound=0.5, livelock_check_every=1))
+    engine = _engine(kind).attach_health(wd)
+    with pytest.raises(HealthIntervention) as exc_info:
+        engine.run()
+    assert exc_info.value.action == "abort"
+    assert exc_info.value.event.detector == "livelock"
+    assert wd.events[-1].action == "abort"
+
+
+@pytest.mark.parametrize("floor", [0.1, 0.5], ids=["steps", "floor"])
+def test_spent_throttle_aborts_the_next_trip(floor):
+    """Trips throttle an adaptive kernel until ``throttle_steps`` are used
+    or the factor reaches its floor; the next trip aborts, even after the
+    adaptive throttle has raised the factor again."""
+    wd = Watchdog(HealthConfig(cooldown_boundaries=0, throttle_steps=2))
+    kernel = _FakeEngine()
+    kernel.throttle = SimpleNamespace(
+        factor=1.0, adjustments=0, cfg=SimpleNamespace(floor=floor)
+    )
+    wd.bind(kernel)
+    with pytest.raises(HealthIntervention):
+        for _ in range(3):
+            wd._trip("forced", 0.0, {}, engine=kernel)
+            kernel.throttle.factor = 1.0  # the adaptive throttle recovers
+    throttles = 2 if floor < 0.5 else 1
+    assert [e.action for e in wd.events] == ["throttle"] * throttles + ["abort"]
 
 
 def _adaptive_opt() -> TimeWarpKernel:
@@ -258,15 +277,13 @@ def _adaptive_opt() -> TimeWarpKernel:
 
 
 def test_throttle_action_tightens_optimistic_throttle_in_run():
-    """A throttle-rung trip halves the optimism factor mid-run and the
+    """A throttle trip halves the optimism factor mid-run and the
     committed sequence still matches the unwatched baseline.  (Only an
-    ``adaptive=True`` kernel has a throttle; others skip the rung.)"""
+    ``adaptive=True`` kernel has a throttle; on others a trip aborts.)"""
     baseline = Tracer()
     _adaptive_opt().attach_tracer(baseline).run()
 
-    wd = Watchdog(
-        HealthConfig(trip_at_boundary=2, ladder=("throttle", "abort")),
-    )
+    wd = Watchdog(HealthConfig(trip_at_boundary=2))
     tracer = Tracer()
     engine = _adaptive_opt().attach_tracer(tracer).attach_health(wd)
     engine.run()
@@ -280,57 +297,14 @@ def test_throttle_action_tightens_optimistic_throttle_in_run():
 
 
 # ----------------------------------------------------------------------
-# Rebinding semantics (restore attempts).
-# ----------------------------------------------------------------------
-def test_rebind_resets_progress_but_keeps_rung_and_events():
-    wd = Watchdog(
-        HealthConfig(stall_boundaries=4, stall_wall_seconds=0.0,
-                     cooldown_boundaries=0, ladder=("restore", "abort")),
-        clock=_FakeClock(),
-    )
-    engine = _FakeEngine()
-    wd.bind(engine)
-    wd.boundary_sequential(engine, 100.0)
-    with pytest.raises(HealthIntervention) as exc_info:
-        for _ in range(8):
-            wd.boundary_sequential(engine, 100.0)
-    assert exc_info.value.action == "restore"
-    wd.rung += 1  # what run_with_recovery does when restore is impossible
-    events_before = len(wd.events)
-
-    # A fresh engine restarts from position 0: rebinding must not read
-    # that as "no progress" against the sick run's position 100.
-    engine2 = _FakeEngine()
-    wd.bind(engine2)
-    wd.boundary_sequential(engine2, 0.0)
-    assert len(wd.events) == events_before
-    assert wd.rung == 1  # escalation state survives the rebind
-
-
-# ----------------------------------------------------------------------
 # Config and event plumbing.
 # ----------------------------------------------------------------------
-def test_default_ladder_order():
-    assert DEFAULT_LADDER == ("throttle", "restore", "abort")
-    assert HealthConfig().ladder == DEFAULT_LADDER
-
-
-@pytest.mark.parametrize("action", ["fallback", "bogus"])
-def test_unknown_ladder_action_refused_by_name(action):
-    """The engine fallback left the ladder: naming it is refused up
-    front, like any other unknown action, and the message names it."""
-    ladder = ("fallback", "abort") if action == "fallback" else (action,)
-    with pytest.raises(ConfigurationError, match=repr(action)):
-        HealthConfig(ladder=ladder)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"stall_wall_seconds": -1.0},
         {"thrash_fraction": 0.0},
         {"thrash_fraction": 1.5},
-        {"ladder": ("throttle", "explode")},
     ],
 )
 def test_config_validation(kwargs):
@@ -360,7 +334,7 @@ def test_events_flow_through_health_sink_and_recording(tmp_path):
     out = tmp_path / "run.jsonl"
     capture = RunCapture(health_out=out, meta={"engine": "opt"})
     wd = Watchdog(
-        HealthConfig(trip_at_boundary=2, ladder=("throttle", "abort")),
+        HealthConfig(trip_at_boundary=2),
         sink=capture.health_sink,
     )
     engine = _adaptive_opt().attach_health(wd)
