@@ -1,32 +1,19 @@
-"""``python -m repro.ckpt`` — snapshot forensics and the crash drill.
-
-Subcommands::
-
-    python -m repro.ckpt info DIR     # list DIR's snapshots, verified
-    python -m repro.ckpt smoke        # kill a live run, resume, diff
+"""``python -m repro.ckpt info DIR`` — snapshot forensics.
 
 ``info`` reads every snapshot in the directory (integrity hash and
 version checks included) and prints one line each: engine kind, file
 sequence number, boundary count, GVT, whether telemetry sink state rides
 along, and the configuration marker.  Corrupt files are reported and
-make the command exit 1 — it doubles as an integrity scan.
-
-``smoke`` is the end-to-end crash drill used by CI: run the hot-potato
-workload once uninterrupted (the oracle), run it again with
-checkpointing and SIGKILL it mid-simulation, resume from the snapshots,
-and require the resumed run's full event-lifecycle recording — every
-committed event plus the final stats — to be byte-identical to the
-oracle's.
+make the command exit 1 — it doubles as an integrity scan.  The crash
+drill (SIGKILL a checkpointed ``python -m repro.hotpotato`` run, resume
+it, compare its recording with an uninterrupted run's) is a shell recipe
+in docs/CHECKPOINT.md.
 """
 
 from __future__ import annotations
 
 import argparse
-import signal
-import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
 
 from repro.ckpt.snapshot import list_snapshots, read_snapshot
@@ -39,29 +26,12 @@ def build_parser() -> argparse.ArgumentParser:
     """Build the ``repro.ckpt`` CLI argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.ckpt",
-        description="Inspect checkpoint snapshots and drill crash recovery.",
+        description="Inspect checkpoint snapshots.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="list and verify a snapshot directory")
     p.add_argument("dir", type=Path)
-
-    p = sub.add_parser(
-        "smoke", help="crash drill: kill a checkpointed run, resume, diff"
-    )
-    p.add_argument(
-        "--dir",
-        type=Path,
-        default=None,
-        help="work directory (default: a fresh temp dir, deleted on success)",
-    )
-    p.add_argument(
-        "--duration",
-        type=float,
-        default=400.0,
-        help="simulated duration; large enough that the kill lands mid-run "
-        "(default: 400)",
-    )
     return parser
 
 
@@ -98,119 +68,10 @@ def cmd_info(directory: Path) -> int:
     return 1 if bad else 0
 
 
-def _hotpotato_cmd(duration: float, recording: Path, extra: list[str]) -> list[str]:
-    return [
-        sys.executable, "-m", "repro.hotpotato",
-        "--n", "4", "--duration", str(duration),
-        "--processors", "4", "--kps", "16", "--batch", "16", "--seed", "7",
-        "--metrics-out", str(recording), "--trace-out", str(recording),
-        *extra,
-    ]
-
-
-def _smoke_env() -> dict:
-    import os
-
-    import repro
-
-    env = dict(os.environ)
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_root if not existing else src_root + os.pathsep + existing
-    return env
-
-
-def cmd_smoke(work: Path, duration: float) -> int:
-    """The crash drill (see module docstring); returns the exit code."""
-    work.mkdir(parents=True, exist_ok=True)
-    env = _smoke_env()
-    ckpt_dir = work / "ckpt"
-    oracle = work / "oracle.jsonl"
-    crash = work / "crash.jsonl"
-
-    print(f"[1/3] oracle run (uninterrupted, duration {duration:g})")
-    res = subprocess.run(
-        _hotpotato_cmd(duration, oracle, []),
-        env=env, capture_output=True, text=True,
-    )
-    if res.returncode != 0:
-        print(f"FAIL: oracle run exited {res.returncode}\n{res.stderr}")
-        return 1
-
-    print("[2/3] checkpointed run, SIGKILL once snapshots exist")
-    proc = subprocess.Popen(
-        _hotpotato_cmd(
-            duration, crash,
-            ["--checkpoint-dir", str(ckpt_dir), "--checkpoint-every", "2"],
-        ),
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    deadline = time.time() + 120.0
-    killed = False
-    while proc.poll() is None and time.time() < deadline:
-        if len(list_snapshots(ckpt_dir)) >= 3:
-            proc.send_signal(signal.SIGKILL)
-            proc.wait()
-            killed = True
-            break
-        time.sleep(0.02)
-    if not killed:
-        proc.kill()
-        proc.wait()
-        if not list_snapshots(ckpt_dir):
-            print(
-                "FAIL: run finished before any snapshot was written; "
-                "raise --duration"
-            )
-            return 1
-        print(
-            "note: run outpaced the kill; resuming from its snapshots anyway"
-        )
-        # The interrupted recording may be complete; remove it so the
-        # resumed run's recording is rebuilt from the snapshot offsets.
-    snaps = len(list_snapshots(ckpt_dir))
-    print(f"      killed mid-run with {snaps} snapshot(s)")
-
-    print("[3/3] resume and diff against the oracle")
-    res = subprocess.run(
-        _hotpotato_cmd(
-            duration, crash,
-            ["--checkpoint-dir", str(ckpt_dir), "--checkpoint-every", "2",
-             "--resume"],
-        ),
-        env=env, capture_output=True, text=True,
-    )
-    if res.returncode != 0:
-        print(f"FAIL: resume exited {res.returncode}\n{res.stderr}")
-        return 1
-    a, b = oracle.read_bytes(), crash.read_bytes()
-    if a != b:
-        print(
-            f"FAIL: resumed recording differs from oracle "
-            f"({len(b)} vs {len(a)} bytes) — committed sequence is not "
-            "bit-identical; inspect with python -m repro.obs diff"
-        )
-        return 1
-    print(
-        f"ok: resumed run byte-identical to oracle "
-        f"({len(a):,} bytes, {snaps} snapshot(s) survived the kill)"
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "info":
-            return cmd_info(args.dir)
-        if args.dir is not None:
-            return cmd_smoke(args.dir, args.duration)
-        with tempfile.TemporaryDirectory(prefix="ckpt_smoke_") as tmp:
-            return cmd_smoke(Path(tmp), args.duration)
-    except KeyboardInterrupt:
-        print("\ninterrupted", file=sys.stderr)
-        return 130
+    return cmd_info(args.dir)
 
 
 if __name__ == "__main__":  # pragma: no cover

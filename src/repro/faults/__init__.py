@@ -19,8 +19,9 @@ package.  With a plan attached, model faults are a pure function of
 ``(plan, step)`` and engine faults are semantics-preserving, so the
 sequential and optimistic engines still commit identical sequences.
 
-``python -m repro.faults`` authors, validates and pretty-prints plans;
-see ``docs/FAULTS.md`` for the format and guarantees.
+A scenario's ``faults.generate`` section authors a plan and
+``python -m repro.scenarios validate`` checks it against its grid; see
+``docs/FAULTS.md`` for the format and guarantees.
 """
 
 from repro.faults.injector import EngineFaults

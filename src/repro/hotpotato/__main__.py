@@ -6,11 +6,17 @@ fraction) and ``absorb_sleeping_packet`` — plus this implementation's
 engine knobs.  The workload flags compile to a scenario document
 (:func:`flags_scenario`, docs/SCENARIOS.md) through the same
 ``compile_scenario`` call as ``--scenario FILE``, and
-:class:`~repro.hotpotato.simulation.HotPotatoSimulation` runs it.
+:class:`~repro.hotpotato.simulation.HotPotatoSimulation` runs it on the
+``--engine`` named: by default seq, or opt when ``--processors`` exceeds 1
+or ``--procs`` is given.  Each engine setting is the flag, else the
+scenario's ``engine`` section, else ``CompiledScenario``'s default; flags
+that contradict each other or the scenario are refused by name (exit 2).
 
 Examples::
 
     python -m repro.hotpotato --n 8 --duration 200
+    python -m repro.hotpotato --scenario examples/scenarios/mesh_greedy.json \
+        --engine cons --validate
     python -m repro.hotpotato --n 16 --processors 4 --kps 64 --probability-i 50
     python -m repro.hotpotato --n 8 --no-absorb-sleeping --validate
     python -m repro.hotpotato --n 8 --processors 4 --metrics-out run.jsonl \
@@ -37,6 +43,18 @@ from repro.scenarios import (
 
 __all__ = ["main", "build_parser", "flags_scenario"]
 
+#: ``--engine``'s names for :data:`~repro.hotpotato.simulation.ENGINES`.
+ENGINE_NAMES = {"seq": "sequential", "cons": "conservative", "opt": "optimistic"}
+
+#: The flags a ``--scenario`` file declares instead.
+WORKLOAD_FLAGS = (
+    "--n", "--duration", "--probability-i", "--no-absorb-sleeping",
+    "--topology", "--fault-plan", "--fault-rate", "--fault-seed",
+)
+
+#: Time Warp's flags, which the conservative kernel takes none of.
+TIME_WARP_FLAGS = ("--procs", "--kps", "--batch", "--gvt-interval")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -45,10 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--n", type=int, default=8, help="network dimension N (default 8)")
     parser.add_argument(
+        "--engine", choices=tuple(ENGINE_NAMES),
+        help="seq (the oracle), cons (conservative) or opt (Time Warp); "
+        "default: opt when --processors exceeds 1 or --procs is given, else seq",
+    )
+    parser.add_argument(
         "--processors",
         type=int,
         default=1,
-        help="simulated PEs; 1 = sequential engine (default)",
+        help="simulated PEs of cons or opt (default: the scenario's "
+        "n_pes, else 4); above 1 it selects opt when --engine is not given",
     )
     parser.add_argument(
         "--duration",
@@ -78,9 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         metavar="FILE",
         help="load the whole workload — topology, traffic, routing policy, "
-        "faults, duration, seed — from a declarative scenario file "
-        "(see docs/SCENARIOS.md); workload flags above are then ignored, "
-        "engine flags still apply",
+        "faults, duration, seed — and its engine defaults from a "
+        "declarative scenario file (see docs/SCENARIOS.md); the workload "
+        "flags are then refused, engine flags override its engine section",
     )
     parser.add_argument(
         "--procs",
@@ -92,14 +116,21 @@ def build_parser() -> argparse.ArgumentParser:
         "are bit-identical to any other engine).  P must divide "
         "--processors.  Default, and --procs 1: in-process.",
     )
-    parser.add_argument("--kps", type=int, default=16, help="kernel processes (default 16)")
-    parser.add_argument("--batch", type=int, default=16, help="optimism batch size")
+    parser.add_argument(
+        "--kps", type=int,
+        help="kernel processes of opt (default: the scenario's n_kps, else "
+        "four per PE, rounded down to a count that tiles the grid)",
+    )
+    parser.add_argument(
+        "--batch", type=int,
+        help="optimism batch size of opt (default: the scenario's "
+        "batch_size, else 16)",
+    )
     parser.add_argument(
         "--gvt-interval",
         type=int,
-        default=1,
         metavar="R",
-        help="scheduling rounds between GVT computations (default 1).  "
+        help="scheduling rounds between GVT computations of opt (default 1).  "
         "With --procs every GVT is a cross-process stop-and-drain wave, "
         "so raise this (8-32) to amortise the barrier",
     )
@@ -110,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--validate",
         action="store_true",
-        help="also run the other engine and check the results are identical",
+        help="also run the other engine (Time Warp for seq, else the "
+        "sequential oracle) and check the results are identical",
     )
     parser.add_argument(
         "--metrics-out",
@@ -134,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fault-plan",
         metavar="FILE",
-        help="inject faults from this JSON FaultPlan "
-        "(author one with python -m repro.faults generate)",
+        help="inject faults from this JSON FaultPlan (docs/FAULTS.md); a "
+        "--scenario file declares one inline or generates it from rates",
     )
     parser.add_argument(
         "--fault-rate",
@@ -150,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-seed",
         type=int,
         default=None,
-        help="seed for --fault-rate plan generation (default: repro.faults default)",
+        help="seed for --fault-rate plan generation (default 0xFA117, "
+        "generate_plan's)",
     )
     parser.add_argument(
         "--paranoid",
@@ -226,19 +259,72 @@ def flags_scenario(args) -> Scenario:
     )
 
 
-def _config_marker(args, compiled) -> dict:
+def _given(parser, argv) -> set[str]:
+    """The options the command line names, whatever their values."""
+    unset = object()
+    probe = parser.parse_args(
+        argv, argparse.Namespace(**{a.dest: unset for a in parser._actions})
+    )
+    return {
+        a.option_strings[0] for a in parser._actions
+        if getattr(probe, a.dest) is not unset
+    }
+
+
+def _refusal(args, given: set[str], kind: str) -> str | None:
+    """Why the flags cannot all hold, or None."""
+    if not 0.0 <= args.probability_i <= 100.0:
+        return "--probability-i must be within [0, 100]"
+    if not 0.0 <= args.fault_rate <= 100.0:
+        return "--fault-rate must be within [0, 100]"
+    if args.resume and not args.checkpoint_dir:
+        return "--resume requires --checkpoint-dir"
+    for applies, flags, why in (
+        (args.scenario, WORKLOAD_FLAGS, "--scenario declares the workload"),
+        (kind == "conservative", TIME_WARP_FLAGS, "--engine cons takes no Time Warp flag"),
+    ):
+        clash = [flag for flag in flags if applies and flag in given]
+        if clash:
+            return f"{why}; drop {', '.join(clash)}"
+    if kind == "sequential" and (args.processors > 1 or args.procs is not None):
+        return "--engine seq runs on one PE; drop --processors/--procs"
+    if args.processors < 1:
+        return f"--processors must be at least 1, got {args.processors}"
+    return None
+
+
+def _engine_settings(args, compiled, kind: str, given: set[str]) -> dict:
+    """What :meth:`HotPotatoSimulation.run` takes for ``kind``: the flags
+    given, else the scenario's ``engine`` section, else the defaults.
+    Time Warp's is a whole ``EngineConfig``, built (and so refused) here."""
+    settings = compiled.engine_settings(
+        kind, n_pes=args.processors if "--processors" in given else None,
+        n_kps=args.kps, batch_size=args.batch,
+    )
+    if kind != "optimistic":
+        return {**settings, "paranoid": args.paranoid}
+    fields = {"gvt_interval": args.gvt_interval, "procs": args.procs}
+    return {"engine_config": compiled.sim.engine_config(
+        **settings, paranoid=args.paranoid,
+        **{k: v for k, v in fields.items() if v is not None},
+    )}
+
+
+def _config_marker(args, compiled, kind: str) -> dict:
     """The configuration fingerprint stored in (and checked against)
     every snapshot — resuming under different flags is refused.
 
     One shape for flags and ``--scenario`` runs: the compiled scenario's
-    identity (which covers a fault plan file's content, not its path)
-    plus the engine flags.
+    identity (which covers a fault plan file's content, not its path,
+    and the engine section the unnamed settings come from) plus the
+    engine and the engine flags.
     """
     return {
         "workload": "hotpotato",
         "scenario": compiled.name,
         "scenario_hash": compiled.scenario_hash(),
         "seed": compiled.sim.seed,
+        "engine": kind,
         "processors": args.processors,
         "kps": args.kps,
         "batch": args.batch,
@@ -249,15 +335,16 @@ def _config_marker(args, compiled) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if not 0.0 <= args.probability_i <= 100.0:
-        print("--probability-i must be within [0, 100]")
-        return 2
-    if not 0.0 <= args.fault_rate <= 100.0:
-        print("--fault-rate must be within [0, 100]")
-        return 2
-    if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir")
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    given = _given(parser, argv)
+    kind = ENGINE_NAMES.get(args.engine) or (
+        "optimistic" if args.processors > 1 or args.procs is not None
+        else "sequential"
+    )
+    refusal = _refusal(args, given, kind)
+    if refusal is not None:
+        print(f"configuration refused: {refusal}")
         return 2
     try:
         compiled = compile_scenario(
@@ -270,25 +357,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is not None:
         sim.seed = args.seed
     cfg = sim.cfg
-    use_parallel = args.processors > 1 or args.procs is not None
-    engine = "optimistic" if use_parallel else "sequential"
     # Built before any file, checkpoint directory or worker process
     # exists, so every combination the configs refuse (--procs not
     # dividing --processors, --paranoid across workers, a KP count that
     # cannot tile the grid, ...) exits 2 with its message and no side
-    # effect.  --validate's 4-PE twin is checked here too.
+    # effect.  --validate's Time Warp twin of a sequential run is
+    # checked here too.
     try:
-        settings = (
-            {"engine_config": sim.engine_config(
-                args.processors, args.kps, batch_size=args.batch,
-                gvt_interval=args.gvt_interval, paranoid=args.paranoid,
-                procs=1 if args.procs is None else args.procs,
-            )}
-            if use_parallel else {"paranoid": args.paranoid}
-        )
+        settings = _engine_settings(args, compiled, kind, given)
         twin = (
-            sim.engine_config(4, args.kps, batch_size=args.batch)
-            if args.validate and args.processors <= 1 else None
+            sim.engine_config(**compiled.engine_settings(
+                "optimistic", n_kps=args.kps, batch_size=args.batch
+            ))
+            if args.validate and kind == "sequential" else None
         )
     except ConfigurationError as exc:
         print(f"configuration refused: {exc}")
@@ -301,13 +382,13 @@ def main(argv: list[str] | None = None) -> int:
         ckpt = Checkpointer(
             args.checkpoint_dir,
             every=args.checkpoint_every,
-            marker=_config_marker(args, compiled),
+            marker=_config_marker(args, compiled, kind),
         )
     resumed_payload = None
     if args.resume:
         from repro.errors import SnapshotError
 
-        if use_parallel and settings["engine_config"].procs > 1:
+        if kind == "optimistic" and settings["engine_config"].procs > 1:
             # Process-mode snapshots are per-worker shards under
             # <dir>/shard_<i>; the workers locate and load the newest
             # consistent shard set themselves (docs/CHECKPOINT.md).
@@ -327,14 +408,13 @@ def main(argv: list[str] | None = None) -> int:
             spans_out=args.spans_out,
             health_out=args.health_out,
             meta={
-                "engine": engine,
+                "engine": kind,
                 "workload": "hotpotato",
                 "n": cfg.n,
                 "topology": cfg.topology,
                 "duration": cfg.duration,
                 "probability_i": 100.0 * cfg.injector_fraction,
                 "seed": sim.seed,
-                "processors": args.processors,
                 "scenario": compiled.name,
                 "scenario_hash": compiled.scenario_hash(),
             },
@@ -359,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         with wall_deadline(args.deadline_seconds, ckpt) as deadline_expired, \
                 deferred_interrupts(ckpt):
             result = sim.run(
-                engine,
+                kind,
                 tracer=capture.tracer,
                 metrics=capture.metrics,
                 spans=capture.spans,

@@ -211,9 +211,9 @@ def aggregate_router_stats(routers: list) -> dict[str, Any]:
 
 
 def model_lines(result, extra: tuple[str, ...] = ()) -> list[str]:
-    """The model block ``repro.hotpotato`` and ``repro.scenarios run``
-    print: events committed, the adversary line when one ran, ``extra``
-    (the caller's engine lines), then the seven packet lines."""
+    """The model block ``repro.hotpotato`` prints: events committed, the
+    adversary line when one ran, ``extra`` (the caller's engine lines),
+    then the seven packet lines."""
     ms = result.model_stats
     lines = [f"  events committed   : {result.run.committed:,}"]
     if "adversary" in ms:

@@ -8,9 +8,9 @@ an optional fault plan.  :func:`compile_scenario` turns one into a
 :class:`CompiledScenario` holding the
 :class:`~repro.hotpotato.simulation.HotPotatoSimulation` it declares.
 Every entry point compiles through it: ``python -m repro.scenarios``
-validates, inspects and runs scenario files; ``repro.hotpotato`` compiles
-``--scenario FILE`` or its workload flags (via :func:`report_scenario`);
-sweep points are scenario documents.  Bundled examples
+validates and inspects scenario files; ``repro.hotpotato`` compiles and
+runs ``--scenario FILE`` or its workload flags (via
+:func:`report_scenario`); sweep points are scenario documents.  Bundled examples
 live in ``examples/scenarios/``; the format reference is
 ``docs/SCENARIOS.md``.
 """

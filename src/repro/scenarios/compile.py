@@ -124,7 +124,7 @@ def _compile_faults(scenario: Scenario, n: int, topo_kind: str, duration: float)
     doc = scenario.faults
     if doc is None:
         return None
-    from repro.faults import FaultPlan, FaultPlanError, generate_plan, load_plan
+    from repro.faults import FaultPlan, FaultPlanError, PEStall, generate_plan, load_plan
 
     try:
         if isinstance(doc, str):
@@ -134,6 +134,8 @@ def _compile_faults(scenario: Scenario, n: int, topo_kind: str, duration: float)
             return load_plan(path)
         if "generate" in doc:
             spec = dict(doc["generate"])
+            if "stalls" in spec:
+                spec["stalls"] = [PEStall.from_dict(s) for s in spec["stalls"]]
             topo = TOPOLOGIES[topo_kind](n)
             return generate_plan(topo, duration=duration, **spec)
         return FaultPlan.from_dict(doc)
@@ -187,7 +189,13 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
         if injection_plan is not None:
             injection_plan.validate(num_nodes=num)
         if fault_plan is not None:
-            fault_plan.validate(num_nodes=num)
+            # The model's own compile, done here so a link the grid lacks
+            # (a mesh border) is refused before any run starts.
+            from repro.faults.views import compile_node_views, static_failed_links
+
+            compile_node_views(fault_plan, TOPOLOGIES[topo_kind](
+                n, failed_links=static_failed_links(fault_plan)
+            ))
     except ScenarioError:
         raise
     except ConfigurationError as exc:

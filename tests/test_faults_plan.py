@@ -1,4 +1,4 @@
-"""Unit tests for FaultPlan: validation, JSON round-trip, generation, CLI."""
+"""Unit tests for FaultPlan: validation, JSON round-trip, generation."""
 
 import json
 
@@ -14,9 +14,7 @@ from repro.faults import (
     FaultPlanError,
     PEStall,
     generate_plan,
-    load_plan,
 )
-from repro.faults.__main__ import main as faults_main
 from repro.net import Direction, TorusTopology
 
 
@@ -119,29 +117,3 @@ def test_generate_plan_zero_rates_is_empty_schedule():
     plan = generate_plan(TorusTopology(4), duration=20.0)
     assert plan.events == ()
 
-
-def test_cli_generate_validate_show(tmp_path, capsys):
-    out = tmp_path / "plan.json"
-    rc = faults_main(
-        [
-            "generate", "--n", "6", "--duration", "40",
-            "--link-rate", "0.1", "--heal-after", "10",
-            "--drop", "0.05", "--stall", "0:5:3",
-            "-o", str(out),
-        ]
-    )
-    assert rc == 0
-    plan = load_plan(out)
-    assert plan.drop_rate == 0.05
-    assert plan.stalls == (PEStall(0, 5, 3),)
-    assert faults_main(["validate", str(out), "--n", "6"]) == 0
-    assert faults_main(["show", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "link" in text
-
-
-def test_cli_validate_rejects_out_of_range_node(tmp_path, capsys):
-    bad = FaultPlan(events=(FaultEvent(0, CRASH, 999),))
-    path = tmp_path / "bad.json"
-    bad.dump(path)
-    assert faults_main(["validate", str(path), "--n", "4"]) != 0

@@ -19,7 +19,7 @@ packets conserved, or a :class:`~repro.errors.ConfigurationError` is
 raised before the model's handler table serves a single event.  A
 crash, a watchdog abort or a divergence fails the example, and the
 failure notes the scenario document with the command that replays it
-(``python -m repro.scenarios run FILE ... --validate``).
+(``python -m repro.hotpotato --scenario FILE --engine ... --validate``).
 
 The example count comes from the hypothesis profile in
 ``tests/conftest.py``: tier-1 runs the derandomized default, CI the
@@ -38,6 +38,7 @@ from repro.ckpt import Checkpointer, list_snapshots
 from repro.core.trace import Tracer
 from repro.errors import ConfigurationError
 from repro.health import Watchdog
+from repro.hotpotato.__main__ import ENGINE_NAMES, build_parser
 from repro.hotpotato.router import ARRIVE, HEARTBEAT, INIT, INJECT, ROUTE
 from repro.obs.capture import RunCapture
 from repro.obs.recorder import load_recording
@@ -144,12 +145,18 @@ class _KillAt(Checkpointer):
 
 
 def _replay_notes(doc, kind, engine, watched, kill):
-    flags = f"--engine {kind} --processors {engine['n_pes']}"
+    # The rollback strategy has no flag: the settings note names it.
+    short = next(name for name, full in ENGINE_NAMES.items() if full == kind)
+    flags = f"--engine {short} --processors {engine['n_pes']}"
     if kind == "optimistic":
         flags += f" --kps {engine['n_kps']} --batch {engine['batch_size']}"
+        if engine["procs"] > 1:
+            flags += f" --procs {engine['procs']}"
+    args = build_parser().parse_args(f"--scenario FILE {flags} --validate".split())
+    assert ENGINE_NAMES[args.engine] == kind and args.validate
     note("scenario document (save as FILE):\n"
          + json.dumps(doc, indent=2, sort_keys=True))
-    note(f"replay: python -m repro.scenarios run FILE {flags} --validate")
+    note(f"replay: python -m repro.hotpotato --scenario FILE {flags} --validate")
     note(f"engine settings {engine}, watchdog={watched}, kill={kill}")
 
 

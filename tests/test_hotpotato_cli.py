@@ -1,8 +1,15 @@
 """Tests for the ``python -m repro.hotpotato`` command-line interface."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.hotpotato.__main__ import build_parser, main
+
+EXAMPLES_DIR = (
+    pathlib.Path(__file__).resolve().parent.parent / "examples" / "scenarios"
+)
 
 
 def test_defaults():
@@ -19,7 +26,7 @@ def test_option_strings_are_pinned():
         if s.startswith("--") and s != "--help"
     ]
     assert options == [
-        "--n", "--processors", "--duration", "--probability-i",
+        "--n", "--engine", "--processors", "--duration", "--probability-i",
         "--no-absorb-sleeping", "--topology", "--scenario",
         "--procs", "--kps", "--batch", "--gvt-interval", "--seed",
         "--validate", "--metrics-out", "--trace-out",
@@ -106,8 +113,18 @@ def test_bad_probability(capsys):
     [
         (["--procs", "2", "--paranoid"], ("paranoid",)),
         (["--procs", "3"], ("procs must divide n_pes",)),
+        (["--scenario", str(EXAMPLES_DIR / "adversarial_hotspot.json")],
+         ("--scenario declares the workload", "drop --n")),
+        (["--engine", "seq"], ("--engine seq", "--processors")),
+        (["--engine", "cons", "--procs", "2"], ("--engine cons", "drop --procs")),
+        (["--engine", "cons", "--kps", "16"], ("--engine cons", "drop --kps")),
+        (["--engine", "cons", "--batch", "64"], ("--engine cons", "drop --batch")),
+        (["--engine", "cons", "--gvt-interval", "8"],
+         ("--engine cons", "drop --gvt-interval")),
     ],
-    ids=["paranoid-procs", "procs-not-dividing"],
+    ids=["paranoid-procs", "procs-not-dividing", "scenario-with-workload-flag",
+         "seq-with-processors", "cons-with-procs", "cons-with-kps",
+         "cons-with-batch", "cons-with-gvt-interval"],
 )
 def test_refused_engine_config_exits_2_before_any_fork(
     capsys, monkeypatch, tmp_path, flags, names
@@ -226,14 +243,11 @@ def test_resume_refuses_a_snapshot_with_the_old_marker(tmp_path, capsys):
 
 
 def test_kp_count_that_cannot_tile_is_refused_up_front(capsys, tmp_path):
-    """A 6x6 scenario on 4 PEs with the default 16 KPs: refused by name,
-    exit 2, no file written; with --kps 4 it runs and validates."""
-    import pathlib
-
-    scenario = str(pathlib.Path(__file__).resolve().parent.parent
-                   / "examples" / "scenarios" / "adversarial_faulted.json")
+    """A 6x6 scenario on 4 PEs with 16 KPs: refused by name, exit 2, no
+    file written; with --kps 4 it runs and validates."""
+    scenario = str(EXAMPLES_DIR / "adversarial_faulted.json")
     out_file = tmp_path / "run.jsonl"
-    rc = main(["--scenario", scenario, "--processors", "4",
+    rc = main(["--scenario", scenario, "--processors", "4", "--kps", "16",
                "--metrics-out", str(out_file)])
     assert rc == 2
     assert "configuration refused:" in capsys.readouterr().out
@@ -250,3 +264,122 @@ def test_grid_without_a_default_kp_count_runs_sequentially(capsys):
     assert "5x5 torus" in capsys.readouterr().out
     assert main(["--n", "5", "--duration", "10", "--processors", "4"]) == 2
     assert "configuration refused:" in capsys.readouterr().out
+
+
+def _tiny(tmp_path, **over):
+    doc = {
+        "schema": "RPSCEN01",
+        "name": "tiny",
+        "topology": {"kind": "torus", "n": 4},
+        "traffic": {
+            "model": "adversarial", "strategy": "hotspot",
+            "rate": 0.5, "seed": 9,
+        },
+        "routing": {"policy": "busch"},
+        "engine": {"duration": 10.0, "seed": 7},
+    }
+    doc.update(over)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("engine", ["seq", "cons", "opt"])
+def test_engine_runs_a_scenario_file(tmp_path, capsys, engine):
+    """``--scenario FILE --engine E --validate`` on each engine matches
+    the other side of the check (Time Warp for seq, the oracle else),
+    prints the adversary line and records the scripted injections."""
+    from repro.obs.recorder import SCHEMA_VERSION, load_recording
+
+    out_jsonl = tmp_path / "run.jsonl"
+    assert main(["--scenario", _tiny(tmp_path), "--engine", engine,
+                 "--validate", "--trace-out", str(out_jsonl)]) == 0
+    out = capsys.readouterr().out
+    assert "cross-engine check : IDENTICAL" in out
+    assert "adversary          : hotspot" in out
+    rec = load_recording(out_jsonl)
+    assert rec.header["schema"] == SCHEMA_VERSION
+    assert rec.header["scenario"] == "tiny"
+    assert rec.header["engine"] == {"seq": "sequential", "cons": "conservative",
+                                    "opt": "optimistic"}[engine]
+    assert rec.header["scenario_hash"]
+    assert rec.adversary, "scripted injections must be logged up front"
+    assert {"step", "node", "dest"} <= set(rec.adversary[0])
+
+
+class _Stop(Exception):
+    pass
+
+
+def _run_request(monkeypatch, argv):
+    """The engine kind and settings ``main(argv)`` asks
+    :meth:`HotPotatoSimulation.run` for, stopped before the run."""
+    from repro.hotpotato.simulation import HotPotatoSimulation
+
+    seen = []
+
+    def record(self, kind, *, tracer, metrics, spans, checkpointer, health,
+               **settings):
+        seen.append((kind, settings))
+        raise _Stop
+
+    monkeypatch.setattr(HotPotatoSimulation, "run", record)
+    with pytest.raises(_Stop):
+        main(argv)
+    return seen[0]
+
+
+def _shape(settings):
+    ecfg = settings["engine_config"]
+    return ecfg.n_pes, ecfg.n_kps, ecfg.batch_size
+
+
+def test_scenario_engine_section_fills_unnamed_settings(tmp_path, monkeypatch):
+    """Each engine setting is the flag, else the scenario's engine
+    section, else the compiled default (``kp_count_for`` for KPs)."""
+    engine = {"duration": 10.0, "seed": 7, "n_pes": 2, "n_kps": 8, "batch_size": 4}
+    declared = ["--scenario", _tiny(tmp_path, engine=engine)]
+    _, settings = _run_request(monkeypatch, [*declared, "--engine", "opt"])
+    assert _shape(settings) == (2, 8, 4)
+    _, settings = _run_request(monkeypatch, [
+        *declared, "--engine", "opt", "--processors", "4", "--batch", "32"])
+    assert _shape(settings) == (4, 8, 32)
+    assert _run_request(monkeypatch, [*declared, "--engine", "cons"]) == (
+        "conservative", {"n_pes": 2, "paranoid": False})
+    _, settings = _run_request(
+        monkeypatch, ["--scenario", _tiny(tmp_path), "--engine", "opt"])
+    assert _shape(settings) == (4, 16, 16)
+
+
+@pytest.mark.parametrize(
+    "n, flags, expected",
+    [
+        (32, ["--processors", "1"], None),
+        (32, ["--processors", "4", "--batch", "64"],
+         dict(n_pes=4, n_kps=16, batch_size=64)),
+        (32, ["--processors", "4", "--batch", "64", "--gvt-interval", "16"],
+         dict(n_pes=4, n_kps=16, batch_size=64, gvt_interval=16)),
+        (32, ["--processors", "4", "--batch", "64", "--gvt-interval", "16",
+              "--procs", "2"],
+         dict(n_pes=4, n_kps=16, batch_size=64, gvt_interval=16, procs=2)),
+        (16, ["--processors", "4", "--batch", "2048"],
+         dict(n_pes=4, n_kps=16, batch_size=2048)),
+        (64, ["--processors", "4", "--batch", "64"],
+         dict(n_pes=4, n_kps=16, batch_size=64)),
+    ],
+    ids=["seq-n32", "tw-n32", "opt-n32", "mp-p2-n32", "opt-rollback-n16",
+         "opt-n64-scale"],
+)
+def test_benchmark_flag_sets_build_the_same_engine(monkeypatch, n, flags, expected):
+    """The benchmark's command lines keep their engine: the sequential
+    oracle, or the Time Warp config these flags built when ``--kps`` and
+    ``--batch`` had CLI defaults of 16."""
+    from repro.core.config import EngineConfig
+
+    kind, settings = _run_request(
+        monkeypatch, ["--n", str(n), "--duration", "30", "--seed", "7", *flags])
+    if expected is None:
+        assert (kind, settings) == ("sequential", {"paranoid": False})
+    else:
+        assert (kind, settings) == ("optimistic", {
+            "engine_config": EngineConfig(end_time=30.0, seed=7, **expected)})

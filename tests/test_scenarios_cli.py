@@ -58,29 +58,26 @@ def test_cli_show(capsys):
 
 
 def test_cli_run_sequential_with_cross_engine_check(tmp_path, capsys):
+    """A scenario file runs through the one run command."""
+    from repro.hotpotato.__main__ import main as hotpotato_main
+
     path = _tiny(tmp_path)
-    assert scenarios_main(["run", path, "--validate"]) == 0
+    assert hotpotato_main(
+        ["--scenario", path, "--engine", "seq", "--validate"]
+    ) == 0
     out = capsys.readouterr().out
     assert "cross-engine check : IDENTICAL" in out
     assert "adversary" in out
 
 
-@pytest.mark.parametrize("engine", ["cons", "opt"])
-def test_cli_run_parallel_matches_oracle(tmp_path, capsys, engine):
-    path = _tiny(tmp_path)
-    assert scenarios_main(
-        ["run", path, "--engine", engine, "--validate"]
-    ) == 0
-    assert "oracle check       : IDENTICAL" in capsys.readouterr().out
-
-
 def test_cli_run_records_adversary_lines(tmp_path, capsys):
+    from repro.hotpotato.__main__ import main as hotpotato_main
     from repro.obs.recorder import SCHEMA_VERSION, load_recording
 
     path = _tiny(tmp_path)
     out_jsonl = tmp_path / "run.jsonl"
-    assert scenarios_main(
-        ["run", path, "--trace-out", str(out_jsonl)]
+    assert hotpotato_main(
+        ["--scenario", path, "--trace-out", str(out_jsonl)]
     ) == 0
     rec = load_recording(out_jsonl)
     assert rec.header["schema"] == SCHEMA_VERSION
@@ -89,6 +86,35 @@ def test_cli_run_records_adversary_lines(tmp_path, capsys):
     assert rec.adversary, "scripted injections must be logged up front"
     fields = set(rec.adversary[0])
     assert {"step", "node", "dest"} <= fields
+
+
+def test_cli_validate_generated_faults(tmp_path, capsys):
+    """A ``faults.generate`` section authors the plan: link failures
+    that heal, transport noise and a PE stall window."""
+    from repro.faults import PEStall
+    from repro.scenarios import compile_scenario, load_scenario
+
+    generate = {"link_fail_rate": 0.1, "heal_after": 10, "drop_rate": 0.05,
+                "stalls": [{"pe": 0, "start_round": 5, "rounds": 3}], "seed": 7}
+    path = _tiny(tmp_path, topology={"kind": "torus", "n": 6},
+                 faults={"generate": generate})
+    assert scenarios_main(["validate", path]) == 0
+    assert "faults=" in capsys.readouterr().out
+    plan = compile_scenario(load_scenario(path)).sim.fault_plan
+    assert plan.drop_rate == 0.05 and plan.stalls == (PEStall(0, 5, 3),)
+    assert scenarios_main(["show", path]) == 0
+    assert "scheduled events" in capsys.readouterr().out
+
+
+def test_cli_validate_rejects_out_of_range_plan_file(tmp_path, capsys):
+    """A plan file naming a router the scenario's grid lacks fails
+    validation by name."""
+    from repro.faults import CRASH, FaultEvent, FaultPlan
+
+    FaultPlan(events=(FaultEvent(0, CRASH, 999),)).dump(tmp_path / "bad.json")
+    assert scenarios_main(["validate", _tiny(tmp_path, faults="bad.json")]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "999" in out
 
 
 def test_cli_rejects_garbage(tmp_path, capsys):

@@ -139,6 +139,31 @@ def test_compile_rejects_script_outside_topology():
         compile_scenario(Scenario.from_dict(doc))
 
 
+@pytest.mark.parametrize(
+    "topology, faults, error",
+    [("torus", {"generate": {"link_fail_rate": 0.1, "stalls": [
+        {"pe": 1, "start_round": 3, "rounds": 4}]}}, None),
+     ("torus", {"generate": {"link_fail_rate": 0.1, "stalls": [
+        {"pe": 1, "rounds": 4}]}}, r"bad PE stall \{'pe': 1, 'rounds': 4\}"),
+     ("mesh", {"events": [{"step": 5, "kind": "link_down", "node": 0,
+                           "direction": 3}]}, r"no such link")],
+    ids=["stall", "malformed-stall", "mesh-border-link"],
+)
+def test_compile_fault_plans(topology, faults, error):
+    """``faults.generate.stalls`` entries become PE stall windows; a
+    malformed entry, or a link the grid lacks, is a ScenarioError naming
+    it when the scenario compiles, not a crash once the run starts."""
+    from repro.faults import PEStall
+
+    doc = _doc(topology={"kind": topology, "n": 4}, faults=faults)
+    if error is not None:
+        with pytest.raises(ScenarioError, match=error):
+            compile_scenario(Scenario.from_dict(doc))
+        return
+    plan = compile_scenario(Scenario.from_dict(doc)).sim.fault_plan
+    assert plan.stalls == (PEStall(1, 3, 4),)
+
+
 def test_compile_default_kps_fit_odd_grids():
     """The KP default is resolved when a Time Warp engine is built, to a
     count whose block mapping tiles the grid."""
