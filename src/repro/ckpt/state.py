@@ -51,8 +51,10 @@ __all__ = ["capture_state", "restore_state"]
 #: step end and resumes on the band program (a format-3 one may hold a
 #: cut inside a band, which the program cannot enter).  5: a
 #: conservative snapshot holds no channel clocks and no null-message
-#: count (the engine runs YAWNS only).
-PAYLOAD_FORMAT = 5
+#: count (the engine runs YAWNS only).  6: a sequential mesh or adversary
+#: snapshot is taken at a step end and resumes on the band program (a
+#: format-5 one may hold a cut inside a band, which the program cannot enter).
+PAYLOAD_FORMAT = 6
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ Because execution is conservative, nothing ever rolls back, so the model's
 run conservatively).  Committed results are — of course — identical to the
 sequential oracle's; the test suite checks that.
 
-Lookahead is declared by the model (``Model.lookahead``) or passed
-explicitly, and *enforced*: a send that violates it raises
+Lookahead is declared by the model (``Model.lookahead``) and
+*enforced*: a send that violates it raises
 :class:`~repro.errors.SchedulingError`, because a lookahead lie silently
 corrupts a conservative simulation.
 """
@@ -49,9 +49,6 @@ class ConservativeConfig:
         Virtual-time barrier (exclusive), as in the other engines.
     n_pes:
         Simulated processors.
-    lookahead:
-        Minimum send offset the model guarantees; ``None`` reads
-        ``model.lookahead``.
     mapping:
         LP→PE mapping strategy (``"block"``/``"striped"``/``"random"``).
     paranoid:
@@ -61,7 +58,6 @@ class ConservativeConfig:
 
     end_time: float
     n_pes: int = 4
-    lookahead: float | None = None
     mapping: str = "block"
     seed: int = 0x5EED
     paranoid: bool = False
@@ -72,10 +68,6 @@ class ConservativeConfig:
             raise ConfigurationError(f"end_time must be positive, got {self.end_time}")
         if self.n_pes < 1:
             raise ConfigurationError(f"n_pes must be >= 1, got {self.n_pes}")
-        if self.lookahead is not None and self.lookahead <= 0:
-            raise ConfigurationError(
-                f"lookahead must be positive, got {self.lookahead}"
-            )
         check_mapping_strategy(self.mapping)
 
 
@@ -104,15 +96,11 @@ class ConservativeKernel(Executor):
     def __init__(self, model: Model, config: ConservativeConfig) -> None:
         self.cfg = config
         self.cost = config.cost
-        lookahead = (
-            config.lookahead
-            if config.lookahead is not None
-            else getattr(model, "lookahead", None)
-        )
+        lookahead = getattr(model, "lookahead", None)
         if lookahead is None or lookahead <= 0:
             raise ConfigurationError(
-                "conservative execution needs positive lookahead: pass "
-                "ConservativeConfig(lookahead=...) or define model.lookahead"
+                "conservative execution needs positive lookahead: define "
+                "model.lookahead"
             )
         self.lookahead = float(lookahead)
 

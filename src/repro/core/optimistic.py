@@ -308,8 +308,8 @@ class TimeWarpKernel(Executor):
         # --- Hot-path capability flags & event pool --------------------------
         #: Event recycling free list.
         self._alloc = self._init_pool()
-        #: The immediate transport is a plain function indirection; _emit
-        #: inlines its delivery while this is set.
+        #: The immediate transport is a plain function indirection; the
+        #: compiled send inlines its delivery while this is set.
         self._direct = True
         #: LP id -> "stepped by another worker process"; ``None`` when
         #: this kernel steps every LP (see :class:`repro.mp.kernel.
@@ -407,8 +407,7 @@ class TimeWarpKernel(Executor):
         current = self._current_event
         pe_of_lp = self.pe_of_lp
         src_pe = pe_of_lp[src_lp.id]
-        dst = ev.dst
-        dst_pe = pe_of_lp[dst]
+        dst_pe = pe_of_lp[ev.dst]
         if current is not None:
             current.sent.append(ev)
         stats = self._stats_by_pe[src_pe]
@@ -420,20 +419,7 @@ class TimeWarpKernel(Executor):
             units = self._cost_remote
         stats.busy += units
         stats.round_busy += units
-        if not self._direct:
-            self.transport.deliver(ev, src_pe, dst_pe)
-            return
-        # Immediate transport: the inlined body of _receive.
-        kp = self._kp_of_lp[dst]
-        pe = self._pe_by_lp[dst]
-        pe.pending.push(ev)
-        processed = kp.processed
-        if processed and processed[-1].key > ev.key:
-            pe.stats.stragglers += 1
-            self._charge(pe, self.cost.rollback_fixed)
-            undone = kp.rollback_until(ev.key, self, ev.dst)
-            self._charge(pe, undone * self.undo_cost)
-            self._drain_cancels()
+        self.transport.deliver(ev, src_pe, dst_pe)
 
     def _receive(self, ev: Event) -> None:
         """Deliver an event to its destination PE, rolling back if it is a

@@ -30,8 +30,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, HealthIntervention, SnapshotError
 from repro.hotpotato.stats import model_lines
+from repro.net import TOPOLOGIES
 from repro.obs.capture import RunCapture
 from repro.scenarios import (
     Scenario,
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--topology",
-        choices=("torus", "mesh"),
+        choices=tuple(TOPOLOGIES),
         default="torus",
         help="grid topology by name (default torus)",
     )
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         metavar="N",
         help="snapshot every N boundaries: GVT rounds, scheduler rounds "
-        "or, sequential on the torus, step ends (default 4)",
+        "or, on the sequential band program, step ends (default 4)",
     )
     parser.add_argument(
         "--resume",
@@ -386,8 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     resumed_payload = None
     if args.resume:
-        from repro.errors import SnapshotError
-
         if kind == "optimistic" and settings["engine_config"].procs > 1:
             # Process-mode snapshots are per-worker shards under
             # <dir>/shard_<i>; the workers locate and load the newest
@@ -433,7 +432,6 @@ def main(argv: list[str] | None = None) -> int:
         watchdog = Watchdog(sink=capture.health_sink)
 
     from repro.ckpt import deferred_interrupts, wall_deadline
-    from repro.errors import HealthIntervention
 
     try:
         with wall_deadline(args.deadline_seconds, ckpt) as deadline_expired, \
@@ -464,6 +462,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print("\ninterrupted", file=sys.stderr)
         return 130
+    except SnapshotError as exc:
+        # The engine refused the resumed state (payload format or engine
+        # kind) when the checkpointer grafted it on, before any event ran.
+        capture.finalize(None)
+        print(f"resume failed: {exc}", file=sys.stderr)
+        return 2
     except HealthIntervention as exc:
         capture.finalize(None)
         print(f"\nwatchdog abort: {exc}", file=sys.stderr)

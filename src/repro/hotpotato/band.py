@@ -44,9 +44,14 @@ the next step.  An attached tracer is given each executed event's EXEC
 and COMMIT records, built from the band's sorted tuples in a pass of
 their own.
 
-:meth:`HotPotatoModel.band_program` offers the program only for the
-configuration the inlined rules are written for (Busch policy, torus, no
-model faults, no adversary script).
+Topology and traffic are data here, not cases: a flat ``live`` mask of
+the links that exist (all of them on a torus) guards the fallback
+deflection and the blocked-injection test, and each router's heartbeat
+samples its degree; an adversary's ``(gen_step, dest)`` script is read at
+the ``head_gen`` cursor, and a scripted packet draws only its jitter.
+:meth:`HotPotatoModel.band_program` refuses the program only where an
+inlined rule would be wrong: a policy other than the Busch policy, or
+model faults.
 """
 
 from __future__ import annotations
@@ -138,9 +143,17 @@ def run_bands(engine, processed: int, step: int, end: float):
     # The population's own state lists (every router shares them).
     links = lps[0].links
     head_gen = lps[0].head_gen
-    nbrs: list[int] = []
+    # Flat per-link tables, ``[4 * id + d]``: the neighbor, and whether
+    # the link exists (all four do on a torus; a mesh edge has fewer).
+    nbrs: list = []
+    live: list[bool] = []
     for lp in lps:
         nbrs.extend(lp.neighbors)
+        live.extend(lp.exists)
+    degree = [sum(lp.exists) for lp in lps]
+    # An adversary's ``(gen_step, dest)`` script per router, or None for
+    # the stock application; ``head_gen`` is the cursor into either.
+    scripts = [lp.adversary for lp in lps]
     send_seq = [lp.send_seq for lp in lps]
     rng_state, rng_count = map(list, zip(*[lp.rng.checkpoint() for lp in lps]))
     stats = [lp.stats for lp in lps]
@@ -239,14 +252,14 @@ def run_bands(engine, processed: int, step: int, end: float):
                         break
                 else:
                     # No good link is free: the first free one in compass
-                    # order (one exists: a router gets at most four
-                    # packets a step).
+                    # order (one exists: a router gets at most one packet
+                    # a step per link it has).
                     deflected = True
                     st.deflections += 1
                     slot = (
-                        base if links[base] != step
-                        else base + 1 if links[base + 1] != step
-                        else base + 2 if links[base + 2] != step
+                        base if live[base] and links[base] != step
+                        else base + 1 if live[base + 1] and links[base + 1] != step
+                        else base + 2 if live[base + 2] and links[base + 2] != step
                         else base + 3
                     )
                 if priority >= 2:
@@ -301,30 +314,46 @@ def run_bands(engine, processed: int, step: int, end: float):
             seq = inj_seq[i] = send_seq[i]
             send_seq[i] = seq + 1
             head = head_gen[i]
-            if step1 - head <= 0:
+            script = scripts[i]
+            if script is None:
+                gen_step = head
+            elif head < len(script):
+                gen_step, dest = script[head]
+            else:
+                continue  # script exhausted: nothing is ever due
+            if gen_step > step:
                 continue
             base = i * 4
             if (
-                links[base] == step
-                and links[base + 1] == step
-                and links[base + 2] == step
-                and links[base + 3] == step
+                (links[base] == step or not live[base])
+                and (links[base + 1] == step or not live[base + 1])
+                and (links[base + 2] == step or not live[base + 2])
+                and (links[base + 3] == step or not live[base + 3])
             ):
                 stats[i].inject_blocked += 1
                 continue
-            # The stock destination draw (same LCG steps as the table's).
-            s1 = (MULTIPLIER * rng_state[i] + INCREMENT) & MASK64
-            dest = int((s1 >> 11) * _INV_2_53 * n_others)
-            if dest >= i:
-                dest += 1
-            if jitter_on:
-                s1 = (MULTIPLIER * s1 + INCREMENT) & MASK64
-                rng_count[i] += 2
+            if script is None:
+                # The stock destination draw (same LCG steps as the table's).
+                s1 = (MULTIPLIER * rng_state[i] + INCREMENT) & MASK64
+                dest = int((s1 >> 11) * _INV_2_53 * n_others)
+                if dest >= i:
+                    dest += 1
+                if jitter_on:
+                    s1 = (MULTIPLIER * s1 + INCREMENT) & MASK64
+                    rng_count[i] += 2
+                    jitter = (1 + int((s1 >> 11) * _INV_2_53 * slots)) / two_slots
+                else:
+                    rng_count[i] += 1
+                    jitter = FIXED_JITTER
+                rng_state[i] = s1
+            elif jitter_on:
+                # A scripted packet draws only its jitter
+                # (ReversibleStream.integer(1, slots)).
+                rng_state[i] = s1 = (MULTIPLIER * rng_state[i] + INCREMENT) & MASK64
+                rng_count[i] += 1
                 jitter = (1 + int((s1 >> 11) * _INV_2_53 * slots)) / two_slots
             else:
-                rng_count[i] += 1
                 jitter = FIXED_JITTER
-            rng_state[i] = s1
             info = table[lin[dest] - lin[i]]
             for g in info[0]:
                 if links[base + g] != step:
@@ -332,13 +361,13 @@ def run_bands(engine, processed: int, step: int, end: float):
                     break
             else:
                 slot = (
-                    base if links[base] != step
-                    else base + 1 if links[base + 1] != step
-                    else base + 2 if links[base + 2] != step
+                    base if live[base] and links[base] != step
+                    else base + 1 if live[base + 1] and links[base + 1] != step
+                    else base + 2 if live[base + 2] and links[base + 2] != step
                     else base + 3
                 )
             st = stats[i]
-            wait = step - head
+            wait = step - gen_step
             links[slot] = step
             head_gen[i] = head + 1
             st.injected += 1
@@ -373,7 +402,7 @@ def run_bands(engine, processed: int, step: int, end: float):
                     + (links[base + 2] == step)
                     + (links[base + 3] == step)
                 )
-                st.util_samples += 4
+                st.util_samples += degree[i]
                 seq = hb_seq[i] = send_seq[i]
                 send_seq[i] = seq + 1
             hb_step = step1

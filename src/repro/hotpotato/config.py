@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.net import TOPOLOGIES
 
 __all__ = ["HotPotatoConfig"]
 
@@ -91,15 +92,11 @@ class HotPotatoConfig:
     delivery_log: bool = False
     layout_seed: int = 42
 
-    #: Names accepted by the ``topology`` field (future shapes slot in
-    #: here and in repro.net.TOPOLOGIES together).
-    TOPOLOGY_NAMES = ("torus", "mesh")
-
     def __post_init__(self) -> None:
-        if self.topology not in self.TOPOLOGY_NAMES:
+        if self.topology not in TOPOLOGIES:
             raise ConfigurationError(
                 f"unknown topology {self.topology!r}; choose from "
-                f"{list(self.TOPOLOGY_NAMES)}"
+                f"{list(TOPOLOGIES)}"
             )
         if self.n < 2:
             raise ConfigurationError(f"n must be >= 2, got {self.n}")

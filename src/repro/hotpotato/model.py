@@ -21,7 +21,7 @@ from repro.hotpotato.router import (
     RouterLPWithLog,
 )
 from repro.hotpotato.stats import aggregate_router_stats, stats_from_signature
-from repro.net import TOPOLOGIES, GridTopology, TorusTopology
+from repro.net import TOPOLOGIES, GridTopology
 from repro.rng.streams import ReversibleStream, derive_seed
 
 __all__ = ["HotPotatoModel", "choose_injectors"]
@@ -155,10 +155,11 @@ class HotPotatoModel(Model):
     def band_program(self):
         """The sequential band program (:mod:`repro.hotpotato.band`).
 
-        Offered for the configuration its inlined rules are written for:
+        Offered on the torus and the mesh, for the stock injection
+        application and for an adversary script alike, unless a rule it
+        inlines would be wrong: a policy other than
         ``BuschHotPotatoPolicy`` itself (a subclass override would
-        silently be ignored), the stock injection application, the torus
-        band layout and no model faults.  Each refusal is recorded in
+        silently be ignored) or model faults.  Each refusal is recorded in
         ``band_decline_reason``.
         """
         plan = self.fault_plan
@@ -166,16 +167,6 @@ class HotPotatoModel(Model):
             reason = (
                 f"policy {self.policy.name!r} is not the Busch policy the "
                 "band program inlines"
-            )
-        elif self.injection_plan is not None:
-            reason = (
-                "adversarial injection plan attached (the band program "
-                "draws a uniform destination)"
-            )
-        elif not isinstance(self.topo, TorusTopology):
-            reason = (
-                f"topology {self.cfg.topology!r} is not the torus the "
-                "band program was built for"
             )
         elif plan is not None and plan.has_model_faults:
             reason = (

@@ -5,7 +5,7 @@ The four per-pair methods (``good_dirs``, ``homerun_dir``, ``is_turning``,
 routers use, and must return exactly what they return.
 """
 
-from repro.net.directions import Direction
+from repro.net import Direction
 
 #: Even and odd sides, antipodal ties on one or both axes, non-square.
 SHAPES = [(2, 2), (3, 3), (4, 4), (5, 7), (6, 4), (8, 8), (9, 2)]

@@ -1,6 +1,7 @@
 """The sequential band program equals the per-event loop it replaces.
 
-``SequentialEngine.run`` hands a hot-potato run on the Busch torus to
+``SequentialEngine.run`` hands a hot-potato run with the Busch policy —
+torus or mesh, stock injection or an adversary script — to
 :func:`repro.hotpotato.band.run_bands`, whatever is attached; the same
 model with its band program withheld (``per_event_reference``) runs every
 event through the handler table instead.  The two must agree on
@@ -9,6 +10,8 @@ delivery log in order, every router's state and RNG, the events still
 pending at the barrier — wherever in a band the barrier falls — and,
 traced, every EXEC / COMMIT record in order.
 """
+
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,8 +28,8 @@ from repro.health import HealthConfig, Watchdog
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.hotpotato.policy import BuschHotPotatoPolicy
-from repro.net import TorusTopology
-from repro.scenarios.adversary import InjectionEvent, InjectionPlan
+from repro.net import TOPOLOGIES, TorusTopology
+from repro.scenarios.adversary import STRATEGIES, generate_injection_plan
 from tests.kernel_models import band_spy, per_event_reference
 
 
@@ -64,12 +67,27 @@ def _observe(
     }
 
 
-def _assert_band_equals_per_event(cfg: HotPotatoConfig, seed: int) -> None:
+def _adversary(cfg: HotPotatoConfig, adversary) -> dict:
+    """The model keywords for an optional ``(strategy, rate, steps)``
+    adversary: a script of ``steps`` generation steps on ``cfg``'s grid."""
+    if adversary is None:
+        return {}
+    strategy, rate, steps = adversary
+    topo = TOPOLOGIES[cfg.topology](cfg.n)
+    return dict(injection_plan=generate_injection_plan(
+        topo, strategy=strategy, duration=steps, rate=rate, seed=5,
+    ))
+
+
+def _assert_band_equals_per_event(
+    cfg: HotPotatoConfig, seed: int, adversary=None
+) -> None:
     """Untraced band program against the traced reference, field by
     field; then the traced band program's records against the
     reference's, record for record."""
-    band = _observe(cfg, seed)
-    per_event = _observe(cfg, seed, reference=True, traced=True)
+    model_kw = _adversary(cfg, adversary)
+    band = _observe(cfg, seed, **model_kw)
+    per_event = _observe(cfg, seed, reference=True, traced=True, **model_kw)
     assert band.pop("decline") == per_event.pop("decline") == ""
     assert band.pop("entries") == ([1] if cfg.duration > 1.0 else [])
     assert per_event.pop("entries") == []
@@ -77,7 +95,7 @@ def _assert_band_equals_per_event(cfg: HotPotatoConfig, seed: int) -> None:
     assert band.pop("records") == []
     for what in band:
         assert band[what] == per_event[what], what
-    traced = _observe(cfg, seed, traced=True)
+    traced = _observe(cfg, seed, traced=True, **model_kw)
     assert traced["entries"] == ([1] if cfg.duration > 1.0 else [])
     assert traced["records"] == records
     assert len(records) == 2 * per_event["counters"][0]
@@ -98,8 +116,14 @@ def cases(draw):
         delivery_log=draw(st.booleans()),
         arrival_jitter=draw(st.booleans()),
         absorb_sleeping=draw(st.booleans()),
+        topology=draw(st.sampled_from(["torus", "mesh"])),
     )
-    return cfg, draw(st.integers(min_value=0, max_value=2**32))
+    adversary = draw(st.none() | st.tuples(
+        st.sampled_from(STRATEGIES),
+        st.sampled_from([0.4, 1.0]),
+        st.integers(min_value=1, max_value=8),
+    ))
+    return cfg, draw(st.integers(min_value=0, max_value=2**32)), adversary
 
 
 @given(case=cases())
@@ -114,7 +138,11 @@ def test_band_equals_per_event(case):
 
 #: The barrier inside each band and between each two, the degenerate
 #: populations, and the upgrade chances raised until every priority and
-#: every Busch rule fires within a few steps.
+#: every Busch rule fires within a few steps, on the torus and the mesh;
+#: and an adversary whose script runs out before the run ends.
+EVERY_PRIORITY = dict(
+    n=6, duration=25.0, sleeping_upgrade_scale=0.5, active_upgrade_scale=0.2,
+)
 PINNED = {
     "before-the-program-starts": dict(n=4, duration=0.5),
     "hand-over-only": dict(n=4, duration=1.0),
@@ -132,18 +160,24 @@ PINNED = {
     "empty-start": dict(n=4, duration=9.0, initial_fill=0.0),
     "fixed-jitter": dict(n=4, duration=8.0, arrival_jitter=False),
     "proof-mode": dict(n=4, duration=12.0, absorb_sleeping=False),
-    "every-priority": dict(
-        n=6, duration=25.0, sleeping_upgrade_scale=0.5,
-        active_upgrade_scale=0.2, delivery_log=True,
+    "every-priority": dict(EVERY_PRIORITY, delivery_log=True),
+    "mesh-every-priority": dict(EVERY_PRIORITY, topology="mesh", heartbeat=True),
+    "mesh-proof-mode": dict(
+        n=5, duration=12.0, topology="mesh", absorb_sleeping=False
+    ),
+    "adversary-hotspot": dict(
+        n=6, duration=14.3, heartbeat=True, adversary=("hotspot", 0.6, 9)
     ),
 }
 
 
 @pytest.mark.parametrize("name", PINNED)
 def test_band_equals_per_event_pinned(name):
-    cfg = HotPotatoConfig(**PINNED[name])
-    _assert_band_equals_per_event(cfg, seed=7)
-    if name == "every-priority":
+    kw = dict(PINNED[name])
+    adversary = kw.pop("adversary", None)
+    cfg = HotPotatoConfig(**kw)
+    _assert_band_equals_per_event(cfg, 7, adversary)
+    if name.endswith("every-priority"):
         stats = _observe(cfg, 7, traced=False)["model_stats"]
         assert stats["upgrades_active"] and stats["promotions_running"]
         assert stats["demotions"] and stats["deflections"]
@@ -238,14 +272,8 @@ def test_engine_declines_by_name(name, tmp_path):
 MODEL_DECLINES = {
     "policy 'greedy'": (CFG, dict(policy=GreedyPolicy())),
     "policy 'busch-subclass'": (CFG, dict(policy=RenamedBusch())),
-    "topology 'mesh'": (
-        HotPotatoConfig(n=4, duration=10.0, topology="mesh"), {},
-    ),
     "fault plan": (CFG, dict(fault_plan=generate_plan(
         TorusTopology(4), duration=10.0, link_fail_rate=0.1, seed=3,
-    ))),
-    "adversarial injection plan": (CFG, dict(injection_plan=InjectionPlan(
-        entries=(InjectionEvent(step=1, node=0, dest=5),)
     ))),
 }
 
@@ -286,16 +314,27 @@ def test_decline_reaches_the_recording_and_the_summary(tmp_path, capsys):
     from repro.obs import load_recording
     from repro.obs.__main__ import main as obs
 
-    rec = tmp_path / "mesh.jsonl"
-    base = ["--n", "4", "--duration", "6", "--metrics-out", str(rec)]
-    assert hotpotato(base + ["--topology", "mesh"]) == 0
+    rec = tmp_path / "greedy.jsonl"
+    greedy = tmp_path / "greedy.json"
+    greedy.write_text(json.dumps({
+        "schema": "RPSCEN01",
+        "name": "greedy-torus",
+        "topology": {"kind": "torus", "n": 4},
+        "traffic": {"model": "bernoulli", "injector_fraction": 1.0},
+        "routing": {"policy": "greedy"},
+        "engine": {"duration": 6.0},
+        "faults": None,
+    }))
+    out = ["--metrics-out", str(rec)]
+    assert hotpotato(["--scenario", str(greedy)] + out) == 0
     assert "band" not in capsys.readouterr().out
     reason = load_recording(rec).stats["band_decline_reason"]
-    assert reason.startswith("topology 'mesh'")
+    assert reason.startswith("policy 'greedy'")
     assert obs(["summary", str(rec)]) == 0
     assert f"sequential band program not used: {reason}" in capsys.readouterr().out
 
-    assert hotpotato(base) == 0  # torus: the band program runs
+    # The Busch policy: the band program runs.
+    assert hotpotato(["--n", "4", "--duration", "6"] + out) == 0
     capsys.readouterr()
     assert load_recording(rec).stats["band_decline_reason"] == ""
     assert obs(["summary", str(rec)]) == 0

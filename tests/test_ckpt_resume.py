@@ -105,35 +105,74 @@ def test_sequential_band_program_resume_every_snapshot(tmp_path):
     assert sum(got[0] == 1 for got in resumed) >= 2  # prefix snapshots
 
 
+@pytest.mark.parametrize("workload", ["mesh", "adversary"])
+def test_band_program_resumes_the_mesh_and_an_adversary(tmp_path, workload):
+    """The mesh and an adversary script, which the band program once
+    refused, snapshot at its step ends and resume on it from every
+    snapshot to the uninterrupted run's statistics."""
+    from repro.net import TorusTopology
+    from repro.scenarios.adversary import generate_injection_plan
+
+    mesh = workload == "mesh"
+    cfg = HotPotatoConfig(
+        n=N, duration=DURATION, topology="mesh" if mesh else "torus"
+    )
+    plan = None if mesh else generate_injection_plan(
+        TorusTopology(N), strategy="hotspot", duration=DURATION, rate=0.5
+    )
+    entries = []
+
+    def make_engine():
+        model = HotPotatoModel(cfg, injection_plan=plan)
+        entries.append(band_spy(model))
+        return SequentialEngine(model, DURATION, seed=SEED)
+
+    n = _check_resume_from_every_snapshot(tmp_path, make_engine, {"case": workload})
+    assert n > 3
+    assert all(entries)  # every run, resumed ones included, ran the program
+
+
 def test_format_4_snapshot_refused_before_the_first_event(tmp_path):
-    """A snapshot of an older payload format (4: conservative snapshots
-    still carried channel clocks and a null-message count) is refused by
-    number, before anything runs."""
+    """A snapshot of an older payload format is refused by number, before
+    anything runs: 4 (conservative snapshots still carried channel clocks
+    and a null-message count), and 5 (a sequential mesh run's snapshot,
+    cut by the per-event loop at an event inside a band, which the band
+    program cannot enter)."""
     from repro.ckpt.snapshot import read_snapshot, write_snapshot
     from repro.errors import SnapshotError
 
-    marker = {"case": "fmt4"}
-    snap_dir = tmp_path / "snaps"
-    ckpt = Checkpointer(snap_dir, every=1, marker=marker, seq_events=SEQ_EVENTS)
-    SequentialEngine(HotPotatoModel(_cfg()), DURATION, seed=SEED)\
-        .attach_checkpointer(ckpt).run()
-    snaps = list_snapshots(snap_dir)
-    mid = snaps[len(snaps) // 2]
-    payload = read_snapshot(mid)
-    assert payload["pending"] and payload["loop"]["step"] > 1
-    old_dir = tmp_path / "old"
-    old_dir.mkdir()
-    write_snapshot(old_dir / mid.name, {**payload, "format": 4})
+    mesh = HotPotatoConfig(n=N, duration=DURATION, topology="mesh")
+    cases = (
+        (4, _cfg(), HotPotatoModel),
+        (5, mesh, lambda cfg: per_event_reference(HotPotatoModel(cfg))),
+    )
+    for old, cfg, writer in cases:
+        marker = {"case": f"fmt{old}"}
+        snap_dir = tmp_path / f"snaps{old}"
+        ckpt = Checkpointer(snap_dir, every=1, marker=marker, seq_events=SEQ_EVENTS)
+        SequentialEngine(writer(cfg), DURATION, seed=SEED)\
+            .attach_checkpointer(ckpt).run()
+        snaps = list_snapshots(snap_dir)
+        mid = snaps[len(snaps) // 2]
+        payload = read_snapshot(mid)
+        assert payload["pending"]
+        if old == 4:
+            assert payload["loop"]["step"] > 1
+        old_dir = tmp_path / f"old{old}"
+        old_dir.mkdir()
+        write_snapshot(old_dir / mid.name, {**payload, "format": old})
 
-    ck = Checkpointer(old_dir, every=1 << 30, marker=marker, seq_events=SEQ_EVENTS)
-    ck.load_latest()
-    model = HotPotatoModel(_cfg())
-    entries = band_spy(model)
-    fresh = SequentialEngine(model, DURATION, seed=SEED)
-    with pytest.raises(SnapshotError, match="payload format 4"):
-        fresh.attach_checkpointer(ck)
-    assert fresh._resume is None and not fresh.pending
-    assert entries == []
+        ck = Checkpointer(
+            old_dir, every=1 << 30, marker=marker, seq_events=SEQ_EVENTS
+        )
+        ck.load_latest()
+        model = HotPotatoModel(cfg)
+        entries = band_spy(model)
+        fresh = SequentialEngine(model, DURATION, seed=SEED)
+        with pytest.raises(SnapshotError, match=f"payload format {old}"):
+            fresh.attach_checkpointer(ck)
+        assert fresh._resume is None and not fresh.pending
+        assert entries == []
 
 
 @pytest.mark.parametrize("protocol", ["yawns"])  # the one conservative protocol

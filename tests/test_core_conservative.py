@@ -1,5 +1,7 @@
 """Tests for the conservative (YAWNS) engine."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.conservative import (
@@ -26,7 +28,7 @@ PHOLD = PholdConfig(n_lps=24, jobs_per_lp=3, remote_fraction=0.7)
     [
         dict(end_time=0.0),
         dict(end_time=10.0, n_pes=0),
-        dict(end_time=10.0, lookahead=0.0),
+        dict(end_time=-1.0),
         dict(end_time=10.0, mapping="bogus"),
     ],
 )
@@ -74,27 +76,18 @@ def test_hotpotato_matches_oracle(protocol):
     assert result.model_stats == oracle
 
 
-def test_explicit_lookahead_overrides_model():
-    cfg = ConservativeConfig(
-        end_time=END, n_pes=2, lookahead=0.05, mapping="striped"
-    )
-    kernel = ConservativeKernel(PholdModel(PHOLD), cfg)
-    assert kernel.lookahead == 0.05
-
-
 # ----------------------------------------------------------------------
 # Lookahead enforcement.
 # ----------------------------------------------------------------------
 
 def test_smaller_lookahead_means_more_rounds():
-    # Claimed lookahead must stay within the model's real guarantee (0.1
-    # for this PHOLD config) — we can only under-promise.
+    # The model declares the lookahead it guarantees: every PHOLD hop is
+    # delayed by at least PholdConfig.lookahead.
     rounds = {}
+    cfg = ConservativeConfig(end_time=END, n_pes=2, mapping="striped")
     for la in (0.02, 0.1):
-        cfg = ConservativeConfig(
-            end_time=END, n_pes=2, lookahead=la, mapping="striped"
-        )
-        kernel = ConservativeKernel(PholdModel(PHOLD), cfg)
+        kernel = ConservativeKernel(PholdModel(replace(PHOLD, lookahead=la)), cfg)
+        assert kernel.lookahead == la
         kernel.run()
         rounds[la] = kernel.rounds
     assert rounds[0.02] > rounds[0.1]

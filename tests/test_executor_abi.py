@@ -78,7 +78,6 @@ def _engine(engine: str, seed: int, faulted: bool):
     if engine == "cons":
         ccfg = ConservativeConfig(
             end_time=DURATION, n_pes=4, seed=seed,
-            lookahead=model.lookahead,
         )
         return ConservativeKernel(model, ccfg)
     ecfg = EngineConfig(
@@ -225,7 +224,7 @@ def test_snapshot_with_old_payload_format_refused():
 
     engine = _engine("opt", GOLDEN_SEEDS[0], False)
     payload = engine.snapshot()
-    assert payload["format"] == PAYLOAD_FORMAT == 5
+    assert payload["format"] == PAYLOAD_FORMAT == 6
     fresh = _engine("opt", GOLDEN_SEEDS[0], False)
     with pytest.raises(SnapshotError, match="payload format 1"):
         fresh.restore({**payload, "format": 1})
@@ -283,9 +282,9 @@ def test_vectorized_declines_without_plan():
 
 def test_vectorized_declines_on_mesh():
     """The handlers honour link existence: Time Warp runs the table on a
-    mesh (only the sequential band program declines the mesh), and the
-    run commits what the oracle commits.  (The id is kept from when the
-    Time Warp side declined the mesh too.)"""
+    mesh and commits what the oracle — the band program, which reads the
+    mesh's link mask — commits.  (The id is kept from when both sides
+    declined the mesh.)"""
     cfg = HotPotatoConfig(n=N, duration=DURATION, topology="mesh")
     model = HotPotatoModel(cfg)
     calls = plan_spy(model, TABLE_KINDS)
@@ -294,8 +293,8 @@ def test_vectorized_declines_on_mesh():
     oracle = SequentialEngine(HotPotatoModel(cfg), DURATION, seed=7).run()
     assert offered.model_stats == oracle.model_stats
     assert all(calls)
-    assert model.band_program() is None
-    assert "topology" in model.band_decline_reason
+    assert model.band_program() is not None
+    assert model.band_decline_reason == ""
 
 
 def test_delivery_log_identical():
@@ -386,7 +385,6 @@ def test_every_engine_serves_every_router_kind_from_the_table(engine):
     else:
         ccfg = ConservativeConfig(
             end_time=DURATION, n_pes=4, seed=7,
-            lookahead=model.lookahead,
         )
         run = ConservativeKernel(model, ccfg).run()
     assert run.run.committed > 0

@@ -42,7 +42,6 @@ def _engine(kind: str):
             model,
             ConservativeConfig(
                 end_time=DURATION, n_pes=2, seed=SEED,
-                lookahead=model.lookahead,
             ),
         )
     return TimeWarpKernel(

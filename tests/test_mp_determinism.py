@@ -26,7 +26,7 @@ from repro.faults import generate_plan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.hotpotato.router import ARRIVE, INJECT, ROUTE
-from repro.net.torus import TorusTopology
+from repro.net import TorusTopology
 from repro.obs.spans import SpanTracer
 from tests.kernel_models import plan_spy
 

@@ -1,6 +1,6 @@
 """Unit tests for grid directions."""
 
-from repro.net.directions import DIRECTIONS, NO_DIRECTION, Direction
+from repro.net import DIRECTIONS, NO_DIRECTION, Direction
 
 
 def test_four_directions_in_index_order():

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.net.directions import DIRECTIONS, Direction
-from repro.net.mesh import MeshTopology
+from repro.net import DIRECTIONS, Direction, MeshTopology
 from tests.net_checks import (
     SHAPES,
     assert_route_info_matches_methods_everywhere,

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.net.directions import DIRECTIONS, Direction
-from repro.net.torus import TorusTopology, _ring_delta
+from repro.net import DIRECTIONS, Direction, TorusTopology
 from tests.net_checks import (
     SHAPES,
     assert_route_info_matches_methods_everywhere,
@@ -87,7 +86,9 @@ def test_neighbors_tuple_matches_individual():
     ],
 )
 def test_ring_delta(src, dst, size, expected):
-    assert _ring_delta(src, dst, size) == expected
+    t = TorusTopology(size)
+    assert t.delta(t.node_id(0, src), t.node_id(0, dst)) == (0, expected)
+    assert t.delta(t.node_id(src, 0), t.node_id(dst, 0)) == (expected, 0)
 
 
 def test_distance_zero_iff_same_node():

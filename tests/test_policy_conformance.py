@@ -71,7 +71,6 @@ def _run(engine, policy_name, seed, faulted, adversarial=False):
             model,
             ConservativeConfig(
                 end_time=DURATION, n_pes=4, seed=seed,
-                lookahead=model.lookahead,
             ),
         )
     else:

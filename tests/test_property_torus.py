@@ -3,9 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.directions import DIRECTIONS
-from repro.net.mesh import MeshTopology
-from repro.net.torus import TorusTopology
+from repro.net import DIRECTIONS, MeshTopology, TorusTopology
 from tests.net_checks import assert_route_info_matches_methods
 
 dims = st.integers(min_value=2, max_value=16)

@@ -99,7 +99,6 @@ def _run(model, engine: str):
     elif engine == "cons":
         ccfg = ConservativeConfig(
             end_time=DURATION, n_pes=4, seed=SEED,
-            lookahead=model.lookahead,
         )
         result = run_conservative(model, ccfg, tracer=tracer)
     else:
