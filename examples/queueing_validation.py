@@ -81,11 +81,13 @@ def engine_agreement() -> None:
         f"-> identical: {tw.model_stats == seq.model_stats}"
     )
     print(
-        f"  conservative: {cons.run.committed:,} events, 0 rolled back "
+        f"  conservative: {cons.run.committed:,} events, "
+        f"{cons.run.events_rolled_back:,} rolled back "
         f"-> identical: {cons.model_stats == seq.model_stats}"
     )
     assert tw.model_stats == seq.model_stats
     assert cons.model_stats == seq.model_stats
+    assert cons.run.events_rolled_back == 0
 
 
 if __name__ == "__main__":

@@ -11,8 +11,10 @@ Each engine snapshots at a *quiescent boundary*:
   cancellation worklist is drained, nothing is in flight (only a
   FaultyTransport's deliberately-held messages, and those are captured
   explicitly).
-* **conservative** — a scheduler round: events commit as they execute,
-  so only the pending queues, channel clocks and counters are live.
+* **conservative** — the same GVT round of the same kernel: the
+  conservative kernel is Time Warp at a window of the model's lookahead
+  (:mod:`repro.core.conservative`), so it shares the optimistic codec and
+  its payloads differ only in their ``kind``.
 
 The payload is one plain dict pickled in a single dump (see
 :mod:`repro.ckpt.snapshot` for why sharing matters).  Restore grafts the
@@ -54,7 +56,9 @@ __all__ = ["capture_state", "restore_state"]
 #: count (the engine runs YAWNS only).  6: a sequential mesh or adversary
 #: snapshot is taken at a step end and resumes on the band program (a
 #: format-5 one may hold a cut inside a band, which the program cannot enter).
-PAYLOAD_FORMAT = 6
+#: 7: a conservative snapshot is a Time Warp one, taken at a GVT window
+#: (a format-6 one holds the deleted YAWNS loop's per-PE counters).
+PAYLOAD_FORMAT = 7
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +247,7 @@ def _restore_sequential(engine, payload) -> None:
 
 
 # ----------------------------------------------------------------------
-# Optimistic (Time Warp) engine.
+# Time Warp engine (optimistic, and conservative at a lookahead window).
 # ----------------------------------------------------------------------
 def _capture_optimistic(kernel, loop) -> dict:
     if kernel._cancel_worklist:
@@ -261,7 +265,7 @@ def _capture_optimistic(kernel, loop) -> dict:
         raise SnapshotError("transport not drained at checkpoint boundary")
     return {
         "format": PAYLOAD_FORMAT,
-        "kind": "optimistic",
+        "kind": kernel.kind,
         "loop": dict(loop or {}),
         "gvt": kernel.gvt,
         "counters": {
@@ -325,70 +329,6 @@ def _restore_optimistic(kernel, payload) -> None:
 
 
 # ----------------------------------------------------------------------
-# Conservative engine.
-# ----------------------------------------------------------------------
-def _capture_conservative(kernel, loop) -> dict:
-    return {
-        "format": PAYLOAD_FORMAT,
-        "kind": "conservative",
-        "loop": dict(loop or {}),
-        "counters": {
-            "real_messages": kernel.real_messages,
-            "local_sends": kernel.local_sends,
-            "rounds": kernel.rounds,
-            "makespan_units": kernel.makespan_units,
-        },
-        "lps": _capture_lps(kernel.lps),
-        "pes": [
-            {
-                "pending": _queue_events(pe.pending),
-                "processed": pe.processed,
-                "busy": pe.busy,
-            }
-            for pe in kernel.pes
-        ],
-        "pool": _capture_pool(kernel.pool),
-        "faults": (
-            {"stall_rounds": kernel.faults.stall_rounds}
-            if kernel.faults is not None
-            else None
-        ),
-        "model": kernel.model.checkpoint_state(),
-    }
-
-
-def _restore_conservative(kernel, payload) -> None:
-    if len(payload["pes"]) != len(kernel.pes):
-        raise SnapshotError(
-            f"snapshot has {len(payload['pes'])} PEs, engine has "
-            f"{len(kernel.pes)}"
-        )
-    _restore_lps(kernel.lps, payload["lps"])
-    roots: list[Event] = []
-    for snap in payload["pes"]:
-        roots.extend(snap["pending"])
-    _restamp_events(roots)
-    for pe, snap in zip(kernel.pes, payload["pes"]):
-        _restore_queue(pe.pending, snap["pending"])
-        pe.processed = snap["processed"]
-        pe.busy = snap["busy"]
-    for name, value in payload["counters"].items():
-        setattr(kernel, name, value)
-    _restore_pool(kernel.pool, payload["pool"])
-    fsnap = payload["faults"]
-    if (kernel.faults is None) != (fsnap is None):
-        raise SnapshotError(
-            "fault-driver configuration differs from snapshot (attach the "
-            "same FaultPlan before the checkpointer)"
-        )
-    if kernel.faults is not None:
-        kernel.faults.stall_rounds = fsnap["stall_rounds"]
-    kernel.model.restore_checkpoint(payload["model"])
-    kernel._bootstrapping = False
-    kernel._resume = dict(payload["loop"])
-
-
-# ----------------------------------------------------------------------
 # Dispatch.
 # ----------------------------------------------------------------------
 def _engine_kind(engine) -> str:
@@ -405,12 +345,13 @@ def _engine_kind(engine) -> str:
 _CAPTURE = {
     "sequential": _capture_sequential,
     "optimistic": _capture_optimistic,
-    "conservative": _capture_conservative,
+    # A conservative kernel is a Time Warp kernel at a lookahead window.
+    "conservative": _capture_optimistic,
 }
 _RESTORE = {
     "sequential": _restore_sequential,
     "optimistic": _restore_optimistic,
-    "conservative": _restore_conservative,
+    "conservative": _restore_optimistic,
 }
 
 

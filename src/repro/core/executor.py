@@ -1,7 +1,8 @@
 """The executor ABI: the chassis shared by all three engines.
 
-The sequential oracle, the conservative kernel and the Time Warp kernel
-share a model API but historically each re-implemented the same plumbing:
+The sequential oracle and the Time Warp kernel (and the conservative
+kernel, a Time Warp kernel at a window of the model's lookahead) share
+a model API but historically each re-implemented the same plumbing:
 LP-population build and validation, RNG binding, event-pool wiring, the
 ``attach_*`` telemetry surface, and snapshot capture/restore.  This module
 collapses that duplication into one base class — :class:`Executor` — with
@@ -12,10 +13,10 @@ a small uniform interface every engine implements:
     enqueue; ``deliver`` carries the engine's full arrival semantics
     (for the optimistic engine, the straggler check and rollback).
 ``fossil(horizon)``
-    Commit-and-free everything below ``horizon``.  Engines that commit
-    as they execute (sequential, conservative) have nothing to collect
-    and return 0; the Time Warp kernel overrides this with real fossil
-    collection.
+    Commit-and-free everything below ``horizon``.  The sequential
+    engine commits as it executes, so it has nothing to collect and
+    returns 0; the Time Warp kernel (conservative included) overrides
+    this with real fossil collection.
 ``snapshot()`` / ``restore(payload)``
     Whole-engine state capture for checkpointing, delegating to
     :mod:`repro.ckpt.state` (imported lazily — the ckpt layer imports
@@ -198,8 +199,8 @@ class Executor:
         """Attach a :class:`repro.health.Watchdog`; returns self.
 
         Engines consult it at the same quiescent boundaries as the
-        checkpointer (GVT rounds / scheduler rounds / sequential event
-        intervals), never per event, so a detached watchdog costs
+        checkpointer (GVT rounds / sequential event intervals or step
+        ends), never per event, so a detached watchdog costs
         nothing and an attached one keeps the fused fast paths
         installed.  A trip the engine's throttle cannot absorb raises
         :class:`~repro.errors.HealthIntervention` (``abort``) out of
@@ -219,9 +220,9 @@ class Executor:
     def deliver(self, ev: Event) -> None:
         """Full arrival semantics for ``ev`` (default: same as schedule).
 
-        The optimistic engine overrides this with the straggler check and
-        rollback path; for conservative/sequential execution an arrival
-        is just an enqueue.
+        The Time Warp kernel overrides this with the straggler check and
+        rollback path (the conservative kernel's straggler raises); for
+        sequential execution an arrival is just an enqueue.
         """
         self.schedule(ev)
 

@@ -13,8 +13,8 @@ What is checked, per engine:
 
 * **queue order** — every pending queue's lazy-deletion live count
   matches a recount, and (heap queues) the heap property holds.
-* **GVT monotonicity** — the optimistic kernel's GVT estimate never
-  moves backwards, and after fossil collection nothing pending or
+* **GVT monotonicity** — Time Warp's GVT estimate (the conservative
+  kernel's too: it runs the same loop) never moves backwards, and after fossil collection nothing pending or
   processed sits below it.
 * **processed order** — each KP's processed list is key-sorted (the
   binary searches in rollback and fossil collection depend on it).
@@ -30,7 +30,6 @@ from repro.errors import InvariantViolation
 __all__ = [
     "check_sequential",
     "check_optimistic",
-    "check_conservative",
 ]
 
 
@@ -73,7 +72,8 @@ def check_sequential(engine, now: float) -> None:
 
 
 def check_optimistic(kernel, prev_gvt: float) -> None:
-    """Time Warp epoch check, called right after fossil collection."""
+    """Time Warp epoch check, called right after fossil collection (a
+    conservative kernel's window included: it runs Time Warp's loop)."""
     gvt = kernel.gvt
     if gvt < prev_gvt:
         raise InvariantViolation(
@@ -110,10 +110,3 @@ def check_optimistic(kernel, prev_gvt: float) -> None:
                 f"{gvt} survived fossil collection"
             )
     _check_conservation(kernel.model, kernel.lps, f"at GVT {gvt}")
-
-
-def check_conservative(kernel) -> None:
-    """Conservative-engine per-round check."""
-    for pe in kernel.pes:
-        _check_queue(f"PE {pe.id}", pe.pending)
-    _check_conservation(kernel.model, kernel.lps, f"round {kernel.rounds}")

@@ -430,11 +430,7 @@ class TimeWarpKernel(Executor):
         pe = self.pes[kp.pe_id]
         pe.pending.push(ev)
         if kp.needs_rollback(ev.key):
-            pe.stats.stragglers += 1
-            self._charge(pe, self.cost.rollback_fixed)
-            undone = kp.rollback_until(ev.key, self, ev.dst)
-            self._charge(pe, undone * self.undo_cost)
-            self._drain_cancels()
+            self._straggler(pe, kp, ev)
 
     # ------------------------------------------------------------------
     # Undo (execution is the compiled batch, ``_compile_batch``).
@@ -513,13 +509,14 @@ class TimeWarpKernel(Executor):
     def _straggler(self, pe: ProcessingElement, kp, ev: Event) -> None:
         """Straggler arrival: charge and roll the destination KP back.
 
-        The rare branch of the fused send path (see :func:`_compile_send`);
-        identical to the straggler handling in :meth:`_emit`.
+        The rare branch of both sends: the fused one (see
+        :func:`_compile_send`) and :meth:`_receive`, the generic one's
+        arrival.
         """
         stats = pe.stats
         stats.stragglers += 1
-        # Two separate charges, exactly as in _emit — float accumulation
-        # order is part of bit-identical reproducibility.
+        # Two separate charges — float accumulation order is part of
+        # bit-identical reproducibility.
         units = self.cost.rollback_fixed
         stats.busy += units
         stats.round_busy += units
@@ -858,7 +855,7 @@ class TimeWarpKernel(Executor):
 
     # ------------------------------------------------------------------
     def _build_result(self, rounds: int) -> RunResult:
-        stats = RunStats(engine="optimistic")
+        stats = RunStats(engine=self.kind)
         cfg = self.cfg
         stats.n_pes = cfg.n_pes
         stats.n_kps = cfg.n_kps

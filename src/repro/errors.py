@@ -20,7 +20,8 @@ class SchedulingError(ReproError):
     """An event was scheduled illegally (e.g. into the past, or after the
 
     simulation end barrier). In Time Warp terms this is the model violating
-    causality *at send time*, which no rollback can repair.
+    causality *at send time*, which no rollback can repair.  A conservative
+    run raises it for a straggler too: only a lookahead lie makes one.
     """
 
 

@@ -14,10 +14,12 @@ and call back into it from exactly two places:
 * ``stalled(pe_id, round)`` — once per PE per scheduler round, *only*
   when a driver is attached: a ``bisect`` into the precompiled bounds.
   A stalled PE simply skips its batch that round; Time Warp tolerates
-  any execution-order perturbation, and the conservative engines' safety
-  horizons already account for the stalled PE's pending events, so
-  skipping is always safe.  Windows are finite, so runs always
-  terminate.
+  any execution-order perturbation, and the conservative kernel's
+  windows (GVT + lookahead) already account for the stalled PE's pending
+  events, so skipping is always safe.  Windows are finite, so runs
+  always terminate.  The conservative kernel refuses transport faults
+  before ``install`` (``refuse_transport_faults`` in
+  :mod:`repro.core.conservative`).
 
 Model faults (link/router schedules) do **not** live here — they are
 compiled into per-node views by :mod:`repro.faults.views` and attached
@@ -46,7 +48,7 @@ class EngineFaults:
         plan.validate()
         self.plan = plan
         #: The installed transport wrapper (None when the plan has no
-        #: transport faults or the kernel has no transport).
+        #: transport faults).
         self.transport: FaultyTransport | None = None
         #: PE-rounds skipped due to stall windows (filled during the run).
         self.stall_rounds = 0
@@ -56,7 +58,7 @@ class EngineFaults:
     def install(self, kernel) -> "EngineFaults":
         """Hook the plan into ``kernel`` (idempotent per kernel build)."""
         plan = self.plan
-        if plan.has_transport_faults and hasattr(kernel, "transport"):
+        if plan.has_transport_faults:
             wrapper = FaultyTransport(kernel.transport, plan, kernel)
             kernel.transport = wrapper
             # The wrapper must see every delivery: force the generic

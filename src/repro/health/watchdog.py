@@ -8,13 +8,13 @@ must respect.  This module is the runtime half of that argument: a
 (``engine.attach_health(wd)``) watches a run for the four ways a
 simulation goes sick and throttles or stops it when one trips.
 
-Detectors (all evaluated at GVT / scheduler-round / event-interval
+Detectors (all evaluated at GVT-round / step-end / event-interval
 *boundaries*, never on the per-event path — a detached watchdog costs
 nothing and an attached one keeps the fused fast paths installed):
 
 * **GVT stall** — the engine's virtual position (GVT, the conservative
-  horizon, or the sequential clock) has not advanced for a wall-clock
-  and/or boundary-count deadline.
+  kernel's included, or the sequential clock) has not advanced for a
+  wall-clock and/or boundary-count deadline.
 * **Livelock** — some in-flight packet's age exceeds a Faber-style
   delivery bound derived from the topology diameter
   (``livelock_factor * diameter + livelock_slack`` steps).  Packet ages
@@ -229,11 +229,13 @@ class Watchdog:
         return self._bound
 
     # ------------------------------------------------------------------
-    # Engine boundary hooks (one per engine kind, mirroring
-    # ``_sample_metrics``: cheap aggregation, no per-event work).
+    # Engine boundary hooks (one per run loop — Time Warp's serves the
+    # conservative kernel too — mirroring ``_sample_metrics``: cheap
+    # aggregation, no per-event work).
     # ------------------------------------------------------------------
     def boundary_optimistic(self, kernel) -> None:
-        """One GVT boundary of a Time Warp kernel."""
+        """One GVT boundary of a Time Warp kernel (a conservative kernel's
+        window: its GVT is the YAWNS horizon's floor)."""
         self.boundaries += 1
         position = kernel.gvt
         self._check_forced(position, engine=kernel)
@@ -265,23 +267,6 @@ class Watchdog:
         self._check_livelock(
             position, lambda: (ev for pe in kernel.pes for ev in pe.pending),
             engine=kernel,
-        )
-
-    def boundary_conservative(self, kernel) -> None:
-        """One scheduler round of the conservative kernel."""
-        self.boundaries += 1
-        position = min(pe.next_ts() for pe in kernel.pes)
-        self._check_forced(position)
-        self._check_stall(position)
-        pending = sum(len(pe.pending) for pe in kernel.pes)
-        if pending > self.cfg.memory_budget_events:
-            self._trip(
-                "memory_growth", position,
-                {"pending": pending, "processed_depth": 0,
-                 "budget": self.cfg.memory_budget_events},
-            )
-        self._check_livelock(
-            position, lambda: (ev for pe in kernel.pes for ev in pe.pending)
         )
 
     def boundary_sequential(self, engine, now: float) -> None:

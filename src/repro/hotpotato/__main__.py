@@ -204,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         metavar="N",
-        help="snapshot every N boundaries: GVT rounds, scheduler rounds "
-        "or, on the sequential band program, step ends (default 4)",
+        help="snapshot every N boundaries: GVT rounds (one per YAWNS "
+        "window under cons) or, on the sequential band program, step ends "
+        "(default 4)",
     )
     parser.add_argument(
         "--resume",
@@ -297,11 +298,16 @@ def _refusal(args, given: set[str], kind: str) -> str | None:
 def _engine_settings(args, compiled, kind: str, given: set[str]) -> dict:
     """What :meth:`HotPotatoSimulation.run` takes for ``kind``: the flags
     given, else the scenario's ``engine`` section, else the defaults.
-    Time Warp's is a whole ``EngineConfig``, built (and so refused) here."""
+    Time Warp's is a whole ``EngineConfig``, built (and so refused) here,
+    and so is a conservative run's transport-fault plan."""
     settings = compiled.engine_settings(
         kind, n_pes=args.processors if "--processors" in given else None,
         n_kps=args.kps, batch_size=args.batch,
     )
+    if kind == "conservative":
+        from repro.core.conservative import refuse_transport_faults
+
+        refuse_transport_faults(compiled.sim.fault_plan)
     if kind != "optimistic":
         return {**settings, "paranoid": args.paranoid}
     fields = {"gvt_interval": args.gvt_interval, "procs": args.procs}

@@ -5,8 +5,9 @@ a rollback storm, throttle oscillation, pending-queue growth — needs the
 *trajectory*: one :class:`MetricSample` per GVT round.  A
 :class:`MetricsRecorder` attaches to any of the three engines via their
 ``attach_metrics`` method and is fed cumulative counters at each GVT
-boundary (scheduler round for the conservative engine, every
-``interval`` events for the sequential engine, which has no rounds);
+boundary (the conservative kernel runs Time Warp's round loop, so its
+boundaries are GVT rounds too, one per YAWNS window; every ``interval``
+events for the sequential engine, which has no rounds);
 it converts them to per-interval deltas.
 
 Design constraints, in order:
@@ -41,10 +42,11 @@ class MetricSample:
     sample point.
     """
 
-    #: Sample index (GVT round for the optimistic engine).
+    #: Sample index (GVT round for the Time Warp and conservative
+    #: kernels).
     round: int
-    #: Virtual-time floor at the sample point (event ts for sequential,
-    #: LBTS-style horizon for conservative).
+    #: Virtual-time floor at the sample point (GVT; event ts for
+    #: sequential).
     gvt: float
     #: Events committed during the interval.
     committed: int
@@ -62,7 +64,7 @@ class MetricSample:
     #: Live events across all pending queues at the sample point.
     pending: int
     #: Processed-but-uncommitted events across all KPs at the sample
-    #: point (0 for engines that commit as they execute).
+    #: point (0 for the sequential engine, which commits as it executes).
     processed_depth: int
     #: Optimism-throttle factor at the sample point (1.0 when off).
     throttle: float

@@ -42,8 +42,9 @@ __all__ = ["PHASES", "Span", "SpanTracer"]
 
 #: The engine phases a span can belong to, in reporting order.
 #:
-#: * ``exec``      — one optimism batch (optimistic), one round's window
-#:   execution (conservative), or one sampling interval (sequential).
+#: * ``exec``      — one PE batch of Time Warp's round loop (optimistic,
+#:   and conservative, whose batch is one YAWNS window), or one sampling
+#:   interval (sequential).
 #: * ``rollback``  — one KP rollback episode (straggler, anti-message or
 #:   secondary cancellation).
 #: * ``antimsg``   — one anti-message resolution pass: a drain of the

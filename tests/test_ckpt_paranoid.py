@@ -11,11 +11,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.conservative import ConservativeConfig, ConservativeKernel
 from repro.core.engine import SequentialEngine
-from repro.core.invariants import (
-    check_conservative,
-    check_optimistic,
-    check_sequential,
-)
+from repro.core.invariants import check_optimistic, check_sequential
 from repro.core.optimistic import TimeWarpKernel
 from repro.errors import InvariantViolation
 from repro.hotpotato.config import HotPotatoConfig
@@ -109,9 +105,11 @@ def test_conservation_violation_names_the_router():
     cfg = ConservativeConfig(end_time=DURATION, n_pes=4, seed=SEED)
     kernel = ConservativeKernel(_model(), cfg)
     kernel.run()
-    check_conservative(kernel)  # healthy post-run state passes
+    # The conservative kernel runs Time Warp's loop, so --paranoid runs
+    # Time Warp's check at every window.
+    check_optimistic(kernel, kernel.gvt)  # healthy post-run state passes
     kernel.lps[3].stats.delivered = -1
     with pytest.raises(
         InvariantViolation, match="packet conservation violated"
     ):
-        check_conservative(kernel)
+        check_optimistic(kernel, kernel.gvt)

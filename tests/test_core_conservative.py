@@ -74,6 +74,7 @@ def test_hotpotato_matches_oracle(protocol):
     cfg = ConservativeConfig(end_time=END, n_pes=4)
     result = run_conservative(HotPotatoModel(hcfg), cfg)
     assert result.model_stats == oracle
+    assert result.run.events_rolled_back == 0
 
 
 # ----------------------------------------------------------------------
@@ -89,36 +90,72 @@ def test_smaller_lookahead_means_more_rounds():
         kernel = ConservativeKernel(PholdModel(replace(PHOLD, lookahead=la)), cfg)
         assert kernel.lookahead == la
         kernel.run()
-        rounds[la] = kernel.rounds
+        rounds[la] = kernel.gvt_rounds
     assert rounds[0.02] > rounds[0.1]
 
 
+class _Ticker(LogicalProcess):
+    """Counts the events it runs; what it sends is up to the subclass."""
+
+    def __init__(self, lp_id):
+        super().__init__(lp_id)
+        self.state = [0]
+
+    def reverse(self, event):  # pragma: no cover - nothing rolls back
+        self.state[0] -= 1
+
+
+class _Liar(Model):
+    lookahead = 5.0  # claims 5.0; its LPs send each other far less
+
+    def __init__(self, lp_class):
+        self.lp_class = lp_class
+
+    def build(self):
+        return [self.lp_class(0), self.lp_class(1)]
+
+    def collect_stats(self, lps):
+        return {"ticks": tuple(lp.state[0] for lp in lps)}
+
+
 def test_lookahead_violation_detected():
-    # Lookahead governs cross-PE messages, so the liar must talk to an LP
-    # on another PE to be caught (self-sends at any delay are legal).
-    class Liar(Model):
-        lookahead = 5.0  # claims 5.0 but sends cross-LP at +0.1
+    # Two LPs on two PEs tick every 1.0, and LP 1 also pokes LP 0 at
+    # +0.1: PE 0 has run its window up to 5.0 when a poke lands below
+    # that.  Time Warp would roll PE 0 back; a conservative run raises.
+    class Poker(_Ticker):
+        def on_init(self):
+            self.send(1.0, self.id, "tick")
 
-        def build(self):
-            class LiarLP(LogicalProcess):
-                def on_init(self):
-                    if self.id == 0:
-                        self.send(6.0, self.id, "tick")
-
-                def forward(self, event):
-                    self.send(self.now + 0.1, 1 - self.id, "tick")
-
-                def reverse(self, event):  # pragma: no cover
-                    pass
-
-            return [LiarLP(0), LiarLP(1)]
-
-        def collect_stats(self, lps):
-            return {}
+        def forward(self, event):
+            self.state[0] += 1
+            if event.kind == "tick":
+                self.send(self.now + 1.0, self.id, "tick")
+                if self.id == 1:
+                    self.send(self.now + 0.1, 0, "poke")
 
     cfg = ConservativeConfig(end_time=20.0, n_pes=2, mapping="striped")
-    with pytest.raises(SchedulingError):
-        run_conservative(Liar(), cfg)
+    with pytest.raises(SchedulingError, match="lookahead 5.0"):
+        run_conservative(_Liar(Poker), cfg)
+
+
+def test_lie_that_reorders_nothing_commits_the_oracle_result():
+    # One token bounced between PEs at +0.1 breaks the declared lookahead
+    # but never lands below what its destination PE already ran, so the
+    # run commits the oracle's result without a rollback.
+    class Token(_Ticker):
+        def on_init(self):
+            if self.id == 0:
+                self.send(6.0, self.id, "tick")
+
+        def forward(self, event):
+            self.state[0] += 1
+            self.send(self.now + 0.1, 1 - self.id, "tick")
+
+    cfg = ConservativeConfig(end_time=20.0, n_pes=2, mapping="striped")
+    result = run_conservative(_Liar(Token), cfg)
+    assert result.model_stats == run_sequential(_Liar(Token), 20.0).model_stats
+    assert result.model_stats["ticks"][0] > 0
+    assert result.run.events_rolled_back == 0
 
 
 def test_self_sends_below_lookahead_are_legal():

@@ -24,6 +24,7 @@ plan_spy`` counts the calls the table serves.
 """
 
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -216,18 +217,32 @@ def test_band_stepped_snapshot_resumes_per_event(tmp_path):
     assert rest == sequence[-len(rest):]
 
 
+#: A mid-run snapshot of ``_engine("cons", 7, False)`` written by the
+#: YAWNS loop the conservative kernel had before it ran Time Warp's: its
+#: per-PE counters fit no kernel now.
+FORMAT_6_CONSERVATIVE = Path(__file__).parent / "data" / "conservative_format6.rpsnap"
+
+
 def test_snapshot_with_old_payload_format_refused():
     """Format-1 snapshots of a sequential or conservative run hold dict
-    payloads the routers cannot execute: refused by name, up front."""
+    payloads the routers cannot execute, and a format-6 conservative one
+    holds the deleted YAWNS loop's state: refused by name, up front."""
+    from repro.ckpt.snapshot import read_snapshot
     from repro.ckpt.state import PAYLOAD_FORMAT
     from repro.errors import SnapshotError
 
-    engine = _engine("opt", GOLDEN_SEEDS[0], False)
-    payload = engine.snapshot()
-    assert payload["format"] == PAYLOAD_FORMAT == 6
-    fresh = _engine("opt", GOLDEN_SEEDS[0], False)
-    with pytest.raises(SnapshotError, match="payload format 1"):
-        fresh.restore({**payload, "format": 1})
+    for engine, old_format in (("opt", 1), ("cons", 6)):
+        fresh = _engine(engine, GOLDEN_SEEDS[0], False)
+        payload = fresh.snapshot()
+        assert payload["format"] == PAYLOAD_FORMAT == 7
+        assert payload["kind"] == fresh.kind
+        if old_format == 6:
+            old = read_snapshot(FORMAT_6_CONSERVATIVE)
+            assert (old["format"], old["kind"]) == (6, "conservative")
+        else:
+            old = {**payload, "format": 1}
+        with pytest.raises(SnapshotError, match=f"payload format {old_format}"):
+            fresh.restore(old)
 
 
 def test_format_2_snapshot_refused_before_the_first_event(tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from repro.core.conservative import ConservativeConfig, run_conservative
 from repro.core.engine import run_sequential
 from repro.core.optimistic import run_optimistic
 from repro.core.trace import Tracer
+from repro.errors import ConfigurationError
 from repro.faults import EngineFaults, FaultPlan, PEStall, generate_plan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
@@ -171,6 +172,11 @@ def test_transport_faults_do_not_change_committed_sequence():
     perturbed = run.transport_dropped + run.transport_duplicated + run.transport_delayed
     assert perturbed > 0, "transport fault rates never fired — test is vacuous"
 
+    # A held message would land below a conservative window already run.
+    ccfg = ConservativeConfig(end_time=CFG.duration, n_pes=4, seed=SEED)
+    with pytest.raises(ConfigurationError, match="transport faults"):
+        run_conservative(HotPotatoModel(CFG), ccfg, faults=EngineFaults(plan))
+
 
 def test_pe_stalls_do_not_change_committed_results():
     plan = FaultPlan(
@@ -188,6 +194,7 @@ def test_pe_stalls_do_not_change_committed_results():
     cons = run_conservative(HotPotatoModel(CFG), ccfg, faults=EngineFaults(plan))
     assert cons.model_stats == seq.model_stats
     assert cons.run.pe_stall_rounds > 0
+    assert cons.run.events_rolled_back == 0
 
 
 def test_everything_at_once_stays_deterministic():

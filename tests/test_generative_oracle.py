@@ -16,7 +16,8 @@ One hypothesis strategy draws an example:
 Every example ends in exactly one of two outcomes.  Either the engine
 commits the oracle's traced event sequence and ``model_stats`` with
 packets conserved, or a :class:`~repro.errors.ConfigurationError` is
-raised before the model's handler table serves a single event.  A
+raised before the model's handler table serves a single event —
+transport noise on the conservative kernel is one such refusal.  A
 crash, a watchdog abort or a divergence fails the example, and the
 failure notes the scenario document with the command that replays it
 (``python -m repro.hotpotato --scenario FILE --engine ... --validate``).

@@ -257,6 +257,31 @@ def test_kp_count_that_cannot_tile_is_refused_up_front(capsys, tmp_path):
     assert "cross-engine check : IDENTICAL" in capsys.readouterr().out
 
 
+def test_conservative_transport_faults_are_refused_up_front(capsys, tmp_path):
+    """A held message would land below a conservative window already run:
+    --engine cons refuses a transport-noise plan by name, exit 2, before
+    any file or checkpoint directory exists; Time Warp runs it."""
+    scenario = tmp_path / "noise.json"
+    scenario.write_text(json.dumps({
+        "schema": "RPSCEN01", "name": "noise",
+        "topology": {"kind": "torus", "n": 4},
+        "traffic": {"model": "bernoulli"}, "routing": {"policy": "busch"},
+        "engine": {"duration": 10.0, "seed": 7},
+        "faults": {"generate": {"drop_rate": 0.05, "dup_rate": 0.02,
+                                "delay_rate": 0.05, "seed": 3}},
+    }))
+    out_file, ckpt_dir = tmp_path / "run.jsonl", tmp_path / "ck"
+    assert main(["--scenario", str(scenario), "--engine", "cons", "--validate",
+                 "--metrics-out", str(out_file),
+                 "--checkpoint-dir", str(ckpt_dir)]) == 2
+    assert "configuration refused: conservative execution cannot take " \
+        "transport faults" in capsys.readouterr().out
+    assert not out_file.exists() and not ckpt_dir.exists()
+    assert main(["--scenario", str(scenario), "--engine", "opt",
+                 "--validate"]) == 0
+    assert "cross-engine check : IDENTICAL" in capsys.readouterr().out
+
+
 def test_grid_without_a_default_kp_count_runs_sequentially(capsys):
     """5x5 has no block-tiling KP count for 4 PEs: the sequential run
     works, Time Warp is refused by name before it starts."""

@@ -101,6 +101,7 @@ def _run(model, engine: str):
             end_time=DURATION, n_pes=4, seed=SEED,
         )
         result = run_conservative(model, ccfg, tracer=tracer)
+        assert result.run.events_rolled_back == 0
     else:
         ecfg = EngineConfig(
             end_time=DURATION, n_pes=4, n_kps=4, batch_size=16, seed=SEED
