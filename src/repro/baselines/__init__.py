@@ -10,7 +10,6 @@
 from repro.baselines.buffered import BufferedConfig, BufferedModel, BufferedRouterLP
 from repro.baselines.policies import (
     POLICIES,
-    DimensionOrderPolicy,
     GreedyPolicy,
     RandomDeflectionPolicy,
     TwoChoicePolicy,
@@ -21,7 +20,6 @@ __all__ = [
     "BufferedConfig",
     "BufferedModel",
     "BufferedRouterLP",
-    "DimensionOrderPolicy",
     "GreedyPolicy",
     "POLICIES",
     "RandomDeflectionPolicy",

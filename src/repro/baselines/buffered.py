@@ -12,7 +12,7 @@ measurable, this module implements a classic store-and-forward network
   deadlock);
 * each link forwards one packet per time step (same raw capacity as the
   bufferless network);
-* packets follow dimension-order (row-first) routing, never deflect, and
+* packets follow the row-first (XY) path, never deflect, and
   queue when the link is busy;
 * every source runs *end-to-end window flow control*: at most ``window``
   of its packets may be outstanding in the network; delivery triggers an
@@ -173,7 +173,7 @@ class BufferedRouterLP(LogicalProcess):
 
     # ------------------------------------------------------------------
     def _enqueue(self, pkt: dict[str, Any]) -> int:
-        """Queue a packet on its dimension-order output link."""
+        """Queue a packet on its row-first (XY) output link."""
         d = self.topo.homerun_dir(self.id, pkt["dest"])
         assert d is not None, "enqueue at destination"
         self.queues[d].append(pkt)

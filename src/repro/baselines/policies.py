@@ -8,9 +8,6 @@ run on the same :class:`~repro.hotpotato.router.RouterLP`:
   free good link, else deflect.  No priorities, no state machine.  This is
   the natural strawman the four-state algorithm improves on (its worst-case
   delivery time is unbounded under adversarial contention).
-* :class:`DimensionOrderPolicy` — every packet always follows its one-bend
-  row-first path (the home-run path, but without the priority escort that
-  protects it), deflecting when blocked.
 * :class:`RandomDeflectionPolicy` — uniformly random choice among free good
   links, uniformly random deflection otherwise; randomisation breaks the
   livelock patterns deterministic tie-breaking can sustain.
@@ -22,10 +19,12 @@ run on the same :class:`~repro.hotpotato.router.RouterLP`:
   loaded" degenerates to "the free one", with the first sample winning
   the tie when both are free.
 
-All of them keep packets in the ``ACTIVE`` state so the router's
-priority-staggered ROUTE scheduling degenerates to a single class, as in
-a plain hot-potato network.  Every random draw goes through the LP's
-:class:`~repro.rng.streams.ReversibleStream`, so all four run unmodified
+All of them keep packets in the ``ACTIVE`` state (priority 1) so the
+router's priority-staggered ROUTE scheduling degenerates to a single
+class, as in a plain hot-potato network, and return the plain decision
+tuple :meth:`~repro.hotpotato.policy.RoutingPolicy.route` states.  Every
+random draw goes through the LP's
+:class:`~repro.rng.streams.ReversibleStream`, so all three run unmodified
 (and bit-identically) on the sequential, conservative and Time Warp
 engines.
 """
@@ -33,19 +32,12 @@ engines.
 from __future__ import annotations
 
 from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.packet import Priority
-from repro.hotpotato.policy import (
-    RouteOutcome,
-    RoutingPolicy,
-    first_free,
-    first_free_good,
-)
+from repro.hotpotato.policy import RoutingPolicy, first_free, first_free_good
 from repro.net import DIRECTIONS, Direction, GridTopology
 from repro.rng.streams import ReversibleStream
 
 __all__ = [
     "GreedyPolicy",
-    "DimensionOrderPolicy",
     "RandomDeflectionPolicy",
     "TwoChoicePolicy",
     "POLICIES",
@@ -63,46 +55,17 @@ class GreedyPolicy(RoutingPolicy):
         topo: GridTopology,
         node: int,
         dest: int,
-        priority: Priority,
+        priority: int,
         free: tuple[bool, bool, bool, bool],
         rng: ReversibleStream,
         cfg: HotPotatoConfig,
-    ) -> RouteOutcome:
+    ) -> tuple:
         d = first_free_good(topo, node, dest, free)
         if d is not None:
-            return RouteOutcome(d, Priority.ACTIVE, False)
+            return d, 1, False, False, False, False
         d = first_free(free)
         assert d is not None, "bufferless invariant violated"
-        return RouteOutcome(d, Priority.ACTIVE, True)
-
-
-class DimensionOrderPolicy(RoutingPolicy):
-    """Always request the one-bend row-first hop; deflect when blocked."""
-
-    name = "dimension-order"
-
-    def route(
-        self,
-        topo: GridTopology,
-        node: int,
-        dest: int,
-        priority: Priority,
-        free: tuple[bool, bool, bool, bool],
-        rng: ReversibleStream,
-        cfg: HotPotatoConfig,
-    ) -> RouteOutcome:
-        want = topo.homerun_dir(node, dest)
-        assert want is not None, "packet routed at its own destination"
-        if free[want]:
-            return RouteOutcome(want, Priority.ACTIVE, False)
-        # Blocked off the preferred hop: any other good link still counts
-        # as progress; otherwise deflect.
-        d = first_free_good(topo, node, dest, free)
-        if d is not None:
-            return RouteOutcome(d, Priority.ACTIVE, False)
-        d = first_free(free)
-        assert d is not None, "bufferless invariant violated"
-        return RouteOutcome(d, Priority.ACTIVE, True)
+        return d, 1, True, False, False, False
 
 
 class RandomDeflectionPolicy(RoutingPolicy):
@@ -124,17 +87,17 @@ class RandomDeflectionPolicy(RoutingPolicy):
         topo: GridTopology,
         node: int,
         dest: int,
-        priority: Priority,
+        priority: int,
         free: tuple[bool, bool, bool, bool],
         rng: ReversibleStream,
         cfg: HotPotatoConfig,
-    ) -> RouteOutcome:
+    ) -> tuple:
         good = tuple(d for d in topo.good_dirs(node, dest) if free[d])
         if good:
-            return RouteOutcome(self._pick(good, rng), Priority.ACTIVE, False)
+            return self._pick(good, rng), 1, False, False, False, False
         anyfree = tuple(d for d in DIRECTIONS if free[d])
         assert anyfree, "bufferless invariant violated"
-        return RouteOutcome(self._pick(anyfree, rng), Priority.ACTIVE, True)
+        return self._pick(anyfree, rng), 1, True, False, False, False
 
 
 class TwoChoicePolicy(RoutingPolicy):
@@ -147,9 +110,11 @@ class TwoChoicePolicy(RoutingPolicy):
     bit: sample two good directions, take a free one (the first sample
     wins when both are free — the arbitrary tie-break of the allocation
     literature), and deflect onto the first free link in compass order
-    when both candidates are already claimed.  Both draws come batched
-    from the reversible stream (one ``integer2`` call), so the policy is
-    rollback-exact and engine-independent like everything else here.
+    when both candidates are already claimed, or when static link
+    failures leave no progress direction to sample.  Both draws come
+    batched from the reversible stream (one ``integer2`` call), so the
+    policy is rollback-exact and engine-independent like everything else
+    here.
     """
 
     name = "two-choice"
@@ -159,29 +124,35 @@ class TwoChoicePolicy(RoutingPolicy):
         topo: GridTopology,
         node: int,
         dest: int,
-        priority: Priority,
+        priority: int,
         free: tuple[bool, bool, bool, bool],
         rng: ReversibleStream,
         cfg: HotPotatoConfig,
-    ) -> RouteOutcome:
+    ) -> tuple:
         good = topo.route_info(node, dest)[0]
         if len(good) > 1:
             hi = len(good) - 1
             i, j = rng.integer2(0, hi, 0, hi)
             a, b = good[i], good[j]
-        else:
+        elif good:
             # One progress direction: a forced "choice" draws nothing,
             # keeping the stream lean (cf. RandomDeflectionPolicy._pick).
             a = b = good[0]
+        else:
+            # Every progress direction is a statically failed link (dropped
+            # from ``route_info``'s good set): deflect, drawing nothing.
+            d = first_free(free)
+            assert d is not None, "bufferless invariant violated"
+            return d, 1, True, False, False, False
         if free[a]:
-            return RouteOutcome(a, Priority.ACTIVE, False)
+            return a, 1, False, False, False, False
         if free[b]:
-            return RouteOutcome(b, Priority.ACTIVE, False)
+            return b, 1, False, False, False, False
         # Both candidates loaded: deflect.  first_free may still land on
         # an unsampled good link; count it as progress, not a deflection.
         d = first_free(free)
         assert d is not None, "bufferless invariant violated"
-        return RouteOutcome(d, Priority.ACTIVE, d not in good)
+        return d, 1, d not in good, False, False, False
 
 
 #: Routing-policy registry: the single place scenario files and CLIs
@@ -193,7 +164,6 @@ def _policy_registry() -> dict:
     return {
         "busch": BuschHotPotatoPolicy,
         GreedyPolicy.name: GreedyPolicy,
-        DimensionOrderPolicy.name: DimensionOrderPolicy,
         RandomDeflectionPolicy.name: RandomDeflectionPolicy,
         TwoChoicePolicy.name: TwoChoicePolicy,
     }

@@ -2,8 +2,8 @@
 
 Two comparisons in one table:
 
-* deflection baselines (plain greedy, dimension-order, random deflection,
-  cf. Bartzis et al. [5]) on the identical bufferless network, and
+* deflection baselines (plain greedy, random deflection, cf. Bartzis et
+  al. [5]) on the identical bufferless network, and
 * the buffered store-and-forward network with end-to-end flow control —
   the configuration the paper's title positions against.  Its link
   utilisation demonstrates the claim that "flow controlled routing results
@@ -21,7 +21,7 @@ from repro.scenarios import report_scenario
 __all__ = ["run"]
 
 #: The deflection algorithms compared, by routing-policy name.
-POLICIES = ("busch", "greedy", "dimension-order", "random-deflection")
+POLICIES = ("busch", "greedy", "random-deflection")
 
 
 def run(params: SweepParams) -> Table:

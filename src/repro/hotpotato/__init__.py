@@ -12,7 +12,6 @@ from repro.hotpotato.model import HotPotatoModel, choose_injectors
 from repro.hotpotato.packet import Priority
 from repro.hotpotato.policy import (
     BuschHotPotatoPolicy,
-    RouteOutcome,
     RoutingPolicy,
     first_free,
     first_free_good,
@@ -39,7 +38,6 @@ __all__ = [
     "INJECT",
     "Priority",
     "ROUTE",
-    "RouteOutcome",
     "RouterLP",
     "RouterStats",
     "RoutingPolicy",

@@ -32,8 +32,12 @@ through) inlined over the routers' own shared ``links`` / ``head_gen``
 lists — same float expressions, same LCG steps in the same order,
 ``send_seq`` advanced on every send — so every key, every tie-break,
 every statistic and every RNG state is the per-event loop's.  It shares
-no code with the table: this is the second statement of the Busch rule,
-kept for speed, and ``tests/test_band_program.py`` compares the two.  No
+no code with the table, which calls
+:class:`~repro.hotpotato.policy.BuschHotPotatoPolicy`: this is the one
+inlined statement of the Busch rule, kept for speed (a policy call per
+packet would cost about a microsecond per ROUTE), and
+``tests/test_band_program.py`` referees it against the table, so a bug
+in either ``policy.py`` or here shows up there.  No
 ``Event`` is built, no heap is pushed or popped and no handler is
 dispatched per packet; events exist only where the program is entered
 and left, through ``engine.pending``.  The program is entered at the start

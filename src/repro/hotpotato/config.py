@@ -19,6 +19,7 @@ knobs its discussion sections vary:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 from repro.net import TOPOLOGIES
@@ -123,12 +124,14 @@ class HotPotatoConfig:
         """Total routers in the grid."""
         return self.n * self.n
 
-    @property
+    # The two upgrade chances are cached (an instance-dict read after the
+    # first): the routing policy reads one on nearly every ROUTE event.
+    @cached_property
     def sleeping_upgrade_p(self) -> float:
         """P(Sleeping→Active per route) = 1/(24n) with paper defaults."""
         return 1.0 / (self.sleeping_upgrade_scale * self.n)
 
-    @property
+    @cached_property
     def active_upgrade_p(self) -> float:
         """P(Active→Excited per deflection) = 1/(16n) with paper defaults."""
         return 1.0 / (self.active_upgrade_scale * self.n)

@@ -11,20 +11,21 @@ the exact reverses of what they write.
 Everything run-constant is hoisted into closure cells: the shared
 ``links`` / ``head_gen`` lists, the per-LP stats, fault view, adversary
 script, link-existence tuple and neighbor table, the configuration and
-the routing policy.  The Busch rule
-(:class:`~repro.hotpotato.policy.BuschHotPotatoPolicy`) and the stock
-application's destination draw are inlined (same LCG steps as
-:class:`~repro.rng.streams.ReversibleStream`); any other policy —
-a subclass included — is called through ``policy.route``, which is what
-makes ``policy.py`` the oracle for the inlined branch.  Each handler
-records what it changed in ``event.saved``, so ``RouterLP.reverse``
-undoes it and a copy snapshot restores it.  The journal, RNG count,
-processed list and cost charges are the engine's, done once per event.
+the routing policy's bound ``route``.  No routing decision is inlined:
+ROUTE calls ``policy.route`` for every policy, the Busch rule included,
+and unpacks the plain tuple it returns
+(:meth:`~repro.hotpotato.policy.RoutingPolicy.route` states the order),
+so :mod:`repro.hotpotato.policy` is the one statement of each rule the
+per-event path runs.  The stock application's destination draw is
+inlined (same LCG steps as :class:`~repro.rng.streams.ReversibleStream`).
+Each handler records what it changed in ``event.saved``, so
+``RouterLP.reverse`` undoes it and a copy snapshot restores it.  The
+journal, RNG count, processed list and cost charges are the engine's,
+done once per event.
 """
 
 from __future__ import annotations
 
-from repro.hotpotato.policy import BuschHotPotatoPolicy
 from repro.hotpotato.router import (
     ARRIVE,
     FIXED_JITTER,
@@ -57,9 +58,7 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
     head_gen = first.head_gen
     cfg = first.cfg
     topo = first.topo
-    policy = first.policy
-    policy_route = policy.route
-    busch = type(policy) is BuschHotPotatoPolicy
+    policy_route = first.policy.route
     route_info = topo.route_info
     stats_by_lp = [lp.stats for lp in lps]
     faults_by_lp = [lp.faults for lp in lps]
@@ -70,8 +69,6 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
     for lp in lps:
         nbrs.extend(lp.neighbors)
     absorb_sleeping = cfg.absorb_sleeping
-    sleeping_p = cfg.sleeping_upgrade_p
-    active_p = cfg.active_upgrade_p
     initial_fill = cfg.initial_fill
     heartbeat_on = cfg.heartbeat
     jitter_on = cfg.arrival_jitter
@@ -210,68 +207,10 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
         priority = data[2]
         dest = data[1]
         free = (f0, f1, f2, f3)
-        info = route_info(dst, dest)
-        good = info[0]
-        deflected = False
-        upgraded = False
-        demoted = False
-        off_turn = False
-        if not busch:
-            out = policy_route(topo, dst, dest, priority, free, rng, cfg)
-            d = out.direction
-            newp = int(out.new_priority)
-            deflected = out.deflected
-            upgraded = out.upgraded
-            demoted = out.demoted
-            off_turn = priority == 3 and demoted and not out.turning
-        elif priority >= 2:
-            # Home-run rule (BuschHotPotatoPolicy inlined).
-            want = info[1]
-            if free[want]:
-                d = want
-                upgraded = priority == 2
-                newp = 3
-            else:
-                d = None
-                for g in good:
-                    if free[g]:
-                        d = g
-                        break
-                demoted = True
-                newp = 1
-                if d is None:
-                    deflected = True
-                    d = 0 if f0 else 1 if f1 else 2 if f2 else 3
-                off_turn = priority == 3 and not info[2]
-        else:
-            # Greedy rule with the inlined upgrade draws
-            # (same LCG step as ReversibleStream.bernoulli).
-            d = None
-            for g in good:
-                if free[g]:
-                    d = g
-                    break
-            deflected = d is None
-            if deflected:
-                d = 0 if f0 else 1 if f1 else 2 if f2 else 3
-            if priority == 0:
-                rng._state = state = (MULTIPLIER * rng._state + INCREMENT) & MASK64
-                rng._count += 1
-                if (state >> 11) * _INV_2_53 < sleeping_p:
-                    newp = 1
-                    upgraded = True
-                else:
-                    newp = 0
-            elif deflected:
-                rng._state = state = (MULTIPLIER * rng._state + INCREMENT) & MASK64
-                rng._count += 1
-                if (state >> 11) * _INV_2_53 < active_p:
-                    newp = 2
-                    upgraded = True
-                else:
-                    newp = 1
-            else:
-                newp = 1
+        d, newp, deflected, upgraded, demoted, turning = policy_route(
+            topo, dst, dest, priority, free, rng, cfg
+        )
+        off_turn = demoted and priority == 3 and not turning
         d = int(d)
         saved["route"] = (
             d, links[base + d], deflected, upgraded, demoted, off_turn, priority,
@@ -294,7 +233,7 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
         if flt is not None and deflected:
             # Attribute the deflection to the faults when some good
             # direction was contention-free but fault-masked.
-            for g in good:
+            for g in route_info(dst, dest)[0]:
                 if basemask[g] and not free[g]:
                     st.fault_deflections += 1
                     saved["fdefl"] = True

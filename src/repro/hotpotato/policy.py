@@ -17,6 +17,13 @@ The hot-potato rules implemented by :class:`BuschHotPotatoPolicy`:
 * **Running** — route via the home-run path; deflection (possible only
   while turning, per the theory) demotes to Active.
 
+This module runs on every ROUTE event the handler table
+(:mod:`repro.hotpotato.handlers`) executes — every Time Warp and
+per-event sequential run, whatever the policy — so a decision is a plain
+tuple (see :meth:`RoutingPolicy.route`), not an object.  The sequential
+band program (:mod:`repro.hotpotato.band`) states the Busch rule a second
+time, inlined, and ``tests/test_band_program.py`` compares the two.
+
 All probability draws go through the LP's reversible RNG stream, so the
 Time Warp kernel can undo them.
 
@@ -26,62 +33,24 @@ the router intersects the contention free-mask with its
 so policies only ever see links that are both uncontended and alive — and
 are never called with an all-``False`` mask (the router drops the packet
 and counts it first).  A fault-masked good direction shows up here simply
-as "not free", which the deflection rules already handle; that is the
-whole fault-tolerance story at this layer, and why the policies needed no
-changes to support it.
+as "not free", which the deflection rules already handle.  A static
+failure (a link down from boot) is dropped from ``route_info``'s good
+links, so a policy may see no good link at all and must then deflect.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.packet import Priority
 from repro.net import DIRECTIONS, Direction, GridTopology
 from repro.rng.lcg import INCREMENT, MASK64, MULTIPLIER, _INV_2_53
 from repro.rng.streams import ReversibleStream
 
 __all__ = [
-    "RouteOutcome",
     "RoutingPolicy",
     "BuschHotPotatoPolicy",
     "first_free_good",
     "first_free",
 ]
-
-
-class RouteOutcome(NamedTuple):
-    """The routing decision for one packet at one router and step.
-
-    A NamedTuple rather than a frozen dataclass: one is constructed per
-    routed packet, and tuple construction skips the dataclass's
-    ``object.__setattr__`` per field while staying immutable.
-
-    Attributes
-    ----------
-    direction:
-        Output link chosen (a free link always exists: a bufferless router
-        never receives more packets per step than it has output links).
-    new_priority:
-        Packet priority for the next hop.
-    deflected:
-        The packet did not advance toward its destination this hop.
-    upgraded / demoted:
-        Priority transition flags.  ``demoted`` marks an Excited/Running
-        packet knocked off its home-run path (the theory's notion of a
-        home-run deflection), even when the replacement hop still makes
-        progress over another good link.
-    turning:
-        The packet was at its home-run turn this step (only meaningful for
-        Excited/Running packets).
-    """
-
-    direction: Direction
-    new_priority: Priority
-    deflected: bool
-    upgraded: bool = False
-    demoted: bool = False
-    turning: bool = False
 
 
 def first_free_good(
@@ -110,14 +79,6 @@ def first_free(
     return None
 
 
-# Priority members hoisted out of the per-packet hot path (an enum member
-# lookup costs a class-dict probe per route).
-_SLEEPING = Priority.SLEEPING
-_ACTIVE = Priority.ACTIVE
-_EXCITED = Priority.EXCITED
-_RUNNING = Priority.RUNNING
-
-
 class RoutingPolicy:
     """Interface for per-packet routing decisions."""
 
@@ -129,22 +90,42 @@ class RoutingPolicy:
         topo: GridTopology,
         node: int,
         dest: int,
-        priority: Priority,
+        priority: int,
         free: tuple[bool, bool, bool, bool],
         rng: ReversibleStream,
         cfg: HotPotatoConfig,
-    ) -> RouteOutcome:
+    ) -> tuple:
         """Decide the output link and next priority for one packet.
 
         ``free[d]`` tells whether output link ``d`` is still unclaimed this
         step.  At least one entry is True (bufferless invariant).  RNG
         draws must go through ``rng`` so rollbacks can undo them.
+
+        Returns the decision as one plain tuple, in this order (the only
+        statement of it; the handler table unpacks it positionally):
+
+        ``(direction, new_priority, deflected, upgraded, demoted, turning)``
+
+        * ``direction`` — the output link chosen; ``free[direction]`` holds.
+        * ``new_priority`` — the packet's priority for the next hop, a
+          :class:`~repro.hotpotato.packet.Priority` value as a plain int.
+        * ``deflected`` — the hop does not advance toward the destination.
+        * ``upgraded`` / ``demoted`` — priority transition flags.
+          ``demoted`` marks an Excited/Running packet knocked off its
+          home-run path (the theory's home-run deflection), even when the
+          replacement hop still makes progress over another good link.
+        * ``turning`` — the packet was at its home-run turn this step
+          (only meaningful for Excited/Running packets).
         """
         raise NotImplementedError
 
 
 class BuschHotPotatoPolicy(RoutingPolicy):
-    """The SPAA 2001 four-priority hot-potato algorithm (see module doc)."""
+    """The SPAA 2001 four-priority hot-potato algorithm (see module doc).
+
+    Priorities are the :class:`~repro.hotpotato.packet.Priority` values as
+    plain ints: 0 Sleeping, 1 Active, 2 Excited, 3 Running.
+    """
 
     name = "busch"
 
@@ -153,74 +134,50 @@ class BuschHotPotatoPolicy(RoutingPolicy):
         topo: GridTopology,
         node: int,
         dest: int,
-        priority: Priority,
+        priority: int,
         free: tuple[bool, bool, bool, bool],
         rng: ReversibleStream,
         cfg: HotPotatoConfig,
-    ) -> RouteOutcome:
-        if priority >= _EXCITED:
-            return self._route_homerun(topo, node, dest, priority, free, cfg)
-        # Sleeping/Active greedy rule, inlined: this branch fires once per
-        # routed low-priority packet, the hot-potato hot path.  The
-        # upgrade draws are ``ReversibleStream.bernoulli`` inlined (same
-        # LCG step, same output map — bit-identical values and counts).
-        d = None
-        for g in topo.route_info(node, dest)[0]:
-            if free[g]:
-                d = g
-                break
-        deflected = d is None
-        if deflected:
+    ) -> tuple:
+        good, want, turning, _ = topo.route_info(node, dest)
+        if priority >= 2:
+            # Excited/Running: the one-bend path.  Success promotes
+            # Excited to Running; Running just keeps running.
+            if free[want]:
+                return want, 3, False, priority == 2, False, turning
+            # Knocked off the home-run path: back to Active either way
+            # (``demoted``).  The hop may still make progress over another
+            # good link, in which case it is not a ``deflected`` hop.
+            for d in good:
+                if free[d]:
+                    return d, 1, False, False, True, turning
             d = first_free(free)
             assert d is not None, "bufferless invariant violated"
-        if priority == _SLEEPING:
+            return d, 1, True, False, True, turning
+        # Sleeping/Active: any good link, else deflect.  The upgrade draws
+        # are ``ReversibleStream.bernoulli`` inlined (same LCG step, same
+        # output map — bit-identical values and counts).
+        for d in good:
+            if free[d]:
+                deflected = False
+                break
+        else:
+            deflected = True
+            d = first_free(free)
+            assert d is not None, "bufferless invariant violated"
+        if priority == 0:
             # "When a packet in the Sleeping state is routed, it is given a
             # chance with the probability of 1/24n to upgrade" — on every
             # route, deflected or not.
             rng._state = state = (MULTIPLIER * rng._state + INCREMENT) & MASK64
             rng._count += 1
             if (state >> 11) * _INV_2_53 < cfg.sleeping_upgrade_p:
-                return RouteOutcome(d, _ACTIVE, deflected, upgraded=True)
-            return RouteOutcome(d, _SLEEPING, deflected)
+                return d, 1, deflected, True, False, turning
+            return d, 0, deflected, False, False, turning
         # Active: the upgrade chance applies only when deflected.
         if deflected:
             rng._state = state = (MULTIPLIER * rng._state + INCREMENT) & MASK64
             rng._count += 1
             if (state >> 11) * _INV_2_53 < cfg.active_upgrade_p:
-                return RouteOutcome(d, _EXCITED, True, upgraded=True)
-            return RouteOutcome(d, _ACTIVE, True)
-        return RouteOutcome(d, _ACTIVE, False)
-
-    def _route_homerun(
-        self,
-        topo: GridTopology,
-        node: int,
-        dest: int,
-        priority: Priority,
-        free: tuple[bool, bool, bool, bool],
-        cfg: HotPotatoConfig,
-    ) -> RouteOutcome:
-        """Excited/Running: the one-bend path or demotion to Active."""
-        good, want, turning, _ = topo.route_info(node, dest)
-        assert want is not None, "home-run packet already at destination"
-        if free[want]:
-            # Excited promotes to Running on a successful home-run hop;
-            # Running just keeps running.
-            upgraded = priority == _EXCITED
-            return RouteOutcome(
-                want, _RUNNING, False, upgraded=upgraded, turning=turning
-            )
-        # Knocked off the home-run path: back to Active either way
-        # (``demoted``).  The hop may still make progress over another good
-        # link, in which case it is not a ``deflected`` hop in the
-        # distance sense.
-        for d in good:
-            if free[d]:
-                return RouteOutcome(
-                    d, _ACTIVE, False, demoted=True, turning=turning
-                )
-        d = first_free(free)
-        assert d is not None, "bufferless invariant violated"
-        return RouteOutcome(
-            d, _ACTIVE, True, demoted=True, turning=turning
-        )
+                return d, 2, True, True, False, turning
+        return d, 1, deflected, False, False, turning

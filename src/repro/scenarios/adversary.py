@@ -30,7 +30,7 @@ Strategies
   Saturates the sinks' four input links and exercises the deflection
   field around them.
 * ``transpose`` — router ``(r, c)`` sends only to ``(c, r)``: the classic
-  worst case for dimension-ordered schemes (all traffic crosses the
+  worst case for row-first (XY) schemes (all traffic crosses the
   diagonal).
 * ``tornado`` — router ``(r, c)`` sends to ``(r, (c + cols//2) mod
   cols)``: maximal-distance row traffic that defeats nearest-neighbor

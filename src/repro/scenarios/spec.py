@@ -32,8 +32,7 @@ Sections
     ``"script"`` with an explicit ``script`` entry list).
 ``routing``
     ``policy`` is a name from :data:`repro.baselines.POLICIES`
-    ("busch", "greedy", "dimension-order", "random-deflection",
-    "two-choice").
+    ("busch", "greedy", "random-deflection", "two-choice").
 ``engine``
     ``duration`` (required) and ``seed`` for the run, plus an optional
     ``overrides`` object of :class:`~repro.hotpotato.config.

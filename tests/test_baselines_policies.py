@@ -3,9 +3,9 @@
 import pytest
 
 from repro.baselines.policies import (
-    DimensionOrderPolicy,
     GreedyPolicy,
     RandomDeflectionPolicy,
+    TwoChoicePolicy,
 )
 from repro.core.engine import run_sequential
 from repro.hotpotato.config import HotPotatoConfig
@@ -36,45 +36,29 @@ def freeze(*dirs):
 
 
 def test_greedy_takes_good_link(topo):
-    out = GreedyPolicy().route(
+    d, newp, deflected, *_ = GreedyPolicy().route(
         topo, topo.node_id(0, 0), topo.node_id(0, 3), Priority.ACTIVE, ALL_FREE, rng(), cfg()
     )
-    assert out.direction == Direction.EAST
-    assert not out.deflected
-    assert out.new_priority == Priority.ACTIVE
+    assert d == Direction.EAST
+    assert not deflected
+    assert newp == Priority.ACTIVE
 
 
 def test_greedy_deflects_when_blocked(topo):
     mask = freeze(Direction.NORTH)
-    out = GreedyPolicy().route(
+    d, _, deflected, *_ = GreedyPolicy().route(
         topo, topo.node_id(0, 0), topo.node_id(0, 3), Priority.ACTIVE, mask, rng(), cfg()
     )
-    assert out.deflected
-    assert out.direction == Direction.NORTH
+    assert deflected
+    assert d == Direction.NORTH
 
 
 def test_greedy_never_upgrades(topo):
-    out = GreedyPolicy().route(
+    _, newp, _, upgraded, _, _ = GreedyPolicy().route(
         topo, 0, 9, Priority.SLEEPING, ALL_FREE, rng(), cfg()
     )
-    assert out.new_priority == Priority.ACTIVE
-    assert not out.upgraded
-
-
-def test_dimension_order_prefers_row_hop(topo):
-    out = DimensionOrderPolicy().route(
-        topo, topo.node_id(0, 0), topo.node_id(2, 2), Priority.ACTIVE, ALL_FREE, rng(), cfg()
-    )
-    assert out.direction == Direction.EAST
-
-
-def test_dimension_order_falls_back_to_other_good(topo):
-    mask = freeze(Direction.SOUTH, Direction.NORTH)
-    out = DimensionOrderPolicy().route(
-        topo, topo.node_id(0, 0), topo.node_id(2, 2), Priority.ACTIVE, mask, rng(), cfg()
-    )
-    assert out.direction == Direction.SOUTH
-    assert not out.deflected
+    assert newp == Priority.ACTIVE
+    assert not upgraded
 
 
 def test_random_deflection_picks_among_good(topo):
@@ -82,27 +66,38 @@ def test_random_deflection_picks_among_good(topo):
     seen = set()
     stream = rng()
     for _ in range(50):
-        out = RandomDeflectionPolicy().route(
+        d, _, deflected, *_ = RandomDeflectionPolicy().route(
             topo, node, dest, Priority.ACTIVE, ALL_FREE, stream, cfg()
         )
-        seen.add(out.direction)
-        assert not out.deflected
+        seen.add(d)
+        assert not deflected
     assert seen == {Direction.EAST, Direction.SOUTH}
 
 
 def test_random_deflection_forced_choice_draws_nothing(topo):
     node, dest = topo.node_id(0, 0), topo.node_id(0, 3)
     stream = rng()
-    out = RandomDeflectionPolicy().route(
+    d, *_ = RandomDeflectionPolicy().route(
         topo, node, dest, Priority.ACTIVE, ALL_FREE, stream, cfg()
     )
-    assert out.direction == Direction.EAST
+    assert d == Direction.EAST
     assert stream.count == 0
 
 
-@pytest.mark.parametrize(
-    "policy_cls", [GreedyPolicy, DimensionOrderPolicy, RandomDeflectionPolicy]
-)
+def test_two_choice_deflects_without_a_draw_when_its_good_link_failed():
+    # Node (0, 0)'s east link is down from boot: a packet bound for
+    # (0, 1) has no good link left, so it deflects and draws nothing.
+    topo = TorusTopology(8, failed_links=[(0, Direction.EAST)])
+    stream = rng()
+    mask = freeze(Direction.NORTH, Direction.SOUTH)
+    d, newp, deflected, *_ = TwoChoicePolicy().route(
+        topo, 0, topo.node_id(0, 1), Priority.ACTIVE, mask, stream, cfg()
+    )
+    assert (d, newp, deflected) == (Direction.NORTH, Priority.ACTIVE, True)
+    assert stream.count == 0
+
+
+@pytest.mark.parametrize("policy_cls", [GreedyPolicy, RandomDeflectionPolicy])
 def test_baseline_parallel_matches_sequential(policy_cls):
     cfg_run = HotPotatoConfig(n=6, duration=25.0, injector_fraction=1.0)
     sim = HotPotatoSimulation(cfg_run, policy=policy_cls())

@@ -198,8 +198,7 @@ def _abl_base(table, params):
     # §1.2.3: hot-potato routing uses links far better than flow control.
     rows = _by(table, "N", "algorithm")
     assert {algo for _, algo in rows} == {
-        "busch", "greedy", "dimension-order", "random-deflection",
-        "buffered-flow-control",
+        "busch", "greedy", "random-deflection", "buffered-flow-control",
     }
     assert all(r["delivered"] > 0 for r in rows.values())
     for n in params.sizes:

@@ -69,30 +69,36 @@ def test_first_free_avoid_preference():
 # ----------------------------------------------------------------------
 def test_sleeping_takes_good_link(topo, policy):
     node, dest = topo.node_id(0, 0), topo.node_id(0, 3)
-    out = policy.route(
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
         topo, node, dest, Priority.SLEEPING, ALL_FREE, rng(), cfg()
     )
-    assert out.direction == Direction.EAST
-    assert not out.deflected
+    assert d == Direction.EAST
+    assert not deflected
 
 
 def test_sleeping_upgrade_probability_is_applied(topo, policy):
     node, dest = topo.node_id(0, 0), topo.node_id(0, 3)
     # Force the upgrade chance to certainty / impossibility via the scale.
     sure = cfg(sleeping_upgrade_scale=1e-9)
-    out = policy.route(topo, node, dest, Priority.SLEEPING, ALL_FREE, rng(), sure)
-    assert out.new_priority == Priority.ACTIVE and out.upgraded
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.SLEEPING, ALL_FREE, rng(), sure
+    )
+    assert newp == Priority.ACTIVE and upgraded
     never = cfg(sleeping_upgrade_scale=1e9)
-    out = policy.route(topo, node, dest, Priority.SLEEPING, ALL_FREE, rng(), never)
-    assert out.new_priority == Priority.SLEEPING and not out.upgraded
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.SLEEPING, ALL_FREE, rng(), never
+    )
+    assert newp == Priority.SLEEPING and not upgraded
 
 
 def test_sleeping_upgrade_chance_even_when_deflected(topo, policy):
     node, dest = topo.node_id(0, 0), topo.node_id(0, 3)
     mask = freeze(Direction.WEST)  # only a bad link free
     sure = cfg(sleeping_upgrade_scale=1e-9)
-    out = policy.route(topo, node, dest, Priority.SLEEPING, mask, rng(), sure)
-    assert out.deflected and out.new_priority == Priority.ACTIVE
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.SLEEPING, mask, rng(), sure
+    )
+    assert deflected and newp == Priority.ACTIVE
 
 
 def test_sleeping_draws_exactly_one_random_number(topo, policy):
@@ -108,9 +114,11 @@ def test_sleeping_draws_exactly_one_random_number(topo, policy):
 def test_active_good_route_no_draw(topo, policy):
     node, dest = topo.node_id(0, 0), topo.node_id(0, 3)
     stream = rng()
-    out = policy.route(topo, node, dest, Priority.ACTIVE, ALL_FREE, stream, cfg())
-    assert not out.deflected
-    assert out.new_priority == Priority.ACTIVE
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.ACTIVE, ALL_FREE, stream, cfg()
+    )
+    assert not deflected
+    assert newp == Priority.ACTIVE
     assert stream.count == 0  # upgrade chance only on deflection
 
 
@@ -118,11 +126,15 @@ def test_active_deflection_may_excite(topo, policy):
     node, dest = topo.node_id(0, 0), topo.node_id(0, 3)
     mask = freeze(Direction.NORTH)
     sure = cfg(active_upgrade_scale=1e-9)
-    out = policy.route(topo, node, dest, Priority.ACTIVE, mask, rng(), sure)
-    assert out.deflected and out.new_priority == Priority.EXCITED and out.upgraded
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.ACTIVE, mask, rng(), sure
+    )
+    assert deflected and newp == Priority.EXCITED and upgraded
     never = cfg(active_upgrade_scale=1e9)
-    out = policy.route(topo, node, dest, Priority.ACTIVE, mask, rng(), never)
-    assert out.deflected and out.new_priority == Priority.ACTIVE
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.ACTIVE, mask, rng(), never
+    )
+    assert deflected and newp == Priority.ACTIVE
 
 
 # ----------------------------------------------------------------------
@@ -130,18 +142,22 @@ def test_active_deflection_may_excite(topo, policy):
 # ----------------------------------------------------------------------
 def test_excited_success_promotes_to_running(topo, policy):
     node, dest = topo.node_id(0, 0), topo.node_id(2, 3)
-    out = policy.route(topo, node, dest, Priority.EXCITED, ALL_FREE, rng(), cfg())
-    assert out.direction == topo.homerun_dir(node, dest) == Direction.EAST
-    assert out.new_priority == Priority.RUNNING
-    assert out.upgraded and not out.deflected
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.EXCITED, ALL_FREE, rng(), cfg()
+    )
+    assert d == topo.homerun_dir(node, dest) == Direction.EAST
+    assert newp == Priority.RUNNING
+    assert upgraded and not deflected
 
 
 def test_excited_deflection_demotes_to_active(topo, policy):
     node, dest = topo.node_id(0, 0), topo.node_id(0, 3)
     mask = freeze(Direction.SOUTH)  # home-run (EAST) busy
-    out = policy.route(topo, node, dest, Priority.EXCITED, mask, rng(), cfg())
-    assert out.deflected and out.demoted
-    assert out.new_priority == Priority.ACTIVE
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.EXCITED, mask, rng(), cfg()
+    )
+    assert deflected and demoted
+    assert newp == Priority.ACTIVE
 
 
 def test_excited_uses_no_randomness(topo, policy):
@@ -156,39 +172,49 @@ def test_excited_uses_no_randomness(topo, policy):
 # ----------------------------------------------------------------------
 def test_running_stays_running_on_homerun(topo, policy):
     node, dest = topo.node_id(0, 2), topo.node_id(4, 2)  # column phase
-    out = policy.route(topo, node, dest, Priority.RUNNING, ALL_FREE, rng(), cfg())
-    assert out.direction == Direction.SOUTH
-    assert out.new_priority == Priority.RUNNING
-    assert not out.upgraded  # no transition: it was already Running
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.RUNNING, ALL_FREE, rng(), cfg()
+    )
+    assert d == Direction.SOUTH
+    assert newp == Priority.RUNNING
+    assert not upgraded  # no transition: it was already Running
 
 
 def test_running_deflected_while_turning_demotes(topo, policy):
     node, dest = topo.node_id(0, 2), topo.node_id(3, 2)
     assert topo.is_turning(node, dest)
     mask = freeze(Direction.NORTH)  # wanted SOUTH
-    out = policy.route(topo, node, dest, Priority.RUNNING, mask, rng(), cfg())
-    assert out.deflected and out.demoted and out.turning
-    assert out.new_priority == Priority.ACTIVE
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.RUNNING, mask, rng(), cfg()
+    )
+    assert deflected and demoted and turning
+    assert newp == Priority.ACTIVE
 
 
 def test_running_straight_not_turning_flag(topo, policy):
     node, dest = topo.node_id(0, 0), topo.node_id(0, 3)  # row phase
-    out = policy.route(topo, node, dest, Priority.RUNNING, ALL_FREE, rng(), cfg())
-    assert not out.turning
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.RUNNING, ALL_FREE, rng(), cfg()
+    )
+    assert not turning
 
 
 def test_blocked_homerun_still_prefers_good_link(topo, policy):
     node, dest = topo.node_id(0, 0), topo.node_id(2, 3)
     mask = freeze(Direction.SOUTH, Direction.WEST)  # EAST busy; SOUTH good
-    out = policy.route(topo, node, dest, Priority.RUNNING, mask, rng(), cfg())
-    assert out.direction == Direction.SOUTH
-    assert out.demoted  # knocked off the home-run path → back to Active
-    assert not out.deflected  # but the hop still made progress
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.RUNNING, mask, rng(), cfg()
+    )
+    assert d == Direction.SOUTH
+    assert demoted  # knocked off the home-run path → back to Active
+    assert not deflected  # but the hop still made progress
 
 
 def test_blocked_homerun_with_no_good_link_deflects(topo, policy):
     node, dest = topo.node_id(0, 0), topo.node_id(0, 3)  # pure row path
     mask = freeze(Direction.NORTH)  # only a bad link free
-    out = policy.route(topo, node, dest, Priority.RUNNING, mask, rng(), cfg())
-    assert out.direction == Direction.NORTH
-    assert out.demoted and out.deflected
+    d, newp, deflected, upgraded, demoted, turning = policy.route(
+        topo, node, dest, Priority.RUNNING, mask, rng(), cfg()
+    )
+    assert d == Direction.NORTH
+    assert demoted and deflected

@@ -5,8 +5,10 @@ for one routing policy: every policy that draws randomness exclusively
 through the LP's :class:`~repro.rng.streams.ReversibleStream` must
 commit exactly the same event sequence on the sequential oracle, the
 conservative (YAWNS) kernel and the Time Warp kernel — on golden seeds,
-and under an active :class:`~repro.faults.FaultPlan`.  This suite pins
-that for every registered policy, including the two-choice
+under an active :class:`~repro.faults.FaultPlan`, and with one link
+failed from boot (a *static* failure, which ``route_info`` drops from the
+good links, so some packet's only progress direction is dead).  This
+suite pins that for every registered policy, including the two-choice
 balanced-allocation router, and for the scripted adversary.
 """
 
@@ -18,7 +20,7 @@ from repro.core.conservative import ConservativeConfig, ConservativeKernel
 from repro.core.engine import SequentialEngine
 from repro.core.optimistic import TimeWarpKernel
 from repro.core.trace import Tracer
-from repro.faults import generate_plan
+from repro.faults import FaultEvent, FaultPlan, generate_plan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.net import TorusTopology
@@ -41,6 +43,17 @@ def _fault_plan():
     )
 
 
+#: Node 0's east link down from step 0, never healed: a static failure.
+STATIC_PLAN = FaultPlan(events=(FaultEvent(0, "link_down", 0, 1),))
+
+#: Fault input -> plan builder.
+FAULTS = {
+    "clean": lambda: None,
+    "faultplan": _fault_plan,
+    "static": lambda: STATIC_PLAN,
+}
+
+
 def _adversary():
     return generate_injection_plan(
         TorusTopology(N),
@@ -51,18 +64,18 @@ def _adversary():
     )
 
 
-def _model(policy_name: str, faulted: bool, adversarial: bool):
+def _model(policy_name: str, faults: str, adversarial: bool):
     cfg = HotPotatoConfig(n=N, duration=DURATION, injector_fraction=1.0)
     return HotPotatoModel(
         cfg,
         make_policy(policy_name),
-        fault_plan=_fault_plan() if faulted else None,
+        fault_plan=FAULTS[faults](),
         injection_plan=_adversary() if adversarial else None,
     )
 
 
-def _run(engine, policy_name, seed, faulted, adversarial=False):
-    model = _model(policy_name, faulted, adversarial)
+def _run(engine, policy_name, seed, faults, adversarial=False):
+    model = _model(policy_name, faults, adversarial)
     tracer = Tracer()
     if engine == "seq":
         kernel = SequentialEngine(model, DURATION, seed=seed)
@@ -86,15 +99,15 @@ def _run(engine, policy_name, seed, faulted, adversarial=False):
     return tracer.committed_sequence(), result.model_stats
 
 
-@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faultplan"])
+@pytest.mark.parametrize("faults", list(FAULTS))
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
 @pytest.mark.parametrize("policy", sorted(POLICIES))
-def test_policy_bit_identical_across_engines(policy, seed, faulted):
+def test_policy_bit_identical_across_engines(policy, seed, faults):
     """seq == cons == opt: committed sequence and statistics."""
-    seq_trace, seq_stats = _run("seq", policy, seed, faulted)
+    seq_trace, seq_stats = _run("seq", policy, seed, faults)
     assert seq_stats["delivered"] > 0
     for engine in ("cons", "opt"):
-        trace, stats = _run(engine, policy, seed, faulted)
+        trace, stats = _run(engine, policy, seed, faults)
         assert trace == seq_trace, f"{engine} diverged from oracle"
         assert stats == seq_stats
 
@@ -103,10 +116,10 @@ def test_policy_bit_identical_across_engines(policy, seed, faulted):
 def test_adversary_bit_identical_across_engines(policy):
     """The scripted adversary preserves the contract on every engine."""
     seed = GOLDEN_SEEDS[0]
-    seq_trace, seq_stats = _run("seq", policy, seed, True, adversarial=True)
+    seq_trace, seq_stats = _run("seq", policy, seed, "faultplan", adversarial=True)
     assert seq_stats["injected"] > 0
     for engine in ("cons", "opt"):
-        trace, stats = _run(engine, policy, seed, True, adversarial=True)
+        trace, stats = _run(engine, policy, seed, "faultplan", adversarial=True)
         assert trace == seq_trace, f"{engine} diverged from oracle"
         assert stats == seq_stats
 
@@ -114,16 +127,15 @@ def test_adversary_bit_identical_across_engines(policy):
 def test_two_choice_differs_from_busch():
     """Sanity: the two-choice policy is actually a different router (it
     must not silently alias the Busch state machine)."""
-    _, busch = _run("seq", "busch", GOLDEN_SEEDS[0], False)
-    _, two_choice = _run("seq", "two-choice", GOLDEN_SEEDS[0], False)
+    _, busch = _run("seq", "busch", GOLDEN_SEEDS[0], "clean")
+    _, two_choice = _run("seq", "two-choice", GOLDEN_SEEDS[0], "clean")
     assert busch != two_choice
 
 
 def test_policy_registry_complete():
     """Every registered policy constructs and self-describes."""
-    assert set(POLICIES) >= {
-        "busch", "greedy", "dimension-order", "random-deflection",
-        "two-choice",
+    assert set(POLICIES) == {
+        "busch", "greedy", "random-deflection", "two-choice",
     }
     for name in POLICIES:
         assert make_policy(name).name == name
