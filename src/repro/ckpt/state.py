@@ -58,7 +58,10 @@ __all__ = ["capture_state", "restore_state"]
 #: format-5 one may hold a cut inside a band, which the program cannot enter).
 #: 7: a conservative snapshot is a Time Warp one, taken at a GVT window
 #: (a format-6 one holds the deleted YAWNS loop's per-PE counters).
-PAYLOAD_FORMAT = 7
+#: 8: a sequential snapshot of a non-Busch policy or a fault plan is taken
+#: at a step end and resumes on the band program (a format-7 one may hold
+#: a cut inside a band, which the program cannot enter).
+PAYLOAD_FORMAT = 8
 
 
 # ----------------------------------------------------------------------

@@ -244,7 +244,6 @@ class SequentialEngine(Executor):
             )
 
         stats = RunStats(engine="sequential", n_pes=1, n_kps=1)
-        stats.band_decline_reason = self.model.band_decline_reason
         stats.processed = processed
         stats.committed = processed
         stats.local_sends = self.sends

@@ -124,12 +124,6 @@ class Event:
         """Id of the LP that created this event."""
         return self.key.origin
 
-    def reset_journal(self) -> None:
-        """Clear kernel journaling before (re-)execution."""
-        self.sent.clear()
-        self.rng_draws = 0
-        self.snapshot = None
-
     # Checkpoint support ----------------------------------------------------
     # The pickled state is every slot but ``in_pending`` (a restored event
     # is in no queue yet), as a flat tuple in slot order.  The serial is

@@ -33,9 +33,8 @@ model whatever runs it — and the **dispatch**: every engine asks the
 model once per run for its per-kind handler table over the built LPs
 (:meth:`Executor._handler_table`, :meth:`~repro.core.lp.Model.handlers`)
 and runs each event through its kind's handler, or ``lp.forward`` for a
-kind the table does not list.  The sequential engine may also run a
-model's band program, and leaves the reason in ``RunStats`` when it
-declines one.
+kind the table does not list.  The sequential engine also runs a
+model's band program past its start, when the model offers one.
 """
 
 from __future__ import annotations

@@ -245,10 +245,6 @@ class Model:
         """
         return None
 
-    #: Why :meth:`band_program` offered nothing although the model has a
-    #: program ("" otherwise); models set it as they refuse.
-    band_decline_reason = ""
-
     def band_program(self):
         """Optional step-synchronous program for the sequential engine.
 
@@ -263,11 +259,10 @@ class Model:
         engine (LP state, ``engine.pending``, ``engine.sends``) as the
         per-event loop would have (see
         :func:`repro.hotpotato.band.run_bands`); a hooked run enters it
-        once per step.  Return ``None`` — the
-        default — to offer nothing; a model that has a program but cannot
-        offer it for this configuration says why in
-        :attr:`band_decline_reason`, which lands in
-        :class:`~repro.core.stats.RunStats`.
+        once per step.  A model that offers one offers it for every
+        configuration it accepts: the program is the oracle's only path
+        past ``start_ts``.  Return ``None`` — the default — to offer
+        nothing (the per-event loop then runs every event).
         """
         return None
 

@@ -65,13 +65,6 @@ class RunStats:
     stragglers: int = 0
     cancelled_direct: int = 0
     cancelled_via_rollback: int = 0
-    #: Why a sequential run stepped event by event although the model has
-    #: a band program: the model could not offer it (policy, topology,
-    #: fault plan, adversary) or the engine declined it (tracer,
-    #: checkpointer, watchdog, paranoid, resumed snapshot).  "" when the
-    #: band program ran, the model has none, or the engine is not the
-    #: sequential one.
-    band_decline_reason: str = ""
     #: Optimism-throttle activity (0 when the throttle is off or idle).
     throttle_adjustments: int = 0
     #: Final optimism factor (1.0 = full batch/window).
@@ -140,7 +133,6 @@ class RunStats:
             "cancelled_direct": self.cancelled_direct,
             "cancelled_via_rollback": self.cancelled_via_rollback,
             "lazy_reused": 0,  # no message is ever reused; perfbench/layers.py reads it
-            "band_decline_reason": self.band_decline_reason,
             "throttle_adjustments": self.throttle_adjustments,
             "throttle_final_factor": self.throttle_final_factor,
             "local_sends": self.local_sends,

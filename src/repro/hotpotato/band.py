@@ -31,13 +31,17 @@ and runs the rules of the model's handler table
 through) inlined over the routers' own shared ``links`` / ``head_gen``
 lists — same float expressions, same LCG steps in the same order,
 ``send_seq`` advanced on every send — so every key, every tie-break,
-every statistic and every RNG state is the per-event loop's.  It shares
-no code with the table, which calls
+every statistic and every RNG state is the per-event loop's.  For the
+Busch policy it shares no code with the table, which calls
 :class:`~repro.hotpotato.policy.BuschHotPotatoPolicy`: this is the one
 inlined statement of the Busch rule, kept for speed (a policy call per
-packet would cost about a microsecond per ROUTE), and
-``tests/test_band_program.py`` referees it against the table, so a bug
-in either ``policy.py`` or here shows up there.  No
+packet costs about a microsecond per ROUTE).  Any other policy type is
+called as the table calls it, once per packet.  The fault rules — the
+crash drop, the no-link drop and the fault-deflection attribution — are
+stated here a second time, over per-step data rather than the table's
+per-event ``NodeFaults`` queries.  ``tests/test_band_program.py``
+referees all of it against the table, so a bug in ``policy.py``, in
+``handlers.py`` or here shows up there.  No
 ``Event`` is built, no heap is pushed or popped and no handler is
 dispatched per packet; events exist only where the program is entered
 and left, through ``engine.pending``.  The program is entered at the start
@@ -48,14 +52,16 @@ the next step.  An attached tracer is given each executed event's EXEC
 and COMMIT records, built from the band's sorted tuples in a pass of
 their own.
 
-Topology and traffic are data here, not cases: a flat ``live`` mask of
-the links that exist (all of them on a torus) guards the fallback
-deflection and the blocked-injection test, and each router's heartbeat
-samples its degree; an adversary's ``(gen_step, dest)`` script is read at
-the ``head_gen`` cursor, and a scripted packet draws only its jitter.
-:meth:`HotPotatoModel.band_program` refuses the program only where an
-inlined rule would be wrong: a policy other than the Busch policy, or
-model faults.
+Topology, traffic and faults are data here, not cases: a flat ``live``
+mask of the links that exist (all of them on a torus) guards the
+fallback deflection and the blocked-injection test, and each router's
+heartbeat samples its degree; an adversary's ``(gen_step, dest)`` script
+is read at the ``head_gen`` cursor, and a scripted packet draws only its
+jitter; a fault plan's views give each step a set of crashed routers
+and a set of dead links, and a dead or statically failed link reads as
+claimed for the step's ROUTE and INJECT bands.  The program runs every
+configuration the handler table runs, so
+:meth:`HotPotatoModel.band_program` always offers it.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ from bisect import bisect_left
 
 from repro.core.event import Event
 from repro.errors import ModelError
+from repro.hotpotato.policy import BuschHotPotatoPolicy
 from repro.hotpotato.router import (
     ARRIVE,
     FIXED_JITTER,
@@ -162,6 +169,24 @@ def run_bands(engine, processed: int, step: int, end: float):
     rng_state, rng_count = map(list, zip(*[lp.rng.checkpoint() for lp in lps]))
     stats = [lp.stats for lp in lps]
     log = model.delivery_log if cfg.delivery_log else None
+    # The Busch rule is inlined below; any other policy type (a subclass
+    # included: an override must not be ignored) is called per packet, as
+    # the handler table calls it, on the router's own stream.
+    policy = model.policy
+    policy_route = None if type(policy) is BuschHotPotatoPolicy else policy.route
+    rngs = [lp.rng for lp in lps]
+    # Model faults as data.  Each router's fault view yields, at each
+    # step start, its crash flag and its dead directions; a dead link and
+    # a statically failed one read as claimed (their ``links`` slot is set
+    # to the step) from the step start until HEARTBEAT samples utilisation,
+    # when ``masked`` puts the old claims back.  So the rules below free
+    # test them exactly as the table's ``NodeFaults.mask`` and
+    # ``route_info`` do; a fault-free run builds none of it.
+    views = [(lp.id, lp.faults) for lp in lps if lp.faults is not None]
+    static = sorted(4 * node + d for node, d in topo.failed_links)
+    crashed: set = set()  # routers crashed at this step
+    dead: set = set()  # claim slots of links a fault view downs this step
+    masked: list[tuple] = []  # (slot, claim) of slots reading as claimed
     # route_info of a healthy grid is one read of the displacement table.
     table, lin = topo.displacement_table
     absorb_sleeping = cfg.absorb_sleeping
@@ -190,12 +215,32 @@ def run_bands(engine, processed: int, step: int, end: float):
     # --- one step per iteration; every event of `step` has ts > step ----
     while end > step:
         step1 = step + 1
+        if views:
+            crashed = {i for i, v in views if v.crashed(step)}
+            dead = {
+                4 * i + d for i, v in views for d in range(4)
+                if not v.usable(d, step)
+            }
+        for slot in (*dead, *static):
+            masked.append((slot, links[slot]))
+            links[slot] = step
 
-        # ARRIVE band: absorb at the destination, else queue a ROUTE.
+        # ARRIVE band: drop at a crashed router (even at its destination:
+        # nobody is home to absorb it), absorb at the destination, else
+        # queue a ROUTE.
         route_base = step + ROUTE_BASE
         run, arrivals, last = due(arrivals, route_base)
         if tracer is not None:
             _trace(tracer, _events(run, ARRIVE))
+        processed += len(run)
+        if crashed:
+            kept = []
+            for t in run:
+                if t[3] in crashed:
+                    stats[t[3]].fault_dropped_crash += 1
+                else:
+                    kept.append(t)
+            run = kept
         routes_append = routes.append
         for t in run:
             _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = t
@@ -218,7 +263,6 @@ def run_bands(engine, processed: int, step: int, end: float):
                     dst, seq, dst,
                     step, dest, priority, inject_step, jitter, distance, src,
                 ))
-        processed += len(run)
         sends += len(routes)
         yield (
             min(route_base, end),
@@ -228,74 +272,134 @@ def run_bands(engine, processed: int, step: int, end: float):
         if last:
             break
 
-        # ROUTE band: the Busch rule (BuschHotPotatoPolicy.route inlined,
-        # upgrade draws as in ReversibleStream.bernoulli), claim the
-        # link, forward the packet to arrive next step.
+        # ROUTE band: the routing rule, claim the link, forward the packet
+        # to arrive next step.
         run, routes, last = due(routes, step + INJECT_OFFSET)
         if tracer is not None:
             _trace(tracer, _events(run, ROUTE))
-        arrivals_append = arrivals.append
-        for t in run:
-            _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = t
-            base = dst * 4
-            info = table[lin[dest] - lin[dst]]
-            st = stats[dst]
-            newp = priority
-            # A link is free iff it was not claimed this step.
-            if priority >= 2 and links[base + info[1]] != step:
-                # Excited / Running stay on (Excited: get on) the home run.
-                slot = base + info[1]
-                newp = 3
-                if priority == 2:
-                    st.promotions_running += 1
-            else:
-                for g in info[0]:
-                    if links[base + g] != step:
-                        slot = base + g
-                        deflected = False
-                        break
-                else:
-                    # No good link is free: the first free one in compass
-                    # order (one exists: a router gets at most one packet
-                    # a step per link it has).
-                    deflected = True
-                    st.deflections += 1
-                    slot = (
-                        base if live[base] and links[base] != step
-                        else base + 1 if live[base + 1] and links[base + 1] != step
-                        else base + 2 if live[base + 2] and links[base + 2] != step
-                        else base + 3
-                    )
-                if priority >= 2:
-                    # Knocked off the home-run path: back to Active.
-                    newp = 1
-                    st.demotions += 1
-                    if priority == 3 and not info[2]:
-                        st.running_deflections_off_turn += 1
-                elif priority == 0 or deflected:
-                    # Upgrade chance: Sleeping on every route, Active
-                    # only when deflected.
-                    rng_state[dst] = state = (
-                        MULTIPLIER * rng_state[dst] + INCREMENT
-                    ) & MASK64
-                    rng_count[dst] += 1
-                    if priority == 0:
-                        if (state >> 11) * _INV_2_53 < sleeping_p:
-                            newp = 1
-                            st.upgrades_sleeping += 1
-                    elif (state >> 11) * _INV_2_53 < active_p:
-                        newp = 2
-                        st.upgrades_active += 1
-            links[slot] = step
-            st.routes += 1
-            seq = send_seq[dst]
-            send_seq[dst] = seq + 1
-            arrivals_append((
-                step1 + jitter, dst, seq, nbrs[slot],
-                step1, dest, newp, inject_step, jitter, distance, src,
-            ))
         processed += len(run)
-        sends += len(run)
+        sent = len(arrivals)
+        arrivals_append = arrivals.append
+        if policy_route is None:
+            # The Busch rule (BuschHotPotatoPolicy.route inlined, upgrade
+            # draws as in ReversibleStream.bernoulli).
+            for t in run:
+                _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = t
+                base = dst * 4
+                info = table[lin[dest] - lin[dst]]
+                st = stats[dst]
+                newp = priority
+                # A link is free iff it was not claimed this step.
+                if priority >= 2 and links[base + info[1]] != step:
+                    # Excited / Running stay on (Excited: get on) the home run.
+                    slot = base + info[1]
+                    newp = 3
+                    if priority == 2:
+                        st.promotions_running += 1
+                else:
+                    for g in info[0]:
+                        if links[base + g] != step:
+                            slot = base + g
+                            deflected = False
+                            break
+                    else:
+                        # No good link is free: the first free one in
+                        # compass order.  A router gets at most one packet
+                        # a step per link it has, so one is free unless
+                        # faults took it, and then the packet is lost.
+                        slot = (
+                            base if live[base] and links[base] != step
+                            else base + 1 if live[base + 1] and links[base + 1] != step
+                            else base + 2 if live[base + 2] and links[base + 2] != step
+                            else base + 3 if live[base + 3] and links[base + 3] != step
+                            else -1
+                        )
+                        if slot < 0:
+                            st.fault_dropped_no_link += 1
+                            continue
+                        deflected = True
+                        st.deflections += 1
+                        if dead:
+                            _attribute(st, dead, base, info[0])
+                    if priority >= 2:
+                        # Knocked off the home-run path: back to Active.
+                        newp = 1
+                        st.demotions += 1
+                        if priority == 3 and not info[2]:
+                            st.running_deflections_off_turn += 1
+                    elif priority == 0 or deflected:
+                        # Upgrade chance: Sleeping on every route, Active
+                        # only when deflected.
+                        rng_state[dst] = state = (
+                            MULTIPLIER * rng_state[dst] + INCREMENT
+                        ) & MASK64
+                        rng_count[dst] += 1
+                        if priority == 0:
+                            if (state >> 11) * _INV_2_53 < sleeping_p:
+                                newp = 1
+                                st.upgrades_sleeping += 1
+                        elif (state >> 11) * _INV_2_53 < active_p:
+                            newp = 2
+                            st.upgrades_active += 1
+                links[slot] = step
+                st.routes += 1
+                seq = send_seq[dst]
+                send_seq[dst] = seq + 1
+                arrivals_append((
+                    step1 + jitter, dst, seq, nbrs[slot],
+                    step1, dest, newp, inject_step, jitter, distance, src,
+                ))
+        else:
+            # Any other policy: the handler table's call, with its free
+            # mask and its statistics, on the router's stream synced to
+            # and from the loop's RNG lists.
+            for t in run:
+                _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = t
+                base = dst * 4
+                free = (
+                    live[base] and links[base] != step,
+                    live[base + 1] and links[base + 1] != step,
+                    live[base + 2] and links[base + 2] != step,
+                    live[base + 3] and links[base + 3] != step,
+                )
+                st = stats[dst]
+                if not (free[0] or free[1] or free[2] or free[3]):
+                    # Only faults can leave a router no link (see above).
+                    st.fault_dropped_no_link += 1
+                    continue
+                rng = rngs[dst]
+                rng._state = rng_state[dst]
+                rng._count = rng_count[dst]
+                d, newp, deflected, upgraded, demoted, turning = policy_route(
+                    topo, dst, dest, priority, free, rng, cfg
+                )
+                rng_state[dst] = rng._state
+                rng_count[dst] = rng._count
+                slot = base + d
+                links[slot] = step
+                st.routes += 1
+                if deflected:
+                    st.deflections += 1
+                    if dead:
+                        _attribute(st, dead, base, table[lin[dest] - lin[dst]][0])
+                if upgraded:
+                    if priority == 0:
+                        st.upgrades_sleeping += 1
+                    elif priority == 1:
+                        st.upgrades_active += 1
+                    else:
+                        st.promotions_running += 1
+                if demoted:
+                    st.demotions += 1
+                    if priority == 3 and not turning:
+                        st.running_deflections_off_turn += 1
+                seq = send_seq[dst]
+                send_seq[dst] = seq + 1
+                arrivals_append((
+                    step1 + jitter, dst, seq, nbrs[slot],
+                    step1, dest, newp, inject_step, jitter, distance, src,
+                ))
+        sends += len(arrivals) - sent
         yield (
             min(step + INJECT_OFFSET, end),
             processed,
@@ -325,7 +429,10 @@ def run_bands(engine, processed: int, step: int, end: float):
                 gen_step, dest = script[head]
             else:
                 continue  # script exhausted: nothing is ever due
-            if gen_step > step:
+            if gen_step > step or (crashed and i in crashed):
+                # Nothing waiting; or a crashed router, whose application
+                # keeps generating into a backlog that drains after
+                # recovery.
                 continue
             base = i * 4
             if (
@@ -387,6 +494,9 @@ def run_bands(engine, processed: int, step: int, end: float):
         inj_step = step1
         processed += len(injectors)
         sends += len(injectors)
+        while masked:  # dead links read as free again
+            slot, claim = masked.pop()
+            links[slot] = claim
         last = heartbeat and not step + HEARTBEAT_OFFSET < end
         if heartbeat and not last:
             if tracer is not None:
@@ -422,6 +532,9 @@ def run_bands(engine, processed: int, step: int, end: float):
         step = step1
 
     # --- leave: flat lists -> LP state, left-over tuples -> events ------
+    while masked:
+        slot, claim = masked.pop()
+        links[slot] = claim
     engine.sends += sends
     for i, lp in enumerate(lps):
         lp.send_seq = send_seq[i]
@@ -442,6 +555,16 @@ def run_bands(engine, processed: int, step: int, end: float):
                 _tuple_new(EventKey, (ts, i, hb_seq[i])), i, HEARTBEAT, hb_step
             ))
     pending.extend(left)
+
+
+def _attribute(st, dead: set, base: int, good) -> None:
+    """Count a deflection on the faults when some good direction was
+    contention-free but down (the table's ``fault_deflections``): a
+    down link is never claimed, so "down" is all it takes."""
+    for g in good:
+        if base + g in dead:
+            st.fault_deflections += 1
+            return
 
 
 def _events(band: list[tuple], kind: str):

@@ -153,31 +153,9 @@ class HotPotatoModel(Model):
         return handler_table(lps, send_by_lp)
 
     def band_program(self):
-        """The sequential band program (:mod:`repro.hotpotato.band`).
-
-        Offered on the torus and the mesh, for the stock injection
-        application and for an adversary script alike, unless a rule it
-        inlines would be wrong: a policy other than
-        ``BuschHotPotatoPolicy`` itself (a subclass override would
-        silently be ignored) or model faults.  Each refusal is recorded in
-        ``band_decline_reason``.
-        """
-        plan = self.fault_plan
-        if type(self.policy) is not BuschHotPotatoPolicy:
-            reason = (
-                f"policy {self.policy.name!r} is not the Busch policy the "
-                "band program inlines"
-            )
-        elif plan is not None and plan.has_model_faults:
-            reason = (
-                "fault plan with model faults attached (the band program "
-                "does not inline the routers' fault branches)"
-            )
-        else:
-            reason = ""
-        self.band_decline_reason = reason
-        if reason:
-            return None
+        """The sequential band program (:mod:`repro.hotpotato.band`),
+        offered for every configuration the handler table runs: any
+        policy, topology, fault plan or adversary."""
         from repro.hotpotato.band import BAND_START, run_bands
 
         return BAND_START, run_bands

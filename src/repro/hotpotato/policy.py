@@ -18,11 +18,12 @@ The hot-potato rules implemented by :class:`BuschHotPotatoPolicy`:
   while turning, per the theory) demotes to Active.
 
 This module runs on every ROUTE event the handler table
-(:mod:`repro.hotpotato.handlers`) executes — every Time Warp and
-per-event sequential run, whatever the policy — so a decision is a plain
-tuple (see :meth:`RoutingPolicy.route`), not an object.  The sequential
-band program (:mod:`repro.hotpotato.band`) states the Busch rule a second
-time, inlined, and ``tests/test_band_program.py`` compares the two.
+(:mod:`repro.hotpotato.handlers`) executes — every Time Warp run,
+whatever the policy — and on every ROUTE of the sequential band program
+(:mod:`repro.hotpotato.band`) under a non-Busch policy, so a decision is
+a plain tuple (see :meth:`RoutingPolicy.route`), not an object.  The band
+program states the Busch rule a second time, inlined, and
+``tests/test_band_program.py`` compares the two.
 
 All probability draws go through the LP's reversible RNG stream, so the
 Time Warp kernel can undo them.

@@ -232,7 +232,7 @@ class GridTopology:
         """``(table, lin)`` with ``table[lin[dst] - lin[src]]`` equal to
         ``route_info(src, dst)`` for every source without a failed link —
         for a loop that inlines the read (the sequential band program,
-        which a fault plan switches off).  Both lists are read-only.
+        which reads a failed link as claimed).  Both lists are read-only.
         """
         return self._route_table, self._lin
 

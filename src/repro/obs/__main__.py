@@ -185,9 +185,6 @@ def cmd_summary(rec: RunRecording) -> int:
     if rec.stats is None:
         print("  no stats line (run did not finalize)")
         return 0
-    reason = rec.stats.get("band_decline_reason")
-    if reason:
-        print(f"  sequential band program not used: {reason}")
     procs = rec.stats.get("procs", 1)
     if procs and procs > 1:
         # Process-mode run: attribute the cross-process overhead.  These

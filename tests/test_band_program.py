@@ -1,23 +1,21 @@
 """The sequential band program equals the per-event loop it replaces.
 
-``SequentialEngine.run`` hands a hot-potato run with the Busch policy —
-torus or mesh, stock injection or an adversary script — to
-:func:`repro.hotpotato.band.run_bands`, whatever is attached; the same
-model with its band program withheld (``per_event_reference``) runs every
-event through the handler table instead.  The two must agree on
+``SequentialEngine.run`` hands every hot-potato run — any policy, torus
+or mesh, stock injection or an adversary script, with or without a fault
+plan — to :func:`repro.hotpotato.band.run_bands`, whatever is attached;
+the same model with its band program withheld (``per_event_reference``)
+runs every event through the handler table instead.  The two must agree on
 everything the per-event loop leaves behind: statistics, counters, the
 delivery log in order, every router's state and RNG, the events still
 pending at the barrier — wherever in a band the barrier falls — and,
 traced, every EXEC / COMMIT record in order.
 """
 
-import json
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.policies import GreedyPolicy
+from repro.baselines.policies import POLICIES
 from repro.ckpt import Checkpointer, list_snapshots, read_snapshot
 from repro.core.config import EngineConfig
 from repro.core.engine import SequentialEngine
@@ -28,7 +26,7 @@ from repro.health import HealthConfig, Watchdog
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 from repro.hotpotato.policy import BuschHotPotatoPolicy
-from repro.net import TOPOLOGIES, TorusTopology
+from repro.net import TOPOLOGIES
 from repro.scenarios.adversary import STRATEGIES, generate_injection_plan
 from tests.kernel_models import band_spy, per_event_reference
 
@@ -49,7 +47,6 @@ def _observe(
     result = engine.run()
     run = result.run
     return {
-        "decline": run.band_decline_reason,
         "entries": entries,
         "records": tracer.records,
         "model_stats": result.model_stats,
@@ -67,28 +64,47 @@ def _observe(
     }
 
 
-def _adversary(cfg: HotPotatoConfig, adversary) -> dict:
+class RenamedBusch(BuschHotPotatoPolicy):
+    """Same rules, different type: the inlined rule must not be assumed
+    (the band program calls its ``route`` as for any other policy)."""
+
+    name = "busch-subclass"
+
+
+def _policy(name: str):
+    return RenamedBusch() if name == RenamedBusch.name else POLICIES[name]()
+
+
+def _model_kw(
+    cfg: HotPotatoConfig, adversary=None, policy=None, faults=None
+) -> dict:
     """The model keywords for an optional ``(strategy, rate, steps)``
-    adversary: a script of ``steps`` generation steps on ``cfg``'s grid."""
-    if adversary is None:
-        return {}
-    strategy, rate, steps = adversary
+    adversary (a script of ``steps`` generation steps on ``cfg``'s grid),
+    an optional policy name and an optional dict of ``generate_plan``
+    rates and seed."""
     topo = TOPOLOGIES[cfg.topology](cfg.n)
-    return dict(injection_plan=generate_injection_plan(
-        topo, strategy=strategy, duration=steps, rate=rate, seed=5,
-    ))
+    kw: dict = {}
+    if adversary is not None:
+        strategy, rate, steps = adversary
+        kw["injection_plan"] = generate_injection_plan(
+            topo, strategy=strategy, duration=steps, rate=rate, seed=5,
+        )
+    if policy is not None:
+        kw["policy"] = _policy(policy)
+    if faults is not None:
+        kw["fault_plan"] = generate_plan(topo, duration=cfg.duration, **faults)
+    return kw
 
 
 def _assert_band_equals_per_event(
-    cfg: HotPotatoConfig, seed: int, adversary=None
+    cfg: HotPotatoConfig, seed: int, adversary=None, policy=None, faults=None,
 ) -> None:
     """Untraced band program against the traced reference, field by
     field; then the traced band program's records against the
     reference's, record for record."""
-    model_kw = _adversary(cfg, adversary)
+    model_kw = _model_kw(cfg, adversary, policy, faults)
     band = _observe(cfg, seed, **model_kw)
     per_event = _observe(cfg, seed, reference=True, traced=True, **model_kw)
-    assert band.pop("decline") == per_event.pop("decline") == ""
     assert band.pop("entries") == ([1] if cfg.duration > 1.0 else [])
     assert per_event.pop("entries") == []
     records = per_event.pop("records")
@@ -123,7 +139,20 @@ def cases(draw):
         st.sampled_from([0.4, 1.0]),
         st.integers(min_value=1, max_value=8),
     ))
-    return cfg, draw(st.integers(min_value=0, max_value=2**32)), adversary
+    policy = draw(st.sampled_from(sorted(POLICIES) + [RenamedBusch.name]))
+    faults = draw(st.none() | st.fixed_dictionaries(
+        {
+            "link_fail_rate": st.sampled_from([0.05, 0.2]),
+            "seed": st.integers(min_value=0, max_value=2**16),
+        },
+        optional={
+            "heal_after": st.sampled_from([2, 5]),
+            "router_crash_rate": st.sampled_from([0.1, 0.3]),
+            "recover_after": st.sampled_from([2, 4]),
+        },
+    ))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return cfg, seed, adversary, policy, faults
 
 
 @given(case=cases())
@@ -139,7 +168,9 @@ def test_band_equals_per_event(case):
 #: The barrier inside each band and between each two, the degenerate
 #: populations, and the upgrade chances raised until every priority and
 #: every Busch rule fires within a few steps, on the torus and the mesh;
-#: and an adversary whose script runs out before the run ends.
+#: an adversary whose script runs out before the run ends; a non-Busch
+#: policy, a Busch subclass and fault plans, whose rules the band program
+#: once refused.
 EVERY_PRIORITY = dict(
     n=6, duration=25.0, sleeping_upgrade_scale=0.5, active_upgrade_scale=0.2,
 )
@@ -168,15 +199,43 @@ PINNED = {
     "adversary-hotspot": dict(
         n=6, duration=14.3, heartbeat=True, adversary=("hotspot", 0.6, 9)
     ),
+    "policy-greedy": dict(n=4, duration=10.0, heartbeat=True, policy="greedy"),
+    "policy-busch-subclass": dict(
+        n=4, duration=10.0, heartbeat=True, policy=RenamedBusch.name
+    ),
+    "fault-plan": dict(
+        n=4, duration=10.0, heartbeat=True,
+        faults=dict(link_fail_rate=0.1, seed=3),
+    ),
+    "fault-plan-crashes": dict(
+        n=6, duration=16.5, heartbeat=True, delivery_log=True,
+        faults=dict(link_fail_rate=0.2, heal_after=4, router_crash_rate=0.3,
+                    recover_after=3, seed=3),
+    ),
+    "two-choice-mesh-crashes": dict(
+        n=6, duration=16.0, topology="mesh", policy="two-choice",
+        faults=dict(link_fail_rate=0.2, router_crash_rate=0.3, seed=3),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", PINNED)
 def test_band_equals_per_event_pinned(name):
     kw = dict(PINNED[name])
-    adversary = kw.pop("adversary", None)
+    extra = {k: kw.pop(k, None) for k in ("adversary", "policy", "faults")}
     cfg = HotPotatoConfig(**kw)
-    _assert_band_equals_per_event(cfg, 7, adversary)
+    _assert_band_equals_per_event(cfg, 7, **extra)
+    if extra["faults"] is not None and "crashes" in name:
+        # Every fault rule the band program states fires here.
+        stats = _observe(cfg, 7, **_model_kw(cfg, **extra))["model_stats"]
+        assert stats["fault_dropped_crash"] and stats["fault_dropped_no_link"]
+        assert stats["fault_deflections"]
+    if name == "policy-busch-subclass":
+        # Same rules as the inlined Busch rule, so the same statistics
+        # bar the name.
+        theirs = _observe(cfg, 7, **_model_kw(cfg, **extra))["model_stats"]
+        ours = _observe(cfg, 7)["model_stats"]
+        assert dict(theirs, policy="busch") == ours
     if name.endswith("every-priority"):
         stats = _observe(cfg, 7, traced=False)["model_stats"]
         assert stats["upgrades_active"] and stats["promotions_running"]
@@ -197,24 +256,16 @@ def test_band_equals_time_warp_under_rollback():
                      seed=7),
     )
     assert warp.run.events_rolled_back > 0
-    assert band["decline"] == ""
     assert warp.model_stats == band["model_stats"]
     assert warp.run.committed == band["counters"][1]
     assert sorted(model.delivery_log) == sorted(band["delivery_log"])
 
 
 # ----------------------------------------------------------------------
-# Hooks stay on the band program; every model refusal has a name, and
-# refusing changes nothing but the speed.
+# Hooks stay on the band program, and change nothing but the speed.
 # ----------------------------------------------------------------------
 CFG = HotPotatoConfig(n=4, duration=10.0, heartbeat=True)
 SEED = 11
-
-
-class RenamedBusch(BuschHotPotatoPolicy):
-    """Same rules, different type: the inlined rules must not be assumed."""
-
-    name = "busch-subclass"
 
 
 def _snapshot_payload(tmp_path):
@@ -262,83 +313,9 @@ def test_engine_declines_by_name(name, tmp_path):
         expected = [step]
     hooked = engine.run()
     assert entries == expected
-    assert hooked.run.band_decline_reason == ""
-    assert hooked.run.as_dict()["band_decline_reason"] == ""
     assert hooked.model_stats == band.model_stats
     assert hooked.run.committed == band.run.committed
     assert hooked.run.makespan_seconds == band.run.makespan_seconds
-
-
-MODEL_DECLINES = {
-    "policy 'greedy'": (CFG, dict(policy=GreedyPolicy())),
-    "policy 'busch-subclass'": (CFG, dict(policy=RenamedBusch())),
-    "fault plan": (CFG, dict(fault_plan=generate_plan(
-        TorusTopology(4), duration=10.0, link_fail_rate=0.1, seed=3,
-    ))),
-}
-
-
-@pytest.mark.parametrize("name", MODEL_DECLINES)
-def test_model_declines_by_name(name):
-    cfg, model_kw = MODEL_DECLINES[name]
-    model = HotPotatoModel(cfg, **model_kw)
-    assert model.band_program() is None
-    assert model.band_decline_reason.startswith(name)
-    declined = _observe(cfg, SEED, traced=False, **model_kw)
-    assert declined["decline"].startswith(name)
-    assert declined["entries"] == []
-    # A tracer neither hides the reason nor changes the run.
-    traced = _observe(cfg, SEED, traced=True, **model_kw)
-    assert traced["decline"] == declined["decline"]
-    assert traced["model_stats"] == declined["model_stats"]
-    if name == "policy 'busch-subclass'":
-        # The one model-side decline whose run the band program could
-        # have made: same rules, so the same statistics bar the name.
-        band = _observe(cfg, SEED, traced=False)["model_stats"]
-        theirs = dict(declined["model_stats"], policy="busch")
-        assert theirs == band
-
-
-def test_models_without_a_program_record_no_decline():
-    from repro.core.engine import run_sequential
-    from repro.models.phold import PholdConfig, PholdModel
-
-    run = run_sequential(PholdModel(PholdConfig(n_lps=8)), 5.0).run
-    assert run.band_decline_reason == ""
-
-
-def test_decline_reaches_the_recording_and_the_summary(tmp_path, capsys):
-    """``repro.hotpotato`` prints nothing about the band program; the
-    recording's stats line and ``repro.obs summary`` do."""
-    from repro.hotpotato.__main__ import main as hotpotato
-    from repro.obs import load_recording
-    from repro.obs.__main__ import main as obs
-
-    rec = tmp_path / "greedy.jsonl"
-    greedy = tmp_path / "greedy.json"
-    greedy.write_text(json.dumps({
-        "schema": "RPSCEN01",
-        "name": "greedy-torus",
-        "topology": {"kind": "torus", "n": 4},
-        "traffic": {"model": "bernoulli", "injector_fraction": 1.0},
-        "routing": {"policy": "greedy"},
-        "engine": {"duration": 6.0},
-        "faults": None,
-    }))
-    out = ["--metrics-out", str(rec)]
-    assert hotpotato(["--scenario", str(greedy)] + out) == 0
-    assert "band" not in capsys.readouterr().out
-    reason = load_recording(rec).stats["band_decline_reason"]
-    assert reason.startswith("policy 'greedy'")
-    assert obs(["summary", str(rec)]) == 0
-    assert f"sequential band program not used: {reason}" in capsys.readouterr().out
-
-    # The Busch policy: the band program runs.
-    assert hotpotato(["--n", "4", "--duration", "6"] + out) == 0
-    capsys.readouterr()
-    assert load_recording(rec).stats["band_decline_reason"] == ""
-    assert obs(["summary", str(rec)]) == 0
-    assert "band program" not in capsys.readouterr().out
 
 
 def test_metrics_and_spans_stay_on_the_band_program():
@@ -353,7 +330,6 @@ def test_metrics_and_spans_stay_on_the_band_program():
     spans = SpanTracer(interval=16)
     engine = SequentialEngine(HotPotatoModel(CFG), CFG.duration, seed=SEED)
     result = engine.attach_metrics(metrics).attach_spans(spans).run()
-    assert result.run.band_decline_reason == ""
     assert result.model_stats == plain.model_stats
     assert result.run.as_dict() == plain.run.as_dict()
 

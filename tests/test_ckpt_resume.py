@@ -105,11 +105,16 @@ def test_sequential_band_program_resume_every_snapshot(tmp_path):
     assert sum(got[0] == 1 for got in resumed) >= 2  # prefix snapshots
 
 
-@pytest.mark.parametrize("workload", ["mesh", "adversary"])
+@pytest.mark.parametrize(
+    "workload", ["mesh", "adversary", "greedy", "model-faults"]
+)
 def test_band_program_resumes_the_mesh_and_an_adversary(tmp_path, workload):
-    """The mesh and an adversary script, which the band program once
+    """The mesh, an adversary script, a non-Busch policy and a fault plan
+    with link failures and router crashes, which the band program once
     refused, snapshot at its step ends and resume on it from every
     snapshot to the uninterrupted run's statistics."""
+    from repro.baselines import GreedyPolicy
+    from repro.faults import generate_plan
     from repro.net import TorusTopology
     from repro.scenarios.adversary import generate_injection_plan
 
@@ -117,13 +122,21 @@ def test_band_program_resumes_the_mesh_and_an_adversary(tmp_path, workload):
     cfg = HotPotatoConfig(
         n=N, duration=DURATION, topology="mesh" if mesh else "torus"
     )
-    plan = None if mesh else generate_injection_plan(
-        TorusTopology(N), strategy="hotspot", duration=DURATION, rate=0.5
-    )
+    model_kw = {
+        "mesh": {},
+        "adversary": dict(injection_plan=generate_injection_plan(
+            TorusTopology(N), strategy="hotspot", duration=DURATION, rate=0.5
+        )),
+        "greedy": dict(policy=GreedyPolicy()),
+        "model-faults": dict(fault_plan=generate_plan(
+            TorusTopology(N), duration=DURATION, link_fail_rate=0.2,
+            router_crash_rate=0.2, recover_after=3, seed=3,
+        )),
+    }[workload]
     entries = []
 
     def make_engine():
-        model = HotPotatoModel(cfg, injection_plan=plan)
+        model = HotPotatoModel(cfg, **model_kw)
         entries.append(band_spy(model))
         return SequentialEngine(model, DURATION, seed=SEED)
 
@@ -173,6 +186,43 @@ def test_format_4_snapshot_refused_before_the_first_event(tmp_path):
             fresh.attach_checkpointer(ck)
         assert fresh._resume is None and not fresh.pending
         assert entries == []
+
+
+def test_format_7_snapshot_refused_with_exit_2(tmp_path, capsys, monkeypatch):
+    """A format-7 sequential snapshot of a faulted run was cut by the
+    per-event loop inside a step (its loop records no step), which the band
+    program cannot enter: ``--resume`` refuses it by number and exits 2
+    before any event runs."""
+    from repro.ckpt.snapshot import read_snapshot, write_snapshot
+    from repro.hotpotato import band
+    from repro.hotpotato.__main__ import main
+
+    flags = ["--n", "4", "--duration", "12", "--fault-rate", "20",
+             "--checkpoint-dir", str(tmp_path / "ckpt")]
+    with monkeypatch.context() as patch:
+        # The per-event loop, as the format-7 version ran this plan.
+        patch.setattr(HotPotatoModel, "band_program", lambda self: None)
+        assert main([*flags, "--checkpoint-every", "1"]) == 0
+    capsys.readouterr()
+    snaps = list_snapshots(tmp_path / "ckpt")
+    mid = snaps[len(snaps) // 2]
+    payload = read_snapshot(mid)
+    assert "step" not in payload["loop"] and payload["pending"]
+    write_snapshot(mid, {**payload, "format": 7})
+    for later in snaps[len(snaps) // 2 + 1:]:
+        later.unlink()
+
+    entries = []
+    program = band.run_bands
+    monkeypatch.setattr(
+        band, "run_bands",
+        lambda engine, *args: entries.append(args) or program(engine, *args),
+    )
+    assert main([*flags, "--resume"]) == 2
+    out, err = capsys.readouterr()
+    assert "payload format 7" in err
+    assert "events committed" not in out
+    assert entries == []
 
 
 @pytest.mark.parametrize("protocol", ["yawns"])  # the one conservative protocol

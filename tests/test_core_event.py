@@ -35,20 +35,6 @@ def test_initial_flags():
     assert ev.snapshot is None
 
 
-def test_reset_journal_clears_kernel_state_only():
-    ev = make()
-    ev.sent.append(make(seq=1))
-    ev.rng_draws = 5
-    ev.snapshot = object()
-    ev.saved["keep?"] = 1
-    ev.reset_journal()
-    assert ev.sent == []
-    assert ev.rng_draws == 0
-    assert ev.snapshot is None
-    # saved belongs to the model; forward handlers overwrite it themselves.
-    assert ev.saved == {"keep?": 1}
-
-
 def test_repr_shows_flags():
     ev = make()
     assert "--" in repr(ev)

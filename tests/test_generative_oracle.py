@@ -4,7 +4,8 @@ run, or is refused before its first event.
 One hypothesis strategy draws an example:
 
 * a scenario document: N, topology, routing policy, load, duration, a
-  generated fault plan (failing links, optionally transport noise), an
+  generated fault plan (failing links, optionally crashing routers and
+  transport noise), an
   adversary strategy and rate, and the seed;
 * an engine: the conservative kernel, or Time Warp over PEs / KPs /
   batch / rollback, in process or over two worker processes;
@@ -48,10 +49,11 @@ from tests.kernel_models import plan_spy
 
 SIZES = (4, 8)
 TOPOLOGIES = ("torus", "mesh")
-POLICIES = ("busch", "greedy")
+POLICIES = ("busch", "greedy", "random-deflection", "two-choice")
 LOADS = (0.25, 0.5, 0.75, 1.0)
 DURATIONS = (16.0, 24.0, 32.0)
 LINK_RATES = (0.02, 0.05, 0.1)
+CRASH_RATES = (0.05, 0.1)
 ADVERSARY_RATES = (0.5, 1.0)
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -75,6 +77,9 @@ def scenario_documents(draw):
     if draw(st.booleans()):
         generate = {"link_fail_rate": draw(st.sampled_from(LINK_RATES)),
                     "seed": draw(SEEDS)}
+        if draw(st.booleans()):
+            generate.update(router_crash_rate=draw(st.sampled_from(CRASH_RATES)),
+                            recover_after=draw(st.sampled_from((2, 6))))
         if draw(st.booleans()):
             generate.update(drop_rate=0.02, dup_rate=0.02, delay_rate=0.03)
         faults = {"generate": generate}
@@ -176,6 +181,7 @@ def _axis_events(doc, kind, engine, watched):
         event(f"adversary rate: {traffic['rate']}")
     if faults is not None:
         event(f"link fail rate: {faults['generate']['link_fail_rate']}")
+        event(f"router crash rate: {faults['generate'].get('router_crash_rate', 0)}")
         event(f"transport noise: {'drop_rate' in faults['generate']}")
     event(f"engine: {kind}")
     for axis, value in engine.items():

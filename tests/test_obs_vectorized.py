@@ -91,25 +91,33 @@ def test_span_streams_parity(recordings):
     assert sca.committed_sequence() == vec.committed_sequence()
 
 
-#: The stats key recordings made before every engine ran the handler
-#: table carried (the Time Warp kernel's reason for not using it).
-_RETIRED_KEY = "_".join(("soa", "decline", "reason"))
+#: Stats keys older recordings carry: the Time Warp kernel's reason for
+#: not running the handler table (before every engine ran it), and the
+#: sequential engine's reason for not running the band program (before
+#: it ran every hot-potato configuration).
+_RETIRED_KEYS = (
+    "_".join(("soa", "decline", "reason")),
+    "_".join(("band", "decline", "reason")),
+)
 
 
-def test_recording_with_retired_decline_key_loads(recordings, tmp_path, capsys):
-    """An older recording whose stats line still names the retired key
+@pytest.mark.parametrize("retired_key", _RETIRED_KEYS)
+def test_recording_with_retired_decline_key_loads(
+    recordings, tmp_path, capsys, retired_key
+):
+    """An older recording whose stats line still names a retired key
     loads as it stands, and ``repro.obs summary`` prints it."""
     (_, _), (vector_path, _) = recordings
     lines = vector_path.read_text().splitlines()
     for i, line in enumerate(lines):
         doc = json.loads(line)
         if doc.get("t") == "stats":
-            doc[_RETIRED_KEY] = "policy 'greedy' is not the Busch policy"
+            doc[retired_key] = "policy 'greedy' is not the Busch policy"
             lines[i] = json.dumps(doc)
     old = tmp_path / "old.jsonl"
     old.write_text("\n".join(lines) + "\n")
     rec = load_recording(old)
-    assert rec.stats[_RETIRED_KEY].startswith("policy")
+    assert rec.stats[retired_key].startswith("policy")
     assert rec.committed_sequence() == load_recording(vector_path).committed_sequence()
     assert obs_main(["summary", str(old)]) == 0
     out = capsys.readouterr().out
