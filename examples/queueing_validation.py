@@ -13,7 +13,7 @@ Run with::
     python examples/queueing_validation.py
 """
 
-from repro.core import ConservativeConfig, EngineConfig
+from repro.core import EngineConfig
 from repro.core import run_conservative, run_optimistic, run_sequential
 from repro.experiments.report import Table
 from repro.models.mm1 import MM1Config, MM1Model
@@ -71,7 +71,7 @@ def engine_agreement() -> None:
     )
     cons = run_conservative(
         MM1Model(cfg),
-        ConservativeConfig(end_time=end, n_pes=3, mapping="striped", seed=1),
+        EngineConfig(end_time=end, n_pes=3, mapping="striped", seed=1),
     )
     print("Engine agreement (3-station tandem, 500 time units):")
     print(f"  sequential  : {seq.run.committed:,} events")

@@ -21,9 +21,7 @@ from repro._lazy import lazy_index
 
 __all__, __getattr__, __dir__ = lazy_index(globals(), {
     "repro.core.config": ("EngineConfig",),
-    "repro.core.conservative": (
-        "ConservativeConfig", "ConservativeKernel", "run_conservative",
-    ),
+    "repro.core.conservative": ("ConservativeKernel", "run_conservative"),
     "repro.core.costmodel": ("CostModel",),
     "repro.core.engine": ("SequentialEngine", "run_sequential"),
     "repro.core.event": ("Event",),

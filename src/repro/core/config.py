@@ -33,7 +33,8 @@ class EngineConfig:
         report's ``SIMULATION_DURATION``).
     n_pes, n_kps:
         Processing elements and kernel processes.  ``n_kps`` must be a
-        multiple of ``n_pes``; the report uses 64 KPs by default.
+        multiple of ``n_pes``; the report uses 64 KPs by default.  Left
+        unset, ``n_kps`` is one KP per PE.
     batch_size:
         Events a PE executes per scheduling round before yielding — the
         optimism budget.  Larger batches mean PEs run further ahead of each
@@ -80,7 +81,7 @@ class EngineConfig:
 
     end_time: float
     n_pes: int = 1
-    n_kps: int = 1
+    n_kps: int | None = None
     batch_size: int = 16
     window: float | None = None
     gvt_interval: int = 1
@@ -102,6 +103,8 @@ class EngineConfig:
             raise ConfigurationError(f"end_time must be positive, got {self.end_time}")
         if self.n_pes < 1:
             raise ConfigurationError(f"n_pes must be >= 1, got {self.n_pes}")
+        if self.n_kps is None:
+            object.__setattr__(self, "n_kps", self.n_pes)
         if self.n_kps < self.n_pes:
             raise ConfigurationError(
                 f"need at least one KP per PE (n_kps={self.n_kps}, n_pes={self.n_pes})"

@@ -15,6 +15,8 @@ stops every PE at LBTS.  :class:`ConservativeKernel` is a
 :class:`~repro.core.optimistic.TimeWarpKernel` configured so — one KP per
 PE, a batch cap no PE reaches, GVT every round, ``window = L`` — sharing
 its round loop, hooks, snapshot codec, watchdog and ``--paranoid`` check.
+It takes the same :class:`~repro.core.config.EngineConfig` and refuses,
+by name, every Time Warp field set to a value YAWNS would ignore.
 It commits the sequential oracle's results and rolls nothing back, so
 ``reverse`` handlers are never called; the test suite checks both.
 
@@ -26,56 +28,27 @@ conservative run raises :class:`~repro.errors.SchedulingError` instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import fields, replace
 
 from repro.core.config import EngineConfig
-from repro.core.costmodel import CostModel
 from repro.core.lp import Model
-from repro.core.mapping import check_mapping_strategy
 from repro.core.optimistic import TimeWarpKernel
 from repro.core.result import RunResult
 from repro.errors import ConfigurationError, SchedulingError
 
-__all__ = [
-    "ConservativeConfig", "ConservativeKernel", "refuse_transport_faults",
-    "run_conservative",
-]
+__all__ = ["ConservativeKernel", "refuse_transport_faults", "run_conservative"]
 
 #: A conservative round's batch cap: no PE reaches it, so each PE drains
 #: everything below LBTS in one batch.
 UNBOUNDED_BATCH = 1 << 62
 
-
-@dataclass(frozen=True)
-class ConservativeConfig:
-    """Configuration for a conservative run.
-
-    Attributes
-    ----------
-    end_time:
-        Virtual-time barrier (exclusive), as in the other engines.
-    n_pes:
-        Simulated processors.
-    mapping:
-        LP→PE mapping strategy (``"block"``/``"striped"``/``"random"``).
-    paranoid:
-        Run the opt-in invariant checks (:mod:`repro.core.invariants`)
-        at every window; off by default.
-    """
-
-    end_time: float
-    n_pes: int = 4
-    mapping: str = "block"
-    seed: int = 0x5EED
-    paranoid: bool = False
-    cost: CostModel = field(default_factory=CostModel)
-
-    def __post_init__(self) -> None:
-        if self.end_time <= 0:
-            raise ConfigurationError(f"end_time must be positive, got {self.end_time}")
-        if self.n_pes < 1:
-            raise ConfigurationError(f"n_pes must be >= 1, got {self.n_pes}")
-        check_mapping_strategy(self.mapping)
+#: The Time Warp fields YAWNS fixes or cannot honour, at the values a
+#: caller who leaves them alone passes (``n_kps`` is checked apart: its
+#: default is one KP per PE, the only count a conservative run takes).
+TIME_WARP_DEFAULTS = {
+    f.name: f.default for f in fields(EngineConfig)
+    if f.name in ("batch_size", "window", "gvt_interval", "adaptive", "procs")
+}
 
 
 def refuse_transport_faults(plan) -> None:
@@ -98,25 +71,28 @@ class ConservativeKernel(TimeWarpKernel):
 
     kind = "conservative"
 
-    def __init__(self, model: Model, config: ConservativeConfig) -> None:
+    def __init__(self, model: Model, config: EngineConfig) -> None:
         lookahead = getattr(model, "lookahead", None)
         if lookahead is None or lookahead <= 0:
             raise ConfigurationError(
                 "conservative execution needs positive lookahead: define "
                 "model.lookahead"
             )
+        ignored = [
+            f"{name}={getattr(config, name)!r}"
+            for name, default in TIME_WARP_DEFAULTS.items()
+            if getattr(config, name) != default
+        ]
+        if config.n_kps != config.n_pes:
+            ignored.append(f"n_kps={config.n_kps} (one KP per PE)")
+        if ignored:
+            raise ConfigurationError(
+                "conservative execution takes no Time Warp setting; drop "
+                + ", ".join(ignored)
+            )
         self.lookahead = float(lookahead)
-        super().__init__(model, EngineConfig(
-            end_time=config.end_time,
-            n_pes=config.n_pes,
-            n_kps=config.n_pes,
-            batch_size=UNBOUNDED_BATCH,
-            window=self.lookahead,
-            gvt_interval=1,
-            mapping=config.mapping,
-            seed=config.seed,
-            paranoid=config.paranoid,
-            cost=config.cost,
+        super().__init__(model, replace(
+            config, batch_size=UNBOUNDED_BATCH, window=self.lookahead,
         ))
 
     def attach_faults(self, driver) -> "ConservativeKernel":
@@ -135,7 +111,7 @@ class ConservativeKernel(TimeWarpKernel):
 
 def run_conservative(
     model: Model,
-    config: ConservativeConfig,
+    config: EngineConfig,
     *,
     tracer=None,
     metrics=None,
@@ -145,15 +121,7 @@ def run_conservative(
     health=None,
 ) -> RunResult:
     """Convenience wrapper: build a conservative kernel, attach telemetry, run."""
-    kernel = ConservativeKernel(model, config)
-    for attach, hook in (
-        (kernel.attach_tracer, tracer),
-        (kernel.attach_metrics, metrics),
-        (kernel.attach_spans, spans),
-        (kernel.attach_faults, faults),
-        (kernel.attach_health, health),
-        (kernel.attach_checkpointer, checkpointer),
-    ):
-        if hook is not None:
-            attach(hook)
-    return kernel.run()
+    return ConservativeKernel(model, config).attach_hooks(
+        tracer=tracer, metrics=metrics, spans=spans, faults=faults,
+        health=health, checkpointer=checkpointer,
+    ).run()

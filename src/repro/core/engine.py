@@ -277,21 +277,13 @@ def run_sequential(
     health=None,
 ) -> RunResult:
     """Convenience wrapper: build a sequential engine, attach telemetry, run."""
-    engine = SequentialEngine(
+    return SequentialEngine(
         model,
         end_time,
         seed=seed,
         cost=cost,
         paranoid=paranoid,
-    )
-    if tracer is not None:
-        engine.attach_tracer(tracer)
-    if metrics is not None:
-        engine.attach_metrics(metrics)
-    if spans is not None:
-        engine.attach_spans(spans)
-    if health is not None:
-        engine.attach_health(health)
-    if checkpointer is not None:
-        engine.attach_checkpointer(checkpointer)
-    return engine.run()
+    ).attach_hooks(
+        tracer=tracer, metrics=metrics, spans=spans, health=health,
+        checkpointer=checkpointer,
+    ).run()

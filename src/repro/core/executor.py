@@ -209,6 +209,25 @@ class Executor:
         monitor.bind(self)
         return self
 
+    def attach_hooks(self, *, tracer=None, metrics=None, spans=None,
+                     faults=None, health=None, checkpointer=None):
+        """Attach every hook given, in the one order they need; returns self.
+
+        Tracer, metrics, spans, faults, health, then the checkpointer: it
+        comes last so a restore grafts onto the final object graph.
+        """
+        for attach, hook in (
+            (self.attach_tracer, tracer),
+            (self.attach_metrics, metrics),
+            (self.attach_spans, spans),
+            (self.attach_faults, faults),
+            (self.attach_health, health),
+            (self.attach_checkpointer, checkpointer),
+        ):
+            if hook is not None:
+                attach(hook)
+        return self
+
     # ------------------------------------------------------------------
     # The ABI proper.
     # ------------------------------------------------------------------

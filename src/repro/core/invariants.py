@@ -5,9 +5,9 @@ Each check either passes silently or raises
 PE/KP/LP involved — the point is an *actionable* failure at the first
 inconsistent epoch instead of a silently wrong figure three sweeps
 later.  The checks are O(live events) per epoch, which is why they are
-opt-in: enable them with ``EngineConfig(paranoid=True)`` /
-``ConservativeConfig(paranoid=True)`` / ``SequentialEngine(...,
-paranoid=True)`` or the CLIs' ``--paranoid`` flag.
+opt-in: enable them with ``EngineConfig(paranoid=True)`` (Time Warp
+and conservative) / ``SequentialEngine(..., paranoid=True)`` or the
+CLIs' ``--paranoid`` flag.
 
 What is checked, per engine:
 

@@ -929,17 +929,7 @@ def run_optimistic(
             checkpointer=checkpointer,
             health=health,
         )
-    kernel = TimeWarpKernel(model, config)
-    if tracer is not None:
-        kernel.attach_tracer(tracer)
-    if metrics is not None:
-        kernel.attach_metrics(metrics)
-    if spans is not None:
-        kernel.attach_spans(spans)
-    if faults is not None:
-        kernel.attach_faults(faults)
-    if health is not None:
-        kernel.attach_health(health)
-    if checkpointer is not None:
-        kernel.attach_checkpointer(checkpointer)
-    return kernel.run()
+    return TimeWarpKernel(model, config).attach_hooks(
+        tracer=tracer, metrics=metrics, spans=spans, faults=faults,
+        health=health, checkpointer=checkpointer,
+    ).run()

@@ -17,15 +17,16 @@ nothing and an attached one keeps the fused fast paths installed):
   wall-clock and/or boundary-count deadline.
 * **Livelock** — some in-flight packet's age exceeds a Faber-style
   delivery bound derived from the topology diameter
-  (``livelock_factor * diameter + livelock_slack`` steps).  Packet ages
+  (``LIVELOCK_FACTOR * diameter + LIVELOCK_SLACK`` steps).  Packet ages
   are read from pending-event payloads (the ``inject_step`` field every
   hot-potato packet carries); models without packet payloads simply
   never trip it.
 * **Rollback thrash** — the wasted-work fraction (events rolled back per
-  event processed, over a boundary window — the same attribution
-  ``repro.obs thrash`` reports offline) exceeds a threshold.
+  event processed, over a boundary window of at least
+  ``THRASH_MIN_PROCESSED`` events — the same attribution ``repro.obs
+  thrash`` reports offline) exceeds a threshold.
 * **Memory growth** — live event counts (pending + processed-but-
-  uncommitted) exceed a budget.
+  uncommitted) exceed ``MEMORY_BUDGET_EVENTS``.
 
 A trip has one of two outcomes, with a cooldown after each so a
 remedy gets time to work:
@@ -54,6 +55,18 @@ from repro.hotpotato.router import P_INJECT_STEP, PACKET_FIELDS
 
 __all__ = ["HealthConfig", "HealthEvent", "Watchdog"]
 
+#: Faber-style delivery bound: an in-flight packet older than
+#: ``LIVELOCK_FACTOR * diameter + LIVELOCK_SLACK`` virtual steps trips
+#: ``livelock`` (``HealthConfig.livelock_bound`` overrides it).
+LIVELOCK_FACTOR = 8.0
+LIVELOCK_SLACK = 32.0
+#: Boundary windows with fewer processed events than this are not judged
+#: for thrash (a small window makes the fraction meaningless).
+THRASH_MIN_PROCESSED = 4096
+#: Live event budget (pending + processed-but-uncommitted) above which
+#: ``memory_growth`` trips.
+MEMORY_BUDGET_EVENTS = 2_000_000
+
 
 @dataclass(frozen=True)
 class HealthConfig:
@@ -71,14 +84,10 @@ class HealthConfig:
     #: Boundaries without virtual progress before ``gvt_stall`` trips
     #: (0 disables the boundary deadline).
     stall_boundaries: int = 512
-    #: Faber-style delivery bound: an in-flight packet older than
-    #: ``livelock_factor * diameter + livelock_slack`` virtual steps
-    #: trips ``livelock``.  Used only when the model's topology exposes
-    #: ``diameter()`` (or ``livelock_bound`` overrides it).
-    livelock_factor: float = 8.0
-    livelock_slack: float = 32.0
-    #: Explicit age bound in steps; overrides the diameter formula when
-    #: set (also enables the detector for models without a topology).
+    #: Explicit packet-age bound in steps; overrides the diameter
+    #: formula (``LIVELOCK_FACTOR * diameter + LIVELOCK_SLACK``, used
+    #: when the model's topology exposes ``diameter()``) and enables the
+    #: detector for models without a topology.
     livelock_bound: float | None = None
     #: Scan pending events for over-age packets every N boundaries (the
     #: scan is O(live events), so it is paced; 0 disables the detector).
@@ -86,12 +95,6 @@ class HealthConfig:
     #: Wasted-work fraction (rolled back / processed, per boundary
     #: window) above which ``rollback_thrash`` trips.
     thrash_fraction: float = 0.95
-    #: Ignore windows with fewer processed events than this (small
-    #: windows make the fraction meaningless).
-    thrash_min_processed: int = 4096
-    #: Live event budget (pending + processed-but-uncommitted) above
-    #: which ``memory_growth`` trips.
-    memory_budget_events: int = 2_000_000
     #: Boundaries to wait after taking an action before any detector may
     #: trip again (gives the remedy time to take effect).
     cooldown_boundaries: int = 8
@@ -99,10 +102,6 @@ class HealthConfig:
     #: throttle may raise the factor back between trips, so "factor at
     #: floor" alone is not a termination guarantee).
     throttle_steps: int = 4
-    #: Test hook: force a synthetic trip of detector ``forced`` at this
-    #: boundary count (None = never), once.  Lets a test drive exactly
-    #: one watchdog action without manufacturing a genuinely sick run.
-    trip_at_boundary: int | None = None
 
     def __post_init__(self) -> None:
         if self.stall_wall_seconds < 0:
@@ -119,8 +118,8 @@ class HealthConfig:
 class HealthEvent:
     """One detector trip (and the action taken for it)."""
 
-    #: Which detector fired ("gvt_stall", "livelock", "rollback_thrash",
-    #: "memory_growth", or "forced" for the test hook).
+    #: Which detector fired ("gvt_stall", "livelock", "rollback_thrash"
+    #: or "memory_growth").
     detector: str
     #: Action taken ("throttle" or "abort").
     action: str
@@ -193,7 +192,6 @@ class Watchdog:
         self._last_rolled = 0
         # Cooldown bookkeeping.
         self._quiet_until = 0
-        self._forced_done = False
         self._throttle_steps = 0
         #: Set once the throttle is spent (steps used up or factor at its
         #: floor); every later trip aborts.
@@ -219,7 +217,7 @@ class Watchdog:
             topo = getattr(engine.model, "topo", None)
             diameter = getattr(topo, "diameter", None)
             if diameter is not None:
-                self._bound = cfg.livelock_factor * diameter() + cfg.livelock_slack
+                self._bound = LIVELOCK_FACTOR * diameter() + LIVELOCK_SLACK
             else:
                 self._bound = None
 
@@ -238,7 +236,6 @@ class Watchdog:
         window: its GVT is the YAWNS horizon's floor)."""
         self.boundaries += 1
         position = kernel.gvt
-        self._check_forced(position, engine=kernel)
         self._check_stall(position, engine=kernel)
         cfg = self.cfg
         processed = sum(pe.stats.processed for pe in kernel.pes)
@@ -246,7 +243,7 @@ class Watchdog:
         d_proc = processed - self._last_processed
         d_roll = rolled - self._last_rolled
         self._last_processed, self._last_rolled = processed, rolled
-        if d_proc >= cfg.thrash_min_processed and d_proc > 0:
+        if d_proc >= THRASH_MIN_PROCESSED:
             fraction = d_roll / d_proc
             if fraction > cfg.thrash_fraction:
                 self._trip(
@@ -257,11 +254,11 @@ class Watchdog:
                 )
         pending = sum(len(pe.pending) for pe in kernel.pes)
         depth = sum(len(kp.processed) for kp in kernel.kps)
-        if pending + depth > cfg.memory_budget_events:
+        if pending + depth > MEMORY_BUDGET_EVENTS:
             self._trip(
                 "memory_growth", position,
                 {"pending": pending, "processed_depth": depth,
-                 "budget": cfg.memory_budget_events},
+                 "budget": MEMORY_BUDGET_EVENTS},
                 engine=kernel,
             )
         self._check_livelock(
@@ -273,29 +270,19 @@ class Watchdog:
         """One boundary of the sequential engine (an event interval or a
         band program's step end)."""
         self.boundaries += 1
-        self._check_forced(now)
         self._check_stall(now)
         pending = len(engine.pending)
-        if pending > self.cfg.memory_budget_events:
+        if pending > MEMORY_BUDGET_EVENTS:
             self._trip(
                 "memory_growth", now,
                 {"pending": pending, "processed_depth": 0,
-                 "budget": self.cfg.memory_budget_events},
+                 "budget": MEMORY_BUDGET_EVENTS},
             )
         self._check_livelock(now, lambda: iter(engine.pending))
 
     # ------------------------------------------------------------------
     # Detectors.
     # ------------------------------------------------------------------
-    def _check_forced(self, position: float, *, engine=None) -> None:
-        cfg = self.cfg
-        if (cfg.trip_at_boundary is not None and not self._forced_done
-                and self.boundaries >= cfg.trip_at_boundary):
-            self._forced_done = True
-            self._trip("forced", position,
-                       {"trip_at_boundary": cfg.trip_at_boundary},
-                       engine=engine)
-
     def _check_stall(self, position: float, *, engine=None) -> None:
         cfg = self.cfg
         if position > self._last_position:

@@ -22,7 +22,8 @@ Examples::
     python -m repro.hotpotato --n 8 --processors 4 --metrics-out run.jsonl \
         --trace-out run.jsonl        # then: python -m repro.obs timeline run.jsonl
     python -m repro.hotpotato --n 8 --fault-rate 10 --validate
-    python -m repro.hotpotato --n 8 --fault-plan plan.json --processors 4
+    python -m repro.hotpotato --n 8 --processors 4 --watchdog \
+        --metrics-out run.jsonl      # then: python -m repro.obs watch run.jsonl
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ ENGINE_NAMES = {"seq": "sequential", "cons": "conservative", "opt": "optimistic"
 #: The flags a ``--scenario`` file declares instead.
 WORKLOAD_FLAGS = (
     "--n", "--duration", "--probability-i", "--no-absorb-sleeping",
-    "--topology", "--fault-plan", "--fault-rate", "--fault-seed",
+    "--topology", "--fault-rate",
 )
 
 #: Time Warp's flags, which the conservative kernel takes none of.
@@ -165,26 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
         "streams in one recording",
     )
     parser.add_argument(
-        "--fault-plan",
-        metavar="FILE",
-        help="inject faults from this JSON FaultPlan (docs/FAULTS.md); a "
-        "--scenario file declares one inline or generates it from rates",
-    )
-    parser.add_argument(
         "--fault-rate",
         type=float,
         default=0.0,
         metavar="PCT",
         help="quick fault mode: fail this percent of links permanently "
-        "(generated deterministically from --fault-seed; ignored when "
-        "--fault-plan is given)",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="seed for --fault-rate plan generation (default 0xFA117, "
-        "generate_plan's)",
+        "(plan seed 0xFA117; a --scenario file's faults section names a "
+        "plan file, declares one inline or generates one at any seed, "
+        "see docs/FAULTS.md)",
     )
     parser.add_argument(
         "--paranoid",
@@ -228,13 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="attach the liveness watchdog (GVT stall / livelock / rollback "
         "thrash / memory growth detectors at default thresholds; see "
-        "docs/HEALTH.md); trips tighten the optimistic throttle, then abort",
-    )
-    parser.add_argument(
-        "--health-out",
-        metavar="FILE",
-        help="record watchdog health events to this JSONL file (implies "
-        "--watchdog); may equal the other --*-out paths to combine streams",
+        "docs/HEALTH.md); trips tighten the optimistic throttle, then abort, "
+        "and are printed and recorded as health lines in --metrics-out",
     )
     return parser
 
@@ -242,14 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
 def flags_scenario(args) -> Scenario:
     """The scenario document the workload flags declare (``--scenario``
     replaces it); both compile through the same ``compile_scenario``."""
-    faults = args.fault_plan or None
-    if faults is None and args.fault_rate:
+    faults = None
+    if args.fault_rate:
         from repro.faults import DEFAULT_FAULT_SEED
 
-        seed = DEFAULT_FAULT_SEED if args.fault_seed is None else args.fault_seed
-        faults = {
-            "generate": {"link_fail_rate": args.fault_rate / 100.0, "seed": seed}
-        }
+        faults = {"generate": {
+            "link_fail_rate": args.fault_rate / 100.0, "seed": DEFAULT_FAULT_SEED,
+        }}
     return report_scenario(
         args.n,
         args.duration,
@@ -281,6 +264,10 @@ def _refusal(args, given: set[str], kind: str) -> str | None:
         return "--fault-rate must be within [0, 100]"
     if args.resume and not args.checkpoint_dir:
         return "--resume requires --checkpoint-dir"
+    if args.checkpoint_dir and args.checkpoint_every < 1:
+        return f"--checkpoint-every must be at least 1, got {args.checkpoint_every}"
+    if args.deadline_seconds is not None and args.deadline_seconds <= 0:
+        return f"--deadline-seconds must be positive, got {args.deadline_seconds:g}"
     for applies, flags, why in (
         (args.scenario, WORKLOAD_FLAGS, "--scenario declares the workload"),
         (kind == "conservative", TIME_WARP_FLAGS, "--engine cons takes no Time Warp flag"),
@@ -298,8 +285,10 @@ def _refusal(args, given: set[str], kind: str) -> str | None:
 def _engine_settings(args, compiled, kind: str, given: set[str]) -> dict:
     """What :meth:`HotPotatoSimulation.run` takes for ``kind``: the flags
     given, else the scenario's ``engine`` section, else the defaults.
-    Time Warp's is a whole ``EngineConfig``, built (and so refused) here,
-    and so is a conservative run's transport-fault plan."""
+    A parallel kind's is a whole ``EngineConfig``, built (and so refused)
+    here, and so is a conservative run's transport-fault plan."""
+    if kind == "sequential":
+        return {"paranoid": args.paranoid}
     settings = compiled.engine_settings(
         kind, n_pes=args.processors if "--processors" in given else None,
         n_kps=args.kps, batch_size=args.batch,
@@ -308,8 +297,7 @@ def _engine_settings(args, compiled, kind: str, given: set[str]) -> dict:
         from repro.core.conservative import refuse_transport_faults
 
         refuse_transport_faults(compiled.sim.fault_plan)
-    if kind != "optimistic":
-        return {**settings, "paranoid": args.paranoid}
+        settings["n_kps"] = settings["n_pes"]
     fields = {"gvt_interval": args.gvt_interval, "procs": args.procs}
     return {"engine_config": compiled.sim.engine_config(
         **settings, paranoid=args.paranoid,
@@ -411,7 +399,6 @@ def main(argv: list[str] | None = None) -> int:
             metrics_out=args.metrics_out,
             trace_out=args.trace_out,
             spans_out=args.spans_out,
-            health_out=args.health_out,
             meta={
                 "engine": kind,
                 "workload": "hotpotato",
@@ -430,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         ckpt.capture = capture
 
     watchdog = None
-    if args.watchdog or args.health_out:
+    if args.watchdog:
         from repro.health import Watchdog
 
         # A trip throttles an adaptive Time Warp kernel or aborts the

@@ -114,11 +114,16 @@ class HotPotatoSimulation:
         )
         return ecfg
 
-    def _time_warp_config(self, settings: dict) -> EngineConfig:
+    def _parallel_config(self, kind: str, settings: dict) -> EngineConfig:
+        """The ``engine_config`` given (its ``end_time`` this run's
+        duration), else :meth:`engine_config` of ``settings``; a
+        conservative run's KPs are its PEs."""
         ecfg = settings.pop("engine_config", None)
-        if ecfg is None:
-            return self.engine_config(**settings)
-        return replace(ecfg, end_time=self.cfg.duration)
+        if ecfg is not None:
+            return replace(ecfg, end_time=self.cfg.duration)
+        if kind == "conservative":
+            settings.setdefault("n_kps", settings.get("n_pes", 4))
+        return self.engine_config(**settings)
 
     def engine(self, kind: str = "sequential", *, model=None, **settings):
         """An unrun in-process engine of ``kind`` (one of :data:`ENGINES`).
@@ -126,37 +131,29 @@ class HotPotatoSimulation:
         It runs a fresh model, or ``model`` when the caller keeps one
         (to read its delivery log afterwards), and has the fault plan's
         engine faults attached.  ``settings`` configure the kind's own
-        engine: ``paranoid`` for the sequential one,
-        :class:`~repro.core.conservative.ConservativeConfig` fields for
-        the conservative kernel, and for Time Warp either a full
+        engine: ``paranoid`` for the sequential one, and for the
+        conservative and Time Warp kernels either a full
         ``engine_config`` (its ``end_time`` becomes this run's duration)
-        or :meth:`engine_config`'s arguments.
+        or :meth:`engine_config`'s arguments (a conservative run's
+        ``n_kps`` defaults to its ``n_pes``).
         """
         if model is None:
             model = self.model()
-        duration = self.cfg.duration
         if kind == "sequential":
             from repro.core.engine import SequentialEngine
 
-            return SequentialEngine(model, duration, seed=self.seed, **settings)
+            return SequentialEngine(
+                model, self.cfg.duration, seed=self.seed, **settings
+            )
         if kind == "conservative":
-            from repro.core.conservative import (
-                ConservativeConfig,
-                ConservativeKernel,
-            )
-
-            engine = ConservativeKernel(
-                model,
-                ConservativeConfig(end_time=duration, seed=self.seed, **settings),
-            )
+            from repro.core.conservative import ConservativeKernel as Kernel
         elif kind == "optimistic":
-            from repro.core.optimistic import TimeWarpKernel
-
-            engine = TimeWarpKernel(model, self._time_warp_config(settings))
+            from repro.core.optimistic import TimeWarpKernel as Kernel
         else:
             raise ConfigurationError(
                 f"unknown engine {kind!r}; choose from {list(ENGINES)}"
             )
+        engine = Kernel(model, self._parallel_config(kind, settings))
         faults = self._engine_faults()
         if faults is not None:
             engine.attach_faults(faults)
@@ -183,28 +180,20 @@ class HotPotatoSimulation:
         """
         if model is None:
             model = self.model()
+        hooks = dict(tracer=tracer, metrics=metrics, spans=spans,
+                     health=health, checkpointer=checkpointer)
         if kind == "optimistic":
-            ecfg = self._time_warp_config(settings)
+            ecfg = self._parallel_config(kind, settings)
             if ecfg.procs > 1:
                 from repro.core.optimistic import run_optimistic
 
                 return run_optimistic(
-                    model, ecfg, tracer=tracer, metrics=metrics, spans=spans,
-                    faults=self._engine_faults(), checkpointer=checkpointer,
-                    health=health,
+                    model, ecfg, faults=self._engine_faults(), **hooks
                 )
             settings = {"engine_config": ecfg}
-        engine = self.engine(kind, model=model, **settings)
-        for attach, hook in (
-            (engine.attach_tracer, tracer),
-            (engine.attach_metrics, metrics),
-            (engine.attach_spans, spans),
-            (engine.attach_health, health),
-            (engine.attach_checkpointer, checkpointer),
-        ):
-            if hook is not None:
-                attach(hook)
-        return engine.run()
+        return self.engine(kind, model=model, **settings).attach_hooks(
+            **hooks
+        ).run()
 
     def run_parallel(
         self,

@@ -138,22 +138,18 @@ def _run_worker(spec) -> dict:
     tracer = metrics = spans = health = ckpt = None
     if spec.want_trace:
         tracer = _CommitLog()
-        kernel.attach_tracer(tracer)
     if spec.want_metrics:
         from repro.obs.metrics import MetricsRecorder
 
         metrics = MetricsRecorder()
-        kernel.attach_metrics(metrics)
     if spec.want_spans:
         from repro.obs.spans import SpanTracer
 
         spans = SpanTracer()
-        kernel.attach_spans(spans)
     if spec.health_config is not None:
         from repro.health.watchdog import Watchdog
 
         health = Watchdog(spec.health_config)
-        kernel.attach_health(health)
 
     if spec.ckpt_dir is not None:
         from repro.ckpt.checkpoint import Checkpointer
@@ -180,7 +176,8 @@ def _run_worker(spec) -> dict:
                     "resume from"
                 )
             _load_shard(ckpt, seq)
-        kernel.attach_checkpointer(ckpt)
+    kernel.attach_hooks(tracer=tracer, metrics=metrics, spans=spans,
+                        health=health, checkpointer=ckpt)
 
     if kernel._resume is not None:
         # Shard snapshots persist the worker's commit log (committed

@@ -41,13 +41,8 @@ class RunCapture:
     spans_out:
         Path for wall-clock phase spans, or ``None`` to skip span
         tracing (spans record at phase boundaries only, never per
-        event).
-    health_out:
-        Path for liveness-watchdog ``health`` lines, or ``None``.  The
-        capture only owns the sink (exposed as :attr:`health_sink` and
-        shared with the other streams when the paths match); the CLI
-        passes it to :class:`repro.health.Watchdog` and attaches the
-        watchdog itself.
+        event).  Liveness-watchdog ``health`` lines go to the metrics
+        recording (:attr:`health_sink`), when there is one.
     meta:
         Free-form run metadata for the header line (engine, workload,
         seed, CLI arguments ...).
@@ -71,7 +66,6 @@ class RunCapture:
         trace_out: str | Path | None = None,
         spans_out: str | Path | None = None,
         *,
-        health_out: str | Path | None = None,
         meta: Mapping | None = None,
         interval: int = 1024,
         fault_plan=None,
@@ -94,11 +88,8 @@ class RunCapture:
             )
         self._sinks: list = []
         self.metrics = self.tracer = self.spans = None
-        #: Sink for watchdog ``health`` lines (None unless requested);
-        #: pass to ``Watchdog(cfg, sink=capture.health_sink)``.
-        self.health_sink = None
         self._metrics_sink = self._trace_sink = self._spans_sink = None
-        if all(o is None for o in (metrics_out, trace_out, spans_out, health_out)):
+        if all(o is None for o in (metrics_out, trace_out, spans_out)):
             return
         from repro.obs.metrics import MetricsRecorder
         from repro.obs.recorder import JsonlSink, StreamingTracer
@@ -122,15 +113,6 @@ class RunCapture:
             else:
                 spans_sink = JsonlSink(spans_out)
                 self._sinks.append(spans_sink)
-        health_sink = None
-        if health_out is not None:
-            for existing in self._sinks:
-                if Path(health_out) == existing.path:
-                    health_sink = existing
-                    break
-            else:
-                health_sink = JsonlSink(health_out)
-                self._sinks.append(health_sink)
         for sink in self._sinks:
             sink.write_header(self.meta)
             if fault_plan is not None:
@@ -148,7 +130,12 @@ class RunCapture:
         self._metrics_sink = metrics_sink
         self._trace_sink = trace_sink
         self._spans_sink = spans_sink
-        self.health_sink = health_sink
+
+    @property
+    def health_sink(self):
+        """Sink for watchdog ``health`` lines — the metrics recording's,
+        or None; pass to ``Watchdog(cfg, sink=capture.health_sink)``."""
+        return self._metrics_sink
 
     @property
     def active(self) -> bool:
@@ -191,11 +178,6 @@ class RunCapture:
                 if self._spans_sink is not None
                 else None
             ),
-            "health_sink": (
-                self._sinks.index(self.health_sink)
-                if self.health_sink is not None
-                else None
-            ),
             "metrics": None,
             "tracer": None,
         }
@@ -236,11 +218,9 @@ class RunCapture:
         ]
         mi, ti = state["metrics_sink"], state["trace_sink"]
         si = state.get("spans_sink")  # absent in pre-span snapshots
-        hi = state.get("health_sink")  # absent in pre-health snapshots
         cap._metrics_sink = cap._sinks[mi] if mi is not None else None
         cap._trace_sink = cap._sinks[ti] if ti is not None else None
         cap._spans_sink = cap._sinks[si] if si is not None else None
-        cap.health_sink = cap._sinks[hi] if hi is not None else None
         # Spans are wall-clock measurements, the one non-deterministic
         # stream — a resumed run starts a fresh tracer rather than
         # pretending to continue timings from a dead process.

@@ -9,7 +9,7 @@ InvariantViolation with a diagnostic naming the structure involved.
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, ConservativeKernel
+from repro.core.conservative import ConservativeKernel
 from repro.core.engine import SequentialEngine
 from repro.core.invariants import check_optimistic, check_sequential
 from repro.core.optimistic import TimeWarpKernel
@@ -48,7 +48,7 @@ def test_optimistic_paranoid_run_clean():
 
 @pytest.mark.parametrize("protocol", ["yawns"])  # the one conservative protocol
 def test_conservative_paranoid_run_clean(protocol):
-    cfg = ConservativeConfig(end_time=DURATION, n_pes=4, seed=SEED, paranoid=True)
+    cfg = EngineConfig(end_time=DURATION, n_pes=4, seed=SEED, paranoid=True)
     res = ConservativeKernel(_model(), cfg).run()
     assert res.run.committed > 0
 
@@ -102,7 +102,7 @@ def test_heap_order_corruption_detected():
 
 
 def test_conservation_violation_names_the_router():
-    cfg = ConservativeConfig(end_time=DURATION, n_pes=4, seed=SEED)
+    cfg = EngineConfig(end_time=DURATION, n_pes=4, seed=SEED)
     kernel = ConservativeKernel(_model(), cfg)
     kernel.run()
     # The conservative kernel runs Time Warp's loop, so --paranoid runs

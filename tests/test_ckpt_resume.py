@@ -16,7 +16,7 @@ import pytest
 
 from repro.ckpt import Checkpointer, list_snapshots
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, ConservativeKernel
+from repro.core.conservative import ConservativeKernel
 from repro.core.engine import SequentialEngine
 from repro.core.optimistic import TimeWarpKernel
 from repro.faults import FaultPlan
@@ -227,7 +227,7 @@ def test_format_7_snapshot_refused_with_exit_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("protocol", ["yawns"])  # the one conservative protocol
 def test_conservative_resume_every_snapshot(tmp_path, protocol):
-    ccfg = ConservativeConfig(end_time=DURATION, n_pes=4, seed=SEED)
+    ccfg = EngineConfig(end_time=DURATION, n_pes=4, seed=SEED)
     n = _check_resume_from_every_snapshot(
         tmp_path,
         lambda: ConservativeKernel(HotPotatoModel(_cfg()), ccfg),

@@ -5,13 +5,13 @@ import dataclasses
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig
 from repro.errors import ConfigurationError
 
 
 def test_defaults_valid():
     cfg = EngineConfig(end_time=10.0)
     assert cfg.n_pes == 1
+    assert cfg.n_kps == 1
     assert cfg.rollback == "reverse"
     assert cfg.window is None
 
@@ -48,9 +48,6 @@ def test_unknown_choice_refused_up_front_naming_the_choices(kwargs, names):
     with pytest.raises(ConfigurationError) as excinfo:
         EngineConfig(end_time=5.0, **kwargs)
     assert all(name in str(excinfo.value) for name in names)
-    if "mapping" in kwargs:
-        with pytest.raises(ConfigurationError):
-            ConservativeConfig(end_time=5.0, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -63,9 +60,6 @@ def test_queue_transport_gvt_are_not_fields(name):
     # mode; none of them is a knob.
     with pytest.raises(TypeError, match=name):
         EngineConfig(end_time=10.0, **{name: "anything"})
-    if name in ("queue", "pool"):
-        with pytest.raises(TypeError, match=name):
-            ConservativeConfig(end_time=10.0, **{name: "anything"})
 
 
 def test_field_names_are_pinned():
@@ -81,3 +75,9 @@ def test_frozen():
     cfg = EngineConfig(end_time=1.0)
     with pytest.raises(AttributeError):
         cfg.end_time = 2.0
+
+
+def test_kps_default_to_one_per_pe():
+    # The one configuration the default newly accepts: n_pes alone.
+    assert EngineConfig(end_time=10.0, n_pes=4).n_kps == 4
+    assert EngineConfig(end_time=10.0, n_pes=4, n_kps=16).n_kps == 16

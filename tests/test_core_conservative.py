@@ -4,11 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.conservative import (
-    ConservativeConfig,
-    ConservativeKernel,
-    run_conservative,
-)
+from repro.core.config import EngineConfig
+from repro.core.conservative import ConservativeKernel, run_conservative
 from repro.core.engine import run_sequential
 from repro.core.lp import LogicalProcess, Model
 from repro.errors import ConfigurationError, SchedulingError
@@ -34,7 +31,21 @@ PHOLD = PholdConfig(n_lps=24, jobs_per_lp=3, remote_fraction=0.7)
 )
 def test_invalid_configs(kwargs):
     with pytest.raises(ConfigurationError):
-        ConservativeConfig(**kwargs)
+        EngineConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("procs", 2), ("adaptive", True), ("batch_size", 64), ("window", 2.0),
+     ("gvt_interval", 8), ("n_kps", 8)],
+)
+def test_time_warp_field_refused_by_name(field, value):
+    """YAWNS fixes the batch, window, GVT interval and KPs and runs in
+    one process without a throttle: a config that sets any of them to
+    a value the kernel would ignore is refused, naming the field."""
+    cfg = EngineConfig(end_time=END, n_pes=4, **{field: value})
+    with pytest.raises(ConfigurationError, match=f"conservative.*{field}="):
+        ConservativeKernel(PholdModel(PHOLD), cfg)
 
 
 def test_model_without_lookahead_rejected():
@@ -46,7 +57,7 @@ def test_model_without_lookahead_rejected():
             return {}
 
     with pytest.raises(ConfigurationError):
-        ConservativeKernel(NoLookahead(), ConservativeConfig(end_time=1.0))
+        ConservativeKernel(NoLookahead(), EngineConfig(end_time=1.0, n_pes=4))
 
 
 # ----------------------------------------------------------------------
@@ -60,7 +71,7 @@ def phold_oracle():
 @pytest.mark.parametrize("protocol", ["yawns"])  # the one conservative protocol
 @pytest.mark.parametrize("n_pes", [1, 2, 4])
 def test_phold_matches_oracle(phold_oracle, protocol, n_pes):
-    cfg = ConservativeConfig(end_time=END, n_pes=n_pes, mapping="striped")
+    cfg = EngineConfig(end_time=END, n_pes=n_pes, mapping="striped")
     result = run_conservative(PholdModel(PHOLD), cfg)
     assert result.model_stats == phold_oracle
     assert result.run.engine == "conservative"
@@ -71,7 +82,7 @@ def test_phold_matches_oracle(phold_oracle, protocol, n_pes):
 def test_hotpotato_matches_oracle(protocol):
     hcfg = HotPotatoConfig(n=4, duration=END, injector_fraction=1.0)
     oracle = run_sequential(HotPotatoModel(hcfg), END).model_stats
-    cfg = ConservativeConfig(end_time=END, n_pes=4)
+    cfg = EngineConfig(end_time=END, n_pes=4)
     result = run_conservative(HotPotatoModel(hcfg), cfg)
     assert result.model_stats == oracle
     assert result.run.events_rolled_back == 0
@@ -85,7 +96,7 @@ def test_smaller_lookahead_means_more_rounds():
     # The model declares the lookahead it guarantees: every PHOLD hop is
     # delayed by at least PholdConfig.lookahead.
     rounds = {}
-    cfg = ConservativeConfig(end_time=END, n_pes=2, mapping="striped")
+    cfg = EngineConfig(end_time=END, n_pes=2, mapping="striped")
     for la in (0.02, 0.1):
         kernel = ConservativeKernel(PholdModel(replace(PHOLD, lookahead=la)), cfg)
         assert kernel.lookahead == la
@@ -133,7 +144,7 @@ def test_lookahead_violation_detected():
                 if self.id == 1:
                     self.send(self.now + 0.1, 0, "poke")
 
-    cfg = ConservativeConfig(end_time=20.0, n_pes=2, mapping="striped")
+    cfg = EngineConfig(end_time=20.0, n_pes=2, mapping="striped")
     with pytest.raises(SchedulingError, match="lookahead 5.0"):
         run_conservative(_Liar(Poker), cfg)
 
@@ -151,7 +162,7 @@ def test_lie_that_reorders_nothing_commits_the_oracle_result():
             self.state[0] += 1
             self.send(self.now + 0.1, 1 - self.id, "tick")
 
-    cfg = ConservativeConfig(end_time=20.0, n_pes=2, mapping="striped")
+    cfg = EngineConfig(end_time=20.0, n_pes=2, mapping="striped")
     result = run_conservative(_Liar(Token), cfg)
     assert result.model_stats == run_sequential(_Liar(Token), 20.0).model_stats
     assert result.model_stats["ticks"][0] > 0
@@ -184,13 +195,13 @@ def test_self_sends_below_lookahead_are_legal():
         def collect_stats(self, lps):
             return {"ticks": tuple(lp.state[0] for lp in lps)}
 
-    cfg = ConservativeConfig(end_time=3.0, n_pes=2, mapping="striped")
+    cfg = EngineConfig(end_time=3.0, n_pes=2, mapping="striped")
     result = run_conservative(SelfTicker(), cfg)
     assert result.model_stats["ticks"][0] > 100
 
 
 def test_stats_shape():
-    cfg = ConservativeConfig(end_time=END, n_pes=2, mapping="striped")
+    cfg = EngineConfig(end_time=END, n_pes=2, mapping="striped")
     result = run_conservative(PholdModel(PHOLD), cfg)
     run = result.run
     assert run.committed == run.processed

@@ -19,7 +19,7 @@ import pytest
 from repro.baselines.buffered import BufferedConfig, BufferedModel
 from repro.ckpt import wall_deadline
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, ConservativeKernel
+from repro.core.conservative import ConservativeKernel
 from repro.core.engine import SequentialEngine
 from repro.core.event import Event
 from repro.core.lp import LogicalProcess, Model
@@ -139,7 +139,7 @@ def test_hooked_band_program_leaves_no_cyclic_event():
 @pytest.mark.parametrize("protocol", ["yawns"])  # the one conservative protocol
 def test_conservative_leaves_no_cyclic_event(protocol):
     kernel = ConservativeKernel(
-        _hotpotato(), ConservativeConfig(end_time=20.0, n_pes=4, seed=SEED)
+        _hotpotato(), EngineConfig(end_time=20.0, n_pes=4, seed=SEED)
     )
     left, _ = _events_left_to_the_collector(kernel)
     assert left == 0
@@ -176,7 +176,7 @@ def _engines(make_model, end):
     return {
         "sequential": lambda: SequentialEngine(make_model(), end, seed=SEED),
         "conservative": lambda: ConservativeKernel(
-            make_model(), ConservativeConfig(end_time=end, n_pes=2, seed=SEED)
+            make_model(), EngineConfig(end_time=end, n_pes=2, seed=SEED)
         ),
         "optimistic": lambda: TimeWarpKernel(
             make_model(),

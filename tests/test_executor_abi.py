@@ -30,7 +30,7 @@ import pytest
 
 from repro.ckpt import Checkpointer, list_snapshots
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, ConservativeKernel
+from repro.core.conservative import ConservativeKernel
 from repro.core.engine import SequentialEngine
 from repro.core.optimistic import TimeWarpKernel
 from repro.core.trace import Tracer
@@ -77,7 +77,7 @@ def _engine(engine: str, seed: int, faulted: bool):
     if engine == "seq":
         return SequentialEngine(model, DURATION, seed=seed)
     if engine == "cons":
-        ccfg = ConservativeConfig(
+        ccfg = EngineConfig(
             end_time=DURATION, n_pes=4, seed=seed,
         )
         return ConservativeKernel(model, ccfg)
@@ -397,7 +397,7 @@ def test_every_engine_serves_every_router_kind_from_the_table(engine):
     if engine == "seq":
         run = SequentialEngine(per_event_reference(model), DURATION, seed=7).run()
     else:
-        ccfg = ConservativeConfig(
+        ccfg = EngineConfig(
             end_time=DURATION, n_pes=4, seed=7,
         )
         run = ConservativeKernel(model, ccfg).run()

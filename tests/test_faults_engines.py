@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, run_conservative
+from repro.core.conservative import run_conservative
 from repro.core.engine import run_sequential
 from repro.core.optimistic import run_optimistic
 from repro.core.trace import Tracer
@@ -131,7 +131,7 @@ def test_model_faults_identical_across_all_engines():
     assert _committed(seq_tr) == _committed(opt_tr)
     assert seq.model_stats == opt.model_stats
 
-    ccfg = ConservativeConfig(end_time=CFG.duration, n_pes=4, seed=SEED)
+    ccfg = EngineConfig(end_time=CFG.duration, n_pes=4, seed=SEED)
     cons = run_conservative(HotPotatoModel(CFG, fault_plan=plan), ccfg)
     assert cons.model_stats == seq.model_stats
 
@@ -173,7 +173,7 @@ def test_transport_faults_do_not_change_committed_sequence():
     assert perturbed > 0, "transport fault rates never fired — test is vacuous"
 
     # A held message would land below a conservative window already run.
-    ccfg = ConservativeConfig(end_time=CFG.duration, n_pes=4, seed=SEED)
+    ccfg = EngineConfig(end_time=CFG.duration, n_pes=4, seed=SEED)
     with pytest.raises(ConfigurationError, match="transport faults"):
         run_conservative(HotPotatoModel(CFG), ccfg, faults=EngineFaults(plan))
 
@@ -190,7 +190,7 @@ def test_pe_stalls_do_not_change_committed_results():
     assert opt.model_stats == seq.model_stats
     assert opt.run.pe_stall_rounds > 0
 
-    ccfg = ConservativeConfig(end_time=CFG.duration, n_pes=4, seed=SEED)
+    ccfg = EngineConfig(end_time=CFG.duration, n_pes=4, seed=SEED)
     cons = run_conservative(HotPotatoModel(CFG), ccfg, faults=EngineFaults(plan))
     assert cons.model_stats == seq.model_stats
     assert cons.run.pe_stall_rounds > 0

@@ -16,7 +16,7 @@ mode included.
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, run_conservative
+from repro.core.conservative import run_conservative
 from repro.core.engine import run_sequential
 from repro.core.optimistic import run_optimistic
 from repro.hotpotato.config import HotPotatoConfig
@@ -110,7 +110,7 @@ def test_committed_counts_are_golden(executor):
             model, calls = _spied(name)
             committed[name, "cons"] = run_conservative(
                 model,
-                ConservativeConfig(end_time=END, n_pes=4, seed=SEED),
+                EngineConfig(end_time=END, n_pes=4, seed=SEED),
             ).run.committed
             table_calls[name, "cons"] = sum(calls)
     else:

@@ -13,12 +13,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, ConservativeKernel
+from repro.core.conservative import ConservativeKernel
 from repro.core.engine import SequentialEngine
 from repro.core.optimistic import TimeWarpKernel
 from repro.core.trace import Tracer
 from repro.errors import ConfigurationError, HealthIntervention
 from repro.health import HealthConfig, HealthEvent, Watchdog
+from repro.health.watchdog import LIVELOCK_FACTOR, LIVELOCK_SLACK
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
 
@@ -40,7 +41,7 @@ def _engine(kind: str):
         model = _model()
         return ConservativeKernel(
             model,
-            ConservativeConfig(
+            EngineConfig(
                 end_time=DURATION, n_pes=2, seed=SEED,
             ),
         )
@@ -64,6 +65,26 @@ class _FakeEngine:
     def __init__(self, pending=()):
         self.model = object()
         self.pending = list(pending)
+
+
+class _ForcedTrip(Watchdog):
+    """A watchdog that forces one synthetic ``forced`` trip once
+    ``trip_at_boundary`` boundaries have passed, checked where every
+    boundary hook checks for a stall: it drives exactly one watchdog
+    action without manufacturing a genuinely sick run."""
+
+    def __init__(self, trip_at_boundary: int, config=None, **kwargs):
+        super().__init__(config, **kwargs)
+        self.trip_at_boundary = trip_at_boundary
+        self._forced_done = False
+
+    def _check_stall(self, position, *, engine=None):
+        if not self._forced_done and self.boundaries >= self.trip_at_boundary:
+            self._forced_done = True
+            self._trip("forced", position,
+                       {"trip_at_boundary": self.trip_at_boundary},
+                       engine=engine)
+        super()._check_stall(position, engine=engine)
 
 
 class _FakeClock:
@@ -103,8 +124,7 @@ def test_attached_watchdog_does_not_change_committed_sequence(kind):
 def test_livelock_bound_resolves_from_topology_diameter():
     wd = Watchdog()
     engine = _engine("seq").attach_health(wd)
-    cfg = wd.cfg
-    want = cfg.livelock_factor * engine.model.topo.diameter() + cfg.livelock_slack
+    want = LIVELOCK_FACTOR * engine.model.topo.diameter() + LIVELOCK_SLACK
     assert wd.livelock_bound == want
 
 
@@ -214,7 +234,7 @@ def test_cooldown_suppresses_repeat_trips():
 
 def test_throttle_rung_skipped_without_a_throttle():
     """Engines without an (adaptive) throttle abort on the first trip."""
-    wd = Watchdog(HealthConfig(trip_at_boundary=1))
+    wd = _ForcedTrip(1)
     engine = _FakeEngine()
     wd.bind(engine)
     with pytest.raises(HealthIntervention) as exc_info:
@@ -223,7 +243,7 @@ def test_throttle_rung_skipped_without_a_throttle():
 
 
 def test_forced_trip_fires_once_at_requested_boundary():
-    wd = Watchdog(HealthConfig(trip_at_boundary=3))
+    wd = _ForcedTrip(3)
     engine = _FakeEngine()
     wd.bind(engine)
     wd.boundary_sequential(engine, 1.0)
@@ -282,7 +302,7 @@ def test_throttle_action_tightens_optimistic_throttle_in_run():
     baseline = Tracer()
     _adaptive_opt().attach_tracer(baseline).run()
 
-    wd = Watchdog(HealthConfig(trip_at_boundary=2))
+    wd = _ForcedTrip(2)
     tracer = Tracer()
     engine = _adaptive_opt().attach_tracer(tracer).attach_health(wd)
     engine.run()
@@ -331,11 +351,8 @@ def test_events_flow_through_health_sink_and_recording(tmp_path):
     from repro.obs.watch import WatchState
 
     out = tmp_path / "run.jsonl"
-    capture = RunCapture(health_out=out, meta={"engine": "opt"})
-    wd = Watchdog(
-        HealthConfig(trip_at_boundary=2),
-        sink=capture.health_sink,
-    )
+    capture = RunCapture(metrics_out=out, meta={"engine": "opt"})
+    wd = _ForcedTrip(2, sink=capture.health_sink)
     engine = _adaptive_opt().attach_health(wd)
     capture.attach(engine)
     result = engine.run()

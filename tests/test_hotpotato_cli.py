@@ -30,9 +30,9 @@ def test_option_strings_are_pinned():
         "--no-absorb-sleeping", "--topology", "--scenario",
         "--procs", "--kps", "--batch", "--gvt-interval", "--seed",
         "--validate", "--metrics-out", "--trace-out",
-        "--spans-out", "--fault-plan", "--fault-rate", "--fault-seed",
+        "--spans-out", "--fault-rate",
         "--paranoid", "--checkpoint-dir", "--checkpoint-every", "--resume",
-        "--deadline-seconds", "--watchdog", "--health-out",
+        "--deadline-seconds", "--watchdog",
     ]
 
 
@@ -121,10 +121,15 @@ def test_bad_probability(capsys):
         (["--engine", "cons", "--batch", "64"], ("--engine cons", "drop --batch")),
         (["--engine", "cons", "--gvt-interval", "8"],
          ("--engine cons", "drop --gvt-interval")),
+        (["--checkpoint-every", "0"], ("--checkpoint-every must be at least 1",)),
+        (["--checkpoint-every", "-2"], ("--checkpoint-every must be at least 1",)),
+        (["--deadline-seconds", "0"], ("--deadline-seconds must be positive",)),
+        (["--deadline-seconds", "-1.5"], ("--deadline-seconds must be positive",)),
     ],
     ids=["paranoid-procs", "procs-not-dividing", "scenario-with-workload-flag",
          "seq-with-processors", "cons-with-procs", "cons-with-kps",
-         "cons-with-batch", "cons-with-gvt-interval"],
+         "cons-with-batch", "cons-with-gvt-interval", "checkpoint-every-0",
+         "checkpoint-every-negative", "deadline-0", "deadline-negative"],
 )
 def test_refused_engine_config_exits_2_before_any_fork(
     capsys, monkeypatch, tmp_path, flags, names
@@ -165,8 +170,8 @@ def _plan(path, rate=0.05, seed=3, n=8, duration=40.0):
 @pytest.mark.parametrize(
     "workload",
     [[], ["--topology", "mesh"], ["--no-absorb-sleeping"],
-     ["--probability-i", "50"], ["--fault-rate", "5"], ["--fault-plan", "PLAN"]],
-    ids=["torus", "mesh", "no-absorb", "probability-50", "fault-rate", "fault-plan"],
+     ["--probability-i", "50"], ["--fault-rate", "5"]],
+    ids=["torus", "mesh", "no-absorb", "probability-50", "fault-rate"],
 )
 def test_flags_run_the_scenario_they_compile_to(tmp_path, capsys, workload):
     """The workload flags are a scenario document: written to a file and
@@ -175,8 +180,6 @@ def test_flags_run_the_scenario_they_compile_to(tmp_path, capsys, workload):
     from repro.ckpt import list_snapshots, read_snapshot
     from repro.hotpotato.__main__ import flags_scenario
 
-    workload = [_plan(tmp_path / "p.json", duration=20.0) if w == "PLAN" else w
-                for w in workload]
     flags = ["--n", "8", "--duration", "20", "--seed", "7", *workload]
     doc = tmp_path / "flags.json"
     doc.write_text(flags_scenario(build_parser().parse_args(flags)).to_json())
@@ -194,15 +197,18 @@ def test_flags_run_the_scenario_they_compile_to(tmp_path, capsys, workload):
 
 
 def test_resume_refuses_a_regenerated_fault_plan(tmp_path, capsys):
-    """The checkpoint marker pins the fault plan's content, not its path:
-    regenerating the file between interrupt and resume is refused."""
+    """The checkpoint marker pins the content of the fault plan file a
+    scenario names, not its path: regenerating the file between
+    interrupt and resume is refused."""
     from repro.ckpt import list_snapshots
 
-    plan = _plan(tmp_path / "p.json")
+    scenario = _tiny(tmp_path, name="planned", traffic={"model": "bernoulli"},
+                     topology={"kind": "torus", "n": 8},
+                     engine={"duration": 40.0, "seed": 0x5EED},
+                     faults=_plan(tmp_path / "p.json"))
     ckpt_dir = tmp_path / "ck"
-    flags = ["--n", "8", "--duration", "40", "--processors", "2",
-             "--fault-plan", plan, "--checkpoint-dir", str(ckpt_dir),
-             "--checkpoint-every", "1"]
+    flags = ["--scenario", scenario, "--processors", "2",
+             "--checkpoint-dir", str(ckpt_dir), "--checkpoint-every", "1"]
     assert main(flags) == 0
     snaps = list_snapshots(ckpt_dir)
     for snap in snaps[len(snaps) // 2:]:
@@ -361,7 +367,10 @@ def _shape(settings):
 
 def test_scenario_engine_section_fills_unnamed_settings(tmp_path, monkeypatch):
     """Each engine setting is the flag, else the scenario's engine
-    section, else the compiled default (``kp_count_for`` for KPs)."""
+    section, else the compiled default (``kp_count_for`` for KPs; one KP
+    per PE on the conservative kernel)."""
+    from repro.core.config import EngineConfig
+
     engine = {"duration": 10.0, "seed": 7, "n_pes": 2, "n_kps": 8, "batch_size": 4}
     declared = ["--scenario", _tiny(tmp_path, engine=engine)]
     _, settings = _run_request(monkeypatch, [*declared, "--engine", "opt"])
@@ -370,7 +379,8 @@ def test_scenario_engine_section_fills_unnamed_settings(tmp_path, monkeypatch):
         *declared, "--engine", "opt", "--processors", "4", "--batch", "32"])
     assert _shape(settings) == (4, 8, 32)
     assert _run_request(monkeypatch, [*declared, "--engine", "cons"]) == (
-        "conservative", {"n_pes": 2, "paranoid": False})
+        "conservative", {"engine_config": EngineConfig(end_time=10.0, n_pes=2,
+                                                       seed=7)})
     _, settings = _run_request(
         monkeypatch, ["--scenario", _tiny(tmp_path), "--engine", "opt"])
     assert _shape(settings) == (4, 16, 16)

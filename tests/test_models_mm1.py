@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, run_conservative
+from repro.core.conservative import run_conservative
 from repro.core.engine import run_sequential
 from repro.core.optimistic import run_optimistic
 from repro.errors import ConfigurationError
@@ -91,7 +91,7 @@ def test_optimistic_matches_sequential():
 
 def test_conservative_matches_sequential():
     oracle = run_sequential(MM1Model(CFG), 500.0, seed=3).model_stats
-    cfg = ConservativeConfig(end_time=500.0, n_pes=3, mapping="striped", seed=3)
+    cfg = EngineConfig(end_time=500.0, n_pes=3, mapping="striped", seed=3)
     result = run_conservative(MM1Model(CFG), cfg)
     assert result.model_stats == oracle
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, run_conservative
+from repro.core.conservative import run_conservative
 from repro.core.engine import SequentialEngine, run_sequential
 from repro.core.optimistic import TimeWarpKernel, run_optimistic
 from repro.models.phold import PholdConfig, PholdModel
@@ -120,7 +120,7 @@ def test_sequential_detached_engine_has_no_recorder():
 def test_conservative_samples_per_round():
     rec = MetricsRecorder()
     result = run_conservative(
-        PholdModel(PHOLD), ConservativeConfig(end_time=END, n_pes=4), metrics=rec
+        PholdModel(PHOLD), EngineConfig(end_time=END, n_pes=4), metrics=rec
     )
     run = result.run
     assert rec.samples

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, run_conservative
+from repro.core.conservative import run_conservative
 from repro.core.engine import SequentialEngine, run_sequential
 from repro.core.optimistic import TimeWarpKernel, run_optimistic
 from repro.models.phold import PholdConfig, PholdModel
@@ -114,7 +114,7 @@ def test_all_three_engines_emit_exec_spans():
     run_sequential(PholdModel(PHOLD), END, spans=seq)
     cons = SpanTracer()
     run_conservative(
-        PholdModel(PHOLD), ConservativeConfig(end_time=END, n_pes=4),
+        PholdModel(PHOLD), EngineConfig(end_time=END, n_pes=4),
         spans=cons,
     )
     opt = SpanTracer()

@@ -16,7 +16,7 @@ import pytest
 
 from repro.baselines import POLICIES, make_policy
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, ConservativeKernel
+from repro.core.conservative import ConservativeKernel
 from repro.core.engine import SequentialEngine
 from repro.core.optimistic import TimeWarpKernel
 from repro.core.trace import Tracer
@@ -82,7 +82,7 @@ def _run(engine, policy_name, seed, faults, adversarial=False):
     elif engine == "cons":
         kernel = ConservativeKernel(
             model,
-            ConservativeConfig(
+            EngineConfig(
                 end_time=DURATION, n_pes=4, seed=seed,
             ),
         )

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, run_conservative
+from repro.core.conservative import run_conservative
 from repro.core.engine import run_sequential
 from repro.core.optimistic import run_optimistic
 from repro.core.trace import Tracer
@@ -91,7 +91,7 @@ def _run(model, engine: str):
     if engine == "seq":
         result = run_sequential(model, DURATION, seed=SEED, tracer=tracer)
     elif engine == "cons":
-        ccfg = ConservativeConfig(
+        ccfg = EngineConfig(
             end_time=DURATION, n_pes=4, seed=SEED,
         )
         result = run_conservative(model, ccfg, tracer=tracer)
