@@ -62,29 +62,33 @@ def set_supervisor(supervisor) -> None:
     _SUPERVISOR = supervisor
 
 
+#: GVT cadence, in rounds, of the Time Warp points :func:`set_parallelism`
+#: puts in process mode (the engine default is 1): there every GVT is a
+#: cross-process stop-and-drain wave worth amortising.  It is part of
+#: those points' specs, and so of their ids.
+PROCS_GVT_INTERVAL = 8
 #: When set (see :func:`set_parallelism`), every Time Warp point runs in
-#: process mode: ``(procs, gvt_interval)``.
-_PARALLELISM: tuple[int, int] | None = None
+#: process mode over this many OS processes.
+_PROCS: int | None = None
 #: ``(N, PEs)`` of the Time Warp points ``procs`` could not split since
 #: :func:`take_in_process_points` was last called.
 _IN_PROCESS: set[tuple[int, int]] = set()
 
 
-def set_parallelism(procs: int | None, gvt_interval: int = 8) -> None:
+def set_parallelism(procs: int | None) -> None:
     """Run subsequent Time Warp points (``opt`` points that do not set
-    ``procs`` themselves) over ``procs`` OS worker processes (``None``
-    restores in-process runs); supervised points included.
+    ``procs`` themselves) over ``procs`` OS worker processes at a GVT
+    interval of ``PROCS_GVT_INTERVAL`` (``None`` restores in-process
+    runs); supervised points included.
 
     Committed results are bit-identical either way, so every figure's
     numbers are unchanged — only the wall-clock profile moves.  A point
     whose PE count is not a multiple of ``procs`` runs in-process (a PE
     cannot be split across workers) and is named by
-    :func:`take_in_process_points`.  ``gvt_interval`` replaces the
-    engine default of 1 because in process mode every GVT is a
-    cross-process stop-and-drain wave worth amortising.
+    :func:`take_in_process_points`.
     """
-    global _PARALLELISM
-    _PARALLELISM = None if procs is None else (procs, gvt_interval)
+    global _PROCS
+    _PROCS = procs
 
 
 def take_in_process_points() -> str | None:
@@ -124,25 +128,30 @@ class SweepParams:
     replications: int = 1
     seed: int = 0x5EED
     #: Link-failure fractions swept by the resilience experiment (0.0 is
-    #: the unfaulted baseline row).
+    #: the unfaulted baseline row), each plan generated at the default
+    #: fault seed.  Another seed, or an explicit plan, is a scenario file
+    #: run by the ``scenarios`` experiment.
     fault_rates: tuple[float, ...] = (0.0, 0.05, 0.10, 0.20)
-    #: Explicit FaultPlan JSON file; when set, the resilience experiment
-    #: runs that single plan instead of sweeping ``fault_rates``.
-    fault_plan: str | None = None
-    #: Seed for rate-generated fault plans (None = repro.faults default).
-    fault_seed: int | None = None
     #: Scenario JSON files (see docs/SCENARIOS.md) compared side by side
     #: by the ``scenarios`` experiment; each file fully describes its own
     #: topology, traffic, policy, engine defaults and faults.
     scenarios: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.sizes:
-            raise ValueError("at least one network size required")
+        for name in ("sizes", "pe_counts", "kp_counts"):
+            values = getattr(self, name)
+            if not values or min(values) < 1:
+                raise ValueError(f"{name} must be one or more values >= 1, got {values}")
+        for name in ("loads", "fault_rates"):
+            values = getattr(self, name)
+            if not values or not 0.0 <= min(values) <= max(values) <= 1.0:
+                raise ValueError(
+                    f"{name} must be one or more fractions in [0, 1], got {values}"
+                )
+        if self.duration <= 0:
+            raise ValueError(f"duration must be positive, got {self.duration:g}")
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if any(not 0.0 <= r <= 1.0 for r in self.fault_rates):
-            raise ValueError("fault_rates must be fractions in [0, 1]")
+            raise ValueError(f"replications must be >= 1, got {self.replications}")
 
     def seeds(self) -> tuple[int, ...]:
         """The independent seeds used for replicated data points."""
@@ -191,11 +200,10 @@ def run_point(kind: str, scenario, **settings) -> dict:
         "kind": kind, "scenario": doc,
         **compiled.engine_settings(POINT_KINDS[kind]), **settings,
     }
-    if kind == "opt" and _PARALLELISM is not None and "procs" not in overrides:
-        procs, gvt_interval = _PARALLELISM
-        if spec["n_pes"] % procs == 0:
-            overrides["procs"] = procs
-            overrides.setdefault("gvt_interval", gvt_interval)
+    if kind == "opt" and _PROCS is not None and "procs" not in overrides:
+        if spec["n_pes"] % _PROCS == 0:
+            overrides["procs"] = _PROCS
+            overrides.setdefault("gvt_interval", PROCS_GVT_INTERVAL)
         else:
             _IN_PROCESS.add((compiled.sim.cfg.n, spec["n_pes"]))
     if overrides or (kind == "opt" and "path" not in doc):
@@ -210,5 +218,7 @@ def run_point(kind: str, scenario, **settings) -> dict:
     spec["telemetry"] = telemetry
     if _SUPERVISOR is None:
         return run_spec(spec)
-    spec["checkpoint_every"] = _SUPERVISOR.cfg.checkpoint_every
+    from repro.experiments.supervisor import POINT_CHECKPOINT_EVERY
+
+    spec["checkpoint_every"] = POINT_CHECKPOINT_EVERY
     return _SUPERVISOR.run_point(spec)

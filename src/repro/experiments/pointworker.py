@@ -25,10 +25,9 @@ hashes to it); ``n_pes`` / ``n_kps`` / ``batch_size`` / ``window`` /
 ``overrides`` for the parallel engines (``overrides`` holds further
 :class:`~repro.core.config.EngineConfig` fields; ``procs`` >= 2 runs the
 point in process mode, its snapshots sharded per worker); ``telemetry``
-(metrics JSONL path or ``None``); ``checkpoint_every``; ``sabotage``
-(test hook: ``"stall"`` hangs without heartbeats, ``{"flaky": k}`` exits
-1 on the first *k* attempts).  A spec in the older format (``n`` / ``load`` / ``duration`` /
-``fault`` / ``seed`` keys) is refused by name before any work.
+(metrics JSONL path or ``None``); ``checkpoint_every``.  A spec in the
+older format (``n`` / ``load`` / ``duration`` / ``fault`` / ``seed``
+keys) is refused by name before any work.
 
 :func:`run_spec` is also how :func:`repro.experiments.common.run_point`
 runs a point in-process (no checkpoint directory), so a point means the
@@ -42,7 +41,6 @@ import math
 import os
 import pickle
 import sys
-import time
 from pathlib import Path
 
 from repro.errors import ConfigurationError
@@ -104,25 +102,6 @@ def point_scenario(spec: dict):
     return compile_scenario(Scenario.from_dict(scen))
 
 
-def _sabotage(spec: dict, ckpt_dir: Path) -> None:
-    """Deterministic failure modes for the supervisor's own tests."""
-    mode = spec.get("sabotage")
-    if not mode:
-        return
-    if mode == "stall":
-        # Hang without ever touching the heartbeat: the parent's
-        # watchdog must notice and SIGKILL us.
-        time.sleep(3600)
-        sys.exit(1)
-    if isinstance(mode, dict) and "flaky" in mode:
-        counter = ckpt_dir / "flaky_attempts"
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-        attempts = int(counter.read_text()) if counter.exists() else 0
-        counter.write_text(str(attempts + 1))
-        if attempts < int(mode["flaky"]):
-            sys.exit(1)
-
-
 def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = None):
     """Run one point; returns its result document.
 
@@ -155,8 +134,7 @@ def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = 
     settings.update(spec.get("overrides") or {})
     ckpt = payload = None
     if ckpt_dir is not None:
-        _sabotage(spec, ckpt_dir)
-        marker = {k: v for k, v in spec.items() if k not in ("sabotage", "telemetry")}
+        marker = {k: v for k, v in spec.items() if k != "telemetry"}
         ckpt = Checkpointer(
             ckpt_dir,
             every=spec.get("checkpoint_every", 4),

@@ -5,10 +5,11 @@ packets never wait — they deflect.  The same property makes it naturally
 fault-tolerant: a dead link is just one more direction a packet cannot
 take this step, and the greedy/home-run machinery already knows what to
 do with that.  This experiment quantifies the claim: sweep the fraction
-of permanently failed links (or run one explicit
-:class:`~repro.faults.FaultPlan`) and watch delivery degrade *gracefully*
-— fewer packets arrive and they take longer, but the network never
-livelocks and the run always terminates.
+of permanently failed links and watch delivery degrade *gracefully* —
+fewer packets arrive and they take longer, but the network never
+livelocks and the run always terminates.  Each plan is generated at the
+default fault seed; an explicit :class:`~repro.faults.FaultPlan`, or
+another seed, is a scenario file run by the ``scenarios`` experiment.
 
 Each row also re-runs one configuration on the Time Warp engine and
 checks the committed model statistics against the sequential oracle:
@@ -24,7 +25,7 @@ from repro.scenarios import compile_scenario, report_scenario
 __all__ = ["run"]
 
 
-def _fault_spec(params: SweepParams, rate: float):
+def _fault_spec(rate: float):
     """The scenario ``faults`` section one sweep row runs under (None
     for rate 0).
 
@@ -34,14 +35,9 @@ def _fault_spec(params: SweepParams, rate: float):
     materialized FaultPlan) is what travels to a supervised child
     process; the scenario compiler expands it identically either way.
     """
-    if params.fault_plan is not None:
-        return params.fault_plan
     if rate <= 0.0:
         return None
-    generate = {"link_fail_rate": rate}
-    if params.fault_seed is not None:
-        generate["seed"] = params.fault_seed
-    return {"generate": generate}
+    return {"generate": {"link_fail_rate": rate}}
 
 
 def _links_down(scenario) -> int:
@@ -55,7 +51,6 @@ def _links_down(scenario) -> int:
 def run(params: SweepParams) -> Table:
     """Sweep link-failure rates on the smallest size; check determinism."""
     n = params.sizes[0]
-    rates = (0.0,) if params.fault_plan is not None else params.fault_rates
     table = Table(
         title=f"Resilience — delivery under failed links (N={n}, "
         f"duration={params.duration:g})",
@@ -72,9 +67,9 @@ def run(params: SweepParams) -> Table:
         ],
     )
     links_total = 2 * n * n  # torus: every node owns its EAST and SOUTH link
-    for rate in rates:
+    for rate in params.fault_rates:
         scenario = report_scenario(
-            n, params.duration, seed=params.seed, faults=_fault_spec(params, rate)
+            n, params.duration, seed=params.seed, faults=_fault_spec(rate)
         )
         ms = run_point("seq", scenario)["model_stats"]
         # One optimistic run per row keeps the determinism check honest
@@ -108,6 +103,4 @@ def run(params: SweepParams) -> Table:
         "seq==opt compares complete model statistics (incl. per-router "
         "fingerprints) between the sequential oracle and Time Warp"
     )
-    if params.fault_plan is not None:
-        table.notes.append(f"explicit plan: {params.fault_plan}")
     return table

@@ -27,6 +27,7 @@ import sys
 import time
 
 from repro.experiments.common import (
+    PROCS_GVT_INTERVAL,
     SweepParams,
     set_parallelism,
     set_supervisor,
@@ -103,18 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="P",
-        help="run each Time Warp point over P OS processes, supervised "
-        "--out-dir points included (committed results are bit-identical "
-        "to in-process runs; points whose PE count P doesn't divide stay "
-        "in-process, and their table names them)",
-    )
-    parser.add_argument(
-        "--gvt-interval",
-        type=int,
-        default=8,
-        metavar="N",
-        help="GVT cadence in rounds for --procs points (default: 8; each "
-        "GVT is a cross-process stop-and-drain wave)",
+        help="run each Time Warp point over P OS processes at a GVT "
+        "interval of 8 rounds, supervised --out-dir points included "
+        "(committed results are bit-identical to in-process runs; points "
+        "whose PE count P doesn't divide stay in-process, and their table "
+        "names them)",
     )
     parser.add_argument("--seed", type=int, default=0x5EED, help="global seed")
     parser.add_argument(
@@ -146,21 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-rates",
         type=_float_tuple,
         default=(0.0, 0.05, 0.10, 0.20),
-        help="link-failure fractions for the resilience sweep "
-        "(default: 0,0.05,0.1,0.2)",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        metavar="FILE",
-        default=None,
-        help="run the resilience experiment against this FaultPlan JSON "
-        "instead of sweeping --fault-rates",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="seed for rate-generated fault plans (default: repro.faults default)",
+        help="link-failure fractions for the resilience sweep, each plan "
+        "generated at the default fault seed (default: 0,0.05,0.1,0.2; an "
+        "explicit plan or another seed is a scenario file: see --scenario)",
     )
     parser.add_argument(
         "--deadline-seconds",
@@ -184,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     sup = parser.add_argument_group(
         "supervised execution",
         "run every sweep point in a checkpointed child process with a "
-        "GVT-progress watchdog, bounded retries and a journaled manifest "
-        "(see docs/CHECKPOINT.md)",
+        "GVT-progress watchdog (60 s), three attempts and a journaled "
+        "manifest (see docs/CHECKPOINT.md)",
     )
     sup.add_argument(
         "--out-dir",
@@ -204,36 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         "DIR, in-flight ones restore from their latest checkpoint "
         "(implies --out-dir DIR)",
     )
-    sup.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=60.0,
-        metavar="SEC",
-        help="SIGKILL a point whose GVT heartbeat stalls this long "
-        "(default: 60)",
-    )
-    sup.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="attempts per point before giving up (default: 3)",
-    )
-    sup.add_argument(
-        "--backoff-base",
-        type=float,
-        default=0.5,
-        metavar="SEC",
-        help="first-retry delay; doubles per further retry (default: 0.5)",
-    )
-    sup.add_argument(
-        "--point-checkpoint-every",
-        type=int,
-        default=4,
-        metavar="N",
-        help="snapshot cadence inside each child, in GVT/scheduler "
-        "boundaries (default: 4)",
-    )
     return parser
 
 
@@ -248,99 +200,112 @@ def _params_from_args(args) -> SweepParams:
         replications=args.replications,
         seed=args.seed,
         fault_rates=args.fault_rates,
-        fault_plan=args.fault_plan,
-        fault_seed=args.fault_seed,
         scenarios=tuple(args.scenario or ()),
     )
 
 
 def _params_from_meta(doc: dict) -> SweepParams:
+    """The parameters a ``meta`` record journals.  One a later tree
+    dropped is ignored when the sweep left it unset, else refused."""
     fields = {
         k: tuple(v) if isinstance(v, list) else v
         for k, v in doc["params"].items()
     }
+    known = {f.name for f in dataclasses.fields(SweepParams)}
+    for name in sorted(set(fields) - known):
+        value = fields.pop(name)
+        if value is not None:
+            raise ValueError(
+                f"the sweep was launched with {name}={value!r}, which is no "
+                "longer a sweep parameter; a fault plan or seed is a scenario "
+                "file run by the 'scenarios' experiment (docs/FAULTS.md)"
+            )
+    gvt_interval = doc.get("gvt_interval", PROCS_GVT_INTERVAL)
+    if gvt_interval != PROCS_GVT_INTERVAL:
+        raise ValueError(
+            f"the sweep was launched with --gvt-interval {gvt_interval}, "
+            f"which is gone; --procs points now run at {PROCS_GVT_INTERVAL}, "
+            "so its Time Warp points would be different points"
+        )
     return SweepParams(**fields)
+
+
+def _sweep(args) -> tuple[list[str], SweepParams, int | None]:
+    """The experiment ids, parameters and process count the arguments
+    declare; :class:`ValueError` says why they are refused.
+
+    Reads a bare ``--resume``'s manifest but writes nothing, so a refused
+    invocation leaves no out-dir, manifest or child process behind.
+    """
+    from repro.experiments.supervisor import read_meta
+
+    if args.procs is not None and args.procs < 1:
+        raise ValueError(f"--procs must be at least 1, got {args.procs}")
+    if args.deadline_seconds is not None and args.deadline_seconds <= 0:
+        raise ValueError(
+            f"--deadline-seconds must be positive, got {args.deadline_seconds:g}"
+        )
+    if args.experiments:
+        ids = experiment_ids() if "all" in args.experiments else args.experiments
+        params, procs = _params_from_args(args), args.procs
+    elif args.resume is not None:
+        # Bare `--resume DIR`: replay the sweep exactly as first launched.
+        meta = read_meta(args.resume)
+        if meta is None:
+            raise ValueError(
+                f"no sweep recorded in {args.resume}/manifest.jsonl; name "
+                "the experiments explicitly"
+            )
+        ids, params = meta["experiments"], _params_from_meta(meta)
+        # Process mode is part of every Time Warp point's spec.
+        procs = args.procs if args.procs is not None else meta.get("procs")
+    else:
+        raise ValueError("no experiments named (see --help)")
+    unknown = [e for e in ids if e not in EXPERIMENTS]
+    if unknown:
+        raise ValueError(f"unknown experiments {unknown}; available: {experiment_ids()}")
+    return list(ids), params, procs
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    from repro.errors import ResumeIntegrityError
     from repro.experiments.supervisor import (
         PointFailure,
         Supervisor,
-        SupervisorConfig,
+        verify_resume_integrity,
     )
 
-    out_dir = args.resume if args.resume is not None else args.out_dir
-    resuming = args.resume is not None
-    supervisor = None
-    if out_dir is not None:
-        supervisor = Supervisor(
-            SupervisorConfig(
-                out_dir=out_dir,
-                heartbeat_timeout=args.heartbeat_timeout,
-                max_retries=args.max_retries,
-                backoff_base=args.backoff_base,
-                checkpoint_every=args.point_checkpoint_every,
-                resume=resuming,
-            )
-        )
-
-    if resuming:
+    try:
         # Before serving *anything* from disk, re-verify that every
         # scenario / fault-plan file journaled in the manifest still
         # hashes to what the sweep was launched against.
-        from repro.errors import ResumeIntegrityError
-
-        try:
-            n_verified = supervisor.verify_resume_integrity()
-        except ResumeIntegrityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            supervisor.close()
-            return 2
-        if n_verified:
-            print(
-                f"resume integrity: re-verified {n_verified} input "
-                f"file(s) against {supervisor.manifest_path}"
-            )
-
-    if resuming and not args.experiments:
-        # Bare `--resume DIR`: replay the sweep exactly as first launched.
-        meta = supervisor.read_meta()
-        if meta is None:
-            print(
-                f"error: no sweep recorded in {out_dir}/manifest.jsonl; "
-                "name the experiments explicitly",
-                file=sys.stderr,
-            )
-            return 2
-        ids = meta["experiments"]
-        params = _params_from_meta(meta)
-        if args.procs is None:
-            # Process mode is part of every Time Warp point's spec.
-            args.procs = meta.get("procs")
-            args.gvt_interval = meta.get("gvt_interval", args.gvt_interval)
-    elif not args.experiments:
-        print("error: no experiments named (see --help)", file=sys.stderr)
+        n_verified = 0 if args.resume is None else verify_resume_integrity(args.resume)
+        ids, params, procs = _sweep(args)
+    except ResumeIntegrityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    else:
-        ids = experiment_ids() if "all" in args.experiments else args.experiments
-        params = _params_from_args(args)
-    unknown = [e for e in ids if e not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {unknown}; available: {experiment_ids()}")
+    except ValueError as exc:
+        print(f"configuration refused: {exc}", file=sys.stderr)
         return 2
+    out_dir = args.resume if args.resume is not None else args.out_dir
+    if n_verified:
+        print(
+            f"resume integrity: re-verified {n_verified} input "
+            f"file(s) against {out_dir / 'manifest.jsonl'}"
+        )
+    supervisor = None
+    if out_dir is not None:
+        supervisor = Supervisor(out_dir, resume=args.resume is not None)
+
     if args.csv_dir is not None:
         args.csv_dir.mkdir(parents=True, exist_ok=True)
     set_telemetry_dir(args.telemetry_dir)
-    if args.procs is not None and args.procs < 1:
-        print("error: --procs must be >= 1", file=sys.stderr)
-        return 2
-    set_parallelism(args.procs, args.gvt_interval)
+    set_parallelism(procs)
     if supervisor is not None:
         supervisor.journal_meta(
-            experiments=list(ids), params=dataclasses.asdict(params),
-            procs=args.procs, gvt_interval=args.gvt_interval,
+            experiments=ids, params=dataclasses.asdict(params), procs=procs,
         )
     set_supervisor(supervisor)
     from repro.ckpt import wall_deadline

@@ -24,7 +24,7 @@ nothing and an attached one keeps the fused fast paths installed):
 * **Rollback thrash** — the wasted-work fraction (events rolled back per
   event processed, over a boundary window of at least
   ``THRASH_MIN_PROCESSED`` events — the same attribution ``repro.obs
-  thrash`` reports offline) exceeds a threshold.
+  thrash`` reports offline) exceeds ``THRASH_FRACTION``.
 * **Memory growth** — live event counts (pending + processed-but-
   uncommitted) exceed ``MEMORY_BUDGET_EVENTS``.
 
@@ -60,6 +60,9 @@ __all__ = ["HealthConfig", "HealthEvent", "Watchdog"]
 #: ``livelock`` (``HealthConfig.livelock_bound`` overrides it).
 LIVELOCK_FACTOR = 8.0
 LIVELOCK_SLACK = 32.0
+#: Wasted-work fraction (rolled back / processed, per boundary window)
+#: above which ``rollback_thrash`` trips.
+THRASH_FRACTION = 0.95
 #: Boundary windows with fewer processed events than this are not judged
 #: for thrash (a small window makes the fraction meaningless).
 THRASH_MIN_PROCESSED = 4096
@@ -92,9 +95,6 @@ class HealthConfig:
     #: Scan pending events for over-age packets every N boundaries (the
     #: scan is O(live events), so it is paced; 0 disables the detector).
     livelock_check_every: int = 8
-    #: Wasted-work fraction (rolled back / processed, per boundary
-    #: window) above which ``rollback_thrash`` trips.
-    thrash_fraction: float = 0.95
     #: Boundaries to wait after taking an action before any detector may
     #: trip again (gives the remedy time to take effect).
     cooldown_boundaries: int = 8
@@ -107,10 +107,6 @@ class HealthConfig:
         if self.stall_wall_seconds < 0:
             raise ConfigurationError(
                 f"stall_wall_seconds must be >= 0, got {self.stall_wall_seconds}"
-            )
-        if not 0.0 < self.thrash_fraction <= 1.0:
-            raise ConfigurationError(
-                f"thrash_fraction must be in (0, 1], got {self.thrash_fraction}"
             )
 
 
@@ -237,7 +233,6 @@ class Watchdog:
         self.boundaries += 1
         position = kernel.gvt
         self._check_stall(position, engine=kernel)
-        cfg = self.cfg
         processed = sum(pe.stats.processed for pe in kernel.pes)
         rolled = sum(kp.stats.events_rolled_back for kp in kernel.kps)
         d_proc = processed - self._last_processed
@@ -245,7 +240,7 @@ class Watchdog:
         self._last_processed, self._last_rolled = processed, rolled
         if d_proc >= THRASH_MIN_PROCESSED:
             fraction = d_roll / d_proc
-            if fraction > cfg.thrash_fraction:
+            if fraction > THRASH_FRACTION:
                 self._trip(
                     "rollback_thrash", position,
                     {"wasted_fraction": round(fraction, 4),

@@ -1,17 +1,22 @@
 """The run supervisor: watchdog kills, retries, failure, resume."""
 
 import json
+import os
 import pickle
+from pathlib import Path
 
 import pytest
 
+from repro.experiments import supervisor
 from repro.experiments.supervisor import (
     PointFailure,
     Supervisor,
-    SupervisorConfig,
     point_id,
+    read_meta,
 )
 from repro.scenarios import report_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _scenario(duration: float = 15.0) -> dict:
@@ -59,7 +64,7 @@ def test_point_id_is_canonical():
 
 
 def test_happy_path_journals_done(tmp_path):
-    sup = Supervisor(SupervisorConfig(out_dir=tmp_path))
+    sup = Supervisor(tmp_path)
     try:
         res = sup.run_point(_seq_spec())
     finally:
@@ -69,13 +74,26 @@ def test_happy_path_journals_done(tmp_path):
     assert statuses == ["started", "done"]
 
 
-def test_stall_without_fallback_raises_point_failure(tmp_path):
-    sup = Supervisor(
-        SupervisorConfig(
-            out_dir=tmp_path, heartbeat_timeout=1.0, max_retries=1,
-            backoff_base=0.05, poll_interval=0.05,
-        )
-    )
+@pytest.fixture
+def sabotage(monkeypatch):
+    """Children run ``tests.sabotage_worker``, which honours a spec's
+    ``sabotage`` key; the supervisor's constants are patched here, in the
+    parent process that reads them."""
+    monkeypatch.setattr(Supervisor, "worker_module", "tests.sabotage_worker")
+    path = [str(ROOT), os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, path)))
+
+    def patch(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(supervisor, name, value)
+
+    return patch
+
+
+def test_stall_without_fallback_raises_point_failure(tmp_path, sabotage):
+    sabotage(HEARTBEAT_TIMEOUT=1.0, MAX_ATTEMPTS=1, BACKOFF_BASE=0.05,
+             POLL_INTERVAL=0.05)
+    sup = Supervisor(tmp_path)
     try:
         with pytest.raises(PointFailure):
             sup.run_point(_opt_spec(sabotage="stall"))
@@ -84,13 +102,12 @@ def test_stall_without_fallback_raises_point_failure(tmp_path):
     assert [d["status"] for d in _manifest(sup) if "point" in d][-1] == "failed"
 
 
-def test_flaky_point_succeeds_after_backoff_retries(tmp_path):
+def test_flaky_point_succeeds_after_backoff_retries(tmp_path, sabotage):
     """A child that crashes on its first two attempts succeeds on the
     third, inside one run_point call, after sleeping
-    ``backoff_base * 2**(attempt - 1)`` before each retry."""
-    sup = Supervisor(
-        SupervisorConfig(out_dir=tmp_path, max_retries=3, backoff_base=0.05)
-    )
+    ``BACKOFF_BASE * 2**(attempt - 1)`` before each retry."""
+    sabotage(MAX_ATTEMPTS=3, BACKOFF_BASE=0.05)
+    sup = Supervisor(tmp_path)
     spec = _seq_spec(sabotage={"flaky": 2})
     try:
         res = sup.run_point(spec)
@@ -106,7 +123,7 @@ def test_flaky_point_succeeds_after_backoff_retries(tmp_path):
 
 def test_resume_serves_done_points_without_rerunning(tmp_path):
     spec = _seq_spec()
-    sup = Supervisor(SupervisorConfig(out_dir=tmp_path))
+    sup = Supervisor(tmp_path)
     try:
         first = sup.run_point(spec)
     finally:
@@ -116,7 +133,7 @@ def test_resume_serves_done_points_without_rerunning(tmp_path):
     pdir = tmp_path / "points" / point_id(spec)
     (pdir / "spec_seq.json").write_text("NOT JSON")
 
-    sup2 = Supervisor(SupervisorConfig(out_dir=tmp_path, resume=True))
+    sup2 = Supervisor(tmp_path, resume=True)
     try:
         again = sup2.run_point(spec)
     finally:
@@ -130,7 +147,7 @@ def test_resume_restores_in_flight_point_from_checkpoints(tmp_path):
     # every=1 boundary cadence so the short run still writes several
     # snapshots (a sequential boundary is 1024 processed events).
     spec = _seq_spec(40.0, checkpoint_every=1)
-    sup = Supervisor(SupervisorConfig(out_dir=tmp_path))
+    sup = Supervisor(tmp_path)
     try:
         res = sup.run_point(spec)
     finally:
@@ -144,7 +161,7 @@ def test_resume_restores_in_flight_point_from_checkpoints(tmp_path):
     for stale in snaps[len(snaps) // 2:]:
         stale.unlink()
 
-    sup2 = Supervisor(SupervisorConfig(out_dir=tmp_path, resume=True))
+    sup2 = Supervisor(tmp_path, resume=True)
     try:
         res2 = sup2.run_point(spec)
     finally:
@@ -167,7 +184,7 @@ def test_resume_restores_in_flight_process_mode_point_from_shards(tmp_path):
         checkpoint_every=1,
     )
     oracle = run_point("seq", report_scenario(4, 40.0, seed=7))["model_stats"]
-    sup = Supervisor(SupervisorConfig(out_dir=tmp_path))
+    sup = Supervisor(tmp_path)
     try:
         assert sup.run_point(spec)["model_stats"] == oracle
     finally:
@@ -184,7 +201,7 @@ def test_resume_restores_in_flight_process_mode_point_from_shards(tmp_path):
         for stale in shard[2 + (i == 0):]:
             stale.unlink()
 
-    sup2 = Supervisor(SupervisorConfig(out_dir=tmp_path, resume=True))
+    sup2 = Supervisor(tmp_path, resume=True)
     try:
         assert sup2.run_point(spec)["model_stats"] == oracle
     finally:
@@ -196,12 +213,10 @@ def test_resume_restores_in_flight_process_mode_point_from_shards(tmp_path):
 
 
 def test_meta_roundtrip(tmp_path):
-    sup = Supervisor(SupervisorConfig(out_dir=tmp_path))
+    sup = Supervisor(tmp_path)
     sup.journal_meta(experiments=["fig3"], params={"sizes": [4], "seed": 7})
     sup.close()
-    sup2 = Supervisor(SupervisorConfig(out_dir=tmp_path, resume=True))
-    meta = sup2.read_meta()
-    sup2.close()
+    meta = read_meta(tmp_path)
     assert meta["experiments"] == ["fig3"]
     assert meta["params"]["sizes"] == [4]
 
@@ -209,7 +224,7 @@ def test_meta_roundtrip(tmp_path):
 def test_result_pickle_shape(tmp_path):
     """The child's result file holds exactly the stats the sweep needs."""
     spec = _seq_spec()
-    sup = Supervisor(SupervisorConfig(out_dir=tmp_path))
+    sup = Supervisor(tmp_path)
     try:
         sup.run_point(spec)
     finally:

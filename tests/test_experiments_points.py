@@ -9,7 +9,6 @@ silently skipped.
 
 import json
 import pathlib
-from types import SimpleNamespace
 
 import pytest
 
@@ -29,8 +28,6 @@ _SCENARIO = (
 
 class RecordingSupervisor:
     """Runs each point spec in-process and records it."""
-
-    cfg = SimpleNamespace(checkpoint_every=4)
 
     def __init__(self):
         self.specs = []
@@ -156,6 +153,71 @@ def test_points_procs_cannot_split_are_named(capsys):
             "points ran in-process") in out
     assert main(argv[:-2]) == 0
     assert "--procs" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    "fig3 --replications 0",
+    "fig3 --sizes ,",
+    "resilience --fault-rates 2",
+    "fig5 --procs 0",
+    "fig3 --deadline-seconds 0",
+    "fig3 --deadline-seconds -1",
+    "fig3 --duration 0",
+    "fig3 --loads 2",
+    "fig5 --pes 0",
+    "fgi3",
+    "",
+], ids=[
+    "replications-0", "sizes-empty", "fault-rate-2", "procs-0", "deadline-0",
+    "deadline-negative", "duration-0", "load-2", "pes-0", "unknown-experiment",
+    "no-experiment",
+])
+def test_bad_values_are_refused_before_anything_is_written(argv, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    argv = argv.split()
+    for flag, value in (("--sizes", "4"), ("--duration", "10")):
+        if flag not in argv:
+            argv += [flag, value]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 2
+    assert "configuration refused: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def _parent_sweep(out_dir, **meta):
+    """A manifest holding only the ``meta`` record a sweep launched with
+    the since-removed fault-plan and GVT flags wrote."""
+    params = dict(
+        sizes=[4], duration=10.0, loads=[1.0], pe_counts=[1, 2],
+        kp_counts=[4], batch_size=16, window=2.0, replications=1,
+        seed=0x5EED, fault_rates=[0.0], fault_plan=None, fault_seed=None,
+        scenarios=[],
+    )
+    params.update({k: v for k, v in meta.items() if k in params})
+    doc = {"status": "meta", "experiments": ["resilience"], "params": params,
+           "procs": None, "gvt_interval": meta.get("gvt_interval", 8)}
+    out_dir.mkdir()
+    (out_dir / "manifest.jsonl").write_text(json.dumps(doc) + "\n")
+
+
+@pytest.mark.parametrize("meta, flag", [
+    ({"fault_plan": "plan.json"}, "fault_plan='plan.json'"),
+    ({"fault_seed": 3}, "fault_seed=3"),
+    ({"gvt_interval": 16}, "--gvt-interval 16"),
+])
+def test_resume_refuses_a_sweep_that_set_a_removed_flag(meta, flag, tmp_path, capsys):
+    _parent_sweep(tmp_path / "sweep", **meta)
+    before = (tmp_path / "sweep" / "manifest.jsonl").read_text()
+    assert main(["--resume", str(tmp_path / "sweep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration refused: ") and flag in err
+    assert (tmp_path / "sweep" / "manifest.jsonl").read_text() == before
+    assert not (tmp_path / "sweep" / "points").exists()
+
+
+def test_resume_takes_a_sweep_that_left_the_removed_flags_unset(tmp_path, capsys):
+    _parent_sweep(tmp_path / "sweep")
+    assert main(["--resume", str(tmp_path / "sweep")]) == 0
+    assert "Resilience" in capsys.readouterr().out
 
 
 @pytest.fixture(autouse=True)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.errors import ResumeIntegrityError
 from repro.experiments.pointworker import point_scenario
-from repro.experiments.supervisor import Supervisor, SupervisorConfig
+from repro.experiments.supervisor import Supervisor, verify_resume_integrity
 from repro.faults import generate_plan
 from repro.scenarios import compile_scenario, load_scenario, report_scenario
 from repro.net import TorusTopology
@@ -28,7 +28,7 @@ SCENARIO_SRC = Path(__file__).resolve().parent.parent / (
 
 
 def _supervisor(out_dir, *, resume=False) -> Supervisor:
-    return Supervisor(SupervisorConfig(out_dir=out_dir, resume=resume))
+    return Supervisor(out_dir, resume=resume)
 
 
 def _plan_file(tmp_path) -> Path:
@@ -56,7 +56,7 @@ def _scenario_file(tmp_path) -> tuple[Path, str]:
 def test_empty_manifest_verifies_nothing(tmp_path):
     sup = _supervisor(tmp_path / "sweep")
     try:
-        assert sup.verify_resume_integrity() == 0
+        assert verify_resume_integrity(sup.out_dir) == 0
     finally:
         sup.close()
 
@@ -70,7 +70,7 @@ def test_fault_plan_round_trip_and_tamper(tmp_path):
         # The identity the supervisor journals alongside `started` records.
         want = point_scenario(spec).scenario_hash()
         sup._journal(point="p1", status="started", spec=spec, scenario_hash=want)
-        assert sup.verify_resume_integrity() == 1
+        assert verify_resume_integrity(sup.out_dir) == 1
 
         # Regenerate the plan: the resume must refuse and name the file.
         plan = generate_plan(
@@ -78,7 +78,7 @@ def test_fault_plan_round_trip_and_tamper(tmp_path):
         )
         plan.dump(plan_path)
         with pytest.raises(ResumeIntegrityError) as exc_info:
-            sup.verify_resume_integrity()
+            verify_resume_integrity(sup.out_dir)
         msg = str(exc_info.value)
         assert str(plan_path) in msg
         assert want in msg  # says what the manifest recorded
@@ -86,7 +86,7 @@ def test_fault_plan_round_trip_and_tamper(tmp_path):
         # A vanished file is refused too, with a distinct explanation.
         plan_path.unlink()
         with pytest.raises(ResumeIntegrityError, match="no longer be loaded"):
-            sup.verify_resume_integrity()
+            verify_resume_integrity(sup.out_dir)
     finally:
         sup.close()
 
@@ -98,14 +98,14 @@ def test_scenario_round_trip_and_tamper(tmp_path):
     sup = _supervisor(tmp_path / "sweep")
     try:
         sup._journal(point="p1", status="done", spec=spec)
-        assert sup.verify_resume_integrity() == 1
+        assert verify_resume_integrity(sup.out_dir) == 1
 
         # Change a semantically meaningful field: content hash drifts.
         doc = json.loads(scen_path.read_text())
         doc["traffic"]["injector_fraction"] = 0.5
         scen_path.write_text(json.dumps(doc))
         with pytest.raises(ResumeIntegrityError) as exc_info:
-            sup.verify_resume_integrity()
+            verify_resume_integrity(sup.out_dir)
         msg = str(exc_info.value)
         assert str(scen_path) in msg
         assert digest in msg
@@ -113,7 +113,7 @@ def test_scenario_round_trip_and_tamper(tmp_path):
         # A scenario that no longer even loads is refused as well.
         scen_path.write_text("{not json")
         with pytest.raises(ResumeIntegrityError, match="no longer be loaded"):
-            sup.verify_resume_integrity()
+            verify_resume_integrity(sup.out_dir)
     finally:
         sup.close()
 
@@ -128,7 +128,7 @@ def test_latest_journal_record_wins(tmp_path):
                      scenario_hash="0" * 16)  # stale hash from a dead attempt
         want = point_scenario(spec).scenario_hash()
         sup._journal(point="p1", status="started", spec=spec, scenario_hash=want)
-        assert sup.verify_resume_integrity() == 1
+        assert verify_resume_integrity(sup.out_dir) == 1
     finally:
         sup.close()
 
@@ -159,7 +159,7 @@ def test_manifest_with_an_engine_fallback_is_refused(tmp_path, capsys):
     resumed = _supervisor(out, resume=True)
     try:
         with pytest.raises(ResumeIntegrityError) as exc_info:
-            resumed.verify_resume_integrity()
+            verify_resume_integrity(resumed.out_dir)
     finally:
         resumed.close()
     msg = str(exc_info.value)

@@ -1,10 +1,11 @@
 """DESIGN.md's knob budget names every knob there is, and no other.
 
-Each ``EngineConfig`` field, ``HealthConfig`` field and ``python -m
-repro.hotpotato`` flag must have a row in the "Knob budget" table citing
-what needs it; a row for a knob that no longer exists is stale.  A new
-knob therefore arrives with its reason, and a deleted one takes its row
-with it.
+Each ``EngineConfig`` field, ``HealthConfig`` field, ``SweepParams``
+field, ``python -m repro.hotpotato`` flag and ``python -m
+repro.experiments`` flag must have a row in the "Knob budget" table
+citing what needs it; a row for a knob that no longer exists is stale.
+A new knob therefore arrives with its reason, and a deleted one takes
+its row with it.
 """
 
 import dataclasses
@@ -12,12 +13,20 @@ import re
 from pathlib import Path
 
 from repro.core.config import EngineConfig
+from repro.experiments.common import SweepParams
+from repro.experiments.runner import build_parser as sweep_parser
 from repro.health import HealthConfig
 from repro.hotpotato.__main__ import build_parser
 
 DESIGN = Path(__file__).resolve().parent.parent / "DESIGN.md"
-#: The knob in a row's first cell: ``Class.field`` or ``--flag``.
-_ROW = re.compile(r"^\| `((?:EngineConfig|HealthConfig)\.\w+|--[\w-]+)` \|(.*)\|$")
+#: A sweep flag's row names its command; a bare flag is repro.hotpotato's.
+SWEEP = "repro.experiments "
+#: The knob in a row's first cell: ``Class.field``, ``--flag`` or
+#: ``repro.experiments --flag``.
+_ROW = re.compile(
+    r"^\| `((?:EngineConfig|HealthConfig|SweepParams)\.\w+"
+    r"|(?:repro\.experiments )?--[\w-]+)` \|(.*)\|$"
+)
 
 
 def _table_rows() -> dict[str, str]:
@@ -31,17 +40,22 @@ def _table_rows() -> dict[str, str]:
     return rows
 
 
-def _knobs() -> set[str]:
-    fields = {
-        f"{cls.__name__}.{f.name}"
-        for cls in (EngineConfig, HealthConfig)
-        for f in dataclasses.fields(cls)
-    }
-    flags = {
-        s for action in build_parser()._actions for s in action.option_strings
+def _flags(parser, prefix: str = "") -> set[str]:
+    return {
+        prefix + s for action in parser._actions for s in action.option_strings
         if s.startswith("--") and s != "--help"
     }
-    return fields | flags
+
+
+def _fields(*classes) -> set[str]:
+    return {f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)}
+
+
+def _knobs() -> set[str]:
+    return (
+        _fields(EngineConfig, HealthConfig, SweepParams)
+        | _flags(build_parser()) | _flags(sweep_parser(), SWEEP)
+    )
 
 
 def test_every_knob_has_a_row_and_every_row_a_knob():
@@ -57,7 +71,9 @@ def test_every_row_cites_a_reason():
 
 
 def test_budget_holds():
-    # ROADMAP item 8's exit criterion: at most 24 config fields and 24 flags.
-    knobs = _knobs()
-    assert len([k for k in knobs if not k.startswith("--")]) <= 24
-    assert len([k for k in knobs if k.startswith("--")]) <= 24
+    # ROADMAP item 8's counts: config fields, the two commands' flags and
+    # the sweep's parameters may only go down.
+    assert len(_fields(EngineConfig, HealthConfig)) <= 19
+    assert len(_fields(SweepParams)) <= 11
+    assert len(_flags(build_parser())) <= 24
+    assert len(_flags(sweep_parser())) <= 17

@@ -163,11 +163,11 @@ def test_supervised_scenario_sweep_resumes(tmp_path):
         set_supervisor,
     )
     from repro.experiments.scenario_compare import run
-    from repro.experiments.supervisor import Supervisor, SupervisorConfig
+    from repro.experiments.supervisor import Supervisor
 
     params = SweepParams(scenarios=(_tiny(tmp_path),))
     out_dir = tmp_path / "sweep"
-    sup = Supervisor(SupervisorConfig(out_dir=out_dir))
+    sup = Supervisor(out_dir)
     set_supervisor(sup)
     try:
         first = run(params)
@@ -178,7 +178,7 @@ def test_supervised_scenario_sweep_resumes(tmp_path):
     manifest = (out_dir / "manifest.jsonl").read_text()
     assert '"scenario"' in manifest and '"hash"' in manifest
 
-    sup = Supervisor(SupervisorConfig(out_dir=out_dir, resume=True))
+    sup = Supervisor(out_dir, resume=True)
     set_supervisor(sup)
     try:
         again = run(params)
