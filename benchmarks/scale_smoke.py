@@ -1,4 +1,4 @@
-"""Scale smoke: memory stays linear in the LP population, flat in duration.
+"""Scale smoke: memory linear in the LP population, flat in duration, small at start-up.
 
 Runs ``python -m repro.hotpotato --n N --duration 4 --processors 4
 --batch 64`` as a child, then the same torus with ``--processors 1``, and
@@ -15,7 +15,7 @@ regime where events die outside the pool: (d) the 16×16 torus at ``--batch
 2048`` for 200 steps (about half of what it executes is undone) stays
 under ``--rollback-rss-mb``, and (e) one process that runs that
 configuration twice and one that runs it ten times peak within
-``--flat-rss-mb`` of each other.  Last, (f): the objects a collection
+``--flat-rss-mb`` of each other.  Then (f): the objects a collection
 would walk right after a sequential run, counted in a child
 (``len(gc.get_objects())``), at 64×64 and at 8×8 differ by at most
 ``TRACKED_SLACK``::
@@ -38,7 +38,13 @@ has to be collected before the next one runs or (e) grows by 5 MB a run.
 (f) is about who walks what: ``run`` freezes what it leaves alive, so no
 later generation pass, and not the interpreter's exit collection, scans a
 finished run; left unfrozen, that scan grows with the population (0.17 s
-after a 64×64 Time Warp run, 0.85 s at 128×128).
+after a 64×64 Time Warp run, 0.85 s at 128×128).  Last, (g): a plain
+``--n 8 --duration 4`` sequential run peaks at most ``STARTUP_MB`` above a
+bare ``python -c pass`` child.  The difference cancels the interpreter's
+own size on each host and is what the run's imports and its small
+population cost: 3.9 MB measured, 7.5 MB when ``repro.scenarios.spec``
+imported ``hashlib`` (OpenSSL's libcrypto) at module level — a plain run
+never writes the scenario hash, so it must not load what computes it.
 """
 
 from __future__ import annotations
@@ -87,6 +93,10 @@ cfg = HotPotatoConfig(n=int(sys.argv[1]), duration=2.0, injector_fraction=1.0)
 result = HotPotatoSimulation(cfg).run()
 print(len(gc.get_objects()))
 """
+
+#: Most check (g)'s plain run may peak above a bare interpreter, in MB:
+#: 3.9 measured, 7.5 with hashlib loaded at start-up.
+STARTUP_MB = 5.5
 
 #: Most check (f)'s two counts may differ: a frozen run leaves ~0 at any
 #: size, an unfrozen one 15,714 at 8×8 and 124,577 at 64×64.
@@ -192,6 +202,15 @@ def main() -> None:
     )
     if abs(large - small) > TRACKED_SLACK:
         raise SystemExit("a finished run is left to the cyclic collector")
+
+    _, _, bare_mb = child([sys.executable, "-c", "pass"])
+    _, _, plain_mb = run(8, STEPS, "--processors", "1")
+    print(
+        f"start-up: bare interpreter peaks at {bare_mb:.1f} MB, a plain 8×8 "
+        f"sequential run at {plain_mb:.1f} MB (may differ by {STARTUP_MB})"
+    )
+    if plain_mb - bare_mb > STARTUP_MB:
+        raise SystemExit("a plain run loads more than it uses at start-up")
     print("scale smoke ok")
 
 

@@ -29,7 +29,6 @@ from repro.core.config import EngineConfig
 from repro.core.event import Event, _next_serial
 from repro.core.executor import Executor
 from repro.core.gvt import SynchronousGVT
-from repro.core.invariants import check_optimistic
 from repro.core.kp import KernelProcess
 from repro.core.lp import LogicalProcess, Model
 from repro.core.mapping import build_mapping
@@ -768,6 +767,8 @@ class TimeWarpKernel(Executor):
         clock = spans.clock if spans is not None else None
         ckpt = self.ckpt
         paranoid = cfg.paranoid
+        if paranoid:
+            from repro.core.invariants import check_optimistic
         loop = self._loop_state()
         rounds = loop["rounds"]
         eff_batch = loop["eff_batch"]

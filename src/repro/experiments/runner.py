@@ -98,7 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=(4, 8, 16, 32, 64),
         help="KP counts for figs 7/8 (default: 4,8,16,32,64)",
     )
-    parser.add_argument("--batch", type=int, default=16, help="optimism batch size")
+    parser.add_argument(
+        "--batch",
+        type=int,
+        default=16,
+        help="Time Warp batch size of ABL-RC's PHOLD rows and the resilience "
+        "sweep's Time Warp run (the windowed sweeps cap theirs at 2^20)",
+    )
     parser.add_argument(
         "--procs",
         type=int,

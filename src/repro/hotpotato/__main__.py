@@ -395,21 +395,24 @@ def main(argv: list[str] | None = None) -> int:
     if resumed_payload is not None and resumed_payload.get("obs") is not None:
         capture = RunCapture.resume(resumed_payload["obs"])
     else:
+        meta = {
+            "engine": kind,
+            "workload": "hotpotato",
+            "n": cfg.n,
+            "topology": cfg.topology,
+            "duration": cfg.duration,
+            "probability_i": 100.0 * cfg.injector_fraction,
+            "seed": sim.seed,
+            "scenario": compiled.name,
+        }
+        # Only a recording writes the header, and hashing loads libcrypto.
+        if any((args.metrics_out, args.trace_out, args.spans_out)):
+            meta["scenario_hash"] = compiled.scenario_hash()
         capture = RunCapture(
             metrics_out=args.metrics_out,
             trace_out=args.trace_out,
             spans_out=args.spans_out,
-            meta={
-                "engine": kind,
-                "workload": "hotpotato",
-                "n": cfg.n,
-                "topology": cfg.topology,
-                "duration": cfg.duration,
-                "probability_i": 100.0 * cfg.injector_fraction,
-                "seed": sim.seed,
-                "scenario": compiled.name,
-                "scenario_hash": compiled.scenario_hash(),
-            },
+            meta=meta,
             fault_plan=sim.fault_plan,
             injection_plan=sim.injection_plan,
         )

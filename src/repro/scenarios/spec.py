@@ -55,6 +55,8 @@ is pinned by the *compiled* identity,
 hashes a fault plan named by path by the plan's content.  The CLI's
 checkpoint marker, the sweep manifest and the point worker all pin that
 one, so a ``--resume`` refuses a scenario *or* plan file that changed.
+The hash is computed only where it is written, and ``hashlib`` imported
+only then: a plain run never loads OpenSSL's libcrypto.
 
 :func:`report_scenario` writes the document of the report's program
 parameters (§3.3.1); ``repro.hotpotato``'s flags and every experiment's
@@ -63,7 +65,6 @@ sweep points compile through it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -272,6 +273,8 @@ class Scenario:
 
     def scenario_hash(self) -> str:
         """16-hex-digit identity of the scenario content (see module doc)."""
+        import hashlib  # maps libcrypto: only a run that writes the hash pays
+
         canonical = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )

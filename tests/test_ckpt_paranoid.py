@@ -61,6 +61,22 @@ def test_paranoid_matches_unparanoid_commits():
     assert checked.run.committed == plain.run.committed
 
 
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_time_warp_checks_every_gvt_only_when_paranoid(monkeypatch, paranoid):
+    """The kernel imports its check only under paranoid, and then calls
+    it at every GVT point."""
+    import repro.core.invariants as invariants
+
+    calls = []
+    checked = invariants.check_optimistic
+    monkeypatch.setattr(
+        invariants, "check_optimistic",
+        lambda kernel, prev: calls.append(prev) or checked(kernel, prev),
+    )
+    _opt_kernel(paranoid=paranoid).run()
+    assert (len(calls) > 1) if paranoid else not calls
+
+
 def test_gvt_regression_detected():
     kernel = _opt_kernel()
     kernel.run()

@@ -77,3 +77,12 @@ def test_budget_holds():
     assert len(_fields(SweepParams)) <= 11
     assert len(_flags(build_parser())) <= 24
     assert len(_flags(sweep_parser())) <= 17
+
+
+def test_sweep_batch_help_says_what_its_row_says():
+    # SweepParams.optimism() raises the windowed sweeps' batch to 2^20,
+    # so --batch reaches only the runs its budget row names.
+    row = _table_rows()[SWEEP + "--batch"]
+    reaches = row.split("`SweepParams.batch_size`:", 1)[1].strip()
+    help_text = " ".join(sweep_parser().format_help().split())
+    assert reaches in help_text

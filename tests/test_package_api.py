@@ -86,8 +86,12 @@ def test_every_lazy_export_resolves(package):
         getattr(pkg, "no_such_export")
 
 
+RUN_FLAGS = ("--n", "4", "--duration", "8", "--seed", "7")
+
+
 def _imports(*flags):
-    """``-X importtime`` of one CLI run: (module names in log order, stderr)."""
+    """``-X importtime`` of one CLI run (parent and any workers): module
+    names in log order."""
     import os
     import subprocess
     import sys
@@ -96,7 +100,7 @@ def _imports(*flags):
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "repro.hotpotato",
-         "--n", "4", "--duration", "8", "--seed", "7", *flags],
+         *RUN_FLAGS, *flags],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -107,6 +111,12 @@ def _imports(*flags):
     ]
 
 
+#: Hashing maps OpenSSL's libcrypto (~3.5 MB resident): only a run that
+#: writes the scenario hash (a recording header, a checkpoint marker)
+#: may load it.
+HASHING = ("hashlib", "_hashlib")
+
+
 @pytest.mark.parametrize(
     "flags, unused",
     [
@@ -114,19 +124,52 @@ def _imports(*flags):
             "repro.core.optimistic", "repro.core.conservative", "repro.mp",
             "repro.ckpt.state", "repro.ckpt.snapshot", "repro.obs.recorder",
             "repro.obs.critpath", "repro.obs.forensics", "repro.health",
+            "repro.core.invariants", *HASHING,
+        )),
+        (("--engine", "cons"), (
+            "repro.mp", "repro.ckpt.state", "repro.ckpt.snapshot",
+            "repro.obs.recorder", "repro.obs.critpath", "repro.health",
+            "repro.core.invariants", *HASHING,
         )),
         (("--processors", "2"), (
             "repro.core.conservative", "repro.mp", "repro.ckpt.state",
-            "repro.obs.critpath", "repro.health",
+            "repro.obs.critpath", "repro.health", "repro.core.invariants",
+            *HASHING,
+        )),
+        (("--processors", "2", "--procs", "2"), (
+            "repro.core.conservative", "repro.ckpt.state",
+            "repro.ckpt.snapshot", "repro.obs.recorder", "repro.obs.critpath",
+            "repro.health", "repro.core.invariants", *HASHING,
         )),
     ],
-    ids=["sequential", "time-warp"],
+    ids=["sequential", "conservative", "time-warp", "process-mode"],
 )
 def test_a_run_imports_only_what_it_uses(flags, unused):
     loaded = set(_imports(*flags))
     assert "repro.hotpotato.handlers" in loaded
     for name in unused:
         assert not any(m == name or m.startswith(name + ".") for m in loaded), name
+
+
+@pytest.mark.parametrize("output", ["--metrics-out", "--checkpoint-dir"])
+def test_a_run_that_writes_the_scenario_hash_computes_it(tmp_path, output):
+    """A recording header and a checkpoint marker carry the compiled
+    scenario's hash for the run's flags, so those runs do load hashlib."""
+    from repro.ckpt import list_snapshots, read_snapshot
+    from repro.hotpotato.__main__ import build_parser, flags_scenario
+    from repro.obs.recorder import load_recording
+    from repro.scenarios import compile_scenario
+
+    out = tmp_path / "out"
+    assert set(HASHING) <= set(_imports(output, str(out)))
+    written = (
+        load_recording(out).header if output == "--metrics-out"
+        else read_snapshot(list_snapshots(out)[0])["marker"]
+    )
+    want = compile_scenario(
+        flags_scenario(build_parser().parse_args(RUN_FLAGS))
+    ).scenario_hash()
+    assert written["scenario_hash"] == want
 
 
 @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "every-hook"])
