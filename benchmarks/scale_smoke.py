@@ -4,10 +4,11 @@ Runs ``python -m repro.hotpotato --n N --duration 4 --processors 4
 --batch 64`` as a child, then the same torus with ``--processors 1``, and
 fails unless (a) the optimistic child's peak RSS is under the budget and
 (b) the eight model lines of the two runs are byte-identical.  Four steps,
-not one: the sequential engine hands over to its band program at step 1
-(docs/KERNEL.md), so a one-step run compares only INIT and the first
-INJECT; three more steps set the Time Warp kernel's per-event RouterLP
-handlers against the band program at this size.  Then runs the 64×64
+not one: the sequential engine runs a hot-potato run on its band program
+from step 0's INIT on (docs/KERNEL.md), and a one-step run sets only the
+initial fill and the first injections against the Time Warp kernel's
+per-event handlers; three more steps set routing and delivery against
+them at this size.  Then runs the 64×64
 torus sequentially for 2 and for 8 steps and fails unless (c) the two
 peak RSS values are within ``--flat-rss-mb`` of each other.  All of that
 runs at ``--batch 64`` and so never rolls back; two more checks cover the
@@ -45,6 +46,13 @@ own size on each host and is what the run's imports and its small
 population cost: 3.9 MB measured, 7.5 MB when ``repro.scenarios.spec``
 imported ``hashlib`` (OpenSSL's libcrypto) at module level — a plain run
 never writes the scenario hash, so it must not load what computes it.
+Then (h), from children already run: check (b)'s ``--processors 1``
+child peaks at most ``ORACLE_KB_PER_ROUTER`` above (g)'s bare interpreter
+per router.  The oracle keeps a packet as one flat tuple and builds no
+``Event`` for it, from INIT to exit: 2.97 KB a router measured at
+128×128, 5.55 KB when a per-event prefix left about nine events a router
+alive at the band program's entry and its exit rebuilt every packet in
+flight as an event with a heap entry.
 """
 
 from __future__ import annotations
@@ -97,6 +105,11 @@ print(len(gc.get_objects()))
 #: Most check (g)'s plain run may peak above a bare interpreter, in MB:
 #: 3.9 measured, 7.5 with hashlib loaded at start-up.
 STARTUP_MB = 5.5
+
+#: Most check (h)'s oracle may peak above a bare interpreter, in KB per
+#: router: 2.97 measured at 128×128, 5.55 with the per-event prefix and
+#: the eager exit.
+ORACLE_KB_PER_ROUTER = 4.0
 
 #: Most check (f)'s two counts may differ: a frozen run leaves ~0 at any
 #: size, an unfrozen one 15,714 at 8×8 and 124,577 at 64×64.
@@ -211,6 +224,15 @@ def main() -> None:
     )
     if plain_mb - bare_mb > STARTUP_MB:
         raise SystemExit("a plain run loads more than it uses at start-up")
+
+    per_router_kb = (seq_rss_mb - bare_mb) * 1024 / (args.n * args.n)
+    print(
+        f"oracle memory: the n={args.n} sequential run peaks "
+        f"{per_router_kb:.2f} KB a router above the bare interpreter (at most "
+        f"{ORACLE_KB_PER_ROUTER})"
+    )
+    if per_router_kb > ORACLE_KB_PER_ROUTER:
+        raise SystemExit("the oracle's memory per router is over the budget")
     print("scale smoke ok")
 
 

@@ -5,7 +5,9 @@ Each engine snapshots at a *quiescent boundary*:
 * **sequential** — between events (every ``Checkpointer.seq_events``
   commits of the per-event loop, every step end of a band program): one
   heap of never-processed events, no journaling; a band-program
-  snapshot's loop state records the step it resumes at.
+  snapshot's loop state records the step it resumes at.  (A hot-potato
+  run is a band program from its first event, so its snapshots are all
+  at step ends.)
 * **optimistic** — a GVT round, after fossil collection *and* after the
   transport flush: everything below GVT is committed and gone, the
   cancellation worklist is drained, nothing is in flight (only a
@@ -61,7 +63,11 @@ __all__ = ["capture_state", "restore_state"]
 #: 8: a sequential snapshot of a non-Busch policy or a fault plan is taken
 #: at a step end and resumes on the band program (a format-7 one may hold
 #: a cut inside a band, which the program cannot enter).
-PAYLOAD_FORMAT = 8
+#: 9: a sequential hot-potato run has no per-event prefix (the band
+#: program runs step 0's INIT), so every snapshot is taken at a step end
+#: (a format-8 one may hold a cut inside step 0, which the program cannot
+#: enter).
+PAYLOAD_FORMAT = 9
 
 
 # ----------------------------------------------------------------------

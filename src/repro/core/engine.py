@@ -52,7 +52,10 @@ class SequentialEngine(Executor):
         self.paranoid = paranoid
         self.cost = cost if cost is not None else CostModel()
         self._init_population(model)
-        self.pending = PendingQueue()
+        self._queue = PendingQueue()
+        #: The run's final in-flight set, when a band program left it
+        #: unbuilt: a callable returning its events (see ``pending``).
+        self._unbuilt = None
         self.sends = 0
         #: Optional event tracer (see repro.core.trace); in a sequential
         #: run every executed event commits immediately.
@@ -80,6 +83,27 @@ class SequentialEngine(Executor):
         #: so it goes straight back to the free list.
         self._bind_lps(seed, self._init_pool())
 
+    @property
+    def pending(self) -> PendingQueue:
+        """The pending heap: the events in flight.
+
+        A band program may leave the run's final in-flight set unbuilt
+        (:meth:`defer_pending`); the first read builds it, so a run that
+        nobody inspects afterwards never turns its packets into events.
+        The per-event loop and the sends go to the heap directly."""
+        unbuilt = self._unbuilt
+        if unbuilt is not None:
+            self._unbuilt = None
+            self._queue.extend(unbuilt())
+        return self._queue
+
+    def defer_pending(self, build) -> None:
+        """Leave the run's final in-flight set unbuilt: ``build()``
+        returns its events, and :attr:`pending` calls it on first read.
+        For a band program leaving at ``end_time``, when nothing runs
+        after it."""
+        self._unbuilt = build
+
     def _sample_metrics(
         self, recorder, now: float, processed: int, pending: int | None = None
     ) -> None:
@@ -95,11 +119,11 @@ class SequentialEngine(Executor):
 
     def _emit(self, src_lp: LogicalProcess, ev: Event) -> None:
         self.sends += 1
-        self.pending.push(ev)
+        self._queue.push(ev)
 
     def schedule(self, ev: Event) -> None:
         """Executor ABI: bare enqueue into the single pending heap."""
-        self.pending.push(ev)
+        self._queue.push(ev)
 
     def run(self) -> RunResult:
         """Execute to the end barrier and collect statistics.
@@ -110,14 +134,18 @@ class SequentialEngine(Executor):
         program* (:meth:`~repro.core.lp.Model.band_program`): the loop
         then stops at the program's start time and the program runs the
         rest, reporting after each band so metric samples and ``exec``
-        spans keep their event-count pacing at band granularity.
+        spans keep their event-count pacing at band granularity.  (The
+        hot-potato program starts at 0.0 and runs every event.)
 
         The paranoid checks, the watchdog and the checkpointer are
         consulted at boundaries only: every ``seq_events`` commits of the
         per-event loop, and every step end of the band program, which
         leaves there (LP state written back, what is in flight pushed as
         ordinary events), so the hooks see the per-event loop's state,
-        and re-enters at the next step.
+        and re-enters at the next step.  At the run's end the program
+        leaves what is in flight unbuilt (:attr:`pending` builds it when
+        read), and the final metric sample takes its in-flight count from
+        the program's last report.
         """
         with self._collector_paused():
             return self._run()
@@ -134,7 +162,7 @@ class SequentialEngine(Executor):
 
         lps = self.lps
         handler_for = self._handler_table().get
-        pop_below = self.pending.pop_below
+        pop_below = self._queue.pop_below
         release = self.pool.release
         end = self.end_time
         band_start, program = self.model.band_program() or (end, None)
@@ -223,6 +251,7 @@ class SequentialEngine(Executor):
                     boundary(now, {"processed": processed})
                 next_check = min(next_pace, next_boundary)
 
+        in_flight = None  # as the band program last reported it
         if limit < end:
             # The band program, from the hand-over or the snapshot's step.
             # With a hook attached it is run one step at a time.
@@ -237,7 +266,7 @@ class SequentialEngine(Executor):
                 step += 1
                 boundary(stop, {"processed": processed, "step": step})
         if metrics is not None:
-            self._sample_metrics(metrics, end, processed)
+            self._sample_metrics(metrics, end, processed, in_flight)
         if spans is not None and processed > span_base:
             spans.record(
                 "exec", span_t0, spans.clock(), pe=0, n=processed - span_base

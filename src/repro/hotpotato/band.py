@@ -43,14 +43,21 @@ per-event ``NodeFaults`` queries.  ``tests/test_band_program.py``
 referees all of it against the table, so a bug in ``policy.py``, in
 ``handlers.py`` or here shows up there.  No
 ``Event`` is built, no heap is pushed or popped and no handler is
-dispatched per packet; events exist only where the program is entered
-and left, through ``engine.pending``.  The program is entered at the start
-of any integer step and left at any barrier: a step end is a consistent
-cut (the next step's ARRIVEs and one INJECT / HEARTBEAT per router), so
-the sequential engine leaves there to consult its hooks and re-enters at
-the next step.  An attached tracer is given each executed event's EXEC
-and COMMIT records, built from the band's sorted tuples in a pass of
-their own.
+dispatched per packet.  A fresh run enters at step 0, where the program's
+first band is INIT: the routers' ``on_init`` self-sends, each run through
+the handler table's own ``init`` with a send that writes band state (so
+the initial fill and its Bernoulli draws have one statement).  The
+program is entered at the start of any integer step and left at any
+barrier: a step end is a consistent cut (the next step's ARRIVEs and one
+INJECT / HEARTBEAT per router), so the sequential engine leaves there to
+consult its hooks and re-enters at the next step, with what is in flight
+built as events in ``engine.pending``.  At the run's end nothing reads
+them unless asked, so the program hands the engine its left-over tuples
+and ``engine.pending`` builds the events on its first read.  Each band is
+sorted descending and popped as it runs, so a tuple is freed as soon as
+it has sent its successor.  An attached tracer is given each executed
+event's EXEC and COMMIT records, built from the band's sorted tuples in
+a pass of their own.
 
 Topology, traffic and faults are data here, not cases: a flat ``live``
 mask of the links that exist (all of them on a torus) guards the
@@ -66,7 +73,9 @@ configuration the handler table runs, so
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from functools import partial
+from itertools import islice
+from operator import attrgetter
 
 from repro.core.event import Event
 from repro.errors import ModelError
@@ -76,6 +85,8 @@ from repro.hotpotato.router import (
     FIXED_JITTER,
     HEARTBEAT,
     HEARTBEAT_OFFSET,
+    INIT,
+    INIT_TS,
     INJECT,
     INJECT_OFFSET,
     P_STEP,
@@ -89,12 +100,12 @@ from repro.vt.time import EventKey
 
 __all__ = ["BAND_START", "run_bands"]
 
-#: Where a fresh run hands over from the per-event loop: the first
-#: integer step boundary, the first of the program's entry points.
-#: Everything below it (INIT at 0.1, the step-0 INJECT and HEARTBEAT) has
-#: run as ordinary events, so the initial fill and its Bernoulli draws
-#: have exactly one rendering.
-BAND_START = 1.0
+#: Where a fresh run hands over from the per-event loop: the start of
+#: the run, so the program runs every event.  Its first band is step 0's
+#: INIT, run through the handler table's ``init`` (see
+#: :func:`_init_band`), so the initial fill and its Bernoulli draws have
+#: exactly one rendering.
+BAND_START = 0.0
 
 #: ``EventKey(ts, origin, seq)`` without the named-tuple constructor.
 _tuple_new = tuple.__new__
@@ -112,14 +123,18 @@ def run_bands(engine, processed: int, step: int, end: float):
     of events in flight — so the engine can pace its metric samples and
     ``exec`` spans; the engine must exhaust it.  On entry ``engine.pending``
     holds exactly what the per-event loop leaves at ``step``: the ARRIVEs
-    of that step and one INJECT / HEARTBEAT per router that has one.
+    of that step and one INJECT / HEARTBEAT per router that has one — or,
+    at step 0 of a fresh run, the routers' INIT self-sends.
     ``links`` and ``head_gen`` are the population's own lists, updated in
-    place.  On exit at ``end`` (at most ``engine.end_time``) — inside a
-    band, between two or at a step end — the routers' ``send_seq`` / RNG
-    state and count are written back, ``engine.sends`` is advanced, and
-    the events not yet due are pushed back into ``engine.pending``, so the
-    engine is in the state the per-event loop would have left (``lp._now``
-    apart, which only has meaning inside a handler).  With
+    place.  On exit at ``end`` (at most ``engine.end_time``) — before
+    INIT, inside a band, between two or at a step end — the routers'
+    ``send_seq`` / RNG state and count are written back, ``engine.sends``
+    is advanced, and the events not yet due are pushed back into
+    ``engine.pending``, so the engine is in the state the per-event loop
+    would have left (``lp._now`` apart, which only has meaning inside a
+    handler).  At ``engine.end_time`` they are handed over unbuilt
+    (``engine.defer_pending``): nothing runs after the run's end, and
+    ``engine.pending`` builds them if it is ever read.  With
     ``engine.tracer`` set, every executed event is recorded as the
     per-event loop records it: EXEC then COMMIT, in key order.
     """
@@ -135,6 +150,7 @@ def run_bands(engine, processed: int, step: int, end: float):
     arrivals: list[tuple] = []
     inj_seq = [0] * n_lps  # seq of each router's pending INJECT self-send
     hb_seq = [0] * n_lps  # ... and of its pending HEARTBEAT
+    inits: list[Event] = []
     for ev in pending.drain():
         key = ev.key
         kind = ev.kind
@@ -145,10 +161,21 @@ def run_bands(engine, processed: int, step: int, end: float):
             inj_seq[ev.dst] = key[2]
         elif kind == HEARTBEAT and data == step:
             hb_seq[ev.dst] = key[2]
+        elif kind == INIT and step == 0:
+            inits.append(ev)
         else:
             raise ModelError(
                 f"band program entered at step {step} with a pending {ev!r}"
             )
+    sends = 0
+    if inits:
+        # The INIT band, before the RNG and send_seq lists are gathered:
+        # it draws and sends through the routers themselves.
+        if not INIT_TS < end:
+            pending.extend(inits)  # nothing is due: leave as entered
+            return
+        processed += len(inits)
+        sends = _init_band(engine, inits, arrivals, inj_seq, hb_seq)
     injectors = [lp.id for lp in lps if lp.is_injector]
     heartbeat = cfg.heartbeat
     # The population's own state lists (every router shares them).
@@ -198,21 +225,13 @@ def run_bands(engine, processed: int, step: int, end: float):
     n_others = topo.num_nodes - 1
     # ROUTE offset per priority: ROUTE_PRIO_STRIDE * Priority.route_rank.
     stride = [ROUTE_PRIO_STRIDE * (3 - p) for p in range(4)]
-    sends = 0
     routes: list[tuple] = []
     inj_step = hb_step = step  # step of the pending INJECTs / HEARTBEATs
     n_ticks = len(injectors) + (n_lps if heartbeat else 0)
 
-    def due(band: list[tuple], edge: float):
-        """Sort ``band`` (all its events lie below ``edge``) and split it at
-        the barrier: ``(events to run now, the rest, barrier inside?)``."""
-        band.sort()
-        if end < edge:
-            cut = bisect_left(band, (end,))
-            return band[:cut], band[cut:], True
-        return band, [], False
-
     # --- one step per iteration; every event of `step` has ts > step ----
+    # (step 0's ARRIVE and ROUTE bands are empty: INIT's packets arrive at
+    # step 1, and `_due` counts only what lies below the band's edge).
     while end > step:
         step1 = step + 1
         if views:
@@ -229,21 +248,18 @@ def run_bands(engine, processed: int, step: int, end: float):
         # nobody is home to absorb it), absorb at the destination, else
         # queue a ROUTE.
         route_base = step + ROUTE_BASE
-        run, arrivals, last = due(arrivals, route_base)
+        last = end < route_base
+        n = _due(arrivals, end if last else route_base)
         if tracer is not None:
-            _trace(tracer, _events(run, ARRIVE))
-        processed += len(run)
-        if crashed:
-            kept = []
-            for t in run:
-                if t[3] in crashed:
-                    stats[t[3]].fault_dropped_crash += 1
-                else:
-                    kept.append(t)
-            run = kept
+            _trace(tracer, _events(arrivals, n, ARRIVE))
+        processed += n
+        pop = arrivals.pop
         routes_append = routes.append
-        for t in run:
-            _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = t
+        for _ in range(n):
+            _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = pop()
+            if crashed and dst in crashed:
+                stats[dst].fault_dropped_crash += 1
+                continue
             if dest == dst and (priority != 0 or absorb_sleeping):
                 st = stats[dst]
                 dt = step - inject_step
@@ -274,17 +290,19 @@ def run_bands(engine, processed: int, step: int, end: float):
 
         # ROUTE band: the routing rule, claim the link, forward the packet
         # to arrive next step.
-        run, routes, last = due(routes, step + INJECT_OFFSET)
+        last = end < step + INJECT_OFFSET
+        n = _due(routes, end if last else step + INJECT_OFFSET)
         if tracer is not None:
-            _trace(tracer, _events(run, ROUTE))
-        processed += len(run)
+            _trace(tracer, _events(routes, n, ROUTE))
+        processed += n
         sent = len(arrivals)
+        pop = routes.pop
         arrivals_append = arrivals.append
         if policy_route is None:
             # The Busch rule (BuschHotPotatoPolicy.route inlined, upgrade
             # draws as in ReversibleStream.bernoulli).
-            for t in run:
-                _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = t
+            for _ in range(n):
+                _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = pop()
                 base = dst * 4
                 info = table[lin[dest] - lin[dst]]
                 st = stats[dst]
@@ -353,8 +371,8 @@ def run_bands(engine, processed: int, step: int, end: float):
             # Any other policy: the handler table's call, with its free
             # mask and its statistics, on the router's stream synced to
             # and from the loop's RNG lists.
-            for t in run:
-                _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = t
+            for _ in range(n):
+                _, _, _, dst, _, dest, priority, inject_step, jitter, distance, src = pop()
                 base = dst * 4
                 free = (
                     live[base] and links[base] != step,
@@ -539,22 +557,93 @@ def run_bands(engine, processed: int, step: int, end: float):
     for i, lp in enumerate(lps):
         lp.send_seq = send_seq[i]
         lp.rng.restore((rng_state[i], rng_count[i]))
+    left = partial(
+        _left_over, arrivals, routes, injectors, inj_step, inj_seq,
+        hb_step if heartbeat else None, hb_seq,
+    )
+    if end < engine.end_time:
+        pending.extend(left())
+    else:
+        engine.defer_pending(left)
+
+
+def _init_band(engine, inits: list[Event], arrivals: list, inj_seq, hb_seq) -> int:
+    """Run step 0's INIT events, freeing each as it runs; return the sends.
+
+    Each runs through the handler table's own ``init``, the per-event
+    loop's statement of the initial fill, with a send that writes the
+    program's band state instead of building an event: an ARRIVE becomes
+    its packet tuple in ``arrivals``, an INJECT or HEARTBEAT self-send the
+    router's entry in ``inj_seq`` / ``hb_seq``.  ``send_seq`` advances as
+    :meth:`LogicalProcess.send <repro.core.lp.LogicalProcess._kernel_send>`
+    advances it, and the draws are made on each router's own stream.
+    """
+    lps = engine.lps
+    tracer = engine.tracer
+    src = 0  # the router whose INIT is running
+    sends = 0
+
+    def send(ts, dst, kind, data=None):
+        nonlocal sends
+        lp = lps[src]
+        seq = lp.send_seq
+        lp.send_seq = seq + 1
+        sends += 1
+        if kind == ARRIVE:
+            arrivals.append((ts, src, seq, dst) + data)
+        elif kind == INJECT:
+            inj_seq[src] = seq
+        else:  # HEARTBEAT
+            hb_seq[src] = seq
+
+    init = engine.model.handlers(lps, [send] * len(lps))[INIT]
+    inits.sort(key=attrgetter("key"), reverse=True)
+    pop = inits.pop
+    while inits:
+        ev = pop()
+        src = ev.dst
+        init(ev, src, lps[src].rng)
+        if tracer is not None:
+            tracer.on_exec(ev)
+            tracer.on_commit(ev)
+    return sends
+
+
+def _due(band: list[tuple], limit: float) -> int:
+    """Sort ``band`` descending, so that popping runs it in key order, and
+    return how many of its tuples — the last ones — lie below ``limit``."""
+    band.sort(reverse=True)
+    lo, hi = 0, len(band)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if band[mid][0] < limit:
+            hi = mid
+        else:
+            lo = mid + 1
+    return len(band) - lo
+
+
+def _left_over(arrivals, routes, injectors, inj_step, inj_seq, hb_step, hb_seq):
+    """The events the program's band state stands for when it leaves:
+    the packets not yet run (popped, so each tuple is freed as its event
+    is built), then each router's pending INJECT and, unless ``hb_step``
+    is None, HEARTBEAT."""
     left: list[Event] = []
     push = left.append
     for kind, band in ((ARRIVE, arrivals), (ROUTE, routes)):
-        while band:  # popped, so each tuple is freed as its event is built
+        while band:
             t = band.pop()
             push(Event(_tuple_new(EventKey, t[:3]), t[3], kind, t[_KEY_FIELDS:]))
     ts = inj_step + INJECT_OFFSET
     for i in injectors:
         push(Event(_tuple_new(EventKey, (ts, i, inj_seq[i])), i, INJECT, inj_step))
-    if heartbeat:
+    if hb_step is not None:
         ts = hb_step + HEARTBEAT_OFFSET
-        for i in range(n_lps):
+        for i in range(len(hb_seq)):
             push(Event(
                 _tuple_new(EventKey, (ts, i, hb_seq[i])), i, HEARTBEAT, hb_step
             ))
-    pending.extend(left)
+    return left
 
 
 def _attribute(st, dead: set, base: int, good) -> None:
@@ -567,11 +656,12 @@ def _attribute(st, dead: set, base: int, good) -> None:
             return
 
 
-def _events(band: list[tuple], kind: str):
-    """The events a band's tuples stand for, in the band's order."""
+def _events(band: list[tuple], n: int, kind: str):
+    """The events the last ``n`` tuples of a descending band stand for,
+    in key order (the order they are popped in)."""
     return (
         Event(_tuple_new(EventKey, t[:3]), t[3], kind, t[_KEY_FIELDS:])
-        for t in band
+        for t in islice(reversed(band), n)
     )
 
 

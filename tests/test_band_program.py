@@ -2,13 +2,14 @@
 
 ``SequentialEngine.run`` hands every hot-potato run — any policy, torus
 or mesh, stock injection or an adversary script, with or without a fault
-plan — to :func:`repro.hotpotato.band.run_bands`, whatever is attached;
-the same model with its band program withheld (``per_event_reference``)
-runs every event through the handler table instead.  The two must agree on
-everything the per-event loop leaves behind: statistics, counters, the
-delivery log in order, every router's state and RNG, the events still
-pending at the barrier — wherever in a band the barrier falls — and,
-traced, every EXEC / COMMIT record in order.
+plan — to :func:`repro.hotpotato.band.run_bands` from step 0's INIT on,
+whatever is attached; the same model with its band program withheld
+(``per_event_reference``) runs every event through the handler table
+instead.  The two must agree on everything the per-event loop leaves
+behind: statistics, counters, the delivery log in order, every router's
+state and RNG, the events still pending at the barrier — wherever in a
+band the barrier falls, before INIT included — and, traced, every EXEC /
+COMMIT record in order.
 """
 
 import pytest
@@ -19,9 +20,11 @@ from repro.baselines.policies import POLICIES
 from repro.ckpt import Checkpointer, list_snapshots, read_snapshot
 from repro.core.config import EngineConfig
 from repro.core.engine import SequentialEngine
+from repro.core.event import Event, EventPool
 from repro.core.optimistic import run_optimistic
 from repro.core.trace import Tracer
 from repro.faults import generate_plan
+from repro.faults.plan import CRASH, LINK_DOWN, RECOVER, FaultEvent, FaultPlan
 from repro.health import HealthConfig, Watchdog
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
@@ -80,8 +83,8 @@ def _model_kw(
 ) -> dict:
     """The model keywords for an optional ``(strategy, rate, steps)``
     adversary (a script of ``steps`` generation steps on ``cfg``'s grid),
-    an optional policy name and an optional dict of ``generate_plan``
-    rates and seed."""
+    an optional policy name and an optional fault plan, or dict of
+    ``generate_plan`` rates and seed."""
     topo = TOPOLOGIES[cfg.topology](cfg.n)
     kw: dict = {}
     if adversary is not None:
@@ -91,7 +94,9 @@ def _model_kw(
         )
     if policy is not None:
         kw["policy"] = _policy(policy)
-    if faults is not None:
+    if isinstance(faults, FaultPlan):
+        kw["fault_plan"] = faults
+    elif faults is not None:
         kw["fault_plan"] = generate_plan(topo, duration=cfg.duration, **faults)
     return kw
 
@@ -105,22 +110,25 @@ def _assert_band_equals_per_event(
     model_kw = _model_kw(cfg, adversary, policy, faults)
     band = _observe(cfg, seed, **model_kw)
     per_event = _observe(cfg, seed, reference=True, traced=True, **model_kw)
-    assert band.pop("entries") == ([1] if cfg.duration > 1.0 else [])
+    assert band.pop("entries") == [0]
     assert per_event.pop("entries") == []
     records = per_event.pop("records")
     assert band.pop("records") == []
     for what in band:
         assert band[what] == per_event[what], what
     traced = _observe(cfg, seed, traced=True, **model_kw)
-    assert traced["entries"] == ([1] if cfg.duration > 1.0 else [])
+    assert traced["entries"] == [0]
     assert traced["records"] == records
     assert len(records) == 2 * per_event["counters"][0]
 
 
 @st.composite
 def cases(draw):
-    step = draw(st.integers(min_value=1, max_value=9))
+    step = draw(st.integers(min_value=0, max_value=9))
     end = draw(st.sampled_from(
+        # Step 0: before INIT, after it, between INJECT and HEARTBEAT,
+        # and after HEARTBEAT.
+        [0.05, 0.3, 0.92, 0.97] if step == 0 else
         [float(step), step + 0.3, step + 0.7, step + 0.92, 0.5]
     ))
     cfg = HotPotatoConfig(
@@ -165,17 +173,28 @@ def test_band_equals_per_event(case):
     _assert_band_equals_per_event(*case)
 
 
-#: The barrier inside each band and between each two, the degenerate
-#: populations, and the upgrade chances raised until every priority and
-#: every Busch rule fires within a few steps, on the torus and the mesh;
-#: an adversary whose script runs out before the run ends; a non-Busch
-#: policy, a Busch subclass and fault plans, whose rules the band program
-#: once refused.
+#: The barrier inside each band and between each two (step 0's INIT
+#: band included), the degenerate populations, and the upgrade chances
+#: raised until every priority and every Busch rule fires within a few
+#: steps, on the torus and the mesh; an adversary whose script runs out
+#: before the run ends; a non-Busch policy, a Busch subclass and fault
+#: plans, whose rules the band program once refused; and a half fill
+#: (INIT's Bernoulli draws) with a router down and a link cut at step 0.
 EVERY_PRIORITY = dict(
     n=6, duration=25.0, sleeping_upgrade_scale=0.5, active_upgrade_scale=0.2,
 )
+STEP_0_FAULTS = FaultPlan(events=(
+    FaultEvent(0, CRASH, 7),
+    FaultEvent(0, LINK_DOWN, 14, 0),
+    FaultEvent(0, LINK_DOWN, 20, 1),
+    FaultEvent(3, RECOVER, 7),
+))
 PINNED = {
-    "before-the-program-starts": dict(n=4, duration=0.5),
+    "before-init": dict(n=4, duration=0.05),
+    "after-init": dict(n=4, duration=0.5),
+    "between-step-0-inject-and-heartbeat": dict(
+        n=4, duration=0.92, heartbeat=True
+    ),
     "hand-over-only": dict(n=4, duration=1.0),
     "inside-arrive-band": dict(n=4, duration=3.3, heartbeat=True),
     "between-arrive-and-route": dict(n=4, duration=3.6),
@@ -216,6 +235,14 @@ PINNED = {
         n=6, duration=16.0, topology="mesh", policy="two-choice",
         faults=dict(link_fail_rate=0.2, router_crash_rate=0.3, seed=3),
     ),
+    "half-fill-crash-at-step-0": dict(
+        n=6, duration=6.0, initial_fill=0.5, heartbeat=True,
+        faults=STEP_0_FAULTS,
+    ),
+    "mesh-half-fill-crash-at-step-0": dict(
+        n=6, duration=6.0, initial_fill=0.5, heartbeat=True, topology="mesh",
+        faults=STEP_0_FAULTS,
+    ),
 }
 
 
@@ -236,6 +263,11 @@ def test_band_equals_per_event_pinned(name):
         theirs = _observe(cfg, 7, **_model_kw(cfg, **extra))["model_stats"]
         ours = _observe(cfg, 7)["model_stats"]
         assert dict(theirs, policy="busch") == ours
+    if name.endswith("crash-at-step-0"):
+        # A half fill, less what the crashed router and the cut links
+        # would have seeded.
+        stats = _observe(cfg, 7, **_model_kw(cfg, **extra))["model_stats"]
+        assert 0 < stats["initial_packets"] < 4 * 36 // 2
     if name.endswith("every-priority"):
         stats = _observe(cfg, 7, traced=False)["model_stats"]
         assert stats["upgrades_active"] and stats["promotions_running"]
@@ -280,18 +312,18 @@ def _snapshot_payload(tmp_path):
 #: program is then entered at: one entry per step for a boundary hook,
 #: from the snapshot's step for a resume.
 ENGINE_HOOKS = {
-    "tracer": (lambda e, tmp: e.attach_tracer(Tracer()), [1]),
+    "tracer": (lambda e, tmp: e.attach_tracer(Tracer()), [0]),
     "checkpointer": (
         lambda e, tmp: e.attach_checkpointer(
             Checkpointer(tmp / "unused", every=1 << 30)
         ),
-        list(range(1, 10)),
+        list(range(10)),
     ),
     "watchdog": (
         lambda e, tmp: e.attach_health(Watchdog(HealthConfig())),
-        list(range(1, 10)),
+        list(range(10)),
     ),
-    "paranoid": (lambda e, tmp: setattr(e, "paranoid", True), list(range(1, 10))),
+    "paranoid": (lambda e, tmp: setattr(e, "paranoid", True), list(range(10))),
     "resumed snapshot": (lambda e, tmp: e.restore(_snapshot_payload(tmp)), None),
 }
 
@@ -334,7 +366,7 @@ def test_metrics_and_spans_stay_on_the_band_program():
     assert result.run.as_dict() == plain.run.as_dict()
 
     processed = result.run.processed
-    steps = int(CFG.duration) - 1  # the program runs steps 1 .. 9
+    steps = int(CFG.duration) - 1  # steps 1 .. 9 after step 0
     execs = [s for s in spans.spans() if s.phase == "exec"]
     assert sum(s.n for s in execs) == processed
     assert all(s.n > 0 for s in execs)
@@ -344,12 +376,18 @@ def test_metrics_and_spans_stay_on_the_band_program():
     assert gvts == sorted(gvts) and gvts[-1] == CFG.duration
     # In flight at a band edge: 64 packets plus 16 INJECTs and 16 HEARTBEATs
     # at most — not the empty heap the program leaves behind while it runs.
-    assert all(0 < s.pending <= 96 for s in samples[:-1])
+    assert all(0 < s.pending <= 96 for s in samples)
+    # The last sample's count is the program's last report, and it is
+    # what the per-event loop leaves in flight, though no event was built.
+    assert engine._unbuilt is not None
+    reference = _observe(CFG, SEED, reference=True)
+    assert samples[-1].pending == len(reference["pending"])
     # Three bands a step, each far above the 16-event interval: one span
-    # and one sample per band, plus those of the per-event prefix.
-    prefix = sum(1 for s in samples if s.gvt < 1.0)
-    assert len(samples) == prefix + 3 * steps + 1
-    assert len(execs) == prefix + 3 * steps
+    # and one sample per band.  Step 0 has two bands that run anything:
+    # INIT (reported with its empty ARRIVE band) and INJECT + HEARTBEAT.
+    assert len(samples) == 2 + 3 * steps + 1
+    assert len(execs) == 2 + 3 * steps
+    assert [s.gvt for s in samples[:2]] == [0.6, 1.0]
 
 
 @pytest.fixture
@@ -376,13 +414,13 @@ def test_hooked_cli_runs_stay_on_the_band_program(tmp_path, capsys, cli_entries)
     from repro.hotpotato.__main__ import main as hotpotato
 
     base = ["--n", "16", "--duration", "20"]
-    steps = list(range(1, 20))
+    steps = list(range(20))
     assert hotpotato(base) == 0
     plain = capsys.readouterr().out
-    assert cli_entries == [1]
+    assert cli_entries == [0]
     ckpt = ["--checkpoint-dir", str(tmp_path / "ckpt")]
     runs = {
-        "trace": (["--trace-out", str(tmp_path / "t.jsonl")], [1]),
+        "trace": (["--trace-out", str(tmp_path / "t.jsonl")], [0]),
         "checkpoint": (ckpt, steps),
         "paranoid": (["--paranoid"], steps),
         "watchdog": (["--watchdog"], steps),
@@ -410,6 +448,40 @@ def test_traced_band_run_records_equal_the_reference():
     cfg = HotPotatoConfig(**PINNED["every-priority"])
     band = _observe(cfg, 7, traced=True)
     reference = _observe(cfg, 7, traced=True, reference=True)
-    assert band["entries"] == [1] and reference["entries"] == []
+    assert band["entries"] == [0] and reference["entries"] == []
     assert len(band["records"]) == 2 * band["counters"][0]
     assert band["records"] == reference["records"]
+
+
+def test_a_plain_run_builds_an_event_only_for_init(monkeypatch):
+    """A plain run constructs one ``Event`` per router — its INIT — and
+    leaves its final in-flight set unbuilt: the first read of
+    ``engine.pending`` builds exactly the events the per-event loop
+    leaves."""
+    cfg = HotPotatoConfig(n=8, duration=12.5, heartbeat=True)
+    reference = _observe(cfg, SEED, reference=True)
+    built = {"init": 0, "acquire": 0}
+    init = Event.__init__
+    acquire = EventPool.acquire
+
+    def counted_init(self, *args, **kw):
+        built["init"] += 1
+        init(self, *args, **kw)
+
+    def counted_acquire(self, *args, **kw):
+        built["acquire"] += 1
+        return acquire(self, *args, **kw)
+
+    monkeypatch.setattr(Event, "__init__", counted_init)
+    monkeypatch.setattr(EventPool, "acquire", counted_acquire)
+    engine = SequentialEngine(HotPotatoModel(cfg), cfg.duration, seed=SEED)
+    result = engine.run()
+    n_lps = cfg.n * cfg.n
+    assert built["init"] <= n_lps and built["acquire"] <= n_lps
+    assert result.run.committed == reference["counters"][1]
+    pending = sorted(
+        (tuple(ev.key), ev.dst, ev.kind, ev.data) for ev in engine.pending
+    )
+    assert pending == reference["pending"]
+    assert built["init"] == n_lps + len(pending)
+    assert len(engine.pending) == len(pending)  # built once

@@ -81,10 +81,9 @@ def test_sequential_resume_every_snapshot(tmp_path):
 
 
 def test_sequential_band_program_resume_every_snapshot(tmp_path):
-    """The band program: a snapshot at every step end and every
-    ``seq_events`` commits of the per-event prefix (8x8: 128 events before
-    step 1), each resumed on the program from the step it records, or,
-    from the prefix, at step 1 as a fresh run enters it."""
+    """The band program: a snapshot at every step end (the program runs
+    from step 0's INIT, so there is no per-event prefix to cut), each
+    resumed on the program from the step it records."""
     entries = []
     cfg = HotPotatoConfig(n=8, duration=DURATION, injector_fraction=1.0)
 
@@ -95,14 +94,13 @@ def test_sequential_band_program_resume_every_snapshot(tmp_path):
 
     n = _check_resume_from_every_snapshot(tmp_path, make_engine, {"case": "seq-band"})
     oracle, recorded, *resumed = entries
-    steps = list(range(1, int(DURATION)))
-    assert oracle == [1]
+    steps = list(range(int(DURATION)))
+    assert oracle == [0]
     assert recorded == steps  # left and re-entered at every step end
-    assert len(resumed) == n > len(steps)
+    assert len(resumed) == n == len(steps) - 1
     for got in resumed:
         assert got == steps[steps.index(got[0]):]
-    assert sorted({got[0] for got in resumed}) == steps
-    assert sum(got[0] == 1 for got in resumed) >= 2  # prefix snapshots
+    assert sorted(got[0] for got in resumed) == steps[1:]
 
 
 @pytest.mark.parametrize(
@@ -221,6 +219,50 @@ def test_format_7_snapshot_refused_with_exit_2(tmp_path, capsys, monkeypatch):
     assert main([*flags, "--resume"]) == 2
     out, err = capsys.readouterr()
     assert "payload format 7" in err
+    assert "events committed" not in out
+    assert entries == []
+
+
+def test_format_8_prefix_snapshot_refused_with_exit_2(
+    tmp_path, capsys, monkeypatch
+):
+    """A format-8 sequential snapshot taken every ``seq_events`` commits of
+    the per-event prefix (before the band program took over at step 1)
+    holds a cut inside step 0, which the program cannot enter:
+    ``--resume`` refuses it by number and exits 2 before any event runs."""
+    from repro.ckpt.snapshot import read_snapshot, write_snapshot
+    from repro.hotpotato import band
+    from repro.hotpotato.__main__ import main
+
+    # 24x24: 576 INITs and 576 step-0 INJECTs, so the first 1,024-commit
+    # boundary falls inside step 0.
+    flags = ["--n", "24", "--duration", "3",
+             "--checkpoint-dir", str(tmp_path / "ckpt")]
+    with monkeypatch.context() as patch:
+        # The hand-over at step 1, as the format-8 version ran every run.
+        patch.setattr(
+            HotPotatoModel, "band_program", lambda self: (1.0, band.run_bands)
+        )
+        assert main([*flags, "--checkpoint-every", "1"]) == 0
+    capsys.readouterr()
+    snaps = list_snapshots(tmp_path / "ckpt")
+    first = snaps[0]
+    payload = read_snapshot(first)
+    assert payload["loop"] == {"processed": 1024}
+    assert payload["pending"]
+    write_snapshot(first, {**payload, "format": 8})
+    for later in snaps[1:]:
+        later.unlink()
+
+    entries = []
+    program = band.run_bands
+    monkeypatch.setattr(
+        band, "run_bands",
+        lambda engine, *args: entries.append(args) or program(engine, *args),
+    )
+    assert main([*flags, "--resume"]) == 2
+    out, err = capsys.readouterr()
+    assert "payload format 8" in err
     assert "events committed" not in out
     assert entries == []
 

@@ -117,13 +117,24 @@ def test_sequential_per_event_loop_leaves_no_cyclic_event():
 
 
 def test_sequential_band_program_leaves_no_cyclic_event():
-    """The band program drops every pending event on entry and builds
-    new ones on exit; none of them waits for a collection."""
+    """The band program drops every pending event on entry (INITs as
+    they run) and builds new ones on exit, when they are read; none of
+    them waits for a collection."""
     model = _hotpotato()
     entries = band_spy(model)
-    left, _ = _events_left_to_the_collector(SequentialEngine(model, 20.0, seed=SEED))
-    assert entries == [1]
+    engine = SequentialEngine(model, 20.0, seed=SEED)
+    left, _ = _events_left_to_the_collector(engine)
+    assert entries == [0]
     assert left == 0
+    assert engine.pending  # built on this read, and not cyclic either
+    gc.unfreeze()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        assert not any(type(o) is Event for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_hooked_band_program_leaves_no_cyclic_event():
@@ -132,7 +143,7 @@ def test_hooked_band_program_leaves_no_cyclic_event():
     entries = band_spy(model)
     engine = SequentialEngine(model, 20.0, seed=SEED, paranoid=True)
     left, _ = _events_left_to_the_collector(engine)
-    assert entries == list(range(1, 20))
+    assert entries == list(range(20))
     assert left == 0
 
 

@@ -120,7 +120,7 @@ def test_committed_counts_are_golden(executor):
             committed[name, label] = run.committed
     assert committed == {cell: MODELS[cell[0]][1] for cell in committed}
     # Every engine ran the hot-potato cells through the handler table
-    # (the oracle's band program takes over after step 0's events).
+    # (the oracle's band program runs INIT through the table's `init`).
     for (name, label), calls in table_calls.items():
         assert (calls > 0) == (name == "hotpotato"), (name, label)
 

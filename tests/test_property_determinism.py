@@ -20,7 +20,7 @@ from repro.core.optimistic import TimeWarpKernel, run_optimistic
 from repro.core.trace import Tracer
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
-from repro.hotpotato.router import ARRIVE, INJECT, ROUTE
+from repro.hotpotato.router import ARRIVE, INIT, INJECT, ROUTE
 from repro.models.phold import PholdConfig, PholdModel
 from tests.kernel_models import plan_spy, transport_faults
 
@@ -135,9 +135,10 @@ SHARED_EXECUTORS = ("scalar", "vectorized")
 def test_shared_dispatch_tables_commit_the_oracle_sequence(shared_oracle, executor):
     stats, deliveries, sequence = shared_oracle
     # Untraced: every fused closure (send, batch, handler table) runs on
-    # Time Warp; the oracle runs its band program after step 0.
+    # Time Warp; the oracle runs its band program, whose INIT band calls
+    # the table's ``init``.
     model, kernel = _shared_tables_engine(executor)
-    calls = plan_spy(model, (ARRIVE, ROUTE, INJECT))
+    calls = plan_spy(model, (INIT, ARRIVE, ROUTE, INJECT))
     result = kernel.run()
     assert sum(calls) > 0
     if executor == "vectorized":
