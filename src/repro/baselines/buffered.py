@@ -193,11 +193,10 @@ class BufferedRouterLP(LogicalProcess):
             # Open the source's window via the ACK control plane.
             self.send(step + ACK_OFFSET, pkt["src"], B_ACK)
             return
-        event.saved.pop("deliver", None)
         self._enqueue(pkt)
 
     def _rc_arrive(self, event: Event) -> None:
-        prev_max = event.saved.pop("deliver", None)
+        prev_max = event.saved.get("deliver")
         pkt = event.data
         if prev_max is not None:
             dt = pkt["step"] - pkt["inject_step"]

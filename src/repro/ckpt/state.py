@@ -105,6 +105,10 @@ def _queue_events(queue) -> list[Event]:
 
 def _restore_queue(queue, events) -> None:
     for ev in events:
+        # A pending event holds no journal; a snapshot written before
+        # journals lived only while an event is processed pickled an
+        # empty one, which its next execution would replace anyway.
+        ev.saved = ev.sent = None
         queue.push(ev)
 
 

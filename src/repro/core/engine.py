@@ -161,7 +161,6 @@ class SequentialEngine(Executor):
                 lp.on_init()
 
         lps = self.lps
-        handler_for = self._handler_table().get
         pop_below = self._queue.pop_below
         release = self.pool.release
         end = self.end_time
@@ -225,13 +224,16 @@ class SequentialEngine(Executor):
         next_check = min(next_pace, next_boundary)  # one test per event
         # Where the per-event loop stops: the barrier, or the hand-over.
         limit = min(end, band_start)
-        while True:
-            ev = pop_below(limit)
-            if ev is None:
-                break
+        ev = pop_below(limit)
+        # The handler table only if this loop runs an event: a band
+        # program that starts at 0.0 runs every event itself.
+        handler_for = self._handler_table().get if ev is not None else None
+        while ev is not None:
             dst = ev.dst
             lp = lps[dst]
             now = lp._now = ev.key.ts
+            # A fresh journal per execution (no ``sent``: nothing rolls back).
+            ev.saved = {}
             handler = handler_for(ev.kind)
             if handler is None:
                 lp.forward(ev)
@@ -250,6 +252,7 @@ class SequentialEngine(Executor):
                     next_boundary += bstep
                     boundary(now, {"processed": processed})
                 next_check = min(next_pace, next_boundary)
+            ev = pop_below(limit)
 
         in_flight = None  # as the band program last reported it
         if limit < end:

@@ -22,6 +22,12 @@ An event carries:
 * kernel journaling used by rollback: the events it sent, the RNG draws it
   made, and the sender sequence number to restore.
 
+``saved`` and ``sent`` — the rollback journal — exist only while an event
+is processed: the engine gives each execution a fresh ``{}`` / ``[]``
+just before the handler runs, and drops both (sets them to ``None``) when
+the event commits or is undone.  A pending event, which at scale is
+nearly every event alive, carries neither.
+
 Hot-path layout: the pending queues hold *heap entries*
 ``(ts, origin, seq, serial, event)``, built where an event is pushed; the
 event itself carries only ``serial``, a process-wide monotone stamp that
@@ -29,7 +35,7 @@ breaks ties between distinct events sharing a key (a cancelled original
 and its rollback re-send) without ever comparing Event objects, and that
 a re-push of the *same* event reuses.  An event never references an entry
 that references it, so no event is part of a reference cycle: whatever
-drops the last reference to one — a heap pop, a cleared ``sent`` list —
+drops the last reference to one — a heap pop, a dropped ``sent`` list —
 frees it on the spot, which is what lets the engines pause the cyclic
 collector while they run (see ``Executor._collector_paused``).
 
@@ -60,7 +66,8 @@ class Event:
     """A scheduled (or processed) simulation event.
 
     Model code treats events as read-only inputs except for the ``saved``
-    dict.  Kernel code owns the bookkeeping fields.
+    dict, a fresh one on each execution.  Kernel code owns the bookkeeping
+    fields.
     """
 
     __slots__ = (
@@ -91,10 +98,12 @@ class Event:
         self.dst = dst
         self.kind = kind
         self.data: Any = data if data is not None else {}
-        #: Forward handlers stash reverse-computation state here.
-        self.saved: dict[str, Any] = {}
-        #: Events created while processing this one (for cancellation).
-        self.sent: list[Event] = []
+        #: Forward handlers stash reverse-computation state here; a fresh
+        #: dict per execution, ``None`` while the event is not processed.
+        self.saved: dict[str, Any] | None = None
+        #: Events created while processing this one (for cancellation);
+        #: like ``saved``, present only while the event is processed.
+        self.sent: list[Event] | None = None
         #: RNG draws the destination LP made while processing this event.
         self.rng_draws: int = 0
         #: Destination LP's send-sequence counter before processing.
@@ -180,12 +189,12 @@ class EventPool:
     ) -> Event:
         """Return a ready-to-use event (recycled when possible).
 
-        ``release`` already cleared ``saved``/``sent``/``snapshot`` and
+        ``release`` already dropped ``saved``/``sent``/``snapshot`` and
         only ever pools non-cancelled, non-pending events, so those five
-        fields are at construction state; everything
-        else is reset here, including a fresh serial, so a pooled event
-        is indistinguishable from a new one.  (The Time Warp kernel's
-        fused send inlines this branch.)
+        fields are at construction state (no journal: the engine gives
+        one to each execution); everything else is reset here, including
+        a fresh serial, so a pooled event is indistinguishable from a new
+        one.  (The Time Warp kernel's fused send inlines this branch.)
         """
         free = self._free
         if free:
@@ -211,13 +220,11 @@ class EventPool:
         is neither cancelled nor sitting in a pending queue (commit-time
         recycling satisfies both).  Payload, journal and snapshot
         references are dropped eagerly so parked events never keep model
-        data alive; :meth:`acquire` relies on exactly this reset.
+        data alive and hold no journal; :meth:`acquire` relies on exactly
+        this reset.
         """
         if len(self._free) < self.max_free:
-            event.data = None  # type: ignore[assignment]
-            event.snapshot = None
-            event.saved.clear()
-            event.sent.clear()
+            event.data = event.snapshot = event.saved = event.sent = None
             self._free.append(event)
 
     def __len__(self) -> int:

@@ -29,12 +29,13 @@ a small uniform interface every engine implements:
 
 The base class also owns the **population build**: every engine builds
 with :meth:`~repro.core.lp.Model.build`, so there is one population per
-model whatever runs it — and the **dispatch**: every engine asks the
-model once per run for its per-kind handler table over the built LPs
-(:meth:`Executor._handler_table`, :meth:`~repro.core.lp.Model.handlers`)
-and runs each event through its kind's handler, or ``lp.forward`` for a
-kind the table does not list.  The sequential engine also runs a
-model's band program past its start, when the model offers one.
+model whatever runs it — and the **dispatch**: every engine that runs
+an event asks the model once per run for its per-kind handler table
+over the built LPs (:meth:`Executor._handler_table`,
+:meth:`~repro.core.lp.Model.handlers`) and runs each event through its
+kind's handler, or ``lp.forward`` for a kind the table does not list.
+The sequential engine also runs a model's band program past its start,
+when the model offers one.
 """
 
 from __future__ import annotations
@@ -107,8 +108,10 @@ class Executor:
     def _handler_table(self) -> dict:
         """The model's handler table over this engine's LPs and the sends
         they hold now (:meth:`~repro.core.lp.Model.handlers`); ``{}`` when
-        it offers none.  Built at the top of ``run``, after a checkpoint
-        restore and after anything that rebinds a send."""
+        it offers none.  Built once per ``run``, after a checkpoint restore
+        and after anything that rebinds a send: Time Warp at the top, the
+        sequential engine at its per-event loop's first event (a band
+        program that runs every event needs none)."""
         return self.model.handlers(self.lps, [lp.send for lp in self.lps]) or {}
 
     @staticmethod

@@ -117,7 +117,7 @@ class KernelProcess:
             # Recycle committed events.  Safe because a child's timestamp
             # strictly exceeds its parent's: any parent whose ``sent`` list
             # still references one of these events is itself below GVT and
-            # commits (clearing that list) in this same pass; cancelled
+            # commits (dropping that list) in this same pass; cancelled
             # events are never released.  The tracer copies fields on
             # commit, so recycling composes with tracing too.
             # ``EventPool.release`` is inlined: this loop runs once per
@@ -134,10 +134,7 @@ class KernelProcess:
                 for ev in processed[:lo]:
                     if room > 0:
                         room -= 1
-                        ev.data = None
-                        ev.snapshot = None
-                        ev.saved.clear()
-                        ev.sent.clear()
+                        ev.data = ev.snapshot = ev.saved = ev.sent = None
                         append(ev)
             else:
                 for ev in processed[:lo]:
@@ -145,10 +142,7 @@ class KernelProcess:
                     if cb is not None:
                         cb(ev)
                     if len(free) < max_free:
-                        ev.data = None
-                        ev.snapshot = None
-                        ev.saved.clear()
-                        ev.sent.clear()
+                        ev.data = ev.snapshot = ev.saved = ev.sent = None
                         free.append(ev)
         del processed[:lo]
         return lo

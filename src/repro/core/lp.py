@@ -14,7 +14,7 @@ A model subclasses :class:`LogicalProcess` and implements:
     The event handler — the analog of ``Router_EventHandler`` switching on
     the event kind.  It mutates ``self.state``, may call :meth:`send`, may
     draw from ``self.rng``, and stashes whatever its reverse needs in
-    ``event.saved``.  A model may instead hand the engines a per-kind
+    ``event.saved`` (a fresh dict on each execution).  A model may instead hand the engines a per-kind
     handler table (:meth:`Model.handlers`); its LPs then need no
     ``forward`` for the kinds the table lists.
 ``reverse(event)``

@@ -154,11 +154,11 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp, handler
     """Build the per-PE batch loop: the one place Time Warp executes events.
 
     Pop the next live pending event below the optimism limit, journal it
-    (send list, send sequence, the copy strategy's snapshot), note the
-    RNG count, run it, then record what it drew, append it to its KP's
-    processed list and charge the PE — in-process and in every
-    process-mode worker, traced or not, under either rollback strategy
-    and over any transport.  "Run it" is the model's handler for the
+    (a fresh ``saved`` dict and send list, the send sequence, the copy
+    strategy's snapshot), note the RNG count, run it, then record what
+    it drew, append it to its KP's processed list and charge the PE —
+    in-process and in every process-mode worker, traced or not, under
+    either rollback strategy and over any transport.  "Run it" is the model's handler for the
     event's kind from ``handlers`` (:meth:`Model.handlers`), or
     ``lp.forward`` for a kind it has none for; either way the handler
     only does what the model does, and this loop does the bookkeeping
@@ -211,7 +211,9 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp, handler
                 # --- execute --------------------------------------------
                 dst = ev.dst
                 lp = lps[dst]
-                ev.sent.clear()
+                # A fresh journal per execution; a pending event has none.
+                ev.saved = {}
+                ev.sent = []
                 ev.prev_send_seq = lp.send_seq
                 if snapshot_before is not None:
                     ev.snapshot = None
@@ -440,13 +442,14 @@ class TimeWarpKernel(Executor):
         The messages it sent are cancelled now — aggressive cancellation;
         processed ones are deferred to the cancel worklist to avoid
         unbounded recursion through cascades.  The rollback strategy then
-        restores LP state and the event is requeued.
+        restores LP state, the journal is dropped (the reverse handler has
+        read it) and the event is requeued, pending like any other.
         """
         lp = self.lps[ev.dst]
         for child in reversed(ev.sent):
             self._cancel(child)
-        ev.sent.clear()
         self.strategy.undo(lp, ev)
+        ev.saved = ev.sent = None
         ev.processed = False
         self._pe_by_lp[ev.dst].pending.push(ev)
         if self.tracer is not None:

@@ -602,6 +602,7 @@ def _init_band(engine, inits: list[Event], arrivals: list, inj_seq, hb_seq) -> i
     while inits:
         ev = pop()
         src = ev.dst
+        ev.saved = {}  # the journal its execution writes
         init(ev, src, lps[src].rng)
         if tracer is not None:
             tracer.on_exec(ev)

@@ -20,8 +20,9 @@ per-event path runs.  The stock application's destination draw is
 inlined (same LCG steps as :class:`~repro.rng.streams.ReversibleStream`).
 Each handler records what it changed in ``event.saved``, so
 ``RouterLP.reverse`` undoes it and a copy snapshot restores it.  The
-journal, RNG count, processed list and cost charges are the engine's,
-done once per event.
+engine gives every execution a fresh ``saved`` dict, so no handler
+clears a key an earlier execution left.  The journal, RNG count,
+processed list and cost charges are the engine's, done once per event.
 """
 
 from __future__ import annotations
@@ -156,7 +157,6 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
             ROUTE,
             data,
         )
-        ev.saved.pop("absorb", None)
 
     def route(ev, dst, rng):
         # Claim an output link per the policy; forward the packet.
@@ -180,7 +180,6 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
                 st.fault_dropped_no_link += 1
                 saved["fdrop"] = True
                 return
-            saved.pop("fdrop", None)
         if not (f0 or f1 or f2 or f3):
             # More packets than output links.  In a committed timeline
             # this is impossible (the bufferless invariant).  Speculatively
@@ -203,7 +202,6 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
                 (step + 1,) + data[1:],
             )
             return
-        saved.pop("overflow", None)
         priority = data[2]
         dest = data[1]
         free = (f0, f1, f2, f3)

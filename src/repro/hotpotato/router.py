@@ -215,10 +215,10 @@ class RouterLP(LogicalProcess):
         self.stats.initial_packets -= len(seeded)
 
     def _rc_arrive(self, event: Event) -> None:
-        if self.faults is not None and event.saved.pop("fdrop", None):
+        if self.faults is not None and event.saved.get("fdrop"):
             self.stats.fault_dropped_crash -= 1
             return
-        prev_max = event.saved.pop("absorb", None)
+        prev_max = event.saved.get("absorb")
         if prev_max is None:
             return  # only sent a ROUTE event; the kernel cancels it
         step, _, priority, inject_step, _, distance, _ = event.data
@@ -232,17 +232,17 @@ class RouterLP(LogicalProcess):
     def _rc_route(self, event: Event) -> None:
         st = self.stats
         if self.faults is not None:
-            if event.saved.pop("fdrop", None):
+            if event.saved.get("fdrop"):
                 st.fault_dropped_no_link -= 1
                 return
-            if event.saved.pop("fdefl", None):
+            if event.saved.get("fdefl"):
                 st.fault_deflections -= 1
         d, prev_claim, deflected, upgraded, demoted, off_turn, priority = event.saved[
             "route"
         ]
         self.links[self.base + d] = prev_claim
         st.routes -= 1
-        if event.saved.pop("overflow", None):
+        if event.saved.get("overflow"):
             st.overflow_routes -= 1
             return
         if deflected:

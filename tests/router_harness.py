@@ -55,6 +55,7 @@ def state_of(lp):
 def execute(lp, kind, data, ts=1.0):
     """Kernel-style execution through the table, with RNG journaling."""
     ev = Event(EventKey(ts, lp.id, 999), lp.id, kind, data)
+    ev.saved = {}  # the fresh journal every execution gets
     ev.prev_send_seq = lp.send_seq
     before = lp.rng.count
     lp._now = ts

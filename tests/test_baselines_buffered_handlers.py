@@ -45,6 +45,7 @@ def state_of(lp):
 
 def execute(lp, kind, data, ts):
     ev = Event(EventKey(ts, lp.id, 77), lp.id, kind, data)
+    ev.saved = {}  # the fresh journal every execution gets
     ev.prev_send_seq = lp.send_seq
     before = lp.rng.count
     lp._now = ts

@@ -11,6 +11,7 @@ order shows up).
 """
 
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +309,44 @@ def test_optimistic_resume_every_snapshot(tmp_path, overrides):
         {"case": "opt", "held": held, **{k: str(v) for k, v in overrides.items()}},
     )
     assert n > 3
+
+
+#: The last snapshot of a rollback-heavy 4×4 run (``batch_size=2048``),
+#: written when every event carried a ``saved`` dict and a ``sent`` list
+#: from construction on: its pending events hold empty journals, and the
+#: undone ones the keys their last execution left.  Payload format 9, as
+#: now; the engine gives every execution a fresh journal, so those are
+#: dropped on restore and the run commits what the uninterrupted one does.
+PENDING_JOURNALS = Path(__file__).parent / "data" / "optimistic_pending_journals.rpsnap"
+
+
+def test_snapshot_with_pending_journals_resumes_identically(tmp_path):
+    from repro.ckpt.snapshot import read_snapshot
+    from repro.ckpt.state import PAYLOAD_FORMAT
+
+    payload = read_snapshot(PENDING_JOURNALS)
+    assert payload["format"] == PAYLOAD_FORMAT == 9
+    pending = [ev for events in payload["pending"] for ev in events]
+    assert all(ev.sent == [] for ev in pending)
+    assert any(ev.saved for ev in pending)  # stale keys of undone executions
+    ecfg = EngineConfig(
+        end_time=DURATION, n_pes=4, n_kps=16, batch_size=2048, seed=SEED
+    )
+
+    def make_engine():
+        return TimeWarpKernel(HotPotatoModel(_cfg()), ecfg)
+
+    oracle = make_engine().run()
+    snap_dir = tmp_path / "snaps"
+    snap_dir.mkdir()
+    shutil.copy(PENDING_JOURNALS, snap_dir / "ckpt_000005.rpsnap")
+    ck = Checkpointer(snap_dir, every=1 << 30, marker={"case": "journals"})
+    ck.load_latest()
+    kernel = make_engine().attach_checkpointer(ck)
+    restored = [ev for pe in kernel.pes for ev in pe.pending]
+    assert len(restored) == len(pending)
+    assert all(ev.saved is None and ev.sent is None for ev in restored)
+    assert kernel.run().model_stats == oracle.model_stats
 
 
 @pytest.mark.parametrize(

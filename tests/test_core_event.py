@@ -30,7 +30,7 @@ def test_initial_flags():
     assert not ev.processed
     assert not ev.cancelled
     assert not ev.in_pending
-    assert ev.sent == []
+    assert ev.saved is None and ev.sent is None  # no journal until it runs
     assert ev.rng_draws == 0
     assert ev.snapshot is None
 

@@ -7,7 +7,8 @@ collector to find, on any engine or rollback path; ``run`` hands the
 collector back in the state it found it, however it exits; what a run
 leaves alive is frozen out of every later pass until the next run's way in
 frees the dead; and a snapshot of a rollback-heavy run pickles and resumes
-without a heap entry.
+without a heap entry.  A fifth: an event holds its rollback journal
+(``saved``, ``sent``) only from its execution to its commit or undo.
 """
 
 import gc
@@ -376,7 +377,7 @@ def test_event_pickles_without_its_heap_entry():
     queue = PendingQueue()
     parent = Event(EventKey(1.0, 0, 0), 1, "k")
     child = Event(EventKey(2.0, 1, 0), 2, "k")
-    parent.sent.append(child)
+    parent.saved, parent.sent = {}, [child]  # its journal, as execution left it
     queue.push(child)
     child.cancelled = True
     queue.note_cancelled()
@@ -396,3 +397,65 @@ def test_rollback_heavy_run_resumes_identically_from_every_snapshot(tmp_path):
         tmp_path, lambda: _time_warp("torus"), {"case": "rollback-heavy"}
     )
     assert n > 3
+
+
+# ----------------------------------------------------------------------
+# (e) A journal only while an event is processed.
+# ----------------------------------------------------------------------
+def _journal_probe(monkeypatch):
+    """After every round of every Time Warp kernel, process-mode workers
+    included, check that no event in a pending heap (dead entries too)
+    or on the pool's free list holds ``saved`` or ``sent``, and that every
+    processed, uncommitted event holds both.  Returns ``[rounds checked,
+    events that broke it]`` in shared memory, which forked workers add to.
+    """
+    from multiprocessing.sharedctypes import RawArray
+
+    counts = RawArray("q", 2)
+
+    def check(kernel):
+        bad = 0
+        idle = [entry[4] for pe in kernel.owned_pes for entry in pe.pending._heap]
+        for ev in idle + kernel.pool._free:
+            bad += ev.saved is not None or ev.sent is not None
+        for kp in kernel.kps:
+            for ev in kp.processed:
+                bad += type(ev.saved) is not dict or type(ev.sent) is not list
+        counts[0] += 1
+        counts[1] += bad
+
+    # A worker's ``_gvt_point`` is its own, so each class is wrapped once.
+    for cls in (TimeWarpKernel, MPWorkerKernel):
+        def checked(self, rounds, any_work, point=cls._gvt_point):
+            check(self)
+            return point(self, rounds, any_work)
+
+        monkeypatch.setattr(cls, "_gvt_point", checked)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"rollback": "copy"}],
+    ids=["reverse", "copy"],
+)
+def test_only_a_processed_event_holds_a_journal(monkeypatch, overrides):
+    counts = _journal_probe(monkeypatch)
+    kernel = _time_warp("torus", **overrides)
+    assert kernel.run().run.events_rolled_back > 0
+    assert counts[0] > 0 and counts[1] == 0
+    # The end commits everything: the pool holds it all, bare.
+    assert not any(kp.processed for kp in kernel.kps)
+    assert kernel.pool._free
+    assert all(ev.saved is None and ev.sent is None for ev in kernel.pool._free)
+
+
+def test_only_a_processed_event_holds_a_journal_in_process_mode(monkeypatch):
+    counts = _journal_probe(monkeypatch)
+    make, end, _ = MODELS["torus"]
+    config = EngineConfig(
+        end_time=end, n_pes=4, n_kps=16, batch_size=2048, seed=SEED, procs=2
+    )
+    run = run_optimistic(make(), config).run
+    assert run.procs == 2 and run.events_rolled_back > 0
+    assert counts[0] > 0 and counts[1] == 0

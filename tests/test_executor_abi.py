@@ -403,3 +403,29 @@ def test_every_engine_serves_every_router_kind_from_the_table(engine):
         run = ConservativeKernel(model, ccfg).run()
     assert run.run.committed > 0
     assert all(count > 0 for count in calls), dict(zip(kinds, calls))
+
+
+def test_sequential_engine_builds_the_table_only_for_its_per_event_loop(
+    monkeypatch,
+):
+    """The sequential engine asks for the handler table at its per-event
+    loop's first event: never on a hot-potato run (the band program runs
+    every event, INIT through the table's own ``init``), once on a model
+    without a band program, and once when the program is withheld — whose
+    results are the band program's."""
+    from repro.core.executor import Executor
+    from repro.models.phold import PholdConfig, PholdModel
+
+    calls = []
+    table = Executor._handler_table
+    monkeypatch.setattr(
+        Executor, "_handler_table", lambda self: calls.append(self) or table(self)
+    )
+    banded = SequentialEngine(_model(False), DURATION, seed=7).run()
+    assert calls == []
+    phold = SequentialEngine(PholdModel(PholdConfig(n_lps=16, jobs_per_lp=2)), 10.0)
+    assert phold.run().run.committed > 0
+    assert calls == [phold]
+    per_event = SequentialEngine(per_event_reference(_model(False)), DURATION, seed=7)
+    assert per_event.run().model_stats == banded.model_stats
+    assert calls == [phold, per_event]
