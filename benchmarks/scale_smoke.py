@@ -55,9 +55,11 @@ alive at the band program's entry and its exit rebuilt every packet in
 flight as an event with a heap entry.  And (i), from the same children:
 check (a)'s Time Warp child peaks at most ``OPTIMISTIC_KB_PER_ROUTER``
 above the bare interpreter per router.  Nearly every event it holds is
-pending, and a pending event carries no rollback journal (docs/KERNEL.md,
-"Objects"): 5.37 KB a router measured at 128×128, 6.26 KB when each one
-held an empty ``saved`` dict and ``sent`` list.
+pending, a pending event carries no rollback journal (docs/KERNEL.md,
+"Objects"), and the kernel compiles one send, not one per router: 4.70
+KB a router measured at 128×128, 5.32 KB when every router held its own
+compiled send, and 6.26 KB when each pending event also held an empty
+``saved`` dict and ``sent`` list.
 """
 
 from __future__ import annotations
@@ -117,9 +119,10 @@ STARTUP_MB = 5.5
 ORACLE_KB_PER_ROUTER = 4.0
 
 #: Most check (i)'s Time Warp run may peak above a bare interpreter, in KB
-#: per router: 5.37 measured at 128×128, 6.26 when every pending event
-#: carried an empty rollback journal.
-OPTIMISTIC_KB_PER_ROUTER = 5.8
+#: per router: 4.70 measured at 128×128, 5.32 with a compiled send per
+#: router, 6.26 when every pending event also carried an empty rollback
+#: journal.
+OPTIMISTIC_KB_PER_ROUTER = 5.0
 
 #: Most check (f)'s two counts may differ: a frozen run leaves ~0 at any
 #: size, an unfrozen one 15,714 at 8×8 and 124,577 at 64×64.

@@ -234,6 +234,7 @@ class SequentialEngine(Executor):
             now = lp._now = ev.key.ts
             # A fresh journal per execution (no ``sent``: nothing rolls back).
             ev.saved = {}
+            self._current_event = ev
             handler = handler_for(ev.kind)
             if handler is None:
                 lp.forward(ev)
@@ -253,6 +254,7 @@ class SequentialEngine(Executor):
                     boundary(now, {"processed": processed})
                 next_check = min(next_pace, next_boundary)
             ev = pop_below(limit)
+        self._current_event = None
 
         in_flight = None  # as the band program last reported it
         if limit < end:

@@ -67,6 +67,10 @@ class Executor:
     #: Liveness watchdog (:class:`repro.health.Watchdog`), or None.
     health = None
 
+    #: The event whose handler is running (its ``dst`` is the LP that
+    #: sends), or None between events.
+    _current_event = None
+
     model: Model
     lps: list[LogicalProcess]
     pool: EventPool
@@ -105,14 +109,27 @@ class Executor:
         """Kernel side of ``LogicalProcess.send`` (engine-specific)."""
         raise NotImplementedError
 
-    def _handler_table(self) -> dict:
-        """The model's handler table over this engine's LPs and the sends
-        they hold now (:meth:`~repro.core.lp.Model.handlers`); ``{}`` when
-        it offers none.  Built once per ``run``, after a checkpoint restore
-        and after anything that rebinds a send: Time Warp at the top, the
-        sequential engine at its per-event loop's first event (a band
-        program that runs every event needs none)."""
-        return self.model.handlers(self.lps, [lp.send for lp in self.lps]) or {}
+    def _handler_table(self, send=None) -> dict:
+        """The model's handler table over this engine's LPs and ``send``
+        (:meth:`~repro.core.lp.Model.handlers`; by default
+        :meth:`_executing_send`); ``{}`` when it offers none.  Built once
+        per ``run``, after a checkpoint restore and after the LPs' sends
+        are bound: Time Warp at the top, the sequential engine at its
+        per-event loop's first event (a band program that runs every
+        event needs none)."""
+        if send is None:
+            send = self._executing_send()
+        return self.model.handlers(self.lps, send) or {}
+
+    def _executing_send(self):
+        """The send for a handler table where nothing is fused: the
+        executing LP's own ``send``, the LP named by ``_current_event``."""
+        lps = self.lps
+
+        def send(ts, dst, kind, data=None):
+            return lps[self._current_event.dst].send(ts, dst, kind, data)
+
+        return send
 
     @staticmethod
     @contextmanager

@@ -89,8 +89,8 @@ class LogicalProcess:
         #: Kernel process this LP belongs to (optimistic engine only).
         self.kp: Any = None
         #: The send entry point model code calls (``self.send(...)``).  It
-        #: is instance data, not a method, so an engine can swap in a fused
-        #: fast path per LP; the default is the generic kernel-agnostic
+        #: is instance data, not a method, so an engine can swap in its
+        #: fused fast path; the default is the generic kernel-agnostic
         #: implementation below.
         self.send: Any = self._kernel_send
         # Kernel wiring (set by bind): emit callback and current-time getter.
@@ -127,8 +127,11 @@ class LogicalProcess:
 
         This is the default implementation behind ``self.send``.  Engines
         may replace ``lp.send`` with a fused equivalent (the Time Warp
-        kernel compiles one per LP); any replacement must preserve this
-        exact observable behaviour, including the error below.
+        kernel compiles one per kernel, which every LP it steps holds and
+        which takes its source from the executing event, so a model sends
+        only from the LP whose event is running); any replacement must
+        preserve this exact observable behaviour, including the error
+        below.
 
         During event processing ``ts`` must be strictly greater than
         :attr:`now`; zero-delay sends would break the total event order
@@ -227,20 +230,24 @@ class Model:
         """Create and return the LP population (ids must be 0..n-1)."""
         raise NotImplementedError
 
-    def handlers(self, lps: list[LogicalProcess], send_by_lp: list):
+    def handlers(self, lps: list[LogicalProcess], send):
         """Optional per-kind handler table over the population ``lps``.
 
         ``lps`` is what :meth:`build` returned to the asking engine and
-        ``send_by_lp[i]`` is ``lps[i].send`` as that engine bound it.  A
-        model may return ``{kind: handler(ev, dst, rng)}``: ``handler``
-        executes an event of that kind at LP ``dst`` (``rng`` is
-        ``lps[dst].rng``), sending through ``send_by_lp[dst]``, with the
-        run-constant state it reads hoisted into closure cells (see
-        :mod:`repro.hotpotato.handlers`).  Every engine asks once per
-        run and dispatches each event to its kind's handler, or to
-        ``lp.forward`` for a kind the table does not list; the per-event
-        bookkeeping (journal, RNG count, charges, tracer) is the
-        engine's.  ``None``, the default, leaves every kind to
+        ``send(ts, dst, kind, data=None)`` is that engine's one send for
+        the run: its source is the LP whose event is running, so a
+        handler sends only on behalf of the ``dst`` it was called with
+        (Time Warp passes its fused send, which every LP it steps holds;
+        an engine that fuses nothing passes one that calls the executing
+        LP's ``send``).  A model may return
+        ``{kind: handler(ev, dst, rng)}``: ``handler`` executes an event of
+        that kind at LP ``dst`` (``rng`` is ``lps[dst].rng``), sending
+        through ``send``, with the run-constant state it reads hoisted
+        into closure cells (see :mod:`repro.hotpotato.handlers`).  Every
+        engine asks once per run and dispatches each event to its kind's
+        handler, or to ``lp.forward`` for a kind the table does not list;
+        the per-event bookkeeping (journal, RNG count, charges, tracer) is
+        the engine's.  ``None``, the default, leaves every kind to
         ``lp.forward``.
         """
         return None

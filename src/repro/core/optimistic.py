@@ -46,37 +46,48 @@ __all__ = ["TimeWarpKernel", "run_optimistic"]
 _tuple_new = tuple.__new__
 
 
+class _Bootstrap:
+    """The executing event a send reads while ``on_init`` runs: the LP
+    whose bootstrap it is (``dst``, the send's source) and a journal that
+    nothing rolls back (``sent``, emptied per LP)."""
+
+    __slots__ = ("dst", "sent")
+
+
 def _compile_send(
     kernel: "TimeWarpKernel",
     pending_by_lp,
     processed_by_lp,
     far_by_lp,
 ):
-    """Build the fused send fast path; returns ``bind(lp) -> send``.
+    """Build the fused send fast path: the kernel's one ``send``.
 
     This is ``LogicalProcess._kernel_send`` + ``EventPool.acquire`` +
     ``TimeWarpKernel._emit`` collapsed into one closure: one frame per
     send instead of three, with every piece of kernel state that is
-    constant for the run (and for this source LP) captured as a cell
-    variable instead of re-read through attribute chains.  Only compiled
-    where delivery can be inlined too: the immediate transport, and a
-    process-mode worker's ring transport, whose ``far_by_lp`` table (LP id
-    -> "stepped by another worker"; ``None`` in-process) sends a far
-    destination to ``transport.deliver`` — ring encode, uid stamp — after
-    the journal entry and the charge, exactly where ``_emit`` hands over.
+    constant for the run captured as a cell variable instead of re-read
+    through attribute chains.  Only compiled where delivery can be
+    inlined too: the immediate transport, and a process-mode worker's
+    ring transport, whose ``far_by_lp`` table (LP id -> "stepped by
+    another worker"; ``None`` in-process) sends a far destination to
+    ``transport.deliver`` — ring encode, uid stamp — after the journal
+    entry and the charge, exactly where ``_emit`` hands over.
 
-    Two scopes keep set-up linear in the LP population: everything
-    run-constant — including the per-LP dispatch tables
-    ``pending_by_lp`` / ``processed_by_lp`` that ``_install_fast_paths``
-    builds once per kernel — is captured here, once, and shared by every
-    send; ``bind`` adds only what is truly per source LP (``lp``,
-    ``lp_id``, ``src_pe``, ``src_stats``).
+    One send serves every source LP: the source is the LP whose event is
+    executing, ``kernel._current_event.dst`` — set by the batch loop
+    before it runs a handler, and by the bootstrap around each
+    ``on_init`` — and its PE and stats are read from the run-constant
+    per-LP lists.  So a model sends only from the LP whose event is
+    running.  Set-up is linear in the LP population: the per-LP tables
+    ``pending_by_lp`` / ``processed_by_lp`` are built once per kernel by
+    ``_install_fast_paths`` and nothing is compiled per LP.
 
     Correctness contract: the operation sequence is *identical* to the
     generic path — same validation, same RNG/sequence usage, same stats,
     same straggler handling — so fused and generic runs are bit-identical
     (the determinism suite compares them).
     """
+    lps = kernel.lps
     pe_of_lp = kernel.pe_of_lp
     stats_by_pe = kernel._stats_by_pe
     cost_local = kernel._cost_local
@@ -89,68 +100,64 @@ def _compile_send(
     straggler = kernel._straggler
     deliver_far = kernel.transport.deliver
 
-    def bind(lp):
-        lp_id = lp.id
-        src_pe = pe_of_lp[lp_id]
-        src_stats = stats_by_pe[src_pe]
-
-        def fast_send(ts, dst, kind, data=None):
-            if ts <= lp._now:
-                raise SchedulingError(
-                    f"LP {lp_id} tried to send {kind!r} at ts={ts} while "
-                    f"processing ts={lp._now}; sends must move strictly forward"
-                )
-            seq = lp.send_seq
-            lp.send_seq = seq + 1
-            key = _tuple_new(EventKey, (ts, lp_id, seq))
-            # Inlined EventPool.acquire.
-            if pool_free:
-                pool.hits += 1
-                ev = pool_free.pop()
-                ev.key = key
-                ev.dst = dst
-                ev.kind = kind
-                ev.data = data if data is not None else {}
-                ev.rng_draws = 0
-                ev.prev_send_seq = 0
-                ev.processed = False
-                ev.color = 0
-                ev.serial = serial()
-            else:
-                pool.allocs += 1
-                ev = Event(key, dst, kind, data)
-            # Inlined TimeWarpKernel._emit.
-            current = kernel._current_event
-            dst_pe = pe_of_lp[dst]
-            if current is not None:
-                current.sent.append(ev)
-            if src_pe == dst_pe:
-                src_stats.local_sends += 1
-                units = cost_local
-            else:
-                src_stats.remote_sends += 1
-                units = cost_remote
-            src_stats.busy += units
-            src_stats.round_busy += units
-            if far_by_lp is not None and far_by_lp[dst]:
-                deliver_far(ev, src_pe, dst_pe)
-                return ev
-            # Inlined PendingQueue.push.
-            q = pending_by_lp[dst]
-            heappush(q._heap, (ts, lp_id, seq, ev.serial, ev))
-            ev.in_pending = True
-            q._live += 1
-            processed = processed_by_lp[dst]
-            if processed and processed[-1].key > key:
-                straggler(pe_by_lp[dst], kp_of_lp[dst], ev)
+    def send(ts, dst, kind, data=None):
+        current = kernel._current_event
+        src = current.dst
+        lp = lps[src]
+        if ts <= lp._now:
+            raise SchedulingError(
+                f"LP {src} tried to send {kind!r} at ts={ts} while "
+                f"processing ts={lp._now}; sends must move strictly forward"
+            )
+        seq = lp.send_seq
+        lp.send_seq = seq + 1
+        key = _tuple_new(EventKey, (ts, src, seq))
+        # Inlined EventPool.acquire.
+        if pool_free:
+            pool.hits += 1
+            ev = pool_free.pop()
+            ev.key = key
+            ev.dst = dst
+            ev.kind = kind
+            ev.data = data if data is not None else {}
+            ev.rng_draws = 0
+            ev.prev_send_seq = 0
+            ev.processed = False
+            ev.color = 0
+            ev.serial = serial()
+        else:
+            pool.allocs += 1
+            ev = Event(key, dst, kind, data)
+        # Inlined TimeWarpKernel._emit.
+        current.sent.append(ev)
+        src_pe = pe_of_lp[src]
+        dst_pe = pe_of_lp[dst]
+        stats = stats_by_pe[src_pe]
+        if src_pe == dst_pe:
+            stats.local_sends += 1
+            units = cost_local
+        else:
+            stats.remote_sends += 1
+            units = cost_remote
+        stats.busy += units
+        stats.round_busy += units
+        if far_by_lp is not None and far_by_lp[dst]:
+            deliver_far(ev, src_pe, dst_pe)
             return ev
+        # Inlined PendingQueue.push.
+        q = pending_by_lp[dst]
+        heappush(q._heap, (ts, src, seq, ev.serial, ev))
+        ev.in_pending = True
+        q._live += 1
+        processed = processed_by_lp[dst]
+        if processed and processed[-1].key > key:
+            straggler(pe_by_lp[dst], kp_of_lp[dst], ev)
+        return ev
 
-        return fast_send
-
-    return bind
+    return send
 
 
-def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp, handlers):
+def _compile_batch(kernel: "TimeWarpKernel", pe, processed_by_lp, handlers):
     """Build the per-PE batch loop: the one place Time Warp executes events.
 
     Pop the next live pending event below the optimism limit, journal it
@@ -187,9 +194,9 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp, handler
         # with the deferred decrement.  The float busy charges stay
         # per-event: rollback charges interleave with them and their
         # accumulation order is part of bit-identical reproducibility.
-        # ``kernel._current_event`` (the journal the sends append to) is
-        # likewise reset once, there: between two events of a batch
-        # nothing sends.
+        # ``kernel._current_event`` (the executing event: the send reads
+        # its source LP and journal from it) is likewise reset once,
+        # there: between two events of a batch nothing sends.
         done = 0
         try:
             while done < max_events:
@@ -232,7 +239,7 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, processed_append_by_lp, handler
                     handler(ev, dst, rng)
                 ev.rng_draws = rng._count - rng_before
                 ev.processed = True
-                processed_append_by_lp[dst](ev)
+                processed_by_lp[dst].append(ev)
                 stats.busy += event_cost
                 stats.round_busy += event_cost
                 if on_exec is not None:
@@ -598,15 +605,17 @@ class TimeWarpKernel(Executor):
         """Compile the run's send and batch closures.
 
         Called once at the top of :meth:`run`, after any tracer has been
-        attached.  The fused send needs a delivery it can inline: the
-        immediate transport, or a process-mode worker's ring transport
-        behind the ``_far_by_lp`` branch; a fault-wrapped transport keeps
-        ``LogicalProcess._kernel_send`` → :meth:`_emit` →
-        ``transport.deliver``.  The batch (:func:`_compile_batch`) is
-        compiled either way, around the model's handler table
-        (:meth:`Executor._handler_table`, over whichever sends the LPs
-        got).  Closures are compiled only for the LPs and PEs this kernel
-        steps.
+        attached.  The fused send (:func:`_compile_send`, one per kernel)
+        needs a delivery it can inline: the immediate transport, or a
+        process-mode worker's ring transport behind the ``_far_by_lp``
+        branch.  Every LP this kernel steps then holds it in its ``send``
+        slot, and the handler table gets it too.  A fault-wrapped
+        transport keeps ``LogicalProcess._kernel_send`` → :meth:`_emit` →
+        ``transport.deliver``, and the table gets
+        :meth:`Executor._executing_send`.  The batch
+        (:func:`_compile_batch`) is compiled either way, around the
+        model's handler table (:meth:`Executor._handler_table`), for the
+        PEs this kernel steps.
         """
         far = self._far_by_lp
         # Run-constant per-LP dispatch tables, built here once (after any
@@ -616,17 +625,17 @@ class TimeWarpKernel(Executor):
         # place and never rebound (rollback pops, fossil collection
         # ``del``s a prefix, a restore assigns ``processed[:]``).
         processed_by_lp = [kp.processed for kp in self._kp_of_lp]
-        processed_append_by_lp = [processed.append for processed in processed_by_lp]
+        send = None  # the table's default: the executing LP's own send
         if self._direct or far is not None:
             pending_by_lp = [pe.pending for pe in self._pe_by_lp]
-            bind_send = _compile_send(self, pending_by_lp, processed_by_lp, far)
+            send = _compile_send(self, pending_by_lp, processed_by_lp, far)
             for lp in self.lps:
                 if far is None or not far[lp.id]:
-                    lp.send = bind_send(lp)
-        handlers = self._handler_table()
+                    lp.send = send
+        handlers = self._handler_table(send)
         owned = self.owned_pes
         self._batch_by_pe = [
-            _compile_batch(self, pe, processed_append_by_lp, handlers)
+            _compile_batch(self, pe, processed_by_lp, handlers)
             if pe in owned
             else None
             for pe in self.pes
@@ -749,13 +758,19 @@ class TimeWarpKernel(Executor):
             # Bootstrap: LPs schedule their initial events "at startup".
             # Only the LPs this kernel steps: a worker holds the whole
             # population (fork inherits it), so seeding every LP would
-            # duplicate each initial event once per worker.
-            self._current_event = None
+            # duplicate each initial event once per worker.  Each
+            # ``on_init`` runs as if its LP's event were executing, so
+            # the send reads its source from ``_current_event``; nothing
+            # rolls a bootstrap send back, so its journal is dropped.
+            boot = self._current_event = _Bootstrap()
             far = self._far_by_lp
             for lp in self.lps:
                 if far is None or not far[lp.id]:
+                    boot.dst = lp.id
+                    boot.sent = []
                     lp._now = -1.0
                     lp.on_init()
+            self._current_event = None
 
         pes = self.owned_pes
         step_pe = self._batch_by_pe

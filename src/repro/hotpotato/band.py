@@ -596,7 +596,7 @@ def _init_band(engine, inits: list[Event], arrivals: list, inj_seq, hb_seq) -> i
         else:  # HEARTBEAT
             hb_seq[src] = seq
 
-    init = engine.model.handlers(lps, [send] * len(lps))[INIT]
+    init = engine.model.handlers(lps, send)[INIT]
     inits.sort(key=attrgetter("key"), reverse=True)
     pop = inits.pop
     while inits:

@@ -11,7 +11,10 @@ the exact reverses of what they write.
 Everything run-constant is hoisted into closure cells: the shared
 ``links`` / ``head_gen`` lists, the per-LP stats, fault view, adversary
 script, link-existence tuple and neighbor table, the configuration and
-the routing policy's bound ``route``.  No routing decision is inlined:
+the routing policy's bound ``route``; and the engine's one ``send``,
+whose source is the router whose event is running (the ``dst`` every
+handler is called with), so the table holds nothing per router and
+sends only from that router.  No routing decision is inlined:
 ROUTE calls ``policy.route`` for every policy, the Busch rule included,
 and unpacks the plain tuple it returns
 (:meth:`~repro.hotpotato.policy.RoutingPolicy.route` states the order),
@@ -46,13 +49,15 @@ from repro.rng.lcg import INCREMENT, MASK64, MULTIPLIER, _INV_2_53
 __all__ = ["handlers"]
 
 
-def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
+def handlers(lps: list[RouterLP], send) -> dict:
     """``{kind: handler}`` for the five router kinds over ``lps``.
 
     Each handler takes ``(ev, dst, rng)`` — the event, its destination
     router's id and that router's RNG stream — and sends through
-    ``send_by_lp[dst]``, the send the engine bound for that router.  One
-    table serves every PE: nothing in it is per PE.
+    ``send``, the engine's one send, whose source is router ``dst``: the
+    router whose event is running.  One table serves every PE and every
+    router: nothing in it is per PE, and the only per-router state is
+    read from the population's lists.
     """
     first = lps[0]
     links = first.links
@@ -94,7 +99,6 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
 
     def init(ev, dst, rng):
         # Seed the network "to full (four packets per router)" (§3.3.1).
-        send = send_by_lp[dst]
         seeded = []
         flt = faults_by_lp[dst]
         if initial_fill > 0.0 and (flt is None or not flt.crashed(0)):
@@ -148,7 +152,7 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
             ev.saved["absorb"] = prev_max
             return
         # The ROUTE event reuses the same payload tuple (no copy).
-        send_by_lp[dst](
+        send(
             step
             + ROUTE_BASE
             + ROUTE_PRIO_STRIDE * (3 - priority)
@@ -195,7 +199,7 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
             links[base + d] = step
             st.routes += 1
             st.overflow_routes += 1
-            send_by_lp[dst](
+            send(
                 step + 1 + data[4],
                 nbrs[base + d],
                 ARRIVE,
@@ -236,7 +240,7 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
                     st.fault_deflections += 1
                     saved["fdefl"] = True
                     break
-        send_by_lp[dst](
+        send(
             step + 1 + data[4],
             nbrs[base + d],
             ARRIVE,
@@ -255,7 +259,6 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
         both (the adversary controls generation, not admission, §4.1).
         """
         step = ev.data
-        send = send_by_lp[dst]
         send(step + 1 + INJECT_OFFSET, dst, INJECT, step + 1)
         flt = faults_by_lp[dst]
         saved = ev.saved
@@ -335,7 +338,7 @@ def handlers(lps: list[RouterLP], send_by_lp: list) -> dict:
         st.util_claimed += claimed
         st.util_samples += ex[0] + ex[1] + ex[2] + ex[3]
         ev.saved["hb"] = claimed
-        send_by_lp[dst](step + 1 + HEARTBEAT_OFFSET, dst, HEARTBEAT, step + 1)
+        send(step + 1 + HEARTBEAT_OFFSET, dst, HEARTBEAT, step + 1)
 
     return {
         INIT: init,

@@ -143,14 +143,14 @@ class HotPotatoModel(Model):
                     lps[i].adversary = script
         return lps
 
-    def handlers(self, lps: list[LogicalProcess], send_by_lp: list) -> dict:
+    def handlers(self, lps: list[LogicalProcess], send) -> dict:
         """The routers' handler table over ``lps``
         (:mod:`repro.hotpotato.handlers`), offered for every
         configuration: any policy, topology, fault plan or adversary.
 
         Every engine builds this table, process-mode workers after fork,
         so its module is imported with the model, never in a child."""
-        return handler_table(lps, send_by_lp)
+        return handler_table(lps, send)
 
     def band_program(self):
         """The sequential band program (:mod:`repro.hotpotato.band`),

@@ -82,10 +82,11 @@ class MPWorkerKernel(TimeWarpKernel):
         self._far_by_lp = [
             not self.pe_lo <= p < self.pe_hi for p in self.pe_of_lp
         ]
-        # Swap in the ring transport.  Every owned LP gets the fused send
-        # (the far table lets _install_fast_paths compile it around the
-        # rings), so nothing reaches the generic _emit; ``_direct`` stays
-        # off all the same, so one that did would not bypass the rings.
+        # Swap in the ring transport.  Every owned LP holds the kernel's
+        # one fused send (the far table lets _install_fast_paths compile
+        # it around the rings), bootstrap included, so nothing reaches
+        # the generic _emit; ``_direct`` stays off all the same, so one
+        # that did would not bypass the rings.
         transport.bind(self)
         self.transport = transport
         self.ring_transport = transport

@@ -29,8 +29,8 @@ def plan_spy(model, kinds):
 
         return call
 
-    def handlers(lps, send_by_lp):
-        table = offer(lps, send_by_lp)
+    def handlers(lps, send):
+        table = offer(lps, send)
         if table is None:
             return None
         return {

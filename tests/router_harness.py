@@ -26,7 +26,7 @@ def make_router(node, cfg, **model_kw):
     lp = lps[node]
     sends = []
     lp.bind(ReversibleStream(11, node), lambda src, ev: sends.append(ev))
-    _TABLES[lp] = model.handlers(lps, [p.send for p in lps])
+    _TABLES[lp] = model.handlers(lps, lp.send)  # only this router executes
     return lp, sends, model.topo
 
 

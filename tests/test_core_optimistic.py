@@ -225,3 +225,74 @@ def test_fast_path_setup_memory_linear_in_lps(executor):
     small = _retained_setup_bytes(16, executor)
     large = _retained_setup_bytes(32, executor)
     assert large <= 5 * small, f"{large / small:.1f}x bytes for 4x the LPs"
+
+
+# ----------------------------------------------------------------------
+# One send per kernel: the source of a send is the executing event.
+# ----------------------------------------------------------------------
+def _one_send_probe(monkeypatch, model):
+    """After every kernel installs its fast paths, process-mode workers
+    included, count owned LPs whose ``send`` is not the one send the
+    handler table got, and functions compiled for that kernel from the
+    send's code beyond the one.  Returns ``[kernels checked, LPs with
+    another send, extra compiled sends]`` in shared memory, which forked
+    workers add to.
+    """
+    from multiprocessing.sharedctypes import RawArray
+    from types import FunctionType
+
+    counts = RawArray("q", 3)
+    given = []
+    offer = model.handlers
+
+    def handlers(lps, send):
+        given.append(send)
+        return offer(lps, send)
+
+    model.handlers = handlers
+    install = TimeWarpKernel._install_fast_paths
+
+    def checked(kernel):
+        install(kernel)
+        send = given[-1]
+        far = kernel._far_by_lp
+        owned = [lp for lp in kernel.lps if far is None or not far[lp.id]]
+        compiled = sum(
+            1
+            for obj in gc.get_objects()
+            if type(obj) is FunctionType
+            and obj.__code__ is send.__code__
+            and any(c.cell_contents is kernel for c in obj.__closure__)
+        )
+        counts[0] += 1
+        counts[1] += sum(lp.send is not send for lp in owned)
+        counts[2] += compiled - 1
+
+    monkeypatch.setattr(TimeWarpKernel, "_install_fast_paths", checked)
+    return counts
+
+
+@pytest.mark.parametrize("engine", ["optimistic", "conservative", "procs"])
+def test_one_send_per_kernel(monkeypatch, engine):
+    """Every LP a kernel steps holds the one compiled send, the handler
+    table gets that same object, and no per-LP send is compiled: in
+    process, on the conservative kernel and in each ``--procs 2``
+    worker."""
+    from repro.core.conservative import run_conservative
+
+    cfg = HotPotatoConfig(n=8, duration=6.0, injector_fraction=1.0)
+    oracle = run_sequential(HotPotatoModel(cfg), 6.0, seed=7)
+    model = HotPotatoModel(cfg)
+    counts = _one_send_probe(monkeypatch, model)
+    if engine == "conservative":
+        result = run_conservative(model, EngineConfig(end_time=6.0, n_pes=4, seed=7))
+        kernels = 1
+    else:
+        procs = 2 if engine == "procs" else 1
+        result = run_optimistic(
+            model,
+            EngineConfig(end_time=6.0, n_pes=4, n_kps=16, seed=7, procs=procs),
+        )
+        kernels = procs
+    assert result.model_stats == oracle.model_stats
+    assert list(counts) == [kernels, 0, 0]

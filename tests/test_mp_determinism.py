@@ -350,13 +350,18 @@ def test_untraced_kill_at_checkpoint_resume(big_oracle, tmp_path):
 def test_send_into_the_past_is_the_same_error_under_procs():
     """The workers' compiled send keeps the SchedulingError check and its
     text: the parent reports the failing worker's traceback, which ends
-    in the message an in-process run raises."""
+    in the message an in-process run raises.  The kernel's one send
+    takes its source from the executing event, so the error names the
+    LP whose event was running."""
     from repro.errors import ConfigurationError, SchedulingError
     from tests.kernel_models import POKE, TICK, ChattyLP, ChattyModel
+
+    running = []
 
     class BackwardLP(ChattyLP):
         def forward(self, event):
             if event.kind == TICK and self.now >= 3.0:
+                running.append(self.id)
                 self.send(self.now, self.peer, POKE)
             super().forward(event)
 
@@ -372,6 +377,7 @@ def test_send_into_the_past_is_the_same_error_under_procs():
         run_optimistic(BackwardModel(4), EngineConfig(**ecfg))
     message = str(inline.value)
     assert "sends must move strictly forward" in message
+    assert message.startswith(f"LP {running[-1]} tried to send 'POKE' at ts=3.0")
     with pytest.raises(ConfigurationError) as mp:
         run_optimistic(
             BackwardModel(4),
@@ -380,3 +386,47 @@ def test_send_into_the_past_is_the_same_error_under_procs():
     assert "SchedulingError" in str(mp.value)
     # Which LP trips first depends on the worker; the rest is the same text.
     assert message.split(" ", 2)[2] in str(mp.value)
+
+
+def test_bootstrap_sends_from_its_lp_and_stays_local_under_procs():
+    """``on_init`` goes through the kernel's one send with the LP being
+    bootstrapped as its source.  In a worker its self-sends stay local:
+    with no pokes, nothing crosses a ring, and the run commits what an
+    in-process run commits.  A bootstrap send into the past names the
+    LP whose ``on_init`` made it, in process and from a worker."""
+    from repro.errors import ConfigurationError, SchedulingError
+    from tests.kernel_models import POKE, TICK, ChattyLP, ChattyModel
+
+    class Ticks(ChattyModel):
+        def mp_event_schema(self):
+            return {TICK: (), POKE: ()}
+
+        def mp_export_lp(self, lp):
+            return lp.state
+
+        def mp_import_lp(self, lp, blob):
+            lp.state = blob
+
+    ecfg = dict(end_time=6.0, n_pes=2, n_kps=2, seed=7)
+    inline = run_optimistic(Ticks(4), EngineConfig(**ecfg))
+    mp = run_optimistic(Ticks(4), EngineConfig(procs=2, **ecfg))
+    assert mp.run.procs == 2
+    assert mp.model_stats == inline.model_stats
+    assert mp.model_stats["ticks"] == (5, 5, 5, 5)
+    assert mp.run.ring_messages == 0
+
+    class BackwardInitLP(ChattyLP):
+        def on_init(self):
+            self.send(-1.0, self.id, TICK)
+
+    class BackwardInit(Ticks):
+        def build(self):
+            return [BackwardInitLP(i, None) for i in range(self.n_lps)]
+
+    with pytest.raises(SchedulingError) as inline_error:
+        run_optimistic(BackwardInit(4), EngineConfig(**ecfg))
+    message = str(inline_error.value)
+    assert message.startswith("LP 0 tried to send 'TICK' at ts=-1.0")
+    with pytest.raises(ConfigurationError) as mp_error:
+        run_optimistic(BackwardInit(4), EngineConfig(procs=2, **ecfg))
+    assert message.split(" ", 2)[2] in str(mp_error.value)
