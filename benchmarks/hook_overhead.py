@@ -4,7 +4,10 @@ Each hook sits off the fused per-event paths and is consulted only at
 round / GVT boundaries, so attaching one may slow a run by at most its
 limit.  Two hooks are attached but given nothing to do (an empty fault
 plan, a checkpointer whose cadence never fires); two do their real work
-(the span tracer, the liveness watchdog)::
+(the span tracer, the liveness watchdog).  The last two rows attach the
+checkpointer and the watchdog to the sequential oracle, whose band
+program they read in place at every step end, on a 32x32 torus (a
+step end there holds about 4,000 packets in flight)::
 
     PYTHONPATH=src python benchmarks/hook_overhead.py
 
@@ -14,14 +17,15 @@ hook turns out never to have been consulted (a dead hook is free).
 
 The ratio is the median of per-pair hooked/plain wall ratios over
 back-to-back pairs on the 8x8 full-load torus for 60 steps (~0.1 s a
-run): adjacent runs see the same CPU frequency and scheduling state, so
-drift cancels within a pair and the median discards the pairs a noise
-burst landed in.  A workload much shorter than this one times the timer,
-not the hook, and the 10% gates flake.  On a shared host the median of
-nine pairs still lands past 1.10 about one time in fifteen with nothing
-wrong, so a ratio over its limit is measured once more over three times
-the pairs before it counts: noise does not repeat, a hook that has crept
-onto the per-event path (1.3x and up) does.  ``tests/test_hook_overhead.py``
+run; the oracle rows: 32x32 for 40 steps): adjacent runs see the same
+CPU frequency and scheduling state, so drift cancels within a pair and
+the median discards the pairs a noise burst landed in.  A workload much
+shorter than this one times the timer, not the hook, and the 10% gates
+flake.  On a shared host the median of nine pairs still lands past 1.10
+about one time in fifteen with nothing wrong, so a ratio over its limit
+is measured once more over three times the pairs before it counts:
+noise does not repeat, a hook that has crept onto the per-event path
+(1.3x and up) does.  ``tests/test_hook_overhead.py``
 asserts the deterministic half of every row (same committed count, hook
 live) on a tiny workload in tier-1.
 """
@@ -38,6 +42,7 @@ from typing import Callable, NamedTuple
 
 from repro.ckpt import Checkpointer
 from repro.core.config import EngineConfig
+from repro.core.engine import run_sequential
 from repro.core.optimistic import run_optimistic
 from repro.core.result import RunResult
 from repro.faults import EngineFaults, FaultPlan
@@ -47,14 +52,16 @@ from repro.hotpotato.model import HotPotatoModel
 from repro.obs.spans import SpanTracer
 
 WORKLOAD = HotPotatoConfig(n=8, duration=60.0, injector_fraction=1.0)
+BAND_WORKLOAD = HotPotatoConfig(n=32, duration=40.0, injector_fraction=1.0)
 PAIRS = 9
+SEED = 0xB5EED
 
 
 class Gate(NamedTuple):
     """One hook: how to attach it, what it may cost, how to tell it ran."""
 
     name: str
-    #: ``run_optimistic`` keyword the hook is passed as.
+    #: ``run_optimistic`` / ``run_sequential`` keyword the hook is passed as.
     keyword: str
     #: Builds a fresh hook; the argument is a scratch directory.
     make: Callable[[Path], object]
@@ -65,6 +72,17 @@ class Gate(NamedTuple):
     live: Callable[[object], bool]
     #: What ``live`` checks, in words, for the failure message.
     expects: str
+    #: "optimistic" (4-PE Time Warp) or "sequential" (the band program).
+    engine: str = "optimistic"
+    #: The workload the ratio is timed on.
+    workload: HotPotatoConfig = WORKLOAD
+
+    @property
+    def id(self) -> str:
+        """The row's short name: its keyword, prefixed off Time Warp."""
+        if self.engine == "optimistic":
+            return self.keyword
+        return f"{self.engine}-{self.keyword}"
 
 
 GATES = (
@@ -92,13 +110,30 @@ GATES = (
         lambda hook: hook.boundaries > 0 and not hook.events,
         "consulted at GVT boundaries and no health event on a healthy run",
     ),
+    Gate(
+        "oracle checkpointer", "checkpointer",
+        lambda tmp: Checkpointer(tmp / "idle", every=1 << 30), 1.10,
+        lambda hook: hook.boundaries > 0 and hook.written == 0,
+        "every step end seen and no snapshot written",
+        "sequential", BAND_WORKLOAD,
+    ),
+    Gate(
+        "oracle watchdog", "health",
+        lambda tmp: Watchdog(), 1.10,
+        lambda hook: hook.boundaries > 0 and not hook.events,
+        "consulted at step ends and no health event on a healthy run",
+        "sequential", BAND_WORKLOAD,
+    ),
 )
 
 
-def run(cfg: HotPotatoConfig, **hooks) -> RunResult:
-    """One 4-PE Time Warp run of ``cfg`` with ``hooks`` attached."""
+def run(cfg: HotPotatoConfig, engine: str = "optimistic", **hooks) -> RunResult:
+    """One run of ``cfg`` with ``hooks`` attached: on 4-PE Time Warp, or
+    on the sequential oracle."""
+    if engine == "sequential":
+        return run_sequential(HotPotatoModel(cfg), cfg.duration, seed=SEED, **hooks)
     ecfg = EngineConfig(
-        end_time=cfg.duration, n_pes=4, n_kps=16, batch_size=64, seed=0xB5EED
+        end_time=cfg.duration, n_pes=4, n_kps=16, batch_size=64, seed=SEED
     )
     return run_optimistic(HotPotatoModel(cfg), ecfg, **hooks)
 
@@ -106,7 +141,8 @@ def run(cfg: HotPotatoConfig, **hooks) -> RunResult:
 def deterministic_failures(gate: Gate, cfg: HotPotatoConfig, tmp: Path) -> list[str]:
     """What is wrong with ``gate``'s hooked run besides its speed."""
     hook = gate.make(tmp)
-    plain, hooked = run(cfg).run, run(cfg, **{gate.keyword: hook}).run
+    plain = run(cfg, gate.engine).run
+    hooked = run(cfg, gate.engine, **{gate.keyword: hook}).run
     failures = []
     if hooked.committed != plain.committed:
         failures.append(
@@ -118,7 +154,7 @@ def deterministic_failures(gate: Gate, cfg: HotPotatoConfig, tmp: Path) -> list[
     return failures
 
 
-def _timed_run(cfg: HotPotatoConfig, **hooks) -> float:
+def _timed_run(cfg: HotPotatoConfig, engine: str, **hooks) -> float:
     # A dead kernel is reclaimed only by the cycle collector (its closures
     # hold it), and one whose run began with the collector on is frozen;
     # unfreeze and collect before, disable during, or one run pays the
@@ -128,21 +164,25 @@ def _timed_run(cfg: HotPotatoConfig, **hooks) -> float:
     gc.disable()
     try:
         start = time.perf_counter()
-        run(cfg, **hooks)
+        run(cfg, engine, **hooks)
         return time.perf_counter() - start
     finally:
         gc.enable()
 
 
-def paired_ratio(gate: Gate, cfg: HotPotatoConfig, tmp: Path, pairs: int = PAIRS) -> float:
-    """Median hooked/plain wall ratio over ``pairs`` back-to-back pairs."""
+def paired_ratio(gate: Gate, tmp: Path, pairs: int = PAIRS) -> float:
+    """Median hooked/plain wall ratio over ``pairs`` back-to-back pairs
+    on the gate's workload."""
+    cfg, engine = gate.workload, gate.engine
     ratios = []
     for i in range(pairs):
         hooks = {gate.keyword: gate.make(tmp)}
         if i % 2:  # alternate which side runs first
-            hooked_s, plain_s = _timed_run(cfg, **hooks), _timed_run(cfg)
+            hooked_s = _timed_run(cfg, engine, **hooks)
+            plain_s = _timed_run(cfg, engine)
         else:
-            plain_s, hooked_s = _timed_run(cfg), _timed_run(cfg, **hooks)
+            plain_s = _timed_run(cfg, engine)
+            hooked_s = _timed_run(cfg, engine, **hooks)
         ratios.append(hooked_s / plain_s)
     return statistics.median(ratios)
 
@@ -152,11 +192,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         tmp = Path(scratch)
         for gate in GATES:
-            failures += deterministic_failures(gate, WORKLOAD, tmp)
-            ratio = paired_ratio(gate, WORKLOAD, tmp)
+            failures += deterministic_failures(gate, gate.workload, tmp)
+            ratio = paired_ratio(gate, tmp)
             if ratio > gate.limit:
-                ratio = paired_ratio(gate, WORKLOAD, tmp, pairs=3 * PAIRS)
-            print(f"{gate.name:<18} {ratio:.2f}x (limit {gate.limit:.2f}x)")
+                ratio = paired_ratio(gate, tmp, pairs=3 * PAIRS)
+            print(f"{gate.name:<20} {ratio:.2f}x (limit {gate.limit:.2f}x)")
             if ratio > gate.limit:
                 failures.append(
                     f"{gate.name} costs {ratio:.2f}x, over its {gate.limit:.2f}x "

@@ -4,10 +4,11 @@ One :class:`Checkpointer` drives one run.  Engines accept it via
 ``attach_checkpointer`` (mirroring ``attach_tracer``/``attach_metrics``/
 ``attach_faults``) and call back from exactly one place — the GVT /
 scheduler-round / event-interval / step-end *boundary*, never the
-per-event hot path — so a detached checkpointer costs nothing.  On Time
-Warp an attached one costs one heartbeat touch plus a modulo per
-boundary; on the sequential band program it makes the program leave and
-re-enter at every step end, which costs far more (docs/CHECKPOINT.md).
+per-event hot path — so a detached checkpointer costs nothing and an
+attached one costs a heartbeat touch plus a modulo per boundary, on the
+sequential band program too: it reads the program's step end in place
+and materialises state only for a snapshot it writes
+(docs/CHECKPOINT.md).
 
 Lifecycle::
 

@@ -2,12 +2,13 @@
 
 Each engine snapshots at a *quiescent boundary*:
 
-* **sequential** — between events (every ``Checkpointer.seq_events``
-  commits of the per-event loop, every step end of a band program): one
-  heap of never-processed events, no journaling; a band-program
-  snapshot's loop state records the step it resumes at.  (A hot-potato
-  run is a band program from its first event, so its snapshots are all
-  at step ends.)
+* **sequential** — between events, every ``Checkpointer.seq_events``
+  commits of the per-event loop: one heap of never-processed events, no
+  journaling; or at a band program's step end (every hot-potato run is a
+  band program from its first event), where no event exists: the loop
+  state holds the step and the program's band state as tuples and lists
+  (:meth:`repro.hotpotato.band.StepEnd.loop_state`), and the heap is
+  empty.
 * **optimistic** — a GVT round, after fossil collection *and* after the
   transport flush: everything below GVT is committed and gone, the
   cancellation worklist is drained, nothing is in flight (only a
@@ -67,7 +68,15 @@ __all__ = ["capture_state", "restore_state"]
 #: program runs step 0's INIT), so every snapshot is taken at a step end
 #: (a format-8 one may hold a cut inside step 0, which the program cannot
 #: enter).
-PAYLOAD_FORMAT = 9
+#: 10: a sequential band-program snapshot holds the program's band state
+#: in its loop state and no event (a format-9 one holds the step end's
+#: in-flight set as events, which the program no longer enters from).
+#: Only the sequential payload changed, so a Time Warp restore still
+#: reads format 9.
+PAYLOAD_FORMAT = 10
+
+#: The oldest payload format each engine kind's restore reads.
+_OLDEST_FORMAT = {"sequential": 10, "optimistic": 9, "conservative": 9}
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +395,7 @@ def restore_state(engine, payload) -> None:
     driver already attached.  Call before ``run()``.
     """
     kind = _engine_kind(engine)
-    if payload.get("format") != PAYLOAD_FORMAT:
+    if payload.get("format") not in range(_OLDEST_FORMAT[kind], PAYLOAD_FORMAT + 1):
         raise SnapshotError(
             f"snapshot payload format {payload.get('format')!r} is not "
             f"this version's format {PAYLOAD_FORMAT}; it was written by "

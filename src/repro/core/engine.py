@@ -130,22 +130,22 @@ class SequentialEngine(Executor):
 
         The per-event loop — pop the minimum key, run the model's handler
         for its kind (or ``forward``), ``commit`` — is the reference every
-        other engine is compared against.  A model may also offer a *band
-        program* (:meth:`~repro.core.lp.Model.band_program`): the loop
-        then stops at the program's start time and the program runs the
-        rest, reporting after each band so metric samples and ``exec``
-        spans keep their event-count pacing at band granularity.  (The
-        hot-potato program starts at 0.0 and runs every event.)
+        other engine is compared against.  A model may instead offer a
+        *band program* (:meth:`~repro.core.lp.Model.band_program`), which
+        then runs every event, entered once: at step 0 on a fresh run, at
+        the snapshot's step on a resume.  It reports after each band, so
+        metric samples and ``exec`` spans keep their event-count pacing at
+        band granularity.
 
         The paranoid checks, the watchdog and the checkpointer are
         consulted at boundaries only: every ``seq_events`` commits of the
-        per-event loop, and every step end of the band program, which
-        leaves there (LP state written back, what is in flight pushed as
-        ordinary events), so the hooks see the per-event loop's state,
-        and re-enters at the next step.  At the run's end the program
-        leaves what is in flight unbuilt (:attr:`pending` builds it when
-        read), and the final metric sample takes its in-flight count from
-        the program's last report.
+        per-event loop, and every step end of the band program, where
+        they read the program's :class:`~repro.hotpotato.band.StepEnd`
+        in place while it is suspended (a snapshot writes the routers'
+        state back and stores the cut's band state).  At the run's end
+        the program leaves what is in flight unbuilt (:attr:`pending`
+        builds it when read), and the final metric sample takes its
+        in-flight count from the program's last report.
         """
         with self._collector_paused():
             return self._run()
@@ -164,7 +164,7 @@ class SequentialEngine(Executor):
         pop_below = self._queue.pop_below
         release = self.pool.release
         end = self.end_time
-        band_start, program = self.model.band_program() or (end, None)
+        program = self.model.band_program()
         tracer = self.tracer
         metrics = self.metrics
         spans = self.spans
@@ -206,13 +206,14 @@ class SequentialEngine(Executor):
                 span_base = processed
             return min(next_sample, next_span)
 
-        def boundary(now, loop):
+        def boundary(now, loop, cut=None):
             """Consult the paranoid checks, the watchdog and the
-            checkpointer (which may snapshot ``loop`` and the engine)."""
+            checkpointer (which may snapshot ``loop`` and the engine), on
+            the band program's ``cut`` at its step ends."""
             if paranoid:
-                check_sequential(self, now)
+                check_sequential(self, now, cut)
             if health is not None:
-                health.boundary_sequential(self, now)
+                health.boundary_sequential(self, now, cut)
             if ckpt is not None:
                 written_before = ckpt.written
                 t0 = spans.clock() if spans is not None else 0.0
@@ -222,11 +223,9 @@ class SequentialEngine(Executor):
 
         next_pace = min(next_sample, next_span)
         next_check = min(next_pace, next_boundary)  # one test per event
-        # Where the per-event loop stops: the barrier, or the hand-over.
-        limit = min(end, band_start)
-        ev = pop_below(limit)
-        # The handler table only if this loop runs an event: a band
-        # program that starts at 0.0 runs every event itself.
+        # The per-event loop only if the model offers no band program.
+        ev = pop_below(end) if program is None else None
+        # The handler table only if this loop runs an event.
         handler_for = self._handler_table().get if ev is not None else None
         while ev is not None:
             dst = ev.dst
@@ -253,23 +252,18 @@ class SequentialEngine(Executor):
                     next_boundary += bstep
                     boundary(now, {"processed": processed})
                 next_check = min(next_pace, next_boundary)
-            ev = pop_below(limit)
+            ev = pop_below(end)
         self._current_event = None
 
         in_flight = None  # as the band program last reported it
-        if limit < end:
-            # The band program, from the hand-over or the snapshot's step.
-            # With a hook attached it is run one step at a time.
-            step = resume.get("step", int(band_start))
-            while True:
-                stop = min(float(step + 1), end) if hooked else end
-                for now, processed, in_flight in program(self, processed, step, stop):
-                    if processed >= next_pace:
-                        next_pace = pace(now, processed, in_flight)
-                if stop == end:
-                    break
-                step += 1
-                boundary(stop, {"processed": processed, "step": step})
+        if program is not None:
+            # Entered once: at step 0, or at a snapshot's step and band state.
+            step, band = resume.get("step", 0), resume.get("band")
+            for now, processed, in_flight, cut in program(self, processed, step, band):
+                if processed >= next_pace:
+                    next_pace = pace(now, processed, in_flight)
+                if hooked and cut is not None:
+                    boundary(now, cut.loop_state, cut)
         if metrics is not None:
             self._sample_metrics(metrics, end, processed, in_flight)
         if spans is not None and processed > span_base:

@@ -13,6 +13,10 @@ What is checked, per engine:
 
 * **queue order** — every pending queue's lazy-deletion live count
   matches a recount, and (heap queues) the heap property holds.
+* **step-end cut** — at a sequential band program's step end, which
+  has no queue: every in-flight ARRIVE belongs to the next step, and no
+  router receives more of them than it has links (each link is claimed
+  at most once a step).
 * **GVT monotonicity** — Time Warp's GVT estimate (the conservative
   kernel's too: it runs the same loop) never moves backwards, and after fossil collection nothing pending or
   processed sits below it.
@@ -64,10 +68,25 @@ def _check_conservation(model, lps, label: str) -> None:
         raise InvariantViolation(f"{label}: packet conservation violated: {problem}")
 
 
-def check_sequential(engine, now: float) -> None:
-    """Sequential-engine epoch check (every ``seq_events`` commits of the
-    per-event loop, every step end of a band program)."""
-    _check_queue("sequential pending queue", engine.pending)
+def _check_cut(cut, label: str) -> None:
+    """The in-flight ARRIVEs of a band program's step-end ``cut``."""
+    received = [0] * len(cut.degree)
+    for dst, step, _ in cut.packets():
+        received[dst] += 1
+        if step != cut.step or received[dst] > cut.degree[dst]:
+            raise InvariantViolation(
+                f"{label}: router {dst} receives ARRIVE no. {received[dst]}, "
+                f"of step {step}, at step {cut.step} on {cut.degree[dst]} links"
+            )
+
+
+def check_sequential(engine, now: float, cut=None) -> None:
+    """Sequential-engine epoch check: every ``seq_events`` commits of the
+    per-event loop, or at a band program's step end, on its ``cut``."""
+    if cut is None:
+        _check_queue("sequential pending queue", engine.pending)
+    else:
+        _check_cut(cut, f"at t={now}")
     _check_conservation(engine.model, engine.lps, f"at t={now}")
 
 

@@ -72,7 +72,7 @@ class LogicalProcess:
         "send_seq",
         "state",
         "kp",
-        "send",
+        "_send",
         "_emit",
         "_alloc",
         "_now",
@@ -88,11 +88,11 @@ class LogicalProcess:
         self.state: Any = None
         #: Kernel process this LP belongs to (optimistic engine only).
         self.kp: Any = None
-        #: The send entry point model code calls (``self.send(...)``).  It
-        #: is instance data, not a method, so an engine can swap in its
-        #: fused fast path; the default is the generic kernel-agnostic
-        #: implementation below.
-        self.send: Any = self._kernel_send
+        #: An engine's fused send for this LP, which :meth:`send` calls in
+        #: place of its own body; ``None`` for the generic one (so an LP
+        #: holds no bound method of itself: 64 B, and an LP -> method ->
+        #: LP cycle).
+        self._send: Any = None
         # Kernel wiring (set by bind): emit callback and current-time getter.
         self._emit: Any = None
         #: Event allocator; kernels with an event pool rebind this to the
@@ -116,7 +116,7 @@ class LogicalProcess:
         """Receive timestamp of the event currently being processed."""
         return self._now
 
-    def _kernel_send(
+    def send(
         self,
         ts: float,
         dst: int,
@@ -125,13 +125,13 @@ class LogicalProcess:
     ) -> Event:
         """Schedule an event for LP ``dst`` at virtual time ``ts``.
 
-        This is the default implementation behind ``self.send``.  Engines
-        may replace ``lp.send`` with a fused equivalent (the Time Warp
-        kernel compiles one per kernel, which every LP it steps holds and
-        which takes its source from the executing event, so a model sends
-        only from the LP whose event is running); any replacement must
-        preserve this exact observable behaviour, including the error
-        below.
+        The body below is the generic, kernel-agnostic send.  An engine
+        may set a fused equivalent in the LP's ``_send`` slot, which is
+        then called instead (the Time Warp kernel compiles one per
+        kernel, which every LP it steps holds and which takes its source
+        from the executing event, so a model sends only from the LP whose
+        event is running); it must preserve this exact observable
+        behaviour, including the error below.
 
         During event processing ``ts`` must be strictly greater than
         :attr:`now`; zero-delay sends would break the total event order
@@ -139,6 +139,9 @@ class LogicalProcess:
         time (a :class:`~repro.errors.SchedulingError` no rollback could
         repair).
         """
+        fused = self._send
+        if fused is not None:
+            return fused(ts, dst, kind, data)
         if ts <= self._now:
             raise SchedulingError(
                 f"LP {self.id} tried to send {kind!r} at ts={ts} while "
@@ -256,20 +259,21 @@ class Model:
         """Optional step-synchronous program for the sequential engine.
 
         A model whose events fall into virtual-time bands that only send
-        into later bands may return ``(start_ts, program)``: the
-        sequential engine runs its per-event loop up to ``start_ts`` and
-        then exhausts ``program(engine, processed, step, end)``, a
-        generator that executes the run from integer step ``step`` to
-        ``end`` a band at a time without building events, yields
-        ``(now, processed, pending)`` after each band, records executed
-        events on ``engine.tracer`` if one is attached, and leaves the
-        engine (LP state, ``engine.pending``, ``engine.sends``) as the
-        per-event loop would have (see
-        :func:`repro.hotpotato.band.run_bands`); a hooked run enters it
-        once per step.  A model that offers one offers it for every
-        configuration it accepts: the program is the oracle's only path
-        past ``start_ts``.  Return ``None`` — the default — to offer
-        nothing (the per-event loop then runs every event).
+        into later bands may return ``program``: the sequential engine
+        then runs no event itself but exhausts ``program(engine,
+        processed, step, band=None)`` once per run — from step 0 with
+        only the bootstrap sends pending, or from a snapshot's ``step``
+        and ``band`` state — a generator that executes the run to
+        ``engine.end_time`` a band at a time without building events,
+        yields ``(now, processed, pending, cut)`` after each band (``cut``
+        is its state at a step end, which the engine's hooks read and a
+        snapshot stores; else ``None``), records executed events on
+        ``engine.tracer`` if one is attached, and leaves the engine (LP
+        state, ``engine.pending``, ``engine.sends``) as the per-event loop
+        would have (see :func:`repro.hotpotato.band.run_bands`).  A model
+        that offers one offers it for every configuration it accepts: the
+        program is the oracle's only path.  Return ``None`` — the default
+        — to offer nothing (the per-event loop then runs every event).
         """
         return None
 

@@ -62,7 +62,7 @@ def _compile_send(
 ):
     """Build the fused send fast path: the kernel's one ``send``.
 
-    This is ``LogicalProcess._kernel_send`` + ``EventPool.acquire`` +
+    This is ``LogicalProcess.send`` + ``EventPool.acquire`` +
     ``TimeWarpKernel._emit`` collapsed into one closure: one frame per
     send instead of three, with every piece of kernel state that is
     constant for the run captured as a cell variable instead of re-read
@@ -608,9 +608,10 @@ class TimeWarpKernel(Executor):
         attached.  The fused send (:func:`_compile_send`, one per kernel)
         needs a delivery it can inline: the immediate transport, or a
         process-mode worker's ring transport behind the ``_far_by_lp``
-        branch.  Every LP this kernel steps then holds it in its ``send``
-        slot, and the handler table gets it too.  A fault-wrapped
-        transport keeps ``LogicalProcess._kernel_send`` → :meth:`_emit` →
+        branch.  Every LP this kernel steps then holds it in its ``_send``
+        slot, which ``LogicalProcess.send`` calls, and the handler table
+        gets it too.  A fault-wrapped
+        transport keeps the generic ``LogicalProcess.send`` → :meth:`_emit` →
         ``transport.deliver``, and the table gets
         :meth:`Executor._executing_send`.  The batch
         (:func:`_compile_batch`) is compiled either way, around the
@@ -631,7 +632,7 @@ class TimeWarpKernel(Executor):
             send = _compile_send(self, pending_by_lp, processed_by_lp, far)
             for lp in self.lps:
                 if far is None or not far[lp.id]:
-                    lp.send = send
+                    lp._send = send
         handlers = self._handler_table(send)
         owned = self.owned_pes
         self._batch_by_pe = [

@@ -18,9 +18,9 @@ nothing and an attached one keeps the fused fast paths installed):
 * **Livelock** — some in-flight packet's age exceeds a Faber-style
   delivery bound derived from the topology diameter
   (``LIVELOCK_FACTOR * diameter + LIVELOCK_SLACK`` steps).  Packet ages
-  are read from pending-event payloads (the ``inject_step`` field every
-  hot-potato packet carries); models without packet payloads simply
-  never trip it.
+  are read from the ``inject_step`` field every hot-potato packet
+  carries: in pending-event payloads, or in the band program's
+  step-end tuples; models without packet payloads simply never trip it.
 * **Rollback thrash** — the wasted-work fraction (events rolled back per
   event processed, over a boundary window of at least
   ``THRASH_MIN_PROCESSED`` events — the same attribution ``repro.obs
@@ -257,23 +257,29 @@ class Watchdog:
                 engine=kernel,
             )
         self._check_livelock(
-            position, lambda: (ev for pe in kernel.pes for ev in pe.pending),
+            position,
+            lambda: _inject_steps(ev for pe in kernel.pes for ev in pe.pending),
             engine=kernel,
         )
 
-    def boundary_sequential(self, engine, now: float) -> None:
-        """One boundary of the sequential engine (an event interval or a
-        band program's step end)."""
+    def boundary_sequential(self, engine, now: float, cut=None) -> None:
+        """One boundary of the sequential engine: an event interval of
+        its per-event loop, read from ``engine.pending``, or a band
+        program's step end, read in place from its ``cut`` (the in-flight
+        count and each packet's inject step; nothing is built)."""
         self.boundaries += 1
         self._check_stall(now)
-        pending = len(engine.pending)
+        pending = len(engine.pending) if cut is None else cut.in_flight
         if pending > MEMORY_BUDGET_EVENTS:
             self._trip(
                 "memory_growth", now,
                 {"pending": pending, "processed_depth": 0,
                  "budget": MEMORY_BUDGET_EVENTS},
             )
-        self._check_livelock(now, lambda: iter(engine.pending))
+        self._check_livelock(now, lambda: (
+            _inject_steps(engine.pending) if cut is None
+            else (inject for _, _, inject in cut.packets())
+        ))
 
     # ------------------------------------------------------------------
     # Detectors.
@@ -301,23 +307,17 @@ class Watchdog:
                 engine=engine,
             )
 
-    def _check_livelock(self, position: float, events, *, engine=None) -> None:
+    def _check_livelock(self, position: float, inject_steps, *,
+                        engine=None) -> None:
+        """``inject_steps()`` yields the inject step of each packet in
+        flight (called only on the boundaries that scan)."""
         cfg = self.cfg
         bound = self._bound
         if (bound is None or not cfg.livelock_check_every
                 or self.boundaries % cfg.livelock_check_every):
             return
         worst = -1.0
-        for ev in events():
-            data = ev.data
-            if type(data) is tuple and len(data) == len(PACKET_FIELDS):
-                inject = data[P_INJECT_STEP]  # a hot-potato packet
-            elif type(data) is dict:
-                inject = data.get("inject_step")  # e.g. the buffered baseline
-            else:
-                continue
-            if inject is None:
-                continue
+        for inject in inject_steps():
             age = position - inject
             if age > worst:
                 worst = age
@@ -373,3 +373,15 @@ class Watchdog:
         self._throttle_steps += 1
         if new <= throttle.cfg.floor or self._throttle_steps >= self.cfg.throttle_steps:
             self._throttle_spent = True
+
+
+def _inject_steps(events):
+    """The inject step of each packet among ``events``: a hot-potato
+    packet tuple's field, or a dict payload's ``inject_step`` (e.g. the
+    buffered baseline); events of any other payload carry no packet."""
+    for ev in events:
+        data = ev.data
+        if type(data) is tuple and len(data) == len(PACKET_FIELDS):
+            yield data[P_INJECT_STEP]
+        elif type(data) is dict and data.get("inject_step") is not None:
+            yield data["inject_step"]

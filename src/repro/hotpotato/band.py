@@ -43,17 +43,18 @@ per-event ``NodeFaults`` queries.  ``tests/test_band_program.py``
 referees all of it against the table, so a bug in ``policy.py``, in
 ``handlers.py`` or here shows up there.  No
 ``Event`` is built, no heap is pushed or popped and no handler is
-dispatched per packet.  A fresh run enters at step 0, where the program's
-first band is INIT: the routers' ``on_init`` self-sends, each run through
-the handler table's own ``init`` with a send that writes band state (so
-the initial fill and its Bernoulli draws have one statement).  The
-program is entered at the start of any integer step and left at any
-barrier: a step end is a consistent cut (the next step's ARRIVEs and one
-INJECT / HEARTBEAT per router), so the sequential engine leaves there to
-consult its hooks and re-enters at the next step, with what is in flight
-built as events in ``engine.pending``.  At the run's end nothing reads
-them unless asked, so the program hands the engine its left-over tuples
-and ``engine.pending`` builds the events on its first read.  Each band is
+dispatched per packet.  The engine enters the program once per run: a
+fresh run at step 0, where the program's first band is INIT (the
+routers' ``on_init`` self-sends, each run through the handler table's
+own ``init`` with a send that writes band state, so the initial fill
+and its Bernoulli draws have one statement), and a resumed run at its
+snapshot's step, from the band state the snapshot holds.  Every step
+end is a consistent cut — the next step's ARRIVEs and one INJECT /
+HEARTBEAT per router — which the program yields as a :class:`StepEnd`
+for the engine's hooks to read in place while it is suspended.  At the
+run's end nothing reads what is in flight unless asked, so the program
+hands the engine its left-over tuples and ``engine.pending`` builds the
+events on its first read.  Each band is
 sorted descending and popped as it runs, so a tuple is freed as soon as
 it has sent its successor.  An attached tracer is given each executed
 event's EXEC and COMMIT records, built from the band's sorted tuples in
@@ -73,12 +74,13 @@ configuration the handler table runs, so
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from operator import attrgetter
+from typing import Callable
 
 from repro.core.event import Event
-from repro.errors import ModelError
 from repro.hotpotato.policy import BuschHotPotatoPolicy
 from repro.hotpotato.router import (
     ARRIVE,
@@ -89,6 +91,7 @@ from repro.hotpotato.router import (
     INIT_TS,
     INJECT,
     INJECT_OFFSET,
+    P_INJECT_STEP,
     P_STEP,
     ROUTE,
     ROUTE_BASE,
@@ -98,14 +101,7 @@ from repro.hotpotato.router import (
 from repro.rng.lcg import INCREMENT, MASK64, MULTIPLIER, _INV_2_53
 from repro.vt.time import EventKey
 
-__all__ = ["BAND_START", "run_bands"]
-
-#: Where a fresh run hands over from the per-event loop: the start of
-#: the run, so the program runs every event.  Its first band is step 0's
-#: INIT, run through the handler table's ``init`` (see
-#: :func:`_init_band`), so the initial fill and its Bernoulli draws have
-#: exactly one rendering.
-BAND_START = 0.0
+__all__ = ["StepEnd", "run_bands"]
 
 #: ``EventKey(ts, origin, seq)`` without the named-tuple constructor.
 _tuple_new = tuple.__new__
@@ -115,26 +111,67 @@ _tuple_new = tuple.__new__
 _KEY_FIELDS = 4
 
 
-def run_bands(engine, processed: int, step: int, end: float):
-    """Run ``engine`` from the start of integer step ``step`` to ``end``.
+@dataclass(slots=True)
+class StepEnd:
+    """The band program's state at a step end, read in place.
 
-    A generator: after each band it yields ``(now, processed, pending)``
-    — the virtual time reached, the cumulative event count and the number
-    of events in flight — so the engine can pace its metric samples and
-    ``exec`` spans; the engine must exhaust it.  On entry ``engine.pending``
-    holds exactly what the per-event loop leaves at ``step``: the ARRIVEs
-    of that step and one INJECT / HEARTBEAT per router that has one — or,
-    at step 0 of a fresh run, the routers' INIT self-sends.
-    ``links`` and ``head_gen`` are the population's own lists, updated in
-    place.  On exit at ``end`` (at most ``engine.end_time``) — before
-    INIT, inside a band, between two or at a step end — the routers'
-    ``send_seq`` / RNG state and count are written back, ``engine.sends``
-    is advanced, and the events not yet due are pushed back into
-    ``engine.pending``, so the engine is in the state the per-event loop
-    would have left (``lp._now`` apart, which only has meaning inside a
-    handler).  At ``engine.end_time`` they are handed over unbuilt
-    (``engine.defer_pending``): nothing runs after the run's end, and
-    ``engine.pending`` builds them if it is ever read.  With
+    Every packet moves every step, so a step end is a consistent cut:
+    what is in flight is the ARRIVE tuples of step :attr:`step`
+    (``arrivals``) and one INJECT / HEARTBEAT self-send per router, whose
+    seqs are ``inj_seq`` / ``hb_seq``.  The program yields this view at
+    each step end before the run's end and carries on from the same
+    lists when resumed, so a hook reads it without anything being built;
+    only :meth:`loop_state`, which a snapshot calls, writes state back.
+    """
+
+    arrivals: list
+    inj_seq: list
+    hb_seq: list
+    #: Links per router: a bound on the ARRIVEs it receives a step.
+    degree: list
+    #: Gives the routers the ``send_seq`` / RNG state of the program's lists.
+    write_back: Callable[[], None]
+    #: The step about to run, the events run so far and those in flight.
+    step: int = 0
+    processed: int = 0
+    in_flight: int = 0
+
+    def packets(self):
+        """``(dst, step, inject_step)`` of each in-flight ARRIVE."""
+        d, i = _KEY_FIELDS + P_STEP, _KEY_FIELDS + P_INJECT_STEP
+        return ((t[3], t[d], t[i]) for t in self.arrivals)
+
+    def loop_state(self) -> dict:
+        """What a snapshot's ``loop`` holds to resume here: the routers'
+        ``send_seq`` and RNG state are written back (``engine.sends`` is
+        current after every band), and the band state is copied as
+        tuples and lists for :func:`run_bands` to enter from."""
+        self.write_back()
+        band = (list(self.arrivals), list(self.inj_seq), list(self.hb_seq))
+        return {"processed": self.processed, "step": self.step, "band": band}
+
+
+def run_bands(engine, processed: int, step: int, band=None):
+    """Run ``engine`` from the start of integer step ``step`` to its end.
+
+    A generator: after each band it yields ``(now, processed, pending,
+    cut)`` — the virtual time reached, the cumulative event count, the
+    number of events in flight and, at a step end before the run's end,
+    the :class:`StepEnd` there (else ``None``) — so the engine can pace
+    its metric samples and ``exec`` spans and consult its hooks; the
+    engine must exhaust it.  A fresh run enters at step 0 with no
+    ``band``: ``engine.pending`` then holds only the routers' INIT
+    self-sends.  A resumed one enters at its snapshot's step with the
+    snapshot's ``band`` (:meth:`StepEnd.loop_state`), the LPs and
+    ``engine.sends`` already restored.  ``links`` and ``head_gen`` are
+    the population's own lists, updated in place, and ``engine.sends``
+    is advanced after every band.  At ``engine.end_time`` — before INIT,
+    inside a band, between two or at a step end — the routers'
+    ``send_seq`` / RNG state and count are written back, and the events
+    not yet due are handed over unbuilt (``engine.defer_pending``):
+    nothing runs after the run's end, and ``engine.pending`` builds them
+    if it is ever read, as the per-event loop would have left them
+    (``lp._now`` apart, which only has meaning inside a handler).  With
     ``engine.tracer`` set, every executed event is recorded as the
     per-event loop records it: EXEC then COMMIT, in key order.
     """
@@ -142,40 +179,24 @@ def run_bands(engine, processed: int, step: int, end: float):
     model = engine.model
     cfg = model.cfg
     topo = model.topo
-    pending = engine.pending
     tracer = engine.tracer
+    end = engine.end_time
     n_lps = len(lps)
 
-    # --- enter: events -> flat tuples, LP state -> flat lists -----------
-    arrivals: list[tuple] = []
-    inj_seq = [0] * n_lps  # seq of each router's pending INJECT self-send
-    hb_seq = [0] * n_lps  # ... and of its pending HEARTBEAT
-    inits: list[Event] = []
-    for ev in pending.drain():
-        key = ev.key
-        kind = ev.kind
-        data = ev.data
-        if kind == ARRIVE and data[P_STEP] == step:
-            arrivals.append((key[0], key[1], key[2], ev.dst) + data)
-        elif kind == INJECT and data == step:
-            inj_seq[ev.dst] = key[2]
-        elif kind == HEARTBEAT and data == step:
-            hb_seq[ev.dst] = key[2]
-        elif kind == INIT and step == 0:
-            inits.append(ev)
-        else:
-            raise ModelError(
-                f"band program entered at step {step} with a pending {ev!r}"
-            )
-    sends = 0
-    if inits:
+    # --- enter: step 0's INITs, or a snapshot's band state --------------
+    if band is None:
+        if not INIT_TS < end:
+            return  # nothing is due: the INITs stay pending
+        arrivals: list[tuple] = []
+        inj_seq = [0] * n_lps  # seq of each router's pending INJECT self-send
+        hb_seq = [0] * n_lps  # ... and of its pending HEARTBEAT
+        inits = engine.pending.drain()
         # The INIT band, before the RNG and send_seq lists are gathered:
         # it draws and sends through the routers themselves.
-        if not INIT_TS < end:
-            pending.extend(inits)  # nothing is due: leave as entered
-            return
         processed += len(inits)
-        sends = _init_band(engine, inits, arrivals, inj_seq, hb_seq)
+        _init_band(engine, inits, arrivals, inj_seq, hb_seq)
+    else:
+        arrivals, inj_seq, hb_seq = (list(part) for part in band)
     injectors = [lp.id for lp in lps if lp.is_injector]
     heartbeat = cfg.heartbeat
     # The population's own state lists (every router shares them).
@@ -228,6 +249,8 @@ def run_bands(engine, processed: int, step: int, end: float):
     routes: list[tuple] = []
     inj_step = hb_step = step  # step of the pending INJECTs / HEARTBEATs
     n_ticks = len(injectors) + (n_lps if heartbeat else 0)
+    write_back = partial(_write_back, lps, send_seq, rng_state, rng_count)
+    cut = StepEnd(arrivals, inj_seq, hb_seq, degree, write_back)
 
     # --- one step per iteration; every event of `step` has ts > step ----
     # (step 0's ARRIVE and ROUTE bands are empty: INIT's packets arrive at
@@ -279,11 +302,10 @@ def run_bands(engine, processed: int, step: int, end: float):
                     dst, seq, dst,
                     step, dest, priority, inject_step, jitter, distance, src,
                 ))
-        sends += len(routes)
+        engine.sends += len(routes)
         yield (
-            min(route_base, end),
-            processed,
-            len(arrivals) + len(routes) + n_ticks,
+            min(route_base, end), processed,
+            len(arrivals) + len(routes) + n_ticks, None,
         )
         if last:
             break
@@ -417,11 +439,10 @@ def run_bands(engine, processed: int, step: int, end: float):
                     step1 + jitter, dst, seq, nbrs[slot],
                     step1, dest, newp, inject_step, jitter, distance, src,
                 ))
-        sends += len(arrivals) - sent
+        engine.sends += len(arrivals) - sent
         yield (
-            min(step + INJECT_OFFSET, end),
-            processed,
-            len(arrivals) + len(routes) + n_ticks,
+            min(step + INJECT_OFFSET, end), processed,
+            len(arrivals) + len(routes) + n_ticks, None,
         )
         if last:
             break
@@ -431,10 +452,8 @@ def run_bands(engine, processed: int, step: int, end: float):
         if not step + INJECT_OFFSET < end:
             break
         if tracer is not None:
-            _trace(tracer, (
-                Event(EventKey(step + INJECT_OFFSET, i, inj_seq[i]), i, INJECT, step)
-                for i in injectors
-            ))
+            _trace(tracer, _ticks(INJECT, step, injectors, inj_seq))
+        sent = len(arrivals)
         for i in injectors:
             # The next INJECT is sent first, whatever happens after.
             seq = inj_seq[i] = send_seq[i]
@@ -504,27 +523,20 @@ def run_bands(engine, processed: int, step: int, end: float):
             if wait > st.max_inject_wait:
                 st.max_inject_wait = wait
             send_seq[i] = seq + 2
-            sends += 1
             arrivals_append((
                 step1 + jitter, i, seq + 1, nbrs[slot],
                 step1, dest, 0, step, jitter, info[3], i,
             ))
         inj_step = step1
         processed += len(injectors)
-        sends += len(injectors)
+        engine.sends += len(injectors) + len(arrivals) - sent
         while masked:  # dead links read as free again
             slot, claim = masked.pop()
             links[slot] = claim
         last = heartbeat and not step + HEARTBEAT_OFFSET < end
         if heartbeat and not last:
             if tracer is not None:
-                _trace(tracer, (
-                    Event(
-                        EventKey(step + HEARTBEAT_OFFSET, i, hb_seq[i]), i,
-                        HEARTBEAT, step,
-                    )
-                    for i in range(n_lps)
-                ))
+                _trace(tracer, _ticks(HEARTBEAT, step, range(n_lps), hb_seq))
             for i in range(n_lps):
                 base = i * 4
                 st = stats[i]
@@ -539,56 +551,54 @@ def run_bands(engine, processed: int, step: int, end: float):
                 send_seq[i] = seq + 1
             hb_step = step1
             processed += n_lps
-            sends += n_lps
-        yield (
-            min(float(step1), end),
-            processed,
-            len(arrivals) + len(routes) + n_ticks,
-        )
+            engine.sends += n_lps
+        in_flight = len(arrivals) + len(routes) + n_ticks
+        cut.step, cut.processed, cut.in_flight = step1, processed, in_flight
+        # A cut the run goes on from, unless this is the run's end.
+        yield min(float(step1), end), processed, in_flight, cut if step1 < end else None
         if last:
             break
         step = step1
 
-    # --- leave: flat lists -> LP state, left-over tuples -> events ------
+    # --- leave at the run's end: flat lists -> LP state ------------------
     while masked:
         slot, claim = masked.pop()
         links[slot] = claim
-    engine.sends += sends
+    write_back()
+    engine.defer_pending(partial(
+        _left_over, arrivals, routes, injectors, inj_step, inj_seq,
+        hb_step if heartbeat else None, hb_seq,
+    ))
+
+
+def _write_back(lps, send_seq, rng_state, rng_count) -> None:
+    """Give each router the ``send_seq`` and RNG state the program's
+    lists hold for it."""
     for i, lp in enumerate(lps):
         lp.send_seq = send_seq[i]
         lp.rng.restore((rng_state[i], rng_count[i]))
-    left = partial(
-        _left_over, arrivals, routes, injectors, inj_step, inj_seq,
-        hb_step if heartbeat else None, hb_seq,
-    )
-    if end < engine.end_time:
-        pending.extend(left())
-    else:
-        engine.defer_pending(left)
 
 
-def _init_band(engine, inits: list[Event], arrivals: list, inj_seq, hb_seq) -> int:
-    """Run step 0's INIT events, freeing each as it runs; return the sends.
+def _init_band(engine, inits: list[Event], arrivals: list, inj_seq, hb_seq) -> None:
+    """Run step 0's INIT events, freeing each as it runs.
 
     Each runs through the handler table's own ``init``, the per-event
     loop's statement of the initial fill, with a send that writes the
     program's band state instead of building an event: an ARRIVE becomes
     its packet tuple in ``arrivals``, an INJECT or HEARTBEAT self-send the
     router's entry in ``inj_seq`` / ``hb_seq``.  ``send_seq`` advances as
-    :meth:`LogicalProcess.send <repro.core.lp.LogicalProcess._kernel_send>`
+    :meth:`LogicalProcess.send <repro.core.lp.LogicalProcess.send>`
     advances it, and the draws are made on each router's own stream.
     """
     lps = engine.lps
     tracer = engine.tracer
     src = 0  # the router whose INIT is running
-    sends = 0
 
     def send(ts, dst, kind, data=None):
-        nonlocal sends
         lp = lps[src]
         seq = lp.send_seq
         lp.send_seq = seq + 1
-        sends += 1
+        engine.sends += 1
         if kind == ARRIVE:
             arrivals.append((ts, src, seq, dst) + data)
         elif kind == INJECT:
@@ -607,7 +617,6 @@ def _init_band(engine, inits: list[Event], arrivals: list, inj_seq, hb_seq) -> i
         if tracer is not None:
             tracer.on_exec(ev)
             tracer.on_commit(ev)
-    return sends
 
 
 def _due(band: list[tuple], limit: float) -> int:
@@ -635,16 +644,17 @@ def _left_over(arrivals, routes, injectors, inj_step, inj_seq, hb_step, hb_seq):
         while band:
             t = band.pop()
             push(Event(_tuple_new(EventKey, t[:3]), t[3], kind, t[_KEY_FIELDS:]))
-    ts = inj_step + INJECT_OFFSET
-    for i in injectors:
-        push(Event(_tuple_new(EventKey, (ts, i, inj_seq[i])), i, INJECT, inj_step))
+    left.extend(_ticks(INJECT, inj_step, injectors, inj_seq))
     if hb_step is not None:
-        ts = hb_step + HEARTBEAT_OFFSET
-        for i in range(len(hb_seq)):
-            push(Event(
-                _tuple_new(EventKey, (ts, i, hb_seq[i])), i, HEARTBEAT, hb_step
-            ))
+        left.extend(_ticks(HEARTBEAT, hb_step, range(len(hb_seq)), hb_seq))
     return left
+
+
+def _ticks(kind: str, step: int, ids, seqs):
+    """The INJECT or HEARTBEAT self-sends of step ``step`` of routers
+    ``ids``, whose seqs are ``seqs``, in LP-id (key) order."""
+    ts = step + (INJECT_OFFSET if kind == INJECT else HEARTBEAT_OFFSET)
+    return (Event(_tuple_new(EventKey, (ts, i, seqs[i])), i, kind, step) for i in ids)
 
 
 def _attribute(st, dead: set, base: int, good) -> None:

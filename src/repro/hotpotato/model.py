@@ -156,9 +156,9 @@ class HotPotatoModel(Model):
         """The sequential band program (:mod:`repro.hotpotato.band`),
         offered for every configuration the handler table runs: any
         policy, topology, fault plan or adversary."""
-        from repro.hotpotato.band import BAND_START, run_bands
+        from repro.hotpotato.band import run_bands
 
-        return BAND_START, run_bands
+        return run_bands
 
     def checkpoint_state(self) -> Any:
         """Model-level mutable state: the commit-time delivery log."""

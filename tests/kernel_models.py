@@ -59,16 +59,15 @@ def band_spy(model):
     offer = model.band_program
 
     def band_program():
-        offered = offer()
-        if offered is None:
+        program = offer()
+        if program is None:
             return None
-        start, program = offered
 
-        def entered(engine, processed, step, end):
+        def entered(engine, processed, step, band=None):
             entries.append(step)
-            return program(engine, processed, step, end)
+            return program(engine, processed, step, band)
 
-        return start, entered
+        return entered
 
     model.band_program = band_program
     return entries
@@ -90,9 +89,9 @@ def transport_faults(drop=0.05, dup=0.05, delay=0.1, seed=11, stalls=()):
     """Test foil: an ``EngineFaults`` whose plan carries transport faults only.
 
     Attached to a Time Warp kernel it wraps the transport, which is the
-    one remaining configuration that keeps the generic ``_kernel_send`` →
-    ``_emit`` → ``transport.deliver`` → ``_receive`` send path with no
-    tracer attached, and that holds messages in flight across rounds.
+    one remaining configuration that keeps the generic
+    ``LogicalProcess.send`` → ``_emit`` → ``transport.deliver`` →
+    ``_receive`` send path with no tracer attached, and that holds messages in flight across rounds.
     Committed results are unchanged by construction (every held message
     arrives), and so are they by any ``stalls`` (``PEStall`` windows).
     """

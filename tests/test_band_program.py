@@ -309,30 +309,31 @@ def _snapshot_payload(tmp_path):
 
 
 #: What the engine once declined the band program for, and the steps the
-#: program is then entered at: one entry per step for a boundary hook,
-#: from the snapshot's step for a resume.
+#: program is then entered at: once, at step 0 — or at the snapshot's
+#: step for a resume.
 ENGINE_HOOKS = {
     "tracer": (lambda e, tmp: e.attach_tracer(Tracer()), [0]),
     "checkpointer": (
         lambda e, tmp: e.attach_checkpointer(
             Checkpointer(tmp / "unused", every=1 << 30)
         ),
-        list(range(10)),
+        [0],
     ),
     "watchdog": (
         lambda e, tmp: e.attach_health(Watchdog(HealthConfig())),
-        list(range(10)),
+        [0],
     ),
-    "paranoid": (lambda e, tmp: setattr(e, "paranoid", True), list(range(10))),
+    "paranoid": (lambda e, tmp: setattr(e, "paranoid", True), [0]),
     "resumed snapshot": (lambda e, tmp: e.restore(_snapshot_payload(tmp)), None),
 }
 
 
 @pytest.mark.parametrize("name", ENGINE_HOOKS)
 def test_engine_declines_by_name(name, tmp_path):
-    """Nothing attached declines the band program: each hook runs it (a
-    boundary hook one step at a time) and changes nothing but the speed.
-    (The id is kept from when each of these was a named decline.)"""
+    """Nothing attached declines the band program: each hook runs it,
+    entered once (a boundary hook reads each step end in place), and
+    changes nothing but the speed.  (The id is kept from when each of
+    these was a named decline.)"""
     band = SequentialEngine(HotPotatoModel(CFG), CFG.duration, seed=SEED).run()
     model = HotPotatoModel(CFG)
     entries = band_spy(model)
@@ -399,9 +400,9 @@ def cli_entries(monkeypatch):
     entries = []
     program = band.run_bands
 
-    def run_bands(engine, processed, step, end):
+    def run_bands(engine, processed, step, band=None):
         entries.append(step)
-        return program(engine, processed, step, end)
+        return program(engine, processed, step, band)
 
     monkeypatch.setattr(band, "run_bands", run_bands)
     return entries
@@ -414,22 +415,21 @@ def test_hooked_cli_runs_stay_on_the_band_program(tmp_path, capsys, cli_entries)
     from repro.hotpotato.__main__ import main as hotpotato
 
     base = ["--n", "16", "--duration", "20"]
-    steps = list(range(20))
     assert hotpotato(base) == 0
     plain = capsys.readouterr().out
     assert cli_entries == [0]
     ckpt = ["--checkpoint-dir", str(tmp_path / "ckpt")]
     runs = {
-        "trace": (["--trace-out", str(tmp_path / "t.jsonl")], [0]),
-        "checkpoint": (ckpt, steps),
-        "paranoid": (["--paranoid"], steps),
-        "watchdog": (["--watchdog"], steps),
+        "trace": ["--trace-out", str(tmp_path / "t.jsonl")],
+        "checkpoint": ckpt,
+        "paranoid": ["--paranoid"],
+        "watchdog": ["--watchdog"],
     }
-    for name, (flags, expected) in runs.items():
+    for name, flags in runs.items():
         cli_entries.clear()
         assert hotpotato(base + flags) == 0, name
         assert capsys.readouterr().out.endswith(plain), name
-        assert cli_entries == expected, name
+        assert cli_entries == [0], name
 
     snaps = list_snapshots(tmp_path / "ckpt")
     assert len(snaps) > 2
@@ -439,7 +439,7 @@ def test_hooked_cli_runs_stay_on_the_band_program(tmp_path, capsys, cli_entries)
     cli_entries.clear()
     assert hotpotato(base + ckpt + ["--resume"]) == 0
     assert capsys.readouterr().out.endswith(plain)
-    assert cli_entries == steps[steps.index(step):] and step > 2
+    assert cli_entries == [step] and step > 2
 
 
 def test_traced_band_run_records_equal_the_reference():
@@ -451,6 +451,31 @@ def test_traced_band_run_records_equal_the_reference():
     assert band["entries"] == [0] and reference["entries"] == []
     assert len(band["records"]) == 2 * band["counters"][0]
     assert band["records"] == reference["records"]
+
+
+def test_a_hooked_run_builds_an_event_only_for_init(monkeypatch, tmp_path):
+    """The watchdog (scanning packet ages at every step end), the paranoid
+    checks and an idle checkpointer read each step end in place: the run
+    builds no ``Event`` beyond its routers' INITs, and commits what a
+    plain run commits."""
+    cfg = HotPotatoConfig(n=8, duration=12.5, heartbeat=True)
+    plain = SequentialEngine(HotPotatoModel(cfg), cfg.duration, seed=SEED).run()
+    built = []
+    init = Event.__init__
+    monkeypatch.setattr(
+        Event, "__init__",
+        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw),
+    )
+    watchdog = Watchdog(HealthConfig(livelock_check_every=1))
+    ckpt = Checkpointer(tmp_path, every=1 << 30)
+    engine = SequentialEngine(
+        HotPotatoModel(cfg), cfg.duration, seed=SEED, paranoid=True
+    ).attach_health(watchdog).attach_checkpointer(ckpt)
+    hooked = engine.run()
+    assert len(built) == cfg.n * cfg.n
+    assert watchdog.boundaries == ckpt.boundaries == 12 and not watchdog.events
+    assert hooked.model_stats == plain.model_stats
+    assert hooked.run.as_dict() == plain.run.as_dict()
 
 
 def test_a_plain_run_builds_an_event_only_for_init(monkeypatch):

@@ -129,3 +129,65 @@ def test_conservation_violation_names_the_router():
         InvariantViolation, match="packet conservation violated"
     ):
         check_optimistic(kernel, kernel.gvt)
+
+
+def _planted(plant_at: int, plant) -> HotPotatoModel:
+    """The model, its band program calling ``plant(cut)`` on the step-end
+    cut of step ``plant_at`` before the engine's hooks read it."""
+    model = _model()
+    program = model.band_program()
+
+    def planted(engine, processed, step, band=None):
+        for now, processed, pending, cut in program(engine, processed, step, band):
+            if cut is not None and cut.step == plant_at:
+                plant(cut)
+            yield now, processed, pending, cut
+
+    model.band_program = lambda: planted
+    return model
+
+
+def test_band_step_end_duplicate_names_the_router():
+    """At a step end --paranoid checks the band program's cut in place: a
+    duplicate ARRIVE planted at a router that already receives one per
+    link claims a link twice, and the check names the router."""
+    planted = []
+
+    def duplicate(cut):
+        received = [0] * len(cut.degree)
+        for dst, _, _ in cut.packets():
+            received[dst] += 1
+        dst = received.index(max(received))
+        assert received[dst] == cut.degree[dst] == 4
+        cut.arrivals.append(next(t for t in cut.arrivals if t[3] == dst))
+        planted.append(dst)
+
+    engine = SequentialEngine(
+        _planted(5, duplicate), DURATION, seed=SEED, paranoid=True
+    )
+    with pytest.raises(InvariantViolation) as exc_info:
+        engine.run()
+    (dst,) = planted
+    assert str(exc_info.value) == (
+        f"at t=5.0: router {dst} receives ARRIVE no. 5, of step 5, at step 5 "
+        "on 4 links"
+    )
+
+
+def test_band_step_end_stale_arrive_names_the_router():
+    """An in-flight ARRIVE of any step but the next one is named too."""
+    planted = []
+
+    def stale(cut):
+        t = cut.arrivals.pop()
+        cut.arrivals.append(t[:4] + (t[4] - 1,) + t[5:])
+        planted.append(t[3])
+
+    engine = SequentialEngine(
+        _planted(5, stale), DURATION, seed=SEED, paranoid=True
+    )
+    with pytest.raises(InvariantViolation) as exc_info:
+        engine.run()
+    (dst,) = planted
+    assert f"at t=5.0: router {dst} receives ARRIVE no. " in str(exc_info.value)
+    assert str(exc_info.value).endswith(", of step 4, at step 5 on 4 links")

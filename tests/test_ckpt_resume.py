@@ -15,11 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.ckpt import Checkpointer, list_snapshots
+from repro.ckpt import Checkpointer, list_snapshots, read_snapshot
 from repro.core.config import EngineConfig
 from repro.core.conservative import ConservativeKernel
 from repro.core.engine import SequentialEngine
+from repro.core.event import Event
 from repro.core.optimistic import TimeWarpKernel
+from repro.errors import SnapshotError
 from repro.faults import FaultPlan
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.model import HotPotatoModel
@@ -84,7 +86,7 @@ def test_sequential_resume_every_snapshot(tmp_path):
 def test_sequential_band_program_resume_every_snapshot(tmp_path):
     """The band program: a snapshot at every step end (the program runs
     from step 0's INIT, so there is no per-event prefix to cut), each
-    resumed on the program from the step it records."""
+    resumed on the program, entered once at the step it records."""
     entries = []
     cfg = HotPotatoConfig(n=8, duration=DURATION, injector_fraction=1.0)
 
@@ -97,11 +99,71 @@ def test_sequential_band_program_resume_every_snapshot(tmp_path):
     oracle, recorded, *resumed = entries
     steps = list(range(int(DURATION)))
     assert oracle == [0]
-    assert recorded == steps  # left and re-entered at every step end
+    assert recorded == [0]  # every step end read in place
     assert len(resumed) == n == len(steps) - 1
-    for got in resumed:
-        assert got == steps[steps.index(got[0]):]
+    assert all(len(got) == 1 for got in resumed)
     assert sorted(got[0] for got in resumed) == steps[1:]
+
+
+def _events_in(obj) -> int:
+    """How many ``Event`` objects a snapshot payload's containers hold."""
+    if isinstance(obj, Event):
+        return 1
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return 0
+    return sum(_events_in(item) for item in obj)
+
+
+def test_band_snapshot_holds_no_event(tmp_path):
+    """A band-program snapshot stores the step end's cut as it stands: its
+    heap is empty, and its loop state holds the in-flight ARRIVEs as
+    tuples and each router's INJECT / HEARTBEAT seq in two lists."""
+    ckpt = Checkpointer(tmp_path, every=1)
+    SequentialEngine(HotPotatoModel(_cfg()), DURATION, seed=SEED)\
+        .attach_checkpointer(ckpt).run()
+    snaps = list_snapshots(tmp_path)
+    assert len(snaps) == int(DURATION) - 1
+    for i, snap in enumerate(snaps):
+        payload = read_snapshot(snap)
+        assert payload["pending"] == []
+        assert _events_in(payload) == 0
+        loop = payload["loop"]
+        assert loop["step"] == i + 1
+        arrivals, inj_seq, hb_seq = loop["band"]
+        assert arrivals and all(type(t) is tuple for t in arrivals)
+        assert all(t[4] == loop["step"] for t in arrivals)  # the packet's step
+        assert len(inj_seq) == len(hb_seq) == N * N
+        assert all(type(seq) is int for seq in inj_seq + hb_seq)
+
+
+#: A mid-run snapshot (step 6) of the band program on ``_cfg()`` at
+#: ``SEED``, written by the version whose program left at every step end:
+#: payload format 9, its heap holding the in-flight set as events.
+FORMAT_9_BAND = Path(__file__).parent / "data" / "sequential_band_format9.rpsnap"
+
+
+def test_format_9_band_snapshot_refused_by_number(tmp_path):
+    """The band program enters only from step 0's INITs or a snapshot's
+    band state, so a format-9 snapshot's heap of events is refused by
+    number, before the program is entered."""
+    payload = read_snapshot(FORMAT_9_BAND)
+    assert (payload["format"], payload["kind"]) == (9, "sequential")
+    assert payload["loop"] == {"processed": 655, "step": 6}
+    assert payload["pending"]
+    snap_dir = tmp_path / "snaps"
+    snap_dir.mkdir()
+    shutil.copy(FORMAT_9_BAND, snap_dir / "ckpt_000005.rpsnap")
+    ck = Checkpointer(snap_dir, every=1 << 30, marker={"case": "fmt9"})
+    ck.load_latest()
+    model = HotPotatoModel(_cfg())
+    entries = band_spy(model)
+    fresh = SequentialEngine(model, DURATION, seed=SEED)
+    with pytest.raises(SnapshotError, match="payload format 9 .* format 10"):
+        fresh.attach_checkpointer(ck)
+    assert fresh._resume is None and not fresh.pending
+    assert entries == []
 
 
 @pytest.mark.parametrize(
@@ -167,9 +229,10 @@ def test_format_4_snapshot_refused_before_the_first_event(tmp_path):
         snaps = list_snapshots(snap_dir)
         mid = snaps[len(snaps) // 2]
         payload = read_snapshot(mid)
-        assert payload["pending"]
         if old == 4:
-            assert payload["loop"]["step"] > 1
+            assert payload["loop"]["step"] > 1 and payload["loop"]["band"][0]
+        else:
+            assert payload["pending"]
         old_dir = tmp_path / f"old{old}"
         old_dir.mkdir()
         write_snapshot(old_dir / mid.name, {**payload, "format": old})
@@ -228,9 +291,10 @@ def test_format_8_prefix_snapshot_refused_with_exit_2(
     tmp_path, capsys, monkeypatch
 ):
     """A format-8 sequential snapshot taken every ``seq_events`` commits of
-    the per-event prefix (before the band program took over at step 1)
-    holds a cut inside step 0, which the program cannot enter:
-    ``--resume`` refuses it by number and exits 2 before any event runs."""
+    the per-event prefix (before the band program took over at step 1;
+    the per-event loop cuts the same way) holds a cut inside step 0,
+    which the program cannot enter: ``--resume`` refuses it by number
+    and exits 2 before any event runs."""
     from repro.ckpt.snapshot import read_snapshot, write_snapshot
     from repro.hotpotato import band
     from repro.hotpotato.__main__ import main
@@ -240,10 +304,8 @@ def test_format_8_prefix_snapshot_refused_with_exit_2(
     flags = ["--n", "24", "--duration", "3",
              "--checkpoint-dir", str(tmp_path / "ckpt")]
     with monkeypatch.context() as patch:
-        # The hand-over at step 1, as the format-8 version ran every run.
-        patch.setattr(
-            HotPotatoModel, "band_program", lambda self: (1.0, band.run_bands)
-        )
+        # The per-event loop, which ran step 0 in the format-8 version.
+        patch.setattr(HotPotatoModel, "band_program", lambda self: None)
         assert main([*flags, "--checkpoint-every", "1"]) == 0
     capsys.readouterr()
     snaps = list_snapshots(tmp_path / "ckpt")
@@ -314,9 +376,11 @@ def test_optimistic_resume_every_snapshot(tmp_path, overrides):
 #: The last snapshot of a rollback-heavy 4×4 run (``batch_size=2048``),
 #: written when every event carried a ``saved`` dict and a ``sent`` list
 #: from construction on: its pending events hold empty journals, and the
-#: undone ones the keys their last execution left.  Payload format 9, as
-#: now; the engine gives every execution a fresh journal, so those are
-#: dropped on restore and the run commits what the uninterrupted one does.
+#: undone ones the keys their last execution left.  Payload format 9,
+#: which a Time Warp restore still reads (format 10 changed only the
+#: sequential payload); the engine gives every execution a fresh journal,
+#: so those are dropped on restore and the run commits what the
+#: uninterrupted one does.
 PENDING_JOURNALS = Path(__file__).parent / "data" / "optimistic_pending_journals.rpsnap"
 
 
@@ -325,7 +389,7 @@ def test_snapshot_with_pending_journals_resumes_identically(tmp_path):
     from repro.ckpt.state import PAYLOAD_FORMAT
 
     payload = read_snapshot(PENDING_JOURNALS)
-    assert payload["format"] == PAYLOAD_FORMAT == 9
+    assert payload["format"] == 9 and PAYLOAD_FORMAT == 10
     pending = [ev for events in payload["pending"] for ev in events]
     assert all(ev.sent == [] for ev in pending)
     assert any(ev.saved for ev in pending)  # stale keys of undone executions

@@ -265,7 +265,7 @@ def _one_send_probe(monkeypatch, model):
             and any(c.cell_contents is kernel for c in obj.__closure__)
         )
         counts[0] += 1
-        counts[1] += sum(lp.send is not send for lp in owned)
+        counts[1] += sum(lp._send is not send for lp in owned)
         counts[2] += compiled - 1
 
     monkeypatch.setattr(TimeWarpKernel, "_install_fast_paths", checked)

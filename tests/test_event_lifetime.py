@@ -139,13 +139,31 @@ def test_sequential_band_program_leaves_no_cyclic_event():
 
 
 def test_hooked_band_program_leaves_no_cyclic_event():
-    """A hooked run leaves and re-enters the program at every step end."""
+    """A hooked run enters the program once and reads every step end in
+    place."""
     model = _hotpotato()
     entries = band_spy(model)
     engine = SequentialEngine(model, 20.0, seed=SEED, paranoid=True)
     left, _ = _events_left_to_the_collector(engine)
-    assert entries == list(range(20))
+    assert entries == [0]
     assert left == 0
+
+
+def test_no_lp_of_a_band_run_holds_a_bound_send():
+    """A band run's routers send only from ``on_init``, through the generic
+    ``LogicalProcess.send``: none holds a bound method of itself (64 B a
+    router, and an LP -> method -> LP cycle), in its ``_send`` slot or
+    anywhere else."""
+    model = _hotpotato()
+    engine = SequentialEngine(model, 20.0, seed=SEED, paranoid=True)
+    entries = band_spy(model)
+    engine.run()
+    assert entries == [0]
+    for lp in engine.lps:
+        assert lp._send is None
+        assert not any(
+            getattr(obj, "__self__", None) is lp for obj in gc.get_referents(lp)
+        )
 
 
 @pytest.mark.parametrize("protocol", ["yawns"])  # the one conservative protocol

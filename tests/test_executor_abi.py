@@ -234,7 +234,7 @@ def test_snapshot_with_old_payload_format_refused():
     for engine, old_format in (("opt", 1), ("cons", 6)):
         fresh = _engine(engine, GOLDEN_SEEDS[0], False)
         payload = fresh.snapshot()
-        assert payload["format"] == PAYLOAD_FORMAT == 9
+        assert payload["format"] == PAYLOAD_FORMAT == 10
         assert payload["kind"] == fresh.kind
         if old_format == 6:
             old = read_snapshot(FORMAT_6_CONSERVATIVE)

@@ -15,7 +15,7 @@ from repro.hotpotato.config import HotPotatoConfig
 TINY = HotPotatoConfig(n=4, duration=10.0, injector_fraction=1.0)
 
 
-@pytest.mark.parametrize("gate", GATES, ids=[g.keyword for g in GATES])
+@pytest.mark.parametrize("gate", GATES, ids=[g.id for g in GATES])
 def test_hooked_run_commits_identically_and_hook_is_live(gate, tmp_path):
     assert deterministic_failures(gate, TINY, tmp_path) == []
 
