@@ -10,18 +10,20 @@ sequential band program too: it reads the program's step end in place
 and materialises state only for a snapshot it writes
 (docs/CHECKPOINT.md).
 
-Lifecycle::
+Lifecycle: the CLI and a sweep point each make their run one
+:class:`ResumableRun`, which does, in this order::
 
     ckpt = Checkpointer(dir, every=4, marker={...})
-    payload = ckpt.load_latest()          # resume only; verifies marker
-    capture = RunCapture.resume(payload.get("obs"))   # resume only
-    engine  = build_engine(...)           # same model/config as captured
-    capture.attach(engine)
-    engine.attach_faults(...)             # same plan as captured
-    engine.attach_checkpointer(ckpt)      # grafts restored state
+    payload = ckpt.load_latest(procs)     # resume only: finds and checks
+    capture = RunCapture.resume(payload["obs"])  # else a fresh capture
     ckpt.capture = capture                # future snapshots carry obs state
-    with deferred_interrupts(ckpt):
-        result = engine.run()
+    with wall_deadline(...), deferred_interrupts(ckpt):
+        result = sim.run(..., checkpointer=ckpt)  # attached last: grafts
+    capture.finalize(result)
+
+The whole cut is checked before the capture exists, so a refused resume
+truncates no telemetry file, writes no ``manifest.json`` and forks no
+worker.
 
 Interrupt handling: inside :func:`deferred_interrupts`, SIGINT only sets
 a flag; the next boundary writes a final snapshot from a fully
@@ -45,7 +47,7 @@ from typing import Any, Mapping
 
 from repro.errors import SnapshotError
 
-__all__ = ["Checkpointer", "deferred_interrupts", "wall_deadline"]
+__all__ = ["Checkpointer", "ResumableRun", "deferred_interrupts", "wall_deadline"]
 
 
 class Checkpointer:
@@ -54,7 +56,7 @@ class Checkpointer:
     Parameters
     ----------
     directory:
-        Where snapshot files go (created if missing).
+        Where snapshot files go (created by the first write).
     every:
         Write a snapshot every N boundaries (GVT rounds / scheduler
         rounds / sequential event intervals or, on a band program, step
@@ -89,13 +91,13 @@ class Checkpointer:
         if seq_events < 1:
             raise SnapshotError(f"seq_events must be >= 1, got {seq_events}")
         self.dir = Path(directory)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.every = every
         self.marker = dict(marker) if marker else {}
         self.heartbeat = Path(heartbeat) if heartbeat is not None else None
         self.seq_events = seq_events
         #: Optional repro.obs.capture.RunCapture whose sink offsets ride
-        #: along in every snapshot (set by the CLI after construction).
+        #: along in every snapshot (set by :class:`ResumableRun` once the
+        #: capture is built or resumed).
         self.capture = None
         #: Boundaries seen so far (restored on resume, so the snapshot
         #: cadence of a resumed run matches the uninterrupted one).
@@ -109,50 +111,96 @@ class Checkpointer:
         #: Set asynchronously by the SIGINT handler; consumed at the next
         #: boundary (final snapshot + KeyboardInterrupt).
         self.interrupted = False
-        self._restore_payload: dict | None = None
+        #: The cut :meth:`load_latest` armed, one payload per shard.
+        self._restore: list | None = None
 
     # ------------------------------------------------------------------
     # Resume side.
     # ------------------------------------------------------------------
-    def load_latest(self) -> dict:
-        """Load the newest snapshot in the directory for a resume.
+    def load_latest(self, procs: int = 1, *, required: bool = True) -> dict | None:
+        """Find, read and check the newest resumable cut; arm its graft.
 
-        Verifies the configuration marker, arms :meth:`bind` to graft
-        the state onto the next engine attached, and returns the payload
-        (the CLI reads ``payload.get("obs")`` to resume telemetry
-        sinks).
+        In-process (``procs`` 1) the cut is the newest snapshot; in
+        process mode it is the newest sequence present in every
+        ``shard_<i>`` (a kill between two workers' final writes leaves
+        one shard a sequence ahead).  Each file of the cut is read once
+        and refused (:class:`SnapshotError`) unless its marker is this
+        run's (a shard's adds ``shard`` and ``procs``) and its payload
+        format one this version restores.  No cut is refused too, unless
+        ``required`` is false (returns ``None``).  :meth:`bind` (or, in
+        process mode, :meth:`shards`) then grafts the cut; the first
+        payload is returned for its ``"obs"`` sink offsets.
         """
-        from repro.ckpt.snapshot import latest_snapshot, read_snapshot
+        from repro.ckpt.snapshot import (
+            SNAPSHOT_SUFFIX, common_resume_seq, read_snapshot,
+        )
+        from repro.ckpt.state import check_format
 
-        path = latest_snapshot(self.dir)
-        if path is None:
-            raise SnapshotError(f"no snapshots to resume from in {self.dir}")
-        payload = read_snapshot(path)
-        stored = payload.get("marker", {})
-        if stored != self.marker:
-            diff = sorted(
-                k
-                for k in set(stored) | set(self.marker)
-                if stored.get(k) != self.marker.get(k)
-            )
+        streams = self._streams(procs)
+        seq = common_resume_seq([directory for directory, _ in streams])
+        if seq is None:
+            if not required:
+                return None
             raise SnapshotError(
-                f"{path}: configuration marker mismatch (differing keys: "
-                f"{', '.join(diff) or '<none>'}); refusing to restore into "
-                "a differently-configured run"
+                f"no snapshot to resume from in {self.dir}"
+                + (f" common to all {procs} shards" if procs > 1 else "")
             )
-        meta = payload.get("ckpt", {})
-        self.boundaries = meta.get("boundaries", 0)
-        self.seq = meta.get("seq", 0) + 1
-        self._restore_payload = payload
-        return payload
+        payloads = []
+        for directory, marker in streams:
+            path = directory / f"ckpt_{seq:06d}{SNAPSHOT_SUFFIX}"
+            payload = read_snapshot(path)
+            stored = payload.get("marker", {})
+            if stored != marker:
+                diff = sorted(
+                    k for k in stored.keys() | marker.keys()
+                    if stored.get(k) != marker.get(k)
+                )
+                raise SnapshotError(
+                    f"{path}: configuration marker mismatch (differing keys: "
+                    f"{', '.join(diff) or '<none>'}); refusing to restore into "
+                    "a differently-configured run"
+                )
+            check_format(payload)
+            payloads.append(payload)
+        self._restore = payloads
+        return payloads[0]
+
+    def _streams(self, procs: int) -> list[tuple[Path, dict]]:
+        """Directory and marker of each snapshot stream of the run."""
+        if procs == 1:
+            return [(self.dir, self.marker)]
+        return [
+            (self.dir / f"shard_{i}", {**self.marker, "shard": i, "procs": procs})
+            for i in range(procs)
+        ]
+
+    def shards(self, procs: int) -> list["Checkpointer"]:
+        """One checkpointer per worker of a ``procs``-worker run, each
+        with its shard of an armed cut; only worker 0's touches the
+        heartbeat (the waves keep the workers in lockstep)."""
+        restore, self._restore = self._restore, None
+        children = []
+        for i, (directory, marker) in enumerate(self._streams(procs)):
+            child = Checkpointer(
+                directory, every=self.every, marker=marker,
+                heartbeat=self.heartbeat if i == 0 else None,
+            )
+            if restore is not None:
+                child._restore = [restore[i]]
+            children.append(child)
+        return children
 
     def bind(self, engine) -> None:
-        """Called by ``attach_checkpointer``: graft pending restore state."""
-        payload = self._restore_payload
-        if payload is not None:
+        """Called by ``attach_checkpointer``: graft the armed cut, and
+        continue its snapshot numbering and cadence."""
+        restore, self._restore = self._restore, None
+        if restore is not None:
             from repro.ckpt.state import restore_state
 
-            self._restore_payload = None
+            (payload,) = restore
+            meta = payload.get("ckpt", {})
+            self.boundaries = meta.get("boundaries", 0)
+            self.seq = meta.get("seq", 0) + 1
             restore_state(engine, payload)
 
     # ------------------------------------------------------------------
@@ -187,6 +235,7 @@ class Checkpointer:
         capture = self.capture
         if capture is not None and capture.active:
             payload["obs"] = capture.checkpoint_state()
+        self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / f"ckpt_{self.seq:06d}{SNAPSHOT_SUFFIX}"
         write_snapshot(path, payload)
         self.seq += 1
@@ -269,3 +318,53 @@ def wall_deadline(seconds: float | None, ckpt: Checkpointer | None):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class ResumableRun:
+    """One run as the CLI and a sweep point make it.
+
+    Builds the :class:`Checkpointer` when ``directory`` is given, loads
+    a ``procs``-worker run's cut with ``resume``
+    (:meth:`Checkpointer.load_latest`), then the capture: resumed from
+    the cut's sink offsets, else ``new_capture()``.  In that order, so a
+    refused resume raises :class:`SnapshotError` having written nothing.
+    """
+
+    def __init__(self, new_capture, directory=None, *, every: int = 1,
+                 marker=None, heartbeat=None, resume: bool = False,
+                 required: bool = True, procs: int = 1) -> None:
+        self.ckpt = payload = None
+        if directory is not None:
+            self.ckpt = Checkpointer(
+                directory, every=every, marker=marker, heartbeat=heartbeat
+            )
+            if resume:
+                payload = self.ckpt.load_latest(procs, required=required)
+        if payload is not None and payload.get("obs") is not None:
+            from repro.obs.capture import RunCapture
+
+            self.capture = RunCapture.resume(payload["obs"])
+        else:
+            self.capture = new_capture()
+        if self.ckpt is not None:
+            self.ckpt.capture = self.capture
+
+    def run(self, sim, kind: str, *, deadline: float | None = None, **run_args):
+        """``sim.run(kind, ...)`` with the capture's hooks and the
+        checkpointer, under :func:`wall_deadline` (afterwards
+        ``self.deadline_expired()`` says whether it fired) and
+        :func:`deferred_interrupts`.  The capture is finalized however
+        the run ends; only a finished run writes its stats line."""
+        capture, ckpt = self.capture, self.ckpt
+        try:
+            with wall_deadline(deadline, ckpt) as self.deadline_expired, \
+                    deferred_interrupts(ckpt):
+                result = sim.run(
+                    kind, tracer=capture.tracer, metrics=capture.metrics,
+                    spans=capture.spans, checkpointer=ckpt, **run_args,
+                )
+        except BaseException:
+            capture.finalize(None)
+            raise
+        capture.finalize(result)
+        return result

@@ -37,7 +37,7 @@ __all__ = [
     "write_snapshot",
     "read_snapshot",
     "list_snapshots",
-    "latest_snapshot",
+    "common_resume_seq",
     "snapshot_digest",
 ]
 
@@ -115,7 +115,16 @@ def list_snapshots(directory: str | Path) -> list[Path]:
     return sorted(directory.glob(f"*{SNAPSHOT_SUFFIX}"))
 
 
-def latest_snapshot(directory: str | Path) -> Path | None:
-    """Return the most recent snapshot in ``directory``, or None."""
-    snaps = list_snapshots(directory)
-    return snaps[-1] if snaps else None
+def common_resume_seq(directories) -> int | None:
+    """Highest snapshot sequence number present in *every* directory
+    (one directory: its newest snapshot's), or None."""
+    common: set[int] | None = None
+    for directory in directories:
+        seqs = set()
+        for path in list_snapshots(directory):
+            try:
+                seqs.add(int(path.stem.rsplit("_", 1)[-1]))
+            except ValueError:
+                continue
+        common = seqs if common is None else common & seqs
+    return max(common) if common else None

@@ -43,7 +43,7 @@ from repro.core.event import Event, _next_serial
 from repro.errors import SnapshotError
 from repro.vt.time import EventKey
 
-__all__ = ["capture_state", "restore_state"]
+__all__ = ["capture_state", "check_format", "restore_state"]
 
 #: Payload-format sanity marker, distinct from the file-level version in
 #: snapshot.py: bumping this invalidates snapshots whose payload layout
@@ -386,21 +386,28 @@ def capture_state(engine, loop=None) -> dict:
     return _CAPTURE[_engine_kind(engine)](engine, loop)
 
 
-def restore_state(engine, payload) -> None:
-    """Graft a captured payload onto a freshly built ``engine``.
-
-    The engine must have been constructed from the same model/config as
-    the captured one (the :class:`~repro.ckpt.checkpoint.Checkpointer`
-    verifies the config marker before calling this), with any fault
-    driver already attached.  Call before ``run()``.
-    """
-    kind = _engine_kind(engine)
-    if payload.get("format") not in range(_OLDEST_FORMAT[kind], PAYLOAD_FORMAT + 1):
+def check_format(payload) -> None:
+    """Refuse a payload whose format this version does not restore for
+    the payload's own engine kind (:data:`_OLDEST_FORMAT`)."""
+    oldest = _OLDEST_FORMAT.get(payload.get("kind"), PAYLOAD_FORMAT)
+    if payload.get("format") not in range(oldest, PAYLOAD_FORMAT + 1):
         raise SnapshotError(
             f"snapshot payload format {payload.get('format')!r} is not "
             f"this version's format {PAYLOAD_FORMAT}; it was written by "
             "an incompatible version and cannot be resumed"
         )
+
+
+def restore_state(engine, payload) -> None:
+    """Graft a captured payload onto a freshly built ``engine``.
+
+    The engine must have been constructed from the same model/config as
+    the captured one (the :class:`~repro.ckpt.checkpoint.Checkpointer`
+    checks the marker and the format before arming a cut), with any fault
+    driver already attached.  Call before ``run()``.
+    """
+    kind = _engine_kind(engine)
+    check_format(payload)
     if payload["kind"] != kind:
         raise SnapshotError(
             f"snapshot was taken from a {payload['kind']} engine, cannot "

@@ -116,7 +116,7 @@ def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = 
     percentiles (``latency_p50`` / ``_p95`` / ``_p99``) to
     ``model_stats``.
     """
-    from repro.ckpt import Checkpointer, deferred_interrupts, latest_snapshot
+    from repro.ckpt import ResumableRun
     from repro.obs.capture import RunCapture
 
     compiled = point_scenario(spec)
@@ -132,30 +132,12 @@ def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = 
     kind = POINT_KINDS[spec["kind"]]
     settings = {k: spec[k] for k in SETTINGS if k in spec}
     settings.update(spec.get("overrides") or {})
-    ckpt = payload = None
-    if ckpt_dir is not None:
-        marker = {k: v for k, v in spec.items() if k != "telemetry"}
-        ckpt = Checkpointer(
-            ckpt_dir,
-            every=spec.get("checkpoint_every", 4),
-            marker={**marker, "scenario_hash": compiled.scenario_hash()},
-            heartbeat=heartbeat,
-        )
-        procs = settings.get("procs", 1)
-        if procs > 1:
-            # The workers find and load the newest shard set themselves.
-            from repro.mp.worker import common_resume_seq, shard_dir
-
-            shards = [shard_dir(ckpt_dir, i) for i in range(procs)]
-            ckpt.mp_resume = common_resume_seq(shards) is not None
-        elif latest_snapshot(ckpt_dir) is not None:
-            payload = ckpt.load_latest()
-
     telemetry = spec.get("telemetry")
-    if payload is not None and payload.get("obs") is not None:
-        capture = RunCapture.resume(payload["obs"])
-    elif telemetry:
-        capture = RunCapture(
+
+    def new_capture():
+        if not telemetry:
+            return RunCapture()
+        return RunCapture(
             metrics_out=telemetry,
             meta={"engine": kind, "scenario": compiled.name,
                   "scenario_hash": compiled.scenario_hash(), "n": sim.cfg.n,
@@ -164,24 +146,24 @@ def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = 
             fault_plan=sim.fault_plan,
             injection_plan=sim.injection_plan,
         )
-    else:
-        capture = None
-    hooks = {} if capture is None else {
-        "tracer": capture.tracer, "metrics": capture.metrics, "spans": capture.spans,
+
+    marker = None if ckpt_dir is None else {
+        **{k: v for k, v in spec.items() if k != "telemetry"},
+        "scenario_hash": compiled.scenario_hash(),
     }
-    if ckpt is not None:
-        ckpt.capture = capture
+    job = ResumableRun(
+        new_capture,
+        ckpt_dir,
+        every=spec.get("checkpoint_every", 4),
+        marker=marker,
+        heartbeat=heartbeat,
+        resume=True,
+        required=False,
+        procs=settings.get("procs", 1),
+    )
     percentiles = kind == "sequential" and "path" in scen
     model = sim.model(delivery_log=percentiles or None)
-    try:
-        with deferred_interrupts(ckpt):
-            result = sim.run(kind, model=model, checkpointer=ckpt, **hooks, **settings)
-    except KeyboardInterrupt:
-        if capture is not None:
-            capture.finalize(None)
-        raise
-    if capture is not None:
-        capture.finalize(result)
+    result = job.run(sim, kind, model=model, **settings)
     doc = {"model_stats": result.model_stats, "run": result.run}
     if percentiles:
         result.model_stats.update(_delivery_percentiles(model.delivery_log))

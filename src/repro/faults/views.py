@@ -82,15 +82,6 @@ class NodeFaults:
             base[3] and not bisect_right(d[3], step) & 1,
         )
 
-    # ------------------------------------------------------------------
-    def down_intervals(self, direction: int) -> list[_Interval]:
-        """The down intervals of one direction (for reporting/tests)."""
-        return _to_intervals(self._dirs[direction])
-
-    def crash_intervals(self) -> list[_Interval]:
-        """The crash intervals of this router (for reporting/tests)."""
-        return _to_intervals(self._crash)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NodeFaults(crash={self._crash}, dirs={self._dirs})"
 

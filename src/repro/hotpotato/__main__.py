@@ -370,31 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration refused: {exc}")
         return 2
 
-    ckpt = None
-    if args.checkpoint_dir:
-        from repro.ckpt import Checkpointer
-
-        ckpt = Checkpointer(
-            args.checkpoint_dir,
-            every=args.checkpoint_every,
-            marker=_config_marker(args, compiled, kind),
-        )
-    resumed_payload = None
-    if args.resume:
-        if kind == "optimistic" and settings["engine_config"].procs > 1:
-            # Process-mode snapshots are per-worker shards under
-            # <dir>/shard_<i>; the workers locate and load the newest
-            # consistent shard set themselves (docs/CHECKPOINT.md).
-            ckpt.mp_resume = True
-        else:
-            try:
-                resumed_payload = ckpt.load_latest()
-            except SnapshotError as exc:
-                print(f"resume failed: {exc}", file=sys.stderr)
-                return 2
-    if resumed_payload is not None and resumed_payload.get("obs") is not None:
-        capture = RunCapture.resume(resumed_payload["obs"])
-    else:
+    def new_capture():
         meta = {
             "engine": kind,
             "workload": "hotpotato",
@@ -408,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
         # Only a recording writes the header, and hashing loads libcrypto.
         if any((args.metrics_out, args.trace_out, args.spans_out)):
             meta["scenario_hash"] = compiled.scenario_hash()
-        capture = RunCapture(
+        return RunCapture(
             metrics_out=args.metrics_out,
             trace_out=args.trace_out,
             spans_out=args.spans_out,
@@ -416,8 +392,23 @@ def main(argv: list[str] | None = None) -> int:
             fault_plan=sim.fault_plan,
             injection_plan=sim.injection_plan,
         )
-    if ckpt is not None:
-        ckpt.capture = capture
+
+    from repro.ckpt import ResumableRun
+
+    marker = _config_marker(args, compiled, kind) if args.checkpoint_dir else None
+    try:
+        job = ResumableRun(
+            new_capture,
+            args.checkpoint_dir,
+            every=args.checkpoint_every,
+            marker=marker,
+            resume=args.resume,
+            procs=getattr(settings.get("engine_config"), "procs", 1),
+        )
+    except SnapshotError as exc:
+        print(f"resume failed: {exc}", file=sys.stderr)
+        return 2
+    ckpt, capture = job.ckpt, job.capture
 
     watchdog = None
     if args.watchdog:
@@ -427,23 +418,13 @@ def main(argv: list[str] | None = None) -> int:
         # run (exit 1 below); a checkpointed run restarts with --resume.
         watchdog = Watchdog(sink=capture.health_sink)
 
-    from repro.ckpt import deferred_interrupts, wall_deadline
-
     try:
-        with wall_deadline(args.deadline_seconds, ckpt) as deadline_expired, \
-                deferred_interrupts(ckpt):
-            result = sim.run(
-                kind,
-                tracer=capture.tracer,
-                metrics=capture.metrics,
-                spans=capture.spans,
-                checkpointer=ckpt,
-                health=watchdog,
-                **settings,
-            )
+        result = job.run(
+            sim, kind, deadline=args.deadline_seconds, health=watchdog,
+            **settings,
+        )
     except KeyboardInterrupt:
-        capture.finalize(None)
-        if deadline_expired():
+        if job.deadline_expired():
             where = (
                 f"; resume from {ckpt.last_path} with --resume"
                 if ckpt is not None and ckpt.last_path is not None
@@ -459,19 +440,16 @@ def main(argv: list[str] | None = None) -> int:
             print("\ninterrupted", file=sys.stderr)
         return 130
     except SnapshotError as exc:
-        # The engine refused the resumed state (payload format or engine
-        # kind) when the checkpointer grafted it on, before any event ran.
-        capture.finalize(None)
+        # The engine refused the grafted state (its engine kind or its
+        # configuration), before any event ran.
         print(f"resume failed: {exc}", file=sys.stderr)
         return 2
     except HealthIntervention as exc:
-        capture.finalize(None)
         print(f"\nwatchdog abort: {exc}", file=sys.stderr)
         if watchdog is not None and watchdog.events:
             for ev in watchdog.events:
                 print(f"  {ev}", file=sys.stderr)
         return 1
-    capture.finalize(result)
     if ckpt is not None and ckpt.written:
         print(f"{ckpt.written} snapshot(s) in {ckpt.dir}")
     if watchdog is not None and watchdog.events:

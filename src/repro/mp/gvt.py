@@ -87,7 +87,3 @@ class WaveCodec:
         """Returns ``(gvt, stop, intr)``."""
         _, gvt, flags = _RESULT.unpack(frame)
         return gvt, bool(flags & _STOP), bool(flags & _INTR)
-
-    @staticmethod
-    def frame_type(frame: bytes) -> int:
-        return frame[0]

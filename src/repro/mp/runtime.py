@@ -50,7 +50,7 @@ from repro.core.trace import EXEC, UNDO
 from repro.errors import ConfigurationError, HealthIntervention
 from repro.mp.codec import EventCodec
 from repro.mp.ring import DEFAULT_RING_BYTES, SpscRing
-from repro.mp.worker import shard_dir, worker_main
+from repro.mp.worker import worker_main
 from repro.vt.time import EventKey
 
 __all__ = ["run_multiprocess"]
@@ -69,7 +69,7 @@ class _WorkerSpec:
         "index", "procs", "model", "config", "codec",
         "out_rings", "in_rings", "ctl_in", "ctl_out", "conn",
         "want_trace", "want_metrics", "want_spans", "health_config",
-        "ckpt_dir", "ckpt_every", "ckpt_marker", "ckpt_heartbeat", "resume",
+        "checkpointer",
     )
 
 
@@ -270,10 +270,11 @@ def run_multiprocess(
     }
     ctl_rings = [SpscRing(CTL_RING_BYTES) for _ in range(procs)]
 
-    resume = bool(getattr(checkpointer, "mp_resume", False))
+    shards = [None] * procs
     if checkpointer is not None:
-        # The workers write (and on resume read) the shards: load that
-        # code once, here, rather than compile it in every child.
+        # The workers write (and on resume graft) the shards: load that
+        # code once, here, rather than compile it in every child.  A
+        # resume's cut was found and checked before this function ran.
         import repro.ckpt.snapshot  # noqa: F401
         import repro.ckpt.state  # noqa: F401
 
@@ -283,9 +284,11 @@ def run_multiprocess(
             "shards": [f"shard_{i}" for i in range(procs)],
             "marker": checkpointer.marker,
         }
+        checkpointer.dir.mkdir(parents=True, exist_ok=True)
         (checkpointer.dir / "manifest.json").write_text(
             json.dumps(manifest, indent=2) + "\n"
         )
+        shards = checkpointer.shards(procs)
 
     specs = []
     for i in range(procs):
@@ -309,15 +312,7 @@ def run_multiprocess(
         spec.want_metrics = metrics is not None
         spec.want_spans = spans is not None
         spec.health_config = health.cfg if health is not None else None
-        spec.ckpt_dir = checkpointer.dir if checkpointer is not None else None
-        spec.ckpt_every = checkpointer.every if checkpointer is not None else 1
-        spec.ckpt_marker = (
-            checkpointer.marker if checkpointer is not None else {}
-        )
-        spec.ckpt_heartbeat = (
-            checkpointer.heartbeat if checkpointer is not None else None
-        )
-        spec.resume = resume
+        spec.checkpointer = shards[i]
         specs.append(spec)
 
     # Fork, wait and merge with the collector paused and the heap frozen

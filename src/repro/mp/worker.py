@@ -11,12 +11,13 @@ crosses as ``Model.mp_export_lp`` blobs, kernel counters as the worker's
 RunStats, committed events as plain key tuples, telemetry as the
 samples' own dict forms.
 
-Checkpoints are per-worker shards: ``<dir>/shard_<i>`` with the parent
-marker extended by ``{"shard": i, "procs": P}``.  The wave protocol
-makes every worker hit checkpoint boundaries at the same wave numbers,
-so shard sequence numbers advance in lockstep; a kill can leave at most
-a one-snapshot skew, which resume absorbs by loading the highest
-sequence number present in *every* shard directory.
+Checkpoints are per-worker shards: the parent's
+:meth:`~repro.ckpt.checkpoint.Checkpointer.shards` gives each worker its
+own checkpointer on ``<dir>/shard_<i>``, with a resumed run's shard
+already found, checked and armed before the fork; the worker attaches
+it like any hook.  The wave protocol makes every worker hit checkpoint
+boundaries at the same wave numbers, so shard sequence numbers advance
+in lockstep and a kill leaves at most a one-snapshot skew.
 
 Telemetry, the watchdog and the checkpoint code are imported only when
 the spec asks for them; the parent has loaded each of those before fork
@@ -27,13 +28,12 @@ from __future__ import annotations
 
 import signal
 import traceback
-from pathlib import Path
 
-from repro.errors import HealthIntervention, SnapshotError
+from repro.errors import HealthIntervention
 from repro.mp.kernel import MPWorkerKernel
 from repro.mp.transport import RingTransport
 
-__all__ = ["worker_main", "shard_dir", "common_resume_seq"]
+__all__ = ["worker_main"]
 
 
 class _CommitLog:
@@ -62,54 +62,6 @@ class _CommitLog:
         self.commits.append((key.ts, key.origin, key.seq, event.dst, event.kind))
 
 
-def shard_dir(parent_dir, index: int) -> Path:
-    """The snapshot directory of one worker's checkpoint shard."""
-    return Path(parent_dir) / f"shard_{index}"
-
-
-def common_resume_seq(shard_dirs) -> int | None:
-    """Highest snapshot sequence present in *every* shard directory.
-
-    A kill between two workers' final writes leaves the shard set skewed
-    by one sequence number; resuming from the common prefix keeps the
-    restored cut consistent (all shards captured at the same wave).
-    """
-    from repro.ckpt.snapshot import SNAPSHOT_SUFFIX, list_snapshots
-
-    common: set[int] | None = None
-    for directory in shard_dirs:
-        seqs = set()
-        for path in list_snapshots(directory):
-            stem = path.name[: -len(SNAPSHOT_SUFFIX)]
-            try:
-                seqs.add(int(stem.rsplit("_", 1)[-1]))
-            except ValueError:
-                continue
-        common = seqs if common is None else common & seqs
-    if not common:
-        return None
-    return max(common)
-
-
-def _load_shard(ckpt, seq: int) -> None:
-    """Arm ``ckpt`` to restore one specific shard snapshot on bind."""
-    from repro.ckpt.snapshot import SNAPSHOT_SUFFIX, read_snapshot
-
-    path = ckpt.dir / f"ckpt_{seq:06d}{SNAPSHOT_SUFFIX}"
-    payload = read_snapshot(path)
-    marker = payload.get("marker", {})
-    if marker != ckpt.marker:
-        raise SnapshotError(
-            f"{path}: shard marker mismatch (snapshot {marker!r} vs "
-            f"run {ckpt.marker!r}); refusing to resume into a "
-            "differently-configured run"
-        )
-    meta = payload.get("ckpt", {})
-    ckpt.boundaries = meta.get("boundaries", 0)
-    ckpt.seq = meta.get("seq", 0) + 1
-    ckpt._restore_payload = payload
-
-
 def _build_kernel(spec):
     cfg = spec.config
     transport = RingTransport(
@@ -135,7 +87,8 @@ def _run_worker(spec) -> dict:
     cfg = spec.config
     kernel = _build_kernel(spec)
 
-    tracer = metrics = spans = health = ckpt = None
+    tracer = metrics = spans = health = None
+    ckpt = spec.checkpointer
     if spec.want_trace:
         tracer = _CommitLog()
     if spec.want_metrics:
@@ -151,31 +104,6 @@ def _run_worker(spec) -> dict:
 
         health = Watchdog(spec.health_config)
 
-    if spec.ckpt_dir is not None:
-        from repro.ckpt.checkpoint import Checkpointer
-
-        marker = dict(spec.ckpt_marker)
-        marker["shard"] = spec.index
-        marker["procs"] = spec.procs
-        ckpt = Checkpointer(
-            shard_dir(spec.ckpt_dir, spec.index),
-            every=spec.ckpt_every,
-            marker=marker,
-            # Only worker 0 touches the liveness heartbeat — one file,
-            # one writer; the waves keep all workers in lockstep anyway.
-            heartbeat=spec.ckpt_heartbeat if spec.index == 0 else None,
-        )
-        if spec.resume:
-            seq = common_resume_seq(
-                [shard_dir(spec.ckpt_dir, i) for i in range(spec.procs)]
-            )
-            if seq is None:
-                raise SnapshotError(
-                    f"no snapshot sequence common to all {spec.procs} "
-                    f"checkpoint shards under {spec.ckpt_dir}; nothing to "
-                    "resume from"
-                )
-            _load_shard(ckpt, seq)
     kernel.attach_hooks(tracer=tracer, metrics=metrics, spans=spans,
                         health=health, checkpointer=ckpt)
 

@@ -156,12 +156,12 @@ def test_format_9_band_snapshot_refused_by_number(tmp_path):
     snap_dir.mkdir()
     shutil.copy(FORMAT_9_BAND, snap_dir / "ckpt_000005.rpsnap")
     ck = Checkpointer(snap_dir, every=1 << 30, marker={"case": "fmt9"})
-    ck.load_latest()
+    with pytest.raises(SnapshotError, match="payload format 9 .* format 10"):
+        ck.load_latest()
     model = HotPotatoModel(_cfg())
     entries = band_spy(model)
     fresh = SequentialEngine(model, DURATION, seed=SEED)
-    with pytest.raises(SnapshotError, match="payload format 9 .* format 10"):
-        fresh.attach_checkpointer(ck)
+    fresh.attach_checkpointer(ck)
     assert fresh._resume is None and not fresh.pending
     assert entries == []
 
@@ -240,12 +240,12 @@ def test_format_4_snapshot_refused_before_the_first_event(tmp_path):
         ck = Checkpointer(
             old_dir, every=1 << 30, marker=marker, seq_events=SEQ_EVENTS
         )
-        ck.load_latest()
+        with pytest.raises(SnapshotError, match=f"payload format {old}"):
+            ck.load_latest()
         model = HotPotatoModel(cfg)
         entries = band_spy(model)
         fresh = SequentialEngine(model, DURATION, seed=SEED)
-        with pytest.raises(SnapshotError, match=f"payload format {old}"):
-            fresh.attach_checkpointer(ck)
+        fresh.attach_checkpointer(ck)
         assert fresh._resume is None and not fresh.pending
         assert entries == []
 

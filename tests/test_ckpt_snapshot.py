@@ -5,7 +5,7 @@ import pytest
 from repro.ckpt.snapshot import (
     MAGIC,
     SNAPSHOT_SUFFIX,
-    latest_snapshot,
+    common_resume_seq,
     list_snapshots,
     read_snapshot,
     write_snapshot,
@@ -80,7 +80,7 @@ def test_payload_without_kind_rejected(tmp_path):
 
 def test_listing_order_and_latest(tmp_path):
     assert list_snapshots(tmp_path) == []
-    assert latest_snapshot(tmp_path) is None
+    assert common_resume_seq([tmp_path]) is None
     for i in (2, 0, 10, 1):
         write_snapshot(
             tmp_path / f"ckpt_{i:06d}{SNAPSHOT_SUFFIX}", dict(PAYLOAD, i=i)
@@ -90,5 +90,12 @@ def test_listing_order_and_latest(tmp_path):
         "ckpt_000000.rpsnap", "ckpt_000001.rpsnap",
         "ckpt_000002.rpsnap", "ckpt_000010.rpsnap",
     ]
-    assert latest_snapshot(tmp_path).name == "ckpt_000010.rpsnap"
+    assert common_resume_seq([tmp_path]) == 10
     assert list_snapshots(tmp_path / "missing") == []
+    # Across shard directories: the newest sequence every one holds.
+    other = tmp_path / "other"
+    other.mkdir()
+    for i in (0, 1, 2, 3):
+        write_snapshot(other / f"ckpt_{i:06d}{SNAPSHOT_SUFFIX}", dict(PAYLOAD, i=i))
+    assert common_resume_seq([tmp_path, other]) == 2
+    assert common_resume_seq([tmp_path, tmp_path / "missing"]) is None

@@ -247,8 +247,8 @@ def test_snapshot_with_old_payload_format_refused():
 
 def test_format_2_snapshot_refused_before_the_first_event(tmp_path, monkeypatch):
     """A format-2 file pickles every event with one more slot (the lazy
-    cancellation journal): it still loads, and the restore refuses it by
-    number before anything runs."""
+    cancellation journal): it still unpickles, and the load refuses it by
+    number, arming nothing, before anything runs."""
     from repro.ckpt.snapshot import read_snapshot, write_snapshot
     from repro.core.event import Event
     from repro.errors import SnapshotError
@@ -275,10 +275,10 @@ def test_format_2_snapshot_refused_before_the_first_event(tmp_path, monkeypatch)
         write_snapshot(old_dir / mid.name, payload)
 
     ck = Checkpointer(old_dir, every=1 << 30, marker={"case": "fmt"})
-    ck.load_latest()
-    fresh = _engine("opt", seed, False)
     with pytest.raises(SnapshotError, match="payload format 2"):
-        fresh.attach_checkpointer(ck)
+        ck.load_latest()
+    fresh = _engine("opt", seed, False)
+    fresh.attach_checkpointer(ck)
     assert sum(pe.stats.processed for pe in fresh.pes) == 0
 
 

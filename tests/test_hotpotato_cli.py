@@ -418,3 +418,84 @@ def test_benchmark_flag_sets_build_the_same_engine(monkeypatch, n, flags, expect
     else:
         assert (kind, settings) == ("optimistic", {
             "engine_config": EngineConfig(end_time=30.0, seed=7, **expected)})
+
+
+#: A process-mode run small enough to record and resume in a test.
+MP_RUN = ["--n", "8", "--duration", "4", "--processors", "2", "--procs", "2"]
+
+
+def _files(root):
+    """Every path under ``root`` with its bytes (``None`` for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def _no_fork(monkeypatch):
+    import os
+
+    def no_fork():
+        raise AssertionError("forked a worker for a refused resume")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def test_process_mode_resume_of_an_empty_directory_is_refused_before_any_fork(
+    tmp_path, capsys, monkeypatch
+):
+    """``--procs 2 --resume`` where no shard set exists exits 2 like an
+    in-process resume: no worker forked, no ``manifest.json`` written."""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    _no_fork(monkeypatch)
+    assert main([*MP_RUN, "--checkpoint-dir", str(empty), "--resume"]) == 2
+    assert "resume failed: no snapshot to resume from" in capsys.readouterr().err
+    assert list(empty.iterdir()) == []
+
+
+def test_process_mode_resume_under_another_seed_is_refused_before_any_fork(
+    tmp_path, capsys, monkeypatch
+):
+    """A shard set written at ``--seed 7`` and resumed at ``--seed 8`` is
+    refused by the parent: exit 2, no worker forked, and the directory
+    (its ``manifest.json`` included) byte for byte as it was."""
+    ckpt = tmp_path / "ckpt"
+    assert main([*MP_RUN, "--seed", "7", "--checkpoint-dir", str(ckpt)]) == 0
+    before = _files(ckpt)
+    assert (ckpt / "manifest.json") in before
+    capsys.readouterr()
+    _no_fork(monkeypatch)
+    assert main([*MP_RUN, "--seed", "8", "--checkpoint-dir", str(ckpt),
+                 "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "resume failed: " in err and "marker mismatch" in err
+    assert _files(ckpt) == before
+
+
+@pytest.mark.parametrize("refusal", ["format", "marker", "missing-shard"])
+def test_a_refused_resume_leaves_the_recording_as_it_was(
+    tmp_path, capsys, refusal
+):
+    """The whole cut is checked before the capture resumes its sinks, so
+    a refused resume (an old payload format, another seed, a shard with
+    no snapshot) truncates no telemetry file."""
+    from repro.ckpt import list_snapshots, read_snapshot, write_snapshot
+
+    ckpt, rec = tmp_path / "ckpt", tmp_path / "run.jsonl"
+    run = MP_RUN if refusal == "missing-shard" else ["--n", "8", "--duration", "30"]
+
+    def flags(seed):
+        return [*run, "--seed", str(seed), "--checkpoint-dir", str(ckpt),
+                "--checkpoint-every", "5", "--metrics-out", str(rec),
+                "--trace-out", str(rec)]
+
+    assert main(flags(7)) == 0
+    if refusal == "format":
+        newest = list_snapshots(ckpt)[-1]
+        write_snapshot(newest, {**read_snapshot(newest), "format": 9})
+    elif refusal == "missing-shard":
+        for snap in list_snapshots(ckpt / "shard_1"):
+            snap.unlink()
+    recorded = rec.read_bytes()
+    capsys.readouterr()
+    assert main([*flags(8 if refusal == "marker" else 7), "--resume"]) == 2
+    assert "resume failed: " in capsys.readouterr().err
+    assert rec.read_bytes() == recorded

@@ -142,7 +142,7 @@ def test_kill_at_checkpoint_resume_identical(tmp_path):
             snap.unlink()
 
     resume_ckpt = Checkpointer(snap_dir, every=1 << 30, marker=marker)
-    resume_ckpt.mp_resume = True
+    resume_ckpt.load_latest(procs)
     resumed = run_optimistic(
         HotPotatoModel(_cfg()), _ecfg(procs, seed, gvt_interval=4),
         checkpointer=resume_ckpt,
@@ -172,9 +172,9 @@ def test_worker_checkpoints_are_timed_as_snapshot_spans(tmp_path):
 
 def test_resume_refuses_marker_mismatch(tmp_path):
     """A shard written by a differently-configured run must not resume
-    silently into this one.  The worker's SnapshotError surfaces through
-    the parent as its worker-failure report."""
-    from repro.errors import ConfigurationError
+    silently into this one: the parent refuses the shard set when it
+    loads it, before any worker exists."""
+    from repro.errors import SnapshotError
 
     procs = 2
     seed = GOLDEN_SEEDS[0]
@@ -187,12 +187,9 @@ def test_resume_refuses_marker_mismatch(tmp_path):
     resume_ckpt = Checkpointer(
         snap_dir, every=1 << 30, marker={"case": "different"}
     )
-    resume_ckpt.mp_resume = True
-    with pytest.raises(ConfigurationError, match="marker mismatch"):
-        run_optimistic(
-            HotPotatoModel(_cfg()), _ecfg(procs, seed, gvt_interval=4),
-            checkpointer=resume_ckpt,
-        )
+    with pytest.raises(SnapshotError, match="marker mismatch"):
+        resume_ckpt.load_latest(procs)
+    assert resume_ckpt._restore is None
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +335,7 @@ def test_untraced_kill_at_checkpoint_resume(big_oracle, tmp_path):
         for snap in shard[len(shard) // 2:]:
             snap.unlink()
     resume_ckpt = Checkpointer(snap_dir, every=1 << 30, marker=marker)
-    resume_ckpt.mp_resume = True
+    resume_ckpt.load_latest(procs)
     model = HotPotatoModel(_big_cfg())
     calls = plan_spy(model, TABLE_KINDS)
     resumed = run_optimistic(model, ecfg, checkpointer=resume_ckpt)
