@@ -1,7 +1,11 @@
-"""Experiment harness: one runner per figure of the report's evaluation.
+"""Experiment harness: one module per figure of the report's evaluation.
 
-See DESIGN.md's per-experiment index for the id → figure mapping, and
-``python -m repro.experiments all`` to regenerate everything.
+Each module declares its sweep points (``points(params)``) and builds its
+table from their results (``table(params, results)``);
+:func:`repro.experiments.runner.run_sweep` runs each distinct point of a
+sweep once.  See DESIGN.md's per-experiment index for the id → figure
+mapping, and ``python -m repro.experiments all`` to regenerate
+everything.
 """
 
 from repro.experiments.common import SweepParams

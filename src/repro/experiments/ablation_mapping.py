@@ -12,54 +12,46 @@ and random mappings on an identical workload.
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepParams, kp_count_for, run_point
+from repro.experiments.common import SweepParams, kp_count_for, point_spec
 from repro.experiments.report import Table
-from repro.scenarios import report_scenario
 
-__all__ = ["run"]
+__all__ = ["points", "table"]
 
 MAPPINGS = ("block", "striped", "random")
 
 
-def run(params: SweepParams) -> Table:
-    """Compare mapping strategies at 4 PEs across the size sweep."""
+def points(params: SweepParams) -> dict:
+    """One point per (N, mapping) at 4 PEs."""
+    return {
+        (n, mapping): point_spec(
+            "opt", params.scenario(n),
+            n_pes=4, n_kps=kp_count_for(n, 16, 4), mapping=mapping,
+            **params.optimism(),
+        )
+        for n in params.sizes
+        for mapping in MAPPINGS
+    }
+
+
+def table(params: SweepParams, results: dict) -> Table:
+    """Mapping strategies compared at 4 PEs across the size sweep."""
     table = Table(
         title="ABL-MAP — LP/KP/PE mapping locality (4 PEs)",
-        columns=[
-            "N",
-            "mapping",
-            "remote sends",
-            "remote %",
-            "stragglers",
-            "rolled back",
-            "event rate",
-        ],
+        columns=["N", "mapping", "remote sends", "remote %", "stragglers",
+                 "rolled back", "event rate"],
     )
     for n in params.sizes:
-        scenario = report_scenario(n, params.duration, seed=params.seed)
-        n_kps = kp_count_for(n, 16, 4)
         remote_by_mapping: dict[str, int] = {}
         for mapping in MAPPINGS:
-            rs = run_point(
-                "opt",
-                scenario,
-                n_pes=4,
-                n_kps=n_kps,
-                mapping=mapping,
-                **params.optimism(),
-            )["run"]
+            rs = results[n, mapping]["run"]
             sends = rs.local_sends + rs.remote_sends
             table.add_row(
-                n,
-                mapping,
-                rs.remote_sends,
+                n, mapping, rs.remote_sends,
                 100.0 * rs.remote_sends / sends if sends else 0.0,
-                rs.stragglers,
-                rs.events_rolled_back,
-                rs.event_rate,
+                rs.stragglers, rs.events_rolled_back, rs.event_rate,
             )
             remote_by_mapping[mapping] = rs.remote_sends
-        if remote_by_mapping.get("block", 0) and remote_by_mapping.get("random", 0):
+        if remote_by_mapping["block"] and remote_by_mapping["random"]:
             table.notes.append(
                 f"N={n}: random mapping sends "
                 f"{remote_by_mapping['random'] / remote_by_mapping['block']:.1f}x "

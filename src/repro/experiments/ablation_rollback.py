@@ -18,6 +18,10 @@ Two workloads bracket the snapshot cost spectrum:
     fast path shallow-copies scalar-only state instead of deep-copying it
     (see :meth:`repro.core.lp.LogicalProcess.snapshot_state`).  The
     ``wall (s)`` column is what that fast path buys on the forward path.
+
+A hot-potato row's ``wall (s)`` is the wall time the point worker
+measured around the point's own run (``-`` for a result a sweep
+journaled before points recorded one); a PHOLD row's is timed here.
 """
 
 from __future__ import annotations
@@ -26,78 +30,65 @@ import time
 
 from repro.core.config import EngineConfig
 from repro.core.optimistic import run_optimistic
-from repro.experiments.common import SweepParams, kp_count_for, run_point
+from repro.experiments.common import SweepParams, kp_count_for, point_spec
 from repro.experiments.report import Table
 from repro.models.phold import PholdConfig, PholdModel
-from repro.scenarios import report_scenario
 
-__all__ = ["run"]
+__all__ = ["points", "table"]
+
+STRATEGIES = ("reverse", "copy")
 
 
-def _run_phold(n: int, params: SweepParams, n_kps: int, strategy: str):
+def _run_phold(n: int, params: SweepParams, strategy: str):
     """One PHOLD run on an n*n LP population at 4 PEs.
 
     PHOLD is not a hot-potato model, so it has no scenario document and
     runs on the engine directly, outside the sweep points.
     """
     cfg = EngineConfig(
-        end_time=params.duration,
-        n_pes=4,
-        n_kps=n_kps,
-        batch_size=params.batch_size,
-        seed=params.seed,
-        rollback=strategy,
+        end_time=params.duration, n_pes=4, n_kps=kp_count_for(n, 16, 4),
+        batch_size=params.batch_size, seed=params.seed, rollback=strategy,
     )
     return run_optimistic(PholdModel(PholdConfig(n_lps=n * n)), cfg)
 
 
-def run(params: SweepParams) -> Table:
-    """Compare rollback strategies at 4 PEs across the size sweep."""
+def points(params: SweepParams) -> dict:
+    """One hot-potato point per (N, strategy) at 4 PEs."""
+    return {
+        (n, strategy): point_spec(
+            "opt", params.scenario(n),
+            n_pes=4, n_kps=kp_count_for(n, 16, 4), rollback=strategy,
+            **params.optimism(),
+        )
+        for n in params.sizes
+        for strategy in STRATEGIES
+    }
+
+
+def table(params: SweepParams, results: dict) -> Table:
+    """Rollback strategies compared at 4 PEs across the size sweep."""
     table = Table(
         title="ABL-RC — reverse computation vs state saving (4 PEs)",
-        columns=[
-            "N",
-            "workload",
-            "strategy",
-            "committed",
-            "rolled back",
-            "makespan (s)",
-            "wall (s)",
-            "event rate",
-        ],
+        columns=["N", "workload", "strategy", "committed", "rolled back",
+                 "makespan (s)", "wall (s)", "event rate"],
     )
     pairs: dict[tuple[int, str], dict[str, float]] = {}
     for n in params.sizes:
-        scenario = report_scenario(n, params.duration, seed=params.seed)
-        n_kps = kp_count_for(n, 16, 4)
         for workload in ("hotpotato", "phold"):
-            for strategy in ("reverse", "copy"):
-                wall0 = time.perf_counter()
+            for strategy in STRATEGIES:
                 if workload == "hotpotato":
-                    run_stats = run_point(
-                        "opt",
-                        scenario,
-                        n_pes=4,
-                        n_kps=n_kps,
-                        rollback=strategy,
-                        **params.optimism(),
-                    )["run"]
+                    point = results[n, strategy]
+                    run_stats, wall = point["run"], point.get("wall_s")
                 else:
-                    run_stats = _run_phold(n, params, n_kps, strategy).run
-                wall = time.perf_counter() - wall0
+                    wall0 = time.perf_counter()
+                    run_stats = _run_phold(n, params, strategy).run
+                    wall = time.perf_counter() - wall0
                 table.add_row(
-                    n,
-                    workload,
-                    strategy,
-                    run_stats.committed,
-                    run_stats.events_rolled_back,
-                    run_stats.makespan_seconds,
-                    round(wall, 4),
-                    run_stats.event_rate,
+                    n, workload, strategy, run_stats.committed,
+                    run_stats.events_rolled_back, run_stats.makespan_seconds,
+                    "-" if wall is None else round(wall, 4), run_stats.event_rate,
                 )
-                pairs.setdefault((n, workload), {})[strategy] = (
-                    run_stats.event_rate
-                )
+                pairs.setdefault((n, workload), {})[strategy] = run_stats.event_rate
     for (n, workload), rates in pairs.items():
         if "reverse" in rates and "copy" in rates and rates["copy"] > 0:
             table.notes.append(

@@ -17,55 +17,39 @@ cost-model event rate.
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepParams, kp_count_for, run_point
+from repro.experiments.common import SweepParams, kp_count_for, point_spec
 from repro.experiments.report import Table
-from repro.scenarios import report_scenario
 
-__all__ = ["run"]
+__all__ = ["points", "table"]
 
 N_PES = 4
 
 
-def run(params: SweepParams) -> Table:
-    """Compare synchronization protocols at 4 PEs across the size sweep."""
+def points(params: SweepParams) -> dict:
+    """A Time Warp and a conservative (YAWNS: Time Warp's loop at a
+    lookahead window) point per size."""
+    specs = {}
+    for n in params.sizes:
+        scenario = params.scenario(n)
+        specs[n, "opt"] = point_spec(
+            "opt", scenario, n_pes=N_PES, n_kps=kp_count_for(n, 16, N_PES),
+            **params.optimism(),
+        )
+        specs[n, "cons"] = point_spec("cons", scenario, n_pes=N_PES)
+    return specs
+
+
+def table(params: SweepParams, results: dict) -> Table:
+    """Synchronization protocols compared at 4 PEs across the size sweep."""
     table = Table(
         title=f"ABL-SYNC — Time Warp vs conservative synchronization ({N_PES} PEs)",
-        columns=[
-            "N",
-            "protocol",
-            "committed",
-            "rolled back",
-            "rounds",
-            "event rate",
-        ],
+        columns=["N", "protocol", "committed", "rolled back", "rounds", "event rate"],
     )
     for n in params.sizes:
-        scenario = report_scenario(n, params.duration, seed=params.seed)
-        tw = run_point(
-            "opt",
-            scenario,
-            n_pes=N_PES,
-            n_kps=kp_count_for(n, 16, N_PES),
-            **params.optimism(),
-        )["run"]
-        table.add_row(
-            n,
-            "time-warp",
-            tw.committed,
-            tw.events_rolled_back,
-            tw.gvt_rounds,
-            tw.event_rate,
-        )
-        # Conservative: YAWNS, Time Warp's loop at a lookahead window.
-        cons = run_point("cons", scenario, n_pes=N_PES)["run"]
-        table.add_row(
-            n,
-            "conservative/yawns",
-            cons.committed,
-            cons.events_rolled_back,
-            cons.gvt_rounds,
-            cons.event_rate,
-        )
+        tw, cons = results[n, "opt"]["run"], results[n, "cons"]["run"]
+        for protocol, rs in (("time-warp", tw), ("conservative/yawns", cons)):
+            table.add_row(n, protocol, rs.committed, rs.events_rolled_back,
+                          rs.gvt_rounds, rs.event_rate)
         if cons.event_rate > 0:
             table.notes.append(
                 f"N={n}: Time Warp runs at "

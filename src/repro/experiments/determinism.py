@@ -16,11 +16,10 @@ when others execute.
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepParams, kp_count_for, run_point
+from repro.experiments.common import SweepParams, kp_count_for, point_spec
 from repro.experiments.report import Table
-from repro.scenarios import report_scenario
 
-__all__ = ["run", "CONFIG_MATRIX"]
+__all__ = ["points", "table", "CONFIG_MATRIX"]
 
 #: (n_pes, kp_request, batch, mapping, rollback, procs).
 CONFIG_MATRIX: tuple[tuple[int, int, int, str, str, int], ...] = (
@@ -35,49 +34,38 @@ CONFIG_MATRIX: tuple[tuple[int, int, int, str, str, int], ...] = (
 )
 
 
-def run(params: SweepParams) -> Table:
-    """Validate repeatability on the smallest sweep size."""
+def points(params: SweepParams) -> dict:
+    """The oracle and one Time Warp point per configuration, on the
+    smallest sweep size."""
     n = params.sizes[0]
-    scenario = report_scenario(n, params.duration, seed=params.seed)
-    oracle = run_point("seq", scenario)
+    scenario = params.scenario(n)
+    specs = {"oracle": point_spec("seq", scenario)}
+    for config in CONFIG_MATRIX:
+        n_pes, kp_req, batch, mapping, rollback, procs = config
+        specs[config] = point_spec(
+            "opt", scenario, n_pes=n_pes,
+            n_kps=kp_count_for(n, kp_req, n_pes) if mapping == "block" else kp_req,
+            batch_size=batch, mapping=mapping, rollback=rollback, procs=procs,
+        )
+    return specs
+
+
+def table(params: SweepParams, results: dict) -> Table:
+    """Repeatability on the smallest sweep size."""
+    oracle = results["oracle"]["model_stats"]
     table = Table(
-        title=f"Attachment 3 — parallel vs sequential results (N={n})",
-        columns=[
-            "PEs",
-            "KPs",
-            "batch",
-            "mapping",
-            "rollback",
-            "procs",
-            "rolled back",
-            "identical",
-        ],
+        title=f"Attachment 3 — parallel vs sequential results (N={params.sizes[0]})",
+        columns=["PEs", "KPs", "batch", "mapping", "rollback", "procs",
+                 "rolled back", "identical"],
     )
     all_match = True
-    for n_pes, kp_req, batch, mapping, rollback, procs in CONFIG_MATRIX:
-        n_kps = kp_count_for(n, kp_req, n_pes) if mapping == "block" else kp_req
-        result = run_point(
-            "opt",
-            scenario,
-            n_pes=n_pes,
-            n_kps=n_kps,
-            batch_size=batch,
-            mapping=mapping,
-            rollback=rollback,
-            procs=procs,
-        )
-        match = result["model_stats"] == oracle["model_stats"]
+    for config in CONFIG_MATRIX:
+        n_pes, _, batch, mapping, rollback, procs = config
+        point = results[config]
+        match = point["model_stats"] == oracle
         all_match &= match
-        table.add_row(
-            n_pes,
-            n_kps,
-            batch,
-            mapping,
-            rollback,
-            procs,
-            result["run"].events_rolled_back,
-            match,
-        )
+        table.add_row(n_pes, point["run"].n_kps, batch, mapping, rollback, procs,
+                      point["run"].events_rolled_back, match)
     table.notes.append(
         "identical = complete model statistics (including the per-router "
         "fingerprint) equal the sequential oracle's"

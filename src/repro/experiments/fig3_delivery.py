@@ -7,22 +7,33 @@ delivery rate." (§4.1)
 For each network size and each injection load (fraction of routers hosting
 injection applications) we run the dynamic simulation and report the mean
 delivery time in steps.  The table's last rows give the linear fit per
-load series, quantifying the O(N) claim.
+load series, quantifying the O(N) claim.  Fig 4 reads the same points.
 """
 
 from __future__ import annotations
 
 from repro.analysis.linfit import fit_linear
 from repro.analysis.replication import summarize
-from repro.experiments.common import SweepParams, run_point
+from repro.experiments.common import SweepParams, point_spec
 from repro.experiments.report import Table
-from repro.scenarios import report_scenario
 
-__all__ = ["run"]
+__all__ = ["points", "table"]
 
 
-def run(params: SweepParams) -> Table:
-    """Regenerate the Fig 3 series at the sweep's sizes and loads."""
+def points(params: SweepParams) -> dict:
+    """One sequential point per (N, load, seed)."""
+    return {
+        (n, load, seed): point_spec(
+            "seq", params.scenario(n, injector_fraction=load, seed=seed)
+        )
+        for n in params.sizes
+        for load in params.loads
+        for seed in params.seeds()
+    }
+
+
+def table(params: SweepParams, results: dict) -> Table:
+    """The Fig 3 series at the sweep's sizes and loads."""
     loads = params.loads
     table = Table(
         title="Figure 3 — average packet delivery time (steps) vs N",
@@ -36,9 +47,7 @@ def run(params: SweepParams) -> Table:
         for load in loads:
             samples = []
             for seed in params.seeds():
-                ms = run_point("seq", report_scenario(
-                    n, params.duration, injector_fraction=load, seed=seed
-                ))["model_stats"]
+                ms = results[n, load, seed]["model_stats"]
                 samples.append(ms["avg_delivery_time"])
                 if load == loads[-1] and seed == params.seed:
                     by_prio = ms["delivered_by_priority"]

@@ -3,21 +3,23 @@
 "The average packet injection waiting time increases approximately
 linearly with N within each injection configuration.  However ... the
 injection rate has a significant impact on the injection wait." (§4.1)
+
+The runs are Fig 3's points; a sweep of both runs each once.
 """
 
 from __future__ import annotations
 
 from repro.analysis.linfit import fit_linear
 from repro.analysis.replication import summarize
-from repro.experiments.common import SweepParams, run_point
+from repro.experiments.common import SweepParams
+from repro.experiments.fig3_delivery import points
 from repro.experiments.report import Table
-from repro.scenarios import report_scenario
 
-__all__ = ["run"]
+__all__ = ["points", "table"]
 
 
-def run(params: SweepParams) -> Table:
-    """Regenerate the Fig 4 series at the sweep's sizes and loads."""
+def table(params: SweepParams, results: dict) -> Table:
+    """The Fig 4 series at the sweep's sizes and loads."""
     loads = params.loads
     table = Table(
         title="Figure 4 — average wait to inject a packet (steps) vs N",
@@ -30,9 +32,7 @@ def run(params: SweepParams) -> Table:
         for load in loads:
             est = summarize(
                 [
-                    run_point("seq", report_scenario(
-                        n, params.duration, injector_fraction=load, seed=seed
-                    ))["model_stats"]["avg_inject_wait"]
+                    results[n, load, seed]["model_stats"]["avg_inject_wait"]
                     for seed in params.seeds()
                 ]
             )

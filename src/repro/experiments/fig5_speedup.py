@@ -8,16 +8,16 @@ twice as fast." (§4.2.2)
 The 1-processor line is the sequential engine; the 2/4-processor lines are
 the Time Warp engine with the report's 64-KP default (rounded down to what
 tiles the grid).  Event rates come from the calibrated cost model over
-*measured* event counts — see DESIGN.md, "Hardware substitutions".
+*measured* event counts — see DESIGN.md, "Hardware substitutions".  Fig 6
+reads the same points.
 """
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepParams, kp_count_for, run_point
+from repro.experiments.common import SweepParams, kp_count_for, point_spec
 from repro.experiments.report import Table
-from repro.scenarios import report_scenario
 
-__all__ = ["run", "collect_rates"]
+__all__ = ["points", "table"]
 
 #: Injection load used for the speed-up sweeps (the report keeps the
 #: network "relatively full").
@@ -26,38 +26,31 @@ SPEEDUP_LOAD = 1.0
 DEFAULT_KPS = 64
 
 
-def collect_rates(params: SweepParams) -> dict[tuple[int, int], float]:
-    """Event rate (events/s) per (N, n_pes); n_pes == 1 is sequential."""
-    rates: dict[tuple[int, int], float] = {}
+def points(params: SweepParams) -> dict:
+    """One point per (N, n_pes); n_pes == 1 is sequential."""
+    specs = {}
     for n in params.sizes:
-        scenario = report_scenario(
-            n, params.duration, injector_fraction=SPEEDUP_LOAD, seed=params.seed
-        )
+        scenario = params.scenario(n, injector_fraction=SPEEDUP_LOAD)
         for n_pes in params.pe_counts:
             if n_pes == 1:
-                point = run_point("seq", scenario)
+                specs[n, n_pes] = point_spec("seq", scenario)
             else:
-                point = run_point(
-                    "opt",
-                    scenario,
-                    n_pes=n_pes,
-                    n_kps=kp_count_for(n, DEFAULT_KPS, n_pes),
-                    **params.optimism(),
+                specs[n, n_pes] = point_spec(
+                    "opt", scenario, n_pes=n_pes,
+                    n_kps=kp_count_for(n, DEFAULT_KPS, n_pes), **params.optimism(),
                 )
-            rates[(n, n_pes)] = point["run"].event_rate
-    return rates
+    return specs
 
 
-def run(params: SweepParams) -> Table:
-    """Regenerate the Fig 5 series (event rate in events/second)."""
-    rates = collect_rates(params)
+def table(params: SweepParams, results: dict) -> Table:
+    """The Fig 5 series (event rate in events/second)."""
     table = Table(
         title="Figure 5 — parallel speed-up: event rate (events/s) vs N",
         columns=["N", "LPs"] + [f"{p} PE" for p in params.pe_counts],
     )
     for n in params.sizes:
         table.add_row(
-            n, n * n, *(rates[(n, p)] for p in params.pe_counts)
+            n, n * n, *(results[n, p]["run"].event_rate for p in params.pe_counts)
         )
     table.notes.append(
         "rates are virtual wall-clock (calibrated cost model over measured "

@@ -9,39 +9,39 @@ rollback counts come from real Time Warp rollbacks in the kernel, not from
 the cost model.  The report presents the same data at three scales
 (7a/7b/7c); one table covers all of it, with the false-rollback share in
 the notes since false rollbacks are the quantity KPs exist to contain.
+Fig 8 reads the same points.
 """
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepParams, kp_count_for, run_point
+from repro.experiments.common import SweepParams, kp_count_for, point_spec
 from repro.experiments.report import Table
-from repro.scenarios import report_scenario
 
-__all__ = ["run", "collect_rollbacks", "FIG7_PES"]
+__all__ = ["points", "table", "FIG7_PES"]
 
 #: The report runs its KP sweep on the quad-processor configuration.
 FIG7_PES = 4
 
 
-def collect_rollbacks(params: SweepParams) -> dict[tuple[int, int], dict]:
-    """(N, n_kps) → run stats dict, for the KP sweep."""
-    out: dict[tuple[int, int], dict] = {}
+def points(params: SweepParams) -> dict:
+    """One Time Warp point per (N, usable KP count): several requested
+    counts may round to the same one."""
+    specs = {}
     for n in params.sizes:
-        scenario = report_scenario(n, params.duration, seed=params.seed)
+        scenario = params.scenario(n)
         for kps in params.kp_counts:
             usable = kp_count_for(n, kps, FIG7_PES)
-            if (n, usable) in out:
-                continue  # several requested counts rounded to the same one
-            point = run_point(
-                "opt", scenario, n_pes=FIG7_PES, n_kps=usable, **params.optimism()
-            )
-            out[(n, usable)] = point["run"].as_dict()
-    return out
+            if (n, usable) not in specs:
+                specs[n, usable] = point_spec(
+                    "opt", scenario, n_pes=FIG7_PES, n_kps=usable,
+                    **params.optimism(),
+                )
+    return specs
 
 
-def run(params: SweepParams) -> Table:
-    """Regenerate the Fig 7 data (total events rolled back)."""
-    stats = collect_rollbacks(params)
+def table(params: SweepParams, results: dict) -> Table:
+    """The Fig 7 data (total events rolled back)."""
+    stats = {key: point["run"].as_dict() for key, point in results.items()}
     kp_values = sorted({k for (_, k) in stats})
     table = Table(
         title="Figures 7a-c — total events rolled back vs number of KPs "

@@ -6,32 +6,22 @@ becomes larger, this benefit diminishes." (§4.2.3)
 
 More KPs mean fewer false rollbacks (a measured benefit) but more per-round
 KP management and fossil-collection bookkeeping (a cost-model overhead) —
-the trade-off the report attributes the diminishing returns to.
+the trade-off the report attributes the diminishing returns to.  The runs
+are Fig 7's points; a sweep of both runs each once.
 """
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepParams, kp_count_for, run_point
-from repro.experiments.fig7_kp_rollbacks import FIG7_PES
+from repro.experiments.common import SweepParams
+from repro.experiments.fig7_kp_rollbacks import FIG7_PES, points
 from repro.experiments.report import Table
-from repro.scenarios import report_scenario
 
-__all__ = ["run"]
+__all__ = ["points", "table"]
 
 
-def run(params: SweepParams) -> Table:
-    """Regenerate the Fig 8 series (event rate vs KP count)."""
-    rates: dict[tuple[int, int], float] = {}
-    for n in params.sizes:
-        scenario = report_scenario(n, params.duration, seed=params.seed)
-        for kps in params.kp_counts:
-            usable = kp_count_for(n, kps, FIG7_PES)
-            if (n, usable) in rates:
-                continue
-            point = run_point(
-                "opt", scenario, n_pes=FIG7_PES, n_kps=usable, **params.optimism()
-            )
-            rates[(n, usable)] = point["run"].event_rate
+def table(params: SweepParams, results: dict) -> Table:
+    """The Fig 8 series (event rate vs KP count)."""
+    rates = {key: point["run"].event_rate for key, point in results.items()}
     kp_values = sorted({k for (_, k) in rates})
     table = Table(
         title=f"Figure 8 — event rate (events/s) vs number of KPs ({FIG7_PES} PEs)",

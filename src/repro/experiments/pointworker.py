@@ -29,9 +29,10 @@ point in process mode, its snapshots sharded per worker); ``telemetry``
 older format (``n`` / ``load`` / ``duration`` / ``fault`` / ``seed``
 keys) is refused by name before any work.
 
-:func:`run_spec` is also how :func:`repro.experiments.common.run_point`
-runs a point in-process (no checkpoint directory), so a point means the
-same thing, and returns the same document, either way.
+:func:`run_spec` is also how a sweep
+(:func:`repro.experiments.runner.run_sweep`) runs a point in-process (no
+checkpoint directory), so a point means the same thing, and returns the
+same document, either way.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import math
 import os
 import pickle
 import sys
+import time
 from pathlib import Path
 
 from repro.errors import ConfigurationError
@@ -105,9 +107,11 @@ def point_scenario(spec: dict):
 def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = None):
     """Run one point; returns its result document.
 
-    The document is ``{"model_stats", "run"}``, plus the committed
-    ``(step, latency)`` ``delivery_log`` when the scenario declares
-    one; the final LPs hold compiled closures and are not kept.  With
+    The document is ``{"model_stats", "run", "wall_s"}`` — ``wall_s``
+    the wall-clock seconds the run took, scenario compilation excluded —
+    plus the committed ``(step, latency)`` ``delivery_log`` when the
+    scenario declares one; the final LPs hold compiled closures and are
+    not kept.  With
     ``ckpt_dir`` the run snapshots there (touching ``heartbeat`` at
     every boundary) and resumes from its newest snapshot — in process
     mode from the newest one all worker shards hold — whose marker pins
@@ -163,8 +167,12 @@ def run_spec(spec: dict, heartbeat: Path | None = None, ckpt_dir: Path | None = 
     )
     percentiles = kind == "sequential" and "path" in scen
     model = sim.model(delivery_log=percentiles or None)
+    start = time.perf_counter()
     result = job.run(sim, kind, model=model, **settings)
-    doc = {"model_stats": result.model_stats, "run": result.run}
+    doc = {
+        "model_stats": result.model_stats, "run": result.run,
+        "wall_s": time.perf_counter() - start,
+    }
     if percentiles:
         result.model_stats.update(_delivery_percentiles(model.delivery_log))
     if sim.cfg.delivery_log:

@@ -18,11 +18,11 @@ fault injection must not cost us the determinism contract.
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepParams, kp_count_for, run_point
+from repro.experiments.common import SweepParams, kp_count_for, point_spec
 from repro.experiments.report import Table
-from repro.scenarios import compile_scenario, report_scenario
+from repro.scenarios import compile_scenario
 
-__all__ = ["run"]
+__all__ = ["points", "table"]
 
 
 def _fault_spec(rate: float):
@@ -48,52 +48,47 @@ def _links_down(scenario) -> int:
     return sum(1 for ev in plan.events if ev.kind == "link_down")
 
 
-def run(params: SweepParams) -> Table:
-    """Sweep link-failure rates on the smallest size; check determinism."""
+def _scenario(params: SweepParams, rate: float):
+    return params.scenario(params.sizes[0], faults=_fault_spec(rate))
+
+
+def points(params: SweepParams) -> dict:
+    """A sequential and a Time Warp point per link-failure rate, on the
+    smallest size: one optimistic run per row keeps the determinism
+    check honest at every fault level, not just the unfaulted baseline."""
+    n = params.sizes[0]
+    n_pes = min(4, max(params.pe_counts))
+    specs = {}
+    for rate in params.fault_rates:
+        scenario = _scenario(params, rate)
+        specs[rate, "seq"] = point_spec("seq", scenario)
+        specs[rate, "opt"] = point_spec(
+            "opt", scenario, n_pes=n_pes, n_kps=kp_count_for(n, 16, n_pes),
+            batch_size=params.batch_size,
+        )
+    return specs
+
+
+def table(params: SweepParams, results: dict) -> Table:
+    """Delivery per link-failure rate on the smallest size, with the
+    determinism check."""
     n = params.sizes[0]
     table = Table(
         title=f"Resilience — delivery under failed links (N={n}, "
         f"duration={params.duration:g})",
-        columns=[
-            "fail rate",
-            "links down",
-            "injected",
-            "delivered",
-            "delivery %",
-            "avg time",
-            "deflect %",
-            "fault drops",
-            "seq==opt",
-        ],
+        columns=["fail rate", "links down", "injected", "delivered", "delivery %",
+                 "avg time", "deflect %", "fault drops", "seq==opt"],
     )
     links_total = 2 * n * n  # torus: every node owns its EAST and SOUTH link
     for rate in params.fault_rates:
-        scenario = report_scenario(
-            n, params.duration, seed=params.seed, faults=_fault_spec(rate)
-        )
-        ms = run_point("seq", scenario)["model_stats"]
-        # One optimistic run per row keeps the determinism check honest
-        # at every fault level, not just the unfaulted baseline.
-        n_pes = min(4, max(params.pe_counts))
-        opt = run_point(
-            "opt",
-            scenario,
-            n_pes=n_pes,
-            n_kps=kp_count_for(n, 16, n_pes),
-            batch_size=params.batch_size,
-        )
+        ms = results[rate, "seq"]["model_stats"]
+        opt = results[rate, "opt"]
         injected = ms["injected"] + ms["initial_packets"]
-        down = _links_down(scenario)
         table.add_row(
-            rate,
-            down,
-            injected,
-            ms["delivered"],
-            100.0 * ms["delivered"] / injected if injected else 0.0,
-            ms["avg_delivery_time"],
-            100.0 * ms["deflection_rate"],
-            ms.get("fault_dropped", 0),
-            opt["model_stats"] == ms,
+            rate, _links_down(_scenario(params, rate)), injected,
+            ms["delivered"], 100.0 * ms["delivered"] / injected if injected else 0.0,
+            ms["avg_delivery_time"], 100.0 * ms["deflection_rate"],
+            ms.get("fault_dropped", 0), opt["model_stats"] == ms,
         )
     table.notes.append(
         f"{links_total} physical links; rate-generated plans fail links "

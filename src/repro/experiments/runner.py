@@ -16,6 +16,11 @@ process; see docs/CHECKPOINT.md), then pick it up after a crash or ^C::
 
     python -m repro.experiments all --out-dir sweep/
     python -m repro.experiments --resume sweep/
+
+One function, :func:`run_sweep`, takes the experiments in order: it asks
+each for its points, runs those this sweep has not run yet (Figs 4, 6
+and 8 declare Figs 3, 5 and 7's points, so a sweep of both runs them
+once) and hands the results to the experiment's table.
 """
 
 from __future__ import annotations
@@ -25,18 +30,93 @@ import dataclasses
 import pathlib
 import sys
 import time
+from collections import Counter
 
-from repro.experiments.common import (
-    PROCS_GVT_INTERVAL,
-    SweepParams,
-    set_parallelism,
-    set_supervisor,
-    set_telemetry_dir,
-    take_in_process_points,
-)
-from repro.experiments.figures import EXPERIMENTS, experiment_ids, run_experiment
+from repro.experiments import pointworker
+from repro.experiments.common import PROCS_GVT_INTERVAL, SweepParams
+from repro.experiments.figures import EXPERIMENTS, experiment_ids
+from repro.experiments.supervisor import POINT_CHECKPOINT_EVERY, point_id
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "run_sweep", "sweep_spec"]
+
+
+def sweep_spec(declared: dict, *, procs=None, telemetry_dir=None,
+               supervised: bool = False) -> tuple[dict, bool]:
+    """The spec a sweep runs for a point an experiment declared, and
+    whether ``procs`` could not split it.
+
+    Under ``procs`` a Time Warp point that does not set ``procs`` itself
+    runs over that many OS worker processes at a GVT interval of
+    ``PROCS_GVT_INTERVAL`` (committed results are bit-identical), unless
+    ``procs`` does not divide its PE count: a PE cannot be split across
+    workers, so it runs in-process.  Under ``telemetry_dir`` the point
+    records its GVT-interval metrics to ``<point id>.jsonl`` there, the
+    id taken before the path is added.  A supervised point snapshots
+    every ``POINT_CHECKPOINT_EVERY`` boundaries.
+    """
+    spec = dict(declared)
+    overrides = spec.get("overrides") or {}
+    unsplit = False
+    if spec["kind"] == "opt" and procs is not None and "procs" not in overrides:
+        unsplit = spec["n_pes"] % procs != 0
+        if not unsplit:
+            spec["overrides"] = {
+                "gvt_interval": PROCS_GVT_INTERVAL, **overrides, "procs": procs,
+            }
+    spec["telemetry"] = None if telemetry_dir is None else str(
+        pathlib.Path(telemetry_dir) / f"{point_id(spec)}.jsonl"
+    )
+    if supervised:
+        spec["checkpoint_every"] = POINT_CHECKPOINT_EVERY
+    return spec, unsplit
+
+
+def run_sweep(ids, params: SweepParams, *, supervisor=None, procs=None,
+              telemetry_dir=None):
+    """Yield ``(exp_id, table)`` for each experiment id, in order.
+
+    Declares every experiment's points first (:func:`sweep_spec` of what
+    it declares), then runs them serially, each point id once per sweep:
+    in-process through :func:`repro.experiments.pointworker.run_spec`,
+    or through ``supervisor``'s ``run_point``.  A result is kept only
+    until the last experiment that declares its point has its table.  A
+    table whose Time Warp points ``procs`` could not split gets a note
+    naming them.
+    """
+    supervised = supervisor is not None
+    plan = []
+    for exp_id in ids:
+        module = EXPERIMENTS[exp_id][1]
+        plan.append((exp_id, module, {
+            label: sweep_spec(spec, procs=procs, telemetry_dir=telemetry_dir,
+                              supervised=supervised)
+            for label, spec in module.points(params).items()
+        }))
+    uses = Counter(point_id(spec) for *_, specs in plan for spec, _ in specs.values())
+    resolved: dict[str, dict] = {}
+    for exp_id, module, specs in plan:
+        results, unsplit = {}, set()
+        for label, (spec, in_process) in specs.items():
+            if in_process:
+                unsplit.add((pointworker.point_scenario(spec).sim.cfg.n, spec["n_pes"]))
+            pid = point_id(spec)
+            if pid not in resolved:
+                resolved[pid] = (
+                    pointworker.run_spec(spec) if not supervised
+                    else supervisor.run_point(spec)
+                )
+            results[label] = resolved[pid]
+            uses[pid] -= 1
+            if not uses[pid]:
+                del resolved[pid]
+        table = module.table(params, results)
+        if unsplit:
+            names = ", ".join(f"N={n} on {pes} PEs" for n, pes in sorted(unsplit))
+            table.notes.append(
+                f"--procs does not divide the PE count of {names}: these "
+                "points ran in-process"
+            )
+        yield exp_id, table
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -116,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         "whose PE count P doesn't divide stay in-process, and their table "
         "names them)",
     )
-    parser.add_argument("--seed", type=int, default=0x5EED, help="global seed")
+    parser.add_argument("--seed", type=int, default=0x5EED, help="seed of every point")
     parser.add_argument(
         "--replications",
         type=int,
@@ -305,26 +385,24 @@ def main(argv: list[str] | None = None) -> int:
     if out_dir is not None:
         supervisor = Supervisor(out_dir, resume=args.resume is not None)
 
-    if args.csv_dir is not None:
-        args.csv_dir.mkdir(parents=True, exist_ok=True)
-    set_telemetry_dir(args.telemetry_dir)
-    set_parallelism(procs)
+    for directory in (args.csv_dir, args.telemetry_dir):
+        if directory is not None:
+            directory.mkdir(parents=True, exist_ok=True)
     if supervisor is not None:
         supervisor.journal_meta(
             experiments=ids, params=dataclasses.asdict(params), procs=procs,
         )
-    set_supervisor(supervisor)
     from repro.ckpt import wall_deadline
 
     try:
         with wall_deadline(args.deadline_seconds, None) as deadline_expired:
-            for exp_id in ids:
-                start = time.perf_counter()
-                table = run_experiment(exp_id, params)
+            sweep = run_sweep(
+                ids, params, supervisor=supervisor, procs=procs,
+                telemetry_dir=args.telemetry_dir,
+            )
+            start = time.perf_counter()
+            for exp_id, table in sweep:
                 elapsed = time.perf_counter() - start
-                note = take_in_process_points()
-                if note is not None:
-                    table.notes.append(note)
                 print(table.to_text())
                 if args.plot:
                     chart = chart_from_table(table)
@@ -336,6 +414,7 @@ def main(argv: list[str] | None = None) -> int:
                     out = args.csv_dir / f"{exp_id}.csv"
                     out.write_text(table.to_csv())
                     print(f"wrote {out}")
+                start = time.perf_counter()
     except KeyboardInterrupt:
         hint = (
             f"; pick the sweep back up with --resume {out_dir}"
@@ -354,8 +433,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        set_supervisor(None)
-        set_parallelism(None)
         if supervisor is not None:
             supervisor.close()
     return 0

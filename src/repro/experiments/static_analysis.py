@@ -10,41 +10,47 @@ to Fig 3 — for both the Busch algorithm and the plain greedy baseline.
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepParams, run_point
+from repro.experiments.common import SweepParams, point_spec
 from repro.experiments.report import Table
 from repro.scenarios import report_scenario
 
-__all__ = ["run"]
+__all__ = ["points", "table"]
 
 #: Drain headroom: a full torus empties within a few diameters.
 DRAIN_FACTOR = 30.0
+#: The algorithms drained.
+POLICIES = ("busch", "greedy")
 
 
-def run(params: SweepParams) -> Table:
+def points(params: SweepParams) -> dict:
+    """One sequential drain point per (N, algorithm)."""
+    return {
+        (n, policy): point_spec("seq", report_scenario(
+            n,
+            max(DRAIN_FACTOR * n, 100.0),
+            injector_fraction=0.0,
+            policy=policy,
+            overrides={"initial_fill": 1.0},
+            seed=params.seed,
+        ))
+        for n in params.sizes
+        for policy in POLICIES
+    }
+
+
+def table(params: SweepParams, results: dict) -> Table:
     """Static (one-shot) drain of a full network per size and algorithm."""
     table = Table(
         title="STATIC — one-shot analysis: drain a full network (0% injectors)",
         columns=["N", "algorithm", "seeded", "delivered", "drained", "avg delivery", "max delivery"],
     )
-    for n in params.sizes:
-        for policy in ("busch", "greedy"):
-            ms = run_point("seq", report_scenario(
-                n,
-                max(DRAIN_FACTOR * n, 100.0),
-                injector_fraction=0.0,
-                policy=policy,
-                overrides={"initial_fill": 1.0},
-                seed=params.seed,
-            ))["model_stats"]
-            table.add_row(
-                n,
-                policy,
-                ms["initial_packets"],
-                ms["delivered"],
-                ms["initial_packets"] + ms["injected"] == ms["delivered"],
-                ms["avg_delivery_time"],
-                ms["max_delivery_time"],
-            )
+    for (n, policy), point in results.items():
+        ms = point["model_stats"]
+        table.add_row(
+            n, policy, ms["initial_packets"], ms["delivered"],
+            ms["initial_packets"] + ms["injected"] == ms["delivered"],
+            ms["avg_delivery_time"], ms["max_delivery_time"],
+        )
     table.notes.append(
         "static workload: every packet present at t=0 (4 per router), no "
         "further injection — the Das et al. [2] configuration"

@@ -13,47 +13,41 @@ about half) and deflect less at the mesh's starved corners.
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepParams, run_point
+from repro.experiments.common import SweepParams, point_spec
 from repro.experiments.report import Table
 from repro.net import TOPOLOGIES
-from repro.scenarios import report_scenario
 
-__all__ = ["run"]
+__all__ = ["points", "table"]
 
 
-def run(params: SweepParams) -> Table:
-    """Compare torus and mesh per sweep size at full load."""
+def points(params: SweepParams) -> dict:
+    """One sequential point per (N, topology) at full load."""
+    return {
+        (n, name): point_spec("seq", params.scenario(n, topology=name))
+        for n in params.sizes
+        for name in ("torus", "mesh")
+    }
+
+
+def table(params: SweepParams, results: dict) -> Table:
+    """Torus and mesh compared per sweep size at full load."""
     table = Table(
         title="TOPO — torus vs mesh (100% injectors)",
-        columns=[
-            "N",
-            "topology",
-            "diameter",
-            "delivered",
-            "avg delivery",
-            "avg distance",
-            "deflect %",
-        ],
+        columns=["N", "topology", "diameter", "delivered", "avg delivery",
+                 "avg distance", "deflect %"],
     )
-    avg_by_topo: dict[tuple[int, str], float] = {}
+    for (n, name), point in results.items():
+        ms = point["model_stats"]
+        table.add_row(
+            n, name, TOPOLOGIES[name](n).diameter(), ms["delivered"],
+            ms["avg_delivery_time"], ms["avg_distance"],
+            100 * ms["deflection_rate"],
+        )
     for n in params.sizes:
-        for name in ("torus", "mesh"):
-            ms = run_point("seq", report_scenario(
-                n, params.duration, topology=name, seed=params.seed
-            ))["model_stats"]
-            avg_by_topo[(n, name)] = ms["avg_delivery_time"]
-            table.add_row(
-                n,
-                name,
-                TOPOLOGIES[name](n).diameter(),
-                ms["delivered"],
-                ms["avg_delivery_time"],
-                ms["avg_distance"],
-                100 * ms["deflection_rate"],
-            )
-    for n in params.sizes:
-        torus_avg = avg_by_topo[(n, "torus")]
-        mesh_avg = avg_by_topo[(n, "mesh")]
+        torus_avg, mesh_avg = (
+            results[n, name]["model_stats"]["avg_delivery_time"]
+            for name in ("torus", "mesh")
+        )
         if torus_avg > 0:
             table.notes.append(
                 f"N={n}: mesh delivery takes {mesh_avg / torus_avg:.2f}x the "

@@ -12,29 +12,29 @@ headline Fig-3 numbers.
 from __future__ import annotations
 
 from repro.analysis.timeseries import build_series, warmup_end
-from repro.experiments.common import SweepParams, run_point
+from repro.experiments.common import SweepParams, point_spec
 from repro.experiments.report import Table
-from repro.scenarios import report_scenario
 
-__all__ = ["run"]
+__all__ = ["points", "table"]
 
 
-def run(params: SweepParams) -> Table:
-    """Estimate warm-up and steady-state delivery time per sweep size."""
+def points(params: SweepParams) -> dict:
+    """One sequential point with a delivery log per size."""
+    return {
+        n: point_spec("seq", params.scenario(n, overrides={"delivery_log": True}))
+        for n in params.sizes
+    }
+
+
+def table(params: SweepParams, results: dict) -> Table:
+    """Warm-up and steady-state delivery time per sweep size."""
     table = Table(
         title="WARMUP — whole-run vs steady-state average delivery time",
-        columns=[
-            "N",
-            "warmup ends (step)",
-            "whole-run avg",
-            "steady-state avg",
-            "bias %",
-        ],
+        columns=["N", "warmup ends (step)", "whole-run avg", "steady-state avg",
+                 "bias %"],
     )
     for n in params.sizes:
-        point = run_point("seq", report_scenario(
-            n, params.duration, overrides={"delivery_log": True}, seed=params.seed
-        ))
+        point = results[n]
         whole = point["model_stats"]["avg_delivery_time"]
         log = point["delivery_log"]
         series = build_series(log)
@@ -42,12 +42,8 @@ def run(params: SweepParams) -> Table:
         if w is None:
             table.add_row(n, "-", whole, "-", "-")
             continue
-        steady = [
-            (step, dt) for step, dt in log if step >= w
-        ]
-        steady_avg = (
-            sum(dt for _, dt in steady) / len(steady) if steady else 0.0
-        )
+        steady = [dt for step, dt in log if step >= w]
+        steady_avg = sum(steady) / len(steady) if steady else 0.0
         bias = 100.0 * (whole - steady_avg) / steady_avg if steady_avg else 0.0
         table.add_row(n, w, whole, steady_avg, bias)
     table.notes.append(

@@ -437,6 +437,12 @@ def run_multiprocess(
                 for row in part["health"] or ():
                     health.sink.write_health(row)
 
+        if checkpointer is not None:
+            # Every wave writes one snapshot per shard: a cut.  Report the
+            # cuts and the newest one as an in-process run reports its
+            # snapshots (the CLI's count line and resume hint).
+            checkpointer.written = min(p["ckpt_written"] for p in parts)
+            checkpointer.last_path = parts[0]["ckpt_last"]
         if any(p["interrupted"] for p in parts):
             raise KeyboardInterrupt
 

@@ -156,6 +156,7 @@ def _run_worker(spec) -> dict:
         "span_totals": None if spans is None else dict(spans.totals),
         "health": None if health is None else [e.to_dict() for e in health.events],
         "ckpt_written": 0 if ckpt is None else ckpt.written,
+        "ckpt_last": None if ckpt is None else ckpt.last_path,
     }
     if not interrupted:
         far = kernel._far_by_lp

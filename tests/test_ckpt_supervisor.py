@@ -50,10 +50,12 @@ def _manifest(sup) -> list[dict]:
     ]
 
 
-def _oracle_stats():
-    from repro.experiments.common import run_point
+def _oracle_stats(duration: float = 15.0):
+    from repro.experiments.common import point_spec
+    from repro.experiments.pointworker import run_spec
 
-    return run_point("seq", report_scenario(4, 15.0, seed=7))["model_stats"]
+    spec = point_spec("seq", report_scenario(4, duration, seed=7))
+    return run_spec(spec)["model_stats"]
 
 
 def test_point_id_is_canonical():
@@ -177,13 +179,11 @@ def test_resume_restores_in_flight_process_mode_point_from_shards(tmp_path):
     """A ``procs`` 2 point commits the oracle's statistics, and after a
     mid-run death (result gone, shard directories truncated unevenly)
     resumes from the newest snapshot every shard holds."""
-    from repro.experiments.common import run_point
-
     spec = _opt_spec(
         scenario=_scenario(40.0), overrides={"procs": 2, "gvt_interval": 2},
         checkpoint_every=1,
     )
-    oracle = run_point("seq", report_scenario(4, 40.0, seed=7))["model_stats"]
+    oracle = _oracle_stats(40.0)
     sup = Supervisor(tmp_path)
     try:
         assert sup.run_point(spec)["model_stats"] == oracle
@@ -231,7 +231,7 @@ def test_result_pickle_shape(tmp_path):
         sup.close()
     with (tmp_path / "points" / point_id(spec) / "result.pkl").open("rb") as fh:
         doc = pickle.load(fh)
-    assert set(doc) == {"model_stats", "run"}
+    assert set(doc) == {"model_stats", "run", "wall_s"}
     assert doc["run"].committed > 0
 
 

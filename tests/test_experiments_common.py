@@ -1,13 +1,19 @@
-"""Unit tests for the experiment plumbing (SweepParams, run_point)."""
+"""Unit tests for the experiment plumbing (SweepParams, point_spec)."""
 
 import pytest
 
-from repro.experiments.common import DEFAULT_LOADS, SweepParams, run_point
+from repro.experiments.common import DEFAULT_LOADS, SweepParams, point_spec
+from repro.experiments.pointworker import run_spec
 from repro.scenarios import report_scenario
 
 
 def _scenario(seed: int):
     return report_scenario(4, 15.0, seed=seed)
+
+
+def run_point(kind, scenario, **settings):
+    """Run one declared point in-process, as a sweep does."""
+    return run_spec(point_spec(kind, scenario, **settings))
 
 
 def test_default_loads_are_the_reports():
@@ -31,7 +37,8 @@ def test_sequential_helper_runs():
     point = run_point("seq", _scenario(1))
     assert point["run"].engine == "sequential"
     assert point["model_stats"]["delivered"] > 0
-    assert set(point) == {"model_stats", "run"}
+    assert set(point) == {"model_stats", "run", "wall_s"}
+    assert point["wall_s"] > 0
 
 
 def test_parallel_helper_batch_mode():

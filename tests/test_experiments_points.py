@@ -3,8 +3,9 @@
 A recording supervisor runs each point spec in-process; every
 ``HotPotatoSimulation.run`` call of every registered experiment must
 happen inside it, and the supervised tables must equal the unsupervised
-ones.  The CLI side: one telemetry file per point, and ``--procs`` never
-silently skipped.
+ones.  One sweep runs each distinct point once, and the point ids stay
+those the sweep has always journaled.  The CLI side: one telemetry file
+per point, and ``--procs`` never silently skipped.
 """
 
 import json
@@ -12,11 +13,12 @@ import pathlib
 
 import pytest
 
-from repro.experiments import common
+from repro.experiments import supervisor as supervisor_module
 from repro.experiments.common import SweepParams
-from repro.experiments.figures import experiment_ids, run_experiment
+from repro.experiments.figures import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.pointworker import run_spec
-from repro.experiments.runner import main
+from repro.experiments.runner import main, sweep_spec
+from repro.experiments.supervisor import point_id
 from repro.hotpotato.model import HotPotatoModel
 from repro.hotpotato.simulation import HotPotatoSimulation
 
@@ -27,11 +29,18 @@ _SCENARIO = (
 
 
 class RecordingSupervisor:
-    """Runs each point spec in-process and records it."""
+    """Runs each point spec in-process and records it (and stands in for
+    the CLI's journaling ``Supervisor``)."""
 
     def __init__(self):
         self.specs = []
         self.inside = False
+
+    def journal_meta(self, **doc):
+        pass
+
+    def close(self):
+        pass
 
     def run_point(self, spec):
         self.specs.append(spec)
@@ -75,28 +84,19 @@ def test_every_hotpotato_run_is_a_supervised_point(monkeypatch):
     # simulation run outside a point bypasses the supervisor.
     monkeypatch.setattr(HotPotatoSimulation, "run", recording(HotPotatoSimulation.run))
     monkeypatch.setattr(HotPotatoModel, "__init__", recording(HotPotatoModel.__init__))
-    common.set_supervisor(sup)
-    try:
-        for exp in experiment_ids():
-            before = len(sup.specs)
-            assert _comparable(run_experiment(exp, params)) == plain[exp], exp
-            assert len(sup.specs) > before, f"{exp} ran no point"
-            assert not outside, f"{exp} ran outside the supervisor: {outside}"
-    finally:
-        common.set_supervisor(None)
+    for exp in experiment_ids():
+        before = len(sup.specs)
+        table = run_experiment(exp, params, supervisor=sup)
+        assert _comparable(table) == plain[exp], exp
+        assert len(sup.specs) > before, f"{exp} ran no point"
+        assert not outside, f"{exp} ran outside the supervisor: {outside}"
     kinds = {spec["kind"] for spec in sup.specs}
     assert kinds == {"seq", "opt", "cons"}
 
 
 def test_telemetry_files_are_named_by_point(tmp_path, capsys):
-    from repro.experiments.supervisor import point_id
-
     sup = RecordingSupervisor()
-    common.set_supervisor(sup)
-    try:
-        run_experiment("abl-map", SweepParams(sizes=(4,), duration=10.0))
-    finally:
-        common.set_supervisor(None)
+    run_experiment("abl-map", SweepParams(sizes=(4,), duration=10.0), supervisor=sup)
     # The file is named before the telemetry and supervisor keys are added.
     ids = {
         point_id({k: v for k, v in s.items()
@@ -220,9 +220,70 @@ def test_resume_takes_a_sweep_that_left_the_removed_flags_unset(tmp_path, capsys
     assert "Resilience" in capsys.readouterr().out
 
 
-@pytest.fixture(autouse=True)
-def _restore_globals():
-    yield
-    common.set_supervisor(None)
-    common.set_parallelism(None)
-    common.set_telemetry_dir(None)
+#: The point ids ``all --sizes 4 --duration 20 --out-dir D`` journals,
+#: sorted.  A sweep journaled by an earlier tree resumes exactly only
+#: while these stay the same.
+ALL_SIZE4_POINT_IDS = [
+    "1116db0662faad82",
+    "192a285e9e563126",
+    "1b49a6fb56b2fb2a",
+    "1cbb2b5545264646",
+    "2b433c032f25bf0a",
+    "417d5da6ec7a7299",
+    "424fe92849ae045a",
+    "43962fdea1a2fd5a",
+    "46ec1b76b33c157b",
+    "4dda401b5cb0471d",
+    "4ee0a30e40253a64",
+    "544bc80911911953",
+    "5835e4dff3172c80",
+    "765007238f3f9929",
+    "7f4440e97730f773",
+    "8478037ce7693fd0",
+    "87823e3a5f543654",
+    "88bb9442e29b0fe1",
+    "8a06eb3257a62fed",
+    "9017c9f8e79131ec",
+    "91c8b83e3d18f14b",
+    "94ae12f5bf06f276",
+    "a3beabd62be678e5",
+    "b110934ba2a25558",
+    "b4a8288ebed873ec",
+    "bedc50609fab2fa7",
+    "bf9f9215da08de65",
+    "c12d696f6d90217b",
+    "c6088fd3e218ea06",
+    "d39525841c91e605",
+    "d624149b29ab8957",
+    "e167b47475d3428b",
+    "e54fb7e58d9fdde5",
+    "e556726d970d33a6",
+    "e8baada607d99520",
+    "eb2f1ff28ca0d297",
+    "f43be79ec4c075ba",
+    "f98263f2535a3ec9",
+]
+
+
+def test_point_ids_do_not_change():
+    params = SweepParams(sizes=(4,), duration=20.0)
+    ids = {
+        point_id(sweep_spec(declared, supervised=True)[0])
+        for exp in experiment_ids()
+        for declared in EXPERIMENTS[exp][1].points(params).values()
+    }
+    assert sorted(ids) == ALL_SIZE4_POINT_IDS
+
+
+def test_a_sweep_runs_each_distinct_point_once(tmp_path, monkeypatch, capsys):
+    """Figs 4, 6 and 8 read Figs 3, 5 and 7's points: the supervisor is
+    asked for each point once, under the ids the sweep journals."""
+    sup = RecordingSupervisor()
+    monkeypatch.setattr(supervisor_module, "Supervisor", lambda *a, **k: sup)
+    argv = ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+            "--sizes", "4", "--duration", "20", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    ids = [point_id(spec) for spec in sup.specs]
+    assert len(ids) == len(set(ids)), "a point was requested twice"
+    assert set(ids) <= set(ALL_SIZE4_POINT_IDS)
+    assert "Figure 8" in capsys.readouterr().out

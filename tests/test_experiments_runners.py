@@ -318,5 +318,5 @@ def test_main_rejects_unknown(capsys):
 
 
 def test_registry_descriptions():
-    for exp_id, (desc, runner) in EXPERIMENTS.items():
-        assert desc and callable(runner)
+    for exp_id, (desc, module) in EXPERIMENTS.items():
+        assert desc and callable(module.points) and callable(module.table)

@@ -470,6 +470,28 @@ def test_process_mode_resume_under_another_seed_is_refused_before_any_fork(
     assert _files(ckpt) == before
 
 
+def test_process_mode_reports_the_snapshots_its_workers_wrote(tmp_path, capsys):
+    """A ``--procs 2`` run prints the snapshot count an in-process run of
+    the same flags prints: one snapshot per cut, each cut a file in
+    every shard."""
+    from repro.ckpt import list_snapshots
+
+    run = ["--n", "8", "--duration", "10", "--seed", "7", "--processors", "2",
+           "--checkpoint-every", "5"]
+    counts = []
+    for name, procs in (("inproc", []), ("mp", ["--procs", "2"])):
+        ckpt = tmp_path / name
+        assert main([*run, *procs, "--checkpoint-dir", str(ckpt)]) == 0
+        line = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.endswith(f"snapshot(s) in {ckpt}")]
+        assert len(line) == 1, f"{name}: no snapshot line"
+        counts.append(int(line[0].split()[0]))
+    inproc, mp = counts
+    assert mp == inproc > 0
+    for shard in ("shard_0", "shard_1"):
+        assert len(list_snapshots(tmp_path / "mp" / shard)) == mp
+
+
 @pytest.mark.parametrize("refusal", ["format", "marker", "missing-shard"])
 def test_a_refused_resume_leaves_the_recording_as_it_was(
     tmp_path, capsys, refusal

@@ -127,18 +127,19 @@ def test_cli_rejects_garbage(tmp_path, capsys):
 # experiments integration
 # ----------------------------------------------------------------------
 def test_run_point_of_a_scenario_file_reports_percentiles(tmp_path):
-    from repro.experiments.common import run_point
+    from repro.experiments.common import point_spec
+    from repro.experiments.pointworker import run_spec
 
-    ms = run_point("seq", _tiny(tmp_path))["model_stats"]
+    ms = run_spec(point_spec("seq", _tiny(tmp_path)))["model_stats"]
     assert ms["latency_p50"] <= ms["latency_p95"] <= ms["latency_p99"]
     assert ms["latency_p99"] > 0
 
 
 def test_scenario_compare_experiment(tmp_path):
     from repro.experiments.common import SweepParams
-    from repro.experiments.scenario_compare import run
+    from repro.experiments.figures import run_experiment
 
-    table = run(SweepParams(scenarios=(_tiny(tmp_path),)))
+    table = run_experiment("scenarios", SweepParams(scenarios=(_tiny(tmp_path),)))
     assert len(table.rows) == 1
     row = dict(zip(table.columns, table.rows[0]))
     assert row["scenario"] == "tiny"
@@ -158,32 +159,25 @@ def test_pointworker_refuses_changed_scenario(tmp_path):
 
 
 def test_supervised_scenario_sweep_resumes(tmp_path):
-    from repro.experiments.common import (
-        SweepParams,
-        set_supervisor,
-    )
-    from repro.experiments.scenario_compare import run
+    from repro.experiments.common import SweepParams
+    from repro.experiments.figures import run_experiment
     from repro.experiments.supervisor import Supervisor
 
     params = SweepParams(scenarios=(_tiny(tmp_path),))
     out_dir = tmp_path / "sweep"
     sup = Supervisor(out_dir)
-    set_supervisor(sup)
     try:
-        first = run(params)
+        first = run_experiment("scenarios", params, supervisor=sup)
     finally:
-        set_supervisor(None)
         sup.close()
 
     manifest = (out_dir / "manifest.jsonl").read_text()
     assert '"scenario"' in manifest and '"hash"' in manifest
 
     sup = Supervisor(out_dir, resume=True)
-    set_supervisor(sup)
     try:
-        again = run(params)
+        again = run_experiment("scenarios", params, supervisor=sup)
     finally:
-        set_supervisor(None)
         sup.close()
     assert again.rows == first.rows
 
